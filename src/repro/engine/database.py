@@ -68,7 +68,8 @@ class Table:
     """The stored instance of one table definition, with constraint enforcement.
 
     Every successful mutation bumps :attr:`mutation_count` and notifies the
-    optional ``on_mutation`` callback — the hook the database uses to invalidate
+    optional ``on_mutation`` callback — ``on_mutation(kind, rows)``, with the row
+    count after the mutation; the hook the database uses to invalidate
     collected statistics the moment they could mislead the planner.
 
     The optional ``journal`` callback — ``journal(kind, old, new)`` — is the
@@ -97,7 +98,7 @@ class Table:
     def _mutated(self, kind: str) -> None:
         self.mutation_count += 1
         if self._on_mutation is not None:
-            self._on_mutation(kind)
+            self._on_mutation(kind, len(self._tuples))
 
     # -- read access -----------------------------------------------------------------------
 
@@ -192,12 +193,8 @@ class Table:
     def restore(self, snapshot: Set[FlexTuple]) -> None:
         """Reset the table to a snapshot taken earlier (indexes are rebuilt)."""
         self._tuples = set(snapshot)
-        self.checker = ConstraintChecker(
-            self.definition,
-            check_scheme=self.checker.check_scheme,
-            check_domains=self.checker.check_domains,
-            check_dependencies=self.checker.check_dependencies,
-        )
+        for index in self.checker.indexes():
+            index.clear()
         for tup in self._tuples:
             self.checker.register_tuple(tup)
         self._mutated("restore")
@@ -413,7 +410,7 @@ class Database:
         table = Table(
             definition,
             enforce=self.enforce_constraints,
-            on_mutation=lambda kind, _name=name: self._note_mutation(_name, kind),
+            on_mutation=lambda kind, rows, _name=name: self._note_mutation(_name, kind, rows),
             journal=lambda kind, old, new, _name=name: self._journal_mutation(
                 _name, kind, old, new),
         )
@@ -498,7 +495,7 @@ class Database:
         if self.durability is not None and not self._journal_suppressed:
             self.durability.log_mutation(name, kind, old, new)
 
-    def _note_mutation(self, name: str, kind: str) -> None:
+    def _note_mutation(self, name: str, kind: str, rows: int) -> None:
         """The tables' post-apply hook: invalidate statistics, maybe checkpoint.
 
         The auto-checkpoint trigger must live here (after the mutation is
@@ -506,7 +503,7 @@ class Database:
         and apply would miss the in-flight mutation whose record sits in the
         old epoch's log — and that log is deleted after the switch.
         """
-        self.statistics.note_mutation(name, kind)
+        self.statistics.note_mutation(name, kind, rows)
         if self.durability is not None and not self._journal_suppressed:
             self.durability.maybe_checkpoint()
 

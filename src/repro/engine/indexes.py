@@ -12,41 +12,61 @@ determinant instead of the whole relation.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.model.attributes import AttributeSet, attrset
 from repro.model.tuples import FlexTuple
 
 
 class HashIndex:
-    """A hash index on a fixed attribute set."""
+    """A hash index on a fixed attribute set.
+
+    A key is the tuple of the indexed attributes' values in sorted attribute order
+    (:attr:`names`).  :meth:`add` / :meth:`remove` / :meth:`lookup` derive it from a
+    tuple; the constraint checker, which knows per shape which indexes a tuple is
+    defined on, builds it itself and calls :meth:`put` / :meth:`drop` /
+    :meth:`bucket`.
+    """
 
     def __init__(self, attributes):
         self.attributes = attrset(attributes)
-        self._buckets: Dict[Tuple, Set[FlexTuple]] = defaultdict(set)
+        #: the indexed attribute names, sorted: the order of a key's values
+        self.names: Tuple[str, ...] = self.attributes.names
+        self._buckets: Dict[Tuple, Set[FlexTuple]] = {}
         self._indexed = 0
 
     def key_of(self, tup: FlexTuple) -> Optional[Tuple]:
         """The index key of a tuple, or ``None`` when the tuple lacks an indexed attribute."""
-        if not tup.is_defined_on(self.attributes):
+        values = tup._values
+        try:
+            return tuple([values[name] for name in self.names])
+        except KeyError:
             return None
-        return tuple(tup[a] for a in self.attributes)
 
     def add(self, tup: FlexTuple) -> None:
         """Index a tuple (no-op for tuples not defined on the indexed attributes)."""
         key = self.key_of(tup)
         if key is not None:
-            bucket = self._buckets[key]
-            if tup not in bucket:
-                bucket.add(tup)
-                self._indexed += 1
+            self.put(key, tup)
+
+    def put(self, key: Tuple, tup: FlexTuple) -> None:
+        """Index a tuple under its key."""
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = {tup}
+            self._indexed += 1
+        elif tup not in bucket:
+            bucket.add(tup)
+            self._indexed += 1
 
     def remove(self, tup: FlexTuple) -> None:
         """Remove a tuple from the index (no-op when it was never indexed)."""
         key = self.key_of(tup)
-        if key is None:
-            return
+        if key is not None:
+            self.drop(key, tup)
+
+    def drop(self, key: Tuple, tup: FlexTuple) -> None:
+        """Remove a tuple from under its key (no-op when it is not there)."""
         bucket = self._buckets.get(key)
         if bucket and tup in bucket:
             bucket.remove(tup)
@@ -54,8 +74,12 @@ class HashIndex:
             if not bucket:
                 del self._buckets[key]
 
+    def bucket(self, key: Tuple) -> Iterable[FlexTuple]:
+        """The tuples stored under ``key``, in place: read, never mutate."""
+        return self._buckets.get(key, ())
+
     def lookup(self, probe) -> Set[FlexTuple]:
-        """Tuples whose indexed projection equals the probe's.
+        """Tuples whose indexed projection equals the probe's, as a fresh set.
 
         ``probe`` may be a tuple of values (in sorted attribute order), a mapping, or
         a :class:`FlexTuple`.  An empty set is returned when the probe does not bind
@@ -68,7 +92,7 @@ class HashIndex:
             key = self.key_of(tup)
             if key is None:
                 return set()
-        return set(self._buckets.get(key, ()))
+        return set(self.bucket(key))
 
     def groups(self) -> Iterable[Tuple[Tuple, Set[FlexTuple]]]:
         """Iterate over ``(key, tuples)`` buckets."""

@@ -35,10 +35,12 @@ class FlexTuple:
     __slots__ = ("_values", "_attrs", "_hash")
 
     def __init__(self, values: Mapping = None, **kwargs):
-        merged: Dict[str, object] = {}
-        if values is not None:
-            for key, value in dict(values).items():
-                merged[_attr_name(key)] = value
+        merged: Dict[str, object] = dict(values) if values is not None else {}
+        for key in merged:
+            if type(key) is not str:
+                # Attribute objects (or bad keys) among the names: normalize them all.
+                merged = {_attr_name(key): value for key, value in merged.items()}
+                break
         for key, value in kwargs.items():
             if key in merged:
                 raise TupleError("attribute {!r} given twice".format(key))

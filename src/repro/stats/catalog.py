@@ -198,8 +198,9 @@ class StatisticsCatalog:
 
     # -- invalidation --------------------------------------------------------------------
 
-    def note_mutation(self, name: str, kind: str) -> None:
-        """Called by the engine on every DML statement against ``name``.
+    def note_mutation(self, name: str, kind: str, rows: int) -> None:
+        """Called by the engine on every DML statement against ``name``, with the
+        number of rows the table holds afterwards.
 
         The first mutation after an ANALYZE turns the statistics stale and bumps
         the catalog version (invalidating cached plans); row counts keep being
@@ -227,11 +228,8 @@ class StatisticsCatalog:
             elif kind == "restore":
                 # A snapshot restore (transaction rollback) replaces the contents
                 # wholesale: resynchronize from the live table.
-                try:
-                    entry.statistics.row_count = len(self._database.table(name))
-                except Exception:
-                    pass
-        self._track_magnitude(name)
+                entry.statistics.row_count = rows
+        self._track_magnitude(name, rows)
         if entry is not None:
             self._maybe_auto_analyze(name, entry)
 
@@ -254,12 +252,8 @@ class StatisticsCatalog:
         finally:
             self._auto_analyzing = False
 
-    def _track_magnitude(self, name: str) -> None:
-        try:
-            size = len(self._database.table(name))
-        except Exception:
-            return
-        magnitude = int(size).bit_length()
+    def _track_magnitude(self, name: str, rows: int) -> None:
+        magnitude = rows.bit_length()
         previous = self._magnitudes.get(name)
         if previous is None:
             self._magnitudes[name] = magnitude
