@@ -108,6 +108,22 @@ class Expression:
         """Attribute→value bindings every result tuple is known to satisfy."""
         return {}
 
+    def map_comparisons(self, function) -> "Expression":
+        """This tree with ``function`` applied to every comparison of every
+        selection predicate (``self`` when nothing changed)."""
+        children = self.children
+        mapped = [child.map_comparisons(function) for child in children]
+        if all(new is old for new, old in zip(mapped, children)):
+            return self
+        return self.with_children(mapped)
+
+    def substitute(self, params) -> "Expression":
+        """This tree with every predicate :class:`~repro.algebra.predicates.Parameter`
+        replaced by its value in ``params`` — a template bound to one call."""
+        if not params:
+            return self
+        return self.map_comparisons(lambda comparison: comparison.bound(params))
+
     # -- fluent construction helpers ----------------------------------------------------
 
     def select(self, predicate: Predicate) -> "Selection":
@@ -212,6 +228,13 @@ class Selection(Expression):
     def with_children(self, children: Sequence[Expression]) -> "Selection":
         (child,) = children
         return Selection(child, self.predicate)
+
+    def map_comparisons(self, function) -> "Selection":
+        child = self.child.map_comparisons(function)
+        predicate = self.predicate.map_comparisons(function)
+        if child is self.child and predicate is self.predicate:
+            return self
+        return Selection(child, predicate)
 
     def known_dependencies(self, catalog=None) -> Set[Dependency]:
         # Rule (3): selections preserve every dependency, in explicit form too.
@@ -353,7 +376,7 @@ class Union(Expression):
 
     def with_children(self, children: Sequence[Expression]) -> "Union":
         left, right = children
-        return Union(left, right)
+        return type(self)(left, right)  # an outer union stays one
 
     def known_dependencies(self, catalog=None) -> Set[Dependency]:
         # Rule (4): nothing survives an untagged union ... unless both inputs are

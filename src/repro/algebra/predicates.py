@@ -14,6 +14,11 @@ For the optimizer the interesting question is what a predicate *implies*:
   shape used in Example 4's ``salary > 5000 AND jobtype = 'secretary'``);
 * :meth:`Predicate.required_attributes` lists the attributes whose presence is
   forced by the predicate.
+
+A comparison constant may be a :class:`Parameter` — a numbered slot bound per
+call (:meth:`Predicate.substitute`).  Parameters are *opaque* to
+``implied_equalities``: a query template is rewritten once, for every binding,
+so the rewrite rules must not read a value that changes from call to call.
 """
 
 from __future__ import annotations
@@ -38,6 +43,18 @@ _OPERATORS: Dict[str, Callable] = {
 }
 
 
+class Parameter:
+    """A numbered slot standing for a comparison constant that is bound per call."""
+
+    __slots__ = ("slot",)
+
+    def __init__(self, slot: int):
+        self.slot = slot
+
+    def __repr__(self) -> str:
+        return "?{}".format(self.slot)
+
+
 class Predicate:
     """Base class of all selection predicates."""
 
@@ -60,9 +77,31 @@ class Predicate:
         """
         return AttributeSet()
 
-    def implied_equalities(self) -> Dict[str, object]:
-        """Attribute→value bindings every satisfying tuple must exhibit."""
+    def implied_equalities(self, parameters: bool = False) -> Dict[str, object]:
+        """Attribute→value bindings every satisfying tuple must exhibit.
+
+        Equalities against a :class:`Parameter` are left out unless
+        ``parameters`` is set (index scans want them: they probe with the
+        bound value).
+        """
         return {}
+
+    def map_comparisons(self, function: Callable) -> "Predicate":
+        """This predicate with ``function`` applied to every :class:`Comparison`
+        (``self`` when nothing changed)."""
+        return self
+
+    def substitute(self, params) -> "Predicate":
+        """This predicate with every :class:`Parameter` replaced by its value."""
+        if not params:
+            return self
+        return self.map_comparisons(lambda comparison: comparison.bound(params))
+
+    def render(self, params=None, constants: Optional[list] = None) -> str:
+        """The predicate's text: parameters show their value under ``params``
+        (``?n`` without); with ``constants`` every other comparison constant
+        shows as ``?`` and its comparison is appended to the list."""
+        return repr(self)
 
     # -- combinators ----------------------------------------------------------------
 
@@ -135,13 +174,38 @@ class Comparison(Predicate):
     def required_attributes(self) -> AttributeSet:
         return self.attribute
 
-    def implied_equalities(self) -> Dict[str, object]:
-        if self.op in ("=", "=="):
+    def implied_equalities(self, parameters: bool = False) -> Dict[str, object]:
+        if self.op in ("=", "==") and (
+                parameters or self.value.__class__ is not Parameter):
             return {self._name: self.value}
         return {}
 
-    def __repr__(self) -> str:
-        return "{} {} {!r}".format(self._name, self.op, self.value)
+    def map_comparisons(self, function: Callable) -> Predicate:
+        return function(self)
+
+    def constant(self, params):
+        """The constant compared with, under the parameter binding ``params``."""
+        value = self.value
+        return params[value.slot] if value.__class__ is Parameter else value
+
+    def bound(self, params) -> "Comparison":
+        """This comparison with its parameter (if it has one) replaced by its value."""
+        if self.value.__class__ is not Parameter:
+            return self
+        return Comparison(self.attribute, self.op, self.constant(params))
+
+    def render(self, params=None, constants: Optional[list] = None) -> str:
+        value = self.value
+        if value.__class__ is Parameter:
+            shown = repr(value if params is None else params[value.slot])
+        elif constants is not None:
+            constants.append(self)
+            shown = "?"
+        else:
+            shown = repr(value)
+        return "{} {} {}".format(self._name, self.op, shown)
+
+    __repr__ = render
 
 
 class AttributeComparison(Predicate):
@@ -199,22 +263,21 @@ class PresencePredicate(Predicate):
         return "HAS {}".format(self._attributes)
 
 
-class And(Predicate):
-    """Conjunction of predicates."""
+class _Connective(Predicate):
+    """What conjunction and disjunction share: flattened operands, one text."""
+
+    word = ""
 
     def __init__(self, *operands: Predicate):
         if not operands:
-            raise PredicateError("AND needs at least one operand")
+            raise PredicateError("{} needs at least one operand".format(self.word))
         flattened = []
         for operand in operands:
-            if isinstance(operand, And):
+            if isinstance(operand, type(self)):
                 flattened.extend(operand.operands)
             else:
                 flattened.append(operand)
         self.operands: Tuple[Predicate, ...] = tuple(flattened)
-
-    def evaluate(self, tup: FlexTuple) -> bool:
-        return all(operand.evaluate(tup) for operand in self.operands)
 
     @property
     def attributes(self) -> AttributeSet:
@@ -222,6 +285,27 @@ class And(Predicate):
         for operand in self.operands:
             result = result | operand.attributes
         return result
+
+    def map_comparisons(self, function: Callable) -> Predicate:
+        operands = [operand.map_comparisons(function) for operand in self.operands]
+        if all(new is old for new, old in zip(operands, self.operands)):
+            return self
+        return type(self)(*operands)
+
+    def render(self, params=None, constants: Optional[list] = None) -> str:
+        return "(" + " {} ".format(self.word).join(
+            operand.render(params, constants) for operand in self.operands) + ")"
+
+    __repr__ = render
+
+
+class And(_Connective):
+    """Conjunction of predicates."""
+
+    word = "AND"
+
+    def evaluate(self, tup: FlexTuple) -> bool:
+        return all(operand.evaluate(tup) for operand in self.operands)
 
     def required_attributes(self) -> AttributeSet:
         result = AttributeSet()
@@ -229,54 +313,30 @@ class And(Predicate):
             result = result | operand.required_attributes()
         return result
 
-    def implied_equalities(self) -> Dict[str, object]:
+    def implied_equalities(self, parameters: bool = False) -> Dict[str, object]:
         result: Dict[str, object] = {}
         for operand in self.operands:
-            result.update(operand.implied_equalities())
+            result.update(operand.implied_equalities(parameters))
         return result
 
-    def __repr__(self) -> str:
-        return "(" + " AND ".join(repr(operand) for operand in self.operands) + ")"
 
-
-class Or(Predicate):
+class Or(_Connective):
     """Disjunction of predicates."""
 
-    def __init__(self, *operands: Predicate):
-        if not operands:
-            raise PredicateError("OR needs at least one operand")
-        flattened = []
-        for operand in operands:
-            if isinstance(operand, Or):
-                flattened.extend(operand.operands)
-            else:
-                flattened.append(operand)
-        self.operands: Tuple[Predicate, ...] = tuple(flattened)
+    word = "OR"
 
     def evaluate(self, tup: FlexTuple) -> bool:
         return any(operand.evaluate(tup) for operand in self.operands)
 
-    @property
-    def attributes(self) -> AttributeSet:
-        result = AttributeSet()
-        for operand in self.operands:
-            result = result | operand.attributes
-        return result
-
-    def implied_equalities(self) -> Dict[str, object]:
+    def implied_equalities(self, parameters: bool = False) -> Dict[str, object]:
         # An equality is implied by a disjunction only when every branch implies it.
-        branches = [operand.implied_equalities() for operand in self.operands]
-        if not branches:
-            return {}
+        branches = [operand.implied_equalities(parameters) for operand in self.operands]
         common = dict(branches[0])
         for branch in branches[1:]:
             for key in list(common):
                 if key not in branch or branch[key] != common[key]:
                     del common[key]
         return common
-
-    def __repr__(self) -> str:
-        return "(" + " OR ".join(repr(operand) for operand in self.operands) + ")"
 
 
 class Not(Predicate):
@@ -292,8 +352,14 @@ class Not(Predicate):
     def attributes(self) -> AttributeSet:
         return self.operand.attributes
 
-    def __repr__(self) -> str:
-        return "NOT ({!r})".format(self.operand)
+    def map_comparisons(self, function: Callable) -> Predicate:
+        operand = self.operand.map_comparisons(function)
+        return self if operand is self.operand else Not(operand)
+
+    def render(self, params=None, constants: Optional[list] = None) -> str:
+        return "NOT ({})".format(self.operand.render(params, constants))
+
+    __repr__ = render
 
 
 def attribute_equals(attribute, value) -> Comparison:

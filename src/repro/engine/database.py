@@ -38,7 +38,6 @@ from repro.obs.explain import (
     ExplainAnalyzeReport,
     node_q_errors,
     pair_nodes_with_stats,
-    plan_nodes,
     render_explain_analyze,
 )
 from repro.obs.export import json_snapshot, prometheus_text
@@ -46,7 +45,6 @@ from repro.obs.feedback import (
     QERROR_THRESHOLD,
     CardinalityFeedback,
     attribute_carriers,
-    expression_key,
 )
 from repro.obs.metrics import (
     BATCH_SIZE_BUCKETS,
@@ -59,7 +57,6 @@ from repro.obs.metrics import (
 from repro.obs.profiler import PlanWatchdog, WorkloadProfile
 from repro.obs.trace import Tracer
 from repro.optimizer.joinorder import SEARCH_MODES
-from repro.optimizer.planner import Planner
 from repro.optimizer.rewrite_rules import RewriteReport
 from repro.stats.catalog import StatisticsCatalog
 
@@ -364,12 +361,6 @@ class Database:
         return self.statistics.version
 
     @property
-    def feedback_version(self) -> int:
-        """The cardinality-feedback store's version (third plan-cache
-        invalidation hook: new observations must trigger a re-plan)."""
-        return self.cardinality_feedback.version
-
-    @property
     def physical_executor(self) -> PhysicalExecutor:
         """The database's physical executor (created lazily, plan cache persists)."""
         if self._physical_executor is None:
@@ -610,28 +601,34 @@ class Database:
                             spill: Optional[bool] = None,
                             query_class: str = "default") -> Tuple[EvaluationResult, RewriteReport]:
         """Evaluate an expression and also return the optimizer's rewrite report."""
-        if executor not in ("physical", "naive"):
-            raise CatalogError("unknown executor {!r}; use 'physical' or 'naive'".format(executor))
-        vectorize = self._vectorize_flag(mode)
-        report = RewriteReport()
         with self.tracer.span("query.execute", executor=executor):
-            if optimize:
-                with self.tracer.span("rewrite"):
-                    planner = Planner(catalog=self)
-                    expression, report = planner.optimize(expression)
-            if executor == "physical":
-                _plan, result = self._run_physical(
-                    expression, vectorize, batch_size, timeout=timeout,
-                    cancel_token=cancel_token, memory_budget=memory_budget,
-                    spill=spill, query_class=query_class)
-                return result, report
-            if (timeout is not None or cancel_token is not None
-                    or memory_budget is not None):
-                raise CatalogError(
-                    "timeout/cancel_token/memory_budget require the physical "
-                    "executor; the naive evaluator is ungoverned")
-            evaluator = Evaluator(self)
-            return evaluator.evaluate(expression), report
+            with self.tracer.span("rewrite"):
+                template, params = self.physical_executor.template(expression, optimize)
+            return self._run_template(
+                template, params, executor, mode, batch_size, timeout=timeout,
+                cancel_token=cancel_token, memory_budget=memory_budget,
+                spill=spill, query_class=query_class), template.report
+
+    def _run_template(self, template, params, executor: str, mode: Optional[str],
+                      batch_size: Optional[int], timeout: Optional[float] = None,
+                      cancel_token=None, memory_budget: Optional[int] = None,
+                      **governance) -> EvaluationResult:
+        """Run a (rewritten) query template under one parameter binding — the
+        shared tail of :meth:`execute_with_report` and :meth:`query`."""
+        if executor == "physical":
+            return self._run_physical(
+                template, params, self._vectorize_flag(mode), batch_size,
+                timeout=timeout, cancel_token=cancel_token,
+                memory_budget=memory_budget, **governance)[1]
+        if executor != "naive":
+            raise CatalogError("unknown executor {!r}; use 'physical' or 'naive'".format(executor))
+        self._vectorize_flag(mode)
+        if (timeout is not None or cancel_token is not None
+                or memory_budget is not None):
+            raise CatalogError(
+                "timeout/cancel_token/memory_budget require the physical "
+                "executor; the naive evaluator is ungoverned")
+        return Evaluator(self).evaluate(template.expression.substitute(params))
 
     def _governor_for(self, timeout: Optional[float], cancel_token,
                       memory_budget: Optional[int], spill: Optional[bool],
@@ -662,17 +659,18 @@ class Database:
             spill_directory=self.spill_directory,
             registry=self.metrics_registry)
 
-    def _run_physical(self, expression: Expression, vectorize: Optional[bool],
+    def _run_physical(self, template, params, vectorize: Optional[bool],
                       batch_size: Optional[int],
                       timeout: Optional[float] = None,
                       cancel_token=None,
                       memory_budget: Optional[int] = None,
                       spill: Optional[bool] = None,
                       query_class: str = "default"):
-        """Plan + execute through the physical layer, feeding the metrics.
+        """Plan + execute a template under ``params`` through the physical
+        layer, feeding the metrics.
 
-        The shared tail of :meth:`execute_with_report` and
-        :meth:`explain_analyze`: both must observe identical counters, spans
+        The shared tail of :meth:`execute_with_report`, :meth:`query` and
+        :meth:`explain_analyze`: all must observe identical counters, spans
         and slow-query accounting, differing only in how they render.
 
         Governed runs additionally admit through the controller (sheds raise
@@ -689,7 +687,7 @@ class Database:
             try:
                 ticket = controller.admit(query_class)
             except AdmissionRejected:
-                self._observe_termination("shed", expression, None,
+                self._observe_termination("shed", template, params, None,
                                           perf_counter() - started)
                 raise
         governor = self._governor_for(timeout, cancel_token, memory_budget,
@@ -699,25 +697,25 @@ class Database:
         plan = None
         try:
             with self.tracer.span("plan"):
-                plan = executor.plan(expression, vectorize=vectorize,
-                                     batch_size=batch_size)
+                plan = executor.plan(template, vectorize=vectorize,
+                                     batch_size=batch_size, params=params)
             with self.tracer.span("execute", mode=plan.mode) as span:
                 result = plan.execute(self, use_indexes=executor.use_indexes,
-                                      governor=governor)
+                                      governor=governor, params=params)
                 span.set(rows=len(result.tuples))
         except QueryTimeout:
             outcome = "timeout"
-            self._observe_termination(outcome, expression, plan,
+            self._observe_termination(outcome, template, params, plan,
                                       perf_counter() - started)
             raise
         except QueryCancelled:
             outcome = "cancelled"
-            self._observe_termination(outcome, expression, plan,
+            self._observe_termination(outcome, template, params, plan,
                                       perf_counter() - started)
             raise
         except MemoryBudgetExceeded:
             outcome = "memory_exceeded"
-            self._observe_termination(outcome, expression, plan,
+            self._observe_termination(outcome, template, params, plan,
                                       perf_counter() - started)
             raise
         except Exception:
@@ -731,10 +729,11 @@ class Database:
                 # timeout, blown budget or error feeds the circuit breaker.
                 controller.complete(
                     ticket, success=(outcome in ("success", "cancelled")))
-        self._observe_query(expression, plan, result, perf_counter() - started)
+        self._observe_query(template, params, plan, result,
+                            perf_counter() - started)
         return plan, result
 
-    def _observe_termination(self, reason: str, expression: Expression,
+    def _observe_termination(self, reason: str, template, params,
                              plan, elapsed: float) -> None:
         """Fold one terminated (not completed) query into observability:
         a ``queries.<reason>`` counter, an unconditional slow-query-log entry
@@ -742,11 +741,11 @@ class Database:
         ``queries.executed``, so terminated and completed work never blur."""
         self.metrics_registry.counter("queries." + reason).add()
         mode = plan.mode if plan is not None else "-"
-        self.slow_query_log.record(repr(expression), mode, elapsed, 0,
+        self.slow_query_log.record(template.describe(params), mode, elapsed, 0,
                                    note="terminated: " + reason)
         self.tracer.event("query-terminated", reason=reason, seconds=elapsed)
 
-    def _observe_query(self, expression: Expression, plan: PhysicalPlan,
+    def _observe_query(self, template, params, plan: PhysicalPlan,
                        result, elapsed: float) -> None:
         """Fold one executed query into the registry, the slow-query log, the
         cardinality-feedback store and the plan-regression watchdog."""
@@ -766,8 +765,13 @@ class Database:
         # subexpression (ROADMAP item 4's adaptive re-optimization bridge).
         # Only *mis*-estimates (Q-error ≥ the threshold) are folded in: an
         # accurate plan leaves no feedback behind, so its cache entry stays
-        # hot instead of being re-planned after every execution.
+        # hot instead of being re-planned after every execution.  The trigger
+        # counts an estimate or an outcome below one row as one row: between
+        # 0.3 expected and 0 or 1 found there is nothing to correct, and the
+        # infinite Q-error of a zero would otherwise record — and re-plan —
+        # for ever.  (The exported gauges keep the unclamped value.)
         feedback = self.cardinality_feedback
+        rebound = params != plan.params
         statistics_version = self.statistics.version
         peak_bytes = 0
         paired = pair_nodes_with_stats(plan, result.context)
@@ -786,21 +790,27 @@ class Database:
                     op_stats.peak_bytes)
                 peak_bytes = max(peak_bytes, op_stats.peak_bytes)
             if (node.fingerprint is not None and node_q is not None
-                    and node_q >= QERROR_THRESHOLD
+                    and q_error(max(node.estimated_rows, 1.0),
+                                max(op_stats.rows_out, 1)) >= QERROR_THRESHOLD
                     # bare scans are never estimated from feedback (the cost
                     # model prices them from live table sizes), so recording
                     # them would churn the version without improving a plan
                     and node.fingerprint[0] not in ("relation", "empty")):
-                feedback.record(node.fingerprint, statistics_version,
-                                node.feedback_tables or (), op_stats.rows_out)
+                # A fingerprint that contains the planning binding's values
+                # is the key of *that* query only: another binding records
+                # nothing under it, so two literals of one template never
+                # overwrite each other (join edges are literal-free).
+                if not (rebound and node.binding_specific):
+                    feedback.record(node.fingerprint, statistics_version,
+                                    node.feedback_tables or (), op_stats.rows_out)
                 self._record_join_edges(node, op_stats, stats_of,
                                         statistics_version)
         registry.histogram("query.peak_bytes", MEMORY_BUCKETS).observe(
             peak_bytes)
-        self._watch_plan(expression, plan, result, elapsed)
+        self._watch_plan(template, params, plan, result, elapsed)
         if self._active_profile is not None:
             self._active_profile.observe({
-                "expression": repr(expression),
+                "expression": template.describe(params),
                 "mode": plan.mode,
                 "seconds": elapsed,
                 "rows": len(result.tuples),
@@ -808,7 +818,7 @@ class Database:
             })
         if elapsed >= self.slow_query_log.threshold:
             self.slow_query_log.observe(
-                repr(expression), plan.mode, elapsed, len(result.tuples),
+                template.describe(params), plan.mode, elapsed, len(result.tuples),
                 node_q_errors(plan, result.context))
             self.tracer.event("slow-query", seconds=elapsed,
                               threshold=self.slow_query_log.threshold)
@@ -861,17 +871,16 @@ class Database:
         self.cardinality_feedback.record_edge(
             attribute, carriers, statistics_version, selectivity)
 
-    def _watch_plan(self, expression: Expression, plan: PhysicalPlan,
+    def _watch_plan(self, template, params, plan: PhysicalPlan,
                     result, elapsed: float) -> None:
-        """Hand one execution to the watchdog; surface what it detected."""
-        labels = tuple(node.label() for node in plan_nodes(plan))
-        summary = {
-            "operators": list(labels),
-            "mode": plan.mode,
-            "est_cost": plan.root.estimated_cost,
-        }
+        """Hand one execution to the watchdog; surface what it detected.
+
+        Keyed by the template, so every literal of a statement shape feeds
+        one latency baseline; the plan's summary (operator labels with their
+        parameter placeholders) is formatted once per plan."""
+        summary = plan.summary
         plan_change, regression = self.plan_watchdog.observe(
-            expression_key(expression), labels, summary, elapsed)
+            template.key, summary["operators"], summary, elapsed)
         if plan_change is not None:
             self.tracer.event("plan-change",
                               before=plan_change["before"],
@@ -890,7 +899,7 @@ class Database:
                 note += "; suspect plan change {} -> {}".format(
                     suspect["before"]["operators"], suspect["after"]["operators"])
             self.slow_query_log.record(
-                repr(expression), plan.mode, elapsed, len(result.tuples),
+                template.describe(params), plan.mode, elapsed, len(result.tuples),
                 node_q_errors(plan, result.context), note=note)
 
     def metrics(self) -> Dict[str, object]:
@@ -919,8 +928,8 @@ class Database:
         Clears the metric registry, the slow-query log (its threshold stays),
         the cardinality-feedback store and the watchdog's latency baselines —
         what benchmarks and long-lived sessions need between measurement
-        windows.  Clearing the feedback store bumps its version, so previously
-        cached feedback-informed plans are re-planned from statistics alone.
+        windows.  Plans costed from a feedback entry that is now gone are
+        re-planned from statistics alone; the others stay cached.
         """
         self.metrics_registry.reset()
         self.slow_query_log.clear()
@@ -965,12 +974,10 @@ class Database:
         ``batch_size`` pins the plan's batch size (``None`` = adaptive);
         ``plan.explain()`` renders it.
         """
-        if optimize:
-            planner = Planner(catalog=self)
-            expression, _report = planner.optimize(expression)
-        return self.physical_executor.plan(expression,
-                                           vectorize=self._vectorize_flag(mode),
-                                           batch_size=batch_size)
+        executor = self.physical_executor
+        template, params = executor.template(expression, optimize)
+        return executor.plan(template, vectorize=self._vectorize_flag(mode),
+                             batch_size=batch_size, params=params).bound(params)
 
     def explain(self, expression: Expression, optimize: bool = True,
                 mode: Optional[str] = None,
@@ -1004,17 +1011,15 @@ class Database:
         ``report.q_errors`` the per-node estimate quality.
         """
         with self.tracer.span("query.explain-analyze"):
-            if optimize:
-                with self.tracer.span("rewrite"):
-                    planner = Planner(catalog=self)
-                    expression, _report = planner.optimize(expression)
+            with self.tracer.span("rewrite"):
+                template, params = self.physical_executor.template(expression, optimize)
             plan, result = self._run_physical(
-                expression, self._vectorize_flag(mode), batch_size)
+                template, params, self._vectorize_flag(mode), batch_size)
         header = "mode={}  batch_size={}  wall={:.3f}ms  rows={}".format(
             plan.mode, result.context.batch_size,
             result.wall_seconds * 1000.0, len(result.tuples))
         text = render_explain_analyze(plan, result, header=header)
-        return ExplainAnalyzeReport(plan, result, text)
+        return ExplainAnalyzeReport(plan.bound(params), result, text)
 
     def query(self, text: str, optimize: bool = True,
               executor: str = "physical", mode: Optional[str] = None,
@@ -1030,18 +1035,17 @@ class Database:
 
         The governance arguments (``timeout``, ``cancel_token``,
         ``memory_budget``, ``spill``, ``query_class``) mean exactly what they
-        do on :meth:`execute`.
+        do on :meth:`execute`.  A statement that differs from an earlier one
+        only in its constants reuses that one's parsed, rewritten template and
+        its physical plan (see :mod:`repro.exec.executor`).
         """
-        from repro.query import parse_query
-
         with self.tracer.span("query", text=text):
             with self.tracer.span("parse"):
-                expression = parse_query(text)
-            return self.execute(expression, optimize=optimize, executor=executor,
-                                mode=mode, batch_size=batch_size,
-                                timeout=timeout, cancel_token=cancel_token,
-                                memory_budget=memory_budget, spill=spill,
-                                query_class=query_class)
+                template, params = self.physical_executor.statement(text, optimize)
+            return self._run_template(
+                template, params, executor, mode, batch_size, timeout=timeout,
+                cancel_token=cancel_token, memory_budget=memory_budget,
+                spill=spill, query_class=query_class)
 
     # -- transactions ----------------------------------------------------------------------------------
 

@@ -6,9 +6,12 @@ comparison operator and re-dispatches through the predicate class hierarchy.
 This module performs that structural work **once per plan node** and produces a
 closure that runs over the column arrays of a :class:`~repro.model.batches.TupleBatch`:
 
-* :class:`CompiledPredicate` — ``select(batch, indices)`` returns the indices of
-  the rows satisfying the predicate, narrowing an optional candidate list
-  (``None`` means "all rows").  Conjunctions compile into a chain of narrowing
+* :class:`CompiledPredicate` — ``select(batch, indices, params)`` returns the
+  indices of the rows satisfying the predicate, narrowing an optional candidate
+  list (``None`` means "all rows"); a comparison against a
+  :class:`~repro.algebra.predicates.Parameter` reads its constant from
+  ``params`` on every call, so one compiled template serves every binding.
+  Conjunctions compile into a chain of narrowing
   passes over a selection vector; ``TRUE``/``FALSE`` operands are constant-folded
   away at compile time; comparisons run as tight loops over one column with the
   ``operator``-module function resolved ahead of time.
@@ -49,8 +52,8 @@ from repro.errors import TupleError
 from repro.model.attributes import attrset
 from repro.model.batches import MISSING, TupleBatch, mask_indices
 
-#: a narrowing pass: (batch, candidate indices or None) -> surviving indices
-Narrower = Callable[[TupleBatch, Optional[Sequence[int]]], List[int]]
+#: a narrowing pass: (batch, candidate indices or None, params) -> surviving indices
+Narrower = Callable[[TupleBatch, Optional[Sequence[int]], Sequence], List[int]]
 
 
 def _candidates(batch: TupleBatch, indices: Optional[Sequence[int]]):
@@ -60,7 +63,8 @@ def _candidates(batch: TupleBatch, indices: Optional[Sequence[int]]):
 # -- per-row closures (the general path, used under OR / NOT) ---------------------------
 
 
-def _bind_rowfn(predicate: Predicate, batch: TupleBatch) -> Callable[[int], bool]:
+def _bind_rowfn(predicate: Predicate, batch: TupleBatch,
+                params) -> Callable[[int], bool]:
     """A per-row boolean closure over ``batch`` for one predicate node."""
     if isinstance(predicate, TruePredicate):
         return lambda i: True
@@ -69,7 +73,7 @@ def _bind_rowfn(predicate: Predicate, batch: TupleBatch) -> Callable[[int], bool
     if isinstance(predicate, Comparison):
         name = next(iter(predicate.attribute)).name
         op = _OPERATORS[predicate.op]
-        constant = predicate.value
+        constant = predicate.constant(params)
         values = batch.column(name)
 
         def compare(i: int) -> bool:
@@ -103,13 +107,13 @@ def _bind_rowfn(predicate: Predicate, batch: TupleBatch) -> Callable[[int], bool
         mask = batch.presence_mask([a.name for a in predicate.attributes])
         return lambda i: bool((mask >> i) & 1)
     if isinstance(predicate, And):
-        bound = [_bind_rowfn(operand, batch) for operand in predicate.operands]
+        bound = [_bind_rowfn(operand, batch, params) for operand in predicate.operands]
         return lambda i: all(fn(i) for fn in bound)
     if isinstance(predicate, Or):
-        bound = [_bind_rowfn(operand, batch) for operand in predicate.operands]
+        bound = [_bind_rowfn(operand, batch, params) for operand in predicate.operands]
         return lambda i: any(fn(i) for fn in bound)
     if isinstance(predicate, Not):
-        inner = _bind_rowfn(predicate.operand, batch)
+        inner = _bind_rowfn(predicate.operand, batch, params)
         return lambda i: not inner(i)
     # Unknown predicate subclass: interpret against the row objects.
     rows = batch.rows
@@ -122,10 +126,10 @@ def _bind_rowfn(predicate: Predicate, batch: TupleBatch) -> Callable[[int], bool
 def _compile_comparison(predicate: Comparison) -> Narrower:
     name = next(iter(predicate.attribute)).name
     op = _OPERATORS[predicate.op]
-    constant = predicate.value
 
-    def narrow(batch: TupleBatch, indices: Optional[Sequence[int]]) -> List[int]:
+    def narrow(batch: TupleBatch, indices: Optional[Sequence[int]], params) -> List[int]:
         values = batch.column(name)
+        constant = predicate.constant(params)
         try:
             if indices is None:
                 return [i for i, value in enumerate(values)
@@ -153,7 +157,8 @@ def _compile_comparison(predicate: Comparison) -> Narrower:
 
 
 def _compile_presence(names: List[str]) -> Narrower:
-    def narrow(batch: TupleBatch, indices: Optional[Sequence[int]]) -> List[int]:
+    def narrow(batch: TupleBatch, indices: Optional[Sequence[int]],
+               params=()) -> List[int]:
         if len(names) == 1:
             values = batch.column(names[0])
             if indices is None:
@@ -170,8 +175,8 @@ def _compile_presence(names: List[str]) -> Narrower:
 
 
 def _compile_rowwise(predicate: Predicate) -> Narrower:
-    def narrow(batch: TupleBatch, indices: Optional[Sequence[int]]) -> List[int]:
-        rowfn = _bind_rowfn(predicate, batch)
+    def narrow(batch: TupleBatch, indices: Optional[Sequence[int]], params) -> List[int]:
+        rowfn = _bind_rowfn(predicate, batch, params)
         return [i for i in _candidates(batch, indices) if rowfn(i)]
 
     return narrow
@@ -185,11 +190,11 @@ def _compile(predicate: Predicate) -> List[Narrower]:
         passes: List[Narrower] = []
         for operand in predicate.operands:
             if isinstance(operand, FalsePredicate):
-                return [lambda batch, indices: []]
+                return [lambda batch, indices, params: []]
             passes.extend(_compile(operand))
         return passes
     if isinstance(predicate, FalsePredicate):
-        return [lambda batch, indices: []]
+        return [lambda batch, indices, params: []]
     if isinstance(predicate, Comparison):
         return [_compile_comparison(predicate)]
     if isinstance(predicate, PresencePredicate):
@@ -207,10 +212,11 @@ class CompiledPredicate:
         self._passes = _compile(predicate)
 
     def select(self, batch: TupleBatch,
-               indices: Optional[Sequence[int]] = None) -> List[int]:
-        """Indices of the rows (among ``indices``, or all) satisfying the predicate."""
+               indices: Optional[Sequence[int]] = None, params=()) -> List[int]:
+        """Indices of the rows (among ``indices``, or all) satisfying the
+        predicate under the parameter binding ``params``."""
         for narrow in self._passes:
-            indices = narrow(batch, indices)
+            indices = narrow(batch, indices, params)
             if not indices:
                 return indices if isinstance(indices, list) else list(indices)
         if indices is None:

@@ -173,17 +173,21 @@ class ExecutionContext:
         ungoverned runs — the common case, kept zero-overhead: operators
         test ``ctx.governor is not None`` once per stream/build, never per
         tuple.
+    params:
+        The values of the plan template's predicate parameters for this
+        execution (index probes and compiled comparisons read their slot).
     """
 
     def __init__(self, source, stats: Optional[ExecutionStats] = None,
                  batch_size: int = DEFAULT_BATCH_SIZE, use_indexes: bool = True,
-                 timing: bool = True, governor=None):
+                 timing: bool = True, governor=None, params=()):
         self.source = source
         self.stats = stats if stats is not None else ExecutionStats()
         self.batch_size = max(1, int(batch_size))
         self.use_indexes = use_indexes
         self.timing = timing
         self.governor = governor
+        self.params = params
         self._operator_stats: List[OperatorStats] = []
 
     def enforce_memory(self, op_stats: OperatorStats, size_bytes: int) -> None:

@@ -48,7 +48,7 @@ from repro.algebra.analytic import (
     top_k_rows,
 )
 from repro.algebra.evaluator import _resolve_relation
-from repro.algebra.predicates import Predicate
+from repro.algebra.predicates import Parameter, Predicate
 from repro.errors import AlgebraError
 from repro.exec.context import ExecutionContext, OperatorStats, sampled_size
 from repro.model.attributes import AttributeSet, attrset
@@ -72,9 +72,12 @@ class PhysicalOperator:
 
     #: cardinality-feedback identity, set by the physical planner (None on
     #: hand-built plans): the structural key of the logical subexpression this
-    #: operator was lowered from, and the base tables that subexpression reads
-    #: (so feedback entries can be invalidated on DML)
+    #: operator was lowered from — under the binding it was planned with, and
+    #: ``binding_specific`` when the key contains that binding's values — and
+    #: the base tables that subexpression reads (so feedback entries can be
+    #: invalidated on DML)
     fingerprint: Optional[tuple] = None
+    binding_specific: bool = False
     feedback_tables: Optional[frozenset] = None
 
     @property
@@ -84,6 +87,14 @@ class PhysicalOperator:
     def label(self) -> str:
         """One-line description used in explain output and operator stats."""
         return self.name
+
+    @property
+    def plan_label(self) -> str:
+        """:meth:`label`, formatted once (a planned operator never changes)."""
+        label = self.__dict__.get("_plan_label")
+        if label is None:
+            label = self.__dict__["_plan_label"] = self.label()
+        return label
 
     def run(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Start execution: register stats (preorder) and return the batch stream.
@@ -96,7 +107,7 @@ class PhysicalOperator:
         it took to produce.  Two clock reads per batch, nothing per tuple.
         """
         ctx.stats.record_operator(self.name)
-        op_stats = ctx.register_operator(self.label())
+        op_stats = ctx.register_operator(self.plan_label)
         child_streams = tuple(child.run(ctx) for child in self.children)
         if not ctx.timing:
             stream = self._generate(ctx, op_stats, *child_streams)
@@ -222,7 +233,9 @@ class Scan(PhysicalOperator):
     """Read a base relation, applying pushed-down guards and selections inline.
 
     ``equalities`` are the attribute→value bindings implied by the pushed
-    predicate; when the relation source exposes a hash index covering a subset of
+    predicate (a value may be a parameter: the probe takes it from the
+    execution's binding); when the relation source exposes a hash index
+    covering a subset of
     them (``index_for``), the scan reads only the matching bucket instead of the
     whole relation.  The full predicate is still applied to every tuple read, so
     an index never changes the result — only how many tuples are touched.
@@ -237,7 +250,7 @@ class Scan(PhysicalOperator):
         self.predicate = predicate
         self.guard = attrset(guard) if guard is not None and len(attrset(guard)) else None
         if equalities is None and predicate is not None:
-            equalities = predicate.implied_equalities()
+            equalities = predicate.implied_equalities(parameters=True)
         self.equalities = dict(equalities or {})
 
     def label(self) -> str:
@@ -265,6 +278,9 @@ class Scan(PhysicalOperator):
         if index is None:
             return None
         probe = {a.name: self.equalities[a.name] for a in index.attributes}
+        for name, value in probe.items():
+            if value.__class__ is Parameter:
+                probe[name] = ctx.params[value.slot]
         try:
             hash(tuple(probe.values()))
         except TypeError:
@@ -281,6 +297,9 @@ class Scan(PhysicalOperator):
             tuples: Iterable[FlexTuple] = index.lookup(probe)
         else:
             tuples = _resolve_relation(ctx.source, self.relation)
+        predicate = self.predicate
+        if predicate is not None:
+            predicate = predicate.substitute(ctx.params)
 
         def emit() -> Iterator[FlexTuple]:
             for tup in tuples:
@@ -290,9 +309,9 @@ class Scan(PhysicalOperator):
                     ctx.stats.guard_checks += 1
                     if not tup.is_defined_on(self.guard):
                         continue
-                if self.predicate is not None:
+                if predicate is not None:
                     ctx.stats.predicate_evaluations += 1
-                    if not self.predicate.evaluate(tup):
+                    if not predicate.evaluate(tup):
                         continue
                 yield tup
 
@@ -333,13 +352,14 @@ class FilterOp(PhysicalOperator):
 
     def _generate(self, ctx, op, child):
         op.invocations += 1
+        predicate = self.predicate.substitute(ctx.params)
 
         def emit():
             for batch in child:
                 op.rows_in += len(batch)
                 for tup in batch:
                     ctx.stats.predicate_evaluations += 1
-                    if self.predicate.evaluate(tup):
+                    if predicate.evaluate(tup):
                         yield tup
 
         return self._rebatch(ctx, op, emit())

@@ -52,13 +52,17 @@ cost model estimates from histograms and variant-tag frequencies, so all of the
 above decisions — and the ``est_rows`` / ``est_cost`` annotations rendered by
 ``plan.explain()`` — are grounded in the data instead of default constants.
 
-:func:`expression_key` derives a stable structural cache key from an expression,
-which — combined with the engine's catalog version — keys the plan cache in
-:mod:`repro.exec.executor`.
+The expression handed to :meth:`PhysicalPlanner.plan` may be a *template*:
+comparison constants lifted into :class:`~repro.algebra.predicates.Parameter`
+slots.  It is costed under the ``params`` of the call that planned it, but
+the operators keep the slots, so :meth:`PhysicalPlan.execute` runs the one
+plan under any binding (see :mod:`repro.exec.executor` for the cache).
 """
 
 from __future__ import annotations
 
+import re
+from copy import copy
 from math import log2
 from time import perf_counter
 from typing import Optional, Tuple
@@ -190,26 +194,61 @@ class PhysicalPlan:
 
     def __init__(self, root: PhysicalOperator, expression: Optional[Expression] = None,
                  join_search: Tuple[JoinSearchReport, ...] = (),
-                 batch_size: Optional[int] = None):
+                 batch_size: Optional[int] = None, params=(),
+                 feedback_reads: Optional[dict] = None):
         self.root = root
         self.expression = expression
         self.join_search = tuple(join_search)
         #: the planner's (adaptive or requested) batch-size decision; ``None``
         #: falls back to the mode default at execution time
         self.batch_size = batch_size
+        #: the parameter binding the plan was costed under (and runs under
+        #: unless :meth:`execute` is given another)
+        self.params = params
+        #: feedback dependency -> the value the costing read (see
+        #: :meth:`~repro.obs.feedback.CardinalityFeedback.current`)
+        self.feedback_reads = feedback_reads or {}
+        #: the feedback store's version when the reads were last checked
+        self.feedback_version = None
         self._mode: Optional[str] = None
+        self._nodes: Optional[list] = None
+        self._summary: Optional[dict] = None
+
+    def bound(self, params) -> "PhysicalPlan":
+        """This plan (same operators) running under ``params`` by default."""
+        if params == self.params:
+            return self
+        clone = copy(self)
+        clone.params = params
+        return clone
+
+    @property
+    def nodes(self) -> list:
+        """The operators in preorder — the order ``run()`` registers stats."""
+        if self._nodes is None:
+            self._nodes, pending = [], [self.root]
+            while pending:
+                node = pending.pop()
+                self._nodes.append(node)
+                pending.extend(reversed(node.children))
+        return self._nodes
+
+    @property
+    def summary(self) -> dict:
+        """Operator labels, mode and estimated cost — what the plan watchdog
+        compares and reports; formatted once per plan."""
+        if self._summary is None:
+            self._summary = {
+                "operators": [node.plan_label for node in self.nodes],
+                "mode": self.mode, "est_cost": self.root.estimated_cost}
+        return self._summary
 
     @property
     def mode(self) -> str:
         """The plan's execution mode: ``"batch"`` when every operator runs
         vectorized, ``"row"`` when none does, ``"mixed"`` otherwise."""
         if self._mode is None:
-            flags = []
-            pending = [self.root]
-            while pending:
-                node = pending.pop()
-                flags.append(node.vectorized)
-                pending.extend(node.children)
+            flags = [node.vectorized for node in self.nodes]
             if all(flags):
                 self._mode = "batch"
             elif any(flags):
@@ -221,8 +260,11 @@ class PhysicalPlan:
     def execute(self, source, stats: Optional[ExecutionStats] = None,
                 batch_size: Optional[int] = None,
                 use_indexes: bool = True,
-                timing: bool = True, governor=None) -> PhysicalResult:
+                timing: bool = True, governor=None, params=None) -> PhysicalResult:
         """Run the plan against ``source`` and collect the result set.
+
+        ``params`` binds the template's parameters for this run (default: the
+        binding the plan was made under).
 
         ``batch_size=None`` uses the plan's own sizing decision (the planner's
         adaptive choice, or the size the plan was requested under), falling
@@ -239,7 +281,8 @@ class PhysicalPlan:
             batch_size = DEFAULT_BATCH_SIZE if self.mode == "row" else VECTOR_BATCH_SIZE
         ctx = ExecutionContext(source, stats=stats, batch_size=batch_size,
                                use_indexes=use_indexes, timing=timing,
-                               governor=governor)
+                               governor=governor,
+                               params=self.params if params is None else params)
         started = perf_counter()
         tuples = set()
         for batch in self.root.run(ctx):
@@ -252,10 +295,16 @@ class PhysicalPlan:
         """Readable multi-line rendering of the plan.
 
         When the planner ran a join-order search, its one-line reports (mode,
-        DP statistics, the chosen order) precede the operator tree.
+        DP statistics, the chosen order) precede the operator tree; the values
+        this plan binds its parameter slots (``?n``) to follow it.
         """
         lines = [report.describe() for report in self.join_search]
         lines.append(self.root.explain())
+        slots = sorted({int(slot) for slot in re.findall(r"\?(\d+)", lines[-1])
+                        if int(slot) < len(self.params)})
+        if slots:
+            lines.append("params: " + ", ".join(
+                "?{}={!r}".format(slot, self.params[slot]) for slot in slots))
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -316,8 +365,11 @@ class PhysicalPlanner:
 
     def plan(self, expression: Expression,
              vectorize: Optional[bool] = None,
-             batch_size: Optional[int] = None) -> PhysicalPlan:
+             batch_size: Optional[int] = None, params=()) -> PhysicalPlan:
         """Lower ``expression`` into an executable :class:`PhysicalPlan`.
+
+        ``params`` is the binding a template is costed under: selectivities
+        and feedback fingerprints are those of the bound query.
 
         ``vectorize`` overrides the planner default for this one plan: ``True``
         lowers every operator with a batch form to it (with
@@ -337,6 +389,8 @@ class PhysicalPlanner:
         self._search_results = []
         self._vectorize = self.vectorize if vectorize is None else vectorize
         self.cost_model.set_vectorized(self._vectorize)
+        reads: dict = {}
+        self.cost_model.bind(params, reads)
         self._tracer = tracer_of(self.source)
         span = (self._tracer.span("physical-plan", vectorize=self._vectorize,
                                   join_order_search=self.join_order_search,
@@ -352,8 +406,10 @@ class PhysicalPlanner:
                 span.set(mode="batch" if self._vectorize else "row",
                          batch_size=batch_size)
             return PhysicalPlan(root, expression, join_search=reports,
-                                batch_size=batch_size)
+                                batch_size=batch_size, params=params,
+                                feedback_reads=reads)
         finally:
+            self.cost_model.bind()
             self._estimates = {}
             self._ordered_joins = set()
             self._search_results = []
@@ -401,10 +457,12 @@ class PhysicalPlanner:
         estimate = self._estimate(expression)
         operator.estimated_rows = estimate.cardinality
         operator.estimated_cost = estimate.work
-        # The feedback identity: what this operator computes (structurally)
-        # and which base tables that computation reads.  ``_observe_query``
-        # folds the operator's actual rows_out under this key.
-        operator.fingerprint = expression_key(expression)
+        # The feedback identity: what this operator computes (structurally,
+        # under the planning binding) and which base tables that computation
+        # reads.  ``_observe_query`` folds the operator's actual rows_out
+        # under this key.
+        operator.fingerprint, operator.binding_specific = (
+            self.cost_model.fingerprint(expression))
         operator.feedback_tables = referenced_tables(expression)
         return operator
 
@@ -616,6 +674,6 @@ class PhysicalPlanner:
         return IndexLookupJoin(self._lower(outer_expr), inner_name, expression.on)
 
 
-# ``expression_key`` moved to :mod:`repro.obs.feedback` (the cost model needs
+# ``expression_key`` lives in :mod:`repro.obs.feedback` (the cost model needs
 # it too, and importing the planner from the optimizer would cycle); it is
-# re-imported above and re-exported here for compatibility.
+# re-exported here for compatibility.

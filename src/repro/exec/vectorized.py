@@ -146,7 +146,7 @@ class BatchScan(Scan):
                 if self._compiled is not None:
                     stats.predicate_evaluations += (
                         count if indices is None else len(indices))
-                    indices = self._compiled.select(batch, indices)
+                    indices = self._compiled.select(batch, indices, ctx.params)
                 if indices is not None:
                     if len(indices) != count:
                         batch = batch.take(indices)
@@ -179,7 +179,7 @@ class BatchFilter(FilterOp):
                 count = len(batch)
                 op.rows_in += count
                 stats.predicate_evaluations += count
-                indices = self._compiled.select(batch)
+                indices = self._compiled.select(batch, None, ctx.params)
                 if len(indices) != count:
                     if not indices:
                         continue

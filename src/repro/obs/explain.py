@@ -34,13 +34,7 @@ from repro.obs.metrics import q_error
 
 def plan_nodes(plan) -> List[object]:
     """The plan's operators in preorder — the order ``run()`` registers stats."""
-    nodes: List[object] = []
-    pending = [plan.root]
-    while pending:
-        node = pending.pop()
-        nodes.append(node)
-        pending.extend(reversed(node.children))
-    return nodes
+    return plan.nodes
 
 
 def pair_nodes_with_stats(plan, context) -> List[Tuple[object, Optional[OperatorStats]]]:
@@ -54,7 +48,7 @@ def pair_nodes_with_stats(plan, context) -> List[Tuple[object, Optional[Operator
     paired: List[Tuple[object, Optional[OperatorStats]]] = []
     for index, node in enumerate(nodes):
         op_stats = stats[index] if index < len(stats) else None
-        if op_stats is not None and op_stats.label != node.label():
+        if op_stats is not None and op_stats.label != node.plan_label:
             # The positional invariant broke (someone executed a different
             # plan under this context); refuse to annotate with wrong numbers.
             op_stats = None
@@ -67,9 +61,9 @@ def node_q_errors(plan, context) -> List[Tuple[str, Optional[float]]]:
     result = []
     for node, op_stats in pair_nodes_with_stats(plan, context):
         if op_stats is None:
-            result.append((node.label(), None))
+            result.append((node.plan_label, None))
         else:
-            result.append((node.label(),
+            result.append((node.plan_label,
                            q_error(node.estimated_rows, op_stats.rows_out)))
     return result
 

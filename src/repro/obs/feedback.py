@@ -31,8 +31,10 @@ The store is deliberately ephemeral and self-invalidating:
   reloaded database starts with an empty store.
 
 ``version`` increments whenever the store learns something new (an entry
-appears or changes value), and the executor mixes it into the plan-cache key:
-fresh feedback forces a re-plan, unchanged feedback keeps the cache hot.
+appears or changes value).  It is *not* part of the plan-cache key: a cached
+plan remembers the entries and edges its costing read (hits and misses — see
+:meth:`CardinalityFeedback.current`) and is re-planned only when one of those
+changed, so an observation on one query never strands the plans of another.
 """
 
 from collections import OrderedDict
@@ -57,7 +59,8 @@ from ..algebra.expressions import (
 from ..model.attributes import attrset
 
 __all__ = ["CardinalityFeedback", "DEFAULT_CAPACITY", "EDGE_TOLERANCE",
-           "QERROR_THRESHOLD", "attribute_carriers", "expression_key",
+           "QERROR_THRESHOLD", "attribute_carriers", "declared_attributes",
+           "expression_key",
            "referenced_tables"]
 
 #: default LRU capacity; generous for a workload of repeated query shapes while
@@ -75,60 +78,57 @@ QERROR_THRESHOLD = 2.0
 EDGE_TOLERANCE = 0.05
 
 
-def expression_key(expression: Expression) -> Tuple:
+def expression_key(expression: Expression, params=None,
+                   constants: Optional[list] = None) -> Tuple:
     """A hashable structural key identifying an expression tree.
 
     Two expressions with the same key produce the same physical plan, so the
-    key (together with the catalog version) is safe to use as a plan-cache
-    key — and, paired with the statistics version, as the cardinality-feedback
-    fingerprint shared by the planner and the cost model.  Predicates
-    contribute their ``repr``, which is deterministic for the whole predicate
-    language.  (Historically lived in :mod:`repro.exec.planner`, which still
-    re-exports it; it sits here so the optimizer can fingerprint
-    subexpressions without importing the planner.)
+    key is the cardinality-feedback fingerprint shared by the planner and the
+    cost model.  Predicates contribute their text
+    (:meth:`~repro.algebra.predicates.Predicate.render`), which is
+    deterministic for the whole predicate language: a template's parameters
+    show their value under ``params`` — the *bound* fingerprint, equal to the
+    key of the bound tree — and ``?n`` without.  With ``constants`` the key is
+    literal-free instead: every comparison constant shows as ``?`` and its
+    comparison is appended to the list, which is how the executor derives a
+    query's template in one walk.
     """
     if isinstance(expression, RelationRef):
         return ("relation", expression.name)
     if isinstance(expression, EmptyRelation):
         return ("empty",)
+    children = tuple(expression_key(child, params, constants)
+                     for child in expression.children)
     if isinstance(expression, Selection):
-        return ("select", repr(expression.predicate), expression_key(expression.child))
+        return ("select", expression.predicate.render(params, constants)) + children
     if isinstance(expression, TypeGuardNode):
-        return ("guard", str(expression.attributes), expression_key(expression.child))
+        return ("guard", str(expression.attributes)) + children
     if isinstance(expression, Projection):
-        return ("project", str(expression.attributes), expression_key(expression.child))
+        return ("project", str(expression.attributes)) + children
     if isinstance(expression, Extension):
-        return ("extend", expression.attribute, repr(expression.value),
-                expression_key(expression.child))
+        return ("extend", expression.attribute, repr(expression.value)) + children
     if isinstance(expression, Rename):
-        return ("rename", tuple(sorted(expression.mapping.items())),
-                expression_key(expression.child))
+        return ("rename", tuple(sorted(expression.mapping.items()))) + children
     if isinstance(expression, NaturalJoin):
-        return ("join", str(expression.on) if expression.on is not None else None,
-                expression_key(expression.left), expression_key(expression.right))
+        return ("join", str(expression.on) if expression.on is not None else None
+                ) + children
     if isinstance(expression, MultiwayJoin):
-        return ("multiway-join", str(expression.on),
-                tuple(expression_key(child) for child in expression.inputs))
+        return ("multiway-join", str(expression.on), children)
     if isinstance(expression, Aggregate):
         # Group-by order is semantically irrelevant, so sorting it lets
         # permuted spellings share one plan (the spec order is kept — it only
         # costs a cache miss, never a wrong reuse).
         return ("aggregate", tuple(sorted(expression.group_by)),
-                tuple(spec.key() for spec in expression.specs),
-                expression_key(expression.child))
+                tuple(spec.key() for spec in expression.specs)) + children
     if isinstance(expression, Sort):
-        return ("sort", tuple(key.key() for key in expression.keys),
-                expression_key(expression.child))
+        return ("sort", tuple(key.key() for key in expression.keys)) + children
     if isinstance(expression, Limit):
-        return ("limit", expression.count, expression_key(expression.child))
+        return ("limit", expression.count) + children
     if isinstance(expression, SubqueryExtension):
-        return ("subquery-extend", expression.attribute,
-                expression_key(expression.child),
-                expression_key(expression.subquery))
+        return ("subquery-extend", expression.attribute) + children
     # Product / Union / OuterUnion / Difference carry no payload beyond their
     # operator name and children; unknown nodes degrade to the same shape.
-    return ((expression.operator,)
-            + tuple(expression_key(child) for child in expression.children))
+    return (expression.operator,) + children
 
 
 def referenced_tables(expression: Expression) -> frozenset:
@@ -144,6 +144,28 @@ def referenced_tables(expression: Expression) -> frozenset:
     return frozenset(names)
 
 
+def declared_attributes(source, name: str):
+    """The attribute universe a base relation's scheme declares, or ``None``.
+
+    Databases answer from the catalog's flexible scheme; plain mappings answer
+    when the entry carries its scheme (a ``FlexibleRelation``).  Bare tuple
+    sets and unknown names have no declared universe — callers then refuse to
+    reason from it rather than guess from the data.
+    """
+    relation = None
+    if hasattr(source, "table"):
+        try:
+            relation = source.table(name)
+        except Exception:
+            return None
+    elif isinstance(source, dict):
+        relation = source.get(name)
+    definition = getattr(relation, "definition", None)
+    scheme = getattr(definition, "scheme", None) or getattr(relation, "scheme", None)
+    attributes = getattr(scheme, "attributes", None)
+    return None if attributes is None else attrset(attributes)
+
+
 def attribute_carriers(source, tables, name: str) -> frozenset:
     """The subset of ``tables`` whose declared scheme can carry attribute ``name``.
 
@@ -155,31 +177,8 @@ def attribute_carriers(source, tables, name: str) -> frozenset:
     Tables the source cannot resolve (or without a declared scheme) are left
     out rather than guessed at.
     """
-    carriers = set()
-    for table_name in tables:
-        table = None
-        if hasattr(source, "table"):
-            try:
-                table = source.table(table_name)
-            except Exception:
-                continue
-        elif isinstance(source, dict):
-            table = source.get(table_name)
-        if table is None:
-            continue
-        definition = getattr(table, "definition", None)
-        scheme = (getattr(definition, "scheme", None)
-                  or getattr(table, "scheme", None))
-        attributes = getattr(scheme, "attributes", None)
-        if attributes is None:
-            continue
-        try:
-            names = {attribute.name for attribute in attrset(attributes)}
-        except Exception:
-            continue
-        if name in names:
-            carriers.add(table_name)
-    return frozenset(carriers)
+    return frozenset(table for table in tables
+                     if name in (declared_attributes(source, table) or ()))
 
 
 class CardinalityFeedback:
@@ -304,6 +303,22 @@ class CardinalityFeedback:
         self.hits += 1
         return entry[0]
 
+    def current(self, dependency):
+        """What a plan costed now would read for a dependency it recorded.
+
+        ``("rows" | "bound-rows", (fingerprint, statistics_version))`` reads
+        as the observed cardinality or ``None``; ``("edges", (attribute,
+        statistics_version))`` as the set of ``(carriers, selectivity)``
+        observed on that join attribute.  Neither refreshes recency nor
+        counts as a lookup.
+        """
+        kind, key = dependency
+        if kind != "edges":
+            entry = self._entries.get(key)
+            return None if entry is None else entry[0]
+        return frozenset((edge[1], value[0]) for edge, value in self._edges.items()
+                         if (edge[0], edge[2]) == key)
+
     def invalidate_table(self, name: str) -> int:
         """Drop every entry/edge whose subexpression reads ``name``; returns count.
 
@@ -334,8 +349,8 @@ class CardinalityFeedback:
         so the observations are dropped rather than left to alias them.
         Entries invalidated *during* the transaction stay gone (their evidence
         cannot be reconstructed; losing feedback is only ever a planning
-        pessimization).  The version counter is then restored so plans cached
-        before the transaction are valid again.
+        pessimization).  The version counter is then restored (the executor
+        has already evicted the plans validated under the newer versions).
         """
         dropped = 0
         for store in (self._entries, self._edges):

@@ -4,7 +4,9 @@ The watchdog closes the second observability gap named by ROADMAP item 4:
 an engine that re-plans on statistics refreshes and feedback updates can
 silently swap a good plan for a bad one.  :class:`PlanWatchdog` keeps a small
 per-query-fingerprint history — the last plan fingerprint and a latency
-EWMA — and turns two situations into structured events:
+EWMA; the engine fingerprints a query by its *template*, so every literal of
+one statement shape feeds one baseline — and turns two situations into
+structured events (the last ``capacity`` of each are kept):
 
 * **plan change** — the plan fingerprint for a known query flipped (a stats
   version bump or a feedback entry re-ordered the joins): records a plan-diff
@@ -21,6 +23,7 @@ rows and peak memory, plus the feedback/plan-change/regression deltas over the
 window — into one report dict the benchmark reporting layer can embed.
 """
 
+from collections import deque
 from typing import Dict, List, Optional
 
 __all__ = ["PlanWatchdog", "QueryBaseline", "WorkloadProfile"]
@@ -72,8 +75,11 @@ class PlanWatchdog:
         self.ewma_alpha = float(ewma_alpha)
         self.capacity = int(capacity)
         self._baselines: Dict[object, QueryBaseline] = {}
-        self._plan_changes: List[Dict[str, object]] = []
-        self._regressions: List[Dict[str, object]] = []
+        self._plan_changes = deque(maxlen=self.capacity)
+        self._regressions = deque(maxlen=self.capacity)
+        #: how many events were ever recorded (the deques forget the oldest)
+        self.plan_changes_seen = 0
+        self.regressions_seen = 0
 
     def observe(self, query_fingerprint, plan_fingerprint, plan_summary,
                 seconds: float):
@@ -101,6 +107,7 @@ class PlanWatchdog:
                 "baseline_seconds": baseline.ewma_seconds,
             }
             self._plan_changes.append(plan_change)
+            self.plan_changes_seen += 1
             baseline.last_plan_change = plan_change
             baseline.plan_fingerprint = plan_fingerprint
             baseline.plan_summary = plan_summary
@@ -119,6 +126,7 @@ class PlanWatchdog:
                 "suspect_plan_change": suspect,
             }
             self._regressions.append(regression)
+            self.regressions_seen += 1
 
         baseline.executions += 1
         baseline.worst_seconds = max(baseline.worst_seconds, seconds)
@@ -157,6 +165,10 @@ class PlanWatchdog:
             len(self._regressions))
 
 
+def _newest(events: List, count: int) -> List:
+    return events[-count:] if count else []
+
+
 class WorkloadProfile:
     """A ``with database.profile() as prof:`` workload capture window.
 
@@ -178,8 +190,8 @@ class WorkloadProfile:
         database = self._database
         self._start_feedback = database.cardinality_feedback.as_dict()
         watchdog = database.plan_watchdog
-        self._start_changes = len(watchdog.plan_changes())
-        self._start_regressions = len(watchdog.regressions())
+        self._start_changes = watchdog.plan_changes_seen
+        self._start_regressions = watchdog.regressions_seen
         database._active_profile = self
         return self
 
@@ -201,8 +213,10 @@ class WorkloadProfile:
                 "new_entries": (end_feedback["entries"]
                                 - self._start_feedback["entries"]),
             },
-            "plan_changes": watchdog.plan_changes()[self._start_changes:],
-            "regressions": watchdog.regressions()[self._start_regressions:],
+            "plan_changes": _newest(watchdog.plan_changes(),
+                                    watchdog.plan_changes_seen - self._start_changes),
+            "regressions": _newest(watchdog.regressions(),
+                                   watchdog.regressions_seen - self._start_regressions),
             "metrics": database.metrics(),
         }
         return False

@@ -27,6 +27,7 @@ from repro.optimizer.rewrite_rules import (
     eliminate_contradictory_selections,
     eliminate_redundant_guards,
     prune_union_branches,
+    push_selections_through_joins,
 )
 from repro.optimizer.qualified_relations import QualifiedRelation, qualification_excludes
 from repro.optimizer.cost import estimate_cost, measured_cost
@@ -55,6 +56,7 @@ __all__ = [
     "push_aggregate_into_unions",
     "push_aggregate_past_rename",
     "push_limit_into_unions",
+    "push_selections_through_joins",
     "QualifiedRelation",
     "qualification_excludes",
     "estimate_cost",

@@ -35,7 +35,10 @@ def _matched_variant(dependency: ExplicitAttributeDependency, equalities: Dict[s
     names = [a.name for a in dependency.lhs]
     if any(name not in equalities for name in names):
         return False, None
-    projection = FlexTuple({name: equalities[name] for name in names})
+    try:
+        projection = FlexTuple({name: equalities[name] for name in names})
+    except TypeError:
+        return True, None  # an unhashable constant equals no determining value
     for variant in dependency.variants:
         if variant.matches(projection):
             return True, variant

@@ -79,9 +79,9 @@ from repro.algebra.expressions import (
 )
 from repro.algebra.predicates import And, FalsePredicate, PresencePredicate
 from repro.errors import OptimizerError, ReproError
-from repro.model.attributes import attrset
 from repro.obs.feedback import (
     attribute_carriers,
+    declared_attributes,
     expression_key,
     referenced_tables,
 )
@@ -175,6 +175,36 @@ class CostModel:
         #: per-tuple work factor for selection/guard/reshaping nodes; the
         #: vectorized engine pays less interpreter overhead per tuple
         self.tuple_cost = VECTORIZED_TUPLE_COST if vectorized else ROW_TUPLE_COST
+        self.bind()
+
+    def bind(self, params=(), reads: Optional[dict] = None) -> None:
+        """Cost templates under the binding ``params`` from now on.
+
+        The physical planner binds per plan and passes ``reads``: every
+        feedback dependency the costing consults (see
+        :meth:`~repro.obs.feedback.CardinalityFeedback.current`) is recorded
+        there with the value it read, misses included, so the plan cache can
+        tell whether a cached plan would be costed differently today.
+        """
+        self.params = params
+        self.reads = reads
+        self._fingerprints: Dict[int, tuple] = {}
+
+    def fingerprint(self, expression: Expression) -> tuple:
+        """``(bound feedback fingerprint, does it depend on the binding)``."""
+        cached = self._fingerprints.get(id(expression))
+        if cached is None:
+            key = expression_key(expression, self.params)
+            cached = (key, bool(self.params) and key != expression_key(expression))
+            if self.reads is not None:  # ids are stable only within one plan() call
+                self._fingerprints[id(expression)] = cached
+        return cached
+
+    def note_edges(self, name: str, version) -> None:
+        """Record that the costing depends on the edges observed on ``name``."""
+        dependency = ("edges", (name, version))
+        if self.reads is not None and dependency not in self.reads:
+            self.reads[dependency] = self.feedback.current(dependency)
 
     def set_vectorized(self, vectorized: bool) -> None:
         """Re-point the per-tuple work factor at the given execution mode (the
@@ -235,14 +265,16 @@ class CostModel:
     def _observed_cardinality(self, expression: Expression):
         """The feedback store's observation for this subexpression, if any."""
         feedback = self.feedback
-        if feedback is None or not len(feedback):
-            return None
-        if isinstance(expression, (RelationRef, EmptyRelation)):
+        if feedback is None or isinstance(expression, (RelationRef, EmptyRelation)):
             return None
         version = getattr(self.statistics, "version", None)
         if version is None:
             return None
-        return feedback.lookup(expression_key(expression), version)
+        key, bound = self.fingerprint(expression)
+        observed = feedback.lookup(key, version)
+        if self.reads is not None:
+            self.reads["bound-rows" if bound else "rows", (key, version)] = observed
+        return observed
 
     def _estimate(self, expression: Expression, memo: Dict[int, CostEstimate]) -> CostEstimate:
         if isinstance(expression, EmptyRelation):
@@ -399,7 +431,8 @@ class CostModel:
         if statistics is None:
             return None
         combined = parts[0] if len(parts) == 1 else And(*parts)
-        return _base_cardinality(self.source, node.name) * statistics.selectivity(combined)
+        return (_base_cardinality(self.source, node.name)
+                * statistics.selectivity(combined.substitute(self.params)))
 
     def estimate_width(self, expression: Expression) -> float:
         """Estimated average tuple width (attribute count) of the result.
@@ -421,8 +454,8 @@ class CostModel:
                 width = statistics.average_width()
                 if width > 0.0:
                     return width
-            declared = self._declared_width(expression.name)
-            return declared if declared else DEFAULT_TUPLE_WIDTH
+            declared = declared_attributes(self.source, expression.name)
+            return float(len(declared)) if declared else DEFAULT_TUPLE_WIDTH
         if isinstance(expression, (Selection, TypeGuardNode)):
             return self.estimate_width(expression.child)
         if isinstance(expression, Projection):
@@ -456,30 +489,6 @@ class CostModel:
         if isinstance(expression, SubqueryExtension):
             return self.estimate_width(expression.child) + 1.0
         return DEFAULT_TUPLE_WIDTH
-
-    def _declared_width(self, name: str) -> Optional[float]:
-        """The attribute-universe size of a base relation's declared scheme."""
-        if self.source is None:
-            return None
-        relation = None
-        if hasattr(self.source, "relation"):
-            try:
-                relation = self.source.relation(name)
-            except Exception:
-                return None
-        elif isinstance(self.source, dict):
-            relation = self.source.get(name)
-        if relation is None:
-            return None
-        definition = getattr(relation, "definition", None)
-        scheme = getattr(definition, "scheme", None) or getattr(relation, "scheme", None)
-        attributes = getattr(scheme, "attributes", None)
-        if attributes is None:
-            return None
-        try:
-            return float(len(attrset(attributes)))
-        except Exception:
-            return None
 
     def _join_selectivity(self, expression: NaturalJoin) -> float:
         """Selectivity of a natural join over the pair count.
@@ -519,10 +528,11 @@ class CostModel:
                                    name: str) -> Optional[float]:
         """The feedback store's observed selectivity for one join attribute."""
         feedback = self.feedback
-        if feedback is None or not len(feedback):
-            return None
         version = getattr(self.statistics, "version", None)
-        if version is None:
+        if feedback is None or version is None:
+            return None
+        self.note_edges(name, version)
+        if not len(feedback):
             return None
         tables = (referenced_tables(expression.left)
                   | referenced_tables(expression.right))

@@ -100,7 +100,11 @@ from repro.algebra.expressions import (
 )
 from repro.errors import OptimizerError
 from repro.model.attributes import AttributeSet, attrset
-from repro.obs.feedback import attribute_carriers, referenced_tables
+from repro.obs.feedback import (
+    attribute_carriers,
+    declared_attributes,
+    referenced_tables,
+)
 from repro.optimizer.cost import CostEstimate, CostModel
 from repro.stats.statistics import TableStatistics, join_selectivity
 
@@ -329,33 +333,7 @@ def _atom_label(expression: Expression) -> str:
     return expression.operator
 
 
-def _relation_universe(source, name: str) -> Optional[AttributeSet]:
-    """The declared attribute universe of a base relation, or ``None``.
-
-    Databases answer from the catalog's flexible scheme; plain mappings answer
-    when the entry is a :class:`~repro.model.relation.FlexibleRelation` (which
-    carries its scheme).  Bare tuple sets have no declared universe — the
-    caller then refuses to reorder rather than guess from the data.
-    """
-    relation = None
-    if hasattr(source, "table"):
-        try:
-            relation = source.table(name)
-        except Exception:
-            return None
-    elif isinstance(source, dict):
-        relation = source.get(name)
-    if relation is None:
-        return None
-    definition = getattr(relation, "definition", None)
-    scheme = getattr(definition, "scheme", None) or getattr(relation, "scheme", None)
-    attributes = getattr(scheme, "attributes", None)
-    if attributes is None:
-        return None
-    return attrset(attributes)
-
-
-def _universe(expression: Expression, source) -> Optional[AttributeSet]:
+def attribute_universe(expression: Expression, source) -> Optional[AttributeSet]:
     """Every attribute a result tuple of ``expression`` can possibly carry.
 
     ``None`` when a base relation's scheme cannot be resolved — the safety
@@ -365,28 +343,28 @@ def _universe(expression: Expression, source) -> Optional[AttributeSet]:
     purely static.
     """
     if isinstance(expression, RelationRef):
-        return _relation_universe(source, expression.name)
+        return declared_attributes(source, expression.name)
     if isinstance(expression, EmptyRelation):
         return AttributeSet()
     if isinstance(expression, (Selection, TypeGuardNode)):
-        return _universe(expression.child, source)
+        return attribute_universe(expression.child, source)
     if isinstance(expression, Projection):
-        child = _universe(expression.child, source)
+        child = attribute_universe(expression.child, source)
         return None if child is None else child & expression.attributes
     if isinstance(expression, Extension):
-        child = _universe(expression.child, source)
+        child = attribute_universe(expression.child, source)
         return None if child is None else child | attrset(expression.attribute)
     if isinstance(expression, Rename):
-        child = _universe(expression.child, source)
+        child = attribute_universe(expression.child, source)
         if child is None:
             return None
         return attrset(expression.mapping.get(a.name, a.name) for a in child)
     if isinstance(expression, Difference):
-        return _universe(expression.left, source)
+        return attribute_universe(expression.left, source)
     if isinstance(expression, (Union, Product, NaturalJoin, MultiwayJoin)):
         result = AttributeSet()
         for child in expression.children:
-            child_universe = _universe(child, source)
+            child_universe = attribute_universe(child, source)
             if child_universe is None:
                 return None
             result = result | child_universe
@@ -425,7 +403,7 @@ def extract_join_graph(expression: Expression, source) -> Optional[JoinGraph]:
 
     universes: Dict[int, AttributeSet] = {}
     for atom in atom_expressions:
-        universe = _universe(atom, source)
+        universe = attribute_universe(atom, source)
         if universe is None:
             return None
         universes[id(atom)] = universe
@@ -547,7 +525,7 @@ def _cut_selectivity(graph: JoinGraph, left_mask: int, right_mask: int,
     """
     feedback = getattr(cost_model, "feedback", None) if cost_model else None
     feedback_version = None
-    if feedback is not None and len(feedback):
+    if feedback is not None:
         feedback_version = getattr(cost_model.statistics, "version", None)
     names = sorted({attribute.name for edge in graph.edges
                     if _crosses(edge, left_mask, right_mask)
@@ -555,6 +533,8 @@ def _cut_selectivity(graph: JoinGraph, left_mask: int, right_mask: int,
     selectivity = 1.0
     for name in names:
         if feedback_version is not None:
+            cost_model.note_edges(name, feedback_version)
+        if feedback_version is not None and len(feedback):
             tables = set()
             for atom in graph._atoms_of(left_mask | right_mask):
                 if name in atom.universe_names:

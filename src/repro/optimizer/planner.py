@@ -2,7 +2,7 @@
 
 The planner is deliberately small — the paper's point is not a full cost-based
 optimizer but that attribute dependencies *enable* rewrites a scheme-only system
-cannot justify.  :meth:`Planner.optimize` applies the three rewrite rules until no
+cannot justify.  :meth:`Planner.optimize` applies the rewrite rules until no
 rule changes the tree any more and returns the rewritten expression together with
 the accumulated :class:`~repro.optimizer.rewrite_rules.RewriteReport`.
 """
@@ -24,11 +24,13 @@ from repro.optimizer.rewrite_rules import (
     eliminate_contradictory_selections,
     eliminate_redundant_guards,
     prune_union_branches,
+    push_selections_through_joins,
 )
 
 #: the rewrite rules applied by default, in order — the AD rules first (they
 #: can empty whole subtrees the analytic rules would otherwise rearrange)
 DEFAULT_RULES: Tuple[Callable, ...] = (
+    push_selections_through_joins,
     prune_union_branches,
     eliminate_contradictory_selections,
     eliminate_redundant_guards,

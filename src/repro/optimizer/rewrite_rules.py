@@ -1,6 +1,6 @@
 """Rewrite rules exploiting attribute dependencies.
 
-Three rules are implemented, each a pure function from expression tree to
+Four rules are implemented, each a pure function from expression tree to
 (possibly) rewritten expression tree plus a :class:`RewriteReport` describing what
 changed:
 
@@ -15,6 +15,14 @@ changed:
   outer-union branches whose own established equalities contradict them are dropped
   (e.g. the "salesman" fragment of a horizontal decomposition under
   ``jobtype = 'secretary'``).
+* :func:`push_selections_through_joins` — a conjunct of a selection above a join
+  moves to the one input whose declared scheme carries its attributes, where it
+  meets the index scans — and the three rules above: a comparison on a variant
+  attribute keeps acting as that attribute's type guard below the join.
+
+None of the rules reads a comparison constant that is a
+:class:`~repro.algebra.predicates.Parameter`: a query template is rewritten
+once, for every binding (see :mod:`repro.exec.executor`).
 """
 
 from __future__ import annotations
@@ -24,15 +32,16 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.algebra.expressions import (
     EmptyRelation,
     Expression,
+    MultiwayJoin,
+    NaturalJoin,
     OuterUnion,
-    RelationRef,
     Selection,
     TypeGuardNode,
     Union,
 )
-from repro.algebra.predicates import FalsePredicate
-from repro.model.attributes import AttributeSet
+from repro.algebra.predicates import And, FalsePredicate
 from repro.optimizer.analysis import guaranteed_absent, guaranteed_present
+from repro.optimizer.joinorder import attribute_universe
 
 
 class RewriteReport:
@@ -165,5 +174,62 @@ def prune_union_branches(expression: Expression, catalog=None) -> Tuple[Expressi
                 "pruned the right union branch excluded by the selection {}".format(equalities)
             )
         return node, None
+
+    return _rewrite_bottom_up(expression, visit, report), report
+
+
+def _conjunction(conjuncts):
+    return conjuncts[0] if len(conjuncts) == 1 else And(*conjuncts)
+
+
+def push_selections_through_joins(expression: Expression, catalog=None) -> Tuple[Expression, RewriteReport]:
+    """Move the conjuncts of a selection above a join into the join's inputs.
+
+    Only through a *pure* join — ``on`` given, and no input's declared scheme
+    shares an attribute with another's beyond it — so the merged tuple takes
+    every attribute of a conjunct from one known input (a join attribute has
+    the same value in all that carry it) and pushing cannot hide a merge
+    conflict.  A conjunct goes to every input of a natural join whose scheme
+    carries all its attributes (both, when they are join attributes); to the
+    master only of a multiway join, whose unmatched master tuples survive
+    whatever its fragments hold.  Conjuncts nobody carries stay above.
+    """
+    report = RewriteReport()
+
+    def visit(node: Expression) -> Tuple[Expression, Optional[str]]:
+        if not isinstance(node, Selection):
+            return node, None
+        join = node.child
+        if not (isinstance(join, (NaturalJoin, MultiwayJoin)) and join.on):
+            return node, None
+        universes = [attribute_universe(child, catalog) for child in join.children]
+        if any(universe is None for universe in universes) or any(
+                not (one & other).issubset(join.on)
+                for index, one in enumerate(universes)
+                for other in universes[index + 1:]):
+            return node, None
+        targets = range(1 if isinstance(join, MultiwayJoin) else 2)
+        predicate = node.predicate
+        conjuncts = predicate.operands if isinstance(predicate, And) else (predicate,)
+        pushed = [[] for _ in join.children]
+        kept = []
+        for conjunct in conjuncts:
+            carriers = [index for index in targets
+                        if len(conjunct.attributes)
+                        and conjunct.attributes.issubset(universes[index])]
+            for index in carriers:
+                pushed[index].append(conjunct)
+            if not carriers:
+                kept.append(conjunct)
+        if len(kept) == len(conjuncts):
+            return node, None
+        rewritten = join.with_children([
+            Selection(child, _conjunction(moved)) if moved else child
+            for child, moved in zip(join.children, pushed)])
+        if kept:
+            rewritten = Selection(rewritten, _conjunction(kept))
+        return rewritten, "pushed the selection on {} below the {}".format(
+            ", ".join(str(conjunct.attributes) for moved in pushed
+                      for conjunct in moved), join.operator)
 
     return _rewrite_bottom_up(expression, visit, report), report

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional
+import re
+from typing import List, NamedTuple
 
 from repro.errors import ReproError
 
@@ -28,102 +29,80 @@ KEYWORDS = {
     "JOIN", "NATURAL", "ON", "AND", "OR", "NOT", "HAS", "IN", "TRUE", "FALSE", "NULL",
 }
 
-#: multi-character operators must be matched before their one-character prefixes
-OPERATORS = ("<=", ">=", "!=", "<>", "=", "<", ">")
-
 PUNCTUATION = {",": "COMMA", "(": "LPAREN", ")": "RPAREN", "*": "STAR"}
+
+#: the token kinds that stand for a constant (what a statement template drops)
+LITERAL_KINDS = frozenset({"NUMBER", "STRING", "TRUE", "FALSE", "NULL"})
+_KEYWORD_VALUES = {"TRUE": True, "FALSE": False, "NULL": None}
+
+#: one match per token: what is skipped before it (white space, ``--``
+#: comments — tried before a signed number), then one alternative per token
+#: class, multi-character operators before their one-character prefixes
+_TOKEN = re.compile(r"""(?:\s+|--[^\n]*)*(?:
+    (?P<STRING>'(?:[^']|'')*')
+  | (?P<NUMBER>[+-]?\d+(?:\.\d*)?)
+  | (?P<NAME>[^\W\d]\w*)
+  | (?P<OP><=|>=|!=|<>|=|<|>)
+  | (?P<PUNCT>[,()*])
+  | (?P<EOF>\Z)
+)""", re.VERBOSE)
+_SKIPPED = re.compile(r"(?:\s+|--[^\n]*)*")
 
 
 def tokenize(text: str) -> List[Token]:
     """Turn query text into a list of tokens (ending with an ``EOF`` token)."""
     tokens: List[Token] = []
-    index = 0
-    length = len(text)
-    while index < length:
-        char = text[index]
-        if char.isspace():
-            index += 1
-            continue
-        if char == "-" and text[index:index + 2] == "--":
-            # line comment
-            end = text.find("\n", index)
-            index = length if end == -1 else end + 1
-            continue
-        if char in PUNCTUATION:
-            tokens.append(Token(PUNCTUATION[char], char, index))
-            index += 1
-            continue
-        operator = _match_operator(text, index)
-        if operator is not None:
-            tokens.append(Token("OP", operator, index))
-            index += len(operator)
-            continue
-        if char == "'":
-            value, index = _read_string(text, index)
-            tokens.append(Token("STRING", value, index))
-            continue
-        if char.isdigit() or (char in "+-" and index + 1 < length and text[index + 1].isdigit()):
-            value, new_index = _read_number(text, index)
-            tokens.append(Token("NUMBER", value, index))
-            index = new_index
-            continue
-        if char.isalpha() or char == "_":
-            value, new_index = _read_name(text, index)
-            upper = value.upper()
+    append = tokens.append
+    expected = 0
+    for found in _TOKEN.finditer(text):
+        if found.start() != expected:
+            break  # the scanner had to skip something no alternative matches
+        expected = found.end()
+        kind = found.lastgroup
+        index = found.start(kind)
+        raw = found.group(kind)
+        if kind == "NAME":
+            upper = raw.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(upper, upper, index))
+                append(Token(upper, _KEYWORD_VALUES.get(upper, upper), index))
             else:
-                tokens.append(Token("NAME", value, index))
-            index = new_index
-            continue
-        raise QuerySyntaxError("unexpected character {!r} at position {}".format(char, index))
-    tokens.append(Token("EOF", None, length))
-    return tokens
+                append(Token("NAME", raw, index))
+        elif kind == "NUMBER":
+            if raw.endswith("."):
+                raise QuerySyntaxError(
+                    "malformed number {!r} at position {}".format(raw, index))
+            append(Token("NUMBER", float(raw) if "." in raw else int(raw), index))
+        elif kind == "STRING":
+            append(Token("STRING", raw[1:-1].replace("''", "'"), index))
+        elif kind == "OP":
+            append(Token("OP", raw, index))
+        elif kind == "PUNCT":
+            append(Token(PUNCTUATION[raw], raw, index))
+        else:
+            append(Token("EOF", None, index))
+            return tokens
+    index = _SKIPPED.match(text, expected).end()
+    if text[index] == "'":
+        raise QuerySyntaxError("unterminated string literal")
+    raise QuerySyntaxError("unexpected character {!r} at position {}".format(
+        text[index], index))
 
 
-def _match_operator(text: str, index: int) -> Optional[str]:
-    for operator in OPERATORS:
-        if text.startswith(operator, index):
-            return operator
-    return None
+def strip_literals(tokens: List[Token]):
+    """``(statement key, literals)``: the token stream with every constant
+    taken out, and the constants in order.
 
-
-def _read_string(text: str, index: int):
-    """Read a single-quoted string literal; ``''`` inside is an escaped quote."""
-    assert text[index] == "'"
-    index += 1
-    pieces = []
-    while True:
-        if index >= len(text):
-            raise QuerySyntaxError("unterminated string literal")
-        char = text[index]
-        if char == "'":
-            if text[index + 1:index + 2] == "'":
-                pieces.append("'")
-                index += 2
-                continue
-            return "".join(pieces), index + 1
-        pieces.append(char)
-        index += 1
-
-
-def _read_number(text: str, index: int):
-    start = index
-    if text[index] in "+-":
-        index += 1
-    seen_dot = False
-    while index < len(text) and (text[index].isdigit() or (text[index] == "." and not seen_dot)):
-        if text[index] == ".":
-            seen_dot = True
-        index += 1
-    raw = text[start:index]
-    if raw in ("+", "-") or raw.endswith("."):
-        raise QuerySyntaxError("malformed number {!r} at position {}".format(raw, start))
-    return (float(raw) if seen_dot else int(raw)), index
-
-
-def _read_name(text: str, index: int):
-    start = index
-    while index < len(text) and (text[index].isalnum() or text[index] == "_"):
-        index += 1
-    return text[start:index], index
+    Two texts with the same key differ only in their constants, so they parse
+    to the same tree shape.  The value after ``TAG name =`` stays in the key:
+    it becomes an extension value, which is structure, not data.
+    """
+    key, literals = [], []
+    tagged = False
+    for kind, value, _position in tokens:
+        if kind in LITERAL_KINDS and not tagged:
+            literals.append(value)
+            key.append(None)
+        else:
+            key.append(repr(value) if kind in LITERAL_KINDS else value)
+        tagged = kind == "TAG" or (tagged and kind in ("NAME", "OP"))
+    return tuple(key), literals

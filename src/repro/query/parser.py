@@ -49,12 +49,18 @@ from repro.algebra.predicates import (
     Predicate,
     PresencePredicate,
 )
-from repro.query.lexer import QuerySyntaxError, Token, tokenize
+from repro.query.lexer import LITERAL_KINDS, QuerySyntaxError, Token, tokenize
 
 
 def parse_query(text: str) -> Expression:
     """Parse query text into an algebra expression."""
-    parser = _Parser(tokenize(text))
+    return parse_tokens(tokenize(text))
+
+
+def parse_tokens(tokens: List[Token]) -> Expression:
+    """Parse a token list; a literal token's value is taken as it is, so a
+    caller may put placeholders where the constants were."""
+    parser = _Parser(tokens)
     expression = parser.parse_query()
     parser.expect("EOF")
     return expression
@@ -212,12 +218,6 @@ class _Parser:
             raise QuerySyntaxError("expected {!r} but found {}".format(symbol, token.describe()))
 
     def parse_literal(self):
-        if self.check("NUMBER") or self.check("STRING"):
+        if self.current.kind in LITERAL_KINDS:
             return self.advance().value
-        if self.accept("TRUE"):
-            return True
-        if self.accept("FALSE"):
-            return False
-        if self.accept("NULL"):
-            return None
         raise QuerySyntaxError("expected a literal but found {}".format(self.current.describe()))

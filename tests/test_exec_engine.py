@@ -148,10 +148,12 @@ class TestPlanCache:
 
     def test_cache_is_bounded(self, database):
         executor = PhysicalExecutor(database, cache_size=2)
-        for threshold in range(5):
+        # five templates (a new literal alone would share one plan)
+        for op in ("<", "<=", ">", ">=", "!="):
             executor.execute(Selection(RelationRef("employees"),
-                                       Comparison("salary", ">", float(threshold))))
+                                       Comparison("salary", op, 4000.0)))
         assert len(executor.cache) == 2
+        assert len(executor._templates) == 2
 
     def test_expression_key_distinguishes_structure(self):
         a = Selection(RelationRef("r"), Comparison("x", "=", 1))

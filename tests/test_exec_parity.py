@@ -429,6 +429,7 @@ class TestAggregatePlanCacheRekey:
     def test_dml_rekeys_aggregate_plans(self, employee_database):
         executor = employee_database.physical_executor
         query = self._aggregate_query()
+        employee_database.analyze()        # the insert turns these stale
         first = employee_database.execute(query)
         misses = executor.cache_misses
         new_id = 1 + max(tup["emp_id"] for tup in

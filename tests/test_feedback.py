@@ -197,14 +197,58 @@ class TestFeedbackLifecycle:
         assert len(reloaded.cardinality_feedback) == 0
 
     def test_feedback_version_in_plan_cache_key(self, stale_star):
+        """The version is *not* in the key any more: a plan depends on the
+        feedback its costing read — hits and misses — and on nothing else."""
         executor = stale_star.physical_executor
         query = star_join_query()
         stale_star.execute(query, optimize=False)   # records corrections
-        stale_star.execute(query, optimize=False)   # re-plans once
+        stale_star.execute(query, optimize=False)   # re-plans once: it priced them
         misses_after_replan = executor.cache_misses
+        assert misses_after_replan == 2
         stale_star.execute(query, optimize=False)   # steady state: cache hit
         assert executor.cache_misses == misses_after_replan
         assert executor.cache_hits >= 1
+        # feedback nobody priced — another query's node, an edge on an
+        # attribute this query does not join on — evicts nothing
+        store = stale_star.cardinality_feedback
+        store.record(("select", "elsewhere"), stale_star.statistics_version,
+                     {"dim_a"}, 7)
+        store.record_edge("elsewhere", {"dim_a", "dim_b"},
+                          stale_star.statistics_version, 0.5)
+        stale_star.execute(query, optimize=False)
+        assert executor.cache_misses == misses_after_replan
+        # feedback on an edge the plan priced does
+        store.record_edge("da", {"fact", "dim_a"},
+                          stale_star.statistics_version, 0.25)
+        stale_star.execute(query, optimize=False)
+        assert executor.cache_misses == misses_after_replan + 1
+
+    def test_first_observation_of_a_looked_up_key_replans(self, stale_star):
+        """A miss is a dependency too: the plan was costed *without* the
+        observation, so its first appearance must re-plan."""
+        executor = stale_star.physical_executor
+        query = rare_selection()
+        stale_star.execute(query, optimize=False)   # default 50% vs 5%: recorded
+        (plan,) = executor.cache._plans.values()
+        assert plan.feedback_reads and set(plan.feedback_reads.values()) == {None}
+        assert len(stale_star.cardinality_feedback) == 1
+        stale_star.execute(query, optimize=False)
+        assert executor.cache_misses == 2
+        stale_star.execute(query, optimize=False)
+        assert executor.cache_misses == 2
+
+    def test_zero_and_one_row_do_not_ping_pong(self):
+        """0.05 rows estimated, 0 or 1 found: nothing to correct (the gauge
+        still reports the raw, infinite Q-error)."""
+        database = star_join_database(fact_rows=600)
+        database.analyze()
+        fact = Selection(RelationRef("fact"), Comparison("fact_id", "=", 10**6))
+        for _ in range(3):
+            assert database.execute(fact, optimize=False).tuples == set()
+        assert len(database.cardinality_feedback) == 0
+        assert database.cardinality_feedback.version == 0
+        gauges = database.metrics()["metrics"]
+        assert gauges["qerror.batch-scan"]["max"] > QERROR_THRESHOLD
 
 
 class TestFeedbackCorrectsJoinOrder:
@@ -271,6 +315,16 @@ class TestPlanWatchdog:
         assert watchdog.as_dict()["tracked_queries"] == 2
         assert watchdog.baseline("q0") is None
         assert watchdog.baseline("q3") is not None
+
+    def test_capacity_bounds_the_event_lists(self):
+        watchdog = PlanWatchdog(capacity=3)
+        for index in range(10):     # the plan flips on every execution
+            watchdog.observe("q", ("p", index), {"operators": [index]}, 0.01)
+        watchdog.observe("q", ("p", 9), {"operators": [9]}, 10.0)
+        assert len(watchdog.plan_changes()) == 3
+        assert watchdog.plan_changes_seen == 9
+        assert watchdog.plan_changes()[-1]["after"] == {"operators": [9]}
+        assert len(watchdog.regressions()) == watchdog.regressions_seen == 1
 
 
 class TestMemoryAccounting:

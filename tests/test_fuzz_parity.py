@@ -307,3 +307,131 @@ def test_shrinker_reports_the_minimal_subtree(fuzz_source):
     minimal = descend(tree)
     assert isinstance(minimal, RelationRef)
     assert minimal.pretty().strip() in ("employees", "orders")
+
+
+# -- two literals, one plan cache ------------------------------------------------------------
+#
+# The plan cache is keyed by the query's *template*: comparison constants the
+# rewrite rules cannot read are parameters, bound per call.  So every tree runs
+# twice — as generated and with every comparison constant redrawn — against ONE
+# database (one statement/template/plan cache, declared dependencies, key and
+# secondary indexes), and both answers must equal the naive evaluator's.
+
+
+#: REPRO_FUZZ_TEMPLATE_TREES=<n> raises the per-seed budget (the CI sweep)
+TEMPLATE_TREES_PER_SEED = int(os.environ.get("REPRO_FUZZ_TEMPLATE_TREES", "20"))
+
+
+@pytest.fixture(scope="module")
+def fuzz_database():
+    """The fuzz corpus as a database: the paper's employees (jobtype EAD, key
+    and a secondary index) and the analytic orders, analyzed."""
+    from repro.engine import Database
+    from repro.workloads.analytics import orders_domains, orders_scheme
+    from repro.workloads.employees import employee_definition
+
+    database = Database()
+    definition = employee_definition()
+    database.create_table(
+        "employees", definition.scheme, domains=definition.domains,
+        key=definition.key, dependencies=definition.dependencies,
+        indexes=[["jobtype"]]).insert_many(generate_employees(28, seed=11))
+    database.create_table(
+        "orders", orders_scheme(), domains=orders_domains(), key=["order_id"]
+    ).insert_many(generate_orders(30, regions=4, rare_every=7, seed=5))
+    database.analyze()
+    return database
+
+
+#: values weighted towards the determinants the jobtype AD declares
+_TEMPLATE_VALUES = VALUES + ["secretary", "salesman", "software engineer"] * 2
+
+
+def _ad_core(rng):
+    """A subtree the AD-driven rewrites act on: a selection on the jobtype
+    (the determinant) under a guard or a comparison on a variant attribute."""
+    selected = Comparison("jobtype", "=", rng.choice(_TEMPLATE_VALUES))
+    if rng.random() < 0.5:
+        selected = And(Comparison("salary", ">", rng.choice([7, 250, 4000.0])), selected)
+    core = Selection(RelationRef("employees"), selected)
+    variant = rng.choice(["typing_speed", "products", "sales_commission",
+                          "foreign_languages"])
+    if rng.random() < 0.5:
+        return TypeGuardNode(core, [variant])
+    return Selection(core, Comparison(variant, rng.choice([">", "=", "!="]),
+                                      rng.choice(_TEMPLATE_VALUES)))
+
+
+def _template_tree(rng, names):
+    """A random tree with AD-rewritable cores planted at some employee leaves."""
+    def plant(node):
+        if isinstance(node, RelationRef):
+            if node.name == "employees" and rng.random() < 0.5:
+                return _ad_core(rng)
+            return node
+        return node.with_children([plant(child) for child in node.children])
+
+    return plant(_random_expression(rng, names, ATTRIBUTES, VALUES, depth=MAX_DEPTH - 1))
+
+
+def _redraw_constants(expression, rng, values):
+    """The same tree with every comparison constant drawn again."""
+    return expression.map_comparisons(
+        lambda comparison: Comparison(comparison.attribute, comparison.op,
+                                      rng.choice(values)))
+
+
+def _engine_outcome(database, expression, **options):
+    outcome, _ = _outcome(lambda: database.execute(expression, **options))
+    return outcome
+
+
+def _agree(physical, naive):
+    return physical == naive or (physical[0] == "error" and naive[0] == "error")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fuzz_two_literals_share_one_cache(seed, fuzz_database):
+    rng = random.Random(9000 + seed)
+    names = ["employees", "orders"]
+    for index in range(TEMPLATE_TREES_PER_SEED):
+        tree = _template_tree(rng, names)
+        batch_size = rng.choice(BATCH_SIZES)
+        for variant in (tree, _redraw_constants(tree, rng, _TEMPLATE_VALUES)):
+            naive, _ = _outcome(lambda: Evaluator(fuzz_database).evaluate(variant))
+            for mode in ("batch", "row"):
+                for optimize in (False, True):
+                    physical = _engine_outcome(
+                        fuzz_database, variant, optimize=optimize, mode=mode,
+                        batch_size=batch_size)
+                    assert _agree(physical, naive), (
+                        "seed={} tree={} mode={} optimize={}: {} != naive {}\n{}"
+                        .format(seed, index, mode, optimize, physical[0],
+                                naive[0], variant.pretty()))
+    info = fuzz_database.physical_executor.cache_info()
+    assert info["hits"] > 0 and info["size"] <= info["max_size"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fuzz_rewrite_and_bind_commute(seed, fuzz_database):
+    """rewrite(bind(template)) ≡ bind(rewrite(template)): rewriting a template
+    once is rewriting every query it stands for."""
+    from repro.exec import expression_key
+    from repro.optimizer.planner import Planner
+
+    rng = random.Random(9500 + seed)
+    names = ["employees", "orders"]
+    executor = fuzz_database.physical_executor
+    for index in range(TREES_PER_SEED):
+        tree = _template_tree(rng, names)
+        for variant in (tree, _redraw_constants(tree, rng, _TEMPLATE_VALUES)):
+            template, params = executor.template(variant, optimize=True)
+            unrewritten, same_params = executor.template(variant, optimize=False)
+            assert expression_key(unrewritten.expression.substitute(same_params)) \
+                == expression_key(variant)
+            rewritten, report = Planner(catalog=fuzz_database).optimize(variant)
+            assert expression_key(template.expression.substitute(params)) \
+                == expression_key(rewritten), (
+                    "seed={} tree={}: the template's rewrite differs\n{}".format(
+                        seed, index, variant.pretty()))
+            assert template.report.actions == report.actions

@@ -6,6 +6,8 @@ from repro.algebra import (
     EmptyRelation,
     Evaluator,
     Extension,
+    MultiwayJoin,
+    NaturalJoin,
     OuterUnion,
     Projection,
     RelationRef,
@@ -26,8 +28,11 @@ from repro.optimizer import (
     guaranteed_present,
     measured_cost,
     prune_union_branches,
+    push_selections_through_joins,
     qualification_excludes,
 )
+from repro.model.domains import IntDomain, StringDomain
+from repro.model.scheme import FlexibleScheme
 from repro.optimizer.planner import DEFAULT_RULES
 
 
@@ -169,6 +174,115 @@ class TestUnionBranchPruning:
         expr = Selection(Union(left, right), Comparison("salary", ">", 0))
         _, report = prune_union_branches(expr, None)
         assert not report.changed
+
+
+class TestSelectionPushdown:
+    """σ above a join moves to the input whose declared scheme carries it."""
+
+    @pytest.fixture
+    def joined(self, employee_database):
+        """employees ⋈ assignments(emp_id, project) ⋈ projects(project, budget),
+        plus ``badges(emp_id, name)`` whose ``name`` collides with employees'."""
+        database = employee_database
+        ids = sorted(tup["emp_id"] for tup in database.table("employees"))
+        database.create_table(
+            "assignments", FlexibleScheme.relational(["emp_id", "project"]),
+            domains={"emp_id": IntDomain(), "project": StringDomain(max_length=8)},
+            key=["emp_id"],
+        ).insert_many({"emp_id": i, "project": "p{}".format(i % 4)} for i in ids[::2])
+        database.create_table(
+            "projects", FlexibleScheme.relational(["project", "budget"]),
+            domains={"project": StringDomain(max_length=8), "budget": IntDomain()},
+            key=["project"],
+        ).insert_many({"project": "p{}".format(i), "budget": 100 * i} for i in range(3))
+        database.create_table(
+            "badges", FlexibleScheme.relational(["emp_id", "name"]),
+            domains={"emp_id": IntDomain(), "name": StringDomain(max_length=32)},
+            key=["emp_id"],
+        ).insert_many({"emp_id": i, "name": "badge"} for i in ids[:5])
+        return database
+
+    def _same(self, database, expression):
+        rewritten, report = Planner(catalog=database).optimize(expression)
+        assert (Evaluator(database).evaluate(rewritten).tuples
+                == Evaluator(database).evaluate(expression).tuples)
+        assert (database.execute(expression, optimize=True).tuples
+                == Evaluator(database).evaluate(expression).tuples)
+        return rewritten, report
+
+    def test_a_conjunct_goes_to_the_input_that_carries_it(self, joined):
+        join = NaturalJoin(RelationRef("employees"), RelationRef("assignments"),
+                           on=["emp_id"])
+        query = Selection(join, Comparison("salary", ">", 4000.0)
+                          & Comparison("project", "=", "p1"))
+        rewritten, report = self._same(joined, query)
+        assert isinstance(rewritten, NaturalJoin)
+        assert repr(rewritten.left) == "select[salary > 4000.0]"
+        assert repr(rewritten.right) == "select[project = 'p1']"
+        assert report.changed
+
+    def test_a_join_attribute_conjunct_goes_to_both_inputs(self, joined):
+        join = NaturalJoin(RelationRef("employees"), RelationRef("assignments"),
+                           on=["emp_id"])
+        rewritten, _ = push_selections_through_joins(
+            Selection(join, Comparison("emp_id", "<", 20)), joined)
+        assert repr(rewritten.left) == repr(rewritten.right) == "select[emp_id < 20]"
+        self._same(joined, Selection(join, Comparison("emp_id", "<", 20)))
+
+    def test_it_descends_through_a_join_tree(self, joined):
+        tree = NaturalJoin(
+            NaturalJoin(RelationRef("employees"), RelationRef("assignments"),
+                        on=["emp_id"]),
+            RelationRef("projects"), on=["project"])
+        query = Selection(tree, Comparison("emp_id", "=", 4)
+                          & Comparison("budget", ">=", 0))
+        rewritten, _ = self._same(joined, query)
+        assert "select[emp_id = 4]\n      employees" in rewritten.pretty()
+        result = joined.execute(query, optimize=True)
+        assert result.stats.tuples_scanned < 10      # not the 3 whole tables
+
+    def test_never_when_the_attribute_could_come_from_either_side(self, joined):
+        impure = NaturalJoin(RelationRef("employees"), RelationRef("badges"),
+                             on=["emp_id"])      # both carry ``name``
+        for predicate in (Comparison("name", "=", "badge"),
+                          Comparison("salary", ">", 0.0)):
+            query = Selection(impure, predicate)
+            rewritten, report = push_selections_through_joins(query, joined)
+            assert rewritten is query and not report.changed
+
+    def test_never_through_a_data_dependent_join_or_unknown_schemes(self, joined):
+        natural = NaturalJoin(RelationRef("employees"), RelationRef("assignments"))
+        query = Selection(natural, Comparison("salary", ">", 4000.0))
+        assert push_selections_through_joins(query, joined)[0] is query
+        keyed = Selection(NaturalJoin(RelationRef("employees"),
+                                      RelationRef("assignments"), on=["emp_id"]),
+                          Comparison("salary", ">", 4000.0))
+        assert push_selections_through_joins(keyed, None)[0] is keyed
+        assert push_selections_through_joins(keyed, {"employees": []})[0] is keyed
+
+    def test_only_the_master_of_a_multiway_join_takes_conjuncts(self, joined):
+        multiway = MultiwayJoin([RelationRef("employees"), RelationRef("assignments")],
+                                on=["emp_id"])
+        on_master = Selection(multiway, Comparison("salary", ">", 4000.0))
+        rewritten, _ = self._same(joined, on_master)
+        assert isinstance(rewritten, MultiwayJoin)
+        # unmatched master tuples survive the join: a fragment conjunct stays above
+        on_fragment = Selection(multiway, ~Comparison("project", "=", "p1"))
+        rewritten, report = self._same(joined, on_fragment)
+        assert isinstance(rewritten, Selection) and not report.changed
+
+    def test_a_pushed_comparison_still_guards_its_variant_attribute(self, joined):
+        join = NaturalJoin(RelationRef("employees"), RelationRef("assignments"),
+                           on=["emp_id"])
+        query = Selection(Selection(join, Comparison("jobtype", "=", "secretary")),
+                          Comparison("sales_commission", ">", 0.0))
+        rewritten, report = self._same(joined, query)
+        # wherever the conjuncts end up, they still meet the jobtype AD
+        assert "∅" in rewritten.pretty()
+        guarded = TypeGuardNode(
+            Selection(join, Comparison("typing_speed", ">", 0)), ["typing_speed"])
+        rewritten, report = self._same(joined, guarded)
+        assert not isinstance(rewritten, TypeGuardNode)
 
 
 class TestQualifiedRelations:

@@ -210,3 +210,22 @@ class TestEndToEnd:
         result = employee_database.query(
             "SELECT jobtype FROM employees WHERE jobtype IN ('secretary', 'salesman')")
         assert {t["jobtype"] for t in result} <= {"secretary", "salesman"}
+
+
+class TestTokenPositions:
+    def test_a_string_token_records_where_it_starts(self):
+        tokens = tokenize("a = 'x' 'it''s'")
+        assert [(t.kind, t.value, t.position) for t in tokens[2:4]] == [
+            ("STRING", "x", 4), ("STRING", "it's", 8)]
+
+    def test_syntax_errors_point_at_the_offending_literal(self):
+        with pytest.raises(QuerySyntaxError) as error:
+            parse_query("SELECT * FROM r WHERE a = 'x' 'y'")
+        assert "STRING('y') at position 30" in str(error.value)
+
+    def test_every_token_position_is_its_first_character(self):
+        text = "SELECT  a,b FROM r -- c 'd'\n WHERE a<=-1.5 AND b<>'z' OR c IN (TRUE, NULL)"
+        for token in tokenize(text)[:-1]:
+            again = tokenize(text[token.position:])[0]
+            assert (again.kind, again.value, again.position) == (
+                token.kind, token.value, 0)
