@@ -29,13 +29,18 @@ tested by ``tests/test_aggregates.py``):
   key ends with the canonical whole-tuple key as a tie-break, which makes the
   order total over distinct tuples — top-k is therefore deterministic across
   engines even though sets iterate in different orders.
+  :func:`row_order_key` / :func:`top_k_rows` *define* that order and serve the
+  naive evaluator; the physical engines sort through :class:`CompiledOrder`,
+  which encodes the same order into natively comparable tuples and is held to
+  the definition by ``tests/test_order_keys.py`` and the differential fuzz.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from math import fsum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import AlgebraError
 from repro.model.batches import MISSING
@@ -51,6 +56,7 @@ __all__ = [
     "canonical_order_key",
     "row_order_key",
     "top_k_rows",
+    "CompiledOrder",
     "group_key",
     "group_values",
 ]
@@ -164,21 +170,27 @@ class _Reversed:
 def value_order_key(value):
     """A total-order key over mixed-type attribute values.
 
-    NULL sorts before everything, then numbers (bools as ints), then strings,
-    then tuples (recursively), then everything else by type name and repr.
-    Cross-type comparisons never raise, which ``min``/``max`` and multi-engine
-    tie-breaking rely on.
+    NULL sorts before everything, then numbers (bools as ints), then NaN,
+    then strings, then tuples (recursively), then everything else by type
+    name and repr.  Cross-type comparisons never raise, which ``min``/``max``
+    and multi-engine tie-breaking rely on.
+
+    NaN is a class of its own, after every other number (``+inf`` included):
+    it compares false against everything, itself included, so left among the
+    numbers it would make the order depend on which pairs a sort happens to
+    compare.  All NaNs are equal in the order; ``max`` of a group holding one
+    is NaN, ``min`` only if the group holds nothing else.
     """
     if value is None:
         return (0,)
     if isinstance(value, bool):
         return (1, int(value))
     if isinstance(value, (int, float)):
-        return (1, value)
+        return (1, value) if value == value else (2,)
     if isinstance(value, str):
-        return (2, value)
+        return (3, value)
     if isinstance(value, tuple):
-        return (3, tuple(value_order_key(item) for item in value))
+        return (4, tuple(value_order_key(item) for item in value))
     return (9, type(value).__name__, repr(value))
 
 
@@ -233,6 +245,163 @@ def top_k_rows(rows: Iterable, count: int, keys: Sequence[SortKey],
         return []
     return heapq.nsmallest(
         count, rows, key=lambda row: row_order_key(key_of(row), keys))
+
+
+_NULL_SLOTS = (1, 0, 0)
+_ABSENT_SLOTS = (2, 0, 0)
+
+
+def _encode_value(value, sign: int) -> tuple:
+    """One sort key's ``(rank, type rank, comparable)`` slots for ``value``.
+
+    The three slots order exactly as the key's :func:`row_order_key` component
+    does, with the direction (``sign`` -1 for descending) folded in: numbers
+    descend by negation (exact for ints and floats alike, so big ints against
+    floats, ``-0.0`` and the infinities keep their order), the type rank by
+    its sign, and only what cannot be negated — a descending string, tuple or
+    exotic object — keeps the :class:`_Reversed` shim.
+    """
+    if value is MISSING:
+        return _ABSENT_SLOTS
+    if value is None:
+        return _NULL_SLOTS
+    key = value_order_key(value)
+    if key[0] == 1:
+        return (0, sign, sign * key[1])
+    rest = key[1:]  # empty for NaN: its type rank says everything
+    if sign < 0 and rest:
+        rest = _Reversed(rest)
+    return (0, sign * key[0], rest)
+
+
+class CompiledOrder:
+    """The order of :func:`row_order_key` under one ``keys`` tuple, compiled
+    for the physical engines: same order, compared in C.
+
+    ``encode`` maps a row to one flat tuple of the *declared* keys only, three
+    slots a key (see :func:`_encode_value`), so ``list.sort``, ``bisect`` and
+    ``heapq`` compare ints, floats and strings natively.  The canonical
+    whole-tuple tie-break is never part of that tuple: it is computed for the
+    rows whose declared keys actually tie — none when a key attribute is among
+    the sort keys, every row once when there are no keys at all — and those
+    runs are ordered by it on their own.
+    """
+
+    __slots__ = ("keys", "_signed")
+
+    def __init__(self, keys: Sequence[SortKey]):
+        self.keys = tuple(keys)
+        self._signed = tuple((key.attribute, -1 if key.descending else 1)
+                             for key in self.keys)
+
+    def encode(self, values: Dict[str, object]) -> tuple:
+        """The declared keys of one row as a natively comparable flat tuple."""
+        out = ()
+        for attribute, sign in self._signed:
+            value = values.get(attribute, MISSING)
+            kind = type(value)
+            if kind is int or (kind is float and value == value):
+                out += (0, sign, sign * value)  # _encode_value's common case
+            else:
+                out += _encode_value(value, sign)
+        return out
+
+    def argsort(self, rows: Sequence[Dict[str, object]]) -> List[int]:
+        """The positions of ``rows`` (value dicts) in sorted order."""
+        declared = list(map(self.encode, rows))
+        order = sorted(range(len(rows)), key=declared.__getitem__)
+        ranked = [declared[position] for position in order]
+        start = 0
+        for stop in range(1, len(ranked) + 1):
+            if stop == len(ranked) or ranked[stop] != ranked[start]:
+                if stop - start > 1:  # a run of ties: canonical order decides
+                    order[start:stop] = sorted(
+                        order[start:stop],
+                        key=lambda position: canonical_order_key(rows[position]))
+                start = stop
+        return order
+
+    def top_k(self, pairs: Iterable[tuple], count: int) -> List[tuple]:
+        """The ``count`` smallest of ``(values, payload)`` pairs, in order.
+
+        At most ``count`` entries are held, ascending; a row whose declared
+        keys lie beyond the current ``count``-th is dropped on that one
+        native comparison, and a tie-break is built only for a row that ties
+        with a held one.  ``count == 0`` still drains the stream, for the
+        reason :func:`top_k_rows` gives.
+        """
+        if count == 0:
+            for _ in pairs:
+                pass
+            return []
+        encode = self.encode
+        held: List[tuple] = []  # (declared, tie-break or None, arrival, pair)
+        full = False
+        for arrival, pair in enumerate(pairs):
+            declared = encode(pair[0])
+            if full and declared > held[-1][0]:
+                continue
+            at = bisect_left(held, (declared,))
+            if at == len(held) or held[at][0] != declared:
+                if full:
+                    held.pop()
+                held.insert(at, (declared, None, arrival, pair))
+            else:
+                # Ties with a held row: both get their tie-break, so entries
+                # with equal declared keys always compare on a computed one.
+                tied = held[at]
+                if tied[1] is None:
+                    held[at] = (declared, canonical_order_key(tied[3][0])) + tied[2:]
+                entry = (declared, canonical_order_key(pair[0]), arrival, pair)
+                if full:
+                    if entry > held[-1]:
+                        continue
+                    held.pop()
+                insort(held, entry)
+            full = len(held) == count
+        return [entry[3] for entry in held]
+
+    def merge(self, streams: Sequence[Iterable]) -> Iterator:
+        """K-way merge of streams already in this order into one.
+
+        Records lead with the row's value dict (``record[0]``).  One head per
+        stream sits in a heap keyed by the declared encoding and the stream's
+        number, so heads compare natively and never on the records; while the
+        heads of several streams tie, those streams merge among themselves by
+        the canonical tie-break — built for the tied records only.
+        """
+        encode = self.encode
+        streams = [iter(stream) for stream in streams]
+        heads: List[tuple] = []  # (declared, stream number, record)
+        for number, stream in enumerate(streams):
+            record = next(stream, None)
+            if record is not None:
+                heads.append((encode(record[0]), number, record))
+        heapq.heapify(heads)
+
+        def tie_entry(number, record):
+            return (canonical_order_key(record[0]), number, record)
+
+        tied: List[tuple] = []  # the streams whose heads tie on `declared`
+        while heads or tied:
+            if tied:
+                _, number, record = heapq.heappop(tied)
+            else:
+                declared, number, record = heapq.heappop(heads)
+                if heads and heads[0][0] == declared:
+                    tied = [tie_entry(number, record)]
+                    while heads and heads[0][0] == declared:
+                        heapq.heappush(tied, tie_entry(*heapq.heappop(heads)[1:]))
+                    continue
+            yield record
+            record = next(streams[number], None)
+            if record is None:
+                continue
+            key = encode(record[0])
+            if tied and key == declared:
+                heapq.heappush(tied, tie_entry(number, record))
+            else:
+                heapq.heappush(heads, (key, number, record))
 
 
 # -- grouping ------------------------------------------------------------------------

@@ -41,11 +41,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from repro.algebra.analytic import (
     AggregateAccumulator,
     AggregateSpec,
+    CompiledOrder,
     SortKey,
     group_key,
     group_values,
-    row_order_key,
-    top_k_rows,
 )
 from repro.algebra.evaluator import _resolve_relation
 from repro.algebra.predicates import Parameter, Predicate
@@ -1083,6 +1082,7 @@ class SortOp(PhysicalOperator):
                  limit: Optional[int] = None):
         self.child = child
         self.keys = tuple(keys)
+        self.order = CompiledOrder(self.keys)
         self.limit = limit
 
     @property
@@ -1097,21 +1097,19 @@ class SortOp(PhysicalOperator):
 
     def _generate(self, ctx, op, child):
         op.invocations += 1
-        keys = self.keys
         spill_budget = ctx.spill_budget()
         if spill_budget is not None:
             # External merge sort: sorted runs flushed to disk when the held
             # rows outgrow the budget, k-way merged on emit.  Tuples travel
             # as (values, hash) pairs — plain picklable data — and are
-            # rebuilt with FlexTuple.from_parts on the way back; row_order_key
-            # is a total order, so the merged stream is deterministic.
+            # rebuilt with FlexTuple.from_parts on the way back; the compiled
+            # order is total, so the merged stream is deterministic.
             from itertools import islice
 
             from repro.governor.spill import ExternalSorter
 
             sorter = ExternalSorter(
-                ctx.governor.spill_manager(),
-                key=lambda pair: row_order_key(pair[0], keys),
+                ctx.governor.spill_manager(), self.order,
                 budget=spill_budget, note=op.note_memory)
             for batch in child:
                 count = len(batch)
@@ -1135,10 +1133,10 @@ class SortOp(PhysicalOperator):
             if governed:
                 ctx.enforce_memory(op, sampled_size(rows))
         op.note_memory(sampled_size(rows))
-        rows.sort(key=lambda tup: row_order_key(tup._values, keys))
+        order = self.order.argsort([tup._values for tup in rows])
         if self.limit is not None:
-            rows = rows[:self.limit]
-        return self._rebatch(ctx, op, iter(rows))
+            del order[self.limit:]
+        return self._rebatch(ctx, op, (rows[position] for position in order))
 
 
 class TopKOp(PhysicalOperator):
@@ -1146,9 +1144,9 @@ class TopKOp(PhysicalOperator):
 
     The fused physical form of ``Limit(Sort(E))`` (and of a bare ``Limit``,
     with empty keys meaning the canonical tuple order).  The input streams
-    through ``heapq.nsmallest`` — at most ``count`` rows are ever held, which
-    is the bounded-memory contrast to :class:`SortOp` that ``peak_bytes``
-    records.
+    through :meth:`CompiledOrder.top_k` — at most ``count`` rows are ever
+    held, which is the bounded-memory contrast to :class:`SortOp` that
+    ``peak_bytes`` records.
     """
 
     name = "top-k"
@@ -1157,6 +1155,7 @@ class TopKOp(PhysicalOperator):
                  count: int):
         self.child = child
         self.keys = tuple(keys)
+        self.order = CompiledOrder(self.keys)
         self.count = count
 
     @property
@@ -1171,16 +1170,15 @@ class TopKOp(PhysicalOperator):
     def _generate(self, ctx, op, child):
         op.invocations += 1
 
-        def rows() -> Iterator[FlexTuple]:
+        def pairs() -> Iterator[tuple]:
             for batch in child:
                 count = len(batch)
                 op.rows_in += count
                 ctx.stats.tuples_scanned += count
                 for tup in batch:
-                    yield tup
+                    yield tup._values, tup
 
-        best = top_k_rows(rows(), self.count, self.keys,
-                          key_of=lambda tup: tup._values)
+        best = [tup for _, tup in self.order.top_k(pairs(), self.count)]
         ctx.enforce_memory(op, sampled_size(best))
         return self._rebatch(ctx, op, iter(best))
 

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import re
 from copy import copy
-from math import log2
 from time import perf_counter
 from typing import Optional, Tuple
 
@@ -160,10 +159,12 @@ BATCH_FORMS = ("all", "core")
 #: estimated cost of one index probe relative to reading one tuple in a scan
 INDEX_PROBE_COST_FACTOR = 2.0
 
-#: comparisons per input row of the top-k heap relative to a full sort's merge
-#: pass — a heap sift pays ~2 comparisons per level where the sort pays one,
-#: so the heap wins only while k² ≲ n (the classical nsmallest crossover)
-TOPK_HEAP_FACTOR = 2.0
+#: how many times the limit the estimated input must be for the bounded top-k
+#: to beat the sort-with-cutoff: the top-k pays an ordered insertion for each
+#: of the ~k·(1 + ln(n/k)) rows that enter it, the sort n·log₂n comparisons.
+#: Measured over ``orders``, the two tie at k = n/8 both at n = 6,000 and at
+#: n = 100,000 (docs/ARCHITECTURE.md, "Physical forms and the top-k pricing").
+TOPK_HEAP_FACTOR = 8.0
 
 
 class PhysicalResult(EvaluationResult):
@@ -538,15 +539,14 @@ class PhysicalPlanner:
         raise OptimizerError("cannot lower expression node {!r}".format(expression))
 
     def _lower_limit(self, expression: Limit, full: bool) -> PhysicalOperator:
-        """λ, fused with a child τ when present: heap vs full-sort pricing.
+        """λ, fused with a child τ when present: bounded top-k vs full sort.
 
         ``Limit(Sort(E), k)`` lowers to a single physical operator over ``E``
         (a bare ``Limit`` is the same with the canonical tuple order).  The
-        heap holds ``k`` rows and pays ``~2·n·log2(k)`` comparisons (sift
-        cost); the sort materializes everything for ``n·log2(n)`` — the
-        estimated input cardinality decides, so a ``k`` beyond ``√n`` falls
-        back to the sort-with-cutoff form and a small ``k`` gets the
-        bounded-memory heap.
+        top-k holds ``k`` rows and prunes the rest on one comparison each;
+        the sort materializes everything — the estimated input cardinality
+        decides: a ``k`` beyond ``n / TOPK_HEAP_FACTOR`` falls back to the
+        sort-with-cutoff form and a smaller one gets the bounded-memory top-k.
         """
         child_expr = expression.child
         if isinstance(child_expr, Sort):
@@ -557,10 +557,8 @@ class PhysicalPlanner:
             input_expr = child_expr
         k = expression.count
         n = max(self._estimate(input_expr).cardinality, 1.0)
-        heap_cost = n * log2(max(k, 2)) * TOPK_HEAP_FACTOR
-        sort_cost = n * log2(max(n, 2))
         child = self._lower(input_expr)
-        if heap_cost <= sort_cost:
+        if k * TOPK_HEAP_FACTOR <= n:
             top_k = BatchTopK if full else TopKOp
             return top_k(child, keys, k)
         sort = BatchSort if full else SortOp

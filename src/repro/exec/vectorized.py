@@ -64,11 +64,7 @@ from typing import Dict, Iterator, List
 from repro.algebra.evaluator import _resolve_relation
 from repro.errors import AlgebraError
 from repro.exec.context import sampled_size
-from repro.algebra.analytic import (
-    AggregateAccumulator,
-    row_order_key,
-    top_k_rows,
-)
+from repro.algebra.analytic import AggregateAccumulator
 from repro.exec.compiled import (
     CompiledAggregates,
     CompiledExtension,
@@ -947,10 +943,10 @@ class BatchHashAggregate(HashAggregateOp):
 
 
 class BatchSort(SortOp):
-    """τ over batches: drained into parallel (values, hash) pairs, sorted on
-    the shared :func:`row_order_key`, re-emitted lazily.  Like the row form it
-    holds the entire input — the full-materialization ``peak_bytes`` contrast
-    to :class:`BatchTopK`."""
+    """τ over batches: drained into parallel value-dict and hash lists,
+    ordered by the shared :class:`CompiledOrder`, re-emitted lazily.  Like the
+    row form it holds the entire input — the full-materialization
+    ``peak_bytes`` contrast to :class:`BatchTopK`."""
 
     name = "batch-sort"
     vectorized = True
@@ -963,46 +959,43 @@ class BatchSort(SortOp):
         stats = ctx.stats
         governed = (ctx.governor is not None
                     and ctx.governor.memory_budget is not None)
-        pairs: List[tuple] = []
-        extend = pairs.extend
+        values: List[dict] = []
+        hashes: List[int] = []
         for raw in child:
             batch = TupleBatch.of(raw)
             count = len(batch)
             op.rows_in += count
             stats.tuples_scanned += count
-            extend(zip(batch.values_list(), batch.hashes_list()))
+            values.extend(batch.values_list())
+            hashes.extend(batch.hashes_list())
             if governed:
-                ctx.enforce_memory(op, sampled_size(pairs))
-        op.note_memory(sampled_size(pairs))
-        keys = self.keys
-        pairs.sort(key=lambda pair: row_order_key(pair[0], keys))
+                ctx.enforce_memory(op, sampled_size(values) + sampled_size(hashes))
+        op.note_memory(sampled_size(values) + sampled_size(hashes))
+        order = self.order.argsort(values)
         if self.limit is not None:
-            del pairs[self.limit:]
+            del order[self.limit:]
 
         def emit() -> Iterator[TupleBatch]:
             size = ctx.batch_size
-            for start in range(0, len(pairs), size):
-                chunk = pairs[start:start + size]
+            for start in range(0, len(order), size):
+                chunk = order[start:start + size]
                 op.rows_out += len(chunk)
                 op.batches_out += 1
-                yield LazyBatch([pair[0] for pair in chunk],
-                                [pair[1] for pair in chunk])
+                yield LazyBatch([values[position] for position in chunk],
+                                [hashes[position] for position in chunk])
 
         return emit()
 
     def _generate_spilled(self, ctx, op, child, budget) -> Iterator[TupleBatch]:
         """τ under a memory budget: batches drain into an external merge sort
-        as the same ``(values, hash)`` pairs the in-memory form sorts."""
+        as ``(values, hash)`` pairs."""
         from itertools import islice
 
         from repro.governor.spill import ExternalSorter
 
         stats = ctx.stats
-        keys = self.keys
-        sorter = ExternalSorter(
-            ctx.governor.spill_manager(),
-            key=lambda pair: row_order_key(pair[0], keys),
-            budget=budget, note=op.note_memory)
+        sorter = ExternalSorter(ctx.governor.spill_manager(), self.order,
+                                budget=budget, note=op.note_memory)
         for raw in child:
             batch = TupleBatch.of(raw)
             count = len(batch)
@@ -1035,9 +1028,9 @@ class BatchSort(SortOp):
 
 
 class BatchTopK(TopKOp):
-    """λ∘τ over batches: the input streams through ``heapq.nsmallest`` as
-    (values, hash) pairs — at most ``count`` pairs held, same bounded
-    ``peak_bytes`` guarantee as the row form."""
+    """λ∘τ over batches: the input streams through
+    :meth:`CompiledOrder.top_k` as (values, hash) pairs — at most ``count``
+    pairs held, same bounded ``peak_bytes`` guarantee as the row form."""
 
     name = "batch-top-k"
     vectorized = True
@@ -1054,8 +1047,7 @@ class BatchTopK(TopKOp):
                 stats.tuples_scanned += count
                 yield from zip(batch.values_list(), batch.hashes_list())
 
-        best = top_k_rows(pairs(), self.count, self.keys,
-                          key_of=lambda pair: pair[0])
+        best = self.order.top_k(pairs(), self.count)
         ctx.enforce_memory(op, sampled_size(best))
 
         def emit() -> Iterator[TupleBatch]:

@@ -12,7 +12,7 @@ decomposed into ``(values, hash)`` pairs before writing and rebuilt with
 Three consumers, mirroring the classic algorithms:
 
 * :class:`ExternalSorter` — sorted in-memory runs flushed when the budget
-  trips, ``heapq.merge``-d on read (external merge sort).
+  trips, k-way merged on read (external merge sort).
 * :class:`SpillingAggregator` — hash aggregation that hash-partitions its
   ``group → state`` dict to disk when over budget and merges per partition
   at finalize time via ``AggregateAccumulator.merge_states``
@@ -21,7 +21,6 @@ Three consumers, mirroring the classic algorithms:
   join uses for both its build and probe sides.
 """
 
-import heapq
 import os
 import pickle
 import shutil
@@ -29,7 +28,12 @@ import tempfile
 import zlib
 from typing import Callable, Iterator, List, Optional, Sequence
 
-from repro.algebra.analytic import AggregateAccumulator, group_key, group_values
+from repro.algebra.analytic import (
+    AggregateAccumulator,
+    CompiledOrder,
+    group_key,
+    group_values,
+)
 from repro.errors import SpillError
 from repro.exec.context import sampled_size
 from repro.storage.wal import FRAME_HEADER, MAX_FRAME_BYTES
@@ -197,25 +201,26 @@ class SpillManager:
 class ExternalSorter:
     """External merge sort under a byte budget.
 
-    ``extend`` items (any picklable records), call ``maybe_spill`` at batch
+    ``extend`` records (picklable, leading with the row's value dict — the
+    engines pass ``(values, hash)`` pairs), call ``maybe_spill`` at batch
     boundaries; when the sampled size of the held run crosses the budget the
     run is sorted and flushed as one segment.  ``merged()`` then k-way merges
-    the on-disk runs with the in-memory remainder — each run is already
-    sorted, so ``heapq.merge`` streams the global order holding one chunk per
-    run.  The sort key must be a total order (the engine's ``row_order_key``
-    includes a canonical whole-tuple tie-break), which makes the merged
-    output deterministic regardless of how many runs the budget produced.
+    the on-disk runs with the in-memory remainder, holding one chunk per run.
+    Runs are sorted and merged by the same :class:`CompiledOrder` the
+    in-memory sort uses — a total order, canonical tie-break included — so
+    the merged output is the in-memory one however many runs the budget
+    produced.
     """
 
-    def __init__(self, manager: SpillManager, key: Callable,
+    def __init__(self, manager: SpillManager, order: CompiledOrder,
                  budget: int, note: Callable[[int], None],
                  label: str = "sort"):
         self._manager = manager
-        self._key = key
+        self._order = order
         self._budget = budget
         self._note = note  # feeds the operator's peak_bytes accounting
         self._label = label
-        self._items: List[object] = []
+        self._items: List[tuple] = []
         self._runs: List[SpillSegment] = []
         self._since_check = 0
 
@@ -244,22 +249,24 @@ class ExternalSorter:
         if size > self._budget and self._items:
             self._spill_run()
 
+    def _sorted_items(self) -> List[tuple]:
+        items = self._items
+        return [items[position] for position in
+                self._order.argsort([item[0] for item in items])]
+
     def _spill_run(self) -> None:
-        self._items.sort(key=self._key)
         segment = self._manager.create_segment(self._label)
-        segment.extend(self._items)
+        segment.extend(self._sorted_items())
         segment.finish()
         self._runs.append(segment)
         self._manager.note_spill()
         self._items = []
 
     def merged(self) -> Iterator:
-        self._items.sort(key=self._key)
+        self._items = self._sorted_items()
         if not self._runs:
             return iter(self._items)
-        streams = [iter(run) for run in self._runs]
-        streams.append(iter(self._items))
-        return heapq.merge(*streams, key=self._key)
+        return self._order.merge(self._runs + [self._items])
 
 
 class SpillingAggregator:

@@ -354,9 +354,21 @@ class TestAnalyticOperatorParity:
                       employee_source, expected_mode="batch")
 
     def test_large_limit_falls_back_to_sort_with_cutoff(self, employee_source):
-        # k close to n prices the heap out (k² > n): the SortOp form runs.
-        assert_parity(Limit(Sort(RelationRef("employees"), ["emp_id"]), 70),
-                      employee_source, expected_mode="batch")
+        # 80 employees: the bounded top-k runs up to k = n / TOPK_HEAP_FACTOR
+        # = 10, beyond it the sort-with-cutoff form.
+        def form(count, vectorize):
+            limit = Limit(Sort(RelationRef("employees"), ["emp_id"]), count)
+            planner = PhysicalPlanner(source=employee_source, vectorize=vectorize)
+            return planner.plan(limit).root.label()
+
+        assert form(0, True) == "batch-top-k[emp_id, k=0]"
+        assert form(10, True) == "batch-top-k[emp_id, k=10]"
+        assert form(10, False) == "top-k[emp_id, k=10]"
+        assert form(11, True) == "batch-sort[emp_id, limit=11]"
+        assert form(70, False) == "sort[emp_id, limit=70]"
+        for count in (10, 11, 70):
+            assert_parity(Limit(Sort(RelationRef("employees"), ["emp_id"]), count),
+                          employee_source, expected_mode="batch")
 
     def test_standalone_sort_is_set_identity(self, employee_source):
         assert_parity(Sort(RelationRef("employees"), ["salary"]),
