@@ -73,8 +73,8 @@ class Table:
     write-ahead hook of durable databases: it is called after every constraint
     check has passed but *before* the mutation is applied, so a mutation is on
     the log before it is visible in memory (see :mod:`repro.storage`).
-    :meth:`restore` never journals — it implements rollback, whose uncommitted
-    records the log discards by itself.
+    :meth:`undo` (rollback's per-change inverse) and :meth:`restore` never
+    journal: the log discards a transaction's uncommitted records by itself.
     """
 
     def __init__(self, definition: TableDefinition, enforce: bool = True,
@@ -181,7 +181,19 @@ class Table:
             self.delete(tup)
         return len(victims)
 
-    # -- snapshots (used by Database.transaction) -------------------------------------------------
+    # -- rollback ---------------------------------------------------------------------------------
+
+    def undo(self, old: Optional[FlexTuple], new: Optional[FlexTuple]) -> None:
+        """Invert one journaled mutation (rollback's per-change step): drop
+        ``new``, put ``old`` back, index upkeep per tuple — no checks, no
+        journal, no hook (the transaction fires one per touched table).  The
+        membership tests cover a statement interrupted before its apply."""
+        if new is not None and new in self._tuples:
+            self._tuples.remove(new)
+            self.checker.unregister_tuple(new)
+        if old is not None and old not in self._tuples:
+            self._tuples.add(old)
+            self.checker.register_tuple(old)
 
     def snapshot(self) -> Set[FlexTuple]:
         """An opaque snapshot of the table's current contents."""
@@ -323,6 +335,9 @@ class Database:
         self._active_profile: Optional[WorkloadProfile] = None
         #: True while recovery replays the log (mutations must not re-log)
         self._journal_suppressed = False
+        #: the open transaction's undo log — ``(table, old, new)`` per applied
+        #: mutation, oldest first — or ``None`` outside :meth:`transaction`
+        self._undo: Optional[List[Tuple[Table, Optional[FlexTuple], Optional[FlexTuple]]]] = None
         #: database-wide governance defaults (per-query arguments override)
         self.query_timeout = query_timeout
         self.memory_budget = memory_budget
@@ -402,8 +417,7 @@ class Database:
             definition,
             enforce=self.enforce_constraints,
             on_mutation=lambda kind, rows, _name=name: self._note_mutation(_name, kind, rows),
-            journal=lambda kind, old, new, _name=name: self._journal_mutation(
-                _name, kind, old, new),
+            journal=lambda kind, old, new: self._journal_mutation(table, kind, old, new),
         )
         self._tables[name] = table
         return table
@@ -481,10 +495,16 @@ class Database:
 
     # -- durability hooks --------------------------------------------------------------------------------
 
-    def _journal_mutation(self, name: str, kind: str, old, new) -> None:
-        """The tables' write-ahead hook: journal a checked, unapplied mutation."""
+    def _journal_mutation(self, table: Table, kind: str, old, new) -> None:
+        """The tables' write-ahead hook: journal a checked, unapplied mutation —
+        on the log, then (the log accepted it) on the open undo log."""
         if self.durability is not None and not self._journal_suppressed:
-            self.durability.log_mutation(name, kind, old, new)
+            self.durability.log_mutation(table.name, kind, old, new)
+        if self._undo is not None:
+            # An update onto a tuple that is already stored (keyless tables)
+            # adds nothing: undoing it must leave that tuple where it was.
+            merges = kind == "update" and new != old and new in table._tuples
+            self._undo.append((table, old, None if merges else new))
 
     def _note_mutation(self, name: str, kind: str, rows: int) -> None:
         """The tables' post-apply hook: invalidate statistics, maybe checkpoint.
@@ -525,9 +545,9 @@ class Database:
     def close(self) -> None:
         """Release the durability layer; safe to call any number of times.
 
-        An open transaction is aborted (its abort record is appended best
-        effort; replay discards uncommitted work regardless), the write-ahead
-        log is flushed and closed, and a second ``close()`` is a no-op.
+        An open transaction is aborted (an abort record is appended best
+        effort if it spilled; replay discards uncommitted work regardless), the
+        write-ahead log is flushed and closed, and a second ``close()`` is a no-op.
         In-memory databases close trivially.  The in-memory tables stay
         readable — only durability is relinquished.
         """
@@ -1058,8 +1078,10 @@ class Database:
                 db.insert("employees", {...})
                 db.insert("employees", {...})   # a violation here rolls both back
 
-        On normal exit the changes stay; when the block raises, every table is
-        restored to its state at entry and the exception propagates.
+        On normal exit the changes stay; when the block raises — or, on a
+        durable database, the commit itself fails — the mutations made inside
+        are undone newest-first and the exception propagates.  Nested scopes
+        are savepoints (in-memory databases only).
         """
         return _Transaction(self)
 
@@ -1072,79 +1094,95 @@ class Database:
 class _Transaction:
     """Context manager implementing :meth:`Database.transaction`.
 
-    The snapshot covers table *contents*; schema changes (``create_table`` /
-    ``drop_table``) inside a transaction are intentionally not undone — they are DDL,
-    and the paper's constraints concern the instance level.  DML is rolled back
-    even on tables the transaction itself created (the table survives, emptied),
-    matching what write-ahead replay reconstructs: DDL records are autonomous,
-    transactional DML without a commit is discarded.
-
-    Rollback also rewinds the planning-relevant side state the transaction
-    touched: the statistics catalog (stale flags, incremental row counts,
-    version) and the cardinality-feedback store return to their entry state, so
-    plans cached before the transaction stay valid instead of being stranded by
-    version churn that no surviving data justifies.  Plans cached *during* the
-    transaction are evicted first — their version numbers will be reused for
-    different future states.
-
-    On a durable database the scope maps to a write-ahead transaction: records
-    inside carry a shared ``txn`` id, the commit record is fsynced on clean
-    exit, and an exception appends an abort record (best effort — replay
-    discards uncommitted transactions regardless).
+    The scope keeps an **undo log** — ``Database._undo``, one ``(table, old,
+    new)`` per applied mutation, pushed by the journal hook — which rollback
+    pops newest-first through :meth:`Table.undo`; a nested scope (in-memory
+    only) is a savepoint, a mark into the same list.  Only DML is undone:
+    entries of a ``Table`` that is no longer the catalog's are skipped, as
+    write-ahead replay applies DDL autonomously too.  Rollback also evicts the
+    plans cached inside the scope and rewinds the statistics catalog and the
+    cardinality-feedback store to their entry state.  It runs when the block
+    raises and when a durable commit does, so reads never serve rows that were
+    not acknowledged (docs/ARCHITECTURE.md, "Transactions: the undo log").
     """
 
     def __init__(self, database: "Database"):
         self._database = database
-        self._snapshots: Dict[str, Set[FlexTuple]] = {}
+        self._mark = 0
+        self._outermost = False
         self._statistics_state: Optional[Dict[str, object]] = None
         self._statistics_version = 0
         self._feedback_version = 0
         self._durability = None
+        self._span = None
 
     def __enter__(self) -> "Database":
         database = self._database
-        self._snapshots = {
-            name: database.table(name).snapshot() for name in database.tables()
-        }
+        if database.durability is not None and not database._journal_suppressed:
+            database.durability.begin()
+            self._durability = database.durability
+        self._outermost = database._undo is None
+        if self._outermost:
+            database._undo = []
+        self._mark = len(database._undo)
         self._statistics_state = database.statistics.capture()
         self._statistics_version = database.statistics.version
         self._feedback_version = database.cardinality_feedback.version
-        if database.durability is not None and not database._journal_suppressed:
-            self._durability = database.durability
-            self._durability.begin()
+        self._span = database.tracer.span("transaction").__enter__()
         return database
 
     def __exit__(self, exc_type, exc_value, traceback) -> bool:
-        database = self._database
-        if exc_type is None:
-            if self._durability is not None:
+        durable = exc_type is None and self._durability is not None
+        if durable:
+            try:
                 self._durability.commit()
-            return False
+            except BaseException as failure:
+                self._close(type(failure))
+                raise
+        self._close(exc_type)
+        if durable:
+            # Not under the guard above: the transaction is durable by now, a
+            # failing checkpoint must not roll it back in memory.
+            self._durability.maybe_checkpoint()
+        return False
+
+    def _close(self, error) -> None:
+        """End the scope: undo unless it committed, release the log, report."""
+        database = self._database
+        changes = len(database._undo) - self._mark
+        outcome, counter = (("commit", "transactions.committed") if error is None
+                            else ("rollback", "transactions.rolled_back"))
+        try:
+            if error is not None:
+                self._rollback()
+        finally:
+            if self._outermost:
+                database._undo = None
+            database.metrics_registry.counter(counter).add()
+            self._span.set(outcome=outcome, changes=changes)
+            self._span.__exit__(error, None, None)
+
+    def _rollback(self) -> None:
+        database = self._database
         if self._durability is not None:
             self._durability.abort()
-        for name in database.tables():
-            if name in self._snapshots:
-                continue
-            # Created inside the failed transaction: the schema stays (DDL),
-            # any tuples inserted since do not (DML).
-            table = database.table(name)
-            if len(table):
-                table.restore(set())
-        for name, snapshot in self._snapshots.items():
-            if name not in database.catalog:
-                continue
-            table = database.table(name)
-            # Only touched tables are restored: an untouched table keeps its
-            # indexes and its fresh planner statistics.
-            if table.snapshot() != snapshot:
-                table.restore(snapshot)
+        undo = database._undo
+        touched: Dict[Table, None] = {}
+        while len(undo) > self._mark:
+            table, old, new = undo.pop()
+            if database._tables.get(table.name) is table:  # DDL is not undone
+                table.undo(old, new)
+                touched[table] = None
+        # Hooks fire once every table is back: a checkpoint they trigger must
+        # not snapshot a half-undone database.
+        for table in touched:
+            table._mutated("restore")
         if database._physical_executor is not None:
             database._physical_executor.evict_plans_after(
                 self._statistics_version, self._feedback_version)
         database.statistics.rollback_capture(self._statistics_state)
         database.cardinality_feedback.rollback(
             self._feedback_version, self._statistics_version)
-        return False
 
 
 def _as_tuple(item) -> FlexTuple:

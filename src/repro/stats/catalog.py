@@ -10,7 +10,7 @@ the single source the cost model consults.  Its contract:
   the table (insert / update / delete / transaction rollback) or a drop of the
   table makes them stale, so stale distributions can never mislead the planner;
 * stale statistics are kept around (inspect them via :meth:`peek`) and their
-  ``row_count`` is maintained incrementally on inserts and deletes, but the
+  ``row_count`` keeps following the table on every mutation, but the
   planner falls back to the default constants until the next ANALYZE;
 * :attr:`version` increases whenever the *planning-relevant* state changes:
   an ANALYZE, an explicit invalidation, the first mutation that turns fresh
@@ -203,8 +203,8 @@ class StatisticsCatalog:
         number of rows the table holds afterwards.
 
         The first mutation after an ANALYZE turns the statistics stale and bumps
-        the catalog version (invalidating cached plans); row counts keep being
-        maintained incrementally so ``peek`` stays approximately right.  For
+        the catalog version (invalidating cached plans); the row count keeps
+        following the table so ``peek`` stays approximately right.  For
         every table — analyzed or not — a cardinality change across a
         power-of-two boundary also bumps the version, so cached join-algorithm
         choices are revisited as tables grow or shrink substantially.
@@ -221,14 +221,9 @@ class StatisticsCatalog:
             if not entry.statistics.stale:
                 entry.statistics.stale = True
                 self._version += 1
-            if kind == "insert":
-                entry.statistics.row_count += 1
-            elif kind == "delete":
-                entry.statistics.row_count = max(0, entry.statistics.row_count - 1)
-            elif kind == "restore":
-                # A snapshot restore (transaction rollback) replaces the contents
-                # wholesale: resynchronize from the live table.
-                entry.statistics.row_count = rows
+            # Not counted per kind: an update onto a stored tuple (keyless
+            # tables) removes a row, a rollback any number of them.
+            entry.statistics.row_count = rows
         self._track_magnitude(name, rows)
         if entry is not None:
             self._maybe_auto_analyze(name, entry)

@@ -12,10 +12,10 @@ replay the committed prefix of the current epoch's log on top of it
 (discarding any torn tail and truncating the file back to the intact prefix),
 re-validate every invariant, and only then open the log for appending.  At
 runtime it journals every mutation *before* the table applies it
-(write-ahead), tags records with transaction ids handed out by
-``Database.transaction()``, fsyncs at commit points (optionally deferred by
-the group-commit window), and rewrites the snapshot + switches the log epoch
-on :meth:`checkpoint`.
+(write-ahead; an open ``Database.transaction()`` buffers its framed records
+and writes them in one piece at commit), fsyncs at commit points (optionally
+deferred by the group-commit window), and rewrites the snapshot + switches the
+log epoch on :meth:`checkpoint`.
 
 All activity is counted through the database's
 :class:`~repro.obs.metrics.MetricsRegistry` (``wal.*``, ``recovery.*``,
@@ -56,9 +56,14 @@ from repro.storage.wal import (
     OP_UPDATE,
     WALError,
     WriteAheadLog,
+    frame_record,
 )
 
-__all__ = ["DurabilityManager"]
+__all__ = ["DurabilityManager", "TXN_BUFFER_BYTES"]
+
+#: framed records an open transaction may hold back before they are appended
+#: to the log as uncommitted records (bounds memory, not transaction size)
+TXN_BUFFER_BYTES = 64 * 1024
 
 
 class DurabilityManager:
@@ -84,7 +89,11 @@ class DurabilityManager:
         self.checkpoints_written = 0
         self._next_txn_id = 0
         self._open_txn: Optional[int] = None
-        self._txn_began = False
+        #: the open transaction's framed records not yet written to the log
+        self._txn_frames = bytearray()
+        self._txn_records = 0
+        #: True once the open transaction has records in the log (a spill)
+        self._txn_spilled = False
 
     # -- paths ----------------------------------------------------------------------
 
@@ -173,10 +182,11 @@ class DurabilityManager:
     def log_mutation(self, table_name: str, kind: str, old, new) -> None:
         """Journal one DML statement *before* it is applied in memory.
 
-        Inside an open transaction the record carries the transaction id (the
-        ``begin`` record is written lazily, so read-only transactions leave no
-        trace); outside, the record is autocommitted — it is its own commit
-        point and is fsynced under the commit protocol.
+        Outside a transaction the record is autocommitted — it is its own
+        commit point and is fsynced under the commit protocol.  Inside one its
+        frame is *buffered* for :meth:`commit` to write (a broken or closed
+        log still refuses the mutation here); past :data:`TXN_BUFFER_BYTES`
+        the buffer goes to the log as uncommitted records (a *spill*).
         """
         record: Dict[str, object] = {"op": kind, "table": table_name,
                                      "txn": self._open_txn}
@@ -189,13 +199,17 @@ class DurabilityManager:
             record["values"] = old.as_dict()
         else:
             raise WALError("unknown mutation kind {!r}".format(kind))
-        if self._open_txn is not None:
-            if not self._txn_began:
-                self.wal.append({"op": OP_BEGIN, "txn": self._open_txn})
-                self._txn_began = True
-            self.wal.append(record)
-        else:
+        if self._open_txn is None:
             self.wal.commit(record)
+            return
+        self.wal.require_healthy()
+        self._txn_frames += frame_record(record)
+        self._txn_records += 1
+        if len(self._txn_frames) > TXN_BUFFER_BYTES:
+            frames, records = self._txn_frames, self._txn_records
+            self._txn_frames, self._txn_records = bytearray(), 0
+            self._txn_spilled = True
+            self.wal.append_frames(frames, records)
 
     def log_create_table(self, definition) -> None:
         from repro.engine.serialization import table_definition_to_dict
@@ -220,30 +234,31 @@ class DurabilityManager:
             raise WALError("a transaction is already open on the write-ahead log")
         self._next_txn_id += 1
         self._open_txn = self._next_txn_id
-        self._txn_began = False
+        # The ``begin`` record leads the buffer; a transaction that adds
+        # nothing to it (read-only) never writes it.
+        self._txn_frames = bytearray(frame_record({"op": OP_BEGIN, "txn": self._open_txn}))
+        self._txn_records = 1
+        self._txn_spilled = False
         return self._open_txn
 
     def commit(self) -> None:
+        """Write the buffered frames and the ``commit`` record in one piece
+        (nothing, if nothing was journaled).  The caller checkpoints afterwards:
+        a failed commit must stay distinguishable from a failed checkpoint."""
         txn, self._open_txn = self._open_txn, None
-        if txn is None or not self._txn_began:
-            self._txn_began = False
-            return
-        self._txn_began = False
-        self.wal.commit({"op": OP_COMMIT, "txn": txn})
-        self.maybe_checkpoint()
+        if txn is not None and (self._txn_records > 1 or self._txn_spilled):
+            self.wal.commit({"op": OP_COMMIT, "txn": txn},
+                            self._txn_frames, self._txn_records)
 
     def abort(self) -> None:
+        """Drop the open transaction; one that spilled gets an ``abort`` record,
+        best effort — replay discards a transaction without a commit anyway."""
         txn, self._open_txn = self._open_txn, None
-        began, self._txn_began = self._txn_began, False
-        if txn is None or not began:
-            return
-        try:
-            # Best effort: losing the abort record is harmless (a transaction
-            # without a commit is discarded by replay anyway), and the caller
-            # is already unwinding an exception.
-            self.wal.append({"op": OP_ABORT, "txn": txn})
-        except (WALError, OSError):
-            pass
+        if txn is not None and self._txn_spilled:
+            try:
+                self.wal.append({"op": OP_ABORT, "txn": txn})
+            except (WALError, OSError):
+                pass
 
     @property
     def in_transaction(self) -> bool:
@@ -290,22 +305,15 @@ class DurabilityManager:
         """Abort any open transaction and close the write-ahead log.
 
         Idempotent — the WAL's own close guard makes a second call a no-op.
-        An open transaction is aborted (best-effort abort record; replay
-        discards uncommitted work either way) so a database closed mid-
-        transaction leaves no transaction dangling.  The ``wal`` attribute
-        stays readable for post-mortem inspection (path, size, counters);
-        appending to it raises :class:`WALError`.
+        An open transaction is aborted (see :meth:`abort`) so a database
+        closed mid-transaction leaves no transaction dangling.  The ``wal``
+        attribute stays readable for post-mortem inspection (path, size,
+        counters); appending to it raises :class:`WALError`.
         """
         if self.wal is None:
             return
-        txn, self._open_txn = self._open_txn, None
-        began, self._txn_began = self._txn_began, False
         try:
-            if txn is not None and began:
-                try:
-                    self.wal.append({"op": OP_ABORT, "txn": txn})
-                except (WALError, OSError):
-                    pass
+            self.abort()
         finally:
             self.wal.close()
 

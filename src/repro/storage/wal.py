@@ -23,7 +23,11 @@ Record kinds (the ``op`` field):
 * ``begin`` / ``commit`` / ``abort`` — explicit transaction boundaries,
   carrying a ``txn`` id.  DML records between a ``begin`` and its ``commit``
   share the id; a transaction whose ``commit`` never made it to disk is
-  discarded wholesale on replay (atomicity).
+  discarded wholesale on replay (atomicity).  A transaction's frames are
+  buffered by the :class:`~repro.storage.durable.DurabilityManager` and reach
+  the log in one write at commit, so a rolled-back transaction normally
+  leaves nothing; ``abort`` is written only after a *spill* (a transaction
+  larger than the buffer, whose early records are already in the log).
 * ``insert`` / ``update`` / ``delete`` — DML.  Records with ``txn: null``
   are *autocommitted*: the record is its own transaction and commit point.
 * ``create_table`` / ``drop_table`` — DDL, always autonomous (applied
@@ -35,8 +39,9 @@ Record kinds (the ``op`` field):
   switches the log to a fresh epoch file.
 
 **Commit protocol.**  ``append`` buffers into the OS (``write`` + ``flush``,
-never ``fsync``); ``commit`` appends the commit record and then forces the
-log to disk.  With ``group_commit_window > 0`` the fsync is *deferred*: commit
+never ``fsync``); ``commit`` appends the commit record — together with the
+transaction's buffered frames, in the same write — and then forces the log
+to disk.  With ``group_commit_window > 0`` the fsync is *deferred*: commit
 records accumulate until either ``group_commit_max`` commits are pending or
 the window (seconds) has elapsed since the first pending one, and a single
 fsync then covers the whole batch — the classic group-commit amortization,
@@ -244,7 +249,8 @@ class WriteAheadLog:
             pass  # best effort — the torn tail is discarded by recovery anyway
         self.size = last_good
 
-    def _require_healthy(self) -> None:
+    def require_healthy(self) -> None:
+        """Raise :class:`WALError` when the log is closed or broken."""
         if self._closed:
             raise WALError(
                 "write-ahead log {!r} is closed".format(self.path))
@@ -264,28 +270,39 @@ class WriteAheadLog:
         :class:`WALError` when the log is broken; an I/O failure during the
         write breaks the log and re-raises.
         """
-        self._require_healthy()
-        frame = frame_record(record)
+        return self.append_frames(frame_record(record), 1)
+
+    def append_frames(self, frames, records: int) -> int:
+        """Write ``records`` already framed records (bytes-like) in one
+        ``write`` + ``flush``.
+
+        All or nothing: a failure part-way truncates the file back to where
+        the call started before the log is marked broken.
+        """
+        self.require_healthy()
         offset = self.size
         try:
-            self._file.write(frame)
+            self._file.write(frames)
             self._file.flush()
         except OSError as exc:
             self._fail(exc, offset)
             raise
-        self.size = offset + len(frame)
-        self.records_written += 1
-        self._count("wal.records")
-        self._count("wal.bytes", len(frame))
+        self.size = offset + len(frames)
+        self.records_written += records
+        self._count("wal.records", records)
+        self._count("wal.bytes", len(frames))
         return offset
 
-    def commit(self, record: Dict[str, object]) -> bool:
+    def commit(self, record: Dict[str, object], buffered=b"",
+               buffered_records: int = 0) -> bool:
         """Append a commit-point record and make it durable (or schedule it).
 
-        Returns ``True`` when the commit was fsynced before returning,
-        ``False`` when the group-commit window deferred the fsync.
+        ``buffered`` holds the already framed records of the transaction the
+        record commits; they go out in the same write, ahead of it.  Returns
+        ``True`` when the commit was fsynced before returning, ``False`` when
+        the group-commit window deferred the fsync.
         """
-        self.append(record)
+        self.append_frames(buffered + frame_record(record), buffered_records + 1)
         self.commits += 1
         self._count("wal.commits")
         self.pending_commits += 1
@@ -300,7 +317,7 @@ class WriteAheadLog:
 
     def sync(self) -> None:
         """Force everything appended so far to disk (one fsync, all pending)."""
-        self._require_healthy()
+        self.require_healthy()
         last_good = self.size
         try:
             self._file.flush()

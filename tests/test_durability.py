@@ -13,6 +13,7 @@ import struct
 import pytest
 
 from repro.engine import Database
+from repro.engine.database import REMOVE
 from repro.errors import KeyViolation
 from repro.model.scheme import FlexibleScheme
 from repro.storage import (
@@ -218,7 +219,11 @@ class TestDurableDatabase:
         database.close()
         recovered = Database(durable_path=path)
         assert len(recovered.table("employees")) == 1
-        assert recovered.durability.recovery_report.transactions_discarded >= 1
+        # ... and the log really has no trace of it: the create and the
+        # autocommitted insert are all recovery reads, nothing to discard
+        report = recovered.durability.recovery_report
+        assert report.records_read == 2
+        assert report.transactions_discarded == 0
         recovered.close()
 
     def test_read_only_transaction_writes_nothing(self, tmp_path):
@@ -524,6 +529,62 @@ class TestFaultInjection:
         assert len(recovered.table("t")) >= 1
         recovered.close()
 
+    def test_failed_commit_fsync_rolls_memory_back(self, tmp_path):
+        path = str(tmp_path / "db")
+        database = Database(
+            durable_path=path,
+            wal_file_factory=faulty_file_factory(FaultPlan(fail_fsync_at=4)))
+        table = _create_employees(database)                      # fsync 1
+        table.insert(_employee(1))                               # fsync 2
+        table.insert(_employee(2))                               # fsync 3
+        acknowledged = canonical_state(database)
+        with pytest.raises(IOError):
+            with database.transaction():
+                table.insert(_employee(3))
+                table.update(_employee(1), salary=1.0)
+                attempted = canonical_state(database)
+            # the commit's fsync (4) failed: nothing of it was acknowledged
+        assert canonical_state(database) == acknowledged         # reads serve none of it
+        assert verify_database(database) == []
+        assert database.durability.wal.broken and not database.durability.in_transaction
+        with pytest.raises(WALError):
+            table.insert(_employee(4))
+        database.close()
+        # on disk the commit is in doubt — written, maybe not synced — exactly
+        # like an autocommitted statement whose fsync failed
+        recovered = Database(durable_path=path)
+        assert verify_database(recovered) == []
+        assert canonical_state(recovered) in (acknowledged, attempted)
+        recovered.close()
+
+    def test_torn_commit_write_rolls_memory_back(self, tmp_path):
+        path = str(tmp_path / "db")
+        database = Database(durable_path=path)
+        table = _create_employees(database)
+        table.insert(_employee(1))
+        acknowledged = canonical_state(database)
+        database.close()
+        wal_size = os.path.getsize(os.path.join(path, wal_filename(0)))
+        database = Database(
+            durable_path=path,
+            wal_file_factory=faulty_file_factory(
+                FaultPlan(fail_after_bytes=150)))  # inside the second frame of three
+        table = database.table("employees")
+        with pytest.raises(IOError):
+            with database.transaction():
+                table.insert(_employee(2))
+                table.delete(_employee(1))
+        assert canonical_state(database) == acknowledged
+        assert verify_database(database) == []
+        assert database.durability.wal.broken
+        database.close()
+        # the coalesced write is all or nothing: the log is back at its length
+        assert os.path.getsize(os.path.join(path, wal_filename(0))) == wal_size
+        recovered = Database(durable_path=path)
+        assert canonical_state(recovered) == acknowledged
+        assert verify_database(recovered) == []
+        recovered.close()
+
     def test_injected_bit_flip_detected_at_recovery(self, tmp_path):
         path = str(tmp_path / "db")
         database = Database(
@@ -651,7 +712,72 @@ def _harness_units():
             delete, second_table, audit_insert]
 
 
+def _transaction_units(marks):
+    """Multi-row transactions: each commit is one coalesced write, one spills
+    first, one has DDL inside (``marks`` collects the log size right after it)."""
+    def ddl(database):
+        database.create_table("t", _simple_scheme(), key=["k"])
+
+    def small_txn(database):
+        with database.transaction():
+            database.insert("t", {"k": 1, "v": 1})
+            database.table("t").update({"k": 1, "v": 1}, v=REMOVE)
+
+    def spilling_txn(database):
+        with database.transaction():
+            for k in range(10, 15):
+                database.insert("t", {"k": k, "v": k})
+            database.table("t").delete({"k": 1})
+
+    def spilled_then_aborted(database):
+        try:
+            with database.transaction():
+                for k in range(30, 34):
+                    database.insert("t", {"k": k, "v": k})
+                raise RuntimeError("rolled back")
+        except RuntimeError:
+            pass
+
+    def ddl_inside_txn(database):
+        with database.transaction():
+            database.insert("t", {"k": 50})                               # buffered
+            database.create_table("audit", _simple_scheme(), key=["k"])   # written now
+            marks.append(database.durability.wal.size)
+            database.insert("audit", {"k": 1, "v": 2})
+            database.table("t").delete({"k": 10, "v": 10})
+
+    def autocommit(database):
+        database.insert("audit", {"k": 2})
+
+    return [ddl, small_txn, spilling_txn, spilled_then_aborted, ddl_inside_txn,
+            autocommit]
+
+
 class TestCrashHarness:
+    def test_crash_at_every_offset_of_coalesced_commits(self, tmp_path, monkeypatch):
+        # A small cap makes the fourth row spill, so the byte-exact sweep
+        # crosses spilled frames, the single commit write and DDL ahead of its
+        # transaction's DML.
+        monkeypatch.setattr("repro.storage.durable.TXN_BUFFER_BYTES", 256)
+        marks = []
+        units = _transaction_units(marks)
+        recording = record_workload(str(tmp_path / "record"), units)
+        ops = [record["op"] for record in read_frames(recording.wal_bytes)[0]]
+        assert ops == (
+            ["create_table", "begin", "insert", "update", "commit"]
+            + ["begin"] + ["insert"] * 5 + ["delete", "commit"]
+            + ["begin"] + ["insert"] * 4 + ["abort"]      # only a spill leaves debris
+            + ["create_table", "begin", "insert", "insert", "delete", "commit"]
+            + ["insert"])
+        # DDL inside a transaction is autonomous: from its frame on the table
+        # exists (empty), whatever becomes of the DML around it.
+        at = 1 + [unit.__name__ for unit in units].index("ddl_inside_txn")
+        before = recording.boundaries[at - 1][1]
+        recording.boundaries.insert(at, (marks[0], dict(before, audit=())))
+        summary = crash_at_every_offset(recording, str(tmp_path / "scratch"))
+        assert summary["offsets_tested"] == len(recording.wal_bytes) + 1
+        assert summary["transactions_discarded"] > 0
+
     def test_crash_at_every_offset(self, tmp_path):
         recording = record_workload(str(tmp_path / "record"), _harness_units())
         summary = crash_at_every_offset(recording, str(tmp_path / "scratch"))
