@@ -67,8 +67,10 @@ def _timed(callable_):
 
 def test_report_hash_join_beats_nested_loop(join_database):
     """The acceptance gate: hash join wins at ≥1k tuples per side."""
-    hash_plan = PhysicalPlan(HashJoin(Scan("employees"), Scan("assignments")))
-    nested_plan = PhysicalPlan(NestedLoopJoin(Scan("employees"), Scan("assignments")))
+    hash_plan = PhysicalPlan(HashJoin(Scan("employees"), Scan("assignments"),
+                                      on=["emp_id"]))
+    nested_plan = PhysicalPlan(NestedLoopJoin(Scan("employees"), Scan("assignments"),
+                                              on=["emp_id"]))
 
     hash_result, hash_seconds = _timed(lambda: hash_plan.execute(join_database))
     nested_result, nested_seconds = _timed(lambda: nested_plan.execute(join_database))

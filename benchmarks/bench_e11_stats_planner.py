@@ -142,8 +142,8 @@ def test_report_statistics_survive_serialization(skewed_database):
     print_report("E11: statistics persistence (skip re-ANALYZE after load)", rows,
                   json_name="e11_stats_persistence")
     assert loaded.statistics.is_fresh("events") and loaded.statistics.is_fresh("sessions")
-    # The vectorized default plans a BatchIndexLookupJoin; what matters here is
-    # that the reloaded database picks the same index-lookup plan.
+    # What matters here is that the reloaded database picks the same
+    # index-lookup plan.
     assert loaded_root == original_root
     assert isinstance(loaded.plan(query, optimize=False).root, IndexLookupJoin)
 

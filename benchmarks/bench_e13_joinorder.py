@@ -9,8 +9,7 @@ machine-readable ``BENCH_e13_*.json``):
 * the DP search (``join_order_search="dp"``) reorders the 6-way join to run
   ``fact ⋈ σ(dim_rare)`` first and examines **≥ 5× fewer join pairs**
   (``join_pairs_considered``) than the pre-search smallest-input-first order —
-  the ISSUE 4 acceptance gate — with identical result sets in both row and
-  batch execution modes;
+  the ISSUE 4 acceptance gate — with identical result sets;
 * the greedy O(n³) fallback finds a plan of the same quality on this workload
   while pricing far fewer candidate plans than the exhaustive DP (the
   DP/greedy trade-off the ``join_dp_threshold`` knob arbitrates);
@@ -51,10 +50,8 @@ def chain_database():
     return database
 
 
-def _run(database, query, mode, vectorize=True):
-    planner = PhysicalPlanner(database, join_order_search=mode,
-                              vectorize=vectorize)
-    plan = planner.plan(query)
+def _run(database, query, mode):
+    plan = PhysicalPlanner(database, join_order_search=mode).plan(query)
     start = time.perf_counter()
     result = plan.execute(database)
     seconds = time.perf_counter() - start
@@ -88,26 +85,6 @@ def test_report_star_dp_beats_smallest_first(star_database):
     dp_pairs = results["dp"].stats.join_pairs_considered
     # The ISSUE acceptance criterion.
     assert smallest_pairs >= ACCEPTANCE_FACTOR * dp_pairs
-
-
-def test_report_row_and_batch_modes_agree(star_database):
-    """The DP-ordered plan returns identical tuples in row and batch modes."""
-    query = star_join_query()
-    outcomes = {}
-    rows = []
-    for vectorize in (False, True):
-        plan, result, _report, seconds = _run(star_database, query, "dp",
-                                              vectorize=vectorize)
-        outcomes[plan.mode] = result
-        rows.append({"mode": plan.mode, "tuples": len(result),
-                     "join_pairs": result.stats.join_pairs_considered,
-                     "work": result.stats.total_work,
-                     "seconds": round(seconds, 4)})
-    print_report("E13: DP-ordered star join — row vs batch execution", rows,
-                 json_name="e13_row_vs_batch")
-    (first, second) = outcomes.values()
-    assert first.tuples == second.tuples
-    assert first.stats.join_pairs_considered == second.stats.join_pairs_considered
 
 
 def test_report_search_effort(star_database, chain_database):

@@ -2,8 +2,8 @@
 
 PR 6 threads wall-clock timing through every physical operator, folds every
 query into the ``Database.metrics()`` registry and leaves an (inert) tracer on
-the hot path.  This benchmark is the cost control: it runs the E12-class
-scan→filter→hash-join workload (100k events ⋈ 10k sessions) and the E14-class
+the hot path.  This benchmark is the cost control: it runs a
+scan→filter→hash-join workload (100k events ⋈ 10k sessions) and a
 restoration plan (outer union → 4-way multiway join → join → rename →
 extensions on 30k variant employees) twice each —
 
@@ -26,9 +26,17 @@ import time
 
 import pytest
 
-from bench_e12_vectorized import scan_filter_join_query
-from bench_e14_full_batch import FRAGMENT_STEPS, restoration_query
 from reporting import print_report
+from repro.algebra import (
+    Extension,
+    MultiwayJoin,
+    NaturalJoin,
+    OuterUnion,
+    RelationRef,
+    Rename,
+    Selection,
+)
+from repro.algebra.predicates import And, Comparison
 from repro.engine import Database
 from repro.model.scheme import FlexibleScheme
 from repro.workloads.employees import employee_scheme, generate_employees
@@ -37,6 +45,8 @@ from repro.workloads.events import events_scheme, generate_events, sessions_sche
 EVENTS = 100_000
 SESSIONS = 10_000
 EMPLOYEES = 30_000
+FRAGMENT_STEPS = (("badges", "badge", 2), ("offices", "office", 3),
+                  ("grades", "grade", 5))
 
 #: the ISSUE acceptance gate: instrumentation may cost at most 5% wall-clock
 OVERHEAD_GATE = 0.05
@@ -47,9 +57,34 @@ OVERHEAD_GATE = 0.05
 TIMING_RUNS = 7
 
 
+def scan_filter_join_query():
+    return NaturalJoin(
+        Selection(RelationRef("events"),
+                  And(Comparison("payload", "<=", 2),
+                      Comparison("kind", "!=", "view"))),
+        RelationRef("sessions"), on=["event_id"],
+    )
+
+
+def restoration_query():
+    """Outer union → 4-way multiway join → join → rename → two tag extensions."""
+    master = OuterUnion(
+        Selection(RelationRef("employees"),
+                  Comparison("jobtype", "=", "secretary")),
+        Selection(RelationRef("employees"),
+                  Comparison("jobtype", "=", "salesman")))
+    restored = MultiwayJoin(
+        [master, RelationRef("badges"), RelationRef("offices"),
+         RelationRef("grades")], on=["emp_id"])
+    joined = NaturalJoin(restored, RelationRef("reviews"), on=["emp_id"])
+    return Extension(
+        Extension(Rename(joined, {"score": "rating"}), "restored", True),
+        "source_pr", 5)
+
+
 @pytest.fixture(scope="module")
 def e12_database():
-    """The E12 workload: 100k variant events + 10k sessions, analyzed."""
+    """The join workload: 100k variant events + 10k sessions, analyzed."""
     database = Database(enforce_constraints=False)
     events = database.create_table("events", events_scheme(), key=["event_id"])
     events.insert_many(generate_events(EVENTS, rare_every=100))
@@ -62,7 +97,7 @@ def e12_database():
 
 @pytest.fixture(scope="module")
 def e14_database():
-    """The E14 workload: 30k variant employees + fragments + reviews, analyzed."""
+    """The restoration workload: 30k variant employees + fragments + reviews, analyzed."""
     database = Database(enforce_constraints=False)
     employees = database.create_table("employees", employee_scheme(),
                                       key=["emp_id"], indexes=[["jobtype"]])

@@ -1,16 +1,15 @@
 """Bench-regression gate: compare BENCH_*.json speedup ratios against baselines.
 
-The E12 and E14 benchmarks emit machine-readable reports whose ``speedup``
-column is a wall-clock *ratio* (batch vs row, whole-plan batch vs mixed) — a
-machine-independent number that is stable across CI runners, unlike absolute
-seconds.  This script reads the freshly produced reports and the committed
+The tracked benchmarks emit machine-readable reports whose ``speedup`` column
+is a *ratio* of two measurements of the same run — a machine-independent
+number that is stable across CI runners, unlike absolute seconds.  This script reads the freshly produced reports and the committed
 baselines (``benchmarks/results/`` at the tested commit) and fails when any
 tracked ratio drops more than ``--tolerance`` (default 20%) below its
 baseline::
 
     cp -r benchmarks/results /tmp/bench-baselines       # before running benches
-    PYTHONPATH=src python -m pytest benchmarks/bench_e12_vectorized.py \
-        benchmarks/bench_e14_full_batch.py -q -s -k report
+    PYTHONPATH=src python -m pytest benchmarks/bench_e18_aggregation.py \
+        benchmarks/bench_e19_governor.py -q -s -k report
     python benchmarks/check_regression.py \
         --baseline /tmp/bench-baselines --current benchmarks/results
 
@@ -40,9 +39,8 @@ import sys
 #: e19's ratio is the peak-memory reduction of the spilling hash aggregate
 #: under a quarter budget (≥2x): a PR that weakens spilling — coarser budget
 #: checks, bigger held partitions — drags it toward 1.0x.
-TRACKED_REPORTS = ("e12_vectorized_exec", "e14_full_batch", "e15_observability",
-                   "e16_feedback", "e17_durability", "e18_aggregation",
-                   "e19_governor")
+TRACKED_REPORTS = ("e15_observability", "e16_feedback", "e17_durability",
+                   "e18_aggregation", "e19_governor")
 
 DEFAULT_TOLERANCE = 0.2
 

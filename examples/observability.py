@@ -137,8 +137,8 @@ def stale_statistics_and_slow_log(database):
     database.slow_query_log.threshold = 0.0
     database.execute(rare_join_query())
     entry = database.slow_query_log.entries()[-1]
-    print("   slow-query log captured: mode={} seconds={:.4f} rows={}".format(
-        entry.mode, entry.seconds, entry.rows))
+    print("   slow-query log captured: seconds={:.4f} rows={}".format(
+        entry.seconds, entry.rows))
     print("   worst-estimated plan nodes in the entry:")
     for label, value in entry.q_error_nodes:
         print("     q={:<10.1f} {}".format(value, label))

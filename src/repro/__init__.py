@@ -19,7 +19,7 @@ The package is organized in layers:
 * :mod:`repro.stats`     — the statistics subsystem: ANALYZE, equi-depth
   histograms, NDV/min-max/presence fractions and variant-tag frequency tables,
   bundled in a versioned, mutation-invalidated catalog the planners consult;
-* :mod:`repro.exec`      — the physical execution engine: volcano/batch operators
+* :mod:`repro.exec`      — the physical execution engine: batch operators
   (index-aware scans, hash joins with guard-aware partitioning, index-lookup
   joins), a physical planner lowering rewritten expressions, and a plan cache;
 * :mod:`repro.engine`    — an in-memory database with catalog, keys, indexes and

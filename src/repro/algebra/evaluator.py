@@ -77,10 +77,9 @@ class ExecutionStats:
     ``operators_executed`` / ``operator_counts``
         One increment per operator node (logical or physical) that ran.
 
-    The vectorized operators of :mod:`repro.exec.vectorized` maintain the same
-    counters in bulk (``+= len(batch)`` instead of ``+= 1`` per tuple), so row
-    and batch execution of one plan shape report identical totals — only the
-    bookkeeping is amortized.  Plan *reuse* is not counted here: the physical
+    The physical operators of :mod:`repro.exec.operators` maintain the same
+    counters in bulk (``+= len(batch)`` instead of ``+= 1`` per tuple) — only
+    the bookkeeping is amortized.  Plan *reuse* is not counted here: the physical
     executor's plan-cache hits and misses live on
     :attr:`repro.exec.PhysicalExecutor.cache_hits` /
     :attr:`~repro.exec.PhysicalExecutor.cache_misses` (rendered by

@@ -564,19 +564,8 @@ class Database:
 
     # -- queries ------------------------------------------------------------------------------------------
 
-    @staticmethod
-    def _vectorize_flag(mode: Optional[str]) -> Optional[bool]:
-        """Map an execution-mode name to the executor's ``vectorize`` override."""
-        if mode is None:
-            return None
-        if mode == "batch":
-            return True
-        if mode == "row":
-            return False
-        raise CatalogError("unknown execution mode {!r}; use 'batch' or 'row'".format(mode))
-
     def execute(self, expression: Expression, optimize: bool = False,
-                executor: str = "physical", mode: Optional[str] = None,
+                executor: str = "physical",
                 batch_size: Optional[int] = None,
                 timeout: Optional[float] = None,
                 cancel_token=None,
@@ -588,13 +577,10 @@ class Database:
         ``executor`` selects the execution engine: ``"physical"`` (default) runs
         the expression through the physical plan layer of :mod:`repro.exec` —
         index-aware scans, hash joins, cached plans; ``"naive"`` runs the
-        reference set evaluator of :mod:`repro.algebra`.  ``mode`` picks the
-        physical execution mode: ``"batch"`` (vectorized operators, the
-        default), ``"row"`` (tuple-at-a-time), or ``None`` for the executor's
-        default.  ``batch_size`` pins the tuples-per-batch for this execution;
-        ``None`` lets the planner size batches adaptively from the statistics.
-        All paths produce identical result sets (enforced by the differential
-        test suite).
+        reference set evaluator of :mod:`repro.algebra`.  ``batch_size`` pins
+        the tuples-per-batch for this execution; ``None`` lets the planner size
+        batches adaptively from the statistics.  Both executors produce
+        identical result sets (enforced by the differential test suite).
 
         Governance (physical executor only): ``timeout`` sets this query's
         deadline in seconds (``QueryTimeout`` past it); ``cancel_token`` a
@@ -606,14 +592,13 @@ class Database:
         :class:`~repro.governor.admission.AdmissionController` is attached.
         """
         result, _report = self.execute_with_report(
-            expression, optimize=optimize, executor=executor, mode=mode,
+            expression, optimize=optimize, executor=executor,
             batch_size=batch_size, timeout=timeout, cancel_token=cancel_token,
             memory_budget=memory_budget, spill=spill, query_class=query_class)
         return result
 
     def execute_with_report(self, expression: Expression, optimize: bool = True,
                             executor: str = "physical",
-                            mode: Optional[str] = None,
                             batch_size: Optional[int] = None,
                             timeout: Optional[float] = None,
                             cancel_token=None,
@@ -625,11 +610,11 @@ class Database:
             with self.tracer.span("rewrite"):
                 template, params = self.physical_executor.template(expression, optimize)
             return self._run_template(
-                template, params, executor, mode, batch_size, timeout=timeout,
+                template, params, executor, batch_size, timeout=timeout,
                 cancel_token=cancel_token, memory_budget=memory_budget,
                 spill=spill, query_class=query_class), template.report
 
-    def _run_template(self, template, params, executor: str, mode: Optional[str],
+    def _run_template(self, template, params, executor: str,
                       batch_size: Optional[int], timeout: Optional[float] = None,
                       cancel_token=None, memory_budget: Optional[int] = None,
                       **governance) -> EvaluationResult:
@@ -637,12 +622,11 @@ class Database:
         shared tail of :meth:`execute_with_report` and :meth:`query`."""
         if executor == "physical":
             return self._run_physical(
-                template, params, self._vectorize_flag(mode), batch_size,
+                template, params, batch_size,
                 timeout=timeout, cancel_token=cancel_token,
                 memory_budget=memory_budget, **governance)[1]
         if executor != "naive":
             raise CatalogError("unknown executor {!r}; use 'physical' or 'naive'".format(executor))
-        self._vectorize_flag(mode)
         if (timeout is not None or cancel_token is not None
                 or memory_budget is not None):
             raise CatalogError(
@@ -679,7 +663,7 @@ class Database:
             spill_directory=self.spill_directory,
             registry=self.metrics_registry)
 
-    def _run_physical(self, template, params, vectorize: Optional[bool],
+    def _run_physical(self, template, params,
                       batch_size: Optional[int],
                       timeout: Optional[float] = None,
                       cancel_token=None,
@@ -717,9 +701,9 @@ class Database:
         plan = None
         try:
             with self.tracer.span("plan"):
-                plan = executor.plan(template, vectorize=vectorize,
-                                     batch_size=batch_size, params=params)
-            with self.tracer.span("execute", mode=plan.mode) as span:
+                plan = executor.plan(template, batch_size=batch_size,
+                                     params=params)
+            with self.tracer.span("execute") as span:
                 result = plan.execute(self, use_indexes=executor.use_indexes,
                                       governor=governor, params=params)
                 span.set(rows=len(result.tuples))
@@ -760,8 +744,7 @@ class Database:
         carrying the termination reason, and a trace event — and *not*
         ``queries.executed``, so terminated and completed work never blur."""
         self.metrics_registry.counter("queries." + reason).add()
-        mode = plan.mode if plan is not None else "-"
-        self.slow_query_log.record(template.describe(params), mode, elapsed, 0,
+        self.slow_query_log.record(template.describe(params), elapsed, 0,
                                    note="terminated: " + reason)
         self.tracer.event("query-terminated", reason=reason, seconds=elapsed)
 
@@ -831,14 +814,13 @@ class Database:
         if self._active_profile is not None:
             self._active_profile.observe({
                 "expression": template.describe(params),
-                "mode": plan.mode,
                 "seconds": elapsed,
                 "rows": len(result.tuples),
                 "peak_bytes": peak_bytes,
             })
         if elapsed >= self.slow_query_log.threshold:
             self.slow_query_log.observe(
-                template.describe(params), plan.mode, elapsed, len(result.tuples),
+                template.describe(params), elapsed, len(result.tuples),
                 node_q_errors(plan, result.context))
             self.tracer.event("slow-query", seconds=elapsed,
                               threshold=self.slow_query_log.threshold)
@@ -919,7 +901,7 @@ class Database:
                 note += "; suspect plan change {} -> {}".format(
                     suspect["before"]["operators"], suspect["after"]["operators"])
             self.slow_query_log.record(
-                template.describe(params), plan.mode, elapsed, len(result.tuples),
+                template.describe(params), elapsed, len(result.tuples),
                 node_q_errors(plan, result.context), note=note)
 
     def metrics(self) -> Dict[str, object]:
@@ -963,8 +945,8 @@ class Database:
                 run_workload(database)
             report = prof.report   # queries, plans, feedback deltas, regressions
 
-        The report dict carries every query executed inside the window (mode,
-        latency, rows, peak operator memory), the feedback-store delta, the
+        The report dict carries every query executed inside the window
+        (latency, rows, peak operator memory), the feedback-store delta, the
         plan changes and regressions the watchdog flagged, and a full
         :meth:`metrics` snapshot — the shape the benchmark reporting layer
         embeds.
@@ -984,40 +966,34 @@ class Database:
         return json_snapshot(self.metrics_registry, extra=engine)
 
     def plan(self, expression: Expression, optimize: bool = True,
-             mode: Optional[str] = None,
              batch_size: Optional[int] = None) -> PhysicalPlan:
         """The physical plan the database would run for ``expression``.
 
         With ``optimize=True`` the AD-driven rewrites are applied first, so the
-        plan shows what actually executes; ``mode`` selects ``"batch"`` or
-        ``"row"`` lowering (``plan.mode`` reports what came out) and
-        ``batch_size`` pins the plan's batch size (``None`` = adaptive);
-        ``plan.explain()`` renders it.
+        plan shows what actually executes; ``batch_size`` pins the plan's
+        batch size (``None`` = adaptive); ``plan.explain()`` renders it.
         """
         executor = self.physical_executor
         template, params = executor.template(expression, optimize)
-        return executor.plan(template, vectorize=self._vectorize_flag(mode),
-                             batch_size=batch_size, params=params).bound(params)
+        return executor.plan(template, batch_size=batch_size,
+                             params=params).bound(params)
 
     def explain(self, expression: Expression, optimize: bool = True,
-                mode: Optional[str] = None,
                 batch_size: Optional[int] = None) -> str:
-        """Human-readable plan for ``expression``, with execution mode, the
-        batch-size decision and plan-cache counters in the header::
+        """Human-readable plan for ``expression``, with the batch-size
+        decision and plan-cache counters in the header::
 
-            mode=batch  batch_size=1365  plan-cache: hits=3 misses=1
-            hash-join[on={event_id}]  [batch] ...
+            batch_size=1365  plan-cache: hits=3 misses=1
+            hash-join[on={event_id}] ...
         """
-        plan = self.plan(expression, optimize=optimize, mode=mode,
-                         batch_size=batch_size)
+        plan = self.plan(expression, optimize=optimize, batch_size=batch_size)
         cache = self.physical_executor.cache_info()
-        header = "mode={}  batch_size={}  plan-cache: hits={} misses={}".format(
-            plan.mode, plan.batch_size if plan.batch_size is not None else "default",
+        header = "batch_size={}  plan-cache: hits={} misses={}".format(
+            plan.batch_size if plan.batch_size is not None else "default",
             cache["hits"], cache["misses"])
         return header + "\n" + plan.explain()
 
     def explain_analyze(self, expression: Expression, optimize: bool = True,
-                        mode: Optional[str] = None,
                         batch_size: Optional[int] = None) -> ExplainAnalyzeReport:
         """Execute ``expression`` and render the plan annotated with what
         actually happened: per node, actual vs estimated rows, the Q-error
@@ -1033,16 +1009,15 @@ class Database:
         with self.tracer.span("query.explain-analyze"):
             with self.tracer.span("rewrite"):
                 template, params = self.physical_executor.template(expression, optimize)
-            plan, result = self._run_physical(
-                template, params, self._vectorize_flag(mode), batch_size)
-        header = "mode={}  batch_size={}  wall={:.3f}ms  rows={}".format(
-            plan.mode, result.context.batch_size,
+            plan, result = self._run_physical(template, params, batch_size)
+        header = "batch_size={}  wall={:.3f}ms  rows={}".format(
+            result.context.batch_size,
             result.wall_seconds * 1000.0, len(result.tuples))
         text = render_explain_analyze(plan, result, header=header)
         return ExplainAnalyzeReport(plan.bound(params), result, text)
 
     def query(self, text: str, optimize: bool = True,
-              executor: str = "physical", mode: Optional[str] = None,
+              executor: str = "physical",
               batch_size: Optional[int] = None,
               timeout: Optional[float] = None,
               cancel_token=None,
@@ -1063,7 +1038,7 @@ class Database:
             with self.tracer.span("parse"):
                 template, params = self.physical_executor.statement(text, optimize)
             return self._run_template(
-                template, params, executor, mode, batch_size, timeout=timeout,
+                template, params, executor, batch_size, timeout=timeout,
                 cancel_token=cancel_token, memory_budget=memory_budget,
                 spill=spill, query_class=query_class)
 

@@ -3,16 +3,15 @@
 The logical layer (:mod:`repro.algebra`) defines *what* a query means; this
 package decides *how* to run it:
 
-* :mod:`repro.exec.operators` — volcano/batch physical operators: index-aware
-  :class:`Scan` with pushed-down selections and type guards, :class:`HashJoin`
-  with guard-aware partitioning for variant records, streaming unions and
-  difference, and physical forms of every remaining algebra operator;
-* :mod:`repro.exec.vectorized` + :mod:`repro.exec.compiled` — the vectorized
-  execution path: batch forms of **every** operator streaming column-oriented
-  :class:`~repro.model.batches.TupleBatch` chunks, selections/type guards
-  compiled once per plan node into closures over column arrays, lazy
-  column-merged join output (:class:`~repro.model.batches.LazyBatch`) and
-  adaptive, statistics-driven batch sizing;
+* :mod:`repro.exec.operators` — the physical operators, one class per
+  operator, streaming column-oriented :class:`~repro.model.batches.TupleBatch`
+  chunks: index-aware :class:`Scan` with pushed-down selections and type
+  guards, :class:`HashJoin` with guard-aware partitioning for variant records
+  and lazy column-merged output (:class:`~repro.model.batches.LazyBatch`),
+  streaming unions and difference, and physical forms of every remaining
+  algebra operator;
+* :mod:`repro.exec.compiled` — selections, type guards, extensions, renames
+  and aggregates compiled once per plan node into closures over column arrays;
 * :mod:`repro.exec.planner`  — the :class:`PhysicalPlanner` lowering (rewritten)
   logical expression trees into :class:`PhysicalPlan` objects, choosing join
   algorithms from the cost model;
@@ -38,32 +37,11 @@ from repro.exec.context import (
     MAX_BATCH_SIZE,
     MIN_BATCH_SIZE,
     TARGET_BATCH_CELLS,
-    VECTOR_BATCH_SIZE,
     ExecutionContext,
     OperatorStats,
     adaptive_batch_size,
 )
 from repro.exec.executor import PhysicalExecutor, PlanCache
-from repro.exec.vectorized import (
-    BatchDifference,
-    BatchEmptyOp,
-    BatchExtension,
-    BatchFilter,
-    BatchGuard,
-    BatchHashAggregate,
-    BatchHashJoin,
-    BatchIndexLookupJoin,
-    BatchMergeUnion,
-    BatchMultiwayJoin,
-    BatchOuterUnion,
-    BatchProduct,
-    BatchProject,
-    BatchRename,
-    BatchScan,
-    BatchSort,
-    BatchSubqueryExtend,
-    BatchTopK,
-)
 from repro.exec.operators import (
     DifferenceOp,
     EmptyOp,
@@ -75,6 +53,7 @@ from repro.exec.operators import (
     IndexLookupJoin,
     MergeUnion,
     MultiwayJoinOp,
+    NaturalJoinOp,
     NestedLoopJoin,
     OuterUnionOp,
     PhysicalOperator,
@@ -98,26 +77,7 @@ __all__ = [
     "MAX_BATCH_SIZE",
     "MIN_BATCH_SIZE",
     "TARGET_BATCH_CELLS",
-    "VECTOR_BATCH_SIZE",
     "adaptive_batch_size",
-    "BatchDifference",
-    "BatchEmptyOp",
-    "BatchExtension",
-    "BatchFilter",
-    "BatchGuard",
-    "BatchHashAggregate",
-    "BatchHashJoin",
-    "BatchIndexLookupJoin",
-    "BatchMergeUnion",
-    "BatchMultiwayJoin",
-    "BatchOuterUnion",
-    "BatchProduct",
-    "BatchProject",
-    "BatchRename",
-    "BatchScan",
-    "BatchSort",
-    "BatchSubqueryExtend",
-    "BatchTopK",
     "CompiledAggregates",
     "CompiledExtension",
     "CompiledGuard",
@@ -137,6 +97,7 @@ __all__ = [
     "RenameOp",
     "ProductOp",
     "NestedLoopJoin",
+    "NaturalJoinOp",
     "HashJoin",
     "IndexLookupJoin",
     "MergeUnion",

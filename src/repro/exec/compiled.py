@@ -1,8 +1,8 @@
 """One-time compilation of selection predicates and type guards to batch closures.
 
-The row engine re-interprets a :class:`~repro.algebra.predicates.Predicate` tree
-for every tuple: each evaluation re-resolves attribute names, re-looks-up the
-comparison operator and re-dispatches through the predicate class hierarchy.
+Interpreting a :class:`~repro.algebra.predicates.Predicate` tree per tuple
+re-resolves attribute names, re-looks-up the comparison operator and
+re-dispatches through the predicate class hierarchy on every evaluation.
 This module performs that structural work **once per plan node** and produces a
 closure that runs over the column arrays of a :class:`~repro.model.batches.TupleBatch`:
 
@@ -120,7 +120,7 @@ def _bind_rowfn(predicate: Predicate, batch: TupleBatch,
     return lambda i: bool(predicate.evaluate(rows[i]))
 
 
-# -- narrowing passes (the vectorized path) ---------------------------------------------
+# -- narrowing passes --------------------------------------------------------------------
 
 
 def _compile_comparison(predicate: Comparison) -> Narrower:
@@ -139,7 +139,7 @@ def _compile_comparison(predicate: Comparison) -> Narrower:
         except TypeError:
             candidates = _candidates(batch, indices)
             # A mixed-type column hit an incomparable pair: redo this batch with
-            # the per-row guard (that row is simply false, as in the row engine).
+            # the per-row guard (that row is simply false, as when interpreted).
             survivors: List[int] = []
             append = survivors.append
             for i in candidates:
@@ -231,9 +231,8 @@ class CompiledExtension:
     """The ε operator compiled to a whole-batch value-dict transform.
 
     One presence-bitmap test per batch replaces the per-tuple "attribute already
-    present" check of :meth:`FlexTuple.extend` (the error semantics are
-    identical — the row engine raises on the first offending tuple of a batch,
-    this raises on the batch containing it), and the output is a list of
+    present" check of :meth:`FlexTuple.extend` (the same error, raised on the
+    batch containing the first offending tuple), and the output is a list of
     extended value dicts ready for a lazy batch — no tuples are built.
     """
 
@@ -249,7 +248,7 @@ class CompiledExtension:
         if batch.column_mask(name):
             raise TupleError("attribute {!r} already present".format(name))
         # An unhashable tag value can never form a FlexTuple; fail on the first
-        # batch, exactly where the row engine's eager construction would.
+        # batch, exactly where an eager construction would.
         hash(self.value)
         value = self.value
         out = []
@@ -270,7 +269,7 @@ class CompiledRename:
     The mapping is resolved once; each row becomes a new value dict with the
     renamed keys, built in sorted attribute order — the same iteration order as
     :meth:`FlexTuple.items`, so a mapping collapsing two attributes onto one
-    target keeps the row engine's last-writer-wins semantics.
+    target keeps :class:`FlexTuple`'s last-writer-wins semantics.
     """
 
     __slots__ = ("mapping",)

@@ -19,14 +19,12 @@ from typing import Dict, List, Optional
 
 from repro.algebra.evaluator import ExecutionStats
 
-#: default number of tuples per batch handed between operators (row mode)
-DEFAULT_BATCH_SIZE = 256
+#: default number of tuples per batch handed between operators, for plans
+#: without a sizing decision of their own (hand-built ones) — large enough to
+#: amortize the per-batch column extraction and counter updates
+DEFAULT_BATCH_SIZE = 1024
 
-#: default batch size for vectorized plans — larger batches amortize the
-#: per-batch column extraction and counter updates across more tuples
-VECTOR_BATCH_SIZE = 1024
-
-#: target number of *values* (tuple width × batch size) per vectorized batch;
+#: target number of *values* (tuple width × batch size) per batch;
 #: wide variant tuples get proportionally smaller batches so column extraction
 #: and presence bitmaps stay cache-friendly
 TARGET_BATCH_CELLS = 8192
@@ -88,7 +86,7 @@ def sampled_size(container, sample: int = MEMORY_SAMPLE) -> int:
 
 
 def adaptive_batch_size(width: float, base_rows: Optional[float] = None) -> int:
-    """The planner's batch-size heuristic for vectorized plans.
+    """The planner's batch-size heuristic.
 
     ``width`` is the estimated average tuple width (attributes per tuple, from
     the statistics when fresh); ``base_rows`` the largest base-relation

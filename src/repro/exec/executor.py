@@ -64,10 +64,8 @@ class PlanKey(NamedTuple):
     template: tuple
     #: ``(type, selectivity bucket)`` per parameter slot
     parameters: tuple
-    vectorize: bool
     batch_size: Optional[int]
     join_order_search: Optional[str]
-    batch_forms: str
     catalog_version: object
     statistics_version: object
 
@@ -169,14 +167,14 @@ class PhysicalExecutor:
 
     def __init__(self, source, planner: Optional[PhysicalPlanner] = None,
                  cache_size: int = 128, batch_size: Optional[int] = None,
-                 use_indexes: bool = True, vectorize: bool = True,
+                 use_indexes: bool = True,
                  join_order_search: Optional[str] = None):
         self.source = source
         if planner is None:
             kwargs = {}
             if join_order_search is not None:
                 kwargs["join_order_search"] = join_order_search
-            planner = PhysicalPlanner(source=source, vectorize=vectorize, **kwargs)
+            planner = PhysicalPlanner(source=source, **kwargs)
         elif (join_order_search is not None
               and join_order_search != planner.join_order_search):
             raise ValueError(
@@ -191,7 +189,6 @@ class PhysicalExecutor:
         #: ``None`` lets the planner pick the adaptive batch size per plan
         self.batch_size = batch_size
         self.use_indexes = use_indexes
-        self.vectorize = vectorize
 
     @property
     def cache_hits(self) -> int:
@@ -363,8 +360,8 @@ class PhysicalExecutor:
             plan.feedback_version = feedback.version
         return True
 
-    def plan(self, expression, vectorize: Optional[bool] = None,
-             batch_size: Optional[int] = None, params=None) -> PhysicalPlan:
+    def plan(self, expression, batch_size: Optional[int] = None,
+             params=None) -> PhysicalPlan:
         """The (possibly cached) physical plan for ``expression``.
 
         ``expression`` is a :class:`QueryTemplate` with its ``params`` — the
@@ -372,22 +369,19 @@ class PhysicalExecutor:
         ``params=`` — or an expression with concrete constants, for which the
         plan comes back bound to them.
 
-        ``vectorize`` overrides the executor's default execution mode for this
-        plan; ``batch_size`` the executor's default batch size (``None`` lets
-        the planner size batches adaptively).  The cache key includes the
+        ``batch_size`` overrides the executor's default batch size (``None``
+        lets the planner size batches adaptively).  The cache key includes the
         *effective* batch-size request, so a plan built (and sized) for one
         batch size is never reused when the caller asks for another.
         """
         if not isinstance(expression, QueryTemplate):
             template, params = self.template(expression)
-            return self.plan(template, vectorize, batch_size, params).bound(params)
-        effective = self.vectorize if vectorize is None else vectorize
+            return self.plan(template, batch_size, params).bound(params)
         requested = self.batch_size if batch_size is None else batch_size
         key = PlanKey(expression.key,
                       self._parameter_classes(expression, params) if params else (),
-                      effective, requested,
+                      requested,
                       getattr(self.planner, "join_order_search", None),
-                      getattr(self.planner, "batch_forms", "all"),
                       _catalog_version(self.source), _statistics_version(self.source))
         tracer = tracer_of(self.source)
         plan = self.cache.get(key, lambda cached: self._reads_hold(cached, params))
@@ -395,7 +389,7 @@ class PhysicalExecutor:
             if tracer is not None:
                 tracer.event("plan-cache-miss", hits=self.cache.hits,
                              misses=self.cache.misses)
-            plan = self.planner.plan(expression.expression, vectorize=effective,
+            plan = self.planner.plan(expression.expression,
                                      batch_size=requested, params=params)
             plan.feedback_version = getattr(
                 getattr(self.source, "cardinality_feedback", None), "version", None)
@@ -407,7 +401,6 @@ class PhysicalExecutor:
 
     def execute(self, expression: Expression,
                 stats: Optional[ExecutionStats] = None,
-                vectorize: Optional[bool] = None,
                 batch_size: Optional[int] = None,
                 governor=None) -> PhysicalResult:
         """Plan (or fetch from cache) and run ``expression``.
@@ -416,7 +409,7 @@ class PhysicalExecutor:
         separate size is passed at execution time.  ``governor`` bounds the
         execution (see :mod:`repro.governor`).
         """
-        plan = self.plan(expression, vectorize=vectorize, batch_size=batch_size)
+        plan = self.plan(expression, batch_size=batch_size)
         return plan.execute(self.source, stats=stats,
                             use_indexes=self.use_indexes, governor=governor)
 

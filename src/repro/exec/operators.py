@@ -1,36 +1,64 @@
-"""Physical operators: the volcano/batch execution layer.
+"""Physical operators: the batch execution layer.
 
-Every operator pulls *batches* (lists) of :class:`~repro.model.tuples.FlexTuple`
-from its children and yields batches downstream, so large intermediate results are
-never forced into a single Python collection unless an algorithm genuinely needs
-materialization (hash-join build sides, difference right sides, shared-attribute
-discovery for natural joins over heterogeneous inputs).
+Every operator pulls *batches* from its children and yields batches
+downstream — column-oriented :class:`~repro.model.batches.TupleBatch` chunks,
+or :class:`~repro.model.batches.LazyBatch` chunks of plain value dicts whose
+:class:`~repro.model.tuples.FlexTuple` objects are only built when something
+needs row objects (the result set, an interpreted predicate, a materializing
+operator).  Large intermediate results are never forced into a single Python
+collection unless an algorithm genuinely needs materialization (hash-join
+build sides, difference right sides, sorts).
 
 Operator semantics mirror the naive set evaluator in
 :mod:`repro.algebra.evaluator` exactly — the differential tests in
-``tests/test_exec_parity.py`` enforce tuple-level equality — but the algorithms
-differ:
+``tests/test_exec_parity.py`` and ``tests/test_fuzz_parity.py`` enforce
+tuple-level equality — but the algorithms differ:
 
-* :class:`Scan` applies pushed-down selections and type guards while reading, and
-  can answer equality predicates from the engine's hash indexes instead of reading
-  the whole relation;
-* :class:`HashJoin` replaces the evaluator's nested loop with build/probe on the
-  natural-join attributes, with *guard-aware partitioning*: variant records that
-  lack a join attribute are partitioned out up front (they can never join) and
-  counted as guard checks rather than join pairs;
-* :class:`MergeUnion` / :class:`DifferenceOp` stream one side against a
-  materialized other side.
+* predicates and type guards are compiled **once per plan node**
+  (:mod:`repro.exec.compiled`) and run as tight loops / bitmap tests over
+  column arrays; :class:`Scan` applies them while reading and can answer
+  equality predicates from the engine's hash indexes instead of reading the
+  whole relation;
+* :class:`HashJoin` and :class:`IndexLookupJoin` read the join columns as flat
+  arrays, with *guard-aware partitioning*: variant records that lack a join
+  attribute are skipped via the presence bitmap (they can never join) and
+  counted as guard checks rather than join pairs.  The probe loop zips build
+  and probe value dicts into merged dicts — conflicts and duplicates are
+  detected eagerly, on the dicts — and emits them lazily; projection,
+  extension and rename are pure column/dict transforms and stay lazy the same
+  way, so a chain of joins and reshapes over a filtered stream never builds
+  tuples a downstream operator drops;
+* unions and difference are set-semantics pinch points that dedup on the row
+  objects themselves (their inputs are usually already-built tuples whose
+  cached hashes make that the cheapest exact check), so a lazy input batch is
+  materialized there;
+* :class:`HashAggregateOp` accumulates column-wise through
+  :class:`~repro.exec.compiled.CompiledAggregates`; :class:`SortOp` /
+  :class:`TopKOp` order ``(values, hash)`` pairs so result tuples rebuild with
+  their hashes precomputed.  Under a ``memory_budget`` with spilling allowed,
+  join, aggregate and sort switch to their spill forms
+  (:mod:`repro.governor.spill`); every other materialization fails fast.
+
+Two operators materialize their inputs as tuple sets and emit plain lists,
+which every other operator accepts (:meth:`TupleBatch.of` wraps a list without
+copying): :class:`NestedLoopJoin`, picked for provably tiny inputs, and
+:class:`NaturalJoinOp`, the natural join whose attribute set is data-dependent
+(``on=None`` — both sides must be materialized to discover it).
 
 Work counters are written into the shared
 :class:`~repro.algebra.evaluator.ExecutionStats` with the same meaning the
-evaluator gives them (see its docstring for the counter semantics), so naive and
-physical costs are directly comparable.  Each operator additionally records
-rows-in/rows-out in the :class:`~repro.exec.context.OperatorStats` it registers
-with the :class:`~repro.exec.context.ExecutionContext`.
+evaluator gives them (see its docstring for the counter semantics), maintained
+in bulk (``+= len(batch)``), so naive and physical costs are directly
+comparable.  Each operator additionally records rows-in/rows-out in the
+:class:`~repro.exec.context.OperatorStats` it registers with the
+:class:`~repro.exec.context.ExecutionContext`.
 
 Every operator's output batch stream contains each distinct tuple exactly once
 (set semantics per operator, as in the evaluator); operators therefore never need
 to re-deduplicate their inputs.
+
+The operator ``name`` strings key the per-operator metrics (``memory.<name>``,
+``qerror.<name>``) and are stable identifiers, not descriptions.
 """
 
 from __future__ import annotations
@@ -43,14 +71,20 @@ from repro.algebra.analytic import (
     AggregateSpec,
     CompiledOrder,
     SortKey,
-    group_key,
-    group_values,
 )
 from repro.algebra.evaluator import _resolve_relation
 from repro.algebra.predicates import Parameter, Predicate
 from repro.errors import AlgebraError
+from repro.exec.compiled import (
+    CompiledAggregates,
+    CompiledExtension,
+    CompiledGuard,
+    CompiledPredicate,
+    CompiledRename,
+)
 from repro.exec.context import ExecutionContext, OperatorStats, sampled_size
 from repro.model.attributes import AttributeSet, attrset
+from repro.model.batches import LazyBatch, MISSING, TupleBatch, merge_values
 from repro.model.tuples import FlexTuple
 
 Batch = List[FlexTuple]
@@ -61,9 +95,6 @@ class PhysicalOperator:
 
     #: operator name used in explain output
     name: str = "physical-op"
-
-    #: True on the batch (vectorized) operator forms of :mod:`repro.exec.vectorized`
-    vectorized: bool = False
 
     #: cost-model annotations, set by the physical planner (None on hand-built plans)
     estimated_rows: Optional[float] = None
@@ -99,25 +130,30 @@ class PhysicalOperator:
         """Start execution: register stats (preorder) and return the batch stream.
 
         With ``ctx.timing`` (the default) the operator's *inclusive* wall time
-        is accumulated into its :class:`OperatorStats`: the ``_generate`` call
-        itself is timed — operators with eager setup (hash-join build sides,
+        is accumulated into its :class:`OperatorStats`: :meth:`_start` itself
+        is timed — operators with eager setup (hash-join build sides,
         multiway-join drains, difference/product materialization) do real work
         there — and each batch pulled from the returned stream adds the time
         it took to produce.  Two clock reads per batch, nothing per tuple.
         """
         ctx.stats.record_operator(self.name)
         op_stats = ctx.register_operator(self.plan_label)
-        child_streams = tuple(child.run(ctx) for child in self.children)
         if not ctx.timing:
-            stream = self._generate(ctx, op_stats, *child_streams)
+            stream = self._start(ctx, op_stats)
         else:
             started = perf_counter()
-            stream = self._generate(ctx, op_stats, *child_streams)
+            stream = self._start(ctx, op_stats)
             op_stats.wall_seconds += perf_counter() - started
             stream = self._timed_stream(op_stats, stream)
         if ctx.governor is not None:
             stream = self._governed_stream(ctx.governor, stream)
         return stream
+
+    def _start(self, ctx: ExecutionContext, op: OperatorStats) -> Iterator[Batch]:
+        """Start the children (registering them in preorder) and this
+        operator's own stream — the one step of :meth:`run` an operator that
+        must order its children's execution itself overrides."""
+        return self._generate(ctx, op, *[child.run(ctx) for child in self.children])
 
     @staticmethod
     def _timed_stream(op: OperatorStats, stream: Iterator[Batch]) -> Iterator[Batch]:
@@ -158,8 +194,6 @@ class PhysicalOperator:
         as ``est_rows`` / ``est_cost`` columns per node.
         """
         line = "  " * indent + self.label()
-        if self.vectorized:
-            line += "  [batch]"
         if self.estimated_rows is not None:
             line += "  [est_rows={:.1f}".format(self.estimated_rows)
             if self.estimated_cost is not None:
@@ -220,7 +254,7 @@ class PhysicalOperator:
 class EmptyOp(PhysicalOperator):
     """Produces no tuples (the physical form of the optimizer's ∅ leaf)."""
 
-    name = "empty"
+    name = "batch-empty"
 
     def _generate(self, ctx, op):
         op.invocations += 1
@@ -229,18 +263,18 @@ class EmptyOp(PhysicalOperator):
 
 
 class Scan(PhysicalOperator):
-    """Read a base relation, applying pushed-down guards and selections inline.
+    """Index-aware scan of a base relation emitting :class:`TupleBatch` chunks,
+    with the pushed-down guard and selection compiled once and applied inline.
 
     ``equalities`` are the attribute→value bindings implied by the pushed
     predicate (a value may be a parameter: the probe takes it from the
     execution's binding); when the relation source exposes a hash index
-    covering a subset of
-    them (``index_for``), the scan reads only the matching bucket instead of the
-    whole relation.  The full predicate is still applied to every tuple read, so
+    covering a subset of them (``index_for``), the scan reads only the matching
+    bucket instead of the whole relation.  The full predicate is still applied to every tuple read, so
     an index never changes the result — only how many tuples are touched.
     """
 
-    name = "scan"
+    name = "batch-scan"
 
     def __init__(self, relation: str, predicate: Optional[Predicate] = None,
                  guard: Optional[AttributeSet] = None,
@@ -251,6 +285,10 @@ class Scan(PhysicalOperator):
         if equalities is None and predicate is not None:
             equalities = predicate.implied_equalities(parameters=True)
         self.equalities = dict(equalities or {})
+        self._compiled_guard = (CompiledGuard(self.guard)
+                                if self.guard is not None else None)
+        self._compiled = (CompiledPredicate(self.predicate)
+                          if self.predicate is not None else None)
 
     def label(self) -> str:
         parts = [self.relation]
@@ -288,59 +326,68 @@ class Scan(PhysicalOperator):
             return None
         return index, probe
 
-    def _generate(self, ctx, op):
+    def _generate(self, ctx, op) -> Iterator[TupleBatch]:
         op.invocations += 1
         picked = self._pick_index(ctx)
         if picked is not None:
             index, probe = picked
-            tuples: Iterable[FlexTuple] = index.lookup(probe)
+            rows = list(index.lookup(probe))
         else:
-            tuples = _resolve_relation(ctx.source, self.relation)
-        predicate = self.predicate
-        if predicate is not None:
-            predicate = predicate.substitute(ctx.params)
+            rows = list(_resolve_relation(ctx.source, self.relation))
 
-        def emit() -> Iterator[FlexTuple]:
-            for tup in tuples:
-                ctx.stats.tuples_scanned += 1
-                op.rows_in += 1
-                if self.guard is not None:
-                    ctx.stats.guard_checks += 1
-                    if not tup.is_defined_on(self.guard):
+        def emit() -> Iterator[TupleBatch]:
+            stats = ctx.stats
+            size = ctx.batch_size
+            for start in range(0, len(rows), size):
+                batch = TupleBatch(rows[start:start + size])
+                count = len(batch)
+                stats.tuples_scanned += count
+                op.rows_in += count
+                indices = None
+                if self._compiled_guard is not None:
+                    stats.guard_checks += count
+                    indices = self._compiled_guard.select(batch)
+                if self._compiled is not None:
+                    stats.predicate_evaluations += (
+                        count if indices is None else len(indices))
+                    indices = self._compiled.select(batch, indices, ctx.params)
+                if indices is not None:
+                    if len(indices) != count:
+                        batch = batch.take(indices)
+                    if not len(batch):
                         continue
-                if predicate is not None:
-                    ctx.stats.predicate_evaluations += 1
-                    if not predicate.evaluate(tup):
-                        continue
-                yield tup
+                op.rows_out += len(batch)
+                op.batches_out += 1
+                yield batch
 
-        return self._rebatch(ctx, op, emit())
+        return emit()
 
     # -- pushdown helpers used by the physical planner ----------------------------------
 
     def with_predicate(self, predicate: Predicate) -> "Scan":
-        """A copy (of the same scan class, row or batch) with ``predicate``
-        conjoined to the already-pushed predicate."""
+        """A copy with ``predicate`` conjoined to the already-pushed predicate."""
         from repro.algebra.predicates import And
 
         combined = predicate if self.predicate is None else And(self.predicate, predicate)
-        return type(self)(self.relation, predicate=combined, guard=self.guard)
+        return Scan(self.relation, predicate=combined, guard=self.guard)
 
     def with_guard(self, attributes) -> "Scan":
-        """A copy (of the same scan class) with ``attributes`` added to the guard."""
+        """A copy with ``attributes`` added to the guard."""
         guard = attrset(attributes) if self.guard is None else self.guard | attrset(attributes)
-        return type(self)(self.relation, predicate=self.predicate, guard=guard,
-                          equalities=self.equalities)
+        return Scan(self.relation, predicate=self.predicate, guard=guard,
+                    equalities=self.equalities)
 
 
 class FilterOp(PhysicalOperator):
-    """σ — keep the tuples satisfying the predicate (when pushdown was impossible)."""
+    """σ — keep the tuples satisfying the predicate (when pushdown was
+    impossible): the predicate compiled once, applied as narrowing passes."""
 
-    name = "filter"
+    name = "batch-filter"
 
     def __init__(self, child: PhysicalOperator, predicate: Predicate):
         self.child = child
         self.predicate = predicate
+        self._compiled = CompiledPredicate(predicate)
 
     @property
     def children(self):
@@ -349,29 +396,38 @@ class FilterOp(PhysicalOperator):
     def label(self) -> str:
         return "filter[{!r}]".format(self.predicate)
 
-    def _generate(self, ctx, op, child):
+    def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
         op.invocations += 1
-        predicate = self.predicate.substitute(ctx.params)
 
-        def emit():
-            for batch in child:
-                op.rows_in += len(batch)
-                for tup in batch:
-                    ctx.stats.predicate_evaluations += 1
-                    if predicate.evaluate(tup):
-                        yield tup
+        def emit() -> Iterator[TupleBatch]:
+            stats = ctx.stats
+            for raw in child:
+                batch = TupleBatch.of(raw)
+                count = len(batch)
+                op.rows_in += count
+                stats.predicate_evaluations += count
+                indices = self._compiled.select(batch, None, ctx.params)
+                if len(indices) != count:
+                    if not indices:
+                        continue
+                    batch = batch.take(indices)
+                op.rows_out += len(batch)
+                op.batches_out += 1
+                yield batch
 
-        return self._rebatch(ctx, op, emit())
+        return emit()
 
 
 class GuardOp(PhysicalOperator):
-    """An explicit type guard: keep tuples defined on the guarded attributes."""
+    """An explicit type guard ``TG[X]``: keep tuples defined on the guarded
+    attributes — one presence-bitmap AND per batch."""
 
-    name = "guard"
+    name = "batch-guard"
 
     def __init__(self, child: PhysicalOperator, attributes):
         self.child = child
         self.attributes = attrset(attributes)
+        self._compiled = CompiledGuard(self.attributes)
 
     @property
     def children(self):
@@ -380,24 +436,37 @@ class GuardOp(PhysicalOperator):
     def label(self) -> str:
         return "guard[{}]".format(self.attributes)
 
-    def _generate(self, ctx, op, child):
+    def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
         op.invocations += 1
 
-        def emit():
-            for batch in child:
-                op.rows_in += len(batch)
-                for tup in batch:
-                    ctx.stats.guard_checks += 1
-                    if tup.is_defined_on(self.attributes):
-                        yield tup
+        def emit() -> Iterator[TupleBatch]:
+            stats = ctx.stats
+            for raw in child:
+                batch = TupleBatch.of(raw)
+                count = len(batch)
+                op.rows_in += count
+                stats.guard_checks += count
+                indices = self._compiled.select(batch)
+                if len(indices) != count:
+                    if not indices:
+                        continue
+                    batch = batch.take(indices)
+                op.rows_out += len(batch)
+                op.batches_out += 1
+                yield batch
 
-        return self._rebatch(ctx, op, emit())
+        return emit()
 
 
 class ProjectOp(PhysicalOperator):
-    """π — restrict tuples to the attributes they possess, deduplicating on the fly."""
+    """π — restrict tuples to the attributes they possess, deduplicating on the fly.
 
-    name = "project"
+    Projected value dicts are built from pre-extracted columns and emitted as a
+    :class:`LazyBatch` — the (typically much smaller) projected tuples are only
+    constructed when something downstream needs row objects.
+    """
+
+    name = "batch-project"
 
     def __init__(self, child: PhysicalOperator, attributes):
         self.child = child
@@ -410,32 +479,57 @@ class ProjectOp(PhysicalOperator):
     def label(self) -> str:
         return "project[{}]".format(self.attributes)
 
-    def _generate(self, ctx, op, child):
+    def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
         op.invocations += 1
+        names = [a.name for a in self.attributes]
 
-        def emit():
-            seen: Set[FlexTuple] = set()
-            for batch in child:
-                op.rows_in += len(batch)
-                for tup in batch:
-                    ctx.stats.tuples_scanned += 1
-                    projected = tup.project_existing(self.attributes)
-                    if len(projected) and projected not in seen:
-                        seen.add(projected)
-                        yield projected
+        def emit() -> Iterator[TupleBatch]:
+            stats = ctx.stats
+            seen = set()
+            add_seen = seen.add
+            for raw in child:
+                batch = TupleBatch.of(raw)
+                count = len(batch)
+                op.rows_in += count
+                stats.tuples_scanned += count
+                columns = [batch.column(name) for name in names]
+                out_values: List[dict] = []
+                out_hashes: List[int] = []
+                for i in range(count):
+                    items = {}
+                    for name, values in zip(names, columns):
+                        value = values[i]
+                        if value is not MISSING:
+                            items[name] = value
+                    if not items:
+                        continue
+                    key = frozenset(items.items())
+                    if key not in seen:
+                        add_seen(key)
+                        out_values.append(items)
+                        out_hashes.append(hash(key))
+                if out_values:
+                    op.rows_out += len(out_values)
+                    op.batches_out += 1
+                    yield LazyBatch(out_values, out_hashes)
 
-        return self._rebatch(ctx, op, emit())
+        return emit()
 
 
 class ExtendOp(PhysicalOperator):
-    """ε — extend every tuple by a constant tag attribute."""
+    """ε — extend every tuple by a constant tag attribute.
 
-    name = "extend"
+    Entirely a column/dict transform (one presence test per batch) — no tuples
+    are read or built; the extended rows travel as a :class:`LazyBatch`.
+    """
+
+    name = "batch-extend"
 
     def __init__(self, child: PhysicalOperator, attribute: str, value):
         self.child = child
         self.attribute = attribute
         self.value = value
+        self._compiled = CompiledExtension(attribute, value)
 
     @property
     def children(self):
@@ -444,27 +538,36 @@ class ExtendOp(PhysicalOperator):
     def label(self) -> str:
         return "extend[{}:{!r}]".format(self.attribute, self.value)
 
-    def _generate(self, ctx, op, child):
+    def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
         op.invocations += 1
 
-        def emit():
-            for batch in child:
-                op.rows_in += len(batch)
-                for tup in batch:
-                    ctx.stats.tuples_scanned += 1
-                    yield tup.extend(**{self.attribute: self.value})
+        def emit() -> Iterator[TupleBatch]:
+            stats = ctx.stats
+            for raw in child:
+                batch = TupleBatch.of(raw)
+                count = len(batch)
+                if not count:
+                    continue
+                op.rows_in += count
+                stats.tuples_scanned += count
+                values = self._compiled.transform(batch)
+                op.rows_out += count
+                op.batches_out += 1
+                yield LazyBatch(values)
 
-        return self._rebatch(ctx, op, emit())
+        return emit()
 
 
 class RenameOp(PhysicalOperator):
-    """ρ — rename attributes (deduplicates, since renames can collapse tuples)."""
+    """ρ — rename attributes: renamed value dicts with hashed dedup (renames
+    can collapse tuples)."""
 
-    name = "rename"
+    name = "batch-rename"
 
     def __init__(self, child: PhysicalOperator, mapping: Dict[str, str]):
         self.child = child
         self.mapping = dict(mapping)
+        self._compiled = CompiledRename(self.mapping)
 
     @property
     def children(self):
@@ -473,28 +576,41 @@ class RenameOp(PhysicalOperator):
     def label(self) -> str:
         return "rename[{}]".format(self.mapping)
 
-    def _generate(self, ctx, op, child):
+    def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
         op.invocations += 1
+        transform = self._compiled.transform_row
 
-        def emit():
-            seen: Set[FlexTuple] = set()
-            for batch in child:
-                op.rows_in += len(batch)
-                for tup in batch:
-                    ctx.stats.tuples_scanned += 1
-                    renamed = FlexTuple({self.mapping.get(name, name): value
-                                         for name, value in tup.items()})
-                    if renamed not in seen:
-                        seen.add(renamed)
-                        yield renamed
+        def emit() -> Iterator[TupleBatch]:
+            stats = ctx.stats
+            seen = set()
+            add_seen = seen.add
+            for raw in child:
+                batch = TupleBatch.of(raw)
+                count = len(batch)
+                op.rows_in += count
+                stats.tuples_scanned += count
+                out_values: List[dict] = []
+                out_hashes: List[int] = []
+                for values in batch.values_list():
+                    renamed = transform(values)
+                    key = frozenset(renamed.items())
+                    if key not in seen:
+                        add_seen(key)
+                        out_values.append(renamed)
+                        out_hashes.append(hash(key))
+                if out_values:
+                    op.rows_out += len(out_values)
+                    op.batches_out += 1
+                    yield LazyBatch(out_values, out_hashes)
 
-        return self._rebatch(ctx, op, emit())
+        return emit()
 
 
 class ProductOp(PhysicalOperator):
-    """× — cartesian product; materializes the right side, streams the left."""
+    """× — cartesian product; materializes the right side, streams the left
+    (value-dict merges, lazy output, bulk pair counting)."""
 
-    name = "product"
+    name = "batch-product"
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator):
         self.left = left
@@ -504,23 +620,42 @@ class ProductOp(PhysicalOperator):
     def children(self):
         return (self.left, self.right)
 
-    def _generate(self, ctx, op, left, right):
+    def _generate(self, ctx, op, left, right) -> Iterator[TupleBatch]:
         op.invocations += 1
-        build = self._materialize(ctx, op, right)
+        build = [tup._values for tup in self._materialize(ctx, op, right)]
+        ctx.enforce_memory(op, sampled_size(build))
 
-        def emit():
-            seen: Set[FlexTuple] = set()
-            for batch in left:
-                op.rows_in += len(batch)
-                for left_tuple in batch:
-                    for right_tuple in build:
-                        ctx.stats.join_pairs_considered += 1
-                        merged = left_tuple.merge(right_tuple)
-                        if merged not in seen:
-                            seen.add(merged)
-                            yield merged
+        def emit() -> Iterator[TupleBatch]:
+            stats = ctx.stats
+            size = ctx.batch_size
+            seen = set()
+            add_seen = seen.add
+            out_values: List[dict] = []
+            out_hashes: List[int] = []
+            for raw in left:
+                batch = TupleBatch.of(raw)
+                count = len(batch)
+                op.rows_in += count
+                stats.join_pairs_considered += count * len(build)
+                for row_values in batch.values_list():
+                    for partner in build:
+                        merged = merge_values(row_values, partner)
+                        key = frozenset(merged.items())
+                        if key not in seen:
+                            add_seen(key)
+                            out_values.append(merged)
+                            out_hashes.append(hash(key))
+                            if len(out_values) >= size:
+                                op.rows_out += len(out_values)
+                                op.batches_out += 1
+                                yield LazyBatch(out_values, out_hashes)
+                                out_values, out_hashes = [], []
+            if out_values:
+                op.rows_out += len(out_values)
+                op.batches_out += 1
+                yield LazyBatch(out_values, out_hashes)
 
-        return self._rebatch(ctx, op, emit())
+        return emit()
 
 
 def _shared_attributes(left: Set[FlexTuple], right: Set[FlexTuple]) -> AttributeSet:
@@ -534,14 +669,9 @@ def _shared_attributes(left: Set[FlexTuple], right: Set[FlexTuple]) -> Attribute
     return left_attrs & right_attrs
 
 
-class NestedLoopJoin(PhysicalOperator):
-    """⋈ by nested loops — every pair of input tuples is examined.
-
-    Used by the planner only for small inputs, where the hash-table setup of
-    :class:`HashJoin` costs more than it saves.
-    """
-
-    name = "nested-loop-join"
+class _MaterializingJoin(PhysicalOperator):
+    """What the two joins that materialize both inputs as tuple sets share:
+    ``on=None`` means the attributes appearing on both sides of the data."""
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator, on=None):
         self.left = left
@@ -553,7 +683,17 @@ class NestedLoopJoin(PhysicalOperator):
         return (self.left, self.right)
 
     def label(self) -> str:
-        return "nested-loop-join[on={}]".format(self.on if self.on is not None else "shared")
+        return "{}[on={}]".format(self.name, self.on if self.on is not None else "shared")
+
+
+class NestedLoopJoin(_MaterializingJoin):
+    """⋈ by nested loops — every pair of input tuples is examined.
+
+    Used by the planner only for small inputs, where the hash-table setup of
+    :class:`HashJoin` costs more than it saves.
+    """
+
+    name = "nested-loop-join"
 
     def _generate(self, ctx, op, left, right):
         op.invocations += 1
@@ -577,54 +717,25 @@ class NestedLoopJoin(PhysicalOperator):
         return self._rebatch(ctx, op, emit())
 
 
-class HashJoin(PhysicalOperator):
-    """⋈ by build/probe on the natural-join attribute intersection.
+class NaturalJoinOp(_MaterializingJoin):
+    """⋈ on attributes only the data can tell (``on=None``), by build/probe.
 
-    The right input is the build side (the planner puts the smaller estimated
-    input there).  Partitioning is *guard-aware*: variant records not defined on
-    every join attribute are set aside during build/probe — they cannot join, so
-    they cost one guard check each instead of a join pair per combination.  Only
-    pairs that share a hash bucket count as ``join_pairs_considered``, which is
-    exactly the work the algorithm performs.
+    The natural-join attributes are those appearing on both sides of the
+    *data*, so both inputs are materialized to discover them — which is why
+    this join has no streaming or spill form and fails fast under a memory
+    budget.  Partitioning is guard-aware as in :class:`HashJoin`: tuples not
+    defined on every join attribute cost one guard check, only pairs sharing
+    a bucket count as ``join_pairs_considered``.  (The planner also sends the
+    degenerate empty ``on`` set here: every pair shares the one bucket.)
     """
 
     name = "hash-join"
 
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator, on=None):
-        self.left = left
-        self.right = right
-        self.on = attrset(on) if on is not None else None
-
-    @property
-    def children(self):
-        return (self.left, self.right)
-
-    def label(self) -> str:
-        return "hash-join[on={}]".format(self.on if self.on is not None else "shared")
-
     def _generate(self, ctx, op, left, right):
         op.invocations += 1
-        if self.on is not None and ctx.spill_budget() is not None:
-            # Static join attributes + a budget with spilling allowed: the
-            # grace variant below keeps the build bounded.  Data-dependent
-            # (shared-attribute) joins have no spill form — both sides must be
-            # materialized to even know the key — so they stay on the fail-fast
-            # path through _materialize.
-            return self._generate_grace(ctx, op, left, right,
-                                        ctx.spill_budget())
         right_set = self._materialize(ctx, op, right)
-        if self.on is not None:
-            # Join attributes known statically: stream the probe side batch by
-            # batch, keeping only the build side in memory.
-            shared = self.on
-            probe_tuples = (tup for batch in left
-                            for tup in self._count_batch(op, batch))
-        else:
-            # Natural join: the shared attributes depend on the data, so the
-            # probe side must be materialized to discover them.
-            left_set = self._materialize(ctx, op, left)
-            shared = _shared_attributes(left_set, right_set)
-            probe_tuples = iter(left_set)
+        left_set = self._materialize(ctx, op, left)
+        shared = self.on if self.on is not None else _shared_attributes(left_set, right_set)
 
         buckets: Dict[tuple, List[FlexTuple]] = {}
         for tup in right_set:
@@ -635,7 +746,7 @@ class HashJoin(PhysicalOperator):
 
         def emit():
             seen: Set[FlexTuple] = set()
-            for left_tuple in probe_tuples:
+            for left_tuple in left_set:
                 ctx.stats.guard_checks += 1
                 if not left_tuple.is_defined_on(shared):
                     continue
@@ -649,14 +760,139 @@ class HashJoin(PhysicalOperator):
 
         return self._rebatch(ctx, op, emit())
 
-    def _generate_grace(self, ctx, op, left, right, budget):
-        """Grace hash join: both sides hash-partitioned to disk, one
-        partition's build buckets in memory at a time.
+
+def _build_buckets(op, ctx, stream, names) -> Dict:
+    """Drain a build-side batch stream into join-key buckets of value dicts.
+
+    Rows lacking a join attribute are partitioned out via the presence bitmap
+    and cost one guard check each (they can never join).  Single-attribute
+    joins key buckets by the bare value, multi-attribute joins by the value
+    tuple.  The bucket payloads are the rows' plain value dicts — ready for
+    the lazy column merge of the probe loop, never materialized when the
+    build side was lazy.
+    """
+    stats = ctx.stats
+    governed = (ctx.governor is not None
+                and ctx.governor.memory_budget is not None)
+    buckets: Dict = {}
+    setdefault = buckets.setdefault
+    single = len(names) == 1
+    for raw in stream:
+        batch = TupleBatch.of(raw)
+        count = len(batch)
+        op.rows_in += count
+        stats.guard_checks += count
+        values_list = batch.values_list()
+        if single:
+            for i, value in enumerate(batch.column(names[0])):
+                if value is not MISSING:
+                    setdefault(value, []).append(values_list[i])
+        else:
+            columns = [batch.column(name) for name in names]
+            for i, key in enumerate(zip(*columns)):
+                if all(value is not MISSING for value in key):
+                    setdefault(key, []).append(values_list[i])
+        if governed:
+            # fail fast at the batch boundary (spilling joins never get here;
+            # they drain through HashJoin._generate_grace instead)
+            ctx.enforce_memory(op, sampled_size(buckets))
+    op.note_memory(sampled_size(buckets))
+    return buckets
+
+
+class HashJoin(PhysicalOperator):
+    """⋈ by build/probe over batch columns, on statically known join attributes.
+
+    The right input is the build side (the planner puts the smaller estimated
+    input there).  Partitioning is *guard-aware*: variant records not defined on
+    every join attribute are set aside during build/probe — they cannot join, so
+    they cost one guard check each instead of a join pair per combination.  Only
+    pairs that share a hash bucket count as ``join_pairs_considered``, which is
+    exactly the work the algorithm performs.
+
+    The probe loop zips probe-side and build-side value dicts into merged dicts
+    — disagreement on shared non-join attributes raises eagerly, duplicates are
+    dropped eagerly via hashed keys — and emits them as :class:`LazyBatch`
+    chunks; the merged ``FlexTuple``s themselves are built only when the rows
+    reach the result set or an operator that needs row objects.
+    """
+
+    name = "batch-hash-join"
+
+    def __init__(self, left: PhysicalOperator, right: PhysicalOperator, on):
+        self.left = left
+        self.right = right
+        if on is None or not len(attrset(on)):
+            raise AlgebraError("a hash join needs static join attributes")
+        self.on = attrset(on)
+
+    @property
+    def children(self):
+        return (self.left, self.right)
+
+    def label(self) -> str:
+        return "hash-join[on={}]".format(self.on)
+
+    def _generate(self, ctx, op, left, right) -> Iterator[TupleBatch]:
+        op.invocations += 1
+        names = [a.name for a in self.on]
+        budget = ctx.spill_budget()
+        if budget is not None:
+            return self._generate_grace(ctx, op, left, right, names, budget)
+        buckets = _build_buckets(op, ctx, right, names)
+        return self._probe_emit(ctx, op, left, names, buckets)
+
+    def _probe_emit(self, ctx, op, left, names, buckets) -> Iterator[TupleBatch]:
+        stats = ctx.stats
+        get = buckets.get
+        single = len(names) == 1
+        seen = set()
+        add_seen = seen.add
+        for raw in left:
+            batch = TupleBatch.of(raw)
+            count = len(batch)
+            op.rows_in += count
+            stats.guard_checks += count
+            values_list = batch.values_list()
+            out_values: List[dict] = []
+            out_hashes: List[int] = []
+            if single:
+                probes = enumerate(batch.column(names[0]))
+            else:
+                columns = [batch.column(name) for name in names]
+                probes = enumerate(zip(*columns))
+            for i, key in probes:
+                if single:
+                    if key is MISSING:
+                        continue
+                elif not all(value is not MISSING for value in key):
+                    continue
+                partners = get(key)
+                if partners is None:
+                    continue
+                stats.join_pairs_considered += len(partners)
+                row_values = values_list[i]
+                for partner in partners:
+                    merged = merge_values(row_values, partner)
+                    dedup = frozenset(merged.items())
+                    if dedup not in seen:
+                        add_seen(dedup)
+                        out_values.append(merged)
+                        out_hashes.append(hash(dedup))
+            if out_values:
+                op.rows_out += len(out_values)
+                op.batches_out += 1
+                yield LazyBatch(out_values, out_hashes)
+
+    def _generate_grace(self, ctx, op, left, right, names,
+                        budget) -> Iterator[TupleBatch]:
+        """Grace hash join under a memory budget: both sides hash-partitioned
+        to disk, one partition's build buckets in memory at a time.
 
         The build side is held in memory until the budget trips — a join that
         fits never touches disk and emits exactly what the in-memory path
         emits.  Matching keys land in the same partition on both sides, and a
-        merged output tuple determines its join key, so the per-partition
+        merged output row determines its join key, so the per-partition
         ``seen`` sets partition the global duplicate space: the union of the
         per-partition outputs is exactly the deduplicated join.  All counters
         (guard checks per input row, pairs per shared bucket) match the
@@ -664,101 +900,97 @@ class HashJoin(PhysicalOperator):
         """
         from repro.governor.spill import GracePartitioner
 
-        shared = self.on
-        attrs = tuple(shared)
+        stats = ctx.stats
         manager = ctx.governor.spill_manager()
+        single = len(names) == 1
 
-        held: List[FlexTuple] = []
-        build_part: Optional[GracePartitioner] = None
+        def keyed(batch):
+            values_list = batch.values_list()
+            if single:
+                return ((value, values_list[i])
+                        for i, value in enumerate(batch.column(names[0]))
+                        if value is not MISSING)
+            columns = [batch.column(name) for name in names]
+            return ((key, values_list[i])
+                    for i, key in enumerate(zip(*columns))
+                    if all(value is not MISSING for value in key))
 
-        def route_build(tup):
-            ctx.stats.guard_checks += 1
-            if tup.is_defined_on(shared):
-                build_part.add(tuple(tup[a] for a in attrs),
-                               (tup._values, hash(tup)))
-
-        for batch in right:
-            op.rows_in += len(batch)
+        pairs: List[tuple] = []
+        build_part = None
+        for raw in right:
+            batch = TupleBatch.of(raw)
+            count = len(batch)
+            op.rows_in += count
+            stats.guard_checks += count
             if build_part is None:
-                held.extend(batch)
-                size = sampled_size(held)
+                pairs.extend(keyed(batch))
+                size = sampled_size(pairs)
                 op.note_memory(size)
                 if size > budget:
                     build_part = GracePartitioner(manager, "join-build")
-                    for tup in held:
-                        route_build(tup)
-                    held = []
+                    for key, values in pairs:
+                        build_part.add(key, values)
+                    pairs = []
             else:
-                for tup in batch:
-                    route_build(tup)
+                for key, values in keyed(batch):
+                    build_part.add(key, values)
 
         if build_part is None:
-            # Never crossed the budget: plain in-memory build over the drain.
-            buckets: Dict[tuple, List[FlexTuple]] = {}
-            for tup in held:
-                ctx.stats.guard_checks += 1
-                if tup.is_defined_on(shared):
-                    buckets.setdefault(tuple(tup[a] for a in attrs), []).append(tup)
+            # Never crossed the budget: the ordinary in-memory probe.
+            buckets: Dict = {}
+            for key, values in pairs:
+                buckets.setdefault(key, []).append(values)
             op.note_memory(sampled_size(buckets))
-
-            def emit_memory():
-                seen: Set[FlexTuple] = set()
-                for batch in left:
-                    op.rows_in += len(batch)
-                    for left_tuple in batch:
-                        ctx.stats.guard_checks += 1
-                        if not left_tuple.is_defined_on(shared):
-                            continue
-                        partners = buckets.get(
-                            tuple(left_tuple[a] for a in attrs), ())
-                        ctx.stats.join_pairs_considered += len(partners)
-                        for partner in partners:
-                            merged = left_tuple.merge(partner)
-                            if merged not in seen:
-                                seen.add(merged)
-                                yield merged
-
-            return self._rebatch(ctx, op, emit_memory())
+            return self._probe_emit(ctx, op, left, names, buckets)
 
         probe_part = GracePartitioner(manager, "join-probe")
-        for batch in left:
-            op.rows_in += len(batch)
-            for tup in batch:
-                ctx.stats.guard_checks += 1
-                if tup.is_defined_on(shared):
-                    probe_part.add(tuple(tup[a] for a in attrs),
-                                   (tup._values, hash(tup)))
+        for raw in left:
+            batch = TupleBatch.of(raw)
+            count = len(batch)
+            op.rows_in += count
+            stats.guard_checks += count
+            for key, values in keyed(batch):
+                probe_part.add(key, values)
         build_part.finish()
         probe_part.finish()
 
-        def emit_partitions():
+        def emit() -> Iterator[TupleBatch]:
+            size = ctx.batch_size
+            out_values: List[dict] = []
+            out_hashes: List[int] = []
             for index in range(build_part.partitions):
-                buckets: Dict[tuple, List[FlexTuple]] = {}
-                for key, (values, hash_) in build_part.segment(index):
-                    buckets.setdefault(key, []).append(
-                        FlexTuple.from_parts(values, hash_))
+                buckets: Dict = {}
+                for key, values in build_part.segment(index):
+                    buckets.setdefault(key, []).append(values)
                 # accounting only: grace bounds held state at ~budget + one
                 # partition's buckets, it does not re-enforce per partition
                 op.note_memory(sampled_size(buckets))
-                seen: Set[FlexTuple] = set()
-                for key, (values, hash_) in probe_part.segment(index):
-                    partners = buckets.get(key, ())
-                    ctx.stats.join_pairs_considered += len(partners)
-                    if not partners:
+                get = buckets.get
+                seen = set()
+                add_seen = seen.add
+                for key, row_values in probe_part.segment(index):
+                    partners = get(key)
+                    if partners is None:
                         continue
-                    left_tuple = FlexTuple.from_parts(values, hash_)
+                    stats.join_pairs_considered += len(partners)
                     for partner in partners:
-                        merged = left_tuple.merge(partner)
-                        if merged not in seen:
-                            seen.add(merged)
-                            yield merged
+                        merged = merge_values(row_values, partner)
+                        dedup = frozenset(merged.items())
+                        if dedup not in seen:
+                            add_seen(dedup)
+                            out_values.append(merged)
+                            out_hashes.append(hash(dedup))
+                            if len(out_values) >= size:
+                                op.rows_out += len(out_values)
+                                op.batches_out += 1
+                                yield LazyBatch(out_values, out_hashes)
+                                out_values, out_hashes = [], []
+            if out_values:
+                op.rows_out += len(out_values)
+                op.batches_out += 1
+                yield LazyBatch(out_values, out_hashes)
 
-        return self._rebatch(ctx, op, emit_partitions())
-
-    @staticmethod
-    def _count_batch(op: OperatorStats, batch: Batch) -> Batch:
-        op.rows_in += len(batch)
-        return batch
+        return emit()
 
 
 class IndexLookupJoin(PhysicalOperator):
@@ -772,14 +1004,15 @@ class IndexLookupJoin(PhysicalOperator):
     read, which is the plan-level payoff of knowing that a rare variant tag
     leaves few outer tuples.  Each bucket partner counts one
     ``join_pairs_considered``; outer tuples lacking a join attribute cost one
-    guard check (they can never join).
+    guard check (they can never join).  The outer side is read as batch
+    columns and the output is the same lazy column merge as :class:`HashJoin`'s.
 
     Without a usable index at execution time (``use_indexes=False``, or the
     index disappeared), the operator degrades to building the buckets by
     scanning the inner relation once — hash-join behaviour, identical results.
     """
 
-    name = "index-lookup-join"
+    name = "batch-index-lookup-join"
 
     def __init__(self, outer: PhysicalOperator, relation: str, on):
         self.outer = outer
@@ -808,7 +1041,7 @@ class IndexLookupJoin(PhysicalOperator):
             return None
         return index_for(self.on)
 
-    def _generate(self, ctx, op, outer):
+    def _generate(self, ctx, op, outer) -> Iterator[TupleBatch]:
         op.invocations += 1
         index = self._maintained_index(ctx)
         if index is not None:
@@ -818,44 +1051,71 @@ class IndexLookupJoin(PhysicalOperator):
             # Degraded mode: one scan of the inner relation builds the buckets.
             probe_attributes = self.on
             buckets: Dict[tuple, List[FlexTuple]] = {}
-            for tup in _resolve_relation(ctx.source, self.relation):
-                ctx.stats.tuples_scanned += 1
-                ctx.stats.guard_checks += 1
+            inner_rows = list(_resolve_relation(ctx.source, self.relation))
+            ctx.stats.tuples_scanned += len(inner_rows)
+            ctx.stats.guard_checks += len(inner_rows)
+            for tup in inner_rows:
                 if tup.is_defined_on(self.on):
                     buckets.setdefault(tuple(tup[a] for a in self.on), []).append(tup)
             ctx.enforce_memory(op, sampled_size(buckets))
             lookup = lambda probe: buckets.get(probe, ())  # noqa: E731
 
-        remaining = self.on - probe_attributes
+        probe_names = [a.name for a in probe_attributes]
+        remaining = [a.name for a in (self.on - probe_attributes)]
+        on_names = [a.name for a in self.on]
 
-        def emit():
-            seen: Set[FlexTuple] = set()
-            for batch in outer:
-                op.rows_in += len(batch)
-                for outer_tuple in batch:
-                    ctx.stats.guard_checks += 1
-                    if not outer_tuple.is_defined_on(self.on):
+        def emit() -> Iterator[TupleBatch]:
+            stats = ctx.stats
+            single = len(probe_names) == 1
+            seen = set()
+            add_seen = seen.add
+            for raw in outer:
+                batch = TupleBatch.of(raw)
+                count = len(batch)
+                op.rows_in += count
+                stats.guard_checks += count
+                values_list = batch.values_list()
+                out_values: List[dict] = []
+                out_hashes: List[int] = []
+                probe_columns = [batch.column(name) for name in probe_names]
+                on_columns = [batch.column(name) for name in on_names]
+                for i in range(count):
+                    if not all(column[i] is not MISSING for column in on_columns):
                         continue
-                    probe = tuple(outer_tuple[a] for a in probe_attributes)
+                    if single:
+                        probe = (probe_columns[0][i],)
+                    else:
+                        probe = tuple(column[i] for column in probe_columns)
                     partners = lookup(probe)
-                    ctx.stats.join_pairs_considered += len(partners)
+                    stats.join_pairs_considered += len(partners)
+                    if not partners:
+                        continue
+                    row_values = values_list[i]
                     for partner in partners:
-                        if not partner.is_defined_on(remaining):
-                            continue
-                        if any(partner[a] != outer_tuple[a] for a in remaining):
-                            continue
-                        merged = outer_tuple.merge(partner)
-                        if merged not in seen:
-                            seen.add(merged)
-                            yield merged
+                        partner_values = partner._values
+                        if remaining:
+                            if any(partner_values.get(name, MISSING) != row_values[name]
+                                   for name in remaining):
+                                continue
+                        merged = merge_values(row_values, partner_values)
+                        dedup = frozenset(merged.items())
+                        if dedup not in seen:
+                            add_seen(dedup)
+                            out_values.append(merged)
+                            out_hashes.append(hash(dedup))
+                if out_values:
+                    op.rows_out += len(out_values)
+                    op.batches_out += 1
+                    yield LazyBatch(out_values, out_hashes)
 
-        return self._rebatch(ctx, op, emit())
+        return emit()
 
 
 class MergeUnion(PhysicalOperator):
-    """∪ — stream both inputs, emitting each distinct tuple once."""
+    """∪ — stream both inputs, emitting each distinct tuple once (per-batch
+    dedup against the running seen-set)."""
 
-    name = "merge-union"
+    name = "batch-merge-union"
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator):
         self.left = left
@@ -865,21 +1125,31 @@ class MergeUnion(PhysicalOperator):
     def children(self):
         return (self.left, self.right)
 
-    def _generate(self, ctx, op, left, right):
+    def _generate(self, ctx, op, left, right) -> Iterator[TupleBatch]:
         op.invocations += 1
 
-        def emit():
-            seen: Set[FlexTuple] = set()
+        def emit() -> Iterator[TupleBatch]:
+            stats = ctx.stats
+            seen = set()
+            add_seen = seen.add
             for stream in (left, right):
-                for batch in stream:
-                    op.rows_in += len(batch)
-                    for tup in batch:
-                        ctx.stats.tuples_scanned += 1
+                for raw in stream:
+                    batch = TupleBatch.of(raw)
+                    count = len(batch)
+                    op.rows_in += count
+                    stats.tuples_scanned += count
+                    out: List[FlexTuple] = []
+                    append = out.append
+                    for tup in batch.rows:
                         if tup not in seen:
-                            seen.add(tup)
-                            yield tup
+                            add_seen(tup)
+                            append(tup)
+                    if out:
+                        op.rows_out += len(out)
+                        op.batches_out += 1
+                        yield TupleBatch(out)
 
-        return self._rebatch(ctx, op, emit())
+        return emit()
 
 
 class OuterUnionOp(MergeUnion):
@@ -890,13 +1160,14 @@ class OuterUnionOp(MergeUnion):
     restoration step, mirroring the logical algebra.
     """
 
-    name = "outer-union"
+    name = "batch-outer-union"
 
 
 class DifferenceOp(PhysicalOperator):
-    """− — materialize the right side, stream the left side past it."""
+    """− — materialize (hash) the right side, stream the left side past it with
+    whole-batch membership filtering."""
 
-    name = "difference"
+    name = "batch-difference"
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator):
         self.left = left
@@ -906,19 +1177,24 @@ class DifferenceOp(PhysicalOperator):
     def children(self):
         return (self.left, self.right)
 
-    def _generate(self, ctx, op, left, right):
+    def _generate(self, ctx, op, left, right) -> Iterator[TupleBatch]:
         op.invocations += 1
         exclude = self._materialize(ctx, op, right)
 
-        def emit():
-            for batch in left:
-                op.rows_in += len(batch)
-                for tup in batch:
-                    ctx.stats.tuples_scanned += 1
-                    if tup not in exclude:
-                        yield tup
+        def emit() -> Iterator[TupleBatch]:
+            stats = ctx.stats
+            for raw in left:
+                batch = TupleBatch.of(raw)
+                count = len(batch)
+                op.rows_in += count
+                stats.tuples_scanned += count
+                out = [tup for tup in batch.rows if tup not in exclude]
+                if out:
+                    op.rows_out += len(out)
+                    op.batches_out += 1
+                    yield TupleBatch(out)
 
-        return self._rebatch(ctx, op, emit())
+        return emit()
 
 
 class MultiwayJoinOp(PhysicalOperator):
@@ -928,9 +1204,15 @@ class MultiwayJoinOp(PhysicalOperator):
     master's tuples on the ``on`` attributes via a hash index.  Master tuples
     without a partner pass through unchanged (variants contribute nothing) — the
     same semantics as the logical operator.
+
+    The master and each dependent fragment are drained into parallel
+    value-dict and hash lists; each merge stage then works purely on value
+    dicts and the final table is emitted as :class:`LazyBatch` chunks, which
+    across an n-way restoration avoids building every intermediate merged
+    ``FlexTuple`` once per stage.
     """
 
-    name = "multiway-join"
+    name = "batch-multiway-join"
 
     def __init__(self, inputs: Sequence[PhysicalOperator], on):
         inputs = tuple(inputs)
@@ -946,31 +1228,83 @@ class MultiwayJoinOp(PhysicalOperator):
     def label(self) -> str:
         return "multiway-join[on={}]".format(self.on)
 
-    def _generate(self, ctx, op, master, *fragments):
+    def _generate(self, ctx, op, master, *fragments) -> Iterator[TupleBatch]:
         op.invocations += 1
-        current = self._materialize(ctx, op, master)
+        stats = ctx.stats
+        on_names = [a.name for a in self.on]
+        single = len(on_names) == 1
+        on_name = on_names[0] if single else None
+
+        def drain(stream):
+            # Parallel (values, hashes) lists; every input stream is distinct
+            # by the operator contract, so no content keys are rebuilt here.
+            all_values: List = []
+            all_hashes: List = []
+            for raw in stream:
+                batch = TupleBatch.of(raw)
+                op.rows_in += len(batch)
+                all_values.extend(batch.values_list())
+                all_hashes.extend(batch.hashes_list())
+            return all_values, all_hashes
+
+        current_values, current_hashes = drain(master)
+        ctx.enforce_memory(op, sampled_size(current_values))
         for stream in fragments:
-            fragment = self._materialize(ctx, op, stream)
-            buckets: Dict[tuple, List[FlexTuple]] = {}
-            for tup in fragment:
-                if tup.is_defined_on(self.on):
-                    buckets.setdefault(tuple(tup[a] for a in self.on), []).append(tup)
-            ctx.enforce_memory(op, sampled_size(buckets))
-            merged: Set[FlexTuple] = set()
-            for tup in current:
-                if not tup.is_defined_on(self.on):
-                    merged.add(tup)
+            fragment_values, _fragment_hashes = drain(stream)
+            buckets: Dict = {}
+            setdefault = buckets.setdefault
+            for values in fragment_values:
+                if single:
+                    if on_name in values:
+                        setdefault(values[on_name], []).append(values)
+                elif all(name in values for name in on_names):
+                    setdefault(tuple(values[name] for name in on_names),
+                               []).append(values)
+            get = buckets.get
+            # Pass-through rows stay distinct (they were), and can never equal
+            # a merged row (their join-key bucket was empty or they lack a join
+            # attribute a merged row has) — only merged rows need the seen-set.
+            out_values: List = []
+            out_hashes: List = []
+            append_values = out_values.append
+            append_hashes = out_hashes.append
+            seen_merged = set()
+            add_seen = seen_merged.add
+            for values, hash_ in zip(current_values, current_hashes):
+                if single:
+                    key = values.get(on_name, MISSING)
+                    partners = None if key is MISSING else get(key)
+                else:
+                    if all(name in values for name in on_names):
+                        partners = get(tuple(values[name] for name in on_names))
+                    else:
+                        partners = None
+                if partners is None:
+                    append_values(values)
+                    append_hashes(hash_)
                     continue
-                partners = buckets.get(tuple(tup[a] for a in self.on), ())
-                ctx.stats.join_pairs_considered += len(partners)
-                if not partners:
-                    merged.add(tup)
-                    continue
+                stats.join_pairs_considered += len(partners)
                 for partner in partners:
-                    merged.add(tup.merge(partner))
-            current = merged
-            ctx.enforce_memory(op, sampled_size(current))
-        return self._rebatch(ctx, op, iter(current))
+                    combined = merge_values(values, partner)
+                    dedup = frozenset(combined.items())
+                    if dedup not in seen_merged:
+                        add_seen(dedup)
+                        append_values(combined)
+                        append_hashes(hash(dedup))
+            ctx.enforce_memory(op, sampled_size(buckets))
+            current_values, current_hashes = out_values, out_hashes
+            ctx.enforce_memory(op, sampled_size(current_values))
+
+        def emit() -> Iterator[TupleBatch]:
+            size = ctx.batch_size
+            for start in range(0, len(current_values), size):
+                chunk_values = current_values[start:start + size]
+                op.rows_out += len(chunk_values)
+                op.batches_out += 1
+                yield LazyBatch(chunk_values,
+                                current_hashes[start:start + size])
+
+        return emit()
 
 
 def _analytic_label(name: str, parts: Sequence[str]) -> str:
@@ -984,11 +1318,16 @@ class HashAggregateOp(PhysicalOperator):
     group (the held state, not the input, is what ``peak_bytes`` accounts).
     Grouping keys, the NULL-vs-absent aggregate matrix and the output shape are
     the shared semantics of :mod:`repro.algebra.analytic` — identical to the
-    naive evaluator by construction.  Group outputs are pairwise distinct, so
-    no output-side deduplication is needed.
+    naive evaluator by construction.
+
+    Every input batch makes one key-extraction pass (group columns) and then
+    one tight loop per aggregate spec over ``(group ids × spec column)`` — see
+    :class:`~repro.exec.compiled.CompiledAggregates`.  Outputs are value dicts
+    (group outputs are pairwise distinct, so no hashes or dedup are needed)
+    emitted as :class:`LazyBatch` chunks.
     """
 
-    name = "hash-aggregate"
+    name = "batch-hash-aggregate"
 
     def __init__(self, child: PhysicalOperator, group_by: Sequence[str],
                  specs: Sequence[AggregateSpec]):
@@ -1007,63 +1346,77 @@ class HashAggregateOp(PhysicalOperator):
         parts.extend(repr(spec) for spec in self.specs)
         return _analytic_label(self.name, parts)
 
-    def _generate(self, ctx, op, child):
+    def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
         op.invocations += 1
-        accumulator = AggregateAccumulator(self.specs)
-        names = self.group_by
-        spill_budget = ctx.spill_budget()
-        if spill_budget is not None:
-            # Partition-and-merge under a budget: the group dict flushes to
-            # hash-partitioned segments whenever it outgrows the budget and
-            # partitions merge (AggregateAccumulator.merge_states) at
-            # finalize time — same outputs, bounded held state.
-            from repro.governor.spill import SpillingAggregator
-
-            spiller = SpillingAggregator(
-                ctx.governor.spill_manager(), accumulator, names,
-                spill_budget, op.note_memory)
-            for batch in child:
-                count = len(batch)
-                op.rows_in += count
-                ctx.stats.tuples_scanned += count
-                for tup in batch:
-                    spiller.add(tup._values)
-                spiller.maybe_spill()
-            return self._rebatch(
-                ctx, op, (FlexTuple(out) for out in spiller.results()))
+        budget = ctx.spill_budget()
+        if budget is not None:
+            return self._generate_spilled(ctx, op, child, budget)
+        compiled = CompiledAggregates(self.group_by, self.specs)
+        stats = ctx.stats
         governed = (ctx.governor is not None
                     and ctx.governor.memory_budget is not None)
-        groups: Dict[object, List] = {}
-        for batch in child:
+        for raw in child:
+            batch = TupleBatch.of(raw)
             count = len(batch)
             op.rows_in += count
-            ctx.stats.tuples_scanned += count
-            for tup in batch:
-                values = tup._values
-                key = group_key(values, names)
-                states = groups.get(key)
-                if states is None:
-                    states = groups[key] = accumulator.new_state()
-                accumulator.update(states, values)
+            stats.tuples_scanned += count
+            compiled.update(batch)
             if governed:
-                # spilling disabled: fail fast at the batch boundary instead
-                # of discovering the blown budget after the whole build
-                ctx.enforce_memory(op, sampled_size(groups))
-        op.note_memory(sampled_size(groups))
-        return self._rebatch(ctx, op, self._finalize(accumulator, groups))
+                ctx.enforce_memory(op, sampled_size(compiled.key_to_gid)
+                                   + sampled_size(compiled.sizes))
+        op.note_memory(sampled_size(compiled.key_to_gid)
+                       + sampled_size(compiled.sizes))
+        out_values = compiled.results()
 
-    def _finalize(self, accumulator: AggregateAccumulator,
-                  groups: Dict[object, List]) -> Iterator[FlexTuple]:
-        if not groups and not self.group_by:
-            out = accumulator.empty_result()
-            if out:
-                yield FlexTuple(out)
-            return
-        for key, states in groups.items():
-            out = group_values(key, self.group_by)
-            out.update(accumulator.finalize(states))
-            if out:
-                yield FlexTuple(out)
+        def emit() -> Iterator[TupleBatch]:
+            size = ctx.batch_size
+            for start in range(0, len(out_values), size):
+                chunk = out_values[start:start + size]
+                op.rows_out += len(chunk)
+                op.batches_out += 1
+                yield LazyBatch(chunk)
+
+        return emit()
+
+    def _generate_spilled(self, ctx, op, child, budget) -> Iterator[TupleBatch]:
+        """γ under a memory budget, partition-and-merge: the group dict flushes
+        to hash-partitioned segments whenever it outgrows the budget and the
+        partitions merge (``AggregateAccumulator.merge_states``) at finalize
+        time — same outputs, bounded held state.  (The compiled
+        column-at-a-time kernel has no partial-state eviction, so a budgeted
+        run trades it away.)"""
+        from repro.governor.spill import SpillingAggregator
+
+        accumulator = AggregateAccumulator(self.specs)
+        spiller = SpillingAggregator(
+            ctx.governor.spill_manager(), accumulator, self.group_by,
+            budget, op.note_memory)
+        stats = ctx.stats
+        for raw in child:
+            batch = TupleBatch.of(raw)
+            count = len(batch)
+            op.rows_in += count
+            stats.tuples_scanned += count
+            for values in batch.values_list():
+                spiller.add(values)
+            spiller.maybe_spill()
+
+        def emit() -> Iterator[TupleBatch]:
+            size = ctx.batch_size
+            chunk: List[dict] = []
+            for values in spiller.results():
+                chunk.append(values)
+                if len(chunk) >= size:
+                    op.rows_out += len(chunk)
+                    op.batches_out += 1
+                    yield LazyBatch(chunk)
+                    chunk = []
+            if chunk:
+                op.rows_out += len(chunk)
+                op.batches_out += 1
+                yield LazyBatch(chunk)
+
+        return emit()
 
 
 class SortOp(PhysicalOperator):
@@ -1071,12 +1424,14 @@ class SortOp(PhysicalOperator):
 
     The input is a set, so the sort itself is result-identity; the operator
     exists as the full-materialization form of ``limit`` lowering (``limit``
-    set) and as the physical counterpart of an order annotation.  It holds the
-    *entire* input (``note_memory`` of the materialized list — the contrast to
-    :class:`TopKOp`'s bounded heap that E18 asserts on ``peak_bytes``).
+    set) and as the physical counterpart of an order annotation.  It drains
+    the *entire* input into parallel value-dict and hash lists (their
+    ``sampled_size`` is what ``note_memory`` records — the contrast to
+    :class:`TopKOp`'s bounded heap that E18 asserts on ``peak_bytes``), orders
+    them by the shared :class:`CompiledOrder` and re-emits lazily.
     """
 
-    name = "sort"
+    name = "batch-sort"
 
     def __init__(self, child: PhysicalOperator, keys: Sequence[SortKey] = (),
                  limit: Optional[int] = None):
@@ -1095,48 +1450,82 @@ class SortOp(PhysicalOperator):
             parts.append("limit={}".format(self.limit))
         return _analytic_label(self.name, parts)
 
-    def _generate(self, ctx, op, child):
+    def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
         op.invocations += 1
-        spill_budget = ctx.spill_budget()
-        if spill_budget is not None:
-            # External merge sort: sorted runs flushed to disk when the held
-            # rows outgrow the budget, k-way merged on emit.  Tuples travel
-            # as (values, hash) pairs — plain picklable data — and are
-            # rebuilt with FlexTuple.from_parts on the way back; the compiled
-            # order is total, so the merged stream is deterministic.
-            from itertools import islice
-
-            from repro.governor.spill import ExternalSorter
-
-            sorter = ExternalSorter(
-                ctx.governor.spill_manager(), self.order,
-                budget=spill_budget, note=op.note_memory)
-            for batch in child:
-                count = len(batch)
-                op.rows_in += count
-                ctx.stats.tuples_scanned += count
-                sorter.extend((tup._values, hash(tup)) for tup in batch)
-                sorter.maybe_spill()
-            merged = (FlexTuple.from_parts(values, hash_)
-                      for values, hash_ in sorter.merged())
-            if self.limit is not None:
-                merged = islice(merged, self.limit)
-            return self._rebatch(ctx, op, merged)
+        budget = ctx.spill_budget()
+        if budget is not None:
+            return self._generate_spilled(ctx, op, child, budget)
+        stats = ctx.stats
         governed = (ctx.governor is not None
                     and ctx.governor.memory_budget is not None)
-        rows: List[FlexTuple] = []
-        for batch in child:
+        values: List[dict] = []
+        hashes: List[int] = []
+        for raw in child:
+            batch = TupleBatch.of(raw)
             count = len(batch)
             op.rows_in += count
-            ctx.stats.tuples_scanned += count
-            rows.extend(batch)
+            stats.tuples_scanned += count
+            values.extend(batch.values_list())
+            hashes.extend(batch.hashes_list())
             if governed:
-                ctx.enforce_memory(op, sampled_size(rows))
-        op.note_memory(sampled_size(rows))
-        order = self.order.argsort([tup._values for tup in rows])
+                ctx.enforce_memory(op, sampled_size(values) + sampled_size(hashes))
+        op.note_memory(sampled_size(values) + sampled_size(hashes))
+        order = self.order.argsort(values)
         if self.limit is not None:
             del order[self.limit:]
-        return self._rebatch(ctx, op, (rows[position] for position in order))
+
+        def emit() -> Iterator[TupleBatch]:
+            size = ctx.batch_size
+            for start in range(0, len(order), size):
+                chunk = order[start:start + size]
+                op.rows_out += len(chunk)
+                op.batches_out += 1
+                yield LazyBatch([values[position] for position in chunk],
+                                [hashes[position] for position in chunk])
+
+        return emit()
+
+    def _generate_spilled(self, ctx, op, child, budget) -> Iterator[TupleBatch]:
+        """τ under a memory budget, an external merge sort: sorted runs of
+        ``(values, hash)`` pairs flushed to disk when the held rows outgrow
+        the budget, k-way merged on emit (the compiled order is total, so the
+        merged stream is deterministic)."""
+        from itertools import islice
+
+        from repro.governor.spill import ExternalSorter
+
+        stats = ctx.stats
+        sorter = ExternalSorter(ctx.governor.spill_manager(), self.order,
+                                budget=budget, note=op.note_memory)
+        for raw in child:
+            batch = TupleBatch.of(raw)
+            count = len(batch)
+            op.rows_in += count
+            stats.tuples_scanned += count
+            sorter.extend(zip(batch.values_list(), batch.hashes_list()))
+            sorter.maybe_spill()
+        merged = sorter.merged()
+        if self.limit is not None:
+            merged = islice(merged, self.limit)
+
+        def emit() -> Iterator[TupleBatch]:
+            size = ctx.batch_size
+            out_values: List[dict] = []
+            out_hashes: List[int] = []
+            for values, hash_ in merged:
+                out_values.append(values)
+                out_hashes.append(hash_)
+                if len(out_values) >= size:
+                    op.rows_out += len(out_values)
+                    op.batches_out += 1
+                    yield LazyBatch(out_values, out_hashes)
+                    out_values, out_hashes = [], []
+            if out_values:
+                op.rows_out += len(out_values)
+                op.batches_out += 1
+                yield LazyBatch(out_values, out_hashes)
+
+        return emit()
 
 
 class TopKOp(PhysicalOperator):
@@ -1144,12 +1533,12 @@ class TopKOp(PhysicalOperator):
 
     The fused physical form of ``Limit(Sort(E))`` (and of a bare ``Limit``,
     with empty keys meaning the canonical tuple order).  The input streams
-    through :meth:`CompiledOrder.top_k` — at most ``count`` rows are ever
-    held, which is the bounded-memory contrast to :class:`SortOp` that
-    ``peak_bytes`` records.
+    through :meth:`CompiledOrder.top_k` as ``(values, hash)`` pairs — at most
+    ``count`` pairs are ever held, which is the bounded-memory contrast to
+    :class:`SortOp` that ``peak_bytes`` records.
     """
 
-    name = "top-k"
+    name = "batch-top-k"
 
     def __init__(self, child: PhysicalOperator, keys: Sequence[SortKey],
                  count: int):
@@ -1167,20 +1556,31 @@ class TopKOp(PhysicalOperator):
         parts.append("k={}".format(self.count))
         return _analytic_label(self.name, parts)
 
-    def _generate(self, ctx, op, child):
+    def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
         op.invocations += 1
+        stats = ctx.stats
 
         def pairs() -> Iterator[tuple]:
-            for batch in child:
+            for raw in child:
+                batch = TupleBatch.of(raw)
                 count = len(batch)
                 op.rows_in += count
-                ctx.stats.tuples_scanned += count
-                for tup in batch:
-                    yield tup._values, tup
+                stats.tuples_scanned += count
+                yield from zip(batch.values_list(), batch.hashes_list())
 
-        best = [tup for _, tup in self.order.top_k(pairs(), self.count)]
+        best = self.order.top_k(pairs(), self.count)
         ctx.enforce_memory(op, sampled_size(best))
-        return self._rebatch(ctx, op, iter(best))
+
+        def emit() -> Iterator[TupleBatch]:
+            size = ctx.batch_size
+            for start in range(0, len(best), size):
+                chunk = best[start:start + size]
+                op.rows_out += len(chunk)
+                op.batches_out += 1
+                yield LazyBatch([pair[0] for pair in chunk],
+                                [pair[1] for pair in chunk])
+
+        return emit()
 
 
 #: sentinel for "the scalar subquery produced no row — extend nothing"
@@ -1194,12 +1594,13 @@ class SubqueryExtendOp(PhysicalOperator):
     is checked, so the order in which errors surface (child errors, then
     subquery errors, then the scalar arity check, then per-tuple extension
     conflicts) matches the naive evaluator exactly — the property the
-    differential fuzz harness leans on.  ``run`` is custom for the same
-    reason: the base implementation would start both children before any
-    stream is drained.
+    differential fuzz harness leans on.  That ordering is why ``_start`` is
+    overridden: the base implementation would start both children before any
+    stream is drained.  The final extension pass is batch-wise — one presence
+    test per batch, extended value dicts out.
     """
 
-    name = "subquery-extend"
+    name = "batch-subquery-extend"
 
     def __init__(self, child: PhysicalOperator, attribute: str,
                  subquery: PhysicalOperator):
@@ -1214,21 +1615,7 @@ class SubqueryExtendOp(PhysicalOperator):
     def label(self) -> str:
         return "{}[{}]".format(self.name, self.attribute)
 
-    def run(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        ctx.stats.record_operator(self.name)
-        op_stats = ctx.register_operator(self.label())
-        if not ctx.timing:
-            stream = self._start(ctx, op_stats)
-        else:
-            started = perf_counter()
-            stream = self._start(ctx, op_stats)
-            op_stats.wall_seconds += perf_counter() - started
-            stream = self._timed_stream(op_stats, stream)
-        if ctx.governor is not None:
-            stream = self._governed_stream(ctx.governor, stream)
-        return stream
-
-    def _start(self, ctx, op):
+    def _start(self, ctx, op) -> Iterator[TupleBatch]:
         op.invocations += 1
         batches = []
         for batch in self.child.run(ctx):
@@ -1236,7 +1623,25 @@ class SubqueryExtendOp(PhysicalOperator):
             batches.append(batch)
         ctx.enforce_memory(op, sampled_size(batches))
         value = self._scalar_value(ctx, op)
-        return self._emit(ctx, op, batches, value)
+        compiled = (None if value is _NO_VALUE
+                    else CompiledExtension(self.attribute, value))
+
+        def emit() -> Iterator[TupleBatch]:
+            stats = ctx.stats
+            for raw in batches:
+                batch = TupleBatch.of(raw)
+                count = len(batch)
+                if not count:
+                    continue
+                stats.tuples_scanned += count
+                op.rows_out += count
+                op.batches_out += 1
+                if compiled is None:
+                    yield batch
+                else:
+                    yield LazyBatch(compiled.transform(batch))
+
+        return emit()
 
     def _scalar_value(self, ctx, op):
         result = self._materialize(ctx, op, self.subquery.run(ctx))
@@ -1253,15 +1658,3 @@ class SubqueryExtendOp(PhysicalOperator):
                     self.attribute, len(row)))
         (value,) = row._values.values()
         return value
-
-    def _emit(self, ctx, op, batches, value):
-        def emit():
-            for batch in batches:
-                for tup in batch:
-                    ctx.stats.tuples_scanned += 1
-                    if value is _NO_VALUE:
-                        yield tup
-                    else:
-                        yield tup.extend(**{self.attribute: value})
-
-        return self._rebatch(ctx, op, emit())

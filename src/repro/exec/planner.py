@@ -26,26 +26,20 @@ operators from :mod:`repro.exec.operators`:
   :class:`~repro.exec.operators.IndexLookupJoin` (when the join attributes are
   static, the inner side is a base relation with a covering hash index, and the
   estimated outer cardinality makes probing cheaper than scanning), a
-  :class:`~repro.exec.operators.HashJoin` or a
-  :class:`~repro.exec.operators.NestedLoopJoin`, decided by the cardinality
-  estimates of the :class:`~repro.optimizer.cost.CostModel`; the smaller
-  estimated input becomes the hash-join build side;
+  :class:`~repro.exec.operators.HashJoin`, a
+  :class:`~repro.exec.operators.NestedLoopJoin` (provably tiny inputs) or a
+  :class:`~repro.exec.operators.NaturalJoinOp` (join attributes only the data
+  can tell, ``on=None``), decided by the cardinality estimates of the
+  :class:`~repro.optimizer.cost.CostModel`; the smaller estimated input
+  becomes the hash-join build side;
 * the dependent fragments of a :class:`~repro.algebra.expressions.MultiwayJoin`
   are merged smallest-estimated-first (the order is semantically free);
 * all remaining operators map one-to-one onto their physical counterparts.
 
-With ``vectorize=True`` (the default) **every** operator is lowered to its
-batch form from :mod:`repro.exec.vectorized` (predicates and guards compiled
-once per node, lazy column-merged join output), so whole plans run
-``mode == "batch"``; the only row fallbacks are data-dependent natural joins
-(``on=None``) and the nested-loop joins chosen for provably tiny inputs.
-``batch_forms="core"`` restricts vectorization to the original hot set
-(scans/filters/guards/projections/joins, eager join output) for A/B
-benchmarking.  ``PhysicalPlan.mode`` reports ``"batch"`` / ``"mixed"`` /
-``"row"``; vectorized plans additionally carry an **adaptive batch size**
-picked from the cost model's tuple-width estimate and the largest base-table
-cardinality (tiny inputs get one batch, wide variant tuples smaller batches),
-overridable per plan request and per execution.
+Plans carry an **adaptive batch size** picked from the cost model's
+tuple-width estimate and the largest base-table cardinality (tiny inputs get
+one batch, wide variant tuples smaller batches), overridable per plan request
+and per execution.
 
 When the source database carries fresh statistics (``Database.analyze()``), the
 cost model estimates from histograms and variant-tag frequencies, so all of the
@@ -90,7 +84,6 @@ from repro.algebra.expressions import (
 from repro.errors import OptimizerError
 from repro.exec.context import (
     DEFAULT_BATCH_SIZE,
-    VECTOR_BATCH_SIZE,
     ExecutionContext,
     adaptive_batch_size,
 )
@@ -105,6 +98,7 @@ from repro.exec.operators import (
     IndexLookupJoin,
     MergeUnion,
     MultiwayJoinOp,
+    NaturalJoinOp,
     NestedLoopJoin,
     OuterUnionOp,
     PhysicalOperator,
@@ -115,26 +109,6 @@ from repro.exec.operators import (
     SortOp,
     SubqueryExtendOp,
     TopKOp,
-)
-from repro.exec.vectorized import (
-    BatchDifference,
-    BatchEmptyOp,
-    BatchExtension,
-    BatchFilter,
-    BatchGuard,
-    BatchHashAggregate,
-    BatchHashJoin,
-    BatchIndexLookupJoin,
-    BatchMergeUnion,
-    BatchMultiwayJoin,
-    BatchOuterUnion,
-    BatchProduct,
-    BatchProject,
-    BatchRename,
-    BatchScan,
-    BatchSort,
-    BatchSubqueryExtend,
-    BatchTopK,
 )
 from repro.obs.feedback import expression_key, referenced_tables
 from repro.obs.trace import NOOP_SPAN, tracer_of
@@ -149,12 +123,6 @@ from repro.optimizer.joinorder import (
 
 #: below this many estimated probe×build pairs a nested loop beats the hash setup
 DEFAULT_HASH_JOIN_PAIR_THRESHOLD = 64
-
-#: the valid ``batch_forms`` settings: ``"all"`` lowers every operator with a
-#: batch form (whole-plan vectorization); ``"core"`` reproduces the earlier
-#: scan/filter/guard/project/join-only lowering and is kept for A/B
-#: benchmarking of the full-batch engine (E14)
-BATCH_FORMS = ("all", "core")
 
 #: estimated cost of one index probe relative to reading one tuple in a scan
 INDEX_PROBE_COST_FACTOR = 2.0
@@ -201,7 +169,7 @@ class PhysicalPlan:
         self.expression = expression
         self.join_search = tuple(join_search)
         #: the planner's (adaptive or requested) batch-size decision; ``None``
-        #: falls back to the mode default at execution time
+        #: falls back to the default at execution time
         self.batch_size = batch_size
         #: the parameter binding the plan was costed under (and runs under
         #: unless :meth:`execute` is given another)
@@ -211,7 +179,6 @@ class PhysicalPlan:
         self.feedback_reads = feedback_reads or {}
         #: the feedback store's version when the reads were last checked
         self.feedback_version = None
-        self._mode: Optional[str] = None
         self._nodes: Optional[list] = None
         self._summary: Optional[dict] = None
 
@@ -236,27 +203,13 @@ class PhysicalPlan:
 
     @property
     def summary(self) -> dict:
-        """Operator labels, mode and estimated cost — what the plan watchdog
+        """Operator labels and estimated cost — what the plan watchdog
         compares and reports; formatted once per plan."""
         if self._summary is None:
             self._summary = {
                 "operators": [node.plan_label for node in self.nodes],
-                "mode": self.mode, "est_cost": self.root.estimated_cost}
+                "est_cost": self.root.estimated_cost}
         return self._summary
-
-    @property
-    def mode(self) -> str:
-        """The plan's execution mode: ``"batch"`` when every operator runs
-        vectorized, ``"row"`` when none does, ``"mixed"`` otherwise."""
-        if self._mode is None:
-            flags = [node.vectorized for node in self.nodes]
-            if all(flags):
-                self._mode = "batch"
-            elif any(flags):
-                self._mode = "mixed"
-            else:
-                self._mode = "row"
-        return self._mode
 
     def execute(self, source, stats: Optional[ExecutionStats] = None,
                 batch_size: Optional[int] = None,
@@ -269,8 +222,8 @@ class PhysicalPlan:
 
         ``batch_size=None`` uses the plan's own sizing decision (the planner's
         adaptive choice, or the size the plan was requested under), falling
-        back to the mode default: ~1024 tuples per batch for vectorized plans,
-        256 for row plans.  ``timing=False`` turns off the per-operator
+        back to :data:`~repro.exec.context.DEFAULT_BATCH_SIZE` for hand-built
+        plans.  ``timing=False`` turns off the per-operator
         wall-clock accounting (see :class:`~repro.exec.context.OperatorStats`);
         the result's own ``wall_seconds`` is always measured.  ``governor``
         bounds the execution (deadline, cancellation, memory budget — see
@@ -279,7 +232,7 @@ class PhysicalPlan:
         if batch_size is None:
             batch_size = self.batch_size
         if batch_size is None:
-            batch_size = DEFAULT_BATCH_SIZE if self.mode == "row" else VECTOR_BATCH_SIZE
+            batch_size = DEFAULT_BATCH_SIZE
         ctx = ExecutionContext(source, stats=stats, batch_size=batch_size,
                                use_indexes=use_indexes, timing=timing,
                                governor=governor,
@@ -330,23 +283,12 @@ class PhysicalPlanner:
                  hash_join_pair_threshold: int = DEFAULT_HASH_JOIN_PAIR_THRESHOLD,
                  statistics=None,
                  index_probe_cost_factor: float = INDEX_PROBE_COST_FACTOR,
-                 vectorize: bool = True,
                  join_order_search: str = DEFAULT_JOIN_SEARCH,
-                 join_dp_threshold: int = DEFAULT_DP_THRESHOLD,
-                 batch_forms: str = "all"):
+                 join_dp_threshold: int = DEFAULT_DP_THRESHOLD):
         self.source = source
         self.hash_join_pair_threshold = hash_join_pair_threshold
-        self.cost_model = CostModel(source, statistics=statistics,
-                                    vectorized=vectorize)
+        self.cost_model = CostModel(source, statistics=statistics)
         self.index_probe_cost_factor = index_probe_cost_factor
-        #: default execution mode: lower hot operators to their batch forms
-        self.vectorize = vectorize
-        if batch_forms not in BATCH_FORMS:
-            raise OptimizerError(
-                "unknown batch_forms setting {!r}; use one of {}".format(
-                    batch_forms, "/".join(BATCH_FORMS)))
-        #: which operators get batch forms under vectorization ("all" / "core")
-        self.batch_forms = batch_forms
         if join_order_search not in SEARCH_MODES:
             raise OptimizerError(
                 "unknown join_order_search mode {!r}; use one of {}".format(
@@ -355,7 +297,6 @@ class PhysicalPlanner:
         self.join_order_search = join_order_search
         self.join_dp_threshold = join_dp_threshold
         self._estimates: dict = {}
-        self._vectorize = vectorize
         #: ids of NaturalJoin nodes produced by the search (skip re-searching)
         self._ordered_joins: set = set()
         #: search results of the current plan() call (also keeps the rebuilt
@@ -365,47 +306,36 @@ class PhysicalPlanner:
         self._tracer = None
 
     def plan(self, expression: Expression,
-             vectorize: Optional[bool] = None,
              batch_size: Optional[int] = None, params=()) -> PhysicalPlan:
         """Lower ``expression`` into an executable :class:`PhysicalPlan`.
 
         ``params`` is the binding a template is costed under: selectivities
         and feedback fingerprints are those of the bound query.
 
-        ``vectorize`` overrides the planner default for this one plan: ``True``
-        lowers every operator with a batch form to it (with
-        ``batch_forms="all"``, that is all of them — whole plans run
-        ``mode == "batch"`` except for row fallbacks documented in
-        :mod:`repro.exec.vectorized`), ``False`` produces a pure row plan.
-
-        ``batch_size`` pins the plan's batch size; when omitted, vectorized
-        plans receive the **adaptive** size — picked from the cost model's
+        ``batch_size`` pins the plan's batch size; when omitted, the plan
+        receives the **adaptive** size — picked from the cost model's
         tuple-width estimate and the largest base-table cardinality (tiny
-        inputs get one batch, wide variant tuples get smaller batches) — and
-        row plans keep the row default.  Either way the decision is baked into
-        the returned plan (and the plan cache is keyed on it).
+        inputs get one batch, wide variant tuples get smaller batches).
+        Either way the decision is baked into the returned plan (and the plan
+        cache is keyed on it).
         """
         self._estimates = {}
         self._ordered_joins = set()
         self._search_results = []
-        self._vectorize = self.vectorize if vectorize is None else vectorize
-        self.cost_model.set_vectorized(self._vectorize)
         reads: dict = {}
         self.cost_model.bind(params, reads)
         self._tracer = tracer_of(self.source)
-        span = (self._tracer.span("physical-plan", vectorize=self._vectorize,
-                                  join_order_search=self.join_order_search,
-                                  batch_forms=self.batch_forms)
+        span = (self._tracer.span("physical-plan",
+                                  join_order_search=self.join_order_search)
                 if self._tracer is not None else NOOP_SPAN)
         try:
             with span:
                 self._trace_statistics_lookup()
                 root = self._lower(expression)
                 reports = tuple(result.report for result in self._search_results)
-                if batch_size is None and self._vectorize:
+                if batch_size is None:
                     batch_size = self._adaptive_batch_size(expression)
-                span.set(mode="batch" if self._vectorize else "row",
-                         batch_size=batch_size)
+                span.set(batch_size=batch_size)
             return PhysicalPlan(root, expression, join_search=reports,
                                 batch_size=batch_size, params=params,
                                 feedback_reads=reads)
@@ -414,8 +344,6 @@ class PhysicalPlanner:
             self._estimates = {}
             self._ordered_joins = set()
             self._search_results = []
-            self._vectorize = self.vectorize
-            self.cost_model.set_vectorized(self.vectorize)
             self._tracer = None
 
     def _trace_statistics_lookup(self) -> None:
@@ -468,77 +396,59 @@ class PhysicalPlanner:
         return operator
 
     def _lower_node(self, expression: Expression) -> PhysicalOperator:
-        # ``batch_forms="core"`` restricts vectorization to the original hot
-        # set (scan/filter/guard/project/joins) — kept for A/B benchmarks.
-        full = self._vectorize and self.batch_forms == "all"
         if isinstance(expression, EmptyRelation):
-            return BatchEmptyOp() if full else EmptyOp()
+            return EmptyOp()
         if isinstance(expression, RelationRef):
-            return BatchScan(expression.name) if self._vectorize else Scan(expression.name)
+            return Scan(expression.name)
         if isinstance(expression, Selection):
             child = self._lower(expression.child)
             if isinstance(child, Scan):
                 return child.with_predicate(expression.predicate)
-            if self._vectorize:
-                return BatchFilter(child, expression.predicate)
             return FilterOp(child, expression.predicate)
         if isinstance(expression, TypeGuardNode):
             child = self._lower(expression.child)
             if isinstance(child, Scan):
                 return child.with_guard(expression.attributes)
-            if self._vectorize:
-                return BatchGuard(child, expression.attributes)
             return GuardOp(child, expression.attributes)
         if isinstance(expression, Projection):
-            project = BatchProject if self._vectorize else ProjectOp
-            return project(self._lower(expression.child), expression.attributes)
+            return ProjectOp(self._lower(expression.child), expression.attributes)
         if isinstance(expression, Extension):
-            extend = BatchExtension if full else ExtendOp
-            return extend(self._lower(expression.child), expression.attribute,
-                          expression.value)
+            return ExtendOp(self._lower(expression.child), expression.attribute,
+                            expression.value)
         if isinstance(expression, Rename):
-            rename = BatchRename if full else RenameOp
-            return rename(self._lower(expression.child), expression.mapping)
+            return RenameOp(self._lower(expression.child), expression.mapping)
         if isinstance(expression, Product):
-            product = BatchProduct if full else ProductOp
-            return product(self._lower(expression.left), self._lower(expression.right))
+            return ProductOp(self._lower(expression.left), self._lower(expression.right))
         if isinstance(expression, OuterUnion):
-            union = BatchOuterUnion if full else OuterUnionOp
-            return union(self._lower(expression.left), self._lower(expression.right))
+            return OuterUnionOp(self._lower(expression.left), self._lower(expression.right))
         if isinstance(expression, Union):
-            union = BatchMergeUnion if full else MergeUnion
-            return union(self._lower(expression.left), self._lower(expression.right))
+            return MergeUnion(self._lower(expression.left), self._lower(expression.right))
         if isinstance(expression, Difference):
-            difference = BatchDifference if full else DifferenceOp
-            return difference(self._lower(expression.left), self._lower(expression.right))
+            return DifferenceOp(self._lower(expression.left), self._lower(expression.right))
         if isinstance(expression, MultiwayJoin):
             master, fragments = expression.inputs[0], list(expression.inputs[1:])
             # Merge the smallest estimated fragments into the master first (the
             # dependent fragments commute, so this only changes intermediate
             # sizes, never the result).
             fragments.sort(key=lambda child: self._estimate(child).cardinality)
-            multiway = BatchMultiwayJoin if full else MultiwayJoinOp
-            return multiway([self._lower(child) for child in [master] + fragments],
-                            expression.on)
+            return MultiwayJoinOp([self._lower(child) for child in [master] + fragments],
+                                  expression.on)
         if isinstance(expression, Aggregate):
-            aggregate = BatchHashAggregate if full else HashAggregateOp
-            return aggregate(self._lower(expression.child), expression.group_by,
-                             expression.specs)
+            return HashAggregateOp(self._lower(expression.child), expression.group_by,
+                                   expression.specs)
         if isinstance(expression, Sort):
-            sort = BatchSort if full else SortOp
-            return sort(self._lower(expression.child), expression.keys)
+            return SortOp(self._lower(expression.child), expression.keys)
         if isinstance(expression, Limit):
-            return self._lower_limit(expression, full)
+            return self._lower_limit(expression)
         if isinstance(expression, SubqueryExtension):
-            extend = BatchSubqueryExtend if full else SubqueryExtendOp
-            return extend(self._lower(expression.child), expression.attribute,
-                          self._lower(expression.subquery))
+            return SubqueryExtendOp(self._lower(expression.child), expression.attribute,
+                                    self._lower(expression.subquery))
         if isinstance(expression, NaturalJoin):
             ordered = self._search_join_order(expression)
             return self._lower_join(expression if ordered is None else ordered)
         raise OptimizerError("cannot lower expression node {!r}".format(expression))
 
-    def _lower_limit(self, expression: Limit, full: bool) -> PhysicalOperator:
+    def _lower_limit(self, expression: Limit) -> PhysicalOperator:
         """λ, fused with a child τ when present: bounded top-k vs full sort.
 
         ``Limit(Sort(E), k)`` lowers to a single physical operator over ``E``
@@ -559,10 +469,8 @@ class PhysicalPlanner:
         n = max(self._estimate(input_expr).cardinality, 1.0)
         child = self._lower(input_expr)
         if k * TOPK_HEAP_FACTOR <= n:
-            top_k = BatchTopK if full else TopKOp
-            return top_k(child, keys, k)
-        sort = BatchSort if full else SortOp
-        return sort(child, keys, limit=k)
+            return TopKOp(child, keys, k)
+        return SortOp(child, keys, limit=k)
 
     def _search_join_order(self, expression: NaturalJoin) -> Optional[NaturalJoin]:
         """Run the join-order search on an n-way NaturalJoin tree, if enabled.
@@ -606,12 +514,10 @@ class PhysicalPlanner:
         # Build on the smaller estimated input (the right child of HashJoin).
         if known and left_cardinality < right_cardinality:
             left, right = right, left
-        if self._vectorize and expression.on is not None and len(expression.on):
-            # The batch hash join needs statically known join attributes; the
-            # data-dependent natural join keeps the row implementation.
-            return BatchHashJoin(left, right, on=expression.on,
-                                 lazy=self.batch_forms == "all")
-        return HashJoin(left, right, on=expression.on)
+        if expression.on is not None and len(expression.on):
+            return HashJoin(left, right, on=expression.on)
+        # Join attributes only the data can tell: both sides are materialized.
+        return NaturalJoinOp(left, right, on=expression.on)
 
     def _index_lookup_join(self, expression: NaturalJoin,
                            left_cardinality: float,
@@ -665,10 +571,6 @@ class PhysicalPlanner:
         if best is None:
             return None
         _gain, outer_expr, inner_name = best
-        if self._vectorize:
-            return BatchIndexLookupJoin(self._lower(outer_expr), inner_name,
-                                        expression.on,
-                                        lazy=self.batch_forms == "all")
         return IndexLookupJoin(self._lower(outer_expr), inner_name, expression.on)
 
 

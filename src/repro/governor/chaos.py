@@ -33,7 +33,6 @@ def _counter(database, name: str) -> int:
 
 
 def cancel_at_every_boundary(database, expressions: Sequence,
-                             mode: Optional[str] = None,
                              batch_size: Optional[int] = None,
                              stride: int = 1,
                              spill_root: Optional[str] = None) -> Dict[str, int]:
@@ -51,8 +50,7 @@ def cancel_at_every_boundary(database, expressions: Sequence,
     summary = {"expressions": 0, "boundaries": 0, "injections": 0}
     for expression in expressions:
         baseline_token = CancelToken()
-        baseline = database.execute(expression, mode=mode,
-                                    batch_size=batch_size,
+        baseline = database.execute(expression, batch_size=batch_size,
                                     cancel_token=baseline_token)
         expected = set(baseline.tuples)
         boundaries = baseline_token.checks
@@ -66,8 +64,8 @@ def cancel_at_every_boundary(database, expressions: Sequence,
             cancelled_before = _counter(database, "queries.cancelled")
             token = CancelToken(fire_after_checks=boundary)
             try:
-                database.execute(expression, mode=mode,
-                                 batch_size=batch_size, cancel_token=token)
+                database.execute(expression, batch_size=batch_size,
+                                 cancel_token=token)
             except QueryCancelled:
                 pass
             else:
@@ -96,7 +94,7 @@ def cancel_at_every_boundary(database, expressions: Sequence,
                     "boundary {} of {!r} leaked spill files: {}".format(
                         boundary, expression, os.listdir(spill_root)))
             summary["injections"] += 1
-        rerun = database.execute(expression, mode=mode, batch_size=batch_size)
+        rerun = database.execute(expression, batch_size=batch_size)
         if set(rerun.tuples) != expected:
             raise ChaosError(
                 "re-execution of {!r} after the cancellation sweep diverged "

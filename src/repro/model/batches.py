@@ -1,12 +1,11 @@
-"""Column-oriented tuple batches for the vectorized execution path.
+"""Column-oriented tuple batches: what the physical operators hand each other.
 
-The row engine of :mod:`repro.exec.operators` hands plain lists of
-:class:`~repro.model.tuples.FlexTuple` between operators and touches every tuple
-individually — attribute lookups, predicate dispatch and counter updates all pay
-Python interpreter overhead once *per tuple*.  A :class:`TupleBatch` is the
-vectorized alternative: it still owns the row objects (results must be sets of
-``FlexTuple`` in the end, and keeping the references means a filter never has to
-*rebuild* surviving tuples), but exposes the data column-at-a-time:
+Touching every :class:`~repro.model.tuples.FlexTuple` individually pays Python
+interpreter overhead — attribute lookups, predicate dispatch, counter updates —
+once *per tuple*.  A :class:`TupleBatch` still owns the row objects (results
+must be sets of ``FlexTuple`` in the end, and keeping the references means a
+filter never has to *rebuild* surviving tuples), but exposes the data
+column-at-a-time:
 
 * :meth:`column` extracts one attribute of every row into a flat value array
   (``MISSING`` marks rows not defined on the attribute — the structural-variant
@@ -18,20 +17,20 @@ vectorized alternative: it still owns the row objects (results must be sets of
 * :meth:`take` selects rows by index — the output of a compiled predicate — in
   a single list comprehension.
 
-:class:`LazyBatch` is the **lazy merged batch** the batch joins and the batch
-reshaping operators emit: it carries plain per-row value *dicts* (the column
+:class:`LazyBatch` is the **lazy merged batch** the joins and the reshaping
+operators emit: it carries plain per-row value *dicts* (the column
 merge of a probe row and its build partner, an extended/renamed/projected row)
 and defers :class:`FlexTuple` construction until something actually needs row
-objects — a row-mode operator pulling the stream, an interpreted predicate, or
-the final result-set collection.  Column access, presence bitmaps and
+objects — a materializing operator pulling the stream, an interpreted
+predicate, or the final result-set collection.  Column access, presence bitmaps and
 ``take``-style selection all operate directly on the value dicts, so a batch
 pipeline of joins, filters and reshapes never builds tuples for rows a
 downstream operator discards.
 
-Batches interoperate with the row engine transparently: they have ``len()`` and
-iterate their rows (materializing a lazy batch on first touch), which is all the
-row operators (and the result collector) require of a batch, and
-:meth:`TupleBatch.of` wraps a row-engine list without copying.
+Batches have ``len()`` and iterate their rows (materializing a lazy batch on
+first touch), which is all the materializing operators and the result
+collector require of one, and :meth:`TupleBatch.of` wraps a plain list of
+tuples without copying.
 """
 
 from __future__ import annotations
@@ -79,8 +78,8 @@ def merge_values(left: Dict[str, object], right: Dict[str, object]) -> Dict[str,
     """Merge two per-row value dicts with :meth:`FlexTuple.merge` semantics.
 
     Overlapping attributes must agree (``TupleError`` otherwise — raised
-    *eagerly*, so a lazy join surfaces merge conflicts at exactly the point the
-    row engine would); the right side's value is kept on agreement, mirroring
+    *eagerly*, so a lazy join surfaces merge conflicts at exactly the point an
+    eager one would); the right side's value is kept on agreement, mirroring
     the row merge (:meth:`FlexTuple.merge` overwrites with ``other``'s value —
     1 and 1.0 are equal but not identical).  The common disjoint case costs one
     dict-splat and a length check.
@@ -114,7 +113,7 @@ class TupleBatch:
 
     @classmethod
     def of(cls, batch) -> "TupleBatch":
-        """Coerce a row-engine batch (any iterable of tuples) without copying lists."""
+        """Coerce any iterable of tuples to a batch, without copying lists."""
         if isinstance(batch, TupleBatch):
             return batch
         if isinstance(batch, list):
@@ -126,7 +125,7 @@ class TupleBatch:
         """A batch over a copy of ``tuples`` (accepts any iterable)."""
         return cls(list(tuples))
 
-    # -- container protocol (what the row engine expects of a batch) -----------------
+    # -- container protocol -----------------------------------------------------------
 
     @property
     def rows(self) -> List[FlexTuple]:
@@ -230,16 +229,16 @@ class TupleBatch:
 class LazyBatch(TupleBatch):
     """A batch of *pending* rows: value dicts whose ``FlexTuple``s are built on demand.
 
-    The batch joins emit these — build columns and probe columns zipped by the
-    selection vector into merged value dicts — as do the batch forms of
-    extension, rename and projection.  ``hashes`` optionally carries the
+    The joins emit these — build columns and probe columns zipped by the
+    selection vector into merged value dicts — as do extension, rename and
+    projection.  ``hashes`` optionally carries the
     precomputed ``FlexTuple``-compatible hash per row (joins derive it from the
     ``frozenset`` dedup key anyway); without it, materialization computes the
     hashes itself.
 
     Column access, presence masks and :meth:`take` answer straight from the
     dicts; only iteration / :attr:`rows` access materializes — which is exactly
-    when tuples cross into a row-mode operator or the final result set.
+    when tuples cross into a materializing operator or the final result set.
     """
 
     __slots__ = ("_values", "_hashes")

@@ -55,7 +55,7 @@ class FlexTuple:
 
         The batch execution layer (:mod:`repro.model.batches`) builds merged /
         transformed value dicts column-at-a-time and materializes tuples only
-        when they cross into row-mode code; this constructor skips the
+        when something needs row objects; this constructor skips the
         per-attribute normalization of ``__init__`` and reuses a precomputed
         hash when the caller already derived one (``hash(frozenset(items))`` —
         the exact hash ``__init__`` computes).  ``values`` is adopted by

@@ -1,7 +1,7 @@
 """Observability for the flexible-relations engine.
 
 Three layers, all cheap-by-default (the E15 benchmark gates the whole package
-at ≤5% overhead on vectorized plans):
+at ≤5% overhead):
 
 * :mod:`repro.obs.trace` — structured spans/events over the query lifecycle
   (parse → rewrite → statistics → join-order search → planning → execution,

@@ -109,8 +109,6 @@ def render_explain_analyze(plan, result, header: str = "") -> str:
 
     def render(node, indent: int) -> None:
         line = "  " * indent + node.label()
-        if node.vectorized:
-            line += "  [batch]"
         op_stats = annotations.get(id(node))
         if op_stats is not None:
             est = ("{:.1f}".format(node.estimated_rows)

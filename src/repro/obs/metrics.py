@@ -244,14 +244,12 @@ class MetricsRegistry:
 class SlowQueryEntry:
     """One slow-query-log record (see :class:`SlowQueryLog`)."""
 
-    __slots__ = ("expression", "mode", "seconds", "rows", "q_error_nodes",
-                 "note")
+    __slots__ = ("expression", "seconds", "rows", "q_error_nodes", "note")
 
-    def __init__(self, expression: str, mode: str, seconds: float, rows: int,
+    def __init__(self, expression: str, seconds: float, rows: int,
                  q_error_nodes: List[Tuple[str, Optional[float]]],
                  note: Optional[str] = None):
         self.expression = expression
-        self.mode = mode
         self.seconds = seconds
         self.rows = rows
         #: top (worst-first) ``(operator label, q_error)`` pairs of the plan
@@ -262,7 +260,6 @@ class SlowQueryEntry:
     def as_dict(self) -> Dict[str, object]:
         payload = {
             "expression": self.expression,
-            "mode": self.mode,
             "seconds": self.seconds,
             "rows": self.rows,
             "q_error_nodes": [
@@ -275,15 +272,15 @@ class SlowQueryEntry:
         return payload
 
     def __repr__(self) -> str:
-        return "SlowQueryEntry({:.4f}s, mode={}, {})".format(
-            self.seconds, self.mode, self.expression)
+        return "SlowQueryEntry({:.4f}s, {})".format(
+            self.seconds, self.expression)
 
 
 class SlowQueryLog:
     """Bounded log of queries slower than a configurable threshold.
 
     ``threshold`` is in seconds; queries at or above it are recorded with
-    their expression, plan mode, latency, row count, and the top-3 worst
+    their expression, latency, row count, and the top-3 worst
     Q-error plan nodes — the diagnostic trail for "why was this slow":
     usually a mis-estimate upstream of a bad join choice.  The log keeps the
     most recent ``capacity`` entries; ``total`` counts every slow query ever
@@ -296,14 +293,14 @@ class SlowQueryLog:
         self._entries: Deque[SlowQueryEntry] = deque(maxlen=self.capacity)
         self.total = 0
 
-    def observe(self, expression: str, mode: str, seconds: float, rows: int,
+    def observe(self, expression: str, seconds: float, rows: int,
                 q_error_nodes: Sequence[Tuple[str, Optional[float]]]) -> Optional[SlowQueryEntry]:
         """Record the query if it crossed the threshold; returns the entry."""
         if seconds < self.threshold:
             return None
-        return self.record(expression, mode, seconds, rows, q_error_nodes)
+        return self.record(expression, seconds, rows, q_error_nodes)
 
-    def record(self, expression: str, mode: str, seconds: float, rows: int,
+    def record(self, expression: str, seconds: float, rows: int,
                q_error_nodes: Sequence[Tuple[str, Optional[float]]] = (),
                note: Optional[str] = None) -> SlowQueryEntry:
         """Record unconditionally — used by the plan-regression watchdog,
@@ -311,7 +308,7 @@ class SlowQueryLog:
         ranked = sorted(
             (pair for pair in q_error_nodes if pair[1] is not None),
             key=lambda pair: pair[1], reverse=True)[:3]
-        entry = SlowQueryEntry(expression, mode, seconds, rows, list(ranked),
+        entry = SlowQueryEntry(expression, seconds, rows, list(ranked),
                                note=note)
         self._entries.append(entry)
         self.total += 1

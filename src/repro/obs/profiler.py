@@ -18,8 +18,8 @@ structured events (the last ``capacity`` of each are kept):
   slow-log entry reads as a diagnosis, not just a timing.
 
 :class:`WorkloadProfile` is the capture side of ``Database.profile()``: a
-context manager that windows a workload — every query with its mode, latency,
-rows and peak memory, plus the feedback/plan-change/regression deltas over the
+context manager that windows a workload — every query with its latency, rows
+and peak memory, plus the feedback/plan-change/regression deltas over the
 window — into one report dict the benchmark reporting layer can embed.
 """
 

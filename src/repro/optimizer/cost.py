@@ -30,8 +30,7 @@ Two notions of cost are used by the optimizer experiments:
   cardinality through; unions add, difference keeps its left input.
 * ``work`` — cumulative: children's work plus this node's own (one unit per
   input tuple for selections/guards/reshaping — scaled by
-  :data:`ROW_TUPLE_COST` or :data:`VECTORIZED_TUPLE_COST` depending on the
-  execution mode being priced — and the examined pair count for joins).
+  :data:`TUPLE_COST` — and the examined pair count for joins).
 * ``bound`` — a *hard* cardinality upper bound (selections only shrink their
   input, a join can at most pair everything).  Decisions that are
   catastrophic when an estimate is too low — choosing a nested-loop join —
@@ -100,12 +99,10 @@ DEFAULT_TUPLE_WIDTH = 8.0
 #: variant-tag frequencies nor NDVs are available to estimate a group count
 DEFAULT_GROUP_FRACTION = 0.1
 
-#: relative per-tuple cost of interpreted (row-at-a-time) operator work
-ROW_TUPLE_COST = 1.0
-#: relative per-tuple cost in vectorized operators: compiled predicates and
-#: bulk counter updates amortize interpreter overhead across a batch, so one
-#: tuple of selection/guard/reshaping work is ~4× cheaper than in row mode
-VECTORIZED_TUPLE_COST = 0.25
+#: per-tuple cost of selection/guard/reshaping work relative to examining one
+#: join pair: compiled predicates and bulk counter updates amortize the
+#: interpreter overhead across a batch, a join pair pays it in full
+TUPLE_COST = 0.25
 
 
 class CostEstimate:
@@ -160,8 +157,7 @@ class CostModel:
     ``None``) transparently fall back to the default constants.
     """
 
-    def __init__(self, source=None, statistics=None, vectorized: bool = False,
-                 feedback=None):
+    def __init__(self, source=None, statistics=None, feedback=None):
         self.source = source
         if statistics is None:
             statistics = getattr(source, "statistics", None)
@@ -172,9 +168,6 @@ class CostModel:
         if feedback is None:
             feedback = getattr(source, "cardinality_feedback", None)
         self.feedback = feedback
-        #: per-tuple work factor for selection/guard/reshaping nodes; the
-        #: vectorized engine pays less interpreter overhead per tuple
-        self.tuple_cost = VECTORIZED_TUPLE_COST if vectorized else ROW_TUPLE_COST
         self.bind()
 
     def bind(self, params=(), reads: Optional[dict] = None) -> None:
@@ -205,12 +198,6 @@ class CostModel:
         dependency = ("edges", (name, version))
         if self.reads is not None and dependency not in self.reads:
             self.reads[dependency] = self.feedback.current(dependency)
-
-    def set_vectorized(self, vectorized: bool) -> None:
-        """Re-point the per-tuple work factor at the given execution mode (the
-        physical planner calls this per plan, so per-call mode overrides are
-        priced with the right constants)."""
-        self.tuple_cost = VECTORIZED_TUPLE_COST if vectorized else ROW_TUPLE_COST
 
     # -- statistics access ---------------------------------------------------------------
 
@@ -290,7 +277,7 @@ class CostModel:
             if cardinality is None:
                 cardinality = child.cardinality * DEFAULT_SELECTIVITY
             return CostEstimate(min(cardinality, child.bound),
-                                child.work + child.cardinality * self.tuple_cost,
+                                child.work + child.cardinality * TUPLE_COST,
                                 bound=child.bound)
         if isinstance(expression, TypeGuardNode):
             child = self.estimate(expression.child, memo)
@@ -298,12 +285,12 @@ class CostModel:
             if cardinality is None:
                 cardinality = child.cardinality * DEFAULT_GUARD_SELECTIVITY
             return CostEstimate(min(cardinality, child.bound),
-                                child.work + child.cardinality * self.tuple_cost,
+                                child.work + child.cardinality * TUPLE_COST,
                                 bound=child.bound)
         if isinstance(expression, (Projection, Extension, Rename)):
             child = self.estimate(expression.children[0], memo)
             return CostEstimate(child.cardinality,
-                                child.work + child.cardinality * self.tuple_cost,
+                                child.work + child.cardinality * TUPLE_COST,
                                 bound=child.bound)
         if isinstance(expression, (Product, NaturalJoin)):
             left = self.estimate(expression.children[0], memo)
@@ -341,14 +328,14 @@ class CostModel:
             bound = child.bound if expression.group_by else 1.0
             groups = self._group_count(expression, child)
             return CostEstimate(min(groups, bound),
-                                child.work + child.cardinality * self.tuple_cost,
+                                child.work + child.cardinality * TUPLE_COST,
                                 bound=bound)
         if isinstance(expression, Sort):
             child = self.estimate(expression.child, memo)
             n = max(child.cardinality, 1.0)
             return CostEstimate(child.cardinality,
                                 child.work + child.cardinality * log2(max(n, 2.0))
-                                * self.tuple_cost,
+                                * TUPLE_COST,
                                 bound=child.bound)
         if isinstance(expression, Limit):
             # The planner fuses Limit(Sort(E)) into one top-k operator, so
@@ -362,14 +349,14 @@ class CostModel:
             per_tuple = min(log2(max(k, 2.0)), log2(max(n, 2.0)))
             return CostEstimate(min(k, base.cardinality),
                                 base.work + base.cardinality * per_tuple
-                                * self.tuple_cost,
+                                * TUPLE_COST,
                                 bound=min(k, base.bound))
         if isinstance(expression, SubqueryExtension):
             child = self.estimate(expression.child, memo)
             subquery = self.estimate(expression.subquery, memo)
             return CostEstimate(child.cardinality,
                                 child.work + subquery.work
-                                + child.cardinality * self.tuple_cost,
+                                + child.cardinality * TUPLE_COST,
                                 bound=child.bound)
         raise OptimizerError("cannot estimate cost of {!r}".format(expression))
 

@@ -23,9 +23,8 @@ but always NULL yields ``NULL``; a group in which ``a`` was never present
 yields no output attribute at all.  Grouping by a variant attribute routes the
 rows lacking it into a distinct ⊥ group whose output row omits the attribute.
 
-Every expectation is asserted against the naive evaluator AND both physical
-modes (row / vectorized batch), so the matrix is pinned for all three engines
-at once.
+Every expectation is asserted against the naive evaluator AND the physical
+engine, so the matrix is pinned for both at once.
 """
 
 import pytest
@@ -42,22 +41,17 @@ ALL_SPECS = ("count", ("count", "x"), ("sum", "x"), ("min", "x"),
 
 
 def run_everywhere(expression, source, batch_size=3):
-    """The result set, identical across naive, row and batch execution."""
+    """The result set, identical across naive and physical execution."""
     reference = Evaluator(source).evaluate(expression).tuples
-    for vectorize in (False, True):
-        plan = PhysicalPlanner(source=source, vectorize=vectorize).plan(expression)
-        assert plan.execute(source, batch_size=batch_size).tuples == reference, (
-            "engine disagreement in mode {}".format(plan.mode))
+    plan = PhysicalPlanner(source=source).plan(expression)
+    assert plan.execute(source, batch_size=batch_size).tuples == reference
     return reference
 
 
 def raises_everywhere(expression, source, error):
     for thunk in (
         lambda: Evaluator(source).evaluate(expression),
-        lambda: PhysicalPlanner(source=source, vectorize=False)
-                .plan(expression).execute(source),
-        lambda: PhysicalPlanner(source=source, vectorize=True)
-                .plan(expression).execute(source),
+        lambda: PhysicalPlanner(source=source).plan(expression).execute(source),
     ):
         with pytest.raises(error):
             thunk()

@@ -20,7 +20,7 @@ from repro.algebra import (
 from repro.algebra.predicates import Comparison, FalsePredicate, TruePredicate
 from repro.errors import OptimizerError
 from repro.model.attributes import attrset
-from repro.optimizer.cost import CostEstimate, estimate_cost, measured_cost
+from repro.optimizer.cost import TUPLE_COST, CostEstimate, estimate_cost, measured_cost
 
 
 class TestEstimateCost:
@@ -40,7 +40,7 @@ class TestEstimateCost:
         selected = estimate_cost(Selection(RelationRef("employees"), TruePredicate()),
                                  employee_database)
         assert selected.cardinality < base.cardinality
-        assert selected.work == base.work + base.cardinality
+        assert selected.work == base.work + base.cardinality * TUPLE_COST
 
     def test_guard_projection_extension_rename(self, employee_database):
         for node in (

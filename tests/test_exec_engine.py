@@ -1,30 +1,62 @@
 """Unit tests for the physical execution subsystem (:mod:`repro.exec`)."""
 
+import os
+
 import pytest
 
 from repro.algebra import (
+    Aggregate,
+    Difference,
     EmptyRelation,
+    Evaluator,
+    Extension,
+    Limit,
+    MultiwayJoin,
     NaturalJoin,
+    OuterUnion,
+    Product,
     Projection,
     RelationRef,
+    Rename,
     Selection,
+    Sort,
+    SubqueryExtension,
     TypeGuardNode,
     Union,
 )
+from repro.algebra.expressions import Expression
 from repro.algebra.predicates import Comparison
 from repro.engine import Database
-from repro.errors import CatalogError
+from repro.errors import CatalogError, MemoryBudgetExceeded
 from repro.exec import (
+    DifferenceOp,
+    EmptyOp,
+    ExecutionContext,
+    ExtendOp,
     FilterOp,
+    GuardOp,
+    HashAggregateOp,
     HashJoin,
     MergeUnion,
+    MultiwayJoinOp,
+    NaturalJoinOp,
     NestedLoopJoin,
+    OuterUnionOp,
     PhysicalExecutor,
     PhysicalPlanner,
+    ProductOp,
     ProjectOp,
+    RenameOp,
     Scan,
+    SortOp,
+    SubqueryExtendOp,
+    TopKOp,
     expression_key,
 )
+from repro.exec.planner import PhysicalPlan
+from repro.governor import QueryGovernor
+from repro.model.batches import LazyBatch
+from repro.model.tuples import FlexTuple
 from repro.model.domains import IntDomain
 from repro.model.scheme import FlexibleScheme
 from repro.workloads.employees import employee_definition, generate_employees
@@ -40,7 +72,58 @@ def database():
     return db
 
 
+_R, _S = RelationRef("r"), RelationRef("s")
+#: not a base relation, so a selection or guard over it cannot fold into a scan
+_BOTH = Union(_R, _S)
+
+#: expression class -> its lowerings: (expression, physical class of the root),
+#: planned without a source (no cardinalities, no indexes).  The cost-driven
+#: join forms are pinned by the other tests of :class:`TestLowering`.
+LOWERINGS = {
+    EmptyRelation: [(EmptyRelation(), EmptyOp)],
+    RelationRef: [(_R, Scan)],
+    Selection: [(Selection(_R, Comparison("a", "=", 1)), Scan),
+                (Selection(_BOTH, Comparison("a", "=", 1)), FilterOp)],
+    TypeGuardNode: [(TypeGuardNode(_R, ["a"]), Scan),
+                    (TypeGuardNode(_BOTH, ["a"]), GuardOp)],
+    Projection: [(Projection(_R, ["a"]), ProjectOp)],
+    Product: [(Product(_R, _S), ProductOp)],
+    Union: [(_BOTH, MergeUnion)],
+    OuterUnion: [(OuterUnion(_R, _S), OuterUnionOp)],
+    Difference: [(Difference(_R, _S), DifferenceOp)],
+    Extension: [(Extension(_R, "tag", 1), ExtendOp)],
+    Rename: [(Rename(_R, {"a": "b"}), RenameOp)],
+    NaturalJoin: [(NaturalJoin(_R, _S, on=["a"]), HashJoin),
+                  (NaturalJoin(_R, _S), NaturalJoinOp)],
+    MultiwayJoin: [(MultiwayJoin([_R, _S], on=["a"]), MultiwayJoinOp)],
+    Aggregate: [(Aggregate(_R, group_by=("a",), specs=("count",)), HashAggregateOp)],
+    Sort: [(Sort(_R, ["a"]), SortOp)],
+    Limit: [(Limit(Sort(_R, ["a"]), 0), TopKOp),
+            (Limit(Sort(_R, ["a"]), 5), SortOp)],
+    SubqueryExtension: [(SubqueryExtension(_R, "n", Limit(Projection(_S, ["a"]), 1)),
+                         SubqueryExtendOp)],
+}
+
+
+def _algebra_nodes():
+    """Every concrete node class of :mod:`repro.algebra.expressions`."""
+    found, pending = [], [Expression]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            pending.append(cls)
+            if cls.__module__ == Expression.__module__:
+                found.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
 class TestLowering:
+    @pytest.mark.parametrize("node", _algebra_nodes(), ids=lambda cls: cls.__name__)
+    def test_node_lowers_to_one_physical_class(self, node):
+        assert node in LOWERINGS, "no lowering pinned for {}".format(node.__name__)
+        for expression, physical in LOWERINGS[node]:
+            root = PhysicalPlanner().plan(expression).root
+            assert type(root) is physical, root.explain()
+
     def test_selection_and_guard_collapse_into_scan(self, database):
         expression = TypeGuardNode(
             Selection(RelationRef("employees"), Comparison("jobtype", "=", "secretary")),
@@ -62,7 +145,10 @@ class TestLowering:
     def test_large_join_lowers_to_hash_join(self, database):
         expression = NaturalJoin(RelationRef("employees"), RelationRef("employees"))
         plan = PhysicalPlanner(source=database).plan(expression)
-        assert isinstance(plan.root, HashJoin)
+        assert isinstance(plan.root, NaturalJoinOp)
+        keyed = NaturalJoin(RelationRef("employees"), RelationRef("employees"),
+                            on=["emp_id"])
+        assert isinstance(PhysicalPlanner(source=database).plan(keyed).root, HashJoin)
 
     def test_small_join_lowers_to_nested_loop(self, database):
         tiny = database.create_table("tiny", FlexibleScheme(1, 1, ["emp_id"]),
@@ -79,6 +165,9 @@ class TestLowering:
 
     def test_unknown_cardinalities_default_to_hash_join(self):
         plan = PhysicalPlanner().plan(NaturalJoin(RelationRef("a"), RelationRef("b")))
+        assert isinstance(plan.root, NaturalJoinOp)
+        plan = PhysicalPlanner().plan(
+            NaturalJoin(RelationRef("a"), RelationRef("b"), on=["k"]))
         assert isinstance(plan.root, HashJoin)
 
     def test_explain_renders_tree(self, database):
@@ -92,6 +181,66 @@ class TestLowering:
     def test_empty_relation(self, database):
         result = database.execute(EmptyRelation())
         assert len(result) == 0
+
+
+class TestMaterializingJoins:
+    """Both materializing joins read batch streams (plain and lazy) and feed
+    operators that pivot their list output back into columns."""
+
+    @pytest.fixture
+    def source(self):
+        return {
+            "people": {FlexTuple(id=i, team=i % 4, **({"grade": i % 3} if i % 2 else {}))
+                       for i in range(40)},
+            "teams": {FlexTuple(team=t, floor=t // 2) for t in range(4)},
+            "floors": {FlexTuple(floor=f, wing="w{}".format(f)) for f in range(3)},
+        }
+
+    def plan(self):
+        nested = NestedLoopJoin(                       # reads a TupleBatch and a LazyBatch
+            Scan("teams"), ProjectOp(Scan("floors"), ["floor", "wing"]), on=["floor"])
+        natural = NaturalJoinOp(                       # reads a LazyBatch and lists
+            ExtendOp(Scan("people"), "source", "hr"),
+            FilterOp(nested, Comparison("floor", "<", 2)))
+        return PhysicalPlan(ProjectOp(natural, ["id", "grade", "wing", "source"]))
+
+    def expression(self):
+        people, teams, floors = (RelationRef(name) for name in ("people", "teams", "floors"))
+        nested = NaturalJoin(teams, Projection(floors, ["floor", "wing"]), on=["floor"])
+        natural = NaturalJoin(Extension(people, "source", "hr"),
+                              Selection(nested, Comparison("floor", "<", 2)))
+        return Projection(natural, ["id", "grade", "wing", "source"])
+
+    def test_agrees_with_the_naive_evaluator(self, source):
+        expected = Evaluator(source).evaluate(self.expression()).tuples
+        assert len(expected) == 40
+        for batch_size in (1, 7, 1024):
+            result = self.plan().execute(source, batch_size=batch_size)
+            assert result.tuples == expected
+        rows_in = {row["operator"]: row["rows_in"] for row in result.operator_report()}
+        assert rows_in["nested-loop-join[on={floor}]"] == 4 + 3
+        assert rows_in["hash-join[on=shared]"] == 40 + 4
+
+    def test_output_pivots_back_to_columns(self, source):
+        batches = list(self.plan().root.run(ExecutionContext(source, batch_size=16)))
+        assert batches and all(isinstance(batch, LazyBatch) for batch in batches)
+
+    def test_budget_fails_fast_typed_without_debris(self, source, tmp_path):
+        expected = Evaluator(source).evaluate(self.expression()).tuples
+
+        def governed(budget):
+            governor = QueryGovernor(memory_budget=budget, spill=True,
+                                     spill_directory=str(tmp_path))
+            try:
+                return self.plan().execute(source, governor=governor).tuples
+            finally:
+                governor.finish()
+
+        assert governed(50_000_000) == expected
+        with pytest.raises(MemoryBudgetExceeded) as info:
+            governed(2_000)
+        assert "join" in info.value.operator
+        assert not os.listdir(str(tmp_path))
 
 
 class TestExecution:

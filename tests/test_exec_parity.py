@@ -6,18 +6,11 @@ including guard/variant-record edge cases — the physical executor must produce
 exactly the same tuple sets (and raise the same error class where the algebra
 rejects an operation, e.g. merging disagreeing tuples).
 
-Every check runs the whole corpus through **both** physical modes: the row
-engine and the vectorized batch engine (compiled predicates, column arrays,
-lazy merged join output), so the batch path is differentially verified against
-the naive evaluator too.  On success the row and batch executions must also
-report **identical ExecutionStats totals** — vectorization amortizes the
-bookkeeping, it never changes what is counted — and the whole-plan corpus in
-:class:`TestWholePlanVectorization` additionally pins down ``plan.mode``:
-every operator shape (unions, difference, extension, rename, products,
-multiway joins, variant records missing join attributes, empty inputs) must
-lower to ``"batch"``, with only the documented row fallbacks
-(data-dependent ``on=None`` joins, provably tiny nested-loop inputs)
-reporting ``"mixed"``.
+The whole-plan corpus in :class:`TestWholePlanVectorization` covers every
+operator shape (unions, difference, extension, rename, products, multiway
+joins, variant records missing join attributes, empty inputs) and the two
+materializing joins (data-dependent ``on=None``, provably tiny nested-loop
+inputs).
 """
 
 import random
@@ -53,7 +46,7 @@ from repro.algebra.predicates import (
     TruePredicate,
 )
 from repro.errors import ReproError
-from repro.exec import PhysicalExecutor, PhysicalPlanner
+from repro.exec import NaturalJoinOp, PhysicalExecutor, PhysicalPlanner
 from repro.model.tuples import FlexTuple
 from repro.workloads.employees import VARIANTS_BY_JOBTYPE, generate_employees
 from repro.workloads.generators import (
@@ -73,60 +66,26 @@ def _outcome(thunk):
         return ("error", type(error)), None
 
 
-def _operator_stats_rows(result):
-    """Per-operator ``(label, rows_in, rows_out, invocations)`` in plan order.
-
-    The batch forms of operators without a parameterized ``label()`` override
-    fall back to their class ``name`` ("batch-merge-union" vs "merge-union"),
-    so the mode prefix is stripped before comparing — the *numbers* must match
-    exactly between row and batch executions.
-    """
-    rows = []
-    for op in result.context.operator_stats:
-        label = op.label
-        if label.startswith("batch-"):
-            label = label[len("batch-"):]
-        rows.append((label, op.rows_in, op.rows_out, op.invocations))
-    return rows
-
-
-def assert_parity(expression, source, batch_size=7, expected_mode=None,
-                  strict_error_class=True):
-    """Physical execution — row mode AND the vectorized batch mode — agrees
-    with the naive evaluator on the result (or on the raised error class), and
-    the row and batch runs count identical ExecutionStats totals *and*
-    identical per-operator rows_in/rows_out/invocations.  With
-    ``expected_mode`` the vectorized plan's ``mode`` is pinned down too.
+def assert_parity(expression, source, batch_size=7, strict_error_class=True):
+    """Physical execution agrees with the naive evaluator on the result (or on
+    the raised error class).
 
     ``strict_error_class=False`` (used by the fuzz harness) accepts error
     outcomes whose *classes* differ: a random tree can contain several faulty
     operators, and which fault surfaces first depends on evaluation order —
-    bottom-up in the naive evaluator, pull-driven in the pipelined engines —
+    bottom-up in the naive evaluator, pull-driven in the pipelined engine —
     which is implementation-defined.  Both sides must still reject; an
     ok-vs-error split is always a failure."""
     naive, _ = _outcome(lambda: Evaluator(source).evaluate(expression))
-    result_by_mode = {}
-    for vectorize in (False, True):
-        plan = PhysicalPlanner(source=source, vectorize=vectorize).plan(expression)
-        physical, result = _outcome(lambda: plan.execute(source, batch_size=batch_size))
-        agrees = physical == naive or (
-            not strict_error_class
-            and physical[0] == "error" and naive[0] == "error"
-        )
-        assert agrees, "physical[{}] {} != naive {}\nplan:\n{}".format(
-            plan.mode, physical[0], naive[0], plan.explain()
-        )
-        if vectorize and expected_mode is not None:
-            assert plan.mode == expected_mode, plan.explain()
-        result_by_mode[vectorize] = result
-    row_result, batch_result = result_by_mode[False], result_by_mode[True]
-    if row_result is not None and batch_result is not None:
-        assert row_result.stats.as_dict() == batch_result.stats.as_dict(), (
-            "row and batch executions disagree on the work counters"
-        )
-        assert _operator_stats_rows(row_result) == _operator_stats_rows(batch_result), (
-            "row and batch executions disagree on the per-operator counters"
-        )
+    plan = PhysicalPlanner(source=source).plan(expression)
+    physical, _ = _outcome(lambda: plan.execute(source, batch_size=batch_size))
+    agrees = physical == naive or (
+        not strict_error_class
+        and physical[0] == "error" and naive[0] == "error"
+    )
+    assert agrees, "physical {} != naive {}\nplan:\n{}".format(
+        physical[0], naive[0], plan.explain()
+    )
 
 
 # -- fixed sources -------------------------------------------------------------------------
@@ -214,9 +173,7 @@ class TestVariantEdgeCases:
 
 
 class TestWholePlanVectorization:
-    """Every operator shape must lower to a pure-batch plan (mode == "batch"),
-    produce the naive result, and count exactly what the row engine counts —
-    the whole-plan follow-up to PR 3's hot-path-only vectorization."""
+    """Every operator shape must produce the naive result."""
 
     def test_union_of_heterogeneous_selections(self, employee_source):
         assert_parity(
@@ -225,16 +182,16 @@ class TestWholePlanVectorization:
                           Comparison("jobtype", "=", "secretary")),
                 Selection(RelationRef("employees"),
                           Comparison("jobtype", "=", "salesman"))),
-            employee_source, expected_mode="batch")
+            employee_source)
         assert_parity(Union(RelationRef("employees"), RelationRef("assignments")),
-                      employee_source, expected_mode="batch")
+                      employee_source)
 
     def test_difference(self, employee_source):
         assert_parity(
             Difference(RelationRef("employees"),
                        Selection(RelationRef("employees"),
                                  Comparison("salary", ">", 4000.0))),
-            employee_source, expected_mode="batch")
+            employee_source)
 
     def test_extension_and_rename(self, employee_source):
         assert_parity(
@@ -242,17 +199,17 @@ class TestWholePlanVectorization:
                                         ["emp_id", "jobtype"]),
                              {"jobtype": "kind"}),
                       "source", "hr"),
-            employee_source, expected_mode="batch")
+            employee_source)
 
     def test_extension_collision_raises_in_both_modes(self, employee_source):
         assert_parity(Extension(RelationRef("employees"), "salary", 0.0),
-                      employee_source, expected_mode="batch")
+                      employee_source)
 
     def test_product(self, employee_source):
         assert_parity(
             Product(Projection(RelationRef("employees"), ["emp_id"]),
                     Projection(RelationRef("assignments"), ["project"])),
-            employee_source, expected_mode="batch")
+            employee_source)
 
     def test_multiway_join_with_variant_fragments(self, employee_source):
         master = Projection(RelationRef("employees"), ["emp_id", "name", "jobtype"])
@@ -262,7 +219,7 @@ class TestWholePlanVectorization:
             for attr in ("typing_speed", "sales_commission")
         ]
         assert_parity(MultiwayJoin([master] + fragments, on=["emp_id"]),
-                      employee_source, expected_mode="batch")
+                      employee_source)
 
     def test_join_with_variant_records_missing_join_attribute(self, employee_source):
         # typing_speed exists only on secretaries; everything else is guarded
@@ -272,15 +229,15 @@ class TestWholePlanVectorization:
                         Projection(RelationRef("employees"),
                                    ["emp_id", "typing_speed"]),
                         on=["emp_id", "typing_speed"]),
-            employee_source, expected_mode="batch")
+            employee_source)
 
     def test_empty_inputs_stay_batch(self, employee_source):
         assert_parity(Union(Selection(RelationRef("employees"),
                                       Comparison("salary", ">", 4000.0)),
                             EmptyRelation()),
-                      employee_source, expected_mode="batch")
+                      employee_source)
         assert_parity(Difference(EmptyRelation(), RelationRef("employees")),
-                      employee_source, expected_mode="batch")
+                      employee_source)
 
     def test_whole_realistic_plan_is_batch(self, employee_source):
         """The paper's restoration shape: outer union over heterogeneous
@@ -295,19 +252,20 @@ class TestWholePlanVectorization:
             MultiwayJoin([master, fragment, RelationRef("assignments")],
                          on=["emp_id"]),
             "restored", True)
-        assert_parity(query, employee_source, expected_mode="batch")
+        assert_parity(query, employee_source)
 
     def test_data_dependent_join_still_falls_back_to_row(self, employee_source):
-        # on=None: the shared attributes depend on the data, no batch form.
-        assert_parity(NaturalJoin(RelationRef("employees"),
-                                  RelationRef("assignments")),
-                      employee_source, expected_mode="mixed")
+        # on=None: the shared attributes depend on the data, so both sides are
+        # materialized as tuple sets.
+        query = NaturalJoin(RelationRef("employees"), RelationRef("assignments"))
+        assert isinstance(PhysicalPlanner(source=employee_source).plan(query).root,
+                          NaturalJoinOp)
+        assert_parity(query, employee_source)
 
 
 class TestAnalyticOperatorParity:
     """Aggregation, sorting, top-k and scalar-subquery extension must agree
-    across all three engines, lower to pure-batch plans, and count identical
-    per-operator rows_in/rows_out/invocations between the two physical modes."""
+    with the naive evaluator."""
 
     def test_group_by_variant_attribute_routes_bottom_group(self, employee_source):
         # typing_speed exists only on secretaries: everyone else lands in the
@@ -315,7 +273,7 @@ class TestAnalyticOperatorParity:
         assert_parity(
             Aggregate(RelationRef("employees"), group_by=("typing_speed",),
                       specs=("count", ("min", "salary"))),
-            employee_source, expected_mode="batch")
+            employee_source)
 
     def test_aggregate_over_heterogeneous_union(self, employee_source):
         assert_parity(
@@ -323,81 +281,80 @@ class TestAnalyticOperatorParity:
                       group_by=("jobtype",),
                       specs=("count", ("count", "salary"), ("sum", "salary"),
                              ("min", "salary"), ("max", "salary"), ("avg", "salary"))),
-            employee_source, expected_mode="batch")
+            employee_source)
 
     def test_global_aggregate_including_empty_input(self, employee_source):
         assert_parity(Aggregate(RelationRef("employees"),
                                 specs=("count", ("avg", "salary"))),
-                      employee_source, expected_mode="batch")
+                      employee_source)
         assert_parity(Aggregate(EmptyRelation(),
                                 specs=("count", ("max", "salary"))),
-                      employee_source, expected_mode="batch")
+                      employee_source)
 
     def test_sum_over_non_numeric_raises_in_all_engines(self, employee_source):
         assert_parity(Aggregate(RelationRef("employees"),
                                 specs=(("sum", "name"),)),
-                      employee_source, expected_mode="batch")
+                      employee_source)
 
     def test_sorted_limit_fuses_and_agrees(self, employee_source):
         assert_parity(Limit(Sort(RelationRef("employees"),
                                  ["-salary", "emp_id"]), 7),
-                      employee_source, expected_mode="batch")
+                      employee_source)
         # NULL/absent sort last regardless of direction.
         assert_parity(Limit(Sort(RelationRef("employees"),
                                  ["typing_speed"]), 5),
-                      employee_source, expected_mode="batch")
+                      employee_source)
 
     def test_bare_limit_uses_canonical_order(self, employee_source):
         assert_parity(Limit(RelationRef("employees"), 3),
-                      employee_source, expected_mode="batch")
+                      employee_source)
         assert_parity(Limit(RelationRef("employees"), 0),
-                      employee_source, expected_mode="batch")
+                      employee_source)
 
     def test_large_limit_falls_back_to_sort_with_cutoff(self, employee_source):
         # 80 employees: the bounded top-k runs up to k = n / TOPK_HEAP_FACTOR
         # = 10, beyond it the sort-with-cutoff form.
-        def form(count, vectorize):
+        def form(count):
             limit = Limit(Sort(RelationRef("employees"), ["emp_id"]), count)
-            planner = PhysicalPlanner(source=employee_source, vectorize=vectorize)
+            planner = PhysicalPlanner(source=employee_source)
             return planner.plan(limit).root.label()
 
-        assert form(0, True) == "batch-top-k[emp_id, k=0]"
-        assert form(10, True) == "batch-top-k[emp_id, k=10]"
-        assert form(10, False) == "top-k[emp_id, k=10]"
-        assert form(11, True) == "batch-sort[emp_id, limit=11]"
-        assert form(70, False) == "sort[emp_id, limit=70]"
+        assert form(0) == "batch-top-k[emp_id, k=0]"
+        assert form(10) == "batch-top-k[emp_id, k=10]"
+        assert form(11) == "batch-sort[emp_id, limit=11]"
+        assert form(70) == "batch-sort[emp_id, limit=70]"
         for count in (10, 11, 70):
             assert_parity(Limit(Sort(RelationRef("employees"), ["emp_id"]), count),
-                          employee_source, expected_mode="batch")
+                          employee_source)
 
     def test_standalone_sort_is_set_identity(self, employee_source):
         assert_parity(Sort(RelationRef("employees"), ["salary"]),
-                      employee_source, expected_mode="batch")
+                      employee_source)
 
     def test_scalar_subquery_extension(self, employee_source):
         top = Aggregate(RelationRef("employees"), specs=(("max", "salary"),))
         assert_parity(SubqueryExtension(RelationRef("assignments"), "top_salary", top),
-                      employee_source, expected_mode="batch")
+                      employee_source)
 
     def test_scalar_subquery_arity_errors_agree(self, employee_source):
         # More than one tuple → AlgebraError in every engine.
         many = Projection(RelationRef("employees"), ["emp_id"])
         assert_parity(SubqueryExtension(RelationRef("assignments"), "x", many),
-                      employee_source, expected_mode="batch")
+                      employee_source)
         # More than one attribute → AlgebraError too.
         wide = Limit(Projection(RelationRef("employees"), ["emp_id", "salary"]), 1)
         assert_parity(SubqueryExtension(RelationRef("assignments"), "x", wide),
-                      employee_source, expected_mode="batch")
+                      employee_source)
 
     def test_empty_scalar_subquery_leaves_attribute_absent(self, employee_source):
         empty = Limit(EmptyRelation(), 1)
         assert_parity(SubqueryExtension(RelationRef("assignments"), "x", empty),
-                      employee_source, expected_mode="batch")
+                      employee_source)
 
     def test_extension_collision_with_subquery_value(self, employee_source):
         scalar = Limit(Projection(RelationRef("assignments"), ["project"]), 1)
         assert_parity(SubqueryExtension(RelationRef("assignments"), "project", scalar),
-                      employee_source, expected_mode="batch")
+                      employee_source)
 
     def test_aggregate_over_join_pipeline(self, employee_source):
         joined = NaturalJoin(RelationRef("employees"), RelationRef("assignments"),
@@ -405,7 +362,7 @@ class TestAnalyticOperatorParity:
         query = Limit(Sort(Aggregate(joined, group_by=("project",),
                                      specs=(("avg", "salary"), "count")),
                            ["-avg_salary"]), 3)
-        assert_parity(query, employee_source, expected_mode="batch")
+        assert_parity(query, employee_source)
 
 
 class TestAggregatePlanCacheRekey:

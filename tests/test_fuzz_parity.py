@@ -1,14 +1,12 @@
-"""Differential fuzz-parity harness: random trees, three engines, one answer.
+"""Differential fuzz-parity harness: random trees, two engines, one answer.
 
 A seeded generator grows random algebra trees over small workload tables using
 **every** operator the engine knows — the classic relational core *and* the
 analytic additions (``Aggregate``, ``Sort``, ``Limit``, scalar
-``SubqueryExtension``).  Each tree is executed through the naive set evaluator,
-the row engine and the vectorized batch engine via
-:func:`test_exec_parity.assert_parity`, which asserts identical result sets,
-identical ``ExecutionStats`` totals and identical per-operator counters
-between the row and batch runs.  Error outcomes must agree on *rejection*
-(every engine raises) but not on the class: a random tree can carry several
+``SubqueryExtension``).  Each tree is executed through the naive set evaluator
+and the physical engine via :func:`test_exec_parity.assert_parity`, which
+asserts identical result sets.  Error outcomes must agree on *rejection*
+(both engines raise) but not on the class: a random tree can carry several
 faulty operators at once, and which fault surfaces first depends on pull
 order — implementation-defined across engines.  The curated corpus in
 ``test_exec_parity.py`` still pins exact error classes for single-fault trees.
@@ -267,7 +265,7 @@ VALUES = [1, 7, 25, 4000.0, 250, "secretary", "salesman", "r0", "r1",
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fuzz_parity_budget(seed, fuzz_source):
-    """TREES_PER_SEED random trees per seed through all three engines."""
+    """TREES_PER_SEED random trees per seed through both engines."""
     rng = random.Random(7000 + seed)
     names = ["employees", "orders"]
     for index in range(TREES_PER_SEED):
@@ -399,15 +397,14 @@ def test_fuzz_two_literals_share_one_cache(seed, fuzz_database):
         batch_size = rng.choice(BATCH_SIZES)
         for variant in (tree, _redraw_constants(tree, rng, _TEMPLATE_VALUES)):
             naive, _ = _outcome(lambda: Evaluator(fuzz_database).evaluate(variant))
-            for mode in ("batch", "row"):
-                for optimize in (False, True):
-                    physical = _engine_outcome(
-                        fuzz_database, variant, optimize=optimize, mode=mode,
-                        batch_size=batch_size)
-                    assert _agree(physical, naive), (
-                        "seed={} tree={} mode={} optimize={}: {} != naive {}\n{}"
-                        .format(seed, index, mode, optimize, physical[0],
-                                naive[0], variant.pretty()))
+            for optimize in (False, True):
+                physical = _engine_outcome(
+                    fuzz_database, variant, optimize=optimize,
+                    batch_size=batch_size)
+                assert _agree(physical, naive), (
+                    "seed={} tree={} optimize={}: {} != naive {}\n{}"
+                    .format(seed, index, optimize, physical[0],
+                            naive[0], variant.pretty()))
     info = fuzz_database.physical_executor.cache_info()
     assert info["hits"] > 0 and info["size"] <= info["max_size"]
 

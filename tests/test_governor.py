@@ -5,9 +5,8 @@ Four layers under test:
 * the primitives — :class:`CancelToken`/:class:`Deadline` semantics, the
   CRC-framed spill segments, ``AggregateAccumulator.merge_states``;
 * the spill algorithms — for sort, hash aggregation and the grace hash join
-  the budgeted execution must produce **exactly** the unbudgeted results, in
-  both the row and the batch engine, across the workload's MISSING/NULL
-  edge cases;
+  the budgeted execution must produce **exactly** the unbudgeted results
+  across the workload's MISSING/NULL edge cases;
 * the database integration — ``timeout=``/``cancel_token=``/
   ``memory_budget=`` on :meth:`Database.execute`, the termination taxonomy,
   and the observability contract: terminated queries count under their
@@ -58,12 +57,6 @@ from repro.governor import (
 )
 from repro.model.batches import MISSING
 from repro.workloads.analytics import analytics_database
-
-MODES = ("row", "batch")
-
-
-def vectorize_of(mode):
-    return mode == "batch"
 
 
 @pytest.fixture(scope="module")
@@ -228,12 +221,10 @@ def spill_corpus():
 
 
 class TestSpillParity:
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", sorted(spill_corpus()))
-    def test_budgeted_equals_unbudgeted(self, orders_database, mode, name):
+    def test_budgeted_equals_unbudgeted(self, orders_database, name):
         expression, must_spill = spill_corpus()[name]
-        executor = PhysicalExecutor(orders_database,
-                                    vectorize=vectorize_of(mode))
+        executor = PhysicalExecutor(orders_database)
         baseline = executor.execute(expression)
         governor = QueryGovernor(memory_budget=15_000)
         try:
@@ -241,7 +232,7 @@ class TestSpillParity:
             if must_spill:
                 assert governor.spilled, (
                     "budget of 15000B over this workload must force a spill "
-                    "({} / {})".format(name, mode))
+                    "({})".format(name))
             assert set(governed.tuples) == set(baseline.tuples)
             # ExecutionStats totals stay identical: spilling changes where
             # state lives, not what is counted
@@ -249,11 +240,9 @@ class TestSpillParity:
         finally:
             governor.finish()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_sort_order_survives_spilling(self, orders_database, mode):
+    def test_sort_order_survives_spilling(self, orders_database):
         expression = spill_corpus()["sort"][0]
-        executor = PhysicalExecutor(orders_database,
-                                    vectorize=vectorize_of(mode))
+        executor = PhysicalExecutor(orders_database)
         baseline = executor.execute(expression)
         governor = QueryGovernor(memory_budget=10_000)
         try:
@@ -262,12 +251,10 @@ class TestSpillParity:
         finally:
             governor.finish()
 
-    @pytest.mark.parametrize("mode", MODES)
     def test_under_budget_query_never_touches_disk(self, orders_database,
-                                                   mode, tmp_path):
+                                                   tmp_path):
         expression = spill_corpus()["aggregate_sparse_groups"][0]
-        executor = PhysicalExecutor(orders_database,
-                                    vectorize=vectorize_of(mode))
+        executor = PhysicalExecutor(orders_database)
         governor = QueryGovernor(memory_budget=50_000_000,
                                  spill_directory=str(tmp_path))
         try:
@@ -277,11 +264,9 @@ class TestSpillParity:
         finally:
             governor.finish()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_spill_files_are_cleaned_up(self, orders_database, mode, tmp_path):
+    def test_spill_files_are_cleaned_up(self, orders_database, tmp_path):
         expression = spill_corpus()["aggregate"][0]
-        executor = PhysicalExecutor(orders_database,
-                                    vectorize=vectorize_of(mode))
+        executor = PhysicalExecutor(orders_database)
         governor = QueryGovernor(memory_budget=15_000,
                                  spill_directory=str(tmp_path))
         try:
@@ -291,43 +276,45 @@ class TestSpillParity:
             governor.finish()
         assert not os.listdir(str(tmp_path))
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_spilled_peak_is_bounded(self, orders_database, mode):
-        # the reference peak is the *row* engine's unspilled footprint: the
-        # spiller holds row-form group states in both engines, whereas the
-        # batch engine's unspilled columnar accumulator is already several
+    def test_spilled_peak_is_bounded(self, orders_database):
+        # the reference peak is the spilling aggregator's own footprint under
+        # a budget it never reaches: it holds per-group accumulator states,
+        # whereas the unbudgeted columnar accumulator is already several
         # times smaller — comparing across representations would make the
         # bound meaningless
         expression = spill_corpus()["aggregate"][0]
-        row_baseline = PhysicalExecutor(
-            orders_database, vectorize=False).execute(expression)
-        peak0 = max(s["peak_bytes"] for s in row_baseline.operator_report())
-        executor = PhysicalExecutor(orders_database,
-                                    vectorize=vectorize_of(mode))
-        governor = QueryGovernor(memory_budget=peak0 // 4)
-        try:
-            governed = executor.execute(expression, governor=governor)
-            peak1 = max(s["peak_bytes"] for s in governed.operator_report())
-            assert peak1 < peak0 / 2
-            assert set(governed.tuples) == set(row_baseline.tuples)
-        finally:
-            governor.finish()
+        executor = PhysicalExecutor(orders_database)
+
+        def run(budget):
+            governor = QueryGovernor(memory_budget=budget)
+            try:
+                result = executor.execute(expression, governor=governor)
+                return result, governor.spilled
+            finally:
+                governor.finish()
+
+        baseline, spilled = run(50_000_000)
+        assert not spilled
+        peak0 = max(s["peak_bytes"] for s in baseline.operator_report())
+        governed, spilled = run(peak0 // 4)
+        assert spilled
+        peak1 = max(s["peak_bytes"] for s in governed.operator_report())
+        assert peak1 < peak0 / 2
+        assert set(governed.tuples) == set(baseline.tuples)
 
 
 class TestFailFast:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_spill_disabled_fails_fast(self, orders_database, mode):
+    def test_spill_disabled_fails_fast(self, orders_database):
         expression = spill_corpus()["aggregate"][0]
         with pytest.raises(MemoryBudgetExceeded) as info:
-            orders_database.execute(expression, mode=mode,
+            orders_database.execute(expression,
                                     memory_budget=10_000, spill=False)
         assert info.value.budget_bytes == 10_000
         assert info.value.held_bytes > 10_000
         assert "aggregate" in info.value.operator
 
-    @pytest.mark.parametrize("mode", MODES)
     def test_non_spillable_operator_fails_fast_despite_spill(
-            self, orders_database, mode):
+            self, orders_database):
         # a data-dependent natural join (on=None) has no spill form: even
         # with spilling enabled, a blown budget must fail fast
         expression = NaturalJoin(
@@ -335,11 +322,10 @@ class TestFailFast:
             Rename(Projection(RelationRef("orders"), ["order_id", "region"]),
                    {"region": "r2"}))
         with pytest.raises(MemoryBudgetExceeded):
-            orders_database.execute(expression, mode=mode,
+            orders_database.execute(expression,
                                     memory_budget=10_000, spill=True)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_product_fails_fast(self, orders_database, mode):
+    def test_product_fails_fast(self, orders_database):
         # the big side goes on the right: Product materializes its right
         # input, so 2500 distinct order ids must be held at once
         expression = Product(
@@ -347,7 +333,7 @@ class TestFailFast:
             Rename(Projection(RelationRef("orders"), ["order_id"]),
                    {"order_id": "oid2"}))
         with pytest.raises(MemoryBudgetExceeded):
-            orders_database.execute(expression, mode=mode, memory_budget=5_000)
+            orders_database.execute(expression, memory_budget=5_000)
 
 
 # -- database integration --------------------------------------------------------------------

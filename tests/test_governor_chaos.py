@@ -6,8 +6,8 @@ expression with the chaos hook arming every cancellation boundary in turn
 and asserts the sweep invariants (cancel raised, no leaked WAL transaction,
 unchanged feedback store, exactly-once counting, no spill debris, clean
 re-execution reproduces the baseline).  This module drives that harness
-over both engines, over a durable database, and over a spill-forcing
-budgeted database.
+over an in-memory database, over a durable database, and over a
+spill-forcing budgeted database.
 """
 
 import pytest
@@ -30,8 +30,6 @@ from repro.workloads.analytics import (
     orders_domains,
     orders_scheme,
 )
-
-MODES = ("row", "batch")
 
 
 def chaos_corpus():
@@ -56,18 +54,17 @@ def chaos_database():
 
 
 class TestCancelSweep:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_every_boundary_cancels_cleanly(self, chaos_database, mode):
+    def test_every_boundary_cancels_cleanly(self, chaos_database):
         summary = cancel_at_every_boundary(
-            chaos_database, chaos_corpus(), mode=mode, batch_size=64)
+            chaos_database, chaos_corpus(), batch_size=64)
         assert summary["expressions"] == 3
         assert summary["injections"] >= summary["expressions"]
 
     def test_stride_thins_the_sweep(self, chaos_database):
         full = cancel_at_every_boundary(
-            chaos_database, chaos_corpus()[:1], mode="row")
+            chaos_database, chaos_corpus()[:1], batch_size=64)
         thinned = cancel_at_every_boundary(
-            chaos_database, chaos_corpus()[:1], mode="row", stride=4)
+            chaos_database, chaos_corpus()[:1], batch_size=64, stride=4)
         assert thinned["boundaries"] == full["boundaries"]
         assert thinned["injections"] < full["injections"]
 
@@ -81,9 +78,13 @@ class TestCancelSweep:
         # sweep it must fail loudly, not silently report zero coverage
         from repro.errors import CatalogError
 
+        class NaiveOnly:
+            def execute(self, expression, **options):
+                return chaos_database.execute(expression, executor="naive",
+                                              **options)
+
         with pytest.raises((ChaosError, CatalogError)):
-            cancel_at_every_boundary(chaos_database, chaos_corpus()[:1],
-                                     mode="naive")
+            cancel_at_every_boundary(NaiveOnly(), chaos_corpus()[:1])
 
 
 class TestDurableSweep:
@@ -95,7 +96,7 @@ class TestDurableSweep:
             database.table("orders").insert_many(
                 generate_orders(200, seed=21))
         summary = cancel_at_every_boundary(
-            database, chaos_corpus()[:2], mode="row")
+            database, chaos_corpus()[:2], batch_size=64)
         assert summary["injections"] > 0
         assert not database.durability.in_transaction
         database.close()
@@ -112,10 +113,10 @@ class TestDurableSweep:
             RelationRef("orders"), group_by=("order_id",),
             specs=(("sum", "amount"), "count", ("min", "amount")))
         # sanity: this shape really spills under the database-wide budget
-        database.execute(expression, mode="row")
+        database.execute(expression)
         assert database.metrics_registry.counter("spill.segments").value > 0
         summary = cancel_at_every_boundary(
-            database, [expression], mode="row",
+            database, [expression], batch_size=64,
             spill_root=str(spill_root))
         assert summary["injections"] > 0
         assert not list(spill_root.iterdir())

@@ -258,29 +258,28 @@ class TestDatabaseMetrics:
 class TestSlowQueryLog:
     def test_threshold_behavior(self):
         log = SlowQueryLog(threshold=0.5, capacity=2)
-        assert log.observe("q1", "batch", 0.4999, 10, []) is None
+        assert log.observe("q1", 0.4999, 10, []) is None
         assert len(log) == 0 and log.total == 0
-        entry = log.observe("q2", "batch", 0.5, 10, [("scan", 1.0)])
+        entry = log.observe("q2", 0.5, 10, [("scan", 1.0)])
         assert entry is not None and len(log) == 1 and log.total == 1
 
     def test_capacity_evicts_but_total_counts(self):
         log = SlowQueryLog(threshold=0.0, capacity=2)
         for index in range(5):
-            log.observe("q{}".format(index), "row", 1.0, 1, [])
+            log.observe("q{}".format(index), 1.0, 1, [])
         assert len(log) == 2 and log.total == 5
         assert [entry.expression for entry in log.entries()] == ["q3", "q4"]
 
     def test_records_top_3_q_error_nodes_worst_first(self):
         log = SlowQueryLog(threshold=0.0)
         nodes = [("a", 2.0), ("b", None), ("c", 50.0), ("d", 7.0), ("e", 3.0)]
-        entry = log.observe("q", "batch", 1.0, 1, nodes)
+        entry = log.observe("q", 1.0, 1, nodes)
         assert entry.q_error_nodes == [("c", 50.0), ("d", 7.0), ("e", 3.0)]
 
     def test_database_slow_log_catches_slow_queries(self, star_database):
         star_database.slow_query_log.threshold = 0.0  # everything is "slow"
         star_database.execute(small_query())
         (entry,) = star_database.slow_query_log.entries()
-        assert entry.mode == "batch"
         assert entry.rows > 0
         assert entry.q_error_nodes  # estimate quality travels with the entry
         assert star_database.metrics()["slow_queries"]["total"] == 1
@@ -295,21 +294,18 @@ class TestSlowQueryLog:
 
 
 class TestExplainAnalyze:
-    @pytest.mark.parametrize("mode", ["batch", "row"])
-    def test_parity_with_execute(self, star_database, mode):
+    def test_parity_with_execute(self, star_database):
         """The annotated tree executes to identical results and counters."""
         query = star_join_query()
-        report = star_database.explain_analyze(query, optimize=False, mode=mode)
-        plain = star_database.execute(query, optimize=False, mode=mode)
+        report = star_database.explain_analyze(query, optimize=False)
+        plain = star_database.execute(query, optimize=False)
         assert report.result.tuples == plain.tuples
         assert report.result.stats.as_dict() == plain.stats.as_dict()
 
-    @pytest.mark.parametrize("mode", ["batch", "row"])
-    def test_every_node_is_annotated(self, star_database, mode):
-        report = star_database.explain_analyze(small_query(), optimize=False,
-                                               mode=mode)
+    def test_every_node_is_annotated(self, star_database):
+        report = star_database.explain_analyze(small_query(), optimize=False)
         lines = str(report).splitlines()
-        assert lines[0].startswith("mode={}".format(mode))
+        assert lines[0].startswith("batch_size=")
         annotated = [line for line in lines if "actual_rows=" in line]
         assert len(annotated) == len(plan_nodes(report.plan))
         for line in annotated:

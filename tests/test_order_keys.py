@@ -12,7 +12,7 @@ layers under test:
   (none with a key attribute among the keys, one per row when everything
   ties) and numeric descending keys never reach ``_Reversed``;
 * NaN — its own class after every number, so Sort/Limit/min/max agree on the
-  naive, row, batch and spilled paths;
+  naive, physical and spilled paths;
 * spill — a sort forced into several runs emits the in-memory stream exactly,
   and the bounded top-k stays bounded on an all-tied input.
 """
@@ -175,62 +175,59 @@ def orders():
     return database
 
 
-def _stream(database, expression, mode, governor=None, batch_size=64):
+def _stream(database, expression, governor=None, batch_size=64):
     """The root operator's output, tuple by tuple, in emission order."""
-    plan = PhysicalExecutor(database, vectorize=mode == "batch").plan(expression)
+    plan = PhysicalExecutor(database).plan(expression)
     ctx = ExecutionContext(database, batch_size=batch_size, governor=governor)
     tuples = [tup for batch in plan.root.run(ctx) for tup in batch]
     return tuples, plan, ctx
 
 
-MODES = ("row", "batch")
 ORDERS = RelationRef("orders")
 
 
-@pytest.mark.parametrize("mode", MODES)
 class TestTieBreakOnlyOnTies:
-    def test_distinct_declared_keys_build_no_tie_break(self, orders, counted, mode):
+    def test_distinct_declared_keys_build_no_tie_break(self, orders, counted):
         for expression in (Sort(ORDERS, ("-amount", "order_id")),
                            Limit(Sort(ORDERS, ("-amount", "order_id")), 10),
                            Limit(Sort(ORDERS, ("order_id",)), 500)):
-            tuples, _, _ = _stream(orders, expression, mode)
+            tuples, _, _ = _stream(orders, expression)
             assert tuples
         assert counted == {"canonical": 0, "reversed": 0}
 
-    def test_all_tied_rows_build_exactly_one_each(self, orders, counted, mode):
+    def test_all_tied_rows_build_exactly_one_each(self, orders, counted):
         # no order carries "nothing": every row ranks absent on it
-        tuples, _, _ = _stream(orders, Sort(ORDERS, ("nothing",)), mode)
+        tuples, _, _ = _stream(orders, Sort(ORDERS, ("nothing",)))
         assert len(tuples) == 600 and counted["canonical"] == 600
         counted["canonical"] = 0
-        tuples, plan, _ = _stream(orders, Limit(ORDERS, 20), mode)
+        tuples, plan, _ = _stream(orders, Limit(ORDERS, 20))
         assert "top-k" in plan.explain()
         assert len(tuples) == 20 and counted["canonical"] == 600
 
-    def test_partly_tied_rows_build_one_per_tied_row(self, orders, counted, mode):
+    def test_partly_tied_rows_build_one_per_tied_row(self, orders, counted):
         # every region holds several orders, every order_id exactly one
-        _stream(orders, Sort(ORDERS, ("region",)), mode)
+        _stream(orders, Sort(ORDERS, ("region",)))
         assert counted["canonical"] == 600
         counted["canonical"] = 0
-        _stream(orders, Sort(ORDERS, ("region", "-order_id")), mode)
+        _stream(orders, Sort(ORDERS, ("region", "-order_id")))
         assert counted == {"canonical": 0, "reversed": 0}
 
-    def test_descending_strings_keep_the_shim(self, orders, counted, mode):
-        _stream(orders, Sort(ORDERS, ("-region", "order_id")), mode)
+    def test_descending_strings_keep_the_shim(self, orders, counted):
+        _stream(orders, Sort(ORDERS, ("-region", "order_id")))
         assert counted["reversed"] > 0 and counted["canonical"] == 0
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_physical_streams_are_in_the_defined_order(orders, mode):
+def test_physical_streams_are_in_the_defined_order(orders):
     for keys in (("nothing",), ("region",), ("-amount", "order_id"),
                  ("-coupon", "amount")):
         sort_keys = tuple(analytic.sort_key(key) for key in keys)
         expected = sorted(orders.table("orders").tuples,
                           key=lambda tup: row_order_key(tup._values, sort_keys))
-        tuples, plan, _ = _stream(orders, Sort(ORDERS, keys), mode)
+        tuples, plan, _ = _stream(orders, Sort(ORDERS, keys))
         assert "sort" in plan.explain()  # a root Sort still runs physically
         assert tuples == expected
         for count in (0, 7, 599, 700):
-            tuples, _, _ = _stream(orders, Limit(Sort(ORDERS, keys), count), mode)
+            tuples, _, _ = _stream(orders, Limit(Sort(ORDERS, keys), count))
             assert tuples == expected[:count]
 
 
@@ -263,21 +260,20 @@ def nan_orders():
 
 
 def _engines(database, expression, must_spill):
-    """The answer of every path — naive, row, batch, and both under a 2000B
-    budget — as sorted reprs: a spilled NaN comes back from its pickle as
+    """The answer of every path — naive, physical, and physical under a
+    2000B budget — as sorted reprs: a spilled NaN comes back from its pickle as
     another NaN object, and NaN objects are only ever equal by identity."""
     answers = {"naive": database.execute(expression, executor="naive").tuples}
-    for mode in MODES:
-        executor = PhysicalExecutor(database, vectorize=mode == "batch")
-        answers[mode] = executor.execute(expression).tuples
-        governor = QueryGovernor(memory_budget=2_000)
-        try:
-            answers[mode + "-spilled"] = executor.execute(
-                expression, governor=governor).tuples
-            spilled = governor.spilled
-        finally:
-            governor.finish()
-        assert spilled or not must_spill, (mode, expression)
+    executor = PhysicalExecutor(database)
+    answers["physical"] = executor.execute(expression).tuples
+    governor = QueryGovernor(memory_budget=2_000)
+    try:
+        answers["spilled"] = executor.execute(
+            expression, governor=governor).tuples
+        spilled = governor.spilled
+    finally:
+        governor.finish()
+    assert spilled or not must_spill, expression
     return {name: sorted(map(repr, tuples)) for name, tuples in answers.items()}
 
 
@@ -294,21 +290,20 @@ class TestNaN:
                                must_spill=count == 30)
             for name, answer in answers.items():
                 assert answer == sorted(map(repr, expected[:count])), (name, keys, count)
-        for mode in MODES:
-            tuples, _, _ = _stream(nan_orders, Sort(ORDERS, keys), mode)
-            assert tuples == expected
-            governor = QueryGovernor(memory_budget=2_000)
-            try:
-                tuples, _, _ = _stream(nan_orders, Sort(ORDERS, keys), mode,
-                                       governor=governor)
-            finally:
-                governor.finish()
-            assert list(map(repr, tuples)) == list(map(repr, expected))
+        tuples, _, _ = _stream(nan_orders, Sort(ORDERS, keys))
+        assert tuples == expected
+        governor = QueryGovernor(memory_budget=2_000)
+        try:
+            tuples, _, _ = _stream(nan_orders, Sort(ORDERS, keys),
+                                   governor=governor)
+        finally:
+            governor.finish()
+        assert list(map(repr, tuples)) == list(map(repr, expected))
 
     def test_nan_sorts_after_the_numbers_ascending_before_them_descending(
             self, nan_orders):
         def amounts(keys):
-            tuples, _, _ = _stream(nan_orders, Sort(ORDERS, keys), "batch")
+            tuples, _, _ = _stream(nan_orders, Sort(ORDERS, keys))
             return [tup._values.get("amount", "absent") for tup in tuples]
 
         def kinds(column):
@@ -353,16 +348,15 @@ class TestNaN:
 # -- spill parity and the bounded top-k ------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("keys", [("nothing",), ("region",), ("channel", "-region"),
                                   ("-amount", "order_id")],
                          ids=["all-tied", "tie-heavy", "tie-heavy-desc", "tie-free"])
-def test_spilled_sort_emits_the_in_memory_stream(orders, mode, keys):
+def test_spilled_sort_emits_the_in_memory_stream(orders, keys):
     expression = Sort(ORDERS, keys)
-    expected, _, _ = _stream(orders, expression, mode)
+    expected, _, _ = _stream(orders, expression)
     governor = QueryGovernor(memory_budget=20_000)
     try:
-        tuples, _, ctx = _stream(orders, expression, mode, governor=governor)
+        tuples, _, ctx = _stream(orders, expression, governor=governor)
         runs = governor.spill_manager().spill_events
     finally:
         governor.finish()
@@ -370,10 +364,9 @@ def test_spilled_sort_emits_the_in_memory_stream(orders, mode, keys):
     assert tuples == expected
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_top_k_holds_at_most_count_rows_when_everything_ties(orders, mode):
+def test_top_k_holds_at_most_count_rows_when_everything_ties(orders):
     def peak(expression):
-        _, _, ctx = _stream(orders, expression, mode)
+        _, _, ctx = _stream(orders, expression)
         return max(op.peak_bytes for op in ctx.operator_stats)
 
     # half the orders tie at the cut on region; on "nothing" all 600 do

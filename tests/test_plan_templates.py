@@ -252,10 +252,11 @@ class TestInvalidation:
         assert self._misses_of(database, database.reset_metrics) == 0
 
     def test_plan_key_fields_are_named(self, database):
-        database.query(self.TEXT.format(1), mode="row", batch_size=17)
+        database.query(self.TEXT.format(1), batch_size=17)
         (key,) = database.physical_executor.cache._plans
         assert isinstance(key, PlanKey)
-        assert (key.vectorize, key.batch_size) == (False, 17)
+        assert len(PlanKey._fields) == 6
+        assert key.batch_size == 17
         assert key.catalog_version == database.catalog_version
         assert key.statistics_version == database.statistics_version
         assert key.parameters == ((int, None),)       # never analyzed: no bucket

@@ -6,7 +6,14 @@ import pytest
 from repro.algebra import Evaluator, MultiwayJoin, NaturalJoin, RelationRef, Selection, TypeGuardNode
 from repro.algebra.predicates import And, Comparison, Not, Or, PresencePredicate, TruePredicate
 from repro.engine import Database, loads_database, dumps_database
-from repro.exec import HashJoin, IndexLookupJoin, MultiwayJoinOp, PhysicalPlanner, Scan
+from repro.exec import (
+    HashJoin,
+    IndexLookupJoin,
+    MultiwayJoinOp,
+    NaturalJoinOp,
+    PhysicalPlanner,
+    Scan,
+)
 from repro.model.domains import FloatDomain, IntDomain, StringDomain
 from repro.model.scheme import FlexibleScheme
 from repro.optimizer.cost import DEFAULT_SELECTIVITY, CostModel, estimate_cost
@@ -360,14 +367,14 @@ class TestStatsInformedPlanner:
             RelationRef("sessions"),
         )
         default_plan = PhysicalPlanner(source=database).plan(query)
-        assert isinstance(default_plan.root, HashJoin)
+        assert isinstance(default_plan.root, NaturalJoinOp)
         # Default selectivities say σ(events) ≈ 600 rows > 120 sessions: sessions builds.
         assert isinstance(default_plan.root.right, Scan)
         assert default_plan.root.right.relation == "sessions"
 
         database.analyze()
         stats_plan = PhysicalPlanner(source=database).plan(query)
-        assert isinstance(stats_plan.root, HashJoin)
+        assert isinstance(stats_plan.root, NaturalJoinOp)
         # The 1% tag leaves ~12 rows: the filtered events scan becomes the build side.
         assert stats_plan.root.right.relation == "events"
 
@@ -469,7 +476,7 @@ class TestStatsInformedPlanner:
         # loop threshold — but every predicate is vacuous, so the true input is
         # the full 200 × 100.  The hard bound keeps the hash join.
         plan = PhysicalPlanner(source=database).plan(NaturalJoin(deep_left, deep_right))
-        assert isinstance(plan.root, HashJoin)
+        assert isinstance(plan.root, NaturalJoinOp)
 
     def test_grown_table_replans_cached_join_without_analyze(self):
         """A nested-loop plan cached over tiny tables must be re-planned once the

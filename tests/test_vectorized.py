@@ -1,9 +1,8 @@
-"""Unit tests for the vectorized execution layer and sampling-based ANALYZE.
+"""Unit tests for the batch execution layer and sampling-based ANALYZE.
 
-The differential safety net lives in ``tests/test_exec_parity.py`` (its whole
-corpus runs through the batch path too); this module pins down the pieces in
-isolation: :class:`~repro.model.batches.TupleBatch` edge cases, predicate/guard
-compilation semantics, batch-operator counters, execution-mode exposure and
+The differential safety net lives in ``tests/test_exec_parity.py``; this module
+pins down the pieces in isolation: :class:`~repro.model.batches.TupleBatch`
+edge cases, predicate/guard compilation semantics, operator counters,
 plan-cache accounting, reservoir sampling with GEE scale-up, and the
 auto-ANALYZE policy.
 """
@@ -17,7 +16,6 @@ from repro.algebra import (
     RelationRef,
     Selection,
     TypeGuardNode,
-    Union,
 )
 from repro.algebra.predicates import (
     And,
@@ -31,23 +29,19 @@ from repro.algebra.predicates import (
     TruePredicate,
 )
 from repro.engine import Database, dumps_database, loads_database
-from repro.errors import CatalogError, TupleError
+from repro.errors import TupleError
 from repro.exec import (
     MAX_BATCH_SIZE,
     MIN_BATCH_SIZE,
     TARGET_BATCH_CELLS,
-    BatchFilter,
-    BatchHashJoin,
-    BatchIndexLookupJoin,
-    BatchProject,
-    BatchScan,
     CompiledGuard,
     CompiledPredicate,
     ExecutionContext,
+    FilterOp,
     HashJoin,
     IndexLookupJoin,
-    PhysicalExecutor,
     PhysicalPlanner,
+    ProjectOp,
     Scan,
     adaptive_batch_size,
 )
@@ -103,7 +97,7 @@ class TestTupleBatch:
         batch = TupleBatch(list(VARIANTS))
         taken = batch.take([0, 2])
         assert [t["id"] for t in taken] == [1, 3]
-        # Row-engine interop: iteration and len are all a row operator needs.
+        # Iteration and len are all a materializing operator needs.
         assert len(taken) == 2 and set(taken) == {VARIANTS[0], VARIANTS[2]}
         assert TupleBatch.of(taken) is taken
         assert TupleBatch.of([VARIANTS[0]]).rows == [VARIANTS[0]]
@@ -196,13 +190,13 @@ def _run(root, source, batch_size=64, use_indexes=True):
 
 class TestBatchOperators:
     def test_all_guard_filtered_batches_yield_nothing(self, source):
-        result = _run(BatchScan("assignments", guard=["typing_speed"]), source)
+        result = _run(Scan("assignments", guard=["typing_speed"]), source)
         assert result.tuples == set()
 
     def test_variant_records_missing_join_attribute_are_partitioned_out(self, source):
         # typing_speed exists only on secretaries; everyone else must be skipped
         # as a guard check, not a join pair.
-        root = BatchHashJoin(BatchScan("employees"), BatchScan("employees"),
+        root = HashJoin(Scan("employees"), Scan("employees"),
                              on=["emp_id", "typing_speed"])
         result = _run(root, source)
         naive = Evaluator(source).evaluate(
@@ -213,40 +207,24 @@ class TestBatchOperators:
 
     def test_batch_hash_join_needs_static_attributes(self):
         with pytest.raises(Exception):
-            BatchHashJoin(BatchScan("a"), BatchScan("b"), on=None)
-
-    def test_counters_identical_between_modes(self, source):
-        expression = Projection(
-            NaturalJoin(
-                Selection(RelationRef("employees"), Comparison("salary", ">", 3000.0)),
-                RelationRef("assignments"), on=["emp_id"]),
-            ["project", "jobtype"])
-        row_plan = PhysicalPlanner(source=source, vectorize=False).plan(expression)
-        batch_plan = PhysicalPlanner(source=source, vectorize=True).plan(expression)
-        row = row_plan.execute(source)
-        batch = batch_plan.execute(source)
-        assert row.tuples == batch.tuples
-        row_stats, batch_stats = row.stats.as_dict(), batch.stats.as_dict()
-        for counter in ("tuples_scanned", "predicate_evaluations", "guard_checks",
-                        "join_pairs_considered", "tuples_produced", "total_work"):
-            assert row_stats[counter] == batch_stats[counter], counter
+            HashJoin(Scan("a"), Scan("b"), on=None)
 
     def test_batch_project_deduplicates_and_drops_empty(self, source):
-        result = _run(BatchProject(BatchScan("employees"), ["jobtype"]), source)
+        result = _run(ProjectOp(Scan("employees"), ["jobtype"]), source)
         naive = Evaluator(source).evaluate(Projection(RelationRef("employees"),
                                                       ["jobtype"]))
         assert result.tuples == naive.tuples
 
     def test_batch_size_one(self, source):
-        root = BatchFilter(BatchScan("employees"), Comparison("jobtype", "=", "salesman"))
+        root = FilterOp(Scan("employees"), Comparison("jobtype", "=", "salesman"))
         small = _run(root, source, batch_size=1)
         big = _run(root, source, batch_size=4096)
         assert small.tuples == big.tuples
 
     def test_index_lookup_join_with_and_without_index(self):
         database = skewed_join_database(big=300, small=60, rare_every=30)
-        root = BatchIndexLookupJoin(
-            BatchScan("events", predicate=Comparison("kind", "=", "audit")),
+        root = IndexLookupJoin(
+            Scan("events", predicate=Comparison("kind", "=", "audit")),
             "sessions", on=["event_id"])
         with_index = _run(root, database, use_indexes=True)
         degraded = _run(root, database, use_indexes=False)
@@ -259,61 +237,13 @@ class TestBatchOperators:
 
 
 class TestModeExposure:
-    def test_plan_modes(self, source):
-        expression = Selection(RelationRef("employees"), Comparison("salary", ">", 0.0))
-        batch_plan = PhysicalPlanner(source=source).plan(expression)
-        row_plan = PhysicalPlanner(source=source, vectorize=False).plan(expression)
-        assert batch_plan.mode == "batch" and isinstance(batch_plan.root, BatchScan)
-        assert row_plan.mode == "row" and not isinstance(row_plan.root, BatchScan)
-        # Unions vectorize too since the whole-plan pass; "core" reproduces the
-        # pre-PR5 lowering (row-mode unions inside a batch plan = mixed), and a
-        # data-dependent natural join (on=None) still falls back to row mode.
-        union = Union(RelationRef("employees"), RelationRef("assignments"))
-        assert PhysicalPlanner(source=source).plan(union).mode == "batch"
-        mixed = PhysicalPlanner(source=source, batch_forms="core").plan(union)
-        assert mixed.mode == "mixed"
-        data_dependent = PhysicalPlanner(source=source).plan(
-            NaturalJoin(RelationRef("employees"), RelationRef("assignments")))
-        assert data_dependent.mode == "mixed"
-
-    def test_database_execute_mode_switch(self, employee_database):
-        query = Selection(RelationRef("employees"), Comparison("salary", ">", 4000.0))
-        batch = employee_database.execute(query, mode="batch")
-        row = employee_database.execute(query, mode="row")
-        naive = employee_database.execute(query, executor="naive")
-        assert batch.tuples == row.tuples == naive.tuples
-        with pytest.raises(CatalogError):
-            employee_database.execute(query, mode="columnar")
-
-    def test_database_plan_and_explain_expose_mode(self, employee_database):
-        query = Selection(RelationRef("employees"), Comparison("salary", ">", 4000.0))
-        assert employee_database.plan(query, mode="batch").mode == "batch"
-        assert employee_database.plan(query, mode="row").mode == "row"
-        rendered = employee_database.explain(query)
-        assert rendered.startswith("mode=batch")
-        assert "plan-cache: hits=" in rendered
-        assert "[batch]" in rendered
-        assert "[batch]" not in employee_database.explain(query, mode="row")
-
     def test_scan_pushdown_preserves_batch_class(self, source):
         plan = PhysicalPlanner(source=source).plan(
             TypeGuardNode(Selection(RelationRef("employees"),
                                     Comparison("jobtype", "=", "secretary")),
                           ["typing_speed"]))
-        assert isinstance(plan.root, BatchScan) and isinstance(plan.root, Scan)
+        assert isinstance(plan.root, Scan)
         assert plan.root.predicate is not None and plan.root.guard is not None
-
-    def test_batch_joins_are_row_join_subclasses(self):
-        database = skewed_join_database(big=300, small=60, rare_every=30)
-        query = NaturalJoin(
-            Selection(RelationRef("events"), Comparison("kind", "=", "audit")),
-            RelationRef("sessions"), on=["event_id"])
-        default_plan = database.plan(query, optimize=False)
-        assert isinstance(default_plan.root, HashJoin)
-        database.analyze()
-        informed_plan = database.plan(query, optimize=False)
-        assert isinstance(informed_plan.root, IndexLookupJoin)
-        assert informed_plan.root.vectorized
 
 
 class TestPlanCacheCounters:
@@ -333,23 +263,10 @@ class TestPlanCacheCounters:
         assert info["misses"] == executor.cache_misses
         assert info["size"] >= 1 and info["max_size"] >= info["size"]
 
-    def test_row_and_batch_plans_cached_separately(self, employee_database):
-        employee_database.analyze()  # accurate estimates → no feedback re-plan
-        executor = employee_database.physical_executor
-        query = Selection(RelationRef("employees"), Comparison("salary", ">", 2.0))
-        employee_database.execute(query, mode="batch")
-        misses = executor.cache_misses
-        employee_database.execute(query, mode="row")
-        assert executor.cache_misses == misses + 1
-        hits = executor.cache_hits
-        employee_database.execute(query, mode="row")
-        employee_database.execute(query, mode="batch")
-        assert executor.cache_hits == hits + 2
-
 
 class TestLazyBatches:
-    """Lazy merged join output: tuples materialize only when row-mode code
-    (or the result set) touches them."""
+    """Lazy merged join output: tuples materialize only when a materializing
+    operator (or the result set) touches them."""
 
     def join_plan(self, source):
         return PhysicalPlanner(source=source).plan(
@@ -423,8 +340,6 @@ class TestAdaptiveBatchSizing:
         assert MIN_BATCH_SIZE <= plan.batch_size <= MAX_BATCH_SIZE
         pinned = PhysicalPlanner(source=source).plan(expression, batch_size=7)
         assert pinned.batch_size == 7
-        row_plan = PhysicalPlanner(source=source, vectorize=False).plan(expression)
-        assert row_plan.batch_size is None  # row default applies at execution
 
     def test_database_batch_size_passthrough(self, employee_database):
         query = Selection(RelationRef("employees"), Comparison("salary", ">", 0.0))
