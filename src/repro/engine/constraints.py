@@ -250,6 +250,10 @@ class ConstraintChecker:
                 if isinstance(dependency, (AttributeDependency, FunctionalDependency)):
                     self._maintain(dependency.lhs)
         self._plans: Dict[FrozenSet[str], ShapePlan] = {}
+        #: the tuple :meth:`_plan_of` resolved last, and its plan: registration
+        #: follows the check of the same tuple, and finds its plan here
+        self._resolved: Optional[FlexTuple] = None
+        self._resolved_plan: Optional[ShapePlan] = None
 
     # -- index maintenance -------------------------------------------------------------------
 
@@ -283,12 +287,19 @@ class ConstraintChecker:
 
     def _plan_of(self, tup: FlexTuple) -> ShapePlan:
         """The plan of the tuple's shape — the kept one, else a fresh one — with
-        the tuple's ``attr(t)`` pointed at the plan's shared set."""
+        the tuple's ``attr(t)`` pointed at the plan's shared set.
+
+        Asked about the same tuple twice in a row (checked, then registered), the
+        second answer is the first: one shape lookup per row, whichever of
+        :meth:`check_insert` and :meth:`register_tuple` a subclass overrides."""
+        if tup is self._resolved:
+            return self._resolved_plan
         shape = frozenset(tup._values)
         plan = self._plans.get(shape)
         if plan is None:
             plan = ShapePlan(self, shape)
         tup._attrs = plan.attributes
+        self._resolved, self._resolved_plan = tup, plan
         return plan
 
     def shapes(self) -> List[AttributeSet]:

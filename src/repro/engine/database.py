@@ -64,10 +64,12 @@ from repro.stats.catalog import StatisticsCatalog
 class Table:
     """The stored instance of one table definition, with constraint enforcement.
 
-    Every successful mutation bumps :attr:`mutation_count` and notifies the
-    optional ``on_mutation`` callback — ``on_mutation(kind, rows)``, with the row
-    count after the mutation; the hook the database uses to invalidate
-    collected statistics the moment they could mislead the planner.
+    Every applied row bumps :attr:`mutation_count`, and every *statement* that
+    applied one notifies the optional ``on_mutation`` callback once —
+    ``on_mutation(kind, rows)``, with the row count after the statement; the
+    hook the database uses to invalidate collected statistics the moment they
+    could mislead the planner.  :meth:`insert_many` is one statement, however
+    many rows it applies and also when it raises after some.
 
     The optional ``journal`` callback — ``journal(kind, old, new)`` — is the
     write-ahead hook of durable databases: it is called after every constraint
@@ -92,8 +94,8 @@ class Table:
         self._on_mutation = on_mutation
         self._journal = journal
 
-    def _mutated(self, kind: str) -> None:
-        self.mutation_count += 1
+    def _mutated(self, kind: str, applied: int = 1) -> None:
+        self.mutation_count += applied
         if self._on_mutation is not None:
             self._on_mutation(kind, len(self._tuples))
 
@@ -159,8 +161,32 @@ class Table:
         return tup
 
     def insert_many(self, items: Iterable) -> List[FlexTuple]:
-        """Insert several tuples, stopping at the first violation."""
-        return [self.insert(item) for item in items]
+        """Insert several tuples, stopping at the first violation.
+
+        ``for item in items: insert(item)`` as one statement: every row is
+        checked, journaled and applied in order by the same calls, the rows
+        before a violation stay, and ``on_mutation`` fires once, after the last
+        applied row.  The bulk loop of snapshot load and log replay as well.
+        """
+        tuples, journal = self._tuples, self._journal
+        check, register = self.checker.check_insert, self.checker.register_tuple
+        inserted: List[FlexTuple] = []
+        applied = 0
+        try:
+            for item in items:
+                tup = _as_tuple(item)
+                if tup not in tuples:
+                    check(tup)
+                    if journal is not None:
+                        journal("insert", None, tup)
+                    tuples.add(tup)
+                    register(tup)
+                    applied += 1
+                inserted.append(tup)
+        finally:
+            if applied:
+                self._mutated("insert", applied)
+        return inserted
 
     def delete(self, item) -> bool:
         """Delete a tuple; returns whether it was stored."""
@@ -1075,8 +1101,9 @@ class _Transaction:
     only) is a savepoint, a mark into the same list.  Only DML is undone:
     entries of a ``Table`` that is no longer the catalog's are skipped, as
     write-ahead replay applies DDL autonomously too.  Rollback also evicts the
-    plans cached inside the scope and rewinds the statistics catalog and the
-    cardinality-feedback store to their entry state.  It runs when the block
+    plans cached inside the scope, rewinds the statistics catalog to its entry
+    state and drops whatever the cardinality-feedback store learned inside the
+    scope (and restores its version).  It runs when the block
     raises and when a durable commit does, so reads never serve rows that were
     not acknowledged (docs/ARCHITECTURE.md, "Transactions: the undo log").
     """
@@ -1088,6 +1115,7 @@ class _Transaction:
         self._statistics_state: Optional[Dict[str, object]] = None
         self._statistics_version = 0
         self._feedback_version = 0
+        self._feedback_mark = 0
         self._durability = None
         self._span = None
 
@@ -1103,6 +1131,7 @@ class _Transaction:
         self._statistics_state = database.statistics.capture()
         self._statistics_version = database.statistics.version
         self._feedback_version = database.cardinality_feedback.version
+        self._feedback_mark = database.cardinality_feedback.begin()
         self._span = database.tracer.span("transaction").__enter__()
         return database
 
@@ -1133,6 +1162,7 @@ class _Transaction:
         finally:
             if self._outermost:
                 database._undo = None
+                database.cardinality_feedback.end()
             database.metrics_registry.counter(counter).add()
             self._span.set(outcome=outcome, changes=changes)
             self._span.__exit__(error, None, None)
@@ -1157,7 +1187,7 @@ class _Transaction:
                 self._statistics_version, self._feedback_version)
         database.statistics.rollback_capture(self._statistics_state)
         database.cardinality_feedback.rollback(
-            self._feedback_version, self._statistics_version)
+            self._feedback_version, self._feedback_mark)
 
 
 def _as_tuple(item) -> FlexTuple:

@@ -12,7 +12,7 @@ determinant instead of the whole relation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
 from repro.model.attributes import AttributeSet, attrset
 from repro.model.tuples import FlexTuple
@@ -26,13 +26,16 @@ class HashIndex:
     tuple; the constraint checker, which knows per shape which indexes a tuple is
     defined on, builds it itself and calls :meth:`put` / :meth:`drop` /
     :meth:`bucket`.
+
+    A key with one tuple — every key of a key index — maps to a 1-tuple, a key
+    with several to their set: a one-element ``set`` is 216 bytes a row.
     """
 
     def __init__(self, attributes):
         self.attributes = attrset(attributes)
         #: the indexed attribute names, sorted: the order of a key's values
         self.names: Tuple[str, ...] = self.attributes.names
-        self._buckets: Dict[Tuple, Set[FlexTuple]] = {}
+        self._buckets: Dict[Tuple, Union[Tuple[FlexTuple], Set[FlexTuple]]] = {}
         self._indexed = 0
 
     def key_of(self, tup: FlexTuple) -> Optional[Tuple]:
@@ -53,11 +56,14 @@ class HashIndex:
         """Index a tuple under its key."""
         bucket = self._buckets.get(key)
         if bucket is None:
-            self._buckets[key] = {tup}
-            self._indexed += 1
-        elif tup not in bucket:
+            self._buckets[key] = (tup,)
+        elif tup in bucket:
+            return
+        elif type(bucket) is set:
             bucket.add(tup)
-            self._indexed += 1
+        else:
+            self._buckets[key] = {bucket[0], tup}
+        self._indexed += 1
 
     def remove(self, tup: FlexTuple) -> None:
         """Remove a tuple from the index (no-op when it was never indexed)."""
@@ -68,11 +74,15 @@ class HashIndex:
     def drop(self, key: Tuple, tup: FlexTuple) -> None:
         """Remove a tuple from under its key (no-op when it is not there)."""
         bucket = self._buckets.get(key)
-        if bucket and tup in bucket:
+        if not bucket or tup not in bucket:
+            return
+        if type(bucket) is set:
             bucket.remove(tup)
-            self._indexed -= 1
-            if not bucket:
-                del self._buckets[key]
+            if len(bucket) == 1:
+                self._buckets[key] = tuple(bucket)
+        else:
+            del self._buckets[key]
+        self._indexed -= 1
 
     def bucket(self, key: Tuple) -> Iterable[FlexTuple]:
         """The tuples stored under ``key``, in place: read, never mutate."""
@@ -96,7 +106,12 @@ class HashIndex:
 
     def groups(self) -> Iterable[Tuple[Tuple, Set[FlexTuple]]]:
         """Iterate over ``(key, tuples)`` buckets."""
-        return self._buckets.items()
+        for key, bucket in self._buckets.items():
+            yield key, set(bucket)
+
+    def same_buckets(self, other: "HashIndex") -> bool:
+        """Do both indexes file the same tuples under the same keys?"""
+        return self._buckets == other._buckets
 
     def average_bucket_size(self) -> float:
         """Average tuples per index key — the expected partners of one probe."""

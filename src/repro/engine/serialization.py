@@ -349,11 +349,22 @@ def database_to_dict(database: Database, include_data: bool = True) -> dict:
     return {"format_version": FORMAT_VERSION, "tables": tables}
 
 
+def _tuple_objects(raw_tuples: list, path: str):
+    """The document's tuples in order, each vetted as it is handed on — the
+    rows before a malformed one are loaded, as they would be row by row."""
+    for tuple_index, values in enumerate(raw_tuples):
+        if not isinstance(values, dict):
+            raise _fail("{}.tuples[{}]".format(path, tuple_index),
+                        "expected an object of attribute values")
+        yield values
+
+
 def populate_database_from_dict(database: Database, data: dict) -> Database:
     """Load a :func:`database_to_dict` document into an existing database.
 
     The database is expected to be empty (a fresh construction or a durable
-    database in recovery); tables are created and filled in document order.
+    database in recovery); tables are created and filled in document order,
+    each table's tuples by one :meth:`Table.insert_many`.
     Structural problems raise :class:`SerializationError` naming the offending
     path; constraint violations of the *data* propagate unchanged (they name
     the violated constraint, which is more useful than a document path).
@@ -381,11 +392,7 @@ def populate_database_from_dict(database: Database, data: dict) -> Database:
         raw_tuples = entry.get("tuples", [])
         if not isinstance(raw_tuples, list):
             raise _fail(path + ".tuples", "expected a list of tuples")
-        for tuple_index, values in enumerate(raw_tuples):
-            if not isinstance(values, dict):
-                raise _fail("{}.tuples[{}]".format(path, tuple_index),
-                            "expected an object of attribute values")
-            table.insert(values)
+        table.insert_many(_tuple_objects(raw_tuples, path))
         statistics = entry.get("statistics")
         if statistics is not None:
             try:

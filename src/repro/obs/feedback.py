@@ -198,6 +198,9 @@ class CardinalityFeedback:
         #: table name -> number of entries/edges reading it; lets the per-row
         #: DML hook bail out in O(1) when a table has no feedback at all
         self._table_counts = {}
+        #: ``(store, key)`` of every observation folded in while a transaction
+        #: is open, oldest first — ``None`` outside one
+        self._recorded = None
         self._version = 0
         self.hits = 0
         self.misses = 0
@@ -234,8 +237,13 @@ class CardinalityFeedback:
             _evicted_key, (_rows, evicted_tables) = self._entries.popitem(last=False)
             self._count_tables(evicted_tables, -1)
             self.evictions += 1
-        self._version += 1
+        self._learned(self._entries, key)
         return True
+
+    def _learned(self, store, key) -> None:
+        self._version += 1
+        if self._recorded is not None:
+            self._recorded.append((store, key))
 
     def _count_tables(self, tables, delta: int) -> None:
         counts = self._table_counts
@@ -288,7 +296,7 @@ class CardinalityFeedback:
             _evicted, (_sel, evicted_tables) = self._edges.popitem(last=False)
             self._count_tables(evicted_tables, -1)
             self.evictions += 1
-        self._version += 1
+        self._learned(self._edges, key)
         return True
 
     def lookup_edge(self, attribute: str, carriers,
@@ -340,27 +348,40 @@ class CardinalityFeedback:
             self._version += 1
         return dropped
 
-    def rollback(self, version: int, statistics_version: int) -> int:
-        """Undo the version churn of a rolled-back transaction; returns drops.
+    def begin(self) -> int:
+        """Enter a transaction scope; returns its mark for :meth:`rollback`.
+        From the outermost ``begin`` to :meth:`end` the store remembers which
+        keys it folds in."""
+        if self._recorded is None:
+            self._recorded = []
+        return len(self._recorded)
 
-        Observations recorded under statistics versions newer than
-        ``statistics_version`` were keyed against states the rollback erased —
-        those version numbers will be handed out again for different states,
-        so the observations are dropped rather than left to alias them.
+    def rollback(self, version: int, mark: int) -> int:
+        """Nothing learned inside a rolled-back transaction survives it: drop
+        what was recorded since the scope's ``mark``; returns drops.
+
+        That covers the observations keyed by statistics versions the rollback
+        erases (the numbers will be handed out again for different states) and
+        those made at an unchanged version, whatever became of their table.
         Entries invalidated *during* the transaction stay gone (their evidence
         cannot be reconstructed; losing feedback is only ever a planning
         pessimization).  The version counter is then restored (the executor
         has already evicted the plans validated under the newer versions).
         """
         dropped = 0
-        for store in (self._entries, self._edges):
-            doomed = [key for key in store if key[-1] > statistics_version]
-            for key in doomed:
-                _value, tables = store.pop(key)
-                self._count_tables(tables, -1)
-            dropped += len(doomed)
+        recorded = self._recorded
+        for store, key in recorded[mark:]:
+            entry = store.pop(key, None)
+            if entry is not None:
+                self._count_tables(entry[1], -1)
+                dropped += 1
+        del recorded[mark:]
         self._version = version
         return dropped
+
+    def end(self) -> None:
+        """The outermost transaction scope is over, either way."""
+        self._recorded = None
 
     def clear(self) -> None:
         if self._entries or self._edges:

@@ -19,14 +19,17 @@ log epoch on :meth:`checkpoint`.
 
 All activity is counted through the database's
 :class:`~repro.obs.metrics.MetricsRegistry` (``wal.*``, ``recovery.*``,
-``checkpoint.*``) and traced through its tracer (``recovery`` / ``checkpoint``
-spans, ``wal-torn-tail`` events), so durable databases are observable with
-the same machinery as everything else.
+``checkpoint.*``) and traced through its tracer (``recovery`` — with one child
+span per phase, whose durations are also on the recovery report — and
+``checkpoint`` spans, ``wal-torn-tail`` events), so durable databases are
+observable with the same machinery as everything else.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from time import perf_counter
 from typing import Dict, Optional
 
 from repro.storage.checkpoint import (
@@ -111,24 +114,33 @@ class DurabilityManager:
         database = self.database
         report = RecoveryReport()
         with database.tracer.span("recovery", directory=self.directory):
-            snapshot = load_checkpoint(self.snapshot_path)
             with database._suspend_journal():
-                if snapshot is not None:
-                    from repro.engine.serialization import populate_database_from_dict
+                with self._phase(report, "load_snapshot") as span:
+                    snapshot = load_checkpoint(self.snapshot_path)
+                    if snapshot is not None:
+                        from repro.engine.serialization import populate_database_from_dict
 
-                    data, self.epoch = snapshot
-                    populate_database_from_dict(database, data)
-                    report.checkpoint_loaded = True
+                        data, self.epoch = snapshot
+                        populate_database_from_dict(database, data)
+                        report.checkpoint_loaded = True
+                    span.set(rows=self._stored_rows())
                 report.wal_epoch = self.epoch
                 path = self.wal_path(self.epoch)
-                records, valid_length, torn = read_wal(path)
+                with self._phase(report, "read_wal") as span:
+                    records, valid_length, torn = read_wal(path)
+                    span.set(records=len(records), bytes=valid_length)
                 if torn is not None:
                     report.torn_offset, report.torn_reason = torn
                     database.tracer.event("wal-torn-tail", offset=torn[0],
                                           reason=torn[1])
                 report.valid_bytes = valid_length
-                replay_records(database, records, report)
-                problems = verify_database(database)
+                with self._phase(report, "replay") as span:
+                    replay_records(database, records, report)
+                    span.set(records=len(records),
+                             operations=report.operations_applied)
+                with self._phase(report, "verify") as span:
+                    problems = verify_database(database)
+                    span.set(rows=self._stored_rows(), problems=len(problems))
                 if problems:
                     raise RecoveryError(
                         "recovered database is inconsistent: {}".format(
@@ -153,6 +165,22 @@ class DurabilityManager:
             registry.counter("recovery.torn_tails").add()
         self.recovery_report = report
         return report
+
+    @contextmanager
+    def _phase(self, report: RecoveryReport, phase: str):
+        """One phase of recovery: a child span of ``recovery`` (the caller sets
+        its row or record count), its duration on the report."""
+        started = perf_counter()
+        try:
+            with self.database.tracer.span(
+                    "recovery." + phase.replace("_", "-")) as span:
+                yield span
+        finally:
+            report.phase_seconds[phase] = perf_counter() - started
+
+    def _stored_rows(self) -> int:
+        database = self.database
+        return sum(len(database.table(name)) for name in database.tables())
 
     @staticmethod
     def _truncate_torn_tail(path: str, valid_length: int) -> None:

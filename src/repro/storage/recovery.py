@@ -27,7 +27,8 @@ recovery, which only truncates debris — reaches the same state.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from itertools import groupby
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.constraints import ConstraintChecker
 from repro.errors import ReproError
@@ -69,6 +70,9 @@ class RecoveryReport:
         self.operations_applied = 0
         self.ddl_applied = 0
         self.analyze_replayed = 0
+        #: seconds spent loading the snapshot, reading the log, replaying it and
+        #: verifying the result
+        self.phase_seconds: Dict[str, float] = {}
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -83,6 +87,7 @@ class RecoveryReport:
             "operations_applied": self.operations_applied,
             "ddl_applied": self.ddl_applied,
             "analyze_replayed": self.analyze_replayed,
+            "phase_seconds": dict(self.phase_seconds),
         }
 
     def __repr__(self) -> str:
@@ -104,22 +109,25 @@ def read_wal(path: str) -> Tuple[List[Dict[str, object]], int, Optional[Tuple[in
     return read_frames(data)
 
 
-def _apply_operation(database, record: Dict[str, object]) -> None:
-    """Apply one replayed DML record through the normal Table code paths, so
-    key/secondary/dependency indexes are rebuilt as a side effect."""
-    table = database.table(record["table"])
-    op = record["op"]
-    if op == OP_INSERT:
-        table.insert(FlexTuple(record["values"]))
-    elif op == OP_DELETE:
-        table.delete(FlexTuple(record["values"]))
-    elif op == OP_UPDATE:
-        # The record carries both full images; replacing via delete + insert
-        # re-checks the new tuple exactly like check_update(ignore=old) did.
-        table.delete(FlexTuple(record["old"]))
-        table.insert(FlexTuple(record["new"]))
-    else:  # pragma: no cover - guarded by the dispatcher below
-        raise RecoveryError("unknown DML op {!r}".format(op))
+def _apply_operations(database, records: Iterable[Dict[str, object]]) -> None:
+    """Apply replayed DML records through the normal Table code paths, so
+    key/secondary/dependency indexes are rebuilt as a side effect; each run of
+    consecutive inserts into one table is one :meth:`Table.insert_many`."""
+    for (name, op), run in groupby(records, key=lambda r: (r["table"], r["op"])):
+        table = database.table(name)
+        if op == OP_INSERT:
+            table.insert_many(record["values"] for record in run)
+        elif op == OP_DELETE:
+            for record in run:
+                table.delete(FlexTuple(record["values"]))
+        elif op == OP_UPDATE:
+            for record in run:
+                # The record carries both full images; replacing via delete +
+                # insert re-checks the new tuple like check_update(ignore=old) did.
+                table.delete(FlexTuple(record["old"]))
+                table.insert(FlexTuple(record["new"]))
+        else:  # pragma: no cover - guarded by the dispatcher below
+            raise RecoveryError("unknown DML op {!r}".format(op))
 
 
 def _apply_ddl(database, record: Dict[str, object], report: RecoveryReport) -> None:
@@ -173,9 +181,8 @@ def replay_records(database, records: List[Dict[str, object]],
             open_txn, buffer = record.get("txn"), []
         elif op == OP_COMMIT:
             if record.get("txn") == open_txn and open_txn is not None:
-                for buffered in buffer:
-                    _apply_operation(database, buffered)
-                    report.operations_applied += 1
+                _apply_operations(database, buffer)
+                report.operations_applied += len(buffer)
                 report.transactions_applied += 1
             open_txn, buffer = None, []
         elif op == OP_ABORT:
@@ -185,7 +192,7 @@ def replay_records(database, records: List[Dict[str, object]],
         elif op in (OP_INSERT, OP_UPDATE, OP_DELETE):
             txn = record.get("txn")
             if txn is None:
-                _apply_operation(database, record)
+                _apply_operations(database, (record,))
                 report.operations_applied += 1
                 report.transactions_applied += 1
             elif txn == open_txn:
@@ -205,6 +212,34 @@ def replay_records(database, records: List[Dict[str, object]],
     return report
 
 
+def _recheck(table, tuples: Iterable[FlexTuple]) -> Tuple[ConstraintChecker, List[str]]:
+    """Run ``tuples`` through a checker built from the table's definition —
+    never the live one — registering each tuple that passes before the next is
+    checked.  Returns the checker, whose indexes then hold every tuple (the
+    refused ones are filed once all are checked), and the refusals."""
+    live = table.checker
+    fresh = ConstraintChecker(
+        table.definition,
+        check_scheme=live.check_scheme,
+        check_domains=live.check_domains,
+        check_dependencies=live.check_dependencies,
+    )
+    check, register = fresh.check_insert, fresh.register_tuple
+    problems: List[str] = []
+    refused: List[FlexTuple] = []
+    for tup in tuples:
+        try:
+            check(tup)
+        except ReproError as exc:
+            problems.append("table {!r}: {}".format(table.name, exc))
+            refused.append(tup)
+        else:
+            register(tup)
+    for tup in refused:
+        register(tup)
+    return fresh, problems
+
+
 def verify_database(database) -> List[str]:
     """Re-validate every invariant of a recovered database.
 
@@ -214,37 +249,36 @@ def verify_database(database) -> List[str]:
       uniqueness and the declared attribute/functional dependencies (levels
       mirror the table's own enforcement flags, so a database opened with
       ``enforce_constraints=False`` is not failed for constraints it never
-      enforced);
-    * every maintained hash index contains exactly the stored tuples defined
-      on its attributes (rebuilt indexes must match the data);
+      enforced).  The tuples are taken as stored; only when one is refused are
+      they checked again in ``repr`` order, for a report that does not depend
+      on set order — which of two conflicting tuples is named does;
+    * every maintained hash index files exactly the stored tuples defined on
+      its attributes, each under its key: its buckets equal those of the index
+      the independent checker has just rebuilt;
     * the incrementally maintained statistics row counts agree with the
       tables.
     """
     problems: List[str] = []
     for name in database.tables():
         table = database.table(name)
-        live = table.checker
-        fresh = ConstraintChecker(
-            table.definition,
-            check_scheme=live.check_scheme,
-            check_domains=live.check_domains,
-            check_dependencies=live.check_dependencies,
-        )
-        for tup in sorted(table, key=repr):
-            try:
-                fresh.check_insert(tup)
-                fresh.register_tuple(tup)
-            except ReproError as exc:
-                problems.append("table {!r}: {}".format(name, exc))
-        for index in live.indexes():
-            indexed = set()
-            for _key, bucket in index.groups():
-                indexed.update(bucket)
-            expected = {tup for tup in table if tup.is_defined_on(index.attributes)}
-            if indexed != expected:
+        fresh, refusals = _recheck(table, table)
+        if refusals:
+            fresh, refusals = _recheck(table, sorted(table, key=repr))
+        problems.extend(refusals)
+        for index in table.checker.indexes():
+            expected = fresh.index_on(index.attributes)
+            if index.same_buckets(expected):
+                continue
+            held, wanted = ({tup for _key, bucket in each.groups() for tup in bucket}
+                            for each in (index, expected))
+            if held != wanted:
                 problems.append(
                     "table {!r}: index on {} holds {} tuples, expected {}".format(
-                        name, index.attributes, len(indexed), len(expected)))
+                        name, index.attributes, len(held), len(wanted)))
+            else:
+                problems.append(
+                    "table {!r}: index on {} holds the expected {} tuples, but not "
+                    "under the expected keys".format(name, index.attributes, len(held)))
         statistics = database.statistics.peek(name)
         if statistics is not None and statistics.row_count != len(table):
             problems.append(

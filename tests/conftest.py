@@ -4,6 +4,11 @@ Also installs a global per-test timeout (``REPRO_TEST_TIMEOUT`` seconds,
 default 300, ``0`` disables): a wedged test — a stuck admission queue, a
 cancellation that never fires — aborts with a traceback instead of hanging
 the whole suite until CI's job-level kill.
+
+And the hypothesis profile every property suite runs under: tier-1 is
+derandomized and reads no example database, so this checkout, a fresh clone
+and CI draw the same examples on every run; the CI sweeps — the runs that set
+``REPRO_ROLLBACK_EXAMPLES`` / ``REPRO_ORDER_EXAMPLES`` — keep random seeds.
 """
 
 import os
@@ -11,6 +16,7 @@ import signal
 import threading
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.core.dependencies import ExplicitAttributeDependency, Variant
 from repro.engine import Database, Table
@@ -27,6 +33,16 @@ from repro.workloads.employees import (
 
 
 TEST_TIMEOUT_SECONDS = float(os.environ.get("REPRO_TEST_TIMEOUT", "300"))
+
+_SWEEP = "REPRO_ROLLBACK_EXAMPLES" in os.environ or "REPRO_ORDER_EXAMPLES" in os.environ
+settings.register_profile(
+    "repro",
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    **({} if _SWEEP else {"derandomize": True, "database": None}),
+)
+settings.load_profile("repro")
 
 
 @pytest.hookimpl(wrapper=True)

@@ -32,6 +32,7 @@ from repro.storage import (
     wal_filename,
 )
 from repro.storage.checkpoint import SNAPSHOT_FILENAME
+from repro.storage.durable import DurabilityManager
 from repro.storage.wal import MAGIC, frame_record
 from repro.workloads.employees import employee_definition, generate_employees
 
@@ -267,6 +268,37 @@ class TestDurableDatabase:
         assert section["last_recovery"]["records_read"] == 0
         database.close()
 
+    def test_recovery_says_where_its_time_went(self, tmp_path):
+        path = str(tmp_path / "db")
+        database = Database(durable_path=path)
+        _create_employees(database)
+        database.insert_many("employees", [_employee(i) for i in range(8)])
+        database.checkpoint()
+        with database.transaction():
+            database.insert_many("employees", [_employee(i) for i in range(8, 11)])
+        database.close()
+        # the phases are on every report ...
+        recovered = Database(durable_path=path)
+        phases = recovered.metrics()["durability"]["last_recovery"]["phase_seconds"]
+        assert list(phases) == ["load_snapshot", "read_wal", "replay", "verify"]
+        assert all(seconds > 0 for seconds in phases.values())
+        recovered.close()
+        # ... and are child spans of ``recovery`` for a tracer that listens by
+        # then (``Database(...)`` recovers before anyone can attach a sink)
+        traced = Database()
+        sink = traced.tracer.attach()
+        traced.durability = DurabilityManager(traced, path)
+        traced.durability.open()
+        traced.close()
+        (recovery,) = sink.named("recovery")
+        children = [span for span in sink.spans() if span["parent"] == recovery["id"]]
+        assert [(span["name"], span["attributes"]) for span in children] == [
+            ("recovery.load-snapshot", {"rows": 8}),
+            ("recovery.read-wal", {"records": 5, "bytes": recovered.durability.wal.size}),
+            ("recovery.replay", {"records": 5, "operations": 3}),
+            ("recovery.verify", {"rows": 11, "problems": 0}),
+        ]
+
     def test_checkpoint_requires_durable_database(self):
         with pytest.raises(Exception):
             Database().checkpoint()
@@ -448,6 +480,42 @@ class TestRecoveryEdgeCases:
         ])
         assert len(database.table("t")) == 0
         assert report.transactions_discarded == 1
+
+    def test_a_transaction_replays_in_log_order_run_by_run(self, tmp_path):
+        """Consecutive inserts into one table go through ``insert_many`` as one
+        statement; another table or another kind of record ends the run."""
+        database = Database()
+        statements = []
+        for name in ("t", "u"):
+            database.create_table(name, _simple_scheme(), key=["k"])
+            database.table(name)._on_mutation = (
+                lambda kind, rows, _name=name: statements.append((_name, kind, rows)))
+
+        def dml(op, table, **images):
+            return dict({"op": op, "table": table, "txn": 1}, **images)
+
+        report = replay_records(database, [
+            {"op": "begin", "txn": 1},
+            dml("insert", "t", values={"k": 1, "v": 1}),
+            dml("insert", "t", values={"k": 2}),
+            dml("insert", "t", values={"k": 1, "v": 1}),   # logged twice: absorbed
+            dml("insert", "u", values={"k": 1}),
+            dml("insert", "t", values={"k": 3}),
+            dml("update", "t", old={"k": 3}, new={"k": 3, "v": 3}),
+            dml("delete", "t", values={"k": 2}),
+            dml("insert", "t", values={"k": 2, "v": 2}),   # the key is free again
+            dml("insert", "t", values={"k": 4}),
+            {"op": "commit", "txn": 1},
+        ])
+        assert (report.operations_applied, report.transactions_applied) == (9, 1)
+        assert {(t["k"], t.get("v")) for t in database.table("t")} == {
+            (1, 1), (2, 2), (3, 3), (4, None)}
+        assert len(database.table("u")) == 1
+        assert statements == [
+            ("t", "insert", 2), ("u", "insert", 1), ("t", "insert", 3),
+            ("t", "delete", 2), ("t", "insert", 3),   # the update: delete + insert
+            ("t", "delete", 2), ("t", "insert", 4)]
+        assert verify_database(database) == []
 
     def test_unknown_record_op_is_an_error(self, tmp_path):
         database = Database()

@@ -65,6 +65,24 @@ class TestHashIndex:
         index.add(FlexTuple(a=1, b=2))
         assert index.lookup({"a": 1}) == set()
 
+    def test_a_bucket_of_one_is_a_tuple_of_several_a_set(self):
+        index, other = HashIndex(["k"]), HashIndex(["k"])
+        first, second = FlexTuple(k=1, v="a"), FlexTuple(k=1, v="b")
+        index.put((1,), first)
+        index.put((1,), FlexTuple(k=1, v="a"))  # an equal tuple: already there
+        assert index.bucket((1,)) == (first,) and len(index) == 1
+        index.put((1,), second)
+        assert index.bucket((1,)) == {first, second} and len(index) == 2
+        assert dict(index.groups()) == {(1,): {first, second}}
+        other.put((1,), second)
+        assert not index.same_buckets(other)
+        index.drop((1,), FlexTuple(k=1, v="zzz"))  # not there
+        index.drop((1,), first)
+        assert index.bucket((1,)) == (second,) and index.same_buckets(other)
+        assert dict(index.groups()) == {(1,): {second}} and index.lookup((1,)) == {second}
+        index.drop((1,), second)
+        assert index.bucket((1,)) == () and len(index) == 0 and not list(index.groups())
+
     def test_groups_and_clear(self):
         index = HashIndex(["k"])
         index.add(FlexTuple(k=1))

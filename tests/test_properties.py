@@ -14,7 +14,7 @@ The central properties:
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.closure import attribute_closure, functional_closure, implies
@@ -30,15 +30,6 @@ from repro.workloads.generators import instance_for_dependency, random_explicit_
 
 #: a small fixed universe keeps the search space meaningful but tractable
 UNIVERSE = ["A", "B", "C", "D"]
-
-settings.register_profile(
-    "repro",
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile("repro")
-
 
 def subset_strategy(universe=UNIVERSE, min_size=0):
     return st.sets(st.sampled_from(universe), min_size=min_size, max_size=len(universe))

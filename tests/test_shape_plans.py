@@ -350,6 +350,246 @@ def test_engine_matches_the_per_row_reference(case, run):
         assert refused > 20
 
 
+# -- insert_many is a loop of insert -----------------------------------------------------------
+
+
+def _batches(definition, make_row, rng):
+    """Batches against the state their accepted prefixes build: a clean one, one
+    with duplicates inside it and of stored rows, one with a refused row in the
+    middle of accepted ones, then mixed ones as they come."""
+    universe = list(definition.scheme.attributes.names)
+    trial = ReferenceTable(definition)
+
+    def refused(row):
+        tup = FlexTuple(row)
+        return tup not in trial.tuples and trial.refusal(tup) is not None
+
+    def accepted(count):
+        # fewer where the value pools leave no room (three keys, say)
+        rows = []
+        for _ in range(200):
+            row = make_row(rng)
+            if len(rows) < count and FlexTuple(row) not in trial.tuples \
+                    and trial.insert(row) is None:
+                rows.append(row)
+        return rows
+
+    clean = accepted(8)
+    yield "clean", clean
+    fresh = accepted(4)
+    yield "duplicates", fresh[:2] + clean[:3] + fresh[:2] + fresh[2:] + fresh[3:]
+    before = accepted(3)
+    bad = make_row(rng)
+    while not refused(bad):
+        bad = _scramble(make_row(rng), universe, sorted(trial.tuples, key=repr), rng)
+    yield "violation in the middle", before + [bad] + [make_row(rng) for _ in range(3)]
+    for number in range(6):
+        stored = sorted(trial.tuples, key=repr)
+        rows = [make_row(rng) if rng.random() < 0.8
+                else _scramble(make_row(rng), universe, stored, rng)
+                for _ in range(rng.randrange(1, 12))]
+        for row in rows:
+            if refused(row):
+                break
+            trial.insert(row)
+        yield "mixed {}".format(number), rows
+
+
+class _BatchSide:
+    """One database of a pair that is fed the same statements: each batch as one
+    ``insert_many`` (``bulk``) or as a loop of ``insert``."""
+
+    def __init__(self, definition, bulk, path=None, **options):
+        self.bulk = bulk
+        self.path = path
+        self.database = Database(durable_path=path, wal_fsync=False, **options)
+        self.table = self.database.create_table(
+            definition.name, definition.scheme, domains=definition.domains,
+            key=definition.key, dependencies=definition.dependencies,
+            indexes=definition.indexes)
+        self.fired = 0
+        hook = self.table._on_mutation
+
+        def counting(kind, rows):
+            self.fired += 1
+            hook(kind, rows)
+
+        self.table._on_mutation = counting
+
+    def issue(self, rows):
+        """``(returned list, None)`` or ``(None, refusal)`` of one statement."""
+        returned = []
+        try:
+            if self.bulk:
+                returned = self.table.insert_many(rows)
+            else:
+                for row in rows:
+                    returned.append(self.table.insert(row))
+        except ReproError as exc:
+            return None, (type(exc), str(exc))
+        return returned, None
+
+    def state(self):
+        table, statistics = self.table, self.database.statistics.peek(self.table.name)
+        undo = self.database._undo
+        return {
+            "tuples": set(table),
+            "mutation_count": table.mutation_count,
+            "shapes": set(table.checker.shapes()),
+            "indexes": {index.attributes: {key: set(bucket) for key, bucket in index.groups()}
+                        for index in table.checker.indexes()},
+            "statistics": None if statistics is None else (statistics.row_count,
+                                                           statistics.stale),
+            "undo": None if undo is None else [(t.name, old, new) for t, old, new in undo],
+        }
+
+    def files(self):
+        contents = {}
+        for name in sorted(os.listdir(self.path)):
+            with open(os.path.join(self.path, name), "rb") as handle:
+                contents[name] = handle.read()
+        return contents
+
+    def reopened(self):
+        """The table's contents after a close and a recovery."""
+        self.database.close()
+        recovered = Database(durable_path=self.path)
+        try:
+            return set(recovered.table(self.table.name)), recovered.durability.recovery_report
+        finally:
+            recovered.close()
+
+
+class _BatchPair:
+    """A bulk side and a loop side, compared with each other and with the per-row
+    reference after every statement."""
+
+    def __init__(self, definition, directory=None, **options):
+        self.bulk, self.loop = self.sides = [
+            _BatchSide(definition, bulk,
+                       None if directory is None else str(directory / name), **options)
+            for bulk, name in ((True, "bulk"), (False, "loop"))]
+        self.reference = ReferenceTable(definition)
+        self.seen = set()
+
+    def compare(self, what):
+        assert self.bulk.state() == self.loop.state(), what
+        assert set(self.bulk.table) == self.reference.tuples, what
+
+    def statement(self, label, rows):
+        """Issue ``rows`` on both sides; returns the (common) refusal."""
+        what = (label, rows)
+        fired, count = self.bulk.fired, self.bulk.table.mutation_count
+        (ours, refusal), (theirs, their_refusal) = (side.issue(rows) for side in self.sides)
+        assert refusal == their_refusal, what
+        assert ours == theirs, what
+        expected = None
+        for row in rows:  # the reference stops where a loop of inserts stops
+            expected = self.reference.insert(row)
+            if expected is not None:
+                break
+        assert_same_outcome(expected, refusal, what)
+        self.compare(what)
+        applied = self.bulk.table.mutation_count - count
+        # the one observable difference: one hook firing per statement that
+        # applied a row — also when it raised after some
+        assert self.bulk.fired - fired == (applied > 0), what
+        if refusal is not None and applied:
+            self.seen.add("raised after a prefix")
+        if refusal is None and applied < len(rows):
+            self.seen.add("duplicates absorbed")
+        return refusal
+
+
+class _Abort(Exception):
+    pass
+
+
+@pytest.mark.parametrize("mode", ["memory", "rollback", "durable", "durable-transactions"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_insert_many_is_a_loop_of_insert(case, mode, tmp_path):
+    """Same returned lists, first violation, applied prefix, indexes, plans,
+    counters, undo log and log bytes — in memory, inside a transaction that
+    rolls back, and journaled (autocommitted and one transaction a batch)."""
+    definition, make_row = CASES[case]()
+    durable = mode.startswith("durable")
+    pair = _BatchPair(definition, tmp_path if durable else None)
+    batches = list(_batches(definition, make_row, random.Random(7)))
+    assert pair.statement(*batches[0]) is None
+    for side in pair.sides:
+        side.database.analyze(definition.name)
+    if mode == "rollback":
+        kept = set(pair.reference.tuples)
+        with pytest.raises(_Abort):
+            with pair.bulk.database.transaction(), pair.loop.database.transaction():
+                for label, rows in batches[1:]:
+                    pair.statement(label, rows)
+                raise _Abort
+        pair.reference.tuples = kept
+        pair.compare("after the rollback")
+        pair.statement(*batches[1])  # on the plans and indexes the rollback left
+    elif mode == "durable-transactions":
+        for label, rows in batches[1:]:
+            kept = set(pair.reference.tuples)
+            try:
+                with pair.bulk.database.transaction(), pair.loop.database.transaction():
+                    if pair.statement(label, rows) is not None:
+                        raise _Abort
+            except _Abort:
+                pair.reference.tuples = kept
+                pair.compare((label, "rolled back"))
+    else:
+        for label, rows in batches[1:]:
+            pair.statement(label, rows)
+    assert "duplicates absorbed" in pair.seen
+    if case not in ("nested-optional", "unfolded"):  # no room there for a prefix
+        assert "raised after a prefix" in pair.seen
+    if durable:
+        assert pair.bulk.files() == pair.loop.files()
+        for side in pair.sides:
+            assert side.reopened()[0] == pair.reference.tuples
+
+
+def test_the_journal_sees_each_row_before_it_is_applied():
+    definition, _ = _employees()
+    rows = generate_employees(10, seed=3)
+    seen, fired = [], []
+
+    def journal(kind, old, new):
+        assert (kind, old) == ("insert", None) and new not in table
+        assert len(table) == len(seen)  # every earlier row is applied by now
+        seen.append(new)
+        if len(seen) == 6:
+            raise OSError("log full")
+
+    table = Table(definition, journal=journal,
+                  on_mutation=lambda kind, stored: fired.append((kind, stored)))
+    with pytest.raises(OSError):
+        table.insert_many(rows)
+    assert seen == [FlexTuple(row) for row in rows[:6]]
+    assert set(table) == set(seen[:5]) and table.mutation_count == 5
+    assert fired == [("insert", 5)]
+
+
+def test_auto_checkpoint_waits_for_the_end_of_the_batch(tmp_path):
+    """The threshold is crossed early in the batch; the checkpoint comes once,
+    after the last row (never between a journal call and its apply), and its
+    snapshot holds every row."""
+    definition, _ = _employees()
+    rows = generate_employees(60, seed=12)
+    pair = _BatchPair(definition, tmp_path, checkpoint_every_bytes=2048)
+    assert pair.statement("one batch", rows) is None
+    assert pair.loop.database.durability.checkpoints_written > 1
+    assert pair.bulk.database.durability.checkpoints_written == 1
+    assert pair.bulk.fired == 1
+    for side in pair.sides:
+        recovered, report = side.reopened()
+        assert recovered == {FlexTuple(row) for row in rows}
+        assert report.checkpoint_loaded
+        if side.bulk:  # every row is in the snapshot, the new epoch's log is empty
+            assert report.records_read == 0
+
+
 def test_the_papers_type_change():
     """Changing ``jobtype`` alone is refused; changing it with the variant's
     attributes moves the tuple to another shape — and another plan."""
@@ -379,6 +619,26 @@ def test_stored_tuples_share_one_attribute_set_per_shape():
     shapes = {tup.attributes for tup in table}
     assert len({id(tup.attributes) for tup in table}) == len(shapes) == 3
     assert set(table.checker.shapes()) == shapes
+
+
+def test_a_row_resolves_its_plan_once(monkeypatch):
+    """The plan the check resolved is the one registration files the tuple
+    by: the first row of a shape builds one plan, not one per question."""
+    built = []
+    build = ShapePlan.__init__
+
+    def counting(plan, checker, shape):
+        built.append(shape)
+        build(plan, checker, shape)
+
+    monkeypatch.setattr(ShapePlan, "__init__", counting)
+    definition, _ = _employees()
+    rows = generate_employees(200, seed=7)
+    for table, load in ((Table(definition), lambda table: table.insert_many(rows)),
+                        (Table(definition), lambda table: [table.insert(row) for row in rows])):
+        del built[:]
+        load(table)
+        assert len(built) == len(set(built)) == len(table.checker.shapes()) == 3
 
 
 # -- the plan's verdicts ---------------------------------------------------------------------
@@ -469,7 +729,108 @@ class _ForgetfulChecker(ConstraintChecker):
             super().register_tuple(tup)
 
 
+def _verify_as_before(database):
+    """``verify_database`` as it was before it stopped sorting healthy tables:
+    every table in ``repr`` order, the index check by tuple sets.  The oracle for
+    the problem list of a database that has problems."""
+    problems = []
+    for name in database.tables():
+        table = database.table(name)
+        live = table.checker
+        fresh = ConstraintChecker(
+            table.definition, check_scheme=live.check_scheme,
+            check_domains=live.check_domains, check_dependencies=live.check_dependencies)
+        for tup in sorted(table, key=repr):
+            try:
+                fresh.check_insert(tup)
+                fresh.register_tuple(tup)
+            except ReproError as exc:
+                problems.append("table {!r}: {}".format(name, exc))
+        for index in live.indexes():
+            indexed = set()
+            for _key, bucket in index.groups():
+                indexed.update(bucket)
+            expected = {tup for tup in table if tup.is_defined_on(index.attributes)}
+            if indexed != expected:
+                problems.append(
+                    "table {!r}: index on {} holds {} tuples, expected {}".format(
+                        name, index.attributes, len(indexed), len(expected)))
+        statistics = database.statistics.peek(name)
+        if statistics is not None and statistics.row_count != len(table):
+            problems.append(
+                "table {!r}: statistics row_count {} != stored {}".format(
+                    name, statistics.row_count, len(table)))
+    return problems
+
+
+def _secretary(emp_id, **changes):
+    return dict({"emp_id": emp_id, "name": "mallory", "salary": 1.0,
+                 "jobtype": "secretary", "typing_speed": 1, "foreign_languages": "x"},
+                **changes)
+
+
+#: rows smuggled past the live checks, and how many of them verification refuses
+SMUGGLED = {
+    "wrong variant and wrong value": (
+        [_secretary(901, jobtype="salesman"), _secretary(902, salary="a lot")], 2),
+    "two sharing a key": ([_secretary(901), _secretary(901, name="trudy")], 1),
+    # the one that comes first in ``repr`` order is refused for its salary and
+    # never registered, so the key of the other is free
+    "two sharing a key, the first refused": (
+        [_secretary(901, salary="a lot"), _secretary(901, name="trudy")], 1),
+    "the key of an honest row": ([_secretary(3, name="trudy")], 1),
+    "not admitted, and no key": ([{"name": "nobody", "zzz": 1}], 1),
+}
+
+
 class TestRecoveryStillHasTeeth:
+    def _in_memory(self, rows=()):
+        database = Database()
+        definition, _ = _employees()
+        table = database.create_table(
+            "employees", definition.scheme, domains=definition.domains, key=definition.key,
+            dependencies=definition.dependencies, indexes=definition.indexes)
+        table.insert_many(generate_employees(10, seed=8))
+        database.analyze("employees")
+        for row in rows:  # past every check, into the live indexes
+            tup = FlexTuple(row)
+            table._tuples.add(tup)
+            table.checker.register_tuple(tup)
+        return database, table
+
+    @pytest.mark.parametrize("smuggled", sorted(SMUGGLED))
+    def test_a_failing_database_gets_the_report_it_always_got(self, smuggled):
+        rows, refused = SMUGGLED[smuggled]
+        database, table = self._in_memory(rows)
+        problems = verify_database(database)
+        assert problems == _verify_as_before(database)
+        # the refusals, then the row count ANALYZE took before the smuggling
+        assert len(problems) == refused + 1
+        assert problems[-1] == "table 'employees': statistics row_count 10 != stored {}".format(
+            len(table))
+
+    def test_a_consistent_database_is_checked_as_stored(self, monkeypatch):
+        database, table = self._in_memory()
+        table.delete(sorted(table, key=repr)[0])  # the row count follows
+        monkeypatch.setattr(FlexTuple, "__repr__", lambda tup: pytest.fail(
+            "repr of a stored tuple: a table without problems was sorted"))
+        assert verify_database(database) == []
+
+    def test_verify_names_a_live_index_that_files_a_tuple_under_another_key(self):
+        """Set equality — all the check used to ask — passes this index."""
+        database, table = self._in_memory()
+        index = table.checker.key_index
+        victim = sorted(table, key=repr)[0]
+        index.remove(victim)
+        index.put((10**6,), victim)
+        assert len(index) == 10 and _verify_as_before(database) == []
+        assert verify_database(database) == [
+            "table 'employees': index on {emp_id} holds the expected 10 tuples, "
+            "but not under the expected keys"]
+        index.drop((10**6,), victim)
+        index.add(victim)
+        assert verify_database(database) == []
+
     def _smuggle(self, path, rows):
         snapshot = os.path.join(path, SNAPSHOT_FILENAME)
         with open(snapshot) as handle:
