@@ -41,7 +41,7 @@ from repro.algebra.expressions import (
     Union,
 )
 from repro.errors import AlgebraError
-from repro.model.attributes import AttributeSet, attrset
+from repro.model.attributes import AttributeSet
 from repro.model.relation import FlexibleRelation
 from repro.model.tuples import FlexTuple
 

@@ -18,7 +18,7 @@ mapping ``{name: iterable of dependencies}``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.analytic import (
     AggregateSpec,
@@ -33,13 +33,7 @@ from repro.core.dependencies import (
     ExplicitAttributeDependency,
     FunctionalDependency,
 )
-from repro.core.propagation import (
-    propagate_product,
-    propagate_projection,
-    propagate_selection,
-    propagate_tagged_union,
-    propagate_union,
-)
+from repro.core.propagation import propagate_tagged_union, propagate_union
 from repro.errors import AlgebraError
 from repro.model.attributes import AttributeSet, attrset
 

@@ -24,7 +24,7 @@ so the rewrite rules must not read a value that changes from call to call.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import PredicateError
 from repro.model.attributes import AttributeSet, attrset

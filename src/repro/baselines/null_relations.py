@@ -18,11 +18,11 @@ E8 can compare the approaches.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.core.dependencies import ExplicitAttributeDependency
 from repro.errors import ReproError
-from repro.model.attributes import AttributeSet, attrset
+from repro.model.attributes import attrset
 from repro.model.tuples import FlexTuple
 
 #: the NULL marker used by the flat tables

@@ -24,13 +24,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Optional, Sequence
 
-from repro.core.closure import attribute_closure, functional_closure, split_dependencies
-from repro.core.dependencies import (
-    AttributeDependency,
-    Dependency,
-    ExplicitAttributeDependency,
-    FunctionalDependency,
-)
+from repro.core.closure import attribute_closure, functional_closure
+from repro.core.dependencies import Dependency, ExplicitAttributeDependency
 from repro.errors import DependencyError
 from repro.model.attributes import AttributeSet, attrset
 from repro.model.relation import FlexibleRelation

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
 from repro.core.dependencies import (
     AttributeDependency,

@@ -20,9 +20,9 @@ reports the "lost connection" cases that only the AD-based notion rejects.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.core.dependencies import ExplicitAttributeDependency, Variant
+from repro.core.dependencies import ExplicitAttributeDependency
 from repro.errors import DependencyError, TypeCheckError
 from repro.model.attributes import AttributeSet, attrset
 from repro.model.domains import AnyDomain, Domain, EnumDomain

@@ -18,7 +18,7 @@ every existential relationship ends up tag-discriminated, as PASCAL requires.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.axioms import AXIOM_SYSTEM_COMBINED, DerivationTrace, derive
 from repro.core.dependencies import (

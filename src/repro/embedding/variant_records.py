@@ -14,7 +14,7 @@ source text (useful to eyeball the embedding and in the documentation examples).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set
 
 from repro.errors import EmbeddingError
 from repro.model.attributes import AttributeSet, attrset

@@ -8,7 +8,7 @@ logic lives in :mod:`repro.engine.constraints`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.dependencies import Dependency
 from repro.errors import CatalogError

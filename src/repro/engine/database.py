@@ -20,7 +20,6 @@ from repro.engine.catalog import Catalog, TableDefinition
 from repro.engine.constraints import ConstraintChecker
 from repro.engine.indexes import HashIndex
 from repro.errors import (
-    AdmissionRejected,
     CatalogError,
     ConstraintViolation,
     MemoryBudgetExceeded,
@@ -29,7 +28,7 @@ from repro.errors import (
 )
 from repro.exec.executor import PhysicalExecutor
 from repro.exec.planner import PhysicalPlan
-from repro.model.attributes import AttributeSet, attrset
+from repro.model.attributes import attrset
 from repro.model.domains import Domain
 from repro.model.relation import FlexibleRelation
 from repro.model.scheme import FlexibleScheme
@@ -54,7 +53,7 @@ from repro.obs.metrics import (
     SlowQueryLog,
     q_error,
 )
-from repro.obs.profiler import PlanWatchdog, WorkloadProfile
+from repro.obs.profiler import PlanWatchdog
 from repro.obs.trace import Tracer
 from repro.optimizer.joinorder import SEARCH_MODES
 from repro.optimizer.rewrite_rules import RewriteReport
@@ -282,8 +281,8 @@ class Database:
 
     ``auto_analyze=True`` enables the automatic re-ANALYZE policy: once a table
     has been analyzed, further DML re-collects its statistics as soon as the
-    mutations since the last ANALYZE exceed ``auto_analyze_fraction`` (~10%) of
-    the rows it had back then.  Off by default — ANALYZE stays an explicit call
+    mutations since the last ANALYZE exceed 10% of the rows it had back then
+    (:data:`~repro.stats.catalog.AUTO_ANALYZE_FRACTION`).  Off by default — ANALYZE stays an explicit call
     unless opted in.
 
     ``join_order_search`` selects the physical planner's n-way join-order
@@ -293,13 +292,13 @@ class Database:
     Every database carries the observability layer of :mod:`repro.obs`: a
     :class:`~repro.obs.trace.Tracer` (inert until a sink is attached), a
     :class:`~repro.obs.metrics.MetricsRegistry` behind :meth:`metrics`, a
-    :class:`~repro.obs.metrics.SlowQueryLog` whose threshold (in seconds) is
-    set by ``slow_query_threshold``, a
+    :class:`~repro.obs.metrics.SlowQueryLog` (queries of a second or more;
+    set ``slow_query_log.threshold`` to move the line), a
     :class:`~repro.obs.feedback.CardinalityFeedback` store feeding observed
     cardinalities back into the cost model, and a
     :class:`~repro.obs.profiler.PlanWatchdog` flagging plan changes and
-    latency regressions (capture a window with :meth:`profile`; export via
-    :meth:`prometheus_metrics` / :meth:`metrics_snapshot`).
+    latency regressions (export via :meth:`prometheus_metrics` /
+    :meth:`metrics_snapshot`).
 
     Resource governance (see :mod:`repro.governor`): ``query_timeout`` is the
     database-wide default deadline in seconds for physical queries,
@@ -309,16 +308,12 @@ class Database:
     temp segments in ``spill_directory`` (system temp by default), while
     ``spill=False`` turns a blown budget into an immediate
     ``MemoryBudgetExceeded``.  Every per-query override on :meth:`execute`
-    wins over these defaults.  ``admission`` plugs in an
-    :class:`~repro.governor.admission.AdmissionController` that gates
-    physical queries before planning.
+    wins over these defaults.
     """
 
     def __init__(self, enforce_constraints: bool = True,
                  auto_analyze: bool = False,
-                 auto_analyze_fraction: float = 0.1,
                  join_order_search: Optional[str] = None,
-                 slow_query_threshold: float = 1.0,
                  durable_path: Optional[str] = None,
                  group_commit_window: float = 0.0,
                  group_commit_max: int = 64,
@@ -328,8 +323,7 @@ class Database:
                  query_timeout: Optional[float] = None,
                  memory_budget: Optional[int] = None,
                  spill: bool = True,
-                 spill_directory: Optional[str] = None,
-                 admission=None):
+                 spill_directory: Optional[str] = None):
         self.catalog = Catalog()
         self.enforce_constraints = enforce_constraints
         self._tables: Dict[str, Table] = {}
@@ -341,24 +335,19 @@ class Database:
                     join_order_search, "/".join(SEARCH_MODES)))
         self._join_order_search = join_order_search
         #: collected ANALYZE results; the cost model consults this catalog
-        self.statistics = StatisticsCatalog(
-            self, auto_analyze=auto_analyze,
-            auto_analyze_fraction=auto_analyze_fraction,
-        )
+        self.statistics = StatisticsCatalog(self, auto_analyze=auto_analyze)
         #: lifecycle spans/events — attach a sink to start recording
         self.tracer = Tracer()
         #: cross-query counters/gauges/histograms (snapshot via :meth:`metrics`)
         self.metrics_registry = MetricsRegistry()
         #: queries slower than the threshold, with their worst Q-error nodes
-        self.slow_query_log = SlowQueryLog(threshold=slow_query_threshold)
+        self.slow_query_log = SlowQueryLog()
         #: observed per-subexpression cardinalities — the cost model consults
         #: this before histogram/NDV math, so repeated queries plan with
         #: observed truth; DML- and ANALYZE-invalidated, never persisted
         self.cardinality_feedback = CardinalityFeedback()
         #: plan-change and latency-regression detection per query fingerprint
         self.plan_watchdog = PlanWatchdog()
-        #: the active :meth:`profile` window, if any
-        self._active_profile: Optional[WorkloadProfile] = None
         #: True while recovery replays the log (mutations must not re-log)
         self._journal_suppressed = False
         #: the open transaction's undo log — ``(table, old, new)`` per applied
@@ -369,10 +358,6 @@ class Database:
         self.memory_budget = memory_budget
         self.spill = bool(spill)
         self.spill_directory = spill_directory
-        #: the optional admission controller gating physical execution
-        self.admission = admission
-        if admission is not None and admission.registry is None:
-            admission.registry = self.metrics_registry
         self._closed = False
         #: the durability manager of ``durable_path=...`` databases, else None
         self.durability = None
@@ -596,8 +581,7 @@ class Database:
                 timeout: Optional[float] = None,
                 cancel_token=None,
                 memory_budget: Optional[int] = None,
-                spill: Optional[bool] = None,
-                query_class: str = "default") -> EvaluationResult:
+                spill: Optional[bool] = None) -> EvaluationResult:
         """Evaluate an algebra expression against the stored tables.
 
         ``executor`` selects the execution engine: ``"physical"`` (default) runs
@@ -613,14 +597,12 @@ class Database:
         :class:`~repro.governor.cancel.CancelToken` another thread may fire
         (``QueryCancelled``); ``memory_budget`` caps held operator state in
         bytes, with ``spill`` deciding whether spill-capable operators go to
-        disk or the query fails fast (``None`` = the database default);
-        ``query_class`` names the admission/timeout class when an
-        :class:`~repro.governor.admission.AdmissionController` is attached.
+        disk or the query fails fast (``None`` = the database default).
         """
         result, _report = self.execute_with_report(
             expression, optimize=optimize, executor=executor,
             batch_size=batch_size, timeout=timeout, cancel_token=cancel_token,
-            memory_budget=memory_budget, spill=spill, query_class=query_class)
+            memory_budget=memory_budget, spill=spill)
         return result
 
     def execute_with_report(self, expression: Expression, optimize: bool = True,
@@ -629,8 +611,7 @@ class Database:
                             timeout: Optional[float] = None,
                             cancel_token=None,
                             memory_budget: Optional[int] = None,
-                            spill: Optional[bool] = None,
-                            query_class: str = "default") -> Tuple[EvaluationResult, RewriteReport]:
+                            spill: Optional[bool] = None) -> Tuple[EvaluationResult, RewriteReport]:
         """Evaluate an expression and also return the optimizer's rewrite report."""
         with self.tracer.span("query.execute", executor=executor):
             with self.tracer.span("rewrite"):
@@ -638,19 +619,19 @@ class Database:
             return self._run_template(
                 template, params, executor, batch_size, timeout=timeout,
                 cancel_token=cancel_token, memory_budget=memory_budget,
-                spill=spill, query_class=query_class), template.report
+                spill=spill), template.report
 
     def _run_template(self, template, params, executor: str,
                       batch_size: Optional[int], timeout: Optional[float] = None,
                       cancel_token=None, memory_budget: Optional[int] = None,
-                      **governance) -> EvaluationResult:
+                      spill: Optional[bool] = None) -> EvaluationResult:
         """Run a (rewritten) query template under one parameter binding — the
         shared tail of :meth:`execute_with_report` and :meth:`query`."""
         if executor == "physical":
             return self._run_physical(
                 template, params, batch_size,
                 timeout=timeout, cancel_token=cancel_token,
-                memory_budget=memory_budget, **governance)[1]
+                memory_budget=memory_budget, spill=spill)[1]
         if executor != "naive":
             raise CatalogError("unknown executor {!r}; use 'physical' or 'naive'".format(executor))
         if (timeout is not None or cancel_token is not None
@@ -661,19 +642,12 @@ class Database:
         return Evaluator(self).evaluate(template.expression.substitute(params))
 
     def _governor_for(self, timeout: Optional[float], cancel_token,
-                      memory_budget: Optional[int], spill: Optional[bool],
-                      query_class: str):
+                      memory_budget: Optional[int], spill: Optional[bool]):
         """The governor for one execution, or ``None`` when nothing bounds it
         (the common case — ungoverned queries pay zero per-batch overhead).
-
-        Deadline precedence: the per-query ``timeout`` wins, then the
-        admission controller's class timeout, then the database default.
+        The per-query ``timeout`` wins over the database default.
         """
-        effective_timeout = timeout
-        if effective_timeout is None and self.admission is not None:
-            effective_timeout = self.admission.timeout_for(query_class)
-        if effective_timeout is None:
-            effective_timeout = self.query_timeout
+        effective_timeout = timeout if timeout is not None else self.query_timeout
         effective_budget = (memory_budget if memory_budget is not None
                             else self.memory_budget)
         if (effective_timeout is None and cancel_token is None
@@ -694,8 +668,7 @@ class Database:
                       timeout: Optional[float] = None,
                       cancel_token=None,
                       memory_budget: Optional[int] = None,
-                      spill: Optional[bool] = None,
-                      query_class: str = "default"):
+                      spill: Optional[bool] = None):
         """Plan + execute a template under ``params`` through the physical
         layer, feeding the metrics.
 
@@ -703,27 +676,16 @@ class Database:
         :meth:`explain_analyze`: all must observe identical counters, spans
         and slow-query accounting, differing only in how they render.
 
-        Governed runs additionally admit through the controller (sheds raise
-        ``AdmissionRejected`` before any planning), thread a
-        :class:`~repro.governor.governor.QueryGovernor` into the operators,
+        Governed runs additionally thread a
+        :class:`~repro.governor.governor.QueryGovernor` into the operators
         and terminate with the taxonomy of :mod:`repro.errors` — every
         termination lands in :meth:`_observe_termination` exactly once and
         never in the success-path counters.
         """
-        controller = self.admission
-        ticket = None
         started = perf_counter()
-        if controller is not None:
-            try:
-                ticket = controller.admit(query_class)
-            except AdmissionRejected:
-                self._observe_termination("shed", template, params, None,
-                                          perf_counter() - started)
-                raise
         governor = self._governor_for(timeout, cancel_token, memory_budget,
-                                      spill, query_class)
+                                      spill)
         executor = self.physical_executor
-        outcome = "success"
         plan = None
         try:
             with self.tracer.span("plan"):
@@ -734,31 +696,20 @@ class Database:
                                       governor=governor, params=params)
                 span.set(rows=len(result.tuples))
         except QueryTimeout:
-            outcome = "timeout"
-            self._observe_termination(outcome, template, params, plan,
+            self._observe_termination("timeout", template, params, plan,
                                       perf_counter() - started)
             raise
         except QueryCancelled:
-            outcome = "cancelled"
-            self._observe_termination(outcome, template, params, plan,
+            self._observe_termination("cancelled", template, params, plan,
                                       perf_counter() - started)
             raise
         except MemoryBudgetExceeded:
-            outcome = "memory_exceeded"
-            self._observe_termination(outcome, template, params, plan,
+            self._observe_termination("memory_exceeded", template, params, plan,
                                       perf_counter() - started)
-            raise
-        except Exception:
-            outcome = "error"
             raise
         finally:
             if governor is not None:
                 governor.finish()
-            if ticket is not None:
-                # A client-initiated cancel is not the engine's failure; a
-                # timeout, blown budget or error feeds the circuit breaker.
-                controller.complete(
-                    ticket, success=(outcome in ("success", "cancelled")))
         self._observe_query(template, params, plan, result,
                             perf_counter() - started)
         return plan, result
@@ -837,13 +788,6 @@ class Database:
         registry.histogram("query.peak_bytes", MEMORY_BUCKETS).observe(
             peak_bytes)
         self._watch_plan(template, params, plan, result, elapsed)
-        if self._active_profile is not None:
-            self._active_profile.observe({
-                "expression": template.describe(params),
-                "seconds": elapsed,
-                "rows": len(result.tuples),
-                "peak_bytes": peak_bytes,
-            })
         if elapsed >= self.slow_query_log.threshold:
             self.slow_query_log.observe(
                 template.describe(params), elapsed, len(result.tuples),
@@ -946,8 +890,6 @@ class Database:
         }
         if self.durability is not None:
             snapshot["durability"] = self.durability.as_dict()
-        if self.admission is not None:
-            snapshot["admission"] = self.admission.as_dict()
         return snapshot
 
     def reset_metrics(self) -> None:
@@ -963,21 +905,6 @@ class Database:
         self.slow_query_log.clear()
         self.cardinality_feedback.clear()
         self.plan_watchdog.clear()
-
-    def profile(self) -> WorkloadProfile:
-        """A workload capture window::
-
-            with database.profile() as prof:
-                run_workload(database)
-            report = prof.report   # queries, plans, feedback deltas, regressions
-
-        The report dict carries every query executed inside the window
-        (latency, rows, peak operator memory), the feedback-store delta, the
-        plan changes and regressions the watchdog flagged, and a full
-        :meth:`metrics` snapshot — the shape the benchmark reporting layer
-        embeds.
-        """
-        return WorkloadProfile(self)
 
     def prometheus_metrics(self, prefix: str = "repro") -> str:
         """The metric registry in the Prometheus text exposition format."""
@@ -1048,15 +975,14 @@ class Database:
               timeout: Optional[float] = None,
               cancel_token=None,
               memory_budget: Optional[int] = None,
-              spill: Optional[bool] = None,
-              query_class: str = "default") -> EvaluationResult:
+              spill: Optional[bool] = None) -> EvaluationResult:
         """Parse and evaluate a textual query (see :mod:`repro.query`).
 
         ``db.query("SELECT name FROM employees WHERE jobtype = 'secretary'")``
 
         The governance arguments (``timeout``, ``cancel_token``,
-        ``memory_budget``, ``spill``, ``query_class``) mean exactly what they
-        do on :meth:`execute`.  A statement that differs from an earlier one
+        ``memory_budget``, ``spill``) mean exactly what they do on
+        :meth:`execute`.  A statement that differs from an earlier one
         only in its constants reuses that one's parsed, rewritten template and
         its physical plan (see :mod:`repro.exec.executor`).
         """
@@ -1066,7 +992,7 @@ class Database:
             return self._run_template(
                 template, params, executor, batch_size, timeout=timeout,
                 cancel_token=cancel_token, memory_budget=memory_budget,
-                spill=spill, query_class=query_class)
+                spill=spill)
 
     # -- transactions ----------------------------------------------------------------------------------
 

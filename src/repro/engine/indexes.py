@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
-from repro.model.attributes import AttributeSet, attrset
+from repro.model.attributes import attrset
 from repro.model.tuples import FlexTuple
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Dict, List, Optional
 
 from repro.core.dependencies import (
     AttributeDependency,

@@ -19,14 +19,14 @@ module packages them into one report so a designer (or a migration script) can a
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.closure import implies, minimal_cover
 from repro.core.dependencies import Dependency, ExplicitAttributeDependency, FunctionalDependency
 from repro.core.propagation import propagate_projection
 from repro.engine.catalog import TableDefinition
 from repro.errors import DependencyError
-from repro.model.attributes import AttributeSet, attrset
+from repro.model.attributes import attrset
 
 
 def redundant_dependencies(dependencies: Sequence[Dependency]) -> List[Dependency]:

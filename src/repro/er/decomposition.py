@@ -19,7 +19,7 @@ comparison of experiment E8.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.core.dependencies import ExplicitAttributeDependency
 from repro.errors import DecompositionError

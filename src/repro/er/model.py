@@ -14,7 +14,7 @@ as the paper infers it from the corresponding attribute dependency.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.model.attributes import AttributeSet, attrset

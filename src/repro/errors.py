@@ -133,11 +133,3 @@ class MemoryBudgetExceeded(GovernorError):
 
 class SpillError(GovernorError):
     """A spill segment on disk is malformed (torn write, CRC mismatch)."""
-
-
-class AdmissionRejected(GovernorError):
-    """The admission controller shed this query (queue full or wait timed out)."""
-
-
-class CircuitOpen(AdmissionRejected):
-    """The circuit breaker is open after too many consecutive failures."""

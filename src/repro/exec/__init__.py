@@ -69,8 +69,8 @@ from repro.exec.planner import (
     PhysicalPlan,
     PhysicalPlanner,
     PhysicalResult,
-    expression_key,
 )
+from repro.obs.feedback import expression_key
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",

@@ -48,9 +48,8 @@ from repro.exec.planner import (
     PhysicalPlan,
     PhysicalPlanner,
     PhysicalResult,
-    expression_key,
 )
-from repro.obs.feedback import referenced_tables
+from repro.obs.feedback import expression_key, referenced_tables
 from repro.obs.trace import tracer_of
 from repro.optimizer.planner import Planner
 from repro.optimizer.rewrite_rules import RewriteReport

@@ -39,11 +39,11 @@ tuple-level equality — but the algorithms differ:
   join, aggregate and sort switch to their spill forms
   (:mod:`repro.governor.spill`); every other materialization fails fast.
 
-Two operators materialize their inputs as tuple sets and emit plain lists,
-which every other operator accepts (:meth:`TupleBatch.of` wraps a list without
-copying): :class:`NestedLoopJoin`, picked for provably tiny inputs, and
-:class:`NaturalJoinOp`, the natural join whose attribute set is data-dependent
-(``on=None`` — both sides must be materialized to discover it).
+Two operators materialize their inputs as tuple sets and re-pack the joined
+rows into :class:`TupleBatch` chunks: :class:`NestedLoopJoin`, picked for
+provably tiny inputs, and :class:`NaturalJoinOp`, the natural join whose
+attribute set is data-dependent (``on=None`` — both sides must be
+materialized to discover it).
 
 Work counters are written into the shared
 :class:`~repro.algebra.evaluator.ExecutionStats` with the same meaning the
@@ -87,8 +87,6 @@ from repro.model.attributes import AttributeSet, attrset
 from repro.model.batches import LazyBatch, MISSING, TupleBatch, merge_values
 from repro.model.tuples import FlexTuple
 
-Batch = List[FlexTuple]
-
 
 class PhysicalOperator:
     """Base class of every physical plan node."""
@@ -110,9 +108,8 @@ class PhysicalOperator:
     binding_specific: bool = False
     feedback_tables: Optional[frozenset] = None
 
-    @property
-    def children(self) -> Tuple["PhysicalOperator", ...]:
-        return ()
+    #: the input operators, left to right (set once, by the constructor)
+    children: Tuple["PhysicalOperator", ...] = ()
 
     def label(self) -> str:
         """One-line description used in explain output and operator stats."""
@@ -126,7 +123,7 @@ class PhysicalOperator:
             label = self.__dict__["_plan_label"] = self.label()
         return label
 
-    def run(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def run(self, ctx: ExecutionContext) -> Iterator[TupleBatch]:
         """Start execution: register stats (preorder) and return the batch stream.
 
         With ``ctx.timing`` (the default) the operator's *inclusive* wall time
@@ -149,14 +146,14 @@ class PhysicalOperator:
             stream = self._governed_stream(ctx.governor, stream)
         return stream
 
-    def _start(self, ctx: ExecutionContext, op: OperatorStats) -> Iterator[Batch]:
+    def _start(self, ctx: ExecutionContext, op: OperatorStats) -> Iterator[TupleBatch]:
         """Start the children (registering them in preorder) and this
         operator's own stream — the one step of :meth:`run` an operator that
         must order its children's execution itself overrides."""
         return self._generate(ctx, op, *[child.run(ctx) for child in self.children])
 
     @staticmethod
-    def _timed_stream(op: OperatorStats, stream: Iterator[Batch]) -> Iterator[Batch]:
+    def _timed_stream(op: OperatorStats, stream: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
         """Per-batch wall-clock accounting around an operator's output stream."""
         while True:
             started = perf_counter()
@@ -169,7 +166,7 @@ class PhysicalOperator:
             yield batch
 
     @staticmethod
-    def _governed_stream(governor, stream: Iterator[Batch]) -> Iterator[Batch]:
+    def _governed_stream(governor, stream: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
         """Cooperative cancellation around an operator's output stream.
 
         One ``governor.check()`` before any work starts (the stream's eager
@@ -184,7 +181,8 @@ class PhysicalOperator:
             governor.check()
             yield batch
 
-    def _generate(self, ctx: ExecutionContext, op: OperatorStats, *children) -> Iterator[Batch]:
+    def _generate(self, ctx: ExecutionContext, op: OperatorStats,
+                  *children) -> Iterator[TupleBatch]:
         raise NotImplementedError
 
     def explain(self, indent: int = 0) -> str:
@@ -211,24 +209,24 @@ class PhysicalOperator:
 
     @staticmethod
     def _rebatch(ctx: ExecutionContext, op: OperatorStats,
-                 tuples: Iterable[FlexTuple]) -> Iterator[Batch]:
+                 tuples: Iterable[FlexTuple]) -> Iterator[TupleBatch]:
         """Pack a tuple stream into batches of ``ctx.batch_size``."""
-        batch: Batch = []
+        rows: List[FlexTuple] = []
         for tup in tuples:
-            batch.append(tup)
-            if len(batch) >= ctx.batch_size:
-                op.rows_out += len(batch)
+            rows.append(tup)
+            if len(rows) >= ctx.batch_size:
+                op.rows_out += len(rows)
                 op.batches_out += 1
-                yield batch
-                batch = []
-        if batch:
-            op.rows_out += len(batch)
+                yield TupleBatch(rows)
+                rows = []
+        if rows:
+            op.rows_out += len(rows)
             op.batches_out += 1
-            yield batch
+            yield TupleBatch(rows)
 
     @staticmethod
     def _materialize(ctx: ExecutionContext, op: OperatorStats,
-                     stream: Iterator[Batch]) -> Set[FlexTuple]:
+                     stream: Iterator[TupleBatch]) -> Set[FlexTuple]:
         """Drain a child's batch stream into a set.
 
         A materialization is a build boundary: the drained set is the
@@ -249,6 +247,23 @@ class PhysicalOperator:
                 ctx.enforce_memory(op, sampled_size(result))
         op.note_memory(sampled_size(result))
         return result
+
+
+class _Unary(PhysicalOperator):
+    """An operator over one input, ``child``."""
+
+    def __init__(self, child: PhysicalOperator):
+        self.child = child
+        self.children = (child,)
+
+
+class _Binary(PhysicalOperator):
+    """An operator over two inputs, ``left`` and ``right``."""
+
+    def __init__(self, left: PhysicalOperator, right: PhysicalOperator):
+        self.left = left
+        self.right = right
+        self.children = (left, right)
 
 
 class EmptyOp(PhysicalOperator):
@@ -378,20 +393,16 @@ class Scan(PhysicalOperator):
                     equalities=self.equalities)
 
 
-class FilterOp(PhysicalOperator):
+class FilterOp(_Unary):
     """σ — keep the tuples satisfying the predicate (when pushdown was
     impossible): the predicate compiled once, applied as narrowing passes."""
 
     name = "batch-filter"
 
     def __init__(self, child: PhysicalOperator, predicate: Predicate):
-        self.child = child
+        super().__init__(child)
         self.predicate = predicate
         self._compiled = CompiledPredicate(predicate)
-
-    @property
-    def children(self):
-        return (self.child,)
 
     def label(self) -> str:
         return "filter[{!r}]".format(self.predicate)
@@ -401,8 +412,7 @@ class FilterOp(PhysicalOperator):
 
         def emit() -> Iterator[TupleBatch]:
             stats = ctx.stats
-            for raw in child:
-                batch = TupleBatch.of(raw)
+            for batch in child:
                 count = len(batch)
                 op.rows_in += count
                 stats.predicate_evaluations += count
@@ -418,20 +428,16 @@ class FilterOp(PhysicalOperator):
         return emit()
 
 
-class GuardOp(PhysicalOperator):
+class GuardOp(_Unary):
     """An explicit type guard ``TG[X]``: keep tuples defined on the guarded
     attributes — one presence-bitmap AND per batch."""
 
     name = "batch-guard"
 
     def __init__(self, child: PhysicalOperator, attributes):
-        self.child = child
+        super().__init__(child)
         self.attributes = attrset(attributes)
         self._compiled = CompiledGuard(self.attributes)
-
-    @property
-    def children(self):
-        return (self.child,)
 
     def label(self) -> str:
         return "guard[{}]".format(self.attributes)
@@ -441,8 +447,7 @@ class GuardOp(PhysicalOperator):
 
         def emit() -> Iterator[TupleBatch]:
             stats = ctx.stats
-            for raw in child:
-                batch = TupleBatch.of(raw)
+            for batch in child:
                 count = len(batch)
                 op.rows_in += count
                 stats.guard_checks += count
@@ -458,7 +463,7 @@ class GuardOp(PhysicalOperator):
         return emit()
 
 
-class ProjectOp(PhysicalOperator):
+class ProjectOp(_Unary):
     """π — restrict tuples to the attributes they possess, deduplicating on the fly.
 
     Projected value dicts are built from pre-extracted columns and emitted as a
@@ -469,12 +474,8 @@ class ProjectOp(PhysicalOperator):
     name = "batch-project"
 
     def __init__(self, child: PhysicalOperator, attributes):
-        self.child = child
+        super().__init__(child)
         self.attributes = attrset(attributes)
-
-    @property
-    def children(self):
-        return (self.child,)
 
     def label(self) -> str:
         return "project[{}]".format(self.attributes)
@@ -487,8 +488,7 @@ class ProjectOp(PhysicalOperator):
             stats = ctx.stats
             seen = set()
             add_seen = seen.add
-            for raw in child:
-                batch = TupleBatch.of(raw)
+            for batch in child:
                 count = len(batch)
                 op.rows_in += count
                 stats.tuples_scanned += count
@@ -516,7 +516,7 @@ class ProjectOp(PhysicalOperator):
         return emit()
 
 
-class ExtendOp(PhysicalOperator):
+class ExtendOp(_Unary):
     """ε — extend every tuple by a constant tag attribute.
 
     Entirely a column/dict transform (one presence test per batch) — no tuples
@@ -526,14 +526,10 @@ class ExtendOp(PhysicalOperator):
     name = "batch-extend"
 
     def __init__(self, child: PhysicalOperator, attribute: str, value):
-        self.child = child
+        super().__init__(child)
         self.attribute = attribute
         self.value = value
         self._compiled = CompiledExtension(attribute, value)
-
-    @property
-    def children(self):
-        return (self.child,)
 
     def label(self) -> str:
         return "extend[{}:{!r}]".format(self.attribute, self.value)
@@ -543,8 +539,7 @@ class ExtendOp(PhysicalOperator):
 
         def emit() -> Iterator[TupleBatch]:
             stats = ctx.stats
-            for raw in child:
-                batch = TupleBatch.of(raw)
+            for batch in child:
                 count = len(batch)
                 if not count:
                     continue
@@ -558,20 +553,16 @@ class ExtendOp(PhysicalOperator):
         return emit()
 
 
-class RenameOp(PhysicalOperator):
+class RenameOp(_Unary):
     """ρ — rename attributes: renamed value dicts with hashed dedup (renames
     can collapse tuples)."""
 
     name = "batch-rename"
 
     def __init__(self, child: PhysicalOperator, mapping: Dict[str, str]):
-        self.child = child
+        super().__init__(child)
         self.mapping = dict(mapping)
         self._compiled = CompiledRename(self.mapping)
-
-    @property
-    def children(self):
-        return (self.child,)
 
     def label(self) -> str:
         return "rename[{}]".format(self.mapping)
@@ -584,8 +575,7 @@ class RenameOp(PhysicalOperator):
             stats = ctx.stats
             seen = set()
             add_seen = seen.add
-            for raw in child:
-                batch = TupleBatch.of(raw)
+            for batch in child:
                 count = len(batch)
                 op.rows_in += count
                 stats.tuples_scanned += count
@@ -606,19 +596,11 @@ class RenameOp(PhysicalOperator):
         return emit()
 
 
-class ProductOp(PhysicalOperator):
+class ProductOp(_Binary):
     """× — cartesian product; materializes the right side, streams the left
     (value-dict merges, lazy output, bulk pair counting)."""
 
     name = "batch-product"
-
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator):
-        self.left = left
-        self.right = right
-
-    @property
-    def children(self):
-        return (self.left, self.right)
 
     def _generate(self, ctx, op, left, right) -> Iterator[TupleBatch]:
         op.invocations += 1
@@ -632,8 +614,7 @@ class ProductOp(PhysicalOperator):
             add_seen = seen.add
             out_values: List[dict] = []
             out_hashes: List[int] = []
-            for raw in left:
-                batch = TupleBatch.of(raw)
+            for batch in left:
                 count = len(batch)
                 op.rows_in += count
                 stats.join_pairs_considered += count * len(build)
@@ -669,18 +650,13 @@ def _shared_attributes(left: Set[FlexTuple], right: Set[FlexTuple]) -> Attribute
     return left_attrs & right_attrs
 
 
-class _MaterializingJoin(PhysicalOperator):
+class _MaterializingJoin(_Binary):
     """What the two joins that materialize both inputs as tuple sets share:
     ``on=None`` means the attributes appearing on both sides of the data."""
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator, on=None):
-        self.left = left
-        self.right = right
+        super().__init__(left, right)
         self.on = attrset(on) if on is not None else None
-
-    @property
-    def children(self):
-        return (self.left, self.right)
 
     def label(self) -> str:
         return "{}[on={}]".format(self.name, self.on if self.on is not None else "shared")
@@ -777,8 +753,7 @@ def _build_buckets(op, ctx, stream, names) -> Dict:
     buckets: Dict = {}
     setdefault = buckets.setdefault
     single = len(names) == 1
-    for raw in stream:
-        batch = TupleBatch.of(raw)
+    for batch in stream:
         count = len(batch)
         op.rows_in += count
         stats.guard_checks += count
@@ -800,7 +775,7 @@ def _build_buckets(op, ctx, stream, names) -> Dict:
     return buckets
 
 
-class HashJoin(PhysicalOperator):
+class HashJoin(_Binary):
     """⋈ by build/probe over batch columns, on statically known join attributes.
 
     The right input is the build side (the planner puts the smaller estimated
@@ -820,15 +795,10 @@ class HashJoin(PhysicalOperator):
     name = "batch-hash-join"
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator, on):
-        self.left = left
-        self.right = right
+        super().__init__(left, right)
         if on is None or not len(attrset(on)):
             raise AlgebraError("a hash join needs static join attributes")
         self.on = attrset(on)
-
-    @property
-    def children(self):
-        return (self.left, self.right)
 
     def label(self) -> str:
         return "hash-join[on={}]".format(self.on)
@@ -848,8 +818,7 @@ class HashJoin(PhysicalOperator):
         single = len(names) == 1
         seen = set()
         add_seen = seen.add
-        for raw in left:
-            batch = TupleBatch.of(raw)
+        for batch in left:
             count = len(batch)
             op.rows_in += count
             stats.guard_checks += count
@@ -917,8 +886,7 @@ class HashJoin(PhysicalOperator):
 
         pairs: List[tuple] = []
         build_part = None
-        for raw in right:
-            batch = TupleBatch.of(raw)
+        for batch in right:
             count = len(batch)
             op.rows_in += count
             stats.guard_checks += count
@@ -944,8 +912,7 @@ class HashJoin(PhysicalOperator):
             return self._probe_emit(ctx, op, left, names, buckets)
 
         probe_part = GracePartitioner(manager, "join-probe")
-        for raw in left:
-            batch = TupleBatch.of(raw)
+        for batch in left:
             count = len(batch)
             op.rows_in += count
             stats.guard_checks += count
@@ -1016,14 +983,11 @@ class IndexLookupJoin(PhysicalOperator):
 
     def __init__(self, outer: PhysicalOperator, relation: str, on):
         self.outer = outer
+        self.children = (outer,)
         self.relation = relation
         self.on = attrset(on)
         if not self.on:
             raise AlgebraError("an index lookup join needs join attributes")
-
-    @property
-    def children(self):
-        return (self.outer,)
 
     def label(self) -> str:
         return "index-lookup-join[{}, on={}]".format(self.relation, self.on)
@@ -1069,8 +1033,7 @@ class IndexLookupJoin(PhysicalOperator):
             single = len(probe_names) == 1
             seen = set()
             add_seen = seen.add
-            for raw in outer:
-                batch = TupleBatch.of(raw)
+            for batch in outer:
                 count = len(batch)
                 op.rows_in += count
                 stats.guard_checks += count
@@ -1111,19 +1074,11 @@ class IndexLookupJoin(PhysicalOperator):
         return emit()
 
 
-class MergeUnion(PhysicalOperator):
+class MergeUnion(_Binary):
     """∪ — stream both inputs, emitting each distinct tuple once (per-batch
     dedup against the running seen-set)."""
 
     name = "batch-merge-union"
-
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator):
-        self.left = left
-        self.right = right
-
-    @property
-    def children(self):
-        return (self.left, self.right)
 
     def _generate(self, ctx, op, left, right) -> Iterator[TupleBatch]:
         op.invocations += 1
@@ -1133,8 +1088,7 @@ class MergeUnion(PhysicalOperator):
             seen = set()
             add_seen = seen.add
             for stream in (left, right):
-                for raw in stream:
-                    batch = TupleBatch.of(raw)
+                for batch in stream:
                     count = len(batch)
                     op.rows_in += count
                     stats.tuples_scanned += count
@@ -1163,19 +1117,11 @@ class OuterUnionOp(MergeUnion):
     name = "batch-outer-union"
 
 
-class DifferenceOp(PhysicalOperator):
+class DifferenceOp(_Binary):
     """− — materialize (hash) the right side, stream the left side past it with
     whole-batch membership filtering."""
 
     name = "batch-difference"
-
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator):
-        self.left = left
-        self.right = right
-
-    @property
-    def children(self):
-        return (self.left, self.right)
 
     def _generate(self, ctx, op, left, right) -> Iterator[TupleBatch]:
         op.invocations += 1
@@ -1183,8 +1129,7 @@ class DifferenceOp(PhysicalOperator):
 
         def emit() -> Iterator[TupleBatch]:
             stats = ctx.stats
-            for raw in left:
-                batch = TupleBatch.of(raw)
+            for batch in left:
                 count = len(batch)
                 op.rows_in += count
                 stats.tuples_scanned += count
@@ -1218,12 +1163,8 @@ class MultiwayJoinOp(PhysicalOperator):
         inputs = tuple(inputs)
         if len(inputs) < 2:
             raise AlgebraError("a multiway join needs at least two inputs")
-        self.inputs = inputs
+        self.inputs = self.children = inputs
         self.on = attrset(on)
-
-    @property
-    def children(self):
-        return self.inputs
 
     def label(self) -> str:
         return "multiway-join[on={}]".format(self.on)
@@ -1240,8 +1181,7 @@ class MultiwayJoinOp(PhysicalOperator):
             # by the operator contract, so no content keys are rebuilt here.
             all_values: List = []
             all_hashes: List = []
-            for raw in stream:
-                batch = TupleBatch.of(raw)
+            for batch in stream:
                 op.rows_in += len(batch)
                 all_values.extend(batch.values_list())
                 all_hashes.extend(batch.hashes_list())
@@ -1311,7 +1251,7 @@ def _analytic_label(name: str, parts: Sequence[str]) -> str:
     return "{}[{}]".format(name, ", ".join(parts))
 
 
-class HashAggregateOp(PhysicalOperator):
+class HashAggregateOp(_Unary):
     """γ — streaming hash aggregation with variant-aware ⊥-group routing.
 
     Consumes its input batch by batch, keeping only one accumulator state per
@@ -1331,13 +1271,9 @@ class HashAggregateOp(PhysicalOperator):
 
     def __init__(self, child: PhysicalOperator, group_by: Sequence[str],
                  specs: Sequence[AggregateSpec]):
-        self.child = child
+        super().__init__(child)
         self.group_by = tuple(group_by)
         self.specs = tuple(specs)
-
-    @property
-    def children(self):
-        return (self.child,)
 
     def label(self) -> str:
         parts = []
@@ -1355,8 +1291,7 @@ class HashAggregateOp(PhysicalOperator):
         stats = ctx.stats
         governed = (ctx.governor is not None
                     and ctx.governor.memory_budget is not None)
-        for raw in child:
-            batch = TupleBatch.of(raw)
+        for batch in child:
             count = len(batch)
             op.rows_in += count
             stats.tuples_scanned += count
@@ -1392,8 +1327,7 @@ class HashAggregateOp(PhysicalOperator):
             ctx.governor.spill_manager(), accumulator, self.group_by,
             budget, op.note_memory)
         stats = ctx.stats
-        for raw in child:
-            batch = TupleBatch.of(raw)
+        for batch in child:
             count = len(batch)
             op.rows_in += count
             stats.tuples_scanned += count
@@ -1419,7 +1353,7 @@ class HashAggregateOp(PhysicalOperator):
         return emit()
 
 
-class SortOp(PhysicalOperator):
+class SortOp(_Unary):
     """τ — full sort with bounded-materialization accounting.
 
     The input is a set, so the sort itself is result-identity; the operator
@@ -1435,14 +1369,10 @@ class SortOp(PhysicalOperator):
 
     def __init__(self, child: PhysicalOperator, keys: Sequence[SortKey] = (),
                  limit: Optional[int] = None):
-        self.child = child
+        super().__init__(child)
         self.keys = tuple(keys)
         self.order = CompiledOrder(self.keys)
         self.limit = limit
-
-    @property
-    def children(self):
-        return (self.child,)
 
     def label(self) -> str:
         parts = [repr(key) for key in self.keys]
@@ -1460,8 +1390,7 @@ class SortOp(PhysicalOperator):
                     and ctx.governor.memory_budget is not None)
         values: List[dict] = []
         hashes: List[int] = []
-        for raw in child:
-            batch = TupleBatch.of(raw)
+        for batch in child:
             count = len(batch)
             op.rows_in += count
             stats.tuples_scanned += count
@@ -1497,8 +1426,7 @@ class SortOp(PhysicalOperator):
         stats = ctx.stats
         sorter = ExternalSorter(ctx.governor.spill_manager(), self.order,
                                 budget=budget, note=op.note_memory)
-        for raw in child:
-            batch = TupleBatch.of(raw)
+        for batch in child:
             count = len(batch)
             op.rows_in += count
             stats.tuples_scanned += count
@@ -1528,7 +1456,7 @@ class SortOp(PhysicalOperator):
         return emit()
 
 
-class TopKOp(PhysicalOperator):
+class TopKOp(_Unary):
     """λ∘τ — heap-based top-k: the ``count`` smallest rows under ``keys``.
 
     The fused physical form of ``Limit(Sort(E))`` (and of a bare ``Limit``,
@@ -1542,14 +1470,10 @@ class TopKOp(PhysicalOperator):
 
     def __init__(self, child: PhysicalOperator, keys: Sequence[SortKey],
                  count: int):
-        self.child = child
+        super().__init__(child)
         self.keys = tuple(keys)
         self.order = CompiledOrder(self.keys)
         self.count = count
-
-    @property
-    def children(self):
-        return (self.child,)
 
     def label(self) -> str:
         parts = [repr(key) for key in self.keys]
@@ -1561,8 +1485,7 @@ class TopKOp(PhysicalOperator):
         stats = ctx.stats
 
         def pairs() -> Iterator[tuple]:
-            for raw in child:
-                batch = TupleBatch.of(raw)
+            for batch in child:
                 count = len(batch)
                 op.rows_in += count
                 stats.tuples_scanned += count
@@ -1607,10 +1530,7 @@ class SubqueryExtendOp(PhysicalOperator):
         self.child = child
         self.attribute = attribute
         self.subquery = subquery
-
-    @property
-    def children(self):
-        return (self.child, self.subquery)
+        self.children = (child, subquery)
 
     def label(self) -> str:
         return "{}[{}]".format(self.name, self.attribute)
@@ -1628,8 +1548,7 @@ class SubqueryExtendOp(PhysicalOperator):
 
         def emit() -> Iterator[TupleBatch]:
             stats = ctx.stats
-            for raw in batches:
-                batch = TupleBatch.of(raw)
+            for batch in batches:
                 count = len(batch)
                 if not count:
                     continue

@@ -110,7 +110,7 @@ from repro.exec.operators import (
     SubqueryExtendOp,
     TopKOp,
 )
-from repro.obs.feedback import expression_key, referenced_tables
+from repro.obs.feedback import referenced_tables
 from repro.obs.trace import NOOP_SPAN, tracer_of
 from repro.optimizer.cost import CostEstimate, CostModel
 from repro.optimizer.joinorder import (

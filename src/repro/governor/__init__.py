@@ -1,5 +1,5 @@
 """Resource governor: deadlines, cooperative cancellation, memory budgets
-with spill-to-disk, and an admission-control front door.
+with spill-to-disk.
 
 The execution engine is single-threaded and cooperative, so control has to
 be woven into the operators rather than imposed from outside:
@@ -15,22 +15,12 @@ be woven into the operators rather than imposed from outside:
   build, hash aggregation and sort spill to CRC-framed temp segments
   (:mod:`repro.governor.spill`) and keep going; every other stateful
   operator fails fast with ``MemoryBudgetExceeded``.
-* :class:`~repro.governor.admission.AdmissionController` is the front door:
-  a concurrency cap with a bounded wait queue, per-class timeouts, a
-  trip-after-N-failures circuit breaker, and a jittered
-  :class:`~repro.governor.admission.RetryPolicy` for callers.
 * :func:`~repro.governor.chaos.cancel_at_every_boundary` is the proof
   harness, in the style of ``storage.faults.crash_at_every_offset``:
   cancellation injected at every boundary must leak nothing and leave
   re-execution bit-identical.
 """
 
-from repro.governor.admission import (
-    AdmissionController,
-    AdmissionTicket,
-    CircuitBreaker,
-    RetryPolicy,
-)
 from repro.governor.cancel import CancelToken, Deadline
 from repro.governor.chaos import ChaosError, cancel_at_every_boundary
 from repro.governor.governor import QueryGovernor
@@ -43,16 +33,12 @@ from repro.governor.spill import (
 )
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionTicket",
     "CancelToken",
     "ChaosError",
-    "CircuitBreaker",
     "Deadline",
     "ExternalSorter",
     "GracePartitioner",
     "QueryGovernor",
-    "RetryPolicy",
     "SpillManager",
     "SpillSegment",
     "SpillingAggregator",

@@ -21,8 +21,7 @@ __all__ = ["CancelToken", "Deadline"]
 class Deadline:
     """A monotonic-clock deadline: ``seconds`` from construction time.
 
-    The clock is injectable so tests (and the admission controller's
-    per-class timeouts) can use a fake clock instead of sleeping.
+    The clock is injectable so tests can use a fake clock instead of sleeping.
     """
 
     __slots__ = ("seconds", "_clock", "_expires_at")

@@ -15,7 +15,7 @@ crash harness, transplanted to the execution path.
 """
 
 import os
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.errors import GovernorError, QueryCancelled
 from repro.governor.cancel import CancelToken

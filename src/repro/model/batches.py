@@ -29,13 +29,12 @@ downstream operator discards.
 
 Batches have ``len()`` and iterate their rows (materializing a lazy batch on
 first touch), which is all the materializing operators and the result
-collector require of one, and :meth:`TupleBatch.of` wraps a plain list of
-tuples without copying.
+collector require of one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import TupleError
 from repro.model.tuples import FlexTuple
@@ -111,20 +110,6 @@ class TupleBatch:
         self._full_mask = (1 << len(rows)) - 1
         self._values_list: Optional[List[Dict[str, object]]] = None
 
-    @classmethod
-    def of(cls, batch) -> "TupleBatch":
-        """Coerce any iterable of tuples to a batch, without copying lists."""
-        if isinstance(batch, TupleBatch):
-            return batch
-        if isinstance(batch, list):
-            return cls(batch)
-        return cls(list(batch))
-
-    @classmethod
-    def from_tuples(cls, tuples: Iterable[FlexTuple]) -> "TupleBatch":
-        """A batch over a copy of ``tuples`` (accepts any iterable)."""
-        return cls(list(tuples))
-
     # -- container protocol -----------------------------------------------------------
 
     @property
@@ -140,10 +125,6 @@ class TupleBatch:
 
     def __bool__(self) -> bool:
         return len(self) > 0
-
-    def to_tuples(self) -> List[FlexTuple]:
-        """The rows as a plain list (a copy)."""
-        return list(self.rows)
 
     # -- column access -----------------------------------------------------------------
 
@@ -213,12 +194,6 @@ class TupleBatch:
         """A new batch of the rows at ``indices`` (column caches are not carried)."""
         rows = self._rows
         return TupleBatch([rows[i] for i in indices])
-
-    def take_mask(self, mask: int) -> "TupleBatch":
-        """A new batch of the rows whose bit is set in ``mask``."""
-        if mask == self._full_mask:
-            return self
-        return self.take(mask_indices(mask))
 
     def __repr__(self) -> str:
         return "TupleBatch({} rows, {} cached columns)".format(

@@ -19,7 +19,7 @@ which is why :meth:`FlexibleScheme.admits` decides membership of an attribute se
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple, Union
+from typing import FrozenSet, Iterable, List, Set, Tuple, Union
 
 from repro.errors import SchemeError
 from repro.model.attributes import Attribute, AttributeSet, attrset

@@ -18,8 +18,7 @@ PR 7 adds the *actionable* layer on top of that substrate:
   feeds observed cardinalities back into the cost model (ROADMAP item 4's
   adaptive re-optimization bridge);
 * :mod:`repro.obs.profiler` — the :class:`PlanWatchdog` (plan-change and
-  latency-regression detection) and :class:`WorkloadProfile` windows behind
-  ``Database.profile()``;
+  latency-regression detection);
 * :mod:`repro.obs.export` — Prometheus text exposition and versioned JSON
   snapshots of the registry.
 """
@@ -55,7 +54,6 @@ from repro.obs.metrics import (
 from repro.obs.profiler import (
     PlanWatchdog,
     QueryBaseline,
-    WorkloadProfile,
 )
 from repro.obs.trace import (
     NOOP_SPAN,
@@ -85,7 +83,6 @@ __all__ = [
     "Span",
     "TraceSink",
     "Tracer",
-    "WorkloadProfile",
     "json_snapshot",
     "node_q_errors",
     "pair_nodes_with_stats",

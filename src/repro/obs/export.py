@@ -24,7 +24,7 @@ formatting bug fails loudly instead of producing silently unscrapable output.
 import json
 import math
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .metrics import Counter, Gauge, Histogram, MaxGauge, MetricsRegistry
 

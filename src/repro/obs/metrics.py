@@ -108,6 +108,9 @@ BATCH_SIZE_BUCKETS = (16, 64, 256, 1024, 4096, 16384, 65536)
 MEMORY_BUCKETS = (1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20,
                   1 << 22, 1 << 24, 1 << 26, 1 << 28)
 
+#: seconds at or above which a query enters a database's slow-query log
+SLOW_QUERY_SECONDS = 1.0
+
 
 class Histogram:
     """Fixed-bound bucketed distribution with count/sum/min/max.
@@ -287,7 +290,7 @@ class SlowQueryLog:
     seen, including evicted ones.
     """
 
-    def __init__(self, threshold: float = 1.0, capacity: int = 32):
+    def __init__(self, threshold: float = SLOW_QUERY_SECONDS, capacity: int = 32):
         self.threshold = float(threshold)
         self.capacity = int(capacity)
         self._entries: Deque[SlowQueryEntry] = deque(maxlen=self.capacity)

@@ -1,4 +1,4 @@
-"""Plan-regression watchdog and workload profiling windows.
+"""Plan-regression watchdog.
 
 The watchdog closes the second observability gap named by ROADMAP item 4:
 an engine that re-plans on statistics refreshes and feedback updates can
@@ -16,17 +16,12 @@ structured events (the last ``capacity`` of each are kept):
   (default 2×) against the fingerprint's EWMA baseline: emits a
   ``plan-regression`` event naming the suspect plan change (if any) so the
   slow-log entry reads as a diagnosis, not just a timing.
-
-:class:`WorkloadProfile` is the capture side of ``Database.profile()``: a
-context manager that windows a workload — every query with its latency, rows
-and peak memory, plus the feedback/plan-change/regression deltas over the
-window — into one report dict the benchmark reporting layer can embed.
 """
 
 from collections import deque
 from typing import Dict, List, Optional
 
-__all__ = ["PlanWatchdog", "QueryBaseline", "WorkloadProfile"]
+__all__ = ["PlanWatchdog", "QueryBaseline"]
 
 #: default latency-regression threshold: >2× the EWMA baseline
 DEFAULT_REGRESSION_FACTOR = 2.0
@@ -163,60 +158,3 @@ class PlanWatchdog:
         return "PlanWatchdog(tracked={}, changes={}, regressions={})".format(
             len(self._baselines), len(self._plan_changes),
             len(self._regressions))
-
-
-def _newest(events: List, count: int) -> List:
-    return events[-count:] if count else []
-
-
-class WorkloadProfile:
-    """A ``with database.profile() as prof:`` workload capture window.
-
-    While active, ``Database._observe_query`` hands every query to
-    :meth:`observe`; on exit the window freezes into :attr:`report` — queries
-    with plans/latencies/memory, the feedback-store delta, and the plan
-    changes and regressions that happened inside the window.
-    """
-
-    def __init__(self, database):
-        self._database = database
-        self._queries: List[Dict[str, object]] = []
-        self._start_feedback = None
-        self._start_changes = 0
-        self._start_regressions = 0
-        self.report: Optional[Dict[str, object]] = None
-
-    def __enter__(self) -> "WorkloadProfile":
-        database = self._database
-        self._start_feedback = database.cardinality_feedback.as_dict()
-        watchdog = database.plan_watchdog
-        self._start_changes = watchdog.plan_changes_seen
-        self._start_regressions = watchdog.regressions_seen
-        database._active_profile = self
-        return self
-
-    def observe(self, record: Dict[str, object]) -> None:
-        self._queries.append(record)
-
-    def __exit__(self, exc_type, exc_value, traceback) -> bool:
-        database = self._database
-        database._active_profile = None
-        watchdog = database.plan_watchdog
-        end_feedback = database.cardinality_feedback.as_dict()
-        self.report = {
-            "queries": list(self._queries),
-            "query_count": len(self._queries),
-            "total_seconds": sum(q["seconds"] for q in self._queries),
-            "feedback": {
-                "before": self._start_feedback,
-                "after": end_feedback,
-                "new_entries": (end_feedback["entries"]
-                                - self._start_feedback["entries"]),
-            },
-            "plan_changes": _newest(watchdog.plan_changes(),
-                                    watchdog.plan_changes_seen - self._start_changes),
-            "regressions": _newest(watchdog.regressions(),
-                                   watchdog.regressions_seen - self._start_regressions),
-            "metrics": database.metrics(),
-        }
-        return False

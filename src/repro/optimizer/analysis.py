@@ -16,7 +16,7 @@ important, which ones are absent.  This is the formal content of Example 4.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.algebra.expressions import Expression
 from repro.core.dependencies import ExplicitAttributeDependency

@@ -9,7 +9,7 @@ the accumulated :class:`~repro.optimizer.rewrite_rules.RewriteReport`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import Expression
 from repro.errors import OptimizerError

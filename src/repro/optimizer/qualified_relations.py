@@ -14,11 +14,10 @@ union-branch pruning rewrite and the decomposition benchmarks rely on.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.algebra.expressions import Expression, RelationRef, Selection
-from repro.algebra.predicates import Predicate
-from repro.model.attributes import AttributeSet, attrset
+from repro.algebra.expressions import Expression, RelationRef
+from repro.model.attributes import attrset
 
 
 class QualifiedRelation:

@@ -25,7 +25,7 @@ applied last, as in SQL.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.algebra.expressions import (
     Expression,

@@ -29,6 +29,12 @@ from typing import Dict, List, Optional
 from repro.obs.trace import tracer_of
 from repro.stats.statistics import TableStatistics, analyze_table
 
+#: auto re-ANALYZE fires once the mutations since the last ANALYZE exceed this
+#: share of the rows the table had then …
+AUTO_ANALYZE_FRACTION = 0.1
+#: … and never for fewer mutations than this
+AUTO_ANALYZE_MIN_MUTATIONS = 5
+
 
 class _Entry:
     """One table's statistics plus the freshness fingerprint they were taken at."""
@@ -52,16 +58,14 @@ class StatisticsCatalog:
 
     ``auto_analyze=True`` additionally re-runs ANALYZE on a previously analyzed
     table as soon as the mutations since its last ANALYZE exceed
-    ``auto_analyze_fraction`` of the rows it had back then — but never fewer
-    than ``auto_analyze_min_mutations``, so tiny tables are not re-analyzed on
+    :data:`AUTO_ANALYZE_FRACTION` of the rows it had back then — but never fewer
+    than :data:`AUTO_ANALYZE_MIN_MUTATIONS`, so tiny tables are not re-analyzed on
     every single insert during a bulk load.  The re-ANALYZE reuses the table's
     last ``sample_size``, so sampled tables stay cheap to refresh.  Off by
     default: statistics only move on explicit calls.
     """
 
-    def __init__(self, database, auto_analyze: bool = False,
-                 auto_analyze_fraction: float = 0.1,
-                 auto_analyze_min_mutations: int = 5):
+    def __init__(self, database, auto_analyze: bool = False):
         self._database = database
         self._entries: Dict[str, _Entry] = {}
         #: per-table size magnitude (``row_count.bit_length()``) at the last
@@ -69,8 +73,6 @@ class StatisticsCatalog:
         self._magnitudes: Dict[str, int] = {}
         self._version = 0
         self.auto_analyze = auto_analyze
-        self.auto_analyze_fraction = auto_analyze_fraction
-        self.auto_analyze_min_mutations = max(1, int(auto_analyze_min_mutations))
         self._auto_analyzing = False
 
     @property
@@ -233,8 +235,8 @@ class StatisticsCatalog:
         if not self.auto_analyze or self._auto_analyzing:
             return
         mutations = getattr(entry.table, "mutation_count", 0) - entry.mutation_count
-        threshold = max(self.auto_analyze_min_mutations,
-                        int(self.auto_analyze_fraction * entry.analyzed_rows))
+        threshold = max(AUTO_ANALYZE_MIN_MUTATIONS,
+                        int(AUTO_ANALYZE_FRACTION * entry.analyzed_rows))
         if mutations < threshold:
             return
         tracer = tracer_of(self._database)

@@ -19,7 +19,7 @@ based subtyping of :mod:`repro.core.subtyping` keeps them causally connected.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping
 
 from repro.errors import TypeCheckError
 from repro.model.attributes import AttributeSet, attrset

@@ -10,7 +10,7 @@ dependency conformance — and reports which level failed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.dependencies import Dependency, ExplicitAttributeDependency
 from repro.errors import TypeCheckError

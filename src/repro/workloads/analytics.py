@@ -19,7 +19,7 @@ The generator is deliberately cheap per row (no rejection sampling) so the
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.engine.database import Database
 from repro.model.domains import IntDomain, StringDomain

@@ -16,7 +16,7 @@ used by the type-checking experiment E2.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.dependencies import ExplicitAttributeDependency, FunctionalDependency, Variant
 from repro.engine.catalog import TableDefinition

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import random
 import string
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.dependencies import ExplicitAttributeDependency, Variant
-from repro.model.attributes import AttributeSet, attrset
 from repro.model.scheme import FlexibleScheme
 from repro.model.tuples import FlexTuple
 

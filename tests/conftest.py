@@ -1,9 +1,9 @@
 """Shared fixtures: the paper's running examples as ready-made objects.
 
 Also installs a global per-test timeout (``REPRO_TEST_TIMEOUT`` seconds,
-default 300, ``0`` disables): a wedged test — a stuck admission queue, a
-cancellation that never fires — aborts with a traceback instead of hanging
-the whole suite until CI's job-level kill.
+default 300, ``0`` disables): a wedged test — a cancellation that never
+fires, a recovery loop that never ends — aborts with a traceback instead of
+hanging the whole suite until CI's job-level kill.
 
 And the hypothesis profile every property suite runs under: tier-1 is
 derandomized and reads no example database, so this checkout, a fresh clone

@@ -25,10 +25,25 @@ from repro.algebra import (
     Union,
 )
 from repro.algebra.expressions import Expression
-from repro.algebra.predicates import Comparison
+from repro.algebra.predicates import (
+    And,
+    AttributeComparison,
+    Comparison,
+    FalsePredicate,
+    Not,
+    Or,
+    Predicate,
+    PresencePredicate,
+    TruePredicate,
+)
 from repro.engine import Database
 from repro.errors import CatalogError, MemoryBudgetExceeded
 from repro.exec import (
+    MAX_BATCH_SIZE,
+    MIN_BATCH_SIZE,
+    TARGET_BATCH_CELLS,
+    CompiledGuard,
+    CompiledPredicate,
     DifferenceOp,
     EmptyOp,
     ExecutionContext,
@@ -37,6 +52,7 @@ from repro.exec import (
     GuardOp,
     HashAggregateOp,
     HashJoin,
+    IndexLookupJoin,
     MergeUnion,
     MultiwayJoinOp,
     NaturalJoinOp,
@@ -51,15 +67,18 @@ from repro.exec import (
     SortOp,
     SubqueryExtendOp,
     TopKOp,
+    adaptive_batch_size,
     expression_key,
 )
 from repro.exec.planner import PhysicalPlan
 from repro.governor import QueryGovernor
-from repro.model.batches import LazyBatch
+from repro.model.batches import LazyBatch, TupleBatch
 from repro.model.tuples import FlexTuple
 from repro.model.domains import IntDomain
 from repro.model.scheme import FlexibleScheme
+from repro.optimizer.cost import CostModel
 from repro.workloads.employees import employee_definition, generate_employees
+from repro.workloads.events import skewed_join_database
 
 
 @pytest.fixture
@@ -339,3 +358,231 @@ class TestIndexScan:
                                       "jobtype": "secretary", "typing_speed": 80,
                                       "foreign_languages": "english"})
         assert len(database.execute(query)) == 1
+
+
+# -- compiled predicates, operators in isolation, batch sizing --------------------------------
+
+
+def _tuples(*dicts):
+    return [FlexTuple(d) for d in dicts]
+
+
+VARIANTS = _tuples(
+    {"id": 1, "kind": "a", "x": 10},
+    {"id": 2, "kind": "b"},
+    {"id": 3, "kind": "a", "x": 30, "y": "hi"},
+    {"id": 4, "y": "lo"},
+)
+
+
+class TestCompiledPredicates:
+    def batch(self):
+        return TupleBatch(list(VARIANTS))
+
+    def select(self, predicate):
+        return CompiledPredicate(predicate).select(self.batch())
+
+    def test_comparison_missing_is_false(self):
+        assert self.select(Comparison("x", ">", 5)) == [0, 2]
+        assert self.select(Comparison("x", ">", 20)) == [2]
+
+    def test_mixed_type_column_typeerror_is_false(self):
+        rows = _tuples({"id": 1, "v": 5}, {"id": 2, "v": "five"}, {"id": 3, "v": 7})
+        compiled = CompiledPredicate(Comparison("v", ">=", 6))
+        assert compiled.select(TupleBatch(rows)) == [2]
+
+    def test_constant_folding(self):
+        assert self.select(TruePredicate()) == [0, 1, 2, 3]
+        assert self.select(FalsePredicate()) == []
+        assert self.select(And(Comparison("x", ">", 5), FalsePredicate())) == []
+        assert CompiledPredicate(TruePredicate())._passes == []
+
+    def test_conjunction_narrows_sequentially(self):
+        predicate = And(Comparison("kind", "=", "a"), Comparison("x", ">=", 30))
+        assert self.select(predicate) == [2]
+
+    def test_or_not_and_presence(self):
+        assert self.select(Or(Comparison("kind", "=", "b"),
+                              PresencePredicate(["y"]))) == [1, 2, 3]
+        assert self.select(Not(Comparison("kind", "=", "a"))) == [1, 3]
+        assert self.select(PresencePredicate(["kind", "x"])) == [0, 2]
+
+    def test_in_and_attribute_comparison(self):
+        assert self.select(Comparison("id", "in", [2, 4])) == [1, 3]
+        rows = _tuples({"a": 1, "b": 2}, {"a": 3, "b": 3}, {"a": 5})
+        compiled = CompiledPredicate(AttributeComparison("a", "=", "b"))
+        assert compiled.select(TupleBatch(rows)) == [1]
+
+    def test_unknown_predicate_subclass_falls_back_to_evaluate(self):
+        class OddId(Predicate):
+            def evaluate(self, tup):
+                return tup.get("id", 0) % 2 == 1
+
+            @property
+            def attributes(self):
+                from repro.model.attributes import AttributeSet
+                return AttributeSet()
+
+        assert self.select(OddId()) == [0, 2]
+
+    def test_matches_interpreted_evaluation(self):
+        predicates = [
+            Comparison("x", "<=", 10), Comparison("kind", "!=", "a"),
+            Or(Comparison("x", "=", 30), Not(PresencePredicate(["kind"]))),
+            And(PresencePredicate(["kind"]), Comparison("id", "<", 4)),
+        ]
+        batch = self.batch()
+        for predicate in predicates:
+            expected = [i for i, tup in enumerate(VARIANTS) if predicate.evaluate(tup)]
+            assert CompiledPredicate(predicate).select(batch) == expected
+
+    def test_compiled_guard(self):
+        batch = self.batch()
+        assert CompiledGuard(["kind"]).select(batch) == [0, 1, 2]
+        assert CompiledGuard(["kind", "y"]).select(batch) == [2]
+        assert CompiledGuard(["kind"]).select(batch, [1, 3]) == [1]
+
+
+@pytest.fixture
+def source():
+    employees = {FlexTuple(row) for row in generate_employees(90, seed=3)}
+    assignments = {FlexTuple({"emp_id": i, "project": "p{}".format(i % 4)})
+                   for i in range(1, 70)}
+    return {"employees": employees, "assignments": assignments}
+
+
+def _run(root, source, batch_size=64, use_indexes=True):
+    return PhysicalPlan(root).execute(source, batch_size=batch_size,
+                                      use_indexes=use_indexes)
+
+
+class TestBatchOperators:
+    def test_all_guard_filtered_batches_yield_nothing(self, source):
+        result = _run(Scan("assignments", guard=["typing_speed"]), source)
+        assert result.tuples == set()
+
+    def test_variant_records_missing_join_attribute_are_partitioned_out(self, source):
+        # typing_speed exists only on secretaries; everyone else must be skipped
+        # as a guard check, not a join pair.
+        root = HashJoin(Scan("employees"), Scan("employees"),
+                             on=["emp_id", "typing_speed"])
+        result = _run(root, source)
+        naive = Evaluator(source).evaluate(
+            NaturalJoin(RelationRef("employees"), RelationRef("employees"),
+                        on=["emp_id", "typing_speed"]))
+        assert result.tuples == naive.tuples
+        assert result.stats.guard_checks == 180  # both sides fully checked
+
+    def test_batch_hash_join_needs_static_attributes(self):
+        with pytest.raises(Exception):
+            HashJoin(Scan("a"), Scan("b"), on=None)
+
+    def test_batch_project_deduplicates_and_drops_empty(self, source):
+        result = _run(ProjectOp(Scan("employees"), ["jobtype"]), source)
+        naive = Evaluator(source).evaluate(Projection(RelationRef("employees"),
+                                                      ["jobtype"]))
+        assert result.tuples == naive.tuples
+
+    def test_batch_size_one(self, source):
+        root = FilterOp(Scan("employees"), Comparison("jobtype", "=", "salesman"))
+        small = _run(root, source, batch_size=1)
+        big = _run(root, source, batch_size=4096)
+        assert small.tuples == big.tuples
+
+    def test_index_lookup_join_with_and_without_index(self):
+        database = skewed_join_database(big=300, small=60, rare_every=30)
+        root = IndexLookupJoin(
+            Scan("events", predicate=Comparison("kind", "=", "audit")),
+            "sessions", on=["event_id"])
+        with_index = _run(root, database, use_indexes=True)
+        degraded = _run(root, database, use_indexes=False)
+        naive = Evaluator(database).evaluate(
+            NaturalJoin(Selection(RelationRef("events"), Comparison("kind", "=", "audit")),
+                        RelationRef("sessions"), on=["event_id"]))
+        assert with_index.tuples == degraded.tuples == naive.tuples
+        # The maintained index never scans the inner relation.
+        assert with_index.stats.tuples_scanned < degraded.stats.tuples_scanned
+
+
+class TestModeExposure:
+    def test_scan_pushdown_preserves_batch_class(self, source):
+        plan = PhysicalPlanner(source=source).plan(
+            TypeGuardNode(Selection(RelationRef("employees"),
+                                    Comparison("jobtype", "=", "secretary")),
+                          ["typing_speed"]))
+        assert isinstance(plan.root, Scan)
+        assert plan.root.predicate is not None and plan.root.guard is not None
+
+
+class TestPlanCacheCounters:
+    def test_hit_miss_properties_and_info(self, employee_database):
+        # Fresh statistics keep the estimates accurate, so no cardinality
+        # feedback is recorded and the cache key stays stable across runs.
+        employee_database.analyze()
+        executor = employee_database.physical_executor
+        query = Selection(RelationRef("employees"), Comparison("salary", ">", 1.0))
+        base_misses = executor.cache_misses
+        employee_database.execute(query)
+        employee_database.execute(query)
+        assert executor.cache_misses == base_misses + 1
+        assert executor.cache_hits >= 1
+        info = executor.cache_info()
+        assert info["hits"] == executor.cache_hits
+        assert info["misses"] == executor.cache_misses
+        assert info["size"] >= 1 and info["max_size"] >= info["size"]
+
+
+class TestAdaptiveBatchSizing:
+    def test_heuristic_bounds(self):
+        assert adaptive_batch_size(8.0) == TARGET_BATCH_CELLS // 8
+        assert adaptive_batch_size(1.0) == MAX_BATCH_SIZE
+        assert adaptive_batch_size(1000.0) == MIN_BATCH_SIZE
+
+    def test_tiny_inputs_get_one_batch(self):
+        # 300 rows would be split by the width-derived size of a wide tuple;
+        # the heuristic widens to a single batch instead.
+        assert adaptive_batch_size(64.0, base_rows=300) == 300
+        assert adaptive_batch_size(64.0, base_rows=100_000) == TARGET_BATCH_CELLS // 64
+
+    def test_width_estimate_prefers_statistics(self):
+        database = skewed_join_database(big=400, small=40)
+        model = CostModel(database)
+        declared = model.estimate_width(RelationRef("events"))
+        assert declared == 4.0  # the scheme universe
+        database.analyze()
+        observed = CostModel(database).estimate_width(RelationRef("events"))
+        assert observed == pytest.approx(3.0)  # every variant carries 3 attrs
+
+    def test_plan_carries_adaptive_size_and_override(self, source):
+        expression = Selection(RelationRef("employees"),
+                               Comparison("salary", ">", 0.0))
+        plan = PhysicalPlanner(source=source).plan(expression)
+        assert plan.batch_size is not None
+        assert MIN_BATCH_SIZE <= plan.batch_size <= MAX_BATCH_SIZE
+        pinned = PhysicalPlanner(source=source).plan(expression, batch_size=7)
+        assert pinned.batch_size == 7
+
+    def test_database_batch_size_passthrough(self, employee_database):
+        query = Selection(RelationRef("employees"), Comparison("salary", ">", 0.0))
+        plan = employee_database.plan(query, batch_size=5)
+        assert plan.batch_size == 5
+        result = employee_database.execute(query, batch_size=5)
+        adaptive = employee_database.execute(query)
+        assert result.tuples == adaptive.tuples
+        assert "batch_size=" in employee_database.explain(query)
+
+    def test_plan_cache_keyed_on_batch_size(self, employee_database):
+        """A plan built (and sized) for one batch size must not be reused for
+        another — the PR 3 cache reused it regardless of the request."""
+        employee_database.analyze()  # accurate estimates → no feedback re-plan
+        executor = employee_database.physical_executor
+        query = Selection(RelationRef("employees"), Comparison("salary", ">", 3.0))
+        employee_database.execute(query)
+        misses = executor.cache_misses
+        employee_database.execute(query, batch_size=32)
+        assert executor.cache_misses == misses + 1
+        assert employee_database.plan(query, batch_size=32).batch_size == 32
+        hits = executor.cache_hits
+        employee_database.execute(query, batch_size=32)
+        employee_database.execute(query)
+        assert executor.cache_hits == hits + 2

@@ -424,18 +424,3 @@ class TestDatabaseControls:
         # The engine keeps working and re-observes from a clean slate.
         stale_star.execute(star_join_query(), optimize=False)
         assert stale_star.metrics()["metrics"]["queries.executed"] == 1
-
-    def test_profile_window_captures_the_arc(self, stale_star):
-        query = star_join_query()
-        with stale_star.profile() as window:
-            stale_star.execute(query, optimize=False)
-            stale_star.execute(query, optimize=False)
-        report = window.report
-        assert report["query_count"] == 2
-        assert report["total_seconds"] > 0.0
-        assert report["feedback"]["new_entries"] >= 1
-        assert len(report["plan_changes"]) == 1
-        assert report["queries"][0]["rows"] == report["queries"][1]["rows"]
-        # Outside the window nothing is captured.
-        stale_star.execute(query, optimize=False)
-        assert report["query_count"] == 2

@@ -1,6 +1,6 @@
-"""The resource governor: deadlines, cancellation, budgets, spill, admission.
+"""The resource governor: deadlines, cancellation, budgets, spill.
 
-Four layers under test:
+Three layers under test:
 
 * the primitives — :class:`CancelToken`/:class:`Deadline` semantics, the
   CRC-framed spill segments, ``AggregateAccumulator.merge_states``;
@@ -11,10 +11,7 @@ Four layers under test:
   ``memory_budget=`` on :meth:`Database.execute`, the termination taxonomy,
   and the observability contract: terminated queries count under their
   reason, never under ``queries.executed``, and leave a slow-query-log entry
-  naming the reason (satellite: no double counting);
-* admission control — concurrency cap, bounded queue, shed, per-class
-  timeouts, circuit breaker lifecycle and retry backoff, all under injected
-  clocks so nothing sleeps.
+  naming the reason (satellite: no double counting).
 """
 
 import os
@@ -36,9 +33,7 @@ from repro.algebra.analytic import AggregateAccumulator, AggregateSpec
 from repro.algebra.predicates import Comparison
 from repro.engine import Database
 from repro.errors import (
-    AdmissionRejected,
     CatalogError,
-    CircuitOpen,
     GovernorError,
     MemoryBudgetExceeded,
     QueryCancelled,
@@ -47,12 +42,9 @@ from repro.errors import (
 )
 from repro.exec import PhysicalExecutor
 from repro.governor import (
-    AdmissionController,
     CancelToken,
-    CircuitBreaker,
     Deadline,
     QueryGovernor,
-    RetryPolicy,
     SpillManager,
 )
 from repro.model.batches import MISSING
@@ -364,6 +356,11 @@ class TestDatabaseGovernance:
         assert registry.counter("queries.executed").value == executed
         entry = orders_database.slow_query_log.entries()[-1]
         assert entry.note == "terminated: cancelled"
+        # ... and leaves no governor state: the next, ungoverned query runs
+        # to completion without one
+        result = orders_database.execute(RelationRef("orders"))
+        assert result.context.governor is None
+        assert len(result.tuples) == 2500
 
     def test_memory_exceeded_is_observed(self, orders_database):
         registry = orders_database.metrics_registry
@@ -376,7 +373,7 @@ class TestDatabaseGovernance:
         assert entry.note == "terminated: memory_exceeded"
 
     def test_each_termination_counts_exactly_once(self, orders_database):
-        """Satellite: timeout/cancel/shed entries never double-count."""
+        """Satellite: timeout/cancel entries never double-count."""
         registry = orders_database.metrics_registry
         log_total = orders_database.slow_query_log.total
         timeouts = registry.counter("queries.timeout").value
@@ -439,162 +436,12 @@ class TestDatabaseGovernance:
         result = orders_database.execute(RelationRef("orders"))
         assert result.context.governor is None
 
-
-# -- admission control -----------------------------------------------------------------------
-
-
-class TestAdmission:
-    def test_slots_then_queue_then_shed(self):
-        now = [0.0]
-        controller = AdmissionController(max_concurrent=2, queue_limit=0,
-                                         clock=lambda: now[0])
-        first = controller.admit()
-        second = controller.admit()
-        with pytest.raises(AdmissionRejected, match="queue full"):
-            controller.admit()
-        controller.complete(first)
-        third = controller.admit()
-        assert controller.active == 2
-        controller.complete(second)
-        controller.complete(third)
-        assert controller.active == 0
-        assert controller.admitted_total == 3
-        assert controller.shed_total == 1
-
-    def test_complete_is_idempotent(self):
-        controller = AdmissionController(max_concurrent=1)
-        ticket = controller.admit()
-        controller.complete(ticket)
-        controller.complete(ticket)
-        assert controller.active == 0
-
-    def test_class_timeouts(self):
-        controller = AdmissionController(
-            class_timeouts={"interactive": 0.5, "batch": 60.0})
-        assert controller.timeout_for("interactive") == 0.5
-        assert controller.timeout_for("batch") == 60.0
-        assert controller.timeout_for("default") is None
-
-    def test_breaker_trips_half_opens_and_closes(self):
-        now = [0.0]
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout=10.0,
-                                 clock=lambda: now[0])
-        for _ in range(3):
-            assert breaker.allow()
-            breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.trips == 1
-        assert not breaker.allow()
-        now[0] = 10.5
-        assert breaker.allow()  # half-open probe
-        assert breaker.state == "half-open"
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_half_open_failure_reopens(self):
-        now = [0.0]
-        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=5.0,
-                                 clock=lambda: now[0])
-        breaker.record_failure()
-        breaker.record_failure()
-        now[0] = 5.5
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.trips == 2
-
-    def test_open_breaker_sheds_with_circuit_open(self):
-        now = [0.0]
-        controller = AdmissionController(max_concurrent=4,
-                                         failure_threshold=1,
-                                         breaker_reset=30.0,
-                                         clock=lambda: now[0])
-        ticket = controller.admit()
-        controller.complete(ticket, success=False)
-        with pytest.raises(CircuitOpen):
-            controller.admit()
-        assert isinstance(CircuitOpen("x"), AdmissionRejected)
-
-    def test_retry_policy_backs_off_then_succeeds(self):
-        sleeps = []
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise AdmissionRejected("shed")
-            return "ok"
-
-        import random as random_module
-        policy = RetryPolicy(max_attempts=4, base_delay=0.1, multiplier=2.0,
-                             jitter=0.5, sleep=sleeps.append,
-                             rng=random_module.Random(42))
-        assert policy.run(flaky) == "ok"
-        assert policy.attempts == 3
-        assert len(sleeps) == 2
-        assert 0.1 <= sleeps[0] <= 0.15   # base × (1 + jitter·U[0,1))
-        assert 0.2 <= sleeps[1] <= 0.3    # doubled
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-
-    def test_retry_policy_exhausts_and_reraises(self):
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0,
-                             sleep=lambda s: None)
-
-        def always_shed():
-            raise AdmissionRejected("shed")
-
-        with pytest.raises(AdmissionRejected):
-            policy.run(always_shed)
-        assert policy.attempts == 2
-
-    def test_database_sheds_and_observes(self):
-        database = analytics_database(count=200, seed=5)
-        database.admission = AdmissionController(
-            max_concurrent=0, queue_limit=0,
-            registry=database.metrics_registry)
-        registry = database.metrics_registry
-        executed = registry.counter("queries.executed").value
-        with pytest.raises(AdmissionRejected):
-            database.execute(RelationRef("orders"))
-        assert registry.counter("queries.shed").value == 1
-        assert registry.counter("admission.shed").value == 1
-        assert registry.counter("queries.executed").value == executed
-        entry = database.slow_query_log.entries()[-1]
-        assert entry.note == "terminated: shed"
-        assert database.metrics()["admission"]["shed_total"] == 1
-
-    def test_database_admits_and_releases(self):
-        database = analytics_database(count=200, seed=5)
-        database.admission = AdmissionController(
-            max_concurrent=2, registry=database.metrics_registry)
-        database.execute(RelationRef("orders"))
-        assert database.admission.active == 0
-        assert database.admission.admitted_total == 1
-        assert database.admission.breaker.state == "closed"
-
-    def test_class_timeout_governs_the_query(self):
-        database = analytics_database(count=2500, seed=5)
-        database.admission = AdmissionController(
-            max_concurrent=4, class_timeouts={"interactive": 0.000001},
-            registry=database.metrics_registry)
-        with pytest.raises(QueryTimeout):
-            database.execute(spill_corpus()["aggregate"][0],
-                             query_class="interactive")
-        assert database.admission.active == 0
-        # engine-side timeout feeds the breaker as a failure
-        assert database.admission.breaker.consecutive_failures == 1
-        # an unclassified query is not affected
-        result = database.execute(RelationRef("orders"))
-        assert len(result.tuples) == 2500
-
-    def test_client_cancel_is_not_a_breaker_failure(self):
-        database = analytics_database(count=200, seed=5)
-        database.admission = AdmissionController(
-            max_concurrent=4, registry=database.metrics_registry)
-        token = CancelToken()
-        token.cancel("client went away")
-        with pytest.raises(QueryCancelled):
-            database.execute(RelationRef("orders"), cancel_token=token)
-        assert database.admission.breaker.consecutive_failures == 0
-        assert database.admission.active == 0
+    def test_admission_arguments_are_a_type_error(self, orders_database):
+        """The admission front door is gone without a compatibility path."""
+        with pytest.raises(TypeError):
+            Database(admission=object())
+        with pytest.raises(TypeError):
+            orders_database.execute(RelationRef("orders"), query_class="batch")
+        with pytest.raises(TypeError):
+            orders_database.query("SELECT order_id FROM orders",
+                                  query_class="batch")

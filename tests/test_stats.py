@@ -16,10 +16,18 @@ from repro.exec import (
 )
 from repro.model.domains import FloatDomain, IntDomain, StringDomain
 from repro.model.scheme import FlexibleScheme
+from repro.model.tuples import FlexTuple
 from repro.optimizer.cost import DEFAULT_SELECTIVITY, CostModel, estimate_cost
-from repro.stats import EquiDepthHistogram, TableStatistics, analyze_table, build_histogram
+from repro.stats import (
+    EquiDepthHistogram,
+    TableStatistics,
+    analyze_table,
+    build_histogram,
+    estimate_ndv,
+    reservoir_sample,
+)
 from repro.workloads.employees import employee_definition, generate_employees
-from repro.workloads.events import skewed_join_database
+from repro.workloads.events import generate_events, skewed_join_database
 
 
 # -- fixtures ------------------------------------------------------------------------------
@@ -528,3 +536,131 @@ class TestStatsInformedPlanner:
         assert isinstance(planner.plan(query).root, IndexLookupJoin)
         database.insert("events", {"event_id": 100_000, "kind": "view", "payload": 1})
         assert isinstance(planner.plan(query).root, HashJoin)
+
+
+# -- sampling ANALYZE and the auto-ANALYZE policy ----------------------------------------------
+
+
+def _tuples(*dicts):
+    return [FlexTuple(d) for d in dicts]
+
+
+class TestSamplingAnalyze:
+    def events_database(self, big=5000):
+        database = Database(enforce_constraints=False)
+        from repro.workloads.events import events_scheme
+        table = database.create_table("events", events_scheme(), key=["event_id"])
+        table.insert_many(generate_events(big, rare_every=100))
+        return database
+
+    def test_reservoir_sample_counts_and_bounds(self):
+        sample, total = reservoir_sample(range(1000), 64, seed=7)
+        assert total == 1000 and len(sample) == 64
+        assert set(sample) <= set(range(1000))
+        again, _ = reservoir_sample(range(1000), 64, seed=7)
+        assert sample == again  # deterministic under one seed
+
+    def test_reservoir_smaller_input_is_exact(self):
+        sample, total = reservoir_sample(range(10), 64)
+        assert total == 10 and sample == list(range(10))
+
+    def test_gee_estimator(self):
+        # All-singleton sample: scale by sqrt(n/r).
+        assert estimate_ndv(100, 100, 100, 400) == 200
+        # No singletons: the sample already saw every heavy value.
+        assert estimate_ndv(3, 0, 1000, 100000) == 3
+        # Clamped into [d, n].
+        assert estimate_ndv(10, 10, 10, 10) == 10
+
+    def test_sampled_analyze_scales_to_true_cardinality(self):
+        database = self.events_database()
+        statistics = database.analyze("events", sample_size=1000)
+        assert statistics.sampled and statistics.sample_rows == 1000
+        assert statistics.row_count == 5000  # the sampling pass still counts exactly
+        # The 1% audit tag frequency survives the scale-up approximately.
+        audit_fraction = statistics.guard_selectivity(["clearance"])
+        assert abs(audit_fraction - 0.01) < 0.02
+        # kind has 3 heavy values -> GEE keeps the exact small NDV;
+        # event_id is unique -> GEE scales well above the sample size.
+        assert statistics.ndv("kind") == 3
+        assert 1000 < statistics.ndv("event_id") <= 5000
+        presence = statistics.attribute("payload").presence
+        assert abs(presence - 0.99) < 0.03
+
+    def test_one_shot_iterable_below_threshold_reads_once_and_exactly(self):
+        from repro.stats import analyze_table
+        rows = iter(_tuples({"a": 1}, {"a": 2, "b": 3}, {"a": 2}))
+        statistics = analyze_table(rows, sample_size=100)
+        assert not statistics.sampled
+        assert statistics.row_count == 3
+        assert statistics.ndv("a") == 2
+        assert statistics.attribute("b").present_count == 1
+
+    def test_tables_below_threshold_stay_exact(self):
+        database = self.events_database(big=200)
+        statistics = database.analyze("events", sample_size=1000)
+        assert not statistics.sampled and statistics.sample_rows is None
+        assert statistics.row_count == 200
+        assert statistics.ndv("event_id") == 200
+
+    def test_sampled_statistics_drive_the_planner(self):
+        database = skewed_join_database(big=2000, small=200, rare_every=100)
+        database.analyze(sample_size=500)
+        query = NaturalJoin(
+            Selection(RelationRef("events"), Comparison("kind", "=", "audit")),
+            RelationRef("sessions"), on=["event_id"])
+        assert isinstance(database.plan(query, optimize=False).root, IndexLookupJoin)
+
+    def test_sampled_flag_survives_serialization(self):
+        database = self.events_database(big=2000)
+        database.analyze(sample_size=500)
+        loaded = loads_database(dumps_database(database))
+        restored = loaded.stats("events")
+        assert restored is not None and restored.sampled
+        assert restored.row_count == 2000
+
+
+class TestAutoAnalyze:
+    def small_database(self, **kwargs):
+        database = Database(enforce_constraints=False, **kwargs)
+        from repro.workloads.events import events_scheme
+        database.create_table("events", events_scheme(), key=["event_id"])
+        database.insert_many("events", generate_events(50))
+        return database
+
+    def test_off_by_default(self):
+        database = self.small_database()
+        database.analyze("events")
+        for event_id in range(51, 70):
+            database.insert("events", {"event_id": event_id, "kind": "click",
+                                       "payload": 1})
+        assert not database.statistics.is_fresh("events")
+
+    def test_re_analyze_after_ten_percent_mutations(self):
+        database = self.small_database(auto_analyze=True)
+        database.analyze("events")
+        for event_id in range(51, 55):  # 4 mutations: below the 10% threshold
+            database.insert("events", {"event_id": event_id, "kind": "click",
+                                       "payload": 1})
+        assert not database.statistics.is_fresh("events")
+        database.insert("events", {"event_id": 55, "kind": "click", "payload": 1})
+        assert database.statistics.is_fresh("events")  # 5th mutation re-analyzed
+        assert database.stats("events").row_count == 55
+
+    def test_never_analyzed_tables_are_left_alone(self):
+        database = self.small_database(auto_analyze=True)
+        for event_id in range(51, 80):
+            database.insert("events", {"event_id": event_id, "kind": "view",
+                                       "payload": 2})
+        assert database.stats("events") is None
+
+    def test_auto_analyze_reuses_sample_size(self):
+        database = self.small_database(auto_analyze=True)
+        database.insert_many("events", generate_events(3000)[50:])
+        database.analyze("events", sample_size=400)
+        for event_id in range(3001, 3301):  # exactly the 10% threshold
+            database.insert("events", {"event_id": event_id, "kind": "click",
+                                       "payload": 1})
+        statistics = database.stats("events")
+        assert database.statistics.is_fresh("events")
+        assert statistics.sampled and statistics.sample_rows == 400

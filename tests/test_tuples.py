@@ -1,10 +1,21 @@
-"""Tests for heterogeneous tuples."""
+"""Tests for heterogeneous tuples and the column-oriented batches over them."""
 
 import pytest
 
+from repro.algebra import NaturalJoin, RelationRef
+from repro.algebra.predicates import Comparison
 from repro.errors import TupleError
+from repro.exec import CompiledPredicate, ExecutionContext, PhysicalPlanner
 from repro.model.attributes import attrset
+from repro.model.batches import (
+    LazyBatch,
+    MISSING,
+    TupleBatch,
+    mask_indices,
+    merge_values,
+)
 from repro.model.tuples import FlexTuple
+from repro.workloads.employees import generate_employees
 
 
 class TestConstruction:
@@ -126,3 +137,106 @@ class TestEqualityAndHashing:
 
     def test_contains(self):
         assert "a" in FlexTuple(a=1) and "z" not in FlexTuple(a=1)
+
+
+# -- batches ------------------------------------------------------------------------------------
+
+
+def _tuples(*dicts):
+    return [FlexTuple(d) for d in dicts]
+
+
+VARIANTS = _tuples(
+    {"id": 1, "kind": "a", "x": 10},
+    {"id": 2, "kind": "b"},
+    {"id": 3, "kind": "a", "x": 30, "y": "hi"},
+    {"id": 4, "y": "lo"},
+)
+
+
+@pytest.fixture
+def source():
+    employees = {FlexTuple(row) for row in generate_employees(90, seed=3)}
+    assignments = {FlexTuple({"emp_id": i, "project": "p{}".format(i % 4)})
+                   for i in range(1, 70)}
+    return {"employees": employees, "assignments": assignments}
+
+
+class TestTupleBatch:
+    def test_empty_batch(self):
+        batch = TupleBatch([])
+        assert len(batch) == 0 and not batch
+        assert batch.column("x") == []
+        assert batch.presence_mask(["x"]) == 0 == batch.full_mask
+        assert batch.take([]).rows == []
+
+    def test_column_values_and_missing(self):
+        batch = TupleBatch(list(VARIANTS))
+        values = batch.column("x")
+        assert values[0] == 10 and values[1] is MISSING
+        assert values[2] == 30 and values[3] is MISSING
+
+    def test_presence_masks(self):
+        batch = TupleBatch(list(VARIANTS))
+        assert batch.column_mask("kind") == 0b0111
+        assert batch.presence_mask(["kind", "x"]) == 0b0101
+        assert batch.presence_mask([]) == batch.full_mask
+        assert batch.presence_mask(["nope"]) == 0
+
+    def test_take_and_interop(self):
+        batch = TupleBatch(list(VARIANTS))
+        taken = batch.take([0, 2])
+        assert [t["id"] for t in taken] == [1, 3]
+        # Iteration and len are all a materializing operator needs.
+        assert len(taken) == 2 and set(taken) == {VARIANTS[0], VARIANTS[2]}
+
+    def test_mask_indices(self):
+        assert mask_indices(0) == []
+        assert mask_indices(0b1011) == [0, 1, 3]
+
+
+class TestLazyBatches:
+    """Lazy merged join output: tuples materialize only when a materializing
+    operator (or the result set) touches them."""
+
+    def join_plan(self, source):
+        return PhysicalPlanner(source=source).plan(
+            NaturalJoin(RelationRef("employees"), RelationRef("assignments"),
+                        on=["emp_id"]))
+
+    def test_join_emits_lazy_batches(self, source):
+        plan = self.join_plan(source)
+        batches = list(plan.root.run(
+            ExecutionContext(source, batch_size=4096)))
+        assert batches and all(isinstance(b, LazyBatch) for b in batches)
+        assert not any(b.materialized for b in batches)
+        # Column access answers from the merged value dicts, still lazily.
+        assert MISSING not in batches[0].column("project")
+        assert not batches[0].materialized
+        # Iteration (what the result collector does) materializes.
+        rows = list(batches[0])
+        assert all(isinstance(row, FlexTuple) for row in rows)
+        assert batches[0].materialized
+
+    def test_filter_on_lazy_batch_narrows_without_materializing(self, source):
+        batch = LazyBatch([{"emp_id": i, "project": "p{}".format(i % 4)}
+                           for i in range(20)])
+        compiled = CompiledPredicate(Comparison("project", "=", "p1"))
+        narrowed = batch.take(compiled.select(batch))
+        assert isinstance(narrowed, LazyBatch) and len(narrowed) == 5
+        assert not batch.materialized and not narrowed.materialized
+
+    def test_lazy_rows_equal_eager_construction(self):
+        values = {"a": 1, "b": "x"}
+        lazy = LazyBatch([dict(values)]).rows[0]
+        assert lazy == FlexTuple(values)
+        assert hash(lazy) == hash(FlexTuple(values))
+
+    def test_merge_values_conflict_raises_eagerly(self):
+        with pytest.raises(TupleError):
+            merge_values({"a": 1, "b": 2}, {"a": 1, "b": 3})
+        assert merge_values({"a": 1}, {"b": 2}) == {"a": 1, "b": 2}
+        # the right value is kept on agreement, exactly as FlexTuple.merge
+        merged = merge_values({"a": 1, "c": 0}, {"a": 1.0, "b": 2})
+        row_merged = FlexTuple({"a": 1, "c": 0}).merge(FlexTuple({"a": 1.0, "b": 2}))
+        assert repr(merged["a"]) == repr(row_merged["a"]) == "1.0"
