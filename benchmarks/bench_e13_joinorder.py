@@ -12,7 +12,8 @@ machine-readable ``BENCH_e13_*.json``):
   the ISSUE 4 acceptance gate — with identical result sets;
 * the greedy O(n³) fallback finds a plan of the same quality on this workload
   while pricing far fewer candidate plans than the exhaustive DP (the
-  DP/greedy trade-off the ``join_dp_threshold`` knob arbitrates);
+  DP/greedy trade-off behind the DP search's fallback above
+  ``DEFAULT_DP_THRESHOLD`` relations);
 * on the 5-way chain workload (selective filters on both ends) every search
   mode agrees with the naive evaluator — the reordering is semantics-preserving
   on bushy shapes too.

@@ -1,7 +1,11 @@
 """Algebra expression trees.
 
 Each operator of the flexible-relation algebra is a node class.  Nodes are
-immutable; rewrites build new trees via :meth:`Expression.with_children`.  Besides
+immutable; rewrites build new trees via :meth:`Expression.with_children`.  The
+structure lives in two bases: :class:`_Unary` (one ``child``) and :class:`_Binary`
+(``left`` and ``right``) own the child fields, ``children`` and ``with_children``
+(a copy of the node with only its children replaced), and a node reports its
+inputs' facts — the child's, or both sides' — unless it changes them.  Besides
 structure, every node knows
 
 * which attribute dependencies hold in its result
@@ -18,6 +22,7 @@ mapping ``{name: iterable of dependencies}``.
 
 from __future__ import annotations
 
+from copy import copy
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.analytic import (
@@ -62,10 +67,8 @@ class Expression:
     #: operator name used in plans and reprs
     operator: str = "expression"
 
-    @property
-    def children(self) -> Tuple["Expression", ...]:
-        """The child expressions (empty for leaves)."""
-        return ()
+    #: the child expressions (empty for leaves)
+    children: Tuple["Expression", ...] = ()
 
     def with_children(self, children: Sequence["Expression"]) -> "Expression":
         """Rebuild this node with new children (same arity required)."""
@@ -169,6 +172,61 @@ class Expression:
         return self._label()
 
 
+class _Unary(Expression):
+    """A node over one input, ``child``, whose result facts are the child's
+    unless the node overrides them."""
+
+    def __init__(self, child: Expression):
+        self.child = child
+
+    @property
+    def children(self) -> Tuple[Expression, ...]:
+        return (self.child,)
+
+    def with_children(self, children: Sequence[Expression]) -> "_Unary":
+        node = copy(self)
+        (node.child,) = children
+        return node
+
+    def known_dependencies(self, catalog=None) -> Set[Dependency]:
+        return set(self.child.known_dependencies(catalog))
+
+    def guaranteed_attributes(self) -> AttributeSet:
+        return self.child.guaranteed_attributes()
+
+    def established_equalities(self) -> Dict[str, object]:
+        return self.child.established_equalities()
+
+
+class _Binary(Expression):
+    """A node over two inputs, ``left`` and ``right``, whose result facts are
+    both inputs' (rule (1), the product's) unless the node overrides them."""
+
+    def __init__(self, left: Expression, right: Expression):
+        self.left = left
+        self.right = right
+
+    @property
+    def children(self) -> Tuple[Expression, ...]:
+        return (self.left, self.right)
+
+    def with_children(self, children: Sequence[Expression]) -> "_Binary":
+        node = copy(self)
+        node.left, node.right = children
+        return node
+
+    def known_dependencies(self, catalog=None) -> Set[Dependency]:
+        return set(self.left.known_dependencies(catalog)) | set(self.right.known_dependencies(catalog))
+
+    def guaranteed_attributes(self) -> AttributeSet:
+        return self.left.guaranteed_attributes() | self.right.guaranteed_attributes()
+
+    def established_equalities(self) -> Dict[str, object]:
+        result = dict(self.left.established_equalities())
+        result.update(self.right.established_equalities())
+        return result
+
+
 class RelationRef(Expression):
     """A leaf referring to a base relation by name."""
 
@@ -206,22 +264,15 @@ class EmptyRelation(Expression):
         return "∅"
 
 
-class Selection(Expression):
-    """``σ_F(E)`` — keep the tuples satisfying the predicate."""
+class Selection(_Unary):
+    """``σ_F(E)`` — keep the tuples satisfying the predicate (rule (3): every
+    dependency survives, in explicit form too)."""
 
     operator = "select"
 
     def __init__(self, child: Expression, predicate: Predicate):
-        self.child = child
+        super().__init__(child)
         self.predicate = predicate if predicate is not None else TruePredicate()
-
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[Expression]) -> "Selection":
-        (child,) = children
-        return Selection(child, self.predicate)
 
     def map_comparisons(self, function) -> "Selection":
         child = self.child.map_comparisons(function)
@@ -229,10 +280,6 @@ class Selection(Expression):
         if child is self.child and predicate is self.predicate:
             return self
         return Selection(child, predicate)
-
-    def known_dependencies(self, catalog=None) -> Set[Dependency]:
-        # Rule (3): selections preserve every dependency, in explicit form too.
-        return set(self.child.known_dependencies(catalog))
 
     def guaranteed_attributes(self) -> AttributeSet:
         return self.child.guaranteed_attributes() | self.predicate.required_attributes()
@@ -246,54 +293,32 @@ class Selection(Expression):
         return "select[{!r}]".format(self.predicate)
 
 
-class TypeGuardNode(Expression):
+class TypeGuardNode(_Unary):
     """An explicit type guard: keep tuples defined on the guarded attributes."""
 
     operator = "guard"
 
     def __init__(self, child: Expression, attributes):
-        self.child = child
+        super().__init__(child)
         self.attributes = attrset(attributes)
-
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[Expression]) -> "TypeGuardNode":
-        (child,) = children
-        return TypeGuardNode(child, self.attributes)
-
-    def known_dependencies(self, catalog=None) -> Set[Dependency]:
-        return set(self.child.known_dependencies(catalog))
 
     def guaranteed_attributes(self) -> AttributeSet:
         return self.child.guaranteed_attributes() | self.attributes
-
-    def established_equalities(self) -> Dict[str, object]:
-        return self.child.established_equalities()
 
     def _label(self) -> str:
         return "guard[{}]".format(self.attributes)
 
 
-class Projection(Expression):
+class Projection(_Unary):
     """``π_X(E)`` — restrict every tuple to the attributes of ``X`` it possesses."""
 
     operator = "project"
 
     def __init__(self, child: Expression, attributes):
-        self.child = child
+        super().__init__(child)
         self.attributes = attrset(attributes)
         if not self.attributes:
             raise AlgebraError("projection needs at least one attribute")
-
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[Expression]) -> "Projection":
-        (child,) = children
-        return Projection(child, self.attributes)
 
     def known_dependencies(self, catalog=None) -> Set[Dependency]:
         # Rule (2): dependencies survive only when their determinant is retained.
@@ -325,52 +350,16 @@ class Projection(Expression):
         return "project[{}]".format(self.attributes)
 
 
-class Product(Expression):
+class Product(_Binary):
     """``E1 × E2`` — cartesian product of relations with disjoint attribute sets."""
 
     operator = "product"
 
-    def __init__(self, left: Expression, right: Expression):
-        self.left = left
-        self.right = right
 
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return (self.left, self.right)
-
-    def with_children(self, children: Sequence[Expression]) -> "Product":
-        left, right = children
-        return Product(left, right)
-
-    def known_dependencies(self, catalog=None) -> Set[Dependency]:
-        # Rule (1): the product keeps the dependencies of both inputs.
-        return set(self.left.known_dependencies(catalog)) | set(self.right.known_dependencies(catalog))
-
-    def guaranteed_attributes(self) -> AttributeSet:
-        return self.left.guaranteed_attributes() | self.right.guaranteed_attributes()
-
-    def established_equalities(self) -> Dict[str, object]:
-        result = dict(self.left.established_equalities())
-        result.update(self.right.established_equalities())
-        return result
-
-
-class Union(Expression):
+class Union(_Binary):
     """``E1 ∪ E2`` — set union of the two instances (no padding needed in this model)."""
 
     operator = "union"
-
-    def __init__(self, left: Expression, right: Expression):
-        self.left = left
-        self.right = right
-
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return (self.left, self.right)
-
-    def with_children(self, children: Sequence[Expression]) -> "Union":
-        left, right = children
-        return type(self)(left, right)  # an outer union stays one
 
     def known_dependencies(self, catalog=None) -> Set[Dependency]:
         # Rule (4): nothing survives an untagged union ... unless both inputs are
@@ -413,22 +402,10 @@ class OuterUnion(Union):
     operator = "outer-union"
 
 
-class Difference(Expression):
+class Difference(_Binary):
     """``E1 − E2`` — tuples of the left input not present in the right input."""
 
     operator = "difference"
-
-    def __init__(self, left: Expression, right: Expression):
-        self.left = left
-        self.right = right
-
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return (self.left, self.right)
-
-    def with_children(self, children: Sequence[Expression]) -> "Difference":
-        left, right = children
-        return Difference(left, right)
 
     def known_dependencies(self, catalog=None) -> Set[Dependency]:
         # Rule (5): the difference keeps the dependencies of its left input.
@@ -441,30 +418,19 @@ class Difference(Expression):
         return self.left.established_equalities()
 
 
-class Extension(Expression):
-    """``ε_{A:a}(E)`` — extend every tuple by attribute ``A`` with constant ``a``."""
+class Extension(_Unary):
+    """``ε_{A:a}(E)`` — extend every tuple by attribute ``A`` with constant ``a``
+    (every tuple grows, so the child's dependencies keep holding)."""
 
     operator = "extend"
 
     def __init__(self, child: Expression, attribute, value):
-        self.child = child
+        super().__init__(child)
         attribute_set = attrset(attribute)
         if len(attribute_set) != 1:
             raise AlgebraError("the extension operator adds exactly one attribute")
         self.attribute = next(iter(attribute_set)).name
         self.value = value
-
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[Expression]) -> "Extension":
-        (child,) = children
-        return Extension(child, self.attribute, self.value)
-
-    def known_dependencies(self, catalog=None) -> Set[Dependency]:
-        # Extension enlarges every tuple: existing dependencies keep holding.
-        return set(self.child.known_dependencies(catalog))
 
     def guaranteed_attributes(self) -> AttributeSet:
         return self.child.guaranteed_attributes() | attrset(self.attribute)
@@ -478,7 +444,7 @@ class Extension(Expression):
         return "extend[{}:{!r}]".format(self.attribute, self.value)
 
 
-class Rename(Expression):
+class Rename(_Unary):
     """``ρ(E)`` — rename attributes according to a mapping."""
 
     operator = "rename"
@@ -486,16 +452,8 @@ class Rename(Expression):
     def __init__(self, child: Expression, mapping: Dict[str, str]):
         if not mapping:
             raise AlgebraError("rename needs a non-empty mapping")
-        self.child = child
+        super().__init__(child)
         self.mapping = dict(mapping)
-
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[Expression]) -> "Rename":
-        (child,) = children
-        return Rename(child, self.mapping)
 
     def _rename_set(self, attributes: AttributeSet) -> AttributeSet:
         return attrset(self.mapping.get(a.name, a.name) for a in attributes)
@@ -518,35 +476,15 @@ class Rename(Expression):
         return "rename[{}]".format(self.mapping)
 
 
-class NaturalJoin(Expression):
-    """``E1 ⋈ E2`` — join on the attributes shared by the joined tuples."""
+class NaturalJoin(_Binary):
+    """``E1 ⋈ E2`` — join on the attributes shared by the joined tuples (joins
+    enlarge their inputs; like the product they keep both inputs' facts)."""
 
     operator = "join"
 
     def __init__(self, left: Expression, right: Expression, on=None):
-        self.left = left
-        self.right = right
+        super().__init__(left, right)
         self.on = attrset(on) if on is not None else None
-
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return (self.left, self.right)
-
-    def with_children(self, children: Sequence[Expression]) -> "NaturalJoin":
-        left, right = children
-        return NaturalJoin(left, right, on=self.on)
-
-    def known_dependencies(self, catalog=None) -> Set[Dependency]:
-        # Joins enlarge their inputs; like the product they keep both dependency sets.
-        return set(self.left.known_dependencies(catalog)) | set(self.right.known_dependencies(catalog))
-
-    def guaranteed_attributes(self) -> AttributeSet:
-        return self.left.guaranteed_attributes() | self.right.guaranteed_attributes()
-
-    def established_equalities(self) -> Dict[str, object]:
-        result = dict(self.left.established_equalities())
-        result.update(self.right.established_equalities())
-        return result
 
     def _label(self) -> str:
         return "join[on={}]".format(self.on if self.on is not None else "shared")
@@ -587,7 +525,8 @@ class MultiwayJoin(Expression):
         return result
 
     def guaranteed_attributes(self) -> AttributeSet:
-        return self.inputs[0].guaranteed_attributes() | self.on
+        # Only the master's: a master tuple lacking ``on`` passes through unmerged.
+        return self.inputs[0].guaranteed_attributes()
 
     def established_equalities(self) -> Dict[str, object]:
         return self.inputs[0].established_equalities()
@@ -596,7 +535,7 @@ class MultiwayJoin(Expression):
         return "multiway-join[on={}]".format(self.on)
 
 
-class Aggregate(Expression):
+class Aggregate(_Unary):
     """``γ_{G; specs}(E)`` — group by ``G`` and aggregate, variant-aware.
 
     Grouping routes tuples *absent* on a group-by attribute into a distinct
@@ -609,7 +548,7 @@ class Aggregate(Expression):
     operator = "aggregate"
 
     def __init__(self, child: Expression, group_by=(), specs=()):
-        self.child = child
+        super().__init__(child)
         if isinstance(group_by, str):
             group_by = (group_by,)
         names: List[str] = []
@@ -631,14 +570,6 @@ class Aggregate(Expression):
                     "duplicate aggregate output attribute {!r}".format(spec.output))
             outputs.add(spec.output)
 
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[Expression]) -> "Aggregate":
-        (child,) = children
-        return Aggregate(child, self.group_by, self.specs)
-
     def known_dependencies(self, catalog=None) -> Set[Dependency]:
         # Grouping rebuilds tuples from scratch; no input dependency is known to
         # survive into (group key, aggregate) shapes — stay conservative.
@@ -649,6 +580,9 @@ class Aggregate(Expression):
         # key) can come out absent for the ⊥/never-present cases.
         return attrset(spec.output for spec in self.specs if spec.func == "count")
 
+    def established_equalities(self) -> Dict[str, object]:
+        return {}
+
     def _label(self) -> str:
         parts = []
         if self.group_by:
@@ -657,7 +591,7 @@ class Aggregate(Expression):
         return "aggregate[{}]".format(", ".join(parts))
 
 
-class Sort(Expression):
+class Sort(_Unary):
     """``τ_keys(E)`` — order annotation over a set-valued expression.
 
     Flexible relations are sets, so a sort on its own is the identity; its
@@ -668,35 +602,18 @@ class Sort(Expression):
     operator = "sort"
 
     def __init__(self, child: Expression, keys):
-        self.child = child
+        super().__init__(child)
         if isinstance(keys, (str, SortKey)):
             keys = (keys,)
         self.keys: Tuple[SortKey, ...] = tuple(sort_key(key) for key in keys)
         if not self.keys:
             raise AlgebraError("sort needs at least one key")
 
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[Expression]) -> "Sort":
-        (child,) = children
-        return Sort(child, self.keys)
-
-    def known_dependencies(self, catalog=None) -> Set[Dependency]:
-        return set(self.child.known_dependencies(catalog))
-
-    def guaranteed_attributes(self) -> AttributeSet:
-        return self.child.guaranteed_attributes()
-
-    def established_equalities(self) -> Dict[str, object]:
-        return self.child.established_equalities()
-
     def _label(self) -> str:
         return "sort[{}]".format(", ".join(repr(key) for key in self.keys))
 
 
-class Limit(Expression):
+class Limit(_Unary):
     """``λ_k(E)`` — the ``k`` smallest tuples of ``E``.
 
     Under a :class:`Sort` child the sort's keys define "smallest"; otherwise
@@ -710,45 +627,29 @@ class Limit(Expression):
     def __init__(self, child: Expression, count: int):
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise AlgebraError("limit needs a non-negative integer count")
-        self.child = child
+        super().__init__(child)
         self.count = count
-
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[Expression]) -> "Limit":
-        (child,) = children
-        return Limit(child, self.count)
-
-    def known_dependencies(self, catalog=None) -> Set[Dependency]:
-        return set(self.child.known_dependencies(catalog))
-
-    def guaranteed_attributes(self) -> AttributeSet:
-        return self.child.guaranteed_attributes()
-
-    def established_equalities(self) -> Dict[str, object]:
-        return self.child.established_equalities()
 
     def _label(self) -> str:
         return "limit[{}]".format(self.count)
 
 
-class SubqueryExtension(Expression):
+class SubqueryExtension(_Unary):
     """``ε_{A:(Q)}(E)`` — extend every tuple by the scalar result of a subquery.
 
     ``Q`` must produce at most one tuple with exactly one attribute; its value
     (whatever the attribute is called) becomes ``A``.  An *empty* subquery
     result leaves the input untouched — ``A`` stays absent, the
     flexible-relation reading of a scalar NULL — which is why ``A`` is never a
-    guaranteed attribute.  More than one tuple (or a wider tuple) is an
+    guaranteed attribute, while the child's dependencies keep holding (tuples
+    only grow, uniformly).  More than one tuple (or a wider tuple) is an
     :class:`~repro.errors.AlgebraError`.
     """
 
     operator = "subquery-extend"
 
     def __init__(self, child: Expression, attribute, subquery: Expression):
-        self.child = child
+        super().__init__(child)
         attribute_set = attrset(attribute)
         if len(attribute_set) != 1:
             raise AlgebraError("the subquery extension adds exactly one attribute")
@@ -760,18 +661,9 @@ class SubqueryExtension(Expression):
         return (self.child, self.subquery)
 
     def with_children(self, children: Sequence[Expression]) -> "SubqueryExtension":
-        child, subquery = children
-        return SubqueryExtension(child, self.attribute, subquery)
-
-    def known_dependencies(self, catalog=None) -> Set[Dependency]:
-        # Like Extension: tuples only grow (uniformly), so the child's hold.
-        return set(self.child.known_dependencies(catalog))
-
-    def guaranteed_attributes(self) -> AttributeSet:
-        return self.child.guaranteed_attributes()
-
-    def established_equalities(self) -> Dict[str, object]:
-        return self.child.established_equalities()
+        node = copy(self)
+        node.child, node.subquery = children
+        return node
 
     def _label(self) -> str:
         return "subquery-extend[{}]".format(self.attribute)

@@ -55,7 +55,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profiler import PlanWatchdog
 from repro.obs.trace import Tracer
-from repro.optimizer.joinorder import SEARCH_MODES
 from repro.optimizer.rewrite_rules import RewriteReport
 from repro.stats.catalog import StatisticsCatalog
 
@@ -285,10 +284,6 @@ class Database:
     (:data:`~repro.stats.catalog.AUTO_ANALYZE_FRACTION`).  Off by default — ANALYZE stays an explicit call
     unless opted in.
 
-    ``join_order_search`` selects the physical planner's n-way join-order
-    strategy (``"dp"`` — the default Selinger-style search — or ``"greedy"``,
-    ``"smallest"``, ``"none"``; see :mod:`repro.optimizer.joinorder`).
-
     Every database carries the observability layer of :mod:`repro.obs`: a
     :class:`~repro.obs.trace.Tracer` (inert until a sink is attached), a
     :class:`~repro.obs.metrics.MetricsRegistry` behind :meth:`metrics`, a
@@ -313,7 +308,6 @@ class Database:
 
     def __init__(self, enforce_constraints: bool = True,
                  auto_analyze: bool = False,
-                 join_order_search: Optional[str] = None,
                  durable_path: Optional[str] = None,
                  group_commit_window: float = 0.0,
                  group_commit_max: int = 64,
@@ -328,12 +322,6 @@ class Database:
         self.enforce_constraints = enforce_constraints
         self._tables: Dict[str, Table] = {}
         self._physical_executor: Optional[PhysicalExecutor] = None
-        if join_order_search is not None and join_order_search not in SEARCH_MODES:
-            # Fail at construction, not at the first query hours later.
-            raise CatalogError(
-                "unknown join_order_search mode {!r}; use one of {}".format(
-                    join_order_search, "/".join(SEARCH_MODES)))
-        self._join_order_search = join_order_search
         #: collected ANALYZE results; the cost model consults this catalog
         self.statistics = StatisticsCatalog(self, auto_analyze=auto_analyze)
         #: lifecycle spans/events — attach a sink to start recording
@@ -390,8 +378,7 @@ class Database:
     def physical_executor(self) -> PhysicalExecutor:
         """The database's physical executor (created lazily, plan cache persists)."""
         if self._physical_executor is None:
-            self._physical_executor = PhysicalExecutor(
-                self, join_order_search=self._join_order_search)
+            self._physical_executor = PhysicalExecutor(self)
         return self._physical_executor
 
     # -- schema management ------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Every error raised by the library derives from :class:`ReproError`, so callers c
 catch a single base class.  The hierarchy mirrors the layers of the system:
 
 * scheme errors (malformed flexible schemes),
-* tuple/type errors (a tuple does not fit a scheme or violates a type guard),
+* tuple/type errors (a tuple does not fit a scheme, a domain or a record type),
 * dependency errors (malformed or violated attribute/functional dependencies),
 * constraint violations raised by the engine during DML,
 * algebra/optimizer errors (ill-formed expressions),
@@ -32,10 +32,6 @@ class TupleError(ReproError):
 
 class TypeCheckError(ReproError):
     """A tuple does not conform to a scheme, a domain, or a record type."""
-
-
-class TypeGuardError(TypeCheckError):
-    """A type guard failed: a required attribute is absent from a tuple."""
 
 
 class DomainError(TypeCheckError):

@@ -56,6 +56,9 @@ from repro.optimizer.rewrite_rules import RewriteReport
 from repro.query.lexer import Token, strip_literals, tokenize
 from repro.query.parser import parse_query, parse_tokens
 
+#: plans (and, separately, statements and templates) the executor keeps
+PLAN_CACHE_SIZE = 128
+
 
 class PlanKey(NamedTuple):
     """Everything a cached physical plan depends on, by name."""
@@ -104,8 +107,8 @@ def _parameter_sites(expression: Expression):
 class PlanCache:
     """A small LRU cache of physical plans."""
 
-    def __init__(self, max_size: int = 128):
-        self.max_size = max(1, int(max_size))
+    def __init__(self, max_size: int):
+        self.max_size = max_size
         self._plans: "OrderedDict[tuple, PhysicalPlan]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -165,28 +168,13 @@ class PhysicalExecutor:
     """
 
     def __init__(self, source, planner: Optional[PhysicalPlanner] = None,
-                 cache_size: int = 128, batch_size: Optional[int] = None,
-                 use_indexes: bool = True,
-                 join_order_search: Optional[str] = None):
+                 use_indexes: bool = True):
         self.source = source
-        if planner is None:
-            kwargs = {}
-            if join_order_search is not None:
-                kwargs["join_order_search"] = join_order_search
-            planner = PhysicalPlanner(source=source, **kwargs)
-        elif (join_order_search is not None
-              and join_order_search != planner.join_order_search):
-            raise ValueError(
-                "conflicting join_order_search: executor got {!r} but the "
-                "supplied planner uses {!r} — configure the planner instead"
-                .format(join_order_search, planner.join_order_search))
-        self.planner = planner
-        self.cache = PlanCache(cache_size)
+        self.planner = planner if planner is not None else PhysicalPlanner(source=source)
+        self.cache = PlanCache(PLAN_CACHE_SIZE)
         #: statements, template shapes and templates, under the same LRU bound
-        self._templates = PlanCache(cache_size)
+        self._templates = PlanCache(PLAN_CACHE_SIZE)
         self._shapes = 0
-        #: ``None`` lets the planner pick the adaptive batch size per plan
-        self.batch_size = batch_size
         self.use_indexes = use_indexes
 
     @property
@@ -368,18 +356,17 @@ class PhysicalExecutor:
         ``params=`` — or an expression with concrete constants, for which the
         plan comes back bound to them.
 
-        ``batch_size`` overrides the executor's default batch size (``None``
-        lets the planner size batches adaptively).  The cache key includes the
-        *effective* batch-size request, so a plan built (and sized) for one
-        batch size is never reused when the caller asks for another.
+        ``batch_size`` pins the plan's batch size (``None`` lets the planner
+        size batches adaptively).  The cache key includes the batch-size
+        request, so a plan built (and sized) for one batch size is never
+        reused when the caller asks for another.
         """
         if not isinstance(expression, QueryTemplate):
             template, params = self.template(expression)
             return self.plan(template, batch_size, params).bound(params)
-        requested = self.batch_size if batch_size is None else batch_size
         key = PlanKey(expression.key,
                       self._parameter_classes(expression, params) if params else (),
-                      requested,
+                      batch_size,
                       getattr(self.planner, "join_order_search", None),
                       _catalog_version(self.source), _statistics_version(self.source))
         tracer = tracer_of(self.source)
@@ -389,7 +376,7 @@ class PhysicalExecutor:
                 tracer.event("plan-cache-miss", hits=self.cache.hits,
                              misses=self.cache.misses)
             plan = self.planner.plan(expression.expression,
-                                     batch_size=requested, params=params)
+                                     batch_size=batch_size, params=params)
             plan.feedback_version = getattr(
                 getattr(self.source, "cardinality_feedback", None), "version", None)
             self.cache.put(key, plan)

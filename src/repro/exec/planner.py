@@ -11,7 +11,8 @@ operators from :mod:`repro.exec.operators`:
   relations first go through the **cost-based join-order search** of
   :mod:`repro.optimizer.joinorder` (``join_order_search="dp"`` by default:
   Selinger-style dynamic programming over connected atom subsets producing
-  bushy trees, with a greedy fallback above ``join_dp_threshold`` relations;
+  bushy trees, with a greedy fallback above
+  :data:`~repro.optimizer.joinorder.DEFAULT_DP_THRESHOLD` relations;
   ``"greedy"``, ``"smallest"`` and ``"none"`` select the other strategies).
   The search re-associates the joins into the cheapest estimated order, seeds
   the planner's estimate memo with its per-subset cardinalities — this is what
@@ -114,18 +115,15 @@ from repro.obs.feedback import referenced_tables
 from repro.obs.trace import NOOP_SPAN, tracer_of
 from repro.optimizer.cost import CostEstimate, CostModel
 from repro.optimizer.joinorder import (
-    DEFAULT_DP_THRESHOLD,
     DEFAULT_JOIN_SEARCH,
     SEARCH_MODES,
     JoinSearchReport,
+    index_probe_cost,
     order_joins,
 )
 
 #: below this many estimated probe×build pairs a nested loop beats the hash setup
 DEFAULT_HASH_JOIN_PAIR_THRESHOLD = 64
-
-#: estimated cost of one index probe relative to reading one tuple in a scan
-INDEX_PROBE_COST_FACTOR = 2.0
 
 #: how many times the limit the estimated input must be for the bounded top-k
 #: to beat the sort-with-cutoff: the top-k pays an ordered insertion for each
@@ -271,31 +269,20 @@ class PhysicalPlanner:
     ``source`` (a database or mapping) supplies base-relation cardinalities for
     the join-algorithm decisions; without it, joins default to hash (which
     degrades gracefully, whereas a nested loop on large inputs does not).
-    ``statistics`` overrides the statistics catalog consulted by the cost model
-    (by default the source's own, see :class:`~repro.optimizer.cost.CostModel`).
     ``join_order_search`` selects the n-way join-order strategy of
     :mod:`repro.optimizer.joinorder` (``"dp"`` / ``"greedy"`` / ``"smallest"`` /
-    ``"none"``); ``join_dp_threshold`` is the relation count above which DP
-    falls back to greedy.
+    ``"none"``).
     """
 
-    def __init__(self, source=None,
-                 hash_join_pair_threshold: int = DEFAULT_HASH_JOIN_PAIR_THRESHOLD,
-                 statistics=None,
-                 index_probe_cost_factor: float = INDEX_PROBE_COST_FACTOR,
-                 join_order_search: str = DEFAULT_JOIN_SEARCH,
-                 join_dp_threshold: int = DEFAULT_DP_THRESHOLD):
+    def __init__(self, source=None, join_order_search: str = DEFAULT_JOIN_SEARCH):
         self.source = source
-        self.hash_join_pair_threshold = hash_join_pair_threshold
-        self.cost_model = CostModel(source, statistics=statistics)
-        self.index_probe_cost_factor = index_probe_cost_factor
+        self.cost_model = CostModel(source)
         if join_order_search not in SEARCH_MODES:
             raise OptimizerError(
                 "unknown join_order_search mode {!r}; use one of {}".format(
                     join_order_search, "/".join(SEARCH_MODES)))
         #: join-order strategy for n-way NaturalJoin trees (plan-cache key part)
         self.join_order_search = join_order_search
-        self.join_dp_threshold = join_dp_threshold
         self._estimates: dict = {}
         #: ids of NaturalJoin nodes produced by the search (skip re-searching)
         self._ordered_joins: set = set()
@@ -482,10 +469,7 @@ class PhysicalPlanner:
         if self.join_order_search == "none" or id(expression) in self._ordered_joins:
             return None
         result = order_joins(expression, self.cost_model,
-                             mode=self.join_order_search,
-                             dp_threshold=self.join_dp_threshold,
-                             memo=self._estimates,
-                             index_probe_cost_factor=self.index_probe_cost_factor,
+                             mode=self.join_order_search, memo=self._estimates,
                              tracer=self._tracer)
         if result is None:
             return None
@@ -509,7 +493,7 @@ class PhysicalPlanner:
         # bounds, not the estimates: a nested loop only for provably tiny inputs.
         pairs = left_estimate.bound * right_estimate.bound
         known = left_cardinality > 0 and right_cardinality > 0
-        if known and pairs <= self.hash_join_pair_threshold:
+        if known and pairs <= DEFAULT_HASH_JOIN_PAIR_THRESHOLD:
             return NestedLoopJoin(left, right, on=expression.on)
         # Build on the smaller estimated input (the right child of HashJoin).
         if known and left_cardinality < right_cardinality:
@@ -534,9 +518,7 @@ class PhysicalPlanner:
         outer side and keep the full scan.  A low-NDV index (huge buckets)
         prices itself out via the fan-out term.
         """
-        if expression.on is None or self.source is None:
-            return None
-        if not hasattr(self.source, "relation"):
+        if expression.on is None:
             return None
         best = None
         candidates = (
@@ -546,23 +528,11 @@ class PhysicalPlanner:
         for outer_expr, inner_expr, outer_cardinality in candidates:
             if not isinstance(inner_expr, RelationRef) or outer_cardinality <= 0:
                 continue
-            try:
-                table = self.source.relation(inner_expr.name)
-            except Exception:
+            probe_cost = index_probe_cost(self.source, inner_expr.name,
+                                          expression.on, outer_cardinality)
+            if probe_cost is None:
                 continue
-            index_for = getattr(table, "index_for", None)
-            index = index_for(expression.on) if index_for is not None else None
-            if index is None:
-                continue
-            try:
-                inner_cardinality = len(table)
-            except TypeError:
-                continue
-            fan_out = 1.0
-            bucket_size = getattr(index, "average_bucket_size", None)
-            if bucket_size is not None:
-                fan_out = max(1.0, bucket_size())
-            probe_cost = outer_cardinality * (self.index_probe_cost_factor + fan_out)
+            inner_cardinality = len(self.source.relation(inner_expr.name))
             if probe_cost > inner_cardinality:
                 continue
             gain = inner_cardinality - probe_cost
@@ -572,8 +542,3 @@ class PhysicalPlanner:
             return None
         _gain, outer_expr, inner_name = best
         return IndexLookupJoin(self._lower(outer_expr), inner_name, expression.on)
-
-
-# ``expression_key`` lives in :mod:`repro.obs.feedback` (the cost model needs
-# it too, and importing the planner from the optimizer would cycle); it is
-# re-exported here for compatibility.

@@ -29,7 +29,6 @@ from repro.optimizer.rewrite_rules import (
     prune_union_branches,
     push_selections_through_joins,
 )
-from repro.optimizer.qualified_relations import QualifiedRelation, qualification_excludes
 from repro.optimizer.cost import estimate_cost, measured_cost
 from repro.optimizer.joinorder import (
     JoinGraph,
@@ -57,8 +56,6 @@ __all__ = [
     "push_aggregate_past_rename",
     "push_limit_into_unions",
     "push_selections_through_joins",
-    "QualifiedRelation",
-    "qualification_excludes",
     "estimate_cost",
     "measured_cost",
     "Planner",

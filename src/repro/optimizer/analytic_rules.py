@@ -9,8 +9,9 @@ from tree to rewritten tree plus a :class:`RewriteReport`):
   to its own top-k: the global top-k of ``A ∪ B`` is a subset of the union of
   the per-branch top-ks (fewer than ``k`` rows of the union — hence of the
   branch — precede any row it retains), so the outer limit re-selecting from
-  ``≤ 2k`` rows is sound.  Works for the bare (canonical-order) limit and the
-  ``λ_k ∘ τ`` pair, whose sort keys travel into the branches.
+  ``≤ 2k`` rows is sound.  Works for the bare (canonical-order) limit, which
+  prunes a sorted branch's input rather than the branch, and the ``λ_k ∘ τ``
+  pair, whose sort keys travel into the branches.
 * :func:`push_aggregate_into_unions` — γ over a union computes per-branch
   partial aggregates first, **only** when every spec is ``min``/``max``: those
   are idempotent, so the deduplication a set union applies to colliding partial
@@ -96,8 +97,11 @@ def push_limit_into_unions(expression: Expression, catalog=None) -> Tuple[Expres
                 and _branch_limited(union.right, count, keys)):
             return node, None  # already pushed — fixpoint guard
         def prune(branch: Expression) -> Expression:
-            pruned = Sort(branch, keys) if keys else branch
-            return Limit(pruned, count)
+            if keys:
+                return Limit(Sort(branch, keys), count)
+            # Canonical order: a branch's own sort is the identity on sets,
+            # and under λ it would pick that branch's top-k by its keys.
+            return Limit(branch.child if isinstance(branch, Sort) else branch, count)
         pushed = Union(prune(union.left), prune(union.right))
         if keys:
             pushed = Sort(pushed, keys)

@@ -149,25 +149,20 @@ def _base_cardinality(source, name: str) -> int:
 class CostModel:
     """Statistics-aware cardinality and work estimation.
 
-    ``statistics`` is a :class:`~repro.stats.StatisticsCatalog` (or anything with
-    a ``get(name) -> TableStatistics-or-None`` method).  When omitted, it is taken
-    from ``source.statistics`` — a :class:`~repro.engine.Database` carries one —
-    so a freshly analyzed database automatically estimates from its data.  Every
-    lookup happens per estimate, hence stale statistics (``get`` returning
-    ``None``) transparently fall back to the default constants.
+    The statistics are the source's ``statistics`` catalog — a
+    :class:`~repro.engine.Database` carries a
+    :class:`~repro.stats.StatisticsCatalog` — so a freshly analyzed database
+    automatically estimates from its data.  Every lookup happens per estimate,
+    hence stale statistics (``get`` returning ``None``) transparently fall back
+    to the default constants.
     """
 
-    def __init__(self, source=None, statistics=None, feedback=None):
+    def __init__(self, source=None):
         self.source = source
-        if statistics is None:
-            statistics = getattr(source, "statistics", None)
-        self.statistics = statistics
-        #: the engine's :class:`~repro.obs.feedback.CardinalityFeedback` store
-        #: (taken from the source when omitted, as with statistics): observed
-        #: cardinalities take precedence over histogram/NDV estimation
-        if feedback is None:
-            feedback = getattr(source, "cardinality_feedback", None)
-        self.feedback = feedback
+        self.statistics = getattr(source, "statistics", None)
+        #: the engine's :class:`~repro.obs.feedback.CardinalityFeedback` store:
+        #: observed cardinalities take precedence over histogram/NDV estimation
+        self.feedback = getattr(source, "cardinality_feedback", None)
         self.bind()
 
     def bind(self, params=(), reads: Optional[dict] = None) -> None:
@@ -529,13 +524,10 @@ class CostModel:
         return feedback.lookup_edge(name, carriers, version)
 
 
-def estimate_cost(expression: Expression, source=None, statistics=None) -> CostEstimate:
-    """Estimate output cardinality and total work of an expression.
-
-    Convenience wrapper over :class:`CostModel`; see there for how ``statistics``
-    is resolved when omitted.
-    """
-    return CostModel(source, statistics=statistics).estimate(expression)
+def estimate_cost(expression: Expression, source=None) -> CostEstimate:
+    """Estimate output cardinality and total work of an expression
+    (convenience wrapper over :class:`CostModel`)."""
+    return CostModel(source).estimate(expression)
 
 
 def measured_cost(expression: Expression, source) -> ExecutionStats:

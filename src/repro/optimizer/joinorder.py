@@ -22,8 +22,8 @@ classic Selinger-style answer on top of the statistics subsystem:
       connected, edge-linked halves is priced and only the cheapest plan per
       subset survives.  Cross-products are never enumerated (the extractor
       guarantees a connected graph; a disconnected one refuses to reorder).
-      Above ``dp_threshold`` relations (default 10, where 3^n subset splits
-      start to bite) the search silently falls back to greedy.
+      Above :data:`DEFAULT_DP_THRESHOLD` relations (10, where 3^n subset
+      splits start to bite) the search silently falls back to greedy.
     * ``"greedy"`` — repeatedly joins the edge-connected pair of partial plans
       with the smallest estimated *output* cardinality: O(n³) instead of 3^n,
       and usually within a small factor of the DP plan.
@@ -54,10 +54,11 @@ this is exactly the per-edge number.  All orders agree on the root cardinality
 under this accounting and differ only in intermediate sizes — exactly the
 quantity the search minimizes.  The work of a join is the hash-join build+probe cost
 (both input cardinalities plus the output), or the cheaper index-probe cost
-``|outer| · (probe_factor + index fan-out)`` when the inner side is a base
-relation with a covering maintained hash index — mirroring the planner's
-:class:`~repro.exec.operators.IndexLookupJoin` decision so the search does not
-steer away from plans the engine can execute cheaply.
+``|outer| · (INDEX_PROBE_COST_FACTOR + index fan-out)`` when the inner side
+is a base relation with a covering maintained hash index — the planner's
+:class:`~repro.exec.operators.IndexLookupJoin` decision prices probes with the
+same :func:`index_probe_cost`, so the search does not steer away from plans the
+engine can execute cheaply.
 
 **When is reordering safe?**  Natural joins over *flexible* relations drop
 tuples that lack a join attribute, so reassociation is only sound when every
@@ -125,9 +126,7 @@ MIN_RELATIONS = 3
 #: per-edge join selectivity assumed when neither atom has base statistics
 DEFAULT_EDGE_SELECTIVITY = 0.5
 
-#: default estimated cost of one index probe relative to reading one tuple in
-#: a scan; the physical planner passes its own (configurable) factor in so the
-#: search and the lowering price probes identically
+#: estimated cost of one index probe relative to reading one tuple in a scan
 INDEX_PROBE_COST_FACTOR = 2.0
 
 
@@ -461,20 +460,20 @@ def _price_atoms(graph: JoinGraph, cost_model: CostModel, memo: Dict) -> None:
             edge.selectivity = DEFAULT_EDGE_SELECTIVITY
 
 
-def _index_fanout(cost_model: CostModel, atom: JoinAtom,
-                  attributes: AttributeSet) -> Optional[float]:
-    """Average bucket size of a maintained index of ``atom`` covering ``attributes``.
+def index_probe_cost(source, relation: Optional[str], attributes,
+                     outer_rows: float) -> Optional[float]:
+    """The work of probing ``relation``'s index once per outer row.
 
-    ``None`` when the atom is not a bare base relation, the source does not
-    resolve it, or no maintained hash index is covered by the join attributes —
-    mirroring :meth:`repro.engine.database.Table.index_for`.
+    ``outer_rows · (INDEX_PROBE_COST_FACTOR + fan-out)``, the fan-out being the
+    average bucket size of the maintained hash index covering ``attributes``
+    (:meth:`repro.engine.database.Table.index_for`) — the partners each probe
+    examines.  ``None`` when ``relation`` is not a base relation the source
+    resolves or no index is covered by the join attributes.
     """
-    if atom.relation is None or cost_model.source is None:
-        return None
-    if not hasattr(cost_model.source, "relation"):
+    if relation is None or not hasattr(source, "relation"):
         return None
     try:
-        table = cost_model.source.relation(atom.relation)
+        table = source.relation(relation)
     except Exception:
         return None
     index_for = getattr(table, "index_for", None)
@@ -482,9 +481,8 @@ def _index_fanout(cost_model: CostModel, atom: JoinAtom,
     if index is None:
         return None
     bucket_size = getattr(index, "average_bucket_size", None)
-    if bucket_size is None:
-        return 1.0
-    return max(1.0, bucket_size())
+    fan_out = 1.0 if bucket_size is None else max(1.0, bucket_size())
+    return outer_rows * (INDEX_PROBE_COST_FACTOR + fan_out)
 
 
 def _cut_selectivity(graph: JoinGraph, left_mask: int, right_mask: int,
@@ -562,8 +560,7 @@ def _cut_selectivity(graph: JoinGraph, left_mask: int, right_mask: int,
 
 
 def _join_plans(graph: JoinGraph, cost_model: CostModel,
-                left: _Plan, right: _Plan,
-                probe_factor: float = INDEX_PROBE_COST_FACTOR) -> _Plan:
+                left: _Plan, right: _Plan) -> _Plan:
     """Price the join of two disjoint partial plans (hash or index probe)."""
     selectivity = _cut_selectivity(graph, left.mask, right.mask, cost_model)
     if selectivity is None:
@@ -580,11 +577,11 @@ def _join_plans(graph: JoinGraph, cost_model: CostModel,
     for outer, inner in ((left, right), (right, left)):
         if inner.atom is None:
             continue
-        attributes = graph.crossing_attributes(outer.mask, inner.mask)
-        fan_out = _index_fanout(cost_model, graph.atoms[inner.atom], attributes)
-        if fan_out is None:
+        probe_work = index_probe_cost(
+            cost_model.source, graph.atoms[inner.atom].relation,
+            graph.crossing_attributes(outer.mask, inner.mask), outer.cardinality)
+        if probe_work is None:
             continue
-        probe_work = outer.cardinality * (probe_factor + fan_out)
         join_work = min(join_work, probe_work + cardinality)
     return _Plan(left.mask | right.mask, cardinality,
                  left.cost + right.cost + join_work, bound, left, right)
@@ -603,8 +600,7 @@ def _leaf_plans(graph: JoinGraph) -> Dict[int, _Plan]:
 # -- search strategies -------------------------------------------------------------------
 
 
-def _search_dp(graph: JoinGraph, cost_model: CostModel,
-               probe_factor: float = INDEX_PROBE_COST_FACTOR):
+def _search_dp(graph: JoinGraph, cost_model: CostModel):
     """Bottom-up DP over connected subsets (bushy trees, bitset-keyed memo)."""
     n = len(graph)
     best = _leaf_plans(graph)
@@ -625,7 +621,7 @@ def _search_dp(graph: JoinGraph, cost_model: CostModel,
                 if (left_plan is not None and right_plan is not None
                         and graph.crosses(sub, rest)):
                     candidate = _join_plans(graph, cost_model, left_plan,
-                                            right_plan, probe_factor)
+                                            right_plan)
                     considered += 1
                     incumbent = best.get(mask)
                     if incumbent is None or candidate.cost < incumbent.cost:
@@ -639,8 +635,7 @@ def _search_dp(graph: JoinGraph, cost_model: CostModel,
     return best.get(full), len(best), considered, pruned
 
 
-def _search_greedy(graph: JoinGraph, cost_model: CostModel,
-                   probe_factor: float = INDEX_PROBE_COST_FACTOR):
+def _search_greedy(graph: JoinGraph, cost_model: CostModel):
     """Greedy bushy search: always join the pair with the smallest output."""
     plans = list(_leaf_plans(graph).values())
     considered = pruned = 0
@@ -652,8 +647,7 @@ def _search_greedy(graph: JoinGraph, cost_model: CostModel,
             for j in range(i + 1, len(plans)):
                 if not graph.crosses(plans[i].mask, plans[j].mask):
                     continue
-                candidate = _join_plans(graph, cost_model, plans[i], plans[j],
-                                        probe_factor)
+                candidate = _join_plans(graph, cost_model, plans[i], plans[j])
                 considered += 1
                 key = (candidate.cardinality, candidate.cost)
                 if best_candidate is None or key < (best_candidate.cardinality,
@@ -673,8 +667,7 @@ def _search_greedy(graph: JoinGraph, cost_model: CostModel,
     return plans[0], subsets, considered, pruned
 
 
-def _search_smallest(graph: JoinGraph, cost_model: CostModel,
-                     probe_factor: float = INDEX_PROBE_COST_FACTOR):
+def _search_smallest(graph: JoinGraph, cost_model: CostModel):
     """The pre-search baseline: left-deep, smallest connected *input* first."""
     leaves = _leaf_plans(graph)
     remaining = sorted(leaves.values(), key=lambda plan: plan.cardinality)
@@ -686,8 +679,7 @@ def _search_smallest(graph: JoinGraph, cost_model: CostModel,
                       if graph.crosses(current.mask, plan.mask)), None)
         if index is None:  # defensive: disconnected graph
             return None, subsets, considered, 0
-        current = _join_plans(graph, cost_model, current, remaining.pop(index),
-                              probe_factor)
+        current = _join_plans(graph, cost_model, current, remaining.pop(index))
         considered += 1
         subsets += 1
     return current, subsets, considered, 0
@@ -714,10 +706,7 @@ def _build_expression(graph: JoinGraph, plan: _Plan,
 
 
 def order_joins(expression: Expression, cost_model: CostModel,
-                mode: str = DEFAULT_JOIN_SEARCH,
-                dp_threshold: int = DEFAULT_DP_THRESHOLD,
-                memo: Optional[Dict] = None,
-                index_probe_cost_factor: float = INDEX_PROBE_COST_FACTOR,
+                mode: str = DEFAULT_JOIN_SEARCH, memo: Optional[Dict] = None,
                 tracer=None) -> Optional[JoinOrderResult]:
     """Search a join order for a nested NaturalJoin tree.
 
@@ -748,7 +737,7 @@ def order_joins(expression: Expression, cost_model: CostModel,
 
         fallback = False
         effective = mode
-        if mode == "dp" and len(graph) > dp_threshold:
+        if mode == "dp" and len(graph) > DEFAULT_DP_THRESHOLD:
             effective = "greedy"
             fallback = True
         if effective == "dp":
@@ -757,8 +746,7 @@ def order_joins(expression: Expression, cost_model: CostModel,
             search = _search_greedy
         else:
             search = _search_smallest
-        plan, subsets, considered, pruned = search(graph, cost_model,
-                                                   index_probe_cost_factor)
+        plan, subsets, considered, pruned = search(graph, cost_model)
         if plan is None:
             return None
 

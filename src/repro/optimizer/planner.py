@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import Expression
-from repro.errors import OptimizerError
 from repro.optimizer.analytic_rules import (
     eliminate_noop_sorts,
     push_aggregate_into_unions,
@@ -26,6 +25,9 @@ from repro.optimizer.rewrite_rules import (
     prune_union_branches,
     push_selections_through_joins,
 )
+
+#: fixpoint iterations before the planner stops rewriting
+MAX_PASSES = 10
 
 #: the rewrite rules applied by default, in order — the AD rules first (they
 #: can empty whole subtrees the analytic rules would otherwise rearrange)
@@ -49,19 +51,15 @@ class Planner:
     or a mapping).  ``rules`` may be overridden to ablate individual rewrites.
     """
 
-    def __init__(self, catalog=None, rules: Optional[Sequence[Callable]] = None,
-                 max_passes: int = 10):
+    def __init__(self, catalog=None, rules: Optional[Sequence[Callable]] = None):
         self.catalog = catalog
         self.rules = tuple(rules) if rules is not None else DEFAULT_RULES
-        if max_passes < 1:
-            raise OptimizerError("max_passes must be at least 1")
-        self.max_passes = max_passes
 
     def optimize(self, expression: Expression) -> Tuple[Expression, RewriteReport]:
         """Rewrite ``expression`` to a fixpoint; returns (new expression, report)."""
         report = RewriteReport()
         current = expression
-        for _ in range(self.max_passes):
+        for _ in range(MAX_PASSES):
             changed = False
             for rule in self.rules:
                 current, rule_report = rule(current, self.catalog)

@@ -99,6 +99,16 @@ class TestPushLimitIntoUnions:
             assert branch.child.keys == keys
         assert_equivalent(expr, rewritten, source)
 
+    def test_bare_limit_prunes_a_sorted_branch_in_canonical_order(self):
+        """A key-less λ means canonical order: a sorted branch must not pick
+        its own top-k by the sort's keys."""
+        source = {"r": {FlexTuple(a=value) for value in (1, 2, 3)}, "s": set()}
+        expr = Limit(Union(Sort(RelationRef("r"), ("-a",)), RelationRef("s")), 1)
+        rewritten, report = Planner(catalog=source).optimize(expr)
+        assert report.changed
+        assert Evaluator(source).evaluate(rewritten).tuples == {FlexTuple(a=1)}
+        assert_equivalent(expr, rewritten, source)
+
     def test_already_pushed_form_is_a_fixpoint(self, source):
         expr = Limit(Union(RelationRef("a"), RelationRef("b")), 4)
         once, _ = push_limit_into_unions(expr)

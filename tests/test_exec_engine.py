@@ -36,6 +36,7 @@ from repro.algebra.predicates import (
     PresencePredicate,
     TruePredicate,
 )
+from repro.core.dependencies import AttributeDependency, FunctionalDependency
 from repro.engine import Database
 from repro.errors import CatalogError, MemoryBudgetExceeded
 from repro.exec import (
@@ -125,14 +126,35 @@ LOWERINGS = {
 
 
 def _algebra_nodes():
-    """Every concrete node class of :mod:`repro.algebra.expressions`."""
+    """Every concrete node class of :mod:`repro.algebra.expressions` (the
+    ``_``-prefixed structural bases are not nodes)."""
     found, pending = [], [Expression]
     while pending:
         for cls in pending.pop().__subclasses__():
             pending.append(cls)
-            if cls.__module__ == Expression.__module__:
+            if (cls.__module__ == Expression.__module__
+                    and not cls.__name__.startswith("_")):
                 found.append(cls)
     return sorted(found, key=lambda cls: cls.__name__)
+
+
+#: declared dependencies of ``r`` and ``s``, so the facts below are not empty
+_CATALOG = {"r": [AttributeDependency(["a"], ["b"]), FunctionalDependency(["a"], ["c"])],
+            "s": [AttributeDependency(["a"], ["d"])]}
+
+
+def _facts(expression):
+    return (expression.known_dependencies(_CATALOG), expression.guaranteed_attributes(),
+            expression.established_equalities())
+
+
+@pytest.mark.parametrize("node", _algebra_nodes(), ids=lambda cls: cls.__name__)
+def test_with_children_round_trip_keeps_class_key_and_facts(node):
+    for expression, _ in LOWERINGS[node]:
+        rebuilt = expression.with_children(expression.children)
+        assert type(rebuilt) is type(expression)
+        assert expression_key(rebuilt) == expression_key(expression)
+        assert _facts(rebuilt) == _facts(expression)
 
 
 class TestLowering:
@@ -177,9 +199,10 @@ class TestLowering:
         plan = PhysicalPlanner(source=database).plan(expression)
         assert isinstance(plan.root, NestedLoopJoin)
 
-    def test_join_threshold_is_configurable(self, database):
+    def test_join_threshold_is_configurable(self, database, monkeypatch):
+        monkeypatch.setattr("repro.exec.planner.DEFAULT_HASH_JOIN_PAIR_THRESHOLD", 10 ** 9)
         expression = NaturalJoin(RelationRef("employees"), RelationRef("employees"))
-        planner = PhysicalPlanner(source=database, hash_join_pair_threshold=10 ** 9)
+        planner = PhysicalPlanner(source=database)
         assert isinstance(planner.plan(expression).root, NestedLoopJoin)
 
     def test_unknown_cardinalities_default_to_hash_join(self):
@@ -314,8 +337,9 @@ class TestPlanCache:
         database.execute(query)
         assert database.physical_executor.cache.misses == misses_before + 1
 
-    def test_cache_is_bounded(self, database):
-        executor = PhysicalExecutor(database, cache_size=2)
+    def test_cache_is_bounded(self, database, monkeypatch):
+        monkeypatch.setattr("repro.exec.executor.PLAN_CACHE_SIZE", 2)
+        executor = PhysicalExecutor(database)
         # five templates (a new literal alone would share one plan)
         for op in ("<", "<=", ">", ">=", "!="):
             executor.execute(Selection(RelationRef("employees"),

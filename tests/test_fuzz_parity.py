@@ -10,6 +10,9 @@ asserts identical result sets.  Error outcomes must agree on *rejection*
 faulty operators at once, and which fault surfaces first depends on pull
 order — implementation-defined across engines.  The curated corpus in
 ``test_exec_parity.py`` still pins exact error classes for single-fault trees.
+Each tree is also rewritten by the AD planner against a database declaring
+the jobtype EAD, and the naive evaluator must give the rewritten tree the same
+outcome: the rewrites are only as sound as the facts the nodes report.
 
 The CI budget is fixed: ``SEEDS × TREES_PER_SEED`` = 500 trees under pinned
 seeds, so a red run is reproducible bit-for-bit.  On the first failing tree
@@ -263,9 +266,24 @@ VALUES = [1, 7, 25, 4000.0, 250, "secretary", "salesman", "r0", "r1",
           "online", "store", None]
 
 
+def _check_rewrite(expression, database, seed, index):
+    """The AD rewrites are sound: the rewritten tree evaluates (naively) to
+    the same outcome as the tree itself; error against error is agreement."""
+    from repro.optimizer.planner import Planner
+
+    evaluator = Evaluator(database)
+    naive, _ = _outcome(lambda: evaluator.evaluate(expression))
+    rewritten, _ = Planner(catalog=database).optimize(expression)
+    outcome, _ = _outcome(lambda: evaluator.evaluate(rewritten))
+    assert _agree(outcome, naive), (
+        "seed={} tree={}: the rewrite changes the result\n{}\nrewritten:\n{}"
+        .format(seed, index, expression.pretty(), rewritten.pretty()))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_fuzz_parity_budget(seed, fuzz_source):
-    """TREES_PER_SEED random trees per seed through both engines."""
+def test_fuzz_parity_budget(seed, fuzz_source, fuzz_database):
+    """TREES_PER_SEED random trees per seed through both engines, and through
+    the rewrite planner against the database that declares the jobtype EAD."""
     rng = random.Random(7000 + seed)
     names = ["employees", "orders"]
     for index in range(TREES_PER_SEED):
@@ -273,6 +291,7 @@ def test_fuzz_parity_budget(seed, fuzz_source):
                                         depth=MAX_DEPTH)
         _check_tree(expression, fuzz_source, rng.choice(BATCH_SIZES),
                     seed, index)
+        _check_rewrite(expression, fuzz_database, seed, index)
 
 
 def test_shrinker_reports_the_minimal_subtree(fuzz_source):

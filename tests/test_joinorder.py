@@ -32,6 +32,7 @@ from repro.optimizer.joinorder import (
     extract_join_graph,
     order_joins,
 )
+from repro.optimizer.planner import Planner
 from repro.workloads.star import (
     chain_join_database,
     chain_join_query,
@@ -72,9 +73,8 @@ hash-join[on={da}]  [est_rows=30.0 est_cost=3050.0]
 params: ?0='rare'"""
 
 
-def _dp_report(database, query, **planner_kwargs):
-    planner = PhysicalPlanner(database, **planner_kwargs)
-    plan = planner.plan(query)
+def _dp_report(database, query):
+    plan = PhysicalPlanner(database).plan(query)
     assert plan.join_search, "expected the search to run on {}".format(query)
     return plan, plan.join_search[0]
 
@@ -169,12 +169,12 @@ class TestSearch:
         assert report.plans_considered > 0
         assert report.plans_pruned < report.plans_considered
 
-    def test_greedy_fallback_above_threshold(self, star_db):
-        _plan, report = _dp_report(star_db, star_join_query(),
-                                   join_dp_threshold=3)
-        assert report.mode == "greedy" and report.fallback
+    def test_greedy_fallback_above_threshold(self, star_db, monkeypatch):
         _plan, default_report = _dp_report(star_db, star_join_query())
         assert default_report.mode == "dp" and not default_report.fallback
+        monkeypatch.setattr("repro.optimizer.joinorder.DEFAULT_DP_THRESHOLD", 3)
+        _plan, report = _dp_report(star_db, star_join_query())
+        assert report.mode == "greedy" and report.fallback
 
     def test_every_mode_prices_fewer_pairs_than_written_order(self, star_db):
         query = star_join_query()
@@ -383,33 +383,22 @@ class TestPlanCache:
         assert executor.plan(query) is dp_plan
         assert executor.cache_hits == 1
 
-    def test_database_join_order_search_knob(self):
-        database = star_join_database(fact_rows=200)
-        database.analyze()
-        assert database.physical_executor.planner.join_order_search == "dp"
-        disabled = Database(join_order_search="none")
-        assert disabled.physical_executor.planner.join_order_search == "none"
+    def test_planning_constants_are_not_options(self):
+        """Only the join-order search mode is a planning option; the other
+        planning decisions are module constants."""
+        with pytest.raises(TypeError):
+            Database(join_order_search="none")
+        with pytest.raises(TypeError):
+            PhysicalPlanner(index_probe_cost_factor=10_000.0)
+        with pytest.raises(TypeError):
+            Planner(max_passes=1)
 
-    def test_database_validates_mode_at_construction(self):
-        from repro.errors import CatalogError
-
-        with pytest.raises(CatalogError):
-            Database(join_order_search="greed")
-
-    def test_executor_rejects_conflicting_search_modes(self, star_db):
-        planner = PhysicalPlanner(star_db, join_order_search="dp")
-        with pytest.raises(ValueError):
-            PhysicalExecutor(star_db, planner=planner, join_order_search="none")
-        # Agreeing (or omitted) modes are fine.
-        PhysicalExecutor(star_db, planner=planner, join_order_search="dp")
-        PhysicalExecutor(star_db, planner=planner)
-
-    def test_search_respects_planner_probe_cost_factor(self, star_db):
-        """An absurdly expensive probe factor must not change correctness, and
-        the search must price with the planner's factor (no index-probe plan
-        can look cheap)."""
-        planner = PhysicalPlanner(star_db, index_probe_cost_factor=10_000.0)
-        plan = planner.plan(star_join_query())
+    def test_search_respects_planner_probe_cost_factor(self, star_db, monkeypatch):
+        """An absurdly expensive probe factor must not change correctness; the
+        search and the lowering price probes with the one factor (no
+        index-probe plan can look cheap)."""
+        monkeypatch.setattr("repro.optimizer.joinorder.INDEX_PROBE_COST_FACTOR", 10_000.0)
+        plan = PhysicalPlanner(star_db).plan(star_join_query())
         result = plan.execute(star_db)
         naive = Evaluator(star_db).evaluate(star_join_query())
         assert result.tuples == naive.tuples

@@ -16,11 +16,10 @@ from repro.algebra import (
     Union,
 )
 from repro.algebra.predicates import Comparison, FalsePredicate, PresencePredicate
-from repro.errors import OptimizerError
+from repro.engine import Database
 from repro.model.attributes import attrset
 from repro.optimizer import (
     Planner,
-    QualifiedRelation,
     eliminate_contradictory_selections,
     eliminate_redundant_guards,
     estimate_cost,
@@ -29,7 +28,6 @@ from repro.optimizer import (
     measured_cost,
     prune_union_branches,
     push_selections_through_joins,
-    qualification_excludes,
 )
 from repro.model.domains import IntDomain, StringDomain
 from repro.model.scheme import FlexibleScheme
@@ -107,6 +105,23 @@ class TestRedundantGuardElimination:
         rewritten, _ = eliminate_redundant_guards(expr, employee_database)
         evaluator = Evaluator(employee_database)
         assert evaluator.evaluate(expr).tuples == evaluator.evaluate(rewritten).tuples
+
+    def test_guard_on_multiway_join_attributes_is_kept(self):
+        """A master tuple lacking the ``on`` attributes passes the multiway
+        join unmerged, so a guard on them still filters rows."""
+        database = Database()
+        database.create_table("r", FlexibleScheme(1, 2, ["x", "a"]),
+                              domains={"x": IntDomain(), "a": IntDomain()}
+                              ).insert_many([{"a": 1, "x": 1}, {"x": 2}])
+        database.create_table("s", FlexibleScheme(2, 2, ["a", "y"]),
+                              domains={"a": IntDomain(), "y": IntDomain()}
+                              ).insert({"a": 1, "y": 5})
+        expr = TypeGuardNode(MultiwayJoin([RelationRef("r"), RelationRef("s")], on=["a"]),
+                             ["a"])
+        _, report = eliminate_redundant_guards(expr, database)
+        assert not report.changed
+        assert len(Evaluator(database).evaluate(expr)) == 1
+        assert len(database.execute(expr, optimize=True)) == 1
 
     def test_rewrite_reduces_measured_work(self, employee_database):
         expr = TypeGuardNode(Selection(RelationRef("employees"), secretary_selection()),
@@ -286,27 +301,7 @@ class TestSelectionPushdown:
 
 
 class TestQualifiedRelations:
-    def test_exclusion(self):
-        fragment = QualifiedRelation("secretaries", {"jobtype": "secretary"})
-        assert fragment.excludes({"jobtype": "salesman"})
-        assert not fragment.excludes({"jobtype": "secretary"})
-        assert not fragment.excludes({"salary": 1})
-
-    def test_qualification_excludes_function(self):
-        assert qualification_excludes({"a": 1}, {"a": 2})
-        assert not qualification_excludes({"a": 1}, {"b": 2})
-
-    def test_to_expression(self):
-        assert QualifiedRelation("x", {}).to_expression().name == "x"
-
-    def test_relevant_fragments(self):
-        from repro.optimizer.qualified_relations import relevant_fragments
-
-        fragments = [QualifiedRelation("secretaries", {"jobtype": "secretary"}),
-                     QualifiedRelation("salesmen", {"jobtype": "salesman"}),
-                     QualifiedRelation("everyone", {})]
-        relevant = relevant_fragments(fragments, {"jobtype": "secretary"})
-        assert [f.name for f in relevant] == ["secretaries", "everyone"]
+    """The ∅ leaf that excluded qualifications rewrite to."""
 
     def test_empty_relation_node_reports_no_dependencies(self, employee_database):
         assert EmptyRelation().known_dependencies(employee_database) == set()
@@ -338,10 +333,6 @@ class TestPlanner:
         planner = Planner(catalog=employee_database, rules=[prune_union_branches])
         _, report = planner.optimize(expr)
         assert not report.changed
-
-    def test_invalid_max_passes(self):
-        with pytest.raises(OptimizerError):
-            Planner(max_passes=0)
 
     def test_default_rules_exposed(self):
         assert eliminate_redundant_guards in DEFAULT_RULES
