@@ -106,12 +106,19 @@ def adaptive_batch_size(width: float, base_rows: Optional[float] = None) -> int:
 class OperatorStats:
     """Counters for one physical operator instance.
 
+    ``PhysicalOperator.run`` keeps these books, not the operators: it sets
+    ``invocations`` and its stream wrapper counts every batch the operator
+    yields into ``rows_out`` / ``batches_out`` and into its parent's
+    ``rows_in`` — so ``rows_in`` is the sum of the children's ``rows_out``,
+    except for a scan, which counts the rows it reads from its table or index.
+
     ``wall_seconds`` is the operator's *inclusive* wall-clock time (its own
-    work plus its children's, as in PostgreSQL's EXPLAIN ANALYZE): the run
-    loop times the eager setup in ``_generate`` plus every batch pulled from
-    the operator, and pulling one batch from a parent drives the whole
-    subtree below it.  The clock ticks per batch, never per tuple, so the
-    overhead stays inside the E15 benchmark's ≤5% gate.
+    work plus its children's, as in PostgreSQL's EXPLAIN ANALYZE): the
+    wrapper times every batch pulled from the operator — the setup (hash
+    builds, drains, sorts) runs on the first pull — and pulling one batch
+    from a parent drives the whole subtree below it.  The clock ticks per
+    batch, never per tuple, so the overhead stays inside the E15 benchmark's
+    ≤5% gate.
     """
 
     def __init__(self, label: str):
@@ -159,12 +166,14 @@ class ExecutionContext:
     batch_size:
         How many tuples an operator accumulates before handing a batch downstream.
     use_indexes:
-        Whether :class:`~repro.exec.operators.Scan` may answer pushed-down equality
-        predicates from the engine's hash indexes.
+        Whether operators may read the engine's hash indexes (see
+        :meth:`index_for`).
     timing:
-        Whether operators maintain :attr:`OperatorStats.wall_seconds` (two
-        ``perf_counter`` reads per batch per operator).  On by default; the
-        E15 overhead benchmark runs with ``timing=False`` as its baseline.
+        Whether :attr:`OperatorStats.wall_seconds` is kept (two
+        ``perf_counter`` reads per batch per operator, setup included, as it
+        runs on the first pull); the row and batch counts are kept either
+        way.  On by default; the E15 overhead benchmark runs with
+        ``timing=False`` as its baseline.
     governor:
         The :class:`~repro.governor.governor.QueryGovernor` bounding this
         execution (deadline, cancellation, memory budget), or ``None`` for
@@ -187,6 +196,16 @@ class ExecutionContext:
         self.governor = governor
         self.params = params
         self._operator_stats: List[OperatorStats] = []
+
+    def index_for(self, relation: str, attributes):
+        """The engine-maintained hash index of base relation ``relation``
+        covered by ``attributes``, or ``None``: indexes are off, the source
+        keeps no tables (a plain mapping), or no index of the table is
+        covered."""
+        if not self.use_indexes or not hasattr(self.source, "relation"):
+            return None
+        index_for = getattr(self.source.relation(relation), "index_for", None)
+        return None if index_for is None else index_for(attributes)
 
     def enforce_memory(self, op_stats: OperatorStats, size_bytes: int) -> None:
         """Record a sampled state size and enforce the memory budget, if any.

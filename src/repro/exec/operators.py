@@ -49,9 +49,16 @@ Work counters are written into the shared
 :class:`~repro.algebra.evaluator.ExecutionStats` with the same meaning the
 evaluator gives them (see its docstring for the counter semantics), maintained
 in bulk (``+= len(batch)``), so naive and physical costs are directly
-comparable.  Each operator additionally records rows-in/rows-out in the
-:class:`~repro.exec.context.OperatorStats` it registers with the
-:class:`~repro.exec.context.ExecutionContext`.
+comparable.
+
+An operator is its algorithm and nothing else: ``_generate`` is a generator
+function over its children's batch streams, so its setup (hash builds,
+drains, sorts) runs on the first pull.  :meth:`PhysicalOperator.run` keeps
+the books — it registers the operator's
+:class:`~repro.exec.context.OperatorStats` with the
+:class:`~repro.exec.context.ExecutionContext` and wraps the stream in one
+wrapper that counts ``rows_out`` / ``batches_out``, adds each batch to the
+parent's ``rows_in`` and, when timing, the wall time.
 
 Every operator's output batch stream contains each distinct tuple exactly once
 (set semantics per operator, as in the evaluator); operators therefore never need
@@ -63,6 +70,7 @@ The operator ``name`` strings key the per-operator metrics (``memory.<name>``,
 
 from __future__ import annotations
 
+from itertools import islice
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -123,58 +131,59 @@ class PhysicalOperator:
             label = self.__dict__["_plan_label"] = self.label()
         return label
 
-    def run(self, ctx: ExecutionContext) -> Iterator[TupleBatch]:
+    def run(self, ctx: ExecutionContext,
+            parent: Optional[OperatorStats] = None) -> Iterator[TupleBatch]:
         """Start execution: register stats (preorder) and return the batch stream.
 
-        With ``ctx.timing`` (the default) the operator's *inclusive* wall time
-        is accumulated into its :class:`OperatorStats`: :meth:`_start` itself
-        is timed — operators with eager setup (hash-join build sides,
-        multiway-join drains, difference/product materialization) do real work
-        there — and each batch pulled from the returned stream adds the time
-        it took to produce.  Two clock reads per batch, nothing per tuple.
+        Nothing runs yet: every operator's ``_generate`` is a generator, so
+        the whole tree's work — setup included — happens as batches are
+        pulled.  The stream is wrapped once (:meth:`_booked_stream`) to keep
+        this operator's books and its share of ``parent``'s; with a governor,
+        once more for the cancellation boundaries.
         """
         ctx.stats.record_operator(self.name)
-        op_stats = ctx.register_operator(self.plan_label)
-        if not ctx.timing:
-            stream = self._start(ctx, op_stats)
-        else:
-            started = perf_counter()
-            stream = self._start(ctx, op_stats)
-            op_stats.wall_seconds += perf_counter() - started
-            stream = self._timed_stream(op_stats, stream)
+        op = ctx.register_operator(self.plan_label)
+        op.invocations = 1
+        stream = self._generate(ctx, op, *[child.run(ctx, op) for child in self.children])
+        stream = self._booked_stream(op, parent, stream, ctx.timing)
         if ctx.governor is not None:
             stream = self._governed_stream(ctx.governor, stream)
         return stream
 
-    def _start(self, ctx: ExecutionContext, op: OperatorStats) -> Iterator[TupleBatch]:
-        """Start the children (registering them in preorder) and this
-        operator's own stream — the one step of :meth:`run` an operator that
-        must order its children's execution itself overrides."""
-        return self._generate(ctx, op, *[child.run(ctx) for child in self.children])
-
     @staticmethod
-    def _timed_stream(op: OperatorStats, stream: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
-        """Per-batch wall-clock accounting around an operator's output stream."""
+    def _booked_stream(op: OperatorStats, parent: Optional[OperatorStats],
+                       stream: Iterator[TupleBatch], timing: bool) -> Iterator[TupleBatch]:
+        """The books of one operator's output stream: ``rows_out`` and
+        ``batches_out``, the rows it hands ``parent`` (its ``rows_in``) and,
+        with ``timing``, the *inclusive* wall time of producing each batch —
+        setup included, as it runs on the first pull.  Two clock reads per
+        batch, nothing per tuple."""
         while True:
-            started = perf_counter()
-            try:
-                batch = next(stream)
-            except StopIteration:
+            if timing:
+                started = perf_counter()
+                batch = next(stream, None)
                 op.wall_seconds += perf_counter() - started
+            else:
+                batch = next(stream, None)
+            if batch is None:
                 return
-            op.wall_seconds += perf_counter() - started
+            count = len(batch)
+            op.rows_out += count
+            op.batches_out += 1
+            if parent is not None:
+                parent.rows_in += count
             yield batch
 
     @staticmethod
     def _governed_stream(governor, stream: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
         """Cooperative cancellation around an operator's output stream.
 
-        One ``governor.check()`` before any work starts (the stream's eager
-        setup — hash builds, sorts — happens on the first ``next()``) and one
+        One ``governor.check()`` before any work starts (the operator's setup
+        — hash builds, sorts — happens on the first ``next()``) and one
         before every batch is handed downstream; a cancel or expired deadline
         therefore unwinds the whole plan within one operator boundary.  The
-        wrapper sits *outside* the timed stream so boundary checks are counted
-        identically with timing on or off.
+        wrapper sits *outside* the booked stream so boundary checks are
+        counted identically with timing on or off.
         """
         governor.check()
         for batch in stream:
@@ -183,6 +192,8 @@ class PhysicalOperator:
 
     def _generate(self, ctx: ExecutionContext, op: OperatorStats,
                   *children) -> Iterator[TupleBatch]:
+        """This operator's algorithm: a generator function over its
+        children's batch streams, yielding its own batches."""
         raise NotImplementedError
 
     def explain(self, indent: int = 0) -> str:
@@ -208,21 +219,14 @@ class PhysicalOperator:
     # -- helpers shared by the concrete operators --------------------------------------
 
     @staticmethod
-    def _rebatch(ctx: ExecutionContext, op: OperatorStats,
-                 tuples: Iterable[FlexTuple]) -> Iterator[TupleBatch]:
-        """Pack a tuple stream into batches of ``ctx.batch_size``."""
-        rows: List[FlexTuple] = []
-        for tup in tuples:
-            rows.append(tup)
-            if len(rows) >= ctx.batch_size:
-                op.rows_out += len(rows)
-                op.batches_out += 1
-                yield TupleBatch(rows)
-                rows = []
-        if rows:
-            op.rows_out += len(rows)
-            op.batches_out += 1
-            yield TupleBatch(rows)
+    def _chunks(ctx: ExecutionContext, items: Iterable) -> Iterator[list]:
+        """Cut ``items`` — a built list or an iterator — into lists of
+        ``ctx.batch_size``, the rows of one output batch each."""
+        items = iter(items)
+        chunk = list(islice(items, ctx.batch_size))
+        while chunk:
+            yield chunk
+            chunk = list(islice(items, ctx.batch_size))
 
     @staticmethod
     def _materialize(ctx: ExecutionContext, op: OperatorStats,
@@ -241,7 +245,6 @@ class PhysicalOperator:
         governed = (ctx.governor is not None
                     and ctx.governor.memory_budget is not None)
         for batch in stream:
-            op.rows_in += len(batch)
             result.update(batch)
             if governed:
                 ctx.enforce_memory(op, sampled_size(result))
@@ -272,9 +275,7 @@ class EmptyOp(PhysicalOperator):
     name = "batch-empty"
 
     def _generate(self, ctx, op):
-        op.invocations += 1
-        return
-        yield  # pragma: no cover — makes this a generator
+        yield from ()
 
 
 class Scan(PhysicalOperator):
@@ -315,18 +316,9 @@ class Scan(PhysicalOperator):
 
     def _pick_index(self, ctx: ExecutionContext):
         """The (index, probe) pair answering the pushed equalities, if any."""
-        if not (ctx.use_indexes and self.equalities):
+        if not self.equalities:
             return None
-        if not hasattr(ctx.source, "relation"):
-            return None
-        try:
-            table = ctx.source.relation(self.relation)
-        except Exception:
-            return None
-        index_for = getattr(table, "index_for", None)
-        if index_for is None:
-            return None
-        index = index_for(self.equalities.keys())
+        index = ctx.index_for(self.relation, self.equalities.keys())
         if index is None:
             return None
         probe = {a.name: self.equalities[a.name] for a in index.attributes}
@@ -342,40 +334,33 @@ class Scan(PhysicalOperator):
         return index, probe
 
     def _generate(self, ctx, op) -> Iterator[TupleBatch]:
-        op.invocations += 1
         picked = self._pick_index(ctx)
         if picked is not None:
             index, probe = picked
             rows = list(index.lookup(probe))
         else:
             rows = list(_resolve_relation(ctx.source, self.relation))
-
-        def emit() -> Iterator[TupleBatch]:
-            stats = ctx.stats
-            size = ctx.batch_size
-            for start in range(0, len(rows), size):
-                batch = TupleBatch(rows[start:start + size])
-                count = len(batch)
-                stats.tuples_scanned += count
-                op.rows_in += count
-                indices = None
-                if self._compiled_guard is not None:
-                    stats.guard_checks += count
-                    indices = self._compiled_guard.select(batch)
-                if self._compiled is not None:
-                    stats.predicate_evaluations += (
-                        count if indices is None else len(indices))
-                    indices = self._compiled.select(batch, indices, ctx.params)
-                if indices is not None:
-                    if len(indices) != count:
-                        batch = batch.take(indices)
-                    if not len(batch):
-                        continue
-                op.rows_out += len(batch)
-                op.batches_out += 1
-                yield batch
-
-        return emit()
+        stats = ctx.stats
+        size = ctx.batch_size
+        for start in range(0, len(rows), size):
+            batch = TupleBatch(rows[start:start + size])
+            count = len(batch)
+            stats.tuples_scanned += count
+            op.rows_in += count
+            indices = None
+            if self._compiled_guard is not None:
+                stats.guard_checks += count
+                indices = self._compiled_guard.select(batch)
+            if self._compiled is not None:
+                stats.predicate_evaluations += (
+                    count if indices is None else len(indices))
+                indices = self._compiled.select(batch, indices, ctx.params)
+            if indices is not None:
+                if len(indices) != count:
+                    batch = batch.take(indices)
+                if not len(batch):
+                    continue
+            yield batch
 
     # -- pushdown helpers used by the physical planner ----------------------------------
 
@@ -408,24 +393,16 @@ class FilterOp(_Unary):
         return "filter[{!r}]".format(self.predicate)
 
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
-        op.invocations += 1
-
-        def emit() -> Iterator[TupleBatch]:
-            stats = ctx.stats
-            for batch in child:
-                count = len(batch)
-                op.rows_in += count
-                stats.predicate_evaluations += count
-                indices = self._compiled.select(batch, None, ctx.params)
-                if len(indices) != count:
-                    if not indices:
-                        continue
-                    batch = batch.take(indices)
-                op.rows_out += len(batch)
-                op.batches_out += 1
-                yield batch
-
-        return emit()
+        stats = ctx.stats
+        for batch in child:
+            count = len(batch)
+            stats.predicate_evaluations += count
+            indices = self._compiled.select(batch, None, ctx.params)
+            if len(indices) != count:
+                if not indices:
+                    continue
+                batch = batch.take(indices)
+            yield batch
 
 
 class GuardOp(_Unary):
@@ -443,24 +420,16 @@ class GuardOp(_Unary):
         return "guard[{}]".format(self.attributes)
 
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
-        op.invocations += 1
-
-        def emit() -> Iterator[TupleBatch]:
-            stats = ctx.stats
-            for batch in child:
-                count = len(batch)
-                op.rows_in += count
-                stats.guard_checks += count
-                indices = self._compiled.select(batch)
-                if len(indices) != count:
-                    if not indices:
-                        continue
-                    batch = batch.take(indices)
-                op.rows_out += len(batch)
-                op.batches_out += 1
-                yield batch
-
-        return emit()
+        stats = ctx.stats
+        for batch in child:
+            count = len(batch)
+            stats.guard_checks += count
+            indices = self._compiled.select(batch)
+            if len(indices) != count:
+                if not indices:
+                    continue
+                batch = batch.take(indices)
+            yield batch
 
 
 class ProjectOp(_Unary):
@@ -481,39 +450,31 @@ class ProjectOp(_Unary):
         return "project[{}]".format(self.attributes)
 
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
-        op.invocations += 1
         names = [a.name for a in self.attributes]
-
-        def emit() -> Iterator[TupleBatch]:
-            stats = ctx.stats
-            seen = set()
-            add_seen = seen.add
-            for batch in child:
-                count = len(batch)
-                op.rows_in += count
-                stats.tuples_scanned += count
-                columns = [batch.column(name) for name in names]
-                out_values: List[dict] = []
-                out_hashes: List[int] = []
-                for i in range(count):
-                    items = {}
-                    for name, values in zip(names, columns):
-                        value = values[i]
-                        if value is not MISSING:
-                            items[name] = value
-                    if not items:
-                        continue
-                    key = frozenset(items.items())
-                    if key not in seen:
-                        add_seen(key)
-                        out_values.append(items)
-                        out_hashes.append(hash(key))
-                if out_values:
-                    op.rows_out += len(out_values)
-                    op.batches_out += 1
-                    yield LazyBatch(out_values, out_hashes)
-
-        return emit()
+        stats = ctx.stats
+        seen = set()
+        add_seen = seen.add
+        for batch in child:
+            count = len(batch)
+            stats.tuples_scanned += count
+            columns = [batch.column(name) for name in names]
+            out_values: List[dict] = []
+            out_hashes: List[int] = []
+            for i in range(count):
+                items = {}
+                for name, values in zip(names, columns):
+                    value = values[i]
+                    if value is not MISSING:
+                        items[name] = value
+                if not items:
+                    continue
+                key = frozenset(items.items())
+                if key not in seen:
+                    add_seen(key)
+                    out_values.append(items)
+                    out_hashes.append(hash(key))
+            if out_values:
+                yield LazyBatch(out_values, out_hashes)
 
 
 class ExtendOp(_Unary):
@@ -535,22 +496,13 @@ class ExtendOp(_Unary):
         return "extend[{}:{!r}]".format(self.attribute, self.value)
 
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
-        op.invocations += 1
-
-        def emit() -> Iterator[TupleBatch]:
-            stats = ctx.stats
-            for batch in child:
-                count = len(batch)
-                if not count:
-                    continue
-                op.rows_in += count
-                stats.tuples_scanned += count
-                values = self._compiled.transform(batch)
-                op.rows_out += count
-                op.batches_out += 1
-                yield LazyBatch(values)
-
-        return emit()
+        stats = ctx.stats
+        for batch in child:
+            count = len(batch)
+            if not count:
+                continue
+            stats.tuples_scanned += count
+            yield LazyBatch(self._compiled.transform(batch))
 
 
 class RenameOp(_Unary):
@@ -568,32 +520,23 @@ class RenameOp(_Unary):
         return "rename[{}]".format(self.mapping)
 
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
-        op.invocations += 1
         transform = self._compiled.transform_row
-
-        def emit() -> Iterator[TupleBatch]:
-            stats = ctx.stats
-            seen = set()
-            add_seen = seen.add
-            for batch in child:
-                count = len(batch)
-                op.rows_in += count
-                stats.tuples_scanned += count
-                out_values: List[dict] = []
-                out_hashes: List[int] = []
-                for values in batch.values_list():
-                    renamed = transform(values)
-                    key = frozenset(renamed.items())
-                    if key not in seen:
-                        add_seen(key)
-                        out_values.append(renamed)
-                        out_hashes.append(hash(key))
-                if out_values:
-                    op.rows_out += len(out_values)
-                    op.batches_out += 1
-                    yield LazyBatch(out_values, out_hashes)
-
-        return emit()
+        stats = ctx.stats
+        seen = set()
+        add_seen = seen.add
+        for batch in child:
+            stats.tuples_scanned += len(batch)
+            out_values: List[dict] = []
+            out_hashes: List[int] = []
+            for values in batch.values_list():
+                renamed = transform(values)
+                key = frozenset(renamed.items())
+                if key not in seen:
+                    add_seen(key)
+                    out_values.append(renamed)
+                    out_hashes.append(hash(key))
+            if out_values:
+                yield LazyBatch(out_values, out_hashes)
 
 
 class ProductOp(_Binary):
@@ -603,40 +546,29 @@ class ProductOp(_Binary):
     name = "batch-product"
 
     def _generate(self, ctx, op, left, right) -> Iterator[TupleBatch]:
-        op.invocations += 1
         build = [tup._values for tup in self._materialize(ctx, op, right)]
         ctx.enforce_memory(op, sampled_size(build))
-
-        def emit() -> Iterator[TupleBatch]:
-            stats = ctx.stats
-            size = ctx.batch_size
-            seen = set()
-            add_seen = seen.add
-            out_values: List[dict] = []
-            out_hashes: List[int] = []
-            for batch in left:
-                count = len(batch)
-                op.rows_in += count
-                stats.join_pairs_considered += count * len(build)
-                for row_values in batch.values_list():
-                    for partner in build:
-                        merged = merge_values(row_values, partner)
-                        key = frozenset(merged.items())
-                        if key not in seen:
-                            add_seen(key)
-                            out_values.append(merged)
-                            out_hashes.append(hash(key))
-                            if len(out_values) >= size:
-                                op.rows_out += len(out_values)
-                                op.batches_out += 1
-                                yield LazyBatch(out_values, out_hashes)
-                                out_values, out_hashes = [], []
-            if out_values:
-                op.rows_out += len(out_values)
-                op.batches_out += 1
-                yield LazyBatch(out_values, out_hashes)
-
-        return emit()
+        stats = ctx.stats
+        size = ctx.batch_size
+        seen = set()
+        add_seen = seen.add
+        out_values: List[dict] = []
+        out_hashes: List[int] = []
+        for batch in left:
+            stats.join_pairs_considered += len(batch) * len(build)
+            for row_values in batch.values_list():
+                for partner in build:
+                    merged = merge_values(row_values, partner)
+                    key = frozenset(merged.items())
+                    if key not in seen:
+                        add_seen(key)
+                        out_values.append(merged)
+                        out_hashes.append(hash(key))
+                        if len(out_values) >= size:
+                            yield LazyBatch(out_values, out_hashes)
+                            out_values, out_hashes = [], []
+        if out_values:
+            yield LazyBatch(out_values, out_hashes)
 
 
 def _shared_attributes(left: Set[FlexTuple], right: Set[FlexTuple]) -> AttributeSet:
@@ -672,25 +604,18 @@ class NestedLoopJoin(_MaterializingJoin):
     name = "nested-loop-join"
 
     def _generate(self, ctx, op, left, right):
-        op.invocations += 1
         left_set = self._materialize(ctx, op, left)
         right_set = self._materialize(ctx, op, right)
         shared = self.on if self.on is not None else _shared_attributes(left_set, right_set)
-
-        def emit():
-            seen: Set[FlexTuple] = set()
-            for left_tuple in left_set:
-                for right_tuple in right_set:
-                    ctx.stats.join_pairs_considered += 1
-                    if not (left_tuple.is_defined_on(shared) and right_tuple.is_defined_on(shared)):
-                        continue
-                    if all(left_tuple[a] == right_tuple[a] for a in shared):
-                        merged = left_tuple.merge(right_tuple)
-                        if merged not in seen:
-                            seen.add(merged)
-                            yield merged
-
-        return self._rebatch(ctx, op, emit())
+        joined: Dict[FlexTuple, None] = {}  # an insertion-ordered set
+        for left_tuple in left_set:
+            for right_tuple in right_set:
+                ctx.stats.join_pairs_considered += 1
+                if not (left_tuple.is_defined_on(shared) and right_tuple.is_defined_on(shared)):
+                    continue
+                if all(left_tuple[a] == right_tuple[a] for a in shared):
+                    joined[left_tuple.merge(right_tuple)] = None
+        yield from map(TupleBatch, self._chunks(ctx, joined))
 
 
 class NaturalJoinOp(_MaterializingJoin):
@@ -708,7 +633,6 @@ class NaturalJoinOp(_MaterializingJoin):
     name = "hash-join"
 
     def _generate(self, ctx, op, left, right):
-        op.invocations += 1
         right_set = self._materialize(ctx, op, right)
         left_set = self._materialize(ctx, op, left)
         shared = self.on if self.on is not None else _shared_attributes(left_set, right_set)
@@ -720,21 +644,16 @@ class NaturalJoinOp(_MaterializingJoin):
                 buckets.setdefault(tuple(tup[a] for a in shared), []).append(tup)
         ctx.enforce_memory(op, sampled_size(buckets))
 
-        def emit():
-            seen: Set[FlexTuple] = set()
-            for left_tuple in left_set:
-                ctx.stats.guard_checks += 1
-                if not left_tuple.is_defined_on(shared):
-                    continue
-                partners = buckets.get(tuple(left_tuple[a] for a in shared), ())
-                ctx.stats.join_pairs_considered += len(partners)
-                for partner in partners:
-                    merged = left_tuple.merge(partner)
-                    if merged not in seen:
-                        seen.add(merged)
-                        yield merged
-
-        return self._rebatch(ctx, op, emit())
+        joined: Dict[FlexTuple, None] = {}  # an insertion-ordered set
+        for left_tuple in left_set:
+            ctx.stats.guard_checks += 1
+            if not left_tuple.is_defined_on(shared):
+                continue
+            partners = buckets.get(tuple(left_tuple[a] for a in shared), ())
+            ctx.stats.join_pairs_considered += len(partners)
+            for partner in partners:
+                joined[left_tuple.merge(partner)] = None
+        yield from map(TupleBatch, self._chunks(ctx, joined))
 
 
 def _build_buckets(op, ctx, stream, names) -> Dict:
@@ -754,9 +673,7 @@ def _build_buckets(op, ctx, stream, names) -> Dict:
     setdefault = buckets.setdefault
     single = len(names) == 1
     for batch in stream:
-        count = len(batch)
-        op.rows_in += count
-        stats.guard_checks += count
+        stats.guard_checks += len(batch)
         values_list = batch.values_list()
         if single:
             for i, value in enumerate(batch.column(names[0])):
@@ -804,24 +721,23 @@ class HashJoin(_Binary):
         return "hash-join[on={}]".format(self.on)
 
     def _generate(self, ctx, op, left, right) -> Iterator[TupleBatch]:
-        op.invocations += 1
         names = [a.name for a in self.on]
         budget = ctx.spill_budget()
         if budget is not None:
-            return self._generate_grace(ctx, op, left, right, names, budget)
-        buckets = _build_buckets(op, ctx, right, names)
-        return self._probe_emit(ctx, op, left, names, buckets)
+            yield from self._generate_grace(ctx, op, left, right, names, budget)
+        else:
+            yield from self._probe(ctx, left, names,
+                                   _build_buckets(op, ctx, right, names))
 
-    def _probe_emit(self, ctx, op, left, names, buckets) -> Iterator[TupleBatch]:
+    @staticmethod
+    def _probe(ctx, left, names, buckets) -> Iterator[TupleBatch]:
         stats = ctx.stats
         get = buckets.get
         single = len(names) == 1
         seen = set()
         add_seen = seen.add
         for batch in left:
-            count = len(batch)
-            op.rows_in += count
-            stats.guard_checks += count
+            stats.guard_checks += len(batch)
             values_list = batch.values_list()
             out_values: List[dict] = []
             out_hashes: List[int] = []
@@ -849,8 +765,6 @@ class HashJoin(_Binary):
                         out_values.append(merged)
                         out_hashes.append(hash(dedup))
             if out_values:
-                op.rows_out += len(out_values)
-                op.batches_out += 1
                 yield LazyBatch(out_values, out_hashes)
 
     def _generate_grace(self, ctx, op, left, right, names,
@@ -887,9 +801,7 @@ class HashJoin(_Binary):
         pairs: List[tuple] = []
         build_part = None
         for batch in right:
-            count = len(batch)
-            op.rows_in += count
-            stats.guard_checks += count
+            stats.guard_checks += len(batch)
             if build_part is None:
                 pairs.extend(keyed(batch))
                 size = sampled_size(pairs)
@@ -909,55 +821,47 @@ class HashJoin(_Binary):
             for key, values in pairs:
                 buckets.setdefault(key, []).append(values)
             op.note_memory(sampled_size(buckets))
-            return self._probe_emit(ctx, op, left, names, buckets)
+            yield from self._probe(ctx, left, names, buckets)
+            return
 
         probe_part = GracePartitioner(manager, "join-probe")
         for batch in left:
-            count = len(batch)
-            op.rows_in += count
-            stats.guard_checks += count
+            stats.guard_checks += len(batch)
             for key, values in keyed(batch):
                 probe_part.add(key, values)
         build_part.finish()
         probe_part.finish()
 
-        def emit() -> Iterator[TupleBatch]:
-            size = ctx.batch_size
-            out_values: List[dict] = []
-            out_hashes: List[int] = []
-            for index in range(build_part.partitions):
-                buckets: Dict = {}
-                for key, values in build_part.segment(index):
-                    buckets.setdefault(key, []).append(values)
-                # accounting only: grace bounds held state at ~budget + one
-                # partition's buckets, it does not re-enforce per partition
-                op.note_memory(sampled_size(buckets))
-                get = buckets.get
-                seen = set()
-                add_seen = seen.add
-                for key, row_values in probe_part.segment(index):
-                    partners = get(key)
-                    if partners is None:
-                        continue
-                    stats.join_pairs_considered += len(partners)
-                    for partner in partners:
-                        merged = merge_values(row_values, partner)
-                        dedup = frozenset(merged.items())
-                        if dedup not in seen:
-                            add_seen(dedup)
-                            out_values.append(merged)
-                            out_hashes.append(hash(dedup))
-                            if len(out_values) >= size:
-                                op.rows_out += len(out_values)
-                                op.batches_out += 1
-                                yield LazyBatch(out_values, out_hashes)
-                                out_values, out_hashes = [], []
-            if out_values:
-                op.rows_out += len(out_values)
-                op.batches_out += 1
-                yield LazyBatch(out_values, out_hashes)
-
-        return emit()
+        batch_size = ctx.batch_size
+        out_values: List[dict] = []
+        out_hashes: List[int] = []
+        for index in range(build_part.partitions):
+            buckets: Dict = {}
+            for key, values in build_part.segment(index):
+                buckets.setdefault(key, []).append(values)
+            # accounting only: grace bounds held state at ~budget + one
+            # partition's buckets, it does not re-enforce per partition
+            op.note_memory(sampled_size(buckets))
+            get = buckets.get
+            seen = set()
+            add_seen = seen.add
+            for key, row_values in probe_part.segment(index):
+                partners = get(key)
+                if partners is None:
+                    continue
+                stats.join_pairs_considered += len(partners)
+                for partner in partners:
+                    merged = merge_values(row_values, partner)
+                    dedup = frozenset(merged.items())
+                    if dedup not in seen:
+                        add_seen(dedup)
+                        out_values.append(merged)
+                        out_hashes.append(hash(dedup))
+                        if len(out_values) >= batch_size:
+                            yield LazyBatch(out_values, out_hashes)
+                            out_values, out_hashes = [], []
+        if out_values:
+            yield LazyBatch(out_values, out_hashes)
 
 
 class IndexLookupJoin(PhysicalOperator):
@@ -992,22 +896,8 @@ class IndexLookupJoin(PhysicalOperator):
     def label(self) -> str:
         return "index-lookup-join[{}, on={}]".format(self.relation, self.on)
 
-    def _maintained_index(self, ctx: ExecutionContext):
-        """The inner relation's hash index covered by the join attributes, if usable."""
-        if not ctx.use_indexes or not hasattr(ctx.source, "relation"):
-            return None
-        try:
-            table = ctx.source.relation(self.relation)
-        except Exception:
-            return None
-        index_for = getattr(table, "index_for", None)
-        if index_for is None:
-            return None
-        return index_for(self.on)
-
     def _generate(self, ctx, op, outer) -> Iterator[TupleBatch]:
-        op.invocations += 1
-        index = self._maintained_index(ctx)
+        index = ctx.index_for(self.relation, self.on)
         if index is not None:
             probe_attributes = index.attributes
             lookup = index.lookup
@@ -1027,51 +917,44 @@ class IndexLookupJoin(PhysicalOperator):
         probe_names = [a.name for a in probe_attributes]
         remaining = [a.name for a in (self.on - probe_attributes)]
         on_names = [a.name for a in self.on]
-
-        def emit() -> Iterator[TupleBatch]:
-            stats = ctx.stats
-            single = len(probe_names) == 1
-            seen = set()
-            add_seen = seen.add
-            for batch in outer:
-                count = len(batch)
-                op.rows_in += count
-                stats.guard_checks += count
-                values_list = batch.values_list()
-                out_values: List[dict] = []
-                out_hashes: List[int] = []
-                probe_columns = [batch.column(name) for name in probe_names]
-                on_columns = [batch.column(name) for name in on_names]
-                for i in range(count):
-                    if not all(column[i] is not MISSING for column in on_columns):
-                        continue
-                    if single:
-                        probe = (probe_columns[0][i],)
-                    else:
-                        probe = tuple(column[i] for column in probe_columns)
-                    partners = lookup(probe)
-                    stats.join_pairs_considered += len(partners)
-                    if not partners:
-                        continue
-                    row_values = values_list[i]
-                    for partner in partners:
-                        partner_values = partner._values
-                        if remaining:
-                            if any(partner_values.get(name, MISSING) != row_values[name]
-                                   for name in remaining):
-                                continue
-                        merged = merge_values(row_values, partner_values)
-                        dedup = frozenset(merged.items())
-                        if dedup not in seen:
-                            add_seen(dedup)
-                            out_values.append(merged)
-                            out_hashes.append(hash(dedup))
-                if out_values:
-                    op.rows_out += len(out_values)
-                    op.batches_out += 1
-                    yield LazyBatch(out_values, out_hashes)
-
-        return emit()
+        stats = ctx.stats
+        single = len(probe_names) == 1
+        seen = set()
+        add_seen = seen.add
+        for batch in outer:
+            count = len(batch)
+            stats.guard_checks += count
+            values_list = batch.values_list()
+            out_values: List[dict] = []
+            out_hashes: List[int] = []
+            probe_columns = [batch.column(name) for name in probe_names]
+            on_columns = [batch.column(name) for name in on_names]
+            for i in range(count):
+                if not all(column[i] is not MISSING for column in on_columns):
+                    continue
+                if single:
+                    probe = (probe_columns[0][i],)
+                else:
+                    probe = tuple(column[i] for column in probe_columns)
+                partners = lookup(probe)
+                stats.join_pairs_considered += len(partners)
+                if not partners:
+                    continue
+                row_values = values_list[i]
+                for partner in partners:
+                    partner_values = partner._values
+                    if remaining:
+                        if any(partner_values.get(name, MISSING) != row_values[name]
+                               for name in remaining):
+                            continue
+                    merged = merge_values(row_values, partner_values)
+                    dedup = frozenset(merged.items())
+                    if dedup not in seen:
+                        add_seen(dedup)
+                        out_values.append(merged)
+                        out_hashes.append(hash(dedup))
+            if out_values:
+                yield LazyBatch(out_values, out_hashes)
 
 
 class MergeUnion(_Binary):
@@ -1081,29 +964,20 @@ class MergeUnion(_Binary):
     name = "batch-merge-union"
 
     def _generate(self, ctx, op, left, right) -> Iterator[TupleBatch]:
-        op.invocations += 1
-
-        def emit() -> Iterator[TupleBatch]:
-            stats = ctx.stats
-            seen = set()
-            add_seen = seen.add
-            for stream in (left, right):
-                for batch in stream:
-                    count = len(batch)
-                    op.rows_in += count
-                    stats.tuples_scanned += count
-                    out: List[FlexTuple] = []
-                    append = out.append
-                    for tup in batch.rows:
-                        if tup not in seen:
-                            add_seen(tup)
-                            append(tup)
-                    if out:
-                        op.rows_out += len(out)
-                        op.batches_out += 1
-                        yield TupleBatch(out)
-
-        return emit()
+        stats = ctx.stats
+        seen = set()
+        add_seen = seen.add
+        for stream in (left, right):
+            for batch in stream:
+                stats.tuples_scanned += len(batch)
+                out: List[FlexTuple] = []
+                append = out.append
+                for tup in batch.rows:
+                    if tup not in seen:
+                        add_seen(tup)
+                        append(tup)
+                if out:
+                    yield TupleBatch(out)
 
 
 class OuterUnionOp(MergeUnion):
@@ -1124,22 +998,13 @@ class DifferenceOp(_Binary):
     name = "batch-difference"
 
     def _generate(self, ctx, op, left, right) -> Iterator[TupleBatch]:
-        op.invocations += 1
         exclude = self._materialize(ctx, op, right)
-
-        def emit() -> Iterator[TupleBatch]:
-            stats = ctx.stats
-            for batch in left:
-                count = len(batch)
-                op.rows_in += count
-                stats.tuples_scanned += count
-                out = [tup for tup in batch.rows if tup not in exclude]
-                if out:
-                    op.rows_out += len(out)
-                    op.batches_out += 1
-                    yield TupleBatch(out)
-
-        return emit()
+        stats = ctx.stats
+        for batch in left:
+            stats.tuples_scanned += len(batch)
+            out = [tup for tup in batch.rows if tup not in exclude]
+            if out:
+                yield TupleBatch(out)
 
 
 class MultiwayJoinOp(PhysicalOperator):
@@ -1170,7 +1035,6 @@ class MultiwayJoinOp(PhysicalOperator):
         return "multiway-join[on={}]".format(self.on)
 
     def _generate(self, ctx, op, master, *fragments) -> Iterator[TupleBatch]:
-        op.invocations += 1
         stats = ctx.stats
         on_names = [a.name for a in self.on]
         single = len(on_names) == 1
@@ -1182,7 +1046,6 @@ class MultiwayJoinOp(PhysicalOperator):
             all_values: List = []
             all_hashes: List = []
             for batch in stream:
-                op.rows_in += len(batch)
                 all_values.extend(batch.values_list())
                 all_hashes.extend(batch.hashes_list())
             return all_values, all_hashes
@@ -1234,17 +1097,8 @@ class MultiwayJoinOp(PhysicalOperator):
             ctx.enforce_memory(op, sampled_size(buckets))
             current_values, current_hashes = out_values, out_hashes
             ctx.enforce_memory(op, sampled_size(current_values))
-
-        def emit() -> Iterator[TupleBatch]:
-            size = ctx.batch_size
-            for start in range(0, len(current_values), size):
-                chunk_values = current_values[start:start + size]
-                op.rows_out += len(chunk_values)
-                op.batches_out += 1
-                yield LazyBatch(chunk_values,
-                                current_hashes[start:start + size])
-
-        return emit()
+        yield from map(LazyBatch, self._chunks(ctx, current_values),
+                       self._chunks(ctx, current_hashes))
 
 
 def _analytic_label(name: str, parts: Sequence[str]) -> str:
@@ -1283,35 +1137,23 @@ class HashAggregateOp(_Unary):
         return _analytic_label(self.name, parts)
 
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
-        op.invocations += 1
         budget = ctx.spill_budget()
         if budget is not None:
-            return self._generate_spilled(ctx, op, child, budget)
+            yield from self._generate_spilled(ctx, op, child, budget)
+            return
         compiled = CompiledAggregates(self.group_by, self.specs)
         stats = ctx.stats
         governed = (ctx.governor is not None
                     and ctx.governor.memory_budget is not None)
         for batch in child:
-            count = len(batch)
-            op.rows_in += count
-            stats.tuples_scanned += count
+            stats.tuples_scanned += len(batch)
             compiled.update(batch)
             if governed:
                 ctx.enforce_memory(op, sampled_size(compiled.key_to_gid)
                                    + sampled_size(compiled.sizes))
         op.note_memory(sampled_size(compiled.key_to_gid)
                        + sampled_size(compiled.sizes))
-        out_values = compiled.results()
-
-        def emit() -> Iterator[TupleBatch]:
-            size = ctx.batch_size
-            for start in range(0, len(out_values), size):
-                chunk = out_values[start:start + size]
-                op.rows_out += len(chunk)
-                op.batches_out += 1
-                yield LazyBatch(chunk)
-
-        return emit()
+        yield from map(LazyBatch, self._chunks(ctx, compiled.results()))
 
     def _generate_spilled(self, ctx, op, child, budget) -> Iterator[TupleBatch]:
         """γ under a memory budget, partition-and-merge: the group dict flushes
@@ -1328,29 +1170,11 @@ class HashAggregateOp(_Unary):
             budget, op.note_memory)
         stats = ctx.stats
         for batch in child:
-            count = len(batch)
-            op.rows_in += count
-            stats.tuples_scanned += count
+            stats.tuples_scanned += len(batch)
             for values in batch.values_list():
                 spiller.add(values)
             spiller.maybe_spill()
-
-        def emit() -> Iterator[TupleBatch]:
-            size = ctx.batch_size
-            chunk: List[dict] = []
-            for values in spiller.results():
-                chunk.append(values)
-                if len(chunk) >= size:
-                    op.rows_out += len(chunk)
-                    op.batches_out += 1
-                    yield LazyBatch(chunk)
-                    chunk = []
-            if chunk:
-                op.rows_out += len(chunk)
-                op.batches_out += 1
-                yield LazyBatch(chunk)
-
-        return emit()
+        yield from map(LazyBatch, self._chunks(ctx, spiller.results()))
 
 
 class SortOp(_Unary):
@@ -1381,19 +1205,17 @@ class SortOp(_Unary):
         return _analytic_label(self.name, parts)
 
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
-        op.invocations += 1
         budget = ctx.spill_budget()
         if budget is not None:
-            return self._generate_spilled(ctx, op, child, budget)
+            yield from self._generate_spilled(ctx, op, child, budget)
+            return
         stats = ctx.stats
         governed = (ctx.governor is not None
                     and ctx.governor.memory_budget is not None)
         values: List[dict] = []
         hashes: List[int] = []
         for batch in child:
-            count = len(batch)
-            op.rows_in += count
-            stats.tuples_scanned += count
+            stats.tuples_scanned += len(batch)
             values.extend(batch.values_list())
             hashes.extend(batch.hashes_list())
             if governed:
@@ -1402,58 +1224,29 @@ class SortOp(_Unary):
         order = self.order.argsort(values)
         if self.limit is not None:
             del order[self.limit:]
-
-        def emit() -> Iterator[TupleBatch]:
-            size = ctx.batch_size
-            for start in range(0, len(order), size):
-                chunk = order[start:start + size]
-                op.rows_out += len(chunk)
-                op.batches_out += 1
-                yield LazyBatch([values[position] for position in chunk],
-                                [hashes[position] for position in chunk])
-
-        return emit()
+        for chunk in self._chunks(ctx, order):
+            yield LazyBatch([values[position] for position in chunk],
+                            [hashes[position] for position in chunk])
 
     def _generate_spilled(self, ctx, op, child, budget) -> Iterator[TupleBatch]:
         """τ under a memory budget, an external merge sort: sorted runs of
         ``(values, hash)`` pairs flushed to disk when the held rows outgrow
         the budget, k-way merged on emit (the compiled order is total, so the
         merged stream is deterministic)."""
-        from itertools import islice
-
         from repro.governor.spill import ExternalSorter
 
         stats = ctx.stats
         sorter = ExternalSorter(ctx.governor.spill_manager(), self.order,
                                 budget=budget, note=op.note_memory)
         for batch in child:
-            count = len(batch)
-            op.rows_in += count
-            stats.tuples_scanned += count
+            stats.tuples_scanned += len(batch)
             sorter.extend(zip(batch.values_list(), batch.hashes_list()))
             sorter.maybe_spill()
         merged = sorter.merged()
         if self.limit is not None:
             merged = islice(merged, self.limit)
-
-        def emit() -> Iterator[TupleBatch]:
-            size = ctx.batch_size
-            out_values: List[dict] = []
-            out_hashes: List[int] = []
-            for values, hash_ in merged:
-                out_values.append(values)
-                out_hashes.append(hash_)
-                if len(out_values) >= size:
-                    op.rows_out += len(out_values)
-                    op.batches_out += 1
-                    yield LazyBatch(out_values, out_hashes)
-                    out_values, out_hashes = [], []
-            if out_values:
-                op.rows_out += len(out_values)
-                op.batches_out += 1
-                yield LazyBatch(out_values, out_hashes)
-
-        return emit()
+        for chunk in self._chunks(ctx, merged):
+            yield LazyBatch([pair[0] for pair in chunk], [pair[1] for pair in chunk])
 
 
 class TopKOp(_Unary):
@@ -1481,29 +1274,17 @@ class TopKOp(_Unary):
         return _analytic_label(self.name, parts)
 
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
-        op.invocations += 1
         stats = ctx.stats
 
         def pairs() -> Iterator[tuple]:
             for batch in child:
-                count = len(batch)
-                op.rows_in += count
-                stats.tuples_scanned += count
+                stats.tuples_scanned += len(batch)
                 yield from zip(batch.values_list(), batch.hashes_list())
 
         best = self.order.top_k(pairs(), self.count)
         ctx.enforce_memory(op, sampled_size(best))
-
-        def emit() -> Iterator[TupleBatch]:
-            size = ctx.batch_size
-            for start in range(0, len(best), size):
-                chunk = best[start:start + size]
-                op.rows_out += len(chunk)
-                op.batches_out += 1
-                yield LazyBatch([pair[0] for pair in chunk],
-                                [pair[1] for pair in chunk])
-
-        return emit()
+        for chunk in self._chunks(ctx, best):
+            yield LazyBatch([pair[0] for pair in chunk], [pair[1] for pair in chunk])
 
 
 #: sentinel for "the scalar subquery produced no row — extend nothing"
@@ -1517,10 +1298,10 @@ class SubqueryExtendOp(PhysicalOperator):
     is checked, so the order in which errors surface (child errors, then
     subquery errors, then the scalar arity check, then per-tuple extension
     conflicts) matches the naive evaluator exactly — the property the
-    differential fuzz harness leans on.  That ordering is why ``_start`` is
-    overridden: the base implementation would start both children before any
-    stream is drained.  The final extension pass is batch-wise — one presence
-    test per batch, extended value dicts out.
+    differential fuzz harness leans on.  Both streams exist from ``run`` on,
+    but nothing runs until it is pulled, so draining ``child`` before the
+    first pull of ``subquery`` is what orders them.  The final extension pass
+    is batch-wise — one presence test per batch, extended value dicts out.
     """
 
     name = "batch-subquery-extend"
@@ -1535,35 +1316,24 @@ class SubqueryExtendOp(PhysicalOperator):
     def label(self) -> str:
         return "{}[{}]".format(self.name, self.attribute)
 
-    def _start(self, ctx, op) -> Iterator[TupleBatch]:
-        op.invocations += 1
-        batches = []
-        for batch in self.child.run(ctx):
-            op.rows_in += len(batch)
-            batches.append(batch)
+    def _generate(self, ctx, op, child, subquery) -> Iterator[TupleBatch]:
+        # appended one by one: list(child) over-allocates differently, and
+        # the sampled size (peak_bytes) reads the allocation
+        batches = [batch for batch in child]
         ctx.enforce_memory(op, sampled_size(batches))
-        value = self._scalar_value(ctx, op)
+        value = self._scalar_value(ctx, op, subquery)
         compiled = (None if value is _NO_VALUE
                     else CompiledExtension(self.attribute, value))
+        stats = ctx.stats
+        for batch in batches:
+            count = len(batch)
+            if not count:
+                continue
+            stats.tuples_scanned += count
+            yield batch if compiled is None else LazyBatch(compiled.transform(batch))
 
-        def emit() -> Iterator[TupleBatch]:
-            stats = ctx.stats
-            for batch in batches:
-                count = len(batch)
-                if not count:
-                    continue
-                stats.tuples_scanned += count
-                op.rows_out += count
-                op.batches_out += 1
-                if compiled is None:
-                    yield batch
-                else:
-                    yield LazyBatch(compiled.transform(batch))
-
-        return emit()
-
-    def _scalar_value(self, ctx, op):
-        result = self._materialize(ctx, op, self.subquery.run(ctx))
+    def _scalar_value(self, ctx, op, subquery):
+        result = self._materialize(ctx, op, subquery)
         if not result:
             return _NO_VALUE
         if len(result) > 1:

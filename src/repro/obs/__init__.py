@@ -27,7 +27,6 @@ from repro.obs.explain import (
     ExplainAnalyzeReport,
     node_q_errors,
     pair_nodes_with_stats,
-    plan_nodes,
     render_explain_analyze,
 )
 from repro.obs.export import (
@@ -87,7 +86,6 @@ __all__ = [
     "node_q_errors",
     "pair_nodes_with_stats",
     "parse_prometheus_text",
-    "plan_nodes",
     "prometheus_text",
     "q_error",
     "referenced_tables",

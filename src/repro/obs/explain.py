@@ -32,21 +32,15 @@ from repro.exec.context import OperatorStats
 from repro.obs.metrics import q_error
 
 
-def plan_nodes(plan) -> List[object]:
-    """The plan's operators in preorder — the order ``run()`` registers stats."""
-    return plan.nodes
-
-
 def pair_nodes_with_stats(plan, context) -> List[Tuple[object, Optional[OperatorStats]]]:
     """Zip plan nodes with their executed :class:`OperatorStats`, positionally.
 
     A plan that was never executed under ``context`` (or a hand-built context)
     yields ``None`` stats for the unmatched tail rather than mispairing.
     """
-    nodes = plan_nodes(plan)
     stats = context.operator_stats
     paired: List[Tuple[object, Optional[OperatorStats]]] = []
-    for index, node in enumerate(nodes):
+    for index, node in enumerate(plan.nodes):
         op_stats = stats[index] if index < len(stats) else None
         if op_stats is not None and op_stats.label != node.plan_label:
             # The positional invariant broke (someone executed a different

@@ -1,8 +1,11 @@
 """Unit tests for the physical execution subsystem (:mod:`repro.exec`)."""
 
+import inspect
 import os
 
 import pytest
+
+from test_exec_parity import execute_and_audit
 
 from repro.algebra import (
     Aggregate,
@@ -60,6 +63,7 @@ from repro.exec import (
     NestedLoopJoin,
     OuterUnionOp,
     PhysicalExecutor,
+    PhysicalOperator,
     PhysicalPlanner,
     ProductOp,
     ProjectOp,
@@ -164,6 +168,32 @@ class TestLowering:
         for expression, physical in LOWERINGS[node]:
             root = PhysicalPlanner().plan(expression).root
             assert type(root) is physical, root.explain()
+
+    @pytest.mark.parametrize("node", _algebra_nodes(), ids=lambda cls: cls.__name__)
+    def test_run_keeps_the_books(self, node):
+        """Every lowering completes over ``r``/``s`` and passes the books
+        audit of ``PhysicalOperator.run``."""
+        source = {"r": {FlexTuple(a=1, c=i) for i in range(5)} | {FlexTuple(c=9)},
+                  "s": {FlexTuple(a=1, d=i) for i in range(3)} | {FlexTuple(d=7)}}
+        for expression, _ in LOWERINGS[node]:
+            plan = PhysicalPlanner().plan(expression)
+            result = execute_and_audit(plan, source, batch_size=2)
+            assert result.tuples == Evaluator(source).evaluate(expression).tuples
+
+    def test_every_operator_is_a_generator_function(self):
+        """An operator's ``_generate`` is its stream: no closure it returns,
+        no ``_start`` hook beside it."""
+        operators, pending = [], [PhysicalOperator]
+        while pending:
+            cls = pending.pop()
+            operators.append(cls)
+            pending.extend(cls.__subclasses__())
+        concrete = [cls for cls in operators if not cls.__name__.startswith("_")
+                    and cls is not PhysicalOperator]
+        assert len(concrete) == 20
+        assert [cls.__name__ for cls in concrete
+                if not inspect.isgeneratorfunction(cls._generate)] == []
+        assert [cls.__name__ for cls in operators if "_start" in vars(cls)] == []
 
     def test_selection_and_guard_collapse_into_scan(self, database):
         expression = TypeGuardNode(

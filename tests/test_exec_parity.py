@@ -46,7 +46,8 @@ from repro.algebra.predicates import (
     TruePredicate,
 )
 from repro.errors import ReproError
-from repro.exec import NaturalJoinOp, PhysicalExecutor, PhysicalPlanner
+from repro.exec import ExecutionContext, NaturalJoinOp, PhysicalExecutor, PhysicalPlanner
+from repro.exec.planner import PhysicalResult
 from repro.model.tuples import FlexTuple
 from repro.workloads.employees import VARIANTS_BY_JOBTYPE, generate_employees
 from repro.workloads.generators import (
@@ -66,6 +67,33 @@ def _outcome(thunk):
         return ("error", type(error)), None
 
 
+def execute_and_audit(plan, source, batch_size):
+    """Execute ``plan`` by pulling its root stream, then audit the books
+    ``PhysicalOperator.run`` keeps: every operator ran once, every operator
+    with children took in exactly what they emitted, and the root's
+    ``rows_out`` / ``batches_out`` are what the stream yielded."""
+    ctx = ExecutionContext(source, batch_size=batch_size, params=plan.params)
+    tuples, rows, batches = set(), 0, 0
+    for batch in plan.root.run(ctx):
+        tuples.update(batch)
+        rows += len(batch)
+        batches += 1
+    books = iter(ctx.operator_stats)  # preorder, as run() registers them
+
+    def audit(node):
+        op = next(books)
+        assert op.label == node.plan_label and op.invocations == 1, op
+        emitted = [audit(child) for child in node.children]
+        if emitted:
+            assert op.rows_in == sum(emitted), (op, emitted)
+        return op.rows_out
+
+    assert audit(plan.root) == rows
+    assert ctx.operator_stats[0].batches_out == batches
+    assert next(books, None) is None
+    return PhysicalResult(tuples, ctx.stats, ctx)
+
+
 def assert_parity(expression, source, batch_size=7, strict_error_class=True):
     """Physical execution agrees with the naive evaluator on the result (or on
     the raised error class).
@@ -78,7 +106,7 @@ def assert_parity(expression, source, batch_size=7, strict_error_class=True):
     ok-vs-error split is always a failure."""
     naive, _ = _outcome(lambda: Evaluator(source).evaluate(expression))
     plan = PhysicalPlanner(source=source).plan(expression)
-    physical, _ = _outcome(lambda: plan.execute(source, batch_size=batch_size))
+    physical, _ = _outcome(lambda: execute_and_audit(plan, source, batch_size))
     agrees = physical == naive or (
         not strict_error_class
         and physical[0] == "error" and naive[0] == "error"

@@ -40,7 +40,7 @@ from repro.errors import (
     QueryTimeout,
     SpillError,
 )
-from repro.exec import PhysicalExecutor
+from repro.exec import PhysicalExecutor, PhysicalPlanner
 from repro.governor import (
     CancelToken,
     Deadline,
@@ -48,6 +48,7 @@ from repro.governor import (
     SpillManager,
 )
 from repro.model.batches import MISSING
+from repro.model.tuples import FlexTuple
 from repro.workloads.analytics import analytics_database
 
 
@@ -90,6 +91,31 @@ class TestCancelToken:
         with pytest.raises(QueryCancelled, match="boundary 2"):
             token.check()
         assert token.checks == 3
+
+    def test_checks_come_before_any_table_is_read(self):
+        """No operator does setup work (here: reading its table) before the
+        first cancellation and deadline check."""
+        class CountingSource(dict):
+            reads = 0
+
+            def relation(self, name):
+                self.reads += 1
+                return self[name]
+
+        source = CountingSource(r={FlexTuple(a=i, b=i) for i in range(20)},
+                                s={FlexTuple(a=i, c=i) for i in range(20)})
+        plan = PhysicalPlanner(source).plan(
+            NaturalJoin(RelationRef("r"), RelationRef("s"), on=["a"]))
+        fired = CancelToken()
+        fired.cancel()
+        for governor, error in ((QueryGovernor(cancel_token=fired), QueryCancelled),
+                                (QueryGovernor(timeout=0), QueryTimeout)):
+            source.reads = 0
+            with pytest.raises(error):
+                plan.execute(source, governor=governor)
+            assert source.reads == 0
+        assert len(plan.execute(source).tuples) == 20
+        assert source.reads == 2
 
     def test_counting_token_counts_boundaries(self, orders_database):
         token = CancelToken()

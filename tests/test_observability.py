@@ -23,7 +23,6 @@ from repro.obs import (
     NOOP_SPAN,
     SlowQueryLog,
     Tracer,
-    plan_nodes,
     q_error,
 )
 from repro.workloads.star import star_join_database, star_join_query
@@ -307,7 +306,7 @@ class TestExplainAnalyze:
         lines = str(report).splitlines()
         assert lines[0].startswith("batch_size=")
         annotated = [line for line in lines if "actual_rows=" in line]
-        assert len(annotated) == len(plan_nodes(report.plan))
+        assert len(annotated) == len(report.plan.nodes)
         for line in annotated:
             assert "est_rows=" in line and "q=" in line
             assert "time=" in line and "batches=" in line
@@ -320,7 +319,7 @@ class TestExplainAnalyze:
 
     def test_q_errors_exposed_per_node(self, star_database):
         report = star_database.explain_analyze(small_query(), optimize=False)
-        assert len(report.q_errors) == len(plan_nodes(report.plan))
+        assert len(report.q_errors) == len(report.plan.nodes)
         assert all(value is None or value >= 1.0
                    for _label, value in report.q_errors)
         assert report.worst_q_error() >= 1.0
