@@ -2,9 +2,10 @@
 
 Claims checked (and reported as machine-readable ``BENCH_e10_*.json``):
 
-* the physical :class:`~repro.exec.operators.HashJoin` beats the nested-loop
-  join on the employees workload at ≥1k tuples per side, both in wall-clock time
-  and in ``join_pairs_considered`` (the machine-independent work measure);
+* the physical :class:`~repro.exec.operators.HashJoin` beats the naive
+  evaluator's nested-loop join on the employees workload at ≥1k tuples per
+  side, both in wall-clock time and in ``join_pairs_considered`` (the
+  machine-independent work measure);
 * end-to-end, ``Database.execute(..., executor="physical")`` returns exactly the
   evaluator's result set at a fraction of the join work;
 * the plan cache makes re-planning of a hot query free (cache hits after the
@@ -21,7 +22,7 @@ from reporting import print_report
 from repro.algebra import Evaluator, NaturalJoin, RelationRef, Selection
 from repro.algebra.predicates import Comparison
 from repro.engine import Database
-from repro.exec import HashJoin, NestedLoopJoin, PhysicalPlan, Scan
+from repro.exec import HashJoin, PhysicalPlan, Scan
 from repro.model.domains import FloatDomain, IntDomain, StringDomain
 from repro.model.scheme import FlexibleScheme
 from repro.workloads.employees import employee_definition, generate_employees
@@ -69,11 +70,12 @@ def test_report_hash_join_beats_nested_loop(join_database):
     """The acceptance gate: hash join wins at ≥1k tuples per side."""
     hash_plan = PhysicalPlan(HashJoin(Scan("employees"), Scan("assignments"),
                                       on=["emp_id"]))
-    nested_plan = PhysicalPlan(NestedLoopJoin(Scan("employees"), Scan("assignments"),
-                                              on=["emp_id"]))
+    nested_query = NaturalJoin(RelationRef("employees"), RelationRef("assignments"),
+                               on=["emp_id"])
 
     hash_result, hash_seconds = _timed(lambda: hash_plan.execute(join_database))
-    nested_result, nested_seconds = _timed(lambda: nested_plan.execute(join_database))
+    nested_result, nested_seconds = _timed(
+        lambda: Evaluator(join_database).evaluate(nested_query))
 
     rows = [
         {"join": "hash", "tuples": len(hash_result),

@@ -38,7 +38,7 @@ from repro.core.dependencies import (
     ExplicitAttributeDependency,
     FunctionalDependency,
 )
-from repro.core.propagation import propagate_tagged_union, propagate_union
+from repro.core.propagation import as_ads, propagate_tagged_union, propagate_union
 from repro.errors import AlgebraError
 from repro.model.attributes import AttributeSet, attrset
 
@@ -82,15 +82,7 @@ class Expression:
 
     def known_ads(self, catalog=None) -> Set[AttributeDependency]:
         """The abbreviated-AD view of :meth:`known_dependencies`."""
-        result: Set[AttributeDependency] = set()
-        for dependency in self.known_dependencies(catalog):
-            if isinstance(dependency, ExplicitAttributeDependency):
-                result.add(dependency.to_ad())
-            elif isinstance(dependency, FunctionalDependency):
-                result.add(dependency.to_ad())
-            else:
-                result.add(dependency)
-        return result
+        return as_ads(self.known_dependencies(catalog))
 
     def guaranteed_attributes(self) -> AttributeSet:
         """Attributes every tuple of the result is guaranteed to possess.
@@ -372,7 +364,8 @@ class Union(_Binary):
                     self.left.known_ads(catalog), self.right.known_ads(catalog), tag
                 )
             )
-        return set(propagate_union(self.left.known_ads(catalog), self.right.known_ads(catalog)))
+        # rule (4) discards its inputs, so the children are not walked
+        return set(propagate_union((), ()))
 
     def _tagging_attribute(self) -> Optional[str]:
         left, right = self.left, self.right

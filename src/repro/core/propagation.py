@@ -27,7 +27,7 @@ from repro.core.dependencies import AttributeDependency, Dependency, ExplicitAtt
 from repro.model.attributes import attrset
 
 
-def _as_ads(dependencies: Iterable[Dependency]) -> Set[AttributeDependency]:
+def as_ads(dependencies: Iterable[Dependency]) -> Set[AttributeDependency]:
     """Normalize a dependency collection to abbreviated attribute dependencies."""
     result: Set[AttributeDependency] = set()
     for dependency in dependencies:
@@ -44,7 +44,7 @@ def _as_ads(dependencies: Iterable[Dependency]) -> Set[AttributeDependency]:
 
 def propagate_product(ads_left: Iterable[Dependency], ads_right: Iterable[Dependency]) -> Set[AttributeDependency]:
     """Rule (1): the product keeps the dependencies of both inputs."""
-    return _as_ads(ads_left) | _as_ads(ads_right)
+    return as_ads(ads_left) | as_ads(ads_right)
 
 
 def propagate_projection(ads: Iterable[Dependency], attributes) -> Set[AttributeDependency]:
@@ -52,7 +52,7 @@ def propagate_projection(ads: Iterable[Dependency], attributes) -> Set[Attribute
     with their right side intersected with the projection attributes."""
     attributes = attrset(attributes)
     result: Set[AttributeDependency] = set()
-    for dependency in _as_ads(ads):
+    for dependency in as_ads(ads):
         if dependency.lhs.issubset(attributes):
             result.add(AttributeDependency(dependency.lhs, dependency.rhs & attributes))
     return result
@@ -60,7 +60,7 @@ def propagate_projection(ads: Iterable[Dependency], attributes) -> Set[Attribute
 
 def propagate_selection(ads: Iterable[Dependency]) -> Set[AttributeDependency]:
     """Rule (3): selections preserve every dependency."""
-    return _as_ads(ads)
+    return as_ads(ads)
 
 
 def propagate_union(ads_left: Iterable[Dependency], ads_right: Iterable[Dependency]) -> Set[AttributeDependency]:
@@ -70,7 +70,7 @@ def propagate_union(ads_left: Iterable[Dependency], ads_right: Iterable[Dependen
 
 def propagate_difference(ads_left: Iterable[Dependency], ads_right: Iterable[Dependency]) -> Set[AttributeDependency]:
     """Rule (5): the difference keeps the dependencies of its left input."""
-    return _as_ads(ads_left)
+    return as_ads(ads_left)
 
 
 def propagate_extension(ads: Iterable[Dependency], new_attributes) -> Set[AttributeDependency]:
@@ -79,7 +79,7 @@ def propagate_extension(ads: Iterable[Dependency], new_attributes) -> Set[Attrib
     (The paper groups ε with the operators that "enlarge" the input, Section 4.3.)
     """
     del new_attributes  # the added attributes do not invalidate anything
-    return _as_ads(ads)
+    return as_ads(ads)
 
 
 def propagate_tagged_union(
@@ -94,6 +94,6 @@ def propagate_tagged_union(
     """
     tag = attrset(tag_attribute)
     result: Set[AttributeDependency] = set()
-    for dependency in _as_ads(ads_left) | _as_ads(ads_right):
+    for dependency in as_ads(ads_left) | as_ads(ads_right):
         result.add(AttributeDependency(dependency.lhs | tag, dependency.rhs))
     return result

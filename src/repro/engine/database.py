@@ -679,8 +679,7 @@ class Database:
                 plan = executor.plan(template, batch_size=batch_size,
                                      params=params)
             with self.tracer.span("execute") as span:
-                result = plan.execute(self, use_indexes=executor.use_indexes,
-                                      governor=governor, params=params)
+                result = plan.execute(self, governor=governor, params=params)
                 span.set(rows=len(result.tuples))
         except QueryTimeout:
             self._observe_termination("timeout", template, params, plan,

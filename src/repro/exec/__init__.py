@@ -53,8 +53,6 @@ from repro.exec.operators import (
     IndexLookupJoin,
     MergeUnion,
     MultiwayJoinOp,
-    NaturalJoinOp,
-    NestedLoopJoin,
     OuterUnionOp,
     PhysicalOperator,
     ProductOp,
@@ -96,8 +94,6 @@ __all__ = [
     "ExtendOp",
     "RenameOp",
     "ProductOp",
-    "NestedLoopJoin",
-    "NaturalJoinOp",
     "HashJoin",
     "IndexLookupJoin",
     "MergeUnion",

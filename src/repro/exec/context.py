@@ -165,9 +165,6 @@ class ExecutionContext:
         The global work counters; a fresh :class:`ExecutionStats` when omitted.
     batch_size:
         How many tuples an operator accumulates before handing a batch downstream.
-    use_indexes:
-        Whether operators may read the engine's hash indexes (see
-        :meth:`index_for`).
     timing:
         Whether :attr:`OperatorStats.wall_seconds` is kept (two
         ``perf_counter`` reads per batch per operator, setup included, as it
@@ -186,12 +183,11 @@ class ExecutionContext:
     """
 
     def __init__(self, source, stats: Optional[ExecutionStats] = None,
-                 batch_size: int = DEFAULT_BATCH_SIZE, use_indexes: bool = True,
+                 batch_size: int = DEFAULT_BATCH_SIZE,
                  timing: bool = True, governor=None, params=()):
         self.source = source
         self.stats = stats if stats is not None else ExecutionStats()
         self.batch_size = max(1, int(batch_size))
-        self.use_indexes = use_indexes
         self.timing = timing
         self.governor = governor
         self.params = params
@@ -199,10 +195,9 @@ class ExecutionContext:
 
     def index_for(self, relation: str, attributes):
         """The engine-maintained hash index of base relation ``relation``
-        covered by ``attributes``, or ``None``: indexes are off, the source
-        keeps no tables (a plain mapping), or no index of the table is
-        covered."""
-        if not self.use_indexes or not hasattr(self.source, "relation"):
+        covered by ``attributes``, or ``None``: the source keeps no tables (a
+        plain mapping), or no index of the table is covered."""
+        if not hasattr(self.source, "relation"):
             return None
         index_for = getattr(self.source.relation(relation), "index_for", None)
         return None if index_for is None else index_for(attributes)

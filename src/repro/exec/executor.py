@@ -61,13 +61,13 @@ PLAN_CACHE_SIZE = 128
 
 
 class PlanKey(NamedTuple):
-    """Everything a cached physical plan depends on, by name."""
+    """Everything a cached physical plan depends on, by name.  (The planner's
+    join-order search mode is fixed per executor, so it is not part of it.)"""
 
     template: tuple
     #: ``(type, selectivity bucket)`` per parameter slot
     parameters: tuple
     batch_size: Optional[int]
-    join_order_search: Optional[str]
     catalog_version: object
     statistics_version: object
 
@@ -167,15 +167,13 @@ class PhysicalExecutor:
     the cache key and their hash indexes to scans.
     """
 
-    def __init__(self, source, planner: Optional[PhysicalPlanner] = None,
-                 use_indexes: bool = True):
+    def __init__(self, source, planner: Optional[PhysicalPlanner] = None):
         self.source = source
         self.planner = planner if planner is not None else PhysicalPlanner(source=source)
         self.cache = PlanCache(PLAN_CACHE_SIZE)
         #: statements, template shapes and templates, under the same LRU bound
         self._templates = PlanCache(PLAN_CACHE_SIZE)
         self._shapes = 0
-        self.use_indexes = use_indexes
 
     @property
     def cache_hits(self) -> int:
@@ -367,7 +365,6 @@ class PhysicalExecutor:
         key = PlanKey(expression.key,
                       self._parameter_classes(expression, params) if params else (),
                       batch_size,
-                      getattr(self.planner, "join_order_search", None),
                       _catalog_version(self.source), _statistics_version(self.source))
         tracer = tracer_of(self.source)
         plan = self.cache.get(key, lambda cached: self._reads_hold(cached, params))
@@ -396,8 +393,7 @@ class PhysicalExecutor:
         execution (see :mod:`repro.governor`).
         """
         plan = self.plan(expression, batch_size=batch_size)
-        return plan.execute(self.source, stats=stats,
-                            use_indexes=self.use_indexes, governor=governor)
+        return plan.execute(self.source, stats=stats, governor=governor)
 
     def __repr__(self) -> str:
         return "PhysicalExecutor({!r})".format(self.cache)

@@ -39,11 +39,9 @@ tuple-level equality — but the algorithms differ:
   join, aggregate and sort switch to their spill forms
   (:mod:`repro.governor.spill`); every other materialization fails fast.
 
-Two operators materialize their inputs as tuple sets and re-pack the joined
-rows into :class:`TupleBatch` chunks: :class:`NestedLoopJoin`, picked for
-provably tiny inputs, and :class:`NaturalJoinOp`, the natural join whose
-attribute set is data-dependent (``on=None`` — both sides must be
-materialized to discover it).
+Every equi-join is a :class:`HashJoin`.  When the join attributes depend on
+the data (``on=None``), it first materializes both inputs as tuple sets to
+discover them, then builds and probes as usual.
 
 Work counters are written into the shared
 :class:`~repro.algebra.evaluator.ExecutionStats` with the same meaning the
@@ -582,87 +580,14 @@ def _shared_attributes(left: Set[FlexTuple], right: Set[FlexTuple]) -> Attribute
     return left_attrs & right_attrs
 
 
-class _MaterializingJoin(_Binary):
-    """What the two joins that materialize both inputs as tuple sets share:
-    ``on=None`` means the attributes appearing on both sides of the data."""
-
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator, on=None):
-        super().__init__(left, right)
-        self.on = attrset(on) if on is not None else None
-
-    def label(self) -> str:
-        return "{}[on={}]".format(self.name, self.on if self.on is not None else "shared")
-
-
-class NestedLoopJoin(_MaterializingJoin):
-    """⋈ by nested loops — every pair of input tuples is examined.
-
-    Used by the planner only for small inputs, where the hash-table setup of
-    :class:`HashJoin` costs more than it saves.
-    """
-
-    name = "nested-loop-join"
-
-    def _generate(self, ctx, op, left, right):
-        left_set = self._materialize(ctx, op, left)
-        right_set = self._materialize(ctx, op, right)
-        shared = self.on if self.on is not None else _shared_attributes(left_set, right_set)
-        joined: Dict[FlexTuple, None] = {}  # an insertion-ordered set
-        for left_tuple in left_set:
-            for right_tuple in right_set:
-                ctx.stats.join_pairs_considered += 1
-                if not (left_tuple.is_defined_on(shared) and right_tuple.is_defined_on(shared)):
-                    continue
-                if all(left_tuple[a] == right_tuple[a] for a in shared):
-                    joined[left_tuple.merge(right_tuple)] = None
-        yield from map(TupleBatch, self._chunks(ctx, joined))
-
-
-class NaturalJoinOp(_MaterializingJoin):
-    """⋈ on attributes only the data can tell (``on=None``), by build/probe.
-
-    The natural-join attributes are those appearing on both sides of the
-    *data*, so both inputs are materialized to discover them — which is why
-    this join has no streaming or spill form and fails fast under a memory
-    budget.  Partitioning is guard-aware as in :class:`HashJoin`: tuples not
-    defined on every join attribute cost one guard check, only pairs sharing
-    a bucket count as ``join_pairs_considered``.  (The planner also sends the
-    degenerate empty ``on`` set here: every pair shares the one bucket.)
-    """
-
-    name = "hash-join"
-
-    def _generate(self, ctx, op, left, right):
-        right_set = self._materialize(ctx, op, right)
-        left_set = self._materialize(ctx, op, left)
-        shared = self.on if self.on is not None else _shared_attributes(left_set, right_set)
-
-        buckets: Dict[tuple, List[FlexTuple]] = {}
-        for tup in right_set:
-            ctx.stats.guard_checks += 1
-            if tup.is_defined_on(shared):
-                buckets.setdefault(tuple(tup[a] for a in shared), []).append(tup)
-        ctx.enforce_memory(op, sampled_size(buckets))
-
-        joined: Dict[FlexTuple, None] = {}  # an insertion-ordered set
-        for left_tuple in left_set:
-            ctx.stats.guard_checks += 1
-            if not left_tuple.is_defined_on(shared):
-                continue
-            partners = buckets.get(tuple(left_tuple[a] for a in shared), ())
-            ctx.stats.join_pairs_considered += len(partners)
-            for partner in partners:
-                joined[left_tuple.merge(partner)] = None
-        yield from map(TupleBatch, self._chunks(ctx, joined))
-
-
 def _build_buckets(op, ctx, stream, names) -> Dict:
     """Drain a build-side batch stream into join-key buckets of value dicts.
 
     Rows lacking a join attribute are partitioned out via the presence bitmap
     and cost one guard check each (they can never join).  Single-attribute
     joins key buckets by the bare value, multi-attribute joins by the value
-    tuple.  The bucket payloads are the rows' plain value dicts — ready for
+    tuple, and a join on no attribute puts every row in the one ``()``
+    bucket.  The bucket payloads are the rows' plain value dicts — ready for
     the lazy column merge of the probe loop, never materialized when the
     build side was lazy.
     """
@@ -681,7 +606,8 @@ def _build_buckets(op, ctx, stream, names) -> Dict:
                     setdefault(value, []).append(values_list[i])
         else:
             columns = [batch.column(name) for name in names]
-            for i, key in enumerate(zip(*columns)):
+            keys = zip(*columns) if columns else [()] * len(batch)
+            for i, key in enumerate(keys):
                 if all(value is not MISSING for value in key):
                     setdefault(key, []).append(values_list[i])
         if governed:
@@ -693,7 +619,7 @@ def _build_buckets(op, ctx, stream, names) -> Dict:
 
 
 class HashJoin(_Binary):
-    """⋈ by build/probe over batch columns, on statically known join attributes.
+    """⋈ by build/probe over batch columns.
 
     The right input is the build side (the planner puts the smaller estimated
     input there).  Partitioning is *guard-aware*: variant records not defined on
@@ -707,27 +633,36 @@ class HashJoin(_Binary):
     dropped eagerly via hashed keys — and emits them as :class:`LazyBatch`
     chunks; the merged ``FlexTuple``s themselves are built only when the rows
     reach the result set or an operator that needs row objects.
+
+    ``on=None`` joins on the attributes appearing on both sides of the
+    *data*, so both inputs are materialized to discover them — which is why
+    that join has no spill form and fails fast under a memory budget.  With
+    no join attribute at all every pair shares the one bucket.
     """
 
     name = "batch-hash-join"
 
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator, on):
+    def __init__(self, left: PhysicalOperator, right: PhysicalOperator, on=None):
         super().__init__(left, right)
-        if on is None or not len(attrset(on)):
-            raise AlgebraError("a hash join needs static join attributes")
-        self.on = attrset(on)
+        self.on = attrset(on) if on is not None else None
 
     def label(self) -> str:
-        return "hash-join[on={}]".format(self.on)
+        return "hash-join[on={}]".format(self.on if self.on is not None else "shared")
 
     def _generate(self, ctx, op, left, right) -> Iterator[TupleBatch]:
-        names = [a.name for a in self.on]
-        budget = ctx.spill_budget()
-        if budget is not None:
-            yield from self._generate_grace(ctx, op, left, right, names, budget)
+        if self.on is None:
+            right_set = self._materialize(ctx, op, right)
+            left_set = self._materialize(ctx, op, left)
+            names = [a.name for a in _shared_attributes(left_set, right_set)]
+            left = map(TupleBatch, self._chunks(ctx, left_set))
+            right = map(TupleBatch, self._chunks(ctx, right_set))
         else:
-            yield from self._probe(ctx, left, names,
-                                   _build_buckets(op, ctx, right, names))
+            names = [a.name for a in self.on]
+            budget = ctx.spill_budget()
+            if budget is not None:
+                yield from self._generate_grace(ctx, op, left, right, names, budget)
+                return
+        yield from self._probe(ctx, left, names, _build_buckets(op, ctx, right, names))
 
     @staticmethod
     def _probe(ctx, left, names, buckets) -> Iterator[TupleBatch]:
@@ -745,7 +680,8 @@ class HashJoin(_Binary):
                 probes = enumerate(batch.column(names[0]))
             else:
                 columns = [batch.column(name) for name in names]
-                probes = enumerate(zip(*columns))
+                keys = zip(*columns) if columns else [()] * len(batch)
+                probes = enumerate(keys)
             for i, key in probes:
                 if single:
                     if key is MISSING:
@@ -794,8 +730,9 @@ class HashJoin(_Binary):
                         for i, value in enumerate(batch.column(names[0]))
                         if value is not MISSING)
             columns = [batch.column(name) for name in names]
+            keys = zip(*columns) if columns else [()] * len(batch)
             return ((key, values_list[i])
-                    for i, key in enumerate(zip(*columns))
+                    for i, key in enumerate(keys)
                     if all(value is not MISSING for value in key))
 
         pairs: List[tuple] = []
@@ -878,9 +815,9 @@ class IndexLookupJoin(PhysicalOperator):
     guard check (they can never join).  The outer side is read as batch
     columns and the output is the same lazy column merge as :class:`HashJoin`'s.
 
-    Without a usable index at execution time (``use_indexes=False``, or the
-    index disappeared), the operator degrades to building the buckets by
-    scanning the inner relation once — hash-join behaviour, identical results.
+    Without a usable index at execution time (a source that keeps no tables,
+    or the index disappeared), the operator scans the inner relation once and
+    runs :class:`HashJoin`'s build and probe — identical results.
     """
 
     name = "batch-index-lookup-join"
@@ -897,26 +834,17 @@ class IndexLookupJoin(PhysicalOperator):
         return "index-lookup-join[{}, on={}]".format(self.relation, self.on)
 
     def _generate(self, ctx, op, outer) -> Iterator[TupleBatch]:
+        on_names = [a.name for a in self.on]
         index = ctx.index_for(self.relation, self.on)
-        if index is not None:
-            probe_attributes = index.attributes
-            lookup = index.lookup
-        else:
-            # Degraded mode: one scan of the inner relation builds the buckets.
-            probe_attributes = self.on
-            buckets: Dict[tuple, List[FlexTuple]] = {}
+        if index is None:
             inner_rows = list(_resolve_relation(ctx.source, self.relation))
             ctx.stats.tuples_scanned += len(inner_rows)
-            ctx.stats.guard_checks += len(inner_rows)
-            for tup in inner_rows:
-                if tup.is_defined_on(self.on):
-                    buckets.setdefault(tuple(tup[a] for a in self.on), []).append(tup)
-            ctx.enforce_memory(op, sampled_size(buckets))
-            lookup = lambda probe: buckets.get(probe, ())  # noqa: E731
-
-        probe_names = [a.name for a in probe_attributes]
-        remaining = [a.name for a in (self.on - probe_attributes)]
-        on_names = [a.name for a in self.on]
+            buckets = _build_buckets(op, ctx, [TupleBatch(inner_rows)], on_names)
+            yield from HashJoin._probe(ctx, outer, on_names, buckets)
+            return
+        lookup = index.lookup
+        probe_names = [a.name for a in index.attributes]
+        remaining = [a.name for a in (self.on - index.attributes)]
         stats = ctx.stats
         single = len(probe_names) == 1
         seen = set()

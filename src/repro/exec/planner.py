@@ -26,12 +26,10 @@ operators from :mod:`repro.exec.operators`:
 * every :class:`~repro.algebra.expressions.NaturalJoin` is then lowered to an
   :class:`~repro.exec.operators.IndexLookupJoin` (when the join attributes are
   static, the inner side is a base relation with a covering hash index, and the
-  estimated outer cardinality makes probing cheaper than scanning), a
-  :class:`~repro.exec.operators.HashJoin`, a
-  :class:`~repro.exec.operators.NestedLoopJoin` (provably tiny inputs) or a
-  :class:`~repro.exec.operators.NaturalJoinOp` (join attributes only the data
-  can tell, ``on=None``), decided by the cardinality estimates of the
-  :class:`~repro.optimizer.cost.CostModel`; the smaller estimated input
+  estimated outer cardinality makes probing cheaper than scanning) or else a
+  :class:`~repro.exec.operators.HashJoin` — whether ``on`` is static, empty or
+  ``None`` (join attributes only the data can tell); the smaller input, by the
+  cardinality estimates of the :class:`~repro.optimizer.cost.CostModel`,
   becomes the hash-join build side;
 * the dependent fragments of a :class:`~repro.algebra.expressions.MultiwayJoin`
   are merged smallest-estimated-first (the order is semantically free);
@@ -99,8 +97,6 @@ from repro.exec.operators import (
     IndexLookupJoin,
     MergeUnion,
     MultiwayJoinOp,
-    NaturalJoinOp,
-    NestedLoopJoin,
     OuterUnionOp,
     PhysicalOperator,
     ProductOp,
@@ -121,9 +117,6 @@ from repro.optimizer.joinorder import (
     index_probe_cost,
     order_joins,
 )
-
-#: below this many estimated probe×build pairs a nested loop beats the hash setup
-DEFAULT_HASH_JOIN_PAIR_THRESHOLD = 64
 
 #: how many times the limit the estimated input must be for the bounded top-k
 #: to beat the sort-with-cutoff: the top-k pays an ordered insertion for each
@@ -211,7 +204,6 @@ class PhysicalPlan:
 
     def execute(self, source, stats: Optional[ExecutionStats] = None,
                 batch_size: Optional[int] = None,
-                use_indexes: bool = True,
                 timing: bool = True, governor=None, params=None) -> PhysicalResult:
         """Run the plan against ``source`` and collect the result set.
 
@@ -232,8 +224,7 @@ class PhysicalPlan:
         if batch_size is None:
             batch_size = DEFAULT_BATCH_SIZE
         ctx = ExecutionContext(source, stats=stats, batch_size=batch_size,
-                               use_indexes=use_indexes, timing=timing,
-                               governor=governor,
+                               timing=timing, governor=governor,
                                params=self.params if params is None else params)
         started = perf_counter()
         tuples = set()
@@ -267,8 +258,7 @@ class PhysicalPlanner:
     """Lowers logical expressions to physical plans.
 
     ``source`` (a database or mapping) supplies base-relation cardinalities for
-    the join-algorithm decisions; without it, joins default to hash (which
-    degrades gracefully, whereas a nested loop on large inputs does not).
+    the join decisions (index lookup or hash join, and the build side).
     ``join_order_search`` selects the n-way join-order strategy of
     :mod:`repro.optimizer.joinorder` (``"dp"`` / ``"greedy"`` / ``"smallest"`` /
     ``"none"``).
@@ -281,7 +271,7 @@ class PhysicalPlanner:
             raise OptimizerError(
                 "unknown join_order_search mode {!r}; use one of {}".format(
                     join_order_search, "/".join(SEARCH_MODES)))
-        #: join-order strategy for n-way NaturalJoin trees (plan-cache key part)
+        #: join-order strategy for n-way NaturalJoin trees
         self.join_order_search = join_order_search
         self._estimates: dict = {}
         #: ids of NaturalJoin nodes produced by the search (skip re-searching)
@@ -479,29 +469,17 @@ class PhysicalPlanner:
         return result.expression
 
     def _lower_join(self, expression: NaturalJoin) -> PhysicalOperator:
-        left_estimate = self._estimate(expression.left)
-        right_estimate = self._estimate(expression.right)
-        left_cardinality = left_estimate.cardinality
-        right_cardinality = right_estimate.cardinality
+        left_cardinality = self._estimate(expression.left).cardinality
+        right_cardinality = self._estimate(expression.right).cardinality
         index_join = self._index_lookup_join(expression, left_cardinality, right_cardinality)
         if index_join is not None:
             return index_join
         left = self._lower(expression.left)
         right = self._lower(expression.right)
-        # The nested loop examines |L|×|R| pairs, which is catastrophic when an
-        # estimate is too low — so the decision uses the hard cardinality upper
-        # bounds, not the estimates: a nested loop only for provably tiny inputs.
-        pairs = left_estimate.bound * right_estimate.bound
-        known = left_cardinality > 0 and right_cardinality > 0
-        if known and pairs <= DEFAULT_HASH_JOIN_PAIR_THRESHOLD:
-            return NestedLoopJoin(left, right, on=expression.on)
         # Build on the smaller estimated input (the right child of HashJoin).
-        if known and left_cardinality < right_cardinality:
+        if 0 < left_cardinality < right_cardinality:
             left, right = right, left
-        if expression.on is not None and len(expression.on):
-            return HashJoin(left, right, on=expression.on)
-        # Join attributes only the data can tell: both sides are materialized.
-        return NaturalJoinOp(left, right, on=expression.on)
+        return HashJoin(left, right, on=expression.on)
 
     def _index_lookup_join(self, expression: NaturalJoin,
                            left_cardinality: float,

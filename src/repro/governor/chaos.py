@@ -1,8 +1,11 @@
 """Cancellation chaos harness, sibling of ``storage.faults.crash_at_every_offset``.
 
-``cancel_at_every_boundary`` runs each corpus expression once with a counting
+``cancel_at_every_boundary`` runs each corpus expression with a counting
 token to learn how many operator boundaries the plan passes, then replays it
-with the chaos hook arming every boundary in turn.  Each injection must:
+with the chaos hook arming every boundary in turn.  The counting run repeats
+until a run records no cardinality feedback: feedback re-plans a cached
+query (a build side may swap), so only a settled plan's count is the count of
+the plan the sweep replays.  Each injection must:
 
 * raise ``QueryCancelled`` (the boundary really cancels),
 * leave no open WAL transaction and an unchanged feedback-store version,
@@ -22,6 +25,9 @@ from repro.governor.cancel import CancelToken
 
 __all__ = ["ChaosError", "cancel_at_every_boundary"]
 
+#: counting runs allowed before a plan must have settled
+_COUNTING_RUNS = 4
+
 
 class ChaosError(GovernorError):
     """An invariant the cancellation sweep guarantees was violated."""
@@ -30,6 +36,21 @@ class ChaosError(GovernorError):
 def _counter(database, name: str) -> int:
     snapshot = database.metrics_registry.counter(name)
     return snapshot.value
+
+
+def _settled_baseline(database, expression, batch_size):
+    """The result and boundary count of the plan the sweep replays: counting
+    runs repeat until one leaves the feedback store's version unchanged."""
+    feedback = getattr(database, "cardinality_feedback", None)
+    for _ in range(_COUNTING_RUNS):
+        version = None if feedback is None else feedback.version
+        token = CancelToken()
+        result = database.execute(expression, batch_size=batch_size,
+                                  cancel_token=token)
+        if feedback is None or feedback.version == version:
+            return result, token.checks
+    raise ChaosError("the plan of {!r} did not settle in {} runs".format(
+        expression, _COUNTING_RUNS))
 
 
 def cancel_at_every_boundary(database, expressions: Sequence,
@@ -49,11 +70,8 @@ def cancel_at_every_boundary(database, expressions: Sequence,
         raise ValueError("stride must be >= 1")
     summary = {"expressions": 0, "boundaries": 0, "injections": 0}
     for expression in expressions:
-        baseline_token = CancelToken()
-        baseline = database.execute(expression, batch_size=batch_size,
-                                    cancel_token=baseline_token)
+        baseline, boundaries = _settled_baseline(database, expression, batch_size)
         expected = set(baseline.tuples)
-        boundaries = baseline_token.checks
         if boundaries == 0:
             raise ChaosError(
                 "no cancellation boundaries observed for {!r} — the governed "

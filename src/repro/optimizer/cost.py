@@ -32,9 +32,8 @@ Two notions of cost are used by the optimizer experiments:
   input tuple for selections/guards/reshaping — scaled by
   :data:`TUPLE_COST` — and the examined pair count for joins).
 * ``bound`` — a *hard* cardinality upper bound (selections only shrink their
-  input, a join can at most pair everything).  Decisions that are
-  catastrophic when an estimate is too low — choosing a nested-loop join —
-  consult the bound, never the estimate.
+  input, a join can at most pair everything).  It caps the selection,
+  aggregate, limit and feedback estimates; no join choice reads it.
 
 Without fresh statistics every selectivity falls back to the default
 constants (:data:`DEFAULT_SELECTIVITY`, :data:`DEFAULT_GUARD_SELECTIVITY`),
@@ -109,9 +108,8 @@ class CostEstimate:
     """Estimated output cardinality and cumulative work of an expression.
 
     ``bound`` is a *hard upper bound* on the output cardinality (selections can
-    only shrink their input, a join can at most pair everything).  Decisions that
-    are catastrophic when an estimate is too low — choosing a nested-loop join —
-    consult the bound instead of the estimate.
+    only shrink their input, a join can at most pair everything); it caps the
+    selection, aggregate, limit and feedback estimates.
     """
 
     def __init__(self, cardinality: float, work: float, bound: Optional[float] = None):

@@ -17,9 +17,10 @@ the single source the cost model consults.  Its contract:
   statistics stale, or — independently of any ANALYZE — a table's cardinality
   crossing a power-of-two boundary since the version last changed for it.  The
   last rule matters for never-analyzed databases: plans are cached against the
-  version, and a nested-loop join cached while a table held five rows must be
-  re-planned once the table has grown past a few doublings.  The physical
-  executor mixes this version into its plan cache key.
+  version, and a hash join that builds on a table cached while it held six
+  rows must be re-planned — its build side swapped, or an index join chosen —
+  once the table has grown past a few doublings.  The physical executor mixes
+  this version into its plan cache key.
 """
 
 from __future__ import annotations
@@ -208,8 +209,8 @@ class StatisticsCatalog:
         the catalog version (invalidating cached plans); the row count keeps
         following the table so ``peek`` stays approximately right.  For
         every table — analyzed or not — a cardinality change across a
-        power-of-two boundary also bumps the version, so cached join-algorithm
-        choices are revisited as tables grow or shrink substantially.
+        power-of-two boundary also bumps the version, so cached build sides
+        and index joins are revisited as tables grow or shrink substantially.
 
         The database's cardinality-feedback store piggybacks on the same hook:
         observed row counts for subexpressions reading the mutated table are

@@ -59,8 +59,6 @@ from repro.exec import (
     IndexLookupJoin,
     MergeUnion,
     MultiwayJoinOp,
-    NaturalJoinOp,
-    NestedLoopJoin,
     OuterUnionOp,
     PhysicalExecutor,
     PhysicalOperator,
@@ -118,7 +116,7 @@ LOWERINGS = {
     Extension: [(Extension(_R, "tag", 1), ExtendOp)],
     Rename: [(Rename(_R, {"a": "b"}), RenameOp)],
     NaturalJoin: [(NaturalJoin(_R, _S, on=["a"]), HashJoin),
-                  (NaturalJoin(_R, _S), NaturalJoinOp)],
+                  (NaturalJoin(_R, _S), HashJoin)],
     MultiwayJoin: [(MultiwayJoin([_R, _S], on=["a"]), MultiwayJoinOp)],
     Aggregate: [(Aggregate(_R, group_by=("a",), specs=("count",)), HashAggregateOp)],
     Sort: [(Sort(_R, ["a"]), SortOp)],
@@ -190,7 +188,7 @@ class TestLowering:
             pending.extend(cls.__subclasses__())
         concrete = [cls for cls in operators if not cls.__name__.startswith("_")
                     and cls is not PhysicalOperator]
-        assert len(concrete) == 20
+        assert len(concrete) == 18
         assert [cls.__name__ for cls in concrete
                 if not inspect.isgeneratorfunction(cls._generate)] == []
         assert [cls.__name__ for cls in operators if "_start" in vars(cls)] == []
@@ -216,28 +214,15 @@ class TestLowering:
     def test_large_join_lowers_to_hash_join(self, database):
         expression = NaturalJoin(RelationRef("employees"), RelationRef("employees"))
         plan = PhysicalPlanner(source=database).plan(expression)
-        assert isinstance(plan.root, NaturalJoinOp)
+        assert isinstance(plan.root, HashJoin)
+        assert plan.root.label() == "hash-join[on=shared]"
         keyed = NaturalJoin(RelationRef("employees"), RelationRef("employees"),
                             on=["emp_id"])
         assert isinstance(PhysicalPlanner(source=database).plan(keyed).root, HashJoin)
 
-    def test_small_join_lowers_to_nested_loop(self, database):
-        tiny = database.create_table("tiny", FlexibleScheme(1, 1, ["emp_id"]),
-                                     domains={"emp_id": IntDomain()})
-        tiny.insert_many({"emp_id": value} for value in range(5))
-        expression = NaturalJoin(RelationRef("tiny"), RelationRef("tiny"))
-        plan = PhysicalPlanner(source=database).plan(expression)
-        assert isinstance(plan.root, NestedLoopJoin)
-
-    def test_join_threshold_is_configurable(self, database, monkeypatch):
-        monkeypatch.setattr("repro.exec.planner.DEFAULT_HASH_JOIN_PAIR_THRESHOLD", 10 ** 9)
-        expression = NaturalJoin(RelationRef("employees"), RelationRef("employees"))
-        planner = PhysicalPlanner(source=database)
-        assert isinstance(planner.plan(expression).root, NestedLoopJoin)
-
     def test_unknown_cardinalities_default_to_hash_join(self):
         plan = PhysicalPlanner().plan(NaturalJoin(RelationRef("a"), RelationRef("b")))
-        assert isinstance(plan.root, NaturalJoinOp)
+        assert isinstance(plan.root, HashJoin)
         plan = PhysicalPlanner().plan(
             NaturalJoin(RelationRef("a"), RelationRef("b"), on=["k"]))
         assert isinstance(plan.root, HashJoin)
@@ -256,8 +241,9 @@ class TestLowering:
 
 
 class TestMaterializingJoins:
-    """Both materializing joins read batch streams (plain and lazy) and feed
-    operators that pivot their list output back into columns."""
+    """The hash join on static and on data-dependent attributes reads batch
+    streams (plain and lazy) and feeds operators that pivot its output back
+    into columns."""
 
     @pytest.fixture
     def source(self):
@@ -269,9 +255,9 @@ class TestMaterializingJoins:
         }
 
     def plan(self):
-        nested = NestedLoopJoin(                       # reads a TupleBatch and a LazyBatch
+        nested = HashJoin(                             # reads a TupleBatch and a LazyBatch
             Scan("teams"), ProjectOp(Scan("floors"), ["floor", "wing"]), on=["floor"])
-        natural = NaturalJoinOp(                       # reads a LazyBatch and lists
+        natural = HashJoin(                            # reads a LazyBatch and lists
             ExtendOp(Scan("people"), "source", "hr"),
             FilterOp(nested, Comparison("floor", "<", 2)))
         return PhysicalPlan(ProjectOp(natural, ["id", "grade", "wing", "source"]))
@@ -290,8 +276,34 @@ class TestMaterializingJoins:
             result = self.plan().execute(source, batch_size=batch_size)
             assert result.tuples == expected
         rows_in = {row["operator"]: row["rows_in"] for row in result.operator_report()}
-        assert rows_in["nested-loop-join[on={floor}]"] == 4 + 3
+        assert rows_in["hash-join[on={floor}]"] == 4 + 3
         assert rows_in["hash-join[on=shared]"] == 40 + 4
+
+    @pytest.mark.parametrize("on", [[], None], ids=["empty-on", "nothing-shared"])
+    def test_join_on_no_attribute_is_the_product(self, source, on):
+        """Every row keys the one ``()`` bucket: the join is the product."""
+        people = Projection(RelationRef("people"), ["id", "grade"])
+        expression = NaturalJoin(people, RelationRef("floors"), on=on)
+        expected = Evaluator(source).evaluate(Product(people, RelationRef("floors")))
+        assert len(expected.tuples) == 40 * 3
+        root = HashJoin(ProjectOp(Scan("people"), ["id", "grade"]), Scan("floors"), on=on)
+        for batch_size in (1, 7, 1024):
+            result = PhysicalPlan(root).execute(source, batch_size=batch_size)
+            assert result.tuples == expected.tuples
+            assert result.stats.join_pairs_considered == 40 * 3
+        assert PhysicalPlanner().plan(expression).execute(source).tuples == expected.tuples
+
+    def test_empty_on_spills_like_any_static_join(self, source, tmp_path):
+        root = HashJoin(Scan("floors"), ProjectOp(Scan("people"), ["id", "grade"]), on=[])
+        expected = PhysicalPlan(root).execute(source).tuples
+        governor = QueryGovernor(memory_budget=1_000, spill=True,
+                                 spill_directory=str(tmp_path))
+        try:
+            result = PhysicalPlan(root).execute(source, governor=governor)
+            assert governor.spilled
+        finally:
+            governor.finish()
+        assert result.tuples == expected and len(expected) == 3 * 40
 
     def test_output_pivots_back_to_columns(self, source):
         batches = list(self.plan().root.run(ExecutionContext(source, batch_size=16)))
@@ -505,9 +517,8 @@ def source():
     return {"employees": employees, "assignments": assignments}
 
 
-def _run(root, source, batch_size=64, use_indexes=True):
-    return PhysicalPlan(root).execute(source, batch_size=batch_size,
-                                      use_indexes=use_indexes)
+def _run(root, source, batch_size=64):
+    return PhysicalPlan(root).execute(source, batch_size=batch_size)
 
 
 class TestBatchOperators:
@@ -527,10 +538,6 @@ class TestBatchOperators:
         assert result.tuples == naive.tuples
         assert result.stats.guard_checks == 180  # both sides fully checked
 
-    def test_batch_hash_join_needs_static_attributes(self):
-        with pytest.raises(Exception):
-            HashJoin(Scan("a"), Scan("b"), on=None)
-
     def test_batch_project_deduplicates_and_drops_empty(self, source):
         result = _run(ProjectOp(Scan("employees"), ["jobtype"]), source)
         naive = Evaluator(source).evaluate(Projection(RelationRef("employees"),
@@ -548,8 +555,9 @@ class TestBatchOperators:
         root = IndexLookupJoin(
             Scan("events", predicate=Comparison("kind", "=", "audit")),
             "sessions", on=["event_id"])
-        with_index = _run(root, database, use_indexes=True)
-        degraded = _run(root, database, use_indexes=False)
+        with_index = _run(root, database)
+        # a plain mapping of the same relations has no indexes
+        degraded = _run(root, {name: database.relation(name) for name in database.tables()})
         naive = Evaluator(database).evaluate(
             NaturalJoin(Selection(RelationRef("events"), Comparison("kind", "=", "audit")),
                         RelationRef("sessions"), on=["event_id"]))

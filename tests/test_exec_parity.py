@@ -8,9 +8,8 @@ rejects an operation, e.g. merging disagreeing tuples).
 
 The whole-plan corpus in :class:`TestWholePlanVectorization` covers every
 operator shape (unions, difference, extension, rename, products, multiway
-joins, variant records missing join attributes, empty inputs) and the two
-materializing joins (data-dependent ``on=None``, provably tiny nested-loop
-inputs).
+joins, variant records missing join attributes, empty inputs) and the
+hash join on data-dependent attributes (``on=None``).
 """
 
 import random
@@ -46,7 +45,7 @@ from repro.algebra.predicates import (
     TruePredicate,
 )
 from repro.errors import ReproError
-from repro.exec import ExecutionContext, NaturalJoinOp, PhysicalExecutor, PhysicalPlanner
+from repro.exec import ExecutionContext, HashJoin, PhysicalExecutor, PhysicalPlanner
 from repro.exec.planner import PhysicalResult
 from repro.model.tuples import FlexTuple
 from repro.workloads.employees import VARIANTS_BY_JOBTYPE, generate_employees
@@ -284,10 +283,10 @@ class TestWholePlanVectorization:
 
     def test_data_dependent_join_still_falls_back_to_row(self, employee_source):
         # on=None: the shared attributes depend on the data, so both sides are
-        # materialized as tuple sets.
+        # materialized as tuple sets before the hash join builds and probes.
         query = NaturalJoin(RelationRef("employees"), RelationRef("assignments"))
-        assert isinstance(PhysicalPlanner(source=employee_source).plan(query).root,
-                          NaturalJoinOp)
+        root = PhysicalPlanner(source=employee_source).plan(query).root
+        assert isinstance(root, HashJoin) and root.on is None
         assert_parity(query, employee_source)
 
 
@@ -452,8 +451,10 @@ class TestEngineParity:
 
     def test_index_scan_matches_full_scan(self, employee_database):
         query = Selection(RelationRef("employees"), Comparison("emp_id", "=", 7))
-        executor_with = PhysicalExecutor(employee_database, use_indexes=True)
-        executor_without = PhysicalExecutor(employee_database, use_indexes=False)
+        executor_with = PhysicalExecutor(employee_database)
+        # a plain mapping of the same relations has no indexes
+        executor_without = PhysicalExecutor(
+            {name: employee_database.relation(name) for name in employee_database.tables()})
         with_index = executor_with.execute(query)
         without_index = executor_without.execute(query)
         assert with_index.tuples == without_index.tuples

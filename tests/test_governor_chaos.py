@@ -6,11 +6,13 @@ expression with the chaos hook arming every cancellation boundary in turn
 and asserts the sweep invariants (cancel raised, no leaked WAL transaction,
 unchanged feedback store, exactly-once counting, no spill debris, clean
 re-execution reproduces the baseline).  This module drives that harness
-over an in-memory database, over a durable database, and over a
-spill-forcing budgeted database.
+over an in-memory database, over a durable database, and over spill-forcing
+budgeted databases (one aggregate, and the whole spill-parity corpus).
 """
 
 import pytest
+
+from test_governor import spill_corpus
 
 from repro.algebra import (
     Aggregate,
@@ -120,3 +122,33 @@ class TestDurableSweep:
             spill_root=str(spill_root))
         assert summary["injections"] > 0
         assert not list(spill_root.iterdir())
+
+
+def budgeted_orders(spill_root):
+    """``analytics_database(count=2500, seed=13)`` under the spill corpus's
+    15,000 B budget."""
+    database = Database(memory_budget=15_000, spill_directory=str(spill_root))
+    database.create_table("orders", orders_scheme(), domains=orders_domains(),
+                          key=["order_id"])
+    database.table("orders").insert_many(generate_orders(2500, seed=13))
+    database.analyze()
+    return database
+
+
+class TestSpillCorpusSweep:
+    def test_replanned_join_is_counted_on_the_replayed_plan(self, tmp_path):
+        """The first run records cardinality feedback and the replay runs a
+        re-planned join (the build side swaps): its boundaries, not the first
+        run's, are the ones swept."""
+        expression, _ = spill_corpus()["join_skewed_key"]
+        summary = cancel_at_every_boundary(
+            budgeted_orders(tmp_path), [expression], batch_size=64,
+            spill_root=str(tmp_path))
+        assert summary["injections"] == summary["boundaries"] > 0
+
+    def test_every_budgeted_spill_shape_cancels_cleanly(self, tmp_path):
+        corpus = [expression for expression, _ in spill_corpus().values()]
+        summary = cancel_at_every_boundary(
+            budgeted_orders(tmp_path), corpus, spill_root=str(tmp_path))
+        assert summary["expressions"] == len(corpus)
+        assert not list(tmp_path.iterdir())

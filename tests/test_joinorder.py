@@ -4,8 +4,7 @@ Covers the join-graph extractor (flattening, universes, the reorderability
 safety conditions), the DP enumerator on a known-cardinality star schema
 (plan shape, honest estimates, search statistics), the greedy fallback
 threshold, differential parity of reordered plans against the naive evaluator,
-and plan-cache behaviour when statistics or the search mode change the chosen
-order.
+and plan-cache behaviour when statistics change the chosen order.
 """
 
 import itertools
@@ -23,7 +22,7 @@ from repro.algebra.expressions import (
 from repro.algebra.predicates import Comparison
 from repro.engine import Database
 from repro.errors import OptimizerError
-from repro.exec import PhysicalExecutor, PhysicalPlanner
+from repro.exec import PhysicalPlanner
 from repro.model.scheme import FlexibleScheme
 from repro.model.tuples import FlexTuple
 from repro.optimizer.cost import CostModel
@@ -368,20 +367,6 @@ class TestPlanCache:
         assert after.join_search[0].order != before.join_search[0].order
         # Identical results either way.
         assert before.execute(database).tuples == after.execute(database).tuples
-
-    def test_search_mode_is_part_of_the_cache_key(self, star_db):
-        executor = PhysicalExecutor(star_db)
-        query = star_join_query()
-        dp_plan = executor.plan(query)
-        assert executor.cache_misses == 1
-        executor.planner.join_order_search = "none"
-        none_plan = executor.plan(query)
-        assert executor.cache_misses == 2
-        assert none_plan is not dp_plan
-        assert not none_plan.join_search
-        executor.planner.join_order_search = "dp"
-        assert executor.plan(query) is dp_plan
-        assert executor.cache_hits == 1
 
     def test_planning_constants_are_not_options(self):
         """Only the join-order search mode is a planning option; the other

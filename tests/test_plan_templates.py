@@ -255,7 +255,7 @@ class TestInvalidation:
         database.query(self.TEXT.format(1), batch_size=17)
         (key,) = database.physical_executor.cache._plans
         assert isinstance(key, PlanKey)
-        assert len(PlanKey._fields) == 6
+        assert len(PlanKey._fields) == 5
         assert key.batch_size == 17
         assert key.catalog_version == database.catalog_version
         assert key.statistics_version == database.statistics_version

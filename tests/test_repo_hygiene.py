@@ -1,6 +1,7 @@
 """Checks on the repository itself rather than on the engine's behaviour:
-the CI workflow parses and names files that exist, and no module of ``src/``
-imports a name it never uses."""
+the CI workflow parses and names files that exist, no module of ``src/``
+imports a name it never uses, and the constants ARCHITECTURE documents exist
+with the values it states."""
 
 import ast
 import glob
@@ -66,3 +67,41 @@ class TestImports:
                   if path.name != "__init__.py"
                   for finding in _unused_imports(path)]
         assert unused == []
+
+
+def _module_constants(path):
+    """``{name: source of the assigned value}`` of a module's top level."""
+    source = path.read_text()
+    constants = {}
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and node.value is not None:
+                constants[target.id] = ast.get_source_segment(source, node.value)
+    return constants
+
+
+class TestConstantsTable:
+    def test_every_documented_constant_has_its_stated_value(self):
+        """Every row ``| `NAME` | value | `path` |`` of ARCHITECTURE's
+        constants table names a module-level assignment in
+        ``src/repro/<path>`` whose source is the value (underscores ignored);
+        a row may pair names and values with `` / ``."""
+        text = (ROOT / "docs" / "ARCHITECTURE.md").read_text()
+        section = text.split("## Reference: cost-model and planner constants")[1]
+        rows = [line.split("|")[1:4] for line in section.split("\n## ")[0].splitlines()
+                if line.startswith("| `")]
+        assert len(rows) >= 19
+        stale = []
+        for names, values, path in rows:
+            constants = _module_constants(ROOT / "src" / "repro" / path.strip().strip("`"))
+            names, values = names.split(" / "), values.split(" / ")
+            assert len(names) == len(values), names
+            for name, value in zip(names, values):
+                name, value = name.strip().strip("`"), value.strip().strip("`")
+                actual = constants.get(name)
+                if actual is None or actual.replace("_", "") != value.replace("_", ""):
+                    stale.append("{} = {!r} in {}, documented as {}".format(
+                        name, actual, path.strip(), value))
+        assert stale == []
