@@ -30,7 +30,6 @@ from repro.exec.executor import PhysicalExecutor
 from repro.exec.planner import PhysicalPlan
 from repro.model.attributes import attrset
 from repro.model.domains import Domain
-from repro.model.relation import FlexibleRelation
 from repro.model.scheme import FlexibleScheme
 from repro.model.tuples import FlexTuple
 from repro.obs.explain import (
@@ -86,7 +85,8 @@ class Table:
             check_domains=enforce,
             check_dependencies=enforce,
         )
-        self._tuples: Set[FlexTuple] = set()
+        #: the stored tuples, insertion-ordered: scans ignore the hash seed
+        self._tuples: Dict[FlexTuple, None] = {}
         #: bumped on every successful insert / update / delete / restore
         self.mutation_count = 0
         self._on_mutation = on_mutation
@@ -131,18 +131,6 @@ class Table:
                 return index
         return None
 
-    def as_relation(self) -> FlexibleRelation:
-        """A :class:`FlexibleRelation` snapshot of the table."""
-        relation = FlexibleRelation(
-            self.definition.scheme,
-            domains=self.definition.domains,
-            name=self.definition.name,
-            validate=False,
-        )
-        for tup in self._tuples:
-            relation.insert(tup)
-        return relation
-
     # -- DML ---------------------------------------------------------------------------------
 
     def insert(self, item) -> FlexTuple:
@@ -153,7 +141,7 @@ class Table:
         self.checker.check_insert(tup)
         if self._journal is not None:
             self._journal("insert", None, tup)
-        self._tuples.add(tup)
+        self._tuples[tup] = None
         self.checker.register_tuple(tup)
         self._mutated("insert")
         return tup
@@ -177,7 +165,7 @@ class Table:
                     check(tup)
                     if journal is not None:
                         journal("insert", None, tup)
-                    tuples.add(tup)
+                    tuples[tup] = None
                     register(tup)
                     applied += 1
                 inserted.append(tup)
@@ -193,17 +181,10 @@ class Table:
             return False
         if self._journal is not None:
             self._journal("delete", tup, None)
-        self._tuples.remove(tup)
+        del self._tuples[tup]
         self.checker.unregister_tuple(tup)
         self._mutated("delete")
         return True
-
-    def delete_where(self, predicate) -> int:
-        """Delete every tuple satisfying ``predicate`` (a callable); returns the count."""
-        victims = [tup for tup in self._tuples if predicate(tup)]
-        for tup in victims:
-            self.delete(tup)
-        return len(victims)
 
     # -- rollback ---------------------------------------------------------------------------------
 
@@ -213,19 +194,19 @@ class Table:
         journal, no hook (the transaction fires one per touched table).  The
         membership tests cover a statement interrupted before its apply."""
         if new is not None and new in self._tuples:
-            self._tuples.remove(new)
+            del self._tuples[new]
             self.checker.unregister_tuple(new)
         if old is not None and old not in self._tuples:
-            self._tuples.add(old)
+            self._tuples[old] = None
             self.checker.register_tuple(old)
 
-    def snapshot(self) -> Set[FlexTuple]:
+    def snapshot(self) -> Dict[FlexTuple, None]:
         """An opaque snapshot of the table's current contents."""
-        return set(self._tuples)
+        return dict(self._tuples)
 
-    def restore(self, snapshot: Set[FlexTuple]) -> None:
+    def restore(self, snapshot: Iterable[FlexTuple]) -> None:
         """Reset the table to a snapshot taken earlier (indexes are rebuilt)."""
-        self._tuples = set(snapshot)
+        self._tuples = dict.fromkeys(snapshot)
         for index in self.checker.indexes():
             index.clear()
         for tup in self._tuples:
@@ -253,9 +234,9 @@ class Table:
         self.checker.check_update(old_tuple, new_tuple)
         if self._journal is not None:
             self._journal("update", old_tuple, new_tuple)
-        self._tuples.remove(old_tuple)
+        del self._tuples[old_tuple]
         self.checker.unregister_tuple(old_tuple)
-        self._tuples.add(new_tuple)
+        self._tuples[new_tuple] = None
         self.checker.register_tuple(new_tuple)
         self._mutated("update")
         return new_tuple

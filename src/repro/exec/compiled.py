@@ -25,9 +25,10 @@ comparison loops optimistically run without a per-row ``try`` and redo the batch
 carefully only when a ``TypeError`` actually occurs — mixed-type columns are the
 exception, not the rule.
 
-Predicate classes this module does not know (user-defined subclasses) degrade to
-calling ``predicate.evaluate(row)`` per row, so compilation never changes what a
-plan can express.
+Every other predicate — ``OR``, ``NOT``, attribute comparisons, user-defined
+subclasses — runs the reference interpreter, ``predicate.evaluate(row)`` per
+row object under the parameter binding, so compilation never changes what a
+plan can express and the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -39,11 +40,8 @@ from repro.algebra.analytic import _check_numeric, group_values, value_order_key
 from repro.algebra.predicates import (
     _OPERATORS,
     And,
-    AttributeComparison,
     Comparison,
     FalsePredicate,
-    Not,
-    Or,
     Predicate,
     PresencePredicate,
     TruePredicate,
@@ -58,66 +56,6 @@ Narrower = Callable[[TupleBatch, Optional[Sequence[int]], Sequence], List[int]]
 
 def _candidates(batch: TupleBatch, indices: Optional[Sequence[int]]):
     return range(len(batch)) if indices is None else indices
-
-
-# -- per-row closures (the general path, used under OR / NOT) ---------------------------
-
-
-def _bind_rowfn(predicate: Predicate, batch: TupleBatch,
-                params) -> Callable[[int], bool]:
-    """A per-row boolean closure over ``batch`` for one predicate node."""
-    if isinstance(predicate, TruePredicate):
-        return lambda i: True
-    if isinstance(predicate, FalsePredicate):
-        return lambda i: False
-    if isinstance(predicate, Comparison):
-        name = next(iter(predicate.attribute)).name
-        op = _OPERATORS[predicate.op]
-        constant = predicate.constant(params)
-        values = batch.column(name)
-
-        def compare(i: int) -> bool:
-            value = values[i]
-            if value is MISSING:
-                return False
-            try:
-                return bool(op(value, constant))
-            except TypeError:
-                return False
-
-        return compare
-    if isinstance(predicate, AttributeComparison):
-        left_name = next(iter(predicate.left)).name
-        right_name = next(iter(predicate.right)).name
-        op = _OPERATORS[predicate.op]
-        left_values = batch.column(left_name)
-        right_values = batch.column(right_name)
-
-        def compare_attrs(i: int) -> bool:
-            left, right = left_values[i], right_values[i]
-            if left is MISSING or right is MISSING:
-                return False
-            try:
-                return bool(op(left, right))
-            except TypeError:
-                return False
-
-        return compare_attrs
-    if isinstance(predicate, PresencePredicate):
-        mask = batch.presence_mask([a.name for a in predicate.attributes])
-        return lambda i: bool((mask >> i) & 1)
-    if isinstance(predicate, And):
-        bound = [_bind_rowfn(operand, batch, params) for operand in predicate.operands]
-        return lambda i: all(fn(i) for fn in bound)
-    if isinstance(predicate, Or):
-        bound = [_bind_rowfn(operand, batch, params) for operand in predicate.operands]
-        return lambda i: any(fn(i) for fn in bound)
-    if isinstance(predicate, Not):
-        inner = _bind_rowfn(predicate.operand, batch, params)
-        return lambda i: not inner(i)
-    # Unknown predicate subclass: interpret against the row objects.
-    rows = batch.rows
-    return lambda i: bool(predicate.evaluate(rows[i]))
 
 
 # -- narrowing passes --------------------------------------------------------------------
@@ -175,9 +113,12 @@ def _compile_presence(names: List[str]) -> Narrower:
 
 
 def _compile_rowwise(predicate: Predicate) -> Narrower:
+    """The reference semantics, :meth:`Predicate.evaluate`, per row object —
+    under the binding substituted, as ``evaluate`` reads constants as is."""
     def narrow(batch: TupleBatch, indices: Optional[Sequence[int]], params) -> List[int]:
-        rowfn = _bind_rowfn(predicate, batch, params)
-        return [i for i in _candidates(batch, indices) if rowfn(i)]
+        evaluate = predicate.substitute(params).evaluate
+        rows = batch.rows
+        return [i for i in _candidates(batch, indices) if evaluate(rows[i])]
 
     return narrow
 

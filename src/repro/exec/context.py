@@ -164,7 +164,7 @@ class ExecutionContext:
     stats:
         The global work counters; a fresh :class:`ExecutionStats` when omitted.
     batch_size:
-        How many tuples an operator accumulates before handing a batch downstream.
+        The most tuples any operator hands downstream in one batch.
     timing:
         Whether :attr:`OperatorStats.wall_seconds` is kept (two
         ``perf_counter`` reads per batch per operator, setup included, as it

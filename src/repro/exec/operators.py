@@ -60,7 +60,11 @@ parent's ``rows_in`` and, when timing, the wall time.
 
 Every operator's output batch stream contains each distinct tuple exactly once
 (set semantics per operator, as in the evaluator); operators therefore never need
-to re-deduplicate their inputs.
+to re-deduplicate their inputs.  The operators that can create duplicates —
+projection, rename, product and the joins — hand their candidate value dicts to
+one emitter, :func:`_distinct`; the joins read their keys through one
+:func:`_join_keys`.  No operator hands its parent a batch of more than
+``ctx.batch_size`` rows.
 
 The operator ``name`` strings key the per-operator metrics (``memory.<name>``,
 ``qerror.<name>``) and are stable identifiers, not descriptions.
@@ -267,6 +271,40 @@ class _Binary(PhysicalOperator):
         self.children = (left, right)
 
 
+def _distinct(ctx: ExecutionContext, seen: set,
+              rows: Iterable[dict]) -> Iterator[LazyBatch]:
+    """Set semantics over value dicts: the ``rows`` whose content is not yet
+    in ``seen`` (which they join), as :class:`LazyBatch`es of at most
+    ``ctx.batch_size`` rows carrying the hash of that content."""
+    size = ctx.batch_size
+    add_seen = seen.add
+    out_values: List[dict] = []
+    out_hashes: List[int] = []
+    for values in rows:
+        key = frozenset(values.items())
+        if key not in seen:
+            add_seen(key)
+            out_values.append(values)
+            out_hashes.append(hash(key))
+            if len(out_values) == size:
+                yield LazyBatch(out_values, out_hashes)
+                out_values, out_hashes = [], []
+    if out_values:
+        yield LazyBatch(out_values, out_hashes)
+
+
+def _join_keys(batch: TupleBatch, names: Sequence[str]) -> List:
+    """One join key per row of ``batch``: the bare value on one attribute, the
+    value tuple on several, ``()`` on none — and ``MISSING`` for a row that
+    lacks a join attribute, which never joins (absent is not NULL)."""
+    if len(names) == 1:
+        return batch.column(names[0])
+    if not names:
+        return [()] * len(batch)
+    return [MISSING if MISSING in key else key
+            for key in zip(*[batch.column(name) for name in names])]
+
+
 class EmptyOp(PhysicalOperator):
     """Produces no tuples (the physical form of the optimizer's ∅ leaf)."""
 
@@ -451,28 +489,20 @@ class ProjectOp(_Unary):
         names = [a.name for a in self.attributes]
         stats = ctx.stats
         seen = set()
-        add_seen = seen.add
         for batch in child:
             count = len(batch)
             stats.tuples_scanned += count
             columns = [batch.column(name) for name in names]
-            out_values: List[dict] = []
-            out_hashes: List[int] = []
+            projected: List[dict] = []
             for i in range(count):
                 items = {}
                 for name, values in zip(names, columns):
                     value = values[i]
                     if value is not MISSING:
                         items[name] = value
-                if not items:
-                    continue
-                key = frozenset(items.items())
-                if key not in seen:
-                    add_seen(key)
-                    out_values.append(items)
-                    out_hashes.append(hash(key))
-            if out_values:
-                yield LazyBatch(out_values, out_hashes)
+                if items:
+                    projected.append(items)
+            yield from _distinct(ctx, seen, projected)
 
 
 class ExtendOp(_Unary):
@@ -521,20 +551,9 @@ class RenameOp(_Unary):
         transform = self._compiled.transform_row
         stats = ctx.stats
         seen = set()
-        add_seen = seen.add
         for batch in child:
             stats.tuples_scanned += len(batch)
-            out_values: List[dict] = []
-            out_hashes: List[int] = []
-            for values in batch.values_list():
-                renamed = transform(values)
-                key = frozenset(renamed.items())
-                if key not in seen:
-                    add_seen(key)
-                    out_values.append(renamed)
-                    out_hashes.append(hash(key))
-            if out_values:
-                yield LazyBatch(out_values, out_hashes)
+            yield from _distinct(ctx, seen, map(transform, batch.values_list()))
 
 
 class ProductOp(_Binary):
@@ -547,26 +566,15 @@ class ProductOp(_Binary):
         build = [tup._values for tup in self._materialize(ctx, op, right)]
         ctx.enforce_memory(op, sampled_size(build))
         stats = ctx.stats
-        size = ctx.batch_size
-        seen = set()
-        add_seen = seen.add
-        out_values: List[dict] = []
-        out_hashes: List[int] = []
-        for batch in left:
-            stats.join_pairs_considered += len(batch) * len(build)
-            for row_values in batch.values_list():
-                for partner in build:
-                    merged = merge_values(row_values, partner)
-                    key = frozenset(merged.items())
-                    if key not in seen:
-                        add_seen(key)
-                        out_values.append(merged)
-                        out_hashes.append(hash(key))
-                        if len(out_values) >= size:
-                            yield LazyBatch(out_values, out_hashes)
-                            out_values, out_hashes = [], []
-        if out_values:
-            yield LazyBatch(out_values, out_hashes)
+
+        def merges() -> Iterator[dict]:
+            for batch in left:
+                stats.join_pairs_considered += len(batch) * len(build)
+                for row_values in batch.values_list():
+                    for partner in build:
+                        yield merge_values(row_values, partner)
+
+        yield from _distinct(ctx, set(), merges())
 
 
 def _shared_attributes(left: Set[FlexTuple], right: Set[FlexTuple]) -> AttributeSet:
@@ -583,33 +591,22 @@ def _shared_attributes(left: Set[FlexTuple], right: Set[FlexTuple]) -> Attribute
 def _build_buckets(op, ctx, stream, names) -> Dict:
     """Drain a build-side batch stream into join-key buckets of value dicts.
 
-    Rows lacking a join attribute are partitioned out via the presence bitmap
-    and cost one guard check each (they can never join).  Single-attribute
-    joins key buckets by the bare value, multi-attribute joins by the value
-    tuple, and a join on no attribute puts every row in the one ``()``
-    bucket.  The bucket payloads are the rows' plain value dicts — ready for
-    the lazy column merge of the probe loop, never materialized when the
-    build side was lazy.
+    Buckets are keyed by :func:`_join_keys`; rows lacking a join attribute
+    are left out and cost one guard check each (they can never join).  The
+    bucket payloads are the rows' plain value dicts — ready for the lazy
+    column merge of the probe loop, never materialized when the build side
+    was lazy.
     """
     stats = ctx.stats
     governed = (ctx.governor is not None
                 and ctx.governor.memory_budget is not None)
     buckets: Dict = {}
     setdefault = buckets.setdefault
-    single = len(names) == 1
     for batch in stream:
         stats.guard_checks += len(batch)
-        values_list = batch.values_list()
-        if single:
-            for i, value in enumerate(batch.column(names[0])):
-                if value is not MISSING:
-                    setdefault(value, []).append(values_list[i])
-        else:
-            columns = [batch.column(name) for name in names]
-            keys = zip(*columns) if columns else [()] * len(batch)
-            for i, key in enumerate(keys):
-                if all(value is not MISSING for value in key):
-                    setdefault(key, []).append(values_list[i])
+        for key, values in zip(_join_keys(batch, names), batch.values_list()):
+            if key is not MISSING:
+                setdefault(key, []).append(values)
         if governed:
             # fail fast at the batch boundary (spilling joins never get here;
             # they drain through HashJoin._generate_grace instead)
@@ -629,10 +626,11 @@ class HashJoin(_Binary):
     exactly the work the algorithm performs.
 
     The probe loop zips probe-side and build-side value dicts into merged dicts
-    — disagreement on shared non-join attributes raises eagerly, duplicates are
-    dropped eagerly via hashed keys — and emits them as :class:`LazyBatch`
-    chunks; the merged ``FlexTuple``s themselves are built only when the rows
-    reach the result set or an operator that needs row objects.
+    — disagreement on shared non-join attributes raises eagerly — and
+    :func:`_distinct` emits them as :class:`LazyBatch` chunks, however many
+    build partners a probe batch matches; the merged ``FlexTuple``s
+    themselves are built only when the rows reach the result set or an
+    operator that needs row objects.
 
     ``on=None`` joins on the attributes appearing on both sides of the
     *data*, so both inputs are materialized to discover them — which is why
@@ -667,41 +665,20 @@ class HashJoin(_Binary):
     @staticmethod
     def _probe(ctx, left, names, buckets) -> Iterator[TupleBatch]:
         stats = ctx.stats
-        get = buckets.get
-        single = len(names) == 1
+        get = buckets.get  # no bucket is keyed MISSING
         seen = set()
-        add_seen = seen.add
         for batch in left:
             stats.guard_checks += len(batch)
-            values_list = batch.values_list()
-            out_values: List[dict] = []
-            out_hashes: List[int] = []
-            if single:
-                probes = enumerate(batch.column(names[0]))
-            else:
-                columns = [batch.column(name) for name in names]
-                keys = zip(*columns) if columns else [()] * len(batch)
-                probes = enumerate(keys)
-            for i, key in probes:
-                if single:
-                    if key is MISSING:
-                        continue
-                elif not all(value is not MISSING for value in key):
-                    continue
+            merged: List[dict] = []
+            append = merged.append
+            for key, row_values in zip(_join_keys(batch, names), batch.values_list()):
                 partners = get(key)
                 if partners is None:
                     continue
                 stats.join_pairs_considered += len(partners)
-                row_values = values_list[i]
                 for partner in partners:
-                    merged = merge_values(row_values, partner)
-                    dedup = frozenset(merged.items())
-                    if dedup not in seen:
-                        add_seen(dedup)
-                        out_values.append(merged)
-                        out_hashes.append(hash(dedup))
-            if out_values:
-                yield LazyBatch(out_values, out_hashes)
+                    append(merge_values(row_values, partner))
+            yield from _distinct(ctx, seen, merged)
 
     def _generate_grace(self, ctx, op, left, right, names,
                         budget) -> Iterator[TupleBatch]:
@@ -711,29 +688,20 @@ class HashJoin(_Binary):
         The build side is held in memory until the budget trips — a join that
         fits never touches disk and emits exactly what the in-memory path
         emits.  Matching keys land in the same partition on both sides, and a
-        merged output row determines its join key, so the per-partition
-        ``seen`` sets partition the global duplicate space: the union of the
-        per-partition outputs is exactly the deduplicated join.  All counters
-        (guard checks per input row, pairs per shared bucket) match the
-        in-memory algorithm total for total.
+        merged output row determines its join key, so no duplicate crosses
+        partitions and :func:`_distinct`'s ``seen`` set is emptied at each
+        one: the union of the per-partition outputs is exactly the
+        deduplicated join.  All counters (guard checks per input row, pairs
+        per shared bucket) match the in-memory algorithm total for total.
         """
         from repro.governor.spill import GracePartitioner
 
         stats = ctx.stats
         manager = ctx.governor.spill_manager()
-        single = len(names) == 1
 
         def keyed(batch):
-            values_list = batch.values_list()
-            if single:
-                return ((value, values_list[i])
-                        for i, value in enumerate(batch.column(names[0]))
-                        if value is not MISSING)
-            columns = [batch.column(name) for name in names]
-            keys = zip(*columns) if columns else [()] * len(batch)
-            return ((key, values_list[i])
-                    for i, key in enumerate(keys)
-                    if all(value is not MISSING for value in key))
+            return (pair for pair in zip(_join_keys(batch, names), batch.values_list())
+                    if pair[0] is not MISSING)
 
         pairs: List[tuple] = []
         build_part = None
@@ -769,36 +737,27 @@ class HashJoin(_Binary):
         build_part.finish()
         probe_part.finish()
 
-        batch_size = ctx.batch_size
-        out_values: List[dict] = []
-        out_hashes: List[int] = []
-        for index in range(build_part.partitions):
-            buckets: Dict = {}
-            for key, values in build_part.segment(index):
-                buckets.setdefault(key, []).append(values)
-            # accounting only: grace bounds held state at ~budget + one
-            # partition's buckets, it does not re-enforce per partition
-            op.note_memory(sampled_size(buckets))
-            get = buckets.get
-            seen = set()
-            add_seen = seen.add
-            for key, row_values in probe_part.segment(index):
-                partners = get(key)
-                if partners is None:
-                    continue
-                stats.join_pairs_considered += len(partners)
-                for partner in partners:
-                    merged = merge_values(row_values, partner)
-                    dedup = frozenset(merged.items())
-                    if dedup not in seen:
-                        add_seen(dedup)
-                        out_values.append(merged)
-                        out_hashes.append(hash(dedup))
-                        if len(out_values) >= batch_size:
-                            yield LazyBatch(out_values, out_hashes)
-                            out_values, out_hashes = [], []
-        if out_values:
-            yield LazyBatch(out_values, out_hashes)
+        seen: set = set()
+
+        def merges() -> Iterator[dict]:
+            for index in range(build_part.partitions):
+                buckets: Dict = {}
+                for key, values in build_part.segment(index):
+                    buckets.setdefault(key, []).append(values)
+                # accounting only: grace bounds held state at ~budget + one
+                # partition's buckets, it does not re-enforce per partition
+                op.note_memory(sampled_size(buckets))
+                get = buckets.get
+                seen.clear()  # a duplicate never crosses partitions
+                for key, row_values in probe_part.segment(index):
+                    partners = get(key)
+                    if partners is None:
+                        continue
+                    stats.join_pairs_considered += len(partners)
+                    for partner in partners:
+                        yield merge_values(row_values, partner)
+
+        yield from _distinct(ctx, seen, merges())
 
 
 class IndexLookupJoin(PhysicalOperator):
@@ -846,43 +805,22 @@ class IndexLookupJoin(PhysicalOperator):
         probe_names = [a.name for a in index.attributes]
         remaining = [a.name for a in (self.on - index.attributes)]
         stats = ctx.stats
-        single = len(probe_names) == 1
         seen = set()
-        add_seen = seen.add
         for batch in outer:
-            count = len(batch)
-            stats.guard_checks += count
-            values_list = batch.values_list()
-            out_values: List[dict] = []
-            out_hashes: List[int] = []
-            probe_columns = [batch.column(name) for name in probe_names]
-            on_columns = [batch.column(name) for name in on_names]
-            for i in range(count):
-                if not all(column[i] is not MISSING for column in on_columns):
+            stats.guard_checks += len(batch)
+            merged: List[dict] = []
+            for key, row_values in zip(_join_keys(batch, on_names), batch.values_list()):
+                if key is MISSING:
                     continue
-                if single:
-                    probe = (probe_columns[0][i],)
-                else:
-                    probe = tuple(column[i] for column in probe_columns)
-                partners = lookup(probe)
+                partners = lookup(tuple([row_values[name] for name in probe_names]))
                 stats.join_pairs_considered += len(partners)
-                if not partners:
-                    continue
-                row_values = values_list[i]
                 for partner in partners:
                     partner_values = partner._values
-                    if remaining:
-                        if any(partner_values.get(name, MISSING) != row_values[name]
-                               for name in remaining):
-                            continue
-                    merged = merge_values(row_values, partner_values)
-                    dedup = frozenset(merged.items())
-                    if dedup not in seen:
-                        add_seen(dedup)
-                        out_values.append(merged)
-                        out_hashes.append(hash(dedup))
-            if out_values:
-                yield LazyBatch(out_values, out_hashes)
+                    if remaining and any(partner_values.get(name, MISSING) != row_values[name]
+                                         for name in remaining):
+                        continue
+                    merged.append(merge_values(row_values, partner_values))
+            yield from _distinct(ctx, seen, merged)
 
 
 class MergeUnion(_Binary):
@@ -947,7 +885,9 @@ class MultiwayJoinOp(PhysicalOperator):
     value-dict and hash lists; each merge stage then works purely on value
     dicts and the final table is emitted as :class:`LazyBatch` chunks, which
     across an n-way restoration avoids building every intermediate merged
-    ``FlexTuple`` once per stage.
+    ``FlexTuple`` once per stage.  It is the one operator that deduplicates
+    without :func:`_distinct`: pass-through rows skip the check, and each
+    stage feeds the next as lists, not batches.
     """
 
     name = "batch-multiway-join"

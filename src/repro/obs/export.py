@@ -21,7 +21,6 @@ a deliberately strict parser for the subset this exporter emits, so a
 formatting bug fails loudly instead of producing silently unscrapable output.
 """
 
-import json
 import math
 import re
 from typing import Dict, List, Optional
@@ -181,9 +180,3 @@ def json_snapshot(registry: MetricsRegistry, extra: Optional[dict] = None) -> di
             snapshot[key] = value
     return snapshot
 
-
-def dumps_snapshot(registry: MetricsRegistry, **kwargs) -> str:
-    """``json_snapshot`` rendered as a JSON string (``inf`` → ``"inf"``)."""
-    def _default(value):
-        return repr(value)
-    return json.dumps(json_snapshot(registry, **kwargs), default=_default)

@@ -261,13 +261,6 @@ class TableStatistics:
                 return total / float(observed)
         return sum(stats.presence for stats in self.attributes.values())
 
-    def variant_frequencies(self) -> Dict[FrozenSet[str], float]:
-        """The variant-tag frequency table as fractions of the row count."""
-        if self.row_count <= 0:
-            return {}
-        return {combo: count / float(self.row_count)
-                for combo, count in self.variant_counts.items()}
-
     # -- estimation -----------------------------------------------------------------------
 
     def guard_selectivity(self, attributes) -> float:

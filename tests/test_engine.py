@@ -18,7 +18,7 @@ from repro.model.attributes import attrset
 from repro.model.domains import EnumDomain, FloatDomain, IntDomain, StringDomain
 from repro.model.scheme import FlexibleScheme
 from repro.model.tuples import FlexTuple
-from repro.workloads.employees import employee_definition, generate_employees
+from repro.workloads.employees import employee_definition
 
 
 class TestHashIndex:
@@ -213,13 +213,6 @@ class TestTableDml:
         assert not table.delete({"emp_id": 99, "name": "x", "salary": 1.0, "jobtype": "secretary",
                                  "typing_speed": 1, "foreign_languages": "fr"})
 
-    def test_delete_where(self):
-        table = Table(employee_definition())
-        table.insert_many(generate_employees(20, seed=3))
-        removed = table.delete_where(lambda t: t["jobtype"] == "secretary")
-        assert removed > 0
-        assert all(t["jobtype"] != "secretary" for t in table)
-
     def test_update_value(self):
         table = Table(employee_definition())
         tup = table.insert({"emp_id": 1, "name": "x", "salary": 1.0, "jobtype": "secretary",
@@ -258,12 +251,6 @@ class TestTableDml:
         table = Table(employee_definition(), enforce=False)
         table.insert({"emp_id": 1, "jobtype": "salesman", "typing_speed": 1})
         assert len(table) == 1
-
-    def test_as_relation_snapshot(self):
-        table = Table(employee_definition())
-        table.insert_many(generate_employees(5, seed=5))
-        relation = table.as_relation()
-        assert len(relation) == 5 and relation.name == "employees"
 
     def test_checker_levels_can_be_disabled(self):
         definition = TableDefinition("t", FlexibleScheme.relational(["a"]),

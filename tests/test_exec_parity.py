@@ -45,7 +45,7 @@ from repro.algebra.predicates import (
     TruePredicate,
 )
 from repro.errors import ReproError
-from repro.exec import ExecutionContext, HashJoin, PhysicalExecutor, PhysicalPlanner
+from repro.exec import ExecutionContext, HashJoin, PhysicalExecutor, PhysicalPlanner, Scan
 from repro.exec.planner import PhysicalResult
 from repro.model.tuples import FlexTuple
 from repro.workloads.employees import VARIANTS_BY_JOBTYPE, generate_employees
@@ -68,8 +68,9 @@ def _outcome(thunk):
 
 def execute_and_audit(plan, source, batch_size):
     """Execute ``plan`` by pulling its root stream, then audit the books
-    ``PhysicalOperator.run`` keeps: every operator ran once, every operator
-    with children took in exactly what they emitted, and the root's
+    ``PhysicalOperator.run`` keeps: every operator ran once, no operator
+    handed on a batch of more than ``batch_size`` rows, every operator with
+    children took in exactly what they emitted, and the root's
     ``rows_out`` / ``batches_out`` are what the stream yielded."""
     ctx = ExecutionContext(source, batch_size=batch_size, params=plan.params)
     tuples, rows, batches = set(), 0, 0
@@ -82,6 +83,7 @@ def execute_and_audit(plan, source, batch_size):
     def audit(node):
         op = next(books)
         assert op.label == node.plan_label and op.invocations == 1, op
+        assert op.rows_out <= op.batches_out * batch_size, (op, op.batches_out)
         emitted = [audit(child) for child in node.children]
         if emitted:
             assert op.rows_in == sum(emitted), (op, emitted)
@@ -288,6 +290,18 @@ class TestWholePlanVectorization:
         root = PhysicalPlanner(source=employee_source).plan(query).root
         assert isinstance(root, HashJoin) and root.on is None
         assert_parity(query, employee_source)
+
+    def test_fan_out_join_cuts_its_output_to_the_batch_size(self):
+        # One probe row matches 3 × batch_size build rows: the merges of that
+        # one probe batch leave in three batches, none over batch_size.
+        source = {"probe": {FlexTuple(k=1, a=0)},
+                  "build": {FlexTuple(k=1, b=i) for i in range(12)}}
+        join = HashJoin(Scan("probe"), Scan("build"), on=["k"])
+        batches = list(join.run(ExecutionContext(source, batch_size=4)))
+        assert [len(batch) for batch in batches] == [4, 4, 4]
+        assert {tup for batch in batches for tup in batch} == \
+            Evaluator(source).evaluate(
+                NaturalJoin(RelationRef("probe"), RelationRef("build"), on=["k"])).tuples
 
 
 class TestAnalyticOperatorParity:

@@ -18,7 +18,6 @@ from repro.engine.serialization import dumps_database, loads_database
 from repro.obs.export import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
-    dumps_snapshot,
     json_snapshot,
     parse_prometheus_text,
     prometheus_text,
@@ -379,7 +378,7 @@ class TestExport:
         assert snapshot["metrics"]["queries.executed"] == 3
         assert snapshot["types"]["queries.executed"] == "Counter"
         assert snapshot["plan_cache"] == {"hits": 1}
-        assert json.loads(dumps_snapshot(registry))["metrics"]
+        assert json.loads(json.dumps(json_snapshot(registry)))["metrics"]
 
     def test_database_metrics_snapshot_merges_engine_sections(self, stale_star):
         stale_star.execute(star_join_query(), optimize=False)

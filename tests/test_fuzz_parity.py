@@ -59,6 +59,7 @@ from repro.algebra import (
 )
 from repro.algebra.predicates import (
     And,
+    AttributeComparison,
     Comparison,
     Not,
     Or,
@@ -92,7 +93,7 @@ BATCH_SIZES = (1, 3, 17, 256)
 
 
 def _random_predicate(rng, attributes, values):
-    kind = rng.randrange(6)
+    kind = rng.randrange(8)
     attribute = rng.choice(attributes)
     value = rng.choice(values)
     if kind == 0:
@@ -107,6 +108,12 @@ def _random_predicate(rng, attributes, values):
                   Comparison(rng.choice(attributes), "=", rng.choice(values)))
     if kind == 4:
         return Not(Comparison(attribute, "=", value))
+    if kind == 5:
+        return AttributeComparison(attribute, rng.choice(["=", "<", "!="]),
+                                   rng.choice(attributes))
+    if kind == 6:
+        return Or(AttributeComparison(attribute, "<", rng.choice(attributes)),
+                  Comparison(rng.choice(attributes), "=", value))
     return TruePredicate()
 
 

@@ -1,6 +1,10 @@
 """Tests for the statistics subsystem: ANALYZE, estimation accuracy, invalidation,
 persistence, and the statistics-informed physical planning decisions."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.algebra import Evaluator, MultiwayJoin, NaturalJoin, RelationRef, Selection, TypeGuardNode
@@ -90,10 +94,10 @@ class TestAnalyze:
         statistics = database.stats("employees")
         assert statistics.row_count == len(rows)
         assert not statistics.stale
-        frequencies = statistics.variant_frequencies()
-        assert abs(sum(frequencies.values()) - 1.0) < 1e-9
+        counts = statistics.variant_counts
+        assert sum(counts.values()) == len(rows)
         # Exactly the three jobtype variants of the running example occur.
-        assert len(frequencies) == 3
+        assert len(counts) == 3
 
     def test_tag_frequencies_match_true_guard_selectivity(self, analyzed_employees):
         database, rows = analyzed_employees
@@ -282,7 +286,7 @@ class TestPersistence:
         original = database.stats("employees")
         restored = loaded.stats("employees")
         assert restored.row_count == original.row_count
-        assert restored.variant_frequencies() == original.variant_frequencies()
+        assert restored.variant_counts == original.variant_counts
         predicate = Comparison("salary", ">", 5000.0)
         assert restored.selectivity(predicate) == pytest.approx(original.selectivity(predicate))
 
@@ -528,6 +532,15 @@ def _tuples(*dicts):
     return [FlexTuple(d) for d in dicts]
 
 
+def _under_hash_seed(seed, *args):
+    """``python *args`` run from the repository root under ``PYTHONHASHSEED=seed``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.path.join(root, "src"))
+    return subprocess.run([sys.executable] + list(args), cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestSamplingAnalyze:
     def events_database(self, big=5000):
         database = Database(enforce_constraints=False)
@@ -593,6 +606,24 @@ class TestSamplingAnalyze:
             Selection(RelationRef("events"), Comparison("kind", "=", "audit")),
             RelationRef("sessions"), on=["event_id"])
         assert isinstance(database.plan(query, optimize=False).root, IndexLookupJoin)
+
+    def test_sampled_statistics_ignore_the_hash_seed(self):
+        # The seeded sample walks an insertion-ordered table, so the statistics
+        # drawn from it — and the plan above — are one answer under every seed.
+        script = (
+            "import json\n"
+            "from repro.workloads.events import skewed_join_database\n"
+            "database = skewed_join_database(big=2000, small=200, rare_every=100)\n"
+            "database.analyze(sample_size=500)\n"
+            "print(json.dumps(database.stats('events').to_dict(),"
+            " sort_keys=True, default=repr))\n")
+        first, second = (_under_hash_seed(seed, "-c", script).stdout
+                         for seed in ("1", "15"))
+        assert first == second and '"sampled": true' in first
+        planner = _under_hash_seed(
+            "15", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            __file__ + "::TestSamplingAnalyze::test_sampled_statistics_drive_the_planner")
+        assert planner.returncode == 0, planner.stdout
 
     def test_sampled_flag_survives_serialization(self):
         database = self.events_database(big=2000)
