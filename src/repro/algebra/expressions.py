@@ -10,20 +10,22 @@ structure, every node knows
 
 * which attribute dependencies hold in its result
   (:meth:`Expression.known_dependencies`, following Theorem 4.3 and keeping explicit
-  ADs in explicit form whenever the propagation rule allows it), and
+  ADs in explicit form whenever the propagation rule allows it),
 * which attributes are guaranteed to be present in every result tuple
   (:meth:`Expression.guaranteed_attributes`, fed by selection predicates and type
-  guards) — the two ingredients of the optimizer's redundancy reasoning.
+  guards) — the two ingredients of the optimizer's redundancy reasoning — and
+* which attribute sets are keys of its result (:meth:`Expression.unique_keys`),
+  the physical planner's proof that an operator cannot produce a duplicate row.
 
 The dependency information is resolved against a *catalog*: any object with a
-``dependencies(name)`` method (such as :class:`repro.engine.Database`) or a plain
-mapping ``{name: iterable of dependencies}``.
+``dependencies(name)`` (and ``key(name)``) method, such as
+:class:`repro.engine.Database`, or a plain mapping ``{name: iterable of dependencies}``.
 """
 
 from __future__ import annotations
 
 from copy import copy
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.analytic import (
     AggregateSpec,
@@ -39,8 +41,35 @@ from repro.core.dependencies import (
     FunctionalDependency,
 )
 from repro.core.propagation import as_ads, propagate_tagged_union, propagate_union
-from repro.errors import AlgebraError
+from repro.errors import AlgebraError, CatalogError
 from repro.model.attributes import AttributeSet, attrset
+
+#: a node's keys: attribute sets every result tuple carries and that determine it
+Keys = FrozenSet[AttributeSet]
+_NO_KEYS: Keys = frozenset()
+
+
+def memoized_keys(expression: "Expression", catalog, memo: Optional[dict]) -> Keys:
+    """``expression.unique_keys(catalog)``, looked up in ``memo`` (node id →
+    keys, one planning pass long) before it is derived."""
+    if memo is None:
+        return expression.unique_keys(catalog)
+    keys = memo.get(id(expression))
+    if keys is None:
+        keys = memo[id(expression)] = expression.unique_keys(catalog, memo)
+    return keys
+
+
+def _pair_keys(left: Keys, right: Keys, on: Optional[AttributeSet]) -> Keys:
+    """× and ⋈: a merged tuple carries both sides' keys, so k₁ ∪ k₂ names its
+    (left, right) pair — without that presence, two pairs of differently shaped
+    tuples could merge into one tuple.  A side keyed inside a static ``on`` gives
+    each tuple of the other side at most one partner, so the other's keys suffice."""
+    alone = [keys for keys, other in ((left, right), (right, left))
+             if on is not None and any(key.issubset(on) for key in other)]
+    if alone:
+        return frozenset().union(*alone)
+    return frozenset(l_key | r_key for l_key in left for r_key in right)
 
 
 def _catalog_dependencies(catalog, name: str) -> List[Dependency]:
@@ -83,6 +112,13 @@ class Expression:
     def known_ads(self, catalog=None) -> Set[AttributeDependency]:
         """The abbreviated-AD view of :meth:`known_dependencies`."""
         return as_ads(self.known_dependencies(catalog))
+
+    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+        """Keys of the result: attribute sets every result tuple carries and
+        whose values tell any two apart — derived from the declared keys by one
+        rule per node class, next to its :meth:`known_dependencies` (``memo``:
+        see :func:`memoized_keys`).  None unless a rule proves one."""
+        return _NO_KEYS
 
     def guaranteed_attributes(self) -> AttributeSet:
         """Attributes every tuple of the result is guaranteed to possess.
@@ -183,6 +219,9 @@ class _Unary(Expression):
     def known_dependencies(self, catalog=None) -> Set[Dependency]:
         return set(self.child.known_dependencies(catalog))
 
+    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+        return memoized_keys(self.child, catalog, memo)
+
     def guaranteed_attributes(self) -> AttributeSet:
         return self.child.guaranteed_attributes()
 
@@ -231,6 +270,14 @@ class RelationRef(Expression):
 
     def known_dependencies(self, catalog=None) -> Set[Dependency]:
         return set(_catalog_dependencies(catalog, self.name))
+
+    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+        # the declared key: the engine refuses a tuple lacking it or repeating it
+        try:
+            key = catalog.key(self.name) if hasattr(catalog, "key") else None
+        except CatalogError:  # an unknown relation: its scan reports it
+            key = None
+        return _NO_KEYS if key is None else frozenset({key})
 
     def _label(self) -> str:
         return self.name
@@ -331,6 +378,11 @@ class Projection(_Unary):
                                                dependency.rhs & self.attributes))
         return result
 
+    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+        # a kept key keeps telling the projected tuples' sources apart
+        return frozenset(key for key in memoized_keys(self.child, catalog, memo)
+                         if key.issubset(self.attributes))
+
     def guaranteed_attributes(self) -> AttributeSet:
         return self.child.guaranteed_attributes() & self.attributes
 
@@ -346,6 +398,11 @@ class Product(_Binary):
     """``E1 × E2`` — cartesian product of relations with disjoint attribute sets."""
 
     operator = "product"
+
+    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+        # the join on no attributes
+        return _pair_keys(memoized_keys(self.left, catalog, memo),
+                          memoized_keys(self.right, catalog, memo), AttributeSet())
 
 
 class Union(_Binary):
@@ -366,6 +423,10 @@ class Union(_Binary):
             )
         # rule (4) discards its inputs, so the children are not walked
         return set(propagate_union((), ()))
+
+    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+        # a key value may recur across the branches
+        return _NO_KEYS
 
     def _tagging_attribute(self) -> Optional[str]:
         left, right = self.left, self.right
@@ -403,6 +464,10 @@ class Difference(_Binary):
     def known_dependencies(self, catalog=None) -> Set[Dependency]:
         # Rule (5): the difference keeps the dependencies of its left input.
         return set(self.left.known_dependencies(catalog))
+
+    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+        # a subset of the left input
+        return memoized_keys(self.left, catalog, memo)
 
     def guaranteed_attributes(self) -> AttributeSet:
         return self.left.guaranteed_attributes()
@@ -458,6 +523,19 @@ class Rename(_Unary):
                                            self._rename_set(dependency.rhs)))
         return result
 
+    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+        # A key survives, renamed, when no other attribute can land on one of
+        # its targets: colliding names keep one value, maybe not the key's.
+        mapping = self.mapping
+
+        def writers(target: str) -> Set[str]:
+            names = {name for name, to in mapping.items() if to == target}
+            return names if target in mapping else names | {target}
+
+        return frozenset(
+            self._rename_set(key) for key in memoized_keys(self.child, catalog, memo)
+            if all(writers(mapping.get(a.name, a.name)) == {a.name} for a in key))
+
     def guaranteed_attributes(self) -> AttributeSet:
         return self._rename_set(self.child.guaranteed_attributes())
 
@@ -478,6 +556,10 @@ class NaturalJoin(_Binary):
     def __init__(self, left: Expression, right: Expression, on=None):
         super().__init__(left, right)
         self.on = attrset(on) if on is not None else None
+
+    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+        return _pair_keys(memoized_keys(self.left, catalog, memo),
+                          memoized_keys(self.right, catalog, memo), self.on)
 
     def _label(self) -> str:
         return "join[on={}]".format(self.on if self.on is not None else "shared")
@@ -516,6 +598,13 @@ class MultiwayJoin(Expression):
         for child in self.inputs:
             result |= set(child.known_dependencies(catalog))
         return result
+
+    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+        # a fragment keyed inside ``on`` merges into a master tuple at most once
+        if all(any(key.issubset(self.on) for key in memoized_keys(child, catalog, memo))
+               for child in self.inputs[1:]):
+            return memoized_keys(self.inputs[0], catalog, memo)
+        return _NO_KEYS
 
     def guaranteed_attributes(self) -> AttributeSet:
         # Only the master's: a master tuple lacking ``on`` passes through unmerged.
@@ -567,6 +656,13 @@ class Aggregate(_Unary):
         # Grouping rebuilds tuples from scratch; no input dependency is known to
         # survive into (group key, aggregate) shapes — stay conservative.
         return set()
+
+    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+        # one tuple per group, and no ⊥ group when every group attribute is present
+        group = attrset(self.group_by)
+        if group.issubset(self.child.guaranteed_attributes()):
+            return frozenset({group})
+        return _NO_KEYS
 
     def guaranteed_attributes(self) -> AttributeSet:
         # Only count outputs are guaranteed: any other aggregate (and any group

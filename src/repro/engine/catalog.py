@@ -143,6 +143,10 @@ class Catalog:
         """Declared dependencies of a table (the optimizer's entry point)."""
         return list(self.definition(name).dependencies)
 
+    def key(self, name: str) -> Optional[AttributeSet]:
+        """Declared key of a table, if any (the physical planner's entry point)."""
+        return self.definition(name).key
+
     def names(self) -> List[str]:
         """Registered table names, sorted."""
         return sorted(self._definitions)

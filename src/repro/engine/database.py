@@ -28,7 +28,7 @@ from repro.errors import (
 )
 from repro.exec.executor import PhysicalExecutor
 from repro.exec.planner import PhysicalPlan
-from repro.model.attributes import attrset
+from repro.model.attributes import AttributeSet, attrset
 from repro.model.domains import Domain
 from repro.model.scheme import FlexibleScheme
 from repro.model.tuples import FlexTuple
@@ -426,6 +426,10 @@ class Database:
     def dependencies(self, name: str) -> List[Dependency]:
         """Declared dependencies of a table (the optimizer's resolution hook)."""
         return self.catalog.dependencies(name)
+
+    def key(self, name: str) -> Optional[AttributeSet]:
+        """Declared key of a table, if any (the physical planner's resolution hook)."""
+        return self.catalog.key(name)
 
     def tables(self) -> List[str]:
         return self.catalog.names()

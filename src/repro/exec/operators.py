@@ -63,8 +63,9 @@ Every operator's output batch stream contains each distinct tuple exactly once
 to re-deduplicate their inputs.  The operators that can create duplicates —
 projection, rename, product and the joins — hand their candidate value dicts to
 one emitter, :func:`_distinct`; the joins read their keys through one
-:func:`_join_keys`.  No operator hands its parent a batch of more than
-``ctx.batch_size`` rows.
+:func:`_join_keys`.  Where the logical node proves a key of its result, the
+planner sets the operator's ``distinct_by`` and the emitter keeps no ``seen``
+set.  No operator hands its parent a batch of more than ``ctx.batch_size`` rows.
 
 The operator ``name`` strings key the per-operator metrics (``memory.<name>``,
 ``qerror.<name>``) and are stable identifiers, not descriptions.
@@ -118,12 +119,27 @@ class PhysicalOperator:
     binding_specific: bool = False
     feedback_tables: Optional[frozenset] = None
 
+    #: a key of the output, set by the physical planner when the logical node
+    #: proves one (``unique_keys``): the rows then skip the ``seen`` set
+    distinct_by: Optional[AttributeSet] = None
+
     #: the input operators, left to right (set once, by the constructor)
     children: Tuple["PhysicalOperator", ...] = ()
 
     def label(self) -> str:
         """One-line description used in explain output and operator stats."""
         return self.name
+
+    def explain_label(self) -> str:
+        """:meth:`label` and, on a keyed operator, ``distinct-by=<key>``: the
+        line explain and EXPLAIN ANALYZE print."""
+        if self.distinct_by is None:
+            return self.label()
+        return "{} distinct-by={}".format(self.label(), self.distinct_by)
+
+    def _seen(self) -> Optional[set]:
+        """A fresh ``seen`` set for :func:`_distinct`, or ``None`` under a key."""
+        return None if self.distinct_by is not None else set()
 
     @property
     def plan_label(self) -> str:
@@ -204,7 +220,7 @@ class PhysicalOperator:
         Planner-produced plans carry cost-model annotations which are rendered
         as ``est_rows`` / ``est_cost`` columns per node.
         """
-        line = "  " * indent + self.label()
+        line = "  " * indent + self.explain_label()
         if self.estimated_rows is not None:
             line += "  [est_rows={:.1f}".format(self.estimated_rows)
             if self.estimated_cost is not None:
@@ -271,11 +287,16 @@ class _Binary(PhysicalOperator):
         self.children = (left, right)
 
 
-def _distinct(ctx: ExecutionContext, seen: set,
+def _distinct(ctx: ExecutionContext, seen: Optional[set],
               rows: Iterable[dict]) -> Iterator[LazyBatch]:
     """Set semantics over value dicts: the ``rows`` whose content is not yet
     in ``seen`` (which they join), as :class:`LazyBatch`es of at most
-    ``ctx.batch_size`` rows carrying the hash of that content."""
+    ``ctx.batch_size`` rows carrying the hash of that content.  A keyed
+    operator (``distinct_by``) has no ``seen`` set: its rows are distinct by
+    construction, so they are only cut — no content key, no hash."""
+    if seen is None:
+        yield from map(LazyBatch, PhysicalOperator._chunks(ctx, rows))
+        return
     size = ctx.batch_size
     add_seen = seen.add
     out_values: List[dict] = []
@@ -291,6 +312,13 @@ def _distinct(ctx: ExecutionContext, seen: set,
                 out_values, out_hashes = [], []
     if out_values:
         yield LazyBatch(out_values, out_hashes)
+
+
+def _note_seen(ctx: ExecutionContext, op: OperatorStats, seen: Optional[set]) -> None:
+    """Account a ``seen`` set as held state, once, at the end of its stream —
+    when it outgrew one batch (as streaming state, a smaller one goes unreported)."""
+    if seen is not None and len(seen) > ctx.batch_size:
+        op.note_memory(sampled_size(seen))
 
 
 def _join_keys(batch: TupleBatch, names: Sequence[str]) -> List:
@@ -473,7 +501,8 @@ class ProjectOp(_Unary):
 
     Projected value dicts are built from pre-extracted columns and emitted as a
     :class:`LazyBatch` — the (typically much smaller) projected tuples are only
-    constructed when something downstream needs row objects.
+    constructed when something downstream needs row objects; a kept key
+    (``distinct_by``) spares the ``seen`` set.
     """
 
     name = "batch-project"
@@ -488,7 +517,7 @@ class ProjectOp(_Unary):
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
         names = [a.name for a in self.attributes]
         stats = ctx.stats
-        seen = set()
+        seen = self._seen()
         for batch in child:
             count = len(batch)
             stats.tuples_scanned += count
@@ -503,6 +532,7 @@ class ProjectOp(_Unary):
                 if items:
                     projected.append(items)
             yield from _distinct(ctx, seen, projected)
+        _note_seen(ctx, op, seen)
 
 
 class ExtendOp(_Unary):
@@ -550,10 +580,11 @@ class RenameOp(_Unary):
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
         transform = self._compiled.transform_row
         stats = ctx.stats
-        seen = set()
+        seen = self._seen()
         for batch in child:
             stats.tuples_scanned += len(batch)
             yield from _distinct(ctx, seen, map(transform, batch.values_list()))
+        _note_seen(ctx, op, seen)
 
 
 class ProductOp(_Binary):
@@ -574,7 +605,9 @@ class ProductOp(_Binary):
                     for partner in build:
                         yield merge_values(row_values, partner)
 
-        yield from _distinct(ctx, set(), merges())
+        seen = self._seen()
+        yield from _distinct(ctx, seen, merges())
+        _note_seen(ctx, op, seen)
 
 
 def _shared_attributes(left: Set[FlexTuple], right: Set[FlexTuple]) -> AttributeSet:
@@ -660,13 +693,13 @@ class HashJoin(_Binary):
             if budget is not None:
                 yield from self._generate_grace(ctx, op, left, right, names, budget)
                 return
-        yield from self._probe(ctx, left, names, _build_buckets(op, ctx, right, names))
+        yield from self._probe(ctx, op, self._seen(), left, names,
+                               _build_buckets(op, ctx, right, names))
 
     @staticmethod
-    def _probe(ctx, left, names, buckets) -> Iterator[TupleBatch]:
+    def _probe(ctx, op, seen, left, names, buckets) -> Iterator[TupleBatch]:
         stats = ctx.stats
         get = buckets.get  # no bucket is keyed MISSING
-        seen = set()
         for batch in left:
             stats.guard_checks += len(batch)
             merged: List[dict] = []
@@ -679,6 +712,7 @@ class HashJoin(_Binary):
                 for partner in partners:
                     append(merge_values(row_values, partner))
             yield from _distinct(ctx, seen, merged)
+        _note_seen(ctx, op, seen)
 
     def _generate_grace(self, ctx, op, left, right, names,
                         budget) -> Iterator[TupleBatch]:
@@ -689,8 +723,8 @@ class HashJoin(_Binary):
         fits never touches disk and emits exactly what the in-memory path
         emits.  Matching keys land in the same partition on both sides, and a
         merged output row determines its join key, so no duplicate crosses
-        partitions and :func:`_distinct`'s ``seen`` set is emptied at each
-        one: the union of the per-partition outputs is exactly the
+        partitions and each one runs :func:`_distinct` with a ``seen`` set of
+        its own: the union of the per-partition outputs is exactly the
         deduplicated join.  All counters (guard checks per input row, pairs
         per shared bucket) match the in-memory algorithm total for total.
         """
@@ -726,7 +760,7 @@ class HashJoin(_Binary):
             for key, values in pairs:
                 buckets.setdefault(key, []).append(values)
             op.note_memory(sampled_size(buckets))
-            yield from self._probe(ctx, left, names, buckets)
+            yield from self._probe(ctx, op, self._seen(), left, names, buckets)
             return
 
         probe_part = GracePartitioner(manager, "join-probe")
@@ -737,27 +771,26 @@ class HashJoin(_Binary):
         build_part.finish()
         probe_part.finish()
 
-        seen: set = set()
+        def merges(index) -> Iterator[dict]:
+            buckets: Dict = {}
+            for key, values in build_part.segment(index):
+                buckets.setdefault(key, []).append(values)
+            # accounting only: grace bounds held state at ~budget + one
+            # partition's buckets, it does not re-enforce per partition
+            op.note_memory(sampled_size(buckets))
+            get = buckets.get
+            for key, row_values in probe_part.segment(index):
+                partners = get(key)
+                if partners is None:
+                    continue
+                stats.join_pairs_considered += len(partners)
+                for partner in partners:
+                    yield merge_values(row_values, partner)
 
-        def merges() -> Iterator[dict]:
-            for index in range(build_part.partitions):
-                buckets: Dict = {}
-                for key, values in build_part.segment(index):
-                    buckets.setdefault(key, []).append(values)
-                # accounting only: grace bounds held state at ~budget + one
-                # partition's buckets, it does not re-enforce per partition
-                op.note_memory(sampled_size(buckets))
-                get = buckets.get
-                seen.clear()  # a duplicate never crosses partitions
-                for key, row_values in probe_part.segment(index):
-                    partners = get(key)
-                    if partners is None:
-                        continue
-                    stats.join_pairs_considered += len(partners)
-                    for partner in partners:
-                        yield merge_values(row_values, partner)
-
-        yield from _distinct(ctx, seen, merges())
+        for index in range(build_part.partitions):
+            seen = self._seen()  # a duplicate never crosses partitions
+            yield from _distinct(ctx, seen, merges(index))
+            _note_seen(ctx, op, seen)
 
 
 class IndexLookupJoin(PhysicalOperator):
@@ -799,13 +832,13 @@ class IndexLookupJoin(PhysicalOperator):
             inner_rows = list(_resolve_relation(ctx.source, self.relation))
             ctx.stats.tuples_scanned += len(inner_rows)
             buckets = _build_buckets(op, ctx, [TupleBatch(inner_rows)], on_names)
-            yield from HashJoin._probe(ctx, outer, on_names, buckets)
+            yield from HashJoin._probe(ctx, op, self._seen(), outer, on_names, buckets)
             return
         lookup = index.lookup
         probe_names = [a.name for a in index.attributes]
         remaining = [a.name for a in (self.on - index.attributes)]
         stats = ctx.stats
-        seen = set()
+        seen = self._seen()
         for batch in outer:
             stats.guard_checks += len(batch)
             merged: List[dict] = []
@@ -821,6 +854,7 @@ class IndexLookupJoin(PhysicalOperator):
                         continue
                     merged.append(merge_values(row_values, partner_values))
             yield from _distinct(ctx, seen, merged)
+        _note_seen(ctx, op, seen)
 
 
 class MergeUnion(_Binary):
@@ -881,13 +915,14 @@ class MultiwayJoinOp(PhysicalOperator):
     without a partner pass through unchanged (variants contribute nothing) — the
     same semantics as the logical operator.
 
-    The master and each dependent fragment are drained into parallel
-    value-dict and hash lists; each merge stage then works purely on value
-    dicts and the final table is emitted as :class:`LazyBatch` chunks, which
-    across an n-way restoration avoids building every intermediate merged
-    ``FlexTuple`` once per stage.  It is the one operator that deduplicates
-    without :func:`_distinct`: pass-through rows skip the check, and each
-    stage feeds the next as lists, not batches.
+    The master is drained into parallel value-dict and hash lists and each
+    dependent fragment into join-key buckets; each merge stage then works
+    purely on value dicts and the final table is emitted as :class:`LazyBatch`
+    chunks, which across an n-way restoration avoids building every
+    intermediate merged ``FlexTuple`` once per stage.  It is the one operator
+    that deduplicates without :func:`_distinct`: pass-through rows skip the
+    check (and under a key every row does), and each stage feeds the next as
+    lists, not batches.
     """
 
     name = "batch-multiway-join"
@@ -908,29 +943,25 @@ class MultiwayJoinOp(PhysicalOperator):
         single = len(on_names) == 1
         on_name = on_names[0] if single else None
 
-        def drain(stream):
-            # Parallel (values, hashes) lists; every input stream is distinct
-            # by the operator contract, so no content keys are rebuilt here.
-            all_values: List = []
-            all_hashes: List = []
-            for batch in stream:
-                all_values.extend(batch.values_list())
-                all_hashes.extend(batch.hashes_list())
-            return all_values, all_hashes
-
-        current_values, current_hashes = drain(master)
+        # Parallel (values, hashes) lists; every input stream is distinct by
+        # the operator contract, so no content keys are rebuilt here.
+        current_values: List = []
+        current_hashes: List = []
+        for batch in master:
+            current_values.extend(batch.values_list())
+            current_hashes.extend(batch.hashes_list())
         ctx.enforce_memory(op, sampled_size(current_values))
         for stream in fragments:
-            fragment_values, _fragment_hashes = drain(stream)
             buckets: Dict = {}
             setdefault = buckets.setdefault
-            for values in fragment_values:
-                if single:
-                    if on_name in values:
-                        setdefault(values[on_name], []).append(values)
-                elif all(name in values for name in on_names):
-                    setdefault(tuple(values[name] for name in on_names),
-                               []).append(values)
+            for batch in stream:
+                for values in batch.values_list():
+                    if single:
+                        if on_name in values:
+                            setdefault(values[on_name], []).append(values)
+                    elif all(name in values for name in on_names):
+                        setdefault(tuple(values[name] for name in on_names),
+                                   []).append(values)
             get = buckets.get
             # Pass-through rows stay distinct (they were), and can never equal
             # a merged row (their join-key bucket was empty or they lack a join
@@ -939,8 +970,7 @@ class MultiwayJoinOp(PhysicalOperator):
             out_hashes: List = []
             append_values = out_values.append
             append_hashes = out_hashes.append
-            seen_merged = set()
-            add_seen = seen_merged.add
+            seen_merged = self._seen()
             for values, hash_ in zip(current_values, current_hashes):
                 if single:
                     key = values.get(on_name, MISSING)
@@ -957,11 +987,14 @@ class MultiwayJoinOp(PhysicalOperator):
                 stats.join_pairs_considered += len(partners)
                 for partner in partners:
                     combined = merge_values(values, partner)
-                    dedup = frozenset(combined.items())
-                    if dedup not in seen_merged:
-                        add_seen(dedup)
-                        append_values(combined)
-                        append_hashes(hash(dedup))
+                    content = frozenset(combined.items())
+                    if seen_merged is not None:
+                        if content in seen_merged:
+                            continue
+                        seen_merged.add(content)
+                    append_values(combined)
+                    append_hashes(hash(content))
+            _note_seen(ctx, op, seen_merged)
             ctx.enforce_memory(op, sampled_size(buckets))
             current_values, current_hashes = out_values, out_hashes
             ctx.enforce_memory(op, sampled_size(current_values))

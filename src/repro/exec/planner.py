@@ -79,6 +79,7 @@ from repro.algebra.expressions import (
     SubqueryExtension,
     TypeGuardNode,
     Union,
+    memoized_keys,
 )
 from repro.errors import OptimizerError
 from repro.exec.context import (
@@ -274,6 +275,8 @@ class PhysicalPlanner:
         #: join-order strategy for n-way NaturalJoin trees
         self.join_order_search = join_order_search
         self._estimates: dict = {}
+        #: node id -> unique_keys, memoized per plan() call like the estimates
+        self._keys: dict = {}
         #: ids of NaturalJoin nodes produced by the search (skip re-searching)
         self._ordered_joins: set = set()
         #: search results of the current plan() call (also keeps the rebuilt
@@ -297,6 +300,7 @@ class PhysicalPlanner:
         cache is keyed on it).
         """
         self._estimates = {}
+        self._keys = {}
         self._ordered_joins = set()
         self._search_results = []
         reads: dict = {}
@@ -319,6 +323,7 @@ class PhysicalPlanner:
         finally:
             self.cost_model.bind()
             self._estimates = {}
+            self._keys = {}
             self._ordered_joins = set()
             self._search_results = []
             self._tracer = None
@@ -357,6 +362,11 @@ class PhysicalPlanner:
 
     def _lower(self, expression: Expression) -> PhysicalOperator:
         operator = self._lower_node(expression)
+        if isinstance(expression, (Projection, Rename, Product, NaturalJoin, MultiwayJoin)):
+            # a deduplicating operator: under a key its rows are distinct already
+            keys = memoized_keys(expression, self.source, self._keys)
+            if keys:
+                operator.distinct_by = min(keys, key=lambda key: (len(key), key.names))
         # Annotate the produced operator with this node's estimate; a Scan that
         # absorbed a selection/guard chain receives the estimate of the chain's
         # top node, which is exactly what it computes.

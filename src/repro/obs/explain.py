@@ -12,8 +12,9 @@ renders the physical plan tree with, per node:
   :mod:`repro.exec.operators`),
 * the number of batches it emitted, and
 * ``mem=`` — the sampled peak bytes of materialized state (hash builds,
-  multiway drains, difference/product materializations); omitted for
-  streaming operators that never hold more than one batch.
+  multiway drains, difference/product materializations, deduplication's
+  ``seen`` sets); omitted for streaming operators that never hold more than
+  one batch — a projection keyed ``distinct-by=`` among them.
 
 The pairing of plan nodes with run-time counters relies on a structural
 invariant of the execution layer: ``PhysicalOperator.run`` registers its
@@ -102,7 +103,7 @@ def render_explain_analyze(plan, result, header: str = "") -> str:
                    for node, op_stats in pair_nodes_with_stats(plan, result.context)}
 
     def render(node, indent: int) -> None:
-        line = "  " * indent + node.label()
+        line = "  " * indent + node.explain_label()
         op_stats = annotations.get(id(node))
         if op_stats is not None:
             est = ("{:.1f}".format(node.estimated_rows)

@@ -41,6 +41,7 @@ from repro.algebra.predicates import (
 )
 from repro.core.dependencies import AttributeDependency, FunctionalDependency
 from repro.engine import Database
+from repro.engine.catalog import Catalog, TableDefinition
 from repro.errors import CatalogError, MemoryBudgetExceeded
 from repro.exec import (
     MAX_BATCH_SIZE,
@@ -140,14 +141,20 @@ def _algebra_nodes():
     return sorted(found, key=lambda cls: cls.__name__)
 
 
-#: declared dependencies of ``r`` and ``s``, so the facts below are not empty
-_CATALOG = {"r": [AttributeDependency(["a"], ["b"]), FunctionalDependency(["a"], ["c"])],
-            "s": [AttributeDependency(["a"], ["d"])]}
+#: declared dependencies and keys of ``r`` and ``s``, so the facts below are
+#: not empty
+_CATALOG = Catalog()
+_CATALOG.register(TableDefinition(
+    "r", FlexibleScheme.relational(["a", "b", "c"]), key=["a"],
+    dependencies=[AttributeDependency(["a"], ["b"]), FunctionalDependency(["a"], ["c"])]))
+_CATALOG.register(TableDefinition(
+    "s", FlexibleScheme.relational(["a", "d"]), key=["d"],
+    dependencies=[AttributeDependency(["a"], ["d"])]))
 
 
 def _facts(expression):
     return (expression.known_dependencies(_CATALOG), expression.guaranteed_attributes(),
-            expression.established_equalities())
+            expression.established_equalities(), expression.unique_keys(_CATALOG))
 
 
 @pytest.mark.parametrize("node", _algebra_nodes(), ids=lambda cls: cls.__name__)
@@ -157,6 +164,26 @@ def test_with_children_round_trip_keeps_class_key_and_facts(node):
         assert type(rebuilt) is type(expression)
         assert expression_key(rebuilt) == expression_key(expression)
         assert _facts(rebuilt) == _facts(expression)
+
+
+#: the node classes that inherit their ``unique_keys`` rule, and why it is theirs
+INHERITED_KEY_RULES = {
+    EmptyRelation: "no keys claimed, as no dependencies are",
+    Selection: "a subset of the child's tuples",
+    TypeGuardNode: "a subset of the child's tuples",
+    Sort: "the child's tuples, ordered",
+    Limit: "a subset of the child's tuples",
+    Extension: "each child tuple grows by the same constant attribute",
+    SubqueryExtension: "each child tuple grows by the same scalar, or stays",
+    OuterUnion: "a union: a key value may recur across the branches",
+}
+
+
+@pytest.mark.parametrize("node", _algebra_nodes(), ids=lambda cls: cls.__name__)
+def test_every_node_states_its_key_rule(node):
+    """A node defines ``unique_keys`` or is listed as inheriting it — never
+    both, and no new node silently passes its child's keys through."""
+    assert ("unique_keys" in vars(node)) != (node in INHERITED_KEY_RULES), node
 
 
 class TestLowering:
@@ -238,6 +265,61 @@ class TestLowering:
     def test_empty_relation(self, database):
         result = database.execute(EmptyRelation())
         assert len(result) == 0
+
+
+def _keys(expression, catalog=_CATALOG):
+    return {key.names for key in expression.unique_keys(catalog)}
+
+
+class TestUniqueKeys:
+    """The key rules of the algebra nodes, and what the planner makes of them."""
+
+    def test_declared_key_and_projection(self):
+        assert _keys(_R) == {("a",)}
+        assert _keys(Projection(_R, ["a", "b"])) == {("a",)}
+        assert _keys(Projection(_R, ["b", "c"])) == set()
+        assert _keys(_R, catalog=None) == set()
+        assert _keys(RelationRef("unknown")) == set()
+
+    def test_rename_drops_a_key_it_could_collapse(self):
+        assert _keys(Rename(_R, {"b": "x"})) == {("a",)}
+        assert _keys(Rename(_R, {"a": "b", "b": "y"})) == {("b",)}
+        # a tuple may carry b (or x), and the target then keeps one of the
+        # two values — not necessarily the key's
+        assert _keys(Rename(_R, {"a": "b"})) == set()
+        assert _keys(Rename(_R, {"a": "x"})) == set()
+        assert _keys(Rename(_R, {"c": "a"})) == set()
+
+    def test_joins_pair_keys_or_keep_one_side(self):
+        assert _keys(Product(_R, _S)) == {("a", "d")}
+        assert _keys(NaturalJoin(_R, _S)) == {("a", "d")}
+        # r's key lies in ``on``: each s tuple meets at most one r tuple
+        assert _keys(NaturalJoin(_R, _S, on=["a"])) == {("d",)}
+        assert _keys(NaturalJoin(_R, _S, on=["a", "d"])) == {("a",), ("d",)}
+        assert _keys(MultiwayJoin([_R, _S], on=["d"])) == {("a",)}
+        assert _keys(MultiwayJoin([_R, _S], on=["a"])) == set()
+
+    def test_union_none_difference_left_aggregate_without_bottom_group(self):
+        assert _keys(_BOTH) == set()
+        assert _keys(Difference(_R, _S)) == {("a",)}
+        assert _keys(Aggregate(_R, group_by=("b",), specs=("count",))) == set()
+        assert _keys(Aggregate(TypeGuardNode(_R, ["b"]), group_by=("b",),
+                               specs=("count",))) == {("b",)}
+        assert _keys(Aggregate(_R, specs=("count",))) == {()}
+
+    def test_keyed_operators_skip_the_seen_set(self, database):
+        keyed = Projection(RelationRef("employees"), ["emp_id", "name"])
+        unkeyed = Projection(RelationRef("employees"), ["name"])
+        assert "distinct-by={emp_id}" in database.plan(keyed, optimize=False).explain()
+        assert "distinct-by" not in database.plan(unkeyed, optimize=False).explain()
+        # the seen set is the projection's held state, and only the unkeyed one
+        # has it — reported once it outgrows a batch
+        for expression, held in ((keyed, False), (unkeyed, True)):
+            report = database.explain_analyze(expression, optimize=False, batch_size=8)
+            assert bool(report.result.operator_report()[0]["peak_bytes"]) is held
+            assert ("mem=" in str(report).splitlines()[1]) is held
+            assert report.tuples == Evaluator(database).evaluate(expression).tuples
+        assert "distinct-by={emp_id}" in str(database.explain_analyze(keyed))
 
 
 class TestMaterializingJoins:

@@ -71,7 +71,9 @@ def execute_and_audit(plan, source, batch_size):
     ``PhysicalOperator.run`` keeps: every operator ran once, no operator
     handed on a batch of more than ``batch_size`` rows, every operator with
     children took in exactly what they emitted, and the root's
-    ``rows_out`` / ``batches_out`` are what the stream yielded."""
+    ``rows_out`` / ``batches_out`` are what the stream yielded — and, as every
+    stream is distinct, as many rows as the result set holds (collecting the
+    result into a set would otherwise hide a duplicate)."""
     ctx = ExecutionContext(source, batch_size=batch_size, params=plan.params)
     tuples, rows, batches = set(), 0, 0
     for batch in plan.root.run(ctx):
@@ -90,6 +92,8 @@ def execute_and_audit(plan, source, batch_size):
         return op.rows_out
 
     assert audit(plan.root) == rows
+    assert rows == len(tuples), "the root emitted {} rows for {} tuples".format(
+        rows, len(tuples))
     assert ctx.operator_stats[0].batches_out == batches
     assert next(books, None) is None
     return PhysicalResult(tuples, ctx.stats, ctx)

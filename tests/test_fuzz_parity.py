@@ -12,7 +12,11 @@ order — implementation-defined across engines.  The curated corpus in
 ``test_exec_parity.py`` still pins exact error classes for single-fault trees.
 Each tree is also rewritten by the AD planner against a database declaring
 the jobtype EAD, and the naive evaluator must give the rewritten tree the same
-outcome: the rewrites are only as sound as the facts the nodes report.
+outcome: the rewrites are only as sound as the facts the nodes report.  That
+database declares keys too (``emp_id``, ``order_id``): every other tree runs
+the parity check against it, where the planner proves keys and lowers
+projections and joins without their ``seen`` sets, and every node of every
+tree has its ``unique_keys`` checked on its naive result.
 
 The CI budget is fixed: ``SEEDS × TREES_PER_SEED`` = 500 trees under pinned
 seeds, so a red run is reproducible bit-for-bit.  On the first failing tree
@@ -273,32 +277,101 @@ VALUES = [1, 7, 25, 4000.0, 250, "secretary", "salesman", "r0", "r1",
           "online", "store", None]
 
 
+class _NodeResults(Evaluator):
+    """The naive evaluator, keeping every node's result (bottom-up)."""
+
+    def __init__(self, source):
+        super().__init__(source)
+        self.results = []
+
+    def _evaluate(self, expression, stats):
+        tuples = super()._evaluate(expression, stats)
+        self.results.append((expression, tuples))
+        return tuples
+
+
+def _naive_checking_keys(expression, database, where):
+    """The naive outcome of ``expression`` against ``database`` — after
+    checking, on every node's naive result, each key the node reports
+    (``unique_keys``): every tuple carries it, and no two tuples share its
+    values."""
+    evaluator = _NodeResults(database)
+    outcome, _ = _outcome(lambda: evaluator.evaluate(expression))
+    for node, tuples in evaluator.results:
+        rows = [tup._values for tup in tuples]
+        for key in node.unique_keys(database):
+            names = key.names
+            assert all(name in row for row in rows for name in names), (
+                "{}: a tuple of this node lacks its key {}\n{}\nin:\n{}".format(
+                    where, key, node.pretty(), expression.pretty()))
+            assert len({tuple(row[name] for name in names) for row in rows}) == len(rows), (
+                "{}: two tuples of this node share key {}\n{}\nin:\n{}".format(
+                    where, key, node.pretty(), expression.pretty()))
+    return outcome
+
+
 def _check_rewrite(expression, database, seed, index):
     """The AD rewrites are sound: the rewritten tree evaluates (naively) to
-    the same outcome as the tree itself; error against error is agreement."""
+    the same outcome as the tree itself; error against error is agreement.
+    The naive run of the tree checks every node's keys on the way."""
     from repro.optimizer.planner import Planner
 
-    evaluator = Evaluator(database)
-    naive, _ = _outcome(lambda: evaluator.evaluate(expression))
+    where = "seed={} tree={}".format(seed, index)
+    naive = _naive_checking_keys(expression, database, where)
     rewritten, _ = Planner(catalog=database).optimize(expression)
-    outcome, _ = _outcome(lambda: evaluator.evaluate(rewritten))
+    outcome, _ = _outcome(lambda: Evaluator(database).evaluate(rewritten))
     assert _agree(outcome, naive), (
-        "seed={} tree={}: the rewrite changes the result\n{}\nrewritten:\n{}"
-        .format(seed, index, expression.pretty(), rewritten.pretty()))
+        "{}: the rewrite changes the result\n{}\nrewritten:\n{}"
+        .format(where, expression.pretty(), rewritten.pretty()))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fuzz_parity_budget(seed, fuzz_source, fuzz_database):
-    """TREES_PER_SEED random trees per seed through both engines, and through
-    the rewrite planner against the database that declares the jobtype EAD."""
+    """TREES_PER_SEED random trees per seed through both engines — every
+    other one against the database that declares keys, so the planner proves
+    keys and lowers without ``seen`` sets — and through the rewrite planner
+    against that database, with every node's keys checked on its result."""
     rng = random.Random(7000 + seed)
     names = ["employees", "orders"]
     for index in range(TREES_PER_SEED):
         expression = _random_expression(rng, names, ATTRIBUTES, VALUES,
                                         depth=MAX_DEPTH)
-        _check_tree(expression, fuzz_source, rng.choice(BATCH_SIZES),
-                    seed, index)
+        _check_tree(expression, fuzz_database if index % 2 else fuzz_source,
+                    rng.choice(BATCH_SIZES), seed, index)
         _check_rewrite(expression, fuzz_database, seed, index)
+
+
+def test_a_false_key_fails_the_fuzz(fuzz_source, fuzz_database, monkeypatch):
+    """Teeth.  A key claimed on every node lowers every projection and join
+    without its ``seen`` set, and the duplicates must fail parity; a
+    projection that keeps its child's keys whatever it drops must fail the
+    per-node key check."""
+    from repro.model.attributes import AttributeSet
+
+    def some_tree_fails(check):
+        rng = random.Random(7000)
+        for _ in range(TREES_PER_SEED):
+            expression = _random_expression(rng, ["employees", "orders"],
+                                            ATTRIBUTES, VALUES, depth=MAX_DEPTH)
+            try:
+                check(expression, rng.choice(BATCH_SIZES))
+            except AssertionError:
+                return True
+        return False
+
+    def parity(tree, batch_size):
+        failure = _parity_failure(tree, fuzz_source, batch_size)
+        assert failure is None, failure
+
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.exec.planner.memoized_keys",
+                      lambda expression, catalog, memo: frozenset({AttributeSet()}))
+        assert some_tree_fails(parity)
+    with monkeypatch.context() as patch:
+        patch.setattr(Projection, "unique_keys",
+                      lambda self, catalog=None, memo=None: self.child.unique_keys(catalog))
+        assert some_tree_fails(
+            lambda tree, _size: _naive_checking_keys(tree, fuzz_database, "teeth"))
 
 
 def test_shrinker_reports_the_minimal_subtree(fuzz_source):
@@ -422,7 +495,8 @@ def test_fuzz_two_literals_share_one_cache(seed, fuzz_database):
         tree = _template_tree(rng, names)
         batch_size = rng.choice(BATCH_SIZES)
         for variant in (tree, _redraw_constants(tree, rng, _TEMPLATE_VALUES)):
-            naive, _ = _outcome(lambda: Evaluator(fuzz_database).evaluate(variant))
+            naive = _naive_checking_keys(
+                variant, fuzz_database, "seed={} tree={}".format(seed, index))
             for optimize in (False, True):
                 physical = _engine_outcome(
                     fuzz_database, variant, optimize=optimize,

@@ -58,13 +58,13 @@ def chain_db():
 STAR_PLAN_EXPLAIN = """\
 join-order[dp]: relations=6 subsets=37 considered=80 pruned=49 est_rows=30.0 est_cost=3050.0
   order: ((((dim_small ⋈ (fact ⋈ σ(dim_rare))) ⋈ dim_c) ⋈ dim_b) ⋈ dim_a)
-hash-join[on={da}]  [est_rows=30.0 est_cost=3050.0]
-  hash-join[on={db}]  [est_rows=30.0 est_cost=2930.0]
+hash-join[on={da}] distinct-by={fact_id}  [est_rows=30.0 est_cost=3050.0]
+  hash-join[on={db}] distinct-by={fact_id}  [est_rows=30.0 est_cost=2930.0]
     scan[dim_b]  [est_rows=40.0 est_cost=40.0]
-    hash-join[on={dc}]  [est_rows=30.0 est_cost=2790.0]
+    hash-join[on={dc}] distinct-by={fact_id}  [est_rows=30.0 est_cost=2790.0]
       scan[dim_c]  [est_rows=50.0 est_cost=50.0]
-      hash-join[on={ds}]  [est_rows=30.0 est_cost=2630.0]
-        hash-join[on={dr}]  [est_rows=30.0 est_cost=2530.0]
+      hash-join[on={ds}] distinct-by={fact_id}  [est_rows=30.0 est_cost=2630.0]
+        hash-join[on={dr}] distinct-by={fact_id}  [est_rows=30.0 est_cost=2530.0]
           scan[fact]  [est_rows=600.0 est_cost=600.0]
           scan[dim_rare, σ[kind = ?0]]  [est_rows=50.0 est_cost=1250.0]
         scan[dim_small]  [est_rows=20.0 est_cost=20.0]
