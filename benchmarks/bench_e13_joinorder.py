@@ -1,4 +1,4 @@
-"""E13 — cost-based join-order search vs. smallest-input-first ordering.
+"""E13 — cost-based join-order search vs. the written join order.
 
 The star workload of :mod:`repro.workloads.star`: a 5000-row ``fact`` relation
 joined to five dimensions, four of them tiny but non-reductive, the largest one
@@ -8,15 +8,14 @@ machine-readable ``BENCH_e13_*.json``):
 
 * the DP search (``join_order_search="dp"``) reorders the 6-way join to run
   ``fact ⋈ σ(dim_rare)`` first and examines **≥ 5× fewer join pairs**
-  (``join_pairs_considered``) than the pre-search smallest-input-first order —
-  the ISSUE 4 acceptance gate — with identical result sets;
-* the greedy O(n³) fallback finds a plan of the same quality on this workload
-  while pricing far fewer candidate plans than the exhaustive DP (the
-  DP/greedy trade-off behind the DP search's fallback above
-  ``DEFAULT_DP_THRESHOLD`` relations);
-* on the 5-way chain workload (selective filters on both ends) every search
-  mode agrees with the naive evaluator — the reordering is semantics-preserving
-  on bushy shapes too.
+  (``join_pairs_considered``) than the written smallest-dimension-first order
+  (``join_order_search="none"``) — the acceptance gate — with identical
+  result sets;
+* the search's effort (connected subsets, candidates priced and pruned) stays
+  small at six relations on both workloads;
+* on the 5-way chain workload (selective filters on both ends) the searched
+  and the written order agree with the naive evaluator — the reordering is
+  semantics-preserving on bushy shapes too.
 """
 
 import time
@@ -33,7 +32,7 @@ from repro.workloads.star import (
     star_join_query,
 )
 
-#: the ISSUE 4 acceptance factor: DP examines ≥ this many times fewer pairs
+#: the acceptance factor: DP examines ≥ this many times fewer pairs
 ACCEPTANCE_FACTOR = 5
 
 
@@ -60,12 +59,12 @@ def _run(database, query, mode):
     return plan, result, report, seconds
 
 
-def test_report_star_dp_beats_smallest_first(star_database):
-    """The acceptance gate: ≥5× fewer join pairs than smallest-input-first."""
+def test_report_star_dp_beats_the_written_order(star_database):
+    """The acceptance gate: ≥5× fewer join pairs than the written order."""
     query = star_join_query()
     rows = []
     results = {}
-    for mode in ("smallest", "greedy", "dp"):
+    for mode in ("none", "dp"):
         plan, result, report, seconds = _run(star_database, query, mode)
         results[mode] = result
         rows.append({
@@ -81,43 +80,40 @@ def test_report_star_dp_beats_smallest_first(star_database):
         rows, json_name="e13_star_join_order",
         database=star_database, operators=results["dp"].operator_report(),
     )
-    assert results["smallest"].tuples == results["dp"].tuples == results["greedy"].tuples
-    smallest_pairs = results["smallest"].stats.join_pairs_considered
+    assert results["none"].tuples == results["dp"].tuples
+    written_pairs = results["none"].stats.join_pairs_considered
     dp_pairs = results["dp"].stats.join_pairs_considered
-    # The ISSUE acceptance criterion.
-    assert smallest_pairs >= ACCEPTANCE_FACTOR * dp_pairs
+    assert written_pairs >= ACCEPTANCE_FACTOR * dp_pairs
 
 
 def test_report_search_effort(star_database, chain_database):
-    """DP prices more candidates than greedy but stays tiny at n=6; both report
-    their enumeration statistics."""
+    """The DP search's enumeration statistics stay tiny at n=6."""
     rows = []
     reports = {}
     for label, database, query in (("star", star_database, star_join_query()),
                                    ("chain", chain_database, chain_join_query())):
-        for mode in ("dp", "greedy"):
-            plan, _result, report, _seconds = _run(database, query, mode)
-            reports[(label, mode)] = report
-            entry = {"workload": label, "search": mode}
-            entry.update(report.as_dict())
-            del entry["order"], entry["mode"]
-            rows.append(entry)
+        plan, _result, report, _seconds = _run(database, query, "dp")
+        reports[label] = report
+        entry = {"workload": label, "search": "dp"}
+        entry.update(report.as_dict())
+        del entry["order"]
+        rows.append(entry)
     print_report("E13: join-order search effort (subsets / candidates / pruned)",
                  rows, json_name="e13_search_effort")
-    star_dp = reports[("star", "dp")]
+    star_dp = reports["star"]
     assert star_dp.relations == 6
     # Every plan the DP keeps covers a connected subset: at most 2^6 of them.
     assert star_dp.subsets_enumerated <= 2 ** 6
-    assert star_dp.plans_considered > reports[("star", "greedy")].plans_considered
+    assert star_dp.plans_pruned < star_dp.plans_considered
 
 
 def test_report_chain_parity_all_modes(chain_database):
-    """Reordering is semantics-preserving: every mode equals the naive evaluator."""
+    """Reordering is semantics-preserving: both modes equal the naive evaluator."""
     query = chain_join_query()
     naive = Evaluator(chain_database).evaluate(query)
     rows = [{"mode": "naive-evaluator", "tuples": len(naive.tuples),
              "join_pairs": naive.stats.join_pairs_considered, "parity": "-"}]
-    for mode in ("none", "smallest", "greedy", "dp"):
+    for mode in ("none", "dp"):
         _plan, result, _report, _seconds = _run(chain_database, query, mode)
         rows.append({"mode": mode, "tuples": len(result),
                      "join_pairs": result.stats.join_pairs_considered,
@@ -135,9 +131,9 @@ def test_bench_star_dp(benchmark, star_database):
 
 
 @pytest.mark.benchmark(group="e13-joinorder")
-def test_bench_star_smallest_first(benchmark, star_database):
+def test_bench_star_written_order(benchmark, star_database):
     query = star_join_query()
-    plan = PhysicalPlanner(star_database, join_order_search="smallest").plan(query)
+    plan = PhysicalPlanner(star_database, join_order_search="none").plan(query)
     benchmark(lambda: len(plan.execute(star_database)))
 
 

@@ -33,7 +33,7 @@ from repro.algebra.analytic import (
     row_order_key,
     sort_key,
 )
-from repro.exec import PhysicalExecutor, PhysicalPlanner
+from repro.exec import PhysicalExecutor
 from repro.model.tuples import FlexTuple
 from repro.workloads.analytics import DEFAULT_ORDER_COUNT, analytics_database
 
@@ -111,8 +111,7 @@ def test_report_hash_aggregate_beats_sort_group(orders_database):
     reference, naive_seconds = _best_of(
         lambda: naive_sort_group(tuples, GROUP_BY, SPECS))
 
-    batch_exec = PhysicalExecutor(database, planner=PhysicalPlanner(
-        source=database))
+    batch_exec = PhysicalExecutor(database)
     batch_result, batch_seconds = _best_of(lambda: batch_exec.execute(query))
     speedup = naive_seconds / batch_seconds
 
@@ -146,7 +145,7 @@ def test_report_topk_heap_is_bounded(orders_database):
     topk_query = Limit(Sort(RelationRef("orders"), TOPK_KEYS), TOPK_COUNT)
     sort_query = Sort(RelationRef("orders"), TOPK_KEYS)
 
-    executor = PhysicalExecutor(database, planner=PhysicalPlanner(source=database))
+    executor = PhysicalExecutor(database)
     topk_plan = executor.plan(topk_query)
     assert "top-k" in topk_plan.explain(), topk_plan.explain()
 

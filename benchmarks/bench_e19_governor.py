@@ -26,7 +26,7 @@ import pytest
 from reporting import print_report
 from repro.algebra import Aggregate, RelationRef
 from repro.errors import QueryTimeout
-from repro.exec import PhysicalExecutor, PhysicalPlanner
+from repro.exec import PhysicalExecutor
 from repro.workloads.analytics import analytics_database
 
 #: rows in the benchmark workload — enough that the per-order aggregate's
@@ -78,8 +78,7 @@ def test_report_spilling_aggregate_completes_under_budget(orders_database):
     """The tentpole gate: a quarter-budget run completes with half the peak."""
     database = orders_database
     query = _query()
-    executor = PhysicalExecutor(database, planner=PhysicalPlanner(
-        source=database))
+    executor = PhysicalExecutor(database)
 
     from repro.governor import QueryGovernor
 

@@ -100,8 +100,8 @@ def five_way_join_order():
               " total work:", result.stats.total_work)
         if plan.join_search:
             report = plan.join_search[0]
-            print("      search: mode={} subsets={} considered={} pruned={}".format(
-                report.mode, report.subsets_enumerated, report.plans_considered,
+            print("      search: subsets={} considered={} pruned={}".format(
+                report.subsets_enumerated, report.plans_considered,
                 report.plans_pruned))
     before, after = runs["none"].stats, runs["dp"].stats
     print("   identical results:", runs["none"].tuples == runs["dp"].tuples,

@@ -549,7 +549,6 @@ class Database:
 
     def execute(self, expression: Expression, optimize: bool = False,
                 executor: str = "physical",
-                batch_size: Optional[int] = None,
                 timeout: Optional[float] = None,
                 cancel_token=None,
                 memory_budget: Optional[int] = None,
@@ -559,10 +558,9 @@ class Database:
         ``executor`` selects the execution engine: ``"physical"`` (default) runs
         the expression through the physical plan layer of :mod:`repro.exec` —
         index-aware scans, hash joins, cached plans; ``"naive"`` runs the
-        reference set evaluator of :mod:`repro.algebra`.  ``batch_size`` pins
-        the tuples-per-batch for this execution; ``None`` lets the planner size
-        batches adaptively from the statistics.  Both executors produce
-        identical result sets (enforced by the differential test suite).
+        reference set evaluator of :mod:`repro.algebra`.  Both executors
+        produce identical result sets (enforced by the differential test
+        suite).
 
         Governance (physical executor only): ``timeout`` sets this query's
         deadline in seconds (``QueryTimeout`` past it); ``cancel_token`` a
@@ -573,13 +571,12 @@ class Database:
         """
         result, _report = self.execute_with_report(
             expression, optimize=optimize, executor=executor,
-            batch_size=batch_size, timeout=timeout, cancel_token=cancel_token,
+            timeout=timeout, cancel_token=cancel_token,
             memory_budget=memory_budget, spill=spill)
         return result
 
     def execute_with_report(self, expression: Expression, optimize: bool = True,
                             executor: str = "physical",
-                            batch_size: Optional[int] = None,
                             timeout: Optional[float] = None,
                             cancel_token=None,
                             memory_budget: Optional[int] = None,
@@ -589,20 +586,19 @@ class Database:
             with self.tracer.span("rewrite"):
                 template, params = self.physical_executor.template(expression, optimize)
             return self._run_template(
-                template, params, executor, batch_size, timeout=timeout,
+                template, params, executor, timeout=timeout,
                 cancel_token=cancel_token, memory_budget=memory_budget,
                 spill=spill), template.report
 
     def _run_template(self, template, params, executor: str,
-                      batch_size: Optional[int], timeout: Optional[float] = None,
+                      timeout: Optional[float] = None,
                       cancel_token=None, memory_budget: Optional[int] = None,
                       spill: Optional[bool] = None) -> EvaluationResult:
         """Run a (rewritten) query template under one parameter binding — the
         shared tail of :meth:`execute_with_report` and :meth:`query`."""
         if executor == "physical":
             return self._run_physical(
-                template, params, batch_size,
-                timeout=timeout, cancel_token=cancel_token,
+                template, params, timeout=timeout, cancel_token=cancel_token,
                 memory_budget=memory_budget, spill=spill)[1]
         if executor != "naive":
             raise CatalogError("unknown executor {!r}; use 'physical' or 'naive'".format(executor))
@@ -636,7 +632,6 @@ class Database:
             registry=self.metrics_registry)
 
     def _run_physical(self, template, params,
-                      batch_size: Optional[int],
                       timeout: Optional[float] = None,
                       cancel_token=None,
                       memory_budget: Optional[int] = None,
@@ -661,8 +656,7 @@ class Database:
         plan = None
         try:
             with self.tracer.span("plan"):
-                plan = executor.plan(template, batch_size=batch_size,
-                                     params=params)
+                plan = executor.plan(template, params=params)
             with self.tracer.span("execute") as span:
                 result = plan.execute(self, governor=governor, params=params)
                 span.set(rows=len(result.tuples))
@@ -889,36 +883,31 @@ class Database:
         del engine["metrics"]
         return json_snapshot(self.metrics_registry, extra=engine)
 
-    def plan(self, expression: Expression, optimize: bool = True,
-             batch_size: Optional[int] = None) -> PhysicalPlan:
+    def plan(self, expression: Expression, optimize: bool = True) -> PhysicalPlan:
         """The physical plan the database would run for ``expression``.
 
         With ``optimize=True`` the AD-driven rewrites are applied first, so the
-        plan shows what actually executes; ``batch_size`` pins the plan's
-        batch size (``None`` = adaptive); ``plan.explain()`` renders it.
+        plan shows what actually executes; ``plan.explain()`` renders it.
         """
         executor = self.physical_executor
         template, params = executor.template(expression, optimize)
-        return executor.plan(template, batch_size=batch_size,
-                             params=params).bound(params)
+        return executor.plan(template, params=params).bound(params)
 
-    def explain(self, expression: Expression, optimize: bool = True,
-                batch_size: Optional[int] = None) -> str:
+    def explain(self, expression: Expression, optimize: bool = True) -> str:
         """Human-readable plan for ``expression``, with the batch-size
         decision and plan-cache counters in the header::
 
             batch_size=1365  plan-cache: hits=3 misses=1
             hash-join[on={event_id}] ...
         """
-        plan = self.plan(expression, optimize=optimize, batch_size=batch_size)
+        plan = self.plan(expression, optimize=optimize)
         cache = self.physical_executor.cache_info()
         header = "batch_size={}  plan-cache: hits={} misses={}".format(
-            plan.batch_size if plan.batch_size is not None else "default",
-            cache["hits"], cache["misses"])
+            plan.batch_size, cache["hits"], cache["misses"])
         return header + "\n" + plan.explain()
 
-    def explain_analyze(self, expression: Expression, optimize: bool = True,
-                        batch_size: Optional[int] = None) -> ExplainAnalyzeReport:
+    def explain_analyze(self, expression: Expression,
+                        optimize: bool = True) -> ExplainAnalyzeReport:
         """Execute ``expression`` and render the plan annotated with what
         actually happened: per node, actual vs estimated rows, the Q-error
         ``max(est/actual, actual/est)``, inclusive wall time and batch count.
@@ -933,7 +922,7 @@ class Database:
         with self.tracer.span("query.explain-analyze"):
             with self.tracer.span("rewrite"):
                 template, params = self.physical_executor.template(expression, optimize)
-            plan, result = self._run_physical(template, params, batch_size)
+            plan, result = self._run_physical(template, params)
         header = "batch_size={}  wall={:.3f}ms  rows={}".format(
             result.context.batch_size,
             result.wall_seconds * 1000.0, len(result.tuples))
@@ -942,7 +931,6 @@ class Database:
 
     def query(self, text: str, optimize: bool = True,
               executor: str = "physical",
-              batch_size: Optional[int] = None,
               timeout: Optional[float] = None,
               cancel_token=None,
               memory_budget: Optional[int] = None,
@@ -961,7 +949,7 @@ class Database:
             with self.tracer.span("parse"):
                 template, params = self.physical_executor.statement(text, optimize)
             return self._run_template(
-                template, params, executor, batch_size, timeout=timeout,
+                template, params, executor, timeout=timeout,
                 cancel_token=cancel_token, memory_budget=memory_budget,
                 spill=spill)
 

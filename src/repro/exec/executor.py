@@ -17,7 +17,9 @@ Its plan cache is keyed by the query's **template**, not by its literals
   rewrite and the walk.
 * :class:`PlanKey` adds what planning depends on besides the template,
   including each parameter's type and *selectivity bucket*, so a skewed value
-  gets a plan of its own through the key alone.
+  gets a plan of its own through the key alone.  Batch size and join order
+  are the planner's decisions, derived from the same inputs; no caller sets
+  them, so they are not in the key.
 * cardinality feedback is *not* in the key: a cached plan remembers what its
   costing read from the feedback store and is re-planned when one of those
   reads would come out differently (:meth:`PhysicalExecutor._reads_hold`).
@@ -62,12 +64,12 @@ PLAN_CACHE_SIZE = 128
 
 class PlanKey(NamedTuple):
     """Everything a cached physical plan depends on, by name.  (The planner's
-    join-order search mode is fixed per executor, so it is not part of it.)"""
+    join-order search mode is fixed per executor and its batch size is derived
+    from the same estimates, so neither is part of it.)"""
 
     template: tuple
     #: ``(type, selectivity bucket)`` per parameter slot
     parameters: tuple
-    batch_size: Optional[int]
     catalog_version: object
     statistics_version: object
 
@@ -167,9 +169,9 @@ class PhysicalExecutor:
     the cache key and their hash indexes to scans.
     """
 
-    def __init__(self, source, planner: Optional[PhysicalPlanner] = None):
+    def __init__(self, source):
         self.source = source
-        self.planner = planner if planner is not None else PhysicalPlanner(source=source)
+        self.planner = PhysicalPlanner(source=source)
         self.cache = PlanCache(PLAN_CACHE_SIZE)
         #: statements, template shapes and templates, under the same LRU bound
         self._templates = PlanCache(PLAN_CACHE_SIZE)
@@ -345,26 +347,20 @@ class PhysicalExecutor:
             plan.feedback_version = feedback.version
         return True
 
-    def plan(self, expression, batch_size: Optional[int] = None,
-             params=None) -> PhysicalPlan:
+    def plan(self, expression, params=None) -> PhysicalPlan:
         """The (possibly cached) physical plan for ``expression``.
 
         ``expression`` is a :class:`QueryTemplate` with its ``params`` — the
         returned plan is the template's shared one, to be executed with
         ``params=`` — or an expression with concrete constants, for which the
-        plan comes back bound to them.
-
-        ``batch_size`` pins the plan's batch size (``None`` lets the planner
-        size batches adaptively).  The cache key includes the batch-size
-        request, so a plan built (and sized) for one batch size is never
-        reused when the caller asks for another.
+        plan comes back bound to them.  The plan carries the planner's
+        adaptive batch size.
         """
         if not isinstance(expression, QueryTemplate):
             template, params = self.template(expression)
-            return self.plan(template, batch_size, params).bound(params)
+            return self.plan(template, params).bound(params)
         key = PlanKey(expression.key,
                       self._parameter_classes(expression, params) if params else (),
-                      batch_size,
                       _catalog_version(self.source), _statistics_version(self.source))
         tracer = tracer_of(self.source)
         plan = self.cache.get(key, lambda cached: self._reads_hold(cached, params))
@@ -372,8 +368,7 @@ class PhysicalExecutor:
             if tracer is not None:
                 tracer.event("plan-cache-miss", hits=self.cache.hits,
                              misses=self.cache.misses)
-            plan = self.planner.plan(expression.expression,
-                                     batch_size=batch_size, params=params)
+            plan = self.planner.plan(expression.expression, params=params)
             plan.feedback_version = getattr(
                 getattr(self.source, "cardinality_feedback", None), "version", None)
             self.cache.put(key, plan)
@@ -384,15 +379,14 @@ class PhysicalExecutor:
 
     def execute(self, expression: Expression,
                 stats: Optional[ExecutionStats] = None,
-                batch_size: Optional[int] = None,
                 governor=None) -> PhysicalResult:
         """Plan (or fetch from cache) and run ``expression``.
 
-        The plan carries its batch-size decision (adaptive or requested), so no
-        separate size is passed at execution time.  ``governor`` bounds the
-        execution (see :mod:`repro.governor`).
+        The plan carries its batch-size decision, so no separate size is
+        passed at execution time.  ``governor`` bounds the execution (see
+        :mod:`repro.governor`).
         """
-        plan = self.plan(expression, batch_size=batch_size)
+        plan = self.plan(expression)
         return plan.execute(self.source, stats=stats, governor=governor)
 
     def __repr__(self) -> str:

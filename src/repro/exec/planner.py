@@ -9,19 +9,17 @@ operators from :mod:`repro.exec.operators`:
   down (and the predicate's implied equalities exposed for index lookup);
 * nested :class:`~repro.algebra.expressions.NaturalJoin` trees of three or more
   relations first go through the **cost-based join-order search** of
-  :mod:`repro.optimizer.joinorder` (``join_order_search="dp"`` by default:
-  Selinger-style dynamic programming over connected atom subsets producing
-  bushy trees, with a greedy fallback above
-  :data:`~repro.optimizer.joinorder.DEFAULT_DP_THRESHOLD` relations;
-  ``"greedy"``, ``"smallest"`` and ``"none"`` select the other strategies).
-  The search re-associates the joins into the cheapest estimated order, seeds
+  :mod:`repro.optimizer.joinorder`: Selinger-style dynamic programming over
+  connected atom subsets producing bushy trees (``join_order_search="none"``
+  keeps the written order, the baseline E13 measures against).  The search
+  re-associates the joins into the cheapest estimated order, seeds
   the planner's estimate memo with its per-subset cardinalities — this is what
   keeps the ``est_rows`` / ``est_cost`` annotations honest for composed joins,
   which the plain cost model cannot price — and records a
-  :class:`~repro.optimizer.joinorder.JoinSearchReport` (mode, subsets
-  enumerated, candidate plans pruned, the chosen order) that
-  ``plan.explain()`` renders.  Trees the search deems unsafe to reorder
-  (narrowed ``on`` sets, data-dependent joins, unresolvable schemes) keep
+  :class:`~repro.optimizer.joinorder.JoinSearchReport` (subsets enumerated,
+  candidate plans pruned, the chosen order) that ``plan.explain()`` renders.
+  Trees the search deems unsafe to reorder (narrowed ``on`` sets,
+  data-dependent joins, unresolvable schemes) or too large to search keep
   their written order;
 * every :class:`~repro.algebra.expressions.NaturalJoin` is then lowered to an
   :class:`~repro.exec.operators.IndexLookupJoin` (when the join attributes are
@@ -37,8 +35,8 @@ operators from :mod:`repro.exec.operators`:
 
 Plans carry an **adaptive batch size** picked from the cost model's
 tuple-width estimate and the largest base-table cardinality (tiny inputs get
-one batch, wide variant tuples smaller batches), overridable per plan request
-and per execution.
+one batch, wide variant tuples smaller batches).  It is the planner's
+decision alone: no caller sets it.
 
 When the source database carries fresh statistics (``Database.analyze()``), the
 cost model estimates from histograms and variant-tag frequencies, so all of the
@@ -112,8 +110,6 @@ from repro.obs.feedback import referenced_tables
 from repro.obs.trace import NOOP_SPAN, tracer_of
 from repro.optimizer.cost import CostEstimate, CostModel
 from repro.optimizer.joinorder import (
-    DEFAULT_JOIN_SEARCH,
-    SEARCH_MODES,
     JoinSearchReport,
     index_probe_cost,
     order_joins,
@@ -160,8 +156,8 @@ class PhysicalPlan:
         self.root = root
         self.expression = expression
         self.join_search = tuple(join_search)
-        #: the planner's (adaptive or requested) batch-size decision; ``None``
-        #: falls back to the default at execution time
+        #: the planner's adaptive batch-size decision; ``None`` (a hand-built
+        #: plan) falls back to the default at execution time
         self.batch_size = batch_size
         #: the parameter binding the plan was costed under (and runs under
         #: unless :meth:`execute` is given another)
@@ -204,26 +200,21 @@ class PhysicalPlan:
         return self._summary
 
     def execute(self, source, stats: Optional[ExecutionStats] = None,
-                batch_size: Optional[int] = None,
                 timing: bool = True, governor=None, params=None) -> PhysicalResult:
         """Run the plan against ``source`` and collect the result set.
 
         ``params`` binds the template's parameters for this run (default: the
         binding the plan was made under).
 
-        ``batch_size=None`` uses the plan's own sizing decision (the planner's
-        adaptive choice, or the size the plan was requested under), falling
-        back to :data:`~repro.exec.context.DEFAULT_BATCH_SIZE` for hand-built
-        plans.  ``timing=False`` turns off the per-operator
+        Batches are the plan's own size (the planner's adaptive choice), or
+        :data:`~repro.exec.context.DEFAULT_BATCH_SIZE` for a hand-built plan
+        without one.  ``timing=False`` turns off the per-operator
         wall-clock accounting (see :class:`~repro.exec.context.OperatorStats`);
         the result's own ``wall_seconds`` is always measured.  ``governor``
         bounds the execution (deadline, cancellation, memory budget — see
         :mod:`repro.governor`); ``None`` runs ungoverned.
         """
-        if batch_size is None:
-            batch_size = self.batch_size
-        if batch_size is None:
-            batch_size = DEFAULT_BATCH_SIZE
+        batch_size = DEFAULT_BATCH_SIZE if self.batch_size is None else self.batch_size
         ctx = ExecutionContext(source, stats=stats, batch_size=batch_size,
                                timing=timing, governor=governor,
                                params=self.params if params is None else params)
@@ -260,18 +251,17 @@ class PhysicalPlanner:
 
     ``source`` (a database or mapping) supplies base-relation cardinalities for
     the join decisions (index lookup or hash join, and the build side).
-    ``join_order_search`` selects the n-way join-order strategy of
-    :mod:`repro.optimizer.joinorder` (``"dp"`` / ``"greedy"`` / ``"smallest"`` /
-    ``"none"``).
+    ``join_order_search`` is ``"dp"`` (the search of
+    :mod:`repro.optimizer.joinorder`) or ``"none"`` (the written order).
     """
 
-    def __init__(self, source=None, join_order_search: str = DEFAULT_JOIN_SEARCH):
+    def __init__(self, source=None, join_order_search: str = "dp"):
         self.source = source
         self.cost_model = CostModel(source)
-        if join_order_search not in SEARCH_MODES:
+        if join_order_search not in ("dp", "none"):
             raise OptimizerError(
-                "unknown join_order_search mode {!r}; use one of {}".format(
-                    join_order_search, "/".join(SEARCH_MODES)))
+                "unknown join_order_search mode {!r}; use dp/none".format(
+                    join_order_search))
         #: join-order strategy for n-way NaturalJoin trees
         self.join_order_search = join_order_search
         self._estimates: dict = {}
@@ -285,19 +275,15 @@ class PhysicalPlanner:
         #: the source's tracer for the duration of one plan() call
         self._tracer = None
 
-    def plan(self, expression: Expression,
-             batch_size: Optional[int] = None, params=()) -> PhysicalPlan:
+    def plan(self, expression: Expression, params=()) -> PhysicalPlan:
         """Lower ``expression`` into an executable :class:`PhysicalPlan`.
 
         ``params`` is the binding a template is costed under: selectivities
         and feedback fingerprints are those of the bound query.
 
-        ``batch_size`` pins the plan's batch size; when omitted, the plan
-        receives the **adaptive** size — picked from the cost model's
-        tuple-width estimate and the largest base-table cardinality (tiny
-        inputs get one batch, wide variant tuples get smaller batches).
-        Either way the decision is baked into the returned plan (and the plan
-        cache is keyed on it).
+        The plan receives the **adaptive** batch size — picked from the cost
+        model's tuple-width estimate and the largest base-table cardinality
+        (tiny inputs get one batch, wide variant tuples get smaller batches).
         """
         self._estimates = {}
         self._keys = {}
@@ -314,8 +300,7 @@ class PhysicalPlanner:
                 self._trace_statistics_lookup()
                 root = self._lower(expression)
                 reports = tuple(result.report for result in self._search_results)
-                if batch_size is None:
-                    batch_size = self._adaptive_batch_size(expression)
+                batch_size = self._adaptive_batch_size(expression)
                 span.set(batch_size=batch_size)
             return PhysicalPlan(root, expression, join_search=reports,
                                 batch_size=batch_size, params=params,
@@ -468,8 +453,7 @@ class PhysicalPlanner:
         """
         if self.join_order_search == "none" or id(expression) in self._ordered_joins:
             return None
-        result = order_joins(expression, self.cost_model,
-                             mode=self.join_order_search, memo=self._estimates,
+        result = order_joins(expression, self.cost_model, memo=self._estimates,
                              tracer=self._tracer)
         if result is None:
             return None

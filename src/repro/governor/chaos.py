@@ -38,15 +38,14 @@ def _counter(database, name: str) -> int:
     return snapshot.value
 
 
-def _settled_baseline(database, expression, batch_size):
+def _settled_baseline(database, expression):
     """The result and boundary count of the plan the sweep replays: counting
     runs repeat until one leaves the feedback store's version unchanged."""
     feedback = getattr(database, "cardinality_feedback", None)
     for _ in range(_COUNTING_RUNS):
         version = None if feedback is None else feedback.version
         token = CancelToken()
-        result = database.execute(expression, batch_size=batch_size,
-                                  cancel_token=token)
+        result = database.execute(expression, cancel_token=token)
         if feedback is None or feedback.version == version:
             return result, token.checks
     raise ChaosError("the plan of {!r} did not settle in {} runs".format(
@@ -54,7 +53,6 @@ def _settled_baseline(database, expression, batch_size):
 
 
 def cancel_at_every_boundary(database, expressions: Sequence,
-                             batch_size: Optional[int] = None,
                              stride: int = 1,
                              spill_root: Optional[str] = None) -> Dict[str, int]:
     """Sweep cancellation across every operator boundary of every expression.
@@ -70,7 +68,7 @@ def cancel_at_every_boundary(database, expressions: Sequence,
         raise ValueError("stride must be >= 1")
     summary = {"expressions": 0, "boundaries": 0, "injections": 0}
     for expression in expressions:
-        baseline, boundaries = _settled_baseline(database, expression, batch_size)
+        baseline, boundaries = _settled_baseline(database, expression)
         expected = set(baseline.tuples)
         if boundaries == 0:
             raise ChaosError(
@@ -82,8 +80,7 @@ def cancel_at_every_boundary(database, expressions: Sequence,
             cancelled_before = _counter(database, "queries.cancelled")
             token = CancelToken(fire_after_checks=boundary)
             try:
-                database.execute(expression, batch_size=batch_size,
-                                 cancel_token=token)
+                database.execute(expression, cancel_token=token)
             except QueryCancelled:
                 pass
             else:
@@ -112,7 +109,7 @@ def cancel_at_every_boundary(database, expressions: Sequence,
                     "boundary {} of {!r} leaked spill files: {}".format(
                         boundary, expression, os.listdir(spill_root)))
             summary["injections"] += 1
-        rerun = database.execute(expression, batch_size=batch_size)
+        rerun = database.execute(expression)
         if set(rerun.tuples) != expected:
             raise ChaosError(
                 "re-execution of {!r} after the cancellation sweep diverged "

@@ -42,7 +42,6 @@ from repro.obs.metrics import (
     BATCH_SIZE_BUCKETS,
     LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MaxGauge,
     MetricsRegistry,
@@ -69,7 +68,6 @@ __all__ = [
     "CardinalityFeedback",
     "Counter",
     "ExplainAnalyzeReport",
-    "Gauge",
     "Histogram",
     "JsonTraceSink",
     "MaxGauge",

@@ -5,10 +5,9 @@ The registry's instruments map onto the Prometheus exposition format
 
 * :class:`~repro.obs.metrics.Counter` → a ``counter`` family named
   ``<name>_total``;
-* :class:`~repro.obs.metrics.Gauge` → a ``gauge`` family (skipped while the
-  gauge has never been set — Prometheus has no "no value yet" sample);
 * :class:`~repro.obs.metrics.MaxGauge` → a ``gauge`` holding the observed
-  maximum plus a ``<name>_observations_total`` counter;
+  maximum (skipped while nothing was observed — Prometheus has no "no value
+  yet" sample) plus a ``<name>_observations_total`` counter;
 * :class:`~repro.obs.metrics.Histogram` → a ``histogram`` family with
   cumulative ``_bucket{le="..."}`` samples (the registry stores per-bucket
   counts; the exporter accumulates), ``_sum`` and ``_count``.
@@ -25,7 +24,7 @@ import math
 import re
 from typing import Dict, List, Optional
 
-from .metrics import Counter, Gauge, Histogram, MaxGauge, MetricsRegistry
+from .metrics import Counter, Histogram, MaxGauge, MetricsRegistry
 
 __all__ = ["prometheus_text", "parse_prometheus_text", "json_snapshot",
            "SNAPSHOT_FORMAT", "SNAPSHOT_VERSION"]
@@ -76,11 +75,6 @@ def prometheus_text(registry: MetricsRegistry, prefix: str = "repro") -> str:
             lines.append("# TYPE {}_observations_total counter".format(metric))
             lines.append("{}_observations_total {}".format(
                 metric, _format_value(instrument.count)))
-        elif isinstance(instrument, Gauge):
-            if instrument.value is not None:
-                lines.append("# TYPE {} gauge".format(metric))
-                lines.append("{} {}".format(metric,
-                                            _format_value(instrument.value)))
         elif isinstance(instrument, Histogram):
             lines.append("# TYPE {} histogram".format(metric))
             cumulative = 0

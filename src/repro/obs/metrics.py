@@ -61,21 +61,6 @@ class Counter:
         return self.value
 
 
-class Gauge:
-    """A last-value-wins measurement."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value: Optional[float] = None
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def as_dict(self):
-        return self.value
-
-
 class MaxGauge:
     """Tracks the maximum value observed (e.g. worst Q-error per node kind)."""
 
@@ -218,9 +203,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
 
     def max_gauge(self, name: str) -> MaxGauge:
         return self._get(name, MaxGauge)

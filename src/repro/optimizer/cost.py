@@ -53,7 +53,7 @@ constant reference lives in ``docs/ARCHITECTURE.md``.
 from __future__ import annotations
 
 from math import log2
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.algebra.evaluator import Evaluator, ExecutionStats
 from repro.algebra.expressions import (
@@ -186,11 +186,30 @@ class CostModel:
                 self._fingerprints[id(expression)] = cached
         return cached
 
-    def note_edges(self, name: str, version) -> None:
-        """Record that the costing depends on the edges observed on ``name``."""
+    def observed_edge_selectivity(self, name: str,
+                                  expressions: Iterable[Expression]) -> Optional[float]:
+        """The feedback store's observed selectivity of a join on ``name``
+        whose carrier tables are those of ``expressions`` that carry it.
+
+        ``None`` when nothing was observed.  The lookup is recorded as a
+        dependency of the costing (see :meth:`bind`) either way.
+        """
+        feedback = self.feedback
+        version = getattr(self.statistics, "version", None)
+        if feedback is None or version is None:
+            return None
         dependency = ("edges", (name, version))
         if self.reads is not None and dependency not in self.reads:
-            self.reads[dependency] = self.feedback.current(dependency)
+            self.reads[dependency] = feedback.current(dependency)
+        if not len(feedback):
+            return None
+        tables = set()
+        for expression in expressions:
+            tables |= referenced_tables(expression)
+        carriers = attribute_carriers(self.source, tables, name)
+        if not carriers:
+            return None
+        return feedback.lookup_edge(name, carriers, version)
 
     # -- statistics access ---------------------------------------------------------------
 
@@ -495,7 +514,7 @@ class CostModel:
             return DEFAULT_SELECTIVITY
         selectivity = 1.0
         for name in attributes:
-            observed = self._observed_edge_selectivity(expression, name)
+            observed = self.observed_edge_selectivity(name, expression.children)
             if observed is not None:
                 selectivity *= observed
             elif left_stats is not None and right_stats is not None:
@@ -503,23 +522,6 @@ class CostModel:
             else:
                 return DEFAULT_SELECTIVITY
         return selectivity
-
-    def _observed_edge_selectivity(self, expression: NaturalJoin,
-                                   name: str) -> Optional[float]:
-        """The feedback store's observed selectivity for one join attribute."""
-        feedback = self.feedback
-        version = getattr(self.statistics, "version", None)
-        if feedback is None or version is None:
-            return None
-        self.note_edges(name, version)
-        if not len(feedback):
-            return None
-        tables = (referenced_tables(expression.left)
-                  | referenced_tables(expression.right))
-        carriers = attribute_carriers(self.source, tables, name)
-        if not carriers:
-            return None
-        return feedback.lookup_edge(name, carriers, version)
 
 
 def estimate_cost(expression: Expression, source=None) -> CostEstimate:

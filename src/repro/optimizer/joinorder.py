@@ -14,25 +14,18 @@ classic Selinger-style answer on top of the statistics subsystem:
     and the **equi-join edges** between atoms whose attribute universes
     overlap.  Guards and selections stay glued to their atom, so pushdown is
     unaffected by reordering.
-2.  :func:`order_joins` searches the reordering space:
-
-    * ``"dp"`` (the default) — bottom-up dynamic programming over *connected*
-      subsets of atoms, bitset-keyed, producing **bushy** trees.  Every
-      connected subset is planned once; each split of a subset into two
-      connected, edge-linked halves is priced and only the cheapest plan per
-      subset survives.  Cross-products are never enumerated (the extractor
-      guarantees a connected graph; a disconnected one refuses to reorder).
-      Above :data:`DEFAULT_DP_THRESHOLD` relations (10, where 3^n subset
-      splits start to bite) the search silently falls back to greedy.
-    * ``"greedy"`` — repeatedly joins the edge-connected pair of partial plans
-      with the smallest estimated *output* cardinality: O(n³) instead of 3^n,
-      and usually within a small factor of the DP plan.
-    * ``"smallest"`` — the pre-search baseline, kept for benchmarking: a
-      left-deep chain that starts at the smallest atom and always appends the
-      smallest *input* connected to the tree so far, ignoring join
-      selectivities entirely.  This is the order a planner without statistics
-      on join attributes would pick (it is how MultiwayJoin fragments are
-      ordered), and the E13 benchmark measures how badly it loses.
+2.  :func:`order_joins` searches the reordering space by bottom-up dynamic
+    programming over *connected* subsets of atoms, bitset-keyed, producing
+    **bushy** trees.  Every connected subset is planned once; each split of a
+    subset into two connected, edge-linked halves is priced and only the
+    cheapest plan per subset survives.  Cross-products are never enumerated
+    (the extractor guarantees a connected graph; a disconnected one refuses to
+    reorder).  Above :data:`DEFAULT_DP_THRESHOLD` relations (10, where 3^n
+    subset splits start to bite) the search declines the tree, which keeps
+    its written order like any tree it cannot reorder (the planner still
+    searches the sub-joins it lowers).  The planner's
+    ``join_order_search="none"`` skips the search; E13 measures the written
+    order against it.
 
 **How the estimates are derived.**  Atom cardinalities come from the existing
 :class:`~repro.optimizer.cost.CostModel` — histogram/MCV selection
@@ -75,7 +68,7 @@ Trees with narrowed ``on`` sets, data-dependent joins (``on=None``) or
 unresolvable universes keep their written order — the search degrades to a
 no-op, never to a wrong plan.
 
-:class:`JoinSearchReport` records what the search did — mode, relation count,
+:class:`JoinSearchReport` records what the search did — relation count,
 subsets enumerated, candidate plans priced and pruned, and the chosen order —
 and is rendered by ``plan.explain()`` / ``Database.explain()``.
 """
@@ -99,25 +92,15 @@ from repro.algebra.expressions import (
     TypeGuardNode,
     Union,
 )
-from repro.errors import OptimizerError
 from repro.model.attributes import AttributeSet, attrset
-from repro.obs.feedback import (
-    attribute_carriers,
-    declared_attributes,
-    referenced_tables,
-)
+from repro.obs.feedback import declared_attributes
+from repro.obs.trace import NOOP_SPAN
 from repro.optimizer.cost import CostEstimate, CostModel
 from repro.stats.statistics import TableStatistics, join_selectivity
 
-#: the default search strategy (DP below the threshold, greedy above)
-DEFAULT_JOIN_SEARCH = "dp"
-
-#: DP is exhaustive (3^n subset splits); above this many relations it falls
-#: back to the O(n³) greedy search
+#: DP is exhaustive (3^n subset splits); above this many relations the written
+#: order is kept
 DEFAULT_DP_THRESHOLD = 10
-
-#: the valid ``join_order_search`` modes, in decreasing thoroughness
-SEARCH_MODES = ("dp", "greedy", "smallest", "none")
 
 #: a join tree with fewer atoms than this has nothing to reorder (2-way joins
 #: are handled by the planner's build-side / index-lookup decisions)
@@ -238,13 +221,11 @@ class JoinGraph:
 class JoinSearchReport:
     """What one join-order search did; rendered by ``plan.explain()``."""
 
-    def __init__(self, mode: str, relations: int, subsets_enumerated: int,
+    def __init__(self, relations: int, subsets_enumerated: int,
                  plans_considered: int, plans_pruned: int, order: str,
-                 estimated_rows: float, estimated_cost: float,
-                 fallback: bool = False):
-        self.mode = mode
+                 estimated_rows: float, estimated_cost: float):
         self.relations = relations
-        #: connected subsets that received a plan (DP) / partial plans built (greedy)
+        #: connected subsets that received a plan
         self.subsets_enumerated = subsets_enumerated
         #: candidate (left, right) splits that were priced
         self.plans_considered = plans_considered
@@ -254,27 +235,23 @@ class JoinSearchReport:
         self.order = order
         self.estimated_rows = estimated_rows
         self.estimated_cost = estimated_cost
-        #: True when ``mode == "dp"`` was requested but the relation count
-        #: exceeded the threshold and greedy ran instead
-        self.fallback = fallback
 
     def describe(self) -> str:
         """One-line summary for explain output."""
-        mode = self.mode + ("(fallback)" if self.fallback else "")
-        return ("join-order[{}]: relations={} subsets={} considered={} "
+        return ("join-order[dp]: relations={} subsets={} considered={} "
                 "pruned={} est_rows={:.1f} est_cost={:.1f}\n  order: {}").format(
-                    mode, self.relations, self.subsets_enumerated,
+                    self.relations, self.subsets_enumerated,
                     self.plans_considered, self.plans_pruned,
                     self.estimated_rows, self.estimated_cost, self.order)
 
     def as_dict(self) -> dict:
         return {
-            "mode": self.mode, "relations": self.relations,
+            "relations": self.relations,
             "subsets_enumerated": self.subsets_enumerated,
             "plans_considered": self.plans_considered,
             "plans_pruned": self.plans_pruned, "order": self.order,
             "estimated_rows": self.estimated_rows,
-            "estimated_cost": self.estimated_cost, "fallback": self.fallback,
+            "estimated_cost": self.estimated_cost,
         }
 
     def __repr__(self) -> str:
@@ -486,7 +463,7 @@ def index_probe_cost(source, relation: Optional[str], attributes,
 
 
 def _cut_selectivity(graph: JoinGraph, left_mask: int, right_mask: int,
-                     cost_model: Optional[CostModel] = None) -> Optional[float]:
+                     cost_model: CostModel) -> Optional[float]:
     """Per-**attribute** selectivity of the cut between two disjoint subsets.
 
     Multiplying per crossing *edge* over-reduces the estimate on attribute
@@ -521,29 +498,17 @@ def _cut_selectivity(graph: JoinGraph, left_mask: int, right_mask: int,
     This is how one badly-ordered execution re-orders the next plan: the
     observed fraction prices candidate cuts the search never executed.
     """
-    feedback = getattr(cost_model, "feedback", None) if cost_model else None
-    feedback_version = None
-    if feedback is not None:
-        feedback_version = getattr(cost_model.statistics, "version", None)
     names = sorted({attribute.name for edge in graph.edges
                     if _crosses(edge, left_mask, right_mask)
                     for attribute in edge.attributes})
     selectivity = 1.0
     for name in names:
-        if feedback_version is not None:
-            cost_model.note_edges(name, feedback_version)
-        if feedback_version is not None and len(feedback):
-            tables = set()
-            for atom in graph._atoms_of(left_mask | right_mask):
-                if name in atom.universe_names:
-                    tables |= referenced_tables(atom.expression)
-            carriers = attribute_carriers(cost_model.source, tables, name)
-            if carriers:
-                observed = feedback.lookup_edge(name, carriers,
-                                                feedback_version)
-                if observed is not None:
-                    selectivity *= observed
-                    continue
+        observed = cost_model.observed_edge_selectivity(name, (
+            atom.expression for atom in graph._atoms_of(left_mask | right_mask)
+            if name in atom.universe_names))
+        if observed is not None:
+            selectivity *= observed
+            continue
         side_ndvs = []
         for mask in (left_mask, right_mask):
             carriers = [atom for atom in graph._atoms_of(mask)
@@ -597,7 +562,7 @@ def _leaf_plans(graph: JoinGraph) -> Dict[int, _Plan]:
     return plans
 
 
-# -- search strategies -------------------------------------------------------------------
+# -- the search --------------------------------------------------------------------------
 
 
 def _search_dp(graph: JoinGraph, cost_model: CostModel):
@@ -631,58 +596,7 @@ def _search_dp(graph: JoinGraph, cost_model: CostModel):
                     else:
                         pruned += 1
             sub = (sub - 1) & mask
-    full = (1 << n) - 1
-    return best.get(full), len(best), considered, pruned
-
-
-def _search_greedy(graph: JoinGraph, cost_model: CostModel):
-    """Greedy bushy search: always join the pair with the smallest output."""
-    plans = list(_leaf_plans(graph).values())
-    considered = pruned = 0
-    subsets = len(plans)
-    while len(plans) > 1:
-        best_pair = None
-        best_candidate = None
-        for i in range(len(plans)):
-            for j in range(i + 1, len(plans)):
-                if not graph.crosses(plans[i].mask, plans[j].mask):
-                    continue
-                candidate = _join_plans(graph, cost_model, plans[i], plans[j])
-                considered += 1
-                key = (candidate.cardinality, candidate.cost)
-                if best_candidate is None or key < (best_candidate.cardinality,
-                                                    best_candidate.cost):
-                    if best_candidate is not None:
-                        pruned += 1
-                    best_pair = (i, j)
-                    best_candidate = candidate
-                else:
-                    pruned += 1
-        if best_candidate is None:  # defensive: disconnected graph
-            return None, subsets, considered, pruned
-        i, j = best_pair
-        plans = [plan for k, plan in enumerate(plans) if k not in (i, j)]
-        plans.append(best_candidate)
-        subsets += 1
-    return plans[0], subsets, considered, pruned
-
-
-def _search_smallest(graph: JoinGraph, cost_model: CostModel):
-    """The pre-search baseline: left-deep, smallest connected *input* first."""
-    leaves = _leaf_plans(graph)
-    remaining = sorted(leaves.values(), key=lambda plan: plan.cardinality)
-    current = remaining.pop(0)
-    considered = 0
-    subsets = len(graph)
-    while remaining:
-        index = next((k for k, plan in enumerate(remaining)
-                      if graph.crosses(current.mask, plan.mask)), None)
-        if index is None:  # defensive: disconnected graph
-            return None, subsets, considered, 0
-        current = _join_plans(graph, cost_model, current, remaining.pop(index))
-        considered += 1
-        subsets += 1
-    return current, subsets, considered, 0
+    return best[(1 << n) - 1], len(best), considered, pruned
 
 
 # -- result construction -----------------------------------------------------------------
@@ -706,62 +620,33 @@ def _build_expression(graph: JoinGraph, plan: _Plan,
 
 
 def order_joins(expression: Expression, cost_model: CostModel,
-                mode: str = DEFAULT_JOIN_SEARCH, memo: Optional[Dict] = None,
+                memo: Optional[Dict] = None,
                 tracer=None) -> Optional[JoinOrderResult]:
     """Search a join order for a nested NaturalJoin tree.
 
-    Returns ``None`` when the tree is not reorderable (see
-    :func:`extract_join_graph`) or ``mode == "none"``; otherwise a
+    Returns ``None`` — keep the written order — when the tree is not
+    reorderable (see :func:`extract_join_graph`) or joins more than
+    :data:`DEFAULT_DP_THRESHOLD` relations; otherwise a
     :class:`JoinOrderResult` whose expression is semantically equivalent to the
     input with the joins re-associated into the chosen order.
 
     ``tracer`` (a :class:`repro.obs.trace.Tracer` or ``None``) records the
     search as a ``join-order-search`` span carrying the report's numbers.
     """
-    if mode == "none":
+    graph = extract_join_graph(expression, cost_model.source)
+    if graph is None or len(graph) > DEFAULT_DP_THRESHOLD:
         return None
-    if mode not in SEARCH_MODES:
-        raise OptimizerError("unknown join_order_search mode {!r}; use one of {}"
-                             .format(mode, "/".join(SEARCH_MODES)))
-    source = cost_model.source
-    graph = extract_join_graph(expression, source)
-    if graph is None:
-        return None
-
-    span = (tracer.span("join-order-search", mode=mode)
-            if tracer is not None else None)
-    if span is not None:
-        span.__enter__()
-    try:
+    with (tracer.span("join-order-search") if tracer is not None
+          else NOOP_SPAN) as span:
         _price_atoms(graph, cost_model, memo if memo is not None else {})
-
-        fallback = False
-        effective = mode
-        if mode == "dp" and len(graph) > DEFAULT_DP_THRESHOLD:
-            effective = "greedy"
-            fallback = True
-        if effective == "dp":
-            search = _search_dp
-        elif effective == "greedy":
-            search = _search_greedy
-        else:
-            search = _search_smallest
-        plan, subsets, considered, pruned = search(graph, cost_model)
-        if plan is None:
-            return None
-
+        plan, subsets, considered, pruned = _search_dp(graph, cost_model)
         estimates: Dict[int, CostEstimate] = {}
         join_nodes: List[Expression] = []
         ordered, order = _build_expression(graph, plan, estimates, join_nodes)
         # The original root prices identically to the reordered root, so the
         # planner's annotation of the node it was handed stays honest too.
         estimates[id(expression)] = estimates[id(ordered)]
-        report = JoinSearchReport(effective, len(graph), subsets, considered, pruned,
-                                  order, plan.cardinality, plan.cost,
-                                  fallback=fallback)
-        if span is not None:
-            span.set(**report.as_dict())
-        return JoinOrderResult(ordered, estimates, join_nodes, report)
-    finally:
-        if span is not None:
-            span.__exit__(None, None, None)
+        report = JoinSearchReport(len(graph), subsets, considered, pruned,
+                                  order, plan.cardinality, plan.cost)
+        span.set(**report.as_dict())
+    return JoinOrderResult(ordered, estimates, join_nodes, report)

@@ -28,6 +28,7 @@ engine, so the matrix is pinned for both at once.
 """
 
 import pytest
+from test_exec_parity import execute_and_audit
 
 from repro.algebra import Aggregate, EmptyRelation, RelationRef
 from repro.algebra.evaluator import Evaluator
@@ -44,7 +45,7 @@ def run_everywhere(expression, source, batch_size=3):
     """The result set, identical across naive and physical execution."""
     reference = Evaluator(source).evaluate(expression).tuples
     plan = PhysicalPlanner(source=source).plan(expression)
-    assert plan.execute(source, batch_size=batch_size).tuples == reference
+    assert execute_and_audit(plan, source, batch_size).tuples == reference
     return reference
 
 

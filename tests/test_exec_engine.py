@@ -307,7 +307,9 @@ class TestUniqueKeys:
                                specs=("count",))) == {("b",)}
         assert _keys(Aggregate(_R, specs=("count",))) == {()}
 
-    def test_keyed_operators_skip_the_seen_set(self, database):
+    def test_keyed_operators_skip_the_seen_set(self, database, monkeypatch):
+        monkeypatch.setattr("repro.exec.planner.adaptive_batch_size",
+                            lambda width, rows=None: 8)
         keyed = Projection(RelationRef("employees"), ["emp_id", "name"])
         unkeyed = Projection(RelationRef("employees"), ["name"])
         assert "distinct-by={emp_id}" in database.plan(keyed, optimize=False).explain()
@@ -315,7 +317,7 @@ class TestUniqueKeys:
         # the seen set is the projection's held state, and only the unkeyed one
         # has it — reported once it outgrows a batch
         for expression, held in ((keyed, False), (unkeyed, True)):
-            report = database.explain_analyze(expression, optimize=False, batch_size=8)
+            report = database.explain_analyze(expression, optimize=False)
             assert bool(report.result.operator_report()[0]["peak_bytes"]) is held
             assert ("mem=" in str(report).splitlines()[1]) is held
             assert report.tuples == Evaluator(database).evaluate(expression).tuples
@@ -336,13 +338,14 @@ class TestMaterializingJoins:
             "floors": {FlexTuple(floor=f, wing="w{}".format(f)) for f in range(3)},
         }
 
-    def plan(self):
+    def plan(self, batch_size=None):
         nested = HashJoin(                             # reads a TupleBatch and a LazyBatch
             Scan("teams"), ProjectOp(Scan("floors"), ["floor", "wing"]), on=["floor"])
         natural = HashJoin(                            # reads a LazyBatch and lists
             ExtendOp(Scan("people"), "source", "hr"),
             FilterOp(nested, Comparison("floor", "<", 2)))
-        return PhysicalPlan(ProjectOp(natural, ["id", "grade", "wing", "source"]))
+        return PhysicalPlan(ProjectOp(natural, ["id", "grade", "wing", "source"]),
+                            batch_size=batch_size)
 
     def expression(self):
         people, teams, floors = (RelationRef(name) for name in ("people", "teams", "floors"))
@@ -355,7 +358,7 @@ class TestMaterializingJoins:
         expected = Evaluator(source).evaluate(self.expression()).tuples
         assert len(expected) == 40
         for batch_size in (1, 7, 1024):
-            result = self.plan().execute(source, batch_size=batch_size)
+            result = self.plan(batch_size).execute(source)
             assert result.tuples == expected
         rows_in = {row["operator"]: row["rows_in"] for row in result.operator_report()}
         assert rows_in["hash-join[on={floor}]"] == 4 + 3
@@ -370,7 +373,7 @@ class TestMaterializingJoins:
         assert len(expected.tuples) == 40 * 3
         root = HashJoin(ProjectOp(Scan("people"), ["id", "grade"]), Scan("floors"), on=on)
         for batch_size in (1, 7, 1024):
-            result = PhysicalPlan(root).execute(source, batch_size=batch_size)
+            result = PhysicalPlan(root, batch_size=batch_size).execute(source)
             assert result.tuples == expected.tuples
             assert result.stats.join_pairs_considered == 40 * 3
         assert PhysicalPlanner().plan(expression).execute(source).tuples == expected.tuples
@@ -413,8 +416,8 @@ class TestExecution:
     def test_small_batches_do_not_change_results(self, database):
         expression = Selection(RelationRef("employees"), Comparison("salary", ">", 4000.0))
         plan = PhysicalPlanner(source=database).plan(expression)
-        one = plan.execute(database, batch_size=1)
-        big = plan.execute(database, batch_size=10_000)
+        one = execute_and_audit(plan, database, 1)
+        big = execute_and_audit(plan, database, 10_000)
         assert one.tuples == big.tuples
 
     def test_operator_report_lists_plan_nodes(self, database):
@@ -600,7 +603,7 @@ def source():
 
 
 def _run(root, source, batch_size=64):
-    return PhysicalPlan(root).execute(source, batch_size=batch_size)
+    return PhysicalPlan(root, batch_size=batch_size).execute(source)
 
 
 class TestBatchOperators:
@@ -697,36 +700,42 @@ class TestAdaptiveBatchSizing:
         observed = CostModel(database).estimate_width(RelationRef("events"))
         assert observed == pytest.approx(3.0)  # every variant carries 3 attrs
 
-    def test_plan_carries_adaptive_size_and_override(self, source):
+    def test_plan_carries_adaptive_size_and_override(self, source, monkeypatch):
+        """The plan carries the planner's size; the one override is a test
+        patching the planner's heuristic."""
         expression = Selection(RelationRef("employees"),
                                Comparison("salary", ">", 0.0))
         plan = PhysicalPlanner(source=source).plan(expression)
         assert plan.batch_size is not None
         assert MIN_BATCH_SIZE <= plan.batch_size <= MAX_BATCH_SIZE
-        pinned = PhysicalPlanner(source=source).plan(expression, batch_size=7)
-        assert pinned.batch_size == 7
+        monkeypatch.setattr("repro.exec.planner.adaptive_batch_size",
+                            lambda width, rows=None: 7)
+        assert PhysicalPlanner(source=source).plan(expression).batch_size == 7
+        with pytest.raises(TypeError):
+            PhysicalPlanner(source=source).plan(expression, batch_size=7)
 
-    def test_database_batch_size_passthrough(self, employee_database):
+    def test_database_batch_size_passthrough(self, employee_database, monkeypatch):
+        """The planner's size reaches the plan, the execution and both
+        EXPLAIN headers."""
+        monkeypatch.setattr("repro.exec.planner.adaptive_batch_size",
+                            lambda width, rows=None: 5)
         query = Selection(RelationRef("employees"), Comparison("salary", ">", 0.0))
-        plan = employee_database.plan(query, batch_size=5)
-        assert plan.batch_size == 5
-        result = employee_database.execute(query, batch_size=5)
-        adaptive = employee_database.execute(query)
-        assert result.tuples == adaptive.tuples
-        assert "batch_size=" in employee_database.explain(query)
+        assert employee_database.plan(query).batch_size == 5
+        result = employee_database.execute(query)
+        assert result.context.batch_size == 5
+        assert result.tuples == Evaluator(employee_database).evaluate(query).tuples
+        assert employee_database.explain(query).startswith("batch_size=5 ")
+        assert str(employee_database.explain_analyze(query)).startswith("batch_size=5 ")
 
-    def test_plan_cache_keyed_on_batch_size(self, employee_database):
-        """A plan built (and sized) for one batch size must not be reused for
-        another — the PR 3 cache reused it regardless of the request."""
+    def test_cached_plan_keeps_its_batch_size(self, employee_database, monkeypatch):
+        """The batch size is not in the plan key: a cached plan serves every
+        later call with the size it was planned under."""
         employee_database.analyze()  # accurate estimates → no feedback re-plan
         executor = employee_database.physical_executor
         query = Selection(RelationRef("employees"), Comparison("salary", ">", 3.0))
-        employee_database.execute(query)
+        planned = employee_database.execute(query).context.batch_size
         misses = executor.cache_misses
-        employee_database.execute(query, batch_size=32)
-        assert executor.cache_misses == misses + 1
-        assert employee_database.plan(query, batch_size=32).batch_size == 32
-        hits = executor.cache_hits
-        employee_database.execute(query, batch_size=32)
-        employee_database.execute(query)
-        assert executor.cache_hits == hits + 2
+        monkeypatch.setattr("repro.exec.planner.adaptive_batch_size",
+                            lambda width, rows=None: planned + 1)
+        assert employee_database.execute(query).context.batch_size == planned
+        assert executor.cache_misses == misses

@@ -55,18 +55,26 @@ def chaos_database():
     return analytics_database(count=500, seed=3)
 
 
+@pytest.fixture
+def batches_of_64(monkeypatch):
+    """Plans made during the test run batches of 64 rows (the planner's size
+    is not a query option; plans cached earlier keep theirs)."""
+    monkeypatch.setattr("repro.exec.planner.adaptive_batch_size",
+                        lambda width, rows=None: 64)
+
+
 class TestCancelSweep:
-    def test_every_boundary_cancels_cleanly(self, chaos_database):
+    def test_every_boundary_cancels_cleanly(self, chaos_database, batches_of_64):
         summary = cancel_at_every_boundary(
-            chaos_database, chaos_corpus(), batch_size=64)
+            chaos_database, chaos_corpus())
         assert summary["expressions"] == 3
         assert summary["injections"] >= summary["expressions"]
 
-    def test_stride_thins_the_sweep(self, chaos_database):
+    def test_stride_thins_the_sweep(self, chaos_database, batches_of_64):
         full = cancel_at_every_boundary(
-            chaos_database, chaos_corpus()[:1], batch_size=64)
+            chaos_database, chaos_corpus()[:1])
         thinned = cancel_at_every_boundary(
-            chaos_database, chaos_corpus()[:1], batch_size=64, stride=4)
+            chaos_database, chaos_corpus()[:1], stride=4)
         assert thinned["boundaries"] == full["boundaries"]
         assert thinned["injections"] < full["injections"]
 
@@ -90,7 +98,7 @@ class TestCancelSweep:
 
 
 class TestDurableSweep:
-    def test_sweep_leaves_no_open_transaction(self, tmp_path):
+    def test_sweep_leaves_no_open_transaction(self, tmp_path, batches_of_64):
         database = Database(durable_path=str(tmp_path / "wal"))
         database.create_table("orders", orders_scheme(),
                               domains=orders_domains())
@@ -98,12 +106,12 @@ class TestDurableSweep:
             database.table("orders").insert_many(
                 generate_orders(200, seed=21))
         summary = cancel_at_every_boundary(
-            database, chaos_corpus()[:2], batch_size=64)
+            database, chaos_corpus()[:2])
         assert summary["injections"] > 0
         assert not database.durability.in_transaction
         database.close()
 
-    def test_budgeted_sweep_leaves_no_spill_debris(self, tmp_path):
+    def test_budgeted_sweep_leaves_no_spill_debris(self, tmp_path, batches_of_64):
         spill_root = tmp_path / "spill"
         spill_root.mkdir()
         database = Database(memory_budget=15_000,
@@ -118,7 +126,7 @@ class TestDurableSweep:
         database.execute(expression)
         assert database.metrics_registry.counter("spill.segments").value > 0
         summary = cancel_at_every_boundary(
-            database, [expression], batch_size=64,
+            database, [expression],
             spill_root=str(spill_root))
         assert summary["injections"] > 0
         assert not list(spill_root.iterdir())
@@ -136,13 +144,13 @@ def budgeted_orders(spill_root):
 
 
 class TestSpillCorpusSweep:
-    def test_replanned_join_is_counted_on_the_replayed_plan(self, tmp_path):
+    def test_replanned_join_is_counted_on_the_replayed_plan(self, tmp_path, batches_of_64):
         """The first run records cardinality feedback and the replay runs a
         re-planned join (the build side swaps): its boundaries, not the first
         run's, are the ones swept."""
         expression, _ = spill_corpus()["join_skewed_key"]
         summary = cancel_at_every_boundary(
-            budgeted_orders(tmp_path), [expression], batch_size=64,
+            budgeted_orders(tmp_path), [expression],
             spill_root=str(tmp_path))
         assert summary["injections"] == summary["boundaries"] > 0
 

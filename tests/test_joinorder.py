@@ -2,9 +2,9 @@
 
 Covers the join-graph extractor (flattening, universes, the reorderability
 safety conditions), the DP enumerator on a known-cardinality star schema
-(plan shape, honest estimates, search statistics), the greedy fallback
-threshold, differential parity of reordered plans against the naive evaluator,
-and plan-cache behaviour when statistics change the chosen order.
+(plan shape, honest estimates, search statistics), the written order kept
+above the threshold, differential parity of reordered plans against the naive
+evaluator, and plan-cache behaviour when statistics change the chosen order.
 """
 
 import itertools
@@ -22,15 +22,12 @@ from repro.algebra.expressions import (
 from repro.algebra.predicates import Comparison
 from repro.engine import Database
 from repro.errors import OptimizerError
-from repro.exec import PhysicalPlanner
+from repro.exec import PhysicalExecutor, PhysicalPlanner
+from repro.governor.chaos import cancel_at_every_boundary
 from repro.model.scheme import FlexibleScheme
 from repro.model.tuples import FlexTuple
 from repro.optimizer.cost import CostModel
-from repro.optimizer.joinorder import (
-    SEARCH_MODES,
-    extract_join_graph,
-    order_joins,
-)
+from repro.optimizer.joinorder import extract_join_graph, order_joins
 from repro.optimizer.planner import Planner
 from repro.workloads.star import (
     chain_join_database,
@@ -148,7 +145,7 @@ class TestExtractJoinGraph:
 class TestSearch:
     def test_dp_joins_the_selective_dimension_first(self, star_db):
         plan, report = _dp_report(star_db, star_join_query())
-        assert report.mode == "dp" and not report.fallback
+        assert report.describe().startswith("join-order[dp]")
         assert ("(fact ⋈ σ(dim_rare))" in report.order
                 or "(σ(dim_rare) ⋈ fact)" in report.order)
 
@@ -168,27 +165,35 @@ class TestSearch:
         assert report.plans_considered > 0
         assert report.plans_pruned < report.plans_considered
 
-    def test_greedy_fallback_above_threshold(self, star_db, monkeypatch):
-        _plan, default_report = _dp_report(star_db, star_join_query())
-        assert default_report.mode == "dp" and not default_report.fallback
-        monkeypatch.setattr("repro.optimizer.joinorder.DEFAULT_DP_THRESHOLD", 3)
-        _plan, report = _dp_report(star_db, star_join_query())
-        assert report.mode == "greedy" and report.fallback
+    def test_written_order_kept_above_threshold(self, star_db, monkeypatch):
+        """A tree of more than ``DEFAULT_DP_THRESHOLD`` relations is declined
+        like any tree the search cannot reorder: its top join stays as
+        written, and the planner searches the sub-joins it lowers."""
+        query = star_join_query()
+        monkeypatch.setattr("repro.optimizer.joinorder.DEFAULT_DP_THRESHOLD", 5)
+        assert order_joins(query, CostModel(star_db)) is None
+        plan = PhysicalPlanner(star_db).plan(query)
+        # the written root joins σ(dim_rare) last; only the 5-way left side
+        # below it was searched
+        assert "dr" in plan.root.label()
+        (report,) = plan.join_search
+        assert report.relations == 5 and "dim_rare" not in report.order
+        assert plan.execute(star_db).tuples == Evaluator(star_db).evaluate(query).tuples
+        monkeypatch.setattr("repro.optimizer.joinorder.DEFAULT_DP_THRESHOLD", 6)
+        assert order_joins(query, CostModel(star_db)).report.relations == 6
 
     def test_every_mode_prices_fewer_pairs_than_written_order(self, star_db):
         query = star_join_query()
         baseline = PhysicalPlanner(star_db, join_order_search="none").plan(query)
         baseline_pairs = baseline.execute(star_db).stats.join_pairs_considered
-        for mode in ("dp", "greedy"):
-            plan = PhysicalPlanner(star_db, join_order_search=mode).plan(query)
-            pairs = plan.execute(star_db).stats.join_pairs_considered
-            assert pairs * 5 <= baseline_pairs, mode
+        plan = PhysicalPlanner(star_db, join_order_search="dp").plan(query)
+        pairs = plan.execute(star_db).stats.join_pairs_considered
+        assert pairs * 5 <= baseline_pairs
 
     def test_unknown_mode_raises(self, star_db):
-        with pytest.raises(OptimizerError):
-            PhysicalPlanner(star_db, join_order_search="exhaustive")
-        with pytest.raises(OptimizerError):
-            order_joins(star_join_query(), CostModel(star_db), mode="selinger")
+        for mode in ("exhaustive", "greedy", "smallest"):
+            with pytest.raises(OptimizerError):
+                PhysicalPlanner(star_db, join_order_search=mode)
 
     def test_search_report_rendered_by_explain(self, star_db):
         text = star_db.plan(star_join_query(), optimize=False).explain()
@@ -208,7 +213,7 @@ class TestSearch:
 # -- differential parity ---------------------------------------------------------------
 
 
-def assert_search_parity(expression, source, modes=SEARCH_MODES):
+def assert_search_parity(expression, source, modes=("dp", "none")):
     """Every search mode equals the naive evaluator's result."""
     naive = Evaluator(source).evaluate(expression).tuples
     for mode in modes:
@@ -316,7 +321,7 @@ class TestParity:
             tree = RelationRef("fact")
             for name, attribute in permutation:
                 tree = NaturalJoin(tree, RelationRef(name), on=[attribute])
-            assert_search_parity(tree, star_db, modes=("dp", "none"))
+            assert_search_parity(tree, star_db)
 
     def test_bushy_written_shape_agrees(self, chain_db):
         """A hand-written bushy chain tree is reordered correctly too."""
@@ -344,7 +349,7 @@ class TestParity:
                 if name == "dim_rare" and rng.random() < 0.7:
                     side = Selection(side, Comparison("kind", "=", "rare"))
                 tree = NaturalJoin(tree, side, on=[attribute])
-            assert_search_parity(tree, star_db, modes=("dp", "greedy", "none"))
+            assert_search_parity(tree, star_db)
 
 
 # -- plan cache behaviour --------------------------------------------------------------
@@ -368,15 +373,32 @@ class TestPlanCache:
         # Identical results either way.
         assert before.execute(database).tuples == after.execute(database).tuples
 
-    def test_planning_constants_are_not_options(self):
-        """Only the join-order search mode is a planning option; the other
-        planning decisions are module constants."""
-        with pytest.raises(TypeError):
-            Database(join_order_search="none")
-        with pytest.raises(TypeError):
-            PhysicalPlanner(index_probe_cost_factor=10_000.0)
-        with pytest.raises(TypeError):
-            Planner(max_passes=1)
+    def test_planning_constants_are_not_options(self, star_db):
+        """Only the join-order search mode (``"dp"`` or ``"none"``) is a
+        planning option; the other planning decisions — the batch size among
+        them — are the planner's, and no call accepts them."""
+        query = star_join_query()
+        rejected = [
+            lambda: Database(join_order_search="none"),
+            lambda: PhysicalPlanner(index_probe_cost_factor=10_000.0),
+            lambda: Planner(max_passes=1),
+            lambda: PhysicalPlanner(star_db).plan(query, batch_size=8),
+            lambda: PhysicalExecutor(star_db, planner=PhysicalPlanner(star_db)),
+            lambda: order_joins(query, CostModel(star_db), mode="dp"),
+        ]
+        rejected += [lambda method=method: getattr(star_db, method)(query, batch_size=8)
+                     for method in ("execute", "execute_with_report", "plan",
+                                    "explain", "explain_analyze")]
+        rejected += [
+            lambda: star_db.query("SELECT fact_id FROM fact", batch_size=8),
+            lambda: star_db.physical_executor.plan(query, batch_size=8),
+            lambda: star_db.physical_executor.execute(query, batch_size=8),
+            lambda: star_db.plan(query).execute(star_db, batch_size=8),
+            lambda: cancel_at_every_boundary(star_db, [query], batch_size=8),
+        ]
+        for call in rejected:
+            with pytest.raises(TypeError):
+                call()
 
     def test_search_respects_planner_probe_cost_factor(self, star_db, monkeypatch):
         """An absurdly expensive probe factor must not change correctness; the

@@ -213,7 +213,7 @@ class TestInstruments:
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
         with pytest.raises(TypeError):
-            registry.gauge("a")
+            registry.max_gauge("a")
         registry.counter("a").add(2)
         assert registry.snapshot() == {"a": 2}
 

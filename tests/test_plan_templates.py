@@ -251,12 +251,15 @@ class TestInvalidation:
         database.analyze()
         assert self._misses_of(database, database.reset_metrics) == 0
 
-    def test_plan_key_fields_are_named(self, database):
-        database.query(self.TEXT.format(1), batch_size=17)
-        (key,) = database.physical_executor.cache._plans
+    def test_plan_key_fields_are_named(self, database, monkeypatch):
+        monkeypatch.setattr("repro.exec.planner.adaptive_batch_size",
+                            lambda width, rows=None: 17)
+        database.query(self.TEXT.format(1))
+        ((key, plan),) = database.physical_executor.cache._plans.items()
         assert isinstance(key, PlanKey)
-        assert len(PlanKey._fields) == 5
-        assert key.batch_size == 17
+        assert PlanKey._fields == ("template", "parameters", "catalog_version",
+                                   "statistics_version")
+        assert plan.batch_size == 17          # the planner's decision, not a key
         assert key.catalog_version == database.catalog_version
         assert key.statistics_version == database.statistics_version
         assert key.parameters == ((int, None),)       # never analyzed: no bucket

@@ -1,10 +1,11 @@
 """Checks on the repository itself rather than on the engine's behaviour:
 the CI workflow parses and names files that exist, no module of ``src/``
-imports a name it never uses, and the constants ARCHITECTURE documents exist
-with the values it states."""
+imports a name it never uses, the constants ARCHITECTURE documents exist
+with the values it states, and every engine callable E20 traces exists."""
 
 import ast
 import glob
+import importlib.util
 import pathlib
 import re
 
@@ -92,7 +93,7 @@ class TestConstantsTable:
         section = text.split("## Reference: cost-model and planner constants")[1]
         rows = [line.split("|")[1:4] for line in section.split("\n## ")[0].splitlines()
                 if line.startswith("| `")]
-        assert len(rows) >= 19
+        assert len(rows) >= 18
         stale = []
         for names, values, path in rows:
             constants = _module_constants(ROOT / "src" / "repro" / path.strip().strip("`"))
@@ -105,3 +106,18 @@ class TestConstantsTable:
                     stale.append("{} = {!r} in {}, documented as {}".format(
                         name, actual, path.strip(), value))
         assert stale == []
+
+
+class TestE20TraceTargets:
+    def test_every_engine_target_resolves(self):
+        """E20's traced run wraps the engine callables named in
+        ``benchmarks/e20/trace.py``; a renamed or removed one would silently
+        read 0 in its layer metrics, so each ``repro.*`` target must resolve."""
+        spec = importlib.util.spec_from_file_location(
+            "e20_trace", ROOT / "benchmarks" / "e20" / "trace.py")
+        trace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(trace)
+        targets = [target for _name, target in trace.TARGETS
+                   if target.startswith("repro.")]
+        assert len(targets) >= 30
+        assert [target for target in targets if trace.resolve(target) is None] == []
