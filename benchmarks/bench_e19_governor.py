@@ -90,10 +90,9 @@ def test_report_spilling_aggregate_completes_under_budget(orders_database):
         finally:
             governor.finish()
 
-    # under a budget it never reaches the spilling aggregator holds every
-    # per-group accumulator state — the same representation it partitions to
-    # disk, so that peak is the honest reference footprint
-    (baseline, _), unspilled_seconds = _best_of(lambda: governed_run(1 << 40))
+    # the reference is the plain ungoverned run: a spilling aggregate holds
+    # the same columnar group table until its budget trips
+    baseline, unspilled_seconds = _best_of(lambda: executor.execute(query))
     peak0 = _peak(baseline)
     budget = peak0 // BUDGET_DIVISOR
     (spilled, did_spill), spilled_seconds = _best_of(lambda: governed_run(budget))

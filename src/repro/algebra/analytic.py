@@ -491,38 +491,6 @@ class AggregateAccumulator:
                     state[0] = value
                     state[1] = order
 
-    def merge_states(self, into: List, other: List) -> None:
-        """Fold ``other`` into ``into`` — both per-group states of this
-        accumulator, built over disjoint slices of the same group's rows.
-
-        This is what makes partition-and-merge spilling possible: a group's
-        rows may be accumulated in separate flushes, and merging the partial
-        states must finalize to exactly what one uninterrupted accumulation
-        would have produced (``sum``/``avg`` keep exact int arithmetic and
-        their float terms separate for ``fsum``, ``min``/``max`` compare on
-        the canonical order key, presence flags OR together).
-        """
-        for index, spec in enumerate(self.specs):
-            func = spec.func
-            if func == "count":
-                into[index] += other[index]
-                continue
-            held, extra = into[index], other[index]
-            if func in ("sum", "avg"):
-                held[0] += extra[0]
-                held[1].extend(extra[1])
-                held[2] += extra[2]
-                held[3] = held[3] or extra[3]
-            else:
-                if extra[1] is not None:
-                    best = held[1]
-                    order = extra[1]
-                    if best is None or (order < best if func == "min"
-                                        else order > best):
-                        held[0] = extra[0]
-                        held[1] = order
-                held[2] = held[2] or extra[2]
-
     def finalize(self, states: List) -> Dict[str, object]:
         """The aggregate output attributes of one group (absent ones omitted)."""
         out: Dict[str, object] = {}

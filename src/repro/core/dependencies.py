@@ -98,20 +98,24 @@ class AttributeDependency(Dependency):
         return self._rhs.issubset(self._lhs)
 
     def violations(self, relation, first_only: bool = False) -> List[Tuple[FlexTuple, FlexTuple]]:
-        groups: Dict[tuple, List[FlexTuple]] = defaultdict(list)
+        """One witness pair per earlier presence class of the tuple's
+        determinant bucket that differs from its own: the class's first
+        tuple stands for all of them, so each tuple costs one comparison per
+        class, not one per earlier tuple."""
+        # determinant value -> presence class on the rhs -> its first tuple
+        groups: Dict[tuple, Dict[AttributeSet, FlexTuple]] = defaultdict(dict)
         witnesses: List[Tuple[FlexTuple, FlexTuple]] = []
         for tup in _tuples_of(relation):
             if not tup.is_defined_on(self._lhs):
                 continue
-            key = tuple(tup[a] for a in self._lhs)
-            bucket = groups[key]
+            classes = groups[tuple(tup[a] for a in self._lhs)]
             present = tup.attributes & self._rhs
-            for other in bucket:
-                if (other.attributes & self._rhs) != present:
+            for other_present, other in classes.items():
+                if other_present != present:
                     witnesses.append((other, tup))
                     if first_only:
                         return witnesses
-            bucket.append(tup)
+            classes.setdefault(present, tup)
         return witnesses
 
     def project_rhs(self, attributes) -> "AttributeDependency":
@@ -160,19 +164,24 @@ class FunctionalDependency(Dependency):
         return self._rhs.issubset(self._lhs)
 
     def violations(self, relation, first_only: bool = False) -> List[Tuple[FlexTuple, FlexTuple]]:
-        groups: Dict[tuple, List[FlexTuple]] = defaultdict(list)
+        """One witness pair per earlier right-hand-side value of the tuple's
+        determinant bucket that it does not agree with (a tuple lacking part
+        of the rhs agrees with none): the first tuple of each value stands
+        for all of them."""
+        # determinant value -> rhs value (None: not defined on it) -> its first tuple
+        groups: Dict[tuple, Dict[Optional[tuple], FlexTuple]] = defaultdict(dict)
         witnesses: List[Tuple[FlexTuple, FlexTuple]] = []
         for tup in _tuples_of(relation):
             if not tup.is_defined_on(self._lhs):
                 continue
-            key = tuple(tup[a] for a in self._lhs)
-            bucket = groups[key]
-            for other in bucket:
+            values = groups[tuple(tup[a] for a in self._lhs)]
+            for other in values.values():
                 if not self._pair_ok(other, tup):
                     witnesses.append((other, tup))
                     if first_only:
                         return witnesses
-            bucket.append(tup)
+            values.setdefault(tuple(tup[a] for a in self._rhs)
+                              if tup.is_defined_on(self._rhs) else None, tup)
         return witnesses
 
     def _pair_ok(self, t1: FlexTuple, t2: FlexTuple) -> bool:

@@ -34,7 +34,7 @@ plan can express and the two cannot drift apart.
 from __future__ import annotations
 
 from math import fsum
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.algebra.analytic import _check_numeric, group_values, value_order_key
 from repro.algebra.predicates import (
@@ -47,6 +47,7 @@ from repro.algebra.predicates import (
     TruePredicate,
 )
 from repro.errors import TupleError
+from repro.exec.context import sampled_size
 from repro.model.attributes import attrset
 from repro.model.batches import MISSING, TupleBatch, mask_indices
 
@@ -241,6 +242,12 @@ class _CountStarColumns:
     def update(self, gids, batch) -> None:
         pass
 
+    def state(self, gid: int):
+        return None
+
+    def absorb(self, gid: int, state) -> None:
+        pass
+
     def finalize(self, gid: int, sizes):
         return sizes[gid]
 
@@ -262,6 +269,12 @@ class _CountAttrColumns:
         for gid, value in zip(gids, batch.column(self.attribute)):
             if value is not MISSING and value is not None:
                 counts[gid] += 1
+
+    def state(self, gid: int):
+        return self.counts[gid]
+
+    def absorb(self, gid: int, state) -> None:
+        self.counts[gid] += state
 
     def finalize(self, gid: int, sizes):
         return self.counts[gid]
@@ -313,6 +326,16 @@ class _SumColumns:
                     totals[gid] += value
             non_null[gid] += 1
 
+    def state(self, gid: int):
+        return (self.totals[gid], self.floats[gid], self.non_null[gid], self.seen[gid])
+
+    def absorb(self, gid: int, state) -> None:
+        total, floats, non_null, seen = state
+        self.totals[gid] += total
+        self.floats[gid].extend(floats)
+        self.non_null[gid] += non_null
+        self.seen[gid] = self.seen[gid] or seen
+
     def finalize(self, gid: int, sizes):
         if not self.seen[gid]:
             return MISSING
@@ -357,7 +380,18 @@ class _MinMaxColumns:
             if current is None or (order < current if minimum else order > current):
                 best[gid] = value
                 best_keys[gid] = order
-        return
+
+    def state(self, gid: int):
+        return (self.best[gid], self.best_keys[gid], self.seen[gid])
+
+    def absorb(self, gid: int, state) -> None:
+        value, order, seen = state
+        current = self.best_keys[gid]
+        if order is not None and (current is None or (
+                order < current if self.minimum else order > current)):
+            self.best[gid] = value
+            self.best_keys[gid] = order
+        self.seen[gid] = self.seen[gid] or seen
 
     def finalize(self, gid: int, sizes):
         if not self.seen[gid]:
@@ -377,6 +411,13 @@ class CompiledAggregates:
     parallel per-group state arrays.  Semantics are exactly those of
     :class:`~repro.algebra.analytic.AggregateAccumulator`; only the bookkeeping
     is column-at-a-time.
+
+    A spilling aggregate drains the groups as ``(key, rows, states)``
+    records (:meth:`drain`) and a fresh instance absorbs them back
+    (:meth:`absorb`): each spec's
+    column class hands out one group's partial state and merges one in, so
+    groups accumulated in any number of slices finalize to what one
+    uninterrupted accumulation gives.
     """
 
     __slots__ = ("group_names", "specs", "key_to_gid", "sizes", "_columns")
@@ -384,6 +425,9 @@ class CompiledAggregates:
     def __init__(self, group_by, specs):
         self.group_names = list(group_by)
         self.specs = list(specs)
+        self._reset()
+
+    def _reset(self) -> None:
         self.key_to_gid: dict = {}
         #: rows per group — the shared denominator count() reads
         self.sizes: List[int] = []
@@ -434,6 +478,31 @@ class CompiledAggregates:
                 append(gid)
         for column in self._columns:
             column.update(gids, batch)
+
+    def held_bytes(self) -> int:
+        """The sampled size of the group table (what ``peak_bytes`` records)."""
+        return sampled_size(self.key_to_gid) + sampled_size(self.sizes)
+
+    def drain(self) -> List[tuple]:
+        """Every group as a ``(key, rows, states)`` record — its row count and
+        one partial state per spec — leaving this instance empty."""
+        sizes, columns = self.sizes, self._columns
+        records = [(key, sizes[gid], [column.state(gid) for column in columns])
+                   for key, gid in self.key_to_gid.items()]
+        self._reset()
+        return records
+
+    def absorb(self, records: Iterable[tuple]) -> None:
+        """Merge records of :meth:`drain` into the groups of their keys."""
+        get = self.key_to_gid.get
+        sizes, columns = self.sizes, self._columns
+        for key, rows, states in records:
+            gid = get(key)
+            if gid is None:
+                gid = self._grow(key)
+            sizes[gid] += rows
+            for column, state in zip(columns, states):
+                column.absorb(gid, state)
 
     def results(self) -> List[dict]:
         """One output value dict per group (⊥ keys and absent outputs omitted,

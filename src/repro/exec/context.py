@@ -190,6 +190,8 @@ class ExecutionContext:
         self.batch_size = max(1, int(batch_size))
         self.timing = timing
         self.governor = governor
+        #: whether a memory budget governs this execution
+        self.budgeted = governor is not None and governor.memory_budget is not None
         self.params = params
         self._operator_stats: List[OperatorStats] = []
 
@@ -215,14 +217,13 @@ class ExecutionContext:
         if governor is not None:
             governor.enforce(op_stats.label, size_bytes)
 
-    def spill_budget(self) -> Optional[int]:
-        """The byte budget spill-capable operators run under, or ``None``
-        when this execution is unbudgeted (or spilling is disabled — then
-        ``enforce_memory`` fails fast instead)."""
-        governor = self.governor
-        if governor is None:
-            return None
-        return governor.spill_budget
+    def over_budget(self, op_stats: OperatorStats, size_bytes: int) -> bool:
+        """The budget check of a spillable operator's held state, on a
+        :attr:`budgeted` run: records the size, and says whether the state
+        must spill now — with spilling disabled an exceeded budget fails
+        fast, as :meth:`enforce_memory`."""
+        op_stats.note_memory(size_bytes)
+        return self.governor.over_budget(op_stats.label, size_bytes)
 
     def register_operator(self, label: str) -> OperatorStats:
         """Create (and remember) the per-operator counters for one plan node."""

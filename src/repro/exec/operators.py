@@ -35,9 +35,12 @@ tuple-level equality — but the algorithms differ:
 * :class:`HashAggregateOp` accumulates column-wise through
   :class:`~repro.exec.compiled.CompiledAggregates`; :class:`SortOp` /
   :class:`TopKOp` order ``(values, hash)`` pairs so result tuples rebuild with
-  their hashes precomputed.  Under a ``memory_budget`` with spilling allowed,
-  join, aggregate and sort switch to their spill forms
-  (:mod:`repro.governor.spill`); every other materialization fails fast.
+  their hashes precomputed.  Under a ``memory_budget`` the hash join (static
+  ``on``), the aggregate and the sort check their held state every
+  ``CHUNK_RECORDS`` input rows (``ctx.over_budget``); over it, with spilling
+  allowed, the same algorithm moves that state to disk
+  (:mod:`repro.governor.spill`) and finishes from there — spilling is a
+  state, not a second algorithm.  Every other materialization fails fast.
 
 Every equi-join is a :class:`HashJoin`.  When the join attributes depend on
 the data (``on=None``), it first materializes both inputs as tuple sets to
@@ -77,12 +80,7 @@ from itertools import islice
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.algebra.analytic import (
-    AggregateAccumulator,
-    AggregateSpec,
-    CompiledOrder,
-    SortKey,
-)
+from repro.algebra.analytic import AggregateSpec, CompiledOrder, SortKey
 from repro.algebra.evaluator import _resolve_relation
 from repro.algebra.predicates import Parameter, Predicate
 from repro.errors import AlgebraError
@@ -256,15 +254,13 @@ class PhysicalOperator:
         memory accounting (one :func:`sampled_size` call per drain, never per
         tuple).  Under a memory budget the size is additionally checked per
         batch, so an oversized build fails fast mid-drain instead of after
-        the damage is done; materializations without a spill algorithm always
-        fail fast (``MemoryBudgetExceeded``), spilling or not.
+        the damage is done; a materialization that cannot spill always
+        fails fast (``MemoryBudgetExceeded``), spilling or not.
         """
         result: Set[FlexTuple] = set()
-        governed = (ctx.governor is not None
-                    and ctx.governor.memory_budget is not None)
         for batch in stream:
             result.update(batch)
-            if governed:
+            if ctx.budgeted:
                 ctx.enforce_memory(op, sampled_size(result))
         op.note_memory(sampled_size(result))
         return result
@@ -621,31 +617,73 @@ def _shared_attributes(left: Set[FlexTuple], right: Set[FlexTuple]) -> Attribute
     return left_attrs & right_attrs
 
 
-def _build_buckets(op, ctx, stream, names) -> Dict:
-    """Drain a build-side batch stream into join-key buckets of value dicts.
-
-    Buckets are keyed by :func:`_join_keys`; rows lacking a join attribute
-    are left out and cost one guard check each (they can never join).  The
-    bucket payloads are the rows' plain value dicts — ready for the lazy
-    column merge of the probe loop, never materialized when the build side
-    was lazy.
-    """
-    stats = ctx.stats
-    governed = (ctx.governor is not None
-                and ctx.governor.memory_budget is not None)
-    buckets: Dict = {}
-    setdefault = buckets.setdefault
+def _keyed(stats, stream: Iterable[TupleBatch], names: Sequence[str]) -> Iterator:
+    """Per batch of ``stream``, its ``(join key, values)`` pairs — one guard
+    check a row, as a row lacking a join attribute (key ``MISSING``) is
+    sorted out by its key alone."""
     for batch in stream:
         stats.guard_checks += len(batch)
-        for key, values in zip(_join_keys(batch, names), batch.values_list()):
-            if key is not MISSING:
-                setdefault(key, []).append(values)
-        if governed:
-            # fail fast at the batch boundary (spilling joins never get here;
-            # they drain through HashJoin._generate_grace instead)
-            ctx.enforce_memory(op, sampled_size(buckets))
-    op.note_memory(sampled_size(buckets))
+        yield zip(_join_keys(batch, names), batch.values_list())
+
+
+def _joinable(pairs: Iterable[tuple]) -> Iterator[tuple]:
+    """The ``(join key, values)`` pairs of rows that can join at all."""
+    return (pair for pair in pairs if pair[0] is not MISSING)
+
+
+def _fill(buckets: Dict, pairs: Iterable[tuple]) -> Dict:
+    """Add ``(join key, values)`` pairs to join-key buckets of value dicts —
+    ready for the lazy merge of :func:`_probe`, never materialized."""
+    setdefault = buckets.setdefault
+    for key, values in pairs:
+        if key is not MISSING:
+            setdefault(key, []).append(values)
     return buckets
+
+
+def _probe(ctx: ExecutionContext, seen: Optional[set], buckets: Dict,
+           probe: Iterable[Iterable[tuple]]) -> Iterator[LazyBatch]:
+    """The partner loop: each chunk of ``(join key, values)`` probe pairs
+    merged with the rows of its key's bucket, through :func:`_distinct`.
+    Only pairs that share a bucket count as ``join_pairs_considered``."""
+    stats = ctx.stats
+    get = buckets.get  # no bucket is keyed MISSING
+    for pairs in probe:
+        merged: List[dict] = []
+        append = merged.append
+        for key, row_values in pairs:
+            partners = get(key)
+            if partners is None:
+                continue
+            stats.join_pairs_considered += len(partners)
+            for partner in partners:
+                append(merge_values(row_values, partner))
+        yield from _distinct(ctx, seen, merged)
+
+
+def _budget_pieces(stream: Iterable[TupleBatch]) -> Iterator[TupleBatch]:
+    """``stream``'s batches cut to at most ``CHUNK_RECORDS`` rows: a batch
+    can hold a whole tiny input, and a spillable operator under a budget
+    checks it once a piece, so its held state stays near the budget."""
+    # imported on use: the governor package imports storage, which imports
+    # the engine, which imports this module
+    from repro.governor.spill import CHUNK_RECORDS
+
+    for batch in stream:
+        count = len(batch)
+        if count <= CHUNK_RECORDS:
+            yield batch
+            continue
+        for start in range(0, count, CHUNK_RECORDS):
+            yield batch.take(range(start, min(start + CHUNK_RECORDS, count)))
+
+
+def _partitions(ctx: ExecutionContext, label: str):
+    """A fresh :class:`~repro.governor.spill.GracePartitioner` of this
+    query's spill directory."""
+    from repro.governor.spill import GracePartitioner
+
+    return GracePartitioner(ctx.governor.spill_manager(), label)
 
 
 class HashJoin(_Binary):
@@ -665,9 +703,17 @@ class HashJoin(_Binary):
     themselves are built only when the rows reach the result set or an
     operator that needs row objects.
 
+    Under a memory budget with spilling allowed, a build that outgrows it
+    turns grace: its buckets and the rest of the build side go to a
+    :class:`~repro.governor.spill.GracePartitioner`, the probe side follows,
+    and each partition is built and probed by the same partner loop.
+    Matching keys share a partition and a merged row determines its join
+    key, so no duplicate crosses partitions and each one keeps a ``seen``
+    set of its own.  Every counter matches the in-memory run.
+
     ``on=None`` joins on the attributes appearing on both sides of the
     *data*, so both inputs are materialized to discover them — which is why
-    that join has no spill form and fails fast under a memory budget.  With
+    that join cannot spill and fails fast under a memory budget.  With
     no join attribute at all every pair shares the one bucket.
     """
 
@@ -689,107 +735,42 @@ class HashJoin(_Binary):
             right = map(TupleBatch, self._chunks(ctx, right_set))
         else:
             names = [a.name for a in self.on]
-            budget = ctx.spill_budget()
-            if budget is not None:
-                yield from self._generate_grace(ctx, op, left, right, names, budget)
-                return
-        yield from self._probe(ctx, op, self._seen(), left, names,
-                               _build_buckets(op, ctx, right, names))
-
-    @staticmethod
-    def _probe(ctx, op, seen, left, names, buckets) -> Iterator[TupleBatch]:
         stats = ctx.stats
-        get = buckets.get  # no bucket is keyed MISSING
-        for batch in left:
-            stats.guard_checks += len(batch)
-            merged: List[dict] = []
-            append = merged.append
-            for key, row_values in zip(_join_keys(batch, names), batch.values_list()):
-                partners = get(key)
-                if partners is None:
-                    continue
-                stats.join_pairs_considered += len(partners)
-                for partner in partners:
-                    append(merge_values(row_values, partner))
-            yield from _distinct(ctx, seen, merged)
-        _note_seen(ctx, op, seen)
-
-    def _generate_grace(self, ctx, op, left, right, names,
-                        budget) -> Iterator[TupleBatch]:
-        """Grace hash join under a memory budget: both sides hash-partitioned
-        to disk, one partition's build buckets in memory at a time.
-
-        The build side is held in memory until the budget trips — a join that
-        fits never touches disk and emits exactly what the in-memory path
-        emits.  Matching keys land in the same partition on both sides, and a
-        merged output row determines its join key, so no duplicate crosses
-        partitions and each one runs :func:`_distinct` with a ``seen`` set of
-        its own: the union of the per-partition outputs is exactly the
-        deduplicated join.  All counters (guard checks per input row, pairs
-        per shared bucket) match the in-memory algorithm total for total.
-        """
-        from repro.governor.spill import GracePartitioner
-
-        stats = ctx.stats
-        manager = ctx.governor.spill_manager()
-
-        def keyed(batch):
-            return (pair for pair in zip(_join_keys(batch, names), batch.values_list())
-                    if pair[0] is not MISSING)
-
-        pairs: List[tuple] = []
-        build_part = None
-        for batch in right:
-            stats.guard_checks += len(batch)
-            if build_part is None:
-                pairs.extend(keyed(batch))
-                size = sampled_size(pairs)
-                op.note_memory(size)
-                if size > budget:
-                    build_part = GracePartitioner(manager, "join-build")
-                    for key, values in pairs:
-                        build_part.add(key, values)
-                    pairs = []
-            else:
-                for key, values in keyed(batch):
-                    build_part.add(key, values)
-
-        if build_part is None:
-            # Never crossed the budget: the ordinary in-memory probe.
-            buckets: Dict = {}
-            for key, values in pairs:
-                buckets.setdefault(key, []).append(values)
+        buckets: Dict = {}
+        build = None  # the build side's partitions, once it outgrew the budget
+        for pairs in _keyed(stats, _budget_pieces(right) if ctx.budgeted else right, names):
+            if build is not None:
+                build.extend(_joinable(pairs))
+                continue
+            _fill(buckets, pairs)
+            if not ctx.budgeted:
+                continue
+            if self.on is None:
+                ctx.enforce_memory(op, sampled_size(buckets))
+            elif ctx.over_budget(op, sampled_size(buckets)):
+                ctx.governor.spill_manager().note_spill()
+                build = _partitions(ctx, "join-build")
+                build.extend((key, values) for key, rows in buckets.items()
+                             for values in rows)
+                buckets = None
+        if build is None:
             op.note_memory(sampled_size(buckets))
-            yield from self._probe(ctx, op, self._seen(), left, names, buckets)
+            seen = self._seen()
+            yield from _probe(ctx, seen, buckets, _keyed(stats, left, names))
+            _note_seen(ctx, op, seen)
             return
-
-        probe_part = GracePartitioner(manager, "join-probe")
-        for batch in left:
-            stats.guard_checks += len(batch)
-            for key, values in keyed(batch):
-                probe_part.add(key, values)
-        build_part.finish()
-        probe_part.finish()
-
-        def merges(index) -> Iterator[dict]:
-            buckets: Dict = {}
-            for key, values in build_part.segment(index):
-                buckets.setdefault(key, []).append(values)
-            # accounting only: grace bounds held state at ~budget + one
-            # partition's buckets, it does not re-enforce per partition
+        probe = _partitions(ctx, "join-probe")
+        for pairs in _keyed(stats, left, names):
+            probe.extend(_joinable(pairs))
+        build.finish()
+        probe.finish()
+        for index in range(build.partitions):
+            buckets = _fill({}, build.segment(index))
+            # accounting only: grace holds ~budget + one partition's buckets
             op.note_memory(sampled_size(buckets))
-            get = buckets.get
-            for key, row_values in probe_part.segment(index):
-                partners = get(key)
-                if partners is None:
-                    continue
-                stats.join_pairs_considered += len(partners)
-                for partner in partners:
-                    yield merge_values(row_values, partner)
-
-        for index in range(build_part.partitions):
             seen = self._seen()  # a duplicate never crosses partitions
-            yield from _distinct(ctx, seen, merges(index))
+            yield from _probe(ctx, seen, buckets,
+                              self._chunks(ctx, probe.segment(index)))
             _note_seen(ctx, op, seen)
 
 
@@ -828,17 +809,20 @@ class IndexLookupJoin(PhysicalOperator):
     def _generate(self, ctx, op, outer) -> Iterator[TupleBatch]:
         on_names = [a.name for a in self.on]
         index = ctx.index_for(self.relation, self.on)
+        stats = ctx.stats
+        seen = self._seen()
         if index is None:
             inner_rows = list(_resolve_relation(ctx.source, self.relation))
-            ctx.stats.tuples_scanned += len(inner_rows)
-            buckets = _build_buckets(op, ctx, [TupleBatch(inner_rows)], on_names)
-            yield from HashJoin._probe(ctx, op, self._seen(), outer, on_names, buckets)
+            stats.tuples_scanned += len(inner_rows)
+            (pairs,) = _keyed(stats, [TupleBatch(inner_rows)], on_names)
+            buckets = _fill({}, pairs)
+            ctx.enforce_memory(op, sampled_size(buckets))
+            yield from _probe(ctx, seen, buckets, _keyed(stats, outer, on_names))
+            _note_seen(ctx, op, seen)
             return
         lookup = index.lookup
         probe_names = [a.name for a in index.attributes]
         remaining = [a.name for a in (self.on - index.attributes)]
-        stats = ctx.stats
-        seen = self._seen()
         for batch in outer:
             stats.guard_checks += len(batch)
             merged: List[dict] = []
@@ -1020,6 +1004,11 @@ class HashAggregateOp(_Unary):
     :class:`~repro.exec.compiled.CompiledAggregates`.  Outputs are value dicts
     (group outputs are pairwise distinct, so no hashes or dedup are needed)
     emitted as :class:`LazyBatch` chunks.
+
+    Under a memory budget with spilling allowed, a group table that outgrows
+    it is drained to 16 hash partitions as mergeable records
+    (:meth:`CompiledAggregates.drain`) and starts empty; at the end each
+    partition is absorbed by a fresh :class:`CompiledAggregates` and emitted.
     """
 
     name = "batch-hash-aggregate"
@@ -1038,44 +1027,34 @@ class HashAggregateOp(_Unary):
         return _analytic_label(self.name, parts)
 
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
-        budget = ctx.spill_budget()
-        if budget is not None:
-            yield from self._generate_spilled(ctx, op, child, budget)
-            return
         compiled = CompiledAggregates(self.group_by, self.specs)
         stats = ctx.stats
-        governed = (ctx.governor is not None
-                    and ctx.governor.memory_budget is not None)
-        for batch in child:
+        partitions = None  # the groups' partitions, once they outgrew the budget
+        for batch in _budget_pieces(child) if ctx.budgeted else child:
             stats.tuples_scanned += len(batch)
             compiled.update(batch)
-            if governed:
-                ctx.enforce_memory(op, sampled_size(compiled.key_to_gid)
-                                   + sampled_size(compiled.sizes))
-        op.note_memory(sampled_size(compiled.key_to_gid)
-                       + sampled_size(compiled.sizes))
-        yield from map(LazyBatch, self._chunks(ctx, compiled.results()))
+            if ctx.budgeted and ctx.over_budget(op, compiled.held_bytes()):
+                ctx.governor.spill_manager().note_spill()
+                if partitions is None:
+                    partitions = _partitions(ctx, "agg")
+                partitions.extend(compiled.drain())
+        op.note_memory(compiled.held_bytes())
+        if partitions is None:
+            yield from map(LazyBatch, self._chunks(ctx, compiled.results()))
+            return
+        partitions.extend(compiled.drain())
+        partitions.finish()
+        yield from map(LazyBatch, self._chunks(ctx, self._regrouped(op, partitions)))
 
-    def _generate_spilled(self, ctx, op, child, budget) -> Iterator[TupleBatch]:
-        """γ under a memory budget, partition-and-merge: the group dict flushes
-        to hash-partitioned segments whenever it outgrows the budget and the
-        partitions merge (``AggregateAccumulator.merge_states``) at finalize
-        time — same outputs, bounded held state.  (The compiled
-        column-at-a-time kernel has no partial-state eviction, so a budgeted
-        run trades it away.)"""
-        from repro.governor.spill import SpillingAggregator
-
-        accumulator = AggregateAccumulator(self.specs)
-        spiller = SpillingAggregator(
-            ctx.governor.spill_manager(), accumulator, self.group_by,
-            budget, op.note_memory)
-        stats = ctx.stats
-        for batch in child:
-            stats.tuples_scanned += len(batch)
-            for values in batch.values_list():
-                spiller.add(values)
-            spiller.maybe_spill()
-        yield from map(LazyBatch, self._chunks(ctx, spiller.results()))
+    def _regrouped(self, op, partitions) -> Iterator[dict]:
+        """The output rows of spilled groups, one partition at a time: its
+        partial states absorbed by a fresh :class:`CompiledAggregates`."""
+        for index in range(partitions.partitions):
+            compiled = CompiledAggregates(self.group_by, self.specs)
+            compiled.absorb(partitions.segment(index))
+            if compiled.sizes:  # an empty partition holds no group, not ∅'s row
+                op.note_memory(compiled.held_bytes())
+                yield from compiled.results()
 
 
 class SortOp(_Unary):
@@ -1088,6 +1067,11 @@ class SortOp(_Unary):
     ``sampled_size`` is what ``note_memory`` records — the contrast to
     :class:`TopKOp`'s bounded heap that E18 asserts on ``peak_bytes``), orders
     them by the shared :class:`CompiledOrder` and re-emits lazily.
+
+    Under a memory budget with spilling allowed, lists that outgrow it are
+    sorted and written as a run, and the emitted stream is
+    :meth:`CompiledOrder.merge` over the runs and the sorted remainder —
+    the same stream, as the order is total.
     """
 
     name = "batch-sort"
@@ -1106,48 +1090,36 @@ class SortOp(_Unary):
         return _analytic_label(self.name, parts)
 
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
-        budget = ctx.spill_budget()
-        if budget is not None:
-            yield from self._generate_spilled(ctx, op, child, budget)
-            return
         stats = ctx.stats
-        governed = (ctx.governor is not None
-                    and ctx.governor.memory_budget is not None)
         values: List[dict] = []
         hashes: List[int] = []
-        for batch in child:
+        runs = []  # sorted runs spilled to disk, once the rows outgrew the budget
+        for batch in _budget_pieces(child) if ctx.budgeted else child:
             stats.tuples_scanned += len(batch)
             values.extend(batch.values_list())
             hashes.extend(batch.hashes_list())
-            if governed:
-                ctx.enforce_memory(op, sampled_size(values) + sampled_size(hashes))
+            if ctx.budgeted and ctx.over_budget(
+                    op, sampled_size(values) + sampled_size(hashes)):
+                manager = ctx.governor.spill_manager()
+                manager.note_spill()
+                run = manager.create_segment("sort")
+                run.extend((values[at], hashes[at]) for at in self.order.argsort(values))
+                run.finish()
+                runs.append(run)
+                values, hashes = [], []
         op.note_memory(sampled_size(values) + sampled_size(hashes))
         order = self.order.argsort(values)
+        if runs:
+            # the compiled order is total, so the merge is the in-memory stream
+            merged = self.order.merge(runs + [[(values[at], hashes[at]) for at in order]])
+            for chunk in self._chunks(ctx, islice(merged, self.limit)):
+                yield LazyBatch([pair[0] for pair in chunk], [pair[1] for pair in chunk])
+            return
         if self.limit is not None:
             del order[self.limit:]
         for chunk in self._chunks(ctx, order):
             yield LazyBatch([values[position] for position in chunk],
                             [hashes[position] for position in chunk])
-
-    def _generate_spilled(self, ctx, op, child, budget) -> Iterator[TupleBatch]:
-        """τ under a memory budget, an external merge sort: sorted runs of
-        ``(values, hash)`` pairs flushed to disk when the held rows outgrow
-        the budget, k-way merged on emit (the compiled order is total, so the
-        merged stream is deterministic)."""
-        from repro.governor.spill import ExternalSorter
-
-        stats = ctx.stats
-        sorter = ExternalSorter(ctx.governor.spill_manager(), self.order,
-                                budget=budget, note=op.note_memory)
-        for batch in child:
-            stats.tuples_scanned += len(batch)
-            sorter.extend(zip(batch.values_list(), batch.hashes_list()))
-            sorter.maybe_spill()
-        merged = sorter.merged()
-        if self.limit is not None:
-            merged = islice(merged, self.limit)
-        for chunk in self._chunks(ctx, merged):
-            yield LazyBatch([pair[0] for pair in chunk], [pair[1] for pair in chunk])
 
 
 class TopKOp(_Unary):

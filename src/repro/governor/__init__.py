@@ -24,23 +24,15 @@ be woven into the operators rather than imposed from outside:
 from repro.governor.cancel import CancelToken, Deadline
 from repro.governor.chaos import ChaosError, cancel_at_every_boundary
 from repro.governor.governor import QueryGovernor
-from repro.governor.spill import (
-    ExternalSorter,
-    GracePartitioner,
-    SpillManager,
-    SpillSegment,
-    SpillingAggregator,
-)
+from repro.governor.spill import GracePartitioner, SpillManager, SpillSegment
 
 __all__ = [
     "CancelToken",
     "ChaosError",
     "Deadline",
-    "ExternalSorter",
     "GracePartitioner",
     "QueryGovernor",
     "SpillManager",
     "SpillSegment",
-    "SpillingAggregator",
     "cancel_at_every_boundary",
 ]

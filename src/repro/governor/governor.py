@@ -24,9 +24,10 @@ class QueryGovernor:
       delegates to the :class:`CancelToken` (which also enforces the
       deadline).
     * ``enforce(label, size)`` is called wherever operators already record
-      ``peak_bytes``; over budget it raises ``MemoryBudgetExceeded`` — the
-      spill-capable operators never call it for their spillable state,
-      they consult ``spill_budget`` instead and spill.
+      ``peak_bytes``; over budget it raises ``MemoryBudgetExceeded``.  The
+      spill-capable operators ask ``over_budget(label, size)`` of their
+      spillable state instead: True means spill, and with spilling off it
+      raises just the same.
     * ``spill_manager()`` lazily owns the query's temp segments;
       ``finish()`` removes them.
     """
@@ -52,12 +53,15 @@ class QueryGovernor:
         """One operator-boundary checkpoint; raises to unwind the query."""
         self.token.check()
 
-    @property
-    def spill_budget(self) -> Optional[int]:
-        """The budget when spilling is allowed, else None (= fail fast)."""
-        if self.memory_budget is not None and self.spill_enabled:
-            return self.memory_budget
-        return None
+    def over_budget(self, label: str, size: int) -> bool:
+        """Whether ``size`` bytes of spillable state must go to disk: True
+        over the budget with spilling on; with it off, fail fast."""
+        budget = self.memory_budget
+        if budget is None or size <= budget:
+            return False
+        if not self.spill_enabled:
+            raise MemoryBudgetExceeded(label, size, budget)
+        return True
 
     def enforce(self, label: str, size: int) -> None:
         """Fail fast if ``size`` bytes of held state exceed the budget."""

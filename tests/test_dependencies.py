@@ -228,3 +228,44 @@ class TestExplicitAttributeDependency:
         first = ead(["k"], ["a"], [({"k": 1}, ["a"])])
         second = ead(["k"], ["a"], [({"k": 1}, ["a"])])
         assert first == second and len({first, second}) == 1
+
+
+def _pairwise_violations(dependency, instance):
+    """The definition, pair by pair: every (earlier, later) tuple pair of a
+    determinant bucket that breaks the dependency."""
+    pairs = []
+    for later, tup in enumerate(instance):
+        for other in instance[:later]:
+            if not (tup.is_defined_on(dependency.lhs) and other.is_defined_on(dependency.lhs)):
+                continue
+            if any(tup[a] != other[a] for a in dependency.lhs):
+                continue
+            if isinstance(dependency, FunctionalDependency):
+                broken = not dependency._pair_ok(other, tup)
+            else:
+                broken = (other.attributes & dependency.rhs) != (tup.attributes & dependency.rhs)
+            if broken:
+                pairs.append((other, tup))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_violations_agree_with_the_pairwise_definition(seed):
+    """One witness per class stands for the bucket: the first witness is the
+    definition's, every witness is a violating pair, and every tuple that
+    violates the dependency appears as the later tuple of one."""
+    import random
+
+    rng = random.Random(seed)
+    instance = []
+    for _ in range(rng.randrange(1, 25)):
+        values = {name: rng.randrange(3) for name in "XYZ" if rng.random() < 0.8}
+        if values:
+            instance.append(FlexTuple(values))
+    for dependency in (ad("X", ["Y", "Z"]), ad(["X", "Y"], "Z"), fd("X", "Y"),
+                       fd("X", ["Y", "Z"])):
+        expected = _pairwise_violations(dependency, instance)
+        witnesses = dependency.violations(instance)
+        assert dependency.violations(instance, first_only=True) == expected[:1]
+        assert set(witnesses) <= set(expected)
+        assert {tup for _, tup in witnesses} == {tup for _, tup in expected}

@@ -3,10 +3,12 @@
 Three layers under test:
 
 * the primitives — :class:`CancelToken`/:class:`Deadline` semantics, the
-  CRC-framed spill segments, ``AggregateAccumulator.merge_states``;
-* the spill algorithms — for sort, hash aggregation and the grace hash join
-  the budgeted execution must produce **exactly** the unbudgeted results
-  across the workload's MISSING/NULL edge cases;
+  CRC-framed spill segments, the drain/absorb split of
+  :class:`~repro.exec.compiled.CompiledAggregates`;
+* the spill state — for sort, hash aggregation and the hash join, the
+  budgeted execution at any budget must produce **exactly** the unbudgeted
+  results, counters and sort stream across the workload's MISSING/NULL edge
+  cases, and spill exactly when the budget is below the held state;
 * the database integration — ``timeout=``/``cancel_token=``/
   ``memory_budget=`` on :meth:`Database.execute`, the termination taxonomy,
   and the observability contract: terminated queries count under their
@@ -29,7 +31,7 @@ from repro.algebra import (
     Selection,
     Sort,
 )
-from repro.algebra.analytic import AggregateAccumulator, AggregateSpec
+from repro.algebra.analytic import AggregateSpec
 from repro.algebra.predicates import Comparison
 from repro.engine import Database
 from repro.errors import (
@@ -41,13 +43,15 @@ from repro.errors import (
     SpillError,
 )
 from repro.exec import PhysicalExecutor, PhysicalPlanner
+from repro.exec.compiled import CompiledAggregates
+from repro.exec.context import ExecutionContext
 from repro.governor import (
     CancelToken,
     Deadline,
     QueryGovernor,
     SpillManager,
 )
-from repro.model.batches import MISSING
+from repro.model.batches import LazyBatch, MISSING
 from repro.model.tuples import FlexTuple
 from repro.workloads.analytics import analytics_database
 
@@ -164,45 +168,46 @@ class TestSpillSegments:
         assert pickle.loads(pickle.dumps(MISSING)) is MISSING
 
 
-# -- accumulator state merging ---------------------------------------------------------------
+# -- partial aggregate states: drain and absorb ---------------------------------------------
 
 
 class TestMergeStates:
-    def _accumulator(self):
-        return AggregateAccumulator((
-            AggregateSpec("count", None, "n"),
-            AggregateSpec("count", "x", "nx"),
-            AggregateSpec("sum", "x", "sx"),
-            AggregateSpec("avg", "x", "ax"),
-            AggregateSpec("min", "x", "mn"),
-            AggregateSpec("max", "x", "mx"),
-        ))
+    """Groups accumulated in slices, drained and absorbed by a fresh
+    instance, finalize to what one uninterrupted accumulation gives."""
+
+    SPECS = (AggregateSpec("count", None, "n"), AggregateSpec("count", "x", "nx"),
+             AggregateSpec("sum", "x", "sx"), AggregateSpec("avg", "x", "ax"),
+             AggregateSpec("min", "x", "mn"), AggregateSpec("max", "x", "mx"))
+
+    def _split(self, rows, split, group_by=("g",)):
+        """One-pass results, and the results of ``split``-row slices each
+        drained into one record list and absorbed back."""
+        whole = CompiledAggregates(group_by, self.SPECS)
+        whole.update(LazyBatch(rows))
+        sliced = CompiledAggregates(group_by, self.SPECS)
+        records = []
+        for start in range(0, len(rows), split):
+            sliced.update(LazyBatch(rows[start:start + split]))
+            records.extend(sliced.drain())
+        assert not sliced.sizes and not sliced.key_to_gid  # drained empty
+        merged = CompiledAggregates(group_by, self.SPECS)
+        merged.absorb(pickle.loads(pickle.dumps(records)))  # as spilled
+        key = lambda row: sorted(row.items(), key=repr)
+        return sorted(whole.results(), key=key), sorted(merged.results(), key=key)
 
     @pytest.mark.parametrize("split", [1, 3, 5])
     def test_merged_slices_equal_one_pass(self, split):
-        rows = [{"x": 1}, {"x": 2.5}, {"x": None}, {}, {"x": -3},
-                {"x": 0.5}, {"x": None}, {"x": 7}]
-        accumulator = self._accumulator()
-        whole = accumulator.new_state()
-        for row in rows:
-            accumulator.update(whole, row)
-        merged = accumulator.new_state()
-        for start in range(0, len(rows), split):
-            part = accumulator.new_state()
-            for row in rows[start:start + split]:
-                accumulator.update(part, row)
-            accumulator.merge_states(merged, part)
-        assert accumulator.finalize(merged) == accumulator.finalize(whole)
+        rows = [{"g": 1, "x": 1}, {"g": 1, "x": 2.5}, {"g": 2, "x": None}, {"g": 1},
+                {"x": -3}, {"g": 2, "x": 0.5}, {"g": 1, "x": None}, {"g": 2, "x": 7},
+                {"x": 4}, {"g": 1, "x": -1.25}]
+        whole, merged = self._split(rows, split)
+        assert merged == whole
+        whole, merged = self._split(rows, split, group_by=())
+        assert merged == whole
 
     def test_merging_absent_attribute_keeps_it_absent(self):
-        accumulator = self._accumulator()
-        a = accumulator.new_state()
-        b = accumulator.new_state()
-        accumulator.update(a, {})
-        accumulator.update(b, {})
-        accumulator.merge_states(a, b)
-        out = accumulator.finalize(a)
-        assert out == {"n": 2, "nx": 0}  # sum/avg/min/max stay absent
+        whole, merged = self._split([{"g": 1}, {"g": 1}, {"g": 1, "y": 0}], 1)
+        assert merged == whole == [{"g": 1, "n": 3, "nx": 0}]  # sum/avg/min/max absent
 
 
 # -- spill parity through the executor -------------------------------------------------------
@@ -238,6 +243,29 @@ def spill_corpus():
     }
 
 
+def _root_stream(database, expression, governor=None):
+    """The plan's result in the order its root emits it."""
+    plan = PhysicalExecutor(database).plan(expression)
+    ctx = ExecutionContext(database, batch_size=plan.batch_size, governor=governor,
+                           params=plan.params)
+    return [tup for batch in plan.root.run(ctx) for tup in batch]
+
+
+class _HeldState(QueryGovernor):
+    """A governor that never trips and records the largest spillable state
+    a budget check saw: until its first trip, a budgeted run checks exactly
+    these sizes, so it spills iff its budget is below ``held``."""
+
+    held = 0
+
+    def __init__(self):
+        super().__init__(memory_budget=1 << 60)
+
+    def over_budget(self, label, size):
+        self.held = max(self.held, size)
+        return super().over_budget(label, size)
+
+
 class TestSpillParity:
     @pytest.mark.parametrize("name", sorted(spill_corpus()))
     def test_budgeted_equals_unbudgeted(self, orders_database, name):
@@ -257,6 +285,36 @@ class TestSpillParity:
             assert governed.stats.as_dict() == baseline.stats.as_dict()
         finally:
             governor.finish()
+
+    @pytest.mark.parametrize("budget", ["300B", "held/16", "held/2", "2*held"])
+    @pytest.mark.parametrize("name", sorted(spill_corpus()))
+    def test_budget_sweep(self, orders_database, tmp_path, name, budget):
+        """From a few hundred bytes to above the held state: the same
+        tuples, counters and stream, and a spill exactly below the held
+        state a budget check sees."""
+        expression, _ = spill_corpus()[name]
+        executor = PhysicalExecutor(orders_database)
+        baseline = executor.execute(expression)
+        stream = _root_stream(orders_database, expression)
+        recorder = _HeldState()
+        executor.execute(expression, governor=recorder)
+        held = recorder.held
+        bytes_ = {"300B": 300, "held/16": held // 16, "held/2": held // 2,
+                  "2*held": held * 2}[budget]
+        governor = QueryGovernor(memory_budget=bytes_, spill_directory=str(tmp_path))
+        try:
+            governed = executor.execute(expression, governor=governor)
+            assert governor.spilled == (bytes_ < held), (bytes_, held)
+            assert set(governed.tuples) == set(baseline.tuples)
+            assert governed.stats.as_dict() == baseline.stats.as_dict()
+            streamed = _root_stream(orders_database, expression, governor)
+            if isinstance(expression, Sort):
+                assert streamed == stream
+            else:  # partitions emit in their own order, each row once
+                assert len(streamed) == len(stream) and set(streamed) == set(stream)
+        finally:
+            governor.finish()
+        assert not os.listdir(str(tmp_path))
 
     def test_sort_order_survives_spilling(self, orders_database):
         expression = spill_corpus()["sort"][0]
@@ -295,27 +353,16 @@ class TestSpillParity:
         assert not os.listdir(str(tmp_path))
 
     def test_spilled_peak_is_bounded(self, orders_database):
-        # the reference peak is the spilling aggregator's own footprint under
-        # a budget it never reaches: it holds per-group accumulator states,
-        # whereas the unbudgeted columnar accumulator is already several
-        # times smaller — comparing across representations would make the
-        # bound meaningless
         expression = spill_corpus()["aggregate"][0]
         executor = PhysicalExecutor(orders_database)
-
-        def run(budget):
-            governor = QueryGovernor(memory_budget=budget)
-            try:
-                result = executor.execute(expression, governor=governor)
-                return result, governor.spilled
-            finally:
-                governor.finish()
-
-        baseline, spilled = run(50_000_000)
-        assert not spilled
+        baseline = executor.execute(expression)
         peak0 = max(s["peak_bytes"] for s in baseline.operator_report())
-        governed, spilled = run(peak0 // 4)
-        assert spilled
+        governor = QueryGovernor(memory_budget=peak0 // 4)
+        try:
+            governed = executor.execute(expression, governor=governor)
+            assert governor.spilled
+        finally:
+            governor.finish()
         peak1 = max(s["peak_bytes"] for s in governed.operator_report())
         assert peak1 < peak0 / 2
         assert set(governed.tuples) == set(baseline.tuples)
