@@ -17,6 +17,9 @@ closure that runs over the column arrays of a :class:`~repro.model.batches.Tuple
   ``operator``-module function resolved ahead of time.
 * :class:`CompiledGuard` — the type guard ``TG[X]`` as a bitmap test: AND the
   presence bitmaps of the guarded attributes, then enumerate the set bits.
+* :class:`CompiledAggregates` — γ as column-wise accumulation: each input
+  attribute is read once a batch, by one accumulator that serves every
+  aggregate over it.
 
 Semantics are identical to interpreted evaluation (the differential parity suite
 enforces it): a comparison over a ``MISSING`` value is false, a ``TypeError``
@@ -33,6 +36,7 @@ plan can express and the two cannot drift apart.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import fsum
 from typing import Callable, Iterable, List, Optional, Sequence
 
@@ -231,193 +235,189 @@ class CompiledRename:
         return "CompiledRename({})".format(self.mapping)
 
 
-class _CountStarColumns:
-    """count() — answered entirely by the shared per-group row counts."""
+class _Ranked:
+    """A held min or max that is no number — NaN, a string, a tuple, … —
+    with its :func:`value_order_key`.
 
-    __slots__ = ()
-
-    def grow(self) -> None:
-        pass
-
-    def update(self, gids, batch) -> None:
-        pass
-
-    def state(self, gid: int):
-        return None
-
-    def absorb(self, gid: int, state) -> None:
-        pass
-
-    def finalize(self, gid: int, sizes):
-        return sizes[gid]
-
-
-class _CountAttrColumns:
-    """count(a) — present and non-NULL rows per group, one column pass."""
-
-    __slots__ = ("attribute", "counts")
-
-    def __init__(self, attribute: str):
-        self.attribute = attribute
-        self.counts: List[int] = []
-
-    def grow(self) -> None:
-        self.counts.append(0)
-
-    def update(self, gids, batch) -> None:
-        counts = self.counts
-        for gid, value in zip(gids, batch.column(self.attribute)):
-            if value is not MISSING and value is not None:
-                counts[gid] += 1
-
-    def state(self, gid: int):
-        return self.counts[gid]
-
-    def absorb(self, gid: int, state) -> None:
-        self.counts[gid] += state
-
-    def finalize(self, gid: int, sizes):
-        return self.counts[gid]
-
-
-class _SumColumns:
-    """sum/avg — exact integer totals plus collected floats per group.
-
-    Floats are summed once at finalize time with :func:`math.fsum`, so the
-    result does not depend on the order rows arrived in — the property that
-    keeps the three engines bit-identical on float columns.
+    As a group's bound it answers a number's native ``<``/``>`` with
+    ``beaten``: a held min of this kind ranks after every number, so any
+    number beats it; a held max does not.  :data:`_NOTHING` is the bound of
+    a group that holds nothing yet, which every value beats.
     """
 
-    __slots__ = ("func", "attribute", "totals", "floats", "non_null", "seen")
+    __slots__ = ("order", "value", "beaten")
 
-    def __init__(self, func: str, attribute: str):
-        self.func = func
+    def __init__(self, order, value, beaten: bool):
+        self.order = order
+        self.value = value
+        self.beaten = beaten
+
+    def __lt__(self, other) -> bool:
+        return self.beaten
+
+    __gt__ = __lt__
+
+
+_NOTHING = _Ranked(None, MISSING, True)
+
+
+def _rank(bounds, gid: int, value, order, minimum: bool) -> None:
+    """``value``, of order key ``order``, against a group's held min or max
+    (a held number or bool is its own bound, of key ``(1, number)``).
+    Strict: among order-equal values the first one seen stays."""
+    held = bounds[gid]
+    held = held.order if held.__class__ is _Ranked else (1, held)
+    if held is None or (order < held if minimum else order > held):
+        # a bool ranks as the number it is, and is compared natively from now on
+        bounds[gid] = value if order[0] == 1 else _Ranked(order, value, minimum)
+
+
+def _offer(bounds, gid: int, value, minimum: bool) -> None:
+    """One non-NULL value against a group's held min or max."""
+    cls = value.__class__
+    if cls is not int and (cls is not float or value != value):
+        _rank(bounds, gid, value, value_order_key(value), minimum)
+    elif value < bounds[gid] if minimum else value > bounds[gid]:
+        bounds[gid] = value
+
+
+def _held(bounds, gid: int):
+    """A group's held min or max, ``MISSING`` when it holds none."""
+    held = bounds[gid]
+    return held.value if held.__class__ is _Ranked else held
+
+
+class _AttributeColumns:
+    """Every aggregate over one input attribute, in one pass over its column.
+
+    Per group: whether the attribute appeared (``seen``), its non-NULL count
+    (count(a), and the sum/avg denominator), and only what some spec over it
+    reads — the exact int total and the float parts (sum/avg), the held min
+    (``lows``), the held max (``highs``).  Floats are summed once, at
+    finalize time, with :func:`math.fsum`, so the result does not depend on
+    the order rows arrived in.  An ``int`` or non-NaN ``float`` is compared
+    with a held number natively; only other values pay for
+    :func:`value_order_key`.
+    """
+
+    __slots__ = ("attribute", "func", "seen", "non_null", "totals", "floats",
+                 "lows", "highs")
+
+    def __init__(self, attribute: str, funcs: Sequence[str]):
         self.attribute = attribute
-        self.totals: List[int] = []
-        self.floats: List[List[float]] = []
-        self.non_null: List[int] = []
+        #: the sum/avg a non-numeric value is reported under (``funcs`` lists
+        #: the attribute's sum/avg specs first, in spec order)
+        self.func = funcs[0] if funcs[0] in ("sum", "avg") else None
         self.seen: List[bool] = []
+        self.non_null: List[int] = []
+        self.totals: Optional[List[int]] = [] if self.func else None
+        self.floats: Optional[List[List[float]]] = [] if self.func else None
+        self.lows: Optional[list] = [] if "min" in funcs else None
+        self.highs: Optional[list] = [] if "max" in funcs else None
 
     def grow(self) -> None:
-        self.totals.append(0)
-        self.floats.append([])
-        self.non_null.append(0)
         self.seen.append(False)
+        self.non_null.append(0)
+        if self.totals is not None:
+            self.totals.append(0)
+            self.floats.append([])
+        if self.lows is not None:
+            self.lows.append(_NOTHING)
+        if self.highs is not None:
+            self.highs.append(_NOTHING)
 
-    def update(self, gids, batch) -> None:
+    def update(self, gids, column) -> None:
+        seen, non_null = self.seen, self.non_null
         totals, floats = self.totals, self.floats
-        non_null, seen = self.non_null, self.seen
-        for gid, value in zip(gids, batch.column(self.attribute)):
+        lows, highs = self.lows, self.highs
+        extremes = lows is not None or highs is not None
+        for gid, value in zip(gids, column):
             if value is MISSING:
                 continue
             seen[gid] = True
             if value is None:
                 continue
+            non_null[gid] += 1
             cls = value.__class__
-            if cls is int:
-                totals[gid] += value
-            elif cls is float:
-                floats[gid].append(value)
-            else:
-                _check_numeric(self.func, self.attribute, value)
-                if isinstance(value, float):
+            if totals is not None:
+                if cls is int:
+                    totals[gid] += value
+                elif cls is float:
                     floats[gid].append(value)
                 else:
-                    totals[gid] += value
-            non_null[gid] += 1
+                    _check_numeric(self.func, self.attribute, value)
+                    if isinstance(value, float):
+                        floats[gid].append(value)
+                    else:
+                        totals[gid] += value
+            if not extremes:
+                continue
+            if cls is int or (cls is float and value == value):
+                if lows is not None and value < lows[gid]:
+                    lows[gid] = value
+                if highs is not None and value > highs[gid]:
+                    highs[gid] = value
+            else:
+                order = value_order_key(value)
+                if lows is not None:
+                    _rank(lows, gid, value, order, True)
+                if highs is not None:
+                    _rank(highs, gid, value, order, False)
 
-    def state(self, gid: int):
-        return (self.totals[gid], self.floats[gid], self.non_null[gid], self.seen[gid])
+    def state(self, gid: int) -> tuple:
+        """One group's partial state: seen, non-NULL count, int total, float
+        parts, held min and held max (``MISSING`` where nothing is held)."""
+        summed = self.totals is not None
+        return (self.seen[gid], self.non_null[gid],
+                self.totals[gid] if summed else 0, self.floats[gid] if summed else (),
+                MISSING if self.lows is None else _held(self.lows, gid),
+                MISSING if self.highs is None else _held(self.highs, gid))
 
     def absorb(self, gid: int, state) -> None:
-        total, floats, non_null, seen = state
-        self.totals[gid] += total
-        self.floats[gid].extend(floats)
-        self.non_null[gid] += non_null
+        seen, non_null, total, floats, low, high = state
         self.seen[gid] = self.seen[gid] or seen
+        self.non_null[gid] += non_null
+        if self.totals is not None:
+            self.totals[gid] += total
+            self.floats[gid].extend(floats)
+        if low is not MISSING:
+            _offer(self.lows, gid, low, True)
+        if high is not MISSING:
+            _offer(self.highs, gid, high, False)
 
-    def finalize(self, gid: int, sizes):
+    def finalize(self, func: str, gid: int):
+        if func == "count":
+            return self.non_null[gid]
         if not self.seen[gid]:
-            return MISSING
+            return MISSING  # the attribute never appeared: output is absent
+        if func == "min" or func == "max":
+            best = _held(self.lows if func == "min" else self.highs, gid)
+            return None if best is MISSING else best
         count = self.non_null[gid]
         if not count:
-            return None
-        total = self.totals[gid]
-        parts = self.floats[gid]
+            return None  # appeared, but only as NULL
+        total, parts = self.totals[gid], self.floats[gid]
         if parts:
             total = total + fsum(parts)
-        return total / count if self.func == "avg" else total
-
-
-class _MinMaxColumns:
-    """min/max — best value per group under the cross-type total order."""
-
-    __slots__ = ("attribute", "minimum", "best", "best_keys", "seen")
-
-    def __init__(self, func: str, attribute: str):
-        self.attribute = attribute
-        self.minimum = func == "min"
-        self.best: List[object] = []
-        self.best_keys: List[object] = []
-        self.seen: List[bool] = []
-
-    def grow(self) -> None:
-        self.best.append(None)
-        self.best_keys.append(None)
-        self.seen.append(False)
-
-    def update(self, gids, batch) -> None:
-        best, best_keys, seen = self.best, self.best_keys, self.seen
-        minimum = self.minimum
-        for gid, value in zip(gids, batch.column(self.attribute)):
-            if value is MISSING:
-                continue
-            seen[gid] = True
-            if value is None:
-                continue
-            order = value_order_key(value)
-            current = best_keys[gid]
-            if current is None or (order < current if minimum else order > current):
-                best[gid] = value
-                best_keys[gid] = order
-
-    def state(self, gid: int):
-        return (self.best[gid], self.best_keys[gid], self.seen[gid])
-
-    def absorb(self, gid: int, state) -> None:
-        value, order, seen = state
-        current = self.best_keys[gid]
-        if order is not None and (current is None or (
-                order < current if self.minimum else order > current)):
-            self.best[gid] = value
-            self.best_keys[gid] = order
-        self.seen[gid] = self.seen[gid] or seen
-
-    def finalize(self, gid: int, sizes):
-        if not self.seen[gid]:
-            return MISSING
-        if self.best_keys[gid] is None:
-            return None
-        return self.best[gid]
+        return total / count if func == "avg" else total
 
 
 class CompiledAggregates:
     """γ compiled to batch column-wise accumulation.
 
-    Per input batch: one pass assigns every row a dense group id (single-key
-    groups probe the raw column, multi-key groups a zipped key tuple — absent
-    stays the ``MISSING`` sentinel, which *is* the ⊥ routing), then each
-    aggregate spec runs one tight loop over ``(group ids × its column)`` into
-    parallel per-group state arrays.  Semantics are exactly those of
-    :class:`~repro.algebra.analytic.AggregateAccumulator`; only the bookkeeping
-    is column-at-a-time.
+    Per input batch the dense group ids are looked up in C (single-key groups
+    probe the raw column, multi-key groups a zipped key tuple; absent stays
+    the ``MISSING`` sentinel, which *is* the ⊥ routing), with a second pass
+    only for new keys, and count()'s per-group row counts come from one
+    :class:`~collections.Counter`.  Then one accumulator per input attribute
+    makes one loop over ``(group ids × its column)`` for every spec over it.
+    Semantics are exactly those of
+    :class:`~repro.algebra.analytic.AggregateAccumulator`.
 
-    A spilling aggregate drains the groups as ``(key, rows, states)``
-    records (:meth:`drain`) and a fresh instance absorbs them back
-    (:meth:`absorb`): each spec's
-    column class hands out one group's partial state and merges one in, so
-    groups accumulated in any number of slices finalize to what one
-    uninterrupted accumulation gives.
+    A spilling aggregate drains the groups as ``(key, rows, states)`` records
+    (:meth:`drain`, one partial state per attribute) and a fresh instance
+    absorbs them back (:meth:`absorb`), so groups accumulated in any number
+    of slices finalize to what one uninterrupted accumulation gives.
     """
 
     __slots__ = ("group_names", "specs", "key_to_gid", "sizes", "_columns")
@@ -431,23 +431,21 @@ class CompiledAggregates:
         self.key_to_gid: dict = {}
         #: rows per group — the shared denominator count() reads
         self.sizes: List[int] = []
-        self._columns = [self._compile_spec(spec) for spec in self.specs]
-
-    @staticmethod
-    def _compile_spec(spec):
-        if spec.func == "count":
-            if spec.attribute is None:
-                return _CountStarColumns()
-            return _CountAttrColumns(spec.attribute)
-        if spec.func in ("sum", "avg"):
-            return _SumColumns(spec.func, spec.attribute)
-        return _MinMaxColumns(spec.func, spec.attribute)
+        # sum/avg specs first: the accumulators run in the order of their
+        # attribute's first sum/avg, so a non-numeric value raises the error
+        # a spec-at-a-time loop would
+        funcs: dict = {}
+        for spec in sorted(self.specs, key=lambda spec: spec.func not in ("sum", "avg")):
+            if spec.attribute is not None:
+                funcs.setdefault(spec.attribute, []).append(spec.func)
+        self._columns = {name: _AttributeColumns(name, names)
+                         for name, names in funcs.items()}
 
     def _grow(self, key) -> int:
         gid = len(self.sizes)
         self.key_to_gid[key] = gid
         self.sizes.append(0)
-        for column in self._columns:
+        for column in self._columns.values():
             column.grow()
         return gid
 
@@ -468,16 +466,17 @@ class CompiledAggregates:
             else:
                 keys = list(zip(*(batch.column(name) for name in names)))
             get = self.key_to_gid.get
-            gids = []
-            append = gids.append
-            for key in keys:
-                gid = get(key)
-                if gid is None:
-                    gid = self._grow(key)
-                sizes[gid] += 1
-                append(gid)
-        for column in self._columns:
-            column.update(gids, batch)
+            gids = list(map(get, keys))
+            if None in gids:  # new keys take the next ids, in row order
+                for at, gid in enumerate(gids):
+                    if gid is None:
+                        key = keys[at]
+                        gid = get(key)
+                        gids[at] = self._grow(key) if gid is None else gid
+            for gid, rows in Counter(gids).items():
+                sizes[gid] += rows
+        for name, column in self._columns.items():
+            column.update(gids, batch.column(name))
 
     def held_bytes(self) -> int:
         """The sampled size of the group table (what ``peak_bytes`` records)."""
@@ -485,8 +484,8 @@ class CompiledAggregates:
 
     def drain(self) -> List[tuple]:
         """Every group as a ``(key, rows, states)`` record — its row count and
-        one partial state per spec — leaving this instance empty."""
-        sizes, columns = self.sizes, self._columns
+        one partial state per input attribute — leaving this instance empty."""
+        sizes, columns = self.sizes, list(self._columns.values())
         records = [(key, sizes[gid], [column.state(gid) for column in columns])
                    for key, gid in self.key_to_gid.items()]
         self._reset()
@@ -495,7 +494,7 @@ class CompiledAggregates:
     def absorb(self, records: Iterable[tuple]) -> None:
         """Merge records of :meth:`drain` into the groups of their keys."""
         get = self.key_to_gid.get
-        sizes, columns = self.sizes, self._columns
+        sizes, columns = self.sizes, list(self._columns.values())
         for key, rows, states in records:
             gid = get(key)
             if gid is None:
@@ -512,14 +511,15 @@ class CompiledAggregates:
         if not sizes and not names:
             row = {spec.output: 0 for spec in self.specs if spec.func == "count"}
             return [row] if row else []
-        pairs = list(zip(self.specs, self._columns))
+        outputs = [(spec.output, spec.func, self._columns.get(spec.attribute))
+                   for spec in self.specs]
         out = []
         for key, gid in self.key_to_gid.items():
             row = group_values(key, names)
-            for spec, column in pairs:
-                value = column.finalize(gid, sizes)
+            for output, func, column in outputs:
+                value = sizes[gid] if column is None else column.finalize(func, gid)
                 if value is not MISSING:
-                    row[spec.output] = value
+                    row[output] = value
             if row:
                 out.append(row)
         return out

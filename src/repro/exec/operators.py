@@ -999,8 +999,8 @@ class HashAggregateOp(_Unary):
     the shared semantics of :mod:`repro.algebra.analytic` — identical to the
     naive evaluator by construction.
 
-    Every input batch makes one key-extraction pass (group columns) and then
-    one tight loop per aggregate spec over ``(group ids × spec column)`` — see
+    Every input batch looks up its group ids (group columns), then makes one
+    tight loop per input attribute over ``(group ids × its column)`` — see
     :class:`~repro.exec.compiled.CompiledAggregates`.  Outputs are value dicts
     (group outputs are pairwise distinct, so no hashes or dedup are needed)
     emitted as :class:`LazyBatch` chunks.

@@ -25,15 +25,40 @@ rows lacking it into a distinct ⊥ group whose output row omits the attribute.
 
 Every expectation is asserted against the naive evaluator AND the physical
 engine, so the matrix is pinned for both at once.
+
+The physical engine's column kernel,
+:class:`~repro.exec.compiled.CompiledAggregates`, is also held to
+:class:`~repro.algebra.analytic.AggregateAccumulator` directly: a hypothesis
+property feeds both the same heterogeneous rows — ints, ints near 2**53,
+floats with NaN, ±inf and -0.0, bools, strings, tuples, NULL and absent — the
+kernel in random batch splits and random drain/absorb splits.
+``REPRO_ORDER_EXAMPLES`` raises its example count, as for the order-key
+properties.
 """
 
+import itertools
+import math
+import os
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_exec_parity import execute_and_audit
 
 from repro.algebra import Aggregate, EmptyRelation, RelationRef
+from repro.algebra.analytic import (
+    AggregateAccumulator,
+    AggregateSpec,
+    group_key,
+    group_values,
+    value_order_key,
+)
 from repro.algebra.evaluator import Evaluator
 from repro.errors import AlgebraError
 from repro.exec import PhysicalPlanner
+from repro.exec.compiled import CompiledAggregates
+from repro.model.batches import LazyBatch
 from repro.model.tuples import FlexTuple
 
 #: every aggregate over x, all in one query
@@ -191,3 +216,171 @@ class TestSpecValidation:
     def test_aggregate_needs_groups_or_specs(self):
         with pytest.raises(AlgebraError):
             Aggregate(RelationRef("t"))
+
+
+# -- the column kernel against the row accumulator -----------------------------------------
+
+#: REPRO_ORDER_EXAMPLES=<n> raises the example count (CI's random-seed sweep)
+EXAMPLES = int(os.environ.get("REPRO_ORDER_EXAMPLES", "150"))
+
+NAN = float("nan")
+ABSENT = object()  # a cell its row does not carry
+
+#: numbers only, so sum/avg over them never raise
+numbers = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1]),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, float(2**53), math.inf, -math.inf, NAN]),
+)
+#: anything a column holds: sum/avg over a bool, a string or a tuple raise
+anything = st.one_of(numbers, st.booleans(), st.sampled_from(["", "a", "b"]),
+                     st.sampled_from([(), (1,), (1, "a"), (NAN,)]))
+
+
+def _cell(values):
+    return st.one_of(st.just(ABSENT), st.none(), values)
+
+
+rows_strategy = st.lists(st.builds(
+    lambda *cells: {name: value for name, value in zip("gab", cells)
+                    if value is not ABSENT},
+    _cell(st.sampled_from([0, 1, "x"])), _cell(numbers), _cell(anything)),
+    max_size=40)
+specs_strategy = st.lists(
+    st.sampled_from([AggregateSpec("count")] + [
+        AggregateSpec(func, attribute)
+        for func in ("count", "sum", "avg", "min", "max") for attribute in "ab"]),
+    min_size=1, max_size=6, unique=True)
+
+
+def _accumulated(rows, group_by, specs):
+    """The row-at-a-time reference: one AggregateAccumulator state per group,
+    groups in order of first appearance."""
+    accumulator = AggregateAccumulator(specs)
+    groups = {}
+    for values in rows:
+        key = group_key(values, group_by)
+        if key not in groups:
+            groups[key] = accumulator.new_state()
+        accumulator.update(groups[key], values)
+    if not groups and not group_by:
+        row = accumulator.empty_result()
+        return [row] if row else []
+    out = []
+    for key, states in groups.items():
+        row = dict(group_values(key, group_by), **accumulator.finalize(states))
+        if row:
+            out.append(row)
+    return out
+
+
+def _outcome(thunk):
+    """The rows ``thunk`` returns, each value as its repr — 1, 1.0 and True
+    differ, a NaN equals a NaN — or the class of the error it raised."""
+    try:
+        return [{name: repr(value) for name, value in row.items()} for row in thunk()]
+    except (AlgebraError, ValueError) as error:  # ValueError: fsum of inf and -inf
+        return type(error)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(rows=rows_strategy, specs=specs_strategy,
+       group_by=st.sampled_from([(), ("g",), ("g", "a")]), data=st.data())
+def test_batched_aggregates_equal_the_accumulator(rows, specs, group_by, data):
+    """Batches of any size, drained into records after any of them and
+    absorbed back in two slices, finalize to what the row accumulator gives
+    — or raise what it raises."""
+    batches, drains, start = [], [], 0
+    while start < len(rows):
+        stop = start + data.draw(st.integers(1, 8), label="batch rows")
+        batches.append(rows[start:stop])
+        drains.append(data.draw(st.booleans(), label="drain after it"))
+        start = stop
+    split = data.draw(st.integers(0, len(rows)), label="records absorbed first")
+
+    def in_one_instance():
+        aggregates = CompiledAggregates(group_by, specs)
+        for batch in batches:
+            aggregates.update(LazyBatch(batch))
+        return aggregates.results()
+
+    def drained_and_absorbed():
+        aggregates, records = CompiledAggregates(group_by, specs), []
+        for batch, drain in zip(batches, drains):
+            aggregates.update(LazyBatch(batch))
+            if drain:
+                records.extend(aggregates.drain())
+        records.extend(aggregates.drain())
+        merged = CompiledAggregates(group_by, specs)
+        merged.absorb(records[:split])
+        merged.absorb(records[split:])
+        return merged.results()
+
+    expected = _outcome(lambda: _accumulated(rows, group_by, specs))
+    assert _outcome(in_one_instance) == expected
+    assert _outcome(drained_and_absorbed) == expected
+
+
+class TestColumnKernel:
+    """Cases the property covers, pinned by name, and what the kernel must
+    not do."""
+
+    SPECS = (AggregateSpec("min", "x"), AggregateSpec("max", "x"))
+
+    @staticmethod
+    def _run(column, specs=SPECS, sliced=False):
+        """The one global row over ``column`` in one batch or, ``sliced``,
+        each row drained on its own and the records absorbed back."""
+        rows = [{"x": value} for value in column]
+        aggregates = CompiledAggregates((), specs)
+        if not sliced:
+            aggregates.update(LazyBatch(rows))
+        else:
+            records = []
+            for row in rows:
+                aggregates.update(LazyBatch([row]))
+                records.extend(aggregates.drain())
+            aggregates.absorb(records)
+        (row,) = aggregates.results()
+        return row
+
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_nan_is_the_max_beside_a_number_and_never_the_min(self, sliced):
+        for column in ([NAN, 1], [1, NAN]):
+            row = self._run(column, sliced=sliced)
+            assert row["min_x"] == 1 and math.isnan(row["max_x"])
+
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_the_first_seen_of_order_equal_values_wins(self, sliced):
+        for column in itertools.permutations([True, 1, 1.0]):
+            row = self._run(column, sliced=sliced)
+            assert repr(row["min_x"]) == repr(row["max_x"]) == repr(column[0])
+
+    def test_a_non_numeric_sum_reports_the_first_sum_spec(self):
+        """Spec order picks the reported value, not row order: sum(a) comes
+        before sum(b), so a's bad value is named although b's comes first
+        in the rows and b's accumulator also serves the earlier min(b)."""
+        aggregates = CompiledAggregates((), (
+            AggregateSpec("min", "b"), AggregateSpec("sum", "a"), AggregateSpec("sum", "b")))
+        with pytest.raises(AlgebraError, match=re.escape(
+                "sum over non-numeric value 'y' of attribute 'a'")):
+            aggregates.update(LazyBatch([{"a": 1, "b": "x"}, {"a": "y", "b": 2}]))
+
+    def test_plain_numbers_never_build_an_order_key(self, monkeypatch):
+        built = []
+
+        def recording(value):
+            built.append(value)
+            return value_order_key(value)
+
+        monkeypatch.setattr("repro.exec.compiled.value_order_key", recording)
+        numbers = [3, 1.5, -2, 2**60, -0.0, math.inf, -math.inf, None]
+        aggregates = CompiledAggregates(("g",), self.SPECS)
+        aggregates.update(LazyBatch([{"g": at % 2, "x": value}
+                                     for at, value in enumerate(numbers)]))
+        merged = CompiledAggregates(("g",), self.SPECS)
+        merged.absorb(aggregates.drain())
+        assert merged.results() and built == []
+        merged.update(LazyBatch([{"g": 0, "x": True}, {"g": 0, "x": NAN},
+                                 {"g": 1, "x": "s"}]))
+        assert built == [True, NAN, "s"]

@@ -132,13 +132,19 @@ class TestDurableSweep:
         assert not list(spill_root.iterdir())
 
 
-def budgeted_orders(spill_root):
-    """``analytics_database(count=2500, seed=13)`` under the spill corpus's
+#: orders behind the re-planned join: enough that the feedback of the first
+#: run still swaps its build side, few enough that sweeping every boundary
+#: of the replay stays quick
+REPLANNED_ORDERS = 1000
+
+
+def budgeted_orders(spill_root, count=2500):
+    """``analytics_database(count=count, seed=13)`` under the spill corpus's
     15,000 B budget."""
     database = Database(memory_budget=15_000, spill_directory=str(spill_root))
     database.create_table("orders", orders_scheme(), domains=orders_domains(),
                           key=["order_id"])
-    database.table("orders").insert_many(generate_orders(2500, seed=13))
+    database.table("orders").insert_many(generate_orders(count, seed=13))
     database.analyze()
     return database
 
@@ -146,12 +152,16 @@ def budgeted_orders(spill_root):
 class TestSpillCorpusSweep:
     def test_replanned_join_is_counted_on_the_replayed_plan(self, tmp_path, batches_of_64):
         """The first run records cardinality feedback and the replay runs a
-        re-planned join (the build side swaps): its boundaries, not the first
-        run's, are the ones swept."""
+        re-planned join whose build side swapped: its boundaries, not the
+        first run's, are the ones swept."""
         expression, _ = spill_corpus()["join_skewed_key"]
+        database = budgeted_orders(tmp_path, count=REPLANNED_ORDERS)
+        first = database.plan(expression).root
         summary = cancel_at_every_boundary(
-            budgeted_orders(tmp_path), [expression],
-            spill_root=str(tmp_path))
+            database, [expression], spill_root=str(tmp_path))
+        replayed = database.plan(expression).root
+        assert ([child.label() for child in replayed.children]
+                == [child.label() for child in reversed(first.children)])
         assert summary["injections"] == summary["boundaries"] > 0
 
     def test_every_budgeted_spill_shape_cancels_cleanly(self, tmp_path):
