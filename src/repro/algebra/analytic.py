@@ -22,7 +22,9 @@ tested by ``tests/test_aggregates.py``):
   attribute.  ``sum``/``avg`` over a non-numeric present value raise
   :class:`~repro.errors.AlgebraError`; sums accumulate exact integer totals
   plus :func:`math.fsum` over the float part so the result is independent of
-  accumulation order (the three engines see rows in different orders).
+  accumulation order (the three engines see rows in different orders), and
+  :func:`numeric_total` gives every total a float value — NaN for ``inf``
+  with ``-inf``, the exact sum where ``fsum`` overflows on the way.
 * **Ordering** — per sort key a row ranks value < NULL < absent (NULL and
   absent sort *last* regardless of direction); values compare through
   :func:`value_order_key`, a total order across mixed types.  Every composite
@@ -39,7 +41,8 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
-from math import fsum
+from fractions import Fraction
+from math import fsum, inf, isfinite, nan
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import AlgebraError
@@ -432,6 +435,35 @@ def _check_numeric(func: str, attribute: str, value):
                 func, value, attribute))
 
 
+def numeric_total(total: int, floats: Sequence[float]):
+    """A sum's value: the exact int ``total`` plus the ``floats``, summed by
+    :func:`math.fsum` — so independent of their order — and an int when there
+    are none.  ``inf`` with ``-inf`` gives NaN.  An intermediate overflow
+    (``1e308 + 1e308 - 1e308``) or an int total too large for a float falls
+    back to exact :class:`~fractions.Fraction` summation: the correctly
+    rounded value, or ±inf when even that overflows."""
+    if not floats:
+        return total
+    try:
+        parts = fsum(floats)
+        if not isfinite(parts):
+            return parts  # ±inf or NaN decides alone
+        return total + parts
+    except ValueError:  # inf + -inf
+        return nan
+    except OverflowError:
+        # finite parts overflowed before a non-finite one came, or the int
+        # total is beyond the float range
+        special = [value for value in floats if not isfinite(value)]
+        if special:
+            return numeric_total(0, special)
+    exact = sum(map(Fraction, floats), Fraction(total))
+    try:
+        return float(exact)
+    except OverflowError:
+        return inf if exact > 0 else -inf
+
+
 class AggregateAccumulator:
     """Row-at-a-time accumulator implementing the pinned aggregate matrix.
 
@@ -511,8 +543,7 @@ class AggregateAccumulator:
             total, floats, non_null, _ = state
             if not non_null:
                 return None  # appeared, but only as NULL
-            if floats:
-                total = total + fsum(floats)
+            total = numeric_total(total, floats)
             return total / non_null if func == "avg" else total
         best = state[0]
         return None if best is MISSING else best

@@ -73,7 +73,13 @@ class ExecutionStats:
         ``HashJoin``) only examine pairs that share a hash bucket, so they
         contribute the sum of per-probe bucket sizes.  Probes that miss every
         bucket (or tuples partitioned out by a guard) contribute zero — the
-        counter measures pairwise work performed, not probes attempted.
+        counter measures pairwise work performed, not probes attempted.  The
+        physical ``IndexLookupJoin`` counts the index partners that agree on
+        every join attribute and pass its inner side's guard and predicate —
+        the pairs a ``HashJoin`` over that filtered inner examines; checking
+        a partner against that filter counts as the scan's checks do (one
+        ``guard_checks`` a partner, one ``predicate_evaluations`` a partner
+        past the guard), and no partner counts as ``tuples_scanned``.
     ``operators_executed`` / ``operator_counts``
         One increment per operator node (logical or physical) that ran.
 

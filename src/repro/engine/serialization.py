@@ -329,18 +329,18 @@ def table_definition_from_dict(entry: dict, path: str = "table") -> dict:
 def database_to_dict(database: Database, include_data: bool = True) -> dict:
     """Convert a database (catalog and, optionally, the stored tuples) to a dictionary.
 
-    Fresh planner statistics ride along with the data (they describe exactly the
-    serialized tuples); without data, or when stale, they are omitted.
+    Each table's tuples are listed in store (insertion) order.  Fresh planner
+    statistics ride along with the data (they describe exactly the serialized
+    tuples); without data, or when stale, they are omitted.
     """
     tables = []
     for name in database.tables():
         definition = database.catalog.definition(name)
         entry = table_definition_to_dict(definition)
         if include_data:
-            entry["tuples"] = sorted(
-                (t.as_dict() for t in database.table(name).tuples),
-                key=lambda item: sorted(item.items(), key=lambda pair: (pair[0], repr(pair[1]))),
-            )
+            # store order: no comparison of values (a column may mix NULL
+            # with numbers), and a reload restores the scan order
+            entry["tuples"] = [t.as_dict() for t in database.table(name)]
             statistics = database.statistics.get(name)
             if statistics is not None:
                 entry["statistics"] = statistics.to_dict()

@@ -37,10 +37,14 @@ plan can express and the two cannot drift apart.
 from __future__ import annotations
 
 from collections import Counter
-from math import fsum
 from typing import Callable, Iterable, List, Optional, Sequence
 
-from repro.algebra.analytic import _check_numeric, group_values, value_order_key
+from repro.algebra.analytic import (
+    _check_numeric,
+    group_values,
+    numeric_total,
+    value_order_key,
+)
 from repro.algebra.predicates import (
     _OPERATORS,
     And,
@@ -294,10 +298,10 @@ class _AttributeColumns:
     (count(a), and the sum/avg denominator), and only what some spec over it
     reads — the exact int total and the float parts (sum/avg), the held min
     (``lows``), the held max (``highs``).  Floats are summed once, at
-    finalize time, with :func:`math.fsum`, so the result does not depend on
-    the order rows arrived in.  An ``int`` or non-NaN ``float`` is compared
-    with a held number natively; only other values pay for
-    :func:`value_order_key`.
+    finalize time, by :func:`~repro.algebra.analytic.numeric_total`, so the
+    result does not depend on the order rows arrived in.  An ``int`` or
+    non-NaN ``float`` is compared with a held number natively; only other
+    values pay for :func:`value_order_key`.
     """
 
     __slots__ = ("attribute", "func", "seen", "non_null", "totals", "floats",
@@ -396,9 +400,7 @@ class _AttributeColumns:
         count = self.non_null[gid]
         if not count:
             return None  # appeared, but only as NULL
-        total, parts = self.totals[gid], self.floats[gid]
-        if parts:
-            total = total + fsum(parts)
+        total = numeric_total(self.totals[gid], self.floats[gid])
         return total / count if func == "avg" else total
 
 

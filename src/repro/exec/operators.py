@@ -407,20 +407,34 @@ class Scan(PhysicalOperator):
             count = len(batch)
             stats.tuples_scanned += count
             op.rows_in += count
-            indices = None
-            if self._compiled_guard is not None:
-                stats.guard_checks += count
-                indices = self._compiled_guard.select(batch)
-            if self._compiled is not None:
-                stats.predicate_evaluations += (
-                    count if indices is None else len(indices))
-                indices = self._compiled.select(batch, indices, ctx.params)
+            indices = self.select(ctx, batch)
             if indices is not None:
                 if len(indices) != count:
                     batch = batch.take(indices)
                 if not len(batch):
                     continue
             yield batch
+
+    @property
+    def filtered(self) -> bool:
+        """Does the scan apply a guard or a predicate to what it reads?"""
+        return self._compiled_guard is not None or self._compiled is not None
+
+    def select(self, ctx: ExecutionContext, batch: TupleBatch) -> Optional[List[int]]:
+        """The indices of ``batch``'s rows passing the guard and then the
+        predicate under ``ctx.params`` — one guard check a row, one
+        predicate evaluation a row past the guard — or ``None`` when the
+        scan has neither."""
+        stats = ctx.stats
+        indices = None
+        if self._compiled_guard is not None:
+            stats.guard_checks += len(batch)
+            indices = self._compiled_guard.select(batch)
+        if self._compiled is not None:
+            stats.predicate_evaluations += (
+                len(batch) if indices is None else len(indices))
+            indices = self._compiled.select(batch, indices, ctx.params)
+        return indices
 
     # -- pushdown helpers used by the physical planner ----------------------------------
 
@@ -777,34 +791,46 @@ class HashJoin(_Binary):
 class IndexLookupJoin(PhysicalOperator):
     """⋈ by probing a maintained hash index of a base relation per outer tuple.
 
-    The statistics-informed planner chooses this operator when the join
-    attributes are known statically, the inner side is a base relation whose
-    engine-maintained hash index covers (a subset of) them, and the *estimated*
-    outer cardinality is small against the inner relation: the inner side is
-    then never scanned at all — only the index buckets matching outer tuples are
-    read, which is the plan-level payoff of knowing that a rare variant tag
-    leaves few outer tuples.  Each bucket partner counts one
-    ``join_pairs_considered``; outer tuples lacking a join attribute cost one
-    guard check (they can never join).  The outer side is read as batch
-    columns and the output is the same lazy column merge as :class:`HashJoin`'s.
+    The inner side is a :class:`Scan` of one base relation: bare, or with the
+    guard and predicate that lowering pushes into a selection / type-guard
+    chain over that relation.  The statistics-informed planner chooses this
+    operator when the join attributes are known statically, the inner base
+    relation's engine-maintained hash index covers (a subset of) them, and
+    the *estimated* outer cardinality is small against that relation: the
+    inner relation is then never scanned at all — only the index buckets
+    matching outer tuples are read, which is the plan-level payoff of
+    knowing that a rare variant tag leaves few outer tuples.
+
+    Per outer batch, the bucket partners that agree with their outer tuple on
+    every join attribute (the index may cover only some) pass through the
+    inner scan's guard and predicate in one compiled pass, under
+    ``ctx.params``, counted as the scan counts them (a guard check each, a
+    predicate evaluation each past the guard).  Each partner that passes
+    counts one ``join_pairs_considered`` — exactly the pairs a
+    :class:`HashJoin` over the filtered inner examines.  Outer tuples lacking
+    a join attribute cost one guard check (they can never join).  The outer
+    side is read as batch columns and the output is the same lazy column
+    merge as :class:`HashJoin`'s.
 
     Without a usable index at execution time (a source that keeps no tables,
-    or the index disappeared), the operator scans the inner relation once and
-    runs :class:`HashJoin`'s build and probe — identical results.
+    or the index disappeared), the inner scan runs once as the build side of
+    :class:`HashJoin`'s build and probe — identical results.
     """
 
     name = "batch-index-lookup-join"
 
-    def __init__(self, outer: PhysicalOperator, relation: str, on):
+    def __init__(self, outer: PhysicalOperator, inner: Scan, on):
         self.outer = outer
         self.children = (outer,)
-        self.relation = relation
+        self.inner = inner
+        self.relation = inner.relation
         self.on = attrset(on)
         if not self.on:
             raise AlgebraError("an index lookup join needs join attributes")
 
     def label(self) -> str:
-        return "index-lookup-join[{}, on={}]".format(self.relation, self.on)
+        inner = self.inner.label() if self.inner.filtered else self.relation
+        return "index-lookup-join[{}, on={}]".format(inner, self.on)
 
     def _generate(self, ctx, op, outer) -> Iterator[TupleBatch]:
         on_names = [a.name for a in self.on]
@@ -812,32 +838,39 @@ class IndexLookupJoin(PhysicalOperator):
         stats = ctx.stats
         seen = self._seen()
         if index is None:
-            inner_rows = list(_resolve_relation(ctx.source, self.relation))
-            stats.tuples_scanned += len(inner_rows)
-            (pairs,) = _keyed(stats, [TupleBatch(inner_rows)], on_names)
-            buckets = _fill({}, pairs)
+            # the inner scan's own books are not the plan's: it is no child
+            inner = self.inner._generate(ctx, OperatorStats(self.inner.plan_label))
+            buckets: Dict = {}
+            for pairs in _keyed(stats, inner, on_names):
+                _fill(buckets, pairs)
             ctx.enforce_memory(op, sampled_size(buckets))
             yield from _probe(ctx, seen, buckets, _keyed(stats, outer, on_names))
             _note_seen(ctx, op, seen)
             return
-        lookup = index.lookup
-        probe_names = [a.name for a in index.attributes]
+        bucket = index.bucket
+        probe_names = index.names
         remaining = [a.name for a in (self.on - index.attributes)]
+        filtered = self.inner.filtered
         for batch in outer:
             stats.guard_checks += len(batch)
-            merged: List[dict] = []
+            outer_rows: List[dict] = []
+            partners: List[FlexTuple] = []
             for key, row_values in zip(_join_keys(batch, on_names), batch.values_list()):
                 if key is MISSING:
                     continue
-                partners = lookup(tuple([row_values[name] for name in probe_names]))
-                stats.join_pairs_considered += len(partners)
-                for partner in partners:
-                    partner_values = partner._values
-                    if remaining and any(partner_values.get(name, MISSING) != row_values[name]
+                for partner in bucket(tuple([row_values[name] for name in probe_names])):
+                    if remaining and any(partner._values.get(name, MISSING) != row_values[name]
                                          for name in remaining):
                         continue
-                    merged.append(merge_values(row_values, partner_values))
-            yield from _distinct(ctx, seen, merged)
+                    outer_rows.append(row_values)
+                    partners.append(partner)
+            if filtered and partners:
+                indices = self.inner.select(ctx, TupleBatch(partners))
+                outer_rows = [outer_rows[i] for i in indices]
+                partners = [partners[i] for i in indices]
+            stats.join_pairs_considered += len(partners)
+            yield from _distinct(ctx, seen, [merge_values(row_values, partner._values)
+                                             for row_values, partner in zip(outer_rows, partners)])
         _note_seen(ctx, op, seen)
 
 

@@ -23,8 +23,9 @@ operators from :mod:`repro.exec.operators`:
   their written order;
 * every :class:`~repro.algebra.expressions.NaturalJoin` is then lowered to an
   :class:`~repro.exec.operators.IndexLookupJoin` (when the join attributes are
-  static, the inner side is a base relation with a covering hash index, and the
-  estimated outer cardinality makes probing cheaper than scanning) or else a
+  static, the inner side is a base relation — bare or under a selection/guard
+  chain — with a covering hash index, and the estimated outer cardinality
+  makes probing cheaper than scanning) or else a
   :class:`~repro.exec.operators.HashJoin` — whether ``on`` is static, empty or
   ``None`` (join attributes only the data can tell); the smaller input, by the
   cardinality estimates of the :class:`~repro.optimizer.cost.CostModel`,
@@ -113,6 +114,7 @@ from repro.optimizer.joinorder import (
     JoinSearchReport,
     index_probe_cost,
     order_joins,
+    scanned_relation,
 )
 
 #: how many times the limit the estimated input must be for the bounded top-k
@@ -480,15 +482,18 @@ class PhysicalPlanner:
                            right_cardinality: float) -> Optional[IndexLookupJoin]:
         """An :class:`IndexLookupJoin` when probing beats scanning, else ``None``.
 
-        Requires statically known join attributes and a base-relation inner side
-        whose maintained hash index covers (a subset of) them.  The decision
-        compares the estimated probe cost — outer cardinality × (probe factor +
-        the index's average bucket size, i.e. the partners each probe examines)
-        — against the scan the hash join would pay on the inner side.  This is
-        where an accurate outer estimate (e.g. a 1% variant tag from the
-        statistics) flips the plan: the default constants overestimate the
-        outer side and keep the full scan.  A low-NDV index (huge buckets)
-        prices itself out via the fan-out term.
+        Requires statically known join attributes and an inner side that is a
+        base relation — bare, or under a selection / type-guard chain, which
+        lowers to one :class:`~repro.exec.operators.Scan` whose guard and
+        predicate filter the index partners — with a maintained hash index
+        covering (a subset of) them.  The decision compares the estimated
+        probe cost — outer cardinality × (probe factor + the index's average
+        bucket size, i.e. the partners each probe examines) — against the
+        size of the inner base relation, which the hash join's build would
+        scan.  This is where an accurate outer estimate (e.g. a 1% variant tag
+        from the statistics) flips the plan: the default constants
+        overestimate the outer side and keep the full scan.  A low-NDV index
+        (huge buckets) prices itself out via the fan-out term.
         """
         if expression.on is None:
             return None
@@ -498,19 +503,22 @@ class PhysicalPlanner:
             (expression.right, expression.left, right_cardinality),
         )
         for outer_expr, inner_expr, outer_cardinality in candidates:
-            if not isinstance(inner_expr, RelationRef) or outer_cardinality <= 0:
+            relation = scanned_relation(inner_expr)
+            if relation is None or outer_cardinality <= 0:
                 continue
-            probe_cost = index_probe_cost(self.source, inner_expr.name,
+            probe_cost = index_probe_cost(self.source, relation,
                                           expression.on, outer_cardinality)
             if probe_cost is None:
                 continue
-            inner_cardinality = len(self.source.relation(inner_expr.name))
+            inner_cardinality = len(self.source.relation(relation))
             if probe_cost > inner_cardinality:
                 continue
             gain = inner_cardinality - probe_cost
             if best is None or gain > best[0]:
-                best = (gain, outer_expr, inner_expr.name)
+                best = (gain, outer_expr, inner_expr)
         if best is None:
             return None
-        _gain, outer_expr, inner_name = best
-        return IndexLookupJoin(self._lower(outer_expr), inner_name, expression.on)
+        _gain, outer_expr, inner_expr = best
+        # the inner scan is no node of the plan tree: it carries no annotations
+        return IndexLookupJoin(self._lower(outer_expr), self._lower_node(inner_expr),
+                               expression.on)

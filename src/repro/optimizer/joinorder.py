@@ -48,7 +48,8 @@ under this accounting and differ only in intermediate sizes — exactly the
 quantity the search minimizes.  The work of a join is the hash-join build+probe cost
 (both input cardinalities plus the output), or the cheaper index-probe cost
 ``|outer| · (INDEX_PROBE_COST_FACTOR + index fan-out)`` when the inner side
-is a base relation with a covering maintained hash index — the planner's
+is a base relation, bare or under a selection/guard chain, with a covering
+maintained hash index — the planner's
 :class:`~repro.exec.operators.IndexLookupJoin` decision prices probes with the
 same :func:`index_probe_cost`, so the search does not steer away from plans the
 engine can execute cheaply.
@@ -130,8 +131,10 @@ class JoinAtom:
         #: base-table statistics when the atom is a selection/guard/projection
         #: chain over one base relation (feeds the edge selectivities)
         self.statistics = statistics
-        #: the base relation name when the atom is a *bare* RelationRef — only
-        #: those are candidates for index-probe pricing
+        #: the base relation name when the atom is a RelationRef, bare or under
+        #: a selection/guard chain (:func:`scanned_relation`) — only those are
+        #: candidates for index-probe pricing, as only those lower to a scan an
+        #: index lookup join can filter its partners through
         self.relation = relation
         self.label = _atom_label(expression)
 
@@ -426,8 +429,7 @@ def _price_atoms(graph: JoinGraph, cost_model: CostModel, memo: Dict) -> None:
     for atom in graph.atoms:
         atom.estimate = cost_model.estimate(atom.expression, _memo=memo)
         atom.statistics = cost_model.base_statistics(atom.expression)
-        if isinstance(atom.expression, RelationRef):
-            atom.relation = atom.expression.name
+        atom.relation = scanned_relation(atom.expression)
     for edge in graph.edges:
         left, right = graph.atoms[edge.left], graph.atoms[edge.right]
         if left.statistics is not None and right.statistics is not None:
@@ -435,6 +437,14 @@ def _price_atoms(graph: JoinGraph, cost_model: CostModel, memo: Dict) -> None:
                                                 edge.attributes)
         else:
             edge.selectivity = DEFAULT_EDGE_SELECTIVITY
+
+
+def scanned_relation(expression: Expression) -> Optional[str]:
+    """The base relation under a chain of selections and type guards — the
+    chain lowering collapses into one scan — or ``None`` for any other shape."""
+    while isinstance(expression, (Selection, TypeGuardNode)):
+        expression = expression.child
+    return expression.name if isinstance(expression, RelationRef) else None
 
 
 def index_probe_cost(source, relation: Optional[str], attributes,

@@ -10,7 +10,10 @@ E11 benchmark and the statistics tests measure.
 
 ``events`` declares a secondary hash index on ``kind`` (so the tag selection is
 index-answerable) and both tables are keyed on ``event_id`` (so an
-index-lookup join can probe ``sessions``).
+index-lookup join can probe ``sessions``, and a selection of ``events``
+through its key index).  ``keyed_events=False`` leaves ``events`` without its
+key: no index of the selective side then covers the join attribute, and only
+the statistics can tell the planner to probe ``sessions`` instead.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ def skewed_join_database(
     big: int = DEFAULT_BIG_SIDE,
     small: int = DEFAULT_SMALL_SIDE,
     rare_every: int = DEFAULT_RARE_EVERY,
+    keyed_events: bool = True,
 ) -> Database:
     """A loaded database with the ``events`` ⋈ ``sessions`` skewed workload."""
     database = Database()
@@ -60,7 +64,7 @@ def skewed_join_database(
         events_scheme(),
         domains={"event_id": IntDomain(), "kind": StringDomain(max_length=32),
                  "payload": IntDomain(), "clearance": StringDomain(max_length=16)},
-        key=["event_id"],
+        key=["event_id"] if keyed_events else None,
         indexes=[["kind"]],
     )
     events.insert_many(generate_events(big, rare_every=rare_every))

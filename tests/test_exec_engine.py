@@ -35,6 +35,7 @@ from repro.algebra.predicates import (
     FalsePredicate,
     Not,
     Or,
+    Parameter,
     Predicate,
     PresencePredicate,
     TruePredicate,
@@ -639,7 +640,7 @@ class TestBatchOperators:
         database = skewed_join_database(big=300, small=60, rare_every=30)
         root = IndexLookupJoin(
             Scan("events", predicate=Comparison("kind", "=", "audit")),
-            "sessions", on=["event_id"])
+            Scan("sessions"), on=["event_id"])
         with_index = _run(root, database)
         # a plain mapping of the same relations has no indexes
         degraded = _run(root, {name: database.relation(name) for name in database.tables()})
@@ -649,6 +650,104 @@ class TestBatchOperators:
         assert with_index.tuples == degraded.tuples == naive.tuples
         # The maintained index never scans the inner relation.
         assert with_index.stats.tuples_scanned < degraded.stats.tuples_scanned
+
+
+def _parts_database():
+    """``parts`` (key pid, an index on the variant attribute code) and
+    ``uses`` referencing them: rows on both sides lack code or grade, a use
+    may name a part that does not exist or a code that differs from its
+    part's."""
+    database = Database()
+    parts = database.create_table(
+        "parts",
+        FlexibleScheme(4, 4, ["pid", "kind", FlexibleScheme(0, 1, ["code"]),
+                              FlexibleScheme(0, 1, ["grade"])]),
+        key=["pid"], indexes=[["code"]])
+    for pid in range(1, 41):
+        row = {"pid": pid, "kind": ("bolt", "nut", "gear")[pid % 3]}
+        if pid % 4:
+            row["code"] = pid % 7
+        if pid % 5 == 0:
+            row["grade"] = pid % 2
+        parts.insert(row)
+    uses = database.create_table(
+        "uses", FlexibleScheme(2, 3, ["use_id", "pid", FlexibleScheme(0, 1, ["code"])]),
+        key=["use_id"])
+    for use_id in range(1, 31):
+        row = {"use_id": use_id, "pid": (use_id * 7) % 45 + 1}
+        if use_id % 3:
+            row["code"] = row["pid"] % 7 if use_id % 4 else 3
+        uses.insert(row)
+    return database
+
+
+class TestFilteredIndexLookupJoin:
+    """The index lookup join through a selected or guarded inner relation
+    agrees with the hash join over the same inner scan — result and join
+    pairs — and with the naive evaluator, index or no index."""
+
+    KIND = Comparison("kind", "=", Parameter(0))
+    BOLT = Comparison("kind", "=", "bolt")
+    CASES = {
+        # inner scan, logical inner, join attributes (the outer side is uses
+        # cut to use_id and them)
+        "parameterised predicate": (Scan("parts", predicate=KIND),
+                                    Selection(RelationRef("parts"), BOLT), ["pid"]),
+        "guard": (Scan("parts", guard=["grade"]),
+                  TypeGuardNode(RelationRef("parts"), ["grade"]), ["pid"]),
+        "guard and predicate": (Scan("parts", predicate=KIND, guard=["code"]),
+                                TypeGuardNode(Selection(RelationRef("parts"), BOLT),
+                                              ["code"]), ["pid"]),
+        "missing join keys": (Scan("parts", predicate=Not(KIND)),
+                              Selection(RelationRef("parts"), Not(BOLT)), ["code"]),
+        "index covers part of on": (Scan("parts", predicate=Not(KIND)),
+                                    Selection(RelationRef("parts"), Not(BOLT)),
+                                    ["pid", "code"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_agrees_with_hash_join_and_naive(self, case, indexed):
+        inner, logical, on = self.CASES[case]
+        database = _parts_database()
+        # a plain mapping of the same relations has no indexes: the fallback
+        source = database if indexed else {name: database.relation(name)
+                                           for name in database.tables()}
+        kept = ["use_id"] + on
+        params = ("bolt",)
+
+        def run(root):
+            return execute_and_audit(PhysicalPlan(root, params=params), source, 4)
+
+        probed_root = IndexLookupJoin(ProjectOp(Scan("uses"), kept), inner, on)
+        assert probed_root.label() == "index-lookup-join[{}, on={}]".format(
+            inner.label(), probed_root.on)
+        probed = run(probed_root)
+        hashed = run(HashJoin(ProjectOp(Scan("uses"), kept), inner, on=on))
+        naive = Evaluator(database).evaluate(
+            NaturalJoin(Projection(RelationRef("uses"), kept), logical, on=on))
+        assert probed.tuples == hashed.tuples == naive.tuples
+        assert probed.tuples  # something joins ...
+        assert probed.stats.join_pairs_considered == hashed.stats.join_pairs_considered
+        if indexed:
+            # ... and some partners the index hands out fail the filter
+            bare = run(IndexLookupJoin(ProjectOp(Scan("uses"), kept), Scan("parts"), on))
+            assert len(bare.tuples) > len(probed.tuples)
+            assert probed.stats.tuples_scanned == 2 * 30  # uses and its projection
+        else:
+            assert probed.stats.tuples_scanned == hashed.stats.tuples_scanned
+
+    def test_planner_probes_through_the_selection(self):
+        database = _parts_database()
+        query = NaturalJoin(
+            Selection(RelationRef("uses"), Comparison("use_id", "<", 4)),
+            Selection(RelationRef("parts"), Comparison("kind", "!=", "bolt")), on=["pid"])
+        database.analyze()
+        plan = database.plan(query, optimize=False)
+        assert plan.root.label() == \
+            "index-lookup-join[scan[parts, σ[kind != ?1]], on={pid}]"
+        assert database.execute(query, optimize=False).tuples == \
+            Evaluator(database).evaluate(query).tuples
 
 
 class TestModeExposure:

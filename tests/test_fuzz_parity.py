@@ -425,7 +425,9 @@ def test_shrinker_reports_the_minimal_subtree(fuzz_source):
 # rewrite rules cannot read are parameters, bound per call.  So every tree runs
 # twice — as generated and with every comparison constant redrawn — against ONE
 # database (one statement/template/plan cache, declared dependencies, key and
-# secondary indexes), and both answers must equal the naive evaluator's.
+# secondary indexes), and both answers must equal the naive evaluator's.  Some
+# leaves grow joins an index can answer (``_probe_join``), so the planner
+# probes indexes through bare, selected and guarded inner relations.
 
 
 #: REPRO_FUZZ_TEMPLATE_TREES=<n> raises the per-seed budget (the CI sweep)
@@ -434,6 +436,10 @@ TEMPLATE_TREES_PER_SEED = int(os.environ.get("REPRO_FUZZ_TEMPLATE_TREES", "20"))
 
 @pytest.fixture(scope="module")
 def fuzz_database():
+    return _fuzz_database()
+
+
+def _fuzz_database():
     """The fuzz corpus as a database: the paper's employees (jobtype EAD, key
     and a secondary index) and the analytic orders, analyzed."""
     from repro.engine import Database
@@ -472,11 +478,50 @@ def _ad_core(rng):
                                       rng.choice(_TEMPLATE_VALUES)))
 
 
+#: per table of the fuzz database: its key, join attribute sets a maintained
+#: index covers — the key index, the secondary index on jobtype, and sets an
+#: index covers only part of — and its attributes
+_PROBE_JOINS = {
+    "employees": ("emp_id", (["emp_id"], ["jobtype"], ["emp_id", "jobtype"],
+                             ["emp_id", "salary"]), ATTRIBUTES[:6]),
+    "orders": ("order_id", (["order_id"], ["order_id", "region"]), ATTRIBUTES[6:]),
+}
+
+
+def _probe_join(rng, name):
+    """A join the planner may answer by probing an index: a few rows of
+    ``name`` cut to the join attributes (the outer side), joined back to
+    ``name`` on attributes an index of it covers — the inner side bare,
+    selected, guarded or an AD core, so both forms of the index lookup join
+    are planned."""
+    key, join_sets, attributes = _PROBE_JOINS[name]
+    on = rng.choice(join_sets)
+    few = Projection(Selection(RelationRef(name), Comparison(
+        key, rng.choice(["=", "=", "<"]), rng.choice(_TEMPLATE_VALUES))), on)
+    draw = rng.random()
+    if name == "employees" and draw < 0.3:
+        inner = _ad_core(rng)
+    elif draw < 0.8:
+        inner = Selection(RelationRef(name),
+                          _random_predicate(rng, attributes, _TEMPLATE_VALUES))
+        if rng.random() < 0.3:
+            inner = TypeGuardNode(inner, rng.sample(attributes, 1))
+    else:
+        inner = RelationRef(name)
+    sides = [few, inner]
+    rng.shuffle(sides)
+    return NaturalJoin(*sides, on=on)
+
+
 def _template_tree(rng, names):
-    """A random tree with AD-rewritable cores planted at some employee leaves."""
+    """A random tree with AD-rewritable cores planted at some employee leaves
+    and index-probing joins at some leaves of either table."""
     def plant(node):
         if isinstance(node, RelationRef):
-            if node.name == "employees" and rng.random() < 0.5:
+            draw = rng.random()
+            if draw < 0.25:
+                return _probe_join(rng, node.name)
+            if node.name == "employees" and draw < 0.625:
                 return _ad_core(rng)
             return node
         return node.with_children([plant(child) for child in node.children])
@@ -500,29 +545,78 @@ def _agree(physical, naive):
     return physical == naive or (physical[0] == "error" and naive[0] == "error")
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_fuzz_two_literals_share_one_cache(seed, fuzz_database, monkeypatch):
+def _template_cases(seed):
+    """The template fuzz of one seed: per tree, its index, the batch size the
+    planner is patched to, and the tree with its constants-redrawn twin."""
     rng = random.Random(9000 + seed)
     names = ["employees", "orders"]
     for index in range(TEMPLATE_TREES_PER_SEED):
         tree = _template_tree(rng, names)
+        batch_size = rng.choice(BATCH_SIZES)
+        yield index, batch_size, (tree, _redraw_constants(tree, rng, _TEMPLATE_VALUES))
+
+
+def _template_fuzz(seed, database, monkeypatch):
+    """Run one seed's template fuzz against ``database``; the first
+    disagreement with the naive evaluator raises AssertionError."""
+    for index, batch_size, variants in _template_cases(seed):
         # the planner sizes the batches of the plans this tree makes (plans
         # cached by earlier trees keep their size)
-        batch_size = rng.choice(BATCH_SIZES)
         monkeypatch.setattr("repro.exec.planner.adaptive_batch_size",
                             lambda width, rows=None: batch_size)
-        for variant in (tree, _redraw_constants(tree, rng, _TEMPLATE_VALUES)):
+        for variant in variants:
             naive = _naive_checking_keys(
-                variant, fuzz_database, "seed={} tree={}".format(seed, index))
+                variant, database, "seed={} tree={}".format(seed, index))
             for optimize in (False, True):
-                physical = _engine_outcome(fuzz_database, variant,
-                                           optimize=optimize)
+                physical = _engine_outcome(database, variant, optimize=optimize)
                 assert _agree(physical, naive), (
                     "seed={} tree={} optimize={}: {} != naive {}\n{}"
                     .format(seed, index, optimize, physical[0],
                             naive[0], variant.pretty()))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fuzz_two_literals_share_one_cache(seed, fuzz_database, monkeypatch):
+    _template_fuzz(seed, fuzz_database, monkeypatch)
     info = fuzz_database.physical_executor.cache_info()
     assert info["hits"] > 0 and info["size"] <= info["max_size"]
+
+
+def test_template_fuzz_plans_both_index_lookup_forms():
+    """Reach: the planted joins make the planner probe indexes, through a
+    bare inner relation and through a selected or guarded one."""
+    from repro.exec import IndexLookupJoin
+
+    database = _fuzz_database()
+    forms = {"bare": 0, "filtered": 0}
+    for seed in SEEDS:
+        for _index, _size, variants in _template_cases(seed):
+            for variant in variants:
+                for optimize in (False, True):
+                    try:
+                        plan = database.plan(variant, optimize=optimize)
+                    except ReproError:
+                        continue
+                    for node in plan.nodes:
+                        if isinstance(node, IndexLookupJoin):
+                            forms["filtered" if node.inner.filtered else "bare"] += 1
+    assert forms["bare"] > 0 and forms["filtered"] > 0, forms
+
+
+def test_a_skipped_inner_filter_fails_the_fuzz(monkeypatch):
+    """Teeth.  An index lookup join that hands on its partners without the
+    inner scan's guard and predicate must fail the template fuzz."""
+    from repro.exec import Scan
+
+    monkeypatch.setattr(Scan, "filtered", property(lambda self: False))
+    failed = False
+    for seed in SEEDS:
+        try:
+            _template_fuzz(seed, _fuzz_database(), monkeypatch)
+        except AssertionError:
+            failed = True
+            break
+    assert failed
 
 
 @pytest.mark.parametrize("seed", SEEDS)

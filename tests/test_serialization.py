@@ -30,6 +30,7 @@ from repro.model.domains import (
 )
 from repro.model.scheme import FlexibleScheme, UnfoldedScheme
 from repro.model.attributes import attrset
+from repro.workloads.analytics import generate_orders, orders_domains, orders_scheme
 from repro.workloads.employees import employee_definition, generate_employees
 
 
@@ -149,6 +150,33 @@ class TestDatabaseRoundTrip:
     def test_dump_is_deterministic(self):
         database = self._loaded_database()
         assert dumps_database(database) == dumps_database(database)
+
+    def _orders_database(self, **options):
+        """``orders`` mixes NULL, int and float amounts in one column."""
+        database = Database(**options)
+        database.create_table("orders", orders_scheme(), domains=orders_domains(),
+                              key=["order_id"]).insert_many(generate_orders(2000, seed=1))
+        return database
+
+    def test_mixed_type_column_round_trips_in_store_order(self):
+        database = self._orders_database()
+        document = dumps_database(database)
+        restored = loads_database(document)
+        assert restored.table("orders").tuples == database.table("orders").tuples
+        # a reload restores the scan order, so the document is a fixed point
+        assert list(restored.table("orders")) == list(database.table("orders"))
+        assert dumps_database(loads_database(document)) == document
+
+    def test_durable_mixed_type_table_checkpoints_and_reopens(self, tmp_path):
+        path = str(tmp_path / "db")
+        database = self._orders_database(durable_path=path)
+        database.checkpoint()
+        before = dumps_database(database)
+        database.close()
+        reopened = Database(durable_path=path)
+        assert reopened.durability.recovery_report.checkpoint_loaded
+        assert dumps_database(reopened) == before
+        reopened.close()
 
 
 class TestMalformedDocuments:

@@ -14,6 +14,7 @@ from repro.exec import (
     HashJoin,
     IndexLookupJoin,
     MultiwayJoinOp,
+    PhysicalPlan,
     PhysicalPlanner,
     Scan,
 )
@@ -390,7 +391,8 @@ class TestStatsInformedPlanner:
         assert stats_plan.root.right.relation == "events"
 
     def test_index_lookup_join_requires_statistics(self):
-        database = skewed_join_database(big=1200, small=120)
+        # no index of events covers event_id: only statistics can flip the join
+        database = skewed_join_database(big=1200, small=120, keyed_events=False)
         query = NaturalJoin(
             Selection(RelationRef("events"), Comparison("kind", "=", "audit")),
             RelationRef("sessions"), on=["event_id"],
@@ -402,8 +404,9 @@ class TestStatsInformedPlanner:
         assert stats_root.relation == "sessions"
 
     def test_acceptance_five_fold_fewer_pairs_and_tuples(self):
-        """The ISSUE acceptance gate, small scale: ≥5× fewer examined tuples+pairs."""
-        database = skewed_join_database(big=1200, small=120, rare_every=100)
+        """The acceptance gate, small scale: ≥5× fewer examined tuples+pairs."""
+        database = skewed_join_database(big=1200, small=120, rare_every=100,
+                                        keyed_events=False)
         query = NaturalJoin(
             Selection(RelationRef("events"), Comparison("kind", "=", "audit")),
             RelationRef("sessions"), on=["event_id"],
@@ -418,6 +421,33 @@ class TestStatsInformedPlanner:
                              + informed.stats.join_pairs_considered)
         assert examined_default >= 5 * examined_informed
         assert informed.stats.total_work * 5 <= default.stats.total_work
+
+    def test_keyed_selective_side_is_probed_without_statistics(self):
+        """Without statistics the default constants overestimate σ(events), but
+        the 10× smaller sessions side probes events' key index through the
+        selection: the tag predicate filters each partner, events is never
+        scanned, and answer and join pairs are the hash join's."""
+        database = skewed_join_database(big=1200, small=120, rare_every=100)
+        query = NaturalJoin(
+            Selection(RelationRef("events"), Comparison("kind", "=", "audit")),
+            RelationRef("sessions"), on=["event_id"],
+        )
+        plan = PhysicalPlanner(source=database).plan(query)
+        assert isinstance(plan.root, IndexLookupJoin)
+        assert plan.root.relation == "events"
+        assert plan.root.label() == \
+            "index-lookup-join[scan[events, σ[kind = 'audit']], on={event_id}]"
+        assert plan.root.outer.label() == "scan[sessions]"
+        probed = plan.execute(database)
+        assert probed.tuples == Evaluator(database).evaluate(query).tuples
+        hashed = PhysicalPlan(HashJoin(plan.root.outer, plan.root.inner,
+                                       on=["event_id"])).execute(database)
+        assert probed.tuples == hashed.tuples
+        assert probed.stats.join_pairs_considered == hashed.stats.join_pairs_considered
+        # 120 partners checked against the tag, none scanned from events
+        assert probed.stats.predicate_evaluations == 120
+        assert probed.stats.tuples_scanned == 120
+        assert hashed.stats.tuples_scanned == 120 + 12
 
     def test_index_lookup_join_parity_with_naive_evaluator(self):
         database = skewed_join_database(big=300, small=40)
@@ -512,7 +542,7 @@ class TestStatsInformedPlanner:
 
     def test_cost_model_prefers_fresh_statistics_dynamically(self):
         """The same planner object re-reads freshness on every plan() call."""
-        database = skewed_join_database(big=240, small=24)
+        database = skewed_join_database(big=240, small=24, keyed_events=False)
         planner = PhysicalPlanner(source=database)
         query = NaturalJoin(
             Selection(RelationRef("events"), Comparison("kind", "=", "audit")),
