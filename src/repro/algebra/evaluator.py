@@ -63,7 +63,8 @@ class ExecutionStats:
         Selection predicates evaluated against a tuple (one per tuple per σ).
     ``guard_checks``
         Type-guard membership tests (``attrs ⊆ attr(t)``), including the
-        guard-aware partitioning checks of hash-based joins.
+        guard-aware partitioning checks of the physical hash joins (one a row
+        of either input, a lowered ``MultiwayJoin``'s stages included).
     ``join_pairs_considered``
         Pairs of input tuples whose combination the join operator actually
         *examined*.  Nested-loop operators (cartesian product, the naive

@@ -12,15 +12,20 @@ specialization.  With attribute dependencies the decompositions become mechanica
   relation is restored by a *multiway join* on the key.
 
 Both functions return a :class:`DecompositionResult` that can restore the original
-instance and verify losslessness; :func:`null_count` measures how many NULL cells a
-flat single-table translation would need for the same data, which is the storage
-comparison of experiment E8.
+instance and verify losslessness: its ``restoration()`` is that outer union or
+multiway join as an algebra expression over the fragments, which ``restore()``
+evaluates.  :func:`null_count` measures how many NULL cells a flat single-table
+translation would need for the same data, which is the storage comparison of
+experiment E8.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Dict, List, Optional, Set
 
+from repro.algebra.evaluator import Evaluator
+from repro.algebra.expressions import Expression, MultiwayJoin, OuterUnion, RelationRef
 from repro.core.dependencies import ExplicitAttributeDependency
 from repro.errors import DecompositionError
 from repro.model.attributes import AttributeSet, attrset
@@ -66,36 +71,25 @@ class DecompositionResult:
 
     # -- restoration --------------------------------------------------------------------------
 
-    def restore(self) -> Set[FlexTuple]:
-        """Rebuild the original instance (outer union or multiway join)."""
+    def restoration(self) -> Expression:
+        """The algebra expression that rebuilds the original instance from the
+        fragments, each a relation of that name: their outer union, or the
+        multiway join of the master with the dependent fragments."""
+        names = self.fragment_names()
         if self.method == "horizontal":
-            result: Set[FlexTuple] = set()
-            for tuples in self.fragments.values():
-                result |= tuples
-            return result
+            return reduce(OuterUnion, map(RelationRef, names))
         if self.method == "vertical":
             if self.join_attributes is None:
                 raise DecompositionError("vertical decomposition lost its join attributes")
-            master = self.fragments.get("master", set())
-            current = set(master)
-            for name in self.fragment_names():
-                if name == "master":
-                    continue
-                fragment = self.fragments[name]
-                index: Dict[tuple, List[FlexTuple]] = {}
-                for tup in fragment:
-                    index.setdefault(tuple(tup[a] for a in self.join_attributes), []).append(tup)
-                merged = set()
-                for tup in current:
-                    partners = index.get(tuple(tup[a] for a in self.join_attributes), [])
-                    if not partners:
-                        merged.add(tup)
-                        continue
-                    for partner in partners:
-                        merged.add(tup.merge(partner))
-                current = merged
-            return current
+            names.remove("master")
+            return MultiwayJoin([RelationRef(name) for name in ["master"] + names],
+                                self.join_attributes)
         raise DecompositionError("unknown decomposition method {!r}".format(self.method))
+
+    def restore(self) -> Set[FlexTuple]:
+        """Rebuild the original instance: :meth:`restoration`, evaluated over
+        the fragments."""
+        return Evaluator(self.fragments).evaluate(self.restoration()).tuples
 
     def is_lossless(self, original) -> bool:
         """``True`` when restoration reproduces the original instance exactly."""

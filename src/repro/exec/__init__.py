@@ -52,7 +52,6 @@ from repro.exec.operators import (
     HashJoin,
     IndexLookupJoin,
     MergeUnion,
-    MultiwayJoinOp,
     OuterUnionOp,
     PhysicalOperator,
     ProductOp,
@@ -99,7 +98,6 @@ __all__ = [
     "MergeUnion",
     "OuterUnionOp",
     "DifferenceOp",
-    "MultiwayJoinOp",
     "HashAggregateOp",
     "SortOp",
     "TopKOp",

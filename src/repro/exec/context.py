@@ -129,7 +129,7 @@ class OperatorStats:
         self.invocations = 0
         self.wall_seconds = 0.0
         #: sampled peak bytes held by the operator's materialized state (hash
-        #: builds, multiway drains, batch materializations); 0 for streaming
+        #: builds, ``seen`` sets, batch materializations); 0 for streaming
         #: operators that never hold more than one batch
         self.peak_bytes = 0
 

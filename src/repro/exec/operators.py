@@ -656,23 +656,33 @@ def _fill(buckets: Dict, pairs: Iterable[tuple]) -> Dict:
 
 
 def _probe(ctx: ExecutionContext, seen: Optional[set], buckets: Dict,
-           probe: Iterable[Iterable[tuple]]) -> Iterator[LazyBatch]:
+           probe: Iterable[Iterable[tuple]],
+           keep_unmatched: bool = False) -> Iterator[LazyBatch]:
     """The partner loop: each chunk of ``(join key, values)`` probe pairs
     merged with the rows of its key's bucket, through :func:`_distinct`.
-    Only pairs that share a bucket count as ``join_pairs_considered``."""
+    Only pairs that share a bucket count as ``join_pairs_considered``.
+    With ``keep_unmatched`` a probe row without partners passes through in
+    batches of its own, past ``seen``: no merged row can equal it."""
     stats = ctx.stats
     get = buckets.get  # no bucket is keyed MISSING
+    unmatched: List[dict] = []
     for pairs in probe:
         merged: List[dict] = []
         append = merged.append
         for key, row_values in pairs:
             partners = get(key)
             if partners is None:
+                if keep_unmatched:
+                    unmatched.append(row_values)
                 continue
             stats.join_pairs_considered += len(partners)
             for partner in partners:
                 append(merge_values(row_values, partner))
         yield from _distinct(ctx, seen, merged)
+        if len(unmatched) >= ctx.batch_size:  # a probe chunk is one batch at most
+            yield LazyBatch(unmatched[:ctx.batch_size])
+            del unmatched[:ctx.batch_size]
+    yield from _distinct(ctx, None, unmatched)
 
 
 def _budget_pieces(stream: Iterable[TupleBatch]) -> Iterator[TupleBatch]:
@@ -729,16 +739,24 @@ class HashJoin(_Binary):
     *data*, so both inputs are materialized to discover them — which is why
     that join cannot spill and fails fast under a memory budget.  With
     no join attribute at all every pair shares the one bucket.
+
+    ``keep_unmatched_probe`` makes it a merge stage of the multiway join (set
+    by lowering only): a probe row lacking a join attribute or missing every
+    bucket passes through unchanged — under a grace spill the former as the
+    probe side is partitioned, the latter per partition.
     """
 
     name = "batch-hash-join"
 
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator, on=None):
+    def __init__(self, left: PhysicalOperator, right: PhysicalOperator, on=None,
+                 keep_unmatched_probe: bool = False):
         super().__init__(left, right)
         self.on = attrset(on) if on is not None else None
+        self.keep_unmatched_probe = keep_unmatched_probe
 
     def label(self) -> str:
-        return "hash-join[on={}]".format(self.on if self.on is not None else "shared")
+        label = "hash-join[on={}".format(self.on if self.on is not None else "shared")
+        return label + (", keep-unmatched]" if self.keep_unmatched_probe else "]")
 
     def _generate(self, ctx, op, left, right) -> Iterator[TupleBatch]:
         if self.on is None:
@@ -767,14 +785,19 @@ class HashJoin(_Binary):
                 build.extend((key, values) for key, rows in buckets.items()
                              for values in rows)
                 buckets = None
+        keep = self.keep_unmatched_probe
         if build is None:
             op.note_memory(sampled_size(buckets))
             seen = self._seen()
-            yield from _probe(ctx, seen, buckets, _keyed(stats, left, names))
+            yield from _probe(ctx, seen, buckets, _keyed(stats, left, names), keep)
             _note_seen(ctx, op, seen)
             return
         probe = _partitions(ctx, "join-probe")
         for pairs in _keyed(stats, left, names):
+            if keep:
+                pairs = list(pairs)
+                yield from _distinct(ctx, None, [values for key, values in pairs
+                                                 if key is MISSING])
             probe.extend(_joinable(pairs))
         build.finish()
         probe.finish()
@@ -784,7 +807,7 @@ class HashJoin(_Binary):
             op.note_memory(sampled_size(buckets))
             seen = self._seen()  # a duplicate never crosses partitions
             yield from _probe(ctx, seen, buckets,
-                              self._chunks(ctx, probe.segment(index)))
+                              self._chunks(ctx, probe.segment(index)), keep)
             _note_seen(ctx, op, seen)
 
 
@@ -922,101 +945,6 @@ class DifferenceOp(_Binary):
             out = [tup for tup in batch.rows if tup not in exclude]
             if out:
                 yield TupleBatch(out)
-
-
-class MultiwayJoinOp(PhysicalOperator):
-    """The multiway join restoring vertical decompositions, hash-based.
-
-    The first input is the master fragment; each further input is merged into the
-    master's tuples on the ``on`` attributes via a hash index.  Master tuples
-    without a partner pass through unchanged (variants contribute nothing) — the
-    same semantics as the logical operator.
-
-    The master is drained into parallel value-dict and hash lists and each
-    dependent fragment into join-key buckets; each merge stage then works
-    purely on value dicts and the final table is emitted as :class:`LazyBatch`
-    chunks, which across an n-way restoration avoids building every
-    intermediate merged ``FlexTuple`` once per stage.  It is the one operator
-    that deduplicates without :func:`_distinct`: pass-through rows skip the
-    check (and under a key every row does), and each stage feeds the next as
-    lists, not batches.
-    """
-
-    name = "batch-multiway-join"
-
-    def __init__(self, inputs: Sequence[PhysicalOperator], on):
-        inputs = tuple(inputs)
-        if len(inputs) < 2:
-            raise AlgebraError("a multiway join needs at least two inputs")
-        self.inputs = self.children = inputs
-        self.on = attrset(on)
-
-    def label(self) -> str:
-        return "multiway-join[on={}]".format(self.on)
-
-    def _generate(self, ctx, op, master, *fragments) -> Iterator[TupleBatch]:
-        stats = ctx.stats
-        on_names = [a.name for a in self.on]
-        single = len(on_names) == 1
-        on_name = on_names[0] if single else None
-
-        # Parallel (values, hashes) lists; every input stream is distinct by
-        # the operator contract, so no content keys are rebuilt here.
-        current_values: List = []
-        current_hashes: List = []
-        for batch in master:
-            current_values.extend(batch.values_list())
-            current_hashes.extend(batch.hashes_list())
-        ctx.enforce_memory(op, sampled_size(current_values))
-        for stream in fragments:
-            buckets: Dict = {}
-            setdefault = buckets.setdefault
-            for batch in stream:
-                for values in batch.values_list():
-                    if single:
-                        if on_name in values:
-                            setdefault(values[on_name], []).append(values)
-                    elif all(name in values for name in on_names):
-                        setdefault(tuple(values[name] for name in on_names),
-                                   []).append(values)
-            get = buckets.get
-            # Pass-through rows stay distinct (they were), and can never equal
-            # a merged row (their join-key bucket was empty or they lack a join
-            # attribute a merged row has) — only merged rows need the seen-set.
-            out_values: List = []
-            out_hashes: List = []
-            append_values = out_values.append
-            append_hashes = out_hashes.append
-            seen_merged = self._seen()
-            for values, hash_ in zip(current_values, current_hashes):
-                if single:
-                    key = values.get(on_name, MISSING)
-                    partners = None if key is MISSING else get(key)
-                else:
-                    if all(name in values for name in on_names):
-                        partners = get(tuple(values[name] for name in on_names))
-                    else:
-                        partners = None
-                if partners is None:
-                    append_values(values)
-                    append_hashes(hash_)
-                    continue
-                stats.join_pairs_considered += len(partners)
-                for partner in partners:
-                    combined = merge_values(values, partner)
-                    content = frozenset(combined.items())
-                    if seen_merged is not None:
-                        if content in seen_merged:
-                            continue
-                        seen_merged.add(content)
-                    append_values(combined)
-                    append_hashes(hash(content))
-            _note_seen(ctx, op, seen_merged)
-            ctx.enforce_memory(op, sampled_size(buckets))
-            current_values, current_hashes = out_values, out_hashes
-            ctx.enforce_memory(op, sampled_size(current_values))
-        yield from map(LazyBatch, self._chunks(ctx, current_values),
-                       self._chunks(ctx, current_hashes))
 
 
 def _analytic_label(name: str, parts: Sequence[str]) -> str:

@@ -30,8 +30,10 @@ operators from :mod:`repro.exec.operators`:
   ``None`` (join attributes only the data can tell); the smaller input, by the
   cardinality estimates of the :class:`~repro.optimizer.cost.CostModel`,
   becomes the hash-join build side;
-* the dependent fragments of a :class:`~repro.algebra.expressions.MultiwayJoin`
-  are merged smallest-estimated-first (the order is semantically free);
+* a :class:`~repro.algebra.expressions.MultiwayJoin` lowers to a chain of
+  probe-preserving :class:`~repro.exec.operators.HashJoin` stages, the master
+  the deepest probe side and one dependent fragment built per stage, smallest
+  estimated first; each stage is annotated as the multiway join below it;
 * all remaining operators map one-to-one onto their physical counterparts.
 
 Plans carry an **adaptive batch size** picked from the cost model's
@@ -96,7 +98,6 @@ from repro.exec.operators import (
     HashJoin,
     IndexLookupJoin,
     MergeUnion,
-    MultiwayJoinOp,
     OuterUnionOp,
     PhysicalOperator,
     ProductOp,
@@ -274,6 +275,8 @@ class PhysicalPlanner:
         #: search results of the current plan() call (also keeps the rebuilt
         #: trees alive so the id-keyed memos above cannot alias freed nodes)
         self._search_results: list = []
+        #: the multiway-join stages of the current plan() call (kept alive too)
+        self._stages: list = []
         #: the source's tracer for the duration of one plan() call
         self._tracer = None
 
@@ -291,6 +294,7 @@ class PhysicalPlanner:
         self._keys = {}
         self._ordered_joins = set()
         self._search_results = []
+        self._stages = []
         reads: dict = {}
         self.cost_model.bind(params, reads)
         self._tracer = tracer_of(self.source)
@@ -313,6 +317,7 @@ class PhysicalPlanner:
             self._keys = {}
             self._ordered_joins = set()
             self._search_results = []
+            self._stages = []
             self._tracer = None
 
     def _trace_statistics_lookup(self) -> None:
@@ -400,13 +405,17 @@ class PhysicalPlanner:
         if isinstance(expression, Difference):
             return DifferenceOp(self._lower(expression.left), self._lower(expression.right))
         if isinstance(expression, MultiwayJoin):
-            master, fragments = expression.inputs[0], list(expression.inputs[1:])
+            master, *fragments = expression.inputs
             # Merge the smallest estimated fragments into the master first (the
             # dependent fragments commute, so this only changes intermediate
-            # sizes, never the result).
+            # sizes, never the result); the last one merges at the root.
             fragments.sort(key=lambda child: self._estimate(child).cardinality)
-            return MultiwayJoinOp([self._lower(child) for child in [master] + fragments],
-                                  expression.on)
+            probe = master
+            if len(fragments) > 1:
+                probe = MultiwayJoin([master] + fragments[:-1], expression.on)
+                self._stages.append(probe)
+            return HashJoin(self._lower(probe), self._lower(fragments[-1]), expression.on,
+                            keep_unmatched_probe=True)
         if isinstance(expression, Aggregate):
             return HashAggregateOp(self._lower(expression.child), expression.group_by,
                                    expression.specs)

@@ -12,9 +12,9 @@ renders the physical plan tree with, per node:
   :mod:`repro.exec.operators`),
 * the number of batches it emitted, and
 * ``mem=`` — the sampled peak bytes of materialized state (hash builds,
-  multiway drains, difference/product materializations, deduplication's
-  ``seen`` sets); omitted for streaming operators that never hold more than
-  one batch — a projection keyed ``distinct-by=`` among them.
+  difference/product materializations, deduplication's ``seen`` sets);
+  omitted for streaming operators that never hold more than one batch — a
+  projection keyed ``distinct-by=`` among them.
 
 The pairing of plan nodes with run-time counters relies on a structural
 invariant of the execution layer: ``PhysicalOperator.run`` registers its

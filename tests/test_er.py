@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algebra import MultiwayJoin
 from repro.baselines import NullPaddedTable
 from repro.engine import Database, Table
 from repro.er import (
@@ -15,6 +16,7 @@ from repro.er import (
     vertical_decomposition,
 )
 from repro.errors import DecompositionError, ReproError
+from repro.exec import PhysicalPlanner
 from repro.model.attributes import attrset
 from repro.model.domains import EnumDomain, FloatDomain, IntDomain, StringDomain
 from repro.model.tuples import FlexTuple
@@ -127,6 +129,14 @@ class TestMapping:
         assert family.supertype.name == "employee"
 
 
+def _restores_physically(decomposition, original) -> bool:
+    """The decomposition's restoration, planned and run by the physical
+    engine over the fragments, gives back ``original``."""
+    fragments = decomposition.fragments
+    plan = PhysicalPlanner(fragments).plan(decomposition.restoration())
+    return plan.execute(fragments).tuples == set(original)
+
+
 class TestDecomposition:
     @pytest.fixture
     def loaded_table(self):
@@ -140,6 +150,7 @@ class TestDecomposition:
                                                        "salesman", "rest"}
         assert decomposition.total_tuples() == len(loaded_table)
         assert decomposition.is_lossless(loaded_table)
+        assert _restores_physically(decomposition, loaded_table.tuples)
 
     def test_horizontal_qualifications(self, loaded_table, jobtype_ead):
         decomposition = horizontal_decomposition(loaded_table, jobtype_ead)
@@ -152,11 +163,17 @@ class TestDecomposition:
         decomposition = horizontal_decomposition(tuples, jobtype_ead)
         assert "rest" in decomposition.fragment_names()
         assert decomposition.is_lossless(tuples)
+        assert _restores_physically(decomposition, tuples)
 
     def test_vertical_fragments_and_restoration(self, loaded_table, jobtype_ead):
         decomposition = vertical_decomposition(loaded_table, jobtype_ead, key=["emp_id"])
         assert "master" in decomposition.fragment_names()
         assert decomposition.is_lossless(loaded_table)
+        assert _restores_physically(decomposition, loaded_table.tuples)
+        restoration = decomposition.restoration()
+        assert isinstance(restoration, MultiwayJoin)
+        assert [child.name for child in restoration.inputs] == ["master"] + [
+            name for name in decomposition.fragment_names() if name != "master"]
 
     def test_vertical_master_has_no_variant_attributes(self, loaded_table, jobtype_ead):
         decomposition = vertical_decomposition(loaded_table, jobtype_ead, key=["emp_id"])

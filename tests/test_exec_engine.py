@@ -60,7 +60,6 @@ from repro.exec import (
     HashJoin,
     IndexLookupJoin,
     MergeUnion,
-    MultiwayJoinOp,
     OuterUnionOp,
     PhysicalExecutor,
     PhysicalOperator,
@@ -119,7 +118,7 @@ LOWERINGS = {
     Rename: [(Rename(_R, {"a": "b"}), RenameOp)],
     NaturalJoin: [(NaturalJoin(_R, _S, on=["a"]), HashJoin),
                   (NaturalJoin(_R, _S), HashJoin)],
-    MultiwayJoin: [(MultiwayJoin([_R, _S], on=["a"]), MultiwayJoinOp)],
+    MultiwayJoin: [(MultiwayJoin([_R, _S], on=["a"]), HashJoin)],
     Aggregate: [(Aggregate(_R, group_by=("a",), specs=("count",)), HashAggregateOp)],
     Sort: [(Sort(_R, ["a"]), SortOp)],
     Limit: [(Limit(Sort(_R, ["a"]), 0), TopKOp),
@@ -216,7 +215,7 @@ class TestLowering:
             pending.extend(cls.__subclasses__())
         concrete = [cls for cls in operators if not cls.__name__.startswith("_")
                     and cls is not PhysicalOperator]
-        assert len(concrete) == 18
+        assert len(concrete) == 17
         assert [cls.__name__ for cls in concrete
                 if not inspect.isgeneratorfunction(cls._generate)] == []
         assert [cls.__name__ for cls in operators if "_start" in vars(cls)] == []

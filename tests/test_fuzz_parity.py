@@ -75,6 +75,7 @@ from repro.algebra.predicates import (
 )
 from repro.algebra import Evaluator
 from repro.errors import ReproError
+from repro.model.batches import MISSING
 from repro.model.tuples import FlexTuple
 from repro.optimizer.joinorder import attribute_universe
 from repro.workloads.analytics import generate_orders
@@ -358,19 +359,26 @@ def test_a_false_key_fails_the_fuzz(fuzz_source, fuzz_database, monkeypatch):
     """Teeth.  A key claimed on every node lowers every projection and join
     without its ``seen`` set, and the duplicates must fail parity; a
     projection that keeps its child's keys whatever it drops must fail the
-    per-node key check."""
+    per-node key check.  A multiway join's chain that drops the probe rows
+    without partners, or those lacking ``on``, must fail parity too: seed 0
+    catches the first at tree 7 (orders merged on ``coupon`` with an
+    aggregate that has no ``coupon``, so every order with one misses) and
+    the second at tree 3 (employees, which carry no ``coupon``, as the
+    master of a merge on it)."""
+    from repro.exec import operators
     from repro.model.attributes import AttributeSet
 
-    def some_tree_fails(check):
+    def first_failing_tree(check):
+        """The index of seed 0's first tree that fails ``check``, or None."""
         rng = random.Random(7000)
-        for _ in range(TREES_PER_SEED):
+        for index in range(TREES_PER_SEED):
             expression = _random_expression(rng, ["employees", "orders"],
                                             ATTRIBUTES, VALUES, depth=MAX_DEPTH)
             try:
                 check(expression, rng.choice(BATCH_SIZES))
             except AssertionError:
-                return True
-        return False
+                return index
+        return None
 
     def parity(tree, batch_size):
         failure = _parity_failure(tree, fuzz_source, batch_size)
@@ -379,12 +387,27 @@ def test_a_false_key_fails_the_fuzz(fuzz_source, fuzz_database, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr("repro.exec.planner.memoized_keys",
                       lambda expression, catalog, memo: frozenset({AttributeSet()}))
-        assert some_tree_fails(parity)
+        assert first_failing_tree(parity) is not None
     with monkeypatch.context() as patch:
         patch.setattr(Projection, "unique_keys",
                       lambda self, catalog=None, memo=None: self.child.unique_keys(catalog))
-        assert some_tree_fails(
-            lambda tree, _size: _naive_checking_keys(tree, fuzz_database, "teeth"))
+        assert first_failing_tree(
+            lambda tree, _size: _naive_checking_keys(tree, fuzz_database, "teeth")) is not None
+
+    probe = operators._probe
+
+    def dropping(drops):
+        """``_probe`` that never sees the probe pairs ``drops`` picks."""
+        return lambda ctx, seen, buckets, pairs, keep=False: probe(
+            ctx, seen, buckets,
+            ([pair for pair in chunk if not drops(pair[0], buckets)] for chunk in pairs),
+            keep)
+
+    for drops, tree in ((lambda key, buckets: key is not MISSING and key not in buckets, 7),
+                        (lambda key, buckets: key is MISSING, 3)):
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "_probe", dropping(drops))
+            assert first_failing_tree(parity) == tree
 
 
 def test_shrinker_reports_the_minimal_subtree(fuzz_source):

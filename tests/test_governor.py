@@ -5,10 +5,11 @@ Three layers under test:
 * the primitives — :class:`CancelToken`/:class:`Deadline` semantics, the
   CRC-framed spill segments, the drain/absorb split of
   :class:`~repro.exec.compiled.CompiledAggregates`;
-* the spill state — for sort, hash aggregation and the hash join, the
-  budgeted execution at any budget must produce **exactly** the unbudgeted
-  results, counters and sort stream across the workload's MISSING/NULL edge
-  cases, and spill exactly when the budget is below the held state;
+* the spill state — for sort, hash aggregation and the hash join (the
+  multiway restoration's stages among them), the budgeted execution at any
+  budget must produce **exactly** the unbudgeted results, counters and sort
+  stream across the workload's MISSING/NULL edge cases, and spill exactly
+  when the budget is below the held state;
 * the database integration — ``timeout=``/``cancel_token=``/
   ``memory_budget=`` on :meth:`Database.execute`, the termination taxonomy,
   and the observability contract: terminated queries count under their
@@ -23,13 +24,16 @@ import pytest
 
 from repro.algebra import (
     Aggregate,
+    MultiwayJoin,
     NaturalJoin,
+    OuterUnion,
     Product,
     Projection,
     RelationRef,
     Rename,
     Selection,
     Sort,
+    TypeGuardNode,
 )
 from repro.algebra.analytic import AggregateSpec
 from repro.algebra.predicates import Comparison
@@ -240,6 +244,15 @@ def spill_corpus():
             Rename(Projection(orders, ["order_id", "region"]),
                    {"order_id": "oid2"}),
             on=["region"]), True),
+        # the vertical restoration of orders along channel: a chain of two
+        # probe-preserving hash joins whose master also holds (region,
+        # channel) rows lacking order_id and phone orders with no partner
+        "restoration": (MultiwayJoin(
+            [OuterUnion(Projection(orders, ["order_id", "region", "channel"]),
+                        Projection(orders, ["region", "channel"])),
+             Projection(TypeGuardNode(orders, ["coupon"]), ["order_id", "coupon"]),
+             Projection(TypeGuardNode(orders, ["store_id"]), ["order_id", "store_id"])],
+            on=["order_id"]), True),
     }
 
 

@@ -23,6 +23,7 @@ from repro.core.implication import random_satisfying_relation, semantically_impl
 from repro.core.inference import discover_explicit_ad
 from repro.core.propagation import propagate_projection, propagate_selection, propagate_tagged_union
 from repro.er.decomposition import horizontal_decomposition, vertical_decomposition
+from repro.exec import PhysicalPlanner
 from repro.model.attributes import AttributeSet, attrset
 from repro.model.scheme import FlexibleScheme
 from repro.model.tuples import FlexTuple
@@ -192,6 +193,10 @@ class TestDecompositionProperties:
         tuples = instance_for_dependency(dependency, count=count, seed=seed)
         decomposition = vertical_decomposition(tuples, dependency, key=["id"])
         assert decomposition.is_lossless(tuples)
+        # the physical chain of probe-preserving hash joins restores it too
+        fragments = decomposition.fragments
+        plan = PhysicalPlanner(fragments).plan(decomposition.restoration())
+        assert plan.execute(fragments).tuples == set(tuples)
 
 
 class TestSerializationProperties:

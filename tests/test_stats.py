@@ -13,11 +13,11 @@ from repro.engine import Database, loads_database, dumps_database
 from repro.exec import (
     HashJoin,
     IndexLookupJoin,
-    MultiwayJoinOp,
     PhysicalPlan,
     PhysicalPlanner,
     Scan,
 )
+from repro.model.attributes import attrset
 from repro.model.domains import FloatDomain, IntDomain, StringDomain
 from repro.model.scheme import FlexibleScheme
 from repro.model.tuples import FlexTuple
@@ -466,21 +466,33 @@ class TestStatsInformedPlanner:
         assert plan.execute(unindexed).tuples == naive.tuples
 
     def test_multiway_join_merges_smallest_fragment_first(self):
-        database = Database()
-        scheme = FlexibleScheme(1, 2, ["emp_id", FlexibleScheme(0, 1, ["extra"])])
-        for name, count in (("master", 50), ("bulk", 500), ("rare", 5)):
-            table = database.create_table(name, scheme, domains={"emp_id": IntDomain(),
-                                                                 "extra": IntDomain()})
-            table.insert_many({"emp_id": i} for i in range(1, count + 1))
-        expression = MultiwayJoin(
-            [RelationRef("master"), RelationRef("bulk"), RelationRef("rare")], on=["emp_id"])
-        plan = PhysicalPlanner(source=database).plan(expression)
-        assert isinstance(plan.root, MultiwayJoinOp)
-        labels = [child.label() for child in plan.root.inputs]
-        assert labels[0] == "scan[master]"          # the master must stay first
-        assert labels[1:] == ["scan[rare]", "scan[bulk]"]
-        naive = Evaluator(database).evaluate(expression)
-        assert plan.execute(database).tuples == naive.tuples
+        for key in (None, ["emp_id"]):
+            database = Database()
+            scheme = FlexibleScheme(1, 2, ["emp_id", FlexibleScheme(0, 1, ["extra"])])
+            for name, count in (("master", 50), ("bulk", 500), ("rare", 5)):
+                table = database.create_table(name, scheme, key=key,
+                                              domains={"emp_id": IntDomain(),
+                                                       "extra": IntDomain()})
+                table.insert_many({"emp_id": i} for i in range(1, count + 1))
+            expression = MultiwayJoin(
+                [RelationRef("master"), RelationRef("bulk"), RelationRef("rare")],
+                on=["emp_id"])
+            plan = PhysicalPlanner(source=database).plan(expression)
+            # one probe-preserving hash join a fragment, the master deepest
+            stages, node = [], plan.root
+            while isinstance(node, HashJoin):
+                assert node.keep_unmatched_probe
+                stages.append(node)
+                node = node.left
+            assert node.label() == "scan[master]"   # the master must stay first
+            assert [stage.right.label() for stage in reversed(stages)] == [
+                "scan[rare]", "scan[bulk]"]
+            # each stage is a multiway prefix: keyed under a declared key
+            assert [stage.distinct_by for stage in stages] == [
+                None if key is None else attrset(key)] * 2
+            assert plan.explain().count("distinct-by=") == (0 if key is None else 2)
+            naive = Evaluator(database).evaluate(expression)
+            assert plan.execute(database).tuples == naive.tuples
 
     def test_explain_carries_estimates(self):
         database = skewed_join_database(big=120, small=20)
