@@ -9,6 +9,7 @@ declared dependencies, and runs (optionally optimized) queries.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -285,6 +286,12 @@ class Database:
     ``spill=False`` turns a blown budget into an immediate
     ``MemoryBudgetExceeded``.  Every per-query override on :meth:`execute`
     wins over these defaults.
+
+    The components a database owns (statistics catalog, physical executor,
+    durability manager) hold it through a ``weakref.proxy``, and its tables'
+    hooks hold neither the database nor the table strongly: no reference
+    cycle runs through a database, so a dropped one is freed at once (a
+    table the caller still holds then stands alone, see :meth:`create_table`).
     """
 
     def __init__(self, enforce_constraints: bool = True,
@@ -304,7 +311,7 @@ class Database:
         self._tables: Dict[str, Table] = {}
         self._physical_executor: Optional[PhysicalExecutor] = None
         #: collected ANALYZE results; the cost model consults this catalog
-        self.statistics = StatisticsCatalog(self, auto_analyze=auto_analyze)
+        self.statistics = StatisticsCatalog(weakref.proxy(self), auto_analyze=auto_analyze)
         #: lifecycle spans/events — attach a sink to start recording
         self.tracer = Tracer()
         #: cross-query counters/gauges/histograms (snapshot via :meth:`metrics`)
@@ -336,7 +343,7 @@ class Database:
             from repro.storage.durable import DurabilityManager
 
             self.durability = DurabilityManager(
-                self, durable_path,
+                weakref.proxy(self), durable_path,
                 group_commit_window=group_commit_window,
                 group_commit_max=group_commit_max,
                 checkpoint_every_bytes=checkpoint_every_bytes,
@@ -359,7 +366,7 @@ class Database:
     def physical_executor(self) -> PhysicalExecutor:
         """The database's physical executor (created lazily, plan cache persists)."""
         if self._physical_executor is None:
-            self._physical_executor = PhysicalExecutor(self)
+            self._physical_executor = PhysicalExecutor(weakref.proxy(self))
         return self._physical_executor
 
     # -- schema management ------------------------------------------------------------------------
@@ -392,12 +399,29 @@ class Database:
                 # memory and log would disagree about the schema.
                 self.catalog.unregister(name)
                 raise
-        table = Table(
-            definition,
-            enforce=self.enforce_constraints,
-            on_mutation=lambda kind, rows, _name=name: self._note_mutation(_name, kind, rows),
-            journal=lambda kind, old, new: self._journal_mutation(table, kind, old, new),
-        )
+        # The hooks hold the database and their table weakly: a table keeps
+        # neither alive.  Once the database is gone the table stands alone —
+        # in memory as if it had no hooks; a durable one refuses writes, as
+        # they could no longer be journaled.
+        database, durable = weakref.ref(self), self.durability is not None
+
+        def journal(kind, old, new):
+            live = database()
+            if live is not None:
+                live._journal_mutation(owner(), kind, old, new)
+            elif durable:
+                raise CatalogError(
+                    "table {!r}: its durable database no longer exists, the "
+                    "write cannot be journaled".format(name))
+
+        def on_mutation(kind, rows):
+            live = database()
+            if live is not None:
+                live._note_mutation(name, kind, rows)
+
+        table = Table(definition, enforce=self.enforce_constraints,
+                      on_mutation=on_mutation, journal=journal)
+        owner = weakref.ref(table)
         self._tables[name] = table
         return table
 

@@ -9,11 +9,14 @@ generators.  Only JSON-representable attribute values (numbers, strings, boolean
 Public entry points:
 
 * :func:`dump_database` / :func:`load_database` — file paths or file-like objects;
-  given a *path*, the dump is **atomic** (temp file + fsync + ``os.replace``), so a
-  crash mid-dump never leaves a half-written snapshot behind — the checkpointer of
-  :mod:`repro.storage` reuses the same :func:`atomic_write_json` primitive,
+  given a *path*, the dump is **atomic** (temp file + fsync + ``os.replace`` +
+  directory fsync), so a crash mid-dump never leaves a half-written snapshot
+  behind — the checkpointer of :mod:`repro.storage` writes through the same
+  :func:`atomic_write` primitive,
 * :func:`database_to_dict` / :func:`database_from_dict` — plain dictionaries, with
-  :func:`populate_database_from_dict` loading into an existing (empty) database,
+  :func:`populate_database_from_dict` loading into an existing (empty) database;
+  :func:`database_json_pieces` is ``database_to_dict``'s document as compact JSON
+  text, streamed (the checkpoint's encoder),
 * the per-object converters (``scheme_to_dict``, ``dependency_to_dict``, ...) for
   callers that only need a piece.
 
@@ -32,6 +35,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import islice
+from typing import Iterator
 
 from repro.core.dependencies import (
     AttributeDependency,
@@ -86,21 +91,30 @@ def _get(data, key: str, path: str):
 # -- atomic file writing ------------------------------------------------------------------------
 
 
-def atomic_write_json(path: str, payload, indent: int = 2) -> str:
-    """Write ``payload`` as JSON to ``path`` atomically; returns the path.
+def fsync_directory(directory: str) -> None:
+    """Make ``directory``'s entries durable: a rename into it, a file created in it."""
+    descriptor = os.open(directory, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
-    The document is first written to a temp file in the same directory,
-    flushed and fsynced, and only then renamed over the target with
-    ``os.replace`` — a crash at any point leaves either the old file or the
-    new one, never a torn hybrid.  The temp file is removed on failure.
+
+def atomic_write(path: str, write) -> str:
+    """Write a file atomically: ``write(handle)`` fills it; returns the path.
+
+    The text is first written to a temp file in the same directory, flushed
+    and fsynced, then renamed over the target with ``os.replace``, and the
+    directory is fsynced so the rename itself survives a crash — a crash at
+    any point leaves either the old file or the new one, never a torn
+    hybrid.  The temp file is removed on failure.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     descriptor, temp_path = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(descriptor, "w") as handle:
-            json.dump(payload, handle, indent=indent, sort_keys=True)
-            handle.write("\n")
+            write(handle)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp_path, path)
@@ -110,7 +124,18 @@ def atomic_write_json(path: str, payload, indent: int = 2) -> str:
         except OSError:
             pass
         raise
+    fsync_directory(directory)
     return path
+
+
+def atomic_write_json(path: str, payload, indent: int = 2) -> str:
+    """Write ``payload`` as indented, key-sorted JSON to ``path`` through
+    :func:`atomic_write`; returns the path."""
+    def write(handle):
+        json.dump(payload, handle, indent=indent, sort_keys=True)
+        handle.write("\n")
+
+    return atomic_write(path, write)
 
 
 def load_json_file(path: str):
@@ -326,6 +351,20 @@ def table_definition_from_dict(entry: dict, path: str = "table") -> dict:
 # -- whole databases -----------------------------------------------------------------------------------
 
 
+def _table_entries(database: Database, include_data: bool):
+    """Each table's document without its rows, and the table whose rows go
+    under ``"tuples"`` (``None`` without data)."""
+    for name in database.tables():
+        entry = table_definition_to_dict(database.catalog.definition(name))
+        table = None
+        if include_data:
+            table = database.table(name)
+            statistics = database.statistics.get(name)
+            if statistics is not None:
+                entry["statistics"] = statistics.to_dict()
+        yield entry, table
+
+
 def database_to_dict(database: Database, include_data: bool = True) -> dict:
     """Convert a database (catalog and, optionally, the stored tuples) to a dictionary.
 
@@ -334,18 +373,45 @@ def database_to_dict(database: Database, include_data: bool = True) -> dict:
     tuples); without data, or when stale, they are omitted.
     """
     tables = []
-    for name in database.tables():
-        definition = database.catalog.definition(name)
-        entry = table_definition_to_dict(definition)
-        if include_data:
+    for entry, table in _table_entries(database, include_data):
+        if table is not None:
             # store order: no comparison of values (a column may mix NULL
             # with numbers), and a reload restores the scan order
-            entry["tuples"] = [t.as_dict() for t in database.table(name)]
-            statistics = database.statistics.get(name)
-            if statistics is not None:
-                entry["statistics"] = statistics.to_dict()
+            entry["tuples"] = [t.as_dict() for t in table]
         tables.append(entry)
     return {"format_version": FORMAT_VERSION, "tables": tables}
+
+
+#: stored rows per encoder call in :func:`database_json_pieces`
+ROWS_PER_PIECE = 1024
+
+#: the C encoder (one-shot calls, no indent): compact and key-sorted
+_encode_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def database_json_pieces(database: Database) -> Iterator[str]:
+    """``database_to_dict(database)``'s document as compact, key-sorted JSON
+    text, in pieces whose concatenation is the whole document.
+
+    A table's definition and statistics are one encoder call; its rows follow
+    in store order, :data:`ROWS_PER_PIECE` stored value dicts a call (no
+    copies), so neither the document nor its text is ever held whole.
+    ``"tuples"`` sorts after every other key of a table's entry, so the rows
+    close it.
+    """
+    yield '{"format_version":%d,"tables":[' % FORMAT_VERSION
+    separator = ""
+    for entry, table in _table_entries(database, include_data=True):
+        yield separator + _encode_compact(entry)[:-1] + ',"tuples":['
+        rows, row_separator = iter(table), ""
+        chunk = [row._values for row in islice(rows, ROWS_PER_PIECE)]
+        while chunk:
+            yield row_separator + _encode_compact(chunk)[1:-1]
+            chunk = [row._values for row in islice(rows, ROWS_PER_PIECE)]
+            row_separator = ","
+        yield "]}"
+        separator = ","
+    yield "]}"
 
 
 def _tuple_objects(raw_tuples: list, path: str):

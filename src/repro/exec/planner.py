@@ -58,7 +58,7 @@ from __future__ import annotations
 import re
 from copy import copy
 from time import perf_counter
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.algebra.evaluator import EvaluationResult, ExecutionStats
 from repro.algebra.expressions import (
@@ -108,6 +108,7 @@ from repro.exec.operators import (
     SubqueryExtendOp,
     TopKOp,
 )
+from repro.model.tuples import FlexTuple
 from repro.obs.feedback import referenced_tables
 from repro.obs.trace import NOOP_SPAN, tracer_of
 from repro.optimizer.cost import CostEstimate, CostModel
@@ -133,9 +134,11 @@ class PhysicalResult(EvaluationResult):
     global counters in ``result.stats`` keep the evaluator-compatible meaning.
     """
 
-    def __init__(self, tuples, stats: ExecutionStats, context: ExecutionContext,
-                 wall_seconds: float = 0.0):
-        super().__init__(tuples, stats)
+    def __init__(self, tuples: Set[FlexTuple], stats: ExecutionStats,
+                 context: ExecutionContext, wall_seconds: float = 0.0):
+        # adopts the set :meth:`PhysicalPlan.execute` has just built: no copy
+        self.tuples = tuples
+        self.stats = stats
         self.context = context
         #: end-to-end wall-clock of the plan execution (root drain included)
         self.wall_seconds = wall_seconds

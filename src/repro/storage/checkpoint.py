@@ -1,16 +1,22 @@
 """Checkpoints: atomic whole-database snapshots that bound recovery cost.
 
-A checkpoint is the existing :func:`~repro.engine.serialization.database_to_dict`
-snapshot wrapped in a small envelope and written *atomically* (temp file,
-fsync, ``os.replace``) next to the write-ahead log.  The envelope names the
-WAL **epoch** that starts after the snapshot::
+A checkpoint is the :func:`~repro.engine.serialization.database_to_dict`
+document wrapped in a small envelope (:func:`checkpoint_payload`, the one
+definition of the file's contents) and written *atomically* (temp file,
+fsync, ``os.replace``, directory fsync) next to the write-ahead log.  The
+envelope names the WAL **epoch** that starts after the snapshot::
 
-    {"checkpoint_format": 1, "wal_epoch": 3, "database": { ... }}
+    {"checkpoint_format":1,"database":{...},"wal_epoch":3}
+
+The file is compact, key-sorted JSON, streamed through the C encoder a piece
+at a time (:func:`~repro.engine.serialization.database_json_pieces`): the
+stored rows are encoded in chunks, never copied into a document first.
 
 The epoch is how WAL truncation stays crash-safe without ever rewriting the
 snapshot: each epoch is its own log file (``wal.000003``), the snapshot
 points at the epoch whose log begins empty at checkpoint time, and older
-epoch files are deleted only after the switch.  Every crash window is
+epoch files are deleted only after the switch (and after a directory fsync
+has made the rename and the new epoch's file durable).  Every crash window is
 covered:
 
 * crash **before** the snapshot rename — the old snapshot plus the old epoch's
@@ -27,12 +33,14 @@ idempotent: the log only ever contains work performed *after* the snapshot.
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Dict, Optional, Tuple
 
 from repro.engine.serialization import (
     SerializationError,
-    atomic_write_json,
+    atomic_write,
+    database_json_pieces,
     database_to_dict,
     load_json_file,
 )
@@ -52,18 +60,32 @@ def wal_filename(epoch: int) -> str:
     return "wal.{:06d}".format(epoch)
 
 
-def checkpoint_payload(database, wal_epoch: int) -> Dict[str, object]:
-    """The envelope written by a checkpoint: format, epoch, full snapshot."""
+def _envelope(wal_epoch: int, database_document) -> Dict[str, object]:
     return {
         "checkpoint_format": CHECKPOINT_FORMAT,
         "wal_epoch": wal_epoch,
-        "database": database_to_dict(database, include_data=True),
+        "database": database_document,
     }
 
 
+def checkpoint_payload(database, wal_epoch: int) -> Dict[str, object]:
+    """The envelope written by a checkpoint: format, epoch, full snapshot."""
+    return _envelope(wal_epoch, database_to_dict(database, include_data=True))
+
+
 def write_checkpoint(database, path: str, wal_epoch: int) -> str:
-    """Atomically write a checkpoint snapshot; returns the path."""
-    return atomic_write_json(path, checkpoint_payload(database, wal_epoch))
+    """Atomically write :func:`checkpoint_payload`'s document as compact,
+    key-sorted JSON, streamed; returns the path."""
+    # the envelope's only null is the placeholder of the database section
+    head, _, tail = json.dumps(_envelope(wal_epoch, None), sort_keys=True,
+                               separators=(",", ":")).partition("null")
+
+    def write(handle):
+        handle.write(head)
+        handle.writelines(database_json_pieces(database))
+        handle.write(tail)
+
+    return atomic_write(path, write)
 
 
 def load_checkpoint(path: str) -> Optional[Tuple[Dict[str, object], int]]:

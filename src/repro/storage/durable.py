@@ -32,6 +32,7 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, Optional
 
+from repro.engine.serialization import fsync_directory
 from repro.storage.checkpoint import (
     SNAPSHOT_FILENAME,
     load_checkpoint,
@@ -146,11 +147,10 @@ class DurabilityManager:
                         "recovered database is inconsistent: {}".format(
                             "; ".join(problems)))
             self._truncate_torn_tail(path, valid_length)
-            self.wal = WriteAheadLog(
-                path, group_commit_window=self.group_commit_window,
-                group_commit_max=self.group_commit_max, fsync=self.fsync,
-                file_factory=self.file_factory,
-                registry=database.metrics_registry)
+            created = not os.path.exists(path)
+            self.wal = self._open_wal(self.epoch)
+            if created:
+                self._sync_directory()
             self._next_txn_id = max(
                 [r["txn"] for r in records if isinstance(r.get("txn"), int)] or [0])
             self._clean_stale_files()
@@ -181,6 +181,19 @@ class DurabilityManager:
     def _stored_rows(self) -> int:
         database = self.database
         return sum(len(database.table(name)) for name in database.tables())
+
+    def _open_wal(self, epoch: int) -> WriteAheadLog:
+        """The log of ``epoch``, opened for appending (created if missing)."""
+        return WriteAheadLog(
+            self.wal_path(epoch), group_commit_window=self.group_commit_window,
+            group_commit_max=self.group_commit_max, fsync=self.fsync,
+            file_factory=self.file_factory,
+            registry=self.database.metrics_registry)
+
+    def _sync_directory(self) -> None:
+        """Make the directory's entries durable (a no-op with ``fsync=False``)."""
+        if self.fsync:
+            fsync_directory(self.directory)
 
     @staticmethod
     def _truncate_torn_tail(path: str, valid_length: int) -> None:
@@ -305,12 +318,10 @@ class DurabilityManager:
             self.wal.sync()
             path = write_checkpoint(database, self.snapshot_path, new_epoch)
             old_wal = self.wal
-            self.wal = WriteAheadLog(
-                self.wal_path(new_epoch),
-                group_commit_window=self.group_commit_window,
-                group_commit_max=self.group_commit_max, fsync=self.fsync,
-                file_factory=self.file_factory,
-                registry=database.metrics_registry)
+            self.wal = self._open_wal(new_epoch)
+            # the snapshot's rename and the new epoch's file are durable
+            # before the old epoch is deleted or a commit lands in the new one
+            self._sync_directory()
             self.epoch = new_epoch
             old_wal.close()
             self._clean_stale_files()

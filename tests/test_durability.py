@@ -6,15 +6,20 @@ recovery always lands exactly on a transaction boundary with every invariant
 intact.  CI runs them on every push.
 """
 
+import gc
 import json
+import math
 import os
+import stat
 import struct
+import weakref
 
 import pytest
 
-from repro.engine import Database
+from repro.engine import Database, dump_database
 from repro.engine.database import REMOVE
-from repro.errors import KeyViolation
+from repro.engine.serialization import ROWS_PER_PIECE, database_to_dict
+from repro.errors import CatalogError, KeyViolation
 from repro.model.scheme import FlexibleScheme
 from repro.storage import (
     CrashConsistencyError,
@@ -31,7 +36,11 @@ from repro.storage import (
     verify_database,
     wal_filename,
 )
-from repro.storage.checkpoint import SNAPSHOT_FILENAME
+from repro.storage.checkpoint import (
+    SNAPSHOT_FILENAME,
+    checkpoint_payload,
+    write_checkpoint,
+)
 from repro.storage.durable import DurabilityManager
 from repro.storage.wal import MAGIC, frame_record
 from repro.workloads.employees import employee_definition, generate_employees
@@ -870,3 +879,230 @@ class TestCrashHarness:
         assert recording.expected_state_at(offsets[-1] + 100)[0] == offsets[-1]
         mid = (offsets[-2] + offsets[-1]) // 2
         assert recording.expected_state_at(mid)[0] == offsets[-2]
+
+
+# -- the streamed checkpoint ---------------------------------------------------------------
+
+
+def _no_nan(document):
+    """``document`` with every NaN replaced by a marker, so ``==`` can compare it."""
+    if isinstance(document, dict):
+        return {key: _no_nan(value) for key, value in document.items()}
+    if isinstance(document, list):
+        return [_no_nan(value) for value in document]
+    if isinstance(document, float) and math.isnan(document):
+        return "<NaN>"
+    return document
+
+
+def _fill_nothing(database):
+    pass
+
+
+def _fill_empty_table(database):
+    database.create_table("t", _simple_scheme(), key=["k"])
+
+
+def _fill_tables_with_statistics(database):
+    table = _create_employees(database)
+    with database.transaction():
+        table.insert_many(generate_employees(40, seed=5))
+    for name in ("pairs", "singles"):
+        database.create_table(name, _simple_scheme(), key=["k"])
+        with database.transaction():
+            database.insert_many(name, [{"k": i, "v": i % 7} for i in range(25)])
+    database.analyze()
+
+
+def _fill_values(*values):
+    def fill(database):
+        database.create_table("t", _simple_scheme(), key=["k"])
+        with database.transaction():
+            database.insert_many("t", [{"k": i, "v": v} for i, v in enumerate(values)])
+        database.analyze()
+    return fill
+
+
+def _fill_beyond_one_chunk(database):
+    database.create_table("t", _simple_scheme(), key=["k"])
+    with database.transaction():
+        database.insert_many("t", [{"k": i, "v": "row {}".format(i)}
+                                   for i in range(2 * ROWS_PER_PIECE + 1)])
+
+
+SNAPSHOT_CASES = {
+    "no tables": _fill_nothing,
+    "an empty table": _fill_empty_table,
+    "several tables with statistics": _fill_tables_with_statistics,
+    "nan and infinities": _fill_values(float("nan"), float("inf"), float("-inf"), 1.5),
+    "null mixed with numbers": _fill_values(None, 3, 2.5, None, -1, True),
+    "non-ascii strings": _fill_values("Grüße", "日本語", "naïve ☃", ""),
+    "a table beyond one chunk": _fill_beyond_one_chunk,
+}
+
+
+class TestStreamedCheckpoint:
+    """The snapshot is :func:`checkpoint_payload`'s document, written compact
+    and key-sorted a piece at a time; the load path reads it unchanged."""
+
+    @pytest.mark.parametrize("case", sorted(SNAPSHOT_CASES))
+    @pytest.mark.parametrize("rows_per_piece", [2, ROWS_PER_PIECE])
+    def test_checkpoint_snapshot_is_the_payload(self, tmp_path, monkeypatch,
+                                                case, rows_per_piece):
+        monkeypatch.setattr("repro.engine.serialization.ROWS_PER_PIECE",
+                            rows_per_piece)
+        path = str(tmp_path / "db")
+        database = Database(durable_path=path)
+        SNAPSHOT_CASES[case](database)
+        database.checkpoint()
+        payload = checkpoint_payload(database, database.durability.epoch)
+        with open(os.path.join(path, SNAPSHOT_FILENAME)) as handle:
+            text = handle.read()
+        assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert _no_nan(json.loads(text)) == _no_nan(payload)
+        before = _no_nan(database_to_dict(database))
+        database.close()
+        reopened = Database(durable_path=path)
+        assert reopened.durability.recovery_report.checkpoint_loaded
+        assert _no_nan(database_to_dict(reopened)) == before
+        assert verify_database(reopened) == []
+        reopened.close()
+
+    def test_unserialisable_value_leaves_the_previous_checkpoint(self, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.setattr("repro.engine.serialization.ROWS_PER_PIECE", 2)
+        path = tmp_path / "snapshot.json"
+        database = Database()
+        database.create_table("t", _simple_scheme(), key=["k"])
+        database.insert_many("t", [{"k": i, "v": i} for i in range(6)])
+        write_checkpoint(database, str(path), 1)
+        previous = path.read_bytes()
+        database.insert("t", {"k": 6, "v": complex(1, 2)})  # in the fourth piece
+        with pytest.raises(TypeError):
+            write_checkpoint(database, str(path), 2)
+        assert path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
+
+    def test_checkpoint_fsyncs_the_directory_before_old_epochs_go(self, tmp_path,
+                                                                 monkeypatch):
+        path = str(tmp_path / "db")
+        events = []
+        real_fsync, real_replace, real_remove = os.fsync, os.replace, os.remove
+
+        def fsync(descriptor):
+            if stat.S_ISDIR(os.fstat(descriptor).st_mode):
+                events.append(("fsync-dir", sorted(
+                    name for name in os.listdir(path) if name.startswith("wal."))))
+            else:
+                events.append(("fsync-file",))
+            real_fsync(descriptor)
+
+        def replace(source, target):
+            events.append(("replace", os.path.basename(target)))
+            real_replace(source, target)
+
+        def remove(target):
+            events.append(("remove", os.path.basename(target)))
+            real_remove(target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "remove", remove)
+        database = Database(durable_path=path)
+        # the first epoch's file is created at open, then made durable
+        assert ("fsync-dir", [wal_filename(0)]) in events
+        database.create_table("t", _simple_scheme(), key=["k"])
+        database.insert("t", {"k": 1})
+        del events[:]
+        database.checkpoint()
+        database.close()
+        replaced = events.index(("replace", SNAPSHOT_FILENAME))
+        both = events.index(("fsync-dir", [wal_filename(0), wal_filename(1)]))
+        removed = events.index(("remove", wal_filename(0)))
+        # the snapshot is fsynced before its rename, the rename before the
+        # directory sync, which covers the new epoch's file too; only then
+        # does the old epoch go
+        assert events[replaced - 1] == ("fsync-file",)
+        assert events[replaced + 1][0] == "fsync-dir"
+        assert replaced < both < removed
+
+    def test_dump_database_fsyncs_the_directory_after_the_rename(self, tmp_path,
+                                                                monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(descriptor):
+            events.append("dir" if stat.S_ISDIR(os.fstat(descriptor).st_mode)
+                          else "file")
+            real_fsync(descriptor)
+
+        def replace(source, target):
+            events.append("replace")
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        database = Database()
+        _create_employees(database).insert_many(generate_employees(5, seed=2))
+        dump_database(database, str(tmp_path / "db.json"))
+        assert events == ["file", "replace", "dir"]
+
+
+# -- reference counting frees a dropped database -------------------------------------------
+
+
+def _exercise(database):
+    """Every component that holds the database: an index, ANALYZE, cached
+    plans, a committed and a rolled-back transaction, a dropped table, a
+    checkpoint (durable only) and ``close()``; returns the kept table."""
+    definition = employee_definition()
+    table = database.create_table(
+        "employees", definition.scheme, domains=definition.domains,
+        key=definition.key, dependencies=definition.dependencies,
+        indexes=[["jobtype"]])
+    table.insert_many(generate_employees(30, seed=8))
+    database.analyze()
+    for emp_id in (3, 4):
+        database.query("SELECT name FROM employees WHERE emp_id = {}".format(emp_id))
+    database.query("SELECT name FROM employees WHERE jobtype = 'secretary'")
+    with database.transaction():
+        table.insert(_employee(1000))
+    with pytest.raises(RuntimeError):
+        with database.transaction():
+            table.insert(_employee(1001))
+            raise RuntimeError("roll back")
+    database.create_table("dropped", _simple_scheme(), key=["k"]).insert({"k": 1})
+    database.drop_table("dropped")
+    if database.durability is not None:
+        database.checkpoint()
+    database.close()
+    return table
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["in-memory", "durable"])
+def test_refcount_frees_a_dropped_database(tmp_path, durable):
+    """No reference cycle runs through a database or its tables: with the
+    cycle collector off, dropping the last reference frees both at once."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        database = Database(durable_path=str(tmp_path / "db") if durable else None)
+        table = _exercise(database)
+        database_ref, table_ref = weakref.ref(database), weakref.ref(table)
+        del database
+        assert database_ref() is None
+        # the table the caller still holds stands alone: in memory it takes
+        # writes, a durable one refuses what it can no longer journal
+        rows = len(table)
+        if durable:
+            with pytest.raises(CatalogError, match="no longer exists"):
+                table.insert(_employee(2000))
+            assert len(table) == rows
+        else:
+            table.insert(_employee(2000))
+            assert len(table) == rows + 1
+        del table
+        assert table_ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
