@@ -92,6 +92,8 @@ class Table:
         self.mutation_count = 0
         self._on_mutation = on_mutation
         self._journal = journal
+        #: attribute set -> :meth:`index_for`'s answer
+        self._index_for: Dict[object, Optional[HashIndex]] = {}
 
     def _mutated(self, kind: str, applied: int = 1) -> None:
         self.mutation_count += applied
@@ -124,13 +126,24 @@ class Table:
         Consulted by the physical :class:`~repro.exec.operators.Scan` to answer
         pushed-down equality predicates from an index bucket instead of a full
         scan.  The key index is preferred; ``None`` when no maintained index is
-        covered by the given attribute names.
+        covered by the given attribute names.  The checker's indexes are fixed
+        when the table is created, so the answer is remembered per attribute
+        set (an unhashable one, a list, under its frozenset).
         """
+        try:
+            return self._index_for[attributes]
+        except KeyError:
+            pass
+        except TypeError:
+            return self.index_for(frozenset(attributes))
         wanted = attrset(attributes)
+        found = None
         for index in self.checker.indexes():
             if index.attributes.issubset(wanted):
-                return index
-        return None
+                found = index
+                break
+        self._index_for[attributes] = found
+        return found
 
     # -- DML ---------------------------------------------------------------------------------
 
@@ -324,6 +337,9 @@ class Database:
         self.cardinality_feedback = CardinalityFeedback()
         #: plan-change and latency-regression detection per query fingerprint
         self.plan_watchdog = PlanWatchdog()
+        #: ``(registry, its generation, instruments…)``: the fixed instruments
+        #: every executed query feeds, fetched once per registry generation
+        self._query_instruments: Optional[tuple] = None
         #: True while recovery replays the log (mutations must not re-log)
         self._journal_suppressed = False
         #: the open transaction's undo log — ``(table, old, new)`` per applied
@@ -719,14 +735,27 @@ class Database:
         """Fold one executed query into the registry, the slow-query log, the
         cardinality-feedback store and the plan-regression watchdog."""
         registry = self.metrics_registry
-        registry.counter("queries.executed").add()
+        held = self._query_instruments
+        if (held is None or held[0] is not registry
+                or held[1] != registry.generation):
+            held = self._query_instruments = (
+                registry, registry.generation,
+                registry.counter("queries.executed"),
+                registry.counter("rows.scanned"),
+                registry.counter("rows.joined"),
+                registry.counter("rows.produced"),
+                registry.histogram("query.seconds", LATENCY_BUCKETS),
+                registry.histogram("plan.batch_size", BATCH_SIZE_BUCKETS),
+                registry.histogram("query.peak_bytes", MEMORY_BUCKETS))
+        (_, _, executed, scanned, joined, produced, seconds, batch_size,
+         peak_bytes_histogram) = held
+        executed.add()
         stats = result.stats
-        registry.counter("rows.scanned").add(stats.tuples_scanned)
-        registry.counter("rows.joined").add(stats.join_pairs_considered)
-        registry.counter("rows.produced").add(stats.tuples_produced)
-        registry.histogram("query.seconds", LATENCY_BUCKETS).observe(elapsed)
-        registry.histogram("plan.batch_size", BATCH_SIZE_BUCKETS).observe(
-            result.context.batch_size)
+        scanned.add(stats.tuples_scanned)
+        joined.add(stats.join_pairs_considered)
+        produced.add(stats.tuples_produced)
+        seconds.observe(elapsed)
+        batch_size.observe(result.context.batch_size)
         # One pass over the paired plan nodes: Q-error gauges (the estimate-
         # quality signal), memory max-gauges, per-query peak memory, and the
         # feedback fold-in — observed rows_out per (subexpression fingerprint,
@@ -745,18 +774,18 @@ class Database:
         peak_bytes = 0
         paired = pair_nodes_with_stats(plan, result.context)
         stats_of = {id(node): op_stats for node, op_stats in paired}
-        for node, op_stats in paired:
+        for (node, op_stats), (qerror_name, memory_name) in zip(
+                paired, plan.gauge_names):
             if op_stats is None:
                 continue
             node_q = q_error(node.estimated_rows, op_stats.rows_out)
-            registry.max_gauge("qerror." + node.name).observe(node_q)
+            registry.max_gauge(qerror_name).observe(node_q)
             if "aggregate" in node.name:
                 # rows folded through γ nodes; the paired qerror gauge above is
                 # the group-count estimation quality signal for the same node
                 registry.counter("rows.aggregated").add(op_stats.rows_in)
             if op_stats.peak_bytes:
-                registry.max_gauge("memory." + node.name).observe(
-                    op_stats.peak_bytes)
+                registry.max_gauge(memory_name).observe(op_stats.peak_bytes)
                 peak_bytes = max(peak_bytes, op_stats.peak_bytes)
             if (node.fingerprint is not None and node_q is not None
                     and q_error(max(node.estimated_rows, 1.0),
@@ -774,8 +803,7 @@ class Database:
                                     node.feedback_tables or (), op_stats.rows_out)
                 self._record_join_edges(node, op_stats, stats_of,
                                         statistics_version)
-        registry.histogram("query.peak_bytes", MEMORY_BUCKETS).observe(
-            peak_bytes)
+        peak_bytes_histogram.observe(peak_bytes)
         self._watch_plan(template, params, plan, result, elapsed)
         if elapsed >= self.slow_query_log.threshold:
             self.slow_query_log.observe(
@@ -865,14 +893,17 @@ class Database:
 
     def metrics(self) -> Dict[str, object]:
         """A JSON-friendly snapshot of everything the engine measured so far:
-        the metric instruments, the plan cache (with hit rate), the slow-query
-        log, the cardinality-feedback store and the plan watchdog."""
+        the metric instruments, the plan cache (with hit rate), how query
+        texts were resolved (raw-remainder hits, token-stream hits, parses),
+        the slow-query log, the cardinality-feedback store and the plan
+        watchdog."""
         cache = self.physical_executor.cache_info()
         lookups = cache["hits"] + cache["misses"]
         snapshot = {
             "metrics": self.metrics_registry.snapshot(),
             "plan_cache": dict(cache, hit_rate=(cache["hits"] / lookups
                                                 if lookups else None)),
+            "statement_cache": self.physical_executor.statement_info(),
             "slow_queries": self.slow_query_log.as_dict(),
             "feedback": self.cardinality_feedback.as_dict(),
             "watchdog": self.plan_watchdog.as_dict(),

@@ -22,10 +22,10 @@ class HashIndex:
     """A hash index on a fixed attribute set.
 
     A key is the tuple of the indexed attributes' values in sorted attribute order
-    (:attr:`names`).  :meth:`add` / :meth:`remove` / :meth:`lookup` derive it from a
-    tuple; the constraint checker, which knows per shape which indexes a tuple is
-    defined on, builds it itself and calls :meth:`put` / :meth:`drop` /
-    :meth:`bucket`.
+    (:attr:`names`).  :meth:`add` / :meth:`remove` derive it from a tuple
+    (:meth:`key_of`); the constraint checker, which knows per shape which indexes a
+    tuple is defined on, and the scans, which bind it from their equalities, build
+    it themselves and call :meth:`put` / :meth:`drop` / :meth:`bucket`.
 
     A key with one tuple — every key of a key index — maps to a 1-tuple, a key
     with several to their set: a one-element ``set`` is 216 bytes a row.
@@ -87,22 +87,6 @@ class HashIndex:
     def bucket(self, key: Tuple) -> Iterable[FlexTuple]:
         """The tuples stored under ``key``, in place: read, never mutate."""
         return self._buckets.get(key, ())
-
-    def lookup(self, probe) -> Set[FlexTuple]:
-        """Tuples whose indexed projection equals the probe's, as a fresh set.
-
-        ``probe`` may be a tuple of values (in sorted attribute order), a mapping, or
-        a :class:`FlexTuple`.  An empty set is returned when the probe does not bind
-        every indexed attribute.
-        """
-        if isinstance(probe, tuple):
-            key = probe
-        else:
-            tup = probe if isinstance(probe, FlexTuple) else FlexTuple(probe)
-            key = self.key_of(tup)
-            if key is None:
-                return set()
-        return set(self.bucket(key))
 
     def groups(self) -> Iterable[Tuple[Tuple, Set[FlexTuple]]]:
         """Iterate over ``(key, tuples)`` buckets."""

@@ -14,7 +14,12 @@ Its plan cache is keyed by the query's **template**, not by its literals
   template once is then rewriting every query it stands for.
   :meth:`PhysicalExecutor.statement` does the same for query text, keyed by the
   literal-stripped token stream: a repeated statement shape skips lexer-to-AST,
-  rewrite and the walk.
+  rewrite and the walk.  A repeated *text* shape skips the lexer too: the text
+  with its literals cut out (one regex split) is a second key into the same
+  entry, registered only after the tokens confirmed the cut — every stripped
+  literal at the probe's start, with the same decoded value and type.  Texts
+  whose cut the tokens cannot confirm (a ``TAG`` value, a literal in a ``--``
+  comment, a signed number) always take the token path.
 * :class:`PlanKey` adds what planning depends on besides the template,
   including each parameter's type and *selectivity bucket*, so a skewed value
   gets a plan of its own through the key alone.  Batch size and join order
@@ -55,7 +60,13 @@ from repro.obs.feedback import expression_key, referenced_tables
 from repro.obs.trace import tracer_of
 from repro.optimizer.planner import Planner
 from repro.optimizer.rewrite_rules import RewriteReport
-from repro.query.lexer import Token, strip_literals, tokenize
+from repro.query.lexer import (
+    Token,
+    literal_spans,
+    literal_value,
+    strip_literals,
+    tokenize,
+)
 from repro.query.parser import parse_query, parse_tokens
 
 #: plans (and, separately, statements and templates) the executor keeps
@@ -150,6 +161,24 @@ class PlanCache:
         )
 
 
+def _confirms(tokens, stripped, spans) -> bool:
+    """Do the literals the tokens strip sit exactly at the probe's spans, with
+    the same decoded value and type?  (The same start gives the same end: the
+    tokenizer and the probe share their literal patterns.)"""
+    literals = [token for token, kept in zip(tokens, stripped)
+                if kept is None and token.kind != "EOF"]
+    if len(literals) != len(spans):
+        return False
+    for token, (at, raw) in zip(literals, spans):
+        if token.position != at:
+            return False
+        value = literal_value(raw, at)
+        # (``1``, ``1.0`` and ``True`` are equal)
+        if value.__class__ is not token.value.__class__ or value != token.value:
+            return False
+    return True
+
+
 def _catalog_version(source) -> object:
     """The source's schema version, or ``None`` for versionless sources (dicts)."""
     return getattr(source, "catalog_version", None)
@@ -176,6 +205,11 @@ class PhysicalExecutor:
         #: statements, template shapes and templates, under the same LRU bound
         self._templates = PlanCache(PLAN_CACHE_SIZE)
         self._shapes = 0
+        #: template key -> ``(statistics version, resolved sites)``: see
+        #: :meth:`_parameter_classes`
+        self._site_statistics: Dict[tuple, tuple] = {}
+        #: how :meth:`statement` resolved its texts (see :meth:`statement_info`)
+        self._resolutions = {"raw_hits": 0, "token_hits": 0, "parses": 0}
 
     @property
     def cache_hits(self) -> int:
@@ -209,6 +243,10 @@ class PhysicalExecutor:
                     or (plan.feedback_version is not None
                         and plan.feedback_version > feedback_version))
 
+        # (a version handed out again will stand for another state)
+        self._site_statistics = {
+            key: held for key, held in self._site_statistics.items()
+            if not (isinstance(held[0], int) and held[0] > statistics_version)}
         return self.cache.evict(too_new)
 
     # -- templates -------------------------------------------------------------------------
@@ -232,30 +270,50 @@ class PhysicalExecutor:
         """``(template, params)`` of query text; see :meth:`template`.
 
         The literal-stripped token stream remembers its template shape and
-        where each literal goes, so only a new statement shape is parsed.
+        where each literal goes, so only a new statement shape is parsed; the
+        text's literal-free remainder, once the tokens confirmed it, is a
+        second key into the same entry (see the module docstring).
         """
-        tokens = tokenize(text)
-        stripped, literals = strip_literals(tokens)
-        key = ("statement", stripped, _catalog_version(self.source))
-        entry = self._templates.get(key)
-        if entry is None:
-            # Parse with each stripped literal replaced by its position among
-            # them: the walk then tells where the template wants each one.
-            position = iter(range(len(literals)))
-            marked = parse_tokens([
-                token if kept is not None or token.kind == "EOF"
-                else Token(token.kind, next(position), token.position)
-                for token, kept in zip(tokens, stripped)])
-            constants: list = []
-            walk_key = expression_key(marked, constants=constants)
-            entry = (self._shape(walk_key, marked, constants),
-                     tuple(comparison.value for comparison in constants))
-            self._templates.put(key, entry)
+        version = _catalog_version(self.source)
+        remainder, spans = literal_spans(text)
+        raw_key = ("raw", remainder, version)
+        entry = self._templates.get(raw_key)
+        if entry is not None:
+            self._resolutions["raw_hits"] += 1
+            literals = [literal_value(raw, at) for at, raw in spans]
+        else:
+            tokens = tokenize(text)
+            stripped, literals = strip_literals(tokens)
+            key = ("statement", stripped, version)
+            entry = self._templates.get(key)
+            if entry is None:
+                # Parse with each stripped literal replaced by its position among
+                # them: the walk then tells where the template wants each one.
+                position = iter(range(len(literals)))
+                marked = parse_tokens([
+                    token if kept is not None or token.kind == "EOF"
+                    else Token(token.kind, next(position), token.position)
+                    for token, kept in zip(tokens, stripped)])
+                constants: list = []
+                walk_key = expression_key(marked, constants=constants)
+                entry = (self._shape(walk_key, marked, constants),
+                         tuple(comparison.value for comparison in constants))
+                self._templates.put(key, entry)
+                self._resolutions["parses"] += 1
+            else:
+                self._resolutions["token_hits"] += 1
+            if _confirms(tokens, stripped, spans):
+                self._templates.put(raw_key, entry)
         shape, order = entry
         # (an IN list is one constant made of several literals)
         params = tuple(literals[at] if at.__class__ is int
                        else [literals[item] for item in at] for at in order)
         return self._template(shape, params, optimize, text), params
+
+    def statement_info(self) -> Dict[str, int]:
+        """How :meth:`statement` resolved each text: a hit on the raw
+        remainder, a hit on the token stream, or a parse."""
+        return dict(self._resolutions)
 
     def _shape(self, walk_key, expression: Expression, constants) -> tuple:
         """``(id, structural slots)`` of a literal-free key: the slots whose
@@ -313,16 +371,30 @@ class PhysicalExecutor:
     def _parameter_classes(self, template: QueryTemplate, params) -> tuple:
         """``(type, selectivity bucket)`` per parameter, for the plan key: the
         bucket is ⌊log₂⌋ of the rows fresh statistics estimate for the
-        parameter's comparison (−1 below one row), ``None`` without them."""
+        parameter's comparison (−1 below one row), ``None`` without them.
+
+        Which statistics each site reads is fixed per statistics version, so
+        it is resolved once per template and version; the bucket is read per
+        call."""
+        version = _statistics_version(self.source)
+        held = self._site_statistics.get(template.key)
+        if held is None or held[0] != version:
+            resolved = []
+            for slot, selected, attribute, op in template.sites:
+                statistics = self.planner.cost_model.base_statistics(selected)
+                column = (statistics.attribute(attribute)
+                          if statistics is not None else None)
+                if column is not None:
+                    resolved.append((slot, op, column, statistics))
+            held = self._site_statistics[template.key] = (version, resolved)
+            if len(self._site_statistics) > PLAN_CACHE_SIZE:
+                del self._site_statistics[next(iter(self._site_statistics))]
         buckets: Dict[int, object] = {}
-        for slot, selected, attribute, op in template.sites:
-            statistics = self.planner.cost_model.base_statistics(selected)
-            column = statistics.attribute(attribute) if statistics is not None else None
-            if column is not None:
-                fraction = column.comparison_fraction(op, params[slot])
-                if fraction is not None:
-                    rows = fraction * statistics.row_count
-                    buckets[slot] = int(log2(rows)) if rows >= 1.0 else -1
+        for slot, op, column, statistics in held[1]:
+            fraction = column.comparison_fraction(op, params[slot])
+            if fraction is not None:
+                rows = fraction * statistics.row_count
+                buckets[slot] = int(log2(rows)) if rows >= 1.0 else -1
         return tuple((value.__class__, buckets.get(slot))
                      for slot, value in enumerate(params))
 

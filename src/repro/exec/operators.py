@@ -361,6 +361,7 @@ class Scan(PhysicalOperator):
         if equalities is None and predicate is not None:
             equalities = predicate.implied_equalities(parameters=True)
         self.equalities = dict(equalities or {})
+        self._equality_names = frozenset(self.equalities)
         self._compiled_guard = (CompiledGuard(self.guard)
                                 if self.guard is not None else None)
         self._compiled = (CompiledPredicate(self.predicate)
@@ -374,31 +375,28 @@ class Scan(PhysicalOperator):
             parts.append("guard[{}]".format(self.guard))
         return "scan[{}]".format(", ".join(parts))
 
-    def _pick_index(self, ctx: ExecutionContext):
-        """The (index, probe) pair answering the pushed equalities, if any."""
+    def _probed(self, ctx: ExecutionContext) -> Optional[List[FlexTuple]]:
+        """The bucket of the index answering the pushed equalities under
+        ``ctx.params``, or ``None``: no index covers them, or a bound value
+        is unhashable (no bucket can hold it, but the predicate may still be
+        satisfiable elsewhere — full scan)."""
         if not self.equalities:
             return None
-        index = ctx.index_for(self.relation, self.equalities.keys())
+        index = ctx.index_for(self.relation, self._equality_names)
         if index is None:
             return None
-        probe = {a.name: self.equalities[a.name] for a in index.attributes}
-        for name, value in probe.items():
-            if value.__class__ is Parameter:
-                probe[name] = ctx.params[value.slot]
+        key = []
+        for name in index.names:
+            value = self.equalities[name]
+            key.append(ctx.params[value.slot] if value.__class__ is Parameter else value)
         try:
-            hash(tuple(probe.values()))
+            return list(index.bucket(tuple(key)))
         except TypeError:
-            # Unhashable comparison constant (e.g. a list): no bucket can hold it,
-            # but the predicate may still be satisfiable elsewhere — full scan.
             return None
-        return index, probe
 
     def _generate(self, ctx, op) -> Iterator[TupleBatch]:
-        picked = self._pick_index(ctx)
-        if picked is not None:
-            index, probe = picked
-            rows = list(index.lookup(probe))
-        else:
+        rows = self._probed(ctx)
+        if rows is None:
             rows = list(_resolve_relation(ctx.source, self.relation))
         stats = ctx.stats
         size = ctx.batch_size
@@ -520,12 +518,13 @@ class ProjectOp(_Unary):
     def __init__(self, child: PhysicalOperator, attributes):
         super().__init__(child)
         self.attributes = attrset(attributes)
+        self._names = self.attributes.names
 
     def label(self) -> str:
         return "project[{}]".format(self.attributes)
 
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
-        names = [a.name for a in self.attributes]
+        names = self._names
         stats = ctx.stats
         seen = self._seen()
         for batch in child:
@@ -850,13 +849,14 @@ class IndexLookupJoin(PhysicalOperator):
         self.on = attrset(on)
         if not self.on:
             raise AlgebraError("an index lookup join needs join attributes")
+        self._on_names = self.on.names
 
     def label(self) -> str:
         inner = self.inner.label() if self.inner.filtered else self.relation
         return "index-lookup-join[{}, on={}]".format(inner, self.on)
 
     def _generate(self, ctx, op, outer) -> Iterator[TupleBatch]:
-        on_names = [a.name for a in self.on]
+        on_names = self._on_names
         index = ctx.index_for(self.relation, self.on)
         stats = ctx.stats
         seen = self._seen()
@@ -872,7 +872,7 @@ class IndexLookupJoin(PhysicalOperator):
             return
         bucket = index.bucket
         probe_names = index.names
-        remaining = [a.name for a in (self.on - index.attributes)]
+        remaining = [name for name in on_names if name not in probe_names]
         filtered = self.inner.filtered
         for batch in outer:
             stats.guard_checks += len(batch)

@@ -175,6 +175,7 @@ class PhysicalPlan:
         self.feedback_version = None
         self._nodes: Optional[list] = None
         self._summary: Optional[dict] = None
+        self._gauge_names: Optional[list] = None
 
     def bound(self, params) -> "PhysicalPlan":
         """This plan (same operators) running under ``params`` by default."""
@@ -204,6 +205,15 @@ class PhysicalPlan:
                 "operators": [node.plan_label for node in self.nodes],
                 "est_cost": self.root.estimated_cost}
         return self._summary
+
+    @property
+    def gauge_names(self) -> list:
+        """``("qerror.<name>", "memory.<name>")`` per node of :attr:`nodes`:
+        the gauges an execution feeds; formatted once per plan."""
+        if self._gauge_names is None:
+            self._gauge_names = [("qerror." + node.name, "memory." + node.name)
+                                 for node in self.nodes]
+        return self._gauge_names
 
     def execute(self, source, stats: Optional[ExecutionStats] = None,
                 timing: bool = True, governor=None, params=None) -> PhysicalResult:

@@ -177,11 +177,14 @@ class MetricsRegistry:
 
     Instruments are created on first use (``registry.counter("queries.executed")``)
     and keyed by dotted name; asking for an existing name returns the same
-    instrument, asking for it with a different type raises.
+    instrument, asking for it with a different type raises.  A caller that
+    holds instruments holds them for one :attr:`generation`: :meth:`reset`
+    drops every instrument and starts the next.
     """
 
     def __init__(self):
         self._instruments: Dict[str, object] = {}
+        self.generation = 0
 
     def _get(self, name: str, cls, factory=None):
         """The instrument registered under ``name``, created on first use.
@@ -221,6 +224,7 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._instruments.clear()
+        self.generation += 1
 
     def __repr__(self) -> str:
         return "MetricsRegistry({} instruments)".format(len(self._instruments))

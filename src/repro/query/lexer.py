@@ -1,4 +1,14 @@
-"""Tokenizer for the textual query language."""
+"""Tokenizer for the textual query language, and the statement probe.
+
+:func:`tokenize` is the one lexer.  :func:`literal_spans`, what the
+statement cache probes with before tokenizing, is one regex split into the
+literal-free remainder and the literals; it knows no grammar, so it also
+cuts literals out of ``--`` comments, cuts ``TAG`` values (structure) and
+reads a signed number unsigned after its sign.  The executor trusts a
+remainder only once the tokens confirmed it — literal for literal the same
+start and the same :func:`literal_value`, the one decoding both use — so
+those texts always take the token path.
+"""
 
 from __future__ import annotations
 
@@ -35,18 +45,41 @@ PUNCTUATION = {",": "COMMA", "(": "LPAREN", ")": "RPAREN", "*": "STAR"}
 LITERAL_KINDS = frozenset({"NUMBER", "STRING", "TRUE", "FALSE", "NULL"})
 _KEYWORD_VALUES = {"TRUE": True, "FALSE": False, "NULL": None}
 
+#: a string literal and an unsigned number: the tokenizer and the probe match
+#: them with the same pattern, so a literal both see at one start ends at one end
+_STRING = r"'(?:[^']|'')*'"
+_DIGITS = r"\d+(?:\.\d*)?"
+
 #: one match per token: what is skipped before it (white space, ``--``
 #: comments — tried before a signed number), then one alternative per token
 #: class, multi-character operators before their one-character prefixes
 _TOKEN = re.compile(r"""(?:\s+|--[^\n]*)*(?:
-    (?P<STRING>'(?:[^']|'')*')
-  | (?P<NUMBER>[+-]?\d+(?:\.\d*)?)
+    (?P<STRING>{})
+  | (?P<NUMBER>[+-]?{})
   | (?P<NAME>[^\W\d]\w*)
   | (?P<OP><=|>=|!=|<>|=|<|>)
   | (?P<PUNCT>[,()*])
   | (?P<EOF>\Z)
-)""", re.VERBOSE)
+)""".format(_STRING, _DIGITS), re.VERBOSE)
 _SKIPPED = re.compile(r"(?:\s+|--[^\n]*)*")
+#: the probe's literals: a string, an unsigned number not inside a name, an
+#: ASCII-spelled TRUE / FALSE / NULL standing alone (the leading class only
+#: lets the scan skip every other character fast)
+_LITERAL = re.compile(
+    r"(?=['\dTtFfNn])({}|(?<!\w){}|(?<!\w)(?ai:TRUE|FALSE|NULL)(?!\w))".format(
+        _STRING, _DIGITS))
+
+
+def literal_value(raw: str, position: int):
+    """The constant a literal's text stands for (``5.`` is malformed)."""
+    if raw[0] == "'":
+        return raw[1:-1].replace("''", "'")
+    keyword = raw.upper()
+    if keyword in _KEYWORD_VALUES:
+        return _KEYWORD_VALUES[keyword]
+    if raw.endswith("."):
+        raise QuerySyntaxError("malformed number {!r} at position {}".format(raw, position))
+    return float(raw) if "." in raw else int(raw)
 
 
 def tokenize(text: str) -> List[Token]:
@@ -63,17 +96,14 @@ def tokenize(text: str) -> List[Token]:
         raw = found.group(kind)
         if kind == "NAME":
             upper = raw.upper()
-            if upper in KEYWORDS:
-                append(Token(upper, _KEYWORD_VALUES.get(upper, upper), index))
+            if upper in _KEYWORD_VALUES:
+                append(Token(upper, literal_value(raw, index), index))
+            elif upper in KEYWORDS:
+                append(Token(upper, upper, index))
             else:
                 append(Token("NAME", raw, index))
-        elif kind == "NUMBER":
-            if raw.endswith("."):
-                raise QuerySyntaxError(
-                    "malformed number {!r} at position {}".format(raw, index))
-            append(Token("NUMBER", float(raw) if "." in raw else int(raw), index))
-        elif kind == "STRING":
-            append(Token("STRING", raw[1:-1].replace("''", "'"), index))
+        elif kind == "NUMBER" or kind == "STRING":
+            append(Token(kind, literal_value(raw, index), index))
         elif kind == "OP":
             append(Token("OP", raw, index))
         elif kind == "PUNCT":
@@ -106,3 +136,18 @@ def strip_literals(tokens: List[Token]):
             key.append(repr(value) if kind in LITERAL_KINDS else value)
         tagged = kind == "TAG" or (tagged and kind in ("NAME", "OP"))
     return tuple(key), literals
+
+
+def literal_spans(text: str):
+    """``(remainder, spans)``: the pieces of ``text`` between the probe's
+    literals, and ``(start, text)`` per literal — no tokenizing, no decoding
+    (see the module docstring)."""
+    parts = _LITERAL.split(text)
+    spans = []
+    at = 0
+    for index in range(1, len(parts), 2):
+        at += len(parts[index - 1])
+        raw = parts[index]
+        spans.append((at, raw))
+        at += len(raw)
+    return tuple(parts[0::2]), spans

@@ -8,7 +8,7 @@ hanging the whole suite until CI's job-level kill.
 And the hypothesis profile every property suite runs under: tier-1 is
 derandomized and reads no example database, so this checkout, a fresh clone
 and CI draw the same examples on every run; the CI sweeps — the runs that set
-``REPRO_ROLLBACK_EXAMPLES`` / ``REPRO_ORDER_EXAMPLES`` — keep random seeds.
+``REPRO_SWEEP_EXAMPLES``, the one example-count knob — keep random seeds.
 """
 
 import os
@@ -34,7 +34,7 @@ from repro.workloads.employees import (
 
 TEST_TIMEOUT_SECONDS = float(os.environ.get("REPRO_TEST_TIMEOUT", "300"))
 
-_SWEEP = "REPRO_ROLLBACK_EXAMPLES" in os.environ or "REPRO_ORDER_EXAMPLES" in os.environ
+_SWEEP = "REPRO_SWEEP_EXAMPLES" in os.environ
 settings.register_profile(
     "repro",
     max_examples=40,

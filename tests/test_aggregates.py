@@ -32,7 +32,7 @@ The physical engine's column kernel,
 property feeds both the same heterogeneous rows — ints, ints near 2**53,
 floats with NaN, ±inf, ±1e308 and -0.0, bools, strings, tuples, NULL and absent — the
 kernel in random batch splits and random drain/absorb splits.
-``REPRO_ORDER_EXAMPLES`` raises its example count, as for the order-key
+``REPRO_SWEEP_EXAMPLES`` raises its example count, as for the order-key
 properties.
 """
 
@@ -247,8 +247,8 @@ class TestSpecValidation:
 
 # -- the column kernel against the row accumulator -----------------------------------------
 
-#: REPRO_ORDER_EXAMPLES=<n> raises the example count (CI's random-seed sweep)
-EXAMPLES = int(os.environ.get("REPRO_ORDER_EXAMPLES", "150"))
+#: REPRO_SWEEP_EXAMPLES=<n> raises the example count (CI's random-seed sweep)
+EXAMPLES = int(os.environ.get("REPRO_SWEEP_EXAMPLES", "150"))
 
 NAN = float("nan")
 ABSENT = object()  # a cell its row does not carry

@@ -453,8 +453,8 @@ def test_shrinker_reports_the_minimal_subtree(fuzz_source):
 # probes indexes through bare, selected and guarded inner relations.
 
 
-#: REPRO_FUZZ_TEMPLATE_TREES=<n> raises the per-seed budget (the CI sweep)
-TEMPLATE_TREES_PER_SEED = int(os.environ.get("REPRO_FUZZ_TEMPLATE_TREES", "20"))
+#: REPRO_SWEEP_EXAMPLES=<n> raises the per-seed budget (the CI sweep)
+TEMPLATE_TREES_PER_SEED = int(os.environ.get("REPRO_SWEEP_EXAMPLES", "20"))
 
 
 @pytest.fixture(scope="module")

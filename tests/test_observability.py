@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.algebra import NaturalJoin, RelationRef, Selection
+from repro.algebra import Aggregate, NaturalJoin, RelationRef, Selection
 from repro.algebra.predicates import Comparison
 from repro.obs import (
     Counter,
@@ -30,6 +30,10 @@ from repro.workloads.star import star_join_database, star_join_query
 
 @pytest.fixture()
 def star_database():
+    return _star_database()
+
+
+def _star_database():
     database = star_join_database(fact_rows=600, rare_rows=200, rare_every=20)
     database.analyze()
     return database
@@ -237,6 +241,39 @@ class TestDatabaseMetrics:
         assert snapshot["plan_cache"]["hit_rate"] == pytest.approx(
             snapshot["plan_cache"]["hits"]
             / (snapshot["plan_cache"]["hits"] + snapshot["plan_cache"]["misses"]))
+
+    def test_a_held_instrument_never_goes_stale(self, star_database):
+        """The query path holds its fixed instruments per registry: after a
+        ``reset_metrics()`` in mid-stream every counter, histogram and
+        ``qerror.*`` / ``memory.*`` gauge the stream feeds is registered
+        again, and the registry reads as a fresh database's (wall clock
+        aside) after the same queries."""
+        def stream(database):
+            for key in (3, 7, 11):
+                database.query("SELECT ds_name FROM dim_small WHERE ds = {}".format(key))
+            database.execute(small_query())
+            database.execute(star_join_query(), optimize=True)
+            database.execute(Aggregate(RelationRef("fact"), group_by=("ds",),
+                                       specs=("count", ("sum", "da"))))
+
+        def registry(database):
+            metrics = dict(database.metrics()["metrics"])
+            seconds = metrics.pop("query.seconds")
+            assert seconds["count"] == 6
+            return metrics
+
+        stream(star_database)
+        star_database.reset_metrics()
+        assert star_database.metrics()["metrics"] == {}
+        stream(star_database)
+        fresh = _star_database()
+        stream(fresh)
+        again = registry(star_database)
+        assert again == registry(fresh)
+        assert {"queries.executed", "rows.scanned", "rows.joined", "rows.produced",
+                "rows.aggregated", "plan.batch_size", "query.peak_bytes"} <= set(again)
+        assert any(name.startswith("qerror.") for name in again)
+        assert any(name.startswith("memory.") for name in again)
 
     def test_worst_q_error_per_node_kind(self, star_database):
         star_database.execute(small_query())

@@ -44,8 +44,8 @@ from repro.workloads.analytics import (
     orders_scheme,
 )
 
-#: REPRO_ORDER_EXAMPLES=<n> raises the example count (the CI sweep)
-EXAMPLES = int(os.environ.get("REPRO_ORDER_EXAMPLES", "150"))
+#: REPRO_SWEEP_EXAMPLES=<n> raises the example count (the CI sweep)
+EXAMPLES = int(os.environ.get("REPRO_SWEEP_EXAMPLES", "150"))
 #: a falsifying example lands next to the fuzz harness's shrunk trees
 ARTIFACT = os.environ.get("REPRO_FUZZ_ARTIFACT", "fuzz-failure.txt")
 

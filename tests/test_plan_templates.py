@@ -7,7 +7,11 @@ never serves a query whose structural literals differ; and every invalidation
 the literal-keyed cache had still invalidates.
 """
 
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra import (
     Evaluator,
@@ -21,8 +25,9 @@ from repro.algebra import (
 from repro.algebra.predicates import And, Comparison, Parameter
 from repro.engine import Database
 from repro.exec import PhysicalPlanner
-from repro.exec.executor import PlanKey
+from repro.exec.executor import PhysicalExecutor, PlanKey
 from repro.query import parse_query
+from repro.query.lexer import QuerySyntaxError
 from repro.workloads.employees import employee_definition, generate_employees
 
 ROWS = 400
@@ -344,3 +349,198 @@ def test_union_rewrites_see_structural_literals(database):
         result, report = database.execute_with_report(tree, optimize=True)
         assert result.tuples == Evaluator(database).evaluate(tree).tuples
         assert report.changed
+
+
+# -- the statement probe: a raw-text key the tokens confirmed -------------------------------
+
+#: REPRO_SWEEP_EXAMPLES=<n> raises the example count (the CI sweep)
+PROBE_EXAMPLES = int(os.environ.get("REPRO_SWEEP_EXAMPLES", "150"))
+
+_PROBE_DATABASE = Database()
+_DEFINITION = employee_definition()
+_PROBE_DATABASE.create_table(
+    "employees", _DEFINITION.scheme, domains=_DEFINITION.domains,
+    key=_DEFINITION.key, dependencies=_DEFINITION.dependencies)
+
+
+def _typed(value):
+    """A value with the type of every part: ``1``, ``1.0`` and ``True`` differ."""
+    if isinstance(value, (list, tuple)):
+        return (value.__class__, tuple(_typed(item) for item in value))
+    return (value.__class__, value)
+
+
+def _resolve(executor, text):
+    """``statement(text)`` as ``(template, typed params)``, or the error text."""
+    try:
+        template, params = executor.statement(text)
+    except QuerySyntaxError as error:
+        return None, str(error)
+    return template, _typed(params)
+
+
+def _same_resolution(first, second):
+    """Same template object (or none) and same typed params (or message)."""
+    return first[0] is second[0] and first[1] == second[1]
+
+
+def _describe(resolution):
+    """What a resolution says independently of the executor that made it."""
+    template, rest = resolution
+    if template is None:
+        return rest
+    return repr(template.expression), template.key[1:], rest
+
+
+def _agrees(*texts):
+    """Every text resolves on one executor — first cold, then again (a raw hit
+    once the tokens confirmed it) — as a fresh executor resolves it, and
+    again through a token-key hit: the same text after a variant of it that
+    only moves its whitespace, so that only the token stream is known."""
+    executor = PhysicalExecutor(_PROBE_DATABASE)
+    for text in texts:
+        cold = _resolve(PhysicalExecutor(_PROBE_DATABASE), text)
+        once = _resolve(executor, text)
+        assert _describe(once) == _describe(cold), text
+        assert _same_resolution(_resolve(executor, text), once), text
+        shifted = PhysicalExecutor(_PROBE_DATABASE)
+        moved = _resolve(shifted, " \n" + text)
+        token_hit = _resolve(shifted, text)
+        assert _describe(token_hit) == _describe(cold), text
+        assert _same_resolution(_resolve(shifted, text), token_hit), text
+        if moved[0] is not None and token_hit[0] is not None:
+            assert moved[0] is token_hit[0], text
+
+
+_NAMES = ["emp_id", "salary", "name", "jobtype", "a1", "x2y", "größe", "_z9"]
+_SPACES = st.sampled_from([" ", "  ", "\n", "\t", " \n "])
+_COMMENTS = st.sampled_from([
+    "", " -- it's\n", "", " -- 5\n", "", " -- '7'\n", " -- 'a' 3.5 TRUE\n", " --\n"])
+
+
+@st.composite
+def _literal(draw):
+    kind = draw(st.sampled_from(["number", "number", "string", "keyword"]))
+    if kind == "number":
+        # (a signed zero decodes equal to the unsigned number after its sign)
+        return draw(st.sampled_from(
+            ["5", "-0", "42", "-0.0", "2.5", "-0", "0", "007", "-5", "+3", "5."]))
+    if kind == "string":
+        return "'{}'".format(draw(st.sampled_from(
+            ["", "x", "it''s", "-- no comment", "5", "?0", "é"])))
+    return "".join(draw(st.sampled_from([c.lower(), c.upper()]))
+                   for c in draw(st.sampled_from(["true", "false", "null"])))
+
+
+@st.composite
+def _skeleton(draw):
+    """Statement text with ``{}`` slots for its literals (braces never
+    appear otherwise), and how many slots it has."""
+    def space():
+        return draw(_SPACES)
+
+    conditions = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(_NAMES))
+        form = draw(st.sampled_from(["op", "in", "op", "names", "op", "glued"]))
+        if form == "op":
+            op = draw(st.sampled_from(["=", "!=", "<", ">=", "<>"]))
+            conditions.append(name + space() + op + space() + "{}")
+        elif form == "in":
+            conditions.append(name + " IN (" + ", ".join(
+                ["{}"] * draw(st.integers(1, 3))) + ")")
+        elif form == "names":
+            conditions.append(name + " = " + draw(st.sampled_from(_NAMES)))
+        else:  # a literal glued to a name: ``a-0`` or ``a1``
+            conditions.append(name + " = " + draw(st.sampled_from(_NAMES)) + "{}")
+    where = draw(st.sampled_from([" AND ", " OR ", "\nand "])).join(conditions)
+    text = "SELECT" + space() + draw(st.sampled_from(["*", "name, salary", "a1"])) \
+        + space() + "FROM employees" + draw(_COMMENTS) + space() + "WHERE " + where
+    if draw(st.sampled_from([False, False, False, True])):
+        text += draw(_COMMENTS) + " TAG src = {}"
+    return text, text.count("{}")
+
+
+def _twin(literal: str) -> str:
+    """The same kind of literal, with the same sign and other digits or
+    contents: a text's twin has the text's remainder."""
+    if literal.startswith("'"):
+        return "'y'" if literal != "'y'" else "'it''s'"
+    if literal[-1].isdigit() or literal.endswith("."):
+        return "".join(str((int(c) + 3) % 10) if c.isdigit() else c for c in literal)
+    return {"t": "false", "f": "null", "n": "TRUE"}[literal[0].lower()]
+
+
+@st.composite
+def _statements(draw):
+    """One skeleton under three literal lists: the first, its twin, and a
+    fresh draw."""
+    skeleton, slots = draw(_skeleton())
+    first = [draw(_literal()) for _ in range(slots)]
+    fresh = [draw(_literal()) for _ in range(slots)]
+    return (skeleton.format(*first), skeleton.format(*map(_twin, first)),
+            skeleton.format(*fresh))
+
+
+class TestStatementProbe:
+    @settings(max_examples=PROBE_EXAMPLES)
+    @given(_statements())
+    def test_the_raw_probe_agrees_with_the_tokenizer(self, texts):
+        _agrees(*texts)
+
+    @pytest.mark.parametrize("texts", [
+        # a ``--`` comment holding a quote or a digit
+        ("SELECT name FROM employees -- it's\nWHERE emp_id = 5",
+         "SELECT name FROM employees -- it's\nWHERE emp_id = 6"),
+        ("SELECT name FROM employees WHERE emp_id = 5 -- = 7",
+         "SELECT name FROM employees WHERE emp_id = 8 -- = 7"),
+        # TAG values are structure
+        ("SELECT name FROM employees WHERE emp_id = 1 TAG src = 'x'",
+         "SELECT name FROM employees WHERE emp_id = 1 TAG src = 'y'"),
+        # signs, and a sign glued to a name
+        ("SELECT name FROM employees WHERE emp_id = -0",
+         "SELECT name FROM employees WHERE emp_id = -5",
+         "SELECT name FROM employees WHERE emp_id = 5",
+         "SELECT name FROM employees WHERE emp_id = +5"),
+        ("SELECT name FROM employees WHERE salary > a-0",
+         "SELECT name FROM employees WHERE salary > a-7"),
+        # the malformed ``5.``
+        ("SELECT name FROM employees WHERE salary = 5.5",
+         "SELECT name FROM employees WHERE salary = 5."),
+        # TRUE / NULL in any case
+        ("SELECT name FROM employees WHERE emp_id = true",
+         "SELECT name FROM employees WHERE emp_id = NULL",
+         "SELECT name FROM employees WHERE emp_id = nUlL",
+         "SELECT name FROM employees WHERE emp_id = 1"),
+        # digit-bearing and non-ASCII names
+        ("SELECT a1 FROM employees WHERE x2y = 3 AND größe = 4",
+         "SELECT a1 FROM employees WHERE x2y = 30 AND größe = 'é'"),
+        ("SELECT name FROM employees WHERE name = 'it''s'",
+         "SELECT name FROM employees WHERE name = 'its'"),
+        # IN lists of different lengths
+        ("SELECT name FROM employees WHERE emp_id IN (5, 6)",
+         "SELECT name FROM employees WHERE emp_id IN (5, 6, 7)",
+         "SELECT name FROM employees WHERE emp_id IN (8, 9)"),
+        # white space
+        ("SELECT name FROM employees WHERE emp_id = 5",
+         "SELECT  name\tFROM employees\nWHERE emp_id=5",
+         "SELECT  name\tFROM employees\nWHERE emp_id=6"),
+    ])
+    def test_named_cases(self, texts):
+        _agrees(*texts)
+
+    def test_a_signed_literal_is_never_read_unsigned(self):
+        executor = PhysicalExecutor(_PROBE_DATABASE)
+        text = "SELECT name FROM employees WHERE emp_id = {}"
+        executor.statement(text.format("-0"))
+        assert executor.statement(text.format("-5"))[1] == (-5,)
+
+    def test_a_repeated_point_read_is_a_raw_hit(self, database):
+        text = "SELECT name FROM employees WHERE emp_id = {}"
+        for key in (1, 2, 3):
+            database.query(text.format(key))
+        tagged = "SELECT name FROM employees WHERE emp_id = {} TAG src = 'x'"
+        for key in (1, 2):
+            database.query(tagged.format(key))
+        assert database.metrics()["statement_cache"] == {
+            "raw_hits": 2, "token_hits": 1, "parses": 2}

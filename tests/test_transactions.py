@@ -2,7 +2,7 @@
 
 Transactions roll back through an undo log; ``Table.snapshot()`` /
 ``Table.restore()`` are the oracle the rollback is compared against
-(``TestRollbackAgainstTheOracle``; ``REPRO_ROLLBACK_EXAMPLES=<n>`` raises the
+(``TestRollbackAgainstTheOracle``; ``REPRO_SWEEP_EXAMPLES=<n>`` raises the
 example count — the CI sweep).
 """
 
@@ -25,8 +25,8 @@ from repro.storage.durable import TXN_BUFFER_BYTES
 from repro.workloads.employees import employee_definition, generate_employees
 from test_shape_plans import _changes, _employees, _scramble, _unfolded, engine_refusal
 
-#: REPRO_ROLLBACK_EXAMPLES=<n> raises the example count (the CI sweep)
-EXAMPLES = int(os.environ.get("REPRO_ROLLBACK_EXAMPLES", "150"))
+#: REPRO_SWEEP_EXAMPLES=<n> raises the example count (the CI sweep)
+EXAMPLES = int(os.environ.get("REPRO_SWEEP_EXAMPLES", "150"))
 #: a falsifying sequence lands next to the fuzz harness's shrunk trees
 ARTIFACT = os.environ.get("REPRO_FUZZ_ARTIFACT", "fuzz-failure.txt")
 
