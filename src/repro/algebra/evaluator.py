@@ -7,7 +7,8 @@ the optimizer benchmarks use as a machine-independent cost measure.
 
 Base relations are resolved against a *source*: either a mapping
 ``{name: FlexibleRelation}`` or any object exposing ``relation(name)`` (such as
-:class:`repro.engine.Database`).
+:class:`repro.engine.Database`).  Each node class's semantics is one entry of
+:data:`EVALUATORS`, found by :func:`~repro.algebra.expressions.dispatch`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.algebra.expressions import (
     SubqueryExtension,
     TypeGuardNode,
     Union,
+    dispatch,
 )
 from repro.errors import AlgebraError
 from repro.model.attributes import AttributeSet
@@ -193,39 +195,10 @@ class Evaluator:
 
     def _evaluate(self, expression: Expression, stats: ExecutionStats) -> Set[FlexTuple]:
         stats.record_operator(expression.operator)
-        if isinstance(expression, EmptyRelation):
-            return set()
-        if isinstance(expression, RelationRef):
-            return self._eval_relation(expression, stats)
-        if isinstance(expression, Selection):
-            return self._eval_selection(expression, stats)
-        if isinstance(expression, TypeGuardNode):
-            return self._eval_guard(expression, stats)
-        if isinstance(expression, Projection):
-            return self._eval_projection(expression, stats)
-        if isinstance(expression, Product):
-            return self._eval_product(expression, stats)
-        if isinstance(expression, (OuterUnion, Union)):
-            return self._eval_union(expression, stats)
-        if isinstance(expression, Difference):
-            return self._eval_difference(expression, stats)
-        if isinstance(expression, Extension):
-            return self._eval_extension(expression, stats)
-        if isinstance(expression, Rename):
-            return self._eval_rename(expression, stats)
-        if isinstance(expression, MultiwayJoin):
-            return self._eval_multiway_join(expression, stats)
-        if isinstance(expression, NaturalJoin):
-            return self._eval_natural_join(expression, stats)
-        if isinstance(expression, Aggregate):
-            return self._eval_aggregate(expression, stats)
-        if isinstance(expression, Sort):
-            return self._eval_sort(expression, stats)
-        if isinstance(expression, Limit):
-            return self._eval_limit(expression, stats)
-        if isinstance(expression, SubqueryExtension):
-            return self._eval_subquery_extension(expression, stats)
-        raise AlgebraError("cannot evaluate expression node {!r}".format(expression))
+        evaluate = dispatch(EVALUATORS, expression)
+        if evaluate is None:
+            raise AlgebraError("cannot evaluate expression node {!r}".format(expression))
+        return evaluate(self, expression, stats)
 
     # -- operator implementations ------------------------------------------------------------
 
@@ -408,3 +381,25 @@ class Evaluator:
                     merged.add(tup.merge(partner))
             current = merged
         return current
+
+
+#: node class -> how :class:`Evaluator` computes it
+EVALUATORS = {
+    EmptyRelation: lambda evaluator, node, stats: set(),
+    RelationRef: Evaluator._eval_relation,
+    Selection: Evaluator._eval_selection,
+    TypeGuardNode: Evaluator._eval_guard,
+    Projection: Evaluator._eval_projection,
+    Product: Evaluator._eval_product,
+    Union: Evaluator._eval_union,
+    OuterUnion: Evaluator._eval_union,
+    Difference: Evaluator._eval_difference,
+    Extension: Evaluator._eval_extension,
+    Rename: Evaluator._eval_rename,
+    MultiwayJoin: Evaluator._eval_multiway_join,
+    NaturalJoin: Evaluator._eval_natural_join,
+    Aggregate: Evaluator._eval_aggregate,
+    Sort: Evaluator._eval_sort,
+    Limit: Evaluator._eval_limit,
+    SubqueryExtension: Evaluator._eval_subquery_extension,
+}

@@ -15,7 +15,10 @@ structure, every node knows
   (:meth:`Expression.guaranteed_attributes`, fed by selection predicates and type
   guards) — the two ingredients of the optimizer's redundancy reasoning — and
 * which attribute sets are keys of its result (:meth:`Expression.unique_keys`),
-  the physical planner's proof that an operator cannot produce a duplicate row.
+  the physical planner's proof that an operator cannot produce a duplicate row,
+* every attribute a result tuple can carry (:meth:`Expression.attribute_universe`),
+  and what tells it apart from its class's other nodes
+  (:meth:`Expression.structural_key`).
 
 The dependency information is resolved against a *catalog*: any object with a
 ``dependencies(name)`` (and ``key(name)``) method, such as
@@ -70,6 +73,49 @@ def _pair_keys(left: Keys, right: Keys, on: Optional[AttributeSet]) -> Keys:
     if alone:
         return frozenset().union(*alone)
     return frozenset(l_key | r_key for l_key in left for r_key in right)
+
+
+def dispatch(table: dict, node: "Expression"):
+    """``table``'s entry for the class of ``node``, or for its nearest base
+    class that has one — the order ``isinstance`` tests resolve a subclass in
+    (:class:`OuterUnion` before :class:`Union`); ``None`` when none has."""
+    for cls in type(node).__mro__:
+        entry = table.get(cls)
+        if entry is not None:
+            return entry
+    return None
+
+
+def declared_attributes(source, name: str) -> Optional[AttributeSet]:
+    """The attribute universe a base relation's scheme declares, or ``None``.
+
+    Databases answer from the catalog's flexible scheme; plain mappings answer
+    when the entry carries its scheme (a ``FlexibleRelation``).  Bare tuple
+    sets and unknown names have no declared universe — callers then refuse to
+    reason from it rather than guess from the data.
+    """
+    relation = None
+    if hasattr(source, "table"):
+        try:
+            relation = source.table(name)
+        except Exception:
+            return None
+    elif isinstance(source, dict):
+        relation = source.get(name)
+    definition = getattr(relation, "definition", None)
+    scheme = getattr(definition, "scheme", None) or getattr(relation, "scheme", None)
+    attributes = getattr(scheme, "attributes", None)
+    return None if attributes is None else attrset(attributes)
+
+
+def _universe_of(children: Sequence["Expression"], source) -> Optional[AttributeSet]:
+    result = AttributeSet()
+    for child in children:
+        universe = child.attribute_universe(source)
+        if universe is None:
+            return None
+        result = result | universe
+    return result
 
 
 def _catalog_dependencies(catalog, name: str) -> List[Dependency]:
@@ -132,6 +178,21 @@ class Expression:
     def established_equalities(self) -> Dict[str, object]:
         """Attribute→value bindings every result tuple is known to satisfy."""
         return {}
+
+    def attribute_universe(self, source) -> Optional[AttributeSet]:
+        """Every attribute a result tuple can carry, from ``source``'s declared
+        schemes (a loose superset will do); ``None`` when that cannot be told
+        statically, which keeps a join over this node in its written order."""
+        return None
+
+    def structural_key(self, children: Tuple, params=None,
+                       constants: Optional[list] = None) -> Tuple:
+        """This node's :func:`repro.obs.feedback.expression_key`, given its
+        ``children``'s (computed first, so constants are collected
+        children-first): the operator name, whatever tells this node apart
+        from its class's others, then ``children``."""
+        raise NotImplementedError(
+            "{} states no structural key".format(type(self).__name__))
 
     def map_comparisons(self, function) -> "Expression":
         """This tree with ``function`` applied to every comparison of every
@@ -257,6 +318,9 @@ class _Binary(Expression):
         result.update(self.right.established_equalities())
         return result
 
+    def attribute_universe(self, source) -> Optional[AttributeSet]:
+        return _universe_of(self.children, source)
+
 
 class RelationRef(Expression):
     """A leaf referring to a base relation by name."""
@@ -279,6 +343,12 @@ class RelationRef(Expression):
             key = None
         return _NO_KEYS if key is None else frozenset({key})
 
+    def attribute_universe(self, source) -> Optional[AttributeSet]:
+        return declared_attributes(source, self.name)
+
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        return (self.operator, self.name)
+
     def _label(self) -> str:
         return self.name
 
@@ -298,6 +368,12 @@ class EmptyRelation(Expression):
         # Every dependency holds vacuously in the empty instance; reporting the empty
         # set keeps downstream reasoning conservative.
         return set()
+
+    def attribute_universe(self, source) -> Optional[AttributeSet]:
+        return AttributeSet()
+
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        return (self.operator,)
 
     def _label(self) -> str:
         return "∅"
@@ -328,6 +404,12 @@ class Selection(_Unary):
         result.update(self.predicate.implied_equalities())
         return result
 
+    def attribute_universe(self, source) -> Optional[AttributeSet]:
+        return self.child.attribute_universe(source)
+
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        return (self.operator, self.predicate.render(params, constants)) + children
+
     def _label(self) -> str:
         return "select[{!r}]".format(self.predicate)
 
@@ -343,6 +425,12 @@ class TypeGuardNode(_Unary):
 
     def guaranteed_attributes(self) -> AttributeSet:
         return self.child.guaranteed_attributes() | self.attributes
+
+    def attribute_universe(self, source) -> Optional[AttributeSet]:
+        return self.child.attribute_universe(source)
+
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        return (self.operator, str(self.attributes)) + children
 
     def _label(self) -> str:
         return "guard[{}]".format(self.attributes)
@@ -390,6 +478,13 @@ class Projection(_Unary):
         child = self.child.established_equalities()
         return {name: value for name, value in child.items() if name in self.attributes}
 
+    def attribute_universe(self, source) -> Optional[AttributeSet]:
+        child = self.child.attribute_universe(source)
+        return None if child is None else child & self.attributes
+
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        return (self.operator, str(self.attributes)) + children
+
     def _label(self) -> str:
         return "project[{}]".format(self.attributes)
 
@@ -403,6 +498,9 @@ class Product(_Binary):
         # the join on no attributes
         return _pair_keys(memoized_keys(self.left, catalog, memo),
                           memoized_keys(self.right, catalog, memo), AttributeSet())
+
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        return (self.operator,) + children
 
 
 class Union(_Binary):
@@ -444,6 +542,9 @@ class Union(_Binary):
         return {name: value for name, value in left.items()
                 if name in right and right[name] == value}
 
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        return (self.operator,) + children
+
 
 class OuterUnion(Union):
     """The outer union used to restore horizontal decompositions (Section 3.1.1).
@@ -475,6 +576,12 @@ class Difference(_Binary):
     def established_equalities(self) -> Dict[str, object]:
         return self.left.established_equalities()
 
+    def attribute_universe(self, source) -> Optional[AttributeSet]:
+        return self.left.attribute_universe(source)
+
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        return (self.operator,) + children
+
 
 class Extension(_Unary):
     """``ε_{A:a}(E)`` — extend every tuple by attribute ``A`` with constant ``a``
@@ -497,6 +604,13 @@ class Extension(_Unary):
         result = dict(self.child.established_equalities())
         result[self.attribute] = self.value
         return result
+
+    def attribute_universe(self, source) -> Optional[AttributeSet]:
+        child = self.child.attribute_universe(source)
+        return None if child is None else child | attrset(self.attribute)
+
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        return (self.operator, self.attribute, repr(self.value)) + children
 
     def _label(self) -> str:
         return "extend[{}:{!r}]".format(self.attribute, self.value)
@@ -543,6 +657,13 @@ class Rename(_Unary):
         child = self.child.established_equalities()
         return {self.mapping.get(name, name): value for name, value in child.items()}
 
+    def attribute_universe(self, source) -> Optional[AttributeSet]:
+        child = self.child.attribute_universe(source)
+        return None if child is None else self._rename_set(child)
+
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        return (self.operator, tuple(sorted(self.mapping.items()))) + children
+
     def _label(self) -> str:
         return "rename[{}]".format(self.mapping)
 
@@ -560,6 +681,9 @@ class NaturalJoin(_Binary):
     def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
         return _pair_keys(memoized_keys(self.left, catalog, memo),
                           memoized_keys(self.right, catalog, memo), self.on)
+
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        return (self.operator, str(self.on) if self.on is not None else None) + children
 
     def _label(self) -> str:
         return "join[on={}]".format(self.on if self.on is not None else "shared")
@@ -612,6 +736,12 @@ class MultiwayJoin(Expression):
 
     def established_equalities(self) -> Dict[str, object]:
         return self.inputs[0].established_equalities()
+
+    def attribute_universe(self, source) -> Optional[AttributeSet]:
+        return _universe_of(self.inputs, source)
+
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        return (self.operator, str(self.on), children)
 
     def _label(self) -> str:
         return "multiway-join[on={}]".format(self.on)
@@ -672,6 +802,13 @@ class Aggregate(_Unary):
     def established_equalities(self) -> Dict[str, object]:
         return {}
 
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        # Group-by order is semantically irrelevant, so sorting it lets
+        # permuted spellings share one plan (the spec order is kept — it only
+        # costs a cache miss, never a wrong reuse).
+        return (self.operator, tuple(sorted(self.group_by)),
+                tuple(spec.key() for spec in self.specs)) + children
+
     def _label(self) -> str:
         parts = []
         if self.group_by:
@@ -698,6 +835,9 @@ class Sort(_Unary):
         if not self.keys:
             raise AlgebraError("sort needs at least one key")
 
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        return (self.operator, tuple(key.key() for key in self.keys)) + children
+
     def _label(self) -> str:
         return "sort[{}]".format(", ".join(repr(key) for key in self.keys))
 
@@ -718,6 +858,9 @@ class Limit(_Unary):
             raise AlgebraError("limit needs a non-negative integer count")
         super().__init__(child)
         self.count = count
+
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        return (self.operator, self.count) + children
 
     def _label(self) -> str:
         return "limit[{}]".format(self.count)
@@ -753,6 +896,9 @@ class SubqueryExtension(_Unary):
         node = copy(self)
         node.child, node.subquery = children
         return node
+
+    def structural_key(self, children, params=None, constants=None) -> Tuple:
+        return (self.operator, self.attribute) + children
 
     def _label(self) -> str:
         return "subquery-extend[{}]".format(self.attribute)

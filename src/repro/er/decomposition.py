@@ -14,7 +14,7 @@ specialization.  With attribute dependencies the decompositions become mechanica
 Both functions return a :class:`DecompositionResult` that can restore the original
 instance and verify losslessness: its ``restoration()`` is that outer union or
 multiway join as an algebra expression over the fragments, which ``restore()``
-evaluates.  :func:`null_count` measures how many NULL cells a flat single-table
+plans and runs.  :func:`null_count` measures how many NULL cells a flat single-table
 translation would need for the same data, which is the storage comparison of
 experiment E8.
 """
@@ -24,10 +24,10 @@ from __future__ import annotations
 from functools import reduce
 from typing import Dict, List, Optional, Set
 
-from repro.algebra.evaluator import Evaluator
 from repro.algebra.expressions import Expression, MultiwayJoin, OuterUnion, RelationRef
 from repro.core.dependencies import ExplicitAttributeDependency
 from repro.errors import DecompositionError
+from repro.exec.planner import PhysicalPlanner
 from repro.model.attributes import AttributeSet, attrset
 from repro.model.tuples import FlexTuple
 
@@ -87,9 +87,10 @@ class DecompositionResult:
         raise DecompositionError("unknown decomposition method {!r}".format(self.method))
 
     def restore(self) -> Set[FlexTuple]:
-        """Rebuild the original instance: :meth:`restoration`, evaluated over
-        the fragments."""
-        return Evaluator(self.fragments).evaluate(self.restoration()).tuples
+        """Rebuild the original instance: :meth:`restoration`, planned and run
+        over the fragments."""
+        plan = PhysicalPlanner(self.fragments).plan(self.restoration())
+        return plan.execute(self.fragments).tuples
 
     def is_lossless(self, original) -> bool:
         """``True`` when restoration reproduces the original instance exactly."""

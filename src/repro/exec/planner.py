@@ -36,6 +36,9 @@ operators from :mod:`repro.exec.operators`:
   estimated first; each stage is annotated as the multiway join below it;
 * all remaining operators map one-to-one onto their physical counterparts.
 
+Each node class's lowering is one entry of :data:`LOWERINGS`, found by
+:func:`~repro.algebra.expressions.dispatch`.
+
 Plans carry an **adaptive batch size** picked from the cost model's
 tuple-width estimate and the largest base-table cardinality (tiny inputs get
 one batch, wide variant tuples smaller batches).  It is the planner's
@@ -80,6 +83,7 @@ from repro.algebra.expressions import (
     SubqueryExtension,
     TypeGuardNode,
     Union,
+    dispatch,
     memoized_keys,
 )
 from repro.errors import OptimizerError
@@ -388,61 +392,35 @@ class PhysicalPlanner:
         return operator
 
     def _lower_node(self, expression: Expression) -> PhysicalOperator:
-        if isinstance(expression, EmptyRelation):
-            return EmptyOp()
-        if isinstance(expression, RelationRef):
-            return Scan(expression.name)
-        if isinstance(expression, Selection):
-            child = self._lower(expression.child)
-            if isinstance(child, Scan):
-                return child.with_predicate(expression.predicate)
-            return FilterOp(child, expression.predicate)
-        if isinstance(expression, TypeGuardNode):
-            child = self._lower(expression.child)
-            if isinstance(child, Scan):
-                return child.with_guard(expression.attributes)
-            return GuardOp(child, expression.attributes)
-        if isinstance(expression, Projection):
-            return ProjectOp(self._lower(expression.child), expression.attributes)
-        if isinstance(expression, Extension):
-            return ExtendOp(self._lower(expression.child), expression.attribute,
-                            expression.value)
-        if isinstance(expression, Rename):
-            return RenameOp(self._lower(expression.child), expression.mapping)
-        if isinstance(expression, Product):
-            return ProductOp(self._lower(expression.left), self._lower(expression.right))
-        if isinstance(expression, OuterUnion):
-            return OuterUnionOp(self._lower(expression.left), self._lower(expression.right))
-        if isinstance(expression, Union):
-            return MergeUnion(self._lower(expression.left), self._lower(expression.right))
-        if isinstance(expression, Difference):
-            return DifferenceOp(self._lower(expression.left), self._lower(expression.right))
-        if isinstance(expression, MultiwayJoin):
-            master, *fragments = expression.inputs
-            # Merge the smallest estimated fragments into the master first (the
-            # dependent fragments commute, so this only changes intermediate
-            # sizes, never the result); the last one merges at the root.
-            fragments.sort(key=lambda child: self._estimate(child).cardinality)
-            probe = master
-            if len(fragments) > 1:
-                probe = MultiwayJoin([master] + fragments[:-1], expression.on)
-                self._stages.append(probe)
-            return HashJoin(self._lower(probe), self._lower(fragments[-1]), expression.on,
-                            keep_unmatched_probe=True)
-        if isinstance(expression, Aggregate):
-            return HashAggregateOp(self._lower(expression.child), expression.group_by,
-                                   expression.specs)
-        if isinstance(expression, Sort):
-            return SortOp(self._lower(expression.child), expression.keys)
-        if isinstance(expression, Limit):
-            return self._lower_limit(expression)
-        if isinstance(expression, SubqueryExtension):
-            return SubqueryExtendOp(self._lower(expression.child), expression.attribute,
-                                    self._lower(expression.subquery))
-        if isinstance(expression, NaturalJoin):
-            ordered = self._search_join_order(expression)
-            return self._lower_join(expression if ordered is None else ordered)
-        raise OptimizerError("cannot lower expression node {!r}".format(expression))
+        lower = dispatch(LOWERINGS, expression)
+        if lower is None:
+            raise OptimizerError("cannot lower expression node {!r}".format(expression))
+        return lower(self, expression)
+
+    def _lower_selection(self, expression: Selection) -> PhysicalOperator:
+        child = self._lower(expression.child)
+        if isinstance(child, Scan):
+            return child.with_predicate(expression.predicate)
+        return FilterOp(child, expression.predicate)
+
+    def _lower_guard(self, expression: TypeGuardNode) -> PhysicalOperator:
+        child = self._lower(expression.child)
+        if isinstance(child, Scan):
+            return child.with_guard(expression.attributes)
+        return GuardOp(child, expression.attributes)
+
+    def _lower_multiway_join(self, expression: MultiwayJoin) -> PhysicalOperator:
+        master, *fragments = expression.inputs
+        # Merge the smallest estimated fragments into the master first (the
+        # dependent fragments commute, so this only changes intermediate
+        # sizes, never the result); the last one merges at the root.
+        fragments.sort(key=lambda child: self._estimate(child).cardinality)
+        probe = master
+        if len(fragments) > 1:
+            probe = MultiwayJoin([master] + fragments[:-1], expression.on)
+            self._stages.append(probe)
+        return HashJoin(self._lower(probe), self._lower(fragments[-1]), expression.on,
+                        keep_unmatched_probe=True)
 
     def _lower_limit(self, expression: Limit) -> PhysicalOperator:
         """λ, fused with a child τ when present: bounded top-k vs full sort.
@@ -544,3 +522,37 @@ class PhysicalPlanner:
         # the inner scan is no node of the plan tree: it carries no annotations
         return IndexLookupJoin(self._lower(outer_expr), self._lower_node(inner_expr),
                                expression.on)
+
+
+def _pair(physical):
+    """The lowering of a binary node onto ``physical`` over its lowered inputs."""
+    return lambda planner, node: physical(planner._lower(node.left),
+                                          planner._lower(node.right))
+
+
+#: node class -> how :class:`PhysicalPlanner` lowers it (the selection / guard
+#: chain folds into a ``Scan``, the joins are priced; the rest map one-to-one)
+LOWERINGS = {
+    EmptyRelation: lambda planner, node: EmptyOp(),
+    RelationRef: lambda planner, node: Scan(node.name),
+    Selection: PhysicalPlanner._lower_selection,
+    TypeGuardNode: PhysicalPlanner._lower_guard,
+    Projection: lambda planner, node: ProjectOp(planner._lower(node.child),
+                                                node.attributes),
+    Extension: lambda planner, node: ExtendOp(planner._lower(node.child),
+                                              node.attribute, node.value),
+    Rename: lambda planner, node: RenameOp(planner._lower(node.child), node.mapping),
+    Product: _pair(ProductOp),
+    OuterUnion: _pair(OuterUnionOp),
+    Union: _pair(MergeUnion),
+    Difference: _pair(DifferenceOp),
+    MultiwayJoin: PhysicalPlanner._lower_multiway_join,
+    NaturalJoin: lambda planner, node: planner._lower_join(
+        planner._search_join_order(node) or node),
+    Aggregate: lambda planner, node: HashAggregateOp(planner._lower(node.child),
+                                                     node.group_by, node.specs),
+    Sort: lambda planner, node: SortOp(planner._lower(node.child), node.keys),
+    Limit: PhysicalPlanner._lower_limit,
+    SubqueryExtension: lambda planner, node: SubqueryExtendOp(
+        planner._lower(node.child), node.attribute, planner._lower(node.subquery)),
+}

@@ -29,11 +29,7 @@ from repro.obs.explain import (
     pair_nodes_with_stats,
     render_explain_analyze,
 )
-from repro.obs.export import (
-    json_snapshot,
-    parse_prometheus_text,
-    prometheus_text,
-)
+from repro.obs.export import json_snapshot, prometheus_text
 from repro.obs.feedback import (
     CardinalityFeedback,
     referenced_tables,
@@ -83,7 +79,6 @@ __all__ = [
     "json_snapshot",
     "node_q_errors",
     "pair_nodes_with_stats",
-    "parse_prometheus_text",
     "prometheus_text",
     "q_error",
     "referenced_tables",

@@ -40,27 +40,10 @@ changed, so an observation on one query never strands the plans of another.
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from ..algebra.expressions import (
-    Aggregate,
-    EmptyRelation,
-    Expression,
-    Extension,
-    Limit,
-    MultiwayJoin,
-    NaturalJoin,
-    Projection,
-    RelationRef,
-    Rename,
-    Selection,
-    Sort,
-    SubqueryExtension,
-    TypeGuardNode,
-)
-from ..model.attributes import attrset
+from ..algebra.expressions import Expression, RelationRef, declared_attributes
 
 __all__ = ["CardinalityFeedback", "DEFAULT_CAPACITY", "EDGE_TOLERANCE",
-           "QERROR_THRESHOLD", "attribute_carriers", "declared_attributes",
-           "expression_key",
+           "QERROR_THRESHOLD", "attribute_carriers", "expression_key",
            "referenced_tables"]
 
 #: default LRU capacity; generous for a workload of repeated query shapes while
@@ -91,44 +74,13 @@ def expression_key(expression: Expression, params=None,
     key of the bound tree — and ``?n`` without.  With ``constants`` the key is
     literal-free instead: every comparison constant shows as ``?`` and its
     comparison is appended to the list, which is how the executor derives a
-    query's template in one walk.
+    query's template in one walk.  Each node states its own part
+    (:meth:`~repro.algebra.expressions.Expression.structural_key`); its
+    children's keys come first, so constants are collected children-first.
     """
-    if isinstance(expression, RelationRef):
-        return ("relation", expression.name)
-    if isinstance(expression, EmptyRelation):
-        return ("empty",)
     children = tuple(expression_key(child, params, constants)
                      for child in expression.children)
-    if isinstance(expression, Selection):
-        return ("select", expression.predicate.render(params, constants)) + children
-    if isinstance(expression, TypeGuardNode):
-        return ("guard", str(expression.attributes)) + children
-    if isinstance(expression, Projection):
-        return ("project", str(expression.attributes)) + children
-    if isinstance(expression, Extension):
-        return ("extend", expression.attribute, repr(expression.value)) + children
-    if isinstance(expression, Rename):
-        return ("rename", tuple(sorted(expression.mapping.items()))) + children
-    if isinstance(expression, NaturalJoin):
-        return ("join", str(expression.on) if expression.on is not None else None
-                ) + children
-    if isinstance(expression, MultiwayJoin):
-        return ("multiway-join", str(expression.on), children)
-    if isinstance(expression, Aggregate):
-        # Group-by order is semantically irrelevant, so sorting it lets
-        # permuted spellings share one plan (the spec order is kept — it only
-        # costs a cache miss, never a wrong reuse).
-        return ("aggregate", tuple(sorted(expression.group_by)),
-                tuple(spec.key() for spec in expression.specs)) + children
-    if isinstance(expression, Sort):
-        return ("sort", tuple(key.key() for key in expression.keys)) + children
-    if isinstance(expression, Limit):
-        return ("limit", expression.count) + children
-    if isinstance(expression, SubqueryExtension):
-        return ("subquery-extend", expression.attribute) + children
-    # Product / Union / OuterUnion / Difference carry no payload beyond their
-    # operator name and children; unknown nodes degrade to the same shape.
-    return (expression.operator,) + children
+    return expression.structural_key(children, params, constants)
 
 
 def referenced_tables(expression: Expression) -> frozenset:
@@ -142,28 +94,6 @@ def referenced_tables(expression: Expression) -> frozenset:
         else:
             pending.extend(node.children)
     return frozenset(names)
-
-
-def declared_attributes(source, name: str):
-    """The attribute universe a base relation's scheme declares, or ``None``.
-
-    Databases answer from the catalog's flexible scheme; plain mappings answer
-    when the entry carries its scheme (a ``FlexibleRelation``).  Bare tuple
-    sets and unknown names have no declared universe — callers then refuse to
-    reason from it rather than guess from the data.
-    """
-    relation = None
-    if hasattr(source, "table"):
-        try:
-            relation = source.table(name)
-        except Exception:
-            return None
-    elif isinstance(source, dict):
-        relation = source.get(name)
-    definition = getattr(relation, "definition", None)
-    scheme = getattr(definition, "scheme", None) or getattr(relation, "scheme", None)
-    attributes = getattr(scheme, "attributes", None)
-    return None if attributes is None else attrset(attributes)
 
 
 def attribute_carriers(source, tables, name: str) -> frozenset:

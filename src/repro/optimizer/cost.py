@@ -45,8 +45,11 @@ cardinalities back into the physical planner's memo, because this model alone
 cannot price composed joins (it has no base statistics for intermediate
 results).
 
-The statistics-aware logic lives in :class:`CostModel`; :func:`estimate_cost`
-remains the convenience wrapper every existing caller uses.  The full
+The statistics-aware logic lives in :class:`CostModel`, one rule per node
+class in :data:`ESTIMATORS` (cardinality and work) and :data:`WIDTHS` (tuple
+width), found by :func:`~repro.algebra.expressions.dispatch`;
+:func:`estimate_cost` remains the convenience wrapper every existing caller
+uses.  The full
 constant reference lives in ``docs/ARCHITECTURE.md``.
 """
 
@@ -65,6 +68,7 @@ from repro.algebra.expressions import (
     Limit,
     MultiwayJoin,
     NaturalJoin,
+    OuterUnion,
     Product,
     Projection,
     RelationRef,
@@ -74,15 +78,12 @@ from repro.algebra.expressions import (
     SubqueryExtension,
     TypeGuardNode,
     Union,
+    declared_attributes,
+    dispatch,
 )
 from repro.algebra.predicates import And, FalsePredicate, PresencePredicate
 from repro.errors import OptimizerError, ReproError
-from repro.obs.feedback import (
-    attribute_carriers,
-    declared_attributes,
-    expression_key,
-    referenced_tables,
-)
+from repro.obs.feedback import attribute_carriers, expression_key, referenced_tables
 from repro.stats.statistics import TableStatistics, join_selectivity
 
 #: default fraction of tuples surviving a selection when nothing better is known
@@ -276,101 +277,108 @@ class CostModel:
         return observed
 
     def _estimate(self, expression: Expression, memo: Dict[int, CostEstimate]) -> CostEstimate:
-        if isinstance(expression, EmptyRelation):
-            return CostEstimate(0.0, 0.0)
-        if isinstance(expression, RelationRef):
-            cardinality = _base_cardinality(self.source, expression.name)
-            return CostEstimate(cardinality, cardinality)
-        if isinstance(expression, Selection):
-            child = self.estimate(expression.child, memo)
-            if isinstance(expression.predicate, FalsePredicate):
-                return CostEstimate(0.0, child.work, bound=0.0)
-            cardinality = self._chain_cardinality(expression)
-            if cardinality is None:
-                cardinality = child.cardinality * DEFAULT_SELECTIVITY
-            return CostEstimate(min(cardinality, child.bound),
-                                child.work + child.cardinality * TUPLE_COST,
-                                bound=child.bound)
-        if isinstance(expression, TypeGuardNode):
-            child = self.estimate(expression.child, memo)
-            cardinality = self._chain_cardinality(expression)
-            if cardinality is None:
-                cardinality = child.cardinality * DEFAULT_GUARD_SELECTIVITY
-            return CostEstimate(min(cardinality, child.bound),
-                                child.work + child.cardinality * TUPLE_COST,
-                                bound=child.bound)
-        if isinstance(expression, (Projection, Extension, Rename)):
-            child = self.estimate(expression.children[0], memo)
-            return CostEstimate(child.cardinality,
-                                child.work + child.cardinality * TUPLE_COST,
-                                bound=child.bound)
-        if isinstance(expression, (Product, NaturalJoin)):
-            left = self.estimate(expression.children[0], memo)
-            right = self.estimate(expression.children[1], memo)
-            pairs = left.cardinality * right.cardinality
-            if isinstance(expression, Product):
-                cardinality = pairs
-            else:
-                cardinality = pairs * self._join_selectivity(expression)
-            return CostEstimate(cardinality, left.work + right.work + pairs,
-                                bound=left.bound * right.bound)
-        if isinstance(expression, MultiwayJoin):
-            estimates = [self.estimate(child, memo) for child in expression.children]
-            work = sum(e.work for e in estimates)
-            cardinality = estimates[0].cardinality
-            bound = estimates[0].bound
-            for estimate in estimates[1:]:
-                work += cardinality
-                cardinality = max(cardinality, estimate.cardinality)
-                bound *= max(1.0, estimate.bound)
-            return CostEstimate(cardinality, work, bound=bound)
-        if isinstance(expression, Union):
-            left = self.estimate(expression.children[0], memo)
-            right = self.estimate(expression.children[1], memo)
-            return CostEstimate(left.cardinality + right.cardinality,
-                                left.work + right.work + left.cardinality + right.cardinality,
-                                bound=left.bound + right.bound)
-        if isinstance(expression, Difference):
-            left = self.estimate(expression.children[0], memo)
-            right = self.estimate(expression.children[1], memo)
-            return CostEstimate(left.cardinality, left.work + right.work + left.cardinality,
-                                bound=left.bound)
-        if isinstance(expression, Aggregate):
-            child = self.estimate(expression.child, memo)
-            bound = child.bound if expression.group_by else 1.0
-            groups = self._group_count(expression, child)
-            return CostEstimate(min(groups, bound),
-                                child.work + child.cardinality * TUPLE_COST,
-                                bound=bound)
-        if isinstance(expression, Sort):
-            child = self.estimate(expression.child, memo)
-            n = max(child.cardinality, 1.0)
-            return CostEstimate(child.cardinality,
-                                child.work + child.cardinality * log2(max(n, 2.0))
-                                * TUPLE_COST,
-                                bound=child.bound)
-        if isinstance(expression, Limit):
-            # The planner fuses Limit(Sort(E)) into one top-k operator, so
-            # price the fused pair off the sort's input: per input tuple the
-            # cheaper of a k-bounded heap push and a full-sort comparison.
-            k = float(expression.count)
-            inner = expression.child
-            base = self.estimate(inner.child if isinstance(inner, Sort) else inner,
-                                 memo)
-            n = max(base.cardinality, 1.0)
-            per_tuple = min(log2(max(k, 2.0)), log2(max(n, 2.0)))
-            return CostEstimate(min(k, base.cardinality),
-                                base.work + base.cardinality * per_tuple
-                                * TUPLE_COST,
-                                bound=min(k, base.bound))
-        if isinstance(expression, SubqueryExtension):
-            child = self.estimate(expression.child, memo)
-            subquery = self.estimate(expression.subquery, memo)
-            return CostEstimate(child.cardinality,
-                                child.work + subquery.work
-                                + child.cardinality * TUPLE_COST,
-                                bound=child.bound)
-        raise OptimizerError("cannot estimate cost of {!r}".format(expression))
+        estimate = dispatch(ESTIMATORS, expression)
+        if estimate is None:
+            raise OptimizerError("cannot estimate cost of {!r}".format(expression))
+        return estimate(self, expression, memo)
+
+    def _estimate_relation(self, expression: RelationRef, memo) -> CostEstimate:
+        cardinality = _base_cardinality(self.source, expression.name)
+        return CostEstimate(cardinality, cardinality)
+
+    def _estimate_selection(self, expression: Selection, memo) -> CostEstimate:
+        if isinstance(expression.predicate, FalsePredicate):
+            return CostEstimate(0.0, self.estimate(expression.child, memo).work, bound=0.0)
+        return self._estimate_chain(expression, memo, DEFAULT_SELECTIVITY)
+
+    def _estimate_chain(self, expression: Expression, memo, default: float) -> CostEstimate:
+        """σ and τ: the chain's statistics, else ``default`` of the input."""
+        child = self.estimate(expression.child, memo)
+        cardinality = self._chain_cardinality(expression)
+        if cardinality is None:
+            cardinality = child.cardinality * default
+        return CostEstimate(min(cardinality, child.bound),
+                            child.work + child.cardinality * TUPLE_COST,
+                            bound=child.bound)
+
+    def _estimate_reshaping(self, expression: Expression, memo) -> CostEstimate:
+        child = self.estimate(expression.children[0], memo)
+        return CostEstimate(child.cardinality,
+                            child.work + child.cardinality * TUPLE_COST,
+                            bound=child.bound)
+
+    def _estimate_product(self, expression: Expression, memo) -> CostEstimate:
+        left = self.estimate(expression.children[0], memo)
+        right = self.estimate(expression.children[1], memo)
+        pairs = left.cardinality * right.cardinality
+        return CostEstimate(pairs, left.work + right.work + pairs,
+                            bound=left.bound * right.bound)
+
+    def _estimate_join(self, expression: NaturalJoin, memo) -> CostEstimate:
+        pairs = self._estimate_product(expression, memo)
+        return CostEstimate(pairs.cardinality * self._join_selectivity(expression),
+                            pairs.work, bound=pairs.bound)
+
+    def _estimate_multiway_join(self, expression: MultiwayJoin, memo) -> CostEstimate:
+        estimates = [self.estimate(child, memo) for child in expression.children]
+        work = sum(e.work for e in estimates)
+        cardinality = estimates[0].cardinality
+        bound = estimates[0].bound
+        for estimate in estimates[1:]:
+            work += cardinality
+            cardinality = max(cardinality, estimate.cardinality)
+            bound *= max(1.0, estimate.bound)
+        return CostEstimate(cardinality, work, bound=bound)
+
+    def _estimate_union(self, expression: Union, memo) -> CostEstimate:
+        left = self.estimate(expression.children[0], memo)
+        right = self.estimate(expression.children[1], memo)
+        return CostEstimate(left.cardinality + right.cardinality,
+                            left.work + right.work + left.cardinality + right.cardinality,
+                            bound=left.bound + right.bound)
+
+    def _estimate_difference(self, expression: Difference, memo) -> CostEstimate:
+        left = self.estimate(expression.children[0], memo)
+        right = self.estimate(expression.children[1], memo)
+        return CostEstimate(left.cardinality, left.work + right.work + left.cardinality,
+                            bound=left.bound)
+
+    def _estimate_aggregate(self, expression: Aggregate, memo) -> CostEstimate:
+        child = self.estimate(expression.child, memo)
+        bound = child.bound if expression.group_by else 1.0
+        groups = self._group_count(expression, child)
+        return CostEstimate(min(groups, bound),
+                            child.work + child.cardinality * TUPLE_COST,
+                            bound=bound)
+
+    def _estimate_sort(self, expression: Sort, memo) -> CostEstimate:
+        child = self.estimate(expression.child, memo)
+        n = max(child.cardinality, 1.0)
+        return CostEstimate(child.cardinality,
+                            child.work + child.cardinality * log2(max(n, 2.0))
+                            * TUPLE_COST,
+                            bound=child.bound)
+
+    def _estimate_limit(self, expression: Limit, memo) -> CostEstimate:
+        # The planner fuses Limit(Sort(E)) into one top-k operator, so
+        # price the fused pair off the sort's input: per input tuple the
+        # cheaper of a k-bounded heap push and a full-sort comparison.
+        k = float(expression.count)
+        inner = expression.child
+        base = self.estimate(inner.child if isinstance(inner, Sort) else inner, memo)
+        n = max(base.cardinality, 1.0)
+        per_tuple = min(log2(max(k, 2.0)), log2(max(n, 2.0)))
+        return CostEstimate(min(k, base.cardinality),
+                            base.work + base.cardinality * per_tuple * TUPLE_COST,
+                            bound=min(k, base.bound))
+
+    def _estimate_subquery_extension(self, expression: SubqueryExtension,
+                                     memo) -> CostEstimate:
+        child = self.estimate(expression.child, memo)
+        subquery = self.estimate(expression.subquery, memo)
+        return CostEstimate(child.cardinality,
+                            child.work + subquery.work + child.cardinality * TUPLE_COST,
+                            bound=child.bound)
 
     def _group_count(self, expression: Aggregate, child: CostEstimate) -> float:
         """Estimated number of groups, from variant-tag frequencies and NDVs.
@@ -445,49 +453,31 @@ class CostModel:
         drop.  The physical planner feeds this into the adaptive batch-size
         decision — wide tuples get smaller batches.
         """
-        if isinstance(expression, EmptyRelation):
-            return 0.0
-        if isinstance(expression, RelationRef):
-            statistics = self.table_statistics(expression.name)
-            if statistics is not None:
-                width = statistics.average_width()
-                if width > 0.0:
-                    return width
-            declared = declared_attributes(self.source, expression.name)
-            return float(len(declared)) if declared else DEFAULT_TUPLE_WIDTH
-        if isinstance(expression, (Selection, TypeGuardNode)):
-            return self.estimate_width(expression.child)
-        if isinstance(expression, Projection):
-            return min(self.estimate_width(expression.child),
-                       float(len(expression.attributes)))
-        if isinstance(expression, Extension):
-            return self.estimate_width(expression.child) + 1.0
-        if isinstance(expression, Rename):
-            return self.estimate_width(expression.child)
-        if isinstance(expression, NaturalJoin):
-            width = (self.estimate_width(expression.left)
-                     + self.estimate_width(expression.right))
-            if expression.on is not None:
-                width -= float(len(expression.on))
-            return max(width, 1.0)
-        if isinstance(expression, Product):
-            return (self.estimate_width(expression.left)
-                    + self.estimate_width(expression.right))
-        if isinstance(expression, MultiwayJoin):
-            width = sum(self.estimate_width(child) for child in expression.children)
+        width = dispatch(WIDTHS, expression)
+        return DEFAULT_TUPLE_WIDTH if width is None else width(self, expression)
+
+    def _relation_width(self, expression: RelationRef) -> float:
+        statistics = self.table_statistics(expression.name)
+        if statistics is not None:
+            width = statistics.average_width()
+            if width > 0.0:
+                return width
+        declared = declared_attributes(self.source, expression.name)
+        return float(len(declared)) if declared else DEFAULT_TUPLE_WIDTH
+
+    def _first_input_width(self, expression: Expression) -> float:
+        """σ, τ, ρ, ordering and the difference: the (first) input's width."""
+        return self.estimate_width(expression.children[0])
+
+    def _widest_input_width(self, expression: Expression) -> float:
+        return max(self.estimate_width(child) for child in expression.children)
+
+    def _join_width(self, expression: Expression) -> float:
+        """⋈ and the multiway join: the inputs' widths, ``on`` counted once."""
+        width = sum(self.estimate_width(child) for child in expression.children)
+        if expression.on is not None:
             width -= float(len(expression.on) * (len(expression.children) - 1))
-            return max(width, 1.0)
-        if isinstance(expression, (Union,)):
-            return max(self.estimate_width(child) for child in expression.children)
-        if isinstance(expression, Difference):
-            return self.estimate_width(expression.children[0])
-        if isinstance(expression, Aggregate):
-            return float(len(expression.group_by) + len(expression.specs))
-        if isinstance(expression, (Sort, Limit)):
-            return self.estimate_width(expression.child)
-        if isinstance(expression, SubqueryExtension):
-            return self.estimate_width(expression.child) + 1.0
-        return DEFAULT_TUPLE_WIDTH
+        return max(width, 1.0)
 
     def _join_selectivity(self, expression: NaturalJoin) -> float:
         """Selectivity of a natural join over the pair count.
@@ -534,3 +524,52 @@ def measured_cost(expression: Expression, source) -> ExecutionStats:
     """Evaluate the expression and return the exact work counters."""
     evaluator = Evaluator(source)
     return evaluator.evaluate(expression).stats
+
+
+#: node class -> how :class:`CostModel` estimates its cardinality and work
+ESTIMATORS = {
+    EmptyRelation: lambda model, expression, memo: CostEstimate(0.0, 0.0),
+    RelationRef: CostModel._estimate_relation,
+    Selection: CostModel._estimate_selection,
+    TypeGuardNode: lambda model, expression, memo: model._estimate_chain(
+        expression, memo, DEFAULT_GUARD_SELECTIVITY),
+    Projection: CostModel._estimate_reshaping,
+    Extension: CostModel._estimate_reshaping,
+    Rename: CostModel._estimate_reshaping,
+    Product: CostModel._estimate_product,
+    NaturalJoin: CostModel._estimate_join,
+    MultiwayJoin: CostModel._estimate_multiway_join,
+    Union: CostModel._estimate_union,
+    OuterUnion: CostModel._estimate_union,
+    Difference: CostModel._estimate_difference,
+    Aggregate: CostModel._estimate_aggregate,
+    Sort: CostModel._estimate_sort,
+    Limit: CostModel._estimate_limit,
+    SubqueryExtension: CostModel._estimate_subquery_extension,
+}
+
+#: node class -> how :meth:`CostModel.estimate_width` derives its tuple width
+#: (a node without an entry is :data:`DEFAULT_TUPLE_WIDTH` wide)
+WIDTHS = {
+    EmptyRelation: lambda model, expression: 0.0,
+    RelationRef: CostModel._relation_width,
+    Selection: CostModel._first_input_width,
+    TypeGuardNode: CostModel._first_input_width,
+    Projection: lambda model, expression: min(model.estimate_width(expression.child),
+                                              float(len(expression.attributes))),
+    Extension: lambda model, expression: model.estimate_width(expression.child) + 1.0,
+    Rename: CostModel._first_input_width,
+    NaturalJoin: CostModel._join_width,
+    MultiwayJoin: CostModel._join_width,
+    Product: lambda model, expression: (model.estimate_width(expression.left)
+                                        + model.estimate_width(expression.right)),
+    Union: CostModel._widest_input_width,
+    OuterUnion: CostModel._widest_input_width,
+    Difference: CostModel._first_input_width,
+    Aggregate: lambda model, expression: float(len(expression.group_by)
+                                               + len(expression.specs)),
+    Sort: CostModel._first_input_width,
+    Limit: CostModel._first_input_width,
+    SubqueryExtension: lambda model, expression: (
+        model.estimate_width(expression.child) + 1.0),
+}

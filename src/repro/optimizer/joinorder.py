@@ -79,22 +79,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import (
-    Difference,
-    EmptyRelation,
     Expression,
-    Extension,
-    MultiwayJoin,
     NaturalJoin,
-    Product,
     Projection,
     RelationRef,
-    Rename,
     Selection,
     TypeGuardNode,
-    Union,
+    dispatch,
 )
 from repro.model.attributes import AttributeSet, attrset
-from repro.obs.feedback import declared_attributes
 from repro.obs.trace import NOOP_SPAN
 from repro.optimizer.cost import CostEstimate, CostModel
 from repro.stats.statistics import TableStatistics, join_selectivity
@@ -299,56 +292,18 @@ class _Plan:
 # -- join-graph extraction ---------------------------------------------------------------
 
 
+#: the mark of each chain operator in an atom's label
+_ATOM_MARKS = {Selection: "σ", TypeGuardNode: "τ", Projection: "π"}
+
+
 def _atom_label(expression: Expression) -> str:
     """A compact label for the chosen-order rendering (``σ(name)``, ``τ(name)``…)."""
     if isinstance(expression, RelationRef):
         return expression.name
-    if isinstance(expression, Selection):
-        return "σ({})".format(_atom_label(expression.child))
-    if isinstance(expression, TypeGuardNode):
-        return "τ({})".format(_atom_label(expression.child))
-    if isinstance(expression, Projection):
-        return "π({})".format(_atom_label(expression.child))
-    return expression.operator
-
-
-def attribute_universe(expression: Expression, source) -> Optional[AttributeSet]:
-    """Every attribute a result tuple of ``expression`` can possibly carry.
-
-    ``None`` when a base relation's scheme cannot be resolved — the safety
-    check below then refuses to reorder.  The computed universe may be a loose
-    superset of what the data exhibits; that is sufficient for the
-    order-independence argument (see the module docstring) and keeps the check
-    purely static.
-    """
-    if isinstance(expression, RelationRef):
-        return declared_attributes(source, expression.name)
-    if isinstance(expression, EmptyRelation):
-        return AttributeSet()
-    if isinstance(expression, (Selection, TypeGuardNode)):
-        return attribute_universe(expression.child, source)
-    if isinstance(expression, Projection):
-        child = attribute_universe(expression.child, source)
-        return None if child is None else child & expression.attributes
-    if isinstance(expression, Extension):
-        child = attribute_universe(expression.child, source)
-        return None if child is None else child | attrset(expression.attribute)
-    if isinstance(expression, Rename):
-        child = attribute_universe(expression.child, source)
-        if child is None:
-            return None
-        return attrset(expression.mapping.get(a.name, a.name) for a in child)
-    if isinstance(expression, Difference):
-        return attribute_universe(expression.left, source)
-    if isinstance(expression, (Union, Product, NaturalJoin, MultiwayJoin)):
-        result = AttributeSet()
-        for child in expression.children:
-            child_universe = attribute_universe(child, source)
-            if child_universe is None:
-                return None
-            result = result | child_universe
-        return result
-    return None
+    mark = dispatch(_ATOM_MARKS, expression)
+    if mark is None:
+        return expression.operator
+    return "{}({})".format(mark, _atom_label(expression.child))
 
 
 def _flatten(expression: Expression, atoms: List[Expression],
@@ -382,7 +337,7 @@ def extract_join_graph(expression: Expression, source) -> Optional[JoinGraph]:
 
     universes: Dict[int, AttributeSet] = {}
     for atom in atom_expressions:
-        universe = attribute_universe(atom, source)
+        universe = atom.attribute_universe(source)
         if universe is None:
             return None
         universes[id(atom)] = universe

@@ -41,7 +41,6 @@ from repro.algebra.expressions import (
 )
 from repro.algebra.predicates import And, FalsePredicate
 from repro.optimizer.analysis import guaranteed_absent, guaranteed_present
-from repro.optimizer.joinorder import attribute_universe
 
 
 class RewriteReport:
@@ -202,7 +201,7 @@ def push_selections_through_joins(expression: Expression, catalog=None) -> Tuple
         join = node.child
         if not (isinstance(join, (NaturalJoin, MultiwayJoin)) and join.on):
             return node, None
-        universes = [attribute_universe(child, catalog) for child in join.children]
+        universes = [child.attribute_universe(catalog) for child in join.children]
         if any(universe is None for universe in universes) or any(
                 not (one & other).issubset(join.on)
                 for index, one in enumerate(universes)

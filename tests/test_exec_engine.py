@@ -27,7 +27,9 @@ from repro.algebra import (
     TypeGuardNode,
     Union,
 )
-from repro.algebra.expressions import Expression
+from repro.algebra.analytic import AggregateSpec, SortKey
+from repro.algebra.evaluator import EVALUATORS
+from repro.algebra.expressions import Expression, dispatch
 from repro.algebra.predicates import (
     And,
     AttributeComparison,
@@ -74,13 +76,14 @@ from repro.exec import (
     adaptive_batch_size,
     expression_key,
 )
-from repro.exec.planner import PhysicalPlan
+from repro.exec.planner import LOWERINGS as PLANNER_LOWERINGS, PhysicalPlan
 from repro.governor import QueryGovernor
 from repro.model.batches import LazyBatch, TupleBatch
 from repro.model.tuples import FlexTuple
 from repro.model.domains import IntDomain
 from repro.model.scheme import FlexibleScheme
-from repro.optimizer.cost import CostModel
+from repro.model.attributes import AttributeSet
+from repro.optimizer.cost import ESTIMATORS, WIDTHS, CostModel
 from repro.workloads.employees import employee_definition, generate_employees
 from repro.workloads.events import skewed_join_database
 
@@ -164,6 +167,72 @@ def test_with_children_round_trip_keeps_class_key_and_facts(node):
         assert type(rebuilt) is type(expression)
         assert expression_key(rebuilt) == expression_key(expression)
         assert _facts(rebuilt) == _facts(expression)
+
+
+#: constructor arguments that take a child expression: the key holds their keys
+_CHILD_ARGUMENTS = {"child", "left", "right", "inputs", "subquery"}
+
+
+def _other(value):
+    """A different constructor argument of the same kind as ``value``."""
+    if value is None:
+        return ["zz"]
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "z"
+    if isinstance(value, AttributeSet):
+        return sorted(value.names) + ["zz"]
+    if isinstance(value, dict):
+        return dict(value, zz="yy")
+    if isinstance(value, Predicate):
+        return Comparison("zz", "=", 0)
+    if isinstance(value, tuple):  # group-by names, aggregate specs, sort keys
+        extra = {str: "zz", AggregateSpec: AggregateSpec("max", "zz", "top"),
+                 SortKey: SortKey("zz")}[type(value[0])]
+        return value + (extra,)
+    raise AssertionError("no other value of {!r}".format(value))
+
+
+def _constructor_arguments(expression):
+    """``{name: value}`` of the arguments that rebuild ``expression``."""
+    parameters = inspect.signature(type(expression).__init__).parameters.values()
+    return {parameter.name: getattr(expression, parameter.name)
+            for parameter in list(parameters)[1:]
+            if parameter.kind is parameter.POSITIONAL_OR_KEYWORD}
+
+
+@pytest.mark.parametrize("node", _algebra_nodes(), ids=lambda cls: cls.__name__)
+def test_key_sees_the_whole_payload(node):
+    """Changing any one non-child constructor argument changes the node's
+    ``expression_key``: no two nodes that compute different things share a
+    template key, and with it a cached plan."""
+    for expression, _ in LOWERINGS[node]:
+        arguments = _constructor_arguments(expression)
+        assert expression_key(node(**arguments)) == expression_key(expression)
+        for name in set(arguments) - _CHILD_ARGUMENTS:
+            changed = node(**dict(arguments, **{name: _other(arguments[name])}))
+            assert expression_key(changed) != expression_key(expression), (
+                "{}'s key ignores its {!r}".format(node.__name__, name))
+
+
+@pytest.mark.parametrize("node", _algebra_nodes(), ids=lambda cls: cls.__name__)
+def test_every_walker_has_an_entry_for_the_node(node):
+    """A node class is an entry of the evaluator's, the cost model's
+    (estimate and width) and the planner's class table, and states its own
+    structural key — the base class has none to inherit."""
+    for table in (EVALUATORS, ESTIMATORS, WIDTHS, PLANNER_LOWERINGS):
+        assert node in table, node.__name__
+    assert node.structural_key is not Expression.structural_key, node.__name__
+
+
+def test_dispatch_resolves_a_subclass_as_isinstance_did():
+    class Tagged(OuterUnion):
+        pass
+
+    assert dispatch(PLANNER_LOWERINGS, Tagged(_R, _S)) is PLANNER_LOWERINGS[OuterUnion]
+    assert dispatch(PLANNER_LOWERINGS, OuterUnion(_R, _S)) is not PLANNER_LOWERINGS[Union]
+    assert dispatch({}, _R) is None
 
 
 #: the node classes that inherit their ``unique_keys`` rule, and why it is theirs

@@ -19,7 +19,6 @@ from repro.obs.export import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
     json_snapshot,
-    parse_prometheus_text,
     prometheus_text,
 )
 from repro.obs.feedback import (
@@ -344,30 +343,43 @@ class TestMemoryAccounting:
 
 
 class TestExport:
-    def test_prometheus_round_trip(self, stale_star):
-        stale_star.execute(star_join_query(), optimize=False)
-        text = stale_star.prometheus_metrics()
-        families = parse_prometheus_text(text)
-        assert families["repro_queries_executed_total"]["type"] == "counter"
-        assert any(name.startswith("repro_qerror_") for name in families)
-        assert any(name.startswith("repro_memory_") for name in families)
-        latency = families["repro_query_seconds"]
-        assert latency["type"] == "histogram"
-        samples = {name: value for name, _labels, value in latency["samples"]
-                   if not name.endswith("_bucket")}
-        buckets = [(labels["le"], value)
-                   for name, labels, value in latency["samples"]
-                   if name.endswith("_bucket")]
-        # Cumulative buckets: the +Inf bucket equals the count.
-        assert buckets[-1][0] == "+Inf"
-        assert buckets[-1][1] == samples["repro_query_seconds_count"]
-        assert samples["repro_query_seconds_sum"] > 0.0
+    def test_prometheus_text_is_exact(self):
+        """A fixed registry renders to exactly this exposition: a counter
+        under its ``_total`` suffix, a histogram with cumulative buckets whose
+        ``+Inf`` bucket equals ``_count``, and a max-gauge beside its
+        observation counter (no gauge sample while nothing was observed)."""
+        registry = MetricsRegistry()
+        registry.counter("queries.executed").add(3)
+        latency = registry.histogram("query.seconds", (0.5, 2.0))
+        for seconds in (0.25, 1.0, 1.5, 9.0):
+            latency.observe(seconds)
+        peak = registry.max_gauge("memory.batch-sort")
+        for size in (512, 2048, 1024):
+            peak.observe(size)
+        registry.max_gauge("memory.idle")
+        assert prometheus_text(registry) == (
+            "# TYPE repro_memory_batch_sort gauge\n"
+            "repro_memory_batch_sort 2048.0\n"
+            "# TYPE repro_memory_batch_sort_observations_total counter\n"
+            "repro_memory_batch_sort_observations_total 3.0\n"
+            "# TYPE repro_memory_idle_observations_total counter\n"
+            "repro_memory_idle_observations_total 0.0\n"
+            "# TYPE repro_queries_executed_total counter\n"
+            "repro_queries_executed_total 3.0\n"
+            "# TYPE repro_query_seconds histogram\n"
+            'repro_query_seconds_bucket{le="0.5"} 1.0\n'
+            'repro_query_seconds_bucket{le="2.0"} 3.0\n'
+            'repro_query_seconds_bucket{le="+Inf"} 4.0\n'
+            "repro_query_seconds_sum 11.75\n"
+            "repro_query_seconds_count 4.0\n")
 
-    def test_parser_rejects_malformed_input(self):
-        with pytest.raises(ValueError):
-            parse_prometheus_text("repro_orphan_sample 1.0\n")
-        with pytest.raises(ValueError):
-            parse_prometheus_text("# TYPE broken\n")
+    def test_database_exposition_carries_the_engine_families(self, stale_star):
+        stale_star.execute(star_join_query(), optimize=False)
+        lines = stale_star.prometheus_metrics().splitlines()
+        assert "# TYPE repro_queries_executed_total counter" in lines
+        assert "# TYPE repro_query_seconds histogram" in lines
+        assert any(line.startswith("# TYPE repro_qerror_") for line in lines)
+        assert any(line.startswith("# TYPE repro_memory_") for line in lines)
 
     def test_json_snapshot_envelope(self):
         registry = MetricsRegistry()

@@ -77,7 +77,6 @@ from repro.algebra import Evaluator
 from repro.errors import ReproError
 from repro.model.batches import MISSING
 from repro.model.tuples import FlexTuple
-from repro.optimizer.joinorder import attribute_universe
 from repro.workloads.analytics import generate_orders
 from repro.workloads.employees import generate_employees
 
@@ -306,7 +305,7 @@ def _naive_checking_keys(expression, database, where):
     outcome, _ = _outcome(lambda: evaluator.evaluate(expression))
     for node, tuples in evaluator.results:
         rows = [tup._values for tup in tuples]
-        universe = attribute_universe(node, database)
+        universe = node.attribute_universe(database)
         if universe is not None:
             names = {attribute.name for attribute in universe}
             assert all(names.issuperset(row) for row in rows), (
