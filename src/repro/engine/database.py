@@ -166,7 +166,7 @@ class Table:
         ``for item in items: insert(item)`` as one statement: every row is
         checked, journaled and applied in order by the same calls, the rows
         before a violation stay, and ``on_mutation`` fires once, after the last
-        applied row.  The bulk loop of snapshot load and log replay as well.
+        applied row.  The bulk loop of :func:`~repro.engine.serialization.load_database`.
         """
         tuples, journal = self._tuples, self._journal
         check, register = self.checker.check_insert, self.checker.register_tuple
@@ -187,6 +187,22 @@ class Table:
             if applied:
                 self._mutated("insert", applied)
         return inserted
+
+    def fill(self, rows: Iterable, kind: str = "insert") -> None:
+        """Recovery's apply step, one statement: ``"insert"`` each of ``rows``
+        the store lacks or ``"delete"`` each it holds — no check, no index, no
+        journal.  Recovery admits the rows afterwards (:meth:`adopt`)."""
+        tuples, before = self._tuples, len(self._tuples)
+        apply = tuples.setdefault if kind == "insert" else lambda tup: tuples.pop(tup, None)
+        for item in rows:
+            apply(_as_tuple(item))
+        if len(tuples) != before:
+            self._mutated(kind, abs(len(tuples) - before))
+
+    def adopt(self, checker: ConstraintChecker) -> None:
+        """Take over ``checker``, which has admitted and indexed every stored tuple."""
+        self.checker = checker
+        self._index_for.clear()
 
     def delete(self, item) -> bool:
         """Delete a tuple; returns whether it was stored."""

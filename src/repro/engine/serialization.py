@@ -45,7 +45,7 @@ from repro.core.dependencies import (
     FunctionalDependency,
     Variant,
 )
-from repro.engine.database import Database
+from repro.engine.database import Database, Table
 from repro.errors import ReproError
 from repro.model.attributes import Attribute
 from repro.model.domains import (
@@ -427,13 +427,18 @@ def _tuple_objects(raw_tuples: list, path: str):
 def populate_database_from_dict(database: Database, data: dict) -> Database:
     """Load a :func:`database_to_dict` document into an existing database.
 
-    The database is expected to be empty (a fresh construction or a durable
-    database in recovery); tables are created and filled in document order,
-    each table's tuples by one :meth:`Table.insert_many`.
+    The database is expected to be empty (a fresh construction); tables are
+    created and filled in document order, each table's tuples by one
+    :meth:`Table.insert_many`.
     Structural problems raise :class:`SerializationError` naming the offending
     path; constraint violations of the *data* propagate unchanged (they name
     the violated constraint, which is more useful than a document path).
     """
+    return load_tables(database, data, Table.insert_many)
+
+
+def load_tables(database: Database, data: dict, load) -> Database:
+    """:func:`populate_database_from_dict`, each table's rows stored by ``load(table, rows)``."""
     _as_object(data, "")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
@@ -457,7 +462,7 @@ def populate_database_from_dict(database: Database, data: dict) -> Database:
         raw_tuples = entry.get("tuples", [])
         if not isinstance(raw_tuples, list):
             raise _fail(path + ".tuples", "expected a list of tuples")
-        table.insert_many(_tuple_objects(raw_tuples, path))
+        load(table, _tuple_objects(raw_tuples, path))
         statistics = entry.get("statistics")
         if statistics is not None:
             try:

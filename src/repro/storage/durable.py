@@ -42,9 +42,9 @@ from repro.storage.checkpoint import (
 from repro.storage.recovery import (
     RecoveryError,
     RecoveryReport,
+    admit_database,
+    apply_committed,
     read_wal,
-    replay_records,
-    verify_database,
 )
 from repro.storage.wal import (
     MAGIC,
@@ -119,12 +119,14 @@ class DurabilityManager:
                 with self._phase(report, "load_snapshot") as span:
                     snapshot = load_checkpoint(self.snapshot_path)
                     if snapshot is not None:
-                        from repro.engine.serialization import populate_database_from_dict
+                        from repro.engine.database import Table
+                        from repro.engine.serialization import load_tables
 
-                        data, self.epoch = snapshot
-                        populate_database_from_dict(database, data)
+                        load_tables(database, snapshot[0], Table.fill)
+                        self.epoch = snapshot[1]
                         report.checkpoint_loaded = True
                     span.set(rows=self._stored_rows())
+                del snapshot  # stored: freed before the admission's indexes are built
                 report.wal_epoch = self.epoch
                 path = self.wal_path(self.epoch)
                 with self._phase(report, "read_wal") as span:
@@ -136,11 +138,14 @@ class DurabilityManager:
                                           reason=torn[1])
                 report.valid_bytes = valid_length
                 with self._phase(report, "replay") as span:
-                    replay_records(database, records, report)
+                    apply_committed(database, records, report)
                     span.set(records=len(records),
                              operations=report.operations_applied)
+                self._next_txn_id = max(
+                    [r["txn"] for r in records if isinstance(r.get("txn"), int)] or [0])
+                del records
                 with self._phase(report, "verify") as span:
-                    problems = verify_database(database)
+                    problems = admit_database(database)
                     span.set(rows=self._stored_rows(), problems=len(problems))
                 if problems:
                     raise RecoveryError(
@@ -151,8 +156,6 @@ class DurabilityManager:
             self.wal = self._open_wal(self.epoch)
             if created:
                 self._sync_directory()
-            self._next_txn_id = max(
-                [r["txn"] for r in records if isinstance(r.get("txn"), int)] or [0])
             self._clean_stale_files()
         registry = database.metrics_registry
         registry.counter("recovery.runs").add()
@@ -231,13 +234,14 @@ class DurabilityManager:
         """
         record: Dict[str, object] = {"op": kind, "table": table_name,
                                      "txn": self._open_txn}
+        # the stored value dicts themselves: the record is encoded at once
         if kind == OP_UPDATE:
-            record["old"] = old.as_dict()
-            record["new"] = new.as_dict()
+            record["old"] = old._values
+            record["new"] = new._values
         elif kind == OP_INSERT:
-            record["values"] = new.as_dict()
+            record["values"] = new._values
         elif kind == OP_DELETE:
-            record["values"] = old.as_dict()
+            record["values"] = old._values
         else:
             raise WALError("unknown mutation kind {!r}".format(kind))
         if self._open_txn is None:

@@ -12,10 +12,10 @@ guarantees, each exercised mechanically by the fault-injection harness in
 * **torn-tail tolerance** — a crash mid-write leaves a short or corrupt frame
   at the end of the log; recovery *detects and discards* it (and truncates the
   file back to the intact prefix) instead of crashing;
-* **invariant preservation** — after replay the recovered tables are
-  re-validated: scheme admission, domains, keys, attribute/functional
-  dependencies, secondary-index consistency and the incrementally maintained
-  statistics row counts all must hold, or :class:`RecoveryError` is raised.
+* **invariant preservation** — snapshot and replay only *fill* the stores;
+  then a checker built from each table's definition *admits* every stored row
+  once (scheme, domains, keys, dependencies) and the table *adopts* it, indexes
+  included.  A refusal or a wrong statistics row count raises :class:`RecoveryError`.
 
 Replay is idempotent with respect to the checkpoint snapshot it starts from:
 the checkpoint switches the log to a fresh epoch file (see
@@ -47,8 +47,8 @@ from repro.storage.wal import (
     read_frames,
 )
 
-__all__ = ["RecoveryError", "RecoveryReport", "read_wal", "replay_records",
-           "verify_database"]
+__all__ = ["RecoveryError", "RecoveryReport", "admit_database", "apply_committed",
+           "read_wal", "replay_records", "verify_database"]
 
 
 class RecoveryError(ReproError):
@@ -110,22 +110,20 @@ def read_wal(path: str) -> Tuple[List[Dict[str, object]], int, Optional[Tuple[in
 
 
 def _apply_operations(database, records: Iterable[Dict[str, object]]) -> None:
-    """Apply replayed DML records through the normal Table code paths, so
-    key/secondary/dependency indexes are rebuilt as a side effect; each run of
-    consecutive inserts into one table is one :meth:`Table.insert_many`."""
+    """Apply replayed DML records to the stores in log order, unchecked
+    (:meth:`Table.fill`).  A run of consecutive inserts into one table is one
+    statement, an update a delete and an insert, as they were live."""
     for (name, op), run in groupby(records, key=lambda r: (r["table"], r["op"])):
         table = database.table(name)
         if op == OP_INSERT:
-            table.insert_many(record["values"] for record in run)
+            table.fill(record["values"] for record in run)
         elif op == OP_DELETE:
             for record in run:
-                table.delete(FlexTuple(record["values"]))
+                table.fill((record["values"],), OP_DELETE)
         elif op == OP_UPDATE:
             for record in run:
-                # The record carries both full images; replacing via delete +
-                # insert re-checks the new tuple like check_update(ignore=old) did.
-                table.delete(FlexTuple(record["old"]))
-                table.insert(FlexTuple(record["new"]))
+                table.fill((record["old"],), OP_DELETE)
+                table.fill((record["new"],))
         else:  # pragma: no cover - guarded by the dispatcher below
             raise RecoveryError("unknown DML op {!r}".format(op))
 
@@ -158,7 +156,20 @@ def _apply_ddl(database, record: Dict[str, object], report: RecoveryReport) -> N
 
 def replay_records(database, records: List[Dict[str, object]],
                    report: Optional[RecoveryReport] = None) -> RecoveryReport:
-    """Replay decoded records into a database, applying committed work only.
+    """Replay decoded records into a database (:func:`apply_committed`), then
+    admit every stored row once (:func:`admit_database`); a refusal raises
+    :class:`RecoveryError`."""
+    report = apply_committed(database, records, report)
+    problems = admit_database(database)
+    if problems:
+        raise RecoveryError("recovered database is inconsistent: " + "; ".join(problems))
+    return report
+
+
+def apply_committed(database, records: List[Dict[str, object]],
+                    report: Optional[RecoveryReport] = None) -> RecoveryReport:
+    """Apply the committed work of decoded records; DML unchecked, for
+    :func:`admit_database` to check.
 
     DML tagged with a ``txn`` id is buffered until that transaction's commit
     record; an ``abort`` — or simply never seeing the commit (the crash ate
@@ -240,6 +251,13 @@ def _recheck(table, tuples: Iterable[FlexTuple]) -> Tuple[ConstraintChecker, Lis
     return fresh, problems
 
 
+def admit_database(database) -> List[str]:
+    """Recovery's admission: :func:`verify_database` without the index
+    comparison (the tables built no indexes), where each table that refuses
+    no row adopts the checker that admitted them."""
+    return _verify(database, adopt=True)
+
+
 def verify_database(database) -> List[str]:
     """Re-validate every invariant of a recovered database.
 
@@ -258,6 +276,10 @@ def verify_database(database) -> List[str]:
     * the incrementally maintained statistics row counts agree with the
       tables.
     """
+    return _verify(database, adopt=False)
+
+
+def _verify(database, adopt: bool) -> List[str]:
     problems: List[str] = []
     for name in database.tables():
         table = database.table(name)
@@ -265,7 +287,9 @@ def verify_database(database) -> List[str]:
         if refusals:
             fresh, refusals = _recheck(table, sorted(table, key=repr))
         problems.extend(refusals)
-        for index in table.checker.indexes():
+        if adopt and not refusals:
+            table.adopt(fresh)
+        for index in () if adopt else table.checker.indexes():
             expected = fresh.index_on(index.attributes)
             if index.same_buckets(expected):
                 continue

@@ -123,9 +123,13 @@ class WALError(ReproError):
         self.last_good_offset = last_good_offset
 
 
+#: compact and key-sorted, the C encoder built once (``json.dumps`` builds one a call)
+_encode_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def encode_record(record: Dict[str, object]) -> bytes:
     """The canonical payload bytes of one record (compact JSON, sorted keys)."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _encode_compact(record).encode("utf-8")
 
 
 def frame_record(record: Dict[str, object]) -> bytes:
@@ -207,6 +211,8 @@ class WriteAheadLog:
         self._fsync_enabled = fsync
         self._factory = file_factory or (lambda p, mode: open(p, mode))
         self._registry = registry
+        #: the ``wal.*`` counters by name, held for one registry generation
+        self._held, self._generation = {}, None
         self._broken: Optional[str] = None
         self._last_good_offset: Optional[int] = None
         self._closed = False
@@ -231,8 +237,13 @@ class WriteAheadLog:
     # -- bookkeeping -------------------------------------------------------------------
 
     def _count(self, name: str, amount: int = 1) -> None:
-        if self._registry is not None:
-            self._registry.counter(name).add(amount)
+        registry = self._registry
+        if registry is not None:
+            if self._generation != registry.generation:
+                self._held = {each: registry.counter(each) for each in (
+                    "wal.records", "wal.bytes", "wal.commits", "wal.fsyncs")}
+                self._generation = registry.generation
+            self._held[name].add(amount)
 
     def _truncate_to(self, offset: int) -> None:
         self._file.flush()

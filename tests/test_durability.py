@@ -10,17 +10,25 @@ import gc
 import json
 import math
 import os
+import re
 import stat
 import struct
+import tempfile
 import weakref
+import zlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.engine import Database, dump_database
 from repro.engine.database import REMOVE
 from repro.engine.serialization import ROWS_PER_PIECE, database_to_dict
-from repro.errors import CatalogError, KeyViolation
+from repro.core.dependencies import FunctionalDependency
+from repro.engine.constraints import ConstraintChecker
+from repro.errors import CatalogError, KeyViolation, ReproError
 from repro.model.scheme import FlexibleScheme
+from repro.model.tuples import FlexTuple
 from repro.storage import (
     CrashConsistencyError,
     FaultPlan,
@@ -68,6 +76,22 @@ def _simple_scheme():
 
 
 # -- WAL framing ----------------------------------------------------------------------
+
+#: attribute values a logged tuple may hold: NULL, NaN, ±inf, non-ASCII text
+_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), "naïve", "日本語", "\u2028"]),
+    st.text(max_size=8))
+#: a tuple's values; a NULL attribute sits next to absent ones
+_ROWS = st.dictionaries(st.sampled_from(["k", "v", "w", "ä", "x_1"]), _VALUES, min_size=1)
+#: a record as the log writes it: nested objects and lists (DDL) included
+_RECORDS = st.dictionaries(
+    st.text(max_size=6),
+    st.recursive(_VALUES, lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                 max_leaves=12),
+    max_size=5)
 
 
 class TestFraming:
@@ -125,6 +149,31 @@ class TestFraming:
         records, _valid, torn = read_frames(image)
         assert records == []
         assert "record object" in torn[1]
+
+    @given(record=_RECORDS)
+    def test_a_frame_is_the_key_sorted_compact_json_of_its_record(self, record):
+        payload = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+        assert frame_record(record) == struct.pack(
+            "<II", len(payload), zlib.crc32(payload)) + payload
+
+    @given(old=_ROWS, new=_ROWS)
+    def test_a_logged_mutation_frames_its_images_as_dicts(self, old, new):
+        """The log encodes a tuple's stored values as they are, no copy: the
+        bytes are those of the record with ``as_dict()`` images."""
+        old, new = FlexTuple(old), FlexTuple(new)
+        expected = [{"op": "insert", "table": "t", "txn": None, "values": new.as_dict()},
+                    {"op": "update", "table": "t", "txn": None,
+                     "old": old.as_dict(), "new": new.as_dict()},
+                    {"op": "delete", "table": "t", "txn": None, "values": old.as_dict()}]
+        with tempfile.TemporaryDirectory() as path:
+            database = Database(durable_path=path, wal_fsync=False)
+            database.durability.log_mutation("t", "insert", None, new)
+            database.durability.log_mutation("t", "update", old, new)
+            database.durability.log_mutation("t", "delete", old, None)
+            database.close()
+            with open(os.path.join(path, wal_filename(0)), "rb") as handle:
+                image = handle.read()
+        assert image == MAGIC + b"".join(frame_record(r) for r in expected)
 
     def test_everything_before_the_tear_is_kept(self):
         good = [{"op": "insert", "table": "t", "values": {"k": i}, "txn": None}
@@ -540,6 +589,160 @@ class TestRecoveryEdgeCases:
             json.dump({"checkpoint_format": 99}, handle)
         with pytest.raises(SerializationError, match="checkpoint_format"):
             Database(durable_path=path)
+
+
+# -- admission: each recovered row is checked once --------------------------------------
+
+
+def _honest_directory(path):
+    """A checkpointed database of two tables — employees, and rooms with the
+    FD ``dept → floor`` and an index on ``dept`` — and one logged tail row."""
+    database = Database(durable_path=path, wal_fsync=False)
+    _create_employees(database).insert_many(_employee(i) for i in range(1, 6))
+    rooms = database.create_table(
+        "rooms", FlexibleScheme(3, 3, ["room", "dept", "floor"]), key=["room"],
+        dependencies=[FunctionalDependency(["dept"], ["floor"])], indexes=[["dept"]])
+    rooms.insert_many({"room": i, "dept": "d{}".format(i % 2), "floor": i % 2}
+                      for i in range(1, 5))
+    database.checkpoint()
+    database.insert("employees", _employee(6, "salesman"))
+    database.close()
+
+
+def _edit_snapshot(path, table, rows):
+    snapshot = os.path.join(path, SNAPSHOT_FILENAME)
+    with open(snapshot) as handle:
+        payload = json.load(handle)
+    for entry in payload["database"]["tables"]:
+        if entry["name"] == table:
+            entry["tuples"].extend(rows)
+    with open(snapshot, "w") as handle:
+        json.dump(payload, handle)
+
+
+def _log_tail_insert(path, table, row):
+    with open(os.path.join(path, wal_filename(1)), "ab") as handle:
+        handle.write(frame_record(
+            {"op": "insert", "table": table, "txn": None, "values": row}))
+
+
+def _directory_image(path):
+    image = {}
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as handle:
+            image[name] = handle.read()
+    return image
+
+
+#: a hand edit per constraint kind, and what the refusal says of the row
+_HAND_EDITS = {
+    "duplicate key": (
+        lambda path: _edit_snapshot(path, "employees", [dict(_employee(2), name="twin")]),
+        "key value (2,) already present"),
+    "domain": (
+        lambda path: _edit_snapshot(path, "employees", [dict(_employee(900), salary="lots")]),
+        "value 'lots' of attribute 'salary' violates its domain"),
+    "explicit AD": (
+        lambda path: _edit_snapshot(path, "employees", [dict(_employee(901), jobtype="salesman")]),
+        "tuple {!r} violates".format(FlexTuple(dict(_employee(901), jobtype="salesman")))),
+    "FD": (
+        lambda path: _edit_snapshot(path, "rooms", [{"room": 9, "dept": "d1", "floor": 7}]),
+        "tuple {!r} conflicts with stored tuple".format(
+            FlexTuple({"room": 9, "dept": "d1", "floor": 7}))),
+    "tail key collides with the snapshot": (
+        lambda path: _log_tail_insert(path, "employees", dict(_employee(3), name="twin")),
+        "key value (3,) already present"),
+}
+
+
+class TestAdmitOnce:
+    @pytest.mark.parametrize("edit", sorted(_HAND_EDITS))
+    def test_admit_refuses_a_hand_edit_and_leaves_the_directory_alone(self, tmp_path, edit):
+        path = str(tmp_path / "db")
+        _honest_directory(path)
+        Database(durable_path=path).close()  # the honest directory reopens
+        corrupt, names_the_row = _HAND_EDITS[edit]
+        corrupt(path)
+        before = _directory_image(path)
+        messages = []
+        for _attempt in range(2):
+            with pytest.raises(RecoveryError) as caught:
+                Database(durable_path=path)
+            messages.append(str(caught.value))
+            assert _directory_image(path) == before
+        assert messages[0] == messages[1]
+        assert names_the_row in messages[0]
+        assert len(re.findall(r"table '\w+': ", messages[0])) == 1  # that row only
+
+    def test_admit_checks_each_stored_row_once(self, tmp_path, monkeypatch):
+        import repro.engine.database as database_module
+        import repro.storage.recovery as recovery_module
+
+        class Counting(ConstraintChecker):
+            checks = 0
+
+            def check_insert(self, tup, ignore=None):
+                Counting.checks += 1
+                super().check_insert(tup, ignore)
+
+        path = str(tmp_path / "db")
+        _honest_directory(path)
+        database = Database(durable_path=path, wal_fsync=False)
+        employees = database.table("employees")
+        employees.update(_employee(2), salary=4000.0)
+        employees.delete(_employee(4))
+        database.table("rooms").insert({"room": 5, "dept": "d1", "floor": 1})
+        database.close()
+        monkeypatch.setattr(database_module, "ConstraintChecker", Counting)
+        monkeypatch.setattr(recovery_module, "ConstraintChecker", Counting)
+        reopened = Database(durable_path=path)
+        stored = sum(len(reopened.table(name)) for name in reopened.tables())
+        assert stored == 5 + 5 and Counting.checks == stored
+        assert all(type(reopened.table(name).checker) is Counting
+                   for name in reopened.tables())
+        reopened.close()
+
+    @given(history=st.lists(st.tuples(
+        st.sampled_from(["insert", "update", "delete", "checkpoint"]),
+        st.integers(0, 7), st.integers(0, 3), st.integers(0, 2)), max_size=30))
+    def test_admit_after_any_history_indexes_as_insert_many_does(self, history):
+        with tempfile.TemporaryDirectory() as path:
+            database = Database(durable_path=path, wal_fsync=False)
+            database.create_table(
+                "t", FlexibleScheme(2, 3, ["k", "v", "w"]), key=["k"],
+                dependencies=[FunctionalDependency(["v"], ["w"])], indexes=[["v"]])
+            table = database.table("t")
+            for op, k, v, w in history:
+                row = {"k": k, "v": v, "w": w} if w else {"k": k, "v": v}
+                stored = [tup for tup in table if tup["k"] == k]
+                try:
+                    if op == "checkpoint":
+                        database.checkpoint()
+                    elif op == "insert":
+                        table.insert(row)
+                    elif stored and op == "update":
+                        table.update(stored[0], v=v, w=w if w else REMOVE)
+                    elif stored:
+                        table.delete(stored[0])
+                except KeyViolation:
+                    pass
+                except ReproError:  # the FD refused the row
+                    pass
+            rows = set(table)
+            database.close()
+            reopened = Database(durable_path=path)
+            assert verify_database(reopened) == []
+            recovered = reopened.table("t")
+            assert set(recovered) == rows
+            loaded = Database()
+            loaded.create_table(
+                "t", FlexibleScheme(2, 3, ["k", "v", "w"]), key=["k"],
+                dependencies=[FunctionalDependency(["v"], ["w"])],
+                indexes=[["v"]]).insert_many(recovered)
+            for index in recovered.checker.indexes():
+                assert index.same_buckets(
+                    loaded.table("t").checker.index_on(index.attributes))
+            reopened.close()
 
 
 # -- fault injection ----------------------------------------------------------------------

@@ -14,6 +14,8 @@ import pytest
 
 from repro.algebra import Aggregate, NaturalJoin, RelationRef, Selection
 from repro.algebra.predicates import Comparison
+from repro.engine import Database
+from repro.model.scheme import FlexibleScheme
 from repro.obs import (
     Counter,
     Histogram,
@@ -242,12 +244,13 @@ class TestDatabaseMetrics:
             snapshot["plan_cache"]["hits"]
             / (snapshot["plan_cache"]["hits"] + snapshot["plan_cache"]["misses"]))
 
-    def test_a_held_instrument_never_goes_stale(self, star_database):
+    def test_a_held_instrument_never_goes_stale(self, star_database, tmp_path):
         """The query path holds its fixed instruments per registry: after a
         ``reset_metrics()`` in mid-stream every counter, histogram and
         ``qerror.*`` / ``memory.*`` gauge the stream feeds is registered
         again, and the registry reads as a fresh database's (wall clock
-        aside) after the same queries."""
+        aside) after the same queries.  So does the log's ``wal.*`` counters
+        under a durable write stream."""
         def stream(database):
             for key in (3, 7, 11):
                 database.query("SELECT ds_name FROM dim_small WHERE ds = {}".format(key))
@@ -274,6 +277,25 @@ class TestDatabaseMetrics:
                 "rows.aggregated", "plan.batch_size", "query.peak_bytes"} <= set(again)
         assert any(name.startswith("qerror.") for name in again)
         assert any(name.startswith("memory.") for name in again)
+
+        database = Database(durable_path=str(tmp_path / "db"), wal_fsync=False)
+        database.create_table("t", FlexibleScheme(1, 2, ["k", "v"]), key=["k"])
+
+        def wal_counters():
+            return {name: value for name, value in database.metrics()["metrics"].items()
+                    if name.startswith("wal.")}
+
+        size = database.durability.wal.size
+        database.insert("t", {"k": 100, "v": "b"})
+        frame = database.durability.wal.size - size
+        for round_ in range(3):
+            database.reset_metrics()
+            assert wal_counters() == {}
+            for k in range(2, 4):
+                database.insert("t", {"k": 110 + 10 * round_ + k, "v": "b"})
+            assert wal_counters() == {"wal.records": 2, "wal.bytes": 2 * frame,
+                                      "wal.commits": 2, "wal.fsyncs": 2}
+        database.close()
 
     def test_worst_q_error_per_node_kind(self, star_database):
         star_database.execute(small_query())

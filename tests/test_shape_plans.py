@@ -850,20 +850,23 @@ class TestRecoveryStillHasTeeth:
         wrong_value = {"emp_id": 902, "name": "trudy", "salary": "a lot",
                        "jobtype": "secretary", "typing_speed": 1, "foreign_languages": "x"}
         self._smuggle(path, [wrong_variant, wrong_value])
-        # The live tables refuse the snapshot themselves ...
-        with pytest.raises(DependencyViolation):
-            Database(durable_path=path)
-        # ... and when they do not, verification — with a checker and plans it
-        # builds from the definition, never the live ones — still does.
-        monkeypatch.setattr(database_module, "ConstraintChecker", _GullibleChecker)
-        with pytest.raises(RecoveryError) as caught:
-            Database(durable_path=path)
-        message = str(caught.value)
-        assert "tuple {!r} violates".format(FlexTuple(wrong_variant)) in message
-        assert "value 'a lot' of attribute 'salary' violates its domain" in message
-        assert message.count("table 'employees':") == 2
 
-    def test_desynchronised_index_fails_reopen(self, tmp_path, monkeypatch):
+        def refused():
+            with pytest.raises(RecoveryError) as caught:
+                Database(durable_path=path)
+            message = str(caught.value)
+            assert "tuple {!r} violates".format(FlexTuple(wrong_variant)) in message
+            assert "value 'a lot' of attribute 'salary' violates its domain" in message
+            assert message.count("table 'employees':") == 2
+
+        # The one admission pass refuses both rows, naming each ...
+        refused()
+        # ... with a checker and plans it builds from the definition, never
+        # the live ones: a live checker that approves anything changes nothing.
+        monkeypatch.setattr(database_module, "ConstraintChecker", _GullibleChecker)
+        refused()
+
+    def test_desynchronised_index_fails_the_audit_only(self, tmp_path, monkeypatch):
         path = str(tmp_path / "db")
         rows = generate_employees(30, seed=6)
         salesmen = sum(row["jobtype"] == "salesman" for row in rows)
@@ -872,11 +875,27 @@ class TestRecoveryStillHasTeeth:
         database.checkpoint()
         database.close()
         monkeypatch.setattr(database_module, "ConstraintChecker", _ForgetfulChecker)
-        with pytest.raises(RecoveryError) as caught:
-            Database(durable_path=path)
+        # A live database built with the forgetful checker: the audit names
+        # both of its indexes.
+        live = Database()
+        definition, _ = _employees()
+        live.create_table(
+            "employees", definition.scheme, domains=definition.domains, key=definition.key,
+            dependencies=definition.dependencies, indexes=definition.indexes
+        ).insert_many(rows)
+        problems = verify_database(live)
         for attributes in ("{emp_id}", "{jobtype}"):
-            assert "index on {} holds {} tuples, expected 30".format(
-                attributes, 30 - salesmen) in str(caught.value)
+            assert "table 'employees': index on {} holds {} tuples, expected 30".format(
+                attributes, 30 - salesmen) in problems
+        # A reopen never registers a row with the live checker: the table
+        # adopts the admitting checker, whose indexes file every row.
+        reopened = Database(durable_path=path)
+        table = reopened.table("employees")
+        assert type(table.checker) is ConstraintChecker
+        for index in table.checker.indexes():
+            assert sum(len(bucket) for _key, bucket in index.groups()) == 30
+        assert verify_database(reopened) == []
+        reopened.close()
 
     def test_verify_names_a_live_index_that_lost_a_tuple(self):
         database = Database()
