@@ -11,8 +11,7 @@ The package is organized in layers:
 * :mod:`repro.model`     — flexible schemes, heterogeneous tuples, flexible relations;
 * :mod:`repro.core`      — attribute dependencies, axiom systems Å / Å*, closures,
   semantic implication, AD-derived subtyping, Theorem 4.3 propagation;
-* :mod:`repro.types`     — record types, the traditional record-subtyping rule,
-  type guards and type checking;
+* :mod:`repro.types`     — record types and the traditional record-subtyping rule;
 * :mod:`repro.algebra`   — the query algebra and its evaluator;
 * :mod:`repro.optimizer` — AD-driven query rewrites (redundant type guards,
   excluded variants) and a statistics-aware cost model;
@@ -94,7 +93,7 @@ from repro.storage import (
     crash_at_every_offset,
     record_workload,
 )
-from repro.types import RecordType, TypeGuard, is_record_subtype
+from repro.types import RecordType, is_record_subtype
 
 __version__ = "1.0.0"
 
@@ -144,7 +143,6 @@ __all__ = [
     "crash_at_every_offset",
     "record_workload",
     "RecordType",
-    "TypeGuard",
     "is_record_subtype",
     "__version__",
 ]

@@ -289,6 +289,9 @@ class _Unary(Expression):
     def established_equalities(self) -> Dict[str, object]:
         return self.child.established_equalities()
 
+    def attribute_universe(self, source) -> Optional[AttributeSet]:
+        return self.child.attribute_universe(source)
+
 
 class _Binary(Expression):
     """A node over two inputs, ``left`` and ``right``, whose result facts are
@@ -404,9 +407,6 @@ class Selection(_Unary):
         result.update(self.predicate.implied_equalities())
         return result
 
-    def attribute_universe(self, source) -> Optional[AttributeSet]:
-        return self.child.attribute_universe(source)
-
     def structural_key(self, children, params=None, constants=None) -> Tuple:
         return (self.operator, self.predicate.render(params, constants)) + children
 
@@ -425,9 +425,6 @@ class TypeGuardNode(_Unary):
 
     def guaranteed_attributes(self) -> AttributeSet:
         return self.child.guaranteed_attributes() | self.attributes
-
-    def attribute_universe(self, source) -> Optional[AttributeSet]:
-        return self.child.attribute_universe(source)
 
     def structural_key(self, children, params=None, constants=None) -> Tuple:
         return (self.operator, str(self.attributes)) + children
@@ -802,6 +799,9 @@ class Aggregate(_Unary):
     def established_equalities(self) -> Dict[str, object]:
         return {}
 
+    def attribute_universe(self, source) -> Optional[AttributeSet]:
+        return attrset(self.group_by) | attrset(spec.output for spec in self.specs)
+
     def structural_key(self, children, params=None, constants=None) -> Tuple:
         # Group-by order is semantically irrelevant, so sorting it lets
         # permuted spellings share one plan (the spec order is kept — it only
@@ -896,6 +896,10 @@ class SubqueryExtension(_Unary):
         node = copy(self)
         node.child, node.subquery = children
         return node
+
+    def attribute_universe(self, source) -> Optional[AttributeSet]:
+        child = self.child.attribute_universe(source)
+        return None if child is None else child | attrset(self.attribute)
 
     def structural_key(self, children, params=None, constants=None) -> Tuple:
         return (self.operator, self.attribute) + children

@@ -72,10 +72,7 @@ def counterexample_relation(
         frozenset(universe.as_frozenset()),
         frozenset(x_attr.as_frozenset()),
     })
-    relation = FlexibleRelation(scheme, name="counterexample", validate=False)
-    relation.insert(t1)
-    relation.insert(t2)
-    return relation
+    return FlexibleRelation(scheme, tuples=[t1, t2], name="counterexample")
 
 
 def semantically_implies(
@@ -136,9 +133,6 @@ def random_satisfying_relation(
     rng = rng or random.Random(0)
     universe = dependency_universe(dependencies) if universe is None else attrset(universe)
     combos = set()
-    relation = FlexibleRelation(
-        UnfoldedScheme({frozenset(universe.as_frozenset())}), name="random", validate=False
-    )
     accepted: List[FlexTuple] = []
     for _ in range(size):
         for _attempt in range(max_attempts_per_tuple):
@@ -148,14 +142,9 @@ def random_satisfying_relation(
                 accepted.append(candidate)
                 combos.add(frozenset(candidate.attributes.as_frozenset()))
                 break
-    relation = FlexibleRelation(
+    return FlexibleRelation(
         UnfoldedScheme(combos or {frozenset(universe.as_frozenset())}),
-        name="random",
-        validate=False,
-    )
-    for tup in accepted:
-        relation.insert(tup)
-    return relation
+        tuples=accepted, name="random")
 
 
 def holds_in_random_models(

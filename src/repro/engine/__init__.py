@@ -15,7 +15,6 @@ from repro.engine.constraints import ConstraintChecker, KeyConstraint
 from repro.engine.database import Database, Table
 from repro.engine.serialization import (
     SerializationError,
-    atomic_write_json,
     dump_database,
     dumps_database,
     load_database,
@@ -31,7 +30,6 @@ __all__ = [
     "Database",
     "Table",
     "SerializationError",
-    "atomic_write_json",
     "dump_database",
     "dumps_database",
     "load_database",

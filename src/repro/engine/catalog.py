@@ -88,14 +88,9 @@ class TableDefinition:
                     )
                 )
 
-    @property
-    def attributes(self) -> AttributeSet:
-        """All attributes of the table's scheme."""
-        return self.scheme.attributes
-
     def __repr__(self) -> str:
         return "TableDefinition({!r}, attributes={}, key={}, dependencies={})".format(
-            self.name, self.attributes, self.key, len(self.dependencies)
+            self.name, self.scheme.attributes, self.key, len(self.dependencies)
         )
 
 

@@ -16,7 +16,10 @@ The checks performed when a tuple enters (or changes in) a table:
 
 Every violation raises a subclass of :class:`~repro.errors.ConstraintViolation` (or
 :class:`~repro.errors.TypeCheckError` for levels 1–2) naming the offending
-constraint, so callers can distinguish type errors from integrity errors.
+constraint, so callers can distinguish type errors from integrity errors.  This is
+the one admission check of the package — Section 3.1's type check.  A table created
+with ``enforce=False`` keeps only the key (level 3); checking the scheme without the
+dependencies is a definition that declares none.
 
 Attribute dependencies confine the tuples of a table to a few attribute sets, so
 whatever these checks need that depends on ``attr(t)`` alone is decided once per
@@ -196,7 +199,7 @@ class ShapePlan:
         self.key_names = (
             _names_within(definition.key, shape) if definition.key is not None else None)
         steps = []
-        if checker.check_dependencies:
+        if checker.enforce:
             for dependency in definition.dependencies:
                 if isinstance(dependency, ExplicitAttributeDependency):
                     steps.append(_ExplicitStep(dependency, shape))
@@ -223,21 +226,13 @@ class ConstraintChecker:
     the declared secondary indexes and the dependency determinants) but not the data;
     the table calls :meth:`register_tuple` / :meth:`unregister_tuple` to keep them in
     sync and :meth:`check_insert` / :meth:`check_update` before mutating its tuple
-    set.  The ``check_scheme`` / ``check_domains`` / ``check_dependencies`` switches
-    allow the benchmarks to measure each level separately.
+    set.  ``enforce=False`` skips levels 1, 2, 4 and 5 — scheme, domains and
+    dependencies — and keeps the key.
     """
 
-    def __init__(
-        self,
-        definition: TableDefinition,
-        check_scheme: bool = True,
-        check_domains: bool = True,
-        check_dependencies: bool = True,
-    ):
+    def __init__(self, definition: TableDefinition, enforce: bool = True):
         self.definition = definition
-        self.check_scheme = check_scheme
-        self.check_domains = check_domains
-        self.check_dependencies = check_dependencies
+        self.enforce = enforce
         self._indexes: Dict[AttributeSet, HashIndex] = {}
         self.key_constraint = self.key_index = None
         if definition.key is not None:
@@ -245,7 +240,7 @@ class ConstraintChecker:
             self.key_index = self._maintain(definition.key)
         for attributes in definition.indexes:
             self._maintain(attributes)
-        if check_dependencies:
+        if enforce:
             for dependency in definition.dependencies:
                 if isinstance(dependency, (AttributeDependency, FunctionalDependency)):
                     self._maintain(dependency.lhs)
@@ -314,21 +309,22 @@ class ConstraintChecker:
         Returns the tuple's shape plan for the remaining levels.
         """
         plan = self._plan_of(tup)
-        if self.check_scheme and not plan.admitted:
+        if not self.enforce:
+            return plan
+        if not plan.admitted:
             raise TypeCheckError(
                 "attribute combination {} is not admitted by the scheme of table {!r}".format(
                     tup.attributes, self.definition.name
                 )
             )
-        if self.check_domains:
-            values = tup._values
-            for name, domain in plan.domains:
-                if not domain.contains(values[name]):
-                    raise TypeCheckError(
-                        "value {!r} of attribute {!r} violates its domain in table {!r}".format(
-                            values[name], name, self.definition.name
-                        )
+        values = tup._values
+        for name, domain in plan.domains:
+            if not domain.contains(values[name]):
+                raise TypeCheckError(
+                    "value {!r} of attribute {!r} violates its domain in table {!r}".format(
+                        values[name], name, self.definition.name
                     )
+                )
         return plan
 
     def check_insert(self, tup: FlexTuple, ignore: Optional[FlexTuple] = None) -> None:

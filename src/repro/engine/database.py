@@ -80,12 +80,7 @@ class Table:
     def __init__(self, definition: TableDefinition, enforce: bool = True,
                  on_mutation=None, journal=None):
         self.definition = definition
-        self.checker = ConstraintChecker(
-            definition,
-            check_scheme=enforce,
-            check_domains=enforce,
-            check_dependencies=enforce,
-        )
+        self.checker = ConstraintChecker(definition, enforce)
         #: the stored tuples, insertion-ordered: scans ignore the hash seed
         self._tuples: Dict[FlexTuple, None] = {}
         #: bumped on every successful insert / update / delete / restore
@@ -289,12 +284,6 @@ REMOVE = _Remove()
 class Database:
     """A catalog plus its stored tables; the facade used by examples and benchmarks.
 
-    ``auto_analyze=True`` enables the automatic re-ANALYZE policy: once a table
-    has been analyzed, further DML re-collects its statistics as soon as the
-    mutations since the last ANALYZE exceed 10% of the rows it had back then
-    (:data:`~repro.stats.catalog.AUTO_ANALYZE_FRACTION`).  Off by default — ANALYZE stays an explicit call
-    unless opted in.
-
     Every database carries the observability layer of :mod:`repro.obs`: a
     :class:`~repro.obs.trace.Tracer` (inert until a sink is attached), a
     :class:`~repro.obs.metrics.MetricsRegistry` behind :meth:`metrics`, a
@@ -306,15 +295,13 @@ class Database:
     latency regressions (export via :meth:`prometheus_metrics` /
     :meth:`metrics_snapshot`).
 
-    Resource governance (see :mod:`repro.governor`): ``query_timeout`` is the
-    database-wide default deadline in seconds for physical queries,
-    ``memory_budget`` the default per-query byte budget on held operator
-    state; ``spill=True`` lets the spill-capable operators (sort, hash
-    aggregate, static-key hash join) stay under the budget via CRC-framed
-    temp segments in ``spill_directory`` (system temp by default), while
-    ``spill=False`` turns a blown budget into an immediate
-    ``MemoryBudgetExceeded``.  Every per-query override on :meth:`execute`
-    wins over these defaults.
+    Resource governance (see :mod:`repro.governor`): ``memory_budget`` is the
+    default per-query byte budget on held operator state; ``spill=True`` lets
+    the spill-capable operators (sort, hash aggregate, static-key hash join)
+    stay under the budget via CRC-framed temp segments in ``spill_directory``
+    (system temp by default), while ``spill=False`` turns a blown budget into
+    an immediate ``MemoryBudgetExceeded``.  Every per-query override on :meth:`execute`
+    wins over these defaults; a deadline is only ever per query (``timeout=``).
 
     The components a database owns (statistics catalog, physical executor,
     durability manager) hold it through a ``weakref.proxy``, and its tables'
@@ -324,14 +311,12 @@ class Database:
     """
 
     def __init__(self, enforce_constraints: bool = True,
-                 auto_analyze: bool = False,
                  durable_path: Optional[str] = None,
                  group_commit_window: float = 0.0,
                  group_commit_max: int = 64,
                  checkpoint_every_bytes: Optional[int] = None,
                  wal_fsync: bool = True,
                  wal_file_factory=None,
-                 query_timeout: Optional[float] = None,
                  memory_budget: Optional[int] = None,
                  spill: bool = True,
                  spill_directory: Optional[str] = None):
@@ -340,7 +325,7 @@ class Database:
         self._tables: Dict[str, Table] = {}
         self._physical_executor: Optional[PhysicalExecutor] = None
         #: collected ANALYZE results; the cost model consults this catalog
-        self.statistics = StatisticsCatalog(weakref.proxy(self), auto_analyze=auto_analyze)
+        self.statistics = StatisticsCatalog(weakref.proxy(self))
         #: lifecycle spans/events — attach a sink to start recording
         self.tracer = Tracer()
         #: cross-query counters/gauges/histograms (snapshot via :meth:`metrics`)
@@ -362,7 +347,6 @@ class Database:
         #: mutation, oldest first — or ``None`` outside :meth:`transaction`
         self._undo: Optional[List[Tuple[Table, Optional[FlexTuple], Optional[FlexTuple]]]] = None
         #: database-wide governance defaults (per-query arguments override)
-        self.query_timeout = query_timeout
         self.memory_budget = memory_budget
         self.spill = bool(spill)
         self.spill_directory = spill_directory
@@ -669,19 +653,17 @@ class Database:
                       memory_budget: Optional[int], spill: Optional[bool]):
         """The governor for one execution, or ``None`` when nothing bounds it
         (the common case — ungoverned queries pay zero per-batch overhead).
-        The per-query ``timeout`` wins over the database default.
+        The per-query ``memory_budget`` wins over the database default.
         """
-        effective_timeout = timeout if timeout is not None else self.query_timeout
         effective_budget = (memory_budget if memory_budget is not None
                             else self.memory_budget)
-        if (effective_timeout is None and cancel_token is None
-                and effective_budget is None):
+        if timeout is None and cancel_token is None and effective_budget is None:
             return None
         from repro.governor import QueryGovernor
 
         return QueryGovernor(
             cancel_token=cancel_token,
-            timeout=effective_timeout,
+            timeout=timeout,
             memory_budget=effective_budget,
             spill=self.spill if spill is None else bool(spill),
             spill_directory=self.spill_directory,

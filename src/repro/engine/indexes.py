@@ -12,7 +12,7 @@ determinant instead of the whole relation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Set, Tuple, Union
 
 from repro.model.attributes import attrset
 from repro.model.tuples import FlexTuple
@@ -22,8 +22,7 @@ class HashIndex:
     """A hash index on a fixed attribute set.
 
     A key is the tuple of the indexed attributes' values in sorted attribute order
-    (:attr:`names`).  :meth:`add` / :meth:`remove` derive it from a tuple
-    (:meth:`key_of`); the constraint checker, which knows per shape which indexes a
+    (:attr:`names`).  The constraint checker, which knows per shape which indexes a
     tuple is defined on, and the scans, which bind it from their equalities, build
     it themselves and call :meth:`put` / :meth:`drop` / :meth:`bucket`.
 
@@ -38,20 +37,6 @@ class HashIndex:
         self._buckets: Dict[Tuple, Union[Tuple[FlexTuple], Set[FlexTuple]]] = {}
         self._indexed = 0
 
-    def key_of(self, tup: FlexTuple) -> Optional[Tuple]:
-        """The index key of a tuple, or ``None`` when the tuple lacks an indexed attribute."""
-        values = tup._values
-        try:
-            return tuple([values[name] for name in self.names])
-        except KeyError:
-            return None
-
-    def add(self, tup: FlexTuple) -> None:
-        """Index a tuple (no-op for tuples not defined on the indexed attributes)."""
-        key = self.key_of(tup)
-        if key is not None:
-            self.put(key, tup)
-
     def put(self, key: Tuple, tup: FlexTuple) -> None:
         """Index a tuple under its key."""
         bucket = self._buckets.get(key)
@@ -64,12 +49,6 @@ class HashIndex:
         else:
             self._buckets[key] = {bucket[0], tup}
         self._indexed += 1
-
-    def remove(self, tup: FlexTuple) -> None:
-        """Remove a tuple from the index (no-op when it was never indexed)."""
-        key = self.key_of(tup)
-        if key is not None:
-            self.drop(key, tup)
 
     def drop(self, key: Tuple, tup: FlexTuple) -> None:
         """Remove a tuple from under its key (no-op when it is not there)."""

@@ -128,16 +128,6 @@ def atomic_write(path: str, write) -> str:
     return path
 
 
-def atomic_write_json(path: str, payload, indent: int = 2) -> str:
-    """Write ``payload`` as indented, key-sorted JSON to ``path`` through
-    :func:`atomic_write`; returns the path."""
-    def write(handle):
-        json.dump(payload, handle, indent=indent, sort_keys=True)
-        handle.write("\n")
-
-    return atomic_write(path, write)
-
-
 def load_json_file(path: str):
     """Read a JSON document from ``path``; decoding problems raise
     :class:`SerializationError` instead of leaking ``json`` internals."""
@@ -492,7 +482,11 @@ def dump_database(database: Database, file, include_data: bool = True, indent: i
     """
     payload = database_to_dict(database, include_data=include_data)
     if isinstance(file, (str, os.PathLike)):
-        atomic_write_json(os.fspath(file), payload, indent=indent)
+        def write(handle):
+            json.dump(payload, handle, indent=indent, sort_keys=True)
+            handle.write("\n")
+
+        atomic_write(os.fspath(file), write)
         return
     json.dump(payload, file, indent=indent, sort_keys=True)
 

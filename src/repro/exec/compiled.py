@@ -15,8 +15,8 @@ closure that runs over the column arrays of a :class:`~repro.model.batches.Tuple
   passes over a selection vector; ``TRUE``/``FALSE`` operands are constant-folded
   away at compile time; comparisons run as tight loops over one column with the
   ``operator``-module function resolved ahead of time.
-* :class:`CompiledGuard` — the type guard ``TG[X]`` as a bitmap test: AND the
-  presence bitmaps of the guarded attributes, then enumerate the set bits.
+* :class:`CompiledGuard` — the type guard ``TG[X]`` as one narrowing pass per
+  guarded attribute, each a scan of that attribute's column for ``MISSING``.
 * :class:`CompiledAggregates` — γ as column-wise accumulation: each input
   attribute is read once a batch, by one accumulator that serves every
   aggregate over it.
@@ -57,7 +57,7 @@ from repro.algebra.predicates import (
 from repro.errors import TupleError
 from repro.exec.context import sampled_size
 from repro.model.attributes import attrset
-from repro.model.batches import MISSING, TupleBatch, mask_indices
+from repro.model.batches import MISSING, TupleBatch
 
 #: a narrowing pass: (batch, candidate indices or None, params) -> surviving indices
 Narrower = Callable[[TupleBatch, Optional[Sequence[int]], Sequence], List[int]]
@@ -103,20 +103,14 @@ def _compile_comparison(predicate: Comparison) -> Narrower:
     return narrow
 
 
-def _compile_presence(names: List[str]) -> Narrower:
+def _compile_presence(name: str) -> Narrower:
+    """One attribute of a type guard: keep the rows that carry it."""
     def narrow(batch: TupleBatch, indices: Optional[Sequence[int]],
                params=()) -> List[int]:
-        if len(names) == 1:
-            values = batch.column(names[0])
-            if indices is None:
-                return [i for i, value in enumerate(values) if value is not MISSING]
-            return [i for i in indices if values[i] is not MISSING]
-        mask = batch.presence_mask(names)
+        values = batch.column(name)
         if indices is None:
-            if mask == batch.full_mask:
-                return list(range(len(batch)))
-            return mask_indices(mask)
-        return [i for i in indices if (mask >> i) & 1]
+            return [i for i, value in enumerate(values) if value is not MISSING]
+        return [i for i in indices if values[i] is not MISSING]
 
     return narrow
 
@@ -148,7 +142,7 @@ def _compile(predicate: Predicate) -> List[Narrower]:
     if isinstance(predicate, Comparison):
         return [_compile_comparison(predicate)]
     if isinstance(predicate, PresencePredicate):
-        return [_compile_presence([a.name for a in predicate.attributes])]
+        return [_compile_presence(a.name) for a in predicate.attributes]
     return [_compile_rowwise(predicate)]
 
 
@@ -180,10 +174,11 @@ class CompiledPredicate:
 class CompiledExtension:
     """The ε operator compiled to a whole-batch value-dict transform.
 
-    One presence-bitmap test per batch replaces the per-tuple "attribute already
-    present" check of :meth:`FlexTuple.extend` (the same error, raised on the
-    batch containing the first offending tuple), and the output is a list of
-    extended value dicts ready for a lazy batch — no tuples are built.
+    One read of the attribute's column per batch replaces the per-tuple
+    "attribute already present" check of :meth:`FlexTuple.extend` (the same
+    error, raised on the batch containing the first offending tuple), and the
+    output is a list of extended value dicts ready for a lazy batch — no tuples
+    are built.
     """
 
     __slots__ = ("attribute", "value")
@@ -195,7 +190,7 @@ class CompiledExtension:
     def transform(self, batch: TupleBatch) -> List[dict]:
         """Extended value dicts for every row of ``batch``."""
         name = self.attribute
-        if batch.column_mask(name):
+        if any(value is not MISSING for value in batch.column(name)):
             raise TupleError("attribute {!r} already present".format(name))
         # An unhashable tag value can never form a FlexTuple; fail on the first
         # batch, exactly where an eager construction would.
@@ -532,22 +527,22 @@ class CompiledAggregates:
 
 
 class CompiledGuard:
-    """A type guard compiled to a presence test over batch columns
-    (single-attribute guards scan one value array, wider guards AND bitmaps)."""
+    """A type guard compiled to one presence pass per guarded attribute: a wide
+    guard narrows one column at a time, as a one-attribute guard does."""
 
-    __slots__ = ("names", "_narrow")
+    __slots__ = ("names", "_passes")
 
     def __init__(self, attributes):
         self.names = [a.name for a in attrset(attributes)]
-        self._narrow = _compile_presence(self.names)
-
-    def mask(self, batch: TupleBatch) -> int:
-        """Bitmap of the rows satisfying the guard."""
-        return batch.presence_mask(self.names)
+        self._passes = [_compile_presence(name) for name in self.names]
 
     def select(self, batch: TupleBatch,
                indices: Optional[Sequence[int]] = None) -> List[int]:
-        return self._narrow(batch, indices)
+        for narrow in self._passes:
+            indices = narrow(batch, indices)
+        if indices is None:
+            return list(range(len(batch)))
+        return indices if isinstance(indices, list) else list(indices)
 
     def __repr__(self) -> str:
         return "CompiledGuard({})".format(self.names)

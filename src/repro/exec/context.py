@@ -26,7 +26,7 @@ DEFAULT_BATCH_SIZE = 1024
 
 #: target number of *values* (tuple width × batch size) per batch;
 #: wide variant tuples get proportionally smaller batches so column extraction
-#: and presence bitmaps stay cache-friendly
+#: stays cache-friendly
 TARGET_BATCH_CELLS = 8192
 
 #: bounds of the adaptive batch-size decision

@@ -15,13 +15,13 @@ Operator semantics mirror the naive set evaluator in
 tuple-level equality — but the algorithms differ:
 
 * predicates and type guards are compiled **once per plan node**
-  (:mod:`repro.exec.compiled`) and run as tight loops / bitmap tests over
-  column arrays; :class:`Scan` applies them while reading and can answer
-  equality predicates from the engine's hash indexes instead of reading the
-  whole relation;
+  (:mod:`repro.exec.compiled`) and run as tight loops over column arrays;
+  :class:`Scan` applies them while reading and can answer equality
+  predicates from the engine's hash indexes instead of reading the whole
+  relation;
 * :class:`HashJoin` and :class:`IndexLookupJoin` read the join columns as flat
   arrays, with *guard-aware partitioning*: variant records that lack a join
-  attribute are skipped via the presence bitmap (they can never join) and
+  attribute are skipped by their ``MISSING`` key (they can never join) and
   counted as guard checks rather than join pairs.  The probe loop zips build
   and probe value dicts into merged dicts — conflicts and duplicates are
   detected eagerly, on the dicts — and emits them lazily; projection,
@@ -479,7 +479,7 @@ class FilterOp(_Unary):
 
 class GuardOp(_Unary):
     """An explicit type guard ``TG[X]``: keep tuples defined on the guarded
-    attributes — one presence-bitmap AND per batch."""
+    attributes — one column scan per guarded attribute and batch."""
 
     name = "batch-guard"
 

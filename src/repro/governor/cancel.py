@@ -32,15 +32,12 @@ class Deadline:
         self._clock = clock
         self._expires_at = clock() + self.seconds
 
-    def remaining(self) -> float:
-        return self._expires_at - self._clock()
-
     def expired(self) -> bool:
         return self._clock() >= self._expires_at
 
     def __repr__(self) -> str:
         return "Deadline({}s, {:.3f}s remaining)".format(
-            self.seconds, self.remaining())
+            self.seconds, self._expires_at - self._clock())
 
 
 class CancelToken:

@@ -8,7 +8,7 @@ the scheme's domain).
 """
 
 from repro.model.attributes import Attribute, AttributeSet, attrset
-from repro.model.batches import MISSING, TupleBatch, mask_indices
+from repro.model.batches import MISSING, TupleBatch
 from repro.model.domains import (
     AnyDomain,
     BoolDomain,
@@ -38,7 +38,6 @@ __all__ = [
     "FlexTuple",
     "MISSING",
     "TupleBatch",
-    "mask_indices",
     "FlexibleScheme",
     "SchemeComponent",
     "relational_scheme",

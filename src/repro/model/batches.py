@@ -9,11 +9,8 @@ column-at-a-time:
 
 * :meth:`column` extracts one attribute of every row into a flat value array
   (``MISSING`` marks rows not defined on the attribute — the structural-variant
-  form of NULL) together with a **presence bitmap**: an ``int`` whose bit ``i``
-  is set exactly when row ``i`` carries the attribute.  Extraction happens once
-  per batch and is cached, so several predicates over the same column share it;
-* :meth:`presence_mask` ANDs the per-attribute bitmaps, turning a type guard
-  ``TG[X]`` into one bitwise operation over the whole batch;
+  form of NULL).  Extraction happens once per batch and is cached, so several
+  predicates — and the guards, one column per guarded attribute — share it;
 * :meth:`take` selects rows by index — the output of a compiled predicate — in
   a single list comprehension.
 
@@ -22,8 +19,8 @@ operators emit: it carries plain per-row value *dicts* (the column
 merge of a probe row and its build partner, an extended/renamed/projected row)
 and defers :class:`FlexTuple` construction until something actually needs row
 objects — a materializing operator pulling the stream, an interpreted
-predicate, or the final result-set collection.  Column access, presence bitmaps and
-``take``-style selection all operate directly on the value dicts, so a batch
+predicate, or the final result-set collection.  Column access and
+``take``-style selection operate directly on the value dicts, so a batch
 pipeline of joins, filters and reshapes never builds tuples for rows a
 downstream operator discards.
 
@@ -62,17 +59,6 @@ def _missing() -> "_Missing":
 MISSING = _Missing()
 
 
-def mask_indices(mask: int) -> List[int]:
-    """The positions of the set bits of a presence/selection bitmap, ascending."""
-    indices: List[int] = []
-    append = indices.append
-    while mask:
-        low = mask & -mask
-        append(low.bit_length() - 1)
-        mask ^= low
-    return indices
-
-
 def merge_values(left: Dict[str, object], right: Dict[str, object]) -> Dict[str, object]:
     """Merge two per-row value dicts with :meth:`FlexTuple.merge` semantics.
 
@@ -101,13 +87,11 @@ class TupleBatch:
     stale otherwise.
     """
 
-    __slots__ = ("_rows", "_columns", "_masks", "_full_mask", "_values_list")
+    __slots__ = ("_rows", "_columns", "_values_list")
 
     def __init__(self, rows: List[FlexTuple]):
         self._rows = rows
         self._columns: Dict[str, List] = {}
-        self._masks: Dict[str, int] = {}
-        self._full_mask = (1 << len(rows)) - 1
         self._values_list: Optional[List[Dict[str, object]]] = None
 
     # -- container protocol -----------------------------------------------------------
@@ -127,11 +111,6 @@ class TupleBatch:
         return len(self) > 0
 
     # -- column access -----------------------------------------------------------------
-
-    @property
-    def full_mask(self) -> int:
-        """The bitmap with one set bit per row (every row selected/present)."""
-        return self._full_mask
 
     def values_list(self) -> List[Dict[str, object]]:
         """One plain value dict per row (shared, never to be mutated).
@@ -166,28 +145,6 @@ class TupleBatch:
             self._columns[name] = values
         return values
 
-    def column_mask(self, name: str) -> int:
-        """The presence bitmap of one attribute: bit ``i`` set iff row ``i``
-        carries it.  Built lazily — plain comparisons never need it."""
-        mask = self._masks.get(name)
-        if mask is None:
-            mask = 0
-            for i, value in enumerate(self.column(name)):
-                if value is not MISSING:
-                    mask |= 1 << i
-            self._masks[name] = mask
-        return mask
-
-    def presence_mask(self, names: Sequence[str]) -> int:
-        """Bitmap of the rows defined on *every* attribute in ``names``
-        (the whole-batch form of a type guard; all rows for an empty guard)."""
-        mask = self._full_mask
-        for name in names:
-            mask &= self.column_mask(name)
-            if not mask:
-                break
-        return mask
-
     # -- row selection ------------------------------------------------------------------
 
     def take(self, indices: Sequence[int]) -> "TupleBatch":
@@ -211,9 +168,9 @@ class LazyBatch(TupleBatch):
     ``frozenset`` dedup key anyway); without it, materialization computes the
     hashes itself.
 
-    Column access, presence masks and :meth:`take` answer straight from the
-    dicts; only iteration / :attr:`rows` access materializes — which is exactly
-    when tuples cross into a materializing operator or the final result set.
+    Column access and :meth:`take` answer straight from the dicts; only
+    iteration / :attr:`rows` access materializes — which is exactly when
+    tuples cross into a materializing operator or the final result set.
     """
 
     __slots__ = ("_values", "_hashes")
@@ -222,8 +179,6 @@ class LazyBatch(TupleBatch):
                  hashes: Optional[List[int]] = None):
         self._rows = None
         self._columns = {}
-        self._masks = {}
-        self._full_mask = (1 << len(values)) - 1
         self._values = values
         self._values_list = values
         self._hashes = hashes

@@ -3,19 +3,19 @@
 A flexible relation ``FR = <FS, inst>`` pairs a flexible scheme with a finite set of
 tuples drawn from ``dom(FS)`` (Section 2.1).  The class below keeps the instance as
 an immutable-by-convention Python set of :class:`~repro.model.tuples.FlexTuple`
-objects, validates tuples against the scheme (and optional attribute domains) on
-insertion, and offers the satisfaction checks that the dependency machinery and the
+objects and offers the satisfaction checks that the dependency machinery and the
 benchmarks build upon.
 
-Constraint *enforcement* with error reporting, keys, and indexes lives in
-:mod:`repro.engine`; this module is the bare mathematical object.
+This module is the bare mathematical object: it stores what it is given.  Type
+checking — scheme admission, domains, keys and dependencies, with typed errors —
+is the engine's :class:`~repro.engine.constraints.ConstraintChecker`, which every
+:class:`~repro.engine.database.Table` runs on insertion and update.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Set
 
-from repro.errors import TypeCheckError
 from repro.model.attributes import AttributeSet, attrset
 from repro.model.domains import Domain
 from repro.model.scheme import FlexibleScheme
@@ -33,14 +33,10 @@ class FlexibleRelation:
         Optional initial instance; each element may be a :class:`FlexTuple` or a
         plain mapping.
     domains:
-        Optional mapping from attribute name to :class:`~repro.model.domains.Domain`;
-        values are checked against it on insertion.
+        Optional mapping from attribute name to :class:`~repro.model.domains.Domain`,
+        kept for derived relations (:meth:`with_scheme`); nothing is checked here.
     name:
         Optional relation name used for display and by the catalog.
-    validate:
-        When ``False`` the scheme/domain checks on insertion are skipped.  This is
-        the switch used by the type-checking benchmarks to compare checked and
-        unchecked ingestion.
     """
 
     def __init__(
@@ -49,12 +45,10 @@ class FlexibleRelation:
         tuples: Optional[Iterable] = None,
         domains: Optional[Dict[str, Domain]] = None,
         name: Optional[str] = None,
-        validate: bool = True,
     ):
         self._scheme = scheme
         self._domains: Dict[str, Domain] = dict(domains or {})
         self.name = name
-        self.validate = validate
         self._tuples: Set[FlexTuple] = set()
         if tuples is not None:
             for item in tuples:
@@ -94,15 +88,8 @@ class FlexibleRelation:
     # -- mutation ----------------------------------------------------------------------
 
     def insert(self, item) -> FlexTuple:
-        """Insert a tuple after validating it against the scheme and the domains.
-
-        Returns the inserted :class:`FlexTuple`.  Raises
-        :class:`~repro.errors.TypeCheckError` when the tuple's attribute combination
-        is not admitted by the scheme, or a value is outside its declared domain.
-        """
+        """Insert a tuple; returns the inserted :class:`FlexTuple`."""
         tup = _as_tuple(item)
-        if self.validate:
-            self.check_tuple(tup)
         self._tuples.add(tup)
         return tup
 
@@ -121,32 +108,6 @@ class FlexibleRelation:
     def clear(self) -> None:
         """Remove every tuple."""
         self._tuples.clear()
-
-    # -- validation -------------------------------------------------------------------------
-
-    def check_tuple(self, tup: FlexTuple) -> FlexTuple:
-        """Validate a single tuple against the scheme and the attribute domains."""
-        if not self._scheme.admits(tup.attributes):
-            raise TypeCheckError(
-                "attribute combination {} is not admitted by scheme {!r}".format(
-                    tup.attributes, self._scheme
-                )
-            )
-        for name, value in tup.items():
-            domain = self._domains.get(name)
-            if domain is not None:
-                domain.validate(value, attribute=name)
-        return tup
-
-    def admits(self, item) -> bool:
-        """``True`` when the tuple's attribute combination is in ``dnf(scheme)``
-        and its values respect the declared domains."""
-        tup = _as_tuple(item)
-        try:
-            self.check_tuple(tup)
-        except TypeCheckError:
-            return False
-        return True
 
     # -- dependency satisfaction ---------------------------------------------------------------
 
@@ -169,13 +130,12 @@ class FlexibleRelation:
 
     # -- derivation --------------------------------------------------------------------------------
 
-    def copy(self, name: Optional[str] = None, validate: Optional[bool] = None) -> "FlexibleRelation":
+    def copy(self, name: Optional[str] = None) -> "FlexibleRelation":
         """A shallow copy with the same scheme, domains and tuples."""
         clone = FlexibleRelation(
             self._scheme,
             domains=self._domains,
             name=self.name if name is None else name,
-            validate=self.validate if validate is None else validate,
         )
         clone._tuples = set(self._tuples)
         return clone
@@ -188,7 +148,6 @@ class FlexibleRelation:
             tuples=tuples,
             domains=self._domains if domains is None else domains,
             name=name,
-            validate=False,
         )
 
     def attribute_combinations(self) -> Set[AttributeSet]:

@@ -29,7 +29,7 @@ from repro.optimizer.rewrite_rules import (
     prune_union_branches,
     push_selections_through_joins,
 )
-from repro.optimizer.cost import estimate_cost, measured_cost
+from repro.optimizer.cost import measured_cost
 from repro.optimizer.joinorder import (
     JoinGraph,
     JoinOrderResult,
@@ -56,7 +56,6 @@ __all__ = [
     "push_aggregate_past_rename",
     "push_limit_into_unions",
     "push_selections_through_joins",
-    "estimate_cost",
     "measured_cost",
     "Planner",
 ]

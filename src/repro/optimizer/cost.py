@@ -2,7 +2,7 @@
 
 Two notions of cost are used by the optimizer experiments:
 
-* :func:`estimate_cost` — a static estimate based on base-relation cardinalities
+* :class:`CostModel` — a static estimate based on base-relation cardinalities
   and selectivities.  When the relation source carries fresh statistics (a
   :class:`~repro.stats.StatisticsCatalog` populated by ``Database.analyze()``),
   selection, type-guard and join selectivities come from histograms, most-common
@@ -47,10 +47,8 @@ results).
 
 The statistics-aware logic lives in :class:`CostModel`, one rule per node
 class in :data:`ESTIMATORS` (cardinality and work) and :data:`WIDTHS` (tuple
-width), found by :func:`~repro.algebra.expressions.dispatch`;
-:func:`estimate_cost` remains the convenience wrapper every existing caller
-uses.  The full
-constant reference lives in ``docs/ARCHITECTURE.md``.
+width), found by :func:`~repro.algebra.expressions.dispatch`.  The full constant
+reference lives in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -512,12 +510,6 @@ class CostModel:
             else:
                 return DEFAULT_SELECTIVITY
         return selectivity
-
-
-def estimate_cost(expression: Expression, source=None) -> CostEstimate:
-    """Estimate output cardinality and total work of an expression
-    (convenience wrapper over :class:`CostModel`)."""
-    return CostModel(source).estimate(expression)
 
 
 def measured_cost(expression: Expression, source) -> ExecutionStats:

@@ -30,51 +30,32 @@ from typing import Dict, List, Optional
 from repro.obs.trace import tracer_of
 from repro.stats.statistics import TableStatistics, analyze_table
 
-#: auto re-ANALYZE fires once the mutations since the last ANALYZE exceed this
-#: share of the rows the table had then …
-AUTO_ANALYZE_FRACTION = 0.1
-#: … and never for fewer mutations than this
-AUTO_ANALYZE_MIN_MUTATIONS = 5
-
 
 class _Entry:
     """One table's statistics plus the freshness fingerprint they were taken at."""
 
-    __slots__ = ("statistics", "table", "mutation_count", "analyzed_rows",
-                 "sample_size")
+    __slots__ = ("statistics", "table", "mutation_count")
 
-    def __init__(self, statistics: TableStatistics, table, mutation_count: int,
-                 sample_size: Optional[int] = None):
+    def __init__(self, statistics: TableStatistics, table, mutation_count: int):
         self.statistics = statistics
         self.table = table
         self.mutation_count = mutation_count
-        #: row count at ANALYZE time — the baseline of the auto-ANALYZE threshold
-        self.analyzed_rows = statistics.row_count
-        #: the sampling knob ANALYZE was run with (auto re-ANALYZE reuses it)
-        self.sample_size = sample_size
 
 
 class StatisticsCatalog:
     """Per-database registry of ANALYZE results with freshness tracking.
 
-    ``auto_analyze=True`` additionally re-runs ANALYZE on a previously analyzed
-    table as soon as the mutations since its last ANALYZE exceed
-    :data:`AUTO_ANALYZE_FRACTION` of the rows it had back then — but never fewer
-    than :data:`AUTO_ANALYZE_MIN_MUTATIONS`, so tiny tables are not re-analyzed on
-    every single insert during a bulk load.  The re-ANALYZE reuses the table's
-    last ``sample_size``, so sampled tables stay cheap to refresh.  Off by
-    default: statistics only move on explicit calls.
+    Statistics are only collected on an explicit :meth:`analyze`; DML makes
+    them stale, never re-collects them.
     """
 
-    def __init__(self, database, auto_analyze: bool = False):
+    def __init__(self, database):
         self._database = database
         self._entries: Dict[str, _Entry] = {}
         #: per-table size magnitude (``row_count.bit_length()``) at the last
         #: version bump — crossing it re-plans cached plans (see class docstring)
         self._magnitudes: Dict[str, int] = {}
         self._version = 0
-        self.auto_analyze = auto_analyze
-        self._auto_analyzing = False
 
     @property
     def version(self) -> int:
@@ -97,14 +78,11 @@ class StatisticsCatalog:
             table = self._database.table(table_name)
             statistics = analyze_table(table, sample_size=sample_size)
             self._entries[table_name] = _Entry(
-                statistics, table, getattr(table, "mutation_count", 0),
-                sample_size=sample_size,
-            )
+                statistics, table, getattr(table, "mutation_count", 0))
             if tracer is not None:
                 tracer.event("analyze", table=table_name,
                              rows=statistics.row_count,
-                             sample_size=sample_size,
-                             auto=self._auto_analyzing)
+                             sample_size=sample_size)
         self._version += 1
         return self
 
@@ -228,27 +206,6 @@ class StatisticsCatalog:
             # tables) removes a row, a rollback any number of them.
             entry.statistics.row_count = rows
         self._track_magnitude(name, rows)
-        if entry is not None:
-            self._maybe_auto_analyze(name, entry)
-
-    def _maybe_auto_analyze(self, name: str, entry: _Entry) -> None:
-        """Re-ANALYZE ``name`` when its mutations passed the auto threshold."""
-        if not self.auto_analyze or self._auto_analyzing:
-            return
-        mutations = getattr(entry.table, "mutation_count", 0) - entry.mutation_count
-        threshold = max(AUTO_ANALYZE_MIN_MUTATIONS,
-                        int(AUTO_ANALYZE_FRACTION * entry.analyzed_rows))
-        if mutations < threshold:
-            return
-        tracer = tracer_of(self._database)
-        if tracer is not None:
-            tracer.event("auto-analyze", table=name, mutations=mutations,
-                         threshold=threshold)
-        self._auto_analyzing = True
-        try:
-            self.analyze(name, sample_size=entry.sample_size)
-        finally:
-            self._auto_analyzing = False
 
     def _track_magnitude(self, name: str, rows: int) -> None:
         magnitude = rows.bit_length()

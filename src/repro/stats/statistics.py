@@ -90,15 +90,10 @@ class AttributeStatistics:
 
     @property
     def presence(self) -> float:
-        """Fraction of tuples defined on the attribute (``1 - null_fraction``)."""
+        """Fraction of tuples defined on the attribute."""
         if self.row_count <= 0:
             return 0.0
         return self.present_count / float(self.row_count)
-
-    @property
-    def null_fraction(self) -> float:
-        """Fraction of tuples *not* carrying the attribute."""
-        return 1.0 - self.presence
 
     # -- estimation -----------------------------------------------------------------------
 

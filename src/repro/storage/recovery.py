@@ -228,13 +228,7 @@ def _recheck(table, tuples: Iterable[FlexTuple]) -> Tuple[ConstraintChecker, Lis
     never the live one — registering each tuple that passes before the next is
     checked.  Returns the checker, whose indexes then hold every tuple (the
     refused ones are filed once all are checked), and the refusals."""
-    live = table.checker
-    fresh = ConstraintChecker(
-        table.definition,
-        check_scheme=live.check_scheme,
-        check_domains=live.check_domains,
-        check_dependencies=live.check_dependencies,
-    )
+    fresh = ConstraintChecker(table.definition, table.checker.enforce)
     check, register = fresh.check_insert, fresh.register_tuple
     problems: List[str] = []
     refused: List[FlexTuple] = []
@@ -264,8 +258,8 @@ def verify_database(database) -> List[str]:
     Returns a list of human-readable problems (empty when consistent):
 
     * every stored tuple re-passes scheme admission, domain conformance, key
-      uniqueness and the declared attribute/functional dependencies (levels
-      mirror the table's own enforcement flags, so a database opened with
+      uniqueness and the declared attribute/functional dependencies (as the
+      table's own checker enforces them, so a database opened with
       ``enforce_constraints=False`` is not failed for constraints it never
       enforced).  The tuples are taken as stored; only when one is refused are
       they checked again in ``repr`` order, for a report that does not depend

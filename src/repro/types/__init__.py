@@ -1,22 +1,17 @@
-"""Record types, the traditional record-subtyping rule, type guards and type checking.
+"""Record types and the traditional record-subtyping rule.
 
 This package provides the *traditional* typing machinery that Section 3.2 of the
-paper compares against: record types as named field collections with domains, the
-Cardelli/Wegner record-subtyping rule (width and depth subtyping), type guards that
-restore type information lost by operations on heterogeneous collections, and a
-type checker for tuples against record types and flexible schemes.
+paper compares against: record types as named field collections with domains and
+the Cardelli/Wegner record-subtyping rule (width and depth subtyping).  Type
+checking a tuple against a flexible scheme, its domains and its dependencies is the
+engine's :class:`~repro.engine.constraints.ConstraintChecker`; the type guard is the
+algebra's :class:`~repro.algebra.expressions.TypeGuardNode`.
 """
 
 from repro.types.record_types import RecordType, domain_subsumes, is_record_subtype
-from repro.types.type_guards import TypeGuard, conjunction_of_guards
-from repro.types.type_checking import TypeChecker, check_tuple_against_type
 
 __all__ = [
     "RecordType",
     "domain_subsumes",
     "is_record_subtype",
-    "TypeGuard",
-    "conjunction_of_guards",
-    "TypeChecker",
-    "check_tuple_against_type",
 ]

@@ -31,7 +31,6 @@ def source():
     """Two small base relations addressed by name."""
     people = FlexibleRelation(
         FlexibleScheme(2, 3, ["pid", "name", "nickname"]),
-        validate=False,
         name="people",
     )
     people.insert_many([
@@ -39,9 +38,9 @@ def source():
         {"pid": 2, "name": "bob", "nickname": "b"},
         {"pid": 3, "name": "cyd"},
     ])
-    cities = FlexibleRelation(FlexibleScheme.relational(["cid", "city"]), validate=False, name="cities")
+    cities = FlexibleRelation(FlexibleScheme.relational(["cid", "city"]), name="cities")
     cities.insert_many([{"cid": 10, "city": "ulm"}, {"cid": 20, "city": "bonn"}])
-    orders = FlexibleRelation(FlexibleScheme.relational(["pid", "item"]), validate=False, name="orders")
+    orders = FlexibleRelation(FlexibleScheme.relational(["pid", "item"]), name="orders")
     orders.insert_many([{"pid": 1, "item": "book"}, {"pid": 2, "item": "pen"},
                         {"pid": 1, "item": "lamp"}])
     return {"people": people, "cities": cities, "orders": orders}

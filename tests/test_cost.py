@@ -20,25 +20,25 @@ from repro.algebra import (
 from repro.algebra.predicates import Comparison, FalsePredicate, TruePredicate
 from repro.errors import OptimizerError
 from repro.model.attributes import attrset
-from repro.optimizer.cost import TUPLE_COST, CostEstimate, estimate_cost, measured_cost
+from repro.optimizer.cost import TUPLE_COST, CostEstimate, CostModel, measured_cost
 
 
 class TestEstimateCost:
     def test_base_relation(self, employee_database):
-        estimate = estimate_cost(RelationRef("employees"), employee_database)
+        estimate = CostModel(employee_database).estimate(RelationRef("employees"))
         assert estimate.cardinality == 60 and estimate.work == 60
 
     def test_unknown_relation_estimates_zero(self, employee_database):
-        assert estimate_cost(RelationRef("missing"), employee_database).cardinality == 0
+        assert CostModel(employee_database).estimate(RelationRef("missing")).cardinality == 0
 
     def test_empty_relation(self, employee_database):
-        estimate = estimate_cost(EmptyRelation(), employee_database)
+        estimate = CostModel(employee_database).estimate(EmptyRelation())
         assert estimate.cardinality == 0 and estimate.work == 0
 
     def test_selection_reduces_cardinality_and_adds_work(self, employee_database):
-        base = estimate_cost(RelationRef("employees"), employee_database)
-        selected = estimate_cost(Selection(RelationRef("employees"), TruePredicate()),
-                                 employee_database)
+        model = CostModel(employee_database)
+        base = model.estimate(RelationRef("employees"))
+        selected = model.estimate(Selection(RelationRef("employees"), TruePredicate()))
         assert selected.cardinality < base.cardinality
         assert selected.work == base.work + base.cardinality * TUPLE_COST
 
@@ -49,30 +49,29 @@ class TestEstimateCost:
             Extension(RelationRef("employees"), "tag", 1),
             Rename(RelationRef("employees"), {"name": "label"}),
         ):
-            estimate = estimate_cost(node, employee_database)
+            estimate = CostModel(employee_database).estimate(node)
             assert estimate.work > 60
 
     def test_product_and_join(self, employee_database):
-        product = estimate_cost(Product(RelationRef("employees"), RelationRef("employees")),
-                                employee_database)
-        join = estimate_cost(NaturalJoin(RelationRef("employees"), RelationRef("employees")),
-                             employee_database)
+        model = CostModel(employee_database)
+        product = model.estimate(Product(RelationRef("employees"), RelationRef("employees")))
+        join = model.estimate(NaturalJoin(RelationRef("employees"), RelationRef("employees")))
         assert product.cardinality == 3600
         assert join.cardinality < product.cardinality
         assert product.work > 3600
 
     def test_union_and_difference(self, employee_database):
-        union = estimate_cost(Union(RelationRef("employees"), RelationRef("employees")),
-                              employee_database)
-        difference = estimate_cost(Difference(RelationRef("employees"), RelationRef("employees")),
-                                   employee_database)
+        model = CostModel(employee_database)
+        union = model.estimate(Union(RelationRef("employees"), RelationRef("employees")))
+        difference = model.estimate(Difference(RelationRef("employees"),
+                                               RelationRef("employees")))
         assert union.cardinality == 120
         assert difference.cardinality == 60
 
     def test_multiway_join(self, employee_database):
         node = MultiwayJoin([RelationRef("employees"), RelationRef("employees"),
                              RelationRef("employees")], on=["emp_id"])
-        estimate = estimate_cost(node, employee_database)
+        estimate = CostModel(employee_database).estimate(node)
         assert estimate.cardinality >= 60 and estimate.work >= 180
 
     def test_unknown_node_rejected(self, employee_database):
@@ -80,7 +79,7 @@ class TestEstimateCost:
             pass
 
         with pytest.raises(OptimizerError):
-            estimate_cost(Strange(), employee_database)
+            CostModel(employee_database).estimate(Strange())
 
     def test_repr(self):
         assert "cardinality" in repr(CostEstimate(1.0, 2.0))

@@ -25,45 +25,53 @@ class TestHashIndex:
     def test_add_and_lookup(self):
         index = HashIndex(["k"])
         t1, t2 = FlexTuple(k=1, v="a"), FlexTuple(k=1, v="b")
-        index.add(t1)
-        index.add(t2)
-        assert set(index.bucket(index.key_of(FlexTuple(k=1)))) == {t1, t2}
+        index.put((1,), t1)
+        index.put((1,), t2)
+        assert set(index.bucket((1,))) == {t1, t2}
         assert index.bucket((9,)) == ()
 
     def test_tuples_without_indexed_attributes_are_skipped(self):
-        index = HashIndex(["k"])
-        index.add(FlexTuple(other=1))
+        """The checker files a tuple only in the indexes its shape is defined on."""
+        checker = ConstraintChecker(TableDefinition(
+            "t", FlexibleScheme(1, 2, ["k", "other"]), indexes=[["k"]]))
+        checker.register_tuple(FlexTuple(other=1))
+        (index,) = checker.indexes()
         assert len(index) == 0
 
     def test_remove(self):
         index = HashIndex(["k"])
         tup = FlexTuple(k=1)
-        index.add(tup)
-        index.remove(tup)
+        index.put((1,), tup)
+        index.drop((1,), tup)
         assert len(index) == 0 and index.bucket((1,)) == ()
 
     def test_remove_unindexed_is_noop(self):
         index = HashIndex(["k"])
-        index.remove(FlexTuple(other=1))
+        index.drop((1,), FlexTuple(k=1))
         assert len(index) == 0
 
     def test_duplicate_add_counts_once(self):
         index = HashIndex(["k"])
         tup = FlexTuple(k=1)
-        index.add(tup)
-        index.add(tup)
+        index.put((1,), tup)
+        index.put((1,), tup)
         assert len(index) == 1
 
     def test_probe_by_raw_key(self):
         index = HashIndex(["a", "b"])
         tup = FlexTuple(a=1, b=2, c=3)
-        index.add(tup)
+        index.put((1, 2), tup)
         assert index.bucket((1, 2)) == (tup,)
 
     def test_probe_missing_attribute_returns_empty(self):
-        index = HashIndex(["a", "b"])
-        index.add(FlexTuple(a=1, b=2))
-        assert index.key_of(FlexTuple(a=1)) is None
+        checker = ConstraintChecker(TableDefinition(
+            "t", FlexibleScheme(1, 2, ["a", "b"]), indexes=[["a", "b"]]))
+        full, partial = FlexTuple(a=1, b=2), FlexTuple(a=1)
+        checker.register_tuple(full)
+        checker.register_tuple(partial)
+        (index,) = checker.indexes()
+        assert len(index) == 1 and index.bucket((1, 2)) == (full,)
+        assert index.bucket((1,)) == ()
 
     def test_a_bucket_of_one_is_a_tuple_of_several_a_set(self):
         index, other = HashIndex(["k"]), HashIndex(["k"])
@@ -85,7 +93,7 @@ class TestHashIndex:
 
     def test_groups_and_clear(self):
         index = HashIndex(["k"])
-        index.add(FlexTuple(k=1))
+        index.put((1,), FlexTuple(k=1))
         assert len(list(index.groups())) == 1
         index.clear()
         assert len(index) == 0
@@ -128,6 +136,11 @@ class TestCatalog:
     def test_definition_validation_dependency(self):
         with pytest.raises(CatalogError):
             TableDefinition("t", FlexibleScheme.relational(["a"]), dependencies=[ad("a", "z")])
+
+    def test_definition_repr_names_the_scheme_attributes(self):
+        definition = TableDefinition("t", FlexibleScheme.relational(["name", "id"]), key=["id"])
+        assert repr(definition) == \
+            "TableDefinition('t', attributes={id, name}, key={id}, dependencies=0)"
 
     def test_dependencies_listing(self):
         definition = employee_definition()
@@ -255,13 +268,12 @@ class TestTableDml:
     def test_checker_levels_can_be_disabled(self):
         definition = TableDefinition("t", FlexibleScheme.relational(["a"]),
                                      domains={"a": IntDomain()}, dependencies=[ad("a", "a")])
-        checker = ConstraintChecker(definition, check_scheme=False,
-                                    check_domains=False, check_dependencies=False)
+        checker = ConstraintChecker(definition, enforce=False)
         checker.check_insert(FlexTuple(unknown=1))
+        assert checker.indexes() == []
 
     def test_key_is_enforced_regardless_of_switches(self):
-        checker = ConstraintChecker(employee_definition(), check_scheme=False,
-                                    check_domains=False, check_dependencies=False)
+        checker = ConstraintChecker(employee_definition(), enforce=False)
         with pytest.raises(KeyViolation):
             checker.check_insert(FlexTuple(unknown=1))
 

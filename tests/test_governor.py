@@ -500,15 +500,20 @@ class TestDatabaseGovernance:
             orders_scheme,
         )
 
-        database = Database(query_timeout=0.000001)
+        database = Database(memory_budget=1, spill=False)
         database.create_table("t", orders_scheme(), domains=orders_domains(),
                               key=["order_id"])
         database.insert_many("t", generate_orders(50, seed=1))
-        with pytest.raises(QueryTimeout):
+        with pytest.raises(MemoryBudgetExceeded):
             database.execute(Sort(RelationRef("t"), keys=("order_id",)))
         # per-query override wins over the database default
-        result = database.execute(RelationRef("t"), timeout=30.0)
+        result = database.execute(Sort(RelationRef("t"), keys=("order_id",)),
+                                  memory_budget=1 << 30)
         assert len(result.tuples) == 50
+        # a deadline is only ever per query
+        with pytest.raises(QueryTimeout):
+            database.execute(Sort(RelationRef("t"), keys=("order_id",)),
+                             memory_budget=1 << 30, timeout=0.000001)
 
     def test_naive_executor_rejects_governance(self, orders_database):
         with pytest.raises(CatalogError, match="naive evaluator"):

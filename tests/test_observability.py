@@ -168,23 +168,18 @@ class TestQueryLifecycleTrace:
         assert span["attributes"]["relations"] == 6
         assert span["attributes"]["subsets_enumerated"] > 0
 
-    def test_analyze_and_auto_analyze_events(self):
+    def test_analyze_events(self):
         database = star_join_database(fact_rows=50, rare_rows=30, rare_every=10)
-        database.statistics.auto_analyze = True
         database.analyze()
         sink = database.tracer.attach()
-        database.analyze("fact")
+        database.analyze("fact", sample_size=20)
         for i in range(10_000, 10_030):
             database.insert("fact", {"fact_id": i, "ds": 1, "dr": 1,
                                      "da": 1, "db": 1, "dc": 1})
         database.tracer.detach()
-        assert any(event["attributes"].get("table") == "fact"
-                   and not event["attributes"]["auto"]
-                   for event in sink.named("analyze"))
-        auto = sink.named("auto-analyze")
-        assert auto and auto[0]["attributes"]["mutations"] >= auto[0]["attributes"]["threshold"]
-        assert any(event["attributes"].get("auto")
-                   for event in sink.named("analyze"))
+        # one event per explicit ANALYZE; DML never re-analyzes
+        (event,) = sink.named("analyze")
+        assert event["attributes"] == {"table": "fact", "rows": 50, "sample_size": 20}
 
 
 # -- metrics -------------------------------------------------------------------------------

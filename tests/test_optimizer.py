@@ -22,7 +22,6 @@ from repro.optimizer import (
     Planner,
     eliminate_contradictory_selections,
     eliminate_redundant_guards,
-    estimate_cost,
     guaranteed_absent,
     guaranteed_present,
     measured_cost,
@@ -31,6 +30,7 @@ from repro.optimizer import (
 )
 from repro.model.domains import IntDomain, StringDomain
 from repro.model.scheme import FlexibleScheme
+from repro.optimizer.cost import CostModel
 from repro.optimizer.planner import DEFAULT_RULES
 
 
@@ -340,15 +340,15 @@ class TestPlanner:
 
 class TestCost:
     def test_estimate_scales_with_base_cardinality(self, employee_database):
-        small = estimate_cost(RelationRef("employees"), employee_database)
-        selected = estimate_cost(Selection(RelationRef("employees"), secretary_selection()),
-                                 employee_database)
+        model = CostModel(employee_database)
+        small = model.estimate(RelationRef("employees"))
+        selected = model.estimate(Selection(RelationRef("employees"), secretary_selection()))
         assert selected.cardinality < small.cardinality
         assert selected.work > small.work
 
     def test_false_selection_estimates_zero_output(self, employee_database):
         expr = Selection(RelationRef("employees"), FalsePredicate())
-        assert estimate_cost(expr, employee_database).cardinality == 0.0
+        assert CostModel(employee_database).estimate(expr).cardinality == 0.0
 
     def test_measured_cost_matches_evaluator(self, employee_database):
         expr = Selection(RelationRef("employees"), secretary_selection())

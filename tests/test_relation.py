@@ -1,20 +1,32 @@
-"""Tests for flexible relations (the bare mathematical object, not the engine)."""
+"""Tests for flexible relations.
+
+The bare mathematical object stores what it is given; the type check on
+insertion — scheme admission and domains — is the engine's, so the refusals
+below drive a :class:`~repro.engine.Table` over the same scheme."""
 
 import pytest
 
 from repro.core.dependencies import AttributeDependency, FunctionalDependency
+from repro.engine import Table, TableDefinition
 from repro.errors import TypeCheckError
 from repro.model.attributes import attrset
-from repro.model.domains import EnumDomain, IntDomain
+from repro.model.domains import IntDomain
 from repro.model.relation import FlexibleRelation
 from repro.model.scheme import FlexibleScheme
 from repro.model.tuples import FlexTuple
 
 
+SIMPLE_SCHEME = FlexibleScheme(2, 2, ["A", FlexibleScheme(1, 1, ["B", "C"])])
+
+
 @pytest.fixture
 def simple_relation():
-    scheme = FlexibleScheme(2, 2, ["A", FlexibleScheme(1, 1, ["B", "C"])])
-    return FlexibleRelation(scheme, domains={"A": IntDomain()}, name="simple")
+    return FlexibleRelation(SIMPLE_SCHEME, domains={"A": IntDomain()}, name="simple")
+
+
+@pytest.fixture
+def simple_table():
+    return Table(TableDefinition("simple", SIMPLE_SCHEME, domains={"A": IntDomain()}))
 
 
 class TestInsertion:
@@ -26,13 +38,30 @@ class TestInsertion:
         tup = FlexTuple(A=1, C=3)
         assert simple_relation.insert(tup) == tup
 
-    def test_insert_rejects_bad_combination(self, simple_relation):
+    def test_insert_rejects_bad_combination(self, simple_table):
         with pytest.raises(TypeCheckError):
-            simple_relation.insert({"A": 1, "B": 2, "C": 3})
+            simple_table.insert({"A": 1, "B": 2, "C": 3})
 
-    def test_insert_rejects_domain_violation(self, simple_relation):
+    def test_insert_rejects_domain_violation(self, simple_table):
         with pytest.raises(TypeCheckError):
-            simple_relation.insert({"A": "not an int", "B": 2})
+            simple_table.insert({"A": "not an int", "B": 2})
+
+    def test_admits(self, simple_relation):
+        assert simple_relation.scheme.admits(FlexTuple(A=1, B=2).attributes)
+        assert not simple_relation.scheme.admits(FlexTuple(A=1).attributes)
+
+    def test_initial_tuples_are_validated(self):
+        table = Table(TableDefinition("t", FlexibleScheme.relational(["A"])))
+        with pytest.raises(TypeCheckError):
+            table.insert_many([{"B": 1}])
+        assert len(table) == 0
+
+    def test_insert_stores_any_combination(self, simple_relation):
+        """The bare relation checks nothing: the engine's tables do
+        (tests/test_engine.py::TestTableDml)."""
+        simple_relation.insert({"A": "not an int", "B": 2, "C": 3})
+        simple_relation.insert({"Z": 1})
+        assert len(simple_relation) == 2
 
     def test_insert_many(self, simple_relation):
         simple_relation.insert_many([{"A": 1, "B": 1}, {"A": 2, "C": 2}])
@@ -42,21 +71,6 @@ class TestInsertion:
         simple_relation.insert({"A": 1, "B": 2})
         simple_relation.insert({"A": 1, "B": 2})
         assert len(simple_relation) == 1
-
-    def test_validate_false_accepts_anything(self):
-        scheme = FlexibleScheme.relational(["A"])
-        relation = FlexibleRelation(scheme, validate=False)
-        relation.insert({"Z": 1})
-        assert len(relation) == 1
-
-    def test_admits(self, simple_relation):
-        assert simple_relation.admits({"A": 1, "B": 2})
-        assert not simple_relation.admits({"A": 1})
-
-    def test_initial_tuples_are_validated(self):
-        scheme = FlexibleScheme.relational(["A"])
-        with pytest.raises(TypeCheckError):
-            FlexibleRelation(scheme, tuples=[{"B": 1}])
 
 
 class TestMutation:

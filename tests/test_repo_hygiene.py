@@ -1,7 +1,8 @@
 """Checks on the repository itself rather than on the engine's behaviour:
 the CI workflow parses and names files that exist, no module of ``src/``
 imports a name it never uses, the constants ARCHITECTURE documents exist
-with the values it states, and every engine callable E20 traces exists."""
+with the values it states, every engine callable E20 traces exists, and the
+census allowlist names defined functions with a known reason."""
 
 import ast
 import glob
@@ -121,3 +122,29 @@ class TestE20TraceTargets:
                    if target.startswith("repro.")]
         assert len(targets) >= 30
         assert [target for target in targets if trace.resolve(target) is None] == []
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / "{}.py".format(name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCensusAllowlist:
+    def test_every_allowlist_line_names_a_defined_function_with_a_known_reason(self):
+        """``tools/census_allowlist.txt`` cannot rot: each line names a
+        function ``census.defined_functions()`` finds — not a dunder, which
+        the census exempts by rule — once, with a reason from the vocabulary."""
+        census = _load_tool("census")
+        defined = {"{}:{}".format(pathlib.Path(path).relative_to(ROOT), name)
+                   for (path, _line), name in census.defined_functions().items()}
+        lines = [line.split("#", 1)[0].split() for line in
+                 pathlib.Path(census.ALLOWLIST).read_text().splitlines()]
+        entries = [fields for fields in lines if fields]
+        assert entries and all(len(fields) == 2 for fields in entries)
+        names = [name for name, _reason in entries]
+        assert len(set(names)) == len(names)
+        assert [name for name in names if name not in defined] == []
+        assert [name for name in names if census.is_dunder(name)] == []
+        assert {reason for _name, reason in entries} <= set(census.REASONS)

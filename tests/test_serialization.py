@@ -277,8 +277,10 @@ class TestAtomicDump:
     def test_failed_dump_leaves_target_untouched(self, tmp_path):
         path = tmp_path / "db.json"
         path.write_text("precious")
-        from repro.engine.serialization import atomic_write_json
+        database = Database()
+        database.create_table("t", FlexibleScheme.relational(["a"]))
+        database.insert("t", {"a": object()})  # no JSON form
         with pytest.raises(TypeError):
-            atomic_write_json(str(path), {"bad": object()})
+            dump_database(database, str(path))
         assert path.read_text() == "precious"
         assert [p.name for p in tmp_path.iterdir()] == ["db.json"]

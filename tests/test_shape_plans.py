@@ -57,21 +57,18 @@ class ReferenceTable:
     acceptable message; every other refusal has exactly one.
     """
 
-    def __init__(self, definition, check_scheme=True, check_domains=True,
-                 check_dependencies=True):
+    def __init__(self, definition, enforce=True):
         self.definition = definition
-        self.check_scheme = check_scheme
-        self.check_domains = check_domains
-        self.check_dependencies = check_dependencies
+        self.enforce = enforce
         self.tuples = set()
 
     def refusal(self, tup, ignore=None):
         definition = self.definition
-        if self.check_scheme and not definition.scheme.admits(tup.attributes):
+        if self.enforce and not definition.scheme.admits(tup.attributes):
             return TypeCheckError, {
                 "attribute combination {} is not admitted by the scheme of table {!r}".format(
                     tup.attributes, definition.name)}
-        if self.check_domains:
+        if self.enforce:
             for name, value in tup.items():
                 domain = definition.domains.get(name)
                 if domain is not None and not domain.contains(value):
@@ -87,7 +84,7 @@ class ReferenceTable:
                    for other in self.tuples):
                 return KeyViolation, {"key value {} already present".format(
                     tuple(tup[a] for a in key))}
-        if not self.check_dependencies:
+        if not self.enforce:
             return None
         for dependency in definition.dependencies:
             if isinstance(dependency, ExplicitAttributeDependency):
@@ -256,9 +253,26 @@ CASES = {"employees": _employees, "orders": _orders,
          "orders+dependencies": _orders_with_dependencies,
          "nested-optional": _nested_optional, "unfolded": _unfolded}
 
-#: (check_scheme, check_domains, check_dependencies, seed)
-RUNS = [(True, True, True, 0), (True, True, True, 1), (False, False, False, 0),
-        (False, True, True, 0), (True, False, True, 0), (True, True, False, 0)]
+#: (levels, seed): ``sd+`` checks scheme, domains and dependencies, ``---`` is
+#: ``enforce=False`` (the key alone); a single level is left out as E2 leaves
+#: out the dependencies — by a definition without it, not by a switch
+RUNS = [("sd+", 0), ("sd+", 1), ("---", 0), ("-d+", 0), ("s-+", 0), ("sd-", 0)]
+
+
+def _leave_out(definition, levels):
+    """``definition`` without the levels ``levels`` marks ``-``: a scheme that
+    admits every attribute set the runs build, no domains, no dependencies."""
+    scheme, domains, dependencies = definition.scheme, definition.domains, \
+        definition.dependencies
+    if levels[0] == "-":
+        names = list(scheme.attributes.names) + ["zzz"]
+        scheme = FlexibleScheme(0, len(names), names)
+    if levels[1] == "-":
+        domains = {}
+    if levels[2] == "-":
+        dependencies = []
+    return TableDefinition(definition.name, scheme, domains=domains, key=definition.key,
+                           dependencies=dependencies, indexes=definition.indexes)
 
 
 def _scramble(row, universe, stored, rng):
@@ -302,16 +316,16 @@ def _changes(old, universe, make_row, rng):
             for name in rng.sample(universe, rng.randrange(1, len(universe) + 1))}
 
 
-@pytest.mark.parametrize("run", RUNS, ids=lambda run: "".join(
-    "sd+"[i] if on else "-" for i, on in enumerate(run[:3])) + str(run[3]))
+@pytest.mark.parametrize("run", RUNS, ids=lambda run: run[0] + str(run[1]))
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_engine_matches_the_per_row_reference(case, run):
-    switches, seed = run[:3], run[3]
+    levels, seed = run
     definition, make_row = CASES[case]()
-    flags = dict(zip(("check_scheme", "check_domains", "check_dependencies"), switches))
-    table = Table(definition)
-    table.checker = ConstraintChecker(definition, **flags)
-    reference = ReferenceTable(definition, **flags)
+    enforce = levels != "---"
+    if enforce:
+        definition = _leave_out(definition, levels)
+    table = Table(definition, enforce=enforce)
+    reference = ReferenceTable(definition, enforce=enforce)
     universe = list(definition.scheme.attributes.names)
     rng = random.Random(seed)
     refused = accepted = 0
@@ -346,7 +360,7 @@ def test_engine_matches_the_per_row_reference(case, run):
             assert_same_state(table, reference)
     assert_same_state(table, reference)
     assert accepted > 20
-    if any(switches) or definition.key is not None:
+    if enforce or definition.key is not None:
         assert refused > 20
 
 
@@ -737,9 +751,7 @@ def _verify_as_before(database):
     for name in database.tables():
         table = database.table(name)
         live = table.checker
-        fresh = ConstraintChecker(
-            table.definition, check_scheme=live.check_scheme,
-            check_domains=live.check_domains, check_dependencies=live.check_dependencies)
+        fresh = ConstraintChecker(table.definition, live.enforce)
         for tup in sorted(table, key=repr):
             try:
                 fresh.check_insert(tup)
@@ -821,14 +833,14 @@ class TestRecoveryStillHasTeeth:
         database, table = self._in_memory()
         index = table.checker.key_index
         victim = sorted(table, key=repr)[0]
-        index.remove(victim)
+        index.drop((victim["emp_id"],), victim)
         index.put((10**6,), victim)
         assert len(index) == 10 and _verify_as_before(database) == []
         assert verify_database(database) == [
             "table 'employees': index on {emp_id} holds the expected 10 tuples, "
             "but not under the expected keys"]
         index.drop((10**6,), victim)
-        index.add(victim)
+        index.put((victim["emp_id"],), victim)
         assert verify_database(database) == []
 
     def _smuggle(self, path, rows):
@@ -906,7 +918,7 @@ class TestRecoveryStillHasTeeth:
         table.insert_many(generate_employees(10, seed=8))
         assert verify_database(database) == []
         victim = sorted(table, key=repr)[0]
-        table.checker.key_index.remove(victim)
+        table.checker.key_index.drop((victim["emp_id"],), victim)
         assert verify_database(database) == [
             "table 'employees': index on {emp_id} holds 9 tuples, expected 10"]
 

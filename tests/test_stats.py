@@ -21,7 +21,7 @@ from repro.model.attributes import attrset
 from repro.model.domains import FloatDomain, IntDomain, StringDomain
 from repro.model.scheme import FlexibleScheme
 from repro.model.tuples import FlexTuple
-from repro.optimizer.cost import DEFAULT_SELECTIVITY, CostModel, estimate_cost
+from repro.optimizer.cost import DEFAULT_SELECTIVITY, CostModel
 from repro.stats import (
     EquiDepthHistogram,
     TableStatistics,
@@ -312,20 +312,21 @@ class TestCostModel:
     def test_defaults_without_statistics(self, analyzed_employees):
         database, _rows = analyzed_employees
         database.statistics.invalidate()
-        selected = estimate_cost(Selection(RelationRef("employees"), TruePredicate()), database)
+        selected = CostModel(database).estimate(
+            Selection(RelationRef("employees"), TruePredicate()))
         assert selected.cardinality == pytest.approx(600 * DEFAULT_SELECTIVITY)
 
     def test_selection_estimate_tracks_data(self, analyzed_employees):
         database, rows = analyzed_employees
         predicate = Comparison("jobtype", "=", "secretary")
-        estimate = estimate_cost(Selection(RelationRef("employees"), predicate), database)
+        estimate = CostModel(database).estimate(Selection(RelationRef("employees"), predicate))
         truth = true_fraction(rows, predicate) * len(rows)
         assert estimate.cardinality == pytest.approx(truth, rel=0.01)
 
     def test_guard_estimate_uses_tag_frequencies(self, analyzed_employees):
         database, rows = analyzed_employees
-        estimate = estimate_cost(TypeGuardNode(RelationRef("employees"), ["typing_speed"]),
-                                 database)
+        estimate = CostModel(database).estimate(
+            TypeGuardNode(RelationRef("employees"), ["typing_speed"]))
         truth = true_fraction(rows, PresencePredicate(["typing_speed"])) * len(rows)
         assert estimate.cardinality == pytest.approx(truth)
 
@@ -333,7 +334,7 @@ class TestCostModel:
         database = skewed_join_database(big=1200, small=120)
         database.analyze()
         join = NaturalJoin(RelationRef("events"), RelationRef("sessions"), on=["event_id"])
-        estimate = estimate_cost(join, database)
+        estimate = CostModel(database).estimate(join)
         # Key-to-key join: at most one partner per session row.
         assert estimate.cardinality == pytest.approx(120, rel=0.05)
 
@@ -343,7 +344,7 @@ class TestCostModel:
         database.analyze()
         guarded = Selection(TypeGuardNode(RelationRef("events"), ["clearance"]),
                             Comparison("clearance", "=", "secret"))
-        estimate = estimate_cost(guarded, database)
+        estimate = CostModel(database).estimate(guarded)
         # All 40 audit rows carry clearance='secret'; pricing the 1% presence
         # twice would estimate 0.4 rows.
         assert estimate.cardinality == pytest.approx(40.0, abs=1.0)
@@ -352,7 +353,7 @@ class TestCostModel:
         database = skewed_join_database(big=400, small=0)
         database.analyze()
         selection = Selection(RelationRef("events"), Comparison("kind", "=", "audit"))
-        estimate = estimate_cost(selection, database)
+        estimate = CostModel(database).estimate(selection)
         assert estimate.cardinality == pytest.approx(4.0, abs=0.5)
         assert estimate.bound == 400
 
@@ -360,7 +361,7 @@ class TestCostModel:
         database, rows = analyzed_employees
         expression = Selection(TypeGuardNode(RelationRef("employees"), ["typing_speed"]),
                                Comparison("jobtype", "=", "secretary"))
-        estimate = estimate_cost(expression, database)
+        estimate = CostModel(database).estimate(expression)
         truth = true_fraction(rows, Comparison("jobtype", "=", "secretary")) * len(rows)
         # Guard and selection both select (the same) secretaries: the estimate
         # composes the two fractions, so it may undershoot but not explode.
@@ -677,8 +678,11 @@ class TestSamplingAnalyze:
 
 
 class TestAutoAnalyze:
-    def small_database(self, **kwargs):
-        database = Database(enforce_constraints=False, **kwargs)
+    """There is no automatic re-ANALYZE: DML turns statistics stale and
+    leaves them so until the next explicit ANALYZE."""
+
+    def small_database(self):
+        database = Database(enforce_constraints=False)
         from repro.workloads.events import events_scheme
         database.create_table("events", events_scheme(), key=["event_id"])
         database.insert_many("events", generate_events(50))
@@ -692,31 +696,9 @@ class TestAutoAnalyze:
                                        "payload": 1})
         assert not database.statistics.is_fresh("events")
 
-    def test_re_analyze_after_ten_percent_mutations(self):
-        database = self.small_database(auto_analyze=True)
-        database.analyze("events")
-        for event_id in range(51, 55):  # 4 mutations: below the 10% threshold
-            database.insert("events", {"event_id": event_id, "kind": "click",
-                                       "payload": 1})
-        assert not database.statistics.is_fresh("events")
-        database.insert("events", {"event_id": 55, "kind": "click", "payload": 1})
-        assert database.statistics.is_fresh("events")  # 5th mutation re-analyzed
-        assert database.stats("events").row_count == 55
-
     def test_never_analyzed_tables_are_left_alone(self):
-        database = self.small_database(auto_analyze=True)
+        database = self.small_database()
         for event_id in range(51, 80):
             database.insert("events", {"event_id": event_id, "kind": "view",
                                        "payload": 2})
         assert database.stats("events") is None
-
-    def test_auto_analyze_reuses_sample_size(self):
-        database = self.small_database(auto_analyze=True)
-        database.insert_many("events", generate_events(3000)[50:])
-        database.analyze("events", sample_size=400)
-        for event_id in range(3001, 3301):  # exactly the 10% threshold
-            database.insert("events", {"event_id": event_id, "kind": "click",
-                                       "payload": 1})
-        statistics = database.stats("events")
-        assert database.statistics.is_fresh("events")
-        assert statistics.sampled and statistics.sample_rows == 400

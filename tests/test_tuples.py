@@ -1,17 +1,19 @@
 """Tests for heterogeneous tuples and the column-oriented batches over them."""
 
+from itertools import product
+
 import pytest
 
 from repro.algebra import NaturalJoin, RelationRef
 from repro.algebra.predicates import Comparison
 from repro.errors import TupleError
-from repro.exec import CompiledPredicate, ExecutionContext, PhysicalPlanner
+from repro.algebra.predicates import PresencePredicate
+from repro.exec import CompiledGuard, CompiledPredicate, ExecutionContext, PhysicalPlanner
 from repro.model.attributes import attrset
 from repro.model.batches import (
     LazyBatch,
     MISSING,
     TupleBatch,
-    mask_indices,
     merge_values,
 )
 from repro.model.tuples import FlexTuple
@@ -167,7 +169,7 @@ class TestTupleBatch:
         batch = TupleBatch([])
         assert len(batch) == 0 and not batch
         assert batch.column("x") == []
-        assert batch.presence_mask(["x"]) == 0 == batch.full_mask
+        assert CompiledGuard(["x"]).select(batch) == []
         assert batch.take([]).rows == []
 
     def test_column_values_and_missing(self):
@@ -176,12 +178,34 @@ class TestTupleBatch:
         assert values[0] == 10 and values[1] is MISSING
         assert values[2] == 30 and values[3] is MISSING
 
-    def test_presence_masks(self):
+    def test_a_guard_selects_the_rows_defined_on_its_attributes(self):
         batch = TupleBatch(list(VARIANTS))
-        assert batch.column_mask("kind") == 0b0111
-        assert batch.presence_mask(["kind", "x"]) == 0b0101
-        assert batch.presence_mask([]) == batch.full_mask
-        assert batch.presence_mask(["nope"]) == 0
+        assert CompiledGuard(["kind"]).select(batch) == [0, 1, 2]
+        assert CompiledGuard(["kind", "x"]).select(batch) == [0, 2]
+        assert CompiledGuard([]).select(batch) == [0, 1, 2, 3]
+        assert CompiledGuard(["nope"]).select(batch) == []
+        # From a candidate list the guard keeps the surviving indices in order.
+        assert CompiledGuard(["y"]).select(batch, [1, 2, 3]) == [2, 3]
+        assert CompiledGuard(["kind"]).select(batch, []) == []
+
+    def test_a_two_attribute_guard_selects_the_rows_defined_on_both(self):
+        """Every sequence of four rows over the four presence patterns of a and
+        b, eager and lazy, from all rows or a candidate list: the guard and the
+        presence predicate keep exactly the rows ``is_defined_on`` accepts."""
+        patterns = ({"a": 1, "b": 2}, {"a": 1}, {"b": 2}, {})
+        guard, both = CompiledGuard(["b", "a"]), attrset(["a", "b"])
+        presence = CompiledPredicate(PresencePredicate(["a", "b"]))
+        for picks in product(range(4), repeat=4):
+            rows = [FlexTuple(dict(patterns[p], id=i)) for i, p in enumerate(picks)]
+            for batch in (TupleBatch(rows), LazyBatch([row.as_dict() for row in rows])):
+                for candidates in (None, [0, 2, 3]):
+                    expected = [i for i in (range(4) if candidates is None else candidates)
+                                if rows[i].is_defined_on(both)]
+                    assert guard.select(batch, candidates) == expected
+                    assert presence.select(batch, candidates) == expected
+        batch = TupleBatch([FlexTuple(id=1), FlexTuple(a=1, id=2)])
+        assert CompiledGuard([]).select(batch) == [0, 1]
+        assert CompiledGuard(["a", "nope"]).select(batch) == []
 
     def test_take_and_interop(self):
         batch = TupleBatch(list(VARIANTS))
@@ -189,10 +213,6 @@ class TestTupleBatch:
         assert [t["id"] for t in taken] == [1, 3]
         # Iteration and len are all a materializing operator needs.
         assert len(taken) == 2 and set(taken) == {VARIANTS[0], VARIANTS[2]}
-
-    def test_mask_indices(self):
-        assert mask_indices(0) == []
-        assert mask_indices(0b1011) == [0, 1, 3]
 
 
 class TestLazyBatches:

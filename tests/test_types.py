@@ -1,4 +1,6 @@
-"""Tests for record types, the traditional subtyping rule, type guards, type checking."""
+"""Tests for record types, the traditional subtyping rule, and the paper's type
+checks and type guards — run by the engine's ``ConstraintChecker`` and the
+algebra's guard node."""
 
 import pytest
 
@@ -6,17 +8,14 @@ from repro.errors import TypeCheckError
 from repro.model.attributes import attrset
 from repro.model.domains import AnyDomain, EnumDomain, FloatDomain, IntDomain, RangeDomain, StringDomain
 from repro.model.tuples import FlexTuple
-from repro.types import (
-    RecordType,
-    TypeChecker,
-    TypeGuard,
-    check_tuple_against_type,
-    conjunction_of_guards,
-    domain_subsumes,
-    is_record_subtype,
-)
-from repro.types.type_guards import guards_for_attributes
-from repro.workloads.employees import employee_dependency, employee_domains, employee_scheme
+from repro.algebra import Evaluator, RelationRef, TypeGuardNode
+from repro.engine import Table, TableDefinition
+from repro.errors import DependencyViolation
+from repro.exec import CompiledGuard, PhysicalPlanner
+from repro.model.batches import TupleBatch
+from repro.obs.feedback import expression_key
+from repro.types import RecordType, domain_subsumes, is_record_subtype
+from repro.workloads.employees import employee_definition
 
 
 class TestDomainSubsumption:
@@ -130,71 +129,95 @@ class TestRecordSubtypingRule:
         assert not is_record_subtype(first, second)
 
 
+#: a well-typed secretary, and the paper's salesman carrying a secretary's
+#: attributes: his attribute combination is in the scheme, the jobtype AD refuses it
+SECRETARY = {"emp_id": 1, "name": "x", "salary": 1.0, "jobtype": "secretary",
+             "typing_speed": 90, "foreign_languages": "fr"}
+SALESMAN = dict(SECRETARY, jobtype="salesman")
+
+
+def _without_dependencies(definition):
+    return TableDefinition(definition.name, definition.scheme, domains=definition.domains,
+                           key=definition.key)
+
+
+def _guarded(source, attributes):
+    """``TG[attributes](people)`` on the naive evaluator and the engine."""
+    expression = TypeGuardNode(RelationRef("people"), attributes)
+    naive = Evaluator(source).evaluate(expression).tuples
+    assert PhysicalPlanner(source).plan(expression).execute(source).tuples == naive
+    return naive
+
+
+PEOPLE = {"people": {FlexTuple(id=1, a=1, b=2), FlexTuple(id=2, a=1),
+                     FlexTuple(id=3, b=2), FlexTuple(id=4)}}
+
+
 class TestTypeGuards:
     def test_check(self):
-        guard = TypeGuard(["typing_speed"])
-        assert guard(FlexTuple(typing_speed=90))
-        assert not guard(FlexTuple(salary=1.0))
+        guard = CompiledGuard(["typing_speed"])
+        batch = TupleBatch([FlexTuple(typing_speed=90), FlexTuple(salary=1.0)])
+        assert guard.select(batch) == [0]
 
     def test_trivial_guard(self):
-        assert TypeGuard([]).is_trivial()
-        assert TypeGuard([])(FlexTuple(a=1))
+        assert CompiledGuard([]).select(TupleBatch([FlexTuple(a=1)])) == [0]
+        assert _guarded(PEOPLE, []) == PEOPLE["people"]
 
     def test_union_and_conjunction(self):
-        combined = TypeGuard(["a"]).union(TypeGuard(["b"]))
-        assert combined.attributes == attrset(["a", "b"])
-        assert conjunction_of_guards([TypeGuard(["a"]), TypeGuard(["b"])]) == combined
+        """A guard over ``X ∪ Y`` keeps what the guard over ``X`` under the
+        guard over ``Y`` keeps: the tuples carrying both."""
+        both = _guarded(PEOPLE, ["a", "b"])
+        assert both == {FlexTuple(id=1, a=1, b=2)}
+        chained = TypeGuardNode(TypeGuardNode(RelationRef("people"), ["a"]), ["b"])
+        assert Evaluator(PEOPLE).evaluate(chained).tuples == both
 
     def test_guards_for_attributes(self):
-        guards = guards_for_attributes(["a", "b"])
-        assert len(guards) == 2 and all(len(g.attributes) == 1 for g in guards)
+        """A one-attribute guard per attribute: each keeps the carriers of its own."""
+        assert _guarded(PEOPLE, ["a"]) == {t for t in PEOPLE["people"] if "a" in t}
+        assert _guarded(PEOPLE, ["b"]) == {t for t in PEOPLE["people"] if "b" in t}
 
     def test_equality_and_hash(self):
-        assert TypeGuard(["a"]) == TypeGuard(["a"])
-        assert len({TypeGuard(["a"]), TypeGuard(["a"])}) == 1
+        """Guards over the same attributes are one plan-cache key."""
+        first = TypeGuardNode(RelationRef("people"), ["a", "b"])
+        second = TypeGuardNode(RelationRef("people"), ["b", "a"])
+        assert expression_key(first) == expression_key(second)
+        assert expression_key(first) != expression_key(
+            TypeGuardNode(RelationRef("people"), ["a"]))
 
 
 class TestTypeChecker:
     def test_check_tuple_against_type(self):
         record = RecordType("t", {"a": IntDomain()})
-        check_tuple_against_type(FlexTuple(a=1), record)
-        with pytest.raises(TypeCheckError):
-            check_tuple_against_type(FlexTuple(b=1), record)
-        with pytest.raises(TypeCheckError):
-            check_tuple_against_type(FlexTuple(a="x"), record)
-        with pytest.raises(TypeCheckError):
-            check_tuple_against_type(FlexTuple(a=1, b=2), record, exact=True)
+        assert record.accepts(FlexTuple(a=1)) and record.accepts(FlexTuple(a=1, b=2))
+        assert not record.accepts(FlexTuple(b=1))
+        assert not record.accepts(FlexTuple(a="x"))
 
     def test_scheme_only_accepts_wrong_variant(self):
         # The paper's point: the scheme cannot reject the salesman-with-typing-speed tuple.
-        checker = TypeChecker(scheme=employee_scheme(), check_dependencies=False)
-        bad = FlexTuple(emp_id=1, name="x", salary=1.0, jobtype="salesman",
-                        typing_speed=90, foreign_languages="fr")
-        assert checker.accepts(bad)
+        table = Table(_without_dependencies(employee_definition()))
+        assert table.insert(SALESMAN) == FlexTuple(SALESMAN)
 
     def test_dependency_level_rejects_wrong_variant(self):
-        checker = TypeChecker(scheme=employee_scheme(), dependencies=[employee_dependency()])
-        bad = FlexTuple(emp_id=1, name="x", salary=1.0, jobtype="salesman",
-                        typing_speed=90, foreign_languages="fr")
-        report = checker.report(bad)
-        assert report.scheme_ok and not report.dependencies_ok and not report.ok
+        definition = employee_definition()
+        with pytest.raises(DependencyViolation) as refused:
+            Table(definition).insert(SALESMAN)
+        assert refused.value.dependency == definition.dependencies[0]
 
     def test_domain_level(self):
-        checker = TypeChecker(scheme=employee_scheme(), domains=employee_domains())
-        bad = FlexTuple(emp_id="not an int", name="x", salary=1.0, jobtype="secretary",
-                        typing_speed=1, foreign_languages="fr")
-        report = checker.report(bad)
-        assert report.domains_ok is False
+        with pytest.raises(TypeCheckError, match="violates its domain"):
+            Table(employee_definition()).insert(dict(SECRETARY, emp_id="not an int"))
 
     def test_check_raises_with_message(self):
-        checker = TypeChecker(scheme=employee_scheme(), dependencies=[employee_dependency()])
-        good = FlexTuple(emp_id=1, name="x", salary=1.0, jobtype="secretary",
-                         typing_speed=1, foreign_languages="fr")
-        assert checker.check(good) == good
-        with pytest.raises(TypeCheckError):
-            checker.check(FlexTuple(emp_id=1, name="x", salary=1.0, jobtype="secretary"))
+        table = Table(employee_definition())
+        assert table.insert(SECRETARY) == FlexTuple(SECRETARY)
+        lacking = {"emp_id": 2, "name": "x", "salary": 1.0, "jobtype": "secretary"}
+        with pytest.raises(DependencyViolation, match="exactly the attributes"):
+            table.insert(lacking)
 
     def test_levels_can_be_disabled(self):
-        checker = TypeChecker(scheme=employee_scheme(), dependencies=[employee_dependency()],
-                              check_scheme=False, check_dependencies=False)
-        assert checker.accepts(FlexTuple(unknown="attribute"))
+        definition = employee_definition()
+        keyless = TableDefinition(definition.name, definition.scheme,
+                                  domains=definition.domains,
+                                  dependencies=definition.dependencies)
+        table = Table(keyless, enforce=False)
+        assert table.insert({"unknown": "attribute"}) == FlexTuple(unknown="attribute")
