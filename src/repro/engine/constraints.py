@@ -24,11 +24,13 @@ dependencies is a definition that declares none.
 Attribute dependencies confine the tuples of a table to a few attribute sets, so
 whatever these checks need that depends on ``attr(t)`` alone is decided once per
 attribute set and kept in a :class:`ShapePlan`; per row only the values are looked
-at.
+at — or, for a bulk load, only each column, distinct determinant value and key set.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.dependencies import (
@@ -52,6 +54,11 @@ def _names_within(attributes: AttributeSet, shape: FrozenSet[str]) -> Optional[T
     """The sorted names of ``attributes`` when the shape has them all, else ``None``."""
     names = attributes.names
     return names if shape.issuperset(names) else None
+
+
+def _keys(values: List[Dict[str, object]], names: Tuple[str, ...]) -> List[Tuple]:
+    """Each value dict's values of ``names`` as one tuple, a column at a time."""
+    return list(zip(*[map(itemgetter(name), values) for name in names])) or [()] * len(values)
 
 
 class KeyConstraint:
@@ -148,11 +155,18 @@ class _PairwiseStep:
             self.rhs = frozenset(dependency.rhs.names)
             self.present = self.rhs & shape
 
-    def check(self, tup: FlexTuple, ignore: Optional[FlexTuple]) -> None:
+    def check(self, tup: FlexTuple, ignore: Optional[FlexTuple],
+              earlier: Optional[Dict[Tuple, List[FlexTuple]]] = None) -> None:
+        """``earlier``: a chunk's rows before ``tup`` by key, compared with too."""
         values = tup._values
         ignored = ignore._values if ignore is not None else None
         rhs = self.rhs
-        for partner in self.index.bucket(tuple([values[name] for name in self.names])):
+        key = tuple([values[name] for name in self.names])
+        partners = self.index.bucket(key)
+        if earlier is not None:
+            partners = chain(partners, earlier.setdefault(key, []))
+            earlier[key].append(tup)
+        for partner in partners:
             stored = partner._values
             if stored == values or stored == ignored:
                 continue
@@ -225,9 +239,9 @@ class ConstraintChecker:
     The checker owns the hash indexes (one per distinct attribute set among the key,
     the declared secondary indexes and the dependency determinants) but not the data;
     the table calls :meth:`register_tuple` / :meth:`unregister_tuple` to keep them in
-    sync and :meth:`check_insert` / :meth:`check_update` before mutating its tuple
-    set.  ``enforce=False`` skips levels 1, 2, 4 and 5 — scheme, domains and
-    dependencies — and keeps the key.
+    sync and :meth:`check_insert` / :meth:`check_update` before mutating its tuple set
+    (a bulk load: :meth:`admit_chunk`, :meth:`register_chunk`).  ``enforce=False``
+    skips levels 1, 2, 4 and 5 — scheme, domains and dependencies — keeps the key.
     """
 
     def __init__(self, definition: TableDefinition, enforce: bool = True):
@@ -271,6 +285,23 @@ class ConstraintChecker:
         values = tup._values
         for index, names in plan.index_keys:
             index.put(tuple([values[name] for name in names]), tup)
+
+    def register_chunk(self, rows: List[FlexTuple], shapes: List[FrozenSet[str]],
+                       plans: Dict[FrozenSet[str], ShapePlan]) -> None:
+        """:meth:`register_tuple` for each of ``rows`` (admitted, ``shapes`` their
+        name sets, ``plans`` what :meth:`admit_chunk` resolved for those), a shape
+        and an index at a time."""
+        groups: Dict[FrozenSet[str], List[FlexTuple]] = {}
+        for tup, shape in zip(rows, shapes):
+            groups.setdefault(shape, []).append(tup)
+        for shape, members in groups.items():
+            plan = self._plans.setdefault(shape, plans[shape])
+            for tup in members:
+                tup._attrs = plan.attributes
+            values = [tup._values for tup in members]
+            for index, names in plan.index_keys:
+                for key, tup in zip(_keys(values, names), members):
+                    index.put(key, tup)
 
     def unregister_tuple(self, tup: FlexTuple) -> None:
         """Remove a stored tuple from every index its shape is defined on."""
@@ -342,3 +373,53 @@ class ConstraintChecker:
     def check_update(self, old: FlexTuple, new: FlexTuple) -> None:
         """Check a replacement tuple, ignoring the tuple it replaces."""
         self.check_insert(new, ignore=old)
+
+    def admit_chunk(self, rows: List[FlexTuple], shapes: List[FrozenSet[str]]
+                    ) -> Tuple[int, Dict[FrozenSet[str], ShapePlan]]:
+        """How many of ``rows`` (distinct, none stored, ``shapes`` their name sets)
+        pass every check inserted in order, and the plan of each shape — for
+        :meth:`register_chunk`, which keeps those it files rows by.  Per shape:
+        admission, key presence, a pass per domain, each explicit AD per distinct
+        determinant value; key uniqueness as one set test; pair-wise steps the
+        key does not imply per row."""
+        groups: Dict[FrozenSet[str], List[int]] = {}
+        for position, shape in enumerate(shapes):
+            groups.setdefault(shape, []).append(position)
+        plans, limit, key_at, steps_at = {}, len(rows), {}, {}
+        for shape, positions in groups.items():
+            plan = plans[shape] = self._plans.get(shape) or ShapePlan(self, shape)
+            values = [rows[position]._values for position in positions]
+            first = 0 if (self.enforce and not plan.admitted) or (
+                self.key_constraint is not None and plan.key_names is None) else len(values)
+            if first and self.enforce:
+                columns = [(list(map(itemgetter(name), values)), domain.contains)
+                           for name, domain in plan.domains]
+                for step in plan.dependencies:
+                    if type(step) is _ExplicitStep:  # a verdict per distinct value
+                        column = _keys(values, step.names)
+                        columns.append((column, {value: step.conforms.get(
+                            value, step.otherwise) for value in set(column)}.get))
+                for column, ok in columns:
+                    if not all(map(ok, column)):
+                        first = min(first, next(at for at, value in enumerate(column)
+                                                if not ok(value)))
+            if first < len(positions):
+                limit = min(limit, positions[first])
+            if plan.key_names is not None:
+                key_at.update(zip(positions, _keys(values, plan.key_names)))
+            steps = [step for step in plan.dependencies
+                     if type(step) is _PairwiseStep and step.index is not self.key_index]
+            steps_at.update(dict.fromkeys(positions, steps) if steps else ())
+        keys = list(key_at.values())
+        if keys and (len(set(keys)) < len(keys) or not self.key_index.isdisjoint(keys)):
+            first_at = {key: at for at, key in sorted(key_at.items(), reverse=True)}
+            limit = min([limit] + [at for at, key in key_at.items()
+                                   if first_at[key] != at or self.key_index.bucket(key)])
+        earlier: Dict[HashIndex, Dict[Tuple, List[FlexTuple]]] = {}
+        for position in sorted(at for at in steps_at if at < limit):
+            try:
+                for step in steps_at[position]:
+                    step.check(rows[position], None, earlier.setdefault(step.index, {}))
+            except DependencyViolation:
+                return position, plans
+        return limit, plans

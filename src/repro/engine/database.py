@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import weakref
 from contextlib import contextmanager
+from itertools import islice
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -27,6 +28,7 @@ from repro.errors import (
     QueryCancelled,
     QueryTimeout,
 )
+from repro.exec.context import CHUNK_RECORDS
 from repro.exec.executor import PhysicalExecutor
 from repro.exec.planner import PhysicalPlan
 from repro.model.attributes import AttributeSet, attrset
@@ -158,30 +160,50 @@ class Table:
     def insert_many(self, items: Iterable) -> List[FlexTuple]:
         """Insert several tuples, stopping at the first violation.
 
-        ``for item in items: insert(item)`` as one statement: every row is
-        checked, journaled and applied in order by the same calls, the rows
-        before a violation stay, and ``on_mutation`` fires once, after the last
-        applied row.  The bulk loop of :func:`~repro.engine.serialization.load_database`.
+        ``for item in items: insert(item)`` as one statement: the same rows are
+        checked, journaled and applied in order, the rows before a violation
+        stay, and ``on_mutation`` fires once, after the last applied row.  The
+        rows are admitted a chunk at a time (:meth:`ConstraintChecker.admit_chunk`),
+        so unlike the loop it may read up to a chunk of ``items`` past the refused
+        row: those items are dropped, not left for a caller that resumes an
+        iterator.  The bulk loop of :func:`~repro.engine.serialization.load_database`.
         """
-        tuples, journal = self._tuples, self._journal
-        check, register = self.checker.check_insert, self.checker.register_tuple
-        inserted: List[FlexTuple] = []
-        applied = 0
+        tuples, journal, checker = self._tuples, self._journal, self.checker
+        source, inserted, applied = iter(items), [], 0
         try:
-            for item in items:
-                tup = _as_tuple(item)
-                if tup not in tuples:
-                    check(tup)
-                    if journal is not None:
-                        journal("insert", None, tup)
-                    tuples[tup] = None
-                    register(tup)
-                    applied += 1
-                inserted.append(tup)
+            while True:
+                chunk, failure = [], None
+                try:
+                    for item in islice(source, CHUNK_RECORDS):
+                        chunk.append(_as_tuple(item))
+                except Exception as exc:  # a row that makes no tuple, or a failing input
+                    failure = exc
+                fresh = {tup: frozenset(tup._values) for tup in chunk if tup not in tuples}
+                rows, shapes = list(fresh), list(fresh.values())
+                while rows:
+                    (admitted, plans), done = checker.admit_chunk(rows, shapes), 0
+                    if not admitted:
+                        # the row path's refusal — or admission, were the chunk test too strict
+                        checker.check_insert(rows[0])
+                        admitted = 1
+                    try:
+                        for tup in rows[:admitted]:
+                            if journal is not None:
+                                journal("insert", None, tup)
+                            tuples[tup] = None
+                            done += 1
+                    finally:
+                        checker.register_chunk(rows[:done], shapes[:done], plans)
+                        applied += done
+                    rows, shapes = rows[admitted:], shapes[admitted:]
+                if failure is not None:
+                    raise failure
+                inserted += chunk
+                if len(chunk) < CHUNK_RECORDS:
+                    return inserted
         finally:
             if applied:
                 self._mutated("insert", applied)
-        return inserted
 
     def fill(self, rows: Iterable, kind: str = "insert") -> None:
         """Recovery's apply step, one statement: ``"insert"`` each of ``rows``

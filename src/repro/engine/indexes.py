@@ -67,6 +67,10 @@ class HashIndex:
         """The tuples stored under ``key``, in place: read, never mutate."""
         return self._buckets.get(key, ())
 
+    def isdisjoint(self, keys: Iterable[Tuple]) -> bool:
+        """Is none of ``keys`` indexed?"""
+        return self._buckets.keys().isdisjoint(keys)
+
     def groups(self) -> Iterable[Tuple[Tuple, Set[FlexTuple]]]:
         """Iterate over ``(key, tuples)`` buckets."""
         for key, bucket in self._buckets.items():

@@ -34,6 +34,11 @@ MIN_BATCH_SIZE = 64
 MAX_BATCH_SIZE = 4096
 
 
+#: records buffered per pickled spill frame — bounds both frame size and the
+#: per-chunk memory a reader holds; also the row cadence of the spillable
+#: operators' budget checks, and the rows a bulk insert admits at once
+CHUNK_RECORDS = 512
+
 #: how many elements of a materialized container the size estimate inspects
 MEMORY_SAMPLE = 8
 

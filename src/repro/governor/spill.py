@@ -24,6 +24,7 @@ import zlib
 from typing import Iterable, Iterator, List, Optional
 
 from repro.errors import SpillError
+from repro.exec.context import CHUNK_RECORDS
 from repro.storage.wal import FRAME_HEADER, MAX_FRAME_BYTES
 
 __all__ = [
@@ -34,11 +35,6 @@ __all__ = [
 
 #: magic header of every spill segment (framing sibling of the WAL's RPRWAL01)
 SPILL_MAGIC = b"RPRSPL01"
-
-#: records buffered per pickled frame — bounds both frame size and the
-#: per-chunk memory a reader holds; also the row cadence of the spillable
-#: operators' budget checks
-CHUNK_RECORDS = 512
 
 #: fan-out of the partitioned paths (aggregate and grace join)
 SPILL_PARTITIONS = 16

@@ -190,8 +190,8 @@ class WriteAheadLog:
     group_commit_max:
         Pending-commit count that forces the deferred fsync early.
     fsync:
-        ``False`` turns the physical fsync into a flush-only no-op (for tests
-        and benchmarks that measure everything but the disk).
+        ``False`` turns the physical fsync into a no-op (for tests and
+        benchmarks that measure everything but the disk).
     file_factory:
         ``callable(path, mode) -> file object``; the hook the fault-injection
         harness uses to wrap the file (see :mod:`repro.storage.faults`).
@@ -327,11 +327,11 @@ class WriteAheadLog:
         return False
 
     def sync(self) -> None:
-        """Force everything appended so far to disk (one fsync, all pending)."""
+        """Force everything appended so far to disk (one fsync, all pending;
+        each append has flushed its write already)."""
         self.require_healthy()
         last_good = self.size
         try:
-            self._file.flush()
             if self._fsync_enabled:
                 fsync = getattr(self._file, "fsync", None)
                 if fsync is not None:

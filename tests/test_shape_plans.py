@@ -14,7 +14,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.engine.database as database_module
@@ -33,9 +33,10 @@ from repro.errors import (
     DependencyViolation,
     KeyViolation,
     ReproError,
+    TupleError,
     TypeCheckError,
 )
-from repro.model.attributes import AttributeSet
+from repro.model.attributes import Attribute, AttributeSet
 from repro.model.domains import EnumDomain, IntDomain, StringDomain
 from repro.model.scheme import FlexibleScheme, UnfoldedScheme
 from repro.model.tuples import FlexTuple
@@ -115,7 +116,7 @@ class ReferenceTable:
         return None
 
     def insert(self, values):
-        tup = FlexTuple(values)
+        tup = values if isinstance(values, FlexTuple) else FlexTuple(values)
         if tup in self.tuples:
             return None
         refusal = self.refusal(tup)
@@ -367,15 +368,56 @@ def test_engine_matches_the_per_row_reference(case, run):
 # -- insert_many is a loop of insert -----------------------------------------------------------
 
 
+def _as_flex(row):
+    return row if isinstance(row, FlexTuple) else FlexTuple(row)
+
+
+class _InputFailure(Exception):
+    pass
+
+
+#: in a batch: where its input raises :class:`_InputFailure`
+_FAIL = object()
+
+
+def _feed(rows):
+    """``rows`` as a generator that raises where a batch holds ``_FAIL``."""
+    for row in rows:
+        if row is _FAIL:
+            raise _InputFailure("the input failed")
+        yield row
+
+
+def _expected_stop(reference, rows):
+    """Where a loop of inserts over ``rows`` stops, and how: inserts the
+    accepted prefix into ``reference`` and returns ``None`` or ``(exception
+    class, acceptable messages)``."""
+    for row in rows:
+        if row is _FAIL:
+            return _InputFailure, {"the input failed"}
+        try:
+            row = _as_flex(row)
+        except TupleError as exc:
+            return TupleError, {str(exc)}
+        expected = reference.insert(row)
+        if expected is not None:
+            return expected
+    return None
+
+
 def _batches(definition, make_row, rng):
     """Batches against the state their accepted prefixes build: a clean one, one
     with duplicates inside it and of stored rows, one with a refused row in the
-    middle of accepted ones, then mixed ones as they come."""
+    middle of accepted ones, one stopped by a row that makes no tuple and one by
+    an input that raises, a refused row in the second chunk of a long batch, two
+    fresh rows sharing a key, a pair-wise conflict within the batch, rows given
+    as tuples and as dicts keyed by attributes, a dict keyed by names then one
+    keyed by attributes of the same shape, then mixed ones as they come."""
     universe = list(definition.scheme.attributes.names)
     trial = ReferenceTable(definition)
 
     def refused(row):
-        tup = FlexTuple(row)
+        tup = _as_flex(row)
         return tup not in trial.tuples and trial.refusal(tup) is not None
 
     def accepted(count):
@@ -388,15 +430,91 @@ def _batches(definition, make_row, rng):
                 rows.append(row)
         return rows
 
+    def refused_row():
+        bad = make_row(rng)
+        while not refused(bad):
+            bad = _scramble(make_row(rng), universe, sorted(trial.tuples, key=repr), rng)
+        return bad
+
+    def fresh_pair(kind, determinants):
+        # two fresh rows the trial accepts alone, the second — a row given the
+        # first's values on one of ``determinants`` — refused with ``kind``
+        # once the first is in
+        probe = ReferenceTable(definition)
+        for _ in range(100):
+            first = make_row(rng)
+            probe.tuples = set(trial.tuples)
+            if FlexTuple(first) in trial.tuples or probe.insert(first) is not None:
+                continue
+            for _ in range(10):
+                names = rng.choice(determinants).names
+                second = dict(make_row(rng), **{name: first[name]
+                                                 for name in names if name in first})
+                tup = FlexTuple(second)
+                refusal = probe.refusal(tup)
+                if refusal is not None and refusal[0] is kind \
+                        and tup not in probe.tuples and trial.refusal(tup) is None:
+                    trial.insert(first)
+                    return [first, second, make_row(rng)]
+        return None
+
     clean = accepted(8)
     yield "clean", clean
     fresh = accepted(4)
     yield "duplicates", fresh[:2] + clean[:3] + fresh[:2] + fresh[2:] + fresh[3:]
     before = accepted(3)
-    bad = make_row(rng)
-    while not refused(bad):
-        bad = _scramble(make_row(rng), universe, sorted(trial.tuples, key=repr), rng)
+    bad = refused_row()
     yield "violation in the middle", before + [bad] + [make_row(rng) for _ in range(3)]
+    yield "no tuple", accepted(3) + [{**make_row(rng), 3: 0}] + [
+        make_row(rng) for _ in range(2)]
+    yield "the input raises", accepted(3) + [_FAIL, make_row(rng)]
+    stored = [tup.as_dict() for tup in sorted(trial.tuples, key=repr)]
+    head = accepted(2)
+    filler = [stored[number % len(stored)] for number in range(520)]
+    tail = accepted(2)
+    yield "refused in the second chunk", head + filler + tail + [refused_row(), make_row(rng)]
+    batch = fresh_pair(KeyViolation, [definition.key])
+    if batch is not None:
+        yield "two fresh rows sharing a key", batch
+    determinants = [dependency.lhs for dependency in definition.dependencies
+                    if not isinstance(dependency, ExplicitAttributeDependency)
+                    and dependency.lhs != definition.key]
+    batch = determinants and fresh_pair(DependencyViolation, determinants)
+    if batch:
+        yield "conflict within the batch", batch
+    explicit = [name for dependency in definition.dependencies
+                if isinstance(dependency, ExplicitAttributeDependency)
+                for name in dependency.lhs.names]
+    probe = ReferenceTable(definition)
+    for _ in range(200 if explicit else 0):
+        # a row breaking its variant behind a fresh row of its shape
+        first, second = make_row(rng), make_row(rng)
+        second[rng.choice(explicit)] = rng.choice(VALUES)
+        probe.tuples = set(trial.tuples)
+        if set(first) != set(second) or FlexTuple(first) in trial.tuples \
+                or probe.insert(first) is not None:
+            continue
+        refusal = probe.refusal(FlexTuple(second))
+        if refusal is not None and refusal[0] is DependencyViolation \
+                and "conflicts with" not in next(iter(refusal[1])):
+            yield "a variant broken behind its shape", [first, second]
+            trial.insert(first)
+            break
+    rows = accepted(4) + [make_row(rng) for _ in range(2)]
+    mixed = [FlexTuple(row) if number % 2 else {Attribute(name): value
+                                                for name, value in row.items()}
+             for number, row in enumerate(rows + rows[:2])]
+    for row in mixed:
+        if refused(row):
+            break
+        trial.insert(_as_flex(row))
+    yield "tuples and attribute keys", mixed
+    by_shape = {}
+    for row in accepted(8):
+        by_shape.setdefault(frozenset(row), []).append(row)
+    yield "names, then attributes, of one shape", [
+        {Attribute(name): value for name, value in row.items()} if number % 2 else row
+        for group in by_shape.values() for number, row in enumerate(group)]
     for number in range(6):
         stored = sorted(trial.tuples, key=repr)
         rows = [make_row(rng) if rng.random() < 0.8
@@ -435,11 +553,11 @@ class _BatchSide:
         returned = []
         try:
             if self.bulk:
-                returned = self.table.insert_many(rows)
+                returned = self.table.insert_many(_feed(rows))
             else:
-                for row in rows:
+                for row in _feed(rows):
                     returned.append(self.table.insert(row))
-        except ReproError as exc:
+        except (ReproError, _InputFailure) as exc:
             return None, (type(exc), str(exc))
         return returned, None
 
@@ -474,6 +592,12 @@ class _BatchSide:
             recovered.close()
 
 
+def _names_are_str(table):
+    """Is every stored tuple keyed by plain ``str`` names — what the log and the
+    snapshot encode?  (An :class:`Attribute` key compares equal to its name.)"""
+    return all(type(name) is str for tup in table for name in tup._values)
+
+
 class _BatchPair:
     """A bulk side and a loop side, compared with each other and with the per-row
     reference after every statement."""
@@ -485,10 +609,13 @@ class _BatchPair:
             for bulk, name in ((True, "bulk"), (False, "loop"))]
         self.reference = ReferenceTable(definition)
         self.seen = set()
+        #: statement label -> the class of its refusal, or None
+        self.refusals = {}
 
     def compare(self, what):
         assert self.bulk.state() == self.loop.state(), what
         assert set(self.bulk.table) == self.reference.tuples, what
+        assert _names_are_str(self.bulk.table), what
 
     def statement(self, label, rows):
         """Issue ``rows`` on both sides; returns the (common) refusal."""
@@ -497,12 +624,8 @@ class _BatchPair:
         (ours, refusal), (theirs, their_refusal) = (side.issue(rows) for side in self.sides)
         assert refusal == their_refusal, what
         assert ours == theirs, what
-        expected = None
-        for row in rows:  # the reference stops where a loop of inserts stops
-            expected = self.reference.insert(row)
-            if expected is not None:
-                break
-        assert_same_outcome(expected, refusal, what)
+        assert_same_outcome(_expected_stop(self.reference, rows), refusal, what)
+        self.refusals[label] = refusal and refusal[0]
         self.compare(what)
         applied = self.bulk.table.mutation_count - count
         # the one observable difference: one hook firing per statement that
@@ -558,10 +681,104 @@ def test_insert_many_is_a_loop_of_insert(case, mode, tmp_path):
     assert "duplicates absorbed" in pair.seen
     if case not in ("nested-optional", "unfolded"):  # no room there for a prefix
         assert "raised after a prefix" in pair.seen
+    refusals = pair.refusals
+    assert refusals["no tuple"] is TupleError
+    assert refusals["the input raises"] is _InputFailure
+    assert refusals["refused in the second chunk"] is not None
+    assert "tuples and attribute keys" in refusals
+    assert refusals["names, then attributes, of one shape"] is None
+    if case in ("employees", "orders", "orders+dependencies"):
+        assert refusals["two fresh rows sharing a key"] is KeyViolation
+    if case == "employees":
+        assert refusals["a variant broken behind its shape"] is DependencyViolation
+    if case == "orders+dependencies":
+        assert refusals["conflict within the batch"] is DependencyViolation
     if durable:
         assert pair.bulk.files() == pair.loop.files()
         for side in pair.sides:
             assert side.reopened()[0] == pair.reference.tuples
+
+
+#: REPRO_SWEEP_EXAMPLES=<n> raises the example count (CI's random-seed sweep)
+BULK_EXAMPLES = int(os.environ.get("REPRO_SWEEP_EXAMPLES", "60"))
+
+
+class _TimidChecker(ConstraintChecker):
+    """A chunk test stricter than it must be: it admits half the prefix the
+    engine's admits, so the row path decides each row it stops at."""
+
+    def admit_chunk(self, rows, shapes):
+        admitted, plans = super().admit_chunk(rows, shapes)
+        return admitted // 2, plans
+
+
+def _random_batch(rng, make_row, definition, stored, size, spoil, repeat):
+    """``size`` rows: repeats of stored rows (share ``repeat``), fresh rows,
+    spoiled ones — a wrong shape, value or key, or another variant's
+    determinant value — rows that make no tuple and input failures (together
+    share ``spoil``) — as dicts, tuples or dicts keyed by attributes."""
+    universe = list(definition.scheme.attributes.names)
+    determinants = [value.as_dict() for dependency in definition.dependencies
+                    if isinstance(dependency, ExplicitAttributeDependency)
+                    for variant in dependency.variants for value in variant.values]
+    rows = []
+    for _ in range(size):
+        roll = rng.random()
+        if roll < spoil / 10:
+            rows.append(_FAIL if rng.random() < 0.5 else {**make_row(rng), 3: 0})
+            continue
+        if rng.random() < repeat and stored:
+            row = rng.choice(stored).as_dict()
+        else:
+            row = make_row(rng)
+            if roll < spoil / 2 and determinants:
+                row.update(rng.choice(determinants))
+            elif roll < spoil:
+                row = _scramble(row, universe, stored, rng)
+        form = rng.random()
+        rows.append(FlexTuple(row) if form < 0.2 else row if form > 0.3
+                    else {Attribute(name): value for name, value in row.items()})
+    return rows
+
+
+@settings(max_examples=BULK_EXAMPLES, deadline=None)
+@given(case=st.sampled_from(sorted(CASES)), enforce=st.sampled_from([True, True, False]),
+       timid=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       batches=st.lists(st.tuples(st.sampled_from([40, 1, 12, 530]),
+                                  st.sampled_from([0.3, 0.0, 0.05]),
+                                  st.sampled_from([0.3, 0.97])), min_size=1, max_size=4))
+def test_bulk_admission_is_a_loop_of_insert(case, enforce, timid, seed, batches):
+    """Random batches over every case: the same returned list, error class and
+    text, applied prefix, counters, kept shapes and index buckets as a loop of
+    inserts — also when the chunk test admits less than it could."""
+    definition, make_row = CASES[case]()
+    rng = random.Random(seed)
+    bulk, loop = Table(definition, enforce=enforce), Table(definition, enforce=enforce)
+    if timid:
+        bulk.checker = _TimidChecker(definition, enforce)
+    for size, spoil, repeat in batches:
+        rows = _random_batch(rng, make_row, definition, sorted(loop, key=repr), size,
+                             spoil, repeat)
+        outcomes = []
+        for table in (bulk, loop):
+            returned = []
+            try:
+                if table is bulk:
+                    returned = table.insert_many(_feed(rows))
+                else:
+                    for row in _feed(rows):
+                        returned.append(table.insert(row))
+            except (ReproError, _InputFailure) as exc:
+                returned = (type(exc), str(exc))
+            outcomes.append(returned)
+        assert outcomes[0] == outcomes[1], rows
+        assert list(bulk) == list(loop), rows
+        assert _names_are_str(bulk), rows
+        assert bulk.mutation_count == loop.mutation_count
+        assert bulk.checker.shapes() == loop.checker.shapes()
+        for ours, theirs in zip(bulk.checker.indexes(), loop.checker.indexes()):
+            assert ours.attributes == theirs.attributes
+            assert ours.same_buckets(theirs) and len(ours) == len(theirs), ours
 
 
 def test_the_journal_sees_each_row_before_it_is_applied():
@@ -729,18 +946,27 @@ def _durable_employees(path, rows):
 
 
 class _GullibleChecker(ConstraintChecker):
-    """A live checker gone wrong: it approves whatever it is shown."""
+    """A live checker gone wrong: it approves whatever it is shown, a row or
+    a chunk."""
 
     def check_insert(self, tup, ignore=None):
         pass
 
+    def admit_chunk(self, rows, shapes):
+        return len(rows), super().admit_chunk(rows, shapes)[1]
+
 
 class _ForgetfulChecker(ConstraintChecker):
-    """A live checker gone wrong: it leaves salesmen out of its indexes."""
+    """A live checker gone wrong: it leaves salesmen out of its indexes, one
+    row or a chunk at a time."""
 
     def register_tuple(self, tup):
         if tup["jobtype"] != "salesman":
             super().register_tuple(tup)
+
+    def register_chunk(self, rows, shapes, plans):
+        for tup in rows:
+            self.register_tuple(tup)
 
 
 def _verify_as_before(database):

@@ -508,6 +508,37 @@ class TestDurableTransactions:
         assert tables == {"employees": set(database.table("employees"))}
         assert report.transactions_applied == 1
 
+    def test_an_autocommit_is_one_write_one_flush_one_fsync(self, tmp_path):
+        calls = []
+
+        class Counting:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def write(self, data):
+                calls.append("write")
+                return self._inner.write(data)
+
+            def flush(self):
+                calls.append("flush")
+                self._inner.flush()
+
+            def fsync(self):
+                calls.append("fsync")
+                os.fsync(self._inner.fileno())
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        database = self._open(
+            tmp_path, wal_file_factory=lambda path, mode: Counting(open(path, mode)))
+        del calls[:]
+        database.table("employees").insert(generate_employees(1, seed=4)[0])
+        assert calls == ["write", "flush", "fsync"]
+        database.close()
+        tables, _report = self._reopened(tmp_path)
+        assert len(tables["employees"]) == 1
+
     def test_larger_than_the_buffer_spills_commits_and_recovers(self, tmp_path):
         database = self._open(tmp_path)
         wal = database.durability.wal
