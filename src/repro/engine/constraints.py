@@ -239,9 +239,10 @@ class ConstraintChecker:
     The checker owns the hash indexes (one per distinct attribute set among the key,
     the declared secondary indexes and the dependency determinants) but not the data;
     the table calls :meth:`register_tuple` / :meth:`unregister_tuple` to keep them in
-    sync and :meth:`check_insert` / :meth:`check_update` before mutating its tuple set
-    (a bulk load: :meth:`admit_chunk`, :meth:`register_chunk`).  ``enforce=False``
-    skips levels 1, 2, 4 and 5 — scheme, domains and dependencies — keeps the key.
+    sync and :meth:`check_insert` before mutating its tuple set, an update with the
+    tuple it replaces as ``ignore`` (a bulk load: :meth:`admit_chunk`,
+    :meth:`register_chunk`).  ``enforce=False`` skips levels 1, 2, 4 and 5 —
+    scheme, domains and dependencies — keeps the key.
     """
 
     def __init__(self, definition: TableDefinition, enforce: bool = True):
@@ -369,10 +370,6 @@ class ConstraintChecker:
             self.key_constraint.check(tup, plan.key_names, self.key_index, ignore=ignore)
         for step in plan.dependencies:
             step.check(tup, ignore)
-
-    def check_update(self, old: FlexTuple, new: FlexTuple) -> None:
-        """Check a replacement tuple, ignoring the tuple it replaces."""
-        self.check_insert(new, ignore=old)
 
     def admit_chunk(self, rows: List[FlexTuple], shapes: List[FrozenSet[str]]
                     ) -> Tuple[int, Dict[FrozenSet[str], ShapePlan]]:

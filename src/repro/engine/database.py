@@ -10,7 +10,6 @@ declared dependencies, and runs (optionally optimized) queries.
 from __future__ import annotations
 
 import weakref
-from contextlib import contextmanager
 from itertools import islice
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -205,22 +204,6 @@ class Table:
             if applied:
                 self._mutated("insert", applied)
 
-    def fill(self, rows: Iterable, kind: str = "insert") -> None:
-        """Recovery's apply step, one statement: ``"insert"`` each of ``rows``
-        the store lacks or ``"delete"`` each it holds — no check, no index, no
-        journal.  Recovery admits the rows afterwards (:meth:`adopt`)."""
-        tuples, before = self._tuples, len(self._tuples)
-        apply = tuples.setdefault if kind == "insert" else lambda tup: tuples.pop(tup, None)
-        for item in rows:
-            apply(_as_tuple(item))
-        if len(tuples) != before:
-            self._mutated(kind, abs(len(tuples) - before))
-
-    def adopt(self, checker: ConstraintChecker) -> None:
-        """Take over ``checker``, which has admitted and indexed every stored tuple."""
-        self.checker = checker
-        self._index_for.clear()
-
     def delete(self, item) -> bool:
         """Delete a tuple; returns whether it was stored."""
         tup = _as_tuple(item)
@@ -278,7 +261,7 @@ class Table:
             else:
                 merged[name] = value
         new_tuple = FlexTuple(merged)
-        self.checker.check_update(old_tuple, new_tuple)
+        self.checker.check_insert(new_tuple, ignore=old_tuple)
         if self._journal is not None:
             self._journal("update", old_tuple, new_tuple)
         del self._tuples[old_tuple]
@@ -363,8 +346,6 @@ class Database:
         #: ``(registry, its generation, instruments…)``: the fixed instruments
         #: every executed query feeds, fetched once per registry generation
         self._query_instruments: Optional[tuple] = None
-        #: True while recovery replays the log (mutations must not re-log)
-        self._journal_suppressed = False
         #: the open transaction's undo log — ``(table, old, new)`` per applied
         #: mutation, oldest first — or ``None`` outside :meth:`transaction`
         self._undo: Optional[List[Tuple[Table, Optional[FlexTuple], Optional[FlexTuple]]]] = None
@@ -373,7 +354,9 @@ class Database:
         self.spill = bool(spill)
         self.spill_directory = spill_directory
         self._closed = False
-        #: the durability manager of ``durable_path=...`` databases, else None
+        #: the durability manager of ``durable_path=...`` databases, else None;
+        #: its ``wal`` is None while it recovers, and recovery's DDL and DML
+        #: are neither journaled nor checkpointed
         self.durability = None
         if durable_path is not None:
             # Imported lazily: repro.storage builds on the serialization layer,
@@ -429,7 +412,7 @@ class Database:
             indexes=indexes,
         )
         self.catalog.register(definition)
-        if self.durability is not None and not self._journal_suppressed:
+        if self.durability is not None and self.durability.wal is not None:
             try:
                 self.durability.log_create_table(definition)
             except BaseException:
@@ -466,7 +449,7 @@ class Database:
     def drop_table(self, name: str) -> None:
         """Remove a table and its definition (and any collected statistics)."""
         self.table(name)  # raises CatalogError before anything is journaled
-        if self.durability is not None and not self._journal_suppressed:
+        if self.durability is not None and self.durability.wal is not None:
             self.durability.log_drop_table(name)
         self.catalog.unregister(name)
         del self._tables[name]
@@ -512,7 +495,7 @@ class Database:
         Fresh statistics feed the cost model until the next mutation of the
         analyzed table.
         """
-        if self.durability is not None and not self._journal_suppressed:
+        if self.durability is not None and self.durability.wal is not None:
             self.durability.log_analyze(name, sample_size)
         self.statistics.analyze(name, sample_size=sample_size)
         if name is not None:
@@ -543,7 +526,7 @@ class Database:
     def _journal_mutation(self, table: Table, kind: str, old, new) -> None:
         """The tables' write-ahead hook: journal a checked, unapplied mutation —
         on the log, then (the log accepted it) on the open undo log."""
-        if self.durability is not None and not self._journal_suppressed:
+        if self.durability is not None and self.durability.wal is not None:
             self.durability.log_mutation(table.name, kind, old, new)
         if self._undo is not None:
             # An update onto a tuple that is already stored (keyless tables)
@@ -560,19 +543,8 @@ class Database:
         old epoch's log — and that log is deleted after the switch.
         """
         self.statistics.note_mutation(name, kind, rows)
-        if self.durability is not None and not self._journal_suppressed:
+        if self.durability is not None and self.durability.wal is not None:
             self.durability.maybe_checkpoint()
-
-    @contextmanager
-    def _suspend_journal(self):
-        """Recovery replays through the normal DML paths; this keeps the
-        replay from journaling (and checkpointing) itself."""
-        previous = self._journal_suppressed
-        self._journal_suppressed = True
-        try:
-            yield
-        finally:
-            self._journal_suppressed = previous
 
     def checkpoint(self) -> str:
         """Snapshot the database atomically and truncate the write-ahead log.
@@ -1081,7 +1053,7 @@ class _Transaction:
 
     def __enter__(self) -> "Database":
         database = self._database
-        if database.durability is not None and not database._journal_suppressed:
+        if database.durability is not None and database.durability.wal is not None:
             database.durability.begin()
             self._durability = database.durability
         self._outermost = database._undo is None

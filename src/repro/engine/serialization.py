@@ -14,7 +14,9 @@ Public entry points:
   behind — the checkpointer of :mod:`repro.storage` writes through the same
   :func:`atomic_write` primitive,
 * :func:`database_to_dict` / :func:`database_from_dict` — plain dictionaries, with
-  :func:`populate_database_from_dict` loading into an existing (empty) database;
+  :func:`populate_database_from_dict` loading into an existing (empty) database,
+  each table's rows through :meth:`~repro.engine.database.Table.insert_many` (a
+  durable database's recovery loads its checkpoint snapshot so);
   :func:`database_json_pieces` is ``database_to_dict``'s document as compact JSON
   text, streamed (the checkpoint's encoder),
 * the per-object converters (``scheme_to_dict``, ``dependency_to_dict``, ...) for
@@ -45,7 +47,7 @@ from repro.core.dependencies import (
     FunctionalDependency,
     Variant,
 )
-from repro.engine.database import Database, Table
+from repro.engine.database import Database
 from repro.errors import ReproError
 from repro.model.attributes import Attribute
 from repro.model.domains import (
@@ -417,18 +419,13 @@ def _tuple_objects(raw_tuples: list, path: str):
 def populate_database_from_dict(database: Database, data: dict) -> Database:
     """Load a :func:`database_to_dict` document into an existing database.
 
-    The database is expected to be empty (a fresh construction); tables are
-    created and filled in document order, each table's tuples by one
-    :meth:`Table.insert_many`.
+    The database is expected to be empty (a fresh construction or a durable
+    database in recovery); tables are created and filled in document order,
+    each table's tuples by one :meth:`Table.insert_many`.
     Structural problems raise :class:`SerializationError` naming the offending
     path; constraint violations of the *data* propagate unchanged (they name
     the violated constraint, which is more useful than a document path).
     """
-    return load_tables(database, data, Table.insert_many)
-
-
-def load_tables(database: Database, data: dict, load) -> Database:
-    """:func:`populate_database_from_dict`, each table's rows stored by ``load(table, rows)``."""
     _as_object(data, "")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
@@ -452,7 +449,7 @@ def load_tables(database: Database, data: dict, load) -> Database:
         raw_tuples = entry.get("tuples", [])
         if not isinstance(raw_tuples, list):
             raise _fail(path + ".tuples", "expected a list of tuples")
-        load(table, _tuple_objects(raw_tuples, path))
+        table.insert_many(_tuple_objects(raw_tuples, path))
         statistics = entry.get("statistics")
         if statistics is not None:
             try:

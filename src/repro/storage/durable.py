@@ -7,10 +7,14 @@ manager keeps a directory with at most two kinds of files::
         snapshot.json      # the latest checkpoint (atomic rename target)
         wal.000003         # the current epoch's write-ahead log
 
-On open it performs **recovery**: load the checkpoint snapshot if one exists,
-replay the committed prefix of the current epoch's log on top of it
-(discarding any torn tail and truncating the file back to the intact prefix),
-re-validate every invariant, and only then open the log for appending.  At
+On open it performs **recovery**, an ordinary load: the checkpoint snapshot,
+if one exists, goes through ``Table.insert_many`` and the committed prefix of
+the current epoch's log through the tables' own DML, so each table's checker
+admits every row once; a refused row fails the open and leaves the directory
+untouched.  Then the statistics row counts are checked, any torn tail is cut
+back to the intact prefix, and only then is the log opened for appending —
+until then :attr:`DurabilityManager.wal` is ``None``, and the database
+journals and checkpoints nothing, so recovery does not re-log itself.  At
 runtime it journals every mutation *before* the table applies it
 (write-ahead; an open ``Database.transaction()`` buffers its framed records
 and writes them in one piece at commit), fsyncs at commit points (optionally
@@ -42,9 +46,10 @@ from repro.storage.checkpoint import (
 from repro.storage.recovery import (
     RecoveryError,
     RecoveryReport,
-    admit_database,
-    apply_committed,
+    load_snapshot,
+    miscounted_statistics,
     read_wal,
+    replay_records,
 )
 from repro.storage.wal import (
     MAGIC,
@@ -115,42 +120,37 @@ class DurabilityManager:
         database = self.database
         report = RecoveryReport()
         with database.tracer.span("recovery", directory=self.directory):
-            with database._suspend_journal():
-                with self._phase(report, "load_snapshot") as span:
-                    snapshot = load_checkpoint(self.snapshot_path)
-                    if snapshot is not None:
-                        from repro.engine.database import Table
-                        from repro.engine.serialization import load_tables
-
-                        load_tables(database, snapshot[0], Table.fill)
-                        self.epoch = snapshot[1]
-                        report.checkpoint_loaded = True
-                    span.set(rows=self._stored_rows())
-                del snapshot  # stored: freed before the admission's indexes are built
-                report.wal_epoch = self.epoch
-                path = self.wal_path(self.epoch)
-                with self._phase(report, "read_wal") as span:
-                    records, valid_length, torn = read_wal(path)
-                    span.set(records=len(records), bytes=valid_length)
-                if torn is not None:
-                    report.torn_offset, report.torn_reason = torn
-                    database.tracer.event("wal-torn-tail", offset=torn[0],
-                                          reason=torn[1])
-                report.valid_bytes = valid_length
-                with self._phase(report, "replay") as span:
-                    apply_committed(database, records, report)
-                    span.set(records=len(records),
-                             operations=report.operations_applied)
-                self._next_txn_id = max(
-                    [r["txn"] for r in records if isinstance(r.get("txn"), int)] or [0])
-                del records
-                with self._phase(report, "verify") as span:
-                    problems = admit_database(database)
-                    span.set(rows=self._stored_rows(), problems=len(problems))
-                if problems:
-                    raise RecoveryError(
-                        "recovered database is inconsistent: {}".format(
-                            "; ".join(problems)))
+            with self._phase(report, "load_snapshot") as span:
+                snapshot = load_checkpoint(self.snapshot_path)
+                if snapshot is not None:
+                    load_snapshot(database, snapshot[0])
+                    self.epoch = snapshot[1]
+                    report.checkpoint_loaded = True
+                span.set(rows=self._stored_rows())
+            del snapshot  # stored: the document is freed before the log is read
+            report.wal_epoch = self.epoch
+            path = self.wal_path(self.epoch)
+            with self._phase(report, "read_wal") as span:
+                records, valid_length, torn = read_wal(path)
+                span.set(records=len(records), bytes=valid_length)
+            if torn is not None:
+                report.torn_offset, report.torn_reason = torn
+                database.tracer.event("wal-torn-tail", offset=torn[0],
+                                      reason=torn[1])
+            report.valid_bytes = valid_length
+            with self._phase(report, "replay") as span:
+                replay_records(database, records, report)
+                span.set(records=len(records),
+                         operations=report.operations_applied)
+            self._next_txn_id = max(
+                [r["txn"] for r in records if isinstance(r.get("txn"), int)] or [0])
+            with self._phase(report, "verify") as span:
+                problems = miscounted_statistics(database, database.tables())
+                span.set(rows=self._stored_rows(), problems=len(problems))
+            if problems:
+                raise RecoveryError(
+                    "recovered database is inconsistent: {}".format(
+                        "; ".join(problems)))
             self._truncate_torn_tail(path, valid_length)
             created = not os.path.exists(path)
             self.wal = self._open_wal(self.epoch)

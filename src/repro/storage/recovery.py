@@ -1,4 +1,5 @@
-"""Crash recovery: replay the committed prefix of a write-ahead log.
+"""Crash recovery: load the checkpoint snapshot and replay the committed
+prefix of a write-ahead log.
 
 Recovery runs when a durable database opens (see
 :class:`~repro.storage.durable.DurabilityManager`) and must deliver three
@@ -12,10 +13,14 @@ guarantees, each exercised mechanically by the fault-injection harness in
 * **torn-tail tolerance** — a crash mid-write leaves a short or corrupt frame
   at the end of the log; recovery *detects and discards* it (and truncates the
   file back to the intact prefix) instead of crashing;
-* **invariant preservation** — snapshot and replay only *fill* the stores;
-  then a checker built from each table's definition *admits* every stored row
-  once (scheme, domains, keys, dependencies) and the table *adopts* it, indexes
-  included.  A refusal or a wrong statistics row count raises :class:`RecoveryError`.
+* **invariant preservation** — recovery is an ordinary load: the snapshot's
+  rows enter each table by one :meth:`Table.insert_many` (:func:`load_snapshot`)
+  and the log's committed work by the tables' own DML (:func:`replay_records`),
+  so the checker each table builds from its definition admits every row once
+  (scheme, domains, keys, dependencies) and files it in its indexes.  A
+  refused row, or a statistics row count that disagrees with its table
+  (:func:`miscounted_statistics`), raises :class:`RecoveryError`.
+  :func:`verify_database` audits any database against its definitions.
 
 Replay is idempotent with respect to the checkpoint snapshot it starts from:
 the checkpoint switches the log to a fresh epoch file (see
@@ -31,6 +36,11 @@ from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.constraints import ConstraintChecker
+from repro.engine.serialization import (
+    SerializationError,
+    populate_database_from_dict,
+    table_definition_from_dict,
+)
 from repro.errors import ReproError
 from repro.model.tuples import FlexTuple
 from repro.storage.wal import (
@@ -47,7 +57,7 @@ from repro.storage.wal import (
     read_frames,
 )
 
-__all__ = ["RecoveryError", "RecoveryReport", "admit_database", "apply_committed",
+__all__ = ["RecoveryError", "RecoveryReport", "load_snapshot", "miscounted_statistics",
            "read_wal", "replay_records", "verify_database"]
 
 
@@ -109,28 +119,60 @@ def read_wal(path: str) -> Tuple[List[Dict[str, object]], int, Optional[Tuple[in
     return read_frames(data)
 
 
+def load_snapshot(database, document: Dict[str, object]) -> None:
+    """Load a checkpoint's database document into the (empty) database in
+    recovery: :func:`~repro.engine.serialization.populate_database_from_dict`,
+    each table's rows one :meth:`Table.insert_many`.
+
+    A row a table refuses raises :class:`RecoveryError` naming every row of
+    that table's document that a checker built from its definition refuses,
+    in document order; a malformed document raises the
+    :class:`~repro.engine.serialization.SerializationError` the load does.
+    """
+    try:
+        populate_database_from_dict(database, document)
+    except SerializationError:
+        raise
+    except ReproError as exc:
+        # the loaded tables are the document's first ones, the last of them the
+        # one that refused; the report is built on this error path only
+        problems: List[str] = []
+        for entry in document["tables"][:len(database.tables())]:
+            rows = (FlexTuple(values) for values in entry.get("tuples", ())
+                    if isinstance(values, dict))
+            problems += _recheck(database.table(entry["name"]), dict.fromkeys(rows))[1]
+        if not problems:
+            raise
+        raise RecoveryError(
+            "recovered database is inconsistent: " + "; ".join(problems)) from exc
+
+
+_DML = (OP_INSERT, OP_UPDATE, OP_DELETE)
+
+
 def _apply_operations(database, records: Iterable[Dict[str, object]]) -> None:
-    """Apply replayed DML records to the stores in log order, unchecked
-    (:meth:`Table.fill`).  A run of consecutive inserts into one table is one
-    statement, an update a delete and an insert, as they were live."""
+    """Apply replayed DML records through the tables' own DML, in log order: a
+    run of consecutive inserts into one table is one :meth:`Table.insert_many`,
+    a delete a :meth:`Table.delete`, an update a delete of the old image and an
+    insert of the new one.  A row the table refuses raises :class:`RecoveryError`."""
     for (name, op), run in groupby(records, key=lambda r: (r["table"], r["op"])):
         table = database.table(name)
-        if op == OP_INSERT:
-            table.fill(record["values"] for record in run)
-        elif op == OP_DELETE:
-            for record in run:
-                table.fill((record["values"],), OP_DELETE)
-        elif op == OP_UPDATE:
-            for record in run:
-                table.fill((record["old"],), OP_DELETE)
-                table.fill((record["new"],))
-        else:  # pragma: no cover - guarded by the dispatcher below
-            raise RecoveryError("unknown DML op {!r}".format(op))
+        try:
+            if op == OP_INSERT:
+                table.insert_many(record["values"] for record in run)
+            elif op == OP_DELETE:
+                for record in run:
+                    table.delete(record["values"])
+            else:  # OP_UPDATE, the only other DML op the dispatcher hands on
+                for record in run:
+                    table.delete(record["old"])
+                    table.insert(record["new"])
+        except ReproError as exc:
+            raise RecoveryError("recovered database is inconsistent: table {!r}: {}".format(
+                name, exc)) from exc
 
 
 def _apply_ddl(database, record: Dict[str, object], report: RecoveryReport) -> None:
-    from repro.engine.serialization import table_definition_from_dict
-
     op = record["op"]
     if op == OP_CREATE_TABLE:
         spec = table_definition_from_dict(record["table"], path="wal.create_table")
@@ -156,68 +198,60 @@ def _apply_ddl(database, record: Dict[str, object], report: RecoveryReport) -> N
 
 def replay_records(database, records: List[Dict[str, object]],
                    report: Optional[RecoveryReport] = None) -> RecoveryReport:
-    """Replay decoded records into a database (:func:`apply_committed`), then
-    admit every stored row once (:func:`admit_database`); a refusal raises
-    :class:`RecoveryError`."""
-    report = apply_committed(database, records, report)
-    problems = admit_database(database)
-    if problems:
-        raise RecoveryError("recovered database is inconsistent: " + "; ".join(problems))
-    return report
-
-
-def apply_committed(database, records: List[Dict[str, object]],
-                    report: Optional[RecoveryReport] = None) -> RecoveryReport:
-    """Apply the committed work of decoded records; DML unchecked, for
-    :func:`admit_database` to check.
+    """Replay the committed work of decoded records into a database, through
+    the tables' own DML; a row a table refuses raises :class:`RecoveryError`.
 
     DML tagged with a ``txn`` id is buffered until that transaction's commit
     record; an ``abort`` — or simply never seeing the commit (the crash ate
     it) — discards the buffer.  Autocommitted DML (``txn: null``) and DDL /
-    ANALYZE markers apply immediately, mirroring the live engine where DDL is
-    not undone by a rollback.  The caller is expected to have journaling
-    suppressed (see ``Database._suspend_journal``) so replay does not re-log
-    itself.
+    ANALYZE markers apply as met, mirroring the live engine where DDL is not
+    undone by a rollback; consecutive autocommitted records form runs as a
+    transaction's do (:func:`_apply_operations`).  Replay journals nothing as
+    long as the database's durability manager has not opened its log, which
+    it opens once recovery is done.
     """
     if report is None:
         report = RecoveryReport()
     report.records_read += len(records)
     open_txn: Optional[int] = None
     buffer: List[Dict[str, object]] = []
-    for record in records:
-        op = record.get("op")
-        if op == OP_BEGIN:
-            if open_txn is not None and buffer:
-                report.transactions_discarded += 1
-            open_txn, buffer = record.get("txn"), []
-        elif op == OP_COMMIT:
-            if record.get("txn") == open_txn and open_txn is not None:
-                _apply_operations(database, buffer)
-                report.operations_applied += len(buffer)
-                report.transactions_applied += 1
-            open_txn, buffer = None, []
-        elif op == OP_ABORT:
-            if open_txn is not None:
-                report.transactions_discarded += 1
-            open_txn, buffer = None, []
-        elif op in (OP_INSERT, OP_UPDATE, OP_DELETE):
-            txn = record.get("txn")
-            if txn is None:
-                _apply_operations(database, (record,))
-                report.operations_applied += 1
-                report.transactions_applied += 1
-            elif txn == open_txn:
-                buffer.append(record)
+    for autocommitted, run in groupby(
+            records, key=lambda r: r.get("op") in _DML and r.get("txn") is None):
+        if autocommitted:
+            run = list(run)
+            _apply_operations(database, run)
+            report.operations_applied += len(run)
+            report.transactions_applied += len(run)
+            continue
+        for record in run:
+            op = record.get("op")
+            if op == OP_BEGIN:
+                if open_txn is not None and buffer:
+                    report.transactions_discarded += 1
+                open_txn, buffer = record.get("txn"), []
+            elif op == OP_COMMIT:
+                if record.get("txn") == open_txn and open_txn is not None:
+                    _apply_operations(database, buffer)
+                    report.operations_applied += len(buffer)
+                    report.transactions_applied += 1
+                open_txn, buffer = None, []
+            elif op == OP_ABORT:
+                if open_txn is not None:
+                    report.transactions_discarded += 1
+                open_txn, buffer = None, []
+            elif op in _DML:
+                if record["txn"] == open_txn:
+                    buffer.append(record)
+                else:
+                    # A stray record of a transaction we never saw begin —
+                    # debris from a log bug; safer to drop than to guess.
+                    report.transactions_discarded += 1
+            elif op in (OP_CREATE_TABLE, OP_DROP_TABLE, OP_ANALYZE):
+                _apply_ddl(database, record, report)
+            elif op == OP_CHECKPOINT:
+                pass  # informational marker only
             else:
-                # A stray record of a transaction we never saw begin — debris
-                # from a log bug; safer to drop than to guess.
-                report.transactions_discarded += 1
-        elif op in (OP_CREATE_TABLE, OP_DROP_TABLE, OP_ANALYZE):
-            _apply_ddl(database, record, report)
-        elif op == OP_CHECKPOINT:
-            pass  # informational marker only
-        else:
-            raise RecoveryError("unknown WAL record op {!r}".format(op))
+                raise RecoveryError("unknown WAL record op {!r}".format(op))
     if open_txn is not None and buffer:
         report.transactions_discarded += 1
     return report
@@ -245,13 +279,6 @@ def _recheck(table, tuples: Iterable[FlexTuple]) -> Tuple[ConstraintChecker, Lis
     return fresh, problems
 
 
-def admit_database(database) -> List[str]:
-    """Recovery's admission: :func:`verify_database` without the index
-    comparison (the tables built no indexes), where each table that refuses
-    no row adopts the checker that admitted them."""
-    return _verify(database, adopt=True)
-
-
 def verify_database(database) -> List[str]:
     """Re-validate every invariant of a recovered database.
 
@@ -270,10 +297,6 @@ def verify_database(database) -> List[str]:
     * the incrementally maintained statistics row counts agree with the
       tables.
     """
-    return _verify(database, adopt=False)
-
-
-def _verify(database, adopt: bool) -> List[str]:
     problems: List[str] = []
     for name in database.tables():
         table = database.table(name)
@@ -281,9 +304,7 @@ def _verify(database, adopt: bool) -> List[str]:
         if refusals:
             fresh, refusals = _recheck(table, sorted(table, key=repr))
         problems.extend(refusals)
-        if adopt and not refusals:
-            table.adopt(fresh)
-        for index in () if adopt else table.checker.indexes():
+        for index in table.checker.indexes():
             expected = fresh.index_on(index.attributes)
             if index.same_buckets(expected):
                 continue
@@ -297,9 +318,18 @@ def _verify(database, adopt: bool) -> List[str]:
                 problems.append(
                     "table {!r}: index on {} holds the expected {} tuples, but not "
                     "under the expected keys".format(name, index.attributes, len(held)))
+        problems.extend(miscounted_statistics(database, [name]))
+    return problems
+
+
+def miscounted_statistics(database, names: Iterable[str]) -> List[str]:
+    """The tables of ``names`` whose statistics row count is not their size —
+    the check recovery's ``verify`` phase runs on every table."""
+    problems: List[str] = []
+    for name in names:
         statistics = database.statistics.peek(name)
-        if statistics is not None and statistics.row_count != len(table):
+        if statistics is not None and statistics.row_count != len(database.table(name)):
             problems.append(
                 "table {!r}: statistics row_count {} != stored {}".format(
-                    name, statistics.row_count, len(table)))
+                    name, statistics.row_count, len(database.table(name))))
     return problems

@@ -16,6 +16,7 @@ import struct
 import tempfile
 import weakref
 import zlib
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -575,6 +576,36 @@ class TestRecoveryEdgeCases:
             ("t", "delete", 2), ("t", "insert", 4)]
         assert verify_database(database) == []
 
+    def test_consecutive_autocommitted_statements_replay_as_runs(self):
+        """Consecutive autocommitted records form runs as a transaction's do:
+        consecutive inserts into one table are one ``insert_many``, and any
+        other record (here an ANALYZE marker) ends the run."""
+        database = Database()
+        statements = []
+        for name in ("t", "u"):
+            database.create_table(name, _simple_scheme(), key=["k"])
+            database.table(name)._on_mutation = (
+                lambda kind, rows, _name=name: statements.append((_name, kind, rows)))
+
+        def dml(op, table, **images):
+            return dict({"op": op, "table": table, "txn": None}, **images)
+
+        report = replay_records(database, [
+            dml("insert", "t", values={"k": 1}),
+            dml("insert", "t", values={"k": 2}),
+            dml("insert", "u", values={"k": 1}),
+            dml("update", "t", old={"k": 2}, new={"k": 2, "v": 2}),
+            dml("insert", "t", values={"k": 3}),
+            dml("insert", "t", values={"k": 4}),
+            {"op": "analyze", "table": "u", "sample_size": None},
+            dml("insert", "u", values={"k": 2}),
+        ])
+        assert (report.operations_applied, report.transactions_applied) == (7, 7)
+        assert statements == [
+            ("t", "insert", 2), ("u", "insert", 1),
+            ("t", "delete", 1), ("t", "insert", 2),   # the update: delete + insert
+            ("t", "insert", 4), ("u", "insert", 2)]
+
     def test_unknown_record_op_is_an_error(self, tmp_path):
         database = Database()
         with pytest.raises(RecoveryError):
@@ -620,10 +651,10 @@ def _edit_snapshot(path, table, rows):
         json.dump(payload, handle)
 
 
-def _log_tail_insert(path, table, row):
+def _log_tail(path, op, table, **images):
+    """Append one autocommitted DML record to the log tail."""
     with open(os.path.join(path, wal_filename(1)), "ab") as handle:
-        handle.write(frame_record(
-            {"op": "insert", "table": table, "txn": None, "values": row}))
+        handle.write(frame_record(dict({"op": op, "table": table, "txn": None}, **images)))
 
 
 def _directory_image(path):
@@ -650,8 +681,17 @@ _HAND_EDITS = {
         "tuple {!r} conflicts with stored tuple".format(
             FlexTuple({"room": 9, "dept": "d1", "floor": 7}))),
     "tail key collides with the snapshot": (
-        lambda path: _log_tail_insert(path, "employees", dict(_employee(3), name="twin")),
+        lambda path: _log_tail(path, "insert", "employees",
+                               values=dict(_employee(3), name="twin")),
         "key value (3,) already present"),
+    "tail update breaks the explicit AD": (
+        lambda path: _log_tail(path, "update", "employees", old=_employee(1),
+                               new=dict(_employee(1), jobtype="salesman")),
+        "tuple {!r} violates".format(FlexTuple(dict(_employee(1), jobtype="salesman")))),
+    "tail insert out of its domain": (
+        lambda path: _log_tail(path, "insert", "employees",
+                               values=dict(_employee(902), salary="plenty")),
+        "value 'plenty' of attribute 'salary' violates its domain"),
 }
 
 
@@ -675,16 +715,6 @@ class TestAdmitOnce:
         assert len(re.findall(r"table '\w+': ", messages[0])) == 1  # that row only
 
     def test_admit_checks_each_stored_row_once(self, tmp_path, monkeypatch):
-        import repro.engine.database as database_module
-        import repro.storage.recovery as recovery_module
-
-        class Counting(ConstraintChecker):
-            checks = 0
-
-            def check_insert(self, tup, ignore=None):
-                Counting.checks += 1
-                super().check_insert(tup, ignore)
-
         path = str(tmp_path / "db")
         _honest_directory(path)
         database = Database(durable_path=path, wal_fsync=False)
@@ -693,13 +723,30 @@ class TestAdmitOnce:
         employees.delete(_employee(4))
         database.table("rooms").insert({"room": 5, "dept": "d1", "floor": 1})
         database.close()
-        monkeypatch.setattr(database_module, "ConstraintChecker", Counting)
-        monkeypatch.setattr(recovery_module, "ConstraintChecker", Counting)
+        # every admission by any checker: a row's own, or its chunk's
+        admitted = []
+        check_insert, admit_chunk = ConstraintChecker.check_insert, ConstraintChecker.admit_chunk
+
+        def counting_check(checker, tup, ignore=None):
+            check_insert(checker, tup, ignore)
+            admitted.append(tup)
+
+        def counting_chunk(checker, rows, shapes):
+            count, plans = admit_chunk(checker, rows, shapes)
+            admitted.extend(rows[:count])
+            return count, plans
+
+        monkeypatch.setattr(ConstraintChecker, "check_insert", counting_check)
+        monkeypatch.setattr(ConstraintChecker, "admit_chunk", counting_chunk)
         reopened = Database(durable_path=path)
-        stored = sum(len(reopened.table(name)) for name in reopened.tables())
-        assert stored == 5 + 5 and Counting.checks == stored
-        assert all(type(reopened.table(name).checker) is Counting
-                   for name in reopened.tables())
+        stored = [tup for name in reopened.tables() for tup in reopened.table(name)]
+        admissions = Counter(admitted)
+        assert len(stored) == 5 + 5 and [admissions[tup] for tup in stored] == [1] * 10
+        # the snapshot's rows are admitted as they load; the tail then removes
+        # two of them (the update's old image and the deleted row)
+        removed = {FlexTuple(_employee(2)), FlexTuple(_employee(4))}
+        assert set(admissions) == set(stored) | removed
+        assert sum(admissions.values()) == len(admissions) == 12
         reopened.close()
 
     @given(history=st.lists(st.tuples(

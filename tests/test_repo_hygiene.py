@@ -1,8 +1,9 @@
 """Checks on the repository itself rather than on the engine's behaviour:
 the CI workflow parses and names files that exist, no module of ``src/``
 imports a name it never uses, the constants ARCHITECTURE documents exist
-with the values it states, every engine callable E20 traces exists, and the
-census allowlist names defined functions with a known reason."""
+with the values it states, every engine callable E20 traces exists (and a
+reopen enters the recovery ones), and the census allowlist names defined
+functions with a known reason."""
 
 import ast
 import glob
@@ -109,19 +110,47 @@ class TestConstantsTable:
         assert stale == []
 
 
+def _e20_trace():
+    spec = importlib.util.spec_from_file_location(
+        "e20_trace", ROOT / "benchmarks" / "e20" / "trace.py")
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    return trace
+
+
 class TestE20TraceTargets:
     def test_every_engine_target_resolves(self):
         """E20's traced run wraps the engine callables named in
         ``benchmarks/e20/trace.py``; a renamed or removed one would silently
         read 0 in its layer metrics, so each ``repro.*`` target must resolve."""
-        spec = importlib.util.spec_from_file_location(
-            "e20_trace", ROOT / "benchmarks" / "e20" / "trace.py")
-        trace = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(trace)
+        trace = _e20_trace()
         targets = [target for _name, target in trace.TARGETS
                    if target.startswith("repro.")]
         assert len(targets) >= 30
         assert [target for target in targets if trace.resolve(target) is None] == []
+
+    def test_a_reopen_enters_the_populate_and_replay_targets_once(self, tmp_path):
+        """``engine.populate_s_per_reopen`` and
+        ``storage.recovery_replay_us_per_record`` read the spans of these two
+        targets: a reopen that bypassed either would read 0 again.  Counted
+        with E20's own wrapping (every module that imported the name)."""
+        from repro.engine import Database
+        from repro.workloads.employees import employee_definition, generate_employees
+
+        trace, path = _e20_trace(), str(tmp_path / "db")
+        database, definition = Database(durable_path=path), employee_definition()
+        table = database.create_table(
+            "employees", definition.scheme, domains=definition.domains,
+            key=definition.key, dependencies=definition.dependencies)
+        rows = generate_employees(25, seed=3)
+        table.insert_many(rows[:20])
+        database.checkpoint()
+        table.insert_many(rows[20:])  # the log tail
+        database.close()
+        targets = dict(trace.TARGETS)
+        for span in ("engine.populate", "storage.recovery_replay"):
+            reopen = lambda: Database(durable_path=path).close()  # noqa: E731
+            assert trace.count_calls(targets[span], reopen) == 1, span
 
 
 def _load_tool(name):

@@ -14,7 +14,9 @@ none of them entered, file by file, and their count.  What only tier-1
 reaches is deleted or kept; a kept one is listed in
 ``tools/census_allowlist.txt``, one ``path:qualname  reason`` a line, with a
 reason from :data:`REASONS`.  Dunders are exempt.  The census exits 1, naming
-each unentered function the allowlist lacks, and 0 when there is none.
+each unentered function the allowlist lacks and each allowlist line whose
+function a run entered (a stale line; those whose comment starts with
+``timing`` are exempt), and 0 when there is neither.
 
 Usage (from the repository root; takes a few minutes, the profiler slows
 everything down several times)::
@@ -89,15 +91,17 @@ def defined_functions():
 
 
 def read_allowlist(path=ALLOWLIST):
-    """``{"path:qualname": reason}``: the allowlist's lines, ``#`` starting a
-    comment, the path relative to the repository root."""
+    """``{"path:qualname": (reason, comment)}``: the allowlist's lines, ``#``
+    starting a comment (``""`` when there is none), the path relative to the
+    repository root."""
     entries = {}
     with open(path) as handle:
         for line in handle:
-            fields = line.split("#", 1)[0].split()
+            text, _, comment = line.partition("#")
+            fields = text.split()
             if fields:
                 name, reason = fields
-                entries[name] = reason
+                entries[name] = (reason, comment.strip())
     return entries
 
 
@@ -167,14 +171,20 @@ def main():
     print("{} of {} functions in src/repro not entered (runs: {})".format(
         total, len(functions),
         ", ".join(name for name, _ in runs if name not in skip)))
-    allowed = read_allowlist()
-    unlisted = ["{}:{}".format(path, name) for path in sorted(unreached)
-                for _line, name in unreached[path]
-                if not is_dunder(name) and "{}:{}".format(path, name) not in allowed]
+    allowed, allowlist = read_allowlist(), os.path.relpath(ALLOWLIST, ROOT)
+    unentered = {"{}:{}".format(path, name): name for path in sorted(unreached)
+                 for _line, name in unreached[path]}
+    unlisted = [entry for entry, name in unentered.items()
+                if not is_dunder(name) and entry not in allowed]
     for name in unlisted:
-        print("not entered and not in {}: {}".format(
-            os.path.relpath(ALLOWLIST, ROOT), name))
-    return 1 if unlisted else 0
+        print("not entered and not in {}: {}".format(allowlist, name))
+    # a line whose function a run entered keeps it for a reason that no longer
+    # holds; whether a "timing" line's function is entered depends on timing
+    stale = [name for name, (_reason, comment) in sorted(allowed.items())
+             if name not in unentered and not comment.startswith("timing")]
+    for name in stale:
+        print("entered, yet listed in {}: {}".format(allowlist, name))
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":
