@@ -1,10 +1,13 @@
-"""E16 — cardinality feedback re-orders a join the stale statistics got wrong.
+"""E16 — cardinality feedback re-orders a join the aged statistics got wrong.
 
-The skewed star workload of :mod:`repro.workloads.star` with **deliberately
-stale** statistics on ``dim_rare``: after ANALYZE, one DML against the big
-dimension makes its distributions unusable, so the first planning pass falls
-back to default selectivities and prices ``fact ⋈ σ(dim_rare)`` — the only
-join that actually shrinks the fact side — as an explosion, dragging the full
+The skewed star workload of :mod:`repro.workloads.star` with **aged**
+statistics on ``dim_rare`` (:func:`~repro.workloads.star.aged_star_database`):
+ANALYZE ran while every row was ``'rare'``, then the paper's type change
+turned all but 5% of them ``'common'`` and as many new ``'common'`` rows
+arrived.  Statistics survive DML — the counts are exact, the value
+distributions age — so the aged most-common value still prices
+``σ(kind = 'rare')`` at every row, and ``fact ⋈ σ(dim_rare)`` — the only join
+that actually shrinks the fact side — as an expansion, dragging the full
 fact relation through every non-reductive dimension join first.
 
 The first execution pays for that order, but it also *observes* it: the
@@ -27,28 +30,23 @@ import time
 import pytest
 
 from reporting import print_report
-from repro.workloads.star import star_join_database, star_join_query
+from repro.obs.feedback import expression_key
+from repro.workloads.star import aged_star_database, star_join_query
 
 #: the ISSUE acceptance factor: the corrected run examines ≥ this many times
-#: fewer join pairs than the stale-statistics first run
+#: fewer join pairs than the aged-statistics first run
 ACCEPTANCE_FACTOR = 5
 
 
 @pytest.fixture()
 def stale_star_database():
-    """The analyzed star database with ``dim_rare`` statistics gone stale.
+    """The star database with aged ``dim_rare`` statistics.
 
     Function-scoped on purpose: every test needs the pristine arc of
-    stale plan → observation → corrected re-plan, so no feedback may leak
-    between tests.
+    mis-estimated plan → observation → corrected re-plan, so no feedback may
+    leak between tests.
     """
-    database = star_join_database()
-    database.analyze()
-    # One DML against the big dimension: its ANALYZE distributions (the NDV
-    # that prices the selective join) are no longer trusted, the planner is
-    # back on default constants for everything touching dim_rare.
-    database.table("dim_rare").insert({"dr": 1001, "kind": "common"})
-    return database
+    return aged_star_database()
 
 
 def _run(database, query):
@@ -62,7 +60,7 @@ def test_report_feedback_corrects_stale_star(stale_star_database):
     database = stale_star_database
     query = star_join_query()
     runs = []
-    for label in ("stale", "corrected", "steady"):
+    for label in ("aged", "corrected", "steady"):
         result, seconds = _run(database, query)
         feedback = database.cardinality_feedback.as_dict()
         runs.append({
@@ -79,16 +77,16 @@ def test_report_feedback_corrects_stale_star(stale_star_database):
         })
     rows = [{k: v for k, v in run.items() if k != "result"} for run in runs]
     print_report(
-        "E16: stale-stats star join — cardinality feedback re-orders run 2",
+        "E16: aged-stats star join — cardinality feedback re-orders run 2",
         rows, json_name="e16_feedback", database=database,
     )
 
-    stale, corrected, steady = runs
-    assert stale["result"].tuples == corrected["result"].tuples
+    aged, corrected, steady = runs
+    assert aged["result"].tuples == corrected["result"].tuples
     assert corrected["result"].tuples == steady["result"].tuples
     # The ISSUE acceptance criterion: one observed execution is enough for the
     # search to put the selective join first.
-    assert stale["join_pairs"] >= ACCEPTANCE_FACTOR * corrected["join_pairs"]
+    assert aged["join_pairs"] >= ACCEPTANCE_FACTOR * corrected["join_pairs"]
     # The correction converges: the third run reuses the corrected plan (no
     # further feedback, no further re-plan) and examines the same pairs.
     assert steady["join_pairs"] == corrected["join_pairs"]
@@ -96,21 +94,27 @@ def test_report_feedback_corrects_stale_star(stale_star_database):
 
 
 def test_report_feedback_invalidated_by_dml(stale_star_database):
-    """DML on an observed table drops its feedback — no stale corrections."""
+    """Feedback survives DML below the drift threshold (0.1 of the rows at
+    ANALYZE) and is stranded past it — no corrections from another regime."""
     database = stale_star_database
     query = star_join_query()
     _run(database, query)
-    assert len(database.cardinality_feedback) > 0
-    database.table("dim_rare").insert({"dr": 1002, "kind": "common"})
-    feedback = database.cardinality_feedback.as_dict()
-    rows = [{"after": "dml on dim_rare", "entries": feedback["entries"],
-             "edges": feedback["edges"],
-             "invalidations": feedback["invalidations"]}]
-    print_report("E16: feedback lifecycle — DML invalidation", rows,
+    store = database.cardinality_feedback
+    fingerprint = expression_key(query.right)
+    rare = database.table("dim_rare")
+    rows, served = [], []
+    for label, count in (("below the drift", 1), ("past the drift", 100)):
+        start = 10_000 + len(rare)
+        rare.insert_many({"dr": start + i, "kind": "common"} for i in range(count))
+        observed = store.lookup(fingerprint, database.statistics_version)
+        served.append(observed is not None)
+        rows.append({"after": "{} rows into dim_rare, {}".format(count, label),
+                     "statistics_version": database.statistics_version,
+                     "observation_served": served[-1],
+                     "entries": len(store._entries), "edges": len(store._edges)})
+    print_report("E16: feedback lifecycle — stranded by the drift", rows,
                  json_name="e16_feedback_lifecycle", database=database,
                  reset=True)
-    assert all(
-        "dim_rare" not in entry_tables
-        for _rows, entry_tables in database.cardinality_feedback._entries.values())
+    assert served == [True, False]
     # reset=True re-baselined the database for whoever runs next in-session.
     assert database.metrics()["metrics"] == {}

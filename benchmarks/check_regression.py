@@ -29,7 +29,7 @@ import sys
 #: the reports whose speedup ratios are gated, and the gated metric column.
 #: e15's ratio is uninstrumented/instrumented wall-clock (≈1.0x): a future PR
 #: that makes the observability layer expensive drags it below its baseline.
-#: e16's ratio is stale-run/corrected-run join pairs (≥5x): a PR that breaks
+#: e16's ratio is aged-run/corrected-run join pairs (≥5x): a PR that breaks
 #: the cardinality-feedback loop collapses it toward 1.0x.
 #: e17's ratio is the group-commit fsync amortization (commits per fsync,
 #: ≈``group_commit_max``): a PR that fsyncs more often than the commit

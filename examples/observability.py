@@ -17,8 +17,9 @@ end to end:
    statistics' back, watch the Q-error blow up in EXPLAIN ANALYZE, and see the
    slow-query log capture the query together with its worst-estimated plan
    nodes (the diagnostic trail for "why was this slow").
-5. **Closing the loop (PR 7)** — the same stale-statistics situation, but this
-   time the engine fixes it: the first execution records the mis-estimated
+5. **Closing the loop** — statistics that aged into a mis-estimate (the
+   paper's type change turned most 'rare' rows 'common' after ANALYZE), and
+   this time the engine fixes it: the first execution records the mis-estimated
    cardinalities and the executed join edges' true selectivities into the
    cardinality-feedback store, the second execution re-plans against them
    (selective join first, ~16× fewer join pairs), the third hits the plan
@@ -34,7 +35,7 @@ import json
 
 from repro.algebra import NaturalJoin, RelationRef, Selection
 from repro.algebra.predicates import Comparison
-from repro.workloads.star import star_join_database, star_join_query
+from repro.workloads.star import aged_star_database, star_join_database, star_join_query
 
 
 def rare_join_query():
@@ -152,15 +153,13 @@ def feedback_closes_the_loop():
     print()
     print("== 5. Closing the loop: cardinality feedback " + "=" * 35)
     print()
-    # A fresh database so the arc is pristine: ANALYZE, then one DML against
-    # the big dimension strands its distributions — the planner is back on
-    # default constants for everything touching dim_rare.
-    database = star_join_database()
-    database.analyze()
-    database.table("dim_rare").insert({"dr": 1001, "kind": "common"})
+    # A fresh database so the arc is pristine: ANALYZE while every dim_rare
+    # row is 'rare', then most of them change type — the aged most-common
+    # value prices the selective join as an expansion.
+    database = aged_star_database()
 
     query = star_join_query()
-    for label in ("stale", "corrected", "steady"):
+    for label in ("aged", "corrected", "steady"):
         result = database.execute(query)
         feedback = database.cardinality_feedback.as_dict()
         print("   {:<9}  join_pairs={:>6}  rows={}  feedback: entries={} "

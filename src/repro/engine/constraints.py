@@ -191,11 +191,13 @@ class ShapePlan:
     Built from the immutable table definition when a checker meets an attribute-name
     set it keeps no plan for, and kept by the checker once a tuple of that shape is
     stored (:meth:`ConstraintChecker.register_tuple`).  Refused shapes are rebuilt on
-    every sight, so a stream of garbage attribute sets cannot grow the cache.
+    every sight, so a stream of garbage attribute sets cannot grow the cache.  A kept
+    plan counts the stored tuples of its shape: the planner's row, presence and
+    type-guard counts are sums over the kept plans.
     """
 
     __slots__ = ("shape", "attributes", "admitted", "domains", "key_names",
-                 "dependencies", "index_keys")
+                 "dependencies", "index_keys", "count")
 
     def __init__(self, checker: "ConstraintChecker", shape: FrozenSet[str]):
         definition = checker.definition
@@ -228,6 +230,8 @@ class ShapePlan:
         self.index_keys: Tuple[Tuple[HashIndex, Tuple[str, ...]], ...] = tuple(
             (index, index.names) for index in checker.indexes()
             if shape.issuperset(index.names))
+        #: how many stored tuples have this shape (kept plans only)
+        self.count = 0
 
     def __repr__(self) -> str:
         return "ShapePlan({}, admitted={})".format(self.attributes, self.admitted)
@@ -280,9 +284,10 @@ class ConstraintChecker:
 
     def register_tuple(self, tup: FlexTuple) -> None:
         """Add a stored tuple to every index its shape is defined on — and keep
-        its shape's plan: the shapes of stored tuples are the ones that recur."""
+        its shape's plan, and count the tuple there: the shapes of stored tuples
+        are the ones that recur."""
         plan = self._plan_of(tup)
-        self._plans.setdefault(plan.shape, plan)
+        self._plans.setdefault(plan.shape, plan).count += 1
         values = tup._values
         for index, names in plan.index_keys:
             index.put(tuple([values[name] for name in names]), tup)
@@ -297,6 +302,7 @@ class ConstraintChecker:
             groups.setdefault(shape, []).append(tup)
         for shape, members in groups.items():
             plan = self._plans.setdefault(shape, plans[shape])
+            plan.count += len(members)
             for tup in members:
                 tup._attrs = plan.attributes
             values = [tup._values for tup in members]
@@ -305,10 +311,20 @@ class ConstraintChecker:
                     index.put(key, tup)
 
     def unregister_tuple(self, tup: FlexTuple) -> None:
-        """Remove a stored tuple from every index its shape is defined on."""
+        """Remove a stored tuple from every index its shape is defined on, and
+        from its shape's count."""
+        plan = self._plans[self._plan_of(tup).shape]
+        plan.count -= 1
         values = tup._values
-        for index, names in self._plan_of(tup).index_keys:
+        for index, names in plan.index_keys:
             index.drop(tuple([values[name] for name in names]), tup)
+
+    def clear(self) -> None:
+        """Forget every stored tuple: empty indexes, every shape counted zero."""
+        for index in self._indexes.values():
+            index.clear()
+        for plan in self._plans.values():
+            plan.count = 0
 
     # -- shape plans ---------------------------------------------------------------------------
 
@@ -332,6 +348,10 @@ class ConstraintChecker:
     def shapes(self) -> List[AttributeSet]:
         """The attribute sets whose plans are kept: those of tuples stored so far."""
         return [plan.attributes for plan in self._plans.values()]
+
+    def shape_counts(self) -> Dict[FrozenSet[str], int]:
+        """Attribute-name set -> how many stored tuples have it (none counted zero)."""
+        return {plan.shape: plan.count for plan in self._plans.values() if plan.count}
 
     # -- checks --------------------------------------------------------------------------------
 

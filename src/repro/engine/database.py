@@ -66,9 +66,9 @@ class Table:
     Every applied row bumps :attr:`mutation_count`, and every *statement* that
     applied one notifies the optional ``on_mutation`` callback once —
     ``on_mutation(kind, rows)``, with the row count after the statement; the
-    hook the database uses to invalidate collected statistics the moment they
-    could mislead the planner.  :meth:`insert_many` is one statement, however
-    many rows it applies and also when it raises after some.
+    hook the database uses to re-plan once collected statistics drifted.
+    :meth:`insert_many` is one statement, however many rows it applies and
+    also when it raises after some.
 
     The optional ``journal`` callback — ``journal(kind, old, new)`` — is the
     write-ahead hook of durable databases: it is called after every constraint
@@ -235,10 +235,10 @@ class Table:
         return dict(self._tuples)
 
     def restore(self, snapshot: Iterable[FlexTuple]) -> None:
-        """Reset the table to a snapshot taken earlier (indexes are rebuilt)."""
+        """Reset the table to a snapshot taken earlier (indexes and shape
+        counts are rebuilt)."""
         self._tuples = dict.fromkeys(snapshot)
-        for index in self.checker.indexes():
-            index.clear()
+        self.checker.clear()
         for tup in self._tuples:
             self.checker.register_tuple(tup)
         self._mutated("restore")
@@ -264,10 +264,13 @@ class Table:
         self.checker.check_insert(new_tuple, ignore=old_tuple)
         if self._journal is not None:
             self._journal("update", old_tuple, new_tuple)
+        # onto a tuple that is already stored (keyless tables): the two merge
+        merges = new_tuple != old_tuple and new_tuple in self._tuples
         del self._tuples[old_tuple]
         self.checker.unregister_tuple(old_tuple)
-        self._tuples[new_tuple] = None
-        self.checker.register_tuple(new_tuple)
+        if not merges:
+            self._tuples[new_tuple] = None
+            self.checker.register_tuple(new_tuple)
         self._mutated("update")
         return new_tuple
 
@@ -339,7 +342,8 @@ class Database:
         self.slow_query_log = SlowQueryLog()
         #: observed per-subexpression cardinalities — the cost model consults
         #: this before histogram/NDV math, so repeated queries plan with
-        #: observed truth; DML- and ANALYZE-invalidated, never persisted
+        #: observed truth; stranded when the statistics version moves, never
+        #: persisted
         self.cardinality_feedback = CardinalityFeedback()
         #: plan-change and latency-regression detection per query fingerprint
         self.plan_watchdog = PlanWatchdog()
@@ -492,8 +496,9 @@ class Database:
 
         Returns the collected :class:`~repro.stats.TableStatistics` when a name
         is given, otherwise the database's :class:`~repro.stats.StatisticsCatalog`.
-        Fresh statistics feed the cost model until the next mutation of the
-        analyzed table.
+        The statistics feed the cost model until the table is analyzed again:
+        their counts follow its DML, their value distributions age.  An
+        ANALYZE inside a transaction that rolls back stays, as DDL does.
         """
         if self.durability is not None and self.durability.wal is not None:
             self.durability.log_analyze(name, sample_size)
@@ -503,15 +508,15 @@ class Database:
         return self.statistics
 
     def stats(self, name: Optional[str] = None):
-        """The last collected statistics (fresh or stale — check ``.stale``).
+        """The statistics the planner reads, with the tables' current counts.
 
         With a name: that table's :class:`~repro.stats.TableStatistics` or
         ``None`` when it was never analyzed.  Without: a dict over every
         analyzed table.
         """
         if name is not None:
-            return self.statistics.peek(name)
-        return {table: self.statistics.peek(table) for table in self.statistics.names()}
+            return self.statistics.get(name)
+        return {table: self.statistics.get(table) for table in self.statistics.names()}
 
     # -- DML convenience --------------------------------------------------------------------------------
 
@@ -535,7 +540,7 @@ class Database:
             self._undo.append((table, old, None if merges else new))
 
     def _note_mutation(self, name: str, kind: str, rows: int) -> None:
-        """The tables' post-apply hook: invalidate statistics, maybe checkpoint.
+        """The tables' post-apply hook: age statistics, maybe checkpoint.
 
         The auto-checkpoint trigger must live here (after the mutation is
         applied), never in the journal hook: a snapshot taken between journal
@@ -792,7 +797,7 @@ class Database:
                 # overwrite each other (join edges are literal-free).
                 if not (rebound and node.binding_specific):
                     feedback.record(node.fingerprint, statistics_version,
-                                    node.feedback_tables or (), op_stats.rows_out)
+                                    op_stats.rows_out)
                 self._record_join_edges(node, op_stats, stats_of,
                                         statistics_version)
         peak_bytes_histogram.observe(peak_bytes)
@@ -1032,10 +1037,11 @@ class _Transaction:
     pops newest-first through :meth:`Table.undo`; a nested scope (in-memory
     only) is a savepoint, a mark into the same list.  Only DML is undone:
     entries of a ``Table`` that is no longer the catalog's are skipped, as
-    write-ahead replay applies DDL autonomously too.  Rollback also evicts the
-    plans cached inside the scope, rewinds the statistics catalog to its entry
-    state and drops whatever the cardinality-feedback store learned inside the
-    scope (and restores its version).  It runs when the block
+    write-ahead replay applies DDL autonomously too, and so is ANALYZE.  The
+    statistics need no rewind: their counts are the tables' shape counts,
+    which the undo keeps, and their version never runs backwards.  Rollback
+    drops whatever the cardinality-feedback store learned inside the scope,
+    restores its version and evicts the plans that read it.  It runs when the block
     raises and when a durable commit does, so reads never serve rows that were
     not acknowledged (docs/ARCHITECTURE.md, "Transactions: the undo log").
     """
@@ -1044,8 +1050,6 @@ class _Transaction:
         self._database = database
         self._mark = 0
         self._outermost = False
-        self._statistics_state: Optional[Dict[str, object]] = None
-        self._statistics_version = 0
         self._feedback_version = 0
         self._feedback_mark = 0
         self._durability = None
@@ -1060,8 +1064,6 @@ class _Transaction:
         if self._outermost:
             database._undo = []
         self._mark = len(database._undo)
-        self._statistics_state = database.statistics.capture()
-        self._statistics_version = database.statistics.version
         self._feedback_version = database.cardinality_feedback.version
         self._feedback_mark = database.cardinality_feedback.begin()
         self._span = database.tracer.span("transaction").__enter__()
@@ -1115,9 +1117,7 @@ class _Transaction:
         for table in touched:
             table._mutated("restore")
         if database._physical_executor is not None:
-            database._physical_executor.evict_plans_after(
-                self._statistics_version, self._feedback_version)
-        database.statistics.rollback_capture(self._statistics_state)
+            database._physical_executor.evict_plans_after(self._feedback_version)
         database.cardinality_feedback.rollback(
             self._feedback_version, self._feedback_mark)
 

@@ -27,9 +27,10 @@ deserializer raises :class:`SerializationError` naming the offending document pa
 (e.g. ``tables[2].dependencies[0]``), and a document whose ``format_version`` this
 build does not understand is rejected with a message saying which version it reads.
 
-Fresh planner statistics (``Database.analyze()``) are written alongside the data
-and restored as fresh on load, so shipped datasets plan well without re-running
-ANALYZE.  Stale statistics are not persisted.
+Planner statistics (``Database.analyze()``) are written alongside the data, with
+the table's counts at the time of writing, and restored on load, so shipped
+datasets plan well without re-running ANALYZE; a restored table's drift starts
+at 0.
 """
 
 from __future__ import annotations
@@ -360,9 +361,9 @@ def _table_entries(database: Database, include_data: bool):
 def database_to_dict(database: Database, include_data: bool = True) -> dict:
     """Convert a database (catalog and, optionally, the stored tuples) to a dictionary.
 
-    Each table's tuples are listed in store (insertion) order.  Fresh planner
-    statistics ride along with the data (they describe exactly the serialized
-    tuples); without data, or when stale, they are omitted.
+    Each table's tuples are listed in store (insertion) order.  Planner
+    statistics ride along with the data, their counts those of the serialized
+    tuples; without data they are omitted.
     """
     tables = []
     for entry, table in _table_entries(database, include_data):
@@ -457,8 +458,8 @@ def populate_database_from_dict(database: Database, data: dict) -> Database:
             except (KeyError, TypeError, ValueError) as exc:
                 raise _fail(path + ".statistics",
                             "malformed statistics: {}".format(exc)) from exc
-            # The statistics describe exactly the tuples just loaded: restore
-            # them as fresh so the planner can use them without a re-ANALYZE.
+            # The planner uses them without a re-ANALYZE; their counts follow
+            # the tuples just loaded.
             database.statistics.restore(spec["name"], restored)
     return database
 

@@ -94,7 +94,7 @@ def adaptive_batch_size(width: float, base_rows: Optional[float] = None) -> int:
     """The planner's batch-size heuristic.
 
     ``width`` is the estimated average tuple width (attributes per tuple, from
-    the statistics when fresh); ``base_rows`` the largest base-relation
+    the statistics when analyzed); ``base_rows`` the largest base-relation
     cardinality feeding the plan.  The size targets
     :data:`TARGET_BATCH_CELLS` values per batch, clamped to
     [:data:`MIN_BATCH_SIZE`, :data:`MAX_BATCH_SIZE`] — and a tiny input is

@@ -186,7 +186,7 @@ def _catalog_version(source) -> object:
 
 def _statistics_version(source) -> object:
     """The source's statistics version (plans depend on the estimates they were
-    chosen under, so a re-ANALYZE or a fresh→stale transition must re-plan)."""
+    chosen under, so a re-ANALYZE or a table's drift must re-plan)."""
     return getattr(source, "statistics_version", None)
 
 
@@ -226,27 +226,19 @@ class PhysicalExecutor:
         return {"hits": self.cache.hits, "misses": self.cache.misses,
                 "size": len(self.cache), "max_size": self.cache.max_size}
 
-    def evict_plans_after(self, statistics_version: int,
-                          feedback_version: int) -> int:
-        """Drop plans cached or re-validated under versions newer than the given.
+    def evict_plans_after(self, feedback_version: int) -> int:
+        """Drop plans validated under feedback versions newer than the given.
 
-        Called by transaction rollback before it winds the statistics and
-        feedback version counters back: versions bumped inside the rolled-back
-        transaction will be handed out again for *different* future states, so
-        a plan keyed by such a statistics version — or whose feedback reads
-        were taken against observations made inside the transaction — must
-        not survive to alias those states.
+        Called by transaction rollback before it winds the feedback version
+        counter back: a plan whose feedback reads were taken against
+        observations made inside the rolled-back transaction must not survive
+        to alias the states those version numbers will stand for next.  (The
+        statistics version never runs backwards: plans keyed by it stay.)
         """
         def too_new(key: PlanKey, plan: PhysicalPlan) -> bool:
-            return ((isinstance(key.statistics_version, int)
-                     and key.statistics_version > statistics_version)
-                    or (plan.feedback_version is not None
-                        and plan.feedback_version > feedback_version))
+            return (plan.feedback_version is not None
+                    and plan.feedback_version > feedback_version)
 
-        # (a version handed out again will stand for another state)
-        self._site_statistics = {
-            key: held for key, held in self._site_statistics.items()
-            if not (isinstance(held[0], int) and held[0] > statistics_version)}
         return self.cache.evict(too_new)
 
     # -- templates -------------------------------------------------------------------------
@@ -370,10 +362,11 @@ class PhysicalExecutor:
 
     def _parameter_classes(self, template: QueryTemplate, params) -> tuple:
         """``(type, selectivity bucket)`` per parameter, for the plan key: the
-        bucket is ⌊log₂⌋ of the rows fresh statistics estimate for the
-        parameter's comparison (−1 below one row), ``None`` without them.
+        bucket is ⌊log₂⌋ of the rows the value statistics estimate for the
+        parameter's comparison among the rows that carried the attribute at
+        ANALYZE (−1 below one row), ``None`` without statistics.
 
-        Which statistics each site reads is fixed per statistics version, so
+        Which distribution each site reads is fixed per statistics version, so
         it is resolved once per template and version; the bucket is read per
         call."""
         version = _statistics_version(self.source)
@@ -385,15 +378,15 @@ class PhysicalExecutor:
                 column = (statistics.attribute(attribute)
                           if statistics is not None else None)
                 if column is not None:
-                    resolved.append((slot, op, column, statistics))
+                    resolved.append((slot, op, column))
             held = self._site_statistics[template.key] = (version, resolved)
             if len(self._site_statistics) > PLAN_CACHE_SIZE:
                 del self._site_statistics[next(iter(self._site_statistics))]
         buckets: Dict[int, object] = {}
-        for slot, op, column, statistics in held[1]:
+        for slot, op, column in held[1]:
             fraction = column.comparison_fraction(op, params[slot])
             if fraction is not None:
-                rows = fraction * statistics.row_count
+                rows = fraction * column.present_count
                 buckets[slot] = int(log2(rows)) if rows >= 1.0 else -1
         return tuple((value.__class__, buckets.get(slot))
                      for slot, value in enumerate(params))

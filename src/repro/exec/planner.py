@@ -44,7 +44,7 @@ tuple-width estimate and the largest base-table cardinality (tiny inputs get
 one batch, wide variant tuples smaller batches).  It is the planner's
 decision alone: no caller sets it.
 
-When the source database carries fresh statistics (``Database.analyze()``), the
+When the source database carries statistics (``Database.analyze()``), the
 cost model estimates from histograms and variant-tag frequencies, so all of the
 above decisions — and the ``est_rows`` / ``est_cost`` annotations rendered by
 ``plan.explain()`` — are grounded in the data instead of default constants.
@@ -338,14 +338,14 @@ class PhysicalPlanner:
             self._tracer = None
 
     def _trace_statistics_lookup(self) -> None:
-        """Record which tables contribute fresh statistics to this plan."""
+        """Record which tables contribute statistics to this plan."""
         if self._tracer is None:
             return
         catalog = getattr(self.source, "statistics", None)
         if catalog is None:
-            self._tracer.event("statistics-lookup", fresh=[], version=None)
+            self._tracer.event("statistics-lookup", tables=[], version=None)
             return
-        self._tracer.event("statistics-lookup", fresh=catalog.fresh_names(),
+        self._tracer.event("statistics-lookup", tables=catalog.names(),
                            version=catalog.version)
 
     # -- lowering ------------------------------------------------------------------------

@@ -7,7 +7,7 @@ folds each plan node's actual output cardinality into a
 statistics version)``.  The cost model consults the store before falling back
 to histogram/NDV math, so the second execution of a query — and the join-order
 search over all its subplans — prices every subexpression with observed truth
-instead of stale or defaulted selectivities.
+instead of aged or defaulted selectivities.
 
 Two kinds of observation are kept.  **Cardinalities** correct the estimate of
 a subexpression that has itself been executed.  **Join-edge selectivities**
@@ -20,13 +20,11 @@ The store is deliberately ephemeral and self-invalidating:
 
 * **bounded** — an LRU of :data:`DEFAULT_CAPACITY` entries; a long-lived
   session cannot grow it without limit;
-* **DML-invalidated** — every entry remembers the base tables its
-  subexpression reads, and :meth:`CardinalityFeedback.invalidate_table` drops
-  the affected entries when one of them mutates (wired to
-  ``StatisticsCatalog.note_mutation``);
-* **ANALYZE-invalidated** — keys embed the statistics version, so a fresh
-  ANALYZE strands old entries (they age out of the LRU) rather than letting
-  observations from a different statistics regime leak into new estimates;
+* **version-stranded** — keys embed the statistics version, so whatever moves
+  it — an ANALYZE, or DML drifting a table past its threshold (see
+  :mod:`repro.stats.catalog`) — strands old entries (they age out of the LRU)
+  rather than letting observations from a different statistics regime or a
+  drifted table leak into new estimates; DML below the threshold keeps them;
 * **never persisted** — ``engine/serialization`` does not know about it; a
   reloaded database starts with an empty store.
 
@@ -118,16 +116,13 @@ class CardinalityFeedback:
         if capacity < 1:
             raise ValueError("feedback capacity must be positive")
         self.capacity = capacity
-        #: (fingerprint, statistics_version) -> (actual_rows, tables)
+        #: (fingerprint, statistics_version) -> actual_rows
         self._entries = OrderedDict()
-        #: (attribute, carrier tables, statistics_version) -> (selectivity, tables)
+        #: (attribute, carrier tables, statistics_version) -> selectivity
         #: — observed join-edge selectivities, the signal that re-orders joins
         #: (a corrected *cardinality* alone cannot: candidate joins the search
         #: prices were never executed, but their edges were)
         self._edges = OrderedDict()
-        #: table name -> number of entries/edges reading it; lets the per-row
-        #: DML hook bail out in O(1) when a table has no feedback at all
-        self._table_counts = {}
         #: ``(store, key)`` of every observation folded in while a transaction
         #: is open, oldest first — ``None`` outside one
         self._recorded = None
@@ -135,37 +130,30 @@ class CardinalityFeedback:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
 
     @property
     def version(self) -> int:
         """Bumped whenever the store's contents change in a way that could
-        alter an estimate — new entry, changed value, or invalidation."""
+        alter an estimate — new entry, changed value, or clear."""
         return self._version
 
     def __len__(self) -> int:
         return len(self._entries) + len(self._edges)
 
-    def record(self, fingerprint, statistics_version, tables, actual_rows) -> bool:
+    def record(self, fingerprint, statistics_version, actual_rows) -> bool:
         """Fold one observed cardinality in; returns True if anything changed.
 
         Re-recording an identical observation refreshes LRU recency but does
         not bump :attr:`version` — a stable workload keeps its plan cache hot.
         """
         key = (fingerprint, statistics_version)
-        tables = frozenset(tables)
-        existing = self._entries.get(key)
-        if existing is not None and existing[0] == actual_rows:
+        if self._entries.get(key) == actual_rows:
             self._entries.move_to_end(key)
             return False
-        if existing is not None:
-            self._count_tables(existing[1], -1)
-        self._entries[key] = (actual_rows, tables)
+        self._entries[key] = actual_rows
         self._entries.move_to_end(key)
-        self._count_tables(tables, +1)
         while len(self._entries) > self.capacity:
-            _evicted_key, (_rows, evicted_tables) = self._entries.popitem(last=False)
-            self._count_tables(evicted_tables, -1)
+            self._entries.popitem(last=False)
             self.evictions += 1
         self._learned(self._entries, key)
         return True
@@ -174,15 +162,6 @@ class CardinalityFeedback:
         self._version += 1
         if self._recorded is not None:
             self._recorded.append((store, key))
-
-    def _count_tables(self, tables, delta: int) -> None:
-        counts = self._table_counts
-        for name in tables:
-            updated = counts.get(name, 0) + delta
-            if updated > 0:
-                counts[name] = updated
-            else:
-                counts.pop(name, None)
 
     def lookup(self, fingerprint, statistics_version):
         """The observed cardinality for the key, or None; refreshes recency."""
@@ -193,7 +172,7 @@ class CardinalityFeedback:
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return entry[0]
+        return entry
 
     # -- join-edge selectivities ---------------------------------------------------------
 
@@ -210,21 +189,16 @@ class CardinalityFeedback:
         version, so row-count jitter does not churn the plan cache.
         """
         key = (attribute, frozenset(carriers), statistics_version)
-        existing = self._edges.get(key)
-        if existing is not None:
-            previous = existing[0]
+        previous = self._edges.get(key)
+        if previous is not None:
             scale = max(abs(previous), 1e-12)
             if abs(previous - selectivity) <= EDGE_TOLERANCE * scale:
                 self._edges.move_to_end(key)
                 return False
-            self._count_tables(existing[1], -1)
-        tables = key[1]
-        self._edges[key] = (selectivity, tables)
+        self._edges[key] = selectivity
         self._edges.move_to_end(key)
-        self._count_tables(tables, +1)
         while len(self._edges) > self.capacity:
-            _evicted, (_sel, evicted_tables) = self._edges.popitem(last=False)
-            self._count_tables(evicted_tables, -1)
+            self._edges.popitem(last=False)
             self.evictions += 1
         self._learned(self._edges, key)
         return True
@@ -239,7 +213,7 @@ class CardinalityFeedback:
             return None
         self._edges.move_to_end(key)
         self.hits += 1
-        return entry[0]
+        return entry
 
     def current(self, dependency):
         """What a plan costed now would read for a dependency it recorded.
@@ -252,31 +226,9 @@ class CardinalityFeedback:
         """
         kind, key = dependency
         if kind != "edges":
-            entry = self._entries.get(key)
-            return None if entry is None else entry[0]
-        return frozenset((edge[1], value[0]) for edge, value in self._edges.items()
+            return self._entries.get(key)
+        return frozenset((edge[1], value) for edge, value in self._edges.items()
                          if (edge[0], edge[2]) == key)
-
-    def invalidate_table(self, name: str) -> int:
-        """Drop every entry/edge whose subexpression reads ``name``; returns count.
-
-        O(1) when the table has no feedback — the common case on the per-row
-        DML hook path during bulk loads.
-        """
-        if name not in self._table_counts:
-            return 0
-        dropped = 0
-        for store in (self._entries, self._edges):
-            stale = [key for key, (_value, tables) in store.items()
-                     if name in tables]
-            for key in stale:
-                _value, tables = store.pop(key)
-                self._count_tables(tables, -1)
-            dropped += len(stale)
-        if dropped:
-            self.invalidations += dropped
-            self._version += 1
-        return dropped
 
     def begin(self) -> int:
         """Enter a transaction scope; returns its mark for :meth:`rollback`.
@@ -290,20 +242,15 @@ class CardinalityFeedback:
         """Nothing learned inside a rolled-back transaction survives it: drop
         what was recorded since the scope's ``mark``; returns drops.
 
-        That covers the observations keyed by statistics versions the rollback
-        erases (the numbers will be handed out again for different states) and
-        those made at an unchanged version, whatever became of their table.
-        Entries invalidated *during* the transaction stay gone (their evidence
-        cannot be reconstructed; losing feedback is only ever a planning
-        pessimization).  The version counter is then restored (the executor
-        has already evicted the plans validated under the newer versions).
+        The observations describe rows the rollback took away, whatever
+        statistics version they were keyed under.  The version counter is then
+        restored (the executor has already evicted the plans validated under
+        the newer versions).
         """
         dropped = 0
         recorded = self._recorded
         for store, key in recorded[mark:]:
-            entry = store.pop(key, None)
-            if entry is not None:
-                self._count_tables(entry[1], -1)
+            if store.pop(key, None) is not None:
                 dropped += 1
         del recorded[mark:]
         self._version = version
@@ -318,9 +265,7 @@ class CardinalityFeedback:
             self._version += 1
         self._entries.clear()
         self._edges.clear()
-        self._table_counts.clear()
-        self.hits = self.misses = 0
-        self.evictions = self.invalidations = 0
+        self.hits = self.misses = self.evictions = 0
 
     def as_dict(self) -> dict:
         return {
@@ -331,7 +276,6 @@ class CardinalityFeedback:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "invalidations": self.invalidations,
         }
 
     def __repr__(self) -> str:

@@ -3,8 +3,9 @@
 Two notions of cost are used by the optimizer experiments:
 
 * :class:`CostModel` — a static estimate based on base-relation cardinalities
-  and selectivities.  When the relation source carries fresh statistics (a
-  :class:`~repro.stats.StatisticsCatalog` populated by ``Database.analyze()``),
+  and selectivities.  When the relation source carries statistics (a
+  :class:`~repro.stats.StatisticsCatalog` populated by ``Database.analyze()``,
+  whose counts follow every write and whose value distributions age),
   selection, type-guard and join selectivities come from histograms, most-common
   values and variant-tag frequency tables; without statistics the model degrades
   to the classic default constants.  The physical planner uses the estimates to
@@ -23,7 +24,8 @@ Two notions of cost are used by the optimizer experiments:
   (comparisons from histograms and exact most-common-value counts, type
   guards from the variant-tag frequency table, joint attribute *presence*
   charged exactly once even when a guard and a comparison require the same
-  attribute); a natural join prices as ``|L| · |R| · sel`` with ``sel`` the
+  attribute — a comparison contributes its fraction among the rows carrying
+  its attribute); a natural join prices as ``|L| · |R| · sel`` with ``sel`` the
   per-attribute NDV overlap ``1/max(ndv_L, ndv_R)`` times both sides'
   tag-frequency of carrying the join attributes (tuples lacking one can never
   join).  Reshaping operators (projection, extension, rename) pass
@@ -35,7 +37,7 @@ Two notions of cost are used by the optimizer experiments:
   input, a join can at most pair everything).  It caps the selection,
   aggregate, limit and feedback estimates; no join choice reads it.
 
-Without fresh statistics every selectivity falls back to the default
+For a never-analyzed table every selectivity falls back to the default
 constants (:data:`DEFAULT_SELECTIVITY`, :data:`DEFAULT_GUARD_SELECTIVITY`),
 so the model degrades gracefully rather than failing.  The n-way join-order
 search of :mod:`repro.optimizer.joinorder` builds on these same primitives —
@@ -148,10 +150,10 @@ class CostModel:
 
     The statistics are the source's ``statistics`` catalog — a
     :class:`~repro.engine.Database` carries a
-    :class:`~repro.stats.StatisticsCatalog` — so a freshly analyzed database
+    :class:`~repro.stats.StatisticsCatalog` — so an analyzed database
     automatically estimates from its data.  Every lookup happens per estimate,
-    hence stale statistics (``get`` returning ``None``) transparently fall back
-    to the default constants.
+    hence a table without statistics (``get`` returning ``None``) transparently
+    falls back to the default constants.
     """
 
     def __init__(self, source=None):
@@ -213,7 +215,7 @@ class CostModel:
     # -- statistics access ---------------------------------------------------------------
 
     def table_statistics(self, name: str) -> Optional[TableStatistics]:
-        """Fresh statistics for a base relation, or ``None``."""
+        """The statistics of a base relation, or ``None``."""
         if self.statistics is None:
             return None
         getter = getattr(self.statistics, "get", None)
@@ -420,7 +422,7 @@ class CostModel:
         a single step, so shared presence requirements (a guard plus a
         comparison on the same attribute, correlated variant attributes) are
         priced once instead of once per node.  ``None`` when the chain does not
-        end in a base relation with fresh statistics.
+        end in a base relation with statistics.
         """
         parts = []
         node = expression
@@ -443,9 +445,9 @@ class CostModel:
         """Estimated average tuple width (attribute count) of the result.
 
         Base relations answer from the variant-tag frequency table of their
-        fresh statistics (the *actual* average attributes per tuple, which for
-        variant records is well below the universe size), falling back to the
-        declared scheme's attribute universe and finally to
+        statistics — the live shape counts: the *actual* average attributes per
+        tuple, which for variant records is well below the universe size —
+        falling back to the declared scheme's attribute universe and finally to
         :data:`DEFAULT_TUPLE_WIDTH`.  Joins add their input widths minus the
         shared join attributes; reshaping operators adjust by what they add or
         drop.  The physical planner feeds this into the adaptive batch-size

@@ -459,7 +459,7 @@ def _cut_selectivity(graph: JoinGraph, left_mask: int, right_mask: int,
     An **observed** edge selectivity from the cost model's feedback store
     (recorded off an executed mis-estimated join over the same attribute and
     carrier tables) takes precedence over the NDV math for its attribute —
-    and, unlike statistics, survives the carriers' ANALYZE data going stale.
+    and, unlike the aged value statistics, it describes the data as it is now.
     This is how one badly-ordered execution re-orders the next plan: the
     observed fraction prices candidate cuts the search never executed.
     """

@@ -5,15 +5,21 @@ produces a :class:`TableStatistics` holding
 
 * the row count,
 * per-attribute statistics (:class:`AttributeStatistics`): how many tuples carry
-  the attribute at all (the *presence fraction* — in a flexible relation an
-  attribute can simply be absent, the paper's structural-variant twist on NULLs),
-  the number of distinct values, min/max, an equi-depth histogram and the most
-  common values with their exact frequencies,
+  the attribute at all (in a flexible relation an attribute can simply be
+  absent, the paper's structural-variant twist on NULLs), the number of
+  distinct values, min/max, an equi-depth histogram and the most common values
+  with their exact frequencies,
 * the **variant-tag frequency table**: how many tuples exhibit each observed
   attribute combination.  The fraction of tuples satisfying a type guard on
   ``X`` is the summed frequency of the combinations that include ``X`` —
   exactly the number the optimizer needs to cost ``TG[X]`` nodes and
   guard-aware joins.
+
+The two halves age differently.  The counts — row count and the variant-tag
+table, which gives each attribute's presence — are *shape* counts, which the statistics
+catalog keeps equal to the stored table (:meth:`TableStatistics.set_counts`);
+the value distributions describe the rows at ANALYZE and are read as fractions
+*among the rows carrying the attribute*, multiplied by the current presence.
 
 :meth:`TableStatistics.selectivity` estimates the fraction of rows satisfying a
 selection predicate from these distributions; :func:`join_selectivity` combines
@@ -59,9 +65,11 @@ def _clamp(fraction: float) -> float:
 class AttributeStatistics:
     """The collected distribution of one attribute within one table.
 
-    All fractions returned by the estimation methods are relative to the *whole
-    table* (absent attributes make a comparison false, so absence is part of the
-    selectivity), not just to the tuples carrying the attribute.
+    ``row_count`` and ``present_count`` are the table's and the attribute's
+    counts at ANALYZE.  Every fraction the estimation methods return is relative
+    to the tuples *carrying* the attribute (``present_count`` of them); which
+    share of the table carries it now is the table's guard selectivity on it
+    (:meth:`TableStatistics.guard_selectivity`).
     """
 
     def __init__(
@@ -88,18 +96,11 @@ class AttributeStatistics:
         #: True when ``most_common`` covers every distinct value of the attribute
         self.mcv_complete = mcv_complete
 
-    @property
-    def presence(self) -> float:
-        """Fraction of tuples defined on the attribute."""
-        if self.row_count <= 0:
-            return 0.0
-        return self.present_count / float(self.row_count)
-
     # -- estimation -----------------------------------------------------------------------
 
     def equality_fraction(self, value) -> float:
-        """Estimated fraction of table rows with ``attribute = value``."""
-        if self.row_count <= 0 or self.present_count <= 0:
+        """Estimated fraction of carrying rows with ``attribute = value``."""
+        if self.present_count <= 0:
             return 0.0
         try:
             in_mcv = value in self.most_common
@@ -108,15 +109,15 @@ class AttributeStatistics:
             # always hashable, so no row can equal it.
             return 0.0
         if in_mcv:
-            return self.most_common[value] / float(self.row_count)
+            return _clamp(self.most_common[value] / float(self.present_count))
         if self.mcv_complete:
             return 0.0
         remaining_mass = self.present_count - sum(self.most_common.values())
         remaining_ndv = max(1, self.ndv - len(self.most_common))
-        return _clamp(remaining_mass / float(remaining_ndv) / float(self.row_count))
+        return _clamp(remaining_mass / float(remaining_ndv) / float(self.present_count))
 
     def range_fraction(self, op: str, value) -> Optional[float]:
-        """Estimated fraction of table rows with ``attribute <op> value``.
+        """Estimated fraction of carrying rows with ``attribute <op> value``.
 
         The histogram supplies the cumulative ``<=`` fraction; the mass sitting
         exactly on the constant — which matters a lot for heavy values of
@@ -131,10 +132,7 @@ class AttributeStatistics:
             cumulative = self.histogram.fraction_leq(value)
         except TypeError:
             return None
-        if self.presence > 0.0:
-            point_mass = _clamp(self.equality_fraction(value) / self.presence)
-        else:
-            point_mass = 0.0
+        point_mass = self.equality_fraction(value)
         if op == "<=":
             fraction = cumulative
         elif op == "<":
@@ -145,14 +143,15 @@ class AttributeStatistics:
             fraction = 1.0 - cumulative + point_mass
         else:
             return None
-        return _clamp(_clamp(fraction) * self.presence)
+        return _clamp(fraction)
 
     def comparison_fraction(self, op: str, value) -> Optional[float]:
-        """Estimated selectivity of any supported comparison operator."""
+        """Estimated selectivity of any supported comparison operator among
+        the carrying rows."""
         if op in ("=", "=="):
             return self.equality_fraction(value)
         if op in ("!=", "<>"):
-            return _clamp(self.presence - self.equality_fraction(value))
+            return 1.0 - self.equality_fraction(value)
         if op in ("<", "<=", ">", ">="):
             return self.range_fraction(op, value)
         if op == "in":
@@ -160,8 +159,7 @@ class AttributeStatistics:
                 items = list(value)
             except TypeError:
                 return None
-            total = sum(self.equality_fraction(item) for item in items)
-            return _clamp(min(total, self.presence))
+            return _clamp(sum(self.equality_fraction(item) for item in items))
         return None
 
     # -- serialization --------------------------------------------------------------------
@@ -195,8 +193,8 @@ class AttributeStatistics:
         )
 
     def __repr__(self) -> str:
-        return "AttributeStatistics({!r}, presence={:.2f}, ndv={})".format(
-            self.name, self.presence, self.ndv
+        return "AttributeStatistics({!r}, present={}, ndv={})".format(
+            self.name, self.present_count, self.ndv
         )
 
 
@@ -211,19 +209,23 @@ class TableStatistics:
         variant_counts: Optional[Dict[FrozenSet[str], int]] = None,
     ):
         self.name = name
-        self.row_count = int(row_count)
         self.attributes: Dict[str, AttributeStatistics] = dict(attributes or {})
-        #: attribute combination (variant tag) -> number of tuples exhibiting it
-        self.variant_counts: Dict[FrozenSet[str], int] = {
-            frozenset(combo): int(count) for combo, count in (variant_counts or {}).items()
-        }
-        #: set by the catalog when the underlying table mutated after ANALYZE
-        self.stale = False
+        self.set_counts(variant_counts or {}, row_count)
         #: True when ANALYZE read a reservoir sample instead of every tuple;
         #: counts/NDV are then scaled estimates, ``sample_rows`` tells how many
         #: tuples were actually read
         self.sampled = False
         self.sample_rows: Optional[int] = None
+
+    def set_counts(self, variant_counts: Dict[FrozenSet[str], int],
+                   row_count: Optional[int] = None) -> None:
+        """Install the variant-tag counts, and the row count: their sum unless
+        given."""
+        #: attribute combination (variant tag) -> number of tuples exhibiting it
+        self.variant_counts: Dict[FrozenSet[str], int] = {
+            frozenset(combo): int(count) for combo, count in variant_counts.items()}
+        self.row_count = int(sum(self.variant_counts.values())
+                             if row_count is None else row_count)
 
     # -- introspection --------------------------------------------------------------------
 
@@ -241,28 +243,22 @@ class TableStatistics:
     def average_width(self) -> float:
         """Average number of attributes a tuple carries.
 
-        Derived from the variant-tag frequency table (exact at ANALYZE time,
-        scaled under sampling), falling back to summed per-attribute presence
-        fractions.  Feeds the planner's adaptive batch sizing — wide variant
-        tuples get smaller batches.
+        Derived from the variant-tag frequency table.  Feeds the planner's
+        adaptive batch sizing — wide variant tuples get smaller batches.
         """
-        if self.row_count <= 0:
+        observed = sum(self.variant_counts.values())
+        if observed <= 0:
             return 0.0
-        if self.variant_counts:
-            observed = sum(self.variant_counts.values())
-            if observed > 0:
-                total = sum(len(combo) * count
-                            for combo, count in self.variant_counts.items())
-                return total / float(observed)
-        return sum(stats.presence for stats in self.attributes.values())
+        return sum(len(combo) * count
+                   for combo, count in self.variant_counts.items()) / float(observed)
 
     # -- estimation -----------------------------------------------------------------------
 
     def guard_selectivity(self, attributes) -> float:
         """Fraction of tuples satisfying the type guard ``TG[attributes]``.
 
-        Summed frequency of the observed variant tags that include every guarded
-        attribute — exact at ANALYZE time, an estimate afterwards.
+        Summed frequency of the variant tags that include every guarded
+        attribute — exact when the counts are the table's shape counts.
         """
         wanted = frozenset(a.name for a in attrset(attributes))
         if not wanted:
@@ -280,16 +276,7 @@ class TableStatistics:
         if isinstance(predicate, FalsePredicate):
             return 0.0
         if isinstance(predicate, Comparison):
-            name = next(iter(predicate.attribute)).name
-            stats = self.attributes.get(name)
-            if stats is None:
-                # The attribute never occurred in the analyzed data: no tuple can
-                # satisfy a guarded comparison on it.
-                return 0.0
-            fraction = stats.comparison_fraction(predicate.op, predicate.value)
-            if fraction is None:
-                return _clamp(FALLBACK_SELECTIVITY * stats.presence)
-            return _clamp(fraction)
+            return self._and_selectivity((predicate,))
         if isinstance(predicate, PresencePredicate):
             return self.guard_selectivity(predicate.attributes)
         if isinstance(predicate, AttributeComparison):
@@ -301,7 +288,7 @@ class TableStatistics:
                 return _clamp(both_present / float(distinct))
             return _clamp(both_present * FALLBACK_SELECTIVITY)
         if isinstance(predicate, And):
-            return self._and_selectivity(predicate)
+            return self._and_selectivity(predicate.operands)
         if isinstance(predicate, Or):
             # Equality disjuncts over one attribute are mutually exclusive: their
             # selectivities add up exactly.  Anything else assumes independence.
@@ -316,7 +303,7 @@ class TableStatistics:
             return _clamp(1.0 - self.selectivity(predicate.operand))
         return FALLBACK_SELECTIVITY
 
-    def _and_selectivity(self, predicate: And) -> float:
+    def _and_selectivity(self, operands) -> float:
         """Selectivity of a conjunction, pricing attribute presence exactly once.
 
         Each comparison (and explicit presence test) requires its attribute to
@@ -327,12 +314,13 @@ class TableStatistics:
         only contributes its selectivity *among rows carrying its attributes*:
         comparisons via their conditional fraction, nested predicates (OR, NOT)
         by dividing out the presence of the attributes already covered by the
-        joint term.
+        joint term.  An attribute ANALYZE never saw has no distribution: its
+        comparisons fall back to :data:`FALLBACK_SELECTIVITY` of its carriers.
         """
         required = set()
         comparisons = []
         others = []
-        for operand in predicate.operands:
+        for operand in operands:
             if isinstance(operand, PresencePredicate):
                 required.update(a.name for a in operand.attributes)
             elif isinstance(operand, Comparison):
@@ -343,15 +331,9 @@ class TableStatistics:
         conditional = 1.0
         for operand in comparisons:
             stats = self.attributes.get(next(iter(operand.attribute)).name)
-            if stats is None:
-                return 0.0
-            fraction = stats.comparison_fraction(operand.op, operand.value)
-            if fraction is None:
-                conditional *= FALLBACK_SELECTIVITY
-            elif stats.presence > 0.0:
-                conditional *= _clamp(fraction / stats.presence)
-            else:
-                return 0.0
+            fraction = (None if stats is None
+                        else stats.comparison_fraction(operand.op, operand.value))
+            conditional *= FALLBACK_SELECTIVITY if fraction is None else fraction
         for operand in others:
             fraction = self.selectivity(operand)
             overlap = {a.name for a in operand.attributes} & required
@@ -403,10 +385,9 @@ class TableStatistics:
         return statistics
 
     def __repr__(self) -> str:
-        return "TableStatistics({!r}, rows={}, attributes={}, variants={}{}{})".format(
+        return "TableStatistics({!r}, rows={}, attributes={}, variants={}{})".format(
             self.name, self.row_count, len(self.attributes), len(self.variant_counts),
             ", sampled" if self.sampled else "",
-            ", stale" if self.stale else "",
         )
 
 
@@ -552,7 +533,7 @@ def analyze_table(
     if sampled:
         variant_counts = Counter({combo: max(1, int(round(count * scale)))
                                   for combo, count in variant_counts.items()})
-    statistics = TableStatistics(name, total_rows, attributes, dict(variant_counts))
+    statistics = TableStatistics(name, total_rows, attributes, variant_counts)
     statistics.sampled = sampled
     statistics.sample_rows = row_count if sampled else None
     return statistics

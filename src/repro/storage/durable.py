@@ -11,7 +11,7 @@ On open it performs **recovery**, an ordinary load: the checkpoint snapshot,
 if one exists, goes through ``Table.insert_many`` and the committed prefix of
 the current epoch's log through the tables' own DML, so each table's checker
 admits every row once; a refused row fails the open and leaves the directory
-untouched.  Then the statistics row counts are checked, any torn tail is cut
+untouched.  Then the shape counts are checked, any torn tail is cut
 back to the intact prefix, and only then is the log opened for appending —
 until then :attr:`DurabilityManager.wal` is ``None``, and the database
 journals and checkpoints nothing, so recovery does not re-log itself.  At
@@ -47,7 +47,7 @@ from repro.storage.recovery import (
     RecoveryError,
     RecoveryReport,
     load_snapshot,
-    miscounted_statistics,
+    miscounted_shapes,
     read_wal,
     replay_records,
 )
@@ -145,7 +145,7 @@ class DurabilityManager:
             self._next_txn_id = max(
                 [r["txn"] for r in records if isinstance(r.get("txn"), int)] or [0])
             with self._phase(report, "verify") as span:
-                problems = miscounted_statistics(database, database.tables())
+                problems = miscounted_shapes(database, database.tables())
                 span.set(rows=self._stored_rows(), problems=len(problems))
             if problems:
                 raise RecoveryError(

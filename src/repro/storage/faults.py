@@ -22,7 +22,7 @@ two properties the write-ahead protocol promises:
 * **atomicity** — the recovered state equals the state at the last unit
   boundary at or before the truncation point, never anything in between;
 * **invariants** — constraints, attribute dependencies, secondary indexes and
-  statistics row counts all re-validate
+  shape counts all re-validate
   (:func:`~repro.storage.recovery.verify_database`).
 """
 

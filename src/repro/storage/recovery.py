@@ -18,8 +18,8 @@ guarantees, each exercised mechanically by the fault-injection harness in
   and the log's committed work by the tables' own DML (:func:`replay_records`),
   so the checker each table builds from its definition admits every row once
   (scheme, domains, keys, dependencies) and files it in its indexes.  A
-  refused row, or a statistics row count that disagrees with its table
-  (:func:`miscounted_statistics`), raises :class:`RecoveryError`.
+  refused row, or shape counts that do not add up to the table's size
+  (:func:`miscounted_shapes`), raises :class:`RecoveryError`.
   :func:`verify_database` audits any database against its definitions.
 
 Replay is idempotent with respect to the checkpoint snapshot it starts from:
@@ -57,7 +57,7 @@ from repro.storage.wal import (
     read_frames,
 )
 
-__all__ = ["RecoveryError", "RecoveryReport", "load_snapshot", "miscounted_statistics",
+__all__ = ["RecoveryError", "RecoveryReport", "load_snapshot", "miscounted_shapes",
            "read_wal", "replay_records", "verify_database"]
 
 
@@ -294,8 +294,9 @@ def verify_database(database) -> List[str]:
     * every maintained hash index files exactly the stored tuples defined on
       its attributes, each under its key: its buckets equal those of the index
       the independent checker has just rebuilt;
-    * the incrementally maintained statistics row counts agree with the
-      tables.
+    * every table's shape counts — what the planner's row, presence and
+      type-guard counts are read from — equal those of the independent
+      checker, and add up to the table's size.
     """
     problems: List[str] = []
     for name in database.tables():
@@ -318,18 +319,23 @@ def verify_database(database) -> List[str]:
                 problems.append(
                     "table {!r}: index on {} holds the expected {} tuples, but not "
                     "under the expected keys".format(name, index.attributes, len(held)))
-        problems.extend(miscounted_statistics(database, [name]))
+        counts, expected = table.checker.shape_counts(), fresh.shape_counts()
+        if counts != expected:
+            problems.append("table {!r}: shape counts {} != recounted {}".format(
+                name, *(sorted((sorted(shape), count) for shape, count in each.items())
+                        for each in (counts, expected))))
+        problems.extend(miscounted_shapes(database, [name]))
     return problems
 
 
-def miscounted_statistics(database, names: Iterable[str]) -> List[str]:
-    """The tables of ``names`` whose statistics row count is not their size —
+def miscounted_shapes(database, names: Iterable[str]) -> List[str]:
+    """The tables of ``names`` whose shape counts do not add up to their size —
     the check recovery's ``verify`` phase runs on every table."""
     problems: List[str] = []
     for name in names:
-        statistics = database.statistics.peek(name)
-        if statistics is not None and statistics.row_count != len(database.table(name)):
-            problems.append(
-                "table {!r}: statistics row_count {} != stored {}".format(
-                    name, statistics.row_count, len(database.table(name))))
+        table = database.table(name)
+        counted = sum(table.checker.shape_counts().values())
+        if counted != len(table):
+            problems.append("table {!r}: shape counts sum to {} != stored {}".format(
+                name, counted, len(table)))
     return problems

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from repro.algebra.expressions import NaturalJoin, RelationRef, Selection
 from repro.algebra.predicates import Comparison
-from repro.engine.database import Database
+from repro.engine.database import REMOVE, Database
 from repro.model.domains import IntDomain, StringDomain
 from repro.model.scheme import FlexibleScheme
 
@@ -84,6 +84,23 @@ def star_join_database(fact_rows: int = DEFAULT_FACT_ROWS,
          if i % rare_every == 0 else {"dr": i, "kind": "common"})
         for i in range(1, rare_rows + 1)
     )
+    return database
+
+
+def aged_star_database(fact_rows: int = DEFAULT_FACT_ROWS) -> Database:
+    """The star ANALYZEd while every ``dim_rare`` row was ``'rare'``, then aged:
+    the paper's type change turns all but 5% of them ``'common'`` (dropping
+    ``audit_level``) and as many new ``'common'`` rows arrive.  The aged
+    most-common value still prices ``σ(kind = 'rare')`` at every row, so
+    ``fact ⋈ σ(dim_rare)`` looks expanding and is planned last — a real
+    mis-estimate, for cardinality feedback to correct."""
+    database = star_join_database(fact_rows, rare_every=1)
+    database.analyze()
+    rare = database.table("dim_rare")
+    rows = len(rare)
+    for tup in list(rare)[rows // 20:]:
+        rare.update(tup, kind="common", audit_level=REMOVE)
+    rare.insert_many({"dr": rows + i, "kind": "common"} for i in range(1, rows + 1))
     return database
 
 

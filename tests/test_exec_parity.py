@@ -441,20 +441,18 @@ class TestAggregatePlanCacheRekey:
         assert executor.cache_misses == misses + 1
 
     def test_dml_rekeys_aggregate_plans(self, employee_database):
+        """Once the table drifted past 0.1 of its 60 rows at ANALYZE."""
         executor = employee_database.physical_executor
         query = self._aggregate_query()
-        employee_database.analyze()        # the insert turns these stale
+        employee_database.analyze()
         first = employee_database.execute(query)
         misses = executor.cache_misses
-        new_id = 1 + max(tup["emp_id"] for tup in
-                         employee_database.relation("employees"))
-        employee_database.insert("employees", {
-            "emp_id": new_id, "name": "zora", "salary": 9999.0,
-            "jobtype": "secretary", "typing_speed": 99,
-            "foreign_languages": "english"})
-        second = employee_database.execute(query)
-        assert executor.cache_misses > misses
-        assert second.tuples != first.tuples  # the new row moved an aggregate
+        table = employee_database.table("employees")
+        for step, victim in enumerate(sorted(table, key=repr)[:7]):
+            table.update(victim, salary=victim["salary"] + 9999.0)
+            second = employee_database.execute(query)
+            assert (executor.cache_misses > misses) == (step == 6)
+            assert second.tuples != first.tuples  # the update moved an aggregate
 
 
 class TestEngineParity:

@@ -1,8 +1,8 @@
 """PR 7: the actionable observability layer — feedback, watchdog, memory, export.
 
 Covers the cardinality-feedback store's lifecycle (recording thresholds, LRU
-bounds, DML/ANALYZE invalidation, non-persistence), the feedback-driven
-re-planning arc on the stale-statistics star workload (including parity of
+bounds, stranding by the statistics version, non-persistence), the
+feedback-driven re-planning arc on the aged-statistics star workload (including parity of
 the corrected plan with the naive evaluator), the plan-regression watchdog, per-operator
 memory accounting in ``explain_analyze``, and the Prometheus / JSON exporters
 (round-trip parsed, families verified).
@@ -30,16 +30,14 @@ from repro.obs.feedback import (
 )
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.profiler import MIN_BASELINE_SAMPLES, PlanWatchdog
-from repro.workloads.star import star_join_database, star_join_query
+from repro.workloads.star import aged_star_database, star_join_database, star_join_query
 
 
 @pytest.fixture()
 def stale_star():
-    """An analyzed small star database whose ``dim_rare`` statistics are stale."""
-    database = star_join_database(fact_rows=600)
-    database.analyze()
-    database.table("dim_rare").insert({"dr": 1001, "kind": "common"})
-    return database
+    """A small star database whose ``dim_rare`` statistics aged into a
+    mis-estimate (:func:`~repro.workloads.star.aged_star_database`)."""
+    return aged_star_database(fact_rows=1000)
 
 
 def rare_selection():
@@ -71,10 +69,10 @@ class TestCardinalityFeedbackStore:
     def test_record_and_lookup_bump_version_once(self):
         store = CardinalityFeedback()
         fingerprint = expression_key(rare_selection())
-        assert store.record(fingerprint, 3, {"dim_rare"}, 50) is True
+        assert store.record(fingerprint, 3, 50) is True
         version = store.version
         # An identical re-observation refreshes recency without churn.
-        assert store.record(fingerprint, 3, {"dim_rare"}, 50) is False
+        assert store.record(fingerprint, 3, 50) is False
         assert store.version == version
         assert store.lookup(fingerprint, 3) == 50
         # A different statistics version is a different regime: no answer.
@@ -82,43 +80,21 @@ class TestCardinalityFeedbackStore:
 
     def test_changed_observation_bumps_version(self):
         store = CardinalityFeedback()
-        store.record(("select", "x"), 1, {"t"}, 10)
+        store.record(("select", "x"), 1, 10)
         version = store.version
-        store.record(("select", "x"), 1, {"t"}, 99)
+        store.record(("select", "x"), 1, 99)
         assert store.version > version
         assert store.lookup(("select", "x"), 1) == 99
 
     def test_lru_eviction_is_bounded(self):
         store = CardinalityFeedback(capacity=3)
         for index in range(5):
-            store.record(("select", index), 1, {"t{}".format(index)}, index)
+            store.record(("select", index), 1, index)
         assert len(store._entries) == 3
         assert store.evictions == 2
         # The oldest entries fell out; the newest survive.
         assert store.lookup(("select", 0), 1) is None
         assert store.lookup(("select", 4), 1) == 4
-        # Evicted entries released their table refcounts.
-        assert "t0" not in store._table_counts and "t4" in store._table_counts
-
-    def test_invalidate_table_drops_entries_and_edges(self):
-        store = CardinalityFeedback()
-        store.record(("select", "a"), 1, {"events", "sessions"}, 10)
-        store.record(("select", "b"), 1, {"users"}, 20)
-        store.record_edge("event_id", {"events", "sessions"}, 1, 0.001)
-        version = store.version
-        dropped = store.invalidate_table("events")
-        assert dropped == 2
-        assert store.version == version + 1
-        assert store.invalidations == 2
-        assert store.lookup(("select", "b"), 1) == 20
-        assert store.lookup_edge("event_id", {"events", "sessions"}, 1) is None
-
-    def test_invalidate_unknown_table_is_a_noop(self):
-        store = CardinalityFeedback()
-        store.record(("select", "a"), 1, {"events"}, 10)
-        version = store.version
-        assert store.invalidate_table("never_observed") == 0
-        assert store.version == version
 
     def test_edge_tolerance_absorbs_jitter(self):
         store = CardinalityFeedback()
@@ -134,24 +110,23 @@ class TestCardinalityFeedbackStore:
 
     def test_clear_empties_both_stores(self):
         store = CardinalityFeedback()
-        store.record(("select", "a"), 1, {"t"}, 10)
+        store.record(("select", "a"), 1, 10)
         store.record_edge("x", {"t"}, 1, 0.5)
         store.clear()
         assert len(store) == 0
-        assert store._table_counts == {}
 
     def test_as_dict_shape(self):
         store = CardinalityFeedback()
-        store.record(("select", "a"), 1, {"t"}, 10)
+        store.record(("select", "a"), 1, 10)
         snapshot = store.as_dict()
         assert snapshot["entries"] == 1 and snapshot["edges"] == 0
         assert set(snapshot) == {"entries", "edges", "capacity", "version",
-                                 "hits", "misses", "evictions", "invalidations"}
+                                 "hits", "misses", "evictions"}
 
 
 class TestFeedbackLifecycle:
     def test_mis_estimate_records_accurate_does_not(self, stale_star):
-        # The stale default selectivity mis-prices σ(dim_rare) — recorded.
+        # The aged most-common value mis-prices σ(dim_rare) — recorded.
         stale_star.execute(star_join_query(), optimize=False)
         assert len(stale_star.cardinality_feedback) > 0
 
@@ -166,15 +141,21 @@ class TestFeedbackLifecycle:
         assert fresh.physical_executor.cache_hits >= 1
 
     def test_dml_on_observed_table_invalidates(self, stale_star):
+        """Below the drift threshold DML keeps the observations; past it the
+        statistics version moves and strands them."""
         stale_star.execute(star_join_query(), optimize=False)
         store = stale_star.cardinality_feedback
-        assert len(store) > 0
-        stale_star.table("dim_rare").insert({"dr": 1002, "kind": "common"})
-        assert all("dim_rare" not in tables
-                   for _rows, tables in store._entries.values())
-        assert all("dim_rare" not in tables
-                   for _sel, tables in store._edges.values())
-        assert store.invalidations > 0
+        fingerprint = expression_key(rare_selection())
+        version = stale_star.statistics_version
+        assert store.lookup(fingerprint, version) is not None
+        rare = stale_star.table("dim_rare")
+        rare.insert({"dr": 5001, "kind": "common"})
+        assert stale_star.statistics_version == version
+        assert store.lookup(fingerprint, stale_star.statistics_version) is not None
+        # 0.1 of the 1000 rows at ANALYZE
+        rare.insert_many({"dr": 5001 + i, "kind": "common"} for i in range(1, 101))
+        assert stale_star.statistics_version > version
+        assert store.lookup(fingerprint, stale_star.statistics_version) is None
 
     def test_analyze_strands_old_observations(self, stale_star):
         stale_star.execute(star_join_query(), optimize=False)
@@ -209,8 +190,7 @@ class TestFeedbackLifecycle:
         # feedback nobody priced — another query's node, an edge on an
         # attribute this query does not join on — evicts nothing
         store = stale_star.cardinality_feedback
-        store.record(("select", "elsewhere"), stale_star.statistics_version,
-                     {"dim_a"}, 7)
+        store.record(("select", "elsewhere"), stale_star.statistics_version, 7)
         store.record_edge("elsewhere", {"dim_a", "dim_b"},
                           stale_star.statistics_version, 0.5)
         stale_star.execute(query, optimize=False)
@@ -226,7 +206,7 @@ class TestFeedbackLifecycle:
         observation, so its first appearance must re-plan."""
         executor = stale_star.physical_executor
         query = rare_selection()
-        stale_star.execute(query, optimize=False)   # default 50% vs 5%: recorded
+        stale_star.execute(query, optimize=False)   # aged 100% vs 2.5%: recorded
         (plan,) = executor.cache._plans.values()
         assert plan.feedback_reads and set(plan.feedback_reads.values()) == {None}
         assert len(stale_star.cardinality_feedback) == 1

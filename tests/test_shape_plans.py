@@ -11,6 +11,7 @@ API only, so the two share no code beyond ``FlexibleScheme.admits``,
 import json
 import os
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -151,6 +152,23 @@ class ReferenceTable:
             if tup.is_defined_on(attributes):
                 buckets.setdefault(tuple(tup[a] for a in attributes), set()).add(tup)
         return buckets
+
+
+def _recount(table):
+    """Attribute-name set -> how many stored tuples of ``table`` have it."""
+    return dict(Counter(frozenset(tup._values) for tup in table))
+
+
+def served_counts(database, name):
+    """The analyzed table's served ``(row_count, variant counts)`` — asserted
+    equal to a recount of the stored tuples — or ``None``."""
+    statistics = database.statistics.get(name)
+    if statistics is None:
+        return None
+    table = database.table(name)
+    served = (statistics.row_count, statistics.variant_counts)
+    assert served == (len(table), _recount(table))
+    return served
 
 
 def engine_refusal(operation, *args, **kwargs):
@@ -562,16 +580,14 @@ class _BatchSide:
         return returned, None
 
     def state(self):
-        table, statistics = self.table, self.database.statistics.peek(self.table.name)
-        undo = self.database._undo
+        table, undo = self.table, self.database._undo
         return {
             "tuples": set(table),
             "mutation_count": table.mutation_count,
             "shapes": set(table.checker.shapes()),
             "indexes": {index.attributes: {key: set(bucket) for key, bucket in index.groups()}
                         for index in table.checker.indexes()},
-            "statistics": None if statistics is None else (statistics.row_count,
-                                                           statistics.stale),
+            "statistics": served_counts(self.database, table.name),
             "undo": None if undo is None else [(t.name, old, new) for t, old, new in undo],
         }
 
@@ -982,11 +998,14 @@ def _verify_as_before(database):
                 problems.append(
                     "table {!r}: index on {} holds {} tuples, expected {}".format(
                         name, index.attributes, len(indexed), len(expected)))
-        statistics = database.statistics.peek(name)
-        if statistics is not None and statistics.row_count != len(table):
-            problems.append(
-                "table {!r}: statistics row_count {} != stored {}".format(
-                    name, statistics.row_count, len(table)))
+        counts, recounted = live.shape_counts(), _recount(table)
+        if counts != recounted:
+            problems.append("table {!r}: shape counts {} != recounted {}".format(
+                name, *(sorted((sorted(shape), count) for shape, count in each.items())
+                        for each in (counts, recounted))))
+        if sum(counts.values()) != len(table):
+            problems.append("table {!r}: shape counts sum to {} != stored {}".format(
+                name, sum(counts.values()), len(table)))
     return problems
 
 
@@ -1031,10 +1050,34 @@ class TestRecoveryStillHasTeeth:
         database, table = self._in_memory(rows)
         problems = verify_database(database)
         assert problems == _verify_as_before(database)
-        # the refusals, then the row count ANALYZE took before the smuggling
-        assert len(problems) == refused + 1
-        assert problems[-1] == "table 'employees': statistics row_count 10 != stored {}".format(
-            len(table))
+        # the refusals: the smuggled rows were counted as they were filed
+        assert len(problems) == refused
+
+    def test_verify_names_a_miscounted_shape(self):
+        database, table = self._in_memory()
+        shape = frozenset(sorted(table, key=repr)[0]._values)
+        table.checker._plans[shape].count += 1
+        problems = verify_database(database)
+        assert problems == _verify_as_before(database)
+        assert len(problems) == 2
+        assert problems[0].startswith("table 'employees': shape counts [")
+        assert problems[1] == "table 'employees': shape counts sum to 11 != stored 10"
+
+    def test_reopen_names_a_miscounted_shape(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "db")
+        database, _ = _durable_employees(path, generate_employees(20, seed=4))
+        database.checkpoint()
+        database.close()
+        register_chunk = ConstraintChecker.register_chunk
+
+        def miscounting(self, rows, shapes, plans):
+            register_chunk(self, rows, shapes, plans)
+            self._plans[shapes[0]].count += 1
+
+        monkeypatch.setattr(ConstraintChecker, "register_chunk", miscounting)
+        with pytest.raises(RecoveryError,
+                           match="shape counts sum to 21 != stored 20"):
+            Database(durable_path=path)
 
     def test_a_consistent_database_is_checked_as_stored(self, monkeypatch):
         database, table = self._in_memory()

@@ -1,15 +1,18 @@
 """Tests for the statistics subsystem: ANALYZE, estimation accuracy, invalidation,
 persistence, and the statistics-informed physical planning decisions."""
 
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from repro.algebra import Evaluator, MultiwayJoin, NaturalJoin, RelationRef, Selection, TypeGuardNode
 from repro.algebra.predicates import And, Comparison, Not, Or, PresencePredicate, TruePredicate
 from repro.engine import Database, loads_database, dumps_database
+from repro.engine.database import REMOVE
 from repro.exec import (
     HashJoin,
     IndexLookupJoin,
@@ -30,6 +33,8 @@ from repro.stats import (
     estimate_ndv,
     reservoir_sample,
 )
+from repro.obs.metrics import q_error
+from repro.workloads.analytics import analytics_database
 from repro.workloads.employees import employee_definition, generate_employees
 from repro.workloads.events import generate_events, skewed_join_database
 
@@ -94,7 +99,6 @@ class TestAnalyze:
         database, rows = analyzed_employees
         statistics = database.stats("employees")
         assert statistics.row_count == len(rows)
-        assert not statistics.stale
         counts = statistics.variant_counts
         assert sum(counts.values()) == len(rows)
         # Exactly the three jobtype variants of the running example occur.
@@ -119,10 +123,9 @@ class TestAnalyze:
     def test_presence_and_ndv(self, analyzed_employees):
         database, rows = analyzed_employees
         statistics = database.stats("employees")
-        emp_id = statistics.attribute("emp_id")
-        assert emp_id.presence == 1.0 and emp_id.ndv == len(rows)
-        typing = statistics.attribute("typing_speed")
-        assert 0.0 < typing.presence < 1.0
+        assert statistics.guard_selectivity(["emp_id"]) == 1.0
+        assert statistics.attribute("emp_id").ndv == len(rows)
+        assert 0.0 < statistics.guard_selectivity(["typing_speed"]) < 1.0
 
     def test_selectivity_accuracy_on_workload(self, analyzed_employees):
         """Histogram / tag-frequency estimates track the true selectivity."""
@@ -193,47 +196,65 @@ class TestAnalyze:
 # -- invalidation --------------------------------------------------------------------------
 
 
+def _recount(table):
+    return dict(Counter(frozenset(tup._values) for tup in table))
+
+
 class TestInvalidation:
+    """DML keeps the statistics served, their counts the table's; cached plans
+    are invalidated once the table drifted past 10% of its rows at ANALYZE."""
+
     def test_insert_invalidates_and_maintains_row_count(self, analyzed_employees):
         database, rows = analyzed_employees
-        assert database.statistics.get("employees") is not None
         version = database.statistics_version
         database.insert("employees", generate_employees(1, seed=99, start_id=10_000)[0])
-        assert database.statistics.get("employees") is None
-        assert database.statistics_version > version
-        stale = database.stats("employees")
-        assert stale.stale and stale.row_count == len(rows) + 1
+        assert database.statistics_version == version
+        statistics = database.stats("employees")
+        assert statistics.row_count == len(rows) + 1
+        assert statistics.variant_counts == _recount(database.table("employees"))
+        database.insert_many("employees", generate_employees(60, seed=98, start_id=10_001))
+        assert database.statistics_version == version + 1
+        assert database.stats("employees").row_count == len(rows) + 61
 
     def test_delete_invalidates_and_decrements(self, analyzed_employees):
         database, rows = analyzed_employees
-        victim = next(iter(database.table("employees")))
-        database.table("employees").delete(victim)
-        stale = database.stats("employees")
-        assert stale.stale and stale.row_count == len(rows) - 1
+        table = database.table("employees")
+        version = database.statistics_version
+        for victim in list(table)[:61]:
+            table.delete(victim)
+            assert database.stats("employees").row_count == len(table)
+        assert database.statistics_version == version + 1
+        assert database.stats("employees").row_count == len(rows) - 61
 
     def test_update_invalidates(self, analyzed_employees):
+        """The paper's type change moves rows between shapes: the variant
+        counts follow at once, the version once 61 rows changed."""
         database, _rows = analyzed_employees
         table = database.table("employees")
-        victim = next(iter(table))
-        table.update(victim, salary=123.0)
-        assert database.statistics.get("employees") is None
+        version = database.statistics_version
+        secretaries = [t for t in table if t["jobtype"] == "secretary"][:61]
+        for victim in secretaries:
+            table.update(victim, jobtype="salesman", typing_speed=REMOVE,
+                         foreign_languages=REMOVE, products="dbms",
+                         sales_commission=0.1)
+            assert database.stats("employees").variant_counts == _recount(table)
+        assert database.statistics_version == version + 1
 
     def test_rollback_restores_freshness_and_row_count(self, analyzed_employees):
-        # A rolled-back transaction leaves the table exactly as analyzed, so
-        # the rollback restores the statistics (and their row count) as fresh
-        # instead of stranding them stale.
+        # A rolled-back transaction leaves the table exactly as analyzed, and
+        # the served counts follow it there.
         database, rows = analyzed_employees
         with pytest.raises(RuntimeError):
             with database.transaction():
                 database.insert("employees", generate_employees(1, seed=8, start_id=50_000)[0])
                 raise RuntimeError("boom")
-        fresh = database.statistics.get("employees")
-        assert fresh is not None
-        assert fresh.row_count == len(rows)
+        served = database.statistics.get("employees")
+        assert served.row_count == len(rows)
+        assert served.variant_counts == _recount(database.table("employees"))
 
     def test_rollback_restores_version_counter(self, analyzed_employees):
-        # Version churn from a rolled-back transaction is undone, so plans
-        # cached before the transaction stay valid afterwards.
+        # A rolled-back transaction below the drift threshold moves no
+        # version, so plans cached before it stay valid afterwards.
         database, _rows = analyzed_employees
         version = database.statistics_version
         with pytest.raises(RuntimeError):
@@ -252,14 +273,15 @@ class TestInvalidation:
             with database.transaction():
                 database.insert("extra", {"x": 99})
                 raise RuntimeError("boom")
-        assert database.statistics.is_fresh("extra")
-        assert database.statistics.is_fresh("employees")
+        assert database.stats("extra").row_count == 4
+        assert database.stats("employees").row_count == 600
 
     def test_reanalyze_restores_freshness(self, analyzed_employees):
         database, _rows = analyzed_employees
         database.insert("employees", generate_employees(1, seed=5, start_id=20_000)[0])
-        database.analyze("employees")
-        assert database.statistics.is_fresh("employees")
+        version = database.statistics_version
+        assert database.analyze("employees").attribute("emp_id").ndv == 601
+        assert database.statistics_version == version + 1
 
     def test_drop_table_invalidates(self, analyzed_employees):
         database, _rows = analyzed_employees
@@ -267,13 +289,21 @@ class TestInvalidation:
         assert database.stats("employees") is None
 
     def test_mutation_bumps_version_once_until_reanalyzed(self, analyzed_employees):
+        """Once per drift of 60 rows (0.1 of 600), counted from the last bump."""
         database, _rows = analyzed_employees
         version = database.statistics_version
-        database.insert("employees", generate_employees(1, seed=1, start_id=30_000)[0])
+        rows = generate_employees(130, seed=1, start_id=30_000)
+        for row in rows[:60]:
+            database.insert("employees", row)
+        assert database.statistics_version == version
+        database.insert("employees", rows[60])
         bumped = database.statistics_version
         assert bumped == version + 1
-        database.insert("employees", generate_employees(1, seed=2, start_id=30_001)[0])
+        for row in rows[61:121]:
+            database.insert("employees", row)
         assert database.statistics_version == bumped
+        database.insert("employees", rows[121])
+        assert database.statistics_version == bumped + 1
 
 
 # -- persistence ---------------------------------------------------------------------------
@@ -283,7 +313,6 @@ class TestPersistence:
     def test_round_trip_keeps_statistics_fresh(self, analyzed_employees):
         database, _rows = analyzed_employees
         loaded = loads_database(dumps_database(database))
-        assert loaded.statistics.is_fresh("employees")
         original = database.stats("employees")
         restored = loaded.stats("employees")
         assert restored.row_count == original.row_count
@@ -291,11 +320,16 @@ class TestPersistence:
         predicate = Comparison("salary", ">", 5000.0)
         assert restored.selectivity(predicate) == pytest.approx(original.selectivity(predicate))
 
-    def test_stale_statistics_are_not_persisted(self, analyzed_employees):
-        database, _rows = analyzed_employees
+    def test_statistics_after_dml_are_persisted(self, analyzed_employees):
+        """With the counts at the time of writing, the distributions as aged."""
+        database, rows = analyzed_employees
         database.insert("employees", generate_employees(1, seed=77, start_id=40_000)[0])
-        loaded = loads_database(dumps_database(database))
-        assert loaded.stats("employees") is None
+        document = json.loads(dumps_database(database))
+        assert document["tables"][0]["statistics"]["row_count"] == len(rows) + 1
+        loaded = loads_database(json.dumps(document))
+        restored, original = loaded.stats("employees"), database.stats("employees")
+        assert restored.variant_counts == original.variant_counts
+        assert restored.attribute("emp_id").ndv == original.attribute("emp_id").ndv == len(rows)
 
     def test_secondary_indexes_round_trip(self):
         database = skewed_join_database(big=120, small=20)
@@ -554,7 +588,7 @@ class TestStatsInformedPlanner:
         assert isinstance(plan.root, HashJoin)
 
     def test_cost_model_prefers_fresh_statistics_dynamically(self):
-        """The same planner object re-reads freshness on every plan() call."""
+        """The same planner object re-reads the statistics on every plan() call."""
         database = skewed_join_database(big=240, small=24, keyed_events=False)
         planner = PhysicalPlanner(source=database)
         query = NaturalJoin(
@@ -565,6 +599,8 @@ class TestStatsInformedPlanner:
         database.analyze()
         assert isinstance(planner.plan(query).root, IndexLookupJoin)
         database.insert("events", {"event_id": 100_000, "kind": "view", "payload": 1})
+        assert isinstance(planner.plan(query).root, IndexLookupJoin)
+        database.statistics.invalidate("events")
         assert isinstance(planner.plan(query).root, HashJoin)
 
 
@@ -623,8 +659,11 @@ class TestSamplingAnalyze:
         # event_id is unique -> GEE scales well above the sample size.
         assert statistics.ndv("kind") == 3
         assert 1000 < statistics.ndv("event_id") <= 5000
-        presence = statistics.attribute("payload").presence
-        assert abs(presence - 0.99) < 0.03
+        # the sample's presence, scaled; the served one is the shape counts'
+        scaled = statistics.attribute("payload").present_count / 5000.0
+        assert abs(scaled - 0.99) < 0.03
+        exact = sum(1 for tup in database.table("events") if "payload" in tup._values)
+        assert statistics.guard_selectivity(["payload"]) == exact / 5000.0
 
     def test_one_shot_iterable_below_threshold_reads_once_and_exactly(self):
         from repro.stats import analyze_table
@@ -678,8 +717,8 @@ class TestSamplingAnalyze:
 
 
 class TestAutoAnalyze:
-    """There is no automatic re-ANALYZE: DML turns statistics stale and
-    leaves them so until the next explicit ANALYZE."""
+    """There is no automatic re-ANALYZE: DML ages the value distributions
+    until the next explicit ANALYZE."""
 
     def small_database(self):
         database = Database(enforce_constraints=False)
@@ -694,7 +733,8 @@ class TestAutoAnalyze:
         for event_id in range(51, 70):
             database.insert("events", {"event_id": event_id, "kind": "click",
                                        "payload": 1})
-        assert not database.statistics.is_fresh("events")
+        statistics = database.stats("events")
+        assert statistics.row_count == 69 and statistics.attribute("event_id").ndv == 50
 
     def test_never_analyzed_tables_are_left_alone(self):
         database = self.small_database()
@@ -702,3 +742,40 @@ class TestAutoAnalyze:
             database.insert("events", {"event_id": event_id, "kind": "view",
                                        "payload": 2})
         assert database.stats("events") is None
+
+
+# -- statistics that survive DML ---------------------------------------------------------------
+
+
+class TestStatisticsSurviveDML:
+    """On the 100,000-order table, DML keeps the planner's estimates: the row,
+    presence and guard counts are the shape counts, the value distributions
+    age instead of vanishing."""
+
+    QUERIES = (Selection(RelationRef("orders"), Comparison("region", "=", "r3")),
+               TypeGuardNode(RelationRef("orders"), ["coupon"]))
+
+    @staticmethod
+    def _estimates(database):
+        plans = [database.plan(query) for query in TestStatisticsSurviveDML.QUERIES]
+        return [(plan.root.estimated_rows, plan.batch_size) for plan in plans]
+
+    def test_delete_and_reinsert_leave_every_estimate(self):
+        database = analytics_database()
+        before = self._estimates(database)
+        orders = database.table("orders")
+        victim = next(iter(orders))
+        orders.delete(victim)
+        orders.insert(victim)
+        assert self._estimates(database) == before
+
+    def test_one_percent_churn_keeps_the_q_error_small(self):
+        """1,000 online orders become store orders: the paper's type change."""
+        database = analytics_database()
+        orders = database.table("orders")
+        online = [tup for tup in orders if tup["channel"] == "online"][:len(orders) // 100]
+        for tup in online:
+            orders.update(tup, channel="store", coupon=REMOVE, store_id=7)
+        for query in self.QUERIES:
+            estimated = database.plan(query).root.estimated_rows
+            assert q_error(estimated, len(database.execute(query))) <= 1.5

@@ -23,7 +23,14 @@ from repro.model.scheme import UnfoldedScheme
 from repro.storage import read_wal, verify_database
 from repro.storage.durable import TXN_BUFFER_BYTES
 from repro.workloads.employees import employee_definition, generate_employees
-from test_shape_plans import _changes, _employees, _scramble, _unfolded, engine_refusal
+from test_shape_plans import (
+    _changes,
+    _employees,
+    _scramble,
+    _unfolded,
+    engine_refusal,
+    served_counts,
+)
 
 #: REPRO_SWEEP_EXAMPLES=<n> raises the example count (the CI sweep)
 EXAMPLES = int(os.environ.get("REPRO_SWEEP_EXAMPLES", "150"))
@@ -70,6 +77,34 @@ class TestTableSnapshots:
         # and duplicates are still detected after the rebuild
         with pytest.raises(KeyViolation):
             table.insert({**_valid_employee(100), "name": "other"})
+
+
+class TestShapeCounts:
+    """The counts the planner reads are the shape counts, equal to a recount
+    of the stored tuples also where a write stores no new tuple."""
+
+    def test_update_onto_a_stored_tuple_counts_it_once(self):
+        database = Database()
+        table = _create(database, _keyless()[0])
+        table.insert_many([{"A": 0}, {"A": 1}, {"A": 0, "B": 1}])
+        database.analyze("keyless")
+        table.update({"A": 0, "B": 1}, B=REMOVE)    # merges onto {A: 0}
+        assert served_counts(database, "keyless") == (2, {frozenset({"A"}): 2})
+        table.update({"A": 0}, A=1)                 # and onto {A: 1}
+        assert served_counts(database, "keyless") == (1, {frozenset({"A"}): 1})
+        assert verify_database(database) == []
+
+    def test_restore_refiles_and_recounts(self, database):
+        database.analyze()
+        table = database.table("employees")
+        before = table.snapshot()
+        secretary = next(t for t in table if t["jobtype"] == "secretary")
+        table.update(secretary, jobtype="salesman", typing_speed=REMOVE,
+                     foreign_languages=REMOVE, products="dbms", sales_commission=0.1)
+        table.insert(_valid_employee(100))
+        table.restore(before)
+        assert served_counts(database, "employees")[0] == 10
+        assert verify_database(database) == []
 
 
 class TestTransactions:
@@ -119,9 +154,15 @@ class TestTransactions:
 
 
 class TestRollbackVersionRestore:
-    """Rollback rewinds the planning-relevant side state it churned."""
+    """Rollback rewinds the feedback it churned; the statistics need no rewind
+    (their counts are the shape counts the undo keeps, their version is a
+    clock that never runs backwards)."""
 
     def test_statistics_version_restored(self, database):
+        """Below the drift threshold a rolled-back transaction moves no
+        version, and the served counts are the table's again."""
+        database.table("employees").insert_many(
+            generate_employees(40, seed=72, start_id=1_000))
         database.analyze()
         version = database.statistics_version
         with pytest.raises(RuntimeError):
@@ -129,12 +170,11 @@ class TestRollbackVersionRestore:
                 database.insert("employees", _valid_employee(700))
                 raise RuntimeError("abort")
         assert database.statistics_version == version
-        assert database.statistics.is_fresh("employees")
+        assert database.stats("employees").row_count == len(database.table("employees"))
 
     def test_feedback_version_restored(self, database):
         feedback = database.cardinality_feedback
-        feedback.record(("test", "fp"), database.statistics_version,
-                        ["employees"], 42)
+        feedback.record(("test", "fp"), database.statistics_version, 42)
         version = feedback.version
         with pytest.raises(RuntimeError):
             with database.transaction():
@@ -147,24 +187,30 @@ class TestRollbackVersionRestore:
         with pytest.raises(RuntimeError):
             with database.transaction():
                 database.insert("employees", _valid_employee(702))
-                feedback.record(("txn", "fp"), database.statistics_version,
-                                ["employees"], 7)
+                version = database.statistics_version
+                feedback.record(("txn", "fp"), version, 7)
                 raise RuntimeError("abort")
-        # the rolled-back statistics version will be handed out again for a
-        # different state; the observation keyed under it must not survive
-        assert feedback.lookup(("txn", "fp"), database.statistics_version + 1) is None
+        # it describes rows the rollback took away
+        assert feedback.lookup(("txn", "fp"), version) is None
 
-    def test_statistics_collected_inside_are_dropped(self, database):
+    def test_statistics_collected_inside_are_kept(self, database):
+        """ANALYZE is not undone, like DDL and like the log, which journals it
+        autonomously; its counts follow the rolled-back table."""
         with pytest.raises(RuntimeError):
             with database.transaction():
                 database.insert("employees", _valid_employee(703))
                 database.analyze("employees")
+                version = database.statistics_version
                 raise RuntimeError("abort")
-        assert database.stats("employees") is None
+        assert database.statistics_version >= version
+        assert database.stats("employees").row_count == len(database.table("employees")) == 10
 
     def test_plans_cached_before_stay_valid(self, database):
         from repro.algebra.expressions import RelationRef
 
+        # 50 rows: the rolled-back insert and its undo stay below the drift
+        database.table("employees").insert_many(
+            generate_employees(40, seed=72, start_id=1_000))
         database.analyze()
         database.execute(RelationRef("employees"))
         hits_before = database.physical_executor.cache_hits
@@ -176,12 +222,15 @@ class TestRollbackVersionRestore:
         assert database.physical_executor.cache_hits == hits_before + 1
 
     def test_plans_cached_inside_are_evicted(self, database):
+        """They were validated against feedback learned inside, which does
+        not survive."""
         from repro.algebra.expressions import RelationRef
 
         with pytest.raises(RuntimeError):
             with database.transaction():
                 database.insert("employees", _valid_employee(705))
-                database.analyze("employees")   # bumps the statistics version
+                database.cardinality_feedback.record(
+                    ("txn", "fp"), database.statistics_version, 11)
                 database.execute(RelationRef("employees"))
                 cached_inside = len(database.physical_executor.cache)
                 raise RuntimeError("abort")
@@ -211,14 +260,13 @@ def _create(database, definition):
 
 class _SnapshotScope:
     """Rollback spelled with the oracle API: a copy of every table at entry,
-    ``restore`` of the changed ones, then the statistics / feedback rewind —
-    under the engine's rule that nothing the feedback store learns inside a
-    rolled-back scope survives it."""
+    ``restore`` of the changed ones, then the feedback rewind — under the
+    engine's rule that nothing the feedback store learns inside a rolled-back
+    scope survives it."""
 
     def __init__(self, database):
         self.snapshots = {name: database.table(name).snapshot()
                           for name in database.tables()}
-        self.statistics = database.statistics.capture()
         self.feedback_version = database.cardinality_feedback.version
         self.feedback_mark = database.cardinality_feedback.begin()
 
@@ -227,7 +275,6 @@ class _SnapshotScope:
             table = database.table(name)
             if table.snapshot() != snapshot:
                 table.restore(snapshot)
-        database.statistics.rollback_capture(self.statistics)
         feedback = database.cardinality_feedback
         feedback.rollback(self.feedback_version, self.feedback_mark)
         feedback.end()
@@ -275,7 +322,7 @@ class _Side:
             return None
         if kind == "observe":
             database.cardinality_feedback.record(
-                ("rollback", seed), database.statistics_version, [definition.name], seed)
+                ("rollback", seed), database.statistics_version, seed)
             return None
         if kind == "reinsert" and self.deleted[which]:
             return engine_refusal(table.insert, rng.choice(self.deleted[which]))
@@ -297,20 +344,17 @@ class _Side:
 
 
 def _observable_state(database):
-    """Everything a rollback must put back, in comparable form."""
-    state = {"statistics_version": database.statistics.version,
-             "feedback_version": database.cardinality_feedback.version}
+    """Everything a rollback must put back, in comparable form.  The
+    statistics version is a clock, not state: it never runs backwards."""
+    state = {"feedback_version": database.cardinality_feedback.version}
     for name in database.tables():
         table = database.table(name)
-        statistics = database.statistics.peek(name)
         state[name] = {
             "tuples": set(table),
             "indexes": {index.attributes: {key: set(bucket) for key, bucket in index.groups()}
                         for index in table.checker.indexes()},
             "shapes": set(table.checker.shapes()),
-            "fresh": database.statistics.is_fresh(name),
-            "statistics": (None if statistics is None
-                           else (statistics.row_count, statistics.stale)),
+            "statistics": served_counts(database, name),
         }
     return state
 

@@ -272,8 +272,10 @@ def run_case(source_name, query, options, spill_root):
         "runs": runs,
         "metrics": metrics["metrics"],
         "slow_queries": metrics["slow_queries"],
-        "feedback": {"entries": [repr(item) for item in feedback._entries.items()],
-                     "edges": [repr(item) for item in feedback._edges.items()]},
+        "feedback": {"entries": [repr((key, feedback.current(("rows", key))))
+                                 for key in feedback._entries],
+                     "edges": [repr((key, feedback.lookup_edge(*key)))
+                               for key in list(feedback._edges)]},
         "plan_cache": metrics["plan_cache"],
         "statement_cache": metrics["statement_cache"],
     })
