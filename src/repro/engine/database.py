@@ -500,6 +500,8 @@ class Database:
         their counts follow its DML, their value distributions age.  An
         ANALYZE inside a transaction that rolls back stays, as DDL does.
         """
+        if name is not None:
+            self.table(name)  # raises CatalogError before anything is journaled
         if self.durability is not None and self.durability.wal is not None:
             self.durability.log_analyze(name, sample_size)
         self.statistics.analyze(name, sample_size=sample_size)

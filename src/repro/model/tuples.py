@@ -143,8 +143,8 @@ class FlexTuple:
 
     def items(self) -> Iterator[Tuple[str, object]]:
         """Iterate ``(attribute name, value)`` pairs in sorted attribute order."""
-        for attribute in self.attributes:
-            yield attribute.name, self._values[attribute.name]
+        for name in sorted(self._values):
+            yield name, self._values[name]
 
     def as_dict(self) -> Dict[str, object]:
         """A plain ``dict`` copy of the tuple."""

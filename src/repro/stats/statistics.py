@@ -1,7 +1,7 @@
 """Per-table statistics: cardinality, attribute distributions, variant-tag frequencies.
 
-:func:`analyze_table` is the ANALYZE entry point: one pass over a stored table
-produces a :class:`TableStatistics` holding
+:func:`analyze_table` is the ANALYZE entry point: one pass per attribute over a
+stored table's value dicts produces a :class:`TableStatistics` holding
 
 * the row count,
 * per-attribute statistics (:class:`AttributeStatistics`): how many tuples carry
@@ -457,9 +457,11 @@ def analyze_table(
     """Collect :class:`TableStatistics` from a stored table (or any tuple iterable).
 
     ``table`` needs a ``name`` attribute and iteration over
-    :class:`~repro.model.tuples.FlexTuple`-like objects; this covers
+    :class:`~repro.model.tuples.FlexTuple` objects; this covers
     :class:`repro.engine.Table`, :class:`repro.model.relation.FlexibleRelation`
-    and plain collections of tuples.
+    and plain collections of tuples.  It reads columns, not tuples: one pass
+    over the rows' value dicts counts the variant tags, then each attribute's
+    values are gathered in row order (shapes as first seen, names sorted).
 
     ``sample_size`` turns on sampling-based ANALYZE: tables with more rows than
     the threshold are reservoir-sampled (one streaming pass, Algorithm R) and
@@ -484,23 +486,18 @@ def analyze_table(
             sampled = True
             total_rows = total
 
-    values_by_attribute: Dict[str, List] = {}
-    variant_counts: Counter = Counter()
-    row_count = 0
-    for tup in rows:
-        row_count += 1
-        names: List[str] = []
-        for attribute, value in tup.items():
-            names.append(attribute)
-            values_by_attribute.setdefault(attribute, []).append(value)
-        variant_counts[frozenset(names)] += 1
+    dicts = [tup._values for tup in rows]
+    row_count = len(dicts)
+    variant_counts = Counter(map(frozenset, dicts))
+    names = dict.fromkeys(a for combo in variant_counts for a in sorted(combo))
 
     if total_rows is None:
         total_rows = row_count
     scale = total_rows / float(row_count) if row_count else 1.0
 
     attributes: Dict[str, AttributeStatistics] = {}
-    for attribute, values in values_by_attribute.items():
+    for attribute in names:
+        values = [d[attribute] for d in dicts if attribute in d]
         counter = Counter(values)
         ndv = len(counter)
         top = dict(counter.most_common(most_common))

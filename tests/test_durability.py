@@ -320,6 +320,16 @@ class TestDurableDatabase:
         assert statistics is not None and statistics.row_count == 10
         recovered.close()
 
+    def test_refused_analyze_journals_nothing(self, tmp_path):
+        database = Database(durable_path=str(tmp_path / "db"))
+        _create_employees(database)
+        wal = database.durability.wal
+        size, records = wal.size, wal.records_written
+        with pytest.raises(CatalogError):
+            database.analyze("missing")
+        assert (wal.size, wal.records_written) == (size, records)
+        database.close()
+
     def test_metrics_expose_durability_section(self, tmp_path):
         database = Database(durable_path=str(tmp_path / "db"))
         section = database.metrics()["durability"]

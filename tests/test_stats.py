@@ -8,10 +8,12 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.algebra import Evaluator, MultiwayJoin, NaturalJoin, RelationRef, Selection, TypeGuardNode
 from repro.algebra.predicates import And, Comparison, Not, Or, PresencePredicate, TruePredicate
-from repro.engine import Database, loads_database, dumps_database
+from repro.engine import Database, Table, TableDefinition, loads_database, dumps_database
 from repro.engine.database import REMOVE
 from repro.exec import (
     HashJoin,
@@ -22,10 +24,12 @@ from repro.exec import (
 )
 from repro.model.attributes import attrset
 from repro.model.domains import FloatDomain, IntDomain, StringDomain
+from repro.model.relation import FlexibleRelation
 from repro.model.scheme import FlexibleScheme
 from repro.model.tuples import FlexTuple
 from repro.optimizer.cost import DEFAULT_SELECTIVITY, CostModel
 from repro.stats import (
+    AttributeStatistics,
     EquiDepthHistogram,
     TableStatistics,
     analyze_table,
@@ -33,6 +37,8 @@ from repro.stats import (
     estimate_ndv,
     reservoir_sample,
 )
+from repro.stats.histograms import DEFAULT_BUCKETS
+from repro.stats.statistics import DEFAULT_MOST_COMMON, DEFAULT_SAMPLE_SEED
 from repro.obs.metrics import q_error
 from repro.workloads.analytics import analytics_database
 from repro.workloads.employees import employee_definition, generate_employees
@@ -779,3 +785,149 @@ class TestStatisticsSurviveDML:
         for query in self.QUERIES:
             estimated = database.plan(query).root.estimated_rows
             assert q_error(estimated, len(database.execute(query))) <= 1.5
+
+
+# -- ANALYZE against its reference -------------------------------------------------------------
+
+
+#: REPRO_SWEEP_EXAMPLES=<n> raises the example count (CI's random-seed sweep)
+ANALYZE_EXAMPLES = int(os.environ.get("REPRO_SWEEP_EXAMPLES", "60"))
+#: a falsifying case lands next to the fuzz harness's shrunk trees
+ARTIFACT = os.environ.get("REPRO_FUZZ_ARTIFACT", "fuzz-failure.txt")
+
+
+def reference_analyze(table, max_buckets=DEFAULT_BUCKETS, most_common=DEFAULT_MOST_COMMON,
+                      sample_size=None, seed=DEFAULT_SAMPLE_SEED):
+    """ANALYZE row by row: each tuple's ``items()`` feed the per-attribute
+    value lists and the variant counter.  The oracle of :func:`analyze_table`,
+    which reads the same rows a column at a time."""
+    name = getattr(table, "name", None) or "<anonymous>"
+    sampled = False
+    total_rows = None
+    rows = table
+    if sample_size is not None and sample_size > 0:
+        sample, total = reservoir_sample(table, sample_size, seed=seed)
+        rows = sample
+        if total > sample_size:
+            sampled = True
+            total_rows = total
+
+    values_by_attribute = {}
+    variant_counts = Counter()
+    row_count = 0
+    for tup in rows:
+        row_count += 1
+        names = []
+        for attribute, value in tup.items():
+            names.append(attribute)
+            values_by_attribute.setdefault(attribute, []).append(value)
+        variant_counts[frozenset(names)] += 1
+
+    if total_rows is None:
+        total_rows = row_count
+    scale = total_rows / float(row_count) if row_count else 1.0
+
+    attributes = {}
+    for attribute, values in values_by_attribute.items():
+        counter = Counter(values)
+        ndv = len(counter)
+        top = dict(counter.most_common(most_common))
+        try:
+            min_value, max_value = min(values), max(values)
+        except TypeError:
+            min_value = max_value = None
+        if sampled:
+            singletons = sum(1 for count in counter.values() if count == 1)
+            present = int(round(len(values) * scale))
+            ndv = estimate_ndv(ndv, singletons, len(values), present)
+            top = {value: max(1, int(round(count * scale)))
+                   for value, count in top.items()}
+            complete = False
+        else:
+            present = len(values)
+            complete = len(counter) <= len(top)
+        attributes[attribute] = AttributeStatistics(
+            attribute, total_rows, present_count=present, ndv=ndv,
+            min_value=min_value, max_value=max_value,
+            histogram=build_histogram(values, max_buckets=max_buckets),
+            most_common=top, mcv_complete=complete,
+        )
+
+    if sampled:
+        variant_counts = Counter({combo: max(1, int(round(count * scale)))
+                                  for combo, count in variant_counts.items()})
+    statistics = TableStatistics(name, total_rows, attributes, variant_counts)
+    statistics.sampled = sampled
+    statistics.sample_rows = row_count if sampled else None
+    return statistics
+
+
+ANALYZE_NAMES = ("a", "B", "_c", "é")
+ANALYZE_SCHEME = FlexibleScheme(0, len(ANALYZE_NAMES), list(ANALYZE_NAMES))
+NAN = float("nan")
+
+#: equal values of different types, NULLs, strings and NaN (one shared object
+#: and fresh ones, each its own Counter key): a column mixing them is
+#: unsortable, so its histogram and min/max are ``None``
+_analyze_values = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([1, 1.0, True, 0, 0.0, False, 2.5, None, NAN, "", "x", "é"]),
+    st.builds(float, st.just("nan")),
+)
+_analyze_rows = st.lists(
+    st.dictionaries(st.sampled_from(ANALYZE_NAMES), _analyze_values), max_size=40)
+
+
+def _analyze_source(kind, rows):
+    """The rows as a stored table, a flexible relation or a plain list."""
+    if kind == "table":
+        table = Table(TableDefinition("t", ANALYZE_SCHEME))
+        table.insert_many(rows)
+        return table
+    if kind == "relation":
+        return FlexibleRelation(ANALYZE_SCHEME, rows, name="r")
+    return [FlexTuple(row) for row in rows]
+
+
+def _analyze_mismatch(source, sample_size):
+    """What differs between ANALYZE and its reference on ``source``, or ``None``."""
+    got = analyze_table(source, sample_size=sample_size)
+    want = reference_analyze(source, sample_size=sample_size)
+    # repr tells 1, 1.0 and True apart, which == does not: the first value
+    # seen must be the one each MCV list and min/max keep
+    if repr(got.to_dict()) != repr(want.to_dict()) or got.to_dict() != want.to_dict():
+        return "to_dict\n{!r}\n{!r}".format(got.to_dict(), want.to_dict())
+    if list(got.attributes) != list(want.attributes):
+        return "attribute order {} != {}".format(list(got.attributes), list(want.attributes))
+    for name, stats in want.attributes.items():
+        if repr(list(got.attributes[name].most_common)) != repr(list(stats.most_common)):
+            return "most_common order of {}".format(name)
+    return None
+
+
+@pytest.mark.parametrize("kind", ["table", "relation", "list"])
+@pytest.mark.parametrize("sample_size", [None, 3, 1000], ids=["exact", "small", "large"])
+@settings(max_examples=ANALYZE_EXAMPLES, deadline=None)
+@given(rows=_analyze_rows)
+@example(rows=[])
+def test_analyze_matches_reference(kind, sample_size, rows):
+    """Column-wise ANALYZE equals the row-by-row reference: the same
+    statistics, attribute order and most-common-value order, over a table, a
+    relation and a list, exact, sampled and below the sampling threshold."""
+    problem = _analyze_mismatch(_analyze_source(kind, rows), sample_size)
+    if problem is not None:
+        report = ("ANALYZE differs from the row-by-row reference\n"
+                  "kind = {}, sample_size = {}\nrows = {!r}\n{}\n".format(
+                      kind, sample_size, rows, problem))
+        try:
+            with open(ARTIFACT, "w") as handle:
+                handle.write(report)
+        except OSError:
+            pass
+        pytest.fail(report)
+
+
+@pytest.mark.parametrize("sample_size", [None, 500, 5000], ids=["exact", "small", "large"])
+def test_analyze_matches_reference_on_the_employees(analyzed_employees, sample_size):
+    database, _ = analyzed_employees
+    assert _analyze_mismatch(database.table("employees"), sample_size) is None

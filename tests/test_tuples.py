@@ -133,6 +133,16 @@ class TestEqualityAndHashing:
     def test_items_sorted(self):
         assert [name for name, _ in FlexTuple(b=2, a=1).items()] == ["a", "b"]
 
+    def test_items_follow_the_attribute_order(self):
+        """``items()`` sorts the name strings; ``attributes`` sorts
+        :class:`Attribute` objects by name: the two orders agree for names of
+        mixed case, leading underscores and non-ASCII characters."""
+        names = ["zeta", "Zeta", "_z", "__a", "a_", "é", "E", "ß", "Ω", "b1", "B0", "ä"]
+        t = FlexTuple({name: position for position, name in enumerate(names)})
+        assert [name for name, _ in t.items()] == [a.name for a in sorted(t.attributes)]
+        assert [value for _, value in t.items()] == [names.index(a.name)
+                                                     for a in t.attributes]
+
     def test_as_dict_roundtrip(self):
         original = {"a": 1, "b": "x"}
         assert FlexTuple(original).as_dict() == original
