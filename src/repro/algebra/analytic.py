@@ -33,8 +33,9 @@ tested by ``tests/test_aggregates.py``):
   engines even though sets iterate in different orders.
   :func:`row_order_key` / :func:`top_k_rows` *define* that order and serve the
   naive evaluator; the physical engines sort through :class:`CompiledOrder`,
-  which encodes the same order into natively comparable tuples and is held to
-  the definition by ``tests/test_order_keys.py`` and the differential fuzz.
+  which compares the same order natively — a full sort one key column at a
+  time, top-k and run merges on a flat per-row encoding — and is held to the
+  definition by ``tests/test_order_keys.py`` and the differential fuzz.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, insort
 from fractions import Fraction
+from itertools import groupby, islice
 from math import fsum, inf, isfinite, nan
+from operator import and_, eq, ne
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import AlgebraError
@@ -277,17 +280,56 @@ def _encode_value(value, sign: int) -> tuple:
     return (0, sign * key[0], rest)
 
 
+_NUMBERS = frozenset((int, float, bool))
+_GAPS = frozenset((type(None), type(MISSING)))
+
+
+def _sort_pass(order: List[int], column: List, sign: int) -> Tuple[List[int], List]:
+    """``order`` stably sorted on one key, ``column`` holding its value per row
+    (``MISSING`` where absent), and the column whose ``==`` is the key's tie.
+
+    Numbers without NaN compare natively — as floats when ints and floats mix
+    and every int converts exactly, so the sort stays on floats — with a
+    descending key sorted ``reverse=True`` (stable too); the NULL rows, then
+    the absent ones, follow in their current order.  Any other column sorts
+    on its :func:`_encode_value` slots, which rank NULL and absent themselves.
+    """
+    kinds = set(map(type, column))
+    numbers = kinds - _GAPS
+    if not numbers <= _NUMBERS or (float in numbers and any(map(ne, column, column))):
+        column = [_encode_value(value, sign) for value in column]
+        order.sort(key=column.__getitem__)
+        return order, column
+    if float in numbers and len(numbers) > 1:
+        try:
+            floats = [value if value is None or value is MISSING else float(value)
+                      for value in column]
+        except OverflowError:  # an int beyond the float range
+            floats = None
+        if floats == column:  # ``==`` between an int and a float is exact
+            column = floats
+    if numbers == kinds:
+        order.sort(key=column.__getitem__, reverse=sign < 0)
+        return order, column
+    present = [at for at in order if column[at] is not None and column[at] is not MISSING]
+    present.sort(key=column.__getitem__, reverse=sign < 0)
+    present += [at for at in order if column[at] is None]
+    present += [at for at in order if column[at] is MISSING]
+    return present, column
+
+
 class CompiledOrder:
     """The order of :func:`row_order_key` under one ``keys`` tuple, compiled
     for the physical engines: same order, compared in C.
 
-    ``encode`` maps a row to one flat tuple of the *declared* keys only, three
-    slots a key (see :func:`_encode_value`), so ``list.sort``, ``bisect`` and
-    ``heapq`` compare ints, floats and strings natively.  The canonical
-    whole-tuple tie-break is never part of that tuple: it is computed for the
-    rows whose declared keys actually tie — none when a key attribute is among
-    the sort keys, every row once when there are no keys at all — and those
-    runs are ordered by it on their own.
+    ``argsort`` sorts one declared key's column at a time.  ``encode`` maps a
+    row to one flat tuple of the *declared* keys only, three slots a key (see
+    :func:`_encode_value`), so ``bisect`` and ``heapq`` compare ints, floats
+    and strings natively in ``top_k`` and ``merge``.  The canonical whole-tuple
+    tie-break is never part of either: it is computed for the rows whose
+    declared keys actually tie — none when a key attribute is among the sort
+    keys, every row once when there are no keys at all — and those runs are
+    ordered by it on their own.
     """
 
     __slots__ = ("keys", "_signed")
@@ -310,18 +352,33 @@ class CompiledOrder:
         return out
 
     def argsort(self, rows: Sequence[Dict[str, object]]) -> List[int]:
-        """The positions of ``rows`` (value dicts) in sorted order."""
-        declared = list(map(self.encode, rows))
-        order = sorted(range(len(rows)), key=declared.__getitem__)
-        ranked = [declared[position] for position in order]
-        start = 0
-        for stop in range(1, len(ranked) + 1):
-            if stop == len(ranked) or ranked[stop] != ranked[start]:
-                if stop - start > 1:  # a run of ties: canonical order decides
-                    order[start:stop] = sorted(
-                        order[start:stop],
-                        key=lambda position: canonical_order_key(rows[position]))
-                start = stop
+        """The positions of ``rows`` (value dicts) in sorted order.
+
+        One stable pass per declared key, least significant first, over that
+        key's column (:func:`_sort_pass`).  Rows that then tie on every
+        declared key sit next to each other; each such run is ordered by the
+        canonical tie-break, which no other row gets.
+        """
+        order = list(range(len(rows)))
+        columns = []  # per key, the column that decides equality under it
+        for attribute, sign in reversed(self._signed):
+            order, column = _sort_pass(
+                order, [row.get(attribute, MISSING) for row in rows], sign)
+            columns.append(column)
+        ties = [True] * (len(order) - 1)  # order[at] ties with order[at + 1]
+        for column in reversed(columns):
+            ranked = list(map(column.__getitem__, order))
+            ties = list(map(and_, ties, map(eq, ranked, islice(ranked, 1, None))))
+            if not any(ties):
+                return order
+        at = 0
+        for tied, run in groupby(ties):
+            stop = at + len(list(run))
+            if tied:  # order[at:stop + 1] tie on every declared key
+                order[at:stop + 1] = sorted(
+                    order[at:stop + 1],
+                    key=lambda position: canonical_order_key(rows[position]))
+            at = stop
         return order
 
     def top_k(self, pairs: Iterable[tuple], count: int) -> List[tuple]:

@@ -44,7 +44,6 @@ from repro.algebra.expressions import (
 )
 from repro.errors import AlgebraError
 from repro.model.attributes import AttributeSet
-from repro.model.relation import FlexibleRelation
 from repro.model.tuples import FlexTuple
 
 
@@ -170,9 +169,11 @@ def _resolve_relation(source, name: str) -> Iterable[FlexTuple]:
             raise AlgebraError("unknown relation {!r}".format(name)) from None
     else:
         raise AlgebraError("unsupported relation source {!r}".format(source))
-    if isinstance(relation, FlexibleRelation):
-        return relation.tuples
     if hasattr(relation, "tuples"):
+        if hasattr(relation, "__iter__"):
+            # a relation iterates its tuples uncopied and in its own order —
+            # a table's is insertion order, so a scan ignores the hash seed
+            return relation
         tuples = relation.tuples
         return tuples() if callable(tuples) else tuples
     return {t if isinstance(t, FlexTuple) else FlexTuple(t) for t in relation}

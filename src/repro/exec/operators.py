@@ -33,9 +33,10 @@ tuple-level equality — but the algorithms differ:
   cached hashes make that the cheapest exact check), so a lazy input batch is
   materialized there;
 * :class:`HashAggregateOp` accumulates column-wise through
-  :class:`~repro.exec.compiled.CompiledAggregates`; :class:`SortOp` /
-  :class:`TopKOp` order ``(values, hash)`` pairs so result tuples rebuild with
-  their hashes precomputed.  Under a ``memory_budget`` the hash join (static
+  :class:`~repro.exec.compiled.CompiledAggregates`; :class:`SortOp` re-emits
+  the tuples a scan built, and otherwise it and :class:`TopKOp` order
+  ``(values, hash)`` pairs so result tuples rebuild with their hashes
+  precomputed.  Under a ``memory_budget`` the hash join (static
   ``on``), the aggregate and the sort check their held state every
   ``CHUNK_RECORDS`` input rows (``ctx.over_budget``); over it, with spilling
   allowed, the same algorithm moves that state to disk
@@ -1024,10 +1025,12 @@ class SortOp(_Unary):
     The input is a set, so the sort itself is result-identity; the operator
     exists as the full-materialization form of ``limit`` lowering (``limit``
     set) and as the physical counterpart of an order annotation.  It drains
-    the *entire* input into parallel value-dict and hash lists (their
-    ``sampled_size`` is what ``note_memory`` records — the contrast to
-    :class:`TopKOp`'s bounded heap that E18 asserts on ``peak_bytes``), orders
-    them by the shared :class:`CompiledOrder` and re-emits lazily.
+    the *entire* input into a value-dict list and a parallel list of the
+    input's tuples — of their hashes once a :class:`LazyBatch` arrived or a
+    run spilled — (their ``sampled_size`` is what ``note_memory`` records —
+    the contrast to :class:`TopKOp`'s bounded heap that E18 asserts on
+    ``peak_bytes``), orders them by the shared :class:`CompiledOrder` and
+    re-emits the tuples themselves, or lazy ``(values, hash)`` chunks.
 
     Under a memory budget with spilling allowed, lists that outgrow it are
     sorted and written as a run, and the emitted stream is
@@ -1053,34 +1056,42 @@ class SortOp(_Unary):
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
         stats = ctx.stats
         values: List[dict] = []
-        hashes: List[int] = []
+        held: List = []  # the input's tuples until a lazy batch or a spill, then hashes
+        built = True
         runs = []  # sorted runs spilled to disk, once the rows outgrew the budget
         for batch in _budget_pieces(child) if ctx.budgeted else child:
             stats.tuples_scanned += len(batch)
             values.extend(batch.values_list())
-            hashes.extend(batch.hashes_list())
+            if built and isinstance(batch, LazyBatch):
+                built, held = False, [tup._hash for tup in held]
+            held.extend(batch.rows if built else batch.hashes_list())
             if ctx.budgeted and ctx.over_budget(
-                    op, sampled_size(values) + sampled_size(hashes)):
+                    op, sampled_size(values) + sampled_size(held)):
                 manager = ctx.governor.spill_manager()
                 manager.note_spill()
+                if built:  # a run holds (values, hash) records
+                    built, held = False, [tup._hash for tup in held]
                 run = manager.create_segment("sort")
-                run.extend((values[at], hashes[at]) for at in self.order.argsort(values))
+                run.extend((values[at], held[at]) for at in self.order.argsort(values))
                 run.finish()
                 runs.append(run)
-                values, hashes = [], []
-        op.note_memory(sampled_size(values) + sampled_size(hashes))
+                values, held = [], []
+        op.note_memory(sampled_size(values) + sampled_size(held))
         order = self.order.argsort(values)
         if runs:
             # the compiled order is total, so the merge is the in-memory stream
-            merged = self.order.merge(runs + [[(values[at], hashes[at]) for at in order]])
+            merged = self.order.merge(runs + [[(values[at], held[at]) for at in order]])
             for chunk in self._chunks(ctx, islice(merged, self.limit)):
                 yield LazyBatch([pair[0] for pair in chunk], [pair[1] for pair in chunk])
             return
         if self.limit is not None:
             del order[self.limit:]
         for chunk in self._chunks(ctx, order):
-            yield LazyBatch([values[position] for position in chunk],
-                            [hashes[position] for position in chunk])
+            if built:
+                yield TupleBatch([held[position] for position in chunk])
+            else:
+                yield LazyBatch([values[position] for position in chunk],
+                                [held[position] for position in chunk])
 
 
 class TopKOp(_Unary):

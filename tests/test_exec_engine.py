@@ -2,6 +2,8 @@
 
 import inspect
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -578,6 +580,46 @@ class TestIndexScan:
                                       "jobtype": "secretary", "typing_speed": 80,
                                       "foreign_languages": "english"})
         assert len(database.execute(query)) == 1
+
+
+#: 50 shuffled orders, amounts 7 (the first priced row), 7.0 (the last) and
+#: larger; prints whether a physical scan reads them in insertion order and
+#: the ``repr`` of their ``min(amount)``
+SCAN_ORDER_SCRIPT = """
+import random
+from repro.algebra import Aggregate, RelationRef
+from repro.engine import Database
+from repro.exec import ExecutionContext, PhysicalExecutor
+from repro.workloads.analytics import generate_orders, orders_domains, orders_scheme
+
+rows = list(generate_orders(50, seed=4))
+random.Random(3).shuffle(rows)
+priced = [row for row in rows if "amount" in row]
+for number, row in enumerate(priced):
+    row["amount"] = 100 + number
+priced[0]["amount"], priced[-1]["amount"] = 7, 7.0
+database = Database()
+database.create_table("orders", orders_scheme(), domains=orders_domains(),
+                      key=["order_id"]).insert_many(rows)
+plan = PhysicalExecutor(database).plan(RelationRef("orders"))
+scanned = [tup["order_id"] for batch in plan.root.run(ExecutionContext(database))
+           for tup in batch]
+(low,) = database.execute(Aggregate(RelationRef("orders"), specs=(("min", "amount"),)))
+print(scanned == [row["order_id"] for row in rows], repr(low["min_amount"]))
+"""
+
+
+class TestScanOrder:
+    def test_a_scan_reads_the_table_in_insertion_order_under_any_hash_seed(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.join(root, "src"))
+            done = subprocess.run([sys.executable, "-c", SCAN_ORDER_SCRIPT], cwd=root,
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            # min keeps the first of the order-equal 7 and 7.0: the one inserted first
+            assert done.stdout.split() == ["True", "7"], (seed, done.stdout)
 
 
 # -- compiled predicates, operators in isolation, batch sizing --------------------------------

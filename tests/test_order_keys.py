@@ -7,14 +7,16 @@ layers under test:
 * property — over heterogeneous rows (ints, ints beyond 2**53, floats with
   ``-0.0``/``inf``/NaN, bools, strings, tuples, NULL, absent, exotic objects)
   and any 0–3 keys in any direction mix, the compiled sort, top-k and run
-  merge reproduce the definition position for position;
+  merge reproduce the definition position for position; over all-number
+  columns of every kind, the sort's native passes do too;
 * structure — the canonical tie-break is built only where declared keys tie
   (none with a key attribute among the keys, one per row when everything
   ties) and numeric descending keys never reach ``_Reversed``;
 * NaN — its own class after every number, so Sort/Limit/min/max agree on the
   naive, physical and spilled paths;
-* spill — a sort forced into several runs emits the in-memory stream exactly,
-  and the bounded top-k stays bounded on an all-tied input.
+* spill and streams — a sort forced into several runs emits the in-memory
+  stream exactly, a sort over a scan emits the stored tuples themselves, and
+  the bounded top-k stays bounded on an all-tied input.
 """
 
 import math
@@ -25,7 +27,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import Aggregate, Limit, RelationRef, Sort
+from repro.algebra import (
+    Aggregate,
+    Limit,
+    NaturalJoin,
+    Projection,
+    RelationRef,
+    Rename,
+    Sort,
+)
 from repro.algebra import analytic
 from repro.algebra.analytic import (
     CompiledOrder,
@@ -37,7 +47,10 @@ from repro.algebra.analytic import (
 from repro.engine import Database
 from repro.exec import PhysicalExecutor
 from repro.exec.context import ExecutionContext
+from repro.exec.operators import PhysicalOperator, SortOp
 from repro.governor import QueryGovernor
+from repro.model.batches import MISSING, LazyBatch, TupleBatch
+from repro.model.tuples import FlexTuple
 from repro.workloads.analytics import (
     generate_orders,
     orders_domains,
@@ -129,6 +142,75 @@ def test_merged_runs_are_the_defined_order(rows, keys, runs):
             and sorted(got) == sorted(expected)), _record(
                 "merge of {} runs".format(runs), rows, keys,
                 "{} != {}".format(got, expected))
+
+
+#: per kind of all-number column: the values every such column holds, so the
+#: kind's pass is the one taken, and the pool the rest are drawn from
+NUMERIC_COLUMNS = {
+    "int": ((0, -3), st.integers(-4, 4)),
+    "float": ((0.5, -2.0), st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 1e300])),
+    "mixed-exact": ((1, 1.0, 2.5), st.one_of(
+        st.integers(-4, 4), st.sampled_from([-1.5, 0.0, 1.0, 2.5]))),
+    # 2**53 + 1 has no float; 2**1100 overflows the conversion
+    "mixed-inexact": ((2**53 + 1, float(2**53)), st.sampled_from(
+        [2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2, float(2**53), float(2**53 + 2),
+         2**1100, -1.5])),
+    "bool": ((True, False), st.one_of(st.booleans(), st.integers(-1, 2))),
+    "signed-zero-inf": ((0.0, -0.0, math.inf, -math.inf), st.sampled_from(
+        [0.0, -0.0, 0, -1, 1.5, math.inf, -math.inf])),
+    "nan": ((NAN,), st.sampled_from([NAN, float("nan"), 1, 0.5, -math.inf])),
+}
+
+
+def _with_gaps(rows):
+    """``rows`` with a NULL-``a`` row and an ``a``-absent row interleaved."""
+    gapped = []
+    for at, row in enumerate(rows):
+        gapped.append(row)
+        if at % 3 == 0:
+            gapped.append({"a": None, "b": at % 2})
+        elif at % 3 == 1:
+            gapped.append({"b": at % 2})
+    return gapped
+
+
+def _assert_pass_taken(kind, column, sign):
+    """The ``a`` column took its kind's pass: encoded for NaN, native
+    otherwise — on floats where ints and floats mix and convert exactly."""
+    _, decided = analytic._sort_pass(list(range(len(column))), list(column), sign)
+    present = [value for value in decided if value is not None and value is not MISSING]
+    if kind == "nan":
+        assert all(isinstance(value, tuple) for value in decided)
+        return
+    assert not any(isinstance(value, tuple) for value in present)
+    if kind == "mixed-exact":
+        assert {type(value) for value in present} == {float}
+    if kind == "mixed-inexact":
+        assert int in {type(value) for value in present}
+
+
+@pytest.mark.parametrize("kind", sorted(NUMERIC_COLUMNS))
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_native_sort_passes_are_the_defined_order(kind, data):
+    planted, pool = NUMERIC_COLUMNS[kind]
+    column = data.draw(st.permutations(
+        list(planted) + data.draw(st.lists(pool, max_size=16))))
+    ties = data.draw(st.lists(st.sampled_from([0, 1, None, MISSING]),
+                              min_size=len(column), max_size=len(column)))
+    rows = [{"a": value} if tie is MISSING else {"a": value, "b": tie}
+            for value, tie in zip(column, ties)]
+    for sample in (rows, _with_gaps(rows)):
+        for descending in (False, True):
+            _assert_pass_taken(kind, [row.get("a", MISSING) for row in sample],
+                               -1 if descending else 1)
+            first, second = SortKey("a", descending), SortKey("b", not descending)
+            for keys in ((first,), (first, second), (second, first)):
+                expected = _reference(sample, keys)
+                got = CompiledOrder(keys).argsort(sample)
+                assert got == expected, _record(
+                    "native pass, {}".format(kind), sample, keys,
+                    "{} != {}".format(got, expected))
 
 
 def test_top_k_drains_its_input_at_count_zero():
@@ -362,6 +444,65 @@ def test_spilled_sort_emits_the_in_memory_stream(orders, keys):
         governor.finish()
     assert runs >= 3, "a 20000B budget over 600 orders must force several runs"
     assert tuples == expected
+
+
+def test_a_sort_over_a_scan_emits_the_stored_tuples(orders):
+    stored = {tup: tup for tup in orders.table("orders")}
+    plan = PhysicalExecutor(orders).plan(Sort(ORDERS, ("-amount", "order_id")))
+    batches = list(plan.root.run(ExecutionContext(orders, batch_size=64)))
+    assert {type(batch) for batch in batches} == {TupleBatch}
+    tuples = [tup for batch in batches for tup in batch]
+    assert len(tuples) == 600 and all(tup is stored[tup] for tup in tuples)
+
+
+#: inputs a sort receives as :class:`LazyBatch` chunks
+LAZY_INPUTS = {
+    "projection": Projection(ORDERS, ["order_id", "region", "amount"]),
+    "join": NaturalJoin(ORDERS, Rename(Projection(ORDERS, ["order_id", "region"]),
+                                       {"region": "area"}), on=["order_id"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_INPUTS))
+def test_sorts_over_lazy_input_emit_the_defined_stream_spilled_or_not(orders, name):
+    keys = ("region", "-amount")
+    sort_keys = tuple(analytic.sort_key(key) for key in keys)
+    expected = sorted(orders.execute(LAZY_INPUTS[name], executor="naive").tuples,
+                      key=lambda tup: row_order_key(tup._values, sort_keys))
+    plan = PhysicalExecutor(orders).plan(Sort(LAZY_INPUTS[name], keys))
+    batches = list(plan.root.run(ExecutionContext(orders, batch_size=64)))
+    assert {type(batch) for batch in batches} == {LazyBatch}
+    assert [tup for batch in batches for tup in batch] == expected
+    governor = QueryGovernor(memory_budget=20_000)
+    try:
+        tuples, _, _ = _stream(orders, Sort(LAZY_INPUTS[name], keys), governor=governor)
+        assert governor.spill_manager().spill_events >= 3
+    finally:
+        governor.finish()
+    assert tuples == expected
+
+
+class _Batches(PhysicalOperator):
+    """A hand-built input: the given batches, as they are."""
+
+    name = "batches"
+
+    def __init__(self, batches):
+        self.batches = batches
+
+    def _generate(self, ctx, op):
+        yield from self.batches
+
+
+def test_a_sort_fed_built_then_lazy_batches_emits_the_defined_stream(orders):
+    rows = sorted(orders.table("orders").tuples, key=lambda tup: tup["order_id"])
+    keys = (SortKey("amount", True), SortKey("order_id"))
+    lazy = LazyBatch([dict(tup._values) for tup in rows[300:]])
+    sort = SortOp(_Batches([TupleBatch(rows[:300]), lazy]), keys)
+    tuples = [tup for batch in sort.run(ExecutionContext(orders, batch_size=64))
+              for tup in batch]
+    assert tuples == sorted(rows, key=lambda tup: row_order_key(tup._values, keys))
+    assert all(isinstance(tup, FlexTuple) for tup in tuples)
 
 
 def test_top_k_holds_at_most_count_rows_when_everything_ties(orders):
