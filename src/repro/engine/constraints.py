@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.dependencies import (
     AttributeDependency,
@@ -295,20 +295,28 @@ class ConstraintChecker:
     def register_chunk(self, rows: List[FlexTuple], shapes: List[FrozenSet[str]],
                        plans: Dict[FrozenSet[str], ShapePlan]) -> None:
         """:meth:`register_tuple` for each of ``rows`` (admitted, ``shapes`` their
-        name sets, ``plans`` what :meth:`admit_chunk` resolved for those), a shape
-        and an index at a time."""
+        name sets, ``plans`` what :meth:`admit_chunk` resolved for those): the
+        counts a shape at a time, the indexes an index at a time, each filed
+        in row order as the row loop would."""
         groups: Dict[FrozenSet[str], List[FlexTuple]] = {}
         for tup, shape in zip(rows, shapes):
             groups.setdefault(shape, []).append(tup)
+        filed: Dict[HashIndex, Set[FrozenSet[str]]] = {}
         for shape, members in groups.items():
             plan = self._plans.setdefault(shape, plans[shape])
             plan.count += len(members)
             for tup in members:
                 tup._attrs = plan.attributes
-            values = [tup._values for tup in members]
-            for index, names in plan.index_keys:
-                for key, tup in zip(_keys(values, names), members):
-                    index.put(key, tup)
+            for index, _names in plan.index_keys:
+                filed.setdefault(index, set()).add(shape)
+        values = [tup._values for tup in rows]
+        for index, over in filed.items():
+            members, keyed = rows, values
+            if len(over) < len(groups):
+                picked = [at for at, shape in enumerate(shapes) if shape in over]
+                members, keyed = [rows[at] for at in picked], [values[at] for at in picked]
+            for key, tup in zip(_keys(keyed, index.names), members):
+                index.put(key, tup)
 
     def unregister_tuple(self, tup: FlexTuple) -> None:
         """Remove a stored tuple from every index its shape is defined on, and

@@ -31,6 +31,7 @@ from repro.exec.context import CHUNK_RECORDS
 from repro.exec.executor import PhysicalExecutor
 from repro.exec.planner import PhysicalPlan
 from repro.model.attributes import AttributeSet, attrset
+from repro.model.batches import ScanView
 from repro.model.domains import Domain
 from repro.model.scheme import FlexibleScheme
 from repro.model.tuples import FlexTuple
@@ -76,6 +77,13 @@ class Table:
     the log before it is visible in memory (see :mod:`repro.storage`).
     :meth:`undo` (rollback's per-change inverse) and :meth:`restore` never
     journal: the log discards a transaction's uncommitted records by itself.
+
+    Full scans read the table's :meth:`scan_view`: its rows in insertion
+    order, their value dicts and the columns scans asked for, pivoted once
+    per table version.  Every change to the stored rows — :meth:`insert`,
+    :meth:`insert_many`, :meth:`update`, :meth:`delete`, :meth:`undo`,
+    :meth:`restore` — drops the view first, once per statement; a scan
+    already reading it reads on from the rows it started with.
     """
 
     def __init__(self, definition: TableDefinition, enforce: bool = True,
@@ -90,6 +98,8 @@ class Table:
         self._journal = journal
         #: attribute set -> :meth:`index_for`'s answer
         self._index_for: Dict[object, Optional[HashIndex]] = {}
+        #: :meth:`scan_view`'s answer until the next change to ``_tuples``
+        self._view: Optional[ScanView] = None
 
     def _mutated(self, kind: str, applied: int = 1) -> None:
         self.mutation_count += applied
@@ -109,6 +119,14 @@ class Table:
 
     def __iter__(self):
         return iter(self._tuples)
+
+    def scan_view(self) -> ScanView:
+        """The stored rows pivoted for full scans, built on first use and
+        kept until the next change to the rows (see :class:`ScanView`)."""
+        view = self._view
+        if view is None:
+            view = self._view = ScanView(list(self._tuples))
+        return view
 
     def __len__(self) -> int:
         return len(self._tuples)
@@ -151,6 +169,7 @@ class Table:
         self.checker.check_insert(tup)
         if self._journal is not None:
             self._journal("insert", None, tup)
+        self._view = None
         self._tuples[tup] = None
         self.checker.register_tuple(tup)
         self._mutated("insert")
@@ -185,6 +204,7 @@ class Table:
                         # the row path's refusal — or admission, were the chunk test too strict
                         checker.check_insert(rows[0])
                         admitted = 1
+                    self._view = None
                     try:
                         for tup in rows[:admitted]:
                             if journal is not None:
@@ -211,6 +231,7 @@ class Table:
             return False
         if self._journal is not None:
             self._journal("delete", tup, None)
+        self._view = None
         del self._tuples[tup]
         self.checker.unregister_tuple(tup)
         self._mutated("delete")
@@ -223,6 +244,7 @@ class Table:
         ``new``, put ``old`` back, index upkeep per tuple — no checks, no
         journal, no hook (the transaction fires one per touched table).  The
         membership tests cover a statement interrupted before its apply."""
+        self._view = None
         if new is not None and new in self._tuples:
             del self._tuples[new]
             self.checker.unregister_tuple(new)
@@ -237,6 +259,7 @@ class Table:
     def restore(self, snapshot: Iterable[FlexTuple]) -> None:
         """Reset the table to a snapshot taken earlier (indexes and shape
         counts are rebuilt)."""
+        self._view = None
         self._tuples = dict.fromkeys(snapshot)
         self.checker.clear()
         for tup in self._tuples:
@@ -266,6 +289,7 @@ class Table:
             self._journal("update", old_tuple, new_tuple)
         # onto a tuple that is already stored (keyless tables): the two merge
         merges = new_tuple != old_tuple and new_tuple in self._tuples
+        self._view = None
         del self._tuples[old_tuple]
         self.checker.unregister_tuple(old_tuple)
         if not merges:

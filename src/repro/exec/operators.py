@@ -349,6 +349,14 @@ class Scan(PhysicalOperator):
     covering a subset of them (``index_for``), the scan reads only the matching
     bucket instead of the whole relation.  The full predicate is still applied to every tuple read, so
     an index never changes the result — only how many tuples are touched.
+
+    An unprobed scan of a stored table reads the table's
+    :class:`~repro.model.batches.ScanView` and emits
+    :class:`~repro.model.batches.ScanBatch` windows onto it: their columns
+    are slices of columns the table pivoted once for this version of its
+    rows, and a write drops the view.  A probed bucket, and a relation that is
+    no table (a ``FlexibleRelation``, a mapping's set), is copied and pivoted
+    batch by batch.  Either way the rows are fixed at the first pull.
     """
 
     name = "batch-scan"
@@ -395,14 +403,24 @@ class Scan(PhysicalOperator):
         except TypeError:
             return None
 
-    def _generate(self, ctx, op) -> Iterator[TupleBatch]:
+    def _batches(self, ctx: ExecutionContext) -> Iterator[TupleBatch]:
+        """What the scan reads, in ``ctx.batch_size`` batches: the probed
+        bucket; else a table's scan view, pivoted once per table version;
+        else a copy of the relation's tuples."""
+        size = ctx.batch_size
         rows = self._probed(ctx)
         if rows is None:
-            rows = list(_resolve_relation(ctx.source, self.relation))
+            relation = _resolve_relation(ctx.source, self.relation)
+            scan_view = getattr(relation, "scan_view", None)
+            if scan_view is not None:
+                return scan_view().batches(size)
+            rows = list(relation)
+        return (TupleBatch(rows[start:start + size])
+                for start in range(0, len(rows), size))
+
+    def _generate(self, ctx, op) -> Iterator[TupleBatch]:
         stats = ctx.stats
-        size = ctx.batch_size
-        for start in range(0, len(rows), size):
-            batch = TupleBatch(rows[start:start + size])
+        for batch in self._batches(ctx):
             count = len(batch)
             stats.tuples_scanned += count
             op.rows_in += count

@@ -9,10 +9,15 @@ column-at-a-time:
 
 * :meth:`column` extracts one attribute of every row into a flat value array
   (``MISSING`` marks rows not defined on the attribute — the structural-variant
-  form of NULL).  Extraction happens once per batch and is cached, so several
-  predicates — and the guards, one column per guarded attribute — share it;
+  form of NULL).  A batch caches what it extracted, so several predicates —
+  and the guards, one column per guarded attribute — share it;
 * :meth:`take` selects rows by index — the output of a compiled predicate — in
   a single list comprehension.
+
+A full scan of a stored table does not extract per batch at all: the table
+keeps a :class:`ScanView` — its rows, their value dicts and every column a
+scan asked for, pivoted once per table version — and the scan emits
+:class:`ScanBatch` windows onto it, whose columns are slices of the view's.
 
 :class:`LazyBatch` is the **lazy merged batch** the joins and the reshaping
 operators emit: it carries plain per-row value *dicts* (the column
@@ -84,7 +89,9 @@ class TupleBatch:
 
     ``rows`` is adopted by reference (operators hand over freshly built lists);
     treat a batch as immutable once constructed — the column cache would go
-    stale otherwise.
+    stale otherwise.  A batch pivots its own rows, once per column; the
+    batches of a full table scan are :class:`ScanBatch` windows, which slice
+    the table's :class:`ScanView` instead.
     """
 
     __slots__ = ("_rows", "_columns", "_values_list")
@@ -224,3 +231,70 @@ class LazyBatch(TupleBatch):
         return "LazyBatch({} rows, materialized={})".format(
             len(self), self._rows is not None
         )
+
+
+class ScanView:
+    """A stored table's rows pivoted for full scans, once per table version.
+
+    Holds the rows in insertion order, their value dicts, and one full column
+    per attribute a scan has asked for — filled on first request, ``MISSING``
+    for a row without the attribute.  The table builds it on a scan's first
+    pull and drops it before any change to its rows; a scan that started on a
+    view keeps reading it to the end, so the view itself never changes but
+    for the columns it adds.  Its lists never leave it: :class:`ScanBatch`
+    hands out slices.
+    """
+
+    __slots__ = ("rows", "values", "_columns")
+
+    def __init__(self, rows: List[FlexTuple]):
+        self.rows = rows
+        self.values = [row._values for row in rows]
+        self._columns: Dict[str, List] = {}
+
+    def column(self, name: str) -> List:
+        """The attribute ``name`` of every row, ``MISSING`` where absent."""
+        values = self._columns.get(name)
+        if values is None:
+            values = [row.get(name, MISSING) for row in self.values]
+            self._columns[name] = values
+        return values
+
+    def batches(self, size: int) -> Iterator["ScanBatch"]:
+        """The rows as consecutive :class:`ScanBatch` windows of ``size``."""
+        for start in range(0, len(self.rows), size):
+            yield ScanBatch(self, start, start + size)
+
+
+class ScanBatch(TupleBatch):
+    """A window ``[start, stop)`` of a :class:`ScanView`: a full scan's batch.
+
+    Its columns and value dicts are slices of the view's lists, taken once
+    per batch and cached like any batch's, so no consumer ever holds a list
+    of the view.  :meth:`take` yields a plain :class:`TupleBatch`, which
+    pivots its own rows.
+    """
+
+    __slots__ = ("_view", "_start", "_stop")
+
+    def __init__(self, view: ScanView, start: int, stop: int):
+        self._rows = view.rows[start:stop]
+        self._columns = {}
+        self._values_list = None
+        self._view = view
+        self._start = start
+        self._stop = stop
+
+    def values_list(self) -> List[Dict[str, object]]:
+        values = self._values_list
+        if values is None:
+            values = self._view.values[self._start:self._stop]
+            self._values_list = values
+        return values
+
+    def column(self, name: str) -> List:
+        values = self._columns.get(name)
+        if values is None:
+            values = self._view.column(name)[self._start:self._stop]
+            self._columns[name] = values
+        return values

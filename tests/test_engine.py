@@ -73,14 +73,17 @@ class TestHashIndex:
         assert len(index) == 1 and index.bucket((1, 2)) == (full,)
         assert index.bucket((1,)) == ()
 
-    def test_a_bucket_of_one_is_a_tuple_of_several_a_set(self):
+    def test_a_bucket_of_one_is_a_tuple_of_several_an_ordered_dict(self):
+        """Several tuples under a key are kept in the order they were indexed,
+        so a probe reads them in the table's order under any hash seed."""
         index, other = HashIndex(["k"]), HashIndex(["k"])
         first, second = FlexTuple(k=1, v="a"), FlexTuple(k=1, v="b")
         index.put((1,), first)
         index.put((1,), FlexTuple(k=1, v="a"))  # an equal tuple: already there
         assert index.bucket((1,)) == (first,) and len(index) == 1
         index.put((1,), second)
-        assert index.bucket((1,)) == {first, second} and len(index) == 2
+        assert index.bucket((1,)) == {first: None, second: None} and len(index) == 2
+        assert list(index.bucket((1,))) == [first, second]
         assert dict(index.groups()) == {(1,): {first, second}}
         other.put((1,), second)
         assert not index.same_buckets(other)

@@ -608,18 +608,56 @@ scanned = [tup["order_id"] for batch in plan.root.run(ExecutionContext(database)
 print(scanned == [row["order_id"] for row in rows], repr(low["min_amount"]))
 """
 
+#: 40 orders in one region bucket of a secondary index, the order-equal 7
+#: and 7.0 the first two amounts: the probe must read the bucket in insertion
+#: order, and ``min`` keep the 7 (a set bucket read it in hash order: 7.0
+#: under PYTHONHASHSEED 1 and 3)
+PROBE_ORDER_SCRIPT = """
+from repro.algebra import Aggregate, Comparison, RelationRef, Selection
+from repro.engine import Database
+from repro.exec import ExecutionContext, PhysicalExecutor
+from repro.workloads.analytics import generate_orders, orders_domains, orders_scheme
+
+rows = list(generate_orders(40, seed=4))
+priced = [row for row in rows if "amount" in row]
+for row in rows:
+    row["region"] = "r1"
+for number, row in enumerate(priced):
+    row["amount"] = 100 + number
+priced[0]["amount"], priced[1]["amount"] = 7, 7.0
+database = Database()
+database.create_table("t", orders_scheme(), domains=orders_domains(), key=["order_id"],
+                      indexes=[["region"]]).insert_many(rows)
+selected = Selection(RelationRef("t"), Comparison("region", "=", "r1"))
+plan = PhysicalExecutor(database).plan(selected)
+assert plan.root.label() == "scan[t, σ[region = ?0]]", plan.root.label()
+probed = [tup["order_id"] for batch in plan.root.run(ExecutionContext(database, params=plan.params))
+          for tup in batch]
+(low,) = database.execute(Aggregate(selected, specs=(("min", "amount"),)))
+print(probed == [row["order_id"] for row in rows], repr(low["min_amount"]))
+"""
+
+
+def _run_under_seeds(script, seeds):
+    """``script``'s printed words, once per ``PYTHONHASHSEED`` in ``seeds``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    printed = []
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.join(root, "src"))
+        done = subprocess.run([sys.executable, "-c", script], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        printed.append(done.stdout.split())
+    return printed
+
 
 class TestScanOrder:
     def test_a_scan_reads_the_table_in_insertion_order_under_any_hash_seed(self):
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed,
-                       PYTHONPATH=os.path.join(root, "src"))
-            done = subprocess.run([sys.executable, "-c", SCAN_ORDER_SCRIPT], cwd=root,
-                                  env=env, capture_output=True, text=True, timeout=120)
-            assert done.returncode == 0, done.stderr
-            # min keeps the first of the order-equal 7 and 7.0: the one inserted first
-            assert done.stdout.split() == ["True", "7"], (seed, done.stdout)
+        # min keeps the first of the order-equal 7 and 7.0: the one inserted first
+        assert _run_under_seeds(SCAN_ORDER_SCRIPT, ("0", "1")) == [["True", "7"]] * 2
+
+    def test_an_index_probe_reads_its_bucket_in_insertion_order_under_any_hash_seed(self):
+        assert _run_under_seeds(PROBE_ORDER_SCRIPT, ("0", "3")) == [["True", "7"]] * 2
 
 
 # -- compiled predicates, operators in isolation, batch sizing --------------------------------
