@@ -3,14 +3,15 @@
 Demonstrates the full engine workflow on the jobtype workload: bulk loading with
 dependency enforcement, updates that change an employee's type (the paper's footnote
 about jobtype changes), querying with type guards, and the AD-driven optimizer
-removing redundant guards (Example 4).
+removing redundant guards (Example 4), and ordering on an attribute only one
+variant carries.
 
 Run with::
 
     python examples/employee_registry.py
 """
 
-from repro.algebra import Projection, RelationRef, Selection, TypeGuardNode
+from repro.algebra import Limit, Projection, RelationRef, Selection, Sort, TypeGuardNode
 from repro.algebra.predicates import Comparison
 from repro.engine import Database
 from repro.engine.database import REMOVE
@@ -69,6 +70,16 @@ def main():
     speeds = [t["typing_speed"] for t in optimized]
     if speeds:
         print("  average typing speed:", round(sum(speeds) / len(speeds), 1))
+
+    # ------------------------------------------------------------------ ordering --
+    # Only secretaries carry typing_speed.  Per sort key a row ranks by its value,
+    # then NULL, then absent — in either direction — so the fastest typists are
+    # all secretaries, whatever the other employees are.
+    fastest = database.execute(
+        Limit(Sort(RelationRef("employees"), ("-typing_speed", "name")), 5))
+    print("\nfive fastest typists:", ", ".join(
+        "{} ({})".format(t["name"], t["typing_speed"])
+        for t in sorted(fastest, key=lambda t: (-t["typing_speed"], t["name"]))))
 
     # ---------------------------------------------------------------- projection --
     # Projecting the jobtype away: the result is homogeneous in <name, salary> and

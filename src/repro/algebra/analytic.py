@@ -34,8 +34,10 @@ tested by ``tests/test_aggregates.py``):
   :func:`row_order_key` / :func:`top_k_rows` *define* that order and serve the
   naive evaluator; the physical engines sort through :class:`CompiledOrder`,
   which compares the same order natively — a full sort one key column at a
-  time, top-k and run merges on a flat per-row encoding — and is held to the
-  definition by ``tests/test_order_keys.py`` and the differential fuzz.
+  time, run merges on a flat per-row encoding, and top-k on that encoding
+  after a native cut of each batch on its leading key's column — and is held
+  to the definition by ``tests/test_order_keys.py`` and the differential
+  fuzz.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, insort
 from fractions import Fraction
-from itertools import groupby, islice
+from itertools import compress, groupby, islice, repeat
 from math import fsum, inf, isfinite, nan
-from operator import and_, eq, ne
+from operator import and_, eq, ge, le, ne
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import AlgebraError
@@ -284,22 +286,42 @@ _NUMBERS = frozenset((int, float, bool))
 _GAPS = frozenset((type(None), type(MISSING)))
 
 
+def _native_kinds(column: List, strings: bool = False) -> Optional[Tuple[set, bool]]:
+    """Whether ``<`` between the values of ``column`` — one key's value per
+    row, ``MISSING`` where absent — is the defined order: if so the types of
+    those values and whether the column holds a NULL or absent row, else
+    ``None``.  The one rule of the sort's passes and the top-k's selection.
+
+    It is for numbers — ``int``, ``float`` and ``bool`` with no NaN among
+    them (``<`` between an int and a float is exact) — and, with ``strings``,
+    for a column whose values are all ``str``.
+    """
+    kinds = set(map(type, column))
+    present = kinds - _GAPS
+    if strings and present == {str}:
+        return present, present != kinds
+    if not present <= _NUMBERS or (float in present and any(map(ne, column, column))):
+        return None
+    return present, present != kinds
+
+
 def _sort_pass(order: List[int], column: List, sign: int) -> Tuple[List[int], List]:
     """``order`` stably sorted on one key, ``column`` holding its value per row
     (``MISSING`` where absent), and the column whose ``==`` is the key's tie.
 
-    Numbers without NaN compare natively — as floats when ints and floats mix
-    and every int converts exactly, so the sort stays on floats — with a
-    descending key sorted ``reverse=True`` (stable too); the NULL rows, then
-    the absent ones, follow in their current order.  Any other column sorts
-    on its :func:`_encode_value` slots, which rank NULL and absent themselves.
+    Numbers compare natively (:func:`_native_kinds`) — as floats when ints
+    and floats mix and every int converts exactly, so the sort stays on
+    floats — with a descending key sorted ``reverse=True`` (stable too); the
+    NULL rows, then the absent ones, follow in their current order.  Any
+    other column sorts on its :func:`_encode_value` slots, which rank NULL
+    and absent themselves.
     """
-    kinds = set(map(type, column))
-    numbers = kinds - _GAPS
-    if not numbers <= _NUMBERS or (float in numbers and any(map(ne, column, column))):
+    native = _native_kinds(column)
+    if native is None:
         column = [_encode_value(value, sign) for value in column]
         order.sort(key=column.__getitem__)
         return order, column
+    numbers, gapped = native
     if float in numbers and len(numbers) > 1:
         try:
             floats = [value if value is None or value is MISSING else float(value)
@@ -308,7 +330,7 @@ def _sort_pass(order: List[int], column: List, sign: int) -> Tuple[List[int], Li
             floats = None
         if floats == column:  # ``==`` between an int and a float is exact
             column = floats
-    if numbers == kinds:
+    if not gapped:
         order.sort(key=column.__getitem__, reverse=sign < 0)
         return order, column
     present = [at for at in order if column[at] is not None and column[at] is not MISSING]
@@ -325,7 +347,9 @@ class CompiledOrder:
     ``argsort`` sorts one declared key's column at a time.  ``encode`` maps a
     row to one flat tuple of the *declared* keys only, three slots a key (see
     :func:`_encode_value`), so ``bisect`` and ``heapq`` compare ints, floats
-    and strings natively in ``top_k`` and ``merge``.  The canonical whole-tuple
+    and strings natively in ``top_k`` and ``merge``; ``candidates`` cuts a
+    batch on its leading key's column first, so a top-k encodes about
+    ``count`` rows a batch, not every row.  The canonical whole-tuple
     tie-break is never part of either: it is computed for the rows whose
     declared keys actually tie — none when a key attribute is among the sort
     keys, every row once when there are no keys at all — and those runs are
@@ -380,6 +404,41 @@ class CompiledOrder:
                     key=lambda position: canonical_order_key(rows[position]))
             at = stop
         return order
+
+    def candidates(self, column: List, count: int) -> Optional[List[int]]:
+        """The positions of the rows of one batch that can be among the
+        ``count`` smallest of any stream holding the batch, judged on the
+        leading key's ``column`` alone (``MISSING`` where absent) — or
+        ``None``: every row can.
+
+        Where the column compares natively (:func:`_native_kinds`, strings
+        included) and holds more than ``count`` values, let ``t`` be the
+        ``count``-th best of them: a row ranking after ``t`` has ``count``
+        rows of this batch strictly before it, so only the rows at ``t`` or
+        before it are candidates — its ties included, for the later keys and
+        the tie-break to decide.  NULL and absent rank after every value in
+        either direction, so they are candidates only in a batch of ``count``
+        values or fewer, where every row is.  ``count`` is at least 1.
+        """
+        if len(column) <= count:
+            return None
+        native = _native_kinds(column, strings=True)
+        if native is None:
+            return None
+        _, gapped = native
+        if gapped:
+            positions = [at for at, value in enumerate(column)
+                         if value is not None and value is not MISSING]
+            present = list(map(column.__getitem__, positions))
+        else:
+            positions, present = range(len(column)), column
+        if len(present) <= count:
+            return None
+        if self._signed[0][1] < 0:
+            cut, ranked = heapq.nlargest(count, present)[-1], ge
+        else:
+            cut, ranked = heapq.nsmallest(count, present)[-1], le
+        return list(compress(positions, map(ranked, present, repeat(cut))))
 
     def top_k(self, pairs: Iterable[tuple], count: int) -> List[tuple]:
         """The ``count`` smallest of ``(values, payload)`` pairs, in order.

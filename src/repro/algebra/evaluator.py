@@ -169,7 +169,9 @@ def _resolve_relation(source, name: str) -> Iterable[FlexTuple]:
             raise AlgebraError("unknown relation {!r}".format(name)) from None
     else:
         raise AlgebraError("unsupported relation source {!r}".format(source))
-    if hasattr(relation, "tuples"):
+    # the class first: on a table or a flexible relation ``tuples`` is a
+    # property that copies every tuple, and ``hasattr`` would run it
+    if hasattr(type(relation), "tuples") or hasattr(relation, "tuples"):
         if hasattr(relation, "__iter__"):
             # a relation iterates its tuples uncopied and in its own order —
             # a table's is insertion order, so a scan ignores the hash seed

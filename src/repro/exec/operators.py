@@ -1116,10 +1116,12 @@ class TopKOp(_Unary):
     """λ∘τ — heap-based top-k: the ``count`` smallest rows under ``keys``.
 
     The fused physical form of ``Limit(Sort(E))`` (and of a bare ``Limit``,
-    with empty keys meaning the canonical tuple order).  The input streams
-    through :meth:`CompiledOrder.top_k` as ``(values, hash)`` pairs — at most
-    ``count`` pairs are ever held, which is the bounded-memory contrast to
-    :class:`SortOp` that ``peak_bytes`` records.
+    with empty keys meaning the canonical tuple order).  Each input batch is
+    first cut on its leading key's column (:meth:`CompiledOrder.candidates`:
+    one native selection, no row encoded); the rows it keeps stream through
+    one :meth:`CompiledOrder.top_k` as ``(values, hash)`` pairs.  At most
+    ``count`` pairs and one batch's candidates are ever held, which is the
+    bounded-memory contrast to :class:`SortOp` that ``peak_bytes`` records.
     """
 
     name = "batch-top-k"
@@ -1138,13 +1140,20 @@ class TopKOp(_Unary):
 
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
         stats = ctx.stats
+        count = self.count
+        leading = self.keys[0].attribute if self.keys and count else None
+        candidates = self.order.candidates
 
         def pairs() -> Iterator[tuple]:
             for batch in child:
                 stats.tuples_scanned += len(batch)
+                if leading is not None:
+                    chosen = candidates(batch.column(leading), count)
+                    if chosen is not None:
+                        batch = batch.take(chosen)
                 yield from zip(batch.values_list(), batch.hashes_list())
 
-        best = self.order.top_k(pairs(), self.count)
+        best = self.order.top_k(pairs(), count)
         ctx.enforce_memory(op, sampled_size(best))
         for chunk in self._chunks(ctx, best):
             yield LazyBatch([pair[0] for pair in chunk], [pair[1] for pair in chunk])

@@ -8,7 +8,9 @@ layers under test:
   ``-0.0``/``inf``/NaN, bools, strings, tuples, NULL, absent, exotic objects)
   and any 0–3 keys in any direction mix, the compiled sort, top-k and run
   merge reproduce the definition position for position; over all-number
-  columns of every kind, the sort's native passes do too;
+  columns of every kind, the sort's native passes do too, and so does the
+  top-k operator — each batch cut on its leading key's column — over
+  streams of built, pending and scan batches of every size, strings too;
 * structure — the canonical tie-break is built only where declared keys tie
   (none with a key attribute among the keys, one per row when everything
   ties) and numeric descending keys never reach ``_Reversed``;
@@ -19,6 +21,7 @@ layers under test:
   the bounded top-k stays bounded on an all-tied input.
 """
 
+import itertools
 import math
 import os
 import weakref
@@ -47,9 +50,9 @@ from repro.algebra.analytic import (
 from repro.engine import Database
 from repro.exec import PhysicalExecutor
 from repro.exec.context import ExecutionContext
-from repro.exec.operators import PhysicalOperator, SortOp
+from repro.exec.operators import PhysicalOperator, SortOp, TopKOp
 from repro.governor import QueryGovernor
-from repro.model.batches import MISSING, LazyBatch, TupleBatch
+from repro.model.batches import MISSING, LazyBatch, ScanBatch, ScanView, TupleBatch
 from repro.model.tuples import FlexTuple
 from repro.workloads.analytics import (
     generate_orders,
@@ -211,6 +214,76 @@ def test_native_sort_passes_are_the_defined_order(kind, data):
                 assert got == expected, _record(
                     "native pass, {}".format(kind), sample, keys,
                     "{} != {}".format(got, expected))
+
+
+#: the leading-key column kinds the top-k cuts natively, or declines to
+#: (NaN): the native passes' kinds plus strings
+CUT_COLUMNS = dict(NUMERIC_COLUMNS, str=(("", "b"), st.sampled_from(["", "a", "ab", "b"])))
+
+
+def _mixed_batches(dicts, kinds):
+    """``dicts`` as consecutive batches, ``kinds`` (repeated until every row
+    is in one) giving each one's ``(kind, size)``: built tuples, pending
+    value dicts (with or without hashes), or a window of one
+    :class:`ScanView` over every row — the batch a table's full scan emits."""
+    tuples = [FlexTuple.from_parts(values) for values in dicts]
+    view = ScanView(tuples)
+    batches, start = [], 0
+    for kind, size in itertools.cycle(kinds):
+        stop = min(start + size, len(dicts))
+        if kind == "tuple":
+            batches.append(TupleBatch(tuples[start:stop]))
+        elif kind == "lazy":
+            batches.append(LazyBatch(dicts[start:stop]))
+        elif kind == "hashed":
+            batches.append(LazyBatch(dicts[start:stop],
+                                     [tup._hash for tup in tuples[start:stop]]))
+        else:
+            batches.append(ScanBatch(view, start, stop))
+        start = stop
+        if start >= len(dicts):
+            break
+    return batches
+
+
+@pytest.mark.parametrize("kind", sorted(CUT_COLUMNS))
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_top_k_op_over_mixed_batches_is_the_defined_top_k(kind, data):
+    """``TopKOp`` — each batch cut on its leading key's column, the rest
+    through one ``top_k`` — emits ``top_k_rows``'s rows in its order, over
+    batches of every kind and size, with NULL and absent rows among them."""
+    planted, pool = CUT_COLUMNS[kind]
+    column = data.draw(st.permutations(
+        list(planted) + data.draw(st.lists(pool, max_size=40))
+        + data.draw(st.lists(st.sampled_from([None, MISSING]), max_size=12))))
+    ties = data.draw(st.lists(st.sampled_from([0, 1, None, MISSING]),
+                              min_size=len(column), max_size=len(column)))
+    dicts = [{name: value for name, value in (("a", value), ("b", tie))
+              if value is not MISSING} for value, tie in zip(column, ties)]
+    kinds = data.draw(st.lists(
+        st.tuples(st.sampled_from(["tuple", "lazy", "hashed", "scan"]),
+                  st.integers(1, 64)), min_size=1, max_size=len(dicts) + 1))
+    position = {id(values): at for at, values in enumerate(dicts)}
+    for descending in (False, True):
+        first, second = SortKey("a", descending), SortKey("b", not descending)
+        for keys in ((first,), (first, second)):
+            expected = top_k_rows(range(len(dicts)), len(dicts), keys,
+                                  key_of=dicts.__getitem__)
+            leading = [row_order_key(dicts[at], keys)[0] for at in expected]
+            cuts = [at for at in range(1, len(leading))
+                    if leading[at - 1] == leading[at]]
+            counts = {0, 1, len(dicts) + 3}
+            if cuts:  # the count-th and the next row tie on the leading key
+                counts.add(data.draw(st.sampled_from(cuts)))
+            for count in sorted(counts):
+                op = TopKOp(_Batches(_mixed_batches(dicts, kinds)), keys, count)
+                got = [position[id(values)]
+                       for batch in op.run(ExecutionContext(None, batch_size=64))
+                       for values in batch.values_list()]
+                assert got == expected[:count], _record(
+                    "top-k operator, {}, k={}, batches {}".format(kind, count, kinds),
+                    dicts, keys, "{} != {}".format(got, expected[:count]))
 
 
 def test_top_k_drains_its_input_at_count_zero():

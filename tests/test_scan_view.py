@@ -11,7 +11,9 @@ table version (``Table.scan_view``, ``model.batches.ScanView`` / ``ScanBatch``).
 * a query paused across a write reads on from the rows it started with;
 * a scan of an unchanged table pivots nothing, the first after a write pivots
   again (counted with a spy on the view);
-* a batch's column is a slice: mutating it changes no later answer.
+* a batch's column is a slice: mutating it changes no later answer;
+* a scan reads a table or a flexible relation by iterating it, never through
+  its copying ``tuples`` property (counted with a spy on the property).
 """
 
 import os
@@ -32,9 +34,12 @@ from repro.algebra import (
     Sort,
     TypeGuardNode,
 )
+from repro.algebra.evaluator import Evaluator
 from repro.engine import Database
+from repro.engine.database import Table
 from repro.exec import ExecutionContext, PhysicalExecutor
 from repro.model.batches import MISSING, ScanBatch, ScanView, TupleBatch
+from repro.model.relation import FlexibleRelation
 from repro.workloads.employees import generate_employees
 from test_shape_plans import VALUES, _changes, _employees, _scramble, _unfolded, engine_refusal
 from test_transactions import _create, _keyless
@@ -369,3 +374,29 @@ class TestScanBatchColumns:
             assert batch.column("typing_speed") is not view.column("typing_speed")
             taken = batch.take([0, 2])
             assert type(taken) is TupleBatch and taken.rows == [batch.rows[0], batch.rows[2]]
+
+
+class TestScansCopyNothing:
+    def test_a_scan_never_evaluates_the_copying_tuples_property(self, monkeypatch):
+        """A table's and a flexible relation's ``tuples`` copy every tuple; a
+        scan — physical or naive — iterates the relation instead.  A mapping
+        to plain dicts is still wrapped into tuples."""
+        database, table = _employees_database()
+        sources = {
+            "table": database,
+            "relation": {"employees": FlexibleRelation(table.definition.scheme, list(table))},
+            "dicts": {"employees": [tup.as_dict() for tup in table]},
+        }
+        copies = []
+        for owner in (Table, FlexibleRelation):
+            copying = owner.tuples.fget
+            monkeypatch.setattr(owner, "tuples", property(
+                lambda self, copying=copying: copies.append(self) or copying(self)))
+        scans = (EMPLOYEES,) + READS
+        answers = {}
+        for name, source in sources.items():
+            answers[name] = [Evaluator(source).evaluate(scan).tuples for scan in scans]
+            assert [PhysicalExecutor(source).execute(scan).tuples
+                    for scan in scans] == answers[name], name
+        assert answers["table"] == answers["relation"] == answers["dicts"]
+        assert copies == []
