@@ -10,8 +10,9 @@ two claims from the analytic-surface ISSUE:
   key, then one accumulator update per row) by **≥5× wall-clock**, while the
   reference reproduces the same tuple set through the shared :class:`~repro.algebra.analytic.AggregateAccumulator`
   semantics;
-* **bounded top-k memory** — ``λ_10 ∘ τ`` lowers to the heap-based ``top-k``
-  operator whose ``peak_bytes`` accounting stays *orders of magnitude* below
+* **bounded top-k memory** — ``λ_10 ∘ τ`` lowers to the sort under a limit
+  (``top-k``, holding at most twice the limit plus one batch's candidates)
+  whose ``peak_bytes`` accounting stays *orders of magnitude* below
   the full sort's bounded-materialization accounting on the same input
   (the ``memory_ratio`` column), while agreeing with the naive evaluator.
 
@@ -41,7 +42,7 @@ from repro.workloads.analytics import DEFAULT_ORDER_COUNT, analytics_database
 #: sort-group reference
 ACCEPTANCE_FACTOR = 5.0
 
-#: the top-k memory gate: the heap's peak_bytes at least this many times
+#: the top-k memory gate: the top-k's peak_bytes at least this many times
 #: smaller than the full sort's materialization on the same 100k rows
 MEMORY_FACTOR = 50.0
 
@@ -140,7 +141,7 @@ def test_report_hash_aggregate_beats_sort_group(orders_database):
 
 
 def test_report_topk_heap_is_bounded(orders_database):
-    """λ_10 ∘ τ runs on an O(k) heap; the full sort materializes all 100k."""
+    """λ_10 ∘ τ holds O(k) rows; the full sort materializes all 100k."""
     database = orders_database
     topk_query = Limit(Sort(RelationRef("orders"), TOPK_KEYS), TOPK_COUNT)
     sort_query = Sort(RelationRef("orders"), TOPK_KEYS)
@@ -166,22 +167,22 @@ def test_report_topk_heap_is_bounded(orders_database):
         {"plan": "full sort (bounded materialization accounting)",
          "tuples": len(sort_result), "peak_bytes": sort_peak,
          "seconds": round(sort_seconds, 4), "memory_ratio": "1.00x"},
-        {"plan": "fused top-k heap (k={})".format(TOPK_COUNT),
+        {"plan": "bounded top-k (k={})".format(TOPK_COUNT),
          "tuples": len(topk_result), "peak_bytes": topk_peak,
          "seconds": round(topk_seconds, 4),
          "memory_ratio": "{:.0f}x".format(ratio)},
     ]
     print_report(
-        "E18: λ_{} ∘ τ(-amount, order_id) on {}k orders — heap top-k vs full "
+        "E18: λ_{} ∘ τ(-amount, order_id) on {}k orders — bounded top-k vs full "
         "sort peak memory".format(TOPK_COUNT, DEFAULT_ORDER_COUNT // 1000),
         rows, json_name="e18_topk", database=database,
     )
 
-    # the heap answer is the naive evaluator's answer
+    # the top-k answer is the naive evaluator's answer
     assert topk_result.tuples \
         == Evaluator(database).evaluate(topk_query).tuples
     assert len(topk_result) == TOPK_COUNT
-    # the memory gate: O(k) heap vs O(n) materialization
+    # the memory gate: O(k) held rows vs O(n) materialization
     assert topk_peak * MEMORY_FACTOR <= sort_peak, (
         "top-k peak {} bytes not {}x below the full sort's {}".format(
             topk_peak, MEMORY_FACTOR, sort_peak))

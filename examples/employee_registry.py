@@ -3,15 +3,25 @@
 Demonstrates the full engine workflow on the jobtype workload: bulk loading with
 dependency enforcement, updates that change an employee's type (the paper's footnote
 about jobtype changes), querying with type guards, and the AD-driven optimizer
-removing redundant guards (Example 4), and ordering on an attribute only one
-variant carries.
+removing redundant guards (Example 4), ordering on an attribute only one
+variant carries — with a limit that cuts a run of ties, and under a memory
+budget — and a scalar subquery.
 
 Run with::
 
     python examples/employee_registry.py
 """
 
-from repro.algebra import Limit, Projection, RelationRef, Selection, Sort, TypeGuardNode
+from repro.algebra import (
+    Aggregate,
+    Limit,
+    Projection,
+    RelationRef,
+    Selection,
+    Sort,
+    SubqueryExtension,
+    TypeGuardNode,
+)
 from repro.algebra.predicates import Comparison
 from repro.engine import Database
 from repro.engine.database import REMOVE
@@ -80,6 +90,39 @@ def main():
     print("\nfive fastest typists:", ", ".join(
         "{} ({})".format(t["name"], t["typing_speed"])
         for t in sorted(fastest, key=lambda t: (-t["typing_speed"], t["name"]))))
+
+    # Rows that tie on every sort key are ordered by the whole tuple, so a limit
+    # that cuts through a run of ties still has one answer in every engine.
+    by_type = Limit(Sort(RelationRef("employees"), ("jobtype",)), 200)
+    first = database.execute(by_type)
+    counts = {}
+    for t in first:
+        counts[t["jobtype"]] = counts.get(t["jobtype"], 0) + 1
+    print("first 200 by jobtype:", ", ".join(
+        "{} {}".format(count, jobtype) for jobtype, count in sorted(counts.items())),
+        "- same as the naive evaluator:",
+        first.tuples == database.execute(by_type, executor="naive").tuples)
+
+    # Under a memory budget the sort writes sorted runs to disk and merges them.
+    payroll = Sort(RelationRef("employees"), ("-salary", "emp_id"))
+    runs = database.metrics()["metrics"].get("spill.events", 0)
+    spilled = database.execute(payroll, memory_budget=8_000, spill=True)
+    runs = database.metrics()["metrics"]["spill.events"] - runs
+    print("payroll sorted in 8,000 bytes: {} run(s) on disk, same rows: {}".format(
+        runs, spilled.tuples == database.execute(payroll).tuples))
+
+    # ------------------------------------------------------------ scalar subquery --
+    # A scalar subquery extends every row by one value: each secretary next to the
+    # fastest typing speed on the payroll.
+    against_fastest = SubqueryExtension(
+        Projection(Selection(RelationRef("employees"),
+                             Comparison("jobtype", "=", "secretary")),
+                   ["name", "typing_speed"]),
+        "fastest", Aggregate(RelationRef("employees"), specs=(("max", "typing_speed"),)))
+    slowest = min(database.execute(against_fastest),
+                  key=lambda t: (t["typing_speed"], t["name"]))
+    print("slowest secretary: {} at {} against the fastest {}".format(
+        slowest["name"], slowest["typing_speed"], slowest["fastest"]))
 
     # ---------------------------------------------------------------- projection --
     # Projecting the jobtype away: the result is homogeneous in <name, salary> and

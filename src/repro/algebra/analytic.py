@@ -33,17 +33,16 @@ tested by ``tests/test_aggregates.py``):
   engines even though sets iterate in different orders.
   :func:`row_order_key` / :func:`top_k_rows` *define* that order and serve the
   naive evaluator; the physical engines sort through :class:`CompiledOrder`,
-  which compares the same order natively — a full sort one key column at a
-  time, run merges on a flat per-row encoding, and top-k on that encoding
-  after a native cut of each batch on its leading key's column — and is held
-  to the definition by ``tests/test_order_keys.py`` and the differential
+  which compares the same order natively — a sort one key column at a time,
+  cut at a limit if there is one, run merges on a flat per-row encoding, and
+  a native cut of a top-k's batches on their leading key's column — and is
+  held to the definition by ``tests/test_order_keys.py`` and the differential
   fuzz.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, insort
 from fractions import Fraction
 from itertools import compress, groupby, islice, repeat
 from math import fsum, inf, isfinite, nan
@@ -245,7 +244,7 @@ def top_k_rows(rows: Iterable, count: int, keys: Sequence[SortKey],
 
     ``count == 0`` still drains the stream: limit-0 is not a license to skip
     evaluating the input, so errors raised while producing it surface exactly
-    as they do in the naive evaluator and in the sort-with-cutoff form.
+    as they do in the naive evaluator and in the physical sort under a limit.
     """
     if count == 0:
         for _ in rows:
@@ -344,16 +343,16 @@ class CompiledOrder:
     """The order of :func:`row_order_key` under one ``keys`` tuple, compiled
     for the physical engines: same order, compared in C.
 
-    ``argsort`` sorts one declared key's column at a time.  ``encode`` maps a
-    row to one flat tuple of the *declared* keys only, three slots a key (see
-    :func:`_encode_value`), so ``bisect`` and ``heapq`` compare ints, floats
-    and strings natively in ``top_k`` and ``merge``; ``candidates`` cuts a
-    batch on its leading key's column first, so a top-k encodes about
-    ``count`` rows a batch, not every row.  The canonical whole-tuple
-    tie-break is never part of either: it is computed for the rows whose
-    declared keys actually tie — none when a key attribute is among the sort
-    keys, every row once when there are no keys at all — and those runs are
-    ordered by it on their own.
+    ``argsort`` sorts one declared key's column at a time and, given a
+    limit, returns only that many positions.  ``candidates`` cuts a batch on
+    its leading key's column, so a sort under a limit keeps about ``limit``
+    rows a batch, not every row.  ``encode`` maps a row to one flat tuple of
+    the *declared* keys only, three slots a key (see :func:`_encode_value`),
+    so ``heapq`` compares ints, floats and strings natively in ``merge``.  The
+    canonical whole-tuple tie-break is never part of either: it is computed
+    for the rows whose declared keys actually tie — none when a key attribute
+    is among the sort keys, every row once when there are no keys at all —
+    and those runs are ordered by it on their own.
     """
 
     __slots__ = ("keys", "_signed")
@@ -375,15 +374,22 @@ class CompiledOrder:
                 out += _encode_value(value, sign)
         return out
 
-    def argsort(self, rows: Sequence[Dict[str, object]]) -> List[int]:
-        """The positions of ``rows`` (value dicts) in sorted order.
+    def argsort(self, rows: Sequence[Dict[str, object]], limit: Optional[int] = None,
+                tie_breaks: Optional[List] = None) -> List[int]:
+        """The positions of ``rows`` (value dicts) in sorted order — only the
+        first ``limit`` of them when ``limit`` is set.
 
         One stable pass per declared key, least significant first, over that
         key's column (:func:`_sort_pass`).  Rows that then tie on every
         declared key sit next to each other; each such run is ordered by the
-        canonical tie-break, which no other row gets.
+        canonical tie-break, which no other row gets — a run that straddles
+        the ``limit`` is cut by ``heapq.nsmallest`` on it, and a run wholly
+        past the ``limit`` gets none.  ``tie_breaks``, parallel to ``rows``,
+        holds the tie-breaks already built (``None`` where not) and receives
+        those of the positions returned.
         """
         order = list(range(len(rows)))
+        cut = len(order) if limit is None else limit
         columns = []  # per key, the column that decides equality under it
         for attribute, sign in reversed(self._signed):
             order, column = _sort_pass(
@@ -394,15 +400,38 @@ class CompiledOrder:
             ranked = list(map(column.__getitem__, order))
             ties = list(map(and_, ties, map(eq, ranked, islice(ranked, 1, None))))
             if not any(ties):
+                del order[cut:]
                 return order
+
+        if tie_breaks is None:
+            tie_breaks = [None] * len(rows)
+
+        def built(position):
+            key = tie_breaks[position]
+            return canonical_order_key(rows[position]) if key is None else key
+
+        def kept(position):
+            key = tie_breaks[position] = built(position)
+            return key
+
         at = 0
         for tied, run in groupby(ties):
+            if at >= cut:
+                break
             stop = at + len(list(run))
-            if tied:  # order[at:stop + 1] tie on every declared key
-                order[at:stop + 1] = sorted(
-                    order[at:stop + 1],
-                    key=lambda position: canonical_order_key(rows[position]))
+            if tied and stop >= cut:
+                # order[at:stop + 1] tie, across the cut: only the rows kept
+                # keep their tie-break; its positions ascend, so (key, position)
+                # orders it stably
+                tied_run = order[at:stop + 1]
+                ranked = heapq.nsmallest(cut - at, zip(map(built, tied_run), tied_run))
+                order[at:cut] = [position for _, position in ranked]
+                for key, position in ranked:
+                    tie_breaks[position] = key
+            elif tied:  # order[at:stop + 1] tie on every declared key
+                order[at:stop + 1] = sorted(order[at:stop + 1], key=kept)
             at = stop
+        del order[cut:]
         return order
 
     def candidates(self, column: List, count: int) -> Optional[List[int]]:
@@ -439,46 +468,6 @@ class CompiledOrder:
         else:
             cut, ranked = heapq.nsmallest(count, present)[-1], le
         return list(compress(positions, map(ranked, present, repeat(cut))))
-
-    def top_k(self, pairs: Iterable[tuple], count: int) -> List[tuple]:
-        """The ``count`` smallest of ``(values, payload)`` pairs, in order.
-
-        At most ``count`` entries are held, ascending; a row whose declared
-        keys lie beyond the current ``count``-th is dropped on that one
-        native comparison, and a tie-break is built only for a row that ties
-        with a held one.  ``count == 0`` still drains the stream, for the
-        reason :func:`top_k_rows` gives.
-        """
-        if count == 0:
-            for _ in pairs:
-                pass
-            return []
-        encode = self.encode
-        held: List[tuple] = []  # (declared, tie-break or None, arrival, pair)
-        full = False
-        for arrival, pair in enumerate(pairs):
-            declared = encode(pair[0])
-            if full and declared > held[-1][0]:
-                continue
-            at = bisect_left(held, (declared,))
-            if at == len(held) or held[at][0] != declared:
-                if full:
-                    held.pop()
-                held.insert(at, (declared, None, arrival, pair))
-            else:
-                # Ties with a held row: both get their tie-break, so entries
-                # with equal declared keys always compare on a computed one.
-                tied = held[at]
-                if tied[1] is None:
-                    held[at] = (declared, canonical_order_key(tied[3][0])) + tied[2:]
-                entry = (declared, canonical_order_key(pair[0]), arrival, pair)
-                if full:
-                    if entry > held[-1]:
-                        continue
-                    held.pop()
-                insort(held, entry)
-            full = len(held) == count
-        return [entry[3] for entry in held]
 
     def merge(self, streams: Sequence[Iterable]) -> Iterator:
         """K-way merge of streams already in this order into one.

@@ -25,15 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import DependencyError
 from repro.model.attributes import AttributeSet, attrset
 from repro.model.domains import Domain, cross_product
-from repro.model.tuples import FlexTuple
-
-
-def _tuples_of(relation) -> Iterable[FlexTuple]:
-    """Accept a FlexibleRelation, an engine table, or a bare iterable of tuples."""
-    if hasattr(relation, "tuples"):
-        candidate = relation.tuples
-        return candidate() if callable(candidate) else candidate
-    return [t if isinstance(t, FlexTuple) else FlexTuple(t) for t in relation]
+from repro.model.tuples import FlexTuple, tuples_of
 
 
 class Dependency:
@@ -105,7 +97,7 @@ class AttributeDependency(Dependency):
         # determinant value -> presence class on the rhs -> its first tuple
         groups: Dict[tuple, Dict[AttributeSet, FlexTuple]] = defaultdict(dict)
         witnesses: List[Tuple[FlexTuple, FlexTuple]] = []
-        for tup in _tuples_of(relation):
+        for tup in tuples_of(relation):
             if not tup.is_defined_on(self._lhs):
                 continue
             classes = groups[tuple(tup[a] for a in self._lhs)]
@@ -171,7 +163,7 @@ class FunctionalDependency(Dependency):
         # determinant value -> rhs value (None: not defined on it) -> its first tuple
         groups: Dict[tuple, Dict[Optional[tuple], FlexTuple]] = defaultdict(dict)
         witnesses: List[Tuple[FlexTuple, FlexTuple]] = []
-        for tup in _tuples_of(relation):
+        for tup in tuples_of(relation):
             if not tup.is_defined_on(self._lhs):
                 continue
             values = groups[tuple(tup[a] for a in self._lhs)]
@@ -326,7 +318,7 @@ class ExplicitAttributeDependency(Dependency):
 
     def violations(self, relation, first_only: bool = False) -> List[FlexTuple]:
         witnesses = []
-        for tup in _tuples_of(relation):
+        for tup in tuples_of(relation):
             if not self.check_tuple(tup):
                 witnesses.append(tup)
                 if first_only:

@@ -27,16 +27,7 @@ from repro.core.dependencies import (
 )
 from repro.errors import DependencyError
 from repro.model.attributes import AttributeSet, attrset
-from repro.model.tuples import FlexTuple
-
-
-def _tuples_of(relation) -> List[FlexTuple]:
-    if hasattr(relation, "tuples"):
-        candidate = relation.tuples
-        tuples = candidate() if callable(candidate) else candidate
-    else:
-        tuples = relation
-    return [t if isinstance(t, FlexTuple) else FlexTuple(t) for t in tuples]
+from repro.model.tuples import FlexTuple, tuples_of
 
 
 def _instance_attributes(tuples: Iterable[FlexTuple]) -> AttributeSet:
@@ -101,7 +92,7 @@ def discover_ads(
     side is reported (smaller right-hand sides follow by projectivity and are
     omitted).  Trivial dependencies (``Y ⊆ X``) are excluded unless requested.
     """
-    tuples = _tuples_of(relation)
+    tuples = list(tuples_of(relation))
     universe = _instance_attributes(tuples) if universe is None else attrset(universe)
     found: Set[AttributeDependency] = set()
     attributes = list(universe)
@@ -122,7 +113,7 @@ def discover_fds(
     universe=None,
 ) -> Set[FunctionalDependency]:
     """Mine the functional dependencies (Definition 4.2) holding in an instance."""
-    tuples = _tuples_of(relation)
+    tuples = list(tuples_of(relation))
     universe = _instance_attributes(tuples) if universe is None else attrset(universe)
     found: Set[FunctionalDependency] = set()
     attributes = list(universe)
@@ -147,7 +138,7 @@ def discover_explicit_ad(
     :class:`~repro.errors.DependencyError` is raised).  Groups exhibiting the empty
     subset need no variant — Definition 2.1 already maps unmatched values to ∅.
     """
-    tuples = _tuples_of(relation)
+    tuples = list(tuples_of(relation))
     lhs = attrset(lhs)
     universe = _instance_attributes(tuples)
     rhs = (universe - lhs) if rhs is None else attrset(rhs)

@@ -29,16 +29,7 @@ from repro.core.dependencies import ExplicitAttributeDependency
 from repro.errors import DecompositionError
 from repro.exec.planner import PhysicalPlanner
 from repro.model.attributes import AttributeSet, attrset
-from repro.model.tuples import FlexTuple
-
-
-def _as_tuples(relation) -> Set[FlexTuple]:
-    if hasattr(relation, "tuples"):
-        tuples = relation.tuples
-        tuples = tuples() if callable(tuples) else tuples
-    else:
-        tuples = relation
-    return {t if isinstance(t, FlexTuple) else FlexTuple(t) for t in tuples}
+from repro.model.tuples import FlexTuple, tuples_of
 
 
 class DecompositionResult:
@@ -94,7 +85,7 @@ class DecompositionResult:
 
     def is_lossless(self, original) -> bool:
         """``True`` when restoration reproduces the original instance exactly."""
-        return self.restore() == _as_tuples(original)
+        return self.restore() == set(tuples_of(original))
 
     def __repr__(self) -> str:
         sizes = {name: len(tuples) for name, tuples in sorted(self.fragments.items())}
@@ -103,7 +94,7 @@ class DecompositionResult:
 
 def horizontal_decomposition(relation, dependency: ExplicitAttributeDependency) -> DecompositionResult:
     """One fragment per variant; tuples matching no variant go to the ``'rest'`` fragment."""
-    tuples = _as_tuples(relation)
+    tuples = set(tuples_of(relation))
     fragments: Dict[str, Set[FlexTuple]] = {}
     qualifications: Dict[str, List[Dict[str, object]]] = {}
     names: Dict[int, str] = {}
@@ -134,7 +125,7 @@ def vertical_decomposition(relation, dependency: ExplicitAttributeDependency, ke
         raise DecompositionError("vertical decomposition needs a key to join on")
     if not key.isdisjoint(dependency.rhs):
         raise DecompositionError("the key must not contain variant attributes")
-    tuples = _as_tuples(relation)
+    tuples = set(tuples_of(relation))
     for tup in tuples:
         if not tup.is_defined_on(key):
             raise DecompositionError(
@@ -166,5 +157,5 @@ def null_count(relation, full_attributes) -> int:
     attribute such a table additionally needs is counted by the baseline itself.)
     """
     full_attributes = attrset(full_attributes)
-    tuples = _as_tuples(relation)
+    tuples = set(tuples_of(relation))
     return sum(len(full_attributes - tup.attributes) for tup in tuples)

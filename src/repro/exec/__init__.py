@@ -60,7 +60,6 @@ from repro.exec.operators import (
     Scan,
     SortOp,
     SubqueryExtendOp,
-    TopKOp,
 )
 from repro.exec.planner import (
     PhysicalPlan,
@@ -100,7 +99,6 @@ __all__ = [
     "DifferenceOp",
     "HashAggregateOp",
     "SortOp",
-    "TopKOp",
     "SubqueryExtendOp",
     "PhysicalPlan",
     "PhysicalPlanner",

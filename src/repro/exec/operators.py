@@ -33,13 +33,13 @@ tuple-level equality — but the algorithms differ:
   cached hashes make that the cheapest exact check), so a lazy input batch is
   materialized there;
 * :class:`HashAggregateOp` accumulates column-wise through
-  :class:`~repro.exec.compiled.CompiledAggregates`; :class:`SortOp` re-emits
-  the tuples a scan built, and otherwise it and :class:`TopKOp` order
-  ``(values, hash)`` pairs so result tuples rebuild with their hashes
-  precomputed.  Under a ``memory_budget`` the hash join (static
-  ``on``), the aggregate and the sort check their held state every
-  ``CHUNK_RECORDS`` input rows (``ctx.over_budget``); over it, with spilling
-  allowed, the same algorithm moves that state to disk
+  :class:`~repro.exec.compiled.CompiledAggregates`; :class:`SortOp` — the
+  one ordering operator, bounded under a limit — re-emits the tuples a scan
+  built, and otherwise orders ``(values, hash)`` pairs so result tuples
+  rebuild with their hashes precomputed.  Under a ``memory_budget`` the hash
+  join (static ``on``), the aggregate and the sort check their held state
+  every ``CHUNK_RECORDS`` input rows (``ctx.over_budget``); over it, with
+  spilling allowed, the same algorithm moves that state to disk
   (:mod:`repro.governor.spill`) and finishes from there — spilling is a
   state, not a second algorithm.  Every other materialization fails fast.
 
@@ -1038,25 +1038,29 @@ class HashAggregateOp(_Unary):
 
 
 class SortOp(_Unary):
-    """τ — full sort with bounded-materialization accounting.
+    """τ — the sort, and under a ``limit`` the top-k: ``Sort``, ``Limit(Sort)``
+    and a bare ``Limit`` (no keys: the canonical tuple order) all lower here.
 
     The input is a set, so the sort itself is result-identity; the operator
-    exists as the full-materialization form of ``limit`` lowering (``limit``
-    set) and as the physical counterpart of an order annotation.  It drains
-    the *entire* input into a value-dict list and a parallel list of the
+    is the physical counterpart of an order annotation and of ``limit``.  It
+    collects the input into a value-dict list and a parallel list of the
     input's tuples — of their hashes once a :class:`LazyBatch` arrived or a
-    run spilled — (their ``sampled_size`` is what ``note_memory`` records —
-    the contrast to :class:`TopKOp`'s bounded heap that E18 asserts on
-    ``peak_bytes``), orders them by the shared :class:`CompiledOrder` and
-    re-emits the tuples themselves, or lazy ``(values, hash)`` chunks.
+    run spilled — (their ``sampled_size`` is what ``note_memory`` records),
+    orders them by the shared :class:`CompiledOrder` and re-emits the tuples
+    themselves, or lazy ``(values, hash)`` chunks.
+
+    Under a ``limit`` it is bounded: each batch is first cut on its leading
+    key's column (:meth:`CompiledOrder.candidates`), and once more than
+    twice the limit is held the rows are cut back to the first ``limit``
+    (:meth:`CompiledOrder.argsort` with the limit) — so it holds at most
+    ``2 · limit`` rows plus one batch's candidates, the contrast E18 asserts
+    on ``peak_bytes``.  A held row keeps the tie-break it was given.
 
     Under a memory budget with spilling allowed, lists that outgrow it are
-    sorted and written as a run, and the emitted stream is
-    :meth:`CompiledOrder.merge` over the runs and the sorted remainder —
-    the same stream, as the order is total.
+    sorted, cut to the limit, and written as a run, and the emitted stream is
+    :meth:`CompiledOrder.merge` over the runs and the sorted remainder — the
+    same stream, as the order is total.
     """
-
-    name = "batch-sort"
 
     def __init__(self, child: PhysicalOperator, keys: Sequence[SortKey] = (),
                  limit: Optional[int] = None):
@@ -1064,25 +1068,40 @@ class SortOp(_Unary):
         self.keys = tuple(keys)
         self.order = CompiledOrder(self.keys)
         self.limit = limit
+        self.name = "batch-sort" if limit is None else "batch-top-k"
 
     def label(self) -> str:
         parts = [repr(key) for key in self.keys]
         if self.limit is not None:
-            parts.append("limit={}".format(self.limit))
+            parts.append("k={}".format(self.limit))
         return _analytic_label(self.name, parts)
 
     def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
         stats = ctx.stats
+        limit = self.limit
+        leading = self.keys[0].attribute if self.keys and limit else None
         values: List[dict] = []
         held: List = []  # the input's tuples until a lazy batch or a spill, then hashes
+        breaks = None if limit is None else []  # the held rows' tie-breaks, if built
         built = True
         runs = []  # sorted runs spilled to disk, once the rows outgrew the budget
         for batch in _budget_pieces(child) if ctx.budgeted else child:
             stats.tuples_scanned += len(batch)
+            if leading is not None:
+                chosen = self.order.candidates(batch.column(leading), limit)
+                if chosen is not None:
+                    batch = batch.take(chosen)
             values.extend(batch.values_list())
             if built and isinstance(batch, LazyBatch):
                 built, held = False, [tup._hash for tup in held]
             held.extend(batch.rows if built else batch.hashes_list())
+            if limit is not None:
+                breaks += [None] * len(batch)
+                if len(values) > 2 * limit:
+                    kept = self.order.argsort(values, limit, breaks)
+                    values = [values[at] for at in kept]
+                    held = [held[at] for at in kept]
+                    breaks = [breaks[at] for at in kept]
             if ctx.budgeted and ctx.over_budget(
                     op, sampled_size(values) + sampled_size(held)):
                 manager = ctx.governor.spill_manager()
@@ -1090,73 +1109,27 @@ class SortOp(_Unary):
                 if built:  # a run holds (values, hash) records
                     built, held = False, [tup._hash for tup in held]
                 run = manager.create_segment("sort")
-                run.extend((values[at], held[at]) for at in self.order.argsort(values))
+                run.extend((values[at], held[at])
+                           for at in self.order.argsort(values, limit, breaks))
                 run.finish()
                 runs.append(run)
                 values, held = [], []
+                if limit is not None:
+                    breaks = []
         op.note_memory(sampled_size(values) + sampled_size(held))
-        order = self.order.argsort(values)
+        order = self.order.argsort(values, limit, breaks)
         if runs:
             # the compiled order is total, so the merge is the in-memory stream
             merged = self.order.merge(runs + [[(values[at], held[at]) for at in order]])
-            for chunk in self._chunks(ctx, islice(merged, self.limit)):
+            for chunk in self._chunks(ctx, islice(merged, limit)):
                 yield LazyBatch([pair[0] for pair in chunk], [pair[1] for pair in chunk])
             return
-        if self.limit is not None:
-            del order[self.limit:]
         for chunk in self._chunks(ctx, order):
             if built:
                 yield TupleBatch([held[position] for position in chunk])
             else:
                 yield LazyBatch([values[position] for position in chunk],
                                 [held[position] for position in chunk])
-
-
-class TopKOp(_Unary):
-    """λ∘τ — heap-based top-k: the ``count`` smallest rows under ``keys``.
-
-    The fused physical form of ``Limit(Sort(E))`` (and of a bare ``Limit``,
-    with empty keys meaning the canonical tuple order).  Each input batch is
-    first cut on its leading key's column (:meth:`CompiledOrder.candidates`:
-    one native selection, no row encoded); the rows it keeps stream through
-    one :meth:`CompiledOrder.top_k` as ``(values, hash)`` pairs.  At most
-    ``count`` pairs and one batch's candidates are ever held, which is the
-    bounded-memory contrast to :class:`SortOp` that ``peak_bytes`` records.
-    """
-
-    name = "batch-top-k"
-
-    def __init__(self, child: PhysicalOperator, keys: Sequence[SortKey],
-                 count: int):
-        super().__init__(child)
-        self.keys = tuple(keys)
-        self.order = CompiledOrder(self.keys)
-        self.count = count
-
-    def label(self) -> str:
-        parts = [repr(key) for key in self.keys]
-        parts.append("k={}".format(self.count))
-        return _analytic_label(self.name, parts)
-
-    def _generate(self, ctx, op, child) -> Iterator[TupleBatch]:
-        stats = ctx.stats
-        count = self.count
-        leading = self.keys[0].attribute if self.keys and count else None
-        candidates = self.order.candidates
-
-        def pairs() -> Iterator[tuple]:
-            for batch in child:
-                stats.tuples_scanned += len(batch)
-                if leading is not None:
-                    chosen = candidates(batch.column(leading), count)
-                    if chosen is not None:
-                        batch = batch.take(chosen)
-                yield from zip(batch.values_list(), batch.hashes_list())
-
-        best = self.order.top_k(pairs(), count)
-        ctx.enforce_memory(op, sampled_size(best))
-        for chunk in self._chunks(ctx, best):
-            yield LazyBatch([pair[0] for pair in chunk], [pair[1] for pair in chunk])
 
 
 #: sentinel for "the scalar subquery produced no row — extend nothing"

@@ -110,7 +110,6 @@ from repro.exec.operators import (
     Scan,
     SortOp,
     SubqueryExtendOp,
-    TopKOp,
 )
 from repro.model.tuples import FlexTuple
 from repro.obs.feedback import referenced_tables
@@ -122,14 +121,6 @@ from repro.optimizer.joinorder import (
     order_joins,
     scanned_relation,
 )
-
-#: how many times the limit the estimated input must be for the bounded top-k
-#: to beat the sort-with-cutoff: the top-k pays an ordered insertion for each
-#: of the ~k·(1 + ln(n/k)) rows that enter it, the sort n·log₂n comparisons.
-#: Measured over ``orders``, the two tie at k = n/8 both at n = 6,000 and at
-#: n = 100,000 (docs/ARCHITECTURE.md, "Physical forms and the top-k pricing").
-TOPK_HEAP_FACTOR = 8.0
-
 
 class PhysicalResult(EvaluationResult):
     """An :class:`EvaluationResult` that also carries the execution context.
@@ -423,28 +414,18 @@ class PhysicalPlanner:
                         keep_unmatched_probe=True)
 
     def _lower_limit(self, expression: Limit) -> PhysicalOperator:
-        """λ, fused with a child τ when present: bounded top-k vs full sort.
+        """λ, fused with a child τ when present: one bounded sort.
 
-        ``Limit(Sort(E), k)`` lowers to a single physical operator over ``E``
-        (a bare ``Limit`` is the same with the canonical tuple order).  The
-        top-k holds ``k`` rows and prunes the rest on one comparison each;
-        the sort materializes everything — the estimated input cardinality
-        decides: a ``k`` beyond ``n / TOPK_HEAP_FACTOR`` falls back to the
-        sort-with-cutoff form and a smaller one gets the bounded-memory top-k.
+        ``Limit(Sort(E), k)`` lowers to a single :class:`SortOp` over ``E``
+        with ``limit=k`` (a bare ``Limit`` is the same with the canonical
+        tuple order), which holds at most ``2k`` rows plus one batch's
+        candidates whatever ``k`` is.
         """
         child_expr = expression.child
+        keys = ()
         if isinstance(child_expr, Sort):
-            keys = child_expr.keys
-            input_expr = child_expr.child
-        else:
-            keys = ()
-            input_expr = child_expr
-        k = expression.count
-        n = max(self._estimate(input_expr).cardinality, 1.0)
-        child = self._lower(input_expr)
-        if k * TOPK_HEAP_FACTOR <= n:
-            return TopKOp(child, keys, k)
-        return SortOp(child, keys, limit=k)
+            keys, child_expr = child_expr.keys, child_expr.child
+        return SortOp(self._lower(child_expr), keys, limit=expression.count)
 
     def _search_join_order(self, expression: NaturalJoin) -> Optional[NaturalJoin]:
         """Run the join-order search on an n-way NaturalJoin tree, if enabled.

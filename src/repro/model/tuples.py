@@ -218,3 +218,10 @@ def _attr_name(attribute) -> str:
     if isinstance(attribute, str):
         return attribute
     raise TupleError("cannot interpret {!r} as an attribute".format(attribute))
+
+
+def tuples_of(relation) -> Iterator[FlexTuple]:
+    """The tuples of ``relation`` — a flexible relation, an engine table, or
+    any iterable of tuples and value mappings — read by iterating it, so a
+    relation's stored tuples are never copied."""
+    return (item if isinstance(item, FlexTuple) else FlexTuple(item) for item in relation)

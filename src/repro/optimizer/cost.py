@@ -360,9 +360,9 @@ class CostModel:
                             bound=child.bound)
 
     def _estimate_limit(self, expression: Limit, memo) -> CostEstimate:
-        # The planner fuses Limit(Sort(E)) into one top-k operator, so
-        # price the fused pair off the sort's input: per input tuple the
-        # cheaper of a k-bounded heap push and a full-sort comparison.
+        # The planner fuses Limit(Sort(E)) into one bounded sort, so price
+        # the fused pair off the sort's input: per input tuple log₂ of the
+        # rows it is ranked among, the ~k held or all n when n is smaller.
         k = float(expression.count)
         inner = expression.child
         base = self.estimate(inner.child if isinstance(inner, Sort) else inner, memo)

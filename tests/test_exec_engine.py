@@ -74,7 +74,6 @@ from repro.exec import (
     Scan,
     SortOp,
     SubqueryExtendOp,
-    TopKOp,
     adaptive_batch_size,
     expression_key,
 )
@@ -126,7 +125,7 @@ LOWERINGS = {
     MultiwayJoin: [(MultiwayJoin([_R, _S], on=["a"]), HashJoin)],
     Aggregate: [(Aggregate(_R, group_by=("a",), specs=("count",)), HashAggregateOp)],
     Sort: [(Sort(_R, ["a"]), SortOp)],
-    Limit: [(Limit(Sort(_R, ["a"]), 0), TopKOp),
+    Limit: [(Limit(Sort(_R, ["a"]), 0), SortOp),
             (Limit(Sort(_R, ["a"]), 5), SortOp)],
     SubqueryExtension: [(SubqueryExtension(_R, "n", Limit(Projection(_S, ["a"]), 1)),
                          SubqueryExtendOp)],
@@ -286,7 +285,7 @@ class TestLowering:
             pending.extend(cls.__subclasses__())
         concrete = [cls for cls in operators if not cls.__name__.startswith("_")
                     and cls is not PhysicalOperator]
-        assert len(concrete) == 17
+        assert len(concrete) == 16
         assert [cls.__name__ for cls in concrete
                 if not inspect.isgeneratorfunction(cls._generate)] == []
         assert [cls.__name__ for cls in operators if "_start" in vars(cls)] == []

@@ -356,18 +356,15 @@ class TestAnalyticOperatorParity:
         assert_parity(Limit(RelationRef("employees"), 0),
                       employee_source)
 
-    def test_large_limit_falls_back_to_sort_with_cutoff(self, employee_source):
-        # 80 employees: the bounded top-k runs up to k = n / TOPK_HEAP_FACTOR
-        # = 10, beyond it the sort-with-cutoff form.
+    def test_every_limit_lowers_to_the_bounded_sort(self, employee_source):
+        # 80 employees: one form for every k, below n / 8 and beyond it
         def form(count):
             limit = Limit(Sort(RelationRef("employees"), ["emp_id"]), count)
             planner = PhysicalPlanner(source=employee_source)
             return planner.plan(limit).root.label()
 
-        assert form(0) == "batch-top-k[emp_id, k=0]"
-        assert form(10) == "batch-top-k[emp_id, k=10]"
-        assert form(11) == "batch-sort[emp_id, limit=11]"
-        assert form(70) == "batch-sort[emp_id, limit=70]"
+        for count in (0, 10, 11, 70, 200):
+            assert form(count) == "batch-top-k[emp_id, k={}]".format(count)
         for count in (10, 11, 70):
             assert_parity(Limit(Sort(RelationRef("employees"), ["emp_id"]), count),
                           employee_source)

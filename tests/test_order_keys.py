@@ -6,11 +6,12 @@ layers under test:
 
 * property — over heterogeneous rows (ints, ints beyond 2**53, floats with
   ``-0.0``/``inf``/NaN, bools, strings, tuples, NULL, absent, exotic objects)
-  and any 0–3 keys in any direction mix, the compiled sort, top-k and run
-  merge reproduce the definition position for position; over all-number
-  columns of every kind, the sort's native passes do too, and so does the
-  top-k operator — each batch cut on its leading key's column — over
-  streams of built, pending and scan batches of every size, strings too;
+  and any 0–3 keys in any direction mix, the compiled sort, its cut at a
+  limit and the run merge reproduce the definition position for position;
+  over all-number columns of every kind, the sort's native passes do too,
+  and so does the sort under a limit — each batch cut on its leading key's
+  column, the held rows cut back at twice the limit — over streams of built,
+  pending and scan batches of every size, strings too;
 * structure — the canonical tie-break is built only where declared keys tie
   (none with a key attribute among the keys, one per row when everything
   ties) and numeric descending keys never reach ``_Reversed``;
@@ -18,7 +19,7 @@ layers under test:
   naive, physical and spilled paths;
 * spill and streams — a sort forced into several runs emits the in-memory
   stream exactly, a sort over a scan emits the stored tuples themselves, and
-  the bounded top-k stays bounded on an all-tied input.
+  the sort under a limit stays bounded, on an all-tied input too.
 """
 
 import itertools
@@ -43,6 +44,7 @@ from repro.algebra import analytic
 from repro.algebra.analytic import (
     CompiledOrder,
     SortKey,
+    canonical_order_key,
     row_order_key,
     top_k_rows,
     value_order_key,
@@ -50,7 +52,7 @@ from repro.algebra.analytic import (
 from repro.engine import Database
 from repro.exec import PhysicalExecutor
 from repro.exec.context import ExecutionContext
-from repro.exec.operators import PhysicalOperator, SortOp, TopKOp
+from repro.exec.operators import PhysicalOperator, SortOp
 from repro.governor import QueryGovernor
 from repro.model.batches import MISSING, LazyBatch, ScanBatch, ScanView, TupleBatch
 from repro.model.tuples import FlexTuple
@@ -62,6 +64,10 @@ from repro.workloads.analytics import (
 
 #: REPRO_SWEEP_EXAMPLES=<n> raises the example count (the CI sweep)
 EXAMPLES = int(os.environ.get("REPRO_SWEEP_EXAMPLES", "150"))
+#: the limit property runs once per kind of leading column: a quarter of the
+#: examples each in tier-1, the full count under REPRO_SWEEP_EXAMPLES
+LIMIT_EXAMPLES = (EXAMPLES if "REPRO_SWEEP_EXAMPLES" in os.environ
+                  else max(EXAMPLES // 4, 25))
 #: a falsifying example lands next to the fuzz harness's shrunk trees
 ARTIFACT = os.environ.get("REPRO_FUZZ_ARTIFACT", "fuzz-failure.txt")
 
@@ -117,14 +123,24 @@ def test_compiled_sort_is_the_defined_order(rows, keys):
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(rows=rows_strategy, keys=keys_strategy)
 def test_compiled_top_k_is_the_defined_top_k(rows, keys):
+    """``argsort`` under a limit is the defined order's first ``limit``
+    positions — with fresh tie-breaks and with some already built."""
     order = CompiledOrder(keys)
     size = len(rows)
+    reference = _reference(rows, keys)
     for count in sorted({0, 1, max(size - 1, 0), size, size + 5}):
-        expected = [at for _, at in top_k_rows(
-            zip(rows, range(size)), count, keys, key_of=lambda pair: pair[0])]
-        got = [at for _, at in order.top_k(zip(rows, range(size)), count)]
+        expected = reference[:count]
+        got = order.argsort(rows, count)
         assert got == expected, _record(
             "top-k, k={}".format(count), rows, keys, "{} != {}".format(got, expected))
+        breaks = [canonical_order_key(row) if at % 2 else None
+                  for at, row in enumerate(rows)]
+        got = order.argsort(rows, count, breaks)
+        assert got == expected, _record(
+            "top-k with tie-breaks, k={}".format(count), rows, keys,
+            "{} != {}".format(got, expected))
+        assert all(key is None or key == canonical_order_key(row)
+                   for key, row in zip(breaks, rows))
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
@@ -216,7 +232,7 @@ def test_native_sort_passes_are_the_defined_order(kind, data):
                     "{} != {}".format(got, expected))
 
 
-#: the leading-key column kinds the top-k cuts natively, or declines to
+#: the leading-key column kinds a limit's cut takes natively, or declines to
 #: (NaN): the native passes' kinds plus strings
 CUT_COLUMNS = dict(NUMERIC_COLUMNS, str=(("", "b"), st.sampled_from(["", "a", "ab", "b"])))
 
@@ -247,12 +263,13 @@ def _mixed_batches(dicts, kinds):
 
 
 @pytest.mark.parametrize("kind", sorted(CUT_COLUMNS))
-@settings(max_examples=EXAMPLES, deadline=None)
+@settings(max_examples=LIMIT_EXAMPLES, deadline=None)
 @given(data=st.data())
 def test_top_k_op_over_mixed_batches_is_the_defined_top_k(kind, data):
-    """``TopKOp`` — each batch cut on its leading key's column, the rest
-    through one ``top_k`` — emits ``top_k_rows``'s rows in its order, over
-    batches of every kind and size, with NULL and absent rows among them."""
+    """``SortOp`` under a limit — each batch cut on its leading key's
+    column, the held rows cut back to the limit past twice it — emits
+    ``top_k_rows``'s rows in its order, over batches of every kind and size,
+    with NULL and absent rows among them."""
     planted, pool = CUT_COLUMNS[kind]
     column = data.draw(st.permutations(
         list(planted) + data.draw(st.lists(pool, max_size=40))
@@ -277,7 +294,7 @@ def test_top_k_op_over_mixed_batches_is_the_defined_top_k(kind, data):
             if cuts:  # the count-th and the next row tie on the leading key
                 counts.add(data.draw(st.sampled_from(cuts)))
             for count in sorted(counts):
-                op = TopKOp(_Batches(_mixed_batches(dicts, kinds)), keys, count)
+                op = SortOp(_Batches(_mixed_batches(dicts, kinds)), keys, limit=count)
                 got = [position[id(values)]
                        for batch in op.run(ExecutionContext(None, batch_size=64))
                        for values in batch.values_list()]
@@ -289,12 +306,13 @@ def test_top_k_op_over_mixed_batches_is_the_defined_top_k(kind, data):
 def test_top_k_drains_its_input_at_count_zero():
     drained = []
 
-    def pairs():
+    def batches():
         for at in range(5):
             drained.append(at)
-            yield {"a": at}, at
+            yield LazyBatch([{"a": at}, {"a": -at}])
 
-    assert CompiledOrder((SortKey("a"),)).top_k(pairs(), 0) == []
+    op = SortOp(_Batches(batches()), (SortKey("a"),), limit=0)
+    assert list(op.run(ExecutionContext(None, batch_size=64))) == []
     assert drained == [0, 1, 2, 3, 4]
 
 
@@ -440,7 +458,7 @@ class TestNaN:
         expected = sorted(nan_orders.table("orders").tuples,
                           key=lambda tup: row_order_key(tup._values, sort_keys))
         for count in (3, 12, 30):
-            # the largest count lowers to the sort-with-cutoff form, which spills
+            # at the largest count the held rows outgrow the budget and spill
             answers = _engines(nan_orders, Limit(Sort(ORDERS, keys), count),
                                must_spill=count == 30)
             for name, answer in answers.items():
@@ -590,25 +608,28 @@ def test_top_k_holds_at_most_count_rows_when_everything_ties(orders):
         assert held * 20 < full, (keys, held, full)
 
 
-def test_top_k_never_holds_more_than_count_rows():
-    class Payload:
-        """Weakly referenceable, so the rows the top-k still holds are countable."""
+def test_top_k_holds_at_most_twice_count_rows(monkeypatch):
+    """Under ``limit=10`` no cut sorts more than ``2 · 10`` held rows plus
+    one batch, and each keeps 10 — the last one, once the input ended, too:
+    never a number that grows with the 300 rows fed in."""
+    sorted_sizes = []
+    argsort = CompiledOrder.argsort
 
-    alive = weakref.WeakSet()
-    most = 0
+    def counting(self, rows, limit=None, tie_breaks=None):
+        kept = argsort(self, rows, limit, tie_breaks)
+        sorted_sizes.append((len(rows), len(kept)))
+        return kept
 
-    def pairs():
-        nonlocal most
-        for at in range(300):
-            payload = Payload()
-            alive.add(payload)
-            yield {"a": at % 3, "b": -at}, payload
-            del payload
-            most = max(most, len(alive))
-
+    monkeypatch.setattr(CompiledOrder, "argsort", counting)
+    rows = [{"a": at % 3, "b": -at} for at in range(300)]
+    batch = 16
     for keys in ((), (SortKey("a"),), (SortKey("a"), SortKey("b"))):
-        most = 0
-        assert len(CompiledOrder(keys).top_k(pairs(), 10)) == 10
-        # the ten held, the row in flight, and the two rows the loop's locals
-        # last named — never a number that grows with the 300 fed in
-        assert most <= 10 + 3, keys
+        sorted_sizes.clear()
+        op = SortOp(_Batches([LazyBatch(rows[at:at + batch])
+                              for at in range(0, len(rows), batch)]), keys, limit=10)
+        out = [values for chunk in op.run(ExecutionContext(None, batch_size=64))
+               for values in chunk.values_list()]
+        assert len(out) == 10, keys
+        assert len(sorted_sizes) > 1, keys  # the held rows were cut on the way
+        assert all(size <= 2 * 10 + batch and kept <= 10
+                   for size, kept in sorted_sizes), (keys, sorted_sizes)

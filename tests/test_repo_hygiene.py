@@ -95,7 +95,7 @@ class TestConstantsTable:
         section = text.split("## Reference: cost-model and planner constants")[1]
         rows = [line.split("|")[1:4] for line in section.split("\n## ")[0].splitlines()
                 if line.startswith("| `")]
-        assert len(rows) >= 18
+        assert len(rows) >= 17
         stale = []
         for names, values, path in rows:
             constants = _module_constants(ROOT / "src" / "repro" / path.strip().strip("`"))

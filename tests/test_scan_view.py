@@ -13,7 +13,8 @@ table version (``Table.scan_view``, ``model.batches.ScanView`` / ``ScanBatch``).
   again (counted with a spy on the view);
 * a batch's column is a slice: mutating it changes no later answer;
 * a scan reads a table or a flexible relation by iterating it, never through
-  its copying ``tuples`` property (counted with a spy on the property).
+  its copying ``tuples`` property (counted with a spy on the property), and
+  so do the dependency checks, their inference and the decompositions.
 """
 
 import os
@@ -35,10 +36,13 @@ from repro.algebra import (
     TypeGuardNode,
 )
 from repro.algebra.evaluator import Evaluator
+from repro.core.dependencies import AttributeDependency, FunctionalDependency
+from repro.core.inference import discover_ads, discover_explicit_ad, discover_fds
 from repro.engine import Database
 from repro.engine.database import Table
 from repro.exec import ExecutionContext, PhysicalExecutor
 from repro.model.batches import MISSING, ScanBatch, ScanView, TupleBatch
+from repro.er.decomposition import horizontal_decomposition, null_count, vertical_decomposition
 from repro.model.relation import FlexibleRelation
 from repro.workloads.employees import generate_employees
 from test_shape_plans import VALUES, _changes, _employees, _scramble, _unfolded, engine_refusal
@@ -399,4 +403,35 @@ class TestScansCopyNothing:
             assert [PhysicalExecutor(source).execute(scan).tuples
                     for scan in scans] == answers[name], name
         assert answers["table"] == answers["relation"] == answers["dicts"]
+        assert copies == []
+
+
+    def test_dependencies_and_decompositions_never_evaluate_it(self, monkeypatch):
+        """``holds_in``, the inference helpers and the decompositions iterate
+        a table or a flexible relation; the answers equal those over a plain
+        list of its tuples."""
+        _, table = _employees_database()
+        scheme = table.definition.scheme
+        ead, key = table.definition.dependencies
+        dependencies = (ead, key, AttributeDependency(["jobtype"], ["typing_speed"]),
+                        FunctionalDependency(["jobtype"], ["salary"]))
+
+        def answers(relation):
+            horizontal = horizontal_decomposition(relation, ead)
+            vertical = vertical_decomposition(relation, ead, ["emp_id"])
+            return ([dependency.holds_in(relation) for dependency in dependencies],
+                    discover_ads(relation, max_lhs=1), discover_fds(relation, max_lhs=1),
+                    sorted(map(repr, discover_explicit_ad(relation, ["jobtype"]).variants)),
+                    horizontal.fragments, horizontal.is_lossless(relation),
+                    vertical.fragments, vertical.is_lossless(relation),
+                    null_count(relation, scheme.attributes))
+
+        expected = answers(list(table))
+        copies = []
+        for owner in (Table, FlexibleRelation):
+            copying = owner.tuples.fget
+            monkeypatch.setattr(owner, "tuples", property(
+                lambda self, copying=copying: copies.append(self) or copying(self)))
+        assert answers(table) == expected
+        assert answers(FlexibleRelation(scheme, list(table))) == expected
         assert copies == []
