@@ -108,7 +108,7 @@ def test_report_hash_aggregate_beats_sort_group(orders_database):
     database = orders_database
     query = Aggregate(RelationRef("orders"), group_by=GROUP_BY, specs=SPECS)
 
-    tuples = set(database.table("orders").tuples)
+    tuples = set(database.table("orders"))
     reference, naive_seconds = _best_of(
         lambda: naive_sort_group(tuples, GROUP_BY, SPECS))
 

@@ -39,12 +39,12 @@ def test_report_storage_comparison():
     dependency = employee_dependency()
     attributes = employee_scheme().attributes
 
-    flexible_cells = sum(len(t) for t in table.tuples)
+    flexible_cells = sum(len(t) for t in table)
 
     flat = NullPaddedTable(attributes, dependency)
-    flat.insert_many(table.tuples)
+    flat.insert_many(set(table))
     flags = BooleanFlagTable(attributes, dependency)
-    flags.insert_many(table.tuples)
+    flags.insert_many(set(table))
     horizontal = horizontal_decomposition(table, dependency)
     vertical = vertical_decomposition(table, dependency, key=["emp_id"])
 
@@ -73,11 +73,11 @@ def test_report_losslessness_and_consistency():
     horizontal = horizontal_decomposition(table, dependency)
     vertical = vertical_decomposition(table, dependency, key=["emp_id"])
     flat = NullPaddedTable(employee_scheme().attributes, dependency)
-    flat.insert_many(table.tuples)
+    flat.insert_many(set(table))
     rows = [{
         "horizontal lossless (outer union)": horizontal.is_lossless(table),
         "vertical lossless (multiway join)": vertical.is_lossless(table),
-        "flat round-trip equals instance": flat.to_tuples() == table.tuples,
+        "flat round-trip equals instance": flat.to_tuples() == set(table),
         "flat inconsistencies detectable only by inspection": len(flat.inconsistent_rows()) == 0,
     }]
     print_report("E8: restoration of the decompositions", rows)
@@ -136,7 +136,7 @@ def test_bench_flat_table_load(benchmark):
 
     def run():
         flat = NullPaddedTable(attributes, dependency)
-        flat.insert_many(table.tuples)
+        flat.insert_many(set(table))
         return flat.null_cells()
 
     assert benchmark(run) > 0

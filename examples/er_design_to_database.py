@@ -83,9 +83,9 @@ def main():
     print("restored by multiway join:", vertical.is_lossless(vehicles))
 
     flat = NullPaddedTable(mapping.scheme.attributes, mapping.dependency)
-    flat.insert_many(vehicles.tuples)
+    flat.insert_many(set(vehicles))
     print("\nstorage comparison (cells): flexible =",
-          sum(len(t) for t in vehicles.tuples),
+          sum(len(t) for t in vehicles),
           " flat single table =", flat.stored_cells(),
           " of which NULL =", flat.null_cells())
     assert flat.null_cells() == null_count(vehicles, mapping.scheme.attributes)

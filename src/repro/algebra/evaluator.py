@@ -5,15 +5,16 @@ set of tuples together with :class:`ExecutionStats` — operator-level counters
 (tuples scanned, predicate evaluations, guard checks, join pairs considered) that
 the optimizer benchmarks use as a machine-independent cost measure.
 
-Base relations are resolved against a *source*: either a mapping
-``{name: FlexibleRelation}`` or any object exposing ``relation(name)`` (such as
-:class:`repro.engine.Database`).  Each node class's semantics is one entry of
-:data:`EVALUATORS`, found by :func:`~repro.algebra.expressions.dispatch`.
+Base relations are read from a :class:`~repro.algebra.source.Source` (such as
+:class:`repro.engine.Database`, or a plain mapping ``{name: FlexibleRelation}``
+wrapped by :func:`~repro.algebra.source.as_source`).  Each node class's
+semantics is one entry of :data:`EVALUATORS`, found by
+:func:`~repro.algebra.expressions.dispatch`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.algebra.analytic import (
     AggregateAccumulator,
@@ -42,6 +43,7 @@ from repro.algebra.expressions import (
     Union,
     dispatch,
 )
+from repro.algebra.source import as_source
 from repro.errors import AlgebraError
 from repro.model.attributes import AttributeSet
 from repro.model.tuples import FlexTuple
@@ -157,35 +159,11 @@ class EvaluationResult:
         return "EvaluationResult({} tuples, work={})".format(len(self.tuples), self.stats.total_work)
 
 
-def _resolve_relation(source, name: str) -> Iterable[FlexTuple]:
-    if source is None:
-        raise AlgebraError("no relation source given; cannot resolve {!r}".format(name))
-    if hasattr(source, "relation"):
-        relation = source.relation(name)
-    elif isinstance(source, dict):
-        try:
-            relation = source[name]
-        except KeyError:
-            raise AlgebraError("unknown relation {!r}".format(name)) from None
-    else:
-        raise AlgebraError("unsupported relation source {!r}".format(source))
-    # the class first: on a table or a flexible relation ``tuples`` is a
-    # property that copies every tuple, and ``hasattr`` would run it
-    if hasattr(type(relation), "tuples") or hasattr(relation, "tuples"):
-        if hasattr(relation, "__iter__"):
-            # a relation iterates its tuples uncopied and in its own order —
-            # a table's is insertion order, so a scan ignores the hash seed
-            return relation
-        tuples = relation.tuples
-        return tuples() if callable(tuples) else tuples
-    return {t if isinstance(t, FlexTuple) else FlexTuple(t) for t in relation}
-
-
 class Evaluator:
     """Executes algebra expressions against a source of base relations."""
 
     def __init__(self, source):
-        self.source = source
+        self.source = as_source(source)
 
     def evaluate(self, expression: Expression, stats: Optional[ExecutionStats] = None) -> EvaluationResult:
         """Evaluate ``expression`` and return tuples plus execution statistics."""
@@ -206,7 +184,7 @@ class Evaluator:
     # -- operator implementations ------------------------------------------------------------
 
     def _eval_relation(self, node: RelationRef, stats: ExecutionStats) -> Set[FlexTuple]:
-        tuples = set(_resolve_relation(self.source, node.name))
+        tuples = set(self.source.relation(node.name))
         stats.tuples_scanned += len(tuples)
         return tuples
 

@@ -20,9 +20,9 @@ structure, every node knows
   and what tells it apart from its class's other nodes
   (:meth:`Expression.structural_key`).
 
-The dependency information is resolved against a *catalog*: any object with a
-``dependencies(name)`` (and ``key(name)``) method, such as
-:class:`repro.engine.Database`, or a plain mapping ``{name: iterable of dependencies}``.
+A base relation's facts are resolved against a *catalog*: a
+:class:`~repro.algebra.source.Source` (such as :class:`repro.engine.Database`)
+or anything :func:`~repro.algebra.source.as_source` takes.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro.algebra.analytic import (
     sort_key,
 )
 from repro.algebra.predicates import Predicate, TruePredicate
+from repro.algebra.source import as_source
 from repro.core.dependencies import (
     AttributeDependency,
     Dependency,
@@ -44,7 +45,7 @@ from repro.core.dependencies import (
     FunctionalDependency,
 )
 from repro.core.propagation import as_ads, propagate_tagged_union, propagate_union
-from repro.errors import AlgebraError, CatalogError
+from repro.errors import AlgebraError
 from repro.model.attributes import AttributeSet, attrset
 
 #: a node's keys: attribute sets every result tuple carries and that determine it
@@ -86,28 +87,6 @@ def dispatch(table: dict, node: "Expression"):
     return None
 
 
-def declared_attributes(source, name: str) -> Optional[AttributeSet]:
-    """The attribute universe a base relation's scheme declares, or ``None``.
-
-    Databases answer from the catalog's flexible scheme; plain mappings answer
-    when the entry carries its scheme (a ``FlexibleRelation``).  Bare tuple
-    sets and unknown names have no declared universe — callers then refuse to
-    reason from it rather than guess from the data.
-    """
-    relation = None
-    if hasattr(source, "table"):
-        try:
-            relation = source.table(name)
-        except Exception:
-            return None
-    elif isinstance(source, dict):
-        relation = source.get(name)
-    definition = getattr(relation, "definition", None)
-    scheme = getattr(definition, "scheme", None) or getattr(relation, "scheme", None)
-    attributes = getattr(scheme, "attributes", None)
-    return None if attributes is None else attrset(attributes)
-
-
 def _universe_of(children: Sequence["Expression"], source) -> Optional[AttributeSet]:
     result = AttributeSet()
     for child in children:
@@ -116,24 +95,6 @@ def _universe_of(children: Sequence["Expression"], source) -> Optional[Attribute
             return None
         result = result | universe
     return result
-
-
-def _catalog_dependencies(catalog, name: str) -> List[Dependency]:
-    """Fetch the declared dependencies of a base relation from a catalog-like object."""
-    if catalog is None:
-        return []
-    if hasattr(catalog, "dependencies"):
-        return list(catalog.dependencies(name))
-    if isinstance(catalog, dict):
-        entry = catalog.get(name)
-        if entry is None:
-            return []
-        if hasattr(entry, "dependencies"):
-            return list(entry.dependencies)
-        if isinstance(entry, (list, tuple, set, frozenset)):
-            return list(entry)
-        return []
-    return []
 
 
 class Expression:
@@ -336,18 +297,15 @@ class RelationRef(Expression):
         self.name = name
 
     def known_dependencies(self, catalog=None) -> Set[Dependency]:
-        return set(_catalog_dependencies(catalog, self.name))
+        return set(as_source(catalog).dependencies(self.name))
 
     def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
         # the declared key: the engine refuses a tuple lacking it or repeating it
-        try:
-            key = catalog.key(self.name) if hasattr(catalog, "key") else None
-        except CatalogError:  # an unknown relation: its scan reports it
-            key = None
+        key = as_source(catalog).key(self.name)
         return _NO_KEYS if key is None else frozenset({key})
 
     def attribute_universe(self, source) -> Optional[AttributeSet]:
-        return declared_attributes(source, self.name)
+        return as_source(source).universe(self.name)
 
     def structural_key(self, children, params=None, constants=None) -> Tuple:
         return (self.operator, self.name)

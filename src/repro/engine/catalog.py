@@ -101,6 +101,9 @@ class Catalog:
     every schema change (register / unregister).  The physical executor keys its
     plan cache on this version, so cached plans are invalidated exactly when the
     schema they were planned against changes.
+
+    It answers the fact half of the :class:`~repro.algebra.source.Source`
+    protocol: :meth:`universe`, :meth:`key` and :meth:`dependencies`.
     """
 
     def __init__(self):
@@ -134,13 +137,20 @@ class Catalog:
         except KeyError:
             raise CatalogError("unknown table {!r}".format(name)) from None
 
-    def dependencies(self, name: str) -> List[Dependency]:
-        """Declared dependencies of a table (the optimizer's entry point)."""
-        return list(self.definition(name).dependencies)
+    def universe(self, name: str) -> Optional[AttributeSet]:
+        """Every attribute the scheme of table ``name`` declares."""
+        definition = self._definitions.get(name)
+        return None if definition is None else definition.scheme.attributes
+
+    def dependencies(self, name: str) -> Sequence[Dependency]:
+        """Declared dependencies of a table."""
+        definition = self._definitions.get(name)
+        return () if definition is None else list(definition.dependencies)
 
     def key(self, name: str) -> Optional[AttributeSet]:
-        """Declared key of a table, if any (the physical planner's entry point)."""
-        return self.definition(name).key
+        """Declared key of a table, if any."""
+        definition = self._definitions.get(name)
+        return None if definition is None else definition.key
 
     def names(self) -> List[str]:
         """Registered table names, sorted."""

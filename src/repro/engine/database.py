@@ -12,7 +12,7 @@ from __future__ import annotations
 import weakref
 from itertools import islice
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.algebra.evaluator import EvaluationResult, Evaluator
 from repro.algebra.expressions import Expression
@@ -113,9 +113,8 @@ class Table:
         return self.definition.name
 
     @property
-    def tuples(self) -> Set[FlexTuple]:
-        """A copy of the stored tuples."""
-        return set(self._tuples)
+    def scheme(self) -> FlexibleScheme:
+        return self.definition.scheme
 
     def __iter__(self):
         return iter(self._tuples)
@@ -490,19 +489,33 @@ class Database:
         except KeyError:
             raise CatalogError("unknown table {!r}".format(name)) from None
 
-    # -- interfaces consumed by the algebra / optimizer ----------------------------------------------
+    # -- the Source protocol (repro.algebra.source) --------------------------------------------------
 
     def relation(self, name: str) -> Table:
-        """Alias of :meth:`table` (the evaluator's resolution hook)."""
+        """The stored table ``name``: its rows, in insertion order."""
         return self.table(name)
 
-    def dependencies(self, name: str) -> List[Dependency]:
-        """Declared dependencies of a table (the optimizer's resolution hook)."""
+    def scan_view(self, name: str) -> ScanView:
+        """The rows of table ``name`` pivoted for full scans (:meth:`Table.scan_view`)."""
+        return self.table(name).scan_view()
+
+    def universe(self, name: str) -> Optional[AttributeSet]:
+        """Every attribute the scheme of table ``name`` declares, if it is known."""
+        return self.catalog.universe(name)
+
+    def dependencies(self, name: str) -> Sequence[Dependency]:
+        """Declared dependencies of a table; ``()`` for an unknown one."""
         return self.catalog.dependencies(name)
 
     def key(self, name: str) -> Optional[AttributeSet]:
-        """Declared key of a table, if any (the physical planner's resolution hook)."""
+        """Declared key of a table, if any."""
         return self.catalog.key(name)
+
+    def index_for(self, name: str, attributes) -> Optional[HashIndex]:
+        """The hash index of table ``name`` covered by ``attributes``
+        (:meth:`Table.index_for`); ``None`` for an unknown table."""
+        table = self._tables.get(name)
+        return None if table is None else table.index_for(attributes)
 
     def tables(self) -> List[str]:
         return self.catalog.names()

@@ -18,6 +18,7 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.algebra.evaluator import ExecutionStats
+from repro.algebra.source import as_source
 
 #: default number of tuples per batch handed between operators, for plans
 #: without a sizing decision of their own (hand-built ones) — large enough to
@@ -164,8 +165,9 @@ class ExecutionContext:
     Parameters
     ----------
     source:
-        The relation source — a :class:`repro.engine.Database`, a mapping
-        ``{name: relation}``, or anything the naive evaluator accepts.
+        The relation :class:`~repro.algebra.source.Source` — a
+        :class:`repro.engine.Database`, or a mapping ``{name: relation}``
+        that :func:`~repro.algebra.source.as_source` wraps.
     stats:
         The global work counters; a fresh :class:`ExecutionStats` when omitted.
     batch_size:
@@ -190,7 +192,7 @@ class ExecutionContext:
     def __init__(self, source, stats: Optional[ExecutionStats] = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  timing: bool = True, governor=None, params=()):
-        self.source = source
+        self.source = as_source(source)
         self.stats = stats if stats is not None else ExecutionStats()
         self.batch_size = max(1, int(batch_size))
         self.timing = timing
@@ -199,15 +201,6 @@ class ExecutionContext:
         self.budgeted = governor is not None and governor.memory_budget is not None
         self.params = params
         self._operator_stats: List[OperatorStats] = []
-
-    def index_for(self, relation: str, attributes):
-        """The engine-maintained hash index of base relation ``relation``
-        covered by ``attributes``, or ``None``: the source keeps no tables (a
-        plain mapping), or no index of the table is covered."""
-        if not hasattr(self.source, "relation"):
-            return None
-        index_for = getattr(self.source.relation(relation), "index_for", None)
-        return None if index_for is None else index_for(attributes)
 
     def enforce_memory(self, op_stats: OperatorStats, size_bytes: int) -> None:
         """Record a sampled state size and enforce the memory budget, if any.

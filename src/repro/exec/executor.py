@@ -42,14 +42,9 @@ from math import log2
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.algebra.evaluator import ExecutionStats
-from repro.algebra.expressions import (
-    Expression,
-    Rename,
-    Selection,
-    Union,
-    _catalog_dependencies,
-)
+from repro.algebra.expressions import Expression, Rename, Selection, Union
 from repro.algebra.predicates import Comparison, Parameter
+from repro.algebra.source import as_source
 from repro.core.dependencies import ExplicitAttributeDependency
 from repro.exec.planner import (
     PhysicalPlan,
@@ -57,7 +52,6 @@ from repro.exec.planner import (
     PhysicalResult,
 )
 from repro.obs.feedback import expression_key, referenced_tables
-from repro.obs.trace import tracer_of
 from repro.optimizer.planner import Planner
 from repro.optimizer.rewrite_rules import RewriteReport
 from repro.query.lexer import (
@@ -179,28 +173,18 @@ def _confirms(tokens, stripped, spans) -> bool:
     return True
 
 
-def _catalog_version(source) -> object:
-    """The source's schema version, or ``None`` for versionless sources (dicts)."""
-    return getattr(source, "catalog_version", None)
-
-
-def _statistics_version(source) -> object:
-    """The source's statistics version (plans depend on the estimates they were
-    chosen under, so a re-ANALYZE or a table's drift must re-plan)."""
-    return getattr(source, "statistics_version", None)
-
-
 class PhysicalExecutor:
     """Executes logical expressions through cached physical plans.
 
-    ``source`` is a :class:`repro.engine.Database` or any relation source the
-    evaluator accepts; databases additionally contribute their catalog version to
-    the cache key and their hash indexes to scans.
+    ``source`` is a :class:`~repro.algebra.source.Source`, a plain mapping
+    wrapped by :func:`~repro.algebra.source.as_source`; a database's catalog
+    and statistics versions key the plan cache, and its hash indexes serve
+    scans (a mapping has neither).
     """
 
     def __init__(self, source):
-        self.source = source
-        self.planner = PhysicalPlanner(source=source)
+        self.source = as_source(source)
+        self.planner = PhysicalPlanner(source=self.source)
         self.cache = PlanCache(PLAN_CACHE_SIZE)
         #: statements, template shapes and templates, under the same LRU bound
         self._templates = PlanCache(PLAN_CACHE_SIZE)
@@ -266,7 +250,7 @@ class PhysicalExecutor:
         text's literal-free remainder, once the tokens confirmed it, is a
         second key into the same entry (see the module docstring).
         """
-        version = _catalog_version(self.source)
+        version = self.source.catalog_version
         remainder, spans = literal_spans(text)
         raw_key = ("raw", remainder, version)
         entry = self._templates.get(raw_key)
@@ -310,12 +294,12 @@ class PhysicalExecutor:
     def _shape(self, walk_key, expression: Expression, constants) -> tuple:
         """``(id, structural slots)`` of a literal-free key: the slots whose
         constants the rewrite rules can read (see the module docstring)."""
-        key = ("shape", walk_key, _catalog_version(self.source))
+        key = ("shape", walk_key, self.source.catalog_version)
         shape = self._templates.get(key)
         if shape is None:
             determinants = set()
             for table in referenced_tables(expression):
-                for dependency in _catalog_dependencies(self.source, table):
+                for dependency in self.source.dependencies(table):
                     if isinstance(dependency, ExplicitAttributeDependency):
                         determinants.update(a.name for a in dependency.lhs)
             compared = False
@@ -369,7 +353,7 @@ class PhysicalExecutor:
         Which distribution each site reads is fixed per statistics version, so
         it is resolved once per template and version; the bucket is read per
         call."""
-        version = _statistics_version(self.source)
+        version = self.source.statistics_version
         held = self._site_statistics.get(template.key)
         if held is None or held[0] != version:
             resolved = []
@@ -400,7 +384,7 @@ class PhysicalExecutor:
         is no evidence against this plan, and a plan re-planned for every new
         literal's first observation would never be reused.
         """
-        feedback = getattr(self.source, "cardinality_feedback", None)
+        feedback = self.source.cardinality_feedback
         if feedback is None or plan.feedback_version == feedback.version:
             return True
         same_binding = params == plan.params
@@ -426,16 +410,16 @@ class PhysicalExecutor:
             return self.plan(template, params).bound(params)
         key = PlanKey(expression.key,
                       self._parameter_classes(expression, params) if params else (),
-                      _catalog_version(self.source), _statistics_version(self.source))
-        tracer = tracer_of(self.source)
+                      self.source.catalog_version, self.source.statistics_version)
+        tracer = self.source.tracer
         plan = self.cache.get(key, lambda cached: self._reads_hold(cached, params))
         if plan is None:
             if tracer is not None:
                 tracer.event("plan-cache-miss", hits=self.cache.hits,
                              misses=self.cache.misses)
             plan = self.planner.plan(expression.expression, params=params)
-            plan.feedback_version = getattr(
-                getattr(self.source, "cardinality_feedback", None), "version", None)
+            feedback = self.source.cardinality_feedback
+            plan.feedback_version = None if feedback is None else feedback.version
             self.cache.put(key, plan)
         elif tracer is not None:
             tracer.event("plan-cache-hit", hits=self.cache.hits,

@@ -82,7 +82,6 @@ from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.analytic import AggregateSpec, CompiledOrder, SortKey
-from repro.algebra.evaluator import _resolve_relation
 from repro.algebra.predicates import Parameter, Predicate
 from repro.errors import AlgebraError
 from repro.exec.compiled import (
@@ -350,13 +349,11 @@ class Scan(PhysicalOperator):
     bucket instead of the whole relation.  The full predicate is still applied to every tuple read, so
     an index never changes the result — only how many tuples are touched.
 
-    An unprobed scan of a stored table reads the table's
-    :class:`~repro.model.batches.ScanView` and emits
-    :class:`~repro.model.batches.ScanBatch` windows onto it: their columns
-    are slices of columns the table pivoted once for this version of its
-    rows, and a write drops the view.  A probed bucket, and a relation that is
-    no table (a ``FlexibleRelation``, a mapping's set), is copied and pivoted
-    batch by batch.  Either way the rows are fixed at the first pull.
+    An unprobed scan emits :class:`~repro.model.batches.ScanBatch` windows
+    onto the source's :class:`~repro.model.batches.ScanView`: a table pivots
+    its columns once per version of its rows (a write drops the view), a
+    mapping for each scan.  A probed bucket is copied and pivoted batch by
+    batch.  Either way the rows are fixed at the first pull.
     """
 
     name = "batch-scan"
@@ -391,7 +388,7 @@ class Scan(PhysicalOperator):
         satisfiable elsewhere — full scan)."""
         if not self.equalities:
             return None
-        index = ctx.index_for(self.relation, self._equality_names)
+        index = ctx.source.index_for(self.relation, self._equality_names)
         if index is None:
             return None
         key = []
@@ -405,16 +402,11 @@ class Scan(PhysicalOperator):
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[TupleBatch]:
         """What the scan reads, in ``ctx.batch_size`` batches: the probed
-        bucket; else a table's scan view, pivoted once per table version;
-        else a copy of the relation's tuples."""
+        bucket, else the source's scan view of the relation."""
         size = ctx.batch_size
         rows = self._probed(ctx)
         if rows is None:
-            relation = _resolve_relation(ctx.source, self.relation)
-            scan_view = getattr(relation, "scan_view", None)
-            if scan_view is not None:
-                return scan_view().batches(size)
-            rows = list(relation)
+            return ctx.source.scan_view(self.relation).batches(size)
         return (TupleBatch(rows[start:start + size])
                 for start in range(0, len(rows), size))
 
@@ -876,7 +868,7 @@ class IndexLookupJoin(PhysicalOperator):
 
     def _generate(self, ctx, op, outer) -> Iterator[TupleBatch]:
         on_names = self._on_names
-        index = ctx.index_for(self.relation, self.on)
+        index = ctx.source.index_for(self.relation, self.on)
         stats = ctx.stats
         seen = self._seen()
         if index is None:

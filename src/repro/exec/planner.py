@@ -86,6 +86,7 @@ from repro.algebra.expressions import (
     dispatch,
     memoized_keys,
 )
+from repro.algebra.source import as_source
 from repro.errors import OptimizerError
 from repro.exec.context import (
     DEFAULT_BATCH_SIZE,
@@ -113,7 +114,7 @@ from repro.exec.operators import (
 )
 from repro.model.tuples import FlexTuple
 from repro.obs.feedback import referenced_tables
-from repro.obs.trace import NOOP_SPAN, tracer_of
+from repro.obs.trace import NOOP_SPAN
 from repro.optimizer.cost import CostEstimate, CostModel
 from repro.optimizer.joinorder import (
     JoinSearchReport,
@@ -260,15 +261,17 @@ class PhysicalPlan:
 class PhysicalPlanner:
     """Lowers logical expressions to physical plans.
 
-    ``source`` (a database or mapping) supplies base-relation cardinalities for
-    the join decisions (index lookup or hash join, and the build side).
+    ``source`` (a :class:`~repro.algebra.source.Source`, or a mapping
+    :func:`~repro.algebra.source.as_source` wraps) supplies base-relation
+    cardinalities and indexes for the join decisions (index lookup or hash
+    join, and the build side).
     ``join_order_search`` is ``"dp"`` (the search of
     :mod:`repro.optimizer.joinorder`) or ``"none"`` (the written order).
     """
 
     def __init__(self, source=None, join_order_search: str = "dp"):
-        self.source = source
-        self.cost_model = CostModel(source)
+        self.source = as_source(source)
+        self.cost_model = CostModel(self.source)
         if join_order_search not in ("dp", "none"):
             raise OptimizerError(
                 "unknown join_order_search mode {!r}; use dp/none".format(
@@ -305,7 +308,7 @@ class PhysicalPlanner:
         self._stages = []
         reads: dict = {}
         self.cost_model.bind(params, reads)
-        self._tracer = tracer_of(self.source)
+        self._tracer = self.source.tracer
         span = (self._tracer.span("physical-plan",
                                   join_order_search=self.join_order_search)
                 if self._tracer is not None else NOOP_SPAN)
@@ -332,7 +335,7 @@ class PhysicalPlanner:
         """Record which tables contribute statistics to this plan."""
         if self._tracer is None:
             return
-        catalog = getattr(self.source, "statistics", None)
+        catalog = self.source.statistics
         if catalog is None:
             self._tracer.event("statistics-lookup", tables=[], version=None)
             return

@@ -55,7 +55,6 @@ from repro.obs.trace import (
     Span,
     Tracer,
     TraceSink,
-    tracer_of,
 )
 
 __all__ = [
@@ -83,5 +82,4 @@ __all__ = [
     "q_error",
     "referenced_tables",
     "render_explain_analyze",
-    "tracer_of",
 ]

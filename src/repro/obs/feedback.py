@@ -38,7 +38,8 @@ changed, so an observation on one query never strands the plans of another.
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from ..algebra.expressions import Expression, RelationRef, declared_attributes
+from ..algebra.expressions import Expression, RelationRef
+from ..algebra.source import as_source
 
 __all__ = ["CardinalityFeedback", "DEFAULT_CAPACITY", "EDGE_TOLERANCE",
            "QERROR_THRESHOLD", "attribute_carriers", "expression_key",
@@ -105,8 +106,9 @@ def attribute_carriers(source, tables, name: str) -> frozenset:
     Tables the source cannot resolve (or without a declared scheme) are left
     out rather than guessed at.
     """
+    source = as_source(source)
     return frozenset(table for table in tables
-                     if name in (declared_attributes(source, table) or ()))
+                     if name in (source.universe(table) or ()))
 
 
 class CardinalityFeedback:

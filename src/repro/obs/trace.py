@@ -225,13 +225,3 @@ class Tracer:
 
     def __repr__(self) -> str:
         return "Tracer(enabled={}, depth={})".format(self.enabled, len(self._stack))
-
-
-def tracer_of(source) -> Optional[Tracer]:
-    """The tracer carried by a relation source (a Database), or ``None``.
-
-    The helper every engine layer uses: plain mapping sources have no tracer,
-    and the returned ``None`` short-circuits all instrumentation.
-    """
-    tracer = getattr(source, "tracer", None)
-    return tracer if isinstance(tracer, Tracer) else None

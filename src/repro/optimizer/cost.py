@@ -78,10 +78,10 @@ from repro.algebra.expressions import (
     SubqueryExtension,
     TypeGuardNode,
     Union,
-    declared_attributes,
     dispatch,
 )
 from repro.algebra.predicates import And, FalsePredicate, PresencePredicate
+from repro.algebra.source import as_source
 from repro.errors import OptimizerError, ReproError
 from repro.obs.feedback import attribute_carriers, expression_key, referenced_tables
 from repro.stats.statistics import TableStatistics, join_selectivity
@@ -124,44 +124,31 @@ class CostEstimate:
 
 
 def _base_cardinality(source, name: str) -> int:
-    if source is None:
-        return 0
-    if hasattr(source, "relation"):
-        try:
-            relation = source.relation(name)
-        except ReproError:
-            # An estimator should degrade gracefully on unknown names; the evaluator
-            # is the component that reports them as hard errors.
-            relation = None
-    elif isinstance(source, dict):
-        relation = source.get(name)
-    else:
-        relation = None
-    if relation is None:
-        return 0
     try:
-        return len(relation)
-    except TypeError:
+        return len(source.relation(name))
+    except ReproError:
+        # An estimator should degrade gracefully on unknown names; the evaluator
+        # is the component that reports them as hard errors.
         return 0
 
 
 class CostModel:
     """Statistics-aware cardinality and work estimation.
 
-    The statistics are the source's ``statistics`` catalog — a
-    :class:`~repro.engine.Database` carries a
-    :class:`~repro.stats.StatisticsCatalog` — so an analyzed database
-    automatically estimates from its data.  Every lookup happens per estimate,
-    hence a table without statistics (``get`` returning ``None``) transparently
-    falls back to the default constants.
+    The statistics are the :class:`~repro.algebra.source.Source`'s
+    ``statistics`` catalog — a :class:`~repro.engine.Database` carries a
+    :class:`~repro.stats.StatisticsCatalog`, a mapping none — so an analyzed
+    database automatically estimates from its data.  Every lookup happens per
+    estimate, hence a table without statistics (``get`` returning ``None``)
+    transparently falls back to the default constants.
     """
 
     def __init__(self, source=None):
-        self.source = source
-        self.statistics = getattr(source, "statistics", None)
+        self.source = as_source(source)
+        self.statistics = self.source.statistics
         #: the engine's :class:`~repro.obs.feedback.CardinalityFeedback` store:
         #: observed cardinalities take precedence over histogram/NDV estimation
-        self.feedback = getattr(source, "cardinality_feedback", None)
+        self.feedback = self.source.cardinality_feedback
         self.bind()
 
     def bind(self, params=(), reads: Optional[dict] = None) -> None:
@@ -196,7 +183,7 @@ class CostModel:
         dependency of the costing (see :meth:`bind`) either way.
         """
         feedback = self.feedback
-        version = getattr(self.statistics, "version", None)
+        version = self.source.statistics_version
         if feedback is None or version is None:
             return None
         dependency = ("edges", (name, version))
@@ -216,12 +203,7 @@ class CostModel:
 
     def table_statistics(self, name: str) -> Optional[TableStatistics]:
         """The statistics of a base relation, or ``None``."""
-        if self.statistics is None:
-            return None
-        getter = getattr(self.statistics, "get", None)
-        if getter is None:
-            return None
-        return getter(name)
+        return None if self.statistics is None else self.statistics.get(name)
 
     def base_statistics(self, expression: Expression) -> Optional[TableStatistics]:
         """Statistics of the single base relation feeding ``expression``.
@@ -267,7 +249,7 @@ class CostModel:
         feedback = self.feedback
         if feedback is None or isinstance(expression, (RelationRef, EmptyRelation)):
             return None
-        version = getattr(self.statistics, "version", None)
+        version = self.source.statistics_version
         if version is None:
             return None
         key, bound = self.fingerprint(expression)
@@ -462,7 +444,7 @@ class CostModel:
             width = statistics.average_width()
             if width > 0.0:
                 return width
-        declared = declared_attributes(self.source, expression.name)
+        declared = self.source.universe(expression.name)
         return float(len(declared)) if declared else DEFAULT_TUPLE_WIDTH
 
     def _first_input_width(self, expression: Expression) -> float:

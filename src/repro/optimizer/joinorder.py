@@ -412,18 +412,10 @@ def index_probe_cost(source, relation: Optional[str], attributes,
     examines.  ``None`` when ``relation`` is not a base relation the source
     resolves or no index is covered by the join attributes.
     """
-    if relation is None or not hasattr(source, "relation"):
-        return None
-    try:
-        table = source.relation(relation)
-    except Exception:
-        return None
-    index_for = getattr(table, "index_for", None)
-    index = index_for(attributes) if index_for is not None else None
+    index = None if relation is None else source.index_for(relation, attributes)
     if index is None:
         return None
-    bucket_size = getattr(index, "average_bucket_size", None)
-    fan_out = 1.0 if bucket_size is None else max(1.0, bucket_size())
+    fan_out = max(1.0, index.average_bucket_size())
     return outer_rows * (INDEX_PROBE_COST_FACTOR + fan_out)
 
 

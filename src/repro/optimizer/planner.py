@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import Expression
+from repro.algebra.source import as_source
 from repro.optimizer.analytic_rules import (
     eliminate_noop_sorts,
     push_aggregate_into_unions,
@@ -46,13 +47,13 @@ DEFAULT_RULES: Tuple[Callable, ...] = (
 class Planner:
     """Applies dependency-aware rewrite rules to algebra expressions.
 
-    ``catalog`` is the source of declared dependencies for base relations (any
-    object with a ``dependencies(name)`` method, e.g. :class:`repro.engine.Database`,
-    or a mapping).  ``rules`` may be overridden to ablate individual rewrites.
+    ``catalog`` is the :class:`~repro.algebra.source.Source` of the base
+    relations' declared facts (a :class:`repro.engine.Database`; a mapping declares
+    none).  ``rules`` may be overridden to ablate individual rewrites.
     """
 
     def __init__(self, catalog=None, rules: Optional[Sequence[Callable]] = None):
-        self.catalog = catalog
+        self.catalog = as_source(catalog)
         self.rules = tuple(rules) if rules is not None else DEFAULT_RULES
 
     def optimize(self, expression: Expression) -> Tuple[Expression, RewriteReport]:

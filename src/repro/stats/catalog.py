@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.obs.trace import tracer_of
 from repro.stats.statistics import TableStatistics, analyze_table
 
 #: the share of a table's rows at ANALYZE whose mutation bumps the version once
@@ -89,15 +88,13 @@ class StatisticsCatalog:
         ``None`` reads every tuple.
         """
         names = [name] if name is not None else self._database.tables()
-        tracer = tracer_of(self._database)
+        tracer = self._database.tracer
         for table_name in names:
             table = self._database.table(table_name)
             statistics = analyze_table(table, sample_size=sample_size)
             self._entries[table_name] = _Entry(statistics, table)
-            if tracer is not None:
-                tracer.event("analyze", table=table_name,
-                             rows=statistics.row_count,
-                             sample_size=sample_size)
+            tracer.event("analyze", table=table_name, rows=statistics.row_count,
+                         sample_size=sample_size)
         self._version += 1
         return self
 

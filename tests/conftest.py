@@ -116,7 +116,7 @@ def employee_database(employee_table):
         key=definition.key,
         dependencies=definition.dependencies,
     )
-    table.insert_many(employee_table.tuples)
+    table.insert_many(set(employee_table))
     return database
 
 

@@ -37,7 +37,7 @@ class TestNullPaddedTable:
 
     def test_null_cells_counted(self, jobtype_ead, loaded_table):
         flat = NullPaddedTable(employee_scheme().attributes, jobtype_ead)
-        flat.insert_many(loaded_table.tuples)
+        flat.insert_many(set(loaded_table))
         # every employee has exactly 2 of the 5 variant attributes → 3 NULLs per row
         assert flat.null_cells() == 3 * len(loaded_table)
         assert flat.stored_cells() == len(loaded_table) * 10
@@ -57,13 +57,13 @@ class TestNullPaddedTable:
 
     def test_consistent_rows_report_clean(self, jobtype_ead, loaded_table):
         flat = NullPaddedTable(employee_scheme().attributes, jobtype_ead)
-        flat.insert_many(loaded_table.tuples)
+        flat.insert_many(set(loaded_table))
         assert flat.inconsistent_rows() == []
 
     def test_round_trip_to_tuples(self, jobtype_ead, loaded_table):
         flat = NullPaddedTable(employee_scheme().attributes, jobtype_ead)
-        flat.insert_many(loaded_table.tuples)
-        assert flat.to_tuples() == loaded_table.tuples
+        flat.insert_many(set(loaded_table))
+        assert flat.to_tuples() == set(loaded_table)
 
     def test_unknown_attribute_rejected(self, jobtype_ead):
         flat = NullPaddedTable(employee_scheme().attributes, jobtype_ead)
@@ -85,11 +85,11 @@ class TestBooleanFlagTable:
 
     def test_metrics_and_consistency(self, jobtype_ead, loaded_table):
         flat = BooleanFlagTable(employee_scheme().attributes, jobtype_ead)
-        flat.insert_many(loaded_table.tuples)
+        flat.insert_many(set(loaded_table))
         assert flat.null_cells() == 3 * len(loaded_table)
         assert flat.stored_cells() == len(loaded_table) * (9 + 3)
         assert flat.inconsistent_rows() == []
-        assert flat.to_tuples() == loaded_table.tuples
+        assert flat.to_tuples() == set(loaded_table)
 
     def test_wrong_flags_detected(self, jobtype_ead):
         flat = BooleanFlagTable(employee_scheme().attributes, jobtype_ead)
@@ -126,8 +126,8 @@ class TestMultirelation:
         assert employee_multirelation.master_rows[0]["image"] is None
 
     def test_restore_round_trip(self, employee_multirelation, loaded_table):
-        employee_multirelation.insert_many(loaded_table.tuples)
-        assert employee_multirelation.restore() == loaded_table.tuples
+        employee_multirelation.insert_many(set(loaded_table))
+        assert employee_multirelation.restore() == set(loaded_table)
 
     def test_unknown_variant_combination_rejected(self, employee_multirelation):
         with pytest.raises(ReproError):
@@ -153,18 +153,18 @@ class TestMultirelation:
     def test_image_attribute_is_a_special_case_of_an_ad(self, employee_multirelation, loaded_table):
         # Section 5: translate the multirelation into the equivalent explicit AD and
         # check that it accepts exactly the restored instance extended by the image value.
-        employee_multirelation.insert_many(loaded_table.tuples)
+        employee_multirelation.insert_many(set(loaded_table))
         dependency = employee_multirelation.to_explicit_ad()
         assert dependency.lhs == attrset(["image"])
         for master_row in employee_multirelation.master_rows:
             if master_row["image"] is None:
                 continue
             key_value = master_row["emp_id"]
-            original = next(t for t in loaded_table.tuples if t["emp_id"] == key_value)
+            original = next(t for t in set(loaded_table) if t["emp_id"] == key_value)
             tagged = original.extend(image=master_row["image"])
             assert dependency.check_tuple(tagged)
 
     def test_stored_cells_metric(self, employee_multirelation, loaded_table):
-        employee_multirelation.insert_many(loaded_table.tuples)
+        employee_multirelation.insert_many(set(loaded_table))
         assert employee_multirelation.stored_cells() > 0
         assert len(employee_multirelation) == len(loaded_table)

@@ -977,7 +977,7 @@ class TestLifecycle:
         assert not database.durability.in_transaction
         recovered = Database(durable_path=path)
         # the uncommitted insert was aborted by close, not replayed
-        assert sorted(t["k"] for t in recovered.table("t").tuples) == [1]
+        assert sorted(t["k"] for t in recovered.table("t")) == [1]
         assert verify_database(recovered) == []
         recovered.close()
 
@@ -1003,7 +1003,7 @@ class TestLifecycle:
         # the surfaced offset is honest: reopening the same path recovers the
         # intact prefix and the database serves writes again
         recovered = Database(durable_path=path)
-        assert sorted(t["k"] for t in recovered.table("t").tuples) == [1]
+        assert sorted(t["k"] for t in recovered.table("t")) == [1]
         recovered.insert("t", {"k": 9})
         assert len(recovered.table("t")) == 2
         recovered.close()

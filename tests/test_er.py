@@ -150,7 +150,7 @@ class TestDecomposition:
                                                        "salesman", "rest"}
         assert decomposition.total_tuples() == len(loaded_table)
         assert decomposition.is_lossless(loaded_table)
-        assert _restores_physically(decomposition, loaded_table.tuples)
+        assert _restores_physically(decomposition, set(loaded_table))
 
     def test_horizontal_qualifications(self, loaded_table, jobtype_ead):
         decomposition = horizontal_decomposition(loaded_table, jobtype_ead)
@@ -169,7 +169,7 @@ class TestDecomposition:
         decomposition = vertical_decomposition(loaded_table, jobtype_ead, key=["emp_id"])
         assert "master" in decomposition.fragment_names()
         assert decomposition.is_lossless(loaded_table)
-        assert _restores_physically(decomposition, loaded_table.tuples)
+        assert _restores_physically(decomposition, set(loaded_table))
         restoration = decomposition.restoration()
         assert isinstance(restoration, MultiwayJoin)
         assert [child.name for child in restoration.inputs] == ["master"] + [
@@ -200,10 +200,10 @@ class TestDecomposition:
     def test_cell_counts_are_smaller_than_flat_table(self, loaded_table, jobtype_ead):
         decomposition = horizontal_decomposition(loaded_table, jobtype_ead)
         flat = NullPaddedTable(employee_scheme().attributes, jobtype_ead)
-        flat.insert_many(loaded_table.tuples)
+        flat.insert_many(set(loaded_table))
         assert decomposition.total_cells() < flat.stored_cells()
 
     def test_null_count_matches_flat_baseline(self, loaded_table, jobtype_ead):
         flat = NullPaddedTable(employee_scheme().attributes, jobtype_ead)
-        flat.insert_many(loaded_table.tuples)
+        flat.insert_many(set(loaded_table))
         assert null_count(loaded_table, employee_scheme().attributes) == flat.null_cells()

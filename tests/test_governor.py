@@ -106,9 +106,9 @@ class TestCancelToken:
         class CountingSource(dict):
             reads = 0
 
-            def relation(self, name):
+            def __getitem__(self, name):
                 self.reads += 1
-                return self[name]
+                return super().__getitem__(name)
 
         source = CountingSource(r={FlexTuple(a=i, b=i) for i in range(20)},
                                 s={FlexTuple(a=i, c=i) for i in range(20)})

@@ -145,7 +145,7 @@ class TestDecompositionAndQueriesAgree:
                                           dependencies=definition.dependencies)
         employees.insert_many(generate_employees(25, seed=43))
         decomposition = vertical_decomposition(employees, employee_dependency(), key=["emp_id"])
-        assert decomposition.restore() == employees.tuples
+        assert decomposition.restore() == set(employees)
 
 
 class TestDiscoveryOnLegacyData:

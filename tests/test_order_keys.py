@@ -265,7 +265,7 @@ def _mixed_batches(dicts, kinds):
 @pytest.mark.parametrize("kind", sorted(CUT_COLUMNS))
 @settings(max_examples=LIMIT_EXAMPLES, deadline=None)
 @given(data=st.data())
-def test_top_k_op_over_mixed_batches_is_the_defined_top_k(kind, data):
+def test_sort_under_a_limit_over_mixed_batches_is_the_defined_top_k(kind, data):
     """``SortOp`` under a limit — each batch cut on its leading key's
     column, the held rows cut back to the limit past twice it — emits
     ``top_k_rows``'s rows in its order, over batches of every kind and size,
@@ -394,7 +394,7 @@ def test_physical_streams_are_in_the_defined_order(orders):
     for keys in (("nothing",), ("region",), ("-amount", "order_id"),
                  ("-coupon", "amount")):
         sort_keys = tuple(analytic.sort_key(key) for key in keys)
-        expected = sorted(orders.table("orders").tuples,
+        expected = sorted(set(orders.table("orders")),
                           key=lambda tup: row_order_key(tup._values, sort_keys))
         tuples, plan, _ = _stream(orders, Sort(ORDERS, keys))
         assert "sort" in plan.explain()  # a root Sort still runs physically
@@ -455,7 +455,7 @@ class TestNaN:
                                       ("amount",), ("-amount",)])
     def test_sort_and_limit_agree_everywhere(self, nan_orders, keys):
         sort_keys = tuple(analytic.sort_key(key) for key in keys)
-        expected = sorted(nan_orders.table("orders").tuples,
+        expected = sorted(set(nan_orders.table("orders")),
                           key=lambda tup: row_order_key(tup._values, sort_keys))
         for count in (3, 12, 30):
             # at the largest count the held rows outgrow the budget and spill
@@ -586,7 +586,7 @@ class _Batches(PhysicalOperator):
 
 
 def test_a_sort_fed_built_then_lazy_batches_emits_the_defined_stream(orders):
-    rows = sorted(orders.table("orders").tuples, key=lambda tup: tup["order_id"])
+    rows = sorted(set(orders.table("orders")), key=lambda tup: tup["order_id"])
     keys = (SortKey("amount", True), SortKey("order_id"))
     lazy = LazyBatch([dict(tup._values) for tup in rows[300:]])
     sort = SortOp(_Batches([TupleBatch(rows[:300]), lazy]), keys)

@@ -13,8 +13,9 @@ table version (``Table.scan_view``, ``model.batches.ScanView`` / ``ScanBatch``).
   again (counted with a spy on the view);
 * a batch's column is a slice: mutating it changes no later answer;
 * a scan reads a table or a flexible relation by iterating it, never through
-  its copying ``tuples`` property (counted with a spy on the property), and
-  so do the dependency checks, their inference and the decompositions.
+  the flexible relation's copying ``tuples`` property (counted with a spy on
+  the property; a table has none), and so do the dependency checks, their
+  inference and the decompositions.
 """
 
 import os
@@ -39,7 +40,6 @@ from repro.algebra.evaluator import Evaluator
 from repro.core.dependencies import AttributeDependency, FunctionalDependency
 from repro.core.inference import discover_ads, discover_explicit_ad, discover_fds
 from repro.engine import Database
-from repro.engine.database import Table
 from repro.exec import ExecutionContext, PhysicalExecutor
 from repro.model.batches import MISSING, ScanBatch, ScanView, TupleBatch
 from repro.er.decomposition import horizontal_decomposition, null_count, vertical_decomposition
@@ -382,9 +382,9 @@ class TestScanBatchColumns:
 
 class TestScansCopyNothing:
     def test_a_scan_never_evaluates_the_copying_tuples_property(self, monkeypatch):
-        """A table's and a flexible relation's ``tuples`` copy every tuple; a
-        scan — physical or naive — iterates the relation instead.  A mapping
-        to plain dicts is still wrapped into tuples."""
+        """A flexible relation's ``tuples`` copies every tuple (a table has no
+        such property); a scan — physical or naive — iterates the relation
+        instead.  A mapping to plain dicts is still wrapped into tuples."""
         database, table = _employees_database()
         sources = {
             "table": database,
@@ -392,10 +392,9 @@ class TestScansCopyNothing:
             "dicts": {"employees": [tup.as_dict() for tup in table]},
         }
         copies = []
-        for owner in (Table, FlexibleRelation):
-            copying = owner.tuples.fget
-            monkeypatch.setattr(owner, "tuples", property(
-                lambda self, copying=copying: copies.append(self) or copying(self)))
+        copying = FlexibleRelation.tuples.fget
+        monkeypatch.setattr(FlexibleRelation, "tuples", property(
+            lambda self: copies.append(self) or copying(self)))
         scans = (EMPLOYEES,) + READS
         answers = {}
         for name, source in sources.items():
@@ -428,10 +427,9 @@ class TestScansCopyNothing:
 
         expected = answers(list(table))
         copies = []
-        for owner in (Table, FlexibleRelation):
-            copying = owner.tuples.fget
-            monkeypatch.setattr(owner, "tuples", property(
-                lambda self, copying=copying: copies.append(self) or copying(self)))
+        copying = FlexibleRelation.tuples.fget
+        monkeypatch.setattr(FlexibleRelation, "tuples", property(
+            lambda self: copies.append(self) or copying(self)))
         assert answers(table) == expected
         assert answers(FlexibleRelation(scheme, list(table))) == expected
         assert copies == []
