@@ -13,7 +13,7 @@ the fact half.  A plain mapping ``{name: relation}`` is wrapped once, by
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Dict, Iterable, Optional, Protocol, Sequence
 
 from repro.errors import AlgebraError
 from repro.model.attributes import AttributeSet
@@ -95,11 +95,20 @@ class MappingSource:
         return None
 
 
+#: class -> is it a ``Mapping``: the ABC check, made once per class
+_IS_MAPPING: Dict[type, bool] = {}
+
+
 def as_source(source) -> Source:
     """``source`` as a :class:`Source`: a mapping wrapped, ``None`` an empty
-    source, anything else (a database, a catalog, a source) as it is."""
+    source, anything else (a database, a catalog, a source) as it is.  The
+    class — a ``weakref.proxy`` answers its referent's — is looked up in a
+    memo: the ABC check on a proxy cost twice the rest of the call."""
     if source is None:
         return MappingSource({})
-    if isinstance(source, Mapping):
-        return MappingSource(source)
-    return source
+    cls = source.__class__
+    try:
+        mapping = _IS_MAPPING[cls]
+    except KeyError:
+        mapping = _IS_MAPPING[cls] = issubclass(cls, Mapping)
+    return MappingSource(source) if mapping else source

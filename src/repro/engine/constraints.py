@@ -327,13 +327,6 @@ class ConstraintChecker:
         for index, names in plan.index_keys:
             index.drop(tuple([values[name] for name in names]), tup)
 
-    def clear(self) -> None:
-        """Forget every stored tuple: empty indexes, every shape counted zero."""
-        for index in self._indexes.values():
-            index.clear()
-        for plan in self._plans.values():
-            plan.count = 0
-
     # -- shape plans ---------------------------------------------------------------------------
 
     def _plan_of(self, tup: FlexTuple) -> ShapePlan:

@@ -10,7 +10,7 @@ declared dependencies, and runs (optionally optimized) queries.
 from __future__ import annotations
 
 import weakref
-from itertools import islice
+from itertools import islice, repeat
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -29,6 +29,7 @@ from repro.errors import (
 )
 from repro.exec.context import CHUNK_RECORDS
 from repro.exec.executor import PhysicalExecutor
+from repro.exec.operators import HashJoin, IndexLookupJoin
 from repro.exec.planner import PhysicalPlan
 from repro.model.attributes import AttributeSet, attrset
 from repro.model.batches import ScanView
@@ -60,30 +61,30 @@ from repro.obs.trace import Tracer
 from repro.optimizer.rewrite_rules import RewriteReport
 from repro.stats.catalog import StatisticsCatalog
 
+#: one change to a table's rows (see :class:`Table`)
+Change = Tuple[Optional[FlexTuple], Optional[FlexTuple]]
+
 
 class Table:
     """The stored instance of one table definition, with constraint enforcement.
 
-    Every applied row bumps :attr:`mutation_count`, and every *statement* that
-    applied one notifies the optional ``on_mutation`` callback once —
-    ``on_mutation(kind, rows)``, with the row count after the statement; the
-    hook the database uses to re-plan once collected statistics drifted.
-    :meth:`insert_many` is one statement, however many rows it applies and
-    also when it raises after some.
+    A change to the stored rows is an ``(old, new)`` pair: ``(None, new)``
+    inserts, ``(old, None)`` deletes, both replace (an update; of a
+    determining attribute, a *type* change).  One loop applies every change —
+    :meth:`insert`, :meth:`insert_many`, :meth:`update`, :meth:`delete`,
+    :meth:`apply`, :meth:`restore`, rollback and log replay hand it theirs —
+    and keeps the indexes, the shape counts, :attr:`mutation_count` and the
+    :meth:`scan_view` (dropped once per statement; a scan already reading it
+    reads on from the rows it started with).
 
-    The optional ``journal`` callback — ``journal(kind, old, new)`` — is the
-    write-ahead hook of durable databases: it is called after every constraint
-    check has passed but *before* the mutation is applied, so a mutation is on
-    the log before it is visible in memory (see :mod:`repro.storage`).
-    :meth:`undo` (rollback's per-change inverse) and :meth:`restore` never
-    journal: the log discards a transaction's uncommitted records by itself.
-
-    Full scans read the table's :meth:`scan_view`: its rows in insertion
-    order, their value dicts and the columns scans asked for, pivoted once
-    per table version.  Every change to the stored rows — :meth:`insert`,
-    :meth:`insert_many`, :meth:`update`, :meth:`delete`, :meth:`undo`,
-    :meth:`restore` — drops the view first, once per statement; a scan
-    already reading it reads on from the rows it started with.
+    ``on_mutation(rows)``, if given, fires once per *statement* that applied
+    a change, with the row count after it — :meth:`insert_many` is one
+    statement, also when it raises after some rows.  ``journal(old, new,
+    merges)``, the write-ahead hook of durable databases, is called after a
+    change's checks passed and *before* it is applied (see
+    :mod:`repro.storage`); ``merges`` says ``new`` is stored already (keyless
+    tables), so only ``old`` leaves.  :meth:`restore` and rollback never
+    journal: the log discards uncommitted records by itself.
     """
 
     def __init__(self, definition: TableDefinition, enforce: bool = True,
@@ -92,7 +93,7 @@ class Table:
         self.checker = ConstraintChecker(definition, enforce)
         #: the stored tuples, insertion-ordered: scans ignore the hash seed
         self._tuples: Dict[FlexTuple, None] = {}
-        #: bumped on every successful insert / update / delete / restore
+        #: bumped by every applied change
         self.mutation_count = 0
         self._on_mutation = on_mutation
         self._journal = journal
@@ -100,11 +101,6 @@ class Table:
         self._index_for: Dict[object, Optional[HashIndex]] = {}
         #: :meth:`scan_view`'s answer until the next change to ``_tuples``
         self._view: Optional[ScanView] = None
-
-    def _mutated(self, kind: str, applied: int = 1) -> None:
-        self.mutation_count += applied
-        if self._on_mutation is not None:
-            self._on_mutation(kind, len(self._tuples))
 
     # -- read access -----------------------------------------------------------------------
 
@@ -160,18 +156,61 @@ class Table:
 
     # -- DML ---------------------------------------------------------------------------------
 
+    def apply(self, changes: Iterable[Change]) -> int:
+        """Apply ``(old, new)`` changes in order as one statement, each ``new``
+        checked as an insert that replaces ``old``; returns how many were
+        applied (on a refusal the earlier ones stay)."""
+        since = self.mutation_count
+        try:
+            self._apply(changes)
+        finally:
+            self._mutated(since)
+        return self.mutation_count - since
+
+    def _apply(self, changes: Iterable[Change], checked: bool = True,
+               journaled: bool = True, admitted=None) -> None:
+        """The one writer of the stored rows.  Per change: the row check, the
+        journal, then ``old`` leaves and ``new`` enters unless it is stored,
+        filed row by row — or, for a slice :meth:`ConstraintChecker.admit_chunk`
+        admitted (``admitted``: its ``(rows, shapes, plans)``), by one
+        :meth:`ConstraintChecker.register_chunk`.  The membership tests let
+        rollback invert a change whose statement stopped before applying it."""
+        tuples, checker = self._tuples, self.checker
+        journal = self._journal if journaled else None
+        self._view = None
+        done = 0
+        try:
+            for old, new in changes:
+                if checked and new is not None:
+                    checker.check_insert(new, ignore=old)
+                if journal is not None:
+                    journal(old, new, old is not None and new in tuples and new != old)
+                if old is not None and old in tuples:
+                    del tuples[old]
+                    checker.unregister_tuple(old)
+                if admitted is not None:  # fresh rows, filed once the slice is in
+                    tuples[new] = None
+                elif new is not None and new not in tuples:
+                    tuples[new] = None
+                    checker.register_tuple(new)
+                done += 1
+        finally:
+            self.mutation_count += done
+            if admitted is not None:
+                rows, shapes, plans = admitted
+                checker.register_chunk(rows[:done], shapes[:done], plans)
+
+    def _mutated(self, since: int) -> None:
+        """End of a statement: fire ``on_mutation`` once if it applied a change
+        (``mutation_count`` moved past ``since``)."""
+        if self.mutation_count != since and self._on_mutation is not None:
+            self._on_mutation(len(self._tuples))
+
     def insert(self, item) -> FlexTuple:
         """Insert a tuple after running every constraint check."""
         tup = _as_tuple(item)
-        if tup in self._tuples:
-            return tup
-        self.checker.check_insert(tup)
-        if self._journal is not None:
-            self._journal("insert", None, tup)
-        self._view = None
-        self._tuples[tup] = None
-        self.checker.register_tuple(tup)
-        self._mutated("insert")
+        if tup not in self._tuples:
+            self.apply([(None, tup)])
         return tup
 
     def insert_many(self, items: Iterable) -> List[FlexTuple]:
@@ -185,8 +224,8 @@ class Table:
         row: those items are dropped, not left for a caller that resumes an
         iterator.  The bulk loop of :func:`~repro.engine.serialization.load_database`.
         """
-        tuples, journal, checker = self._tuples, self._journal, self.checker
-        source, inserted, applied = iter(items), [], 0
+        tuples, checker = self._tuples, self.checker
+        source, inserted, since = iter(items), [], self.mutation_count
         try:
             while True:
                 chunk, failure = [], None
@@ -198,21 +237,14 @@ class Table:
                 fresh = {tup: frozenset(tup._values) for tup in chunk if tup not in tuples}
                 rows, shapes = list(fresh), list(fresh.values())
                 while rows:
-                    (admitted, plans), done = checker.admit_chunk(rows, shapes), 0
+                    admitted, plans = checker.admit_chunk(rows, shapes)
                     if not admitted:
                         # the row path's refusal — or admission, were the chunk test too strict
                         checker.check_insert(rows[0])
                         admitted = 1
-                    self._view = None
-                    try:
-                        for tup in rows[:admitted]:
-                            if journal is not None:
-                                journal("insert", None, tup)
-                            tuples[tup] = None
-                            done += 1
-                    finally:
-                        checker.register_chunk(rows[:done], shapes[:done], plans)
-                        applied += done
+                    head = rows[:admitted]
+                    self._apply(zip(repeat(None), head), checked=False,
+                                admitted=(head, shapes[:admitted], plans))
                     rows, shapes = rows[admitted:], shapes[admitted:]
                 if failure is not None:
                     raise failure
@@ -220,50 +252,15 @@ class Table:
                 if len(chunk) < CHUNK_RECORDS:
                     return inserted
         finally:
-            if applied:
-                self._mutated("insert", applied)
+            self._mutated(since)
 
     def delete(self, item) -> bool:
         """Delete a tuple; returns whether it was stored."""
         tup = _as_tuple(item)
         if tup not in self._tuples:
             return False
-        if self._journal is not None:
-            self._journal("delete", tup, None)
-        self._view = None
-        del self._tuples[tup]
-        self.checker.unregister_tuple(tup)
-        self._mutated("delete")
+        self.apply([(tup, None)])
         return True
-
-    # -- rollback ---------------------------------------------------------------------------------
-
-    def undo(self, old: Optional[FlexTuple], new: Optional[FlexTuple]) -> None:
-        """Invert one journaled mutation (rollback's per-change step): drop
-        ``new``, put ``old`` back, index upkeep per tuple — no checks, no
-        journal, no hook (the transaction fires one per touched table).  The
-        membership tests cover a statement interrupted before its apply."""
-        self._view = None
-        if new is not None and new in self._tuples:
-            del self._tuples[new]
-            self.checker.unregister_tuple(new)
-        if old is not None and old not in self._tuples:
-            self._tuples[old] = None
-            self.checker.register_tuple(old)
-
-    def snapshot(self) -> Dict[FlexTuple, None]:
-        """An opaque snapshot of the table's current contents."""
-        return dict(self._tuples)
-
-    def restore(self, snapshot: Iterable[FlexTuple]) -> None:
-        """Reset the table to a snapshot taken earlier (indexes and shape
-        counts are rebuilt)."""
-        self._view = None
-        self._tuples = dict.fromkeys(snapshot)
-        self.checker.clear()
-        for tup in self._tuples:
-            self.checker.register_tuple(tup)
-        self._mutated("restore")
 
     def update(self, old, **changes) -> FlexTuple:
         """Replace attribute values of a stored tuple.
@@ -283,19 +280,19 @@ class Table:
             else:
                 merged[name] = value
         new_tuple = FlexTuple(merged)
-        self.checker.check_insert(new_tuple, ignore=old_tuple)
-        if self._journal is not None:
-            self._journal("update", old_tuple, new_tuple)
-        # onto a tuple that is already stored (keyless tables): the two merge
-        merges = new_tuple != old_tuple and new_tuple in self._tuples
-        self._view = None
-        del self._tuples[old_tuple]
-        self.checker.unregister_tuple(old_tuple)
-        if not merges:
-            self._tuples[new_tuple] = None
-            self.checker.register_tuple(new_tuple)
-        self._mutated("update")
+        self.apply([(old_tuple, new_tuple)])
         return new_tuple
+
+    def snapshot(self) -> Dict[FlexTuple, None]:
+        """An opaque snapshot of the table's current contents."""
+        return dict(self._tuples)
+
+    def restore(self, snapshot: Iterable[FlexTuple]) -> None:
+        """Reset the table to a snapshot taken earlier: every stored row leaves,
+        then the snapshot's rows enter in its order — unchecked, unjournaled."""
+        since, changes = self.mutation_count, [(tup, None) for tup in self._tuples]
+        self._apply(changes + [(None, tup) for tup in snapshot], checked=False, journaled=False)
+        self._mutated(since)
 
     def __repr__(self) -> str:
         return "Table({!r}, {} tuples)".format(self.name, len(self._tuples))
@@ -453,19 +450,19 @@ class Database:
         # they could no longer be journaled.
         database, durable = weakref.ref(self), self.durability is not None
 
-        def journal(kind, old, new):
+        def journal(old, new, merges):
             live = database()
             if live is not None:
-                live._journal_mutation(owner(), kind, old, new)
+                live._journal_mutation(owner(), old, new, merges)
             elif durable:
                 raise CatalogError(
                     "table {!r}: its durable database no longer exists, the "
                     "write cannot be journaled".format(name))
 
-        def on_mutation(kind, rows):
+        def on_mutation(rows):
             live = database()
             if live is not None:
-                live._note_mutation(name, kind, rows)
+                live._note_mutation(name, rows)
 
         table = Table(definition, enforce=self.enforce_constraints,
                       on_mutation=on_mutation, journal=journal)
@@ -567,18 +564,17 @@ class Database:
 
     # -- durability hooks --------------------------------------------------------------------------------
 
-    def _journal_mutation(self, table: Table, kind: str, old, new) -> None:
-        """The tables' write-ahead hook: journal a checked, unapplied mutation —
+    def _journal_mutation(self, table: Table, old, new, merges: bool) -> None:
+        """The tables' write-ahead hook: journal a checked, unapplied change —
         on the log, then (the log accepted it) on the open undo log."""
         if self.durability is not None and self.durability.wal is not None:
-            self.durability.log_mutation(table.name, kind, old, new)
+            self.durability.log_mutation(table.name, old, new)
         if self._undo is not None:
-            # An update onto a tuple that is already stored (keyless tables)
-            # adds nothing: undoing it must leave that tuple where it was.
-            merges = kind == "update" and new != old and new in table._tuples
+            # A change that merges onto a stored tuple adds nothing: undoing
+            # it must leave that tuple where it was.
             self._undo.append((table, old, None if merges else new))
 
-    def _note_mutation(self, name: str, kind: str, rows: int) -> None:
+    def _note_mutation(self, name: str, rows: int) -> None:
         """The tables' post-apply hook: age statistics, maybe checkpoint.
 
         The auto-checkpoint trigger must live here (after the mutation is
@@ -586,7 +582,7 @@ class Database:
         and apply would miss the in-flight mutation whose record sits in the
         old epoch's log — and that log is deleted after the switch.
         """
-        self.statistics.note_mutation(name, kind, rows)
+        self.statistics.note_mutation(name, rows)
         if self.durability is not None and self.durability.wal is not None:
             self.durability.maybe_checkpoint()
 
@@ -860,32 +856,31 @@ class Database:
         Multi-attribute joins are skipped: the combined fraction cannot be
         attributed to individual attributes without guessing.
         """
-        on = getattr(node, "on", None)
-        if on is None or len(on) != 1:
-            return
-        children = node.children
-        if len(children) == 2:
-            sides = [stats_of.get(id(child)) for child in children]
+        if type(node) is HashJoin:
+            if node.on is None or len(node.on) != 1:
+                return
+            sides = [stats_of.get(id(child)) for child in node.children]
             if any(side is None for side in sides):
                 return
             rows = [side.rows_out for side in sides]
-            tables = frozenset((children[0].feedback_tables or frozenset())
-                               | (children[1].feedback_tables or frozenset()))
-        elif len(children) == 1 and getattr(node, "relation", None) is not None:
-            # Index-lookup join: the inner side is a base relation probed in
-            # place; its current size stands in for the scanned cardinality.
-            outer = stats_of.get(id(children[0]))
-            if outer is None:
+            tables = frozenset((node.left.feedback_tables or frozenset())
+                               | (node.right.feedback_tables or frozenset()))
+        elif type(node) is IndexLookupJoin:
+            # The inner side is a base relation probed in place; its current
+            # size stands in for the scanned cardinality.
+            outer = stats_of.get(id(node.outer))
+            if len(node.on) != 1 or outer is None:
                 return
             try:
                 inner_rows = len(self.table(node.relation))
-            except Exception:
+            except CatalogError:  # dropped since the plan was made
                 return
             rows = [outer.rows_out, inner_rows]
-            tables = frozenset((children[0].feedback_tables or frozenset())
+            tables = frozenset((node.outer.feedback_tables or frozenset())
                                | {node.relation})
         else:
             return
+        on = node.on
         if rows[0] <= 0 or rows[1] <= 0:
             return
         attribute = next(iter(on)).name
@@ -1072,13 +1067,14 @@ class _Transaction:
     """Context manager implementing :meth:`Database.transaction`.
 
     The scope keeps an **undo log** — ``Database._undo``, one ``(table, old,
-    new)`` per applied mutation, pushed by the journal hook — which rollback
-    pops newest-first through :meth:`Table.undo`; a nested scope (in-memory
-    only) is a savepoint, a mark into the same list.  Only DML is undone:
+    new)`` per applied change, pushed by the journal hook — which rollback
+    pops newest-first, handing each table its inverse changes ``(new, old)``
+    through the table's one write loop, unchecked and unjournaled; a nested
+    scope (in-memory only) is a savepoint, a mark into the same list.  Only DML is undone:
     entries of a ``Table`` that is no longer the catalog's are skipped, as
     write-ahead replay applies DDL autonomously too, and so is ANALYZE.  The
     statistics need no rewind: their counts are the tables' shape counts,
-    which the undo keeps, and their version never runs backwards.  Rollback
+    which the write loop keeps, and their version never runs backwards.  Rollback
     drops whatever the cardinality-feedback store learned inside the scope,
     restores its version and evicts the plans that read it.  It runs when the block
     raises and when a durable commit does, so reads never serve rows that were
@@ -1145,16 +1141,18 @@ class _Transaction:
         if self._durability is not None:
             self._durability.abort()
         undo = database._undo
-        touched: Dict[Table, None] = {}
+        inverses: Dict[Table, List[Change]] = {}
         while len(undo) > self._mark:
             table, old, new = undo.pop()
             if database._tables.get(table.name) is table:  # DDL is not undone
-                table.undo(old, new)
-                touched[table] = None
+                inverses.setdefault(table, []).append((new, old))
+        since = {table: table.mutation_count for table in inverses}
+        for table, changes in inverses.items():
+            table._apply(changes, checked=False, journaled=False)
         # Hooks fire once every table is back: a checkpoint they trigger must
         # not snapshot a half-undone database.
-        for table in touched:
-            table._mutated("restore")
+        for table in inverses:
+            table._mutated(since[table])
         if database._physical_executor is not None:
             database._physical_executor.evict_plans_after(self._feedback_version)
         database.cardinality_feedback.rollback(

@@ -94,10 +94,6 @@ class HashIndex:
     def __len__(self) -> int:
         return self._indexed
 
-    def clear(self) -> None:
-        self._buckets.clear()
-        self._indexed = 0
-
     def __repr__(self) -> str:
         return "HashIndex(on={}, buckets={}, tuples={})".format(
             self.attributes, len(self._buckets), self._indexed

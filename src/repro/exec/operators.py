@@ -1090,6 +1090,8 @@ class SortOp(_Unary):
             if limit is not None:
                 breaks += [None] * len(batch)
                 if len(values) > 2 * limit:
+                    # the most it holds: what it cuts, not what is left
+                    op.note_memory(sampled_size(values) + sampled_size(held))
                     kept = self.order.argsort(values, limit, breaks)
                     values = [values[at] for at in kept]
                     held = [held[at] for at in kept]

@@ -126,7 +126,7 @@ class StatisticsCatalog:
 
     # -- DML and DDL ---------------------------------------------------------------------
 
-    def note_mutation(self, name: str, kind: str, rows: int) -> None:
+    def note_mutation(self, name: str, rows: int) -> None:
         """Called by the engine on every DML statement against ``name``, with the
         number of rows the table holds afterwards.
 

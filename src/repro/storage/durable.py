@@ -223,8 +223,9 @@ class DurabilityManager:
 
     # -- journaling (called by Database / Table hooks) -----------------------------------
 
-    def log_mutation(self, table_name: str, kind: str, old, new) -> None:
-        """Journal one DML statement *before* it is applied in memory.
+    def log_mutation(self, table_name: str, old, new) -> None:
+        """Journal one change *before* it is applied in memory: ``(None, new)``
+        is an insert record, ``(old, None)`` a delete, both an update.
 
         Outside a transaction the record is autocommitted — it is its own
         commit point and is fsynced under the commit protocol.  Inside one its
@@ -232,18 +233,14 @@ class DurabilityManager:
         log still refuses the mutation here); past :data:`TXN_BUFFER_BYTES`
         the buffer goes to the log as uncommitted records (a *spill*).
         """
-        record: Dict[str, object] = {"op": kind, "table": table_name,
-                                     "txn": self._open_txn}
         # the stored value dicts themselves: the record is encoded at once
-        if kind == OP_UPDATE:
-            record["old"] = old._values
-            record["new"] = new._values
-        elif kind == OP_INSERT:
-            record["values"] = new._values
-        elif kind == OP_DELETE:
-            record["values"] = old._values
+        if old is None:
+            record = {"op": OP_INSERT, "values": new._values}
+        elif new is None:
+            record = {"op": OP_DELETE, "values": old._values}
         else:
-            raise WALError("unknown mutation kind {!r}".format(kind))
+            record = {"op": OP_UPDATE, "old": old._values, "new": new._values}
+        record["table"], record["txn"] = table_name, self._open_txn
         if self._open_txn is None:
             self.wal.commit(record)
             return

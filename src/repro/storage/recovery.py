@@ -153,20 +153,17 @@ _DML = (OP_INSERT, OP_UPDATE, OP_DELETE)
 def _apply_operations(database, records: Iterable[Dict[str, object]]) -> None:
     """Apply replayed DML records through the tables' own DML, in log order: a
     run of consecutive inserts into one table is one :meth:`Table.insert_many`,
-    a delete a :meth:`Table.delete`, an update a delete of the old image and an
-    insert of the new one.  A row the table refuses raises :class:`RecoveryError`."""
+    a run of its updates or of its deletes one :meth:`Table.apply` of the
+    logged ``(old, new)`` changes.  A row the table refuses raises
+    :class:`RecoveryError`."""
     for (name, op), run in groupby(records, key=lambda r: (r["table"], r["op"])):
         table = database.table(name)
         try:
             if op == OP_INSERT:
                 table.insert_many(record["values"] for record in run)
-            elif op == OP_DELETE:
-                for record in run:
-                    table.delete(record["values"])
-            else:  # OP_UPDATE, the only other DML op the dispatcher hands on
-                for record in run:
-                    table.delete(record["old"])
-                    table.insert(record["new"])
+            else:
+                table.apply((FlexTuple(r["values"]), None) if op == OP_DELETE
+                            else (FlexTuple(r["old"]), FlexTuple(r["new"])) for r in run)
         except ReproError as exc:
             raise RecoveryError("recovered database is inconsistent: table {!r}: {}".format(
                 name, exc)) from exc

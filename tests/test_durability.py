@@ -168,9 +168,9 @@ class TestFraming:
                     {"op": "delete", "table": "t", "txn": None, "values": old.as_dict()}]
         with tempfile.TemporaryDirectory() as path:
             database = Database(durable_path=path, wal_fsync=False)
-            database.durability.log_mutation("t", "insert", None, new)
-            database.durability.log_mutation("t", "update", old, new)
-            database.durability.log_mutation("t", "delete", old, None)
+            database.durability.log_mutation("t", None, new)
+            database.durability.log_mutation("t", old, new)
+            database.durability.log_mutation("t", old, None)
             database.close()
             with open(os.path.join(path, wal_filename(0)), "rb") as handle:
                 image = handle.read()
@@ -552,13 +552,15 @@ class TestRecoveryEdgeCases:
 
     def test_a_transaction_replays_in_log_order_run_by_run(self, tmp_path):
         """Consecutive inserts into one table go through ``insert_many`` as one
-        statement; another table or another kind of record ends the run."""
+        statement; another table or another kind of record ends the run.  Each
+        hook firing records the table, its rows and its ``mutation_count``."""
         database = Database()
         statements = []
         for name in ("t", "u"):
             database.create_table(name, _simple_scheme(), key=["k"])
-            database.table(name)._on_mutation = (
-                lambda kind, rows, _name=name: statements.append((_name, kind, rows)))
+            table = database.table(name)
+            table._on_mutation = (lambda rows, _name=name, _table=table: statements.append(
+                (_name, rows, _table.mutation_count)))
 
         def dml(op, table, **images):
             return dict({"op": op, "table": table, "txn": 1}, **images)
@@ -581,9 +583,9 @@ class TestRecoveryEdgeCases:
             (1, 1), (2, 2), (3, 3), (4, None)}
         assert len(database.table("u")) == 1
         assert statements == [
-            ("t", "insert", 2), ("u", "insert", 1), ("t", "insert", 3),
-            ("t", "delete", 2), ("t", "insert", 3),   # the update: delete + insert
-            ("t", "delete", 2), ("t", "insert", 4)]
+            ("t", 2, 2), ("u", 1, 1), ("t", 3, 3),
+            ("t", 3, 4),   # the update: one statement of one change
+            ("t", 2, 5), ("t", 4, 7)]
         assert verify_database(database) == []
 
     def test_consecutive_autocommitted_statements_replay_as_runs(self):
@@ -594,8 +596,9 @@ class TestRecoveryEdgeCases:
         statements = []
         for name in ("t", "u"):
             database.create_table(name, _simple_scheme(), key=["k"])
-            database.table(name)._on_mutation = (
-                lambda kind, rows, _name=name: statements.append((_name, kind, rows)))
+            table = database.table(name)
+            table._on_mutation = (lambda rows, _name=name, _table=table: statements.append(
+                (_name, rows, _table.mutation_count)))
 
         def dml(op, table, **images):
             return dict({"op": op, "table": table, "txn": None}, **images)
@@ -612,9 +615,9 @@ class TestRecoveryEdgeCases:
         ])
         assert (report.operations_applied, report.transactions_applied) == (7, 7)
         assert statements == [
-            ("t", "insert", 2), ("u", "insert", 1),
-            ("t", "delete", 1), ("t", "insert", 2),   # the update: delete + insert
-            ("t", "insert", 4), ("u", "insert", 2)]
+            ("t", 2, 2), ("u", 1, 1),
+            ("t", 2, 3),   # the update: one statement of one change
+            ("t", 4, 5), ("u", 2, 2)]
 
     def test_unknown_record_op_is_an_error(self, tmp_path):
         database = Database()
@@ -1007,6 +1010,70 @@ class TestLifecycle:
         recovered.insert("t", {"k": 9})
         assert len(recovered.table("t")) == 2
         recovered.close()
+
+
+# -- the log bytes of a fixed script --------------------------------------------------------
+
+
+#: SHA-256 of the log files :func:`_logged_script` leaves behind.  The bytes
+#: are the contract between the write path and recovery: a change to how a
+#: statement is journaled must show here before it reaches a reader's disk.
+PINNED_LOG_SHA256 = "35c8b96057a185cf6d5547163dd12fad184fffbc62bec529c200a532827124f5"
+
+
+def _logged_script(path):
+    """Every kind of journaled write once, then a reopen and one more write;
+    returns the directory's log files, concatenated in name order."""
+    database = Database(durable_path=path, wal_fsync=False)
+    employees = _create_employees(database)
+    notes = database.create_table("notes", _simple_scheme())
+    employees.insert(_employee(1))
+    with pytest.raises(KeyViolation):  # refused mid-chunk: rows 2 and 3 stay
+        employees.insert_many([_employee(2), _employee(3),
+                               dict(_employee(1), name="again"), _employee(4)])
+    employees.update(_employee(2), jobtype="salesman", typing_speed=REMOVE,
+                     foreign_languages=REMOVE, products="dbms",
+                     sales_commission=0.1)
+    employees.update(_employee(3), salary=3500.0)
+    notes.insert_many([{"k": 1, "v": 1}, {"k": 1, "v": 2}, {"k": 2}])
+    notes.update({"k": 1, "v": 2}, v=1)  # onto a stored tuple: the two merge
+    notes.update({"k": 2}, v=REMOVE)
+    employees.delete(_employee(1))
+    with database.transaction():
+        employees.insert(_employee(10))
+        notes.insert({"k": 10})
+        employees.update(_employee(10), salary=4000.0)
+    with pytest.raises(KeyError):
+        with database.transaction():
+            employees.insert(_employee(11))
+            notes.delete({"k": 2})
+            raise KeyError("roll back")
+    before = database.durability.wal.size
+    with database.transaction():  # past TXN_BUFFER_BYTES: the frames spill
+        employees.insert_many(_employee(emp_id) for emp_id in range(100, 700))
+        assert database.durability.wal.size > before
+        notes.delete({"k": 10})
+    database.close()
+    reopened = Database(durable_path=path, wal_fsync=False)
+    assert len(reopened.table("employees")) == 603
+    assert sorted(map(repr, reopened.table("notes"))) == sorted(
+        map(repr, [FlexTuple(k=1, v=1), FlexTuple(k=2)]))
+    reopened.insert("notes", {"k": 3, "v": 3})
+    reopened.close()
+    image = b""
+    for name in sorted(os.listdir(path)):
+        if name.startswith("wal."):
+            with open(os.path.join(path, name), "rb") as handle:
+                image += handle.read()
+    return image
+
+
+class TestRecoveryLogBytes:
+    def test_recovery_log_bytes_of_a_fixed_script_are_pinned(self, tmp_path):
+        import hashlib
+
+        image = _logged_script(str(tmp_path / "db"))
+        assert hashlib.sha256(image).hexdigest() == PINNED_LOG_SHA256
 
 
 # -- the crash harness --------------------------------------------------------------------

@@ -94,12 +94,12 @@ class TestHashIndex:
         index.drop((1,), second)
         assert index.bucket((1,)) == () and len(index) == 0 and not list(index.groups())
 
-    def test_groups_and_clear(self):
-        index = HashIndex(["k"])
-        index.put((1,), FlexTuple(k=1))
+    def test_groups_and_drop_to_empty(self):
+        index, tup = HashIndex(["k"]), FlexTuple(k=1)
+        index.put((1,), tup)
         assert len(list(index.groups())) == 1
-        index.clear()
-        assert len(index) == 0
+        index.drop((1,), tup)
+        assert len(index) == 0 and not list(index.groups())
 
 
 class TestCatalog:

@@ -14,7 +14,10 @@ import pytest
 
 from repro.algebra.expressions import NaturalJoin, RelationRef, Selection
 from repro.algebra.predicates import Comparison
+from repro.engine import Table
 from repro.engine.serialization import dumps_database, loads_database
+from repro.exec import IndexLookupJoin, PhysicalPlanner
+from repro.obs.explain import pair_nodes_with_stats
 from repro.obs.export import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
@@ -30,6 +33,7 @@ from repro.obs.feedback import (
 )
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.profiler import MIN_BASELINE_SAMPLES, PlanWatchdog
+from repro.workloads.events import skewed_join_database
 from repro.workloads.star import aged_star_database, star_join_database, star_join_query
 
 
@@ -415,3 +419,46 @@ class TestDatabaseControls:
         # The engine keeps working and re-observes from a clean slate.
         stale_star.execute(star_join_query(), optimize=False)
         assert stale_star.metrics()["metrics"]["queries.executed"] == 1
+
+
+class TestJoinEdgeFeedback:
+    """What an executed index-lookup join teaches the edge store: the inner
+    side is read as the probed table's current size."""
+
+    @staticmethod
+    def _probed():
+        database = skewed_join_database(big=1200, small=120, rare_every=100)
+        query = NaturalJoin(
+            Selection(RelationRef("events"), Comparison("kind", "=", "audit")),
+            RelationRef("sessions"), on=["event_id"])
+        plan = PhysicalPlanner(source=database).plan(query)
+        assert type(plan.root) is IndexLookupJoin
+        result = plan.execute(database)
+        stats_of = {id(node): op_stats
+                    for node, op_stats in pair_nodes_with_stats(plan, result.context)}
+        return database, plan.root, stats_of
+
+    def test_an_index_lookup_join_records_its_edge(self):
+        database, root, stats_of = self._probed()
+        database._record_join_edges(root, stats_of[id(root)], stats_of, 0)
+        carriers = attribute_carriers(database, {"events", "sessions"}, "event_id")
+        observed = stats_of[id(root)].rows_out / float(
+            stats_of[id(root.outer)].rows_out * len(database.table("events")))
+        assert database.cardinality_feedback.lookup_edge(
+            "event_id", carriers, 0) == observed
+
+    def test_a_dropped_inner_table_records_nothing(self):
+        database, root, stats_of = self._probed()
+        database.drop_table("events")
+        database._record_join_edges(root, stats_of[id(root)], stats_of, 0)
+        assert database.cardinality_feedback.as_dict()["edges"] == 0
+
+    def test_a_failing_inner_size_propagates(self, monkeypatch):
+        database, root, stats_of = self._probed()
+
+        def failing(table):
+            raise RuntimeError("size unavailable")
+
+        monkeypatch.setattr(Table, "__len__", failing)
+        with pytest.raises(RuntimeError, match="size unavailable"):
+            database._record_join_edges(root, stats_of[id(root)], stats_of, 0)

@@ -51,7 +51,7 @@ from repro.algebra.analytic import (
 )
 from repro.engine import Database
 from repro.exec import PhysicalExecutor
-from repro.exec.context import ExecutionContext
+from repro.exec.context import ExecutionContext, sampled_size
 from repro.exec.operators import PhysicalOperator, SortOp
 from repro.governor import QueryGovernor
 from repro.model.batches import MISSING, LazyBatch, ScanBatch, ScanView, TupleBatch
@@ -64,10 +64,11 @@ from repro.workloads.analytics import (
 
 #: REPRO_SWEEP_EXAMPLES=<n> raises the example count (the CI sweep)
 EXAMPLES = int(os.environ.get("REPRO_SWEEP_EXAMPLES", "150"))
-#: the limit property runs once per kind of leading column: a quarter of the
-#: examples each in tier-1, the full count under REPRO_SWEEP_EXAMPLES
-LIMIT_EXAMPLES = (EXAMPLES if "REPRO_SWEEP_EXAMPLES" in os.environ
-                  else max(EXAMPLES // 4, 25))
+#: the native-pass and limit properties run once per kind of column: a
+#: quarter of the examples each in tier-1, the full count under
+#: REPRO_SWEEP_EXAMPLES
+KIND_EXAMPLES = (EXAMPLES if "REPRO_SWEEP_EXAMPLES" in os.environ
+                 else max(EXAMPLES // 4, 25))
 #: a falsifying example lands next to the fuzz harness's shrunk trees
 ARTIFACT = os.environ.get("REPRO_FUZZ_ARTIFACT", "fuzz-failure.txt")
 
@@ -209,7 +210,7 @@ def _assert_pass_taken(kind, column, sign):
 
 
 @pytest.mark.parametrize("kind", sorted(NUMERIC_COLUMNS))
-@settings(max_examples=EXAMPLES, deadline=None)
+@settings(max_examples=KIND_EXAMPLES, deadline=None)
 @given(data=st.data())
 def test_native_sort_passes_are_the_defined_order(kind, data):
     planted, pool = NUMERIC_COLUMNS[kind]
@@ -263,7 +264,7 @@ def _mixed_batches(dicts, kinds):
 
 
 @pytest.mark.parametrize("kind", sorted(CUT_COLUMNS))
-@settings(max_examples=LIMIT_EXAMPLES, deadline=None)
+@settings(max_examples=KIND_EXAMPLES, deadline=None)
 @given(data=st.data())
 def test_sort_under_a_limit_over_mixed_batches_is_the_defined_top_k(kind, data):
     """``SortOp`` under a limit — each batch cut on its leading key's
@@ -597,15 +598,40 @@ def test_a_sort_fed_built_then_lazy_batches_emits_the_defined_stream(orders):
 
 
 def test_top_k_holds_at_most_count_rows_when_everything_ties(orders):
-    def peak(expression):
-        _, _, ctx = _stream(orders, expression)
+    """Just before a cut the top-k holds ``2 · 10`` rows plus a batch of 64 —
+    as much over 600 orders as over 6,000, so against 6,000 it is far below
+    the full sort's state."""
+    more = Database()
+    more.create_table("orders", orders_scheme(), domains=orders_domains(),
+                      key=["order_id"]).insert_many(generate_orders(6000, seed=5))
+
+    def peak(database, expression):
+        _, _, ctx = _stream(database, expression)
         return max(op.peak_bytes for op in ctx.operator_stats)
 
-    # half the orders tie at the cut on region; on "nothing" all 600 do
+    # half the orders tie at the cut on region; on "nothing" all do
     for keys in (("region",), ("nothing",)):
-        held = peak(Limit(Sort(ORDERS, keys), 10))
-        full = peak(Sort(ORDERS, keys))
+        held = peak(more, Limit(Sort(ORDERS, keys), 10))
+        assert held < 2 * peak(orders, Limit(Sort(ORDERS, keys), 10)), keys
+        full = peak(more, Sort(ORDERS, keys))
         assert held * 20 < full, (keys, held, full)
+
+
+def test_a_bare_limit_reports_what_it_held_before_a_cut(orders, monkeypatch):
+    """The peak of ``Limit(orders, 20)`` is the held rows just before a cut —
+    ``2 · 20`` plus an uncut batch — not the 20 left once the input ended."""
+    cut_sizes = []
+    argsort = CompiledOrder.argsort
+
+    def measuring(self, rows, limit=None, tie_breaks=None):
+        cut_sizes.append(sampled_size(rows))
+        return argsort(self, rows, limit, tie_breaks)
+
+    monkeypatch.setattr(CompiledOrder, "argsort", measuring)
+    _, plan, ctx = _stream(orders, Limit(ORDERS, 20))
+    assert plan.root.label().startswith("batch-top-k")
+    assert len(cut_sizes) > 1  # the held rows were cut on the way
+    assert ctx.operator_stats[0].peak_bytes >= max(cut_sizes)
 
 
 def test_top_k_holds_at_most_twice_count_rows(monkeypatch):

@@ -560,9 +560,9 @@ class _BatchSide:
         self.fired = 0
         hook = self.table._on_mutation
 
-        def counting(kind, rows):
+        def counting(rows):
             self.fired += 1
-            hook(kind, rows)
+            hook(rows)
 
         self.table._on_mutation = counting
 
@@ -802,20 +802,20 @@ def test_the_journal_sees_each_row_before_it_is_applied():
     rows = generate_employees(10, seed=3)
     seen, fired = [], []
 
-    def journal(kind, old, new):
-        assert (kind, old) == ("insert", None) and new not in table
+    def journal(old, new, merges):
+        assert (old, merges) == (None, False) and new not in table
         assert len(table) == len(seen)  # every earlier row is applied by now
         seen.append(new)
         if len(seen) == 6:
             raise OSError("log full")
 
     table = Table(definition, journal=journal,
-                  on_mutation=lambda kind, stored: fired.append((kind, stored)))
+                  on_mutation=fired.append)
     with pytest.raises(OSError):
         table.insert_many(rows)
     assert seen == [FlexTuple(row) for row in rows[:6]]
     assert set(table) == set(seen[:5]) and table.mutation_count == 5
-    assert fired == [("insert", 5)]
+    assert fired == [5]
 
 
 def test_auto_checkpoint_waits_for_the_end_of_the_batch(tmp_path):
