@@ -157,9 +157,9 @@ class Table:
     # -- DML ---------------------------------------------------------------------------------
 
     def apply(self, changes: Iterable[Change]) -> int:
-        """Apply ``(old, new)`` changes in order as one statement, each ``new``
-        checked as an insert that replaces ``old``; returns how many were
-        applied (on a refusal the earlier ones stay)."""
+        """Apply ``(old, new)`` changes in order as one statement, each ``old``
+        checked as stored and each ``new`` as an insert that replaces it;
+        returns how many were applied (on a refusal the earlier ones stay)."""
         since = self.mutation_count
         try:
             self._apply(changes)
@@ -181,8 +181,12 @@ class Table:
         done = 0
         try:
             for old, new in changes:
-                if checked and new is not None:
-                    checker.check_insert(new, ignore=old)
+                if checked:
+                    if old is not None and old not in tuples:
+                        raise ConstraintViolation("tuple {!r} is not stored in table {!r}"
+                                                  .format(old, self.name))
+                    if new is not None:
+                        checker.check_insert(new, ignore=old)
                 if journal is not None:
                     journal(old, new, old is not None and new in tuples and new != old)
                 if old is not None and old in tuples:
@@ -788,7 +792,9 @@ class Database:
         produced.add(stats.tuples_produced)
         seconds.observe(elapsed)
         batch_size.observe(result.context.batch_size)
-        # One pass over the paired plan nodes: Q-error gauges (the estimate-
+        # One pass over the plan's observer table (its nodes, resolved once
+        # per registry generation) beside the executed operator stats, which
+        # ``run`` registers in the same preorder: Q-error gauges (the estimate-
         # quality signal), memory max-gauges, per-query peak memory, and the
         # feedback fold-in — observed rows_out per (subexpression fingerprint,
         # statistics version), which corrects future estimates of the same
@@ -804,28 +810,24 @@ class Database:
         rebound = params != plan.params
         statistics_version = self.statistics.version
         peak_bytes = 0
-        paired = pair_nodes_with_stats(plan, result.context)
-        stats_of = {id(node): op_stats for node, op_stats in paired}
-        for (node, op_stats), (qerror_name, memory_name) in zip(
-                paired, plan.gauge_names):
-            if op_stats is None:
+        stats_of = None
+        for (node, label, qerror, memory_name, aggregated, learns), op_stats in zip(
+                plan.observers(registry), result.context.operator_stats):
+            if op_stats.label != label:
+                # the positional pairing broke (see pair_nodes_with_stats)
                 continue
             node_q = q_error(node.estimated_rows, op_stats.rows_out)
-            registry.max_gauge(qerror_name).observe(node_q)
-            if "aggregate" in node.name:
+            qerror.observe(node_q)
+            if aggregated is not None:
                 # rows folded through γ nodes; the paired qerror gauge above is
                 # the group-count estimation quality signal for the same node
-                registry.counter("rows.aggregated").add(op_stats.rows_in)
+                aggregated.add(op_stats.rows_in)
             if op_stats.peak_bytes:
                 registry.max_gauge(memory_name).observe(op_stats.peak_bytes)
                 peak_bytes = max(peak_bytes, op_stats.peak_bytes)
-            if (node.fingerprint is not None and node_q is not None
+            if (learns and node_q is not None
                     and q_error(max(node.estimated_rows, 1.0),
-                                max(op_stats.rows_out, 1)) >= QERROR_THRESHOLD
-                    # bare scans are never estimated from feedback (the cost
-                    # model prices them from live table sizes), so recording
-                    # them would churn the version without improving a plan
-                    and node.fingerprint[0] not in ("relation", "empty")):
+                                max(op_stats.rows_out, 1)) >= QERROR_THRESHOLD):
                 # A fingerprint that contains the planning binding's values
                 # is the key of *that* query only: another binding records
                 # nothing under it, so two literals of one template never
@@ -833,6 +835,9 @@ class Database:
                 if not (rebound and node.binding_specific):
                     feedback.record(node.fingerprint, statistics_version,
                                     op_stats.rows_out)
+                if stats_of is None:
+                    stats_of = {id(paired): paired_stats for paired, paired_stats
+                                in pair_nodes_with_stats(plan, result.context)}
                 self._record_join_edges(node, op_stats, stats_of,
                                         statistics_version)
         peak_bytes_histogram.observe(peak_bytes)

@@ -120,10 +120,11 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
 
-    def get(self, key, usable=None) -> Optional[PhysicalPlan]:
-        """The cached plan — a miss too when ``usable(plan)`` says it is stale."""
+    def get(self, key, usable=None, *args) -> Optional[PhysicalPlan]:
+        """The cached plan — a miss too when ``usable(plan, *args)`` says it
+        is stale."""
         plan = self._plans.get(key)
-        if plan is None or (usable is not None and not usable(plan)):
+        if plan is None or (usable is not None and not usable(plan, *args)):
             self.misses += 1
             return None
         self._plans.move_to_end(key)
@@ -412,7 +413,7 @@ class PhysicalExecutor:
                       self._parameter_classes(expression, params) if params else (),
                       self.source.catalog_version, self.source.statistics_version)
         tracer = self.source.tracer
-        plan = self.cache.get(key, lambda cached: self._reads_hold(cached, params))
+        plan = self.cache.get(key, self._reads_hold, params)
         if plan is None:
             if tracer is not None:
                 tracer.event("plan-cache-miss", hits=self.cache.hits,

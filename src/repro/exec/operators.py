@@ -291,7 +291,12 @@ def _distinct(ctx: ExecutionContext, seen: Optional[set],
     operator (``distinct_by``) has no ``seen`` set: its rows are distinct by
     construction, so they are only cut — no content key, no hash."""
     if seen is None:
-        yield from map(LazyBatch, PhysicalOperator._chunks(ctx, rows))
+        if rows.__class__ is not list:
+            yield from map(LazyBatch, PhysicalOperator._chunks(ctx, rows))
+            return
+        size = ctx.batch_size
+        for start in range(0, len(rows), size):
+            yield LazyBatch(rows[start:start + size])
         return
     size = ctx.batch_size
     add_seen = seen.add
@@ -889,10 +894,14 @@ class IndexLookupJoin(PhysicalOperator):
             stats.guard_checks += len(batch)
             outer_rows: List[dict] = []
             partners: List[FlexTuple] = []
-            for key, row_values in zip(_join_keys(batch, on_names), batch.values_list()):
-                if key is MISSING:
+            for row_values in batch.values_list():
+                # the probe key, read once from the row; a row lacking a join
+                # attribute never joins (absent is not NULL)
+                key = tuple([row_values.get(name, MISSING) for name in probe_names])
+                if MISSING in key or (remaining and not all(
+                        name in row_values for name in remaining)):
                     continue
-                for partner in bucket(tuple([row_values[name] for name in probe_names])):
+                for partner in bucket(key):
                     if remaining and any(partner._values.get(name, MISSING) != row_values[name]
                                          for name in remaining):
                         continue

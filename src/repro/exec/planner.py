@@ -171,7 +171,7 @@ class PhysicalPlan:
         self.feedback_version = None
         self._nodes: Optional[list] = None
         self._summary: Optional[dict] = None
-        self._gauge_names: Optional[list] = None
+        self._observers: Optional[tuple] = None
 
     def bound(self, params) -> "PhysicalPlan":
         """This plan (same operators) running under ``params`` by default."""
@@ -202,14 +202,25 @@ class PhysicalPlan:
                 "est_cost": self.root.estimated_cost}
         return self._summary
 
-    @property
-    def gauge_names(self) -> list:
-        """``("qerror.<name>", "memory.<name>")`` per node of :attr:`nodes`:
-        the gauges an execution feeds; formatted once per plan."""
-        if self._gauge_names is None:
-            self._gauge_names = [("qerror." + node.name, "memory." + node.name)
-                                 for node in self.nodes]
-        return self._gauge_names
+    def observers(self, registry) -> list:
+        """Per node of :attr:`nodes`, what an execution of it feeds in
+        ``registry``: ``(node, label, q-error gauge, memory-gauge name, the
+        rows.aggregated counter of an aggregate or None, whether its
+        fingerprint may learn)``.  Resolved once per plan and registry
+        generation; the memory gauge is created only when a run holds memory."""
+        held = self._observers
+        if held is None or held[0] is not registry or held[1] != registry.generation:
+            held = self._observers = (registry, registry.generation, [
+                (node, node.plan_label, registry.max_gauge("qerror." + node.name),
+                 "memory." + node.name,
+                 registry.counter("rows.aggregated") if "aggregate" in node.name else None,
+                 # bare scans are never estimated from feedback (the cost
+                 # model prices them from live table sizes), so recording
+                 # them would churn the version without improving a plan
+                 node.fingerprint is not None
+                 and node.fingerprint[0] not in ("relation", "empty"))
+                for node in self.nodes])
+        return held[2]
 
     def execute(self, source, stats: Optional[ExecutionStats] = None,
                 timing: bool = True, governor=None, params=None) -> PhysicalResult:

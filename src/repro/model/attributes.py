@@ -17,6 +17,7 @@ module provides:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import FrozenSet, Iterable, Iterator, Union
 
 from repro.errors import ReproError
@@ -68,6 +69,9 @@ class Attribute:
         return self._name
 
 
+#: an attribute's name, read at C speed: the sort key of attribute sets
+_NAME = attrgetter("_name")
+
 AttributeLike = Union[str, Attribute]
 AttributesLike = Union[None, AttributeLike, Iterable[AttributeLike], "AttributeSet"]
 
@@ -112,7 +116,7 @@ class AttributeSet:
             return False
 
     def __iter__(self) -> Iterator[Attribute]:
-        return iter(sorted(self._attrs))
+        return iter(sorted(self._attrs, key=_NAME))
 
     def __len__(self) -> int:
         return len(self._attrs)
@@ -194,21 +198,22 @@ class AttributeSet:
     @property
     def names(self) -> tuple:
         """Sorted tuple of attribute names."""
-        return tuple(a.name for a in self)
+        return tuple(sorted(map(_NAME, self._attrs)))
 
     def as_frozenset(self) -> FrozenSet[Attribute]:
         """The underlying frozenset of :class:`Attribute` objects."""
         return self._attrs
 
     def __repr__(self) -> str:
-        return "AttributeSet({})".format(", ".join(repr(a.name) for a in self))
+        return "AttributeSet({})".format(", ".join(map(repr, self.names)))
 
     def __str__(self) -> str:
         if not self._attrs:
             return "∅"
         names = self.names
-        if all(len(n) == 1 for n in names):
-            return "".join(names)
+        joined = "".join(names)
+        if len(joined) == len(names):  # every name one character long
+            return joined
         return "{" + ", ".join(names) + "}"
 
 

@@ -23,6 +23,7 @@ E15 overhead gate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -122,11 +123,10 @@ class Histogram:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # the first bound the value does not exceed; NaN exceeds none and
+        # is below none: the overflow bucket
+        self.bucket_counts[bisect_left(self.bounds, value)
+                           if value == value else -1] += 1
 
     @property
     def mean(self) -> Optional[float]:

@@ -154,7 +154,8 @@ def _apply_operations(database, records: Iterable[Dict[str, object]]) -> None:
     """Apply replayed DML records through the tables' own DML, in log order: a
     run of consecutive inserts into one table is one :meth:`Table.insert_many`,
     a run of its updates or of its deletes one :meth:`Table.apply` of the
-    logged ``(old, new)`` changes.  A row the table refuses raises
+    logged ``(old, new)`` changes.  A row the table refuses — an update or a
+    delete of a row it does not hold among them — raises
     :class:`RecoveryError`."""
     for (name, op), run in groupby(records, key=lambda r: (r["table"], r["op"])):
         table = database.table(name)

@@ -619,6 +619,26 @@ class TestRecoveryEdgeCases:
             ("t", 2, 3),   # the update: one statement of one change
             ("t", 4, 5), ("u", 2, 2)]
 
+    @pytest.mark.parametrize("record", [
+        {"op": "update", "old": {"k": 5}, "new": {"k": 5, "v": 2}},
+        {"op": "delete", "values": {"k": 9}},
+    ])
+    def test_recovery_refuses_a_change_to_a_row_that_is_not_stored(self, record):
+        """A logged update or delete whose old image the table does not hold
+        is refused as a refused insert is — not replayed as an insert or
+        counted as a no-op — and the table keeps what it held."""
+        database = Database()
+        database.create_table("t", _simple_scheme(), key=["k"])
+        replay_records(database, [
+            {"op": "insert", "table": "t", "txn": None, "values": {"k": 1, "v": 1}}])
+        table = database.table("t")
+        count = table.mutation_count
+        with pytest.raises(RecoveryError, match="not stored"):
+            replay_records(database, [dict(record, table="t", txn=None)])
+        assert set(table) == {FlexTuple(k=1, v=1)}
+        assert table.mutation_count == count
+        assert verify_database(database) == []
+
     def test_unknown_record_op_is_an_error(self, tmp_path):
         database = Database()
         with pytest.raises(RecoveryError):

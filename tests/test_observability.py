@@ -27,6 +27,7 @@ from repro.obs import (
     Tracer,
     q_error,
 )
+from repro.obs.metrics import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS, MEMORY_BUCKETS
 from repro.workloads.star import star_join_database, star_join_query
 
 
@@ -210,6 +211,27 @@ class TestInstruments:
         assert histogram.quantile(0.99) == 1000.0
         assert Histogram(bounds=(1.0,)).quantile(0.5) is None
 
+    @pytest.mark.parametrize("bounds", [LATENCY_BUCKETS, BATCH_SIZE_BUCKETS,
+                                        MEMORY_BUCKETS])
+    def test_histogram_buckets_equal_the_linear_scan(self, bounds):
+        """Each value lands in the first bucket whose bound it does not
+        exceed, the overflow bucket past the last bound — and NaN, which
+        exceeds no bound and is below none, in the overflow bucket."""
+        def linear(value):
+            for index, bound in enumerate(bounds):
+                if value <= bound:
+                    return index
+            return len(bounds)
+
+        values = ([bounds[0] / 2, math.inf, math.nan] + list(bounds)
+                  + [math.nextafter(bound, math.inf) for bound in bounds])
+        for value in values:
+            histogram = Histogram(bounds)
+            histogram.observe(value)
+            expected = [0] * (len(bounds) + 1)
+            expected[linear(value)] = 1
+            assert histogram.bucket_counts == expected, value
+
     def test_registry_reuses_and_type_checks(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
@@ -291,6 +313,27 @@ class TestDatabaseMetrics:
             assert wal_counters() == {"wal.records": 2, "wal.bytes": 2 * frame,
                                       "wal.commits": 2, "wal.fsyncs": 2}
         database.close()
+
+    def test_a_cached_plan_feeds_the_registry_generation_it_runs_in(self, star_database):
+        """A plan resolves its instruments once per registry generation: run
+        it, reset the registry, run it again from the cache — the second run
+        feeds the new generation's instruments (and registers them again),
+        not the ones the first run resolved."""
+        query = small_query()
+        star_database.execute(query)
+        registry = star_database.metrics_registry
+        first = {name: registry._instruments[name] for name in registry.names()
+                 if name.startswith("qerror.")}
+        assert first
+        hits = star_database.physical_executor.cache_hits
+        registry.reset()
+        star_database.execute(query)
+        assert star_database.physical_executor.cache_hits == hits + 1
+        metrics = star_database.metrics()["metrics"]
+        assert metrics["queries.executed"] == 1
+        for name, gauge in first.items():
+            assert gauge.as_dict() == metrics[name]
+            assert registry._instruments[name] is not gauge
 
     def test_worst_q_error_per_node_kind(self, star_database):
         star_database.execute(small_query())

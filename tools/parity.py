@@ -5,6 +5,7 @@ trees and finding no difference::
 
     PYTHONPATH=src python tools/parity.py --out parity.json
     PYTHONPATH=src python tools/parity.py --against ../parent-checkout
+    PYTHONPATH=src python tools/parity.py --against HEAD~1
 
 ``--out FILE`` writes one entry per case of :data:`CASES`, with sorted keys and
 no wall-clock field.  The corpus always runs in a child process under
@@ -28,14 +29,19 @@ The ``spill/cancel-boundaries`` entry holds the cancellation boundaries every
 spill-corpus expression passes under the 15,000 B budget (as
 ``repro.governor.chaos`` counts them before its sweep).
 
-``--against PATH`` runs the corpus twice in subprocesses — once with this
-tree's ``src`` on ``PYTHONPATH``, once with ``PATH/src`` — and prints a
-per-case diff, exiting 1 when a case differs.  The corpus reads the E20
-workload definitions in ``benchmarks/e20`` and never writes there.
+``--against TREE`` runs the corpus twice in subprocesses — once with this
+tree's ``src`` on ``PYTHONPATH``, once with ``TREE/src`` — and prints a
+per-case diff, exiting 1 when a case differs.  ``TREE`` is a directory
+holding a checkout, or a git revision of this repository (``HEAD~1``, a
+branch, a commit): its ``src`` is exported with ``git archive`` into a
+temporary directory, which is removed after the comparison.  The corpus reads
+the E20 workload definitions in ``benchmarks/e20`` and never writes there.
 
 Adding a case is one line of :data:`CASES`: ``(name, source, query,
-options)``, the query an algebra expression (run through ``execute``) or SQL
-text (run through ``query``).
+options)``, the query an algebra expression (run through ``execute``), SQL
+text (run through ``query``) or a list of them, run in turn — each round of
+:data:`RUNS` runs the whole list, so a list of one template under several
+literals meets its cached plan under a binding it was not planned with.
 """
 
 import argparse
@@ -92,7 +98,8 @@ from repro.workloads.star import (  # noqa: E402
 
 import analytic_scan  # noqa: E402
 import join_plan  # noqa: E402
-from data import create_orders  # noqa: E402
+import oltp_durable  # noqa: E402
+from data import create_employees, create_orders  # noqa: E402
 
 #: runs of each case's query: the second meets the plan cache and any
 #: cardinality feedback the first left behind
@@ -133,6 +140,17 @@ SPILL_CORPUS = {
 }
 
 
+#: four fact rows that survive ``keyed_star``
+HOT_STAR_KEYS = [key for key in range(1, 400) if join_plan.keyed_star_rows(key)][:4]
+
+#: a join over a rare region that the planner estimates from the region's
+#: share of rows: its first run records the join edge it observed
+MISESTIMATED_JOIN = NaturalJoin(
+    Selection(_ORDERS, Comparison("region", "=", "r7")),
+    Rename(Projection(_ORDERS, ["order_id", "channel"]), {"channel": "c2"}),
+    on=["order_id"])
+
+
 def _employees():
     database = Database()
     definition = employee_definition()
@@ -140,6 +158,13 @@ def _employees():
         "employees", definition.scheme, domains=definition.domains,
         key=definition.key, dependencies=definition.dependencies)
     table.insert_many(generate_employees(400, seed=5))
+    database.analyze()
+    return database
+
+
+def _e20_employees():
+    database = Database()
+    create_employees(database).insert_many(generate_employees(400, seed=5))
     database.analyze()
     return database
 
@@ -163,6 +188,7 @@ SOURCES = {
     "chain": chain_join_database,
     "e18": lambda: analytics_database(DEFAULT_ORDER_COUNT, seed=18),
     "employees": _employees,
+    "e20-employees": _e20_employees,
 }
 
 #: (name, source, query, options); options: ``memory_budget`` (with spill on)
@@ -213,6 +239,15 @@ CASES = [
     ("statement/commented-literal", "employees",
      "SELECT name FROM employees -- it's 7\nWHERE emp_id = 5 -- = 7", {}),
     ("governed/cancelled", "orders", SPILL_CORPUS["join"], {"cancel_after": 3}),
+    # one template under several bindings: plan-cache hits, rebound plans
+    ("hits/point-read", "e20-employees",
+     [oltp_durable.POINT_READ.format(key) for key in (5, 17, 5, 9999, 230)], {}),
+    ("hits/keyed-star", "star",
+     [join_plan.keyed_star(key) for key in HOT_STAR_KEYS], {}),
+    ("hits/salary-range", "e20-employees",
+     ["SELECT name FROM employees WHERE salary > {}".format(salary)
+      for salary in (1000, 90000, 40000)], {}),
+    ("feedback/misestimated-join", "orders", MISESTIMATED_JOIN, {}),
 ]
 
 
@@ -262,10 +297,11 @@ def run_case(source_name, query, options, spill_root):
     source.slow_query_log.threshold = 0.0
     runs = []
     for _ in range(RUNS):
-        try:
-            runs.append(_run(source, query, options))
-        except ReproError as error:
-            runs.append({"error": "{}: {}".format(type(error).__name__, error)})
+        for one in (query if isinstance(query, list) else [query]):
+            try:
+                runs.append(_run(source, one, options))
+            except ReproError as error:
+                runs.append({"error": "{}: {}".format(type(error).__name__, error)})
     metrics = source.metrics()
     feedback = source.cardinality_feedback
     return _timeless({
@@ -323,12 +359,27 @@ def _write_in(tree: str, out: str) -> None:
     subprocess.run(command, env=env, check=True)
 
 
+def _exported(revision: str, scratch: str) -> str:
+    """A directory holding ``revision``'s ``src``, exported from this
+    repository into ``scratch``."""
+    tree = os.path.join(scratch, "tree")
+    os.mkdir(tree)
+    archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar",
+                              revision, "src"], capture_output=True)
+    if archive.returncode:
+        raise SystemExit("{!r} is neither a directory nor a git revision: {}".format(
+            revision, archive.stderr.decode(errors="replace").strip()))
+    subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, check=True)
+    return tree
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--out", help="write this tree's corpus to FILE")
-    group.add_argument("--against", metavar="PATH",
-                       help="diff this tree's corpus against the tree at PATH")
+    group.add_argument("--against", metavar="TREE",
+                       help="diff this tree's corpus against a checkout "
+                            "directory or a git revision")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.out is not None:
@@ -340,8 +391,11 @@ def main(argv=None) -> int:
         return 0
     scratch = tempfile.mkdtemp(prefix="repro-parity-")
     try:
+        against = args.against
+        if not os.path.isdir(against):
+            against = _exported(against, scratch)
         texts = {}
-        for side, tree in (("this", ROOT), ("against", args.against)):
+        for side, tree in (("this", ROOT), ("against", against)):
             out = os.path.join(scratch, side + ".json")
             _write_in(tree, out)
             with open(out, encoding="utf-8") as handle:
