@@ -866,8 +866,6 @@ class IndexLookupJoin(PhysicalOperator):
         if not self.on:
             raise AlgebraError("an index lookup join needs join attributes")
         self._on_names = self.on.names
-        #: the index request, hashed once (a table remembers its answer per set)
-        self._on_set = frozenset(self._on_names)
 
     def label(self) -> str:
         inner = self.inner.label() if self.inner.filtered else self.relation
@@ -875,7 +873,7 @@ class IndexLookupJoin(PhysicalOperator):
 
     def _generate(self, ctx, op, outer) -> Iterator[TupleBatch]:
         on_names = self._on_names
-        index = ctx.source.index_for(self.relation, self._on_set)
+        index = ctx.source.index_for(self.relation, self.on)
         stats = ctx.stats
         seen = self._seen()
         if index is None:

@@ -77,8 +77,10 @@ def expression_key(expression: Expression, params=None,
     (:meth:`~repro.algebra.expressions.Expression.structural_key`); its
     children's keys come first, so constants are collected children-first.
     """
-    children = tuple(expression_key(child, params, constants)
-                     for child in expression.children)
+    children = expression.children
+    if children:
+        children = tuple([expression_key(child, params, constants)
+                          for child in children])
     return expression.structural_key(children, params, constants)
 
 
