@@ -238,6 +238,11 @@ class PhysicalOperator:
     def _chunks(ctx: ExecutionContext, items: Iterable) -> Iterator[list]:
         """Cut ``items`` — a built list or an iterator — into lists of
         ``ctx.batch_size``, the rows of one output batch each."""
+        if items.__class__ is list:
+            size = ctx.batch_size
+            for start in range(0, len(items), size):
+                yield items[start:start + size]
+            return
         items = iter(items)
         chunk = list(islice(items, ctx.batch_size))
         while chunk:
@@ -291,12 +296,7 @@ def _distinct(ctx: ExecutionContext, seen: Optional[set],
     operator (``distinct_by``) has no ``seen`` set: its rows are distinct by
     construction, so they are only cut — no content key, no hash."""
     if seen is None:
-        if rows.__class__ is not list:
-            yield from map(LazyBatch, PhysicalOperator._chunks(ctx, rows))
-            return
-        size = ctx.batch_size
-        for start in range(0, len(rows), size):
-            yield LazyBatch(rows[start:start + size])
+        yield from map(LazyBatch, PhysicalOperator._chunks(ctx, rows))
         return
     size = ctx.batch_size
     add_seen = seen.add

@@ -27,7 +27,7 @@ from repro.engine.database import REMOVE
 from repro.engine.serialization import ROWS_PER_PIECE, database_to_dict
 from repro.core.dependencies import FunctionalDependency
 from repro.engine.constraints import ConstraintChecker
-from repro.errors import CatalogError, KeyViolation, ReproError
+from repro.errors import CatalogError, ConstraintViolation, KeyViolation, ReproError
 from repro.model.scheme import FlexibleScheme
 from repro.model.tuples import FlexTuple
 from repro.storage import (
@@ -635,6 +635,10 @@ class TestRecoveryEdgeCases:
         count = table.mutation_count
         with pytest.raises(RecoveryError, match="not stored"):
             replay_records(database, [dict(record, table="t", txn=None)])
+        # the live statement refuses the same change, so no log holds one
+        old = record.get("old", record.get("values"))
+        with pytest.raises(ConstraintViolation, match="not stored"):
+            table.apply([(FlexTuple(old), None)])
         assert set(table) == {FlexTuple(k=1, v=1)}
         assert table.mutation_count == count
         assert verify_database(database) == []
