@@ -48,6 +48,7 @@ import argparse
 import difflib
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -284,7 +285,7 @@ def _run(database, query, options) -> dict:
         plan = executor.plan(template, params=params).bound(params)
     else:
         result = database.execute(query, **governance)
-        plan = database.plan(query, optimize=False)
+        plan = database.plan(query)
     return _observed(plan, result)
 
 
@@ -295,6 +296,10 @@ def run_case(source_name, query, options, spill_root):
         return {"runs": [_observed(plan, plan.execute(source))]}
     source.spill_directory = spill_root
     source.slow_query_log.threshold = 0.0
+    # a plan regression is a wall-clock verdict (a run slower than twice the
+    # template's mean, from its fourth run on): never one here, so a case may
+    # run its template any number of times
+    source.plan_watchdog.regression_factor = math.inf
     runs = []
     for _ in range(RUNS):
         for one in (query if isinstance(query, list) else [query]):
