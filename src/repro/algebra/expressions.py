@@ -14,8 +14,10 @@ structure, every node knows
 * which attributes are guaranteed to be present in every result tuple
   (:meth:`Expression.guaranteed_attributes`, fed by selection predicates and type
   guards) — the two ingredients of the optimizer's redundancy reasoning — and
-* which attribute sets are keys of its result (:meth:`Expression.unique_keys`),
-  the physical planner's proof that an operator cannot produce a duplicate row,
+* which attribute sets are keys of its result, given its inputs' keys
+  (:meth:`Expression.keys_from`; :meth:`Expression.unique_keys` walks the
+  tree), the physical planner's proof that an operator cannot produce a
+  duplicate row,
 * every attribute a result tuple can carry (:meth:`Expression.attribute_universe`),
   and what tells it apart from its class's other nodes
   (:meth:`Expression.structural_key`).
@@ -51,17 +53,6 @@ from repro.model.attributes import AttributeSet, attrset
 #: a node's keys: attribute sets every result tuple carries and that determine it
 Keys = FrozenSet[AttributeSet]
 _NO_KEYS: Keys = frozenset()
-
-
-def memoized_keys(expression: "Expression", catalog, memo: Optional[dict]) -> Keys:
-    """``expression.unique_keys(catalog)``, looked up in ``memo`` (node id →
-    keys, one planning pass long) before it is derived."""
-    if memo is None:
-        return expression.unique_keys(catalog)
-    keys = memo.get(id(expression))
-    if keys is None:
-        keys = memo[id(expression)] = expression.unique_keys(catalog, memo)
-    return keys
 
 
 def _pair_keys(left: Keys, right: Keys, on: Optional[AttributeSet]) -> Keys:
@@ -120,11 +111,16 @@ class Expression:
         """The abbreviated-AD view of :meth:`known_dependencies`."""
         return as_ads(self.known_dependencies(catalog))
 
-    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+    def unique_keys(self, catalog=None) -> Keys:
         """Keys of the result: attribute sets every result tuple carries and
-        whose values tell any two apart — derived from the declared keys by one
-        rule per node class, next to its :meth:`known_dependencies` (``memo``:
-        see :func:`memoized_keys`).  None unless a rule proves one."""
+        whose values tell any two apart — derived from the declared keys by
+        :meth:`keys_from` over the tree.  None unless a rule proves one."""
+        return self.keys_from(tuple([child.unique_keys(catalog)
+                                     for child in self.children]), catalog)
+
+    def keys_from(self, children: Tuple[Keys, ...], catalog) -> Keys:
+        """This node's keys, given its ``children``'s: one rule per node
+        class, next to its :meth:`known_dependencies`."""
         return _NO_KEYS
 
     def guaranteed_attributes(self) -> AttributeSet:
@@ -241,8 +237,8 @@ class _Unary(Expression):
     def known_dependencies(self, catalog=None) -> Set[Dependency]:
         return set(self.child.known_dependencies(catalog))
 
-    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
-        return memoized_keys(self.child, catalog, memo)
+    def keys_from(self, children, catalog) -> Keys:
+        return children[0]
 
     def guaranteed_attributes(self) -> AttributeSet:
         return self.child.guaranteed_attributes()
@@ -299,7 +295,7 @@ class RelationRef(Expression):
     def known_dependencies(self, catalog=None) -> Set[Dependency]:
         return set(as_source(catalog).dependencies(self.name))
 
-    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+    def keys_from(self, children, catalog) -> Keys:
         # the declared key: the engine refuses a tuple lacking it or repeating it
         key = as_source(catalog).key(self.name)
         return _NO_KEYS if key is None else frozenset({key})
@@ -421,10 +417,9 @@ class Projection(_Unary):
                                                dependency.rhs & self.attributes))
         return result
 
-    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+    def keys_from(self, children, catalog) -> Keys:
         # a kept key keeps telling the projected tuples' sources apart
-        return frozenset(key for key in memoized_keys(self.child, catalog, memo)
-                         if key.issubset(self.attributes))
+        return frozenset(key for key in children[0] if key.issubset(self.attributes))
 
     def guaranteed_attributes(self) -> AttributeSet:
         return self.child.guaranteed_attributes() & self.attributes
@@ -449,10 +444,9 @@ class Product(_Binary):
 
     operator = "product"
 
-    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+    def keys_from(self, children, catalog) -> Keys:
         # the join on no attributes
-        return _pair_keys(memoized_keys(self.left, catalog, memo),
-                          memoized_keys(self.right, catalog, memo), AttributeSet())
+        return _pair_keys(*children, AttributeSet())
 
     def structural_key(self, children, params=None, constants=None) -> Tuple:
         return (self.operator,) + children
@@ -477,7 +471,7 @@ class Union(_Binary):
         # rule (4) discards its inputs, so the children are not walked
         return set(propagate_union((), ()))
 
-    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+    def keys_from(self, children, catalog) -> Keys:
         # a key value may recur across the branches
         return _NO_KEYS
 
@@ -521,9 +515,9 @@ class Difference(_Binary):
         # Rule (5): the difference keeps the dependencies of its left input.
         return set(self.left.known_dependencies(catalog))
 
-    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+    def keys_from(self, children, catalog) -> Keys:
         # a subset of the left input
-        return memoized_keys(self.left, catalog, memo)
+        return children[0]
 
     def guaranteed_attributes(self) -> AttributeSet:
         return self.left.guaranteed_attributes()
@@ -592,7 +586,7 @@ class Rename(_Unary):
                                            self._rename_set(dependency.rhs)))
         return result
 
-    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+    def keys_from(self, children, catalog) -> Keys:
         # A key survives, renamed, when no other attribute can land on one of
         # its targets: colliding names keep one value, maybe not the key's.
         mapping = self.mapping
@@ -602,7 +596,7 @@ class Rename(_Unary):
             return names if target in mapping else names | {target}
 
         return frozenset(
-            self._rename_set(key) for key in memoized_keys(self.child, catalog, memo)
+            self._rename_set(key) for key in children[0]
             if all(writers(mapping.get(a.name, a.name)) == {a.name} for a in key))
 
     def guaranteed_attributes(self) -> AttributeSet:
@@ -633,9 +627,8 @@ class NaturalJoin(_Binary):
         super().__init__(left, right)
         self.on = attrset(on) if on is not None else None
 
-    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
-        return _pair_keys(memoized_keys(self.left, catalog, memo),
-                          memoized_keys(self.right, catalog, memo), self.on)
+    def keys_from(self, children, catalog) -> Keys:
+        return _pair_keys(*children, self.on)
 
     def structural_key(self, children, params=None, constants=None) -> Tuple:
         return (self.operator, str(self.on) if self.on is not None else None) + children
@@ -678,11 +671,10 @@ class MultiwayJoin(Expression):
             result |= set(child.known_dependencies(catalog))
         return result
 
-    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+    def keys_from(self, children, catalog) -> Keys:
         # a fragment keyed inside ``on`` merges into a master tuple at most once
-        if all(any(key.issubset(self.on) for key in memoized_keys(child, catalog, memo))
-               for child in self.inputs[1:]):
-            return memoized_keys(self.inputs[0], catalog, memo)
+        if all(any(key.issubset(self.on) for key in keys) for keys in children[1:]):
+            return children[0]
         return _NO_KEYS
 
     def guaranteed_attributes(self) -> AttributeSet:
@@ -742,7 +734,7 @@ class Aggregate(_Unary):
         # survive into (group key, aggregate) shapes — stay conservative.
         return set()
 
-    def unique_keys(self, catalog=None, memo: Optional[dict] = None) -> Keys:
+    def keys_from(self, children, catalog) -> Keys:
         # one tuple per group, and no ⊥ group when every group attribute is present
         group = attrset(self.group_by)
         if group.issubset(self.child.guaranteed_attributes()):

@@ -1080,8 +1080,8 @@ class _Transaction:
     write-ahead replay applies DDL autonomously too, and so is ANALYZE.  The
     statistics need no rewind: their counts are the tables' shape counts,
     which the write loop keeps, and their version never runs backwards.  Rollback
-    drops whatever the cardinality-feedback store learned inside the scope,
-    restores its version and evicts the plans that read it.  It runs when the block
+    drops whatever the cardinality-feedback store learned inside the scope and
+    moves its version on, so the plan cache checks again what each plan read.  It runs when the block
     raises and when a durable commit does, so reads never serve rows that were
     not acknowledged (docs/ARCHITECTURE.md, "Transactions: the undo log").
     """
@@ -1090,7 +1090,6 @@ class _Transaction:
         self._database = database
         self._mark = 0
         self._outermost = False
-        self._feedback_version = 0
         self._feedback_mark = 0
         self._durability = None
         self._span = None
@@ -1104,7 +1103,6 @@ class _Transaction:
         if self._outermost:
             database._undo = []
         self._mark = len(database._undo)
-        self._feedback_version = database.cardinality_feedback.version
         self._feedback_mark = database.cardinality_feedback.begin()
         self._span = database.tracer.span("transaction").__enter__()
         return database
@@ -1158,10 +1156,7 @@ class _Transaction:
         # not snapshot a half-undone database.
         for table in inverses:
             table._mutated(since[table])
-        if database._physical_executor is not None:
-            database._physical_executor.evict_plans_after(self._feedback_version)
-        database.cardinality_feedback.rollback(
-            self._feedback_version, self._feedback_mark)
+        database.cardinality_feedback.rollback(self._feedback_mark)
 
 
 def _as_tuple(item) -> FlexTuple:

@@ -140,13 +140,6 @@ class PlanCache:
     def clear(self) -> None:
         self._plans.clear()
 
-    def evict(self, predicate) -> int:
-        """Drop every cached plan with ``predicate(key, plan)``; returns count."""
-        doomed = [key for key, plan in self._plans.items() if predicate(key, plan)]
-        for key in doomed:
-            del self._plans[key]
-        return len(doomed)
-
     def __len__(self) -> int:
         return len(self._plans)
 
@@ -187,12 +180,10 @@ class PhysicalExecutor:
         self.source = as_source(source)
         self.planner = PhysicalPlanner(source=self.source)
         self.cache = PlanCache(PLAN_CACHE_SIZE)
-        #: statements, template shapes and templates, under the same LRU bound
+        #: statements, template shapes, templates and their resolved
+        #: parameter sites, under the same LRU bound
         self._templates = PlanCache(PLAN_CACHE_SIZE)
         self._shapes = 0
-        #: template key -> ``(statistics version, resolved sites)``: see
-        #: :meth:`_parameter_classes`
-        self._site_statistics: Dict[tuple, tuple] = {}
         #: how :meth:`statement` resolved its texts (see :meth:`statement_info`)
         self._resolutions = {"raw_hits": 0, "token_hits": 0, "parses": 0}
 
@@ -210,21 +201,6 @@ class PhysicalExecutor:
         """The plan-cache counters as a plain dict (rendered by explain output)."""
         return {"hits": self.cache.hits, "misses": self.cache.misses,
                 "size": len(self.cache), "max_size": self.cache.max_size}
-
-    def evict_plans_after(self, feedback_version: int) -> int:
-        """Drop plans validated under feedback versions newer than the given.
-
-        Called by transaction rollback before it winds the feedback version
-        counter back: a plan whose feedback reads were taken against
-        observations made inside the rolled-back transaction must not survive
-        to alias the states those version numbers will stand for next.  (The
-        statistics version never runs backwards: plans keyed by it stay.)
-        """
-        def too_new(key: PlanKey, plan: PhysicalPlan) -> bool:
-            return (plan.feedback_version is not None
-                    and plan.feedback_version > feedback_version)
-
-        return self.cache.evict(too_new)
 
     # -- templates -------------------------------------------------------------------------
 
@@ -354,9 +330,9 @@ class PhysicalExecutor:
         Which distribution each site reads is fixed per statistics version, so
         it is resolved once per template and version; the bucket is read per
         call."""
-        version = self.source.statistics_version
-        held = self._site_statistics.get(template.key)
-        if held is None or held[0] != version:
+        key = ("sites", template.key, self.source.statistics_version)
+        resolved = self._templates.get(key)
+        if resolved is None:
             resolved = []
             for slot, selected, attribute, op in template.sites:
                 statistics = self.planner.cost_model.base_statistics(selected)
@@ -364,11 +340,9 @@ class PhysicalExecutor:
                           if statistics is not None else None)
                 if column is not None:
                     resolved.append((slot, op, column))
-            held = self._site_statistics[template.key] = (version, resolved)
-            if len(self._site_statistics) > PLAN_CACHE_SIZE:
-                del self._site_statistics[next(iter(self._site_statistics))]
+            self._templates.put(key, resolved)
         buckets: Dict[int, object] = {}
-        for slot, op, column in held[1]:
+        for slot, op, column in resolved:
             fraction = column.comparison_fraction(op, params[slot])
             if fraction is not None:
                 rows = fraction * column.present_count

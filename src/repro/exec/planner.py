@@ -12,10 +12,10 @@ operators from :mod:`repro.exec.operators`:
   :mod:`repro.optimizer.joinorder`: Selinger-style dynamic programming over
   connected atom subsets producing bushy trees (``join_order_search="none"``
   keeps the written order, the baseline E13 measures against).  The search
-  re-associates the joins into the cheapest estimated order, seeds
-  the planner's estimate memo with its per-subset cardinalities — this is what
-  keeps the ``est_rows`` / ``est_cost`` annotations honest for composed joins,
-  which the plain cost model cannot price — and records a
+  re-associates the joins into the cheapest estimated order, hands the cost
+  model its estimate of each join it composes — this is what keeps the
+  ``est_rows`` / ``est_cost`` annotations honest for composed joins, which the
+  plain cost model cannot price — and records a
   :class:`~repro.optimizer.joinorder.JoinSearchReport` (subsets enumerated,
   candidate plans pruned, the chosen order) that ``plan.explain()`` renders.
   Trees the search deems unsafe to reorder (narrowed ``on`` sets,
@@ -48,6 +48,10 @@ When the source database carries statistics (``Database.analyze()``), the
 cost model estimates from histograms and variant-tag frequencies, so all of the
 above decisions — and the ``est_rows`` / ``est_cost`` annotations rendered by
 ``plan.explain()`` — are grounded in the data instead of default constants.
+One :meth:`PhysicalPlanner.plan` call is one planning pass of the cost model
+(:meth:`~repro.optimizer.cost.CostModel.bind`): each node's estimate,
+feedback fingerprint and keys are derived once, in memos keyed by the node
+itself, which the pass drops at its end.
 
 The expression handed to :meth:`PhysicalPlanner.plan` may be a *template*:
 comparison constants lifted into :class:`~repro.algebra.predicates.Parameter`
@@ -84,7 +88,6 @@ from repro.algebra.expressions import (
     TypeGuardNode,
     Union,
     dispatch,
-    memoized_keys,
 )
 from repro.algebra.source import as_source
 from repro.errors import OptimizerError
@@ -115,7 +118,7 @@ from repro.exec.operators import (
 from repro.model.tuples import FlexTuple
 from repro.obs.feedback import referenced_tables
 from repro.obs.trace import NOOP_SPAN
-from repro.optimizer.cost import CostEstimate, CostModel
+from repro.optimizer.cost import CostModel
 from repro.optimizer.joinorder import (
     JoinSearchReport,
     index_probe_cost,
@@ -289,16 +292,16 @@ class PhysicalPlanner:
                     join_order_search))
         #: join-order strategy for n-way NaturalJoin trees
         self.join_order_search = join_order_search
-        self._estimates: dict = {}
-        #: node id -> unique_keys, memoized per plan() call like the estimates
+        self._reset()
+
+    def _reset(self) -> None:
+        """Forget the current plan() call's state."""
+        #: node -> its keys (:meth:`_keys_of`), one plan() call long
         self._keys: dict = {}
-        #: ids of NaturalJoin nodes produced by the search (skip re-searching)
+        #: NaturalJoin nodes produced by the search (skip re-searching)
         self._ordered_joins: set = set()
-        #: search results of the current plan() call (also keeps the rebuilt
-        #: trees alive so the id-keyed memos above cannot alias freed nodes)
-        self._search_results: list = []
-        #: the multiway-join stages of the current plan() call (kept alive too)
-        self._stages: list = []
+        #: the join-order search reports of the current plan() call
+        self._reports: list = []
         #: the source's tracer for the duration of one plan() call
         self._tracer = None
 
@@ -312,11 +315,6 @@ class PhysicalPlanner:
         model's tuple-width estimate and the largest base-table cardinality
         (tiny inputs get one batch, wide variant tuples get smaller batches).
         """
-        self._estimates = {}
-        self._keys = {}
-        self._ordered_joins = set()
-        self._search_results = []
-        self._stages = []
         reads: dict = {}
         self.cost_model.bind(params, reads)
         self._tracer = self.source.tracer
@@ -327,20 +325,14 @@ class PhysicalPlanner:
             with span:
                 self._trace_statistics_lookup()
                 root = self._lower(expression)
-                reports = tuple(result.report for result in self._search_results)
                 batch_size = self._adaptive_batch_size(expression)
                 span.set(batch_size=batch_size)
-            return PhysicalPlan(root, expression, join_search=reports,
+            return PhysicalPlan(root, expression, join_search=self._reports,
                                 batch_size=batch_size, params=params,
                                 feedback_reads=reads)
         finally:
             self.cost_model.bind()
-            self._estimates = {}
-            self._keys = {}
-            self._ordered_joins = set()
-            self._search_results = []
-            self._stages = []
-            self._tracer = None
+            self._reset()
 
     def _trace_statistics_lookup(self) -> None:
         """Record which tables contribute statistics to this plan."""
@@ -355,9 +347,16 @@ class PhysicalPlanner:
 
     # -- lowering ------------------------------------------------------------------------
 
-    def _estimate(self, expression: Expression) -> CostEstimate:
-        """Cost-model estimate for a node, memoized per ``plan()`` invocation."""
-        return self.cost_model.estimate(expression, _memo=self._estimates)
+    def _keys_of(self, expression: Expression):
+        """``expression.unique_keys(self.source)``, each node's
+        :meth:`~repro.algebra.expressions.Expression.keys_from` run once per
+        ``plan()`` call."""
+        keys = self._keys.get(expression)
+        if keys is None:
+            keys = self._keys[expression] = expression.keys_from(
+                tuple([self._keys_of(child) for child in expression.children]),
+                self.source)
+        return keys
 
     def _adaptive_batch_size(self, expression: Expression) -> int:
         """The plan's batch size from estimated tuple width and input size."""
@@ -367,7 +366,7 @@ class PhysicalPlanner:
         while pending:
             node = pending.pop()
             if isinstance(node, RelationRef):
-                cardinality = self._estimate(node).cardinality
+                cardinality = self.cost_model.estimate(node).cardinality
                 if largest is None or cardinality > largest:
                     largest = cardinality
             else:
@@ -378,13 +377,13 @@ class PhysicalPlanner:
         operator = self._lower_node(expression)
         if isinstance(expression, (Projection, Rename, Product, NaturalJoin, MultiwayJoin)):
             # a deduplicating operator: under a key its rows are distinct already
-            keys = memoized_keys(expression, self.source, self._keys)
+            keys = self._keys_of(expression)
             if keys:
                 operator.distinct_by = min(keys, key=lambda key: (len(key), key.names))
         # Annotate the produced operator with this node's estimate; a Scan that
         # absorbed a selection/guard chain receives the estimate of the chain's
         # top node, which is exactly what it computes.
-        estimate = self._estimate(expression)
+        estimate = self.cost_model.estimate(expression)
         operator.estimated_rows = estimate.cardinality
         operator.estimated_cost = estimate.work
         # The feedback identity: what this operator computes (structurally,
@@ -419,11 +418,10 @@ class PhysicalPlanner:
         # Merge the smallest estimated fragments into the master first (the
         # dependent fragments commute, so this only changes intermediate
         # sizes, never the result); the last one merges at the root.
-        fragments.sort(key=lambda child: self._estimate(child).cardinality)
+        fragments.sort(key=lambda child: self.cost_model.estimate(child).cardinality)
         probe = master
         if len(fragments) > 1:
             probe = MultiwayJoin([master] + fragments[:-1], expression.on)
-            self._stages.append(probe)
         return HashJoin(self._lower(probe), self._lower(fragments[-1]), expression.on,
                         keep_unmatched_probe=True)
 
@@ -444,24 +442,22 @@ class PhysicalPlanner:
     def _search_join_order(self, expression: NaturalJoin) -> Optional[NaturalJoin]:
         """Run the join-order search on an n-way NaturalJoin tree, if enabled.
 
-        Returns the reordered tree (whose estimate memo entries and report are
-        absorbed into the current plan), or ``None`` to keep the written order.
+        Returns the reordered tree (the cost model holds its estimates for the
+        pass, the plan its report), or ``None`` to keep the written order.
         Trees the search itself produced are never re-searched.
         """
-        if self.join_order_search == "none" or id(expression) in self._ordered_joins:
+        if self.join_order_search == "none" or expression in self._ordered_joins:
             return None
-        result = order_joins(expression, self.cost_model, memo=self._estimates,
-                             tracer=self._tracer)
+        result = order_joins(expression, self.cost_model, tracer=self._tracer)
         if result is None:
             return None
-        self._search_results.append(result)
-        self._estimates.update(result.estimates)
-        self._ordered_joins.update(id(node) for node in result.join_nodes)
+        self._reports.append(result.report)
+        self._ordered_joins.update(result.join_nodes)
         return result.expression
 
     def _lower_join(self, expression: NaturalJoin) -> PhysicalOperator:
-        left_cardinality = self._estimate(expression.left).cardinality
-        right_cardinality = self._estimate(expression.right).cardinality
+        left_cardinality = self.cost_model.estimate(expression.left).cardinality
+        right_cardinality = self.cost_model.estimate(expression.right).cardinality
         index_join = self._index_lookup_join(expression, left_cardinality, right_cardinality)
         if index_join is not None:
             return index_join

@@ -128,7 +128,8 @@ class AttributeSet:
         if isinstance(other, AttributeSet):
             return self._attrs == other._attrs
         if isinstance(other, (set, frozenset)):
-            return self._attrs == AttributeSet(other)._attrs
+            # an Attribute equals its name, so names compare as they are
+            return self._attrs == other
         return NotImplemented
 
     def __hash__(self) -> int:

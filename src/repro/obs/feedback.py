@@ -138,7 +138,7 @@ class CardinalityFeedback:
     @property
     def version(self) -> int:
         """Bumped whenever the store's contents change in a way that could
-        alter an estimate — new entry, changed value, or clear."""
+        alter an estimate — new entry, changed value, clear or rollback."""
         return self._version
 
     def __len__(self) -> int:
@@ -242,23 +242,21 @@ class CardinalityFeedback:
             self._recorded = []
         return len(self._recorded)
 
-    def rollback(self, version: int, mark: int) -> int:
+    def rollback(self, mark: int) -> None:
         """Nothing learned inside a rolled-back transaction survives it: drop
-        what was recorded since the scope's ``mark``; returns drops.
+        what was recorded since the scope's ``mark``.
 
         The observations describe rows the rollback took away, whatever
-        statistics version they were keyed under.  The version counter is then
-        restored (the executor has already evicted the plans validated under
-        the newer versions).
+        statistics version they were keyed under.  When the scope learned
+        anything the version moves on, as after any other change, so every
+        cached plan's reads are checked again; it never runs backwards.
         """
-        dropped = 0
         recorded = self._recorded
-        for store, key in recorded[mark:]:
-            if store.pop(key, None) is not None:
-                dropped += 1
-        del recorded[mark:]
-        self._version = version
-        return dropped
+        if len(recorded) > mark:
+            for store, key in recorded[mark:]:
+                store.pop(key, None)
+            del recorded[mark:]
+            self._version += 1
 
     def end(self) -> None:
         """The outermost transaction scope is over, either way."""

@@ -42,15 +42,18 @@ constants (:data:`DEFAULT_SELECTIVITY`, :data:`DEFAULT_GUARD_SELECTIVITY`),
 so the model degrades gracefully rather than failing.  The n-way join-order
 search of :mod:`repro.optimizer.joinorder` builds on these same primitives —
 atom estimates from this model, edge selectivities from
-:func:`repro.stats.statistics.join_selectivity` — and seeds its per-subset
-cardinalities back into the physical planner's memo, because this model alone
-cannot price composed joins (it has no base statistics for intermediate
-results).
+:func:`repro.stats.statistics.join_selectivity` — and hands the estimates of
+the joins it composes back to the model (:meth:`CostModel.remember`), because
+this model alone cannot price composed joins (it has no base statistics for
+intermediate results).
 
 The statistics-aware logic lives in :class:`CostModel`, one rule per node
 class in :data:`ESTIMATORS` (cardinality and work) and :data:`WIDTHS` (tuple
-width), found by :func:`~repro.algebra.expressions.dispatch`.  The full constant
-reference lives in ``docs/ARCHITECTURE.md``.
+width), found by :func:`~repro.algebra.expressions.dispatch`.  A planning pass
+is one :meth:`CostModel.bind` with ``reads`` to the next ``bind``: the model
+keeps each node's estimate and feedback fingerprint for the pass, keyed by
+the node itself, and nothing outside one.  The full constant reference lives
+in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -158,20 +161,29 @@ class CostModel:
         feedback dependency the costing consults (see
         :meth:`~repro.obs.feedback.CardinalityFeedback.current`) is recorded
         there with the value it read, misses included, so the plan cache can
-        tell whether a cached plan would be costed differently today.
+        tell whether a cached plan would be costed differently today.  Up to
+        the next bind — a planning pass — each node's estimate and fingerprint
+        are kept; outside a pass nothing is kept between calls.
         """
         self.params = params
         self.reads = reads
-        self._fingerprints: Dict[int, tuple] = {}
+        self._estimates: Dict[Expression, CostEstimate] = {}
+        self._fingerprints: Dict[Expression, tuple] = {}
+
+    def remember(self, expression: Expression, estimate: CostEstimate) -> None:
+        """``estimate`` is ``expression``'s for the rest of the pass (the
+        join-order search's joins, which this model cannot price)."""
+        if self.reads is not None:
+            self._estimates[expression] = estimate
 
     def fingerprint(self, expression: Expression) -> tuple:
         """``(bound feedback fingerprint, does it depend on the binding)``."""
-        cached = self._fingerprints.get(id(expression))
+        cached = self._fingerprints.get(expression)
         if cached is None:
             key = expression_key(expression, self.params)
             cached = (key, bool(self.params) and key != expression_key(expression))
-            if self.reads is not None:  # ids are stable only within one plan() call
-                self._fingerprints[id(expression)] = cached
+            if self.reads is not None:
+                self._fingerprints[expression] = cached
         return cached
 
     def observed_edge_selectivity(self, name: str,
@@ -222,8 +234,7 @@ class CostModel:
 
     # -- estimation ----------------------------------------------------------------------
 
-    def estimate(self, expression: Expression,
-                 _memo: Optional[Dict[int, CostEstimate]] = None) -> CostEstimate:
+    def estimate(self, expression: Expression) -> CostEstimate:
         """Recursively estimate output cardinality and total work of ``expression``.
 
         Precedence order: an **observed** cardinality from the feedback store
@@ -232,16 +243,18 @@ class CostModel:
         below derived; the structural hard ``bound`` still caps it.  Base
         relations are excluded — their live row count is already exact.
         """
-        memo: Dict[int, CostEstimate] = _memo if _memo is not None else {}
-        cached = memo.get(id(expression))
+        cached = self._estimates.get(expression)
         if cached is not None:
             return cached
-        estimate = self._estimate(expression, memo)
+        rule = dispatch(ESTIMATORS, expression)
+        if rule is None:
+            raise OptimizerError("cannot estimate cost of {!r}".format(expression))
+        estimate = rule(self, expression)
         observed = self._observed_cardinality(expression)
         if observed is not None and float(observed) != estimate.cardinality:
             estimate = CostEstimate(min(float(observed), estimate.bound),
                                     estimate.work, bound=estimate.bound)
-        memo[id(expression)] = estimate
+        self.remember(expression, estimate)
         return estimate
 
     def _observed_cardinality(self, expression: Expression):
@@ -258,24 +271,18 @@ class CostModel:
             self.reads["bound-rows" if bound else "rows", (key, version)] = observed
         return observed
 
-    def _estimate(self, expression: Expression, memo: Dict[int, CostEstimate]) -> CostEstimate:
-        estimate = dispatch(ESTIMATORS, expression)
-        if estimate is None:
-            raise OptimizerError("cannot estimate cost of {!r}".format(expression))
-        return estimate(self, expression, memo)
-
-    def _estimate_relation(self, expression: RelationRef, memo) -> CostEstimate:
+    def _estimate_relation(self, expression: RelationRef) -> CostEstimate:
         cardinality = _base_cardinality(self.source, expression.name)
         return CostEstimate(cardinality, cardinality)
 
-    def _estimate_selection(self, expression: Selection, memo) -> CostEstimate:
+    def _estimate_selection(self, expression: Selection) -> CostEstimate:
         if isinstance(expression.predicate, FalsePredicate):
-            return CostEstimate(0.0, self.estimate(expression.child, memo).work, bound=0.0)
-        return self._estimate_chain(expression, memo, DEFAULT_SELECTIVITY)
+            return CostEstimate(0.0, self.estimate(expression.child).work, bound=0.0)
+        return self._estimate_chain(expression, DEFAULT_SELECTIVITY)
 
-    def _estimate_chain(self, expression: Expression, memo, default: float) -> CostEstimate:
+    def _estimate_chain(self, expression: Expression, default: float) -> CostEstimate:
         """σ and τ: the chain's statistics, else ``default`` of the input."""
-        child = self.estimate(expression.child, memo)
+        child = self.estimate(expression.child)
         cardinality = self._chain_cardinality(expression)
         if cardinality is None:
             cardinality = child.cardinality * default
@@ -283,26 +290,26 @@ class CostModel:
                             child.work + child.cardinality * TUPLE_COST,
                             bound=child.bound)
 
-    def _estimate_reshaping(self, expression: Expression, memo) -> CostEstimate:
-        child = self.estimate(expression.children[0], memo)
+    def _estimate_reshaping(self, expression: Expression) -> CostEstimate:
+        child = self.estimate(expression.children[0])
         return CostEstimate(child.cardinality,
                             child.work + child.cardinality * TUPLE_COST,
                             bound=child.bound)
 
-    def _estimate_product(self, expression: Expression, memo) -> CostEstimate:
-        left = self.estimate(expression.children[0], memo)
-        right = self.estimate(expression.children[1], memo)
+    def _estimate_product(self, expression: Expression) -> CostEstimate:
+        left = self.estimate(expression.children[0])
+        right = self.estimate(expression.children[1])
         pairs = left.cardinality * right.cardinality
         return CostEstimate(pairs, left.work + right.work + pairs,
                             bound=left.bound * right.bound)
 
-    def _estimate_join(self, expression: NaturalJoin, memo) -> CostEstimate:
-        pairs = self._estimate_product(expression, memo)
+    def _estimate_join(self, expression: NaturalJoin) -> CostEstimate:
+        pairs = self._estimate_product(expression)
         return CostEstimate(pairs.cardinality * self._join_selectivity(expression),
                             pairs.work, bound=pairs.bound)
 
-    def _estimate_multiway_join(self, expression: MultiwayJoin, memo) -> CostEstimate:
-        estimates = [self.estimate(child, memo) for child in expression.children]
+    def _estimate_multiway_join(self, expression: MultiwayJoin) -> CostEstimate:
+        estimates = [self.estimate(child) for child in expression.children]
         work = sum(e.work for e in estimates)
         cardinality = estimates[0].cardinality
         bound = estimates[0].bound
@@ -312,52 +319,51 @@ class CostModel:
             bound *= max(1.0, estimate.bound)
         return CostEstimate(cardinality, work, bound=bound)
 
-    def _estimate_union(self, expression: Union, memo) -> CostEstimate:
-        left = self.estimate(expression.children[0], memo)
-        right = self.estimate(expression.children[1], memo)
+    def _estimate_union(self, expression: Union) -> CostEstimate:
+        left = self.estimate(expression.children[0])
+        right = self.estimate(expression.children[1])
         return CostEstimate(left.cardinality + right.cardinality,
                             left.work + right.work + left.cardinality + right.cardinality,
                             bound=left.bound + right.bound)
 
-    def _estimate_difference(self, expression: Difference, memo) -> CostEstimate:
-        left = self.estimate(expression.children[0], memo)
-        right = self.estimate(expression.children[1], memo)
+    def _estimate_difference(self, expression: Difference) -> CostEstimate:
+        left = self.estimate(expression.children[0])
+        right = self.estimate(expression.children[1])
         return CostEstimate(left.cardinality, left.work + right.work + left.cardinality,
                             bound=left.bound)
 
-    def _estimate_aggregate(self, expression: Aggregate, memo) -> CostEstimate:
-        child = self.estimate(expression.child, memo)
+    def _estimate_aggregate(self, expression: Aggregate) -> CostEstimate:
+        child = self.estimate(expression.child)
         bound = child.bound if expression.group_by else 1.0
         groups = self._group_count(expression, child)
         return CostEstimate(min(groups, bound),
                             child.work + child.cardinality * TUPLE_COST,
                             bound=bound)
 
-    def _estimate_sort(self, expression: Sort, memo) -> CostEstimate:
-        child = self.estimate(expression.child, memo)
+    def _estimate_sort(self, expression: Sort) -> CostEstimate:
+        child = self.estimate(expression.child)
         n = max(child.cardinality, 1.0)
         return CostEstimate(child.cardinality,
                             child.work + child.cardinality * log2(max(n, 2.0))
                             * TUPLE_COST,
                             bound=child.bound)
 
-    def _estimate_limit(self, expression: Limit, memo) -> CostEstimate:
+    def _estimate_limit(self, expression: Limit) -> CostEstimate:
         # The planner fuses Limit(Sort(E)) into one bounded sort, so price
         # the fused pair off the sort's input: per input tuple log₂ of the
         # rows it is ranked among, the ~k held or all n when n is smaller.
         k = float(expression.count)
         inner = expression.child
-        base = self.estimate(inner.child if isinstance(inner, Sort) else inner, memo)
+        base = self.estimate(inner.child if isinstance(inner, Sort) else inner)
         n = max(base.cardinality, 1.0)
         per_tuple = min(log2(max(k, 2.0)), log2(max(n, 2.0)))
         return CostEstimate(min(k, base.cardinality),
                             base.work + base.cardinality * per_tuple * TUPLE_COST,
                             bound=min(k, base.bound))
 
-    def _estimate_subquery_extension(self, expression: SubqueryExtension,
-                                     memo) -> CostEstimate:
-        child = self.estimate(expression.child, memo)
-        subquery = self.estimate(expression.subquery, memo)
+    def _estimate_subquery_extension(self, expression: SubqueryExtension) -> CostEstimate:
+        child = self.estimate(expression.child)
+        subquery = self.estimate(expression.subquery)
         return CostEstimate(child.cardinality,
                             child.work + subquery.work + child.cardinality * TUPLE_COST,
                             bound=child.bound)
@@ -504,11 +510,11 @@ def measured_cost(expression: Expression, source) -> ExecutionStats:
 
 #: node class -> how :class:`CostModel` estimates its cardinality and work
 ESTIMATORS = {
-    EmptyRelation: lambda model, expression, memo: CostEstimate(0.0, 0.0),
+    EmptyRelation: lambda model, expression: CostEstimate(0.0, 0.0),
     RelationRef: CostModel._estimate_relation,
     Selection: CostModel._estimate_selection,
-    TypeGuardNode: lambda model, expression, memo: model._estimate_chain(
-        expression, memo, DEFAULT_GUARD_SELECTIVITY),
+    TypeGuardNode: lambda model, expression: model._estimate_chain(
+        expression, DEFAULT_GUARD_SELECTIVITY),
     Projection: CostModel._estimate_reshaping,
     Extension: CostModel._estimate_reshaping,
     Rename: CostModel._estimate_reshaping,

@@ -71,7 +71,11 @@ no-op, never to a wrong plan.
 
 :class:`JoinSearchReport` records what the search did — relation count,
 subsets enumerated, candidate plans priced and pruned, and the chosen order —
-and is rendered by ``plan.explain()`` / ``Database.explain()``.
+and is rendered by ``plan.explain()`` / ``Database.explain()``.  Within a
+planning pass the search hands the estimate of every join it composes to the
+cost model (:meth:`~repro.optimizer.cost.CostModel.remember`), so the
+planner's ``est_rows`` / ``est_cost`` annotations of the reordered tree are
+the search's numbers: the model alone has no statistics for composed joins.
 """
 
 from __future__ import annotations
@@ -257,18 +261,14 @@ class JoinSearchReport:
 class JoinOrderResult:
     """The reordered expression tree plus everything the planner needs.
 
-    ``estimates`` maps ``id(node)`` of every node of the new tree (and of the
-    original root) to the search's :class:`CostEstimate`, so the planner's
-    per-node ``est_rows`` / ``est_cost`` annotations stay honest — the default
-    cost model cannot price composed joins (it has no base statistics for
-    them), the search can.  ``join_nodes`` lists the NaturalJoin nodes the
-    search created, so the planner skips re-searching them.
+    ``join_nodes`` lists the NaturalJoin nodes the search created, so the
+    planner skips re-searching them.  (Their estimates, and the original
+    root's, the search has handed to the cost model for the planning pass.)
     """
 
-    def __init__(self, expression: Expression, estimates: Dict[int, CostEstimate],
-                 join_nodes: List[Expression], report: JoinSearchReport):
+    def __init__(self, expression: Expression, join_nodes: List[Expression],
+                 report: JoinSearchReport):
         self.expression = expression
-        self.estimates = estimates
         self.join_nodes = join_nodes
         self.report = report
 
@@ -335,18 +335,18 @@ def extract_join_graph(expression: Expression, source) -> Optional[JoinGraph]:
     if len(atom_expressions) < MIN_RELATIONS:
         return None
 
-    universes: Dict[int, AttributeSet] = {}
+    universes: Dict[Expression, AttributeSet] = {}
     for atom in atom_expressions:
         universe = atom.attribute_universe(source)
         if universe is None:
             return None
-        universes[id(atom)] = universe
+        universes[atom] = universe
 
     # Safety: every written join must be a *pure* natural join — its ``on``
     # attributes exactly the universe intersection of its sides.
     def subtree_universe(node: Expression) -> AttributeSet:
-        if id(node) in universes:
-            return universes[id(node)]
+        if node in universes:
+            return universes[node]
         assert isinstance(node, NaturalJoin)
         return subtree_universe(node.left) | subtree_universe(node.right)
 
@@ -355,7 +355,7 @@ def extract_join_graph(expression: Expression, source) -> Optional[JoinGraph]:
         if attrset(join.on) != intersection:
             return None
 
-    atoms = [JoinAtom(index, atom, universes[id(atom)],
+    atoms = [JoinAtom(index, atom, universes[atom],
                       CostEstimate(0.0, 0.0))
              for index, atom in enumerate(atom_expressions)]
     edges = []
@@ -379,10 +379,10 @@ def _crosses(edge: JoinEdge, left_mask: int, right_mask: int) -> bool:
                 or (left_mask & right_bit and right_mask & left_bit))
 
 
-def _price_atoms(graph: JoinGraph, cost_model: CostModel, memo: Dict) -> None:
+def _price_atoms(graph: JoinGraph, cost_model: CostModel) -> None:
     """Fill in atom estimates/statistics and edge selectivities from the model."""
     for atom in graph.atoms:
-        atom.estimate = cost_model.estimate(atom.expression, _memo=memo)
+        atom.estimate = cost_model.estimate(atom.expression)
         atom.statistics = cost_model.base_statistics(atom.expression)
         atom.relation = scanned_relation(atom.expression)
     for edge in graph.edges:
@@ -559,25 +559,24 @@ def _search_dp(graph: JoinGraph, cost_model: CostModel):
 # -- result construction -----------------------------------------------------------------
 
 
-def _build_expression(graph: JoinGraph, plan: _Plan,
-                      estimates: Dict[int, CostEstimate],
+def _build_expression(graph: JoinGraph, plan: _Plan, cost_model: CostModel,
                       join_nodes: List[Expression]) -> Tuple[Expression, str]:
-    """Rebuild the ordered NaturalJoin tree and seed the estimate memo."""
+    """Rebuild the ordered NaturalJoin tree; the cost model remembers the
+    estimate of each join it composes (an atom's it has already)."""
     if plan.atom is not None:
         atom = graph.atoms[plan.atom]
-        estimates[id(atom.expression)] = atom.estimate
         return atom.expression, atom.label
-    left_expr, left_label = _build_expression(graph, plan.left, estimates, join_nodes)
-    right_expr, right_label = _build_expression(graph, plan.right, estimates, join_nodes)
+    left_expr, left_label = _build_expression(graph, plan.left, cost_model, join_nodes)
+    right_expr, right_label = _build_expression(graph, plan.right, cost_model, join_nodes)
     on = graph.universe(plan.left.mask) & graph.universe(plan.right.mask)
     node = NaturalJoin(left_expr, right_expr, on=on)
-    estimates[id(node)] = CostEstimate(plan.cardinality, plan.cost, bound=plan.bound)
+    cost_model.remember(node, CostEstimate(plan.cardinality, plan.cost,
+                                           bound=plan.bound))
     join_nodes.append(node)
     return node, "({} ⋈ {})".format(left_label, right_label)
 
 
 def order_joins(expression: Expression, cost_model: CostModel,
-                memo: Optional[Dict] = None,
                 tracer=None) -> Optional[JoinOrderResult]:
     """Search a join order for a nested NaturalJoin tree.
 
@@ -587,23 +586,26 @@ def order_joins(expression: Expression, cost_model: CostModel,
     :class:`JoinOrderResult` whose expression is semantically equivalent to the
     input with the joins re-associated into the chosen order.
 
-    ``tracer`` (a :class:`repro.obs.trace.Tracer` or ``None``) records the
-    search as a ``join-order-search`` span carrying the report's numbers.
+    Within a planning pass (see :meth:`~repro.optimizer.cost.CostModel.bind`)
+    ``cost_model`` remembers the search's estimate of every join of the new
+    tree and of ``expression`` itself.  ``tracer`` (a
+    :class:`repro.obs.trace.Tracer` or ``None``) records the search as a
+    ``join-order-search`` span carrying the report's numbers.
     """
     graph = extract_join_graph(expression, cost_model.source)
     if graph is None or len(graph) > DEFAULT_DP_THRESHOLD:
         return None
     with (tracer.span("join-order-search") if tracer is not None
           else NOOP_SPAN) as span:
-        _price_atoms(graph, cost_model, memo if memo is not None else {})
+        _price_atoms(graph, cost_model)
         plan, subsets, considered, pruned = _search_dp(graph, cost_model)
-        estimates: Dict[int, CostEstimate] = {}
         join_nodes: List[Expression] = []
-        ordered, order = _build_expression(graph, plan, estimates, join_nodes)
+        ordered, order = _build_expression(graph, plan, cost_model, join_nodes)
         # The original root prices identically to the reordered root, so the
         # planner's annotation of the node it was handed stays honest too.
-        estimates[id(expression)] = estimates[id(ordered)]
+        cost_model.remember(expression, CostEstimate(plan.cardinality, plan.cost,
+                                                     bound=plan.bound))
         report = JoinSearchReport(len(graph), subsets, considered, pruned,
                                   order, plan.cardinality, plan.cost)
         span.set(**report.as_dict())
-    return JoinOrderResult(ordered, estimates, join_nodes, report)
+    return JoinOrderResult(ordered, join_nodes, report)

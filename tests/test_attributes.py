@@ -97,6 +97,29 @@ class TestAttributeSetAlgebra:
 
     def test_equality_with_plain_set(self):
         assert attrset(["a", "b"]) == {"a", "b"}
+        assert attrset(["a", "b"]) == frozenset({Attribute("a"), "b"})
+        assert attrset(["a", "b"]) != frozenset({"a"})
+        assert (attrset(["a"]) == frozenset({1})) is False
+
+    def test_a_name_set_key_finds_an_attribute_set_key_without_building_one(
+            self, employee_table, monkeypatch):
+        """The index memo of a table, keyed by whichever form asked first,
+        answers the other form by comparing members as they are."""
+        key, names = attrset(["emp_id"]), frozenset({"emp_id"})
+        index = employee_table.index_for(key)
+        assert index is not None
+        built = []
+        construct = AttributeSet.__init__
+
+        def counting(self, attributes=None):
+            built.append(attributes)
+            construct(self, attributes)
+
+        monkeypatch.setattr(AttributeSet, "__init__", counting)
+        for _ in range(50):
+            assert employee_table.index_for(names) is index
+            assert employee_table.index_for(key) is index
+        assert built == []
 
     def test_hashable(self):
         assert len({attrset(["a", "b"]), attrset(["b", "a"])}) == 1

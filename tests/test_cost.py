@@ -74,6 +74,25 @@ class TestEstimateCost:
         estimate = CostModel(employee_database).estimate(node)
         assert estimate.cardinality >= 60 and estimate.work >= 180
 
+    def test_outside_a_pass_nothing_is_kept(self, employee_database):
+        """A pass (``bind`` with reads) keeps each node's estimate; outside
+        one the same model reads the table as it is now."""
+        from repro.workloads.employees import generate_employees
+
+        model = CostModel(employee_database)
+        node = Projection(RelationRef("employees"), ["name"])
+        assert model.estimate(node).cardinality == 60
+        employee_database.table("employees").insert_many(
+            generate_employees(5, seed=8, start_id=10_000))
+        assert model.estimate(node).cardinality == 65
+        model.bind((), {})
+        assert model.estimate(node).cardinality == 65
+        employee_database.table("employees").insert_many(
+            generate_employees(5, seed=9, start_id=20_000))
+        assert model.estimate(node).cardinality == 65
+        model.bind()
+        assert model.estimate(node).cardinality == 70
+
     def test_unknown_node_rejected(self, employee_database):
         class Strange:
             pass

@@ -236,7 +236,7 @@ def test_dispatch_resolves_a_subclass_as_isinstance_did():
     assert dispatch({}, _R) is None
 
 
-#: the node classes that inherit their ``unique_keys`` rule, and why it is theirs
+#: the node classes that inherit their ``keys_from`` rule, and why it is theirs
 INHERITED_KEY_RULES = {
     EmptyRelation: "no keys claimed, as no dependencies are",
     Selection: "a subset of the child's tuples",
@@ -251,9 +251,11 @@ INHERITED_KEY_RULES = {
 
 @pytest.mark.parametrize("node", _algebra_nodes(), ids=lambda cls: cls.__name__)
 def test_every_node_states_its_key_rule(node):
-    """A node defines ``unique_keys`` or is listed as inheriting it — never
-    both, and no new node silently passes its child's keys through."""
-    assert ("unique_keys" in vars(node)) != (node in INHERITED_KEY_RULES), node
+    """A node defines ``keys_from`` or is listed as inheriting it — never
+    both, and no new node silently passes its child's keys through; the
+    recursion is ``Expression.unique_keys`` alone."""
+    assert ("keys_from" in vars(node)) != (node in INHERITED_KEY_RULES), node
+    assert "unique_keys" not in vars(node), node
 
 
 class TestLowering:

@@ -365,6 +365,7 @@ def test_a_false_key_fails_the_fuzz(fuzz_source, fuzz_database, monkeypatch):
     the second at tree 3 (employees, which carry no ``coupon``, as the
     master of a merge on it)."""
     from repro.exec import operators
+    from repro.exec.planner import PhysicalPlanner
     from repro.model.attributes import AttributeSet
 
     def first_failing_tree(check):
@@ -384,12 +385,12 @@ def test_a_false_key_fails_the_fuzz(fuzz_source, fuzz_database, monkeypatch):
         assert failure is None, failure
 
     with monkeypatch.context() as patch:
-        patch.setattr("repro.exec.planner.memoized_keys",
-                      lambda expression, catalog, memo: frozenset({AttributeSet()}))
+        patch.setattr(PhysicalPlanner, "_keys_of",
+                      lambda self, expression: frozenset({AttributeSet()}))
         assert first_failing_tree(parity) is not None
     with monkeypatch.context() as patch:
-        patch.setattr(Projection, "unique_keys",
-                      lambda self, catalog=None, memo=None: self.child.unique_keys(catalog))
+        patch.setattr(Projection, "keys_from",
+                      lambda self, children, catalog: children[0])
         assert first_failing_tree(
             lambda tree, _size: _naive_checking_keys(tree, fuzz_database, "teeth")) is not None
 

@@ -410,6 +410,31 @@ class TestPlanCache:
         # Identical results either way.
         assert before.execute(database).tuples == after.execute(database).tuples
 
+    def test_one_plan_call_derives_each_node_once(self, star_db, monkeypatch):
+        """The planning pass keeps each node's estimate and keys: on the
+        6-way star every estimator and every key rule runs once per node (the
+        joins the search composes are its estimates, never the model's)."""
+        from collections import Counter
+
+        from repro.algebra import expressions
+        from repro.optimizer import cost
+
+        estimated, keyed = Counter(), Counter()
+        for cls, rule in list(cost.ESTIMATORS.items()):
+            def estimator(model, node, rule=rule):
+                estimated[node] += 1
+                return rule(model, node)
+            monkeypatch.setitem(cost.ESTIMATORS, cls, estimator)
+        for cls in vars(expressions).values():
+            if isinstance(cls, type) and "keys_from" in vars(cls):
+                def keys_from(node, children, catalog, rule=vars(cls)["keys_from"]):
+                    keyed[node] += 1
+                    return rule(node, children, catalog)
+                monkeypatch.setattr(cls, "keys_from", keys_from)
+        plan = PhysicalPlanner(star_db).plan(star_join_query())
+        assert plan.join_search and len(estimated) >= 6 and len(keyed) >= 6
+        assert set(estimated.values()) == set(keyed.values()) == {1}
+
     def test_planning_constants_are_not_options(self, star_db):
         """Only the join-order search mode (``"dp"`` or ``"none"``) is a
         planning option; the other planning decisions — the batch size among

@@ -232,27 +232,37 @@ class TestInvalidation:
         assert before is not after
         assert "jobtype = ?" in after.expression.pretty()
 
-    def test_rollback_evicts_what_the_transaction_cached(self, database):
-        """The plans that read feedback learned inside; the statistics version
-        never runs backwards, so the others stay."""
+    def test_rollback_replans_what_read_dropped_feedback(self, database):
+        """Nothing is evicted: a plan costed on feedback learned inside is
+        re-planned on its next run, as the rollback dropped what it read;
+        the pre-transaction plan, whose reads hold, stays a hit."""
         database.analyze()
         database.query(self.TEXT.format(1))
         executor = database.physical_executor
+        before = set(executor.cache._plans)
+        inside_text = "SELECT name FROM employees WHERE salary > 0.0"
         with pytest.raises(RuntimeError):
             with database.transaction():
                 database.insert("employees",
                                 generate_employees(1, seed=8, start_id=30_000)[0])
-                database.cardinality_feedback.record(
-                    ("txn", "fp"), database.statistics_version, 3)
-                database.query("SELECT name FROM employees WHERE salary > 0.0")
+                database.query(inside_text)
+                (key,) = set(executor.cache._plans) - before
+                _kind, (fingerprint, version) = next(
+                    iter(executor.cache._plans[key].feedback_reads))
+                database.cardinality_feedback.record(fingerprint, version, 3)
+                misses = executor.cache_misses
+                database.query(inside_text)             # costed on the 3
+                assert executor.cache_misses == misses + 1
                 database.query(self.TEXT.format(3))     # the pre-transaction plan
                 inside = len(executor.cache)
                 raise RuntimeError("abort")
-        assert len(executor.cache) == inside - 1
+        assert len(executor.cache) == inside
         misses = executor.cache_misses
+        assert database.query(inside_text).tuples == _naive(database, inside_text)
+        assert executor.cache_misses == misses + 1
         assert database.query(self.TEXT.format(4)).tuples \
             == _naive(database, self.TEXT.format(4))
-        assert executor.cache_misses == misses       # the pre-transaction plan
+        assert executor.cache_misses == misses + 1    # the pre-transaction plan
 
     def test_reset_metrics_keeps_plans_that_read_no_feedback(self, database):
         database.analyze()

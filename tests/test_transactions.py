@@ -154,9 +154,10 @@ class TestTransactions:
 
 
 class TestRollbackVersionRestore:
-    """Rollback rewinds the feedback it churned; the statistics need no rewind
-    (their counts are the shape counts the undo keeps, their version is a
-    clock that never runs backwards)."""
+    """Rollback drops the feedback the scope learned and moves the feedback
+    version on, so each cached plan's reads are checked again; the statistics
+    need no rewind (their counts are the shape counts the undo keeps).  Both
+    versions are clocks that never run backwards."""
 
     def test_statistics_version_restored(self, database):
         """Below the drift threshold a rolled-back transaction moves no
@@ -221,20 +222,61 @@ class TestRollbackVersionRestore:
         database.execute(RelationRef("employees"))
         assert database.physical_executor.cache_hits == hits_before + 1
 
-    def test_plans_cached_inside_are_evicted(self, database):
-        """They were validated against feedback learned inside, which does
-        not survive."""
+    def test_feedback_version_moves_on_past_dropped_observations(self, database):
+        feedback = database.cardinality_feedback
+        version = feedback.version
+        with pytest.raises(RuntimeError):
+            with database.transaction():
+                feedback.record(("txn", "fp"), database.statistics_version, 5)
+                raise RuntimeError("abort")
+        assert len(feedback) == 0
+        assert feedback.version > version
+
+    def test_plans_cached_inside_stay_when_their_reads_hold(self, database):
+        """A plan cached inside the scope that read nothing the rollback
+        dropped is still a hit after it."""
         from repro.algebra.expressions import RelationRef
 
+        executor = database.physical_executor
         with pytest.raises(RuntimeError):
             with database.transaction():
                 database.insert("employees", _valid_employee(705))
                 database.cardinality_feedback.record(
                     ("txn", "fp"), database.statistics_version, 11)
                 database.execute(RelationRef("employees"))
-                cached_inside = len(database.physical_executor.cache)
                 raise RuntimeError("abort")
-        assert len(database.physical_executor.cache) < cached_inside
+        misses = executor.cache_misses
+        database.execute(RelationRef("employees"))
+        assert executor.cache_misses == misses
+
+    def test_plan_whose_read_was_evicted_inside_is_replanned(self, database):
+        """Observations the scope learned push the one a cached plan read out
+        of the store's LRU; the rollback drops them, so the store no longer
+        holds what the plan read, and its next run re-plans."""
+        from repro.algebra.expressions import RelationRef, Selection
+        from repro.algebra.predicates import Comparison
+
+        feedback = database.cardinality_feedback
+        feedback.capacity = 2
+        executor = database.physical_executor
+        query = Selection(RelationRef("employees"), Comparison("salary", ">", 0.0))
+        database.execute(query)
+        (plan,) = executor.cache._plans.values()
+        (read,) = plan.feedback_reads
+        fingerprint, version = read[1]
+        feedback.record(fingerprint, version, len(database.table("employees")))
+        database.execute(query)                     # re-planned: it reads that
+        misses = executor.cache_misses
+        database.execute(query)
+        assert executor.cache_misses == misses
+        with pytest.raises(RuntimeError):
+            with database.transaction():
+                feedback.record(("txn", "a"), version, 1)
+                feedback.record(("txn", "b"), version, 2)
+                assert feedback.lookup(fingerprint, version) is None
+                raise RuntimeError("abort")
+        database.execute(query)
+        assert executor.cache_misses == misses + 1
 
     def test_tables_created_inside_are_emptied_not_dropped(self, database):
         from repro.model.scheme import FlexibleScheme
@@ -267,7 +309,6 @@ class _SnapshotScope:
     def __init__(self, database):
         self.snapshots = {name: database.table(name).snapshot()
                           for name in database.tables()}
-        self.feedback_version = database.cardinality_feedback.version
         self.feedback_mark = database.cardinality_feedback.begin()
 
     def rollback(self, database):
@@ -276,7 +317,7 @@ class _SnapshotScope:
             if table.snapshot() != snapshot:
                 table.restore(snapshot)
         feedback = database.cardinality_feedback
-        feedback.rollback(self.feedback_version, self.feedback_mark)
+        feedback.rollback(self.feedback_mark)
         feedback.end()
 
 
