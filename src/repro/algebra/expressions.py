@@ -19,8 +19,8 @@ structure, every node knows
   tree), the physical planner's proof that an operator cannot produce a
   duplicate row,
 * every attribute a result tuple can carry (:meth:`Expression.attribute_universe`),
-  and what tells it apart from its class's other nodes
-  (:meth:`Expression.structural_key`).
+  and what tells it apart from its class's other nodes (:meth:`Expression.structure`,
+  built once per node by :meth:`Expression.structural_key` from its children's).
 
 A base relation's facts are resolved against a *catalog*: a
 :class:`~repro.algebra.source.Source` (such as :class:`repro.engine.Database`)
@@ -96,6 +96,8 @@ class Expression:
 
     #: the child expressions (empty for leaves)
     children: Tuple["Expression", ...] = ()
+    #: :meth:`structure`, once read
+    _structure: Optional[Tuple[Tuple, Tuple]] = None
 
     def with_children(self, children: Sequence["Expression"]) -> "Expression":
         """Rebuild this node with new children (same arity required)."""
@@ -142,14 +144,27 @@ class Expression:
         statically, which keeps a join over this node in its written order."""
         return None
 
-    def structural_key(self, children: Tuple, params=None,
-                       constants: Optional[list] = None) -> Tuple:
-        """This node's :func:`repro.obs.feedback.expression_key`, given its
-        ``children``'s (computed first, so constants are collected
-        children-first): the operator name, whatever tells this node apart
-        from its class's others, then ``children``."""
+    def structural_key(self, children: Tuple, constants: list) -> Tuple:
+        """This node's literal-free key, given its ``children``'s: the
+        operator name, whatever tells this node apart from its class's
+        others, then ``children``.  Each comparison shows as ``?`` and is
+        appended to ``constants``."""
         raise NotImplementedError(
             "{} states no structural key".format(type(self).__name__))
+
+    def structure(self) -> Tuple[Tuple, Tuple]:
+        """``(literal-free key, the tree's comparisons children first)``,
+        built once from the children's (``with_children`` copies drop it)."""
+        structure = self._structure
+        if structure is None:
+            keys, constants = [], []
+            for child in self.children:
+                key, comparisons = child.structure()
+                keys.append(key)
+                constants += comparisons
+            key = self.structural_key(tuple(keys), constants)
+            structure = self._structure = (key, tuple(constants))
+        return structure
 
     def map_comparisons(self, function) -> "Expression":
         """This tree with ``function`` applied to every comparison of every
@@ -231,6 +246,7 @@ class _Unary(Expression):
 
     def with_children(self, children: Sequence[Expression]) -> "_Unary":
         node = copy(self)
+        node.__dict__.pop("_structure", None)
         (node.child,) = children
         return node
 
@@ -264,6 +280,7 @@ class _Binary(Expression):
 
     def with_children(self, children: Sequence[Expression]) -> "_Binary":
         node = copy(self)
+        node.__dict__.pop("_structure", None)
         node.left, node.right = children
         return node
 
@@ -303,7 +320,7 @@ class RelationRef(Expression):
     def attribute_universe(self, source) -> Optional[AttributeSet]:
         return as_source(source).universe(self.name)
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
+    def structural_key(self, children, constants) -> Tuple:
         return (self.operator, self.name)
 
     def _label(self) -> str:
@@ -329,7 +346,7 @@ class EmptyRelation(Expression):
     def attribute_universe(self, source) -> Optional[AttributeSet]:
         return AttributeSet()
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
+    def structural_key(self, children, constants) -> Tuple:
         return (self.operator,)
 
     def _label(self) -> str:
@@ -361,8 +378,8 @@ class Selection(_Unary):
         result.update(self.predicate.implied_equalities())
         return result
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
-        return (self.operator, self.predicate.render(params, constants)) + children
+    def structural_key(self, children, constants) -> Tuple:
+        return (self.operator, self.predicate.render(constants)) + children
 
     def _label(self) -> str:
         return "select[{!r}]".format(self.predicate)
@@ -380,7 +397,7 @@ class TypeGuardNode(_Unary):
     def guaranteed_attributes(self) -> AttributeSet:
         return self.child.guaranteed_attributes() | self.attributes
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
+    def structural_key(self, children, constants) -> Tuple:
         return (self.operator, str(self.attributes)) + children
 
     def _label(self) -> str:
@@ -432,7 +449,7 @@ class Projection(_Unary):
         child = self.child.attribute_universe(source)
         return None if child is None else child & self.attributes
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
+    def structural_key(self, children, constants) -> Tuple:
         return (self.operator, str(self.attributes)) + children
 
     def _label(self) -> str:
@@ -448,7 +465,7 @@ class Product(_Binary):
         # the join on no attributes
         return _pair_keys(*children, AttributeSet())
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
+    def structural_key(self, children, constants) -> Tuple:
         return (self.operator,) + children
 
 
@@ -491,7 +508,7 @@ class Union(_Binary):
         return {name: value for name, value in left.items()
                 if name in right and right[name] == value}
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
+    def structural_key(self, children, constants) -> Tuple:
         return (self.operator,) + children
 
 
@@ -528,7 +545,7 @@ class Difference(_Binary):
     def attribute_universe(self, source) -> Optional[AttributeSet]:
         return self.left.attribute_universe(source)
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
+    def structural_key(self, children, constants) -> Tuple:
         return (self.operator,) + children
 
 
@@ -558,7 +575,7 @@ class Extension(_Unary):
         child = self.child.attribute_universe(source)
         return None if child is None else child | attrset(self.attribute)
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
+    def structural_key(self, children, constants) -> Tuple:
         return (self.operator, self.attribute, repr(self.value)) + children
 
     def _label(self) -> str:
@@ -610,7 +627,7 @@ class Rename(_Unary):
         child = self.child.attribute_universe(source)
         return None if child is None else self._rename_set(child)
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
+    def structural_key(self, children, constants) -> Tuple:
         return (self.operator, tuple(sorted(self.mapping.items()))) + children
 
     def _label(self) -> str:
@@ -630,7 +647,7 @@ class NaturalJoin(_Binary):
     def keys_from(self, children, catalog) -> Keys:
         return _pair_keys(*children, self.on)
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
+    def structural_key(self, children, constants) -> Tuple:
         return (self.operator, str(self.on) if self.on is not None else None) + children
 
     def _label(self) -> str:
@@ -687,7 +704,7 @@ class MultiwayJoin(Expression):
     def attribute_universe(self, source) -> Optional[AttributeSet]:
         return _universe_of(self.inputs, source)
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
+    def structural_key(self, children, constants) -> Tuple:
         return (self.operator, str(self.on), children)
 
     def _label(self) -> str:
@@ -752,7 +769,7 @@ class Aggregate(_Unary):
     def attribute_universe(self, source) -> Optional[AttributeSet]:
         return attrset(self.group_by) | attrset(spec.output for spec in self.specs)
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
+    def structural_key(self, children, constants) -> Tuple:
         # Group-by order is semantically irrelevant, so sorting it lets
         # permuted spellings share one plan (the spec order is kept — it only
         # costs a cache miss, never a wrong reuse).
@@ -785,7 +802,7 @@ class Sort(_Unary):
         if not self.keys:
             raise AlgebraError("sort needs at least one key")
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
+    def structural_key(self, children, constants) -> Tuple:
         return (self.operator, tuple(key.key() for key in self.keys)) + children
 
     def _label(self) -> str:
@@ -809,7 +826,7 @@ class Limit(_Unary):
         super().__init__(child)
         self.count = count
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
+    def structural_key(self, children, constants) -> Tuple:
         return (self.operator, self.count) + children
 
     def _label(self) -> str:
@@ -843,15 +860,13 @@ class SubqueryExtension(_Unary):
         return (self.child, self.subquery)
 
     def with_children(self, children: Sequence[Expression]) -> "SubqueryExtension":
-        node = copy(self)
-        node.child, node.subquery = children
-        return node
+        return SubqueryExtension(children[0], self.attribute, children[1])
 
     def attribute_universe(self, source) -> Optional[AttributeSet]:
         child = self.child.attribute_universe(source)
         return None if child is None else child | attrset(self.attribute)
 
-    def structural_key(self, children, params=None, constants=None) -> Tuple:
+    def structural_key(self, children, constants) -> Tuple:
         return (self.operator, self.attribute) + children
 
     def _label(self) -> str:

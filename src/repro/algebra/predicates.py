@@ -97,10 +97,9 @@ class Predicate:
             return self
         return self.map_comparisons(lambda comparison: comparison.bound(params))
 
-    def render(self, params=None, constants: Optional[list] = None) -> str:
-        """The predicate's text: parameters show their value under ``params``
-        (``?n`` without); with ``constants`` every other comparison constant
-        shows as ``?`` and its comparison is appended to the list."""
+    def render(self, constants: Optional[list] = None) -> str:
+        """The predicate's text (its ``repr``); with ``constants`` every comparison
+        constant shows as ``?`` and its comparison is appended to the list."""
         return repr(self)
 
     # -- combinators ----------------------------------------------------------------
@@ -194,16 +193,11 @@ class Comparison(Predicate):
             return self
         return Comparison(self.attribute, self.op, self.constant(params))
 
-    def render(self, params=None, constants: Optional[list] = None) -> str:
-        value = self.value
-        if value.__class__ is Parameter:
-            shown = repr(value if params is None else params[value.slot])
-        elif constants is not None:
-            constants.append(self)
-            shown = "?"
-        else:
-            shown = repr(value)
-        return "{} {} {}".format(self._name, self.op, shown)
+    def render(self, constants: Optional[list] = None) -> str:
+        if constants is None:
+            return "{} {} {!r}".format(self._name, self.op, self.value)
+        constants.append(self)
+        return "{} {} ?".format(self._name, self.op)
 
     __repr__ = render
 
@@ -292,9 +286,9 @@ class _Connective(Predicate):
             return self
         return type(self)(*operands)
 
-    def render(self, params=None, constants: Optional[list] = None) -> str:
+    def render(self, constants: Optional[list] = None) -> str:
         return "(" + " {} ".format(self.word).join(
-            operand.render(params, constants) for operand in self.operands) + ")"
+            operand.render(constants) for operand in self.operands) + ")"
 
     __repr__ = render
 
@@ -356,8 +350,8 @@ class Not(Predicate):
         operand = self.operand.map_comparisons(function)
         return self if operand is self.operand else Not(operand)
 
-    def render(self, params=None, constants: Optional[list] = None) -> str:
-        return "NOT ({})".format(self.operand.render(params, constants))
+    def render(self, constants: Optional[list] = None) -> str:
+        return "NOT ({})".format(self.operand.render(constants))
 
     __repr__ = render
 

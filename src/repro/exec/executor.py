@@ -4,17 +4,18 @@
 Its plan cache is keyed by the query's **template**, not by its literals
 (``docs/ARCHITECTURE.md``, "The plan cache", has the full story):
 
-* :meth:`PhysicalExecutor.template` walks an expression once and lifts its
-  comparison constants into numbered :class:`~repro.algebra.predicates.Parameter`
+* :meth:`PhysicalExecutor.template` reads an expression's literal-free key and
+  comparisons off its root (:meth:`~repro.algebra.expressions.Expression.structure`)
+  and lifts the constants into numbered :class:`~repro.algebra.predicates.Parameter`
   slots — *unless the rewrite rules can read them*: equalities on the
   determining attributes of a declared explicit AD (``jobtype = 'secretary'``
   selects the record type) and equalities under a union or a rename, which
   are compared with the branches' own, stay in the template as structure
-  (``TAG``/extension values are part of the walk's key anyway).  Rewriting the
+  (``TAG``/extension values are part of the key anyway).  Rewriting the
   template once is then rewriting every query it stands for.
   :meth:`PhysicalExecutor.statement` does the same for query text, keyed by the
   literal-stripped token stream: a repeated statement shape skips lexer-to-AST,
-  rewrite and the walk.  A repeated *text* shape skips the lexer too: the text
+  rewrite and the key.  A repeated *text* shape skips the lexer too: the text
   with its literals cut out (one regex split) is a second key into the same
   entry, registered only after the tokens confirmed the cut — every stripped
   literal at the probe's start, with the same decoded value and type.  Texts
@@ -51,7 +52,7 @@ from repro.exec.planner import (
     PhysicalPlanner,
     PhysicalResult,
 )
-from repro.obs.feedback import expression_key, referenced_tables
+from repro.obs.feedback import referenced_tables
 from repro.optimizer.planner import Planner
 from repro.optimizer.rewrite_rules import RewriteReport
 from repro.query.lexer import (
@@ -208,14 +209,12 @@ class PhysicalExecutor:
                  optimize: bool = False) -> Tuple[QueryTemplate, tuple]:
         """``(template, params)`` of an expression with concrete constants.
 
-        One tree walk yields the literal-free key and the constants; which of
-        them are structure is remembered per key (it depends on the declared
-        dependencies only).  ``optimize`` applies the AD-driven rewrites to
-        the template — once, for every binding.
+        The expression's structure gives the literal-free key and the
+        constants; which of them are structure is remembered per key (it
+        depends on the declared dependencies only).  ``optimize`` applies the
+        AD-driven rewrites to the template — once, for every binding.
         """
-        constants: list = []
-        walk_key = expression_key(expression, constants=constants)
-        shape = self._shape(walk_key, expression, constants)
+        shape, constants = self._shape(expression)
         params = tuple(comparison.value for comparison in constants)
         return self._template(shape, params, optimize, expression, constants), params
 
@@ -241,16 +240,14 @@ class PhysicalExecutor:
             entry = self._templates.get(key)
             if entry is None:
                 # Parse with each stripped literal replaced by its position among
-                # them: the walk then tells where the template wants each one.
+                # them: the constants then tell where the template wants each one.
                 position = iter(range(len(literals)))
                 marked = parse_tokens([
                     token if kept is not None or token.kind == "EOF"
                     else Token(token.kind, next(position), token.position)
                     for token, kept in zip(tokens, stripped)])
-                constants: list = []
-                walk_key = expression_key(marked, constants=constants)
-                entry = (self._shape(walk_key, marked, constants),
-                         tuple(comparison.value for comparison in constants))
+                shape, constants = self._shape(marked)
+                entry = (shape, tuple(comparison.value for comparison in constants))
                 self._templates.put(key, entry)
                 self._resolutions["parses"] += 1
             else:
@@ -268,10 +265,13 @@ class PhysicalExecutor:
         remainder, a hit on the token stream, or a parse."""
         return dict(self._resolutions)
 
-    def _shape(self, walk_key, expression: Expression, constants) -> tuple:
-        """``(id, structural slots)`` of a literal-free key: the slots whose
-        constants the rewrite rules can read (see the module docstring)."""
-        key = ("shape", walk_key, self.source.catalog_version)
+    def _shape(self, expression: Expression) -> Tuple[tuple, list]:
+        """``((id, structural slots), literal comparisons)``: per literal-free
+        key, the slots the rewrite rules can read (see the module docstring)."""
+        literal_free, comparisons = expression.structure()
+        constants = [comparison for comparison in comparisons
+                     if comparison.value.__class__ is not Parameter]
+        key = ("shape", literal_free, self.source.catalog_version)
         shape = self._templates.get(key)
         if shape is None:
             determinants = set()
@@ -291,20 +291,20 @@ class PhysicalExecutor:
                 if comparison.op in ("=", "==")
                 and (compared or comparison._name in determinants)))
             self._templates.put(key, shape)
-        return shape
+        return shape, constants
 
     def _template(self, shape, params, optimize: bool, source,
                   constants=None) -> QueryTemplate:
         """The template of a shape under its structural constants; built — from
-        query text or an expression and the constants of its walk — on a miss."""
+        query text (no parameters) or an expression and its constants — on a miss."""
         shape_id, structural = shape
         key = (shape_id, tuple(repr(params[slot]) for slot in structural), optimize)
         template = self._templates.get(key)
         if template is None:
             expression = source
             if isinstance(source, str):
-                expression, constants = parse_query(source), []
-                expression_key(expression, constants=constants)
+                expression = parse_query(source)
+                constants = expression.structure()[1]
             lifted = {id(comparison): Comparison(comparison.attribute, comparison.op,
                                                  Parameter(slot))
                       for slot, comparison in enumerate(constants)

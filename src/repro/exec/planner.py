@@ -49,9 +49,9 @@ cost model estimates from histograms and variant-tag frequencies, so all of the
 above decisions — and the ``est_rows`` / ``est_cost`` annotations rendered by
 ``plan.explain()`` — are grounded in the data instead of default constants.
 One :meth:`PhysicalPlanner.plan` call is one planning pass of the cost model
-(:meth:`~repro.optimizer.cost.CostModel.bind`): each node's estimate,
-feedback fingerprint and keys are derived once, in memos keyed by the node
-itself, which the pass drops at its end.
+(:meth:`~repro.optimizer.cost.CostModel.bind`): each node's estimate and
+keys are derived once, in memos keyed by the node itself, which the pass
+drops at its end.
 
 The expression handed to :meth:`PhysicalPlanner.plan` may be a *template*:
 comparison constants lifted into :class:`~repro.algebra.predicates.Parameter`
@@ -221,7 +221,7 @@ class PhysicalPlan:
                  # model prices them from live table sizes), so recording
                  # them would churn the version without improving a plan
                  node.fingerprint is not None
-                 and node.fingerprint[0] not in ("relation", "empty"))
+                 and node.fingerprint[0][0] not in ("relation", "empty"))
                 for node in self.nodes])
         return held[2]
 

@@ -4,10 +4,11 @@ PR 6 made estimation errors *visible* (Q-error gauges, EXPLAIN ANALYZE); this
 module makes them *actionable*.  After every instrumented execution the engine
 folds each plan node's actual output cardinality into a
 :class:`CardinalityFeedback` store keyed by ``(subexpression fingerprint,
-statistics version)``.  The cost model consults the store before falling back
-to histogram/NDV math, so the second execution of a query — and the join-order
-search over all its subplans — prices every subexpression with observed truth
-instead of aged or defaulted selectivities.
+statistics version)`` (:func:`expression_key`: the node's kept structural key
+and its comparisons' constants).  The cost model consults the store before
+falling back to histogram/NDV math, so the second execution of a query — and
+the join-order search over all its subplans — prices every subexpression with
+observed truth instead of aged or defaulted selectivities.
 
 Two kinds of observation are kept.  **Cardinalities** correct the estimate of
 a subexpression that has itself been executed.  **Join-edge selectivities**
@@ -60,28 +61,20 @@ QERROR_THRESHOLD = 2.0
 EDGE_TOLERANCE = 0.05
 
 
-def expression_key(expression: Expression, params=None,
-                   constants: Optional[list] = None) -> Tuple:
+def expression_key(expression: Expression, params=None) -> Tuple:
     """A hashable structural key identifying an expression tree.
 
     Two expressions with the same key produce the same physical plan, so the
     key is the cardinality-feedback fingerprint shared by the planner and the
-    cost model.  Predicates contribute their text
-    (:meth:`~repro.algebra.predicates.Predicate.render`), which is
-    deterministic for the whole predicate language: a template's parameters
-    show their value under ``params`` — the *bound* fingerprint, equal to the
-    key of the bound tree — and ``?n`` without.  With ``constants`` the key is
-    literal-free instead: every comparison constant shows as ``?`` and its
-    comparison is appended to the list, which is how the executor derives a
-    query's template in one walk.  Each node states its own part
-    (:meth:`~repro.algebra.expressions.Expression.structural_key`); its
-    children's keys come first, so constants are collected children-first.
+    cost model: the tree's literal-free key and the ``repr`` of each
+    comparison's constant (:meth:`~repro.algebra.expressions.Expression.structure`,
+    built once per node).  A template's parameters show their value under
+    ``params`` — the *bound* fingerprint, equal to the key of the bound tree —
+    and ``?n`` without.
     """
-    children = expression.children
-    if children:
-        children = tuple([expression_key(child, params, constants)
-                          for child in children])
-    return expression.structural_key(children, params, constants)
+    key, comparisons = expression.structure()
+    return key, tuple([repr(comparison.constant(params) if params
+                            else comparison.value) for comparison in comparisons])
 
 
 def referenced_tables(expression: Expression) -> frozenset:

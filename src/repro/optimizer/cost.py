@@ -51,9 +51,9 @@ The statistics-aware logic lives in :class:`CostModel`, one rule per node
 class in :data:`ESTIMATORS` (cardinality and work) and :data:`WIDTHS` (tuple
 width), found by :func:`~repro.algebra.expressions.dispatch`.  A planning pass
 is one :meth:`CostModel.bind` with ``reads`` to the next ``bind``: the model
-keeps each node's estimate and feedback fingerprint for the pass, keyed by
-the node itself, and nothing outside one.  The full constant reference lives
-in ``docs/ARCHITECTURE.md``.
+keeps each node's estimate for the pass, keyed by the node itself, and
+nothing outside one.  The full constant reference lives in
+``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ from repro.algebra.expressions import (
     Union,
     dispatch,
 )
-from repro.algebra.predicates import And, FalsePredicate, PresencePredicate
+from repro.algebra.predicates import And, FalsePredicate, Parameter, PresencePredicate
 from repro.algebra.source import as_source
 from repro.errors import OptimizerError, ReproError
 from repro.obs.feedback import attribute_carriers, expression_key, referenced_tables
@@ -162,13 +162,12 @@ class CostModel:
         :meth:`~repro.obs.feedback.CardinalityFeedback.current`) is recorded
         there with the value it read, misses included, so the plan cache can
         tell whether a cached plan would be costed differently today.  Up to
-        the next bind — a planning pass — each node's estimate and fingerprint
-        are kept; outside a pass nothing is kept between calls.
+        the next bind — a planning pass — each node's estimate is kept;
+        outside a pass nothing is kept between calls.
         """
         self.params = params
         self.reads = reads
         self._estimates: Dict[Expression, CostEstimate] = {}
-        self._fingerprints: Dict[Expression, tuple] = {}
 
     def remember(self, expression: Expression, estimate: CostEstimate) -> None:
         """``estimate`` is ``expression``'s for the rest of the pass (the
@@ -177,14 +176,11 @@ class CostModel:
             self._estimates[expression] = estimate
 
     def fingerprint(self, expression: Expression) -> tuple:
-        """``(bound feedback fingerprint, does it depend on the binding)``."""
-        cached = self._fingerprints.get(expression)
-        if cached is None:
-            key = expression_key(expression, self.params)
-            cached = (key, bool(self.params) and key != expression_key(expression))
-            if self.reads is not None:
-                self._fingerprints[expression] = cached
-        return cached
+        """``(bound feedback fingerprint, does it depend on the binding)``:
+        it does exactly when the subtree holds a parameter."""
+        key = expression_key(expression, self.params)
+        return key, any(comparison.value.__class__ is Parameter
+                        for comparison in expression.structure()[1])
 
     def observed_edge_selectivity(self, name: str,
                                   expressions: Iterable[Expression]) -> Optional[float]:

@@ -170,6 +170,38 @@ def test_with_children_round_trip_keeps_class_key_and_facts(node):
         assert _facts(rebuilt) == _facts(expression)
 
 
+def _structure_text(expression):
+    key, comparisons = expression.structure()
+    return key, [repr(comparison) for comparison in comparisons]
+
+
+def test_a_rebuilt_node_keeps_no_stale_structure():
+    """A node keeps its structure once read.  A node rebuilt by
+    ``with_children`` (unary, binary, subquery) or ``map_comparisons`` has
+    the structure of a freshly built equal tree, and the original keeps its
+    own."""
+    def selected(child, op="=", value=1):
+        return Selection(child, Comparison("a", op, value))
+
+    rebuilds = [
+        (selected(_R), [_S], selected(_S)),
+        (NaturalJoin(_R, selected(_S), on=["a"]), [selected(_S), _R],
+         NaturalJoin(selected(_S), _R, on=["a"])),
+        (SubqueryExtension(_R, "x", Projection(_S, ["d"])),
+         [selected(_S), Projection(_R, ["a"])],
+         SubqueryExtension(selected(_S), "x", Projection(_R, ["a"]))),
+    ]
+    tree = Projection(selected(selected(_R), ">", 2), ["a"])
+    rebuilds.append((tree, lambda comparison: Comparison("a", "<", 7),
+                     Projection(selected(selected(_R, "<", 7), "<", 7), ["a"])))
+    for original, change, fresh in rebuilds:
+        before = _structure_text(original)
+        rebuilt = (original.map_comparisons(change) if callable(change)
+                   else original.with_children(change))
+        assert _structure_text(rebuilt) == _structure_text(fresh)
+        assert _structure_text(original) == before != _structure_text(fresh)
+
+
 #: constructor arguments that take a child expression: the key holds their keys
 _CHILD_ARGUMENTS = {"child", "left", "right", "inputs", "subquery"}
 

@@ -645,8 +645,10 @@ def test_a_skipped_inner_filter_fails_the_fuzz(monkeypatch):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fuzz_rewrite_and_bind_commute(seed, fuzz_database):
     """rewrite(bind(template)) ≡ bind(rewrite(template)): rewriting a template
-    once is rewriting every query it stands for."""
+    once is rewriting every query it stands for; and per node of either
+    template, the fingerprint commutes with the binding."""
     from repro.exec import expression_key
+    from repro.optimizer.cost import CostModel
     from repro.optimizer.planner import Planner
 
     rng = random.Random(9500 + seed)
@@ -665,3 +667,23 @@ def test_fuzz_rewrite_and_bind_commute(seed, fuzz_database):
                     "seed={} tree={}: the template's rewrite differs\n{}".format(
                         seed, index, variant.pretty()))
             assert template.report.actions == report.actions
+            for lifted, binding in ((template, params), (unrewritten, same_params)):
+                _assert_fingerprints_commute(lifted.expression, binding,
+                                             CostModel(fuzz_database))
+
+
+def _assert_fingerprints_commute(template, params, cost_model):
+    """Per node of ``template``: its bound fingerprint is the key of the bound
+    node, binding-specific exactly when the node's subtree holds a parameter."""
+    from repro.exec import expression_key
+
+    cost_model.bind(params)
+    pending = [template]
+    while pending:
+        node = pending.pop()
+        pending.extend(node.children)
+        bound = node.substitute(params)
+        assert expression_key(node, params) == expression_key(bound), node.pretty()
+        # (substitution rebuilds exactly the nodes above a parameter)
+        assert cost_model.fingerprint(node) == (expression_key(bound),
+                                                bound is not node), node.pretty()

@@ -413,13 +413,15 @@ class TestPlanCache:
     def test_one_plan_call_derives_each_node_once(self, star_db, monkeypatch):
         """The planning pass keeps each node's estimate and keys: on the
         6-way star every estimator and every key rule runs once per node (the
-        joins the search composes are its estimates, never the model's)."""
+        joins the search composes are its estimates, never the model's).  A
+        node builds its structural key at most once, ever: planning the same
+        tree again keys only the joins the search composes afresh."""
         from collections import Counter
 
         from repro.algebra import expressions
         from repro.optimizer import cost
 
-        estimated, keyed = Counter(), Counter()
+        estimated, keyed, structured = Counter(), Counter(), Counter()
         for cls, rule in list(cost.ESTIMATORS.items()):
             def estimator(model, node, rule=rule):
                 estimated[node] += 1
@@ -431,9 +433,21 @@ class TestPlanCache:
                     keyed[node] += 1
                     return rule(node, children, catalog)
                 monkeypatch.setattr(cls, "keys_from", keys_from)
-        plan = PhysicalPlanner(star_db).plan(star_join_query())
+            if isinstance(cls, type) and "structural_key" in vars(cls):
+                def structural_key(node, children, constants,
+                                   rule=vars(cls)["structural_key"]):
+                    structured[node] += 1
+                    return rule(node, children, constants)
+                monkeypatch.setattr(cls, "structural_key", structural_key)
+        query = star_join_query()
+        plan = PhysicalPlanner(star_db).plan(query)
         assert plan.join_search and len(estimated) >= 6 and len(keyed) >= 6
         assert set(estimated.values()) == set(keyed.values()) == {1}
+        assert len(structured) >= 12 and set(structured.values()) == {1}
+        first = Counter(structured)
+        PhysicalPlanner(star_db).plan(query)
+        assert set(structured.values()) == {1}
+        assert all(isinstance(node, NaturalJoin) for node in structured - first)
 
     def test_planning_constants_are_not_options(self, star_db):
         """Only the join-order search mode (``"dp"`` or ``"none"``) is a
