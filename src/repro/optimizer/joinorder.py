@@ -11,13 +11,14 @@ classic Selinger-style answer on top of the statistics subsystem:
 1.  :func:`extract_join_graph` flattens a nested ``NaturalJoin`` tree into a
     **join graph**: the *atoms* (the non-join sub-expressions at the leaves —
     base relations, selection/guard chains, projections, whole multiway joins)
-    and the **equi-join edges** between atoms whose attribute universes
-    overlap.  Guards and selections stay glued to their atom, so pushdown is
-    unaffected by reordering.
+    and, for every attribute that two or more atoms' universes share, the
+    bitmask of its **carrier** atoms.  Two atoms are adjacent when one mask
+    holds both.  Guards and selections stay glued to their atom, so pushdown
+    is unaffected by reordering.
 2.  :func:`order_joins` searches the reordering space by bottom-up dynamic
     programming over *connected* subsets of atoms, bitset-keyed, producing
     **bushy** trees.  Every connected subset is planned once; each split of a
-    subset into two connected, edge-linked halves is priced and only the
+    subset into two connected, adjacent halves is priced and only the
     cheapest plan per subset survives.  Cross-products are never enumerated
     (the extractor guarantees a connected graph; a disconnected one refuses to
     reorder).  Above :data:`DEFAULT_DP_THRESHOLD` relations (10, where 3^n
@@ -30,20 +31,20 @@ classic Selinger-style answer on top of the statistics subsystem:
 **How the estimates are derived.**  Atom cardinalities come from the existing
 :class:`~repro.optimizer.cost.CostModel` — histogram/MCV selection
 selectivities, variant-tag guard fractions — so a filtered atom is priced at
-its post-selection size.  Each edge carries a join selectivity from
-:func:`repro.stats.statistics.join_selectivity`: the NDV-overlap factor
-``1/max(ndv_L, ndv_R)`` per join attribute multiplied by both sides'
-variant-tag *presence* fractions (tuples lacking a join attribute can never
-join — the flexible-relation twist).  The cardinality of a join of two
-subsets is ``|A| · |B| · sel(cut)`` where the cut selectivity is accounted
-**per crossing attribute, not per crossing edge** (:func:`_cut_selectivity`):
-when one attribute connects more than two atoms the extractor materializes an
-edge per carrier pair, and multiplying per edge would charge the same equality
-constraint several times, collapsing the estimates of attribute cliques.  Per
-attribute, the NDV factor applies once per cut (each side's NDV being the
-minimum over its carriers) and each carrier's presence fraction is charged at
-the cut where it first meets another carrier; for plain two-carrier attributes
-this is exactly the per-edge number.  All orders agree on the root cardinality
+its post-selection size.  Once per search, :func:`_price_atoms` tabulates
+each carrier's variant-tag *presence* fraction and NDV per shared attribute
+(tuples lacking a join attribute can never join — the flexible-relation
+twist).  The cardinality of a join of two subsets is ``|A| · |B| · sel(cut)``
+where the cut selectivity is accounted **per crossing attribute**
+(:func:`_cut_selectivity`), an attribute crossing the cut when its carrier
+mask meets both sides: the NDV-overlap factor ``1/max(ndv_L, ndv_R)`` applies
+once per cut (each side's NDV being the minimum over its carriers) and each
+carrier's presence fraction is charged at the cut where it first meets
+another carrier.  Charging per adjacent pair instead would charge an
+attribute that connects more than two atoms several times, collapsing the
+estimates of attribute cliques; for plain two-carrier attributes the two
+agree, and each pair's :func:`repro.stats.statistics.join_selectivity` is the
+fallback when an atom lacks statistics.  All orders agree on the root cardinality
 under this accounting and differ only in intermediate sizes — exactly the
 quantity the search minimizes.  The work of a join is the hash-join build+probe cost
 (both input cardinalities plus the output), or the cheaper index-probe cost
@@ -104,7 +105,8 @@ DEFAULT_DP_THRESHOLD = 10
 #: are handled by the planner's build-side / index-lookup decisions)
 MIN_RELATIONS = 3
 
-#: per-edge join selectivity assumed when neither atom has base statistics
+#: join selectivity assumed for a pair of adjacent atoms when either atom lacks
+#: base statistics
 DEFAULT_EDGE_SELECTIVITY = 0.5
 
 #: estimated cost of one index probe relative to reading one tuple in a scan
@@ -114,25 +116,18 @@ INDEX_PROBE_COST_FACTOR = 2.0
 class JoinAtom:
     """One leaf of the join graph: a non-join sub-expression plus its metadata."""
 
-    def __init__(self, index: int, expression: Expression, universe: AttributeSet,
-                 estimate: CostEstimate,
-                 statistics: Optional[TableStatistics] = None,
-                 relation: Optional[str] = None):
+    def __init__(self, index: int, expression: Expression, universe: AttributeSet):
         self.index = index
         self.expression = expression
         #: every attribute a tuple of this atom can possibly carry
         self.universe = universe
-        #: the universe as a plain name set (hot path of the cut selectivity)
-        self.universe_names = {a.name for a in universe}
-        self.estimate = estimate
-        #: base-table statistics when the atom is a selection/guard/projection
-        #: chain over one base relation (feeds the edge selectivities)
-        self.statistics = statistics
+        #: filled in by the search from the cost model
+        self.estimate = CostEstimate(0.0, 0.0)
         #: the base relation name when the atom is a RelationRef, bare or under
         #: a selection/guard chain (:func:`scanned_relation`) — only those are
         #: candidates for index-probe pricing, as only those lower to a scan an
         #: index lookup join can filter its partners through
-        self.relation = relation
+        self.relation = scanned_relation(expression)
         self.label = _atom_label(expression)
 
     def __repr__(self) -> str:
@@ -140,47 +135,46 @@ class JoinAtom:
                                                    len(self.universe))
 
 
-class JoinEdge:
-    """An equi-join edge between two atoms sharing universe attributes."""
-
-    def __init__(self, left: int, right: int, attributes: AttributeSet):
-        self.left = left
-        self.right = right
-        self.attributes = attributes
-        #: estimated fraction of left×right pairs surviving the join on these
-        #: attributes; filled in by the search from the atoms' statistics
-        self.selectivity = DEFAULT_EDGE_SELECTIVITY
-
-    def __repr__(self) -> str:
-        return "JoinEdge({}-{}, on={}, sel={:.2g})".format(
-            self.left, self.right, self.attributes, self.selectivity)
+def _bits(mask: int):
+    """The atom indexes of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class JoinGraph:
-    """Atoms plus equi-join edges — the input of the order search."""
+    """Atoms plus the carrier mask of each shared attribute — the input of the
+    order search."""
 
-    def __init__(self, atoms: Sequence[JoinAtom], edges: Sequence[JoinEdge]):
+    def __init__(self, atoms: Sequence[JoinAtom]):
         self.atoms = list(atoms)
-        self.edges = list(edges)
-        #: adjacency as bitmasks: ``neighbors[i]`` has bit j set iff an edge
-        #: connects atoms i and j
+        carriers: Dict[str, int] = {}
+        for atom in self.atoms:
+            for name in atom.universe.names:
+                carriers[name] = carriers.get(name, 0) | 1 << atom.index
+        #: shared attribute name -> bitmask of the atoms whose universe holds
+        #: it, in name order (a name only one atom carries joins nothing)
+        self.carriers = {name: mask for name, mask in sorted(carriers.items())
+                         if mask & (mask - 1)}
+        #: adjacency as bitmasks: ``neighbors[i]`` has bit j set iff atoms i
+        #: and j share an attribute
         self.neighbors = [0] * len(self.atoms)
-        for edge in self.edges:
-            self.neighbors[edge.left] |= 1 << edge.right
-            self.neighbors[edge.right] |= 1 << edge.left
+        for mask in self.carriers.values():
+            for index in _bits(mask):
+                self.neighbors[index] |= mask & ~(1 << index)
+        #: filled in by :func:`_price_atoms`: per shared name, each carrier's
+        #: ``(presence fraction, ndv)``, ``None`` without base statistics
+        self.carrier_statistics: Dict[str, Dict[int, Optional[Tuple[float, int]]]] = {}
+        #: filled in by :func:`_price_atoms`: the fallback join selectivity of
+        #: each adjacent pair, keyed by the pair's mask, in ``(i, j)`` order
+        self.pair_selectivity: Dict[int, float] = {}
 
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def universe(self, mask: int) -> AttributeSet:
-        """The attribute universe of the subset encoded by ``mask``."""
-        result = AttributeSet()
-        for atom in self._atoms_of(mask):
-            result = result | atom.universe
-        return result
-
     def connected(self, mask: int) -> bool:
-        """Whether the subset encoded by ``mask`` is edge-connected."""
+        """Whether the subset encoded by ``mask`` is connected."""
         if mask == 0:
             return False
         start = mask & -mask
@@ -195,27 +189,15 @@ class JoinGraph:
         return reached == mask
 
     def crosses(self, left_mask: int, right_mask: int) -> bool:
-        """Whether any edge connects the two (disjoint) subsets — O(n) bit test."""
-        mask = left_mask
-        while mask:
-            index = (mask & -mask).bit_length() - 1
-            if self.neighbors[index] & right_mask:
-                return True
-            mask &= mask - 1
-        return False
+        """Whether an atom of one (disjoint) subset is adjacent to one of the
+        other — O(n) bit test."""
+        return any(self.neighbors[index] & right_mask for index in _bits(left_mask))
 
-    def crossing_attributes(self, left_mask: int, right_mask: int) -> AttributeSet:
-        """Union of edge attributes between the two (disjoint) subsets."""
-        result = AttributeSet()
-        for edge in self.edges:
-            if _crosses(edge, left_mask, right_mask):
-                result = result | edge.attributes
-        return result
-
-    def _atoms_of(self, mask: int):
-        for atom in self.atoms:
-            if mask & (1 << atom.index):
-                yield atom
+    def shared(self, left_mask: int, right_mask: int) -> List[str]:
+        """The attribute names carried on both sides of two disjoint subsets,
+        in name order — the ``on`` of their natural join."""
+        return [name for name, mask in self.carriers.items()
+                if mask & left_mask and mask & right_mask]
 
 
 class JoinSearchReport:
@@ -345,27 +327,19 @@ def extract_join_graph(expression: Expression, source) -> Optional[JoinGraph]:
     # Safety: every written join must be a *pure* natural join — its ``on``
     # attributes exactly the universe intersection of its sides.
     def subtree_universe(node: Expression) -> AttributeSet:
-        if node in universes:
-            return universes[node]
-        assert isinstance(node, NaturalJoin)
-        return subtree_universe(node.left) | subtree_universe(node.right)
+        if node not in universes:
+            assert isinstance(node, NaturalJoin)
+            universes[node] = subtree_universe(node.left) | subtree_universe(node.right)
+        return universes[node]
 
     for join in join_nodes:
         intersection = subtree_universe(join.left) & subtree_universe(join.right)
         if attrset(join.on) != intersection:
             return None
 
-    atoms = [JoinAtom(index, atom, universes[atom],
-                      CostEstimate(0.0, 0.0))
-             for index, atom in enumerate(atom_expressions)]
-    edges = []
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            shared = atoms[i].universe & atoms[j].universe
-            if shared:
-                edges.append(JoinEdge(i, j, shared))
-    graph = JoinGraph(atoms, edges)
-    if not graph.connected((1 << len(atoms)) - 1):
+    graph = JoinGraph([JoinAtom(index, atom, universes[atom])
+                       for index, atom in enumerate(atom_expressions)])
+    if not graph.connected((1 << len(graph)) - 1):
         return None
     return graph
 
@@ -373,25 +347,28 @@ def extract_join_graph(expression: Expression, source) -> Optional[JoinGraph]:
 # -- pricing -----------------------------------------------------------------------------
 
 
-def _crosses(edge: JoinEdge, left_mask: int, right_mask: int) -> bool:
-    left_bit, right_bit = 1 << edge.left, 1 << edge.right
-    return bool((left_mask & left_bit and right_mask & right_bit)
-                or (left_mask & right_bit and right_mask & left_bit))
-
-
 def _price_atoms(graph: JoinGraph, cost_model: CostModel) -> None:
-    """Fill in atom estimates/statistics and edge selectivities from the model."""
+    """Fill in the atom estimates and the graph's two pricing tables from the
+    model: each shared attribute's carrier statistics and each adjacent pair's
+    fallback selectivity (:data:`DEFAULT_EDGE_SELECTIVITY` when either atom
+    lacks statistics)."""
+    statistics: List[Optional[TableStatistics]] = []
     for atom in graph.atoms:
         atom.estimate = cost_model.estimate(atom.expression)
-        atom.statistics = cost_model.base_statistics(atom.expression)
-        atom.relation = scanned_relation(atom.expression)
-    for edge in graph.edges:
-        left, right = graph.atoms[edge.left], graph.atoms[edge.right]
-        if left.statistics is not None and right.statistics is not None:
-            edge.selectivity = join_selectivity(left.statistics, right.statistics,
-                                                edge.attributes)
-        else:
-            edge.selectivity = DEFAULT_EDGE_SELECTIVITY
+        statistics.append(cost_model.base_statistics(atom.expression))
+    graph.carrier_statistics = {
+        name: {index: None if statistics[index] is None else
+               (statistics[index].guard_selectivity([name]),
+                statistics[index].ndv(name))
+               for index in _bits(mask)}
+        for name, mask in graph.carriers.items()}
+    graph.pair_selectivity = {
+        1 << i | 1 << j: DEFAULT_EDGE_SELECTIVITY
+        if statistics[i] is None or statistics[j] is None
+        else join_selectivity(statistics[i], statistics[j],
+                              graph.shared(1 << i, 1 << j))
+        for i in range(len(graph))
+        for j in _bits(graph.neighbors[i] >> (i + 1) << (i + 1))}  # j > i
 
 
 def scanned_relation(expression: Expression) -> Optional[str]:
@@ -423,11 +400,12 @@ def _cut_selectivity(graph: JoinGraph, left_mask: int, right_mask: int,
                      cost_model: CostModel) -> Optional[float]:
     """Per-**attribute** selectivity of the cut between two disjoint subsets.
 
-    Multiplying per crossing *edge* over-reduces the estimate on attribute
-    cliques: when one attribute connects more than two atoms, the extractor
-    creates an edge for every carrier pair, so a single equality constraint is
-    charged once per edge (``1/ndv`` squared or worse) and its presence
-    fractions are double-counted.  This accounts per attribute instead:
+    An attribute crosses the cut when its carrier mask meets both sides.
+    Multiplying per adjacent *pair* of atoms would over-reduce the estimate on
+    attribute cliques: when one attribute connects more than two atoms, a
+    single equality constraint would be charged once per crossing pair
+    (``1/ndv`` squared or worse) and its presence fractions double-counted.
+    This accounts per attribute instead, in name order:
 
     * the NDV-overlap factor ``1/max(ndv_L, ndv_R)`` is applied **once** per
       crossing attribute, where each side's NDV is the *minimum* over its
@@ -443,10 +421,12 @@ def _cut_selectivity(graph: JoinGraph, left_mask: int, right_mask: int,
       tree that splits the same charges across two cuts would price them
       marginally, making the root estimate depend on the association.)
 
-    For a plain two-carrier single-attribute edge this reduces exactly to the
-    per-edge number, so non-clique graphs (stars, chains) price identically.
-    Returns ``None`` when any involved atom lacks base statistics — the caller
-    then falls back to the per-edge default-selectivity product.
+    For a plain two-carrier single-attribute pair this reduces exactly to the
+    pair's :func:`~repro.stats.statistics.join_selectivity`, so non-clique
+    graphs (stars, chains) price identically.  Both factors are read from the
+    graph's ``carrier_statistics``.  Returns ``None`` when any involved atom
+    lacks base statistics — the caller then falls back to the product of the
+    crossing pairs' ``pair_selectivity``.
 
     An **observed** edge selectivity from the cost model's feedback store
     (recorded off an executed mis-estimated join over the same attribute and
@@ -455,28 +435,26 @@ def _cut_selectivity(graph: JoinGraph, left_mask: int, right_mask: int,
     This is how one badly-ordered execution re-orders the next plan: the
     observed fraction prices candidate cuts the search never executed.
     """
-    names = sorted({attribute.name for edge in graph.edges
-                    if _crosses(edge, left_mask, right_mask)
-                    for attribute in edge.attributes})
+    atoms = graph.atoms
     selectivity = 1.0
-    for name in names:
-        observed = cost_model.observed_edge_selectivity(name, (
-            atom.expression for atom in graph._atoms_of(left_mask | right_mask)
-            if name in atom.universe_names))
+    for name, carriers in graph.carriers.items():
+        left, right = carriers & left_mask, carriers & right_mask
+        if not (left and right):
+            continue
+        observed = cost_model.observed_edge_selectivity(
+            name, (atoms[index].expression for index in _bits(left | right)))
         if observed is not None:
             selectivity *= observed
             continue
+        statistics = graph.carrier_statistics[name]
         side_ndvs = []
-        for mask in (left_mask, right_mask):
-            carriers = [atom for atom in graph._atoms_of(mask)
-                        if name in atom.universe_names]
-            if any(atom.statistics is None for atom in carriers):
+        for side in (left, right):
+            entries = [statistics[index] for index in _bits(side)]
+            if any(entry is None for entry in entries):
                 return None
-            if not carriers:
-                return None
-            if len(carriers) == 1:
-                selectivity *= carriers[0].statistics.guard_selectivity([name])
-            side_ndvs.append(min(atom.statistics.ndv(name) for atom in carriers))
+            if len(entries) == 1:
+                selectivity *= entries[0][0]
+            side_ndvs.append(min(ndv for _presence, ndv in entries))
         selectivity /= float(max(side_ndvs[0], side_ndvs[1], 1))
     return max(0.0, min(1.0, selectivity))
 
@@ -486,22 +464,23 @@ def _join_plans(graph: JoinGraph, cost_model: CostModel,
     """Price the join of two disjoint partial plans (hash or index probe)."""
     selectivity = _cut_selectivity(graph, left.mask, right.mask, cost_model)
     if selectivity is None:
-        # Statistics-free atoms: the per-edge default selectivities apply.
+        # Statistics-free atoms: the crossing pairs' fallbacks apply.
         selectivity = 1.0
-        for edge in graph.edges:
-            if _crosses(edge, left.mask, right.mask):
-                selectivity *= edge.selectivity
+        for pair, pair_selectivity in graph.pair_selectivity.items():
+            if pair & left.mask and pair & right.mask:
+                selectivity *= pair_selectivity
     cardinality = left.cardinality * right.cardinality * selectivity
     bound = left.bound * right.bound
     join_work = left.cardinality + right.cardinality + cardinality
     # An index probe replaces scanning a single-atom inner side when the inner
     # base relation has a covering maintained index and the outer side is small.
+    on = frozenset(graph.shared(left.mask, right.mask))
     for outer, inner in ((left, right), (right, left)):
         if inner.atom is None:
             continue
-        probe_work = index_probe_cost(
-            cost_model.source, graph.atoms[inner.atom].relation,
-            graph.crossing_attributes(outer.mask, inner.mask), outer.cardinality)
+        probe_work = index_probe_cost(cost_model.source,
+                                      graph.atoms[inner.atom].relation, on,
+                                      outer.cardinality)
         if probe_work is None:
             continue
         join_work = min(join_work, probe_work + cardinality)
@@ -568,7 +547,7 @@ def _build_expression(graph: JoinGraph, plan: _Plan, cost_model: CostModel,
         return atom.expression, atom.label
     left_expr, left_label = _build_expression(graph, plan.left, cost_model, join_nodes)
     right_expr, right_label = _build_expression(graph, plan.right, cost_model, join_nodes)
-    on = graph.universe(plan.left.mask) & graph.universe(plan.right.mask)
+    on = graph.shared(plan.left.mask, plan.right.mask)
     node = NaturalJoin(left_expr, right_expr, on=on)
     cost_model.remember(node, CostEstimate(plan.cardinality, plan.cost,
                                            bound=plan.bound))

@@ -93,7 +93,10 @@ class TestExtractJoinGraph:
         assert labels == ["dim_a", "dim_b", "dim_c", "dim_small", "fact",
                           "σ(dim_rare)"]
         # A star: every dimension connects to the fact table and nothing else.
-        assert len(graph.edges) == 5
+        fact = next(atom.index for atom in graph.atoms if atom.label == "fact")
+        assert graph.neighbors[fact] == ((1 << 6) - 1) & ~(1 << fact)
+        assert all(graph.neighbors[atom.index] == 1 << fact
+                   for atom in graph.atoms if atom.index != fact)
         assert graph.connected((1 << 6) - 1)
 
     def test_two_way_join_is_not_reordered(self, star_db):
@@ -159,8 +162,12 @@ class TestExtractJoinGraph:
         query = NaturalJoin(NaturalJoin(RelationRef("fact"), facts_per_dc, on=["dc"]),
                             few, on=["dc"])
         _plan, report = _dp_report(star_db, query)
-        assert report.relations == 3
-        assert report.order == "((fact ⋈ σ(dim_c)) ⋈ aggregate)"
+        # the aggregate atom has no base statistics: every cut it crosses is
+        # priced by the adjacent pairs' fallback selectivities
+        assert report.as_dict() == {
+            "relations": 3, "subsets_enumerated": 7, "plans_considered": 6,
+            "plans_pruned": 2, "order": "((fact ⋈ σ(dim_c)) ⋈ aggregate)",
+            "estimated_rows": 450.0, "estimated_cost": 2587.5}
         assert_search_parity(query, star_db)
 
     def test_selection_chain_stays_glued_to_its_atom(self, star_db):
@@ -195,6 +202,30 @@ class TestSearch:
         assert report.subsets_enumerated == 6 + 31  # 31 = subsets ∋ fact, |S|≥2
         assert report.plans_considered > 0
         assert report.plans_pruned < report.plans_considered
+
+    def test_a_search_reads_statistics_per_carrier_not_per_split(self, star_db,
+                                                                 monkeypatch):
+        """What a split's price reads depends only on (attribute, atom): one
+        search on the star asks the statistics once per carrier and adjacent
+        pair, and builds no attribute set per split, while it still prices
+        the same 80 splits into the same order."""
+        from collections import Counter
+
+        from repro.model.attributes import AttributeSet
+        from repro.stats.statistics import TableStatistics
+
+        calls = Counter()
+        for cls, name in ((AttributeSet, "__init__"),
+                          (TableStatistics, "guard_selectivity")):
+            def counted(*args, rule=getattr(cls, name), name=name, **kwargs):
+                calls[name] += 1
+                return rule(*args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+        report = order_joins(star_join_query(), CostModel(star_db)).report
+        assert report.plans_considered == 80
+        assert report.order == STAR_PLAN_EXPLAIN.split("\n")[1][len("  order: "):]
+        assert calls["guard_selectivity"] <= 25
+        assert calls["__init__"] <= 60
 
     def test_written_order_kept_above_threshold(self, star_db, monkeypatch):
         """A tree of more than ``DEFAULT_DP_THRESHOLD`` relations is declined
@@ -401,7 +432,11 @@ class TestPlanCache:
         assert executor.cache_misses == 1
         # Without statistics the default constants see no reason to prefer the
         # selective dimension; ANALYZE flips the chosen order.
-        assert "(fact ⋈ σ(dim_rare))" not in before.join_search[0].order
+        assert before.join_search[0].as_dict() == {
+            "relations": 6, "subsets_enumerated": 37, "plans_considered": 80,
+            "plans_pruned": 49,
+            "order": "(((((dim_small ⋈ fact) ⋈ dim_a) ⋈ dim_b) ⋈ dim_c) ⋈ σ(dim_rare))",
+            "estimated_rows": 11250000000.0, "estimated_cost": 11343795230.0}
         database.analyze()
         after = database.plan(query, optimize=False)
         assert executor.cache_misses == 2, "stats version must re-key the cache"

@@ -170,6 +170,11 @@ def _e20_employees():
     return database
 
 
+def _analyzed(database):
+    database.analyze()
+    return database
+
+
 def _analytic_orders():
     database = Database()
     create_orders(database).insert_many(
@@ -187,6 +192,8 @@ SOURCES = {
     "analytic": _analytic_orders,
     "star": star_join_database,
     "chain": chain_join_database,
+    "star-analyzed": lambda: _analyzed(star_join_database()),
+    "chain-analyzed": lambda: _analyzed(chain_join_database()),
     "e18": lambda: analytics_database(DEFAULT_ORDER_COUNT, seed=18),
     "employees": _employees,
     "e20-employees": _e20_employees,
@@ -232,6 +239,8 @@ CASES = [
     ("e13/keyed-star", "star", join_plan.keyed_star(7), {}),
     ("e13/star-text", "star", join_plan.STAR_TEXT.format(7), {}),
     ("e13/chain", "chain", chain_join_query(), {}),
+    ("e13/star-analyzed", "star-analyzed", star_join_query(), {}),
+    ("e13/chain-analyzed", "chain-analyzed", chain_join_query(), {}),
     ("e18/aggregate", "e18", Aggregate(_ORDERS, group_by=("region",),
                                        specs=analytic_scan.SPECS), {}),
     ("e18/top-k", "e18", Limit(Sort(_ORDERS, ("-amount", "order_id")), 10), {}),
