@@ -470,13 +470,12 @@ class CompiledOrder:
         return list(compress(positions, map(ranked, present, repeat(cut))))
 
     def merge(self, streams: Sequence[Iterable]) -> Iterator:
-        """K-way merge of streams already in this order into one.
+        """K-way merge of streams of value dicts already in this order into one.
 
-        Records lead with the row's value dict (``record[0]``).  One head per
-        stream sits in a heap keyed by the declared encoding and the stream's
-        number, so heads compare natively and never on the records; while the
-        heads of several streams tie, those streams merge among themselves by
-        the canonical tie-break — built for the tied records only.
+        One head per stream sits in a heap keyed by the declared encoding and
+        the stream's number, so heads compare natively and never on the dicts;
+        while the heads of several streams tie, those streams merge among
+        themselves by the canonical tie-break — built for the tied rows only.
         """
         encode = self.encode
         streams = [iter(stream) for stream in streams]
@@ -484,11 +483,11 @@ class CompiledOrder:
         for number, stream in enumerate(streams):
             record = next(stream, None)
             if record is not None:
-                heads.append((encode(record[0]), number, record))
+                heads.append((encode(record), number, record))
         heapq.heapify(heads)
 
         def tie_entry(number, record):
-            return (canonical_order_key(record[0]), number, record)
+            return (canonical_order_key(record), number, record)
 
         tied: List[tuple] = []  # the streams whose heads tie on `declared`
         while heads or tied:
@@ -505,7 +504,7 @@ class CompiledOrder:
             record = next(streams[number], None)
             if record is None:
                 continue
-            key = encode(record[0])
+            key = encode(record)
             if tied and key == declared:
                 heapq.heappush(tied, tie_entry(number, record))
             else:

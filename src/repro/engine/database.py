@@ -323,9 +323,9 @@ class Database:
     set ``slow_query_log.threshold`` to move the line), a
     :class:`~repro.obs.feedback.CardinalityFeedback` store feeding observed
     cardinalities back into the cost model, and a
-    :class:`~repro.obs.profiler.PlanWatchdog` flagging plan changes and
-    latency regressions (export via :meth:`prometheus_metrics` /
-    :meth:`metrics_snapshot`).
+    :class:`~repro.obs.profiler.PlanWatchdog` flagging plan changes and the
+    ones that raised the work per returned row (export via
+    :meth:`prometheus_metrics` / :meth:`metrics_snapshot`).
 
     Resource governance (see :mod:`repro.governor`): ``memory_budget`` is the
     default per-query byte budget on held operator state; ``spill=True`` lets
@@ -369,7 +369,7 @@ class Database:
         #: observed truth; stranded when the statistics version moves, never
         #: persisted
         self.cardinality_feedback = CardinalityFeedback()
-        #: plan-change and latency-regression detection per query fingerprint
+        #: plan-change and work-regression detection per query template
         self.plan_watchdog = PlanWatchdog()
         #: ``(registry, its generation, instruments…)``: the fixed instruments
         #: every executed query feeds, fetched once per registry generation
@@ -898,31 +898,29 @@ class Database:
 
     def _watch_plan(self, template, params, plan: PhysicalPlan,
                     result, elapsed: float) -> None:
-        """Hand one execution to the watchdog; surface what it detected.
+        """Hand one execution's work to the watchdog; surface what it detected.
 
         Keyed by the template, so every literal of a statement shape feeds
-        one latency baseline; the plan's summary (operator labels with their
+        one baseline; the plan's summary (operator labels with their
         parameter placeholders) is formatted once per plan."""
         summary = plan.summary
         plan_change, regression = self.plan_watchdog.observe(
-            template.key, summary["operators"], summary, elapsed)
+            template.key, summary["operators"], summary, result.stats)
         if plan_change is not None:
             self.tracer.event("plan-change",
                               before=plan_change["before"],
                               after=plan_change["after"],
-                              baseline_seconds=plan_change["baseline_seconds"])
+                              baseline_work=plan_change["baseline_work"])
         if regression is not None:
             self.tracer.event("plan-regression",
-                              seconds=regression["seconds"],
-                              baseline_seconds=regression["baseline_seconds"],
-                              factor=regression["factor"],
-                              suspect_plan_change=regression["suspect_plan_change"])
-            suspect = regression["suspect_plan_change"]
-            note = "plan-regression: {:.1f}x vs baseline {:.4f}s".format(
-                regression["factor"], regression["baseline_seconds"])
-            if suspect is not None:
-                note += "; suspect plan change {} -> {}".format(
-                    suspect["before"]["operators"], suspect["after"]["operators"])
+                              work=regression["work"],
+                              baseline_work=regression["baseline_work"],
+                              factor=regression["factor"])
+            note = ("plan-regression: {:.1f}x the work per row of the last run "
+                    "({:.1f}); plan change {} -> {}").format(
+                regression["factor"], regression["baseline_work"],
+                plan_change["before"]["operators"],
+                plan_change["after"]["operators"])
             self.slow_query_log.record(
                 template.describe(params), elapsed, len(result.tuples),
                 node_q_errors(plan, result.context), note=note)
@@ -952,10 +950,10 @@ class Database:
         """Re-baseline the observability layer without rebuilding the database.
 
         Clears the metric registry, the slow-query log (its threshold stays),
-        the cardinality-feedback store and the watchdog's latency baselines —
-        what benchmarks and long-lived sessions need between measurement
-        windows.  Plans costed from a feedback entry that is now gone are
-        re-planned from statistics alone; the others stay cached.
+        the cardinality-feedback store and the watchdog's baselines — what
+        benchmarks and long-lived sessions need between measurement windows.
+        Plans costed from a feedback entry that is now gone are re-planned
+        from statistics alone; the others stay cached.
         """
         self.metrics_registry.reset()
         self.slow_query_log.clear()

@@ -1044,11 +1044,13 @@ class SortOp(_Unary):
 
     The input is a set, so the sort itself is result-identity; the operator
     is the physical counterpart of an order annotation and of ``limit``.  It
-    collects the input into a value-dict list and a parallel list of the
-    input's tuples — of their hashes once a :class:`LazyBatch` arrived or a
-    run spilled — (their ``sampled_size`` is what ``note_memory`` records),
-    orders them by the shared :class:`CompiledOrder` and re-emits the tuples
-    themselves, or lazy ``(values, hash)`` chunks.
+    collects the input into a value-dict list and, while every batch arrived
+    built, a parallel list of the input's tuples (their ``sampled_size`` is
+    what ``note_memory`` records), orders them by the shared
+    :class:`CompiledOrder` and re-emits the tuples themselves — or, once a
+    :class:`LazyBatch` arrived, lazy chunks of the value dicts, whose rows get
+    their hashes when they are built.  It holds no hash apart from a tuple, so
+    no byte count reads a hash int's width (which follows ``hash(None)``).
 
     Under a ``limit`` it is bounded: each batch is first cut on its leading
     key's column (:meth:`CompiledOrder.candidates`), and once more than
@@ -1058,9 +1060,10 @@ class SortOp(_Unary):
     on ``peak_bytes``.  A held row keeps the tie-break it was given.
 
     Under a memory budget with spilling allowed, lists that outgrow it are
-    sorted, cut to the limit, and written as a run, and the emitted stream is
-    :meth:`CompiledOrder.merge` over the runs and the sorted remainder — the
-    same stream, as the order is total.
+    sorted, cut to the limit, and their value dicts written as a run; from
+    the first run on it holds value dicts alone, and the emitted stream is
+    :meth:`CompiledOrder.merge` over the runs and the sorted remainder, in
+    lazy chunks — the same stream, as the order is total.
     """
 
     def __init__(self, child: PhysicalOperator, keys: Sequence[SortKey] = (),
@@ -1082,10 +1085,13 @@ class SortOp(_Unary):
         limit = self.limit
         leading = self.keys[0].attribute if self.keys and limit else None
         values: List[dict] = []
-        held: List = []  # the input's tuples until a lazy batch or a spill, then hashes
+        rows: Optional[List[FlexTuple]] = []  # the input's tuples, till a lazy batch or a run
         breaks = None if limit is None else []  # the held rows' tie-breaks, if built
-        built = True
         runs = []  # sorted runs spilled to disk, once the rows outgrew the budget
+
+        def held() -> int:
+            return sampled_size(values) + (0 if rows is None else sampled_size(rows))
+
         for batch in _budget_pieces(child) if ctx.budgeted else child:
             stats.tuples_scanned += len(batch)
             if leading is not None:
@@ -1093,46 +1099,41 @@ class SortOp(_Unary):
                 if chosen is not None:
                     batch = batch.take(chosen)
             values.extend(batch.values_list())
-            if built and isinstance(batch, LazyBatch):
-                built, held = False, [tup._hash for tup in held]
-            held.extend(batch.rows if built else batch.hashes_list())
+            if isinstance(batch, LazyBatch):
+                rows = None
+            elif rows is not None:
+                rows.extend(batch.rows)
             if limit is not None:
                 breaks += [None] * len(batch)
                 if len(values) > 2 * limit:
                     # the most it holds: what it cuts, not what is left
-                    op.note_memory(sampled_size(values) + sampled_size(held))
+                    op.note_memory(held())
                     kept = self.order.argsort(values, limit, breaks)
                     values = [values[at] for at in kept]
-                    held = [held[at] for at in kept]
+                    if rows is not None:
+                        rows = [rows[at] for at in kept]
                     breaks = [breaks[at] for at in kept]
-            if ctx.budgeted and ctx.over_budget(
-                    op, sampled_size(values) + sampled_size(held)):
+            if ctx.budgeted and ctx.over_budget(op, held()):
                 manager = ctx.governor.spill_manager()
                 manager.note_spill()
-                if built:  # a run holds (values, hash) records
-                    built, held = False, [tup._hash for tup in held]
                 run = manager.create_segment("sort")
-                run.extend((values[at], held[at])
-                           for at in self.order.argsort(values, limit, breaks))
+                run.extend(values[at] for at in self.order.argsort(values, limit, breaks))
                 run.finish()
                 runs.append(run)
-                values, held = [], []
+                values, rows = [], None
                 if limit is not None:
                     breaks = []
-        op.note_memory(sampled_size(values) + sampled_size(held))
+        op.note_memory(held())
         order = self.order.argsort(values, limit, breaks)
+        if rows is not None:
+            for chunk in self._chunks(ctx, order):
+                yield TupleBatch([rows[position] for position in chunk])
+            return
+        stream = [values[at] for at in order]
         if runs:
             # the compiled order is total, so the merge is the in-memory stream
-            merged = self.order.merge(runs + [[(values[at], held[at]) for at in order]])
-            for chunk in self._chunks(ctx, islice(merged, limit)):
-                yield LazyBatch([pair[0] for pair in chunk], [pair[1] for pair in chunk])
-            return
-        for chunk in self._chunks(ctx, order):
-            if built:
-                yield TupleBatch([held[position] for position in chunk])
-            else:
-                yield LazyBatch([values[position] for position in chunk],
-                                [held[position] for position in chunk])
+            stream = islice(self.order.merge(runs + [stream]), limit)
+        yield from map(LazyBatch, self._chunks(ctx, stream))
 
 
 #: sentinel for "the scalar subquery produced no row — extend nothing"

@@ -18,7 +18,7 @@ PR 7 adds the *actionable* layer on top of that substrate:
   feeds observed cardinalities back into the cost model (ROADMAP item 4's
   adaptive re-optimization bridge);
 * :mod:`repro.obs.profiler` — the :class:`PlanWatchdog` (plan-change and
-  latency-regression detection);
+  work-regression detection);
 * :mod:`repro.obs.export` — Prometheus text exposition and versioned JSON
   snapshots of the registry.
 """

@@ -182,13 +182,15 @@ class CostModel:
         return key, any(comparison.value.__class__ is Parameter
                         for comparison in expression.structure()[1])
 
-    def observed_edge_selectivity(self, name: str,
-                                  expressions: Iterable[Expression]) -> Optional[float]:
-        """The feedback store's observed selectivity of a join on ``name``
-        whose carrier tables are those of ``expressions`` that carry it.
+    def edge_key(self, name: str, expressions: Iterable[Expression]) -> Optional[tuple]:
+        """The feedback store's key of a join edge on ``name`` whose carrier
+        tables are those of ``expressions`` that carry it — ``(name,
+        carriers, statistics version)`` for
+        :meth:`~repro.obs.feedback.CardinalityFeedback.lookup_edge` — or
+        ``None`` when the store holds nothing to look up.
 
-        ``None`` when nothing was observed.  The lookup is recorded as a
-        dependency of the costing (see :meth:`bind`) either way.
+        The store's edges on ``name`` are recorded as a dependency of the
+        costing (see :meth:`bind`) either way.
         """
         feedback = self.feedback
         version = self.source.statistics_version
@@ -203,9 +205,15 @@ class CostModel:
         for expression in expressions:
             tables |= referenced_tables(expression)
         carriers = attribute_carriers(self.source, tables, name)
-        if not carriers:
-            return None
-        return feedback.lookup_edge(name, carriers, version)
+        return (name, carriers, version) if carriers else None
+
+    def observed_edge_selectivity(self, name: str,
+                                  expressions: Iterable[Expression]) -> Optional[float]:
+        """The feedback store's observed selectivity of a join on ``name``
+        over ``expressions`` (see :meth:`edge_key`), ``None`` when nothing
+        was observed."""
+        edge = self.edge_key(name, expressions)
+        return None if edge is None else self.feedback.lookup_edge(*edge)
 
     # -- statistics access ---------------------------------------------------------------
 

@@ -169,6 +169,11 @@ class JoinGraph:
         #: filled in by :func:`_price_atoms`: the fallback join selectivity of
         #: each adjacent pair, keyed by the pair's mask, in ``(i, j)`` order
         self.pair_selectivity: Dict[int, float] = {}
+        #: filled in by :func:`_cut_selectivity`: per (shared name, mask of
+        #: the carriers a cut joins), the feedback store's key of that edge
+        #: (:meth:`~repro.optimizer.cost.CostModel.edge_key`), derived once
+        #: per search
+        self.edge_keys: Dict[Tuple[str, int], Optional[tuple]] = {}
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -433,7 +438,10 @@ def _cut_selectivity(graph: JoinGraph, left_mask: int, right_mask: int,
     carrier tables) takes precedence over the NDV math for its attribute —
     and, unlike the aged value statistics, it describes the data as it is now.
     This is how one badly-ordered execution re-orders the next plan: the
-    observed fraction prices candidate cuts the search never executed.
+    observed fraction prices candidate cuts the search never executed.  The
+    edge's key is derived once per (attribute, carriers joined) and search;
+    the store is asked per cut, so its hits and recency are those of the
+    cuts priced.
     """
     atoms = graph.atoms
     selectivity = 1.0
@@ -441,8 +449,12 @@ def _cut_selectivity(graph: JoinGraph, left_mask: int, right_mask: int,
         left, right = carriers & left_mask, carriers & right_mask
         if not (left and right):
             continue
-        observed = cost_model.observed_edge_selectivity(
-            name, (atoms[index].expression for index in _bits(left | right)))
+        cut = (name, left | right)
+        if cut not in graph.edge_keys:
+            graph.edge_keys[cut] = cost_model.edge_key(
+                name, (atoms[index].expression for index in _bits(cut[1])))
+        edge = graph.edge_keys[cut]
+        observed = None if edge is None else cost_model.feedback.lookup_edge(*edge)
         if observed is not None:
             selectivity *= observed
             continue

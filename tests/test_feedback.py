@@ -9,9 +9,11 @@ memory accounting in ``explain_analyze``, and the Prometheus / JSON exporters
 """
 
 import json
+from itertools import count
 
 import pytest
 
+from repro.algebra.evaluator import ExecutionStats
 from repro.algebra.expressions import NaturalJoin, RelationRef, Selection
 from repro.algebra.predicates import Comparison
 from repro.engine import Table
@@ -32,7 +34,7 @@ from repro.obs.feedback import (
     referenced_tables,
 )
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
-from repro.obs.profiler import MIN_BASELINE_SAMPLES, PlanWatchdog
+from repro.obs.profiler import CAPACITY, REGRESSION_FACTOR, PlanWatchdog
 from repro.workloads.events import skewed_join_database
 from repro.workloads.star import aged_star_database, star_join_database, star_join_query
 
@@ -262,49 +264,101 @@ class TestFeedbackCorrectsJoinOrder:
         assert any("dim_rare" in operator for operator in after)
 
 
+def _stats(scanned, pairs=0, rows=1):
+    """The ``ExecutionStats`` of a run that read ``scanned`` rows, examined
+    ``pairs`` join pairs and returned ``rows`` rows."""
+    stats = ExecutionStats()
+    stats.tuples_scanned, stats.join_pairs_considered = scanned, pairs
+    stats.tuples_produced = rows
+    return stats
+
+
 class TestPlanWatchdog:
     def test_regression_needs_a_baseline_first(self):
         watchdog = PlanWatchdog()
-        for _ in range(MIN_BASELINE_SAMPLES):
+        # the first run sets the baseline; more work on the same plan (the
+        # data grew) is no verdict on the plan
+        for scanned in (10, 100, 1000):
             change, regression = watchdog.observe("q1", ("plan-a",),
-                                                  {"operators": ["a"]}, 0.01)
+                                                  {"operators": ["a"]}, _stats(scanned))
             assert change is None and regression is None
-        # Baseline established: a 10× latency spike is a regression.
-        _change, regression = watchdog.observe("q1", ("plan-a",),
-                                               {"operators": ["a"]}, 0.1)
-        assert regression is not None
-        assert regression["factor"] > 2.0
-        assert regression["suspect_plan_change"] is None
+        # a new plan that does 10× the last run's work is a regression
+        change, regression = watchdog.observe("q1", ("plan-b",),
+                                              {"operators": ["b"]}, _stats(10_000))
+        assert change["baseline_work"] == 1000
+        assert regression["work"] == 10_000 and regression["factor"] == 10.0
+        assert regression["plan_change"] is change
+        # the next run of that plan is judged against nothing: no second event
+        assert watchdog.observe("q1", ("plan-b",), {"operators": ["b"]},
+                                _stats(50_000)) == (None, None)
+        assert watchdog.as_dict() == {"tracked_queries": 1, "plan_changes": 1,
+                                      "regressions": 1}
 
     def test_plan_flip_is_attributed_as_suspect(self):
         watchdog = PlanWatchdog()
-        for _ in range(MIN_BASELINE_SAMPLES):
-            watchdog.observe("q1", ("plan-a",), {"operators": ["a"]}, 0.01)
-        change, regression = watchdog.observe("q1", ("plan-b",),
-                                              {"operators": ["b"]}, 0.1)
-        assert change is not None
-        assert change["before"] == {"operators": ["a"]}
-        assert change["after"] == {"operators": ["b"]}
-        assert regression is not None
-        assert regression["suspect_plan_change"] is change
+        watchdog.observe("q1", ("plan-a",), {"operators": ["a"]},
+                         _stats(40, pairs=60, rows=10))       # work 10 a row
+        change, regression = watchdog.observe(
+            "q1", ("plan-b",), {"operators": ["b"]}, _stats(300, pairs=900, rows=40))
+        assert change == {"event": "plan-change", "before": {"operators": ["a"]},
+                          "after": {"operators": ["b"]}, "baseline_work": 10.0}
+        assert regression == {"event": "plan-regression", "work": 30.0,
+                              "baseline_work": 10.0, "factor": 3.0,
+                              "plan_change": change}
+        assert watchdog._baselines["q1"].work == 30.0
+
+    def test_a_plan_change_that_saves_work_or_stays_within_the_factor_is_no_regression(self):
+        watchdog = PlanWatchdog()
+        watchdog.observe("q", ("a",), {}, _stats(1000))
+        change, regression = watchdog.observe("q", ("b",), {}, _stats(10))
+        assert change is not None and regression is None
+        change, regression = watchdog.observe("q", ("c",), {},
+                                              _stats(10 * REGRESSION_FACTOR))
+        assert change is not None and regression is None
+        # a run that returned nothing counts one row; one that scanned
+        # nothing is no baseline to judge against
+        watchdog.observe("q", ("c",), {}, _stats(0, rows=0))
+        change, regression = watchdog.observe("q", ("d",), {}, _stats(500, rows=0))
+        assert change["baseline_work"] == 0 and regression is None
+        assert watchdog.regressions_seen == 0
 
     def test_capacity_bounds_tracked_queries(self):
-        watchdog = PlanWatchdog(capacity=2)
-        for index in range(4):
-            watchdog.observe("q{}".format(index), ("p",), {}, 0.01)
-        assert watchdog.as_dict()["tracked_queries"] == 2
-        assert watchdog.baseline("q0") is None
-        assert watchdog.baseline("q3") is not None
+        watchdog = PlanWatchdog()
+        for index in range(CAPACITY + 2):
+            watchdog.observe("q{}".format(index), ("p",), {}, _stats(1))
+        assert watchdog.as_dict()["tracked_queries"] == CAPACITY
+        assert "q0" not in watchdog._baselines and "q1" not in watchdog._baselines
+        assert "q{}".format(CAPACITY + 1) in watchdog._baselines
 
     def test_capacity_bounds_the_event_lists(self):
-        watchdog = PlanWatchdog(capacity=3)
-        for index in range(10):     # the plan flips on every execution
-            watchdog.observe("q", ("p", index), {"operators": [index]}, 0.01)
-        watchdog.observe("q", ("p", 9), {"operators": [9]}, 10.0)
-        assert len(watchdog.plan_changes()) == 3
-        assert watchdog.plan_changes_seen == 9
-        assert watchdog.plan_changes()[-1]["after"] == {"operators": [9]}
-        assert len(watchdog.regressions()) == watchdog.regressions_seen == 1
+        watchdog = PlanWatchdog()
+        flips = CAPACITY + 5
+        for index in range(flips + 1):   # the plan flips on every execution
+            watchdog.observe("q", ("p", index), {"operators": [index]}, _stats(1))
+        assert len(watchdog.plan_changes()) == CAPACITY
+        assert watchdog.plan_changes_seen == flips
+        assert watchdog.plan_changes()[-1]["after"] == {"operators": [flips]}
+        watchdog.clear()
+        assert watchdog.as_dict() == {"tracked_queries": 0, "plan_changes": 0,
+                                      "regressions": 0}
+        assert watchdog.plan_changes_seen == 0
+
+    def test_a_clock_that_jumps_between_queries_is_no_regression(self, stale_star,
+                                                                   monkeypatch):
+        """The verdict reads the work, never the clock the database times
+        queries with: each query here appears to take 16 times the last."""
+        ticks = count()
+        monkeypatch.setattr("repro.engine.database.perf_counter",
+                            lambda: 4.0 ** next(ticks))
+        sink = stale_star.tracer.attach()
+        query = Selection(RelationRef("fact"), Comparison("dr", "=", 1))
+        for _ in range(6):
+            stale_star.execute(query)
+        assert sink.named("plan-regression") == []
+        assert stale_star.plan_watchdog.as_dict()["regressions"] == 0
+        assert all(entry.note is None for entry in stale_star.slow_query_log.entries())
+        (baseline,) = stale_star.plan_watchdog._baselines.values()
+        assert baseline.executions == 6
 
 
 class TestMemoryAccounting:

@@ -227,6 +227,33 @@ class TestSearch:
         assert calls["guard_selectivity"] <= 25
         assert calls["__init__"] <= 60
 
+    def test_a_search_derives_each_feedback_edge_key_once(self, star_db,
+                                                          monkeypatch):
+        """The feedback store's key of a join edge depends on the attribute
+        and the carriers a cut joins, not on the split: one search on the
+        star derives it once per dimension key instead of once per crossing
+        key of each of the 80 priced splits, and still records every key's
+        edge read for the plan cache.  An empty store is never asked."""
+        asked = []
+        edge_key = CostModel.edge_key
+
+        def counted(self, name, expressions):
+            asked.append(name)
+            return edge_key(self, name, expressions)
+
+        monkeypatch.setattr(CostModel, "edge_key", counted)
+        monkeypatch.setattr(type(star_db.cardinality_feedback), "lookup_edge",
+                            lambda *args: pytest.fail("an empty store was asked"))
+        model, reads = CostModel(star_db), {}
+        model.bind(reads=reads)
+        report = order_joins(star_join_query(), model).report
+        assert report.plans_considered == 80
+        assert report.order == STAR_PLAN_EXPLAIN.split("\n")[1][len("  order: "):]
+        assert asked == ["ds", "da", "db", "dc", "dr"]
+        version = star_db.statistics.version
+        assert [key for key in reads if key[0] == "edges"] == [
+            ("edges", (name, version)) for name in asked]
+
     def test_written_order_kept_above_threshold(self, star_db, monkeypatch):
         """A tree of more than ``DEFAULT_DP_THRESHOLD`` relations is declined
         like any tree the search cannot reorder: its top join stays as

@@ -148,12 +148,13 @@ def test_compiled_top_k_is_the_defined_top_k(rows, keys):
 @given(rows=rows_strategy, keys=keys_strategy, runs=st.integers(1, 4))
 def test_merged_runs_are_the_defined_order(rows, keys, runs):
     order = CompiledOrder(keys)
-    records = list(zip(rows, range(len(rows))))
+    rows = [dict(row) for row in rows]  # one object a position
+    position = {id(row): at for at, row in enumerate(rows)}
     streams = []
     for start in range(runs):  # round-robin: every run sees every kind of tie
-        run = records[start::runs]
-        streams.append([run[at] for at in order.argsort([row for row, _ in run])])
-    got = [at for _, at in order.merge(streams)]
+        run = rows[start::runs]
+        streams.append([run[at] for at in order.argsort(run)])
+    got = [position[id(row)] for row in order.merge(streams)]
     # runs interleave arrival order, so among *identical* rows only the
     # multiset is defined: compare the rows, by identity of their positions' keys
     expected = _reference(rows, keys)
@@ -584,6 +585,35 @@ class _Batches(PhysicalOperator):
 
     def _generate(self, ctx, op):
         yield from self.batches
+
+
+def test_a_spilled_sorts_byte_counts_do_not_read_the_stored_hashes(orders):
+    """Before 3.12 CPython hashes ``None`` by its address, so the hash a
+    NULL-holding tuple stores changes width from process to process; what a
+    spilled sort writes and holds must not follow it."""
+    values = [tup._values for tup in sorted(set(orders.table("orders")),
+                                            key=lambda tup: tup["order_id"])]
+    keys = (SortKey("amount", True), SortKey("order_id"))
+    measured = []
+    for first_hash in (1, 2 ** 62):
+        rows = [FlexTuple.from_parts(dict(row), first_hash + at)
+                for at, row in enumerate(values)]
+        sort = SortOp(_Batches([TupleBatch(rows[start:start + 64])
+                                for start in range(0, len(rows), 64)]), keys)
+        governor = QueryGovernor(memory_budget=20_000)
+        try:
+            ctx = ExecutionContext(orders, batch_size=64, governor=governor)
+            tuples = [tup for batch in sort.run(ctx) for tup in batch]
+            manager = governor.spill_manager()
+            assert manager.spill_events >= 3
+            spilled = sum(segment.bytes for segment in manager.segments)
+        finally:
+            governor.finish()
+        assert tuples == sorted(rows, key=lambda tup: row_order_key(tup._values, keys))
+        (stats,) = [stats for stats in ctx.operator_stats
+                    if stats.label == sort.label()]
+        measured.append((spilled, stats.peak_bytes))
+    assert measured[0] == measured[1]
 
 
 def test_a_sort_fed_built_then_lazy_batches_emits_the_defined_stream(orders):

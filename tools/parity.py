@@ -9,11 +9,11 @@ trees and finding no difference::
 
 ``--out FILE`` writes one entry per case of :data:`CASES`, with sorted keys and
 no wall-clock field.  The corpus always runs in a child process under
-``PYTHONHASHSEED=0`` and, where ``setarch`` exists, without address-space
-randomization: CPython before 3.12 hashes ``None`` by its address, so a tuple
-holding a NULL hashes differently in every process, and the sampled memory
-sizes and spilled bytes read the hashes' sizes.  An entry holds, per run of
-its query:
+``PYTHONHASHSEED=0``, so what follows the string hash (hash-partitioned
+spills) repeats.  Nothing the corpus reports reads an address: CPython before
+3.12 hashes ``None`` by its address, so a NULL-holding tuple's hash differs
+from process to process, but no byte count reads a stored hash, and the plan
+watchdog judges work, not time.  An entry holds, per run of its query:
 
 * the plan's ``explain()`` (estimates and ``?n`` slots included),
   ``ExecutionStats.as_dict()`` and a SHA-256 digest of the result tuples, or
@@ -48,7 +48,6 @@ import argparse
 import difflib
 import hashlib
 import json
-import math
 import os
 import shutil
 import subprocess
@@ -305,10 +304,6 @@ def run_case(source_name, query, options, spill_root):
         return {"runs": [_observed(plan, plan.execute(source))]}
     source.spill_directory = spill_root
     source.slow_query_log.threshold = 0.0
-    # a plan regression is a wall-clock verdict (a run slower than twice the
-    # template's mean, from its fourth run on): never one here, so a case may
-    # run its template any number of times
-    source.plan_watchdog.regression_factor = math.inf
     runs = []
     for _ in range(RUNS):
         for one in (query if isinstance(query, list) else [query]):
@@ -324,8 +319,11 @@ def run_case(source_name, query, options, spill_root):
         "slow_queries": metrics["slow_queries"],
         "feedback": {"entries": [repr((key, feedback.current(("rows", key))))
                                  for key in feedback._entries],
-                     "edges": [repr((key, feedback.lookup_edge(*key)))
-                               for key in list(feedback._edges)]},
+                     # a carrier set renders sorted: a frozenset's order
+                     # follows the string hash seed
+                     "edges": [repr(((name, sorted(carriers), version),
+                                     feedback.lookup_edge(name, carriers, version)))
+                               for name, carriers, version in list(feedback._edges)]},
         "plan_cache": metrics["plan_cache"],
         "statement_cache": metrics["statement_cache"],
     })
@@ -367,10 +365,8 @@ def _write_in(tree: str, out: str) -> None:
     module docstring) and write it to ``out``."""
     env = dict(os.environ, PYTHONHASHSEED="0",
                PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
-    command = [sys.executable, os.path.abspath(__file__), "--out", out, "--child"]
-    if shutil.which("setarch"):
-        command = ["setarch", os.uname().machine, "-R"] + command
-    subprocess.run(command, env=env, check=True)
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--out", out,
+                    "--child"], env=env, check=True)
 
 
 def _exported(revision: str, scratch: str) -> str:
