@@ -343,7 +343,12 @@ class Evaluator:
             index: Dict[tuple, List[FlexTuple]] = {}
             for tup in fragment:
                 if tup.is_defined_on(node.on):
-                    index.setdefault(tuple(tup[a] for a in node.on), []).append(tup)
+                    key = tuple(tup[a] for a in node.on)
+                    # a value not equal to itself (a NaN) matches nothing, as
+                    # under the natural join's ``==``; a tuple key compares
+                    # its items by identity first, so it would find itself
+                    if all(value == value for value in key):
+                        index.setdefault(key, []).append(tup)
             merged = set()
             for tup in current:
                 if not tup.is_defined_on(node.on):

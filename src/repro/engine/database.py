@@ -972,17 +972,26 @@ class Database:
         del engine["metrics"]
         return json_snapshot(self.metrics_registry, extra=engine)
 
-    def plan(self, expression: Expression, optimize: bool = True) -> PhysicalPlan:
-        """The physical plan the database would run for ``expression``.
+    def _template(self, query: Expression | str, optimize: bool):
+        """``query``'s template and parameter binding: query text resolves
+        as :meth:`query` resolves it, an expression as :meth:`execute`."""
+        executor = self.physical_executor
+        if isinstance(query, str):
+            return executor.statement(query, optimize)
+        return executor.template(query, optimize)
+
+    def plan(self, expression: Expression | str,
+             optimize: bool = True) -> PhysicalPlan:
+        """The physical plan the database would run for ``expression`` (an
+        algebra expression or query text).
 
         With ``optimize=True`` the AD-driven rewrites are applied first, so the
         plan shows what actually executes; ``plan.explain()`` renders it.
         """
-        executor = self.physical_executor
-        template, params = executor.template(expression, optimize)
-        return executor.plan(template, params=params).bound(params)
+        template, params = self._template(expression, optimize)
+        return self.physical_executor.plan(template, params=params).bound(params)
 
-    def explain(self, expression: Expression, optimize: bool = True) -> str:
+    def explain(self, expression: Expression | str, optimize: bool = True) -> str:
         """Human-readable plan for ``expression``, with the batch-size
         decision and plan-cache counters in the header::
 
@@ -995,7 +1004,7 @@ class Database:
             plan.batch_size, cache["hits"], cache["misses"])
         return header + "\n" + plan.explain()
 
-    def explain_analyze(self, expression: Expression,
+    def explain_analyze(self, expression: Expression | str,
                         optimize: bool = True) -> ExplainAnalyzeReport:
         """Execute ``expression`` and render the plan annotated with what
         actually happened: per node, actual vs estimated rows, the Q-error
@@ -1010,7 +1019,7 @@ class Database:
         """
         with self.tracer.span("query.explain-analyze"):
             with self.tracer.span("rewrite"):
-                template, params = self.physical_executor.template(expression, optimize)
+                template, params = self._template(expression, optimize)
             plan, result = self._run_physical(template, params)
         header = "batch_size={}  wall={:.3f}ms  rows={}".format(
             result.context.batch_size,

@@ -288,6 +288,20 @@ class _Binary(PhysicalOperator):
         self.children = (left, right)
 
 
+def _unseen(seen: set, rows: Iterable[dict], hashes: List[int]) -> Iterator[dict]:
+    """The ``rows`` whose content (``frozenset(values.items())``) is not yet
+    in ``seen``, which they join; the hash of each one's content goes to
+    ``hashes`` as it passes."""
+    add_seen = seen.add
+    append_hash = hashes.append
+    for values in rows:
+        key = frozenset(values.items())
+        if key not in seen:
+            add_seen(key)
+            append_hash(hash(key))
+            yield values
+
+
 def _distinct(ctx: ExecutionContext, seen: Optional[set],
               rows: Iterable[dict]) -> Iterator[LazyBatch]:
     """Set semantics over value dicts: the ``rows`` whose content is not yet
@@ -298,21 +312,24 @@ def _distinct(ctx: ExecutionContext, seen: Optional[set],
     if seen is None:
         yield from map(LazyBatch, PhysicalOperator._chunks(ctx, rows))
         return
-    size = ctx.batch_size
-    add_seen = seen.add
-    out_values: List[dict] = []
-    out_hashes: List[int] = []
-    for values in rows:
-        key = frozenset(values.items())
-        if key not in seen:
-            add_seen(key)
-            out_values.append(values)
-            out_hashes.append(hash(key))
-            if len(out_values) == size:
-                yield LazyBatch(out_values, out_hashes)
-                out_values, out_hashes = [], []
-    if out_values:
-        yield LazyBatch(out_values, out_hashes)
+    hashes: List[int] = []
+    for chunk in PhysicalOperator._chunks(ctx, _unseen(seen, rows, hashes)):
+        yield LazyBatch(chunk, hashes[:])
+        hashes.clear()
+
+
+def _full_batches(rows: List[dict], hashes: Optional[List[int]],
+                  size: int) -> Iterator[LazyBatch]:
+    """The leading batches of ``size`` rows that ``rows`` holds (with their
+    content ``hashes``, when kept), taken out of both lists: the rows short
+    of a batch stay for more to join them."""
+    full = len(rows) - len(rows) % size
+    for start in range(0, full, size):
+        yield LazyBatch(rows[start:start + size],
+                        None if hashes is None else hashes[start:start + size])
+    del rows[:full]
+    if hashes is not None:
+        del hashes[:full]
 
 
 def _note_seen(ctx: ExecutionContext, op: OperatorStats, seen: Optional[set]) -> None:
@@ -670,34 +687,62 @@ def _fill(buckets: Dict, pairs: Iterable[tuple]) -> Dict:
     return buckets
 
 
-def _probe(ctx: ExecutionContext, seen: Optional[set], buckets: Dict,
+def _unequal(values: tuple) -> bool:
+    """Is one of ``values`` not equal to itself (a NaN)?  A tuple compares
+    its items by identity first, so ``values != values`` cannot tell."""
+    for value in values:
+        if value != value:
+            return True
+    return False
+
+
+def _probe(ctx: ExecutionContext, seen: Optional[set], buckets: Dict, shared: int,
            probe: Iterable[Iterable[tuple]],
            keep_unmatched: bool = False) -> Iterator[LazyBatch]:
     """The partner loop: each chunk of ``(join key, values)`` probe pairs
-    merged with the rows of its key's bucket, through :func:`_distinct`.
+    merged with the rows of its key's bucket, through :func:`_unseen`.
     Only pairs that share a bucket count as ``join_pairs_considered``.
-    With ``keep_unmatched`` a probe row without partners passes through in
+
+    A probe key that finds a bucket agrees with its partners on the
+    ``shared`` join attributes — unless it holds a value not equal to
+    itself, a NaN that the dict found by identity, and such a key joins
+    nothing, as under the naive join's ``==``.  So a merge
+    ``{**probe, **partner}`` stands when it is ``shared`` names shorter than
+    the two rows; a shorter one overlaps on more, and :func:`merge_values`
+    raises on a disagreement there.  Merged rows
+    gather across probe chunks and leave in full batches, the rest at the
+    end, so a selective join hands its parent few, full batches.  With
+    ``keep_unmatched`` a probe row without partners passes through in
     batches of its own, past ``seen``: no merged row can equal it."""
     stats = ctx.stats
     get = buckets.get  # no bucket is keyed MISSING
+    size = ctx.batch_size
+    held: List[dict] = []  # merged rows short of a batch
+    hashes: Optional[List[int]] = None if seen is None else []
     unmatched: List[dict] = []
     for pairs in probe:
-        merged: List[dict] = []
+        merged = held if seen is None else []
         append = merged.append
         for key, row_values in pairs:
             partners = get(key)
-            if partners is None:
+            if partners is None or (key != key if shared == 1 else _unequal(key)):
                 if keep_unmatched:
                     unmatched.append(row_values)
                 continue
             stats.join_pairs_considered += len(partners)
+            width = len(row_values) - shared
             for partner in partners:
-                append(merge_values(row_values, partner))
-        yield from _distinct(ctx, seen, merged)
-        if len(unmatched) >= ctx.batch_size:  # a probe chunk is one batch at most
-            yield LazyBatch(unmatched[:ctx.batch_size])
-            del unmatched[:ctx.batch_size]
-    yield from _distinct(ctx, None, unmatched)
+                row = {**row_values, **partner}
+                append(row if len(row) == width + len(partner)
+                       else merge_values(row_values, partner, shared))
+        if seen is not None:
+            held.extend(_unseen(seen, merged, hashes))
+        yield from _full_batches(held, hashes, size)
+        yield from _full_batches(unmatched, None, size)
+    if held:
+        yield LazyBatch(held, hashes)
+    if unmatched:
+        yield LazyBatch(unmatched)
 
 
 def _budget_pieces(stream: Iterable[TupleBatch]) -> Iterator[TupleBatch]:
@@ -804,7 +849,8 @@ class HashJoin(_Binary):
         if build is None:
             op.note_memory(sampled_size(buckets))
             seen = self._seen()
-            yield from _probe(ctx, seen, buckets, _keyed(stats, left, names), keep)
+            yield from _probe(ctx, seen, buckets, len(names),
+                              _keyed(stats, left, names), keep)
             _note_seen(ctx, op, seen)
             return
         probe = _partitions(ctx, "join-probe")
@@ -821,7 +867,7 @@ class HashJoin(_Binary):
             # accounting only: grace holds ~budget + one partition's buckets
             op.note_memory(sampled_size(buckets))
             seen = self._seen()  # a duplicate never crosses partitions
-            yield from _probe(ctx, seen, buckets,
+            yield from _probe(ctx, seen, buckets, len(names),
                               self._chunks(ctx, probe.segment(index)), keep)
             _note_seen(ctx, op, seen)
 
@@ -883,13 +929,16 @@ class IndexLookupJoin(PhysicalOperator):
             for pairs in _keyed(stats, inner, on_names):
                 _fill(buckets, pairs)
             ctx.enforce_memory(op, sampled_size(buckets))
-            yield from _probe(ctx, seen, buckets, _keyed(stats, outer, on_names))
+            yield from _probe(ctx, seen, buckets, len(on_names),
+                              _keyed(stats, outer, on_names))
             _note_seen(ctx, op, seen)
             return
         bucket = index.bucket
         probe_names = index.names
         remaining = [name for name in on_names if name not in probe_names]
         filtered = self.inner.filtered
+        shared = len(on_names)
+        single = len(probe_names) == 1
         for batch in outer:
             stats.guard_checks += len(batch)
             outer_rows: List[dict] = []
@@ -901,7 +950,11 @@ class IndexLookupJoin(PhysicalOperator):
                 if MISSING in key or (remaining and not all(
                         name in row_values for name in remaining)):
                     continue
-                for partner in bucket(key):
+                found = bucket(key)
+                # a NaN finds itself by identity, and joins nothing (see _probe)
+                if not found or (key[0] != key[0] if single else _unequal(key)):
+                    continue
+                for partner in found:
                     if remaining and any(partner._values.get(name, MISSING) != row_values[name]
                                          for name in remaining):
                         continue
@@ -912,8 +965,14 @@ class IndexLookupJoin(PhysicalOperator):
                 outer_rows = [outer_rows[i] for i in indices]
                 partners = [partners[i] for i in indices]
             stats.join_pairs_considered += len(partners)
-            yield from _distinct(ctx, seen, [merge_values(row_values, partner._values)
-                                             for row_values, partner in zip(outer_rows, partners)])
+            merged: List[dict] = []
+            for row_values, partner in zip(outer_rows, partners):
+                partner_values = partner._values
+                row = {**row_values, **partner_values}
+                merged.append(
+                    row if len(row) == len(row_values) + len(partner_values) - shared
+                    else merge_values(row_values, partner_values, shared))
+            yield from _distinct(ctx, seen, merged)
         _note_seen(ctx, op, seen)
 
 

@@ -181,14 +181,37 @@ class SpillManager:
             self.directory = None
 
 
+def _route_hash(key) -> int:
+    """A hash of ``key`` that agrees with ``==`` and follows no hash seed.
+
+    Numbers hash by ``hash`` (an int, a float and a bool that are equal hash
+    alike, and no seed moves them), a ``str`` by the CRC-32 of its UTF-8
+    bytes, ``None`` by a constant (``hash(None)`` is an address before
+    CPython 3.12) and a tuple by combining its items'.  Any other value
+    falls back to ``hash``.
+    """
+    if key is None:
+        return 0
+    if isinstance(key, str):
+        return zlib.crc32(key.encode("utf-8"))
+    if isinstance(key, tuple):
+        combined = len(key)
+        for item in key:
+            combined = (combined * 1000003 ^ _route_hash(item)) & 0xFFFFFFFFFFFFFFFF
+        return combined
+    return hash(key)
+
+
 class GracePartitioner:
     """Hash-partitioned ``(key, payload)`` writer: the grace hash join's
     build and probe sides, the hash aggregate's ``(group key, states)``.
 
-    Records are routed by ``hash(key) % partitions``, so equal keys meet in
-    one partition: a join's matching rows, an aggregate's partial states of
-    one group.  Merged join rows carry their join key, so per-partition
-    duplicate elimination is globally correct.
+    Records are routed by ``_route_hash(key) % partitions``, so equal keys
+    meet in one partition: a join's matching rows, an aggregate's partial
+    states of one group.  Merged join rows carry their join key, so
+    per-partition duplicate elimination is globally correct.  The route
+    follows no hash seed, so what a spill writes repeats from process to
+    process.
     """
 
     def __init__(self, manager: SpillManager, label: str,
@@ -201,7 +224,7 @@ class GracePartitioner:
     def extend(self, records: Iterable[tuple]) -> None:
         segments, partitions = self._segments, self.partitions
         for record in records:
-            segments[hash(record[0]) % partitions].append(record)
+            segments[_route_hash(record[0]) % partitions].append(record)
 
     def finish(self) -> None:
         for segment in self._segments:

@@ -50,6 +50,11 @@ class _Missing:
     def __repr__(self) -> str:
         return "MISSING"
 
+    def __hash__(self) -> int:
+        # not the address: a group key holding MISSING routes a spilled
+        # aggregate's partial states to the same partition in every process
+        return 0x4D495353
+
     def __reduce__(self):
         # ``is MISSING`` identity must survive pickling — spill segments
         # (repro.governor.spill) round-trip value dicts through pickle.
@@ -64,18 +69,25 @@ def _missing() -> "_Missing":
 MISSING = _Missing()
 
 
-def merge_values(left: Dict[str, object], right: Dict[str, object]) -> Dict[str, object]:
+def merge_values(left: Dict[str, object], right: Dict[str, object],
+                 shared: int = 0) -> Dict[str, object]:
     """Merge two per-row value dicts with :meth:`FlexTuple.merge` semantics.
 
     Overlapping attributes must agree (``TupleError`` otherwise — raised
     *eagerly*, so a lazy join surfaces merge conflicts at exactly the point an
     eager one would); the right side's value is kept on agreement, mirroring
     the row merge (:meth:`FlexTuple.merge` overwrites with ``other``'s value —
-    1 and 1.0 are equal but not identical).  The common disjoint case costs one
-    dict-splat and a length check.
+    1 and 1.0 are equal but not identical).  Rows expected to overlap on
+    ``shared`` attributes that agree already cost one dict-splat and a length
+    check; only a larger overlap is compared name by name.
+
+    The product merges disjoint rows here (``shared=0``).  The joins, whose
+    rows always overlap on their join attributes, inline the splat and the
+    length check (:func:`repro.exec.operators._probe`) and call this only
+    when the overlap is larger, to report the disagreement.
     """
     merged = {**left, **right}
-    if len(merged) != len(left) + len(right):
+    if len(merged) != len(left) + len(right) - shared:
         for name, value in right.items():
             if name in left and left[name] != value:
                 raise TupleError(

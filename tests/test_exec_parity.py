@@ -44,9 +44,19 @@ from repro.algebra.predicates import (
     PresencePredicate,
     TruePredicate,
 )
-from repro.errors import ReproError
-from repro.exec import ExecutionContext, HashJoin, PhysicalExecutor, PhysicalPlanner, Scan
-from repro.exec.planner import PhysicalResult
+from repro.engine import Database
+from repro.errors import ReproError, TupleError
+from repro.exec import (
+    ExecutionContext,
+    HashJoin,
+    IndexLookupJoin,
+    PhysicalExecutor,
+    PhysicalPlanner,
+    Scan,
+)
+from repro.exec.planner import PhysicalPlan, PhysicalResult
+from repro.governor import QueryGovernor
+from repro.model.scheme import FlexibleScheme
 from repro.model.tuples import FlexTuple
 from repro.workloads.employees import VARIANTS_BY_JOBTYPE, generate_employees
 from repro.workloads.generators import (
@@ -121,6 +131,42 @@ def assert_parity(expression, source, batch_size=7, strict_error_class=True):
     )
 
 
+def _joinable_tables(rows_a, rows_b):
+    """Tables ``a`` (key ``id``) and ``b`` (key ``bid``, an index on ``x``)."""
+    database = Database()
+    for name, key, rows, indexes in (("a", "id", rows_a, []), ("b", "bid", rows_b, [["x"]])):
+        names = sorted({attribute for row in rows for attribute in row})
+        scheme = FlexibleScheme(len(names), len(names), names)
+        database.create_table(name, scheme, key=[key], indexes=indexes).insert_many(rows)
+    return database
+
+
+def _join_paths(database, on):
+    """``(path, run)``: ``a ⋈ b`` on ``on`` by the in-memory hash join, the
+    index-lookup join with and without its index, and the hash join spilled
+    to grace partitions — each run returns the tuple set."""
+    mapping = {name: database.relation(name) for name in database.tables()}
+
+    def run(root, source, governor=None):
+        ctx = ExecutionContext(source, batch_size=4, governor=governor)
+        return {tup for batch in root.run(ctx) for tup in batch}
+
+    def grace():
+        governor = QueryGovernor(memory_budget=300)
+        try:
+            tuples = run(HashJoin(Scan("a"), Scan("b"), on=on), mapping, governor)
+            assert governor.spilled
+            return tuples
+        finally:
+            governor.finish()
+
+    yield "hash join", lambda: run(HashJoin(Scan("a"), Scan("b"), on=on), mapping)
+    yield "index lookup", lambda: run(IndexLookupJoin(Scan("a"), Scan("b"), on), database)
+    yield "index lookup, no index", lambda: run(
+        IndexLookupJoin(Scan("a"), Scan("b"), on), mapping)
+    yield "grace", grace
+
+
 # -- fixed sources -------------------------------------------------------------------------
 
 
@@ -166,6 +212,64 @@ class TestVariantEdgeCases:
                       employee_source)
         assert_parity(NaturalJoin(raised, RelationRef("employees"), on=["emp_id"]),
                       employee_source)
+
+    @pytest.mark.parametrize("agree", [False, True])
+    def test_join_on_narrower_attributes_merges_in_every_join(self, agree):
+        # the overlap beyond the join attribute: a disagreeing w raises in
+        # the index-lookup and the grace join as in the naive join, an
+        # agreeing one merges
+        rows_a = [{"id": i, "x": i % 4, "w": i % 4} for i in range(12)]
+        rows_b = [{"bid": i, "x": i % 4, "w": i % 4 if agree else -1, "z": i}
+                  for i in range(1, 8)]
+        database = _joinable_tables(rows_a, rows_b)
+        naive, _ = _outcome(lambda: Evaluator(database).evaluate(
+            NaturalJoin(RelationRef("a"), RelationRef("b"), on=["x"])))
+        assert naive[0] == ("ok" if agree else "error")
+        for path, run in _join_paths(database, ["x"]):
+            try:
+                physical = ("ok", run())
+            except TupleError:
+                physical = ("error", TupleError)
+            assert physical == naive, path
+        if agree:
+            assert len(naive[1]) == 21  # each of the 12 rows meets its 1 or 2 partners
+
+    @pytest.mark.parametrize("on", [["x"], ["v", "x"]])
+    def test_a_nan_join_key_joins_nothing(self, on):
+        # both sides hold one NaN object: a dict finds it by identity, but
+        # NaN == NaN is false, so the naive join pairs none of its rows
+        nan = float("nan")
+        rows_a = [{"id": i, "x": nan if i % 3 == 0 else i % 5, "v": 1, "y": i}
+                  for i in range(15)]
+        rows_b = [{"bid": i, "x": nan if i % 2 else i % 5, "v": 1, "z": i}
+                  for i in range(8)]
+        database = _joinable_tables(rows_a, rows_b)
+        naive = Evaluator(database).evaluate(
+            NaturalJoin(RelationRef("a"), RelationRef("b"), on=on)).tuples
+        assert naive and all(tup["x"] == tup["x"] for tup in naive)
+        for path, run in _join_paths(database, on):
+            assert run() == naive, path
+        # a merge stage keeps the NaN rows of its master, unmerged
+        mapping = {name: database.relation(name) for name in database.tables()}
+        restoration = MultiwayJoin([RelationRef("a"), RelationRef("b")], on=on)
+        kept = Evaluator(mapping).evaluate(restoration).tuples
+        assert {tup for tup in kept if tup["x"] != tup["x"]} == {
+            tup for tup in mapping["a"] if tup["x"] != tup["x"]}
+        assert_parity(restoration, mapping, batch_size=4)
+
+    def test_a_join_hands_its_parent_full_batches(self):
+        # 40 probe rows in 10 chunks of 4 meet 9 partners: 3 batches, not 9
+        rows_a = [{"id": i, "x": i, "y": i} for i in range(40)]
+        rows_b = [{"bid": i, "x": i * 4, "z": i} for i in range(9)]
+        database = _joinable_tables(rows_a, rows_b)
+        mapping = {name: database.relation(name) for name in database.tables()}
+        for keyed in (False, True):
+            root = HashJoin(Scan("a"), Scan("b"), on=["x"])
+            if keyed:
+                root.distinct_by = root.on
+            result = execute_and_audit(PhysicalPlan(root), mapping, 4)
+            assert len(result.tuples) == 9
+            assert result.context.operator_stats[0].batches_out == 3
 
     def test_multiway_join_preserves_masters_without_partners(self, employee_source):
         fragment = Projection(
@@ -450,6 +554,20 @@ class TestAggregatePlanCacheRekey:
             second = employee_database.execute(query)
             assert (executor.cache_misses > misses) == (step == 6)
             assert second.tuples != first.tuples  # the update moved an aggregate
+
+
+def test_plan_and_explain_take_query_text():
+    """Query text plans as ``query`` resolves it: the plan ``explain``
+    shows is the one ``query`` cached."""
+    database = _joinable_tables([{"id": i, "x": i % 3} for i in range(9)],
+                                [{"bid": i, "x": i, "z": i} for i in range(3)])
+    text = "SELECT id, z FROM a JOIN b ON (x) WHERE id = 4"
+    result = database.query(text)
+    hits = database.physical_executor.cache_info()["hits"]
+    assert database.plan(text).explain() in database.explain(text)
+    assert database.physical_executor.cache_info()["hits"] > hits
+    assert database.explain_analyze(text).result.tuples == result.tuples == {
+        FlexTuple({"id": 4, "z": 1})}
 
 
 class TestEngineParity:

@@ -398,8 +398,8 @@ def test_a_false_key_fails_the_fuzz(fuzz_source, fuzz_database, monkeypatch):
 
     def dropping(drops):
         """``_probe`` that never sees the probe pairs ``drops`` picks."""
-        return lambda ctx, seen, buckets, pairs, keep=False: probe(
-            ctx, seen, buckets,
+        return lambda ctx, seen, buckets, shared, pairs, keep=False: probe(
+            ctx, seen, buckets, shared,
             ([pair for pair in chunk if not drops(pair[0], buckets)] for chunk in pairs),
             keep)
 

@@ -19,6 +19,9 @@ Three layers under test:
 
 import os
 import pickle
+import subprocess
+import sys
+import zlib
 
 import pytest
 
@@ -135,6 +138,15 @@ class TestCancelToken:
 
 
 class TestSpillSegments:
+    def test_route_hash_agrees_with_equality(self):
+        from repro.governor.spill import _route_hash
+
+        assert _route_hash(1) == _route_hash(1.0) == _route_hash(True)
+        assert _route_hash((1, "r1", None)) == _route_hash((1.0, "r1", None))
+        assert _route_hash((1, "r1")) != _route_hash(("r1", 1))
+        assert _route_hash("r1") == zlib.crc32(b"r1")
+        assert _route_hash(None) == 0
+
     def test_round_trip_preserves_records_and_missing(self, tmp_path):
         manager = SpillManager(str(tmp_path))
         segment = manager.create_segment("unit")
@@ -379,6 +391,40 @@ class TestSpillParity:
         peak1 = max(s["peak_bytes"] for s in governed.operator_report())
         assert peak1 < peak0 / 2
         assert set(governed.tuples) == set(baseline.tuples)
+
+
+#: the parity corpus's budgeted spill cases and cancellation boundaries, as
+#: one digest (run from the repository root)
+SPILL_DIGEST_SCRIPT = """
+import hashlib, shutil, sys, tempfile
+sys.path.insert(0, "tools")
+import parity
+root = tempfile.mkdtemp(prefix="repro-seeds-")
+try:
+    entries = {name: parity.run_case(source, query, options, root)
+               for name, source, query, options in parity.CASES
+               if name.startswith("spill-budgeted/")}
+    entries["cancel-boundaries"] = parity.cancel_boundaries(root)
+finally:
+    shutil.rmtree(root)
+print(hashlib.sha256(parity._render(entries).encode("utf-8")).hexdigest())
+"""
+
+
+def test_spills_repeat_under_any_hash_seed():
+    """A grace partition is chosen by a hash no seed moves: the spill
+    corpus writes the same bytes and passes the same cancellation
+    boundaries under two string-hash seeds (routed by ``hash``, the
+    skewed-key join's ``spill.bytes`` and one boundary count moved)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digests = []
+    for seed in ("0", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.join(root, "src"))
+        done = subprocess.run([sys.executable, "-c", SPILL_DIGEST_SCRIPT], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 class TestFailFast:

@@ -8,12 +8,11 @@ trees and finding no difference::
     PYTHONPATH=src python tools/parity.py --against HEAD~1
 
 ``--out FILE`` writes one entry per case of :data:`CASES`, with sorted keys and
-no wall-clock field.  The corpus always runs in a child process under
-``PYTHONHASHSEED=0``, so what follows the string hash (hash-partitioned
-spills) repeats.  Nothing the corpus reports reads an address: CPython before
-3.12 hashes ``None`` by its address, so a NULL-holding tuple's hash differs
-from process to process, but no byte count reads a stored hash, and the plan
-watchdog judges work, not time.  An entry holds, per run of its query:
+no wall-clock field.  The corpus runs in a child process, and nothing it
+reports follows the hash seed or an address: a spill routes its records by
+a seed-free hash, no byte count reads a stored tuple hash (CPython before
+3.12 hashes ``None`` by its address), and the plan watchdog judges work, not
+time.  An entry holds, per run of its query:
 
 * the plan's ``explain()`` (estimates and ``?n`` slots included),
   ``ExecutionStats.as_dict()`` and a SHA-256 digest of the result tuples, or
@@ -363,8 +362,7 @@ def _render(entries) -> str:
 def _write_in(tree: str, out: str) -> None:
     """Run the corpus in a child process with ``tree``'s ``src`` (see the
     module docstring) and write it to ``out``."""
-    env = dict(os.environ, PYTHONHASHSEED="0",
-               PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     subprocess.run([sys.executable, os.path.abspath(__file__), "--out", out,
                     "--child"], env=env, check=True)
 
