@@ -288,20 +288,6 @@ class _Binary(PhysicalOperator):
         self.children = (left, right)
 
 
-def _unseen(seen: set, rows: Iterable[dict], hashes: List[int]) -> Iterator[dict]:
-    """The ``rows`` whose content (``frozenset(values.items())``) is not yet
-    in ``seen``, which they join; the hash of each one's content goes to
-    ``hashes`` as it passes."""
-    add_seen = seen.add
-    append_hash = hashes.append
-    for values in rows:
-        key = frozenset(values.items())
-        if key not in seen:
-            add_seen(key)
-            append_hash(hash(key))
-            yield values
-
-
 def _distinct(ctx: ExecutionContext, seen: Optional[set],
               rows: Iterable[dict]) -> Iterator[LazyBatch]:
     """Set semantics over value dicts: the ``rows`` whose content is not yet
@@ -312,24 +298,21 @@ def _distinct(ctx: ExecutionContext, seen: Optional[set],
     if seen is None:
         yield from map(LazyBatch, PhysicalOperator._chunks(ctx, rows))
         return
-    hashes: List[int] = []
-    for chunk in PhysicalOperator._chunks(ctx, _unseen(seen, rows, hashes)):
-        yield LazyBatch(chunk, hashes[:])
-        hashes.clear()
-
-
-def _full_batches(rows: List[dict], hashes: Optional[List[int]],
-                  size: int) -> Iterator[LazyBatch]:
-    """The leading batches of ``size`` rows that ``rows`` holds (with their
-    content ``hashes``, when kept), taken out of both lists: the rows short
-    of a batch stay for more to join them."""
-    full = len(rows) - len(rows) % size
-    for start in range(0, full, size):
-        yield LazyBatch(rows[start:start + size],
-                        None if hashes is None else hashes[start:start + size])
-    del rows[:full]
-    if hashes is not None:
-        del hashes[:full]
+    size = ctx.batch_size
+    add_seen = seen.add
+    out_values: List[dict] = []
+    out_hashes: List[int] = []
+    for values in rows:
+        key = frozenset(values.items())
+        if key not in seen:
+            add_seen(key)
+            out_values.append(values)
+            out_hashes.append(hash(key))
+            if len(out_values) == size:
+                yield LazyBatch(out_values, out_hashes)
+                out_values, out_hashes = [], []
+    if out_values:
+        yield LazyBatch(out_values, out_hashes)
 
 
 def _note_seen(ctx: ExecutionContext, op: OperatorStats, seen: Optional[set]) -> None:
@@ -687,10 +670,12 @@ def _fill(buckets: Dict, pairs: Iterable[tuple]) -> Dict:
     return buckets
 
 
-def _unequal(values: tuple) -> bool:
-    """Is one of ``values`` not equal to itself (a NaN)?  A tuple compares
-    its items by identity first, so ``values != values`` cannot tell."""
-    for value in values:
+def _nan_key(key: tuple) -> bool:
+    """Does a join key of several values hold one not equal to itself (a
+    NaN)?  A dict finds such a key by identity, yet under the naive join's
+    ``==`` it joins nothing.  A tuple compares its items by identity first,
+    so ``key != key`` cannot tell; for a bare value it can."""
+    for value in key:
         if value != value:
             return True
     return False
@@ -699,50 +684,41 @@ def _unequal(values: tuple) -> bool:
 def _probe(ctx: ExecutionContext, seen: Optional[set], buckets: Dict, shared: int,
            probe: Iterable[Iterable[tuple]],
            keep_unmatched: bool = False) -> Iterator[LazyBatch]:
-    """The partner loop: each chunk of ``(join key, values)`` probe pairs
-    merged with the rows of its key's bucket, through :func:`_unseen`.
+    """The partner loop: the ``(join key, values)`` probe pairs of every
+    chunk merged with the rows of their key's bucket, through one
+    :func:`_distinct`, so a selective join hands its parent full batches.
     Only pairs that share a bucket count as ``join_pairs_considered``.
-
-    A probe key that finds a bucket agrees with its partners on the
-    ``shared`` join attributes — unless it holds a value not equal to
-    itself, a NaN that the dict found by identity, and such a key joins
-    nothing, as under the naive join's ``==``.  So a merge
-    ``{**probe, **partner}`` stands when it is ``shared`` names shorter than
-    the two rows; a shorter one overlaps on more, and :func:`merge_values`
-    raises on a disagreement there.  Merged rows
-    gather across probe chunks and leave in full batches, the rest at the
-    end, so a selective join hands its parent few, full batches.  With
+    A key that finds a bucket agrees with its partners on the ``shared``
+    join attributes, the overlap :func:`merge_values` expects, unless it
+    holds a NaN (see :func:`_nan_key`), which joins nothing.  With
     ``keep_unmatched`` a probe row without partners passes through in
-    batches of its own, past ``seen``: no merged row can equal it."""
+    batches of its own, past ``seen`` (no merged row can equal it): full
+    ones after each merged batch, the rest at the end."""
     stats = ctx.stats
     get = buckets.get  # no bucket is keyed MISSING
-    size = ctx.batch_size
-    held: List[dict] = []  # merged rows short of a batch
-    hashes: Optional[List[int]] = None if seen is None else []
+    single = shared == 1
     unmatched: List[dict] = []
-    for pairs in probe:
-        merged = held if seen is None else []
-        append = merged.append
-        for key, row_values in pairs:
-            partners = get(key)
-            if partners is None or (key != key if shared == 1 else _unequal(key)):
-                if keep_unmatched:
-                    unmatched.append(row_values)
-                continue
-            stats.join_pairs_considered += len(partners)
-            width = len(row_values) - shared
-            for partner in partners:
-                row = {**row_values, **partner}
-                append(row if len(row) == width + len(partner)
-                       else merge_values(row_values, partner, shared))
-        if seen is not None:
-            held.extend(_unseen(seen, merged, hashes))
-        yield from _full_batches(held, hashes, size)
-        yield from _full_batches(unmatched, None, size)
-    if held:
-        yield LazyBatch(held, hashes)
-    if unmatched:
-        yield LazyBatch(unmatched)
+
+    def merges() -> Iterator[dict]:
+        for pairs in probe:
+            for key, row_values in pairs:
+                partners = get(key)
+                # the bare key of one attribute tests itself, at no call
+                if partners is None or (key != key if single else _nan_key(key)):
+                    if keep_unmatched:
+                        unmatched.append(row_values)
+                    continue
+                stats.join_pairs_considered += len(partners)
+                for partner in partners:
+                    yield merge_values(row_values, partner, shared)
+
+    size = ctx.batch_size
+    for batch in _distinct(ctx, seen, merges()):
+        yield batch
+        while len(unmatched) >= size:
+            yield LazyBatch(unmatched[:size])
+            del unmatched[:size]
+    yield from _distinct(ctx, None, unmatched)
 
 
 def _budget_pieces(stream: Iterable[TupleBatch]) -> Iterator[TupleBatch]:
@@ -938,7 +914,6 @@ class IndexLookupJoin(PhysicalOperator):
         remaining = [name for name in on_names if name not in probe_names]
         filtered = self.inner.filtered
         shared = len(on_names)
-        single = len(probe_names) == 1
         for batch in outer:
             stats.guard_checks += len(batch)
             outer_rows: List[dict] = []
@@ -951,8 +926,7 @@ class IndexLookupJoin(PhysicalOperator):
                         name in row_values for name in remaining)):
                     continue
                 found = bucket(key)
-                # a NaN finds itself by identity, and joins nothing (see _probe)
-                if not found or (key[0] != key[0] if single else _unequal(key)):
+                if not found or _nan_key(key):
                     continue
                 for partner in found:
                     if remaining and any(partner._values.get(name, MISSING) != row_values[name]
@@ -965,14 +939,8 @@ class IndexLookupJoin(PhysicalOperator):
                 outer_rows = [outer_rows[i] for i in indices]
                 partners = [partners[i] for i in indices]
             stats.join_pairs_considered += len(partners)
-            merged: List[dict] = []
-            for row_values, partner in zip(outer_rows, partners):
-                partner_values = partner._values
-                row = {**row_values, **partner_values}
-                merged.append(
-                    row if len(row) == len(row_values) + len(partner_values) - shared
-                    else merge_values(row_values, partner_values, shared))
-            yield from _distinct(ctx, seen, merged)
+            yield from _distinct(ctx, seen, [merge_values(row_values, partner._values, shared)
+                                             for row_values, partner in zip(outer_rows, partners)])
         _note_seen(ctx, op, seen)
 
 

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, List, Optional
 
 from repro.errors import SpillError
 from repro.exec.context import CHUNK_RECORDS
+from repro.model.batches import MISSING
 from repro.storage.wal import FRAME_HEADER, MAX_FRAME_BYTES
 
 __all__ = [
@@ -182,15 +183,19 @@ class SpillManager:
 
 
 def _route_hash(key) -> int:
-    """A hash of ``key`` that agrees with ``==`` and follows no hash seed.
+    """A hash of ``key`` that agrees with ``==`` and, for the values below,
+    follows no hash seed and no address.
 
     Numbers hash by ``hash`` (an int, a float and a bool that are equal hash
-    alike, and no seed moves them), a ``str`` by the CRC-32 of its UTF-8
-    bytes, ``None`` by a constant (``hash(None)`` is an address before
-    CPython 3.12) and a tuple by combining its items'.  Any other value
-    falls back to ``hash``.
+    alike, and no seed moves them), a NaN, whose ``hash`` is its address
+    since CPython 3.10, by a constant, a ``str`` by the CRC-32 of its UTF-8
+    bytes, ``None`` and ``MISSING`` (a group key's absent attribute) by a
+    constant (their ``hash`` is an address; ``None``'s before CPython 3.12)
+    and a tuple by combining its items'.  Any other value falls back to
+    ``hash``, which may follow the seed (``bytes``, a ``frozenset``) or an
+    address.
     """
-    if key is None:
+    if key is None or key is MISSING:
         return 0
     if isinstance(key, str):
         return zlib.crc32(key.encode("utf-8"))
@@ -199,6 +204,8 @@ def _route_hash(key) -> int:
         for item in key:
             combined = (combined * 1000003 ^ _route_hash(item)) & 0xFFFFFFFFFFFFFFFF
         return combined
+    if key != key:
+        return 1
     return hash(key)
 
 
@@ -210,8 +217,8 @@ class GracePartitioner:
     meet in one partition: a join's matching rows, an aggregate's partial
     states of one group.  Merged join rows carry their join key, so
     per-partition duplicate elimination is globally correct.  The route
-    follows no hash seed, so what a spill writes repeats from process to
-    process.
+    follows no hash seed, so what a spill of such values writes repeats
+    from process to process.
     """
 
     def __init__(self, manager: SpillManager, label: str,

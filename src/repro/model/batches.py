@@ -50,11 +50,6 @@ class _Missing:
     def __repr__(self) -> str:
         return "MISSING"
 
-    def __hash__(self) -> int:
-        # not the address: a group key holding MISSING routes a spilled
-        # aggregate's partial states to the same partition in every process
-        return 0x4D495353
-
     def __reduce__(self):
         # ``is MISSING`` identity must survive pickling — spill segments
         # (repro.governor.spill) round-trip value dicts through pickle.
@@ -77,14 +72,12 @@ def merge_values(left: Dict[str, object], right: Dict[str, object],
     *eagerly*, so a lazy join surfaces merge conflicts at exactly the point an
     eager one would); the right side's value is kept on agreement, mirroring
     the row merge (:meth:`FlexTuple.merge` overwrites with ``other``'s value —
-    1 and 1.0 are equal but not identical).  Rows expected to overlap on
-    ``shared`` attributes that agree already cost one dict-splat and a length
-    check; only a larger overlap is compared name by name.
+    1 and 1.0 are equal but not identical).
 
-    The product merges disjoint rows here (``shared=0``).  The joins, whose
-    rows always overlap on their join attributes, inline the splat and the
-    length check (:func:`repro.exec.operators._probe`) and call this only
-    when the overlap is larger, to report the disagreement.
+    ``shared`` is the overlap known to agree: a join's rows meet on their
+    ``shared`` join attributes, the product's on none (``shared=0``).  A
+    merge that overlaps on no more costs one dict-splat and a length check;
+    only a larger overlap is compared name by name.
     """
     merged = {**left, **right}
     if len(merged) != len(left) + len(right) - shared:

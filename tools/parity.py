@@ -10,9 +10,11 @@ trees and finding no difference::
 ``--out FILE`` writes one entry per case of :data:`CASES`, with sorted keys and
 no wall-clock field.  The corpus runs in a child process, and nothing it
 reports follows the hash seed or an address: a spill routes its records by
-a seed-free hash, no byte count reads a stored tuple hash (CPython before
-3.12 hashes ``None`` by its address), and the plan watchdog judges work, not
-time.  An entry holds, per run of its query:
+a hash that follows neither for the numbers, strings, ``None``, NaNs and
+tuples of them that the corpus's keys hold
+(``repro.governor.spill._route_hash``), no byte count reads a stored tuple
+hash (CPython before 3.12 hashes ``None`` by its address), and the plan
+watchdog judges work, not time.  An entry holds, per run of its query:
 
 * the plan's ``explain()`` (estimates and ``?n`` slots included),
   ``ExecutionStats.as_dict()`` and a SHA-256 digest of the result tuples, or
