@@ -15,10 +15,7 @@ Public entry points:
   :func:`atomic_write` primitive,
 * :func:`database_to_dict` / :func:`database_from_dict` — plain dictionaries, with
   :func:`populate_database_from_dict` loading into an existing (empty) database,
-  each table's rows through :meth:`~repro.engine.database.Table.insert_many` (a
-  durable database's recovery loads its checkpoint snapshot so);
-  :func:`database_json_pieces` is ``database_to_dict``'s document as compact JSON
-  text, streamed (the checkpoint's encoder),
+  each table's rows through :meth:`~repro.engine.database.Table.insert_many`,
 * the per-object converters (``scheme_to_dict``, ``dependency_to_dict``, ...) for
   callers that only need a piece.
 
@@ -35,11 +32,10 @@ at 0.
 
 from __future__ import annotations
 
+import codecs
 import json
 import os
 import tempfile
-from itertools import islice
-from typing import Iterator
 
 from repro.core.dependencies import (
     AttributeDependency,
@@ -104,9 +100,10 @@ def fsync_directory(directory: str) -> None:
 
 
 def atomic_write(path: str, write) -> str:
-    """Write a file atomically: ``write(handle)`` fills it; returns the path.
+    """Write a file atomically: ``write(handle)`` fills it with bytes; returns
+    the path.
 
-    The text is first written to a temp file in the same directory, flushed
+    The bytes are first written to a temp file in the same directory, flushed
     and fsynced, then renamed over the target with ``os.replace``, and the
     directory is fsynced so the rename itself survives a crash — a crash at
     any point leaves either the old file or the new one, never a torn
@@ -116,7 +113,7 @@ def atomic_write(path: str, write) -> str:
     descriptor, temp_path = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory)
     try:
-        with os.fdopen(descriptor, "w") as handle:
+        with os.fdopen(descriptor, "wb") as handle:
             write(handle)
             handle.flush()
             os.fsync(handle.fileno())
@@ -131,15 +128,15 @@ def atomic_write(path: str, write) -> str:
     return path
 
 
-def load_json_file(path: str):
-    """Read a JSON document from ``path``; decoding problems raise
-    :class:`SerializationError` instead of leaking ``json`` internals."""
+def decode_json(text, source: str = ""):
+    """Decode a JSON document (``str`` or UTF-8 ``bytes``); decoding problems
+    raise :class:`SerializationError`, naming ``source``, instead of leaking
+    ``json`` internals."""
     try:
-        with open(path) as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(
-            "{}: not valid JSON ({})".format(path, exc)) from exc
+        return json.loads(text)
+    except ValueError as exc:
+        raise SerializationError("{}not valid JSON ({})".format(
+            source and source + ": ", exc)) from exc
 
 
 # -- schemes ------------------------------------------------------------------------------------
@@ -344,20 +341,6 @@ def table_definition_from_dict(entry: dict, path: str = "table") -> dict:
 # -- whole databases -----------------------------------------------------------------------------------
 
 
-def _table_entries(database: Database, include_data: bool):
-    """Each table's document without its rows, and the table whose rows go
-    under ``"tuples"`` (``None`` without data)."""
-    for name in database.tables():
-        entry = table_definition_to_dict(database.catalog.definition(name))
-        table = None
-        if include_data:
-            table = database.table(name)
-            statistics = database.statistics.get(name)
-            if statistics is not None:
-                entry["statistics"] = statistics.to_dict()
-        yield entry, table
-
-
 def database_to_dict(database: Database, include_data: bool = True) -> dict:
     """Convert a database (catalog and, optionally, the stored tuples) to a dictionary.
 
@@ -366,45 +349,28 @@ def database_to_dict(database: Database, include_data: bool = True) -> dict:
     tuples; without data they are omitted.
     """
     tables = []
-    for entry, table in _table_entries(database, include_data):
-        if table is not None:
+    for name in database.tables():
+        entry = table_definition_to_dict(database.catalog.definition(name))
+        if include_data:
+            statistics = database.statistics.get(name)
+            if statistics is not None:
+                entry["statistics"] = statistics.to_dict()
             # store order: no comparison of values (a column may mix NULL
             # with numbers), and a reload restores the scan order
-            entry["tuples"] = [t.as_dict() for t in table]
+            entry["tuples"] = [t.as_dict() for t in database.table(name)]
         tables.append(entry)
     return {"format_version": FORMAT_VERSION, "tables": tables}
 
 
-#: stored rows per encoder call in :func:`database_json_pieces`
-ROWS_PER_PIECE = 1024
-
-#: the C encoder (one-shot calls, no indent): compact and key-sorted
-_encode_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def database_json_pieces(database: Database) -> Iterator[str]:
-    """``database_to_dict(database)``'s document as compact, key-sorted JSON
-    text, in pieces whose concatenation is the whole document.
-
-    A table's definition and statistics are one encoder call; its rows follow
-    in store order, :data:`ROWS_PER_PIECE` stored value dicts a call (no
-    copies), so neither the document nor its text is ever held whole.
-    ``"tuples"`` sorts after every other key of a table's entry, so the rows
-    close it.
-    """
-    yield '{"format_version":%d,"tables":[' % FORMAT_VERSION
-    separator = ""
-    for entry, table in _table_entries(database, include_data=True):
-        yield separator + _encode_compact(entry)[:-1] + ',"tuples":['
-        rows, row_separator = iter(table), ""
-        chunk = [row._values for row in islice(rows, ROWS_PER_PIECE)]
-        while chunk:
-            yield row_separator + _encode_compact(chunk)[1:-1]
-            chunk = [row._values for row in islice(rows, ROWS_PER_PIECE)]
-            row_separator = ","
-        yield "]}"
-        separator = ","
-    yield "]}"
+def restore_statistics(database: Database, name: str, data, path: str) -> None:
+    """Restore a table's :meth:`TableStatistics.to_dict` document; malformed
+    statistics raise :class:`SerializationError` naming ``path``.  The planner
+    uses them without a re-ANALYZE; their counts follow the table's rows."""
+    try:
+        restored = TableStatistics.from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _fail(path, "malformed statistics: {}".format(exc)) from exc
+    database.statistics.restore(name, restored)
 
 
 def _tuple_objects(raw_tuples: list, path: str):
@@ -420,9 +386,9 @@ def _tuple_objects(raw_tuples: list, path: str):
 def populate_database_from_dict(database: Database, data: dict) -> Database:
     """Load a :func:`database_to_dict` document into an existing database.
 
-    The database is expected to be empty (a fresh construction or a durable
-    database in recovery); tables are created and filled in document order,
-    each table's tuples by one :meth:`Table.insert_many`.
+    The database is expected to be empty (:func:`database_from_dict` builds a
+    fresh one); tables are created and filled in document order, each table's
+    tuples by one :meth:`Table.insert_many`.
     Structural problems raise :class:`SerializationError` naming the offending
     path; constraint violations of the *data* propagate unchanged (they name
     the violated constraint, which is more useful than a document path).
@@ -440,11 +406,7 @@ def populate_database_from_dict(database: Database, data: dict) -> Database:
         path = "tables[{}]".format(index)
         spec = table_definition_from_dict(entry, path=path)
         try:
-            table = database.create_table(
-                spec["name"], spec["scheme"], domains=spec["domains"],
-                key=spec["key"], dependencies=spec["dependencies"],
-                indexes=spec["indexes"],
-            )
+            table = database.create_table(**spec)
         except (TypeError, ValueError) as exc:
             raise _fail(path, "invalid table definition: {}".format(exc)) from exc
         raw_tuples = entry.get("tuples", [])
@@ -453,14 +415,7 @@ def populate_database_from_dict(database: Database, data: dict) -> Database:
         table.insert_many(_tuple_objects(raw_tuples, path))
         statistics = entry.get("statistics")
         if statistics is not None:
-            try:
-                restored = TableStatistics.from_dict(statistics)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise _fail(path + ".statistics",
-                            "malformed statistics: {}".format(exc)) from exc
-            # The planner uses them without a re-ANALYZE; their counts follow
-            # the tuples just loaded.
-            database.statistics.restore(spec["name"], restored)
+            restore_statistics(database, spec["name"], statistics, path + ".statistics")
     return database
 
 
@@ -481,8 +436,9 @@ def dump_database(database: Database, file, include_data: bool = True, indent: i
     payload = database_to_dict(database, include_data=include_data)
     if isinstance(file, (str, os.PathLike)):
         def write(handle):
-            json.dump(payload, handle, indent=indent, sort_keys=True)
-            handle.write("\n")
+            text = codecs.getwriter("utf-8")(handle)
+            json.dump(payload, text, indent=indent, sort_keys=True)
+            text.write("\n")
 
         atomic_write(os.fspath(file), write)
         return
@@ -497,19 +453,13 @@ def dumps_database(database: Database, include_data: bool = True) -> str:
 def load_database(file, enforce_constraints: bool = True) -> Database:
     """Read a database from a file path or an open text file."""
     if isinstance(file, (str, os.PathLike)):
-        data = load_json_file(os.fspath(file))
+        with open(file, "rb") as handle:
+            data = decode_json(handle.read(), os.fspath(file))
     else:
-        try:
-            data = json.load(file)
-        except json.JSONDecodeError as exc:
-            raise SerializationError("not valid JSON ({})".format(exc)) from exc
+        data = decode_json(file.read())
     return database_from_dict(data, enforce_constraints=enforce_constraints)
 
 
 def loads_database(text: str, enforce_constraints: bool = True) -> Database:
     """Read a database from a JSON string."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SerializationError("not valid JSON ({})".format(exc)) from exc
-    return database_from_dict(data, enforce_constraints=enforce_constraints)
+    return database_from_dict(decode_json(text), enforce_constraints=enforce_constraints)

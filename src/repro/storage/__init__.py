@@ -7,7 +7,8 @@ log (:mod:`repro.storage.wal`), recovers to a consistent transaction boundary
 on every open — tolerating arbitrarily torn or bit-flipped log tails
 (:mod:`repro.storage.recovery`) — and bounds recovery cost with atomic
 checkpoint snapshots that switch the log to a fresh epoch
-(:mod:`repro.storage.checkpoint`).  The whole protocol is exercised
+(:mod:`repro.storage.checkpoint`), written as the log's own framed records
+and applied by the same loop.  The whole protocol is exercised
 mechanically by the fault-injection harness (:mod:`repro.storage.faults`),
 which kills a recorded workload at every WAL byte offset and asserts
 atomicity and invariant preservation after recovery.

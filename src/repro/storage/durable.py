@@ -4,18 +4,18 @@
 manager keeps a directory with at most two kinds of files::
 
     <durable_path>/
-        snapshot.json      # the latest checkpoint (atomic rename target)
+        snapshot.json      # the latest checkpoint: framed records (atomic rename target)
         wal.000003         # the current epoch's write-ahead log
 
-On open it performs **recovery**, an ordinary load: the checkpoint snapshot,
-if one exists, goes through ``Table.insert_many`` and the committed prefix of
-the current epoch's log through the tables' own DML, so each table's checker
-admits every row once; a refused row fails the open and leaves the directory
-untouched.  Then the shape counts are checked, any torn tail is cut
-back to the intact prefix, and only then is the log opened for appending —
-until then :attr:`DurabilityManager.wal` is ``None``, and the database
-journals and checkpoints nothing, so recovery does not re-log itself.  At
-runtime it journals every mutation *before* the table applies it
+On open it performs **recovery**, an ordinary load: the checkpoint snapshot's
+records, if one exists, and the committed prefix of the current epoch's log
+go through one apply loop, the tables' own DML, so each table's checker
+admits every row once; a refused row, or a torn snapshot, fails the open and
+leaves the directory untouched.  Then the shape counts are checked, any torn
+log tail is cut back to the intact prefix, and only then is the log opened
+for appending — until then :attr:`DurabilityManager.wal` is ``None``, and the
+database journals and checkpoints nothing, so recovery does not re-log
+itself.  At runtime it journals every mutation *before* the table applies it
 (write-ahead; an open ``Database.transaction()`` buffers its framed records
 and writes them in one piece at commit), fsyncs at commit points (optionally
 deferred by the group-commit window), and rewrites the snapshot + switches the
@@ -39,6 +39,7 @@ from typing import Dict, Optional
 from repro.engine.serialization import fsync_directory
 from repro.storage.checkpoint import (
     SNAPSHOT_FILENAME,
+    create_table_record,
     load_checkpoint,
     wal_filename,
     write_checkpoint,
@@ -46,7 +47,6 @@ from repro.storage.checkpoint import (
 from repro.storage.recovery import (
     RecoveryError,
     RecoveryReport,
-    load_snapshot,
     miscounted_shapes,
     read_wal,
     replay_records,
@@ -58,7 +58,6 @@ from repro.storage.wal import (
     OP_BEGIN,
     OP_CHECKPOINT,
     OP_COMMIT,
-    OP_CREATE_TABLE,
     OP_DELETE,
     OP_DROP_TABLE,
     OP_INSERT,
@@ -121,13 +120,11 @@ class DurabilityManager:
         report = RecoveryReport()
         with database.tracer.span("recovery", directory=self.directory):
             with self._phase(report, "load_snapshot") as span:
-                snapshot = load_checkpoint(self.snapshot_path)
-                if snapshot is not None:
-                    load_snapshot(database, snapshot[0])
-                    self.epoch = snapshot[1]
+                epoch = load_checkpoint(database, self.snapshot_path)
+                if epoch is not None:
+                    self.epoch = epoch
                     report.checkpoint_loaded = True
                 span.set(rows=self._stored_rows())
-            del snapshot  # stored: the document is freed before the log is read
             report.wal_epoch = self.epoch
             path = self.wal_path(self.epoch)
             with self._phase(report, "read_wal") as span:
@@ -254,10 +251,7 @@ class DurabilityManager:
             self.wal.append_frames(frames, records)
 
     def log_create_table(self, definition) -> None:
-        from repro.engine.serialization import table_definition_to_dict
-
-        self.wal.append({"op": OP_CREATE_TABLE,
-                         "table": table_definition_to_dict(definition)})
+        self.wal.append(create_table_record(definition))
         self.wal.sync()  # DDL is durable immediately, even inside a window
 
     def log_drop_table(self, name: str) -> None:

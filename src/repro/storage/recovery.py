@@ -13,14 +13,15 @@ guarantees, each exercised mechanically by the fault-injection harness in
 * **torn-tail tolerance** — a crash mid-write leaves a short or corrupt frame
   at the end of the log; recovery *detects and discards* it (and truncates the
   file back to the intact prefix) instead of crashing;
-* **invariant preservation** — recovery is an ordinary load: the snapshot's
-  rows enter each table by one :meth:`Table.insert_many` (:func:`load_snapshot`)
-  and the log's committed work by the tables' own DML (:func:`replay_records`),
-  so the checker each table builds from its definition admits every row once
-  (scheme, domains, keys, dependencies) and files it in its indexes.  A
-  refused row, or shape counts that do not add up to the table's size
-  (:func:`miscounted_shapes`), raises :class:`RecoveryError`.
-  :func:`verify_database` audits any database against its definitions.
+* **invariant preservation** — recovery is an ordinary load with one apply
+  loop: the snapshot's records (:mod:`repro.storage.checkpoint`) and the
+  log's committed work (:func:`replay_records`) create tables by
+  :func:`_apply_ddl` and enter rows by the tables' own DML
+  (:func:`_apply_operations`), so the checker each table builds from its
+  definition admits every row once (scheme, domains, keys, dependencies) and
+  files it in its indexes.  A refused row, or shape counts that do not add up
+  to the table's size (:func:`miscounted_shapes`), raises
+  :class:`RecoveryError`.  :func:`verify_database` audits any database.
 
 Replay is idempotent with respect to the checkpoint snapshot it starts from:
 the checkpoint switches the log to a fresh epoch file (see
@@ -32,15 +33,11 @@ recovery, which only truncates debris — reaches the same state.
 from __future__ import annotations
 
 import os
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.constraints import ConstraintChecker
-from repro.engine.serialization import (
-    SerializationError,
-    populate_database_from_dict,
-    table_definition_from_dict,
-)
+from repro.engine.serialization import restore_statistics, table_definition_from_dict
 from repro.errors import ReproError
 from repro.model.tuples import FlexTuple
 from repro.storage.wal import (
@@ -53,12 +50,14 @@ from repro.storage.wal import (
     OP_DELETE,
     OP_DROP_TABLE,
     OP_INSERT,
+    OP_ROWS,
+    OP_STATISTICS,
     OP_UPDATE,
     read_frames,
 )
 
-__all__ = ["RecoveryError", "RecoveryReport", "load_snapshot", "miscounted_shapes",
-           "read_wal", "replay_records", "verify_database"]
+__all__ = ["RecoveryError", "RecoveryReport", "miscounted_shapes", "read_wal",
+           "replay_records", "verify_database"]
 
 
 class RecoveryError(ReproError):
@@ -119,70 +118,51 @@ def read_wal(path: str) -> Tuple[List[Dict[str, object]], int, Optional[Tuple[in
     return read_frames(data)
 
 
-def load_snapshot(database, document: Dict[str, object]) -> None:
-    """Load a checkpoint's database document into the (empty) database in
-    recovery: :func:`~repro.engine.serialization.populate_database_from_dict`,
-    each table's rows one :meth:`Table.insert_many`.
-
-    A row a table refuses raises :class:`RecoveryError` naming every row of
-    that table's document that a checker built from its definition refuses,
-    in document order; a malformed document raises the
-    :class:`~repro.engine.serialization.SerializationError` the load does.
-    """
-    try:
-        populate_database_from_dict(database, document)
-    except SerializationError:
-        raise
-    except ReproError as exc:
-        # the loaded tables are the document's first ones, the last of them the
-        # one that refused; the report is built on this error path only
-        problems: List[str] = []
-        for entry in document["tables"][:len(database.tables())]:
-            rows = (FlexTuple(values) for values in entry.get("tuples", ())
-                    if isinstance(values, dict))
-            problems += _recheck(database.table(entry["name"]), dict.fromkeys(rows))[1]
-        if not problems:
-            raise
-        raise RecoveryError(
-            "recovered database is inconsistent: " + "; ".join(problems)) from exc
-
-
 _DML = (OP_INSERT, OP_UPDATE, OP_DELETE)
 
 
 def _apply_operations(database, records: Iterable[Dict[str, object]]) -> None:
-    """Apply replayed DML records through the tables' own DML, in log order: a
-    run of consecutive inserts into one table is one :meth:`Table.insert_many`,
-    a run of its updates or of its deletes one :meth:`Table.apply` of the
-    logged ``(old, new)`` changes.  A row the table refuses — an update or a
-    delete of a row it does not hold among them — raises
-    :class:`RecoveryError`."""
+    """Apply DML and snapshot ``rows`` records through the tables' own DML, in
+    order: a run of one table's inserts, or of its ``rows`` records, is one
+    :meth:`Table.insert_many`, a run of its updates or of its deletes one
+    :meth:`Table.apply` of the logged ``(old, new)`` changes.  A row the table
+    refuses — an update or a delete of a row it does not hold among them —
+    raises :class:`RecoveryError`; for an insert run, on this error path only,
+    the stored rows and the run are checked again, so it names every refused
+    row of the run, in order."""
     for (name, op), run in groupby(records, key=lambda r: (r["table"], r["op"])):
-        table = database.table(name)
+        table, rows = database.table(name), None
         try:
-            if op == OP_INSERT:
-                table.insert_many(record["values"] for record in run)
+            if op in (OP_INSERT, OP_ROWS):
+                rows = [r["values"] for r in run] if op == OP_INSERT else [
+                    values for r in run for values in r["values"]]
+                table.insert_many(rows)
             else:
                 table.apply((FlexTuple(r["values"]), None) if op == OP_DELETE
                             else (FlexTuple(r["old"]), FlexTuple(r["new"])) for r in run)
         except ReproError as exc:
-            raise RecoveryError("recovered database is inconsistent: table {!r}: {}".format(
-                name, exc)) from exc
+            # the stored rows hold the run's admitted prefix: once is enough
+            problems = [] if rows is None else _recheck(
+                table, dict.fromkeys(chain(table, map(FlexTuple, rows))))[1]
+            raise RecoveryError("recovered database is inconsistent: " + "; ".join(
+                problems or ["table {!r}: {}".format(name, exc)])) from exc
 
 
 def _apply_ddl(database, record: Dict[str, object], report: RecoveryReport) -> None:
+    """Apply one autonomous record: DDL, an ANALYZE marker or a snapshot's
+    statistics."""
     op = record["op"]
     if op == OP_CREATE_TABLE:
-        spec = table_definition_from_dict(record["table"], path="wal.create_table")
-        database.create_table(
-            spec["name"], spec["scheme"], domains=spec["domains"], key=spec["key"],
-            dependencies=spec["dependencies"], indexes=spec["indexes"],
-        )
+        database.create_table(**table_definition_from_dict(
+            record["table"], path="wal.create_table"))
         report.ddl_applied += 1
     elif op == OP_DROP_TABLE:
         if record["table"] in database.catalog:
             database.drop_table(record["table"])
         report.ddl_applied += 1
+    elif op == OP_STATISTICS:
+        restore_statistics(database, record["table"], record["statistics"],
+                           "statistics of table {!r}".format(record["table"]))
     elif op == OP_ANALYZE:
         try:
             database.analyze(record.get("table"),

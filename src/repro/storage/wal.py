@@ -37,6 +37,10 @@ Record kinds (the ``op`` field):
   statistics the live database had collected.
 * ``checkpoint`` — informational marker written right before a checkpoint
   switches the log to a fresh epoch file.
+* ``rows`` / ``statistics`` / ``end`` — never in a log: a checkpoint snapshot
+  (:mod:`repro.storage.checkpoint`) is frames of a ``checkpoint`` header, per
+  table its ``create_table`` record, its rows a chunk a ``rows`` record and
+  its ``statistics``, and an ``end`` record with the counts.
 
 **Commit protocol.**  ``append`` buffers into the OS (``write`` + ``flush``,
 never ``fsync``); ``commit`` appends the commit record — together with the
@@ -78,11 +82,13 @@ __all__ = [
     "OP_CREATE_TABLE",
     "OP_DELETE",
     "OP_DROP_TABLE",
+    "OP_END",
     "OP_INSERT",
+    "OP_ROWS",
+    "OP_STATISTICS",
     "OP_UPDATE",
     "WALError",
     "WriteAheadLog",
-    "encode_record",
     "frame_record",
     "read_frames",
 ]
@@ -108,6 +114,9 @@ OP_CREATE_TABLE = "create_table"
 OP_DROP_TABLE = "drop_table"
 OP_ANALYZE = "analyze"
 OP_CHECKPOINT = "checkpoint"
+OP_ROWS = "rows"
+OP_STATISTICS = "statistics"
+OP_END = "end"
 
 
 class WALError(ReproError):
@@ -127,14 +136,10 @@ class WALError(ReproError):
 _encode_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def encode_record(record: Dict[str, object]) -> bytes:
-    """The canonical payload bytes of one record (compact JSON, sorted keys)."""
-    return _encode_compact(record).encode("utf-8")
-
-
 def frame_record(record: Dict[str, object]) -> bytes:
-    """A full frame (header + payload) for one record."""
-    payload = encode_record(record)
+    """A full frame (header + canonical payload: compact JSON, sorted keys)
+    for one record."""
+    payload = _encode_compact(record).encode("utf-8")
     return FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 

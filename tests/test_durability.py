@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import shutil
 import stat
 import struct
 import tempfile
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.engine import Database, dump_database
 from repro.engine.database import REMOVE
-from repro.engine.serialization import ROWS_PER_PIECE, database_to_dict
+from repro.engine.serialization import SerializationError, database_to_dict
 from repro.core.dependencies import FunctionalDependency
 from repro.engine.constraints import ConstraintChecker
 from repro.errors import CatalogError, ConstraintViolation, KeyViolation, ReproError
@@ -40,14 +41,16 @@ from repro.storage import (
     crash_at_every_offset,
     faulty_file_factory,
     read_frames,
+    read_wal,
     record_workload,
     replay_records,
     verify_database,
     wal_filename,
 )
 from repro.storage.checkpoint import (
+    CHECKPOINT_FORMAT,
+    ROWS_PER_PIECE,
     SNAPSHOT_FILENAME,
-    checkpoint_payload,
     write_checkpoint,
 )
 from repro.storage.durable import DurabilityManager
@@ -677,15 +680,25 @@ def _honest_directory(path):
     database.close()
 
 
+def _snapshot_records(path):
+    """The records of a directory's snapshot, which must be intact."""
+    records, _valid, torn = read_wal(os.path.join(path, SNAPSHOT_FILENAME))
+    assert torn is None
+    return records
+
+
+def _write_snapshot(path, records):
+    with open(os.path.join(path, SNAPSHOT_FILENAME), "wb") as handle:
+        handle.write(MAGIC + b"".join(map(frame_record, records)))
+
+
 def _edit_snapshot(path, table, rows):
-    snapshot = os.path.join(path, SNAPSHOT_FILENAME)
-    with open(snapshot) as handle:
-        payload = json.load(handle)
-    for entry in payload["database"]["tables"]:
-        if entry["name"] == table:
-            entry["tuples"].extend(rows)
-    with open(snapshot, "w") as handle:
-        json.dump(payload, handle)
+    """Append ``rows`` to a table's last ``rows`` record, and count them in the
+    ``end`` record: the frames and counts are honest, the rows are not."""
+    records = _snapshot_records(path)
+    [r for r in records if r["op"] == "rows" and r["table"] == table][-1]["values"].extend(rows)
+    records[-1]["rows"] += len(rows)
+    _write_snapshot(path, records)
 
 
 def _log_tail(path, op, table, **images):
@@ -1092,12 +1105,43 @@ def _logged_script(path):
     return image
 
 
+#: SHA-256 of the snapshot :func:`_checkpointed_script` writes, pinned for the
+#: same reason: a checkpoint's bytes are read back by a later build.
+PINNED_SNAPSHOT_SHA256 = "b7d48056e761ee63d2d4274a6bc92621ce518bc66a42788551969a93226412bd"
+
+
+def _checkpointed_script(path):
+    """Two tables, one of them analyzed, with NULL, NaN, infinities and
+    non-ASCII text, the analyzed one's rows in three ``rows`` records; returns
+    the snapshot a checkpoint writes."""
+    database = Database(durable_path=path, wal_fsync=False)
+    _create_employees(database).insert_many(generate_employees(40, seed=3))
+    database.create_table("notes", _simple_scheme()).insert_many(
+        [{"k": 1, "v": float("nan")}, {"k": 2, "v": None}, {"k": "naïve ☃", "v": -0.5},
+         {"k": 3.25, "v": float("-inf")}, {"k": "日本語"}])
+    database.analyze("employees")
+    database.checkpoint()
+    database.close()
+    with open(os.path.join(path, SNAPSHOT_FILENAME), "rb") as handle:
+        return handle.read()
+
+
 class TestRecoveryLogBytes:
     def test_recovery_log_bytes_of_a_fixed_script_are_pinned(self, tmp_path):
         import hashlib
 
         image = _logged_script(str(tmp_path / "db"))
         assert hashlib.sha256(image).hexdigest() == PINNED_LOG_SHA256
+
+    def test_checkpoint_bytes_of_a_fixed_script_are_pinned(self, tmp_path, monkeypatch):
+        import hashlib
+
+        monkeypatch.setattr("repro.storage.checkpoint.ROWS_PER_PIECE", 16)
+        image = _checkpointed_script(str(tmp_path / "db"))
+        assert [record["op"] for record in read_frames(image)[0]] == (
+            ["checkpoint", "create_table"] + ["rows"] * 3
+            + ["statistics", "create_table", "rows", "end"])
+        assert hashlib.sha256(image).hexdigest() == PINNED_SNAPSHOT_SHA256
 
 
 # -- the crash harness --------------------------------------------------------------------
@@ -1232,6 +1276,100 @@ class TestCrashHarness:
         assert recording.expected_state_at(mid)[0] == offsets[-2]
 
 
+# -- the crash sweep over the checkpoint file ----------------------------------------------
+
+
+def _checkpoint_crash(path, monkeypatch):
+    """A directory with a snapshot and a logged tail, checkpointed once more:
+    returns its image as the new snapshot's temp file is about to be written
+    (the log holds the ``checkpoint`` marker), its state then, and its image
+    after the checkpoint."""
+    database = Database(durable_path=path, wal_fsync=False)
+    database.create_table("t", _simple_scheme(), key=["k"])
+    database.insert_many("t", [{"k": 1, "v": "Grüße"}, {"k": 2}])
+    database.checkpoint()
+    database.insert("t", {"k": 3, "v": -1.5})
+    images = []
+
+    def spy(*args):
+        images.append(_directory_image(path))
+        return write_checkpoint(*args)
+
+    monkeypatch.setattr("repro.storage.durable.write_checkpoint", spy)
+    state = canonical_state(database)
+    database.checkpoint()
+    database.close()
+    return images[0], state, _directory_image(path)
+
+
+def _lay_out(path, image):
+    """Make ``path`` a directory of exactly the files of ``image``."""
+    shutil.rmtree(path, ignore_errors=True)
+    os.makedirs(path)
+    for name, data in image.items():
+        with open(os.path.join(path, name), "wb") as handle:
+            handle.write(data)
+
+
+class TestCheckpointCrashSweep:
+    """A crash while the snapshot's temp file is written, at every byte, loses
+    nothing; a renamed snapshot cut at any byte or with a byte flipped in any
+    frame is refused, naming the file and offset, and left as it is."""
+
+    def test_a_crash_while_the_temp_file_is_written_recovers_the_old_state(
+            self, tmp_path, monkeypatch):
+        before, state, after = _checkpoint_crash(str(tmp_path / "db"), monkeypatch)
+        snapshot, path = after[SNAPSHOT_FILENAME], str(tmp_path / "crashed")
+        temp = SNAPSHOT_FILENAME + ".crashed.tmp"
+        for cut in range(len(snapshot) + 1):
+            _lay_out(path, dict(before, **{temp: snapshot[:cut]}))
+            database = Database(durable_path=path, wal_fsync=False)
+            assert canonical_state(database) == state, cut
+            assert database.durability.epoch == 1, cut
+            database.close()
+            assert temp not in os.listdir(path), cut
+
+    def test_a_torn_or_flipped_snapshot_is_refused_and_left_alone(self, tmp_path,
+                                                                  monkeypatch):
+        _before, _state, after = _checkpoint_crash(str(tmp_path / "db"), monkeypatch)
+        snapshot, path = after[SNAPSHOT_FILENAME], str(tmp_path / "damaged")
+        starts = [0, len(MAGIC)]  # the file header's, then each frame's
+        for record in read_frames(snapshot)[0]:
+            starts.append(starts[-1] + len(frame_record(record)))
+        assert starts[-1] == len(snapshot)
+
+        def refused(image, offset):
+            _lay_out(path, dict(after, **{SNAPSHOT_FILENAME: image}))
+            left = _directory_image(path)
+            with pytest.raises((SerializationError, RecoveryError)) as caught:
+                Database(durable_path=path, wal_fsync=False)
+            assert _directory_image(path) == left
+            message = str(caught.value)
+            assert repr(os.path.join(path, SNAPSHOT_FILENAME)) in message, message
+            assert "byte offset {}".format(offset) in message, message
+
+        for cut in range(len(snapshot)):
+            refused(snapshot[:cut], max(start for start in starts if start <= cut))
+        for start, end in zip(starts, starts[1:]):
+            flipped = bytearray(snapshot)
+            flipped[(start + end) // 2] ^= 0xFF
+            refused(bytes(flipped), start)
+        _lay_out(path, after)
+        Database(durable_path=path, wal_fsync=False).close()
+
+    def test_a_snapshot_whose_counts_differ_is_refused(self, tmp_path):
+        path = str(tmp_path / "db")
+        _honest_directory(path)
+        records = _snapshot_records(path)
+        _write_snapshot(path, [record for record in records if record["op"] != "rows"
+                               or record["table"] != "rooms"])
+        before = _directory_image(path)
+        with pytest.raises(SerializationError, match="the end record counts 2 tables "
+                                                     "and 9 rows, the records 2 and 5"):
+            Database(durable_path=path)
+        assert _directory_image(path) == before
+
+
 # -- the streamed checkpoint ---------------------------------------------------------------
 
 
@@ -1293,35 +1431,55 @@ SNAPSHOT_CASES = {
 
 
 class TestStreamedCheckpoint:
-    """The snapshot is :func:`checkpoint_payload`'s document, written compact
-    and key-sorted a piece at a time; the load path reads it unchanged."""
+    """The snapshot is framed log records: a header, each table's
+    ``create_table`` record as the log wrote it, its rows in store order a
+    chunk a record, its statistics, and an ``end`` record with the counts."""
 
     @pytest.mark.parametrize("case", sorted(SNAPSHOT_CASES))
     @pytest.mark.parametrize("rows_per_piece", [2, ROWS_PER_PIECE])
     def test_checkpoint_snapshot_is_the_payload(self, tmp_path, monkeypatch,
                                                 case, rows_per_piece):
-        monkeypatch.setattr("repro.engine.serialization.ROWS_PER_PIECE",
-                            rows_per_piece)
+        monkeypatch.setattr("repro.storage.checkpoint.ROWS_PER_PIECE", rows_per_piece)
         path = str(tmp_path / "db")
         database = Database(durable_path=path)
         SNAPSHOT_CASES[case](database)
+        logged = [record for record in read_wal(os.path.join(path, wal_filename(0)))[0]
+                  if record["op"] == "create_table"]
         database.checkpoint()
-        payload = checkpoint_payload(database, database.durability.epoch)
-        with open(os.path.join(path, SNAPSHOT_FILENAME)) as handle:
-            text = handle.read()
-        assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        assert _no_nan(json.loads(text)) == _no_nan(payload)
+        expected = [{"op": "checkpoint", "format": CHECKPOINT_FORMAT,
+                     "epoch": database.durability.epoch}]
+        rows = 0
+        for record in logged:
+            name = record["table"]["name"]
+            values = [tup.as_dict() for tup in database.table(name)]
+            expected.append(record)
+            expected += [{"op": "rows", "table": name, "values": values[i:i + rows_per_piece]}
+                         for i in range(0, len(values), rows_per_piece)]
+            statistics = database.statistics.get(name)
+            if statistics is not None:
+                expected.append({"op": "statistics", "table": name,
+                                 "statistics": statistics.to_dict()})
+            rows += len(values)
+        expected.append({"op": "end", "tables": len(logged), "rows": rows})
+        with open(os.path.join(path, SNAPSHOT_FILENAME), "rb") as handle:
+            image = handle.read()
+        records, valid, torn = read_frames(image)
+        assert torn is None and valid == len(image)
+        assert _no_nan(records) == _no_nan(expected)
+        assert image == MAGIC + b"".join(map(frame_record, expected))
         before = _no_nan(database_to_dict(database))
         database.close()
         reopened = Database(durable_path=path)
-        assert reopened.durability.recovery_report.checkpoint_loaded
+        report = reopened.durability.recovery_report
+        assert report.checkpoint_loaded
+        assert (report.records_read, report.operations_applied, report.ddl_applied) == (0, 0, 0)
         assert _no_nan(database_to_dict(reopened)) == before
         assert verify_database(reopened) == []
         reopened.close()
 
     def test_unserialisable_value_leaves_the_previous_checkpoint(self, tmp_path,
                                                                   monkeypatch):
-        monkeypatch.setattr("repro.engine.serialization.ROWS_PER_PIECE", 2)
+        monkeypatch.setattr("repro.storage.checkpoint.ROWS_PER_PIECE", 2)
         path = tmp_path / "snapshot.json"
         database = Database()
         database.create_table("t", _simple_scheme(), key=["k"])
@@ -1333,6 +1491,53 @@ class TestStreamedCheckpoint:
             write_checkpoint(database, str(path), 2)
         assert path.read_bytes() == previous
         assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
+
+    def test_rows_too_long_for_one_frame_are_split_and_reopen(self, tmp_path,
+                                                              monkeypatch):
+        path = str(tmp_path / "db")
+        database = Database(durable_path=path)
+        database.create_table("t", _simple_scheme(), key=["k"])
+        for i in range(12):
+            database.insert("t", {"k": i, "v": "x" * (20 * i)})
+        before = database_to_dict(database)
+        monkeypatch.setattr("repro.storage.wal.MAX_FRAME_BYTES", 400)
+        database.checkpoint()
+        database.close()
+        with open(os.path.join(path, SNAPSHOT_FILENAME), "rb") as handle:
+            image = handle.read()
+        records, valid, torn = read_frames(image)  # refuses any frame over 400 bytes
+        assert torn is None and valid == len(image)
+        pieces = [record["values"] for record in records if record["op"] == "rows"]
+        assert len(pieces) > 2
+        assert [row for piece in pieces for row in piece] == before["tables"][0]["tuples"]
+        reopened = Database(durable_path=path)
+        assert database_to_dict(reopened) == before
+        assert verify_database(reopened) == []
+        reopened.close()
+
+    def test_a_row_too_long_for_one_frame_is_refused_at_write(self, tmp_path,
+                                                               monkeypatch):
+        path = str(tmp_path / "db")
+        database = Database(durable_path=path)
+        database.create_table("t", _simple_scheme(), key=["k"])
+        database.insert("t", {"k": 0, "v": "short"})
+        database.checkpoint()
+        snapshot = os.path.join(path, SNAPSHOT_FILENAME)
+        with open(snapshot, "rb") as handle:
+            previous = handle.read()
+        database.insert("t", {"k": 1, "v": "x" * 1000})
+        before = database_to_dict(database)
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.storage.wal.MAX_FRAME_BYTES", 400)
+            with pytest.raises(SerializationError, match="one row of table 't' encodes to"):
+                database.checkpoint()
+        database.close()
+        with open(snapshot, "rb") as handle:
+            assert handle.read() == previous
+        assert not [name for name in os.listdir(path) if name.endswith(".tmp")]
+        reopened = Database(durable_path=path)
+        assert database_to_dict(reopened) == before
+        reopened.close()
 
     def test_checkpoint_fsyncs_the_directory_before_old_epochs_go(self, tmp_path,
                                                                  monkeypatch):
@@ -1397,6 +1602,61 @@ class TestStreamedCheckpoint:
         _create_employees(database).insert_many(generate_employees(5, seed=2))
         dump_database(database, str(tmp_path / "db.json"))
         assert events == ["file", "replace", "dir"]
+
+
+# -- a format-1 snapshot is still read ----------------------------------------------------
+
+
+#: a directory the format-1 checkpoint writer left: its snapshot holds an
+#: analyzed ``employees`` table and a ``readings`` table, its log a tail that
+#: inserts ``k = 6`` into ``readings`` and deletes ``k = 2``
+FORMAT_1_DIRECTORY = os.path.join(os.path.dirname(__file__), "data", "checkpoint_format1")
+
+
+def _rows(table):
+    """A table's rows as sorted ``repr`` strings, so NaN compares."""
+    return sorted(repr(sorted(tup.as_dict().items())) for tup in table)
+
+
+class TestFormatOneCheckpoint:
+    def test_a_format_1_directory_reopens_and_checkpoints_as_format_2(self, tmp_path):
+        path = str(tmp_path / "db")
+        shutil.copytree(FORMAT_1_DIRECTORY, path)
+        with open(os.path.join(path, SNAPSHOT_FILENAME)) as handle:
+            document = json.load(handle)
+        assert document["checkpoint_format"] == 1
+        database = Database(durable_path=path)
+        report = database.durability.recovery_report
+        assert report.checkpoint_loaded and report.wal_epoch == database.durability.epoch == 1
+        assert (report.records_read, report.operations_applied) == (2, 2)
+        employees = [
+            {"emp_id": 1, "name": "Zoë", "salary": 3000.0, "jobtype": "secretary",
+             "typing_speed": 70, "foreign_languages": "français"},
+            {"emp_id": 2, "name": "Jörg", "salary": 4100.5, "jobtype": "salesman",
+             "products": "dbms", "sales_commission": 0.1},
+            {"emp_id": 3, "name": "山田", "salary": 2800.0, "jobtype": "secretary",
+             "typing_speed": 55, "foreign_languages": "english"},
+            {"emp_id": 4, "name": "ana", "salary": 5000.0, "jobtype": "software engineer",
+             "products": "ingres", "programming_languages": "C"}]
+        readings = [{"k": 1, "v": float("nan")}, {"k": 3, "v": float("inf")},
+                    {"k": 4, "v": "naïve ☃"}, {"k": 5}, {"k": 6, "v": float("-inf")}]
+        expected = {"employees": _rows(map(FlexTuple, employees)),
+                    "readings": _rows(map(FlexTuple, readings))}
+        assert {name: _rows(database.table(name)) for name in database.tables()} == expected
+        analyzed = document["database"]["tables"][0]
+        assert analyzed["name"] == "employees"
+        assert database.statistics.get("employees").to_dict() == analyzed["statistics"]
+        assert database.statistics.get("readings") is None
+        assert verify_database(database) == []
+        database.checkpoint()
+        records = _snapshot_records(path)
+        assert records[0] == {"op": "checkpoint", "format": CHECKPOINT_FORMAT, "epoch": 2}
+        assert records[-1] == {"op": "end", "tables": 2, "rows": 9}
+        database.close()
+        reopened = Database(durable_path=path)
+        assert {name: _rows(reopened.table(name)) for name in reopened.tables()} == expected
+        assert reopened.statistics.get("employees").to_dict() == analyzed["statistics"]
+        reopened.close()
 
 
 # -- reference counting frees a dropped database -------------------------------------------

@@ -129,11 +129,13 @@ class TestE20TraceTargets:
         assert len(targets) >= 30
         assert [target for target in targets if trace.resolve(target) is None] == []
 
-    def test_a_reopen_enters_the_populate_and_replay_targets_once(self, tmp_path):
-        """``engine.populate_s_per_reopen`` and
+    def test_a_reopen_enters_the_load_and_replay_targets_once(self, tmp_path):
+        """``storage.recovery_load_snapshot_s`` and
         ``storage.recovery_replay_us_per_record`` read the spans of these two
-        targets: a reopen that bypassed either would read 0 again.  Counted
-        with E20's own wrapping (every module that imported the name)."""
+        targets: a reopen that bypassed either would read 0.  The snapshot's
+        records are applied by the first alone, so the second times the log
+        tail.  Counted with E20's own wrapping (every module that imported the
+        name)."""
         from repro.engine import Database
         from repro.workloads.employees import employee_definition, generate_employees
 
@@ -148,7 +150,7 @@ class TestE20TraceTargets:
         table.insert_many(rows[20:])  # the log tail
         database.close()
         targets = dict(trace.TARGETS)
-        for span in ("engine.populate", "storage.recovery_replay"):
+        for span in ("storage.recovery_load_snapshot", "storage.recovery_replay"):
             reopen = lambda: Database(durable_path=path).close()  # noqa: E731
             assert trace.count_calls(targets[span], reopen) == 1, span
 

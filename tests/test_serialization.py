@@ -239,9 +239,8 @@ class TestMalformedDocuments:
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        from repro.engine.serialization import load_json_file
         with pytest.raises(SerializationError, match="not valid JSON"):
-            load_json_file(str(path))
+            load_database(str(path))
 
     def test_load_database_wraps_decode_errors(self):
         with pytest.raises(SerializationError, match="not valid JSON"):

@@ -8,7 +8,6 @@ API only, so the two share no code beyond ``FlexibleScheme.admits``,
 ``Domain.contains`` and ``ExplicitAttributeDependency.check_tuple``.
 """
 
-import json
 import os
 import random
 from collections import Counter
@@ -41,8 +40,9 @@ from repro.model.attributes import Attribute, AttributeSet
 from repro.model.domains import EnumDomain, IntDomain, StringDomain
 from repro.model.scheme import FlexibleScheme, UnfoldedScheme
 from repro.model.tuples import FlexTuple
-from repro.storage import RecoveryError, verify_database
+from repro.storage import RecoveryError, read_wal, verify_database
 from repro.storage.checkpoint import SNAPSHOT_FILENAME
+from repro.storage.wal import MAGIC, frame_record
 from repro.workloads.analytics import generate_orders, orders_domains, orders_scheme
 from repro.workloads.employees import employee_definition, generate_employees
 
@@ -1102,12 +1102,15 @@ class TestRecoveryStillHasTeeth:
         assert verify_database(database) == []
 
     def _smuggle(self, path, rows):
+        """Append ``rows`` to the first table's last ``rows`` record, counted in
+        the ``end`` record, and frame the records again."""
         snapshot = os.path.join(path, SNAPSHOT_FILENAME)
-        with open(snapshot) as handle:
-            payload = json.load(handle)
-        payload["database"]["tables"][0]["tuples"].extend(rows)
-        with open(snapshot, "w") as handle:
-            json.dump(payload, handle)
+        records = read_wal(snapshot)[0]
+        first = next(r["table"]["name"] for r in records if r["op"] == "create_table")
+        [r for r in records if r["op"] == "rows" and r["table"] == first][-1]["values"].extend(rows)
+        records[-1]["rows"] += len(rows)
+        with open(snapshot, "wb") as handle:
+            handle.write(MAGIC + b"".join(map(frame_record, records)))
 
     def test_smuggled_tuples_fail_reopen_naming_each(self, tmp_path):
         path = str(tmp_path / "db")
